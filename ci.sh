@@ -31,6 +31,7 @@ step reopen cargo test -q --test reopen
 step fault-injection cargo test -q --test fault_injection
 step snapshot-isolation cargo test -q --test snapshot_isolation
 step sql-equivalence cargo test -q --test sql_equivalence
+step backend-conformance cargo test -q --test backend_conformance
 
 # End-to-end health check: build a small database with the shell, then
 # verify every page checksum through `cdb fsck` (read-only and repair
@@ -498,6 +499,16 @@ shard_smoke() {
   rm -rf "$dir"
 }
 step shard shard_smoke
+
+# `perf/` is its own workspace, so nothing above builds it: compile the
+# benchmark harness against the current API, run its unit tests, then one
+# quick pass over all four workloads (exits non-zero on any failed
+# operation).
+perf_harness() {
+  cargo test -q --manifest-path perf/Cargo.toml
+  cargo run --release --quiet --manifest-path perf/Cargo.toml -- --all --quick >/dev/null
+}
+step perf-harness perf_harness
 
 step clippy cargo clippy --workspace --all-targets -- -D warnings
 step doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -145,92 +145,6 @@ impl RplusBed {
     }
 }
 
-/// In-process wire-server harness shared by the network benches
-/// (`net_throughput`, `mixed_throughput`) and smoke scripts: every run
-/// re-opens a fresh listener on an ephemeral loopback port — no port
-/// reuse between runs, no stale listener state leaking across
-/// measurements — and client workloads come from one place instead of
-/// being copy-pasted per bench.
-pub mod net {
-    use std::net::SocketAddr;
-
-    use cdb_core::{ConstraintDb, Selection, Strategy};
-    use cdb_net::server::{Server, ServerConfig};
-    use cdb_net::Client;
-
-    /// A server running on a background thread, bound to an ephemeral
-    /// loopback port. Dropping without [`shutdown`](Self::shutdown)
-    /// leaks the thread — benches always shut down to get the engine
-    /// (and its final checkpoint) back.
-    pub struct TestServer {
-        addr: SocketAddr,
-        handle: std::thread::JoinHandle<ConstraintDb>,
-    }
-
-    /// Binds a *fresh* listener on `127.0.0.1:0` and serves `db` from a
-    /// background thread.
-    pub fn spawn(db: ConstraintDb, config: ServerConfig) -> TestServer {
-        let server = Server::bind("127.0.0.1:0", db, config).expect("bind loopback");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("clean shutdown"));
-        TestServer { addr, handle }
-    }
-
-    impl TestServer {
-        /// The ephemeral address the listener bound.
-        pub fn addr(&self) -> SocketAddr {
-            self.addr
-        }
-
-        /// Graceful shutdown over the wire; returns the engine after its
-        /// final checkpoint.
-        pub fn shutdown(self) -> ConstraintDb {
-            let mut closer = Client::connect(self.addr).expect("connect for shutdown");
-            closer.shutdown().expect("graceful shutdown");
-            self.handle.join().expect("server thread")
-        }
-    }
-
-    /// Replays a calibrated T2 batch through one wire client against
-    /// relation `"r"`, verifying every answer against `expected`.
-    /// `offset` staggers the replay order so concurrent clients do not
-    /// march in lockstep. Returns per-query latencies in microseconds,
-    /// in execution order.
-    pub fn replay_t2(
-        addr: SocketAddr,
-        batch: &[Selection],
-        expected: &[Vec<u32>],
-        offset: usize,
-    ) -> Vec<f64> {
-        let mut client = Client::connect(addr).expect("connect");
-        let mut lat = Vec::with_capacity(batch.len());
-        for i in 0..batch.len() {
-            let qi = (i + offset * 7) % batch.len();
-            let t0 = std::time::Instant::now();
-            let r = client
-                .query("r", batch[qi].clone(), Strategy::T2)
-                .expect("wire query");
-            lat.push(t0.elapsed().as_secs_f64() * 1e6);
-            assert_eq!(
-                r.ids(),
-                expected[qi].as_slice(),
-                "client {offset} query {qi}"
-            );
-        }
-        lat
-    }
-
-    /// The `p`-quantile (0 ≤ p ≤ 1) of unsorted latency samples, by the
-    /// nearest-rank method. Panics on an empty sample set.
-    pub fn percentile(samples: &[f64], p: f64) -> f64 {
-        assert!(!samples.is_empty(), "no samples");
-        let mut s = samples.to_vec();
-        s.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let rank = ((p * s.len() as f64).ceil() as usize).clamp(1, s.len());
-        s[rank - 1]
-    }
-}
-
 /// Converts a calibrated query into an engine selection.
 pub fn selection_of(q: &CalibratedQuery) -> Selection {
     Selection {

@@ -18,16 +18,14 @@
 //! [`CdbError::Quarantined`] but sibling relations keep answering.
 
 use std::collections::HashMap;
-use std::io;
 
-use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_geometry::Rect;
 use cdb_rplustree::RPlusTree;
 use cdb_storage::wal::{wal_path, Wal, WalFaultPlan};
 use cdb_storage::{
     EpochStats, FilePager, HeapFile, IoStats, MemPager, PageId, PageReader, Pager, PagerRecovery,
-    RecordId, SnapshotReader, DEFAULT_PAGE_SIZE,
+    RecordId, DEFAULT_PAGE_SIZE,
 };
 
 use crate::ddim::{DualIndexD, SlopePoints};
@@ -35,10 +33,11 @@ use crate::error::CdbError;
 use crate::index::DualIndex;
 use crate::partition::PartitionSpec;
 use crate::plan::{
-    AccessMethod, DualDAccess, ExplainReport, MethodContext, MethodKind, PlanCatalog, QueryPlan,
-    RPlusAccess, RestrictedAccess, SeqScanAccess, T1Access, T2Access,
+    AccessMethod, DualDAccess, MethodContext, MethodKind, PlanCatalog, RPlusAccess,
+    RestrictedAccess, SeqScanAccess, T1Access, T2Access,
 };
-use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
+use crate::query::Strategy;
+pub use crate::read::{ReadSurface, Snapshot};
 use crate::slopes::SlopeSet;
 use crate::wal::WalRecord;
 
@@ -252,7 +251,7 @@ pub struct RPlusIndex {
 ///
 /// `Clone` copies the in-memory descriptors (slot table, tree roots,
 /// catalog EWMAs) but not the pages themselves — a clone paired with a
-/// frozen [`SnapshotReader`] view of the pager is exactly what a
+/// frozen [`cdb_storage::SnapshotReader`] view of the pager is exactly what a
 /// [`Snapshot`] serves queries from.
 #[derive(Clone)]
 pub struct Relation {
@@ -334,7 +333,7 @@ impl Relation {
     }
 
     /// `(dual, dual-d, rplus)` corruption flags from the health verdict.
-    fn corrupt_flags(&self) -> (bool, bool, bool) {
+    pub(crate) fn corrupt_flags(&self) -> (bool, bool, bool) {
         match &self.health {
             RelationHealth::Degraded { corrupt_indexes } => (
                 corrupt_indexes.iter().any(|c| c == "dual"),
@@ -540,29 +539,6 @@ impl crate::index::TupleSource for HeapSource<'_> {
     }
 }
 
-/// Read-only view of the engine pager that is shareable across threads
-/// (`dyn Pager` has `Send + Sync` supertraits, so the borrow is `Sync`; the
-/// wrapper re-exposes just the [`PageReader`] half).
-struct ReadHalf<'a>(&'a dyn Pager);
-
-impl PageReader for ReadHalf<'_> {
-    fn page_size(&self) -> usize {
-        self.0.page_size()
-    }
-
-    fn read(&self, id: cdb_storage::PageId, buf: &mut [u8]) -> io::Result<()> {
-        self.0.read(id, buf)
-    }
-
-    fn live_pages(&self) -> usize {
-        self.0.live_pages()
-    }
-
-    fn stats(&self) -> IoStats {
-        self.0.stats()
-    }
-}
-
 /// Maps a legacy [`Strategy`] to the planner's forced-method argument,
 /// preserving the historical `NoIndex` errors for explicitly requested
 /// index techniques on index-less relations. A structure marked corrupt
@@ -594,162 +570,12 @@ pub(crate) fn forced_kind(
     }
 }
 
-/// The planned-execution core shared by the live engine and its snapshots:
-/// the planner chooses (or validates the forced) access method, the method
-/// runs against `reader`, estimate and method are stamped into the
-/// result's stats, and the actuals feed the relation's catalog.
-fn planned_on(
-    rel: &Relation,
-    reader: &dyn PageReader,
-    page_size: usize,
-    sel: &Selection,
-    strategy: Strategy,
-) -> Result<(QueryPlan, QueryResult), CdbError> {
-    use crate::physical::Operator;
-    let mut op =
-        crate::physical::IndexScanOp::new(rel, reader, page_size, sel.clone(), strategy, false);
-    op.open()?;
-    let mut ids = Vec::new();
-    while let Some(row) = op.next()? {
-        ids.extend_from_slice(&row.ids);
-    }
-    op.close();
-    let (plan, stats) = op.into_plan_stats();
-    let plan = plan.expect("open() stamps the chosen plan");
-    Ok((plan, QueryResult::new(ids, stats)))
-}
-
-/// Plan-only core of EXPLAIN (no execution, no probe ticks): the
-/// pipeline's `describe` pass over a one-node plan.
-fn plan_on(
-    rel: &Relation,
-    reader: &dyn PageReader,
-    page_size: usize,
-    sel: &Selection,
-) -> Result<QueryPlan, CdbError> {
-    use crate::physical::Operator;
-    let mut op = crate::physical::IndexScanOp::new(
-        rel,
-        reader,
-        page_size,
-        sel.clone(),
-        Strategy::Auto,
-        false,
-    );
-    op.describe()?;
-    let (plan, _) = op.into_plan_stats();
-    Ok(plan.expect("describe() stamps the chosen plan"))
-}
-
-/// Constraint-SQL core shared by the engine and its snapshots: parse →
-/// lower → rewrite → build the operator tree → execute or describe.
-fn sql_on(
-    relations: &HashMap<String, Relation>,
-    reader: &dyn PageReader,
-    page_size: usize,
-    text: &str,
-    mode: crate::sql::SqlMode,
-) -> Result<crate::sql::SqlOutcome, CdbError> {
-    use crate::sql::{Projection, SqlMode, SqlOutcome, SqlRow};
-    let query = crate::sql::parse(text).map_err(|e| CdbError::UnsupportedQuery(e.to_string()))?;
-    let plan = crate::logical::lower(&query, |name| {
-        relations
-            .get(name)
-            .map(|r| r.dim())
-            .ok_or_else(|| CdbError::RelationNotFound(name.to_string()))
-    })?;
-    let plan = crate::logical::rewrite(plan);
-    let mut columns: Vec<String> = query
-        .relations
-        .iter()
-        .map(|(n, _)| format!("id({n})"))
-        .collect();
-    let keep_regions = match &query.projection {
-        Projection::Star => false,
-        Projection::Vars(vars) => {
-            let names: Vec<String> = vars.iter().map(|(v, _)| crate::sql::var_name(*v)).collect();
-            columns.push(format!("region({})", names.join(", ")));
-            true
-        }
-    };
-    let ctx = crate::physical::ExecCtx {
-        relations,
-        reader,
-        page_size,
-    };
-    let mut op = crate::physical::build(&plan, &ctx, keep_regions)?;
-    if matches!(mode, SqlMode::Explain) {
-        op.describe()?;
-        return Ok(SqlOutcome {
-            columns,
-            rows: Vec::new(),
-            plan: Some(crate::pretty::render(&op.node(false))),
-            stats: QueryStats::default(),
-        });
-    }
-    op.open()?;
-    let mut rows = Vec::new();
-    while let Some(row) = op.next()? {
-        rows.push(SqlRow {
-            ids: row.ids,
-            region: if keep_regions { row.region } else { None },
-        });
-    }
-    op.close();
-    let mut stats = QueryStats::default();
-    op.add_stats(&mut stats);
-    if matches!(mode, SqlMode::ExplainAnalyze) {
-        return Ok(SqlOutcome {
-            columns,
-            rows: Vec::new(),
-            plan: Some(crate::pretty::render(&op.node(true))),
-            stats,
-        });
-    }
-    Ok(SqlOutcome {
-        columns,
-        rows,
-        plan: None,
-        stats,
-    })
-}
-
-/// Line-query core shared by the engine and its snapshots.
-fn hyperplane_on(
-    rel: &Relation,
-    reader: &dyn PageReader,
-    a: f64,
-    c: f64,
-    kind: SelectionKind,
-    strategy: Strategy,
-) -> Result<QueryResult, CdbError> {
-    rel.ensure_usable()?;
-    if rel.dim != 2 {
-        return Err(CdbError::DimensionMismatch {
-            expected: rel.dim,
-            got: 2,
-        });
-    }
-    let (c_dual, _, _) = rel.corrupt_flags();
-    let Some(idx) = rel.index.as_ref() else {
-        return Err(CdbError::NoIndex(rel.name.clone()));
-    };
-    if c_dual {
-        return Err(CdbError::NoIndex(rel.name.clone()));
-    }
-    let source = HeapSource {
-        heap: &rel.heap,
-        slots: &rel.slots,
-    };
-    idx.execute_hyperplane(reader, a, c, kind, strategy, &source)
-}
-
 /// The engine: a pager, a catalog of relations, and planned query
 /// execution.
 pub struct ConstraintDb {
-    pager: Box<dyn Pager>,
-    config: DbConfig,
-    relations: HashMap<String, Relation>,
+    /// Pager, configuration and relations: the state the read surface
+    /// queries, which this handle additionally mutates.
+    view: ReadSurface<Box<dyn Pager>>,
     /// Structural changes (DDL, inserts/deletes, index builds) since the
     /// last checkpoint. Planner-catalog movement is tracked separately via
     /// [`PlanCatalog::version`] so `&self` query feedback needs no flag.
@@ -785,6 +611,17 @@ pub struct ConstraintDb {
     partition: Option<PartitionSpec>,
 }
 
+/// The whole read surface — `relation`, `query`, `query_with`, `explain`,
+/// `sql`, `query_batch`, line queries, `fetch_tuple`, `scan_relation` — is
+/// [`ReadSurface`]'s, over the live state.
+impl std::ops::Deref for ConstraintDb {
+    type Target = ReadSurface<Box<dyn Pager>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.view
+    }
+}
+
 impl ConstraintDb {
     /// An engine over an in-memory pager (the experimental substrate).
     pub fn in_memory(config: DbConfig) -> Self {
@@ -796,9 +633,11 @@ impl ConstraintDb {
     pub fn with_pager(pager: Box<dyn Pager>, config: DbConfig) -> Self {
         assert_eq!(pager.page_size(), config.page_size, "page size mismatch");
         ConstraintDb {
-            pager,
-            config,
-            relations: HashMap::new(),
+            view: ReadSurface {
+                pager,
+                config,
+                relations: HashMap::new(),
+            },
             dirty: false,
             committed_plan_version: 0,
             read_only: false,
@@ -955,12 +794,14 @@ impl ConstraintDb {
             wal: None,
         };
         Ok(ConstraintDb {
-            pager: Box::new(pager),
-            config: DbConfig {
-                page_size,
-                strategy: cat.strategy,
+            view: ReadSurface {
+                pager: Box::new(pager),
+                config: DbConfig {
+                    page_size,
+                    strategy: cat.strategy,
+                },
+                relations: cat.relations,
             },
-            relations: cat.relations,
             dirty: false,
             // Restored catalogs start at version 0 (see
             // `PlanCatalog::from_entries`), so the committed sum is 0.
@@ -1061,16 +902,21 @@ impl ConstraintDb {
     /// Stage 3 of `open`: the per-page verification pass, classifying
     /// every relation's health into the recovery report.
     fn classify_relations(&mut self) {
-        let mut names: Vec<String> = self.relations.keys().cloned().collect();
+        let mut names: Vec<String> = self.view.relations.keys().cloned().collect();
         names.sort();
         let mut verdicts = Vec::with_capacity(names.len());
         for name in names {
             let health = {
                 // Never fails: `names` was collected from this very map.
-                let rel = self.relations.get(&name).expect("name from the key set");
-                verify_relation(&self.reader(), rel)
+                let rel = self
+                    .view
+                    .relations
+                    .get(&name)
+                    .expect("name from the key set");
+                verify_relation(self.reader(), rel)
             };
-            self.relations
+            self.view
+                .relations
                 .get_mut(&name)
                 .expect("name from the key set")
                 .health = health.clone();
@@ -1216,7 +1062,11 @@ impl ConstraintDb {
     }
 
     fn plan_version_sum(&self) -> u64 {
-        self.relations.values().map(|r| r.catalog.version()).sum()
+        self.view
+            .relations
+            .values()
+            .map(|r| r.catalog.version())
+            .sum()
     }
 
     /// Serializes the catalog (relations, index metadata, planner EWMAs,
@@ -1253,12 +1103,12 @@ impl ConstraintDb {
             self.durable_lsn = w.next_lsn() - 1;
         }
         let blob = crate::catalog::encode(
-            self.config.strategy,
+            self.view.config.strategy,
             self.durable_lsn,
             self.partition,
-            &self.relations,
+            &self.view.relations,
         );
-        if let Err(e) = self.pager.commit_meta(&blob) {
+        if let Err(e) = self.view.pager.commit_meta(&blob) {
             self.checkpoint_failures += 1;
             return Err(CdbError::Io(e.to_string()));
         }
@@ -1292,14 +1142,15 @@ impl ConstraintDb {
     /// # Errors
     /// [`CdbError::Io`] when flushing buffered pages for publication fails.
     pub fn snapshot(&mut self) -> Result<Snapshot, CdbError> {
-        let reader = self
+        let pager = self
+            .view
             .pager
             .publish_view()
             .map_err(|e| CdbError::Io(e.to_string()))?;
-        Ok(Snapshot {
-            reader,
-            config: self.config,
-            relations: self.relations.clone(),
+        Ok(ReadSurface {
+            pager,
+            config: self.view.config,
+            relations: self.view.relations.clone(),
         })
     }
 
@@ -1322,51 +1173,25 @@ impl ConstraintDb {
 
     /// I/O accounting of the underlying pager.
     pub fn io_stats(&self) -> IoStats {
-        self.pager.stats()
+        self.view.pager.stats()
     }
 
     /// Zeroes the pager's counters.
     pub fn reset_io_stats(&mut self) {
-        self.pager.reset_stats();
+        self.view.pager.reset_stats();
     }
 
     /// Live pages across all relations and indexes (the space metric).
     pub fn live_pages(&self) -> usize {
-        self.pager.live_pages()
+        self.view.pager.live_pages()
     }
 
     /// Point-in-time operational snapshot: per-relation sizes, built
     /// indexes, health verdicts, and pager-level I/O counters. `&self`, so
     /// a server can answer STATS from a shared read lock while queries run.
     pub fn stats_snapshot(&self) -> DbStats {
-        let mut relations: Vec<RelationStats> = self
-            .relations
-            .values()
-            .map(|rel| {
-                let mut indexes = Vec::new();
-                if rel.index.is_some() {
-                    indexes.push("dual".to_string());
-                }
-                if rel.index_d.is_some() {
-                    indexes.push("dual-d".to_string());
-                }
-                if rel.rplus.is_some() {
-                    indexes.push("rplus".to_string());
-                }
-                RelationStats {
-                    name: rel.name.clone(),
-                    dim: rel.dim,
-                    live: rel.live,
-                    heap_pages: rel.heap_pages(),
-                    total_pages: rel.page_count(),
-                    indexes,
-                    health: rel.health.clone(),
-                }
-            })
-            .collect();
-        relations.sort_by(|a, b| a.name.cmp(&b.name));
         DbStats {
-            relations,
+            relations: self.relation_stats(),
             live_pages: self.live_pages() as u64,
             io: self.io_stats(),
             read_only: self.read_only,
@@ -1376,7 +1201,7 @@ impl ConstraintDb {
                 next_lsn: w.next_lsn(),
                 pending: w.pending_records(),
             }),
-            epochs: self.pager.epoch_stats(),
+            epochs: self.view.pager.epoch_stats(),
         }
     }
 
@@ -1387,11 +1212,11 @@ impl ConstraintDb {
     /// serve an online FSCK from a shared read lock. The pager verdict is
     /// carried over from open — header recovery only happens there.
     pub fn verify_now(&self) -> RecoveryReport {
-        let reader = self.reader();
         let mut relations: Vec<(String, RelationHealth)> = self
+            .view
             .relations
             .values()
-            .map(|rel| (rel.name.clone(), verify_relation(&reader, rel)))
+            .map(|rel| (rel.name.clone(), verify_relation(self.reader(), rel)))
             .collect();
         relations.sort_by(|a, b| a.0.cmp(&b.0));
         RecoveryReport {
@@ -1406,7 +1231,7 @@ impl ConstraintDb {
     /// on a violation, `None` for engines without a durable quarantine
     /// (in-memory pagers reclaim by refcount). Part of the FSCK surface.
     pub fn quarantine_clean(&self) -> Option<bool> {
-        self.pager.quarantine_clean()
+        self.view.pager.quarantine_clean()
     }
 
     /// Installs this engine's partition spec: from now on,
@@ -1436,7 +1261,7 @@ impl ConstraintDb {
                 "partition spec is already {current} and cannot change"
             )));
         }
-        if self.relations.values().any(|r| !r.slots.is_empty()) {
+        if self.view.relations.values().any(|r| !r.slots.is_empty()) {
             return Err(CdbError::UnsupportedQuery(
                 "a partition spec must be installed before any tuple ids are assigned".into(),
             ));
@@ -1464,13 +1289,13 @@ impl ConstraintDb {
     /// [`CdbError::ReadOnly`] on a read-only handle.
     pub fn create_relation(&mut self, name: &str, dim: usize) -> Result<&Relation, CdbError> {
         self.ensure_writable()?;
-        if self.relations.contains_key(name) {
+        if self.view.relations.contains_key(name) {
             return Err(CdbError::RelationExists(name.into()));
         }
         assert!(dim >= 1, "dimension must be positive");
         self.dirty = true;
-        let heap = HeapFile::new(self.pager.as_mut());
-        self.relations.insert(
+        let heap = HeapFile::new(self.view.pager.as_mut());
+        self.view.relations.insert(
             name.to_string(),
             Relation {
                 name: name.to_string(),
@@ -1490,14 +1315,7 @@ impl ConstraintDb {
             name: name.to_string(),
             dim: dim as u32,
         })?;
-        Ok(&self.relations[name])
-    }
-
-    /// Names of all relations, sorted.
-    pub fn relation_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.relations.keys().cloned().collect();
-        v.sort();
-        v
+        Ok(&self.view.relations[name])
     }
 
     /// Drops a relation, freeing its heap and index pages. Dropping an
@@ -1507,12 +1325,13 @@ impl ConstraintDb {
     pub fn drop_relation(&mut self, name: &str) -> Result<(), CdbError> {
         self.ensure_writable()?;
         let rel = self
+            .view
             .relations
             .remove(name)
             .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
         self.dirty = true;
         let salvage = rel.health != RelationHealth::Healthy;
-        let pager = self.pager.as_mut();
+        let pager = self.view.pager.as_mut();
         rel.heap.destroy(pager);
         if let Some(idx) = rel.index {
             let freed = idx.destroy(pager);
@@ -1536,32 +1355,6 @@ impl ConstraintDb {
             name: name.to_string(),
         })?;
         Ok(())
-    }
-
-    /// The named relation.
-    pub fn relation(&self, name: &str) -> Result<&Relation, CdbError> {
-        self.relations
-            .get(name)
-            .ok_or_else(|| CdbError::RelationNotFound(name.into()))
-    }
-
-    /// The read half of the engine pager (shareable across query threads).
-    fn reader(&self) -> ReadHalf<'_> {
-        ReadHalf(&*self.pager)
-    }
-
-    /// Fetches one tuple by id.
-    pub fn fetch_tuple(&self, name: &str, id: u32) -> Result<GeneralizedTuple, CdbError> {
-        let rel = self.relation(name)?;
-        rel.ensure_usable()?;
-        rel.fetch(&self.reader(), id)
-    }
-
-    /// All live `(id, tuple)` pairs of a relation.
-    pub fn scan_relation(&self, name: &str) -> Result<Vec<(u32, GeneralizedTuple)>, CdbError> {
-        let rel = self.relation(name)?;
-        rel.ensure_usable()?;
-        rel.scan(&self.reader())
     }
 
     /// Inserts a satisfiable tuple, returning its id. Maintains every
@@ -1590,8 +1383,8 @@ impl ConstraintDb {
             return Err(CdbError::UnsatisfiableTuple);
         }
         self.dirty = true;
-        let pager = self.pager.as_mut();
-        let rel = self.relations.get_mut(name).expect("checked above");
+        let pager = self.view.pager.as_mut();
+        let rel = self.view.relations.get_mut(name).expect("checked above");
         let (c_dual, c_duald, c_rplus) = rel.corrupt_flags();
         let rid = rel.heap.insert(pager, &tuple.encode())?;
         if let Some(spec) = self.partition {
@@ -1641,8 +1434,9 @@ impl ConstraintDb {
     /// [`insert`](Self::insert) for the failure contract).
     pub fn delete(&mut self, name: &str, id: u32) -> Result<GeneralizedTuple, CdbError> {
         self.ensure_writable()?;
-        let pager = self.pager.as_mut();
+        let pager = self.view.pager.as_mut();
         let rel = self
+            .view
             .relations
             .get_mut(name)
             .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
@@ -1689,8 +1483,9 @@ impl ConstraintDb {
     /// free list). Rebuilding clears the structure's corruption flag.
     pub fn build_dual_index(&mut self, name: &str, slopes: SlopeSet) -> Result<(), CdbError> {
         self.ensure_writable()?;
-        let pager = self.pager.as_mut();
+        let pager = self.view.pager.as_mut();
         let rel = self
+            .view
             .relations
             .get_mut(name)
             .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
@@ -1723,8 +1518,9 @@ impl ConstraintDb {
     /// a point set in slope space `E^{d-1}`.
     pub fn build_dual_index_d(&mut self, name: &str, points: SlopePoints) -> Result<(), CdbError> {
         self.ensure_writable()?;
-        let pager = self.pager.as_mut();
+        let pager = self.view.pager.as_mut();
         let rel = self
+            .view
             .relations
             .get_mut(name)
             .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
@@ -1758,8 +1554,9 @@ impl ConstraintDb {
     /// factor; unbounded tuples go to the overflow list.
     pub fn build_rplus_index(&mut self, name: &str, fill: f64) -> Result<(), CdbError> {
         self.ensure_writable()?;
-        let pager = self.pager.as_mut();
+        let pager = self.view.pager.as_mut();
         let rel = self
+            .view
             .relations
             .get_mut(name)
             .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
@@ -1830,7 +1627,7 @@ impl ConstraintDb {
             rebuilt.push("dual".to_string());
         }
         if c_duald {
-            let points = self.relations[name]
+            let points = self.view.relations[name]
                 .index_d
                 .as_ref()
                 .expect("corrupt flag implies the index exists")
@@ -1840,7 +1637,7 @@ impl ConstraintDb {
             rebuilt.push("dual-d".to_string());
         }
         if c_rplus {
-            let fill = self.relations[name]
+            let fill = self.view.relations[name]
                 .rplus
                 .as_ref()
                 .expect("corrupt flag implies the index exists")
@@ -1856,8 +1653,9 @@ impl ConstraintDb {
     /// see [`DualIndex::refresh_handicaps`]).
     pub fn tighten_index(&mut self, name: &str) -> Result<(), CdbError> {
         self.ensure_writable()?;
-        let pager = self.pager.as_mut();
+        let pager = self.view.pager.as_mut();
         let rel = self
+            .view
             .relations
             .get_mut(name)
             .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
@@ -1878,356 +1676,13 @@ impl ConstraintDb {
         })?;
         Ok(())
     }
-
-    /// Plans and executes one selection: the planner chooses (or validates
-    /// the forced) access method, the method runs, estimate and method are
-    /// stamped into the result's stats, and the actuals feed the
-    /// relation's catalog.
-    fn planned(
-        &self,
-        name: &str,
-        sel: &Selection,
-        strategy: Strategy,
-    ) -> Result<(QueryPlan, QueryResult), CdbError> {
-        let rel = self.relation(name)?;
-        planned_on(rel, &self.reader(), self.config.page_size, sel, strategy)
-    }
-
-    /// Executes a selection with the engine's default strategy.
-    pub fn query(&self, name: &str, sel: Selection) -> Result<QueryResult, CdbError> {
-        self.query_with(name, sel, self.config.strategy)
-    }
-
-    /// Executes a selection with an explicit strategy; `Strategy::Auto`
-    /// lets the cost-based planner choose among every built access method
-    /// (including plain sequential scan — an index-less relation is
-    /// queryable). Queries run from `&self` over the read half of the
-    /// pager, so any number can execute concurrently against one engine
-    /// snapshot (see [`query_batch`](Self::query_batch)).
-    pub fn query_with(
-        &self,
-        name: &str,
-        sel: Selection,
-        strategy: Strategy,
-    ) -> Result<QueryResult, CdbError> {
-        self.planned(name, &sel, strategy).map(|(_, r)| r)
-    }
-
-    /// Plans a selection without executing it: which access method the
-    /// planner would choose, its cost estimate, and why the others lost.
-    pub fn plan_query(&self, name: &str, sel: &Selection) -> Result<QueryPlan, CdbError> {
-        plan_on(
-            self.relation(name)?,
-            &self.reader(),
-            self.config.page_size,
-            sel,
-        )
-    }
-
-    /// EXPLAIN ANALYZE: plans with the engine's default strategy, executes
-    /// the chosen method, and returns the plan next to the actual result
-    /// so estimated and measured page accesses line up.
-    pub fn explain(&self, name: &str, sel: Selection) -> Result<ExplainReport, CdbError> {
-        self.explain_with(name, sel, self.config.strategy)
-    }
-
-    /// [`explain`](Self::explain) with an explicit strategy.
-    pub fn explain_with(
-        &self,
-        name: &str,
-        sel: Selection,
-        strategy: Strategy,
-    ) -> Result<ExplainReport, CdbError> {
-        let (plan, result) = self.planned(name, &sel, strategy)?;
-        Ok(ExplainReport { plan, result })
-    }
-
-    /// Runs one constraint-SQL statement through the operator pipeline:
-    /// `SELECT <vars|*> FROM <rel> [JOIN <rel> …] WHERE <constraints>
-    /// [EXIST|ALL] [LIMIT n]`. Reads from `&self` over the read half of
-    /// the pager, like every query path.
-    pub fn sql(
-        &self,
-        text: &str,
-        mode: crate::sql::SqlMode,
-    ) -> Result<crate::sql::SqlOutcome, CdbError> {
-        sql_on(
-            &self.relations,
-            &self.reader(),
-            self.config.page_size,
-            text,
-            mode,
-        )
-    }
-
-    /// Executes a batch of selections concurrently over the shared engine
-    /// snapshot, using a [`crate::exec::QueryExecutor`] with `threads`
-    /// worker threads. Every query goes through the planner. Results are
-    /// positionally aligned with the batch.
-    pub fn query_batch(
-        &self,
-        name: &str,
-        batch: &[(Selection, Strategy)],
-        threads: usize,
-    ) -> Result<Vec<Result<QueryResult, CdbError>>, CdbError> {
-        self.relation(name)?; // surface missing relations once, up front
-        let exec = crate::exec::QueryExecutor::new(self, name);
-        Ok(exec.run(batch, threads))
-    }
-
-    /// Equality-query convenience (the paper's footnote 2): tuples whose
-    /// extension intersects the line `y = a·x + c`.
-    pub fn exist_line(&self, name: &str, a: f64, c: f64) -> Result<QueryResult, CdbError> {
-        self.hyperplane_query(name, a, c, SelectionKind::Exist)
-    }
-
-    /// Tuples whose extension lies entirely on the line `y = a·x + c`
-    /// (degenerate segments/lines).
-    pub fn all_line(&self, name: &str, a: f64, c: f64) -> Result<QueryResult, CdbError> {
-        self.hyperplane_query(name, a, c, SelectionKind::All)
-    }
-
-    fn hyperplane_query(
-        &self,
-        name: &str,
-        a: f64,
-        c: f64,
-        kind: SelectionKind,
-    ) -> Result<QueryResult, CdbError> {
-        hyperplane_on(
-            self.relation(name)?,
-            &self.reader(),
-            a,
-            c,
-            kind,
-            self.config.strategy,
-        )
-    }
-
-    /// Convenience: EXIST selection via the default strategy.
-    pub fn exist(&self, name: &str, q: HalfPlane) -> Result<QueryResult, CdbError> {
-        self.query(name, Selection::exist(q))
-    }
-
-    /// Convenience: ALL selection via the default strategy.
-    pub fn all(&self, name: &str, q: HalfPlane) -> Result<QueryResult, CdbError> {
-        self.query(name, Selection::all(q))
-    }
-}
-
-/// A pinned, immutable view of the database at one published epoch.
-///
-/// Created by [`ConstraintDb::snapshot`]. Holds a frozen page-table view
-/// from the pager (the pin keeps every page the epoch references out of
-/// reuse until the snapshot drops) plus a clone of the in-memory catalog,
-/// so the full read-side query surface — planned selections, EXPLAIN,
-/// batches, line queries, stats — runs here with no coordination with the
-/// writer: the writer mutates the *next* epoch on copied pages and never
-/// touches these.
-///
-/// `Send + Sync`: one snapshot can serve any number of reader threads
-/// (see [`ConstraintDb::query_batch`] semantics via
-/// [`Snapshot::query_batch`]). Planner feedback recorded during snapshot
-/// queries lands in the snapshot's cloned catalog and is discarded with
-/// it — observation continuity belongs to the live engine.
-pub struct Snapshot {
-    reader: Box<dyn SnapshotReader>,
-    config: DbConfig,
-    relations: HashMap<String, Relation>,
-}
-
-impl Snapshot {
-    /// The named relation.
-    pub fn relation(&self, name: &str) -> Result<&Relation, CdbError> {
-        self.relations
-            .get(name)
-            .ok_or_else(|| CdbError::RelationNotFound(name.into()))
-    }
-
-    /// Names of all relations, sorted.
-    pub fn relation_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.relations.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
-    fn reader(&self) -> &dyn PageReader {
-        self.reader.as_ref()
-    }
-
-    /// Fetches one tuple by id, as of this snapshot's epoch.
-    pub fn fetch_tuple(&self, name: &str, id: u32) -> Result<GeneralizedTuple, CdbError> {
-        let rel = self.relation(name)?;
-        rel.ensure_usable()?;
-        rel.fetch(self.reader(), id)
-    }
-
-    /// All live `(id, tuple)` pairs of a relation at this epoch.
-    pub fn scan_relation(&self, name: &str) -> Result<Vec<(u32, GeneralizedTuple)>, CdbError> {
-        let rel = self.relation(name)?;
-        rel.ensure_usable()?;
-        rel.scan(self.reader())
-    }
-
-    /// Executes a selection with the snapshot's default strategy.
-    pub fn query(&self, name: &str, sel: Selection) -> Result<QueryResult, CdbError> {
-        self.query_with(name, sel, self.config.strategy)
-    }
-
-    /// Executes a selection with an explicit strategy against the frozen
-    /// epoch; semantics match [`ConstraintDb::query_with`].
-    pub fn query_with(
-        &self,
-        name: &str,
-        sel: Selection,
-        strategy: Strategy,
-    ) -> Result<QueryResult, CdbError> {
-        let rel = self.relation(name)?;
-        planned_on(rel, self.reader(), self.config.page_size, &sel, strategy).map(|(_, r)| r)
-    }
-
-    /// Plans a selection without executing it.
-    pub fn plan_query(&self, name: &str, sel: &Selection) -> Result<QueryPlan, CdbError> {
-        plan_on(
-            self.relation(name)?,
-            self.reader(),
-            self.config.page_size,
-            sel,
-        )
-    }
-
-    /// EXPLAIN ANALYZE against the frozen epoch.
-    pub fn explain(&self, name: &str, sel: Selection) -> Result<ExplainReport, CdbError> {
-        self.explain_with(name, sel, self.config.strategy)
-    }
-
-    /// [`explain`](Self::explain) with an explicit strategy.
-    pub fn explain_with(
-        &self,
-        name: &str,
-        sel: Selection,
-        strategy: Strategy,
-    ) -> Result<ExplainReport, CdbError> {
-        let rel = self.relation(name)?;
-        let (plan, result) = planned_on(rel, self.reader(), self.config.page_size, &sel, strategy)?;
-        Ok(ExplainReport { plan, result })
-    }
-
-    /// Runs one constraint-SQL statement against the frozen epoch;
-    /// semantics match [`ConstraintDb::sql`].
-    pub fn sql(
-        &self,
-        text: &str,
-        mode: crate::sql::SqlMode,
-    ) -> Result<crate::sql::SqlOutcome, CdbError> {
-        sql_on(
-            &self.relations,
-            self.reader(),
-            self.config.page_size,
-            text,
-            mode,
-        )
-    }
-
-    /// Executes a batch of selections concurrently over this snapshot,
-    /// mirroring [`ConstraintDb::query_batch`].
-    pub fn query_batch(
-        &self,
-        name: &str,
-        batch: &[(Selection, Strategy)],
-        threads: usize,
-    ) -> Result<Vec<Result<QueryResult, CdbError>>, CdbError> {
-        self.relation(name)?; // surface missing relations once, up front
-        let exec = crate::exec::QueryExecutor::new(self, name);
-        Ok(exec.run(batch, threads))
-    }
-
-    /// Equality-query convenience: tuples intersecting `y = a·x + c`.
-    pub fn exist_line(&self, name: &str, a: f64, c: f64) -> Result<QueryResult, CdbError> {
-        hyperplane_on(
-            self.relation(name)?,
-            self.reader(),
-            a,
-            c,
-            SelectionKind::Exist,
-            self.config.strategy,
-        )
-    }
-
-    /// Tuples lying entirely on `y = a·x + c`.
-    pub fn all_line(&self, name: &str, a: f64, c: f64) -> Result<QueryResult, CdbError> {
-        hyperplane_on(
-            self.relation(name)?,
-            self.reader(),
-            a,
-            c,
-            SelectionKind::All,
-            self.config.strategy,
-        )
-    }
-
-    /// Convenience: EXIST selection via the default strategy.
-    pub fn exist(&self, name: &str, q: HalfPlane) -> Result<QueryResult, CdbError> {
-        self.query(name, Selection::exist(q))
-    }
-
-    /// Convenience: ALL selection via the default strategy.
-    pub fn all(&self, name: &str, q: HalfPlane) -> Result<QueryResult, CdbError> {
-        self.query(name, Selection::all(q))
-    }
-
-    /// Epoch bookkeeping as seen by this snapshot's pager hub: the
-    /// current published generation, pinned-reader count (including this
-    /// snapshot) and freed pages still quarantined for draining readers.
-    pub fn epoch_stats(&self) -> EpochStats {
-        self.reader.epoch_stats()
-    }
-
-    /// Operational stats of the frozen view. `read_only` is always true;
-    /// WAL and checkpoint-failure fields belong to the live writer and
-    /// are reported as absent/zero here.
-    pub fn stats_snapshot(&self) -> DbStats {
-        let mut relations: Vec<RelationStats> = self
-            .relations
-            .values()
-            .map(|rel| {
-                let mut indexes = Vec::new();
-                if rel.index.is_some() {
-                    indexes.push("dual".to_string());
-                }
-                if rel.index_d.is_some() {
-                    indexes.push("dual-d".to_string());
-                }
-                if rel.rplus.is_some() {
-                    indexes.push("rplus".to_string());
-                }
-                RelationStats {
-                    name: rel.name.clone(),
-                    dim: rel.dim,
-                    live: rel.live,
-                    heap_pages: rel.heap_pages(),
-                    total_pages: rel.page_count(),
-                    indexes,
-                    health: rel.health.clone(),
-                }
-            })
-            .collect();
-        relations.sort_by(|a, b| a.name.cmp(&b.name));
-        DbStats {
-            relations,
-            live_pages: self.reader.live_pages() as u64,
-            io: self.reader.stats(),
-            read_only: true,
-            checkpoint_failures: 0,
-            wal: None,
-            epochs: self.reader.epoch_stats(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::Selection;
+    use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::parse::parse_tuple;
 
     fn sample_db() -> ConstraintDb {
@@ -2499,11 +1954,11 @@ mod tests {
         let rid = db.relation("land").unwrap().slots[2].unwrap();
         // Truncate record 2 in place: shrink its slot-directory length so
         // the stored bytes no longer parse as a generalized tuple.
-        let mut buf = vec![0u8; db.config.page_size];
-        db.pager.read(rid.page, &mut buf).unwrap();
+        let mut buf = vec![0u8; db.view.config.page_size];
+        db.view.pager.read(rid.page, &mut buf).unwrap();
         let len_off = 4 + rid.slot as usize * 4 + 2;
         buf[len_off..len_off + 2].copy_from_slice(&2u16.to_le_bytes());
-        db.pager.write(rid.page, &buf).unwrap();
+        db.view.pager.write(rid.page, &buf).unwrap();
 
         assert_eq!(db.fetch_tuple("land", 2), Err(CdbError::CorruptRecord(2)));
         assert_eq!(

@@ -5,10 +5,10 @@
 //! pager, or the tuple source during a query, and the planner's feedback
 //! catalog is interior-mutable. A [`QueryExecutor`] exploits that by
 //! fanning a batch of selections out over `std::thread::scope` workers
-//! that all borrow the same [`ConstraintDb`] — no cloning, no locking on
+//! that all borrow the same [`ReadSurface`] — no cloning, no locking on
 //! the read path itself. Every query goes through the cost-based planner
 //! ([`crate::plan::Planner`]) exactly as a standalone
-//! [`ConstraintDb::query_with`] would, so per-query
+//! [`ReadSurface::query_with`] would, so per-query
 //! [`crate::QueryStats`] carry the chosen method and its cost estimate,
 //! and stay exact because each execution wraps the shared reader in its
 //! own [`cdb_storage::TrackedReader`].
@@ -16,55 +16,14 @@
 //! The paper's experiments (Section 5) are sequential by construction —
 //! page accesses are the metric, and those are identical here whether a
 //! batch runs on one worker or eight. The executor changes only wall-clock
-//! throughput, which the `throughput` binary of `cdb-bench` measures.
+//! throughput, which `perf`'s `core.exec.batch_speedup_2t` measures.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::db::{ConstraintDb, Snapshot};
 use crate::error::CdbError;
 use crate::query::{QueryResult, Selection, Strategy};
-
-/// A read surface the executor can fan out over: anything that plans and
-/// executes one selection from `&self`. Implemented by the live engine
-/// (queries see its current state) and by [`Snapshot`] (queries see one
-/// pinned epoch). `Sync` because workers share one engine across threads.
-pub trait QueryEngine: Sync {
-    /// Plans and executes one selection; semantics of
-    /// [`ConstraintDb::query_with`].
-    ///
-    /// # Errors
-    /// Whatever planning or execution surfaces — unknown relation,
-    /// dimension mismatch, missing forced index, I/O.
-    fn query_with(
-        &self,
-        relation: &str,
-        sel: Selection,
-        strategy: Strategy,
-    ) -> Result<QueryResult, CdbError>;
-}
-
-impl QueryEngine for ConstraintDb {
-    fn query_with(
-        &self,
-        relation: &str,
-        sel: Selection,
-        strategy: Strategy,
-    ) -> Result<QueryResult, CdbError> {
-        ConstraintDb::query_with(self, relation, sel, strategy)
-    }
-}
-
-impl QueryEngine for Snapshot {
-    fn query_with(
-        &self,
-        relation: &str,
-        sel: Selection,
-        strategy: Strategy,
-    ) -> Result<QueryResult, CdbError> {
-        Snapshot::query_with(self, relation, sel, strategy)
-    }
-}
+use crate::read::{PageSource, ReadSurface};
 
 /// Runs batches of selections across OS threads sharing one immutable
 /// engine snapshot, each query individually planned.
@@ -89,15 +48,16 @@ impl QueryEngine for Snapshot {
 /// assert_eq!(results[0].as_ref().unwrap().ids(), &[1]);
 /// assert_eq!(results[1].as_ref().unwrap().ids(), &[0]);
 /// ```
-pub struct QueryExecutor<'a> {
-    db: &'a dyn QueryEngine,
+pub struct QueryExecutor<'a, P> {
+    db: &'a ReadSurface<P>,
     relation: &'a str,
 }
 
-impl<'a> QueryExecutor<'a> {
-    /// An executor over one relation of an engine snapshot (the live
-    /// [`ConstraintDb`] or a pinned [`Snapshot`]).
-    pub fn new<D: QueryEngine>(db: &'a D, relation: &'a str) -> Self {
+impl<'a, P: PageSource> QueryExecutor<'a, P> {
+    /// An executor over one relation of a read surface (the live
+    /// [`crate::ConstraintDb`] dereferences to one; a pinned
+    /// [`crate::Snapshot`] is one).
+    pub fn new(db: &'a ReadSurface<P>, relation: &'a str) -> Self {
         QueryExecutor { db, relation }
     }
 
@@ -144,7 +104,7 @@ impl<'a> QueryExecutor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::DbConfig;
+    use crate::db::{ConstraintDb, DbConfig};
     use crate::plan::MethodKind;
     use crate::SlopeSet;
     use cdb_geometry::tuple::GeneralizedTuple;

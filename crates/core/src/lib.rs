@@ -25,8 +25,9 @@
 //! slopes span a containing simplex.
 //!
 //! [`db::ConstraintDb`] is a small engine facade tying relations (heap
-//! files), indexes and queries together; see the crate-level examples of
-//! `constraint-db`.
+//! files), indexes and queries together; its whole read side — and a
+//! pinned [`Snapshot`]'s — is the one [`ReadSurface`] in [`read`]. See the
+//! crate-level examples of `constraint-db`.
 //!
 //! The whole query path is `&self` over the read half of the pager
 //! ([`cdb_storage::PageReader`]), so one built index can serve many queries
@@ -39,7 +40,7 @@
 //! unified behind the [`plan::AccessMethod`] trait; [`plan::Planner`]
 //! chooses among them with the paper-shaped I/O cost formulas seeded by
 //! observed per-plan statistics, and
-//! [`db::ConstraintDb::explain`] renders the decision next to the actuals.
+//! [`ReadSurface::explain`] renders the decision next to the actuals.
 
 pub mod catalog;
 pub mod db;
@@ -54,16 +55,17 @@ pub mod physical;
 pub mod plan;
 pub mod pretty;
 pub mod query;
+pub mod read;
 pub mod slopes;
 pub mod sql;
 pub(crate) mod wal;
 
 pub use db::{
     ConstraintDb, DbConfig, DbStats, RecoveryReport, Relation, RelationHealth, RelationStats,
-    Snapshot, WalReplay, WalStats,
+    WalReplay, WalStats,
 };
 pub use error::{CdbError, CATALOG_RECORD, WAL_RECORD};
-pub use exec::{QueryEngine, QueryExecutor};
+pub use exec::QueryExecutor;
 pub use index::DualIndex;
 pub use partition::{hash_owner, PartitionSpec, Partitioner};
 pub use plan::{
@@ -72,5 +74,6 @@ pub use plan::{
 };
 pub use pretty::PlanNode;
 pub use query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
+pub use read::{PageSource, ReadSurface, Snapshot};
 pub use slopes::SlopeSet;
 pub use sql::{SqlError, SqlMode, SqlOutcome, SqlQuery, SqlRow};

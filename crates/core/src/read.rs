@@ -1,0 +1,344 @@
+//! The read surface: every query, fetch, scan, EXPLAIN and SQL entry
+//! point of the engine, written once over a catalog of relations, a
+//! configuration and a page store.
+//!
+//! [`ReadSurface`] is what "the state of a database that can be read" is:
+//! the live engine ([`crate::db::ConstraintDb`]) wraps one whose page store
+//! is its writable pager and dereferences to it, so `db.query_with(..)`
+//! is the method below; a [`Snapshot`] *is* one whose page store is a
+//! frozen view of a published epoch. Both therefore answer with the same
+//! code, from `&self`, concurrently.
+
+use std::collections::HashMap;
+
+use cdb_geometry::halfplane::HalfPlane;
+use cdb_geometry::tuple::GeneralizedTuple;
+use cdb_storage::{PageReader, Pager, SnapshotReader};
+
+use crate::db::{DbConfig, Relation, RelationStats};
+use crate::error::CdbError;
+use crate::exec::QueryExecutor;
+use crate::physical::{ExecCtx, IndexScanOp, Operator};
+use crate::plan::{ExplainReport, QueryPlan};
+use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
+use crate::sql::{Projection, SqlMode, SqlOutcome, SqlRow};
+
+/// A page store a read surface can query: hands out the read half of
+/// whatever pager or frozen view it owns. `Sync` so one surface can serve
+/// scoped reader threads.
+pub trait PageSource: Sync {
+    /// The `&self` read half.
+    fn reader(&self) -> &dyn PageReader;
+}
+
+impl PageSource for Box<dyn Pager> {
+    fn reader(&self) -> &dyn PageReader {
+        &**self
+    }
+}
+
+impl PageSource for Box<dyn SnapshotReader> {
+    fn reader(&self) -> &dyn PageReader {
+        &**self
+    }
+}
+
+/// Relations, configuration and a page store: everything the read path
+/// needs, and nothing of the write path. See the module docs.
+pub struct ReadSurface<P> {
+    pub(crate) pager: P,
+    pub(crate) config: DbConfig,
+    pub(crate) relations: HashMap<String, Relation>,
+}
+
+/// A pinned, immutable view of the database at one published epoch.
+///
+/// Created by [`crate::db::ConstraintDb::snapshot`]. Holds a frozen
+/// page-table view from the pager (the pin keeps every page the epoch
+/// references out of reuse until the snapshot drops) plus a clone of the
+/// in-memory catalog, so the full read surface runs here with no
+/// coordination with the writer: the writer mutates the *next* epoch on
+/// copied pages and never touches these.
+///
+/// `Send + Sync`: one snapshot can serve any number of reader threads.
+/// Planner feedback recorded during snapshot queries lands in the
+/// snapshot's cloned catalog and is discarded with it — observation
+/// continuity belongs to the live engine.
+pub type Snapshot = ReadSurface<Box<dyn SnapshotReader>>;
+
+impl<P: PageSource> ReadSurface<P> {
+    /// The named relation.
+    pub fn relation(&self, name: &str) -> Result<&Relation, CdbError> {
+        self.relations
+            .get(name)
+            .ok_or_else(|| CdbError::RelationNotFound(name.into()))
+    }
+
+    /// Names of all relations, sorted.
+    pub fn relation_names(&self) -> Vec<String> {
+        let mut v: Vec<String> = self.relations.keys().cloned().collect();
+        v.sort();
+        v
+    }
+
+    /// The read half of the page store (shareable across query threads).
+    pub(crate) fn reader(&self) -> &dyn PageReader {
+        self.pager.reader()
+    }
+
+    /// Fetches one tuple by id.
+    pub fn fetch_tuple(&self, name: &str, id: u32) -> Result<GeneralizedTuple, CdbError> {
+        let rel = self.relation(name)?;
+        rel.ensure_usable()?;
+        rel.fetch(self.reader(), id)
+    }
+
+    /// All live `(id, tuple)` pairs of a relation.
+    pub fn scan_relation(&self, name: &str) -> Result<Vec<(u32, GeneralizedTuple)>, CdbError> {
+        let rel = self.relation(name)?;
+        rel.ensure_usable()?;
+        rel.scan(self.reader())
+    }
+
+    /// Plans and executes one selection as a one-node operator pipeline:
+    /// the planner chooses (or validates the forced) access method, the
+    /// method runs, estimate and method are stamped into the result's
+    /// stats, and the actuals feed the relation's catalog.
+    fn planned(
+        &self,
+        name: &str,
+        sel: Selection,
+        strategy: Strategy,
+    ) -> Result<(QueryPlan, QueryResult), CdbError> {
+        let rel = self.relation(name)?;
+        let mut op = IndexScanOp::new(
+            rel,
+            self.reader(),
+            self.config.page_size,
+            sel,
+            strategy,
+            false,
+        );
+        op.open()?;
+        let mut ids = Vec::new();
+        while let Some(row) = op.next()? {
+            ids.extend_from_slice(&row.ids);
+        }
+        op.close();
+        let (plan, stats) = op.into_plan_stats();
+        let plan = plan.expect("open() stamps the chosen plan");
+        Ok((plan, QueryResult::new(ids, stats)))
+    }
+
+    /// Executes a selection with the default strategy.
+    pub fn query(&self, name: &str, sel: Selection) -> Result<QueryResult, CdbError> {
+        self.query_with(name, sel, self.config.strategy)
+    }
+
+    /// Executes a selection with an explicit strategy; `Strategy::Auto`
+    /// lets the cost-based planner choose among every built access method
+    /// (including plain sequential scan — an index-less relation is
+    /// queryable). Queries run from `&self` over the read half of the
+    /// page store, so any number can execute concurrently (see
+    /// [`query_batch`](Self::query_batch)).
+    pub fn query_with(
+        &self,
+        name: &str,
+        sel: Selection,
+        strategy: Strategy,
+    ) -> Result<QueryResult, CdbError> {
+        self.planned(name, sel, strategy).map(|(_, r)| r)
+    }
+
+    /// Plans a selection without executing it (no probe ticks): which
+    /// access method the planner would choose, its cost estimate, and why
+    /// the others lost.
+    pub fn plan_query(&self, name: &str, sel: &Selection) -> Result<QueryPlan, CdbError> {
+        let mut op = IndexScanOp::new(
+            self.relation(name)?,
+            self.reader(),
+            self.config.page_size,
+            sel.clone(),
+            Strategy::Auto,
+            false,
+        );
+        op.describe()?;
+        let (plan, _) = op.into_plan_stats();
+        Ok(plan.expect("describe() stamps the chosen plan"))
+    }
+
+    /// EXPLAIN ANALYZE: plans with the default strategy, executes the
+    /// chosen method, and returns the plan next to the actual result so
+    /// estimated and measured page accesses line up.
+    pub fn explain(&self, name: &str, sel: Selection) -> Result<ExplainReport, CdbError> {
+        self.explain_with(name, sel, self.config.strategy)
+    }
+
+    /// [`explain`](Self::explain) with an explicit strategy.
+    pub fn explain_with(
+        &self,
+        name: &str,
+        sel: Selection,
+        strategy: Strategy,
+    ) -> Result<ExplainReport, CdbError> {
+        let (plan, result) = self.planned(name, sel, strategy)?;
+        Ok(ExplainReport { plan, result })
+    }
+
+    /// Runs one constraint-SQL statement through the operator pipeline:
+    /// `SELECT <vars|*> FROM <rel> [JOIN <rel> …] WHERE <constraints>
+    /// [EXIST|ALL] [LIMIT n]` — parse → lower → rewrite → build the
+    /// operator tree → execute or describe.
+    pub fn sql(&self, text: &str, mode: SqlMode) -> Result<SqlOutcome, CdbError> {
+        let query =
+            crate::sql::parse(text).map_err(|e| CdbError::UnsupportedQuery(e.to_string()))?;
+        let plan = crate::logical::lower(&query, |name| self.relation(name).map(Relation::dim))?;
+        let plan = crate::logical::rewrite(plan);
+        let mut columns: Vec<String> = query
+            .relations
+            .iter()
+            .map(|(n, _)| format!("id({n})"))
+            .collect();
+        let keep_regions = match &query.projection {
+            Projection::Star => false,
+            Projection::Vars(vars) => {
+                let names: Vec<String> =
+                    vars.iter().map(|(v, _)| crate::sql::var_name(*v)).collect();
+                columns.push(format!("region({})", names.join(", ")));
+                true
+            }
+        };
+        let ctx = ExecCtx {
+            relations: &self.relations,
+            reader: self.reader(),
+            page_size: self.config.page_size,
+        };
+        let mut op = crate::physical::build(&plan, &ctx, keep_regions)?;
+        if matches!(mode, SqlMode::Explain) {
+            op.describe()?;
+            return Ok(SqlOutcome {
+                columns,
+                rows: Vec::new(),
+                plan: Some(crate::pretty::render(&op.node(false))),
+                stats: QueryStats::default(),
+            });
+        }
+        op.open()?;
+        let mut rows = Vec::new();
+        while let Some(row) = op.next()? {
+            rows.push(SqlRow {
+                ids: row.ids,
+                region: if keep_regions { row.region } else { None },
+            });
+        }
+        op.close();
+        let mut stats = QueryStats::default();
+        op.add_stats(&mut stats);
+        let analyze = matches!(mode, SqlMode::ExplainAnalyze);
+        Ok(SqlOutcome {
+            columns,
+            rows: if analyze { Vec::new() } else { rows },
+            plan: analyze.then(|| crate::pretty::render(&op.node(true))),
+            stats,
+        })
+    }
+
+    /// Executes a batch of selections concurrently over this surface,
+    /// using a [`QueryExecutor`] with `threads` worker threads. Every query
+    /// goes through the planner. Results are positionally aligned with the
+    /// batch.
+    pub fn query_batch(
+        &self,
+        name: &str,
+        batch: &[(Selection, Strategy)],
+        threads: usize,
+    ) -> Result<Vec<Result<QueryResult, CdbError>>, CdbError> {
+        self.relation(name)?; // surface missing relations once, up front
+        Ok(QueryExecutor::new(self, name).run(batch, threads))
+    }
+
+    /// Equality-query convenience (the paper's footnote 2): tuples whose
+    /// extension intersects the line `y = a·x + c`.
+    pub fn exist_line(&self, name: &str, a: f64, c: f64) -> Result<QueryResult, CdbError> {
+        self.line_query(name, a, c, SelectionKind::Exist)
+    }
+
+    /// Tuples whose extension lies entirely on the line `y = a·x + c`
+    /// (degenerate segments/lines).
+    pub fn all_line(&self, name: &str, a: f64, c: f64) -> Result<QueryResult, CdbError> {
+        self.line_query(name, a, c, SelectionKind::All)
+    }
+
+    fn line_query(
+        &self,
+        name: &str,
+        a: f64,
+        c: f64,
+        kind: SelectionKind,
+    ) -> Result<QueryResult, CdbError> {
+        let rel = self.relation(name)?;
+        rel.ensure_usable()?;
+        if rel.dim != 2 {
+            return Err(CdbError::DimensionMismatch {
+                expected: rel.dim,
+                got: 2,
+            });
+        }
+        let (c_dual, _, _) = rel.corrupt_flags();
+        let idx = match rel.index.as_ref() {
+            Some(idx) if !c_dual => idx,
+            _ => return Err(CdbError::NoIndex(rel.name.clone())),
+        };
+        idx.execute_hyperplane(
+            self.reader(),
+            a,
+            c,
+            kind,
+            self.config.strategy,
+            &rel.tuple_source(),
+        )
+    }
+
+    /// Convenience: EXIST selection via the default strategy.
+    pub fn exist(&self, name: &str, q: HalfPlane) -> Result<QueryResult, CdbError> {
+        self.query(name, Selection::exist(q))
+    }
+
+    /// Convenience: ALL selection via the default strategy.
+    pub fn all(&self, name: &str, q: HalfPlane) -> Result<QueryResult, CdbError> {
+        self.query(name, Selection::all(q))
+    }
+
+    /// Per-relation sizes, built indexes and health verdicts, sorted by
+    /// name — the relation half of
+    /// [`stats_snapshot`](crate::db::ConstraintDb::stats_snapshot).
+    pub fn relation_stats(&self) -> Vec<RelationStats> {
+        let mut relations: Vec<RelationStats> = self
+            .relations
+            .values()
+            .map(|rel| {
+                let mut indexes = Vec::new();
+                if rel.index.is_some() {
+                    indexes.push("dual".to_string());
+                }
+                if rel.index_d.is_some() {
+                    indexes.push("dual-d".to_string());
+                }
+                if rel.rplus.is_some() {
+                    indexes.push("rplus".to_string());
+                }
+                RelationStats {
+                    name: rel.name.clone(),
+                    dim: rel.dim,
+                    live: rel.live,
+                    heap_pages: rel.heap_pages(),
+                    total_pages: rel.page_count(),
+                    indexes,
+                    health: rel.health.clone(),
+                }
+            })
+            .collect();
+        relations.sort_by(|a, b| a.name.cmp(&b.name));
+        relations
+    }
+}

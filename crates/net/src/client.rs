@@ -1,55 +1,41 @@
 //! Blocking client for the `cdb` wire protocol.
 //!
-//! One [`Client`] is one TCP session: connect performs the versioned
+//! One [`Connection`] is one TCP session: connect performs the versioned
 //! handshake, every call sends one request frame and blocks for its
-//! response frame, pairing by request id. Typed helpers mirror the engine
-//! facade; [`Client::call`] exposes the raw request/response layer for
-//! anything else.
+//! response frame, pairing by request id. [`Client`] is the typed
+//! [`Api`] over it.
 
 use std::io::Write as _;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use cdb_core::query::{QueryResult, Selection, Strategy};
-use cdb_core::sql::{SqlMode, SqlOutcome};
-use cdb_core::DbStats;
-use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::codec::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 
+use crate::api::{expect_subscribed, Api, Backend};
 use crate::proto::{
     decode_greeting, decode_repl_ack, decode_response, decode_wal_batch, encode_hello,
-    encode_repl_ack, encode_request, encode_wal_batch, HandshakeStatus, NetError, ReplicationInfo,
-    Request, RequestEnvelope, Response, ShardIdentity, WalBatch, WireQueryResult,
-    WireRecoveryReport, PROTOCOL_VERSION,
+    encode_repl_ack, encode_request, encode_wal_batch, HandshakeStatus, NetError, Request,
+    RequestEnvelope, Response, WalBatch, PROTOCOL_VERSION,
 };
-
-/// Everything a node's `stats` reports, as one typed reply.
-#[derive(Clone, Debug)]
-pub struct StatsReply {
-    /// Engine statistics.
-    pub db: DbStats,
-    /// Replication role and progress (`None` on a standalone server).
-    pub replication: Option<ReplicationInfo>,
-    /// Client sessions currently admitted on the node.
-    pub connections: u32,
-    /// The node's shard identity (`None` outside a sharded deployment).
-    pub shard: Option<ShardIdentity>,
-}
 
 /// Patience for establishing the TCP connection itself.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// Default per-call socket patience. A hung or blackholed server turns
 /// into a typed, retryable [`NetError::Timeout`] instead of wedging the
-/// caller forever; [`Client::set_io_timeout`] overrides it.
+/// caller forever; [`Connection::set_io_timeout`] overrides it.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A connected wire-protocol session.
-pub struct Client {
+/// A connected wire-protocol session: the [`Backend`] that executes a
+/// request by sending it to a `cdb-server`.
+pub struct Connection {
     stream: TcpStream,
     next_id: u64,
     deadline_ms: u32,
     last_lsn: u64,
 }
+
+/// The typed API over one wire session.
+pub type Client = Api<Connection>;
 
 impl Client {
     /// Connects and performs the handshake: read the server's greeting
@@ -91,7 +77,7 @@ impl Client {
         stream
             .set_write_timeout(Some(DEFAULT_IO_TIMEOUT))
             .map_err(transport)?;
-        let mut client = Client {
+        let mut client = Connection {
             stream,
             next_id: 1,
             deadline_ms: 0,
@@ -112,9 +98,33 @@ impl Client {
             return Err(NetError::VersionMismatch { server_version });
         }
         client.write_payload(&encode_hello(PROTOCOL_VERSION))?;
-        Ok(client)
+        Ok(Api(client))
     }
 
+    /// Turns the session into a replication subscription: the server
+    /// starts streaming [`WalBatch`] frames from `from_lsn`, this side
+    /// answers each with an ack. Consumes the client — the socket leaves
+    /// the request/response discipline for good.
+    ///
+    /// # Errors
+    /// [`NetError::NotPrimary`] when the peer is itself a follower (the
+    /// hint names the primary), [`NetError::Malformed`] when `from_lsn`
+    /// predates the peer's retained history (the follower must reseed
+    /// from a base copy), plus the usual transport failures.
+    pub fn subscribe(mut self, from_lsn: u64, follower_id: &str) -> Result<Subscription, NetError> {
+        let (start_lsn, durable_lsn) = expect_subscribed(self.0.call(Request::Subscribe {
+            from_lsn,
+            follower_id: follower_id.into(),
+        })?)?;
+        Ok(Subscription {
+            stream: self.0.stream,
+            start_lsn,
+            durable_lsn,
+        })
+    }
+}
+
+impl Connection {
     /// Sets the relative deadline attached to every subsequent request,
     /// in milliseconds (0 = none).
     pub fn set_deadline_ms(&mut self, ms: u32) {
@@ -154,13 +164,15 @@ impl Client {
             Err(FrameError::Io(e)) => Err(transport(e)),
         }
     }
+}
 
+impl Backend for Connection {
     /// Sends one request and blocks for its response.
     ///
     /// # Errors
     /// Any [`NetError`] the server answers with, or
     /// [`NetError::Transport`] when the session itself fails.
-    pub fn call(&mut self, request: Request) -> Result<Response, NetError> {
+    fn call(&mut self, request: Request) -> Result<Response, NetError> {
         let env = RequestEnvelope {
             request_id: self.next_id,
             deadline_ms: self.deadline_ms,
@@ -179,239 +191,6 @@ impl Client {
         }
         self.last_lsn = lsn;
         outcome
-    }
-
-    fn expect_unit(&mut self, request: Request) -> Result<(), NetError> {
-        match self.call(request)? {
-            Response::Unit => Ok(()),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<(), NetError> {
-        self.expect_unit(Request::Ping)
-    }
-
-    /// Creates a relation of the given dimension.
-    pub fn create_relation(&mut self, relation: &str, dim: u32) -> Result<(), NetError> {
-        self.expect_unit(Request::CreateRelation {
-            relation: relation.into(),
-            dim,
-        })
-    }
-
-    /// Drops a relation and frees its pages.
-    pub fn drop_relation(&mut self, relation: &str) -> Result<(), NetError> {
-        self.expect_unit(Request::DropRelation {
-            relation: relation.into(),
-        })
-    }
-
-    /// Inserts a tuple; returns its assigned id.
-    pub fn insert(&mut self, relation: &str, tuple: GeneralizedTuple) -> Result<u32, NetError> {
-        match self.call(Request::Insert {
-            relation: relation.into(),
-            tuple,
-        })? {
-            Response::Inserted(id) => Ok(id),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Deletes a tuple; returns the removed tuple.
-    pub fn delete(&mut self, relation: &str, id: u32) -> Result<GeneralizedTuple, NetError> {
-        match self.call(Request::Delete {
-            relation: relation.into(),
-            id,
-        })? {
-            Response::Tuple(t) => Ok(t),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Builds the 2-D dual index over an explicit slope set.
-    pub fn build_dual(&mut self, relation: &str, slopes: Vec<f64>) -> Result<(), NetError> {
-        self.expect_unit(Request::BuildDual {
-            relation: relation.into(),
-            slopes,
-        })
-    }
-
-    /// Builds the d-dimensional dual index over a regular slope grid.
-    pub fn build_dual_d(
-        &mut self,
-        relation: &str,
-        per_axis: u32,
-        range: f64,
-    ) -> Result<(), NetError> {
-        self.expect_unit(Request::BuildDualD {
-            relation: relation.into(),
-            per_axis,
-            range,
-        })
-    }
-
-    /// Packs the R⁺-tree baseline at the given fill factor.
-    pub fn build_rplus(&mut self, relation: &str, fill: f64) -> Result<(), NetError> {
-        self.expect_unit(Request::BuildRPlus {
-            relation: relation.into(),
-            fill,
-        })
-    }
-
-    /// Runs an ALL/EXIST selection with the given strategy.
-    pub fn query(
-        &mut self,
-        relation: &str,
-        selection: Selection,
-        strategy: Strategy,
-    ) -> Result<QueryResult, NetError> {
-        match self.call(Request::Query {
-            relation: relation.into(),
-            selection,
-            strategy,
-        })? {
-            Response::Query(WireQueryResult { ids, stats }) => Ok(QueryResult::new(ids, stats)),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// EXPLAIN ANALYZE: returns the rendered report and the executed
-    /// result.
-    pub fn explain(
-        &mut self,
-        relation: &str,
-        selection: Selection,
-    ) -> Result<(String, QueryResult), NetError> {
-        match self.call(Request::Explain {
-            relation: relation.into(),
-            selection,
-        })? {
-            Response::Explain { rendered, result } => {
-                let WireQueryResult { ids, stats } = result;
-                Ok((rendered, QueryResult::new(ids, stats)))
-            }
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Equality (line) query: EXIST tuples intersecting `y = a·x + c`, or
-    /// ALL tuples lying entirely on it.
-    pub fn query_line(
-        &mut self,
-        relation: &str,
-        kind: cdb_core::query::SelectionKind,
-        a: f64,
-        c: f64,
-    ) -> Result<QueryResult, NetError> {
-        match self.call(Request::QueryLine {
-            relation: relation.into(),
-            kind,
-            a,
-            c,
-        })? {
-            Response::Query(WireQueryResult { ids, stats }) => Ok(QueryResult::new(ids, stats)),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Runs one constraint-SQL statement on the server's latest snapshot.
-    /// `mode` selects execution, `EXPLAIN`, or `EXPLAIN ANALYZE`; the
-    /// rendered plan (when present) is byte-identical to what a local
-    /// session would print.
-    pub fn sql(&mut self, text: &str, mode: SqlMode) -> Result<SqlOutcome, NetError> {
-        match self.call(Request::Sql {
-            text: text.into(),
-            mode,
-        })? {
-            Response::Sql(o) => Ok(o.into()),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Fetches a stored tuple by id.
-    pub fn fetch_tuple(&mut self, relation: &str, id: u32) -> Result<GeneralizedTuple, NetError> {
-        match self.call(Request::FetchTuple {
-            relation: relation.into(),
-            id,
-        })? {
-            Response::Tuple(t) => Ok(t),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Relation names, sorted.
-    pub fn relations(&mut self) -> Result<Vec<String>, NetError> {
-        match self.call(Request::ListRelations)? {
-            Response::Relations(names) => Ok(names),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Engine statistics snapshot, plus the node's replication role,
-    /// session count and shard identity.
-    pub fn stats(&mut self) -> Result<StatsReply, NetError> {
-        match self.call(Request::Stats)? {
-            Response::Stats {
-                db,
-                replication,
-                connections,
-                shard,
-            } => Ok(StatsReply {
-                db,
-                replication,
-                connections,
-                shard,
-            }),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Online page-verification report.
-    pub fn fsck(&mut self) -> Result<WireRecoveryReport, NetError> {
-        match self.call(Request::Fsck)? {
-            Response::Fsck(rep) => Ok(rep),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Forces a durable checkpoint.
-    pub fn checkpoint(&mut self) -> Result<(), NetError> {
-        self.expect_unit(Request::Checkpoint)
-    }
-
-    /// Asks the server to shut down gracefully (drain, checkpoint, exit).
-    /// The acknowledgement arrives before the server exits.
-    pub fn shutdown(&mut self) -> Result<(), NetError> {
-        self.expect_unit(Request::Shutdown)
-    }
-
-    /// Turns the session into a replication subscription: the server
-    /// starts streaming [`WalBatch`] frames from `from_lsn`, this side
-    /// answers each with an ack. Consumes the client — the socket leaves
-    /// the request/response discipline for good.
-    ///
-    /// # Errors
-    /// [`NetError::NotPrimary`] when the peer is itself a follower (the
-    /// hint names the primary), [`NetError::Malformed`] when `from_lsn`
-    /// predates the peer's retained history (the follower must reseed
-    /// from a base copy), plus the usual transport failures.
-    pub fn subscribe(mut self, from_lsn: u64, follower_id: &str) -> Result<Subscription, NetError> {
-        match self.call(Request::Subscribe {
-            from_lsn,
-            follower_id: follower_id.into(),
-        })? {
-            Response::Subscribed {
-                start_lsn,
-                durable_lsn,
-            } => Ok(Subscription {
-                stream: self.stream,
-                start_lsn,
-                durable_lsn,
-            }),
-            other => Err(protocol_violation(&other)),
-        }
     }
 }
 
@@ -503,8 +282,4 @@ fn transport(e: std::io::Error) -> NetError {
         std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => NetError::Timeout,
         _ => NetError::Transport(e.to_string()),
     }
-}
-
-pub(crate) fn protocol_violation(got: &Response) -> NetError {
-    NetError::Transport(format!("unexpected response variant: {got:?}"))
 }

@@ -28,15 +28,11 @@
 
 use std::time::{Duration, Instant};
 
-use cdb_core::query::{QueryResult, Selection, SelectionKind, Strategy};
-use cdb_core::sql::{SqlMode, SqlOutcome};
-use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_prng::StdRng;
 
-use crate::client::{protocol_violation, Client, StatsReply};
-use crate::proto::{
-    NetError, ReplicationInfo, Request, Response, WireQueryResult, WireRecoveryReport,
-};
+use crate::api::{Api, Backend, StatsReply};
+use crate::client::Client;
+use crate::proto::{NetError, ReplicationInfo, Request, Response};
 
 /// Tunables for [`ClusterClient`]. The defaults suit tests and
 /// interactive use; long-haul deployments should raise the backoff cap.
@@ -92,9 +88,9 @@ struct Member {
     conn: Option<Client>,
 }
 
-/// A client for a replicated deployment. See the module docs for the
+/// A replicated deployment as a [`Backend`]. See the module docs for the
 /// routing and retry rules.
-pub struct ClusterClient {
+pub struct Cluster {
     members: Vec<Member>,
     primary: Option<usize>,
     cursor: usize,
@@ -102,6 +98,9 @@ pub struct ClusterClient {
     last_write_lsn: u64,
     config: ClusterConfig,
 }
+
+/// The typed API over a replicated deployment.
+pub type ClusterClient = Api<Cluster>;
 
 impl ClusterClient {
     /// Builds a client over the given member addresses. Connections are
@@ -126,16 +125,18 @@ impl ClusterClient {
                 "a cluster client needs at least one member address".into(),
             ));
         }
-        Ok(ClusterClient {
+        Ok(Api(Cluster {
             members,
             primary: None,
             cursor: 0,
             rng: StdRng::seed_from_u64(config.seed),
             last_write_lsn: 0,
             config,
-        })
+        }))
     }
+}
 
+impl Cluster {
     /// The member addresses currently known (grows when leader hints
     /// name new nodes).
     pub fn members(&self) -> Vec<String> {
@@ -396,200 +397,6 @@ impl ClusterClient {
         }
         Ok(())
     }
-}
-
-/// Whether a request deadline has passed (`false` when there is none).
-fn expired(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-/// Typed helpers mirroring [`Client`]'s surface, routed through the
-/// cluster's read/write discipline. Errors are the same as
-/// [`ClusterClient::read`] / [`ClusterClient::write`].
-impl ClusterClient {
-    /// Liveness probe against whichever member the read rotation picks.
-    pub fn ping(&mut self) -> Result<(), NetError> {
-        match self.read(Request::Ping)? {
-            Response::Unit => Ok(()),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Creates a relation of the given dimension (on the primary).
-    pub fn create_relation(&mut self, relation: &str, dim: u32) -> Result<(), NetError> {
-        match self.write(Request::CreateRelation {
-            relation: relation.into(),
-            dim,
-        })? {
-            Response::Unit => Ok(()),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Inserts a tuple (on the primary); returns its assigned id.
-    pub fn insert(&mut self, relation: &str, tuple: GeneralizedTuple) -> Result<u32, NetError> {
-        match self.write(Request::Insert {
-            relation: relation.into(),
-            tuple,
-        })? {
-            Response::Inserted(id) => Ok(id),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Deletes a tuple (on the primary); returns the removed tuple.
-    pub fn delete(&mut self, relation: &str, id: u32) -> Result<GeneralizedTuple, NetError> {
-        match self.write(Request::Delete {
-            relation: relation.into(),
-            id,
-        })? {
-            Response::Tuple(t) => Ok(t),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Builds the 2-D dual index (on the primary).
-    pub fn build_dual(&mut self, relation: &str, slopes: Vec<f64>) -> Result<(), NetError> {
-        match self.write(Request::BuildDual {
-            relation: relation.into(),
-            slopes,
-        })? {
-            Response::Unit => Ok(()),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Builds the d-dimensional dual index (on the primary).
-    pub fn build_dual_d(
-        &mut self,
-        relation: &str,
-        per_axis: u32,
-        range: f64,
-    ) -> Result<(), NetError> {
-        match self.write(Request::BuildDualD {
-            relation: relation.into(),
-            per_axis,
-            range,
-        })? {
-            Response::Unit => Ok(()),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Packs the R⁺-tree baseline (on the primary).
-    pub fn build_rplus(&mut self, relation: &str, fill: f64) -> Result<(), NetError> {
-        match self.write(Request::BuildRPlus {
-            relation: relation.into(),
-            fill,
-        })? {
-            Response::Unit => Ok(()),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Runs an ALL/EXIST selection on a follower (primary fallback).
-    pub fn query(
-        &mut self,
-        relation: &str,
-        selection: Selection,
-        strategy: Strategy,
-    ) -> Result<QueryResult, NetError> {
-        match self.read(Request::Query {
-            relation: relation.into(),
-            selection,
-            strategy,
-        })? {
-            Response::Query(WireQueryResult { ids, stats }) => Ok(QueryResult::new(ids, stats)),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Equality (line) query on a follower (primary fallback).
-    pub fn query_line(
-        &mut self,
-        relation: &str,
-        kind: SelectionKind,
-        a: f64,
-        c: f64,
-    ) -> Result<QueryResult, NetError> {
-        match self.read(Request::QueryLine {
-            relation: relation.into(),
-            kind,
-            a,
-            c,
-        })? {
-            Response::Query(WireQueryResult { ids, stats }) => Ok(QueryResult::new(ids, stats)),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// EXPLAIN ANALYZE on a follower: rendered report plus the result.
-    pub fn explain(
-        &mut self,
-        relation: &str,
-        selection: Selection,
-    ) -> Result<(String, QueryResult), NetError> {
-        match self.read(Request::Explain {
-            relation: relation.into(),
-            selection,
-        })? {
-            Response::Explain { rendered, result } => {
-                let WireQueryResult { ids, stats } = result;
-                Ok((rendered, QueryResult::new(ids, stats)))
-            }
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Runs one constraint-SQL statement on a follower's latest snapshot.
-    pub fn sql(&mut self, text: &str, mode: SqlMode) -> Result<SqlOutcome, NetError> {
-        match self.read(Request::Sql {
-            text: text.into(),
-            mode,
-        })? {
-            Response::Sql(o) => Ok(o.into()),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Fetches a stored tuple by id from a follower.
-    pub fn fetch_tuple(&mut self, relation: &str, id: u32) -> Result<GeneralizedTuple, NetError> {
-        match self.read(Request::FetchTuple {
-            relation: relation.into(),
-            id,
-        })? {
-            Response::Tuple(t) => Ok(t),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Relation names from a follower, sorted.
-    pub fn relations(&mut self) -> Result<Vec<String>, NetError> {
-        match self.read(Request::ListRelations)? {
-            Response::Relations(names) => Ok(names),
-            other => Err(protocol_violation(&other)),
-        }
-    }
-
-    /// Statistics from whichever member the read rotation picks — the
-    /// replication section names the member's role, so asking repeatedly
-    /// walks the topology.
-    pub fn stats(&mut self) -> Result<StatsReply, NetError> {
-        match self.read(Request::Stats)? {
-            Response::Stats {
-                db,
-                replication,
-                connections,
-                shard,
-            } => Ok(StatsReply {
-                db,
-                replication,
-                connections,
-                shard,
-            }),
-            other => Err(protocol_violation(&other)),
-        }
-    }
 
     /// `stats` from *every* known member, keyed by address — the fan-in
     /// behind the shell's `cluster stats` table. One sweep, one row per
@@ -612,20 +419,25 @@ impl ClusterClient {
             })
             .collect()
     }
+}
 
-    /// Online page-verification report from one member.
-    pub fn fsck(&mut self) -> Result<WireRecoveryReport, NetError> {
-        match self.read(Request::Fsck)? {
-            Response::Fsck(rep) => Ok(rep),
-            other => Err(protocol_violation(&other)),
+impl Backend for Cluster {
+    /// Mutations go to the primary ([`Cluster::write`]), everything else to
+    /// the read rotation ([`Cluster::read`]). `Shutdown` is refused: it
+    /// would stop whichever member the rotation happened to pick.
+    fn call(&mut self, request: Request) -> Result<Response, NetError> {
+        match request {
+            Request::Shutdown | Request::Subscribe { .. } => Err(NetError::Malformed(format!(
+                "'{}' over a cluster session is ambiguous — connect to one member",
+                request.op_name()
+            ))),
+            r if r.is_write() => self.write(r),
+            r => self.read(r),
         }
     }
+}
 
-    /// Forces a durable checkpoint on the primary.
-    pub fn checkpoint(&mut self) -> Result<(), NetError> {
-        match self.write(Request::Checkpoint)? {
-            Response::Unit => Ok(()),
-            other => Err(protocol_violation(&other)),
-        }
-    }
+/// Whether a request deadline has passed (`false` when there is none).
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
 }

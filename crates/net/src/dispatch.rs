@@ -1,0 +1,208 @@
+//! The one `Request` → engine dispatcher.
+//!
+//! [`apply_read`] answers the read operations from any
+//! [`cdb_core::ReadSurface`]; [`apply_engine`] applies the operations that
+//! need the live [`ConstraintDb`]. The server runs the first against
+//! published snapshots in its session workers and the second in its
+//! writer lane; an in-process engine is a [`Backend`] that runs both
+//! against itself — so a local shell session gets exactly the validation
+//! a wire peer gets.
+
+use cdb_core::slopes::SlopeSet;
+use cdb_core::{CdbError, ConstraintDb, PageSource, ReadSurface};
+
+use crate::api::Backend;
+use crate::proto::{
+    NetError, ReplicationInfo, Request, Response, ShardIdentity, WireRecoveryReport,
+};
+
+/// What `stats` reports about the answering node beyond its engine. The
+/// default is an in-process engine: no replication role, no sessions, no
+/// shard identity.
+#[derive(Default)]
+pub(crate) struct NodeStatus {
+    pub replication: Option<ReplicationInfo>,
+    pub connections: u32,
+    pub shard: Option<ShardIdentity>,
+}
+
+/// Mutations must reach the engine's owner; Stats and Fsck report the
+/// live engine (WAL watermarks, quarantine cross-check). Everything else
+/// is a read.
+pub(crate) fn needs_engine(request: &Request) -> bool {
+    request.is_write() || matches!(request, Request::Stats | Request::Fsck)
+}
+
+impl Backend for ConstraintDb {
+    fn call(&mut self, request: Request) -> Result<Response, NetError> {
+        if needs_engine(&request) {
+            apply_engine(self, request, NodeStatus::default)
+        } else {
+            apply_read(self, &request)
+        }
+    }
+}
+
+/// Executes a read-only request against a read surface — a pinned
+/// snapshot on the server (no lock is held while this runs: the
+/// snapshot's epoch keeps every page it can reach stable regardless of
+/// what the writer commits meanwhile), the live engine in process.
+pub(crate) fn apply_read<P: PageSource>(
+    snap: &ReadSurface<P>,
+    request: &Request,
+) -> Result<Response, NetError> {
+    match request {
+        Request::Ping => Ok(Response::Unit),
+        Request::Query {
+            relation,
+            selection,
+            strategy,
+        } => snap
+            .query_with(relation, selection.clone(), *strategy)
+            .map(|r| Response::Query((&r).into()))
+            .map_err(NetError::Db),
+        Request::Explain {
+            relation,
+            selection,
+        } => snap
+            .explain(relation, selection.clone())
+            .map(|rep| Response::Explain {
+                rendered: rep.render(),
+                result: (&rep.result).into(),
+            })
+            .map_err(NetError::Db),
+        Request::QueryLine {
+            relation,
+            kind,
+            a,
+            c,
+        } => {
+            let res = match kind {
+                cdb_core::query::SelectionKind::Exist => snap.exist_line(relation, *a, *c),
+                cdb_core::query::SelectionKind::All => snap.all_line(relation, *a, *c),
+            };
+            res.map(|r| Response::Query((&r).into()))
+                .map_err(NetError::Db)
+        }
+        Request::Sql { text, mode } => snap
+            .sql(text, *mode)
+            .map(|o| Response::Sql((&o).into()))
+            .map_err(NetError::Db),
+        Request::FetchTuple { relation, id } => snap
+            .fetch_tuple(relation, *id)
+            .map(Response::Tuple)
+            .map_err(NetError::Db),
+        Request::ListRelations => Ok(Response::Relations(snap.relation_names())),
+        other => Err(NetError::Malformed(format!(
+            "'{}' is not a read operation",
+            other.op_name()
+        ))),
+    }
+}
+
+/// Applies one request that needs the live engine (a mutation, or a
+/// Stats/Fsck report). Engine preconditions that would panic (`assert!`s
+/// guarding constructor contracts) are validated here first and answered
+/// as errors — no peer, on the wire or in process, must be able to panic
+/// the engine's owner. `node` is only consulted for `Stats`.
+pub(crate) fn apply_engine(
+    db: &mut ConstraintDb,
+    request: Request,
+    node: impl FnOnce() -> NodeStatus,
+) -> Result<Response, NetError> {
+    match request {
+        Request::Stats => {
+            let node = node();
+            Ok(Response::Stats {
+                db: db.stats_snapshot(),
+                replication: node.replication,
+                connections: node.connections,
+                shard: node.shard,
+            })
+        }
+        Request::Fsck => {
+            let rep = db.verify_now();
+            Ok(Response::Fsck(WireRecoveryReport {
+                pager: rep.pager,
+                wal: rep.wal,
+                relations: rep.relations,
+                quarantine: db.quarantine_clean(),
+            }))
+        }
+        Request::CreateRelation { relation, dim } => {
+            if dim == 0 {
+                return Err(NetError::Malformed("dimension must be positive".into()));
+            }
+            db.create_relation(&relation, dim as usize)
+                .map(|_| Response::Unit)
+                .map_err(NetError::Db)
+        }
+        Request::DropRelation { relation } => db
+            .drop_relation(&relation)
+            .map(|_| Response::Unit)
+            .map_err(NetError::Db),
+        Request::Insert { relation, tuple } => db
+            .insert(&relation, tuple)
+            .map(Response::Inserted)
+            .map_err(NetError::Db),
+        Request::Delete { relation, id } => db
+            .delete(&relation, id)
+            .map(Response::Tuple)
+            .map_err(NetError::Db),
+        Request::BuildDual { relation, slopes } => {
+            let mut distinct = slopes.clone();
+            distinct.sort_by(f64::total_cmp);
+            distinct.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+            if distinct.len() < 2 || !distinct.iter().all(|s| s.is_finite()) {
+                return Err(NetError::Malformed(
+                    "a slope set needs at least 2 distinct finite slopes".into(),
+                ));
+            }
+            db.build_dual_index(&relation, SlopeSet::new(slopes))
+                .map(|_| Response::Unit)
+                .map_err(NetError::Db)
+        }
+        Request::BuildDualD {
+            relation,
+            per_axis,
+            range,
+        } => {
+            if per_axis < 2 {
+                return Err(NetError::Malformed("grid needs per_axis >= 2".into()));
+            }
+            if !(range.is_finite() && range > 0.0) {
+                return Err(NetError::Malformed("grid range must be positive".into()));
+            }
+            let dim = db.relation(&relation).map_err(NetError::Db)?.dim();
+            if dim < 2 {
+                return Err(NetError::Db(CdbError::UnsupportedQuery(
+                    "the d-dimensional dual index needs a relation of dimension >= 2".into(),
+                )));
+            }
+            db.build_dual_index_d(
+                &relation,
+                cdb_core::ddim::SlopePoints::grid(dim, per_axis as usize, range),
+            )
+            .map(|_| Response::Unit)
+            .map_err(NetError::Db)
+        }
+        Request::BuildRPlus { relation, fill } => {
+            if !(0.5..=1.0).contains(&fill) {
+                return Err(NetError::Malformed(
+                    "fill factor must be in [0.5, 1.0]".into(),
+                ));
+            }
+            db.build_rplus_index(&relation, fill)
+                .map(|_| Response::Unit)
+                .map_err(NetError::Db)
+        }
+        Request::Checkpoint => db
+            .checkpoint()
+            .map(|_| Response::Unit)
+            .map_err(NetError::Db),
+        other => Err(NetError::Malformed(format!(
+            "'{}' is not an engine-lane operation",
+            other.op_name()
+        ))),
+    }
+}

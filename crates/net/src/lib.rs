@@ -21,8 +21,13 @@
 //!   checkpoints periodically; admission control answers overload with an
 //!   explicit frame instead of queueing without bound, and shutdown drains
 //!   in-flight requests and checkpoints before exit;
-//! * [`client`] — a blocking client speaking the same protocol, used by the
-//!   `cdb-client` binary and the shell's `connect` command;
+//! * [`api`] — the typed client API written once: a one-method
+//!   [`Backend`] ("send a [`Request`], get a [`Response`]") and the
+//!   [`Api`] wrapper carrying `ping` … `checkpoint` for every backend —
+//!   an in-process engine (through the server's own dispatcher), a wire
+//!   session, a cluster, a sharded deployment;
+//! * [`client`] — a blocking wire session speaking the same protocol, used
+//!   by the `cdb-client` binary and the shell's `connect` command;
 //! * replication — protocol v5 ships the primary's write-ahead log to
 //!   followers over the same framing (`Subscribe` turns a session into a
 //!   stop-and-wait record stream), [`Server::bind_replica`] runs a
@@ -38,16 +43,19 @@
 //!
 //! Everything is `std`-only: no async runtime, no serialization crates.
 
+pub mod api;
 pub mod chaos;
 pub mod client;
 pub mod cluster;
+mod dispatch;
 pub mod proto;
 mod replica;
 pub mod server;
 pub mod shard;
 
+pub use api::{Api, Backend, StatsReply};
 pub use chaos::{ChaosPlan, ChaosProxy};
-pub use client::{Client, StatsReply, Subscription};
+pub use client::{Client, Subscription};
 pub use cluster::{ClusterClient, ClusterConfig};
 pub use proto::{NetError, ReplicationInfo, Request, Response, ShardIdentity, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ShutdownHandle};

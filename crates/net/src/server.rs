@@ -84,16 +84,15 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cdb_core::db::{ConstraintDb, Snapshot};
-use cdb_core::slopes::SlopeSet;
 use cdb_core::{hash_owner, CdbError};
 use cdb_storage::codec::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 use cdb_storage::wal::Wal;
 
 use crate::client::ShipStream;
+use crate::dispatch::{apply_engine, apply_read, needs_engine, NodeStatus};
 use crate::proto::{
     decode_hello, decode_request, encode_greeting, encode_response, FollowerInfo, HandshakeStatus,
-    NetError, ReplicationInfo, Request, Response, ShardIdentity, WalBatch, WireRecoveryReport,
-    PROTOCOL_VERSION,
+    NetError, ReplicationInfo, Request, Response, ShardIdentity, WalBatch, PROTOCOL_VERSION,
 };
 use crate::replica::{fetcher_loop, ReplicaStatus};
 
@@ -276,9 +275,10 @@ impl Shared {
         })
     }
 
-    /// This node's replication role and progress, as reported by `stats`.
-    fn replication_info(&self) -> Option<ReplicationInfo> {
-        match &self.role {
+    /// What `stats` reports about this node: replication role and
+    /// progress, admitted sessions, shard identity.
+    fn node_status(&self) -> NodeStatus {
+        let replication = match &self.role {
             RoleState::Primary { wal_path: None, .. } => None,
             RoleState::Primary {
                 wal_path: Some(_),
@@ -305,6 +305,11 @@ impl Shared {
                 batches: status.batches.load(Ordering::SeqCst),
                 source_lsn: status.source_lsn.load(Ordering::SeqCst),
             }),
+        };
+        NodeStatus {
+            replication,
+            connections: self.active_sessions.load(Ordering::SeqCst) as u32,
+            shard: self.shard,
         }
     }
 }
@@ -701,12 +706,9 @@ fn dispatch(
             return (0, Err(err));
         }
     }
-    // Mutations must reach the engine's owner; Stats and Fsck report the
-    // live engine (WAL watermarks, quarantine cross-check) and ride the
-    // same lane. Everything else is answered from the latest published
-    // snapshot without ever waiting on the writer.
-    let needs_engine = request.is_write() || matches!(request, Request::Stats | Request::Fsck);
-    if needs_engine {
+    // Engine operations ride the writer lane; everything else is answered
+    // from the latest published snapshot without ever waiting on the writer.
+    if needs_engine(&request) {
         let (reply_tx, reply_rx) = mpsc::channel();
         let job = EngineJob::Client(WriteJob {
             request,
@@ -913,59 +915,6 @@ fn ship_loop(
     }
 }
 
-/// Executes a read-only request against one pinned snapshot. No lock is
-/// held while this runs: the snapshot's epoch keeps every page it can
-/// reach stable regardless of what the writer commits meanwhile.
-fn apply_read(snap: &Snapshot, request: &Request) -> Result<Response, NetError> {
-    match request {
-        Request::Ping => Ok(Response::Unit),
-        Request::Query {
-            relation,
-            selection,
-            strategy,
-        } => snap
-            .query_with(relation, selection.clone(), *strategy)
-            .map(|r| Response::Query((&r).into()))
-            .map_err(NetError::Db),
-        Request::Explain {
-            relation,
-            selection,
-        } => snap
-            .explain(relation, selection.clone())
-            .map(|rep| Response::Explain {
-                rendered: rep.render(),
-                result: (&rep.result).into(),
-            })
-            .map_err(NetError::Db),
-        Request::QueryLine {
-            relation,
-            kind,
-            a,
-            c,
-        } => {
-            let res = match kind {
-                cdb_core::query::SelectionKind::Exist => snap.exist_line(relation, *a, *c),
-                cdb_core::query::SelectionKind::All => snap.all_line(relation, *a, *c),
-            };
-            res.map(|r| Response::Query((&r).into()))
-                .map_err(NetError::Db)
-        }
-        Request::Sql { text, mode } => snap
-            .sql(text, *mode)
-            .map(|o| Response::Sql((&o).into()))
-            .map_err(NetError::Db),
-        Request::FetchTuple { relation, id } => snap
-            .fetch_tuple(relation, *id)
-            .map(Response::Tuple)
-            .map_err(NetError::Db),
-        Request::ListRelations => Ok(Response::Relations(snap.relation_names())),
-        other => Err(NetError::Malformed(format!(
-            "'{}' is not a read operation",
-            other.op_name()
-        ))),
-    }
-}
-
 /// The group-commit writer lane. Owns the engine: drains every queued job
 /// into one batch, applies the batch in arrival order (client mutations
 /// and replicated-apply batches alike), makes it durable with one
@@ -1011,7 +960,7 @@ fn writer_loop(
                     let outcome = if expired(job.deadline) {
                         Err(NetError::DeadlineExceeded)
                     } else {
-                        apply_engine(&mut db, shared, job.request)
+                        apply_engine(&mut db, job.request, || shared.node_status())
                     };
                     if is_write && outcome.is_ok() {
                         mutated = true;
@@ -1096,108 +1045,4 @@ fn writer_loop(
     // Queue disconnected: every session is gone. The final checkpoint
     // happens in Server::run after the writer joins.
     db
-}
-
-/// Applies one engine-lane job (a mutation, or a Stats/Fsck report that
-/// must see the live engine). Engine preconditions that would panic
-/// (`assert!`s guarding constructor contracts) are validated here first
-/// and answered as errors — a wire peer must never be able to panic the
-/// server.
-fn apply_engine(
-    db: &mut ConstraintDb,
-    shared: &Shared,
-    request: Request,
-) -> Result<Response, NetError> {
-    match request {
-        Request::Stats => Ok(Response::Stats {
-            db: db.stats_snapshot(),
-            replication: shared.replication_info(),
-            connections: shared.active_sessions.load(Ordering::SeqCst) as u32,
-            shard: shared.shard,
-        }),
-        Request::Fsck => {
-            let rep = db.verify_now();
-            Ok(Response::Fsck(WireRecoveryReport {
-                pager: rep.pager,
-                wal: rep.wal,
-                relations: rep.relations,
-                quarantine: db.quarantine_clean(),
-            }))
-        }
-        Request::CreateRelation { relation, dim } => {
-            if dim == 0 {
-                return Err(NetError::Malformed("dimension must be positive".into()));
-            }
-            db.create_relation(&relation, dim as usize)
-                .map(|_| Response::Unit)
-                .map_err(NetError::Db)
-        }
-        Request::DropRelation { relation } => db
-            .drop_relation(&relation)
-            .map(|_| Response::Unit)
-            .map_err(NetError::Db),
-        Request::Insert { relation, tuple } => db
-            .insert(&relation, tuple)
-            .map(Response::Inserted)
-            .map_err(NetError::Db),
-        Request::Delete { relation, id } => db
-            .delete(&relation, id)
-            .map(Response::Tuple)
-            .map_err(NetError::Db),
-        Request::BuildDual { relation, slopes } => {
-            let mut distinct = slopes.clone();
-            distinct.sort_by(|a, b| a.partial_cmp(b).expect("finite by decode"));
-            distinct.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-            if distinct.len() < 2 {
-                return Err(NetError::Malformed(
-                    "a slope set needs at least 2 distinct slopes".into(),
-                ));
-            }
-            db.build_dual_index(&relation, SlopeSet::new(slopes))
-                .map(|_| Response::Unit)
-                .map_err(NetError::Db)
-        }
-        Request::BuildDualD {
-            relation,
-            per_axis,
-            range,
-        } => {
-            if per_axis < 2 {
-                return Err(NetError::Malformed("grid needs per_axis >= 2".into()));
-            }
-            if range <= 0.0 {
-                return Err(NetError::Malformed("grid range must be positive".into()));
-            }
-            let dim = db.relation(&relation).map_err(NetError::Db)?.dim();
-            if dim < 2 {
-                return Err(NetError::Db(CdbError::UnsupportedQuery(
-                    "the d-dimensional dual index needs a relation of dimension >= 2".into(),
-                )));
-            }
-            db.build_dual_index_d(
-                &relation,
-                cdb_core::ddim::SlopePoints::grid(dim, per_axis as usize, range),
-            )
-            .map(|_| Response::Unit)
-            .map_err(NetError::Db)
-        }
-        Request::BuildRPlus { relation, fill } => {
-            if !(0.5..=1.0).contains(&fill) {
-                return Err(NetError::Malformed(
-                    "fill factor must be in [0.5, 1.0]".into(),
-                ));
-            }
-            db.build_rplus_index(&relation, fill)
-                .map(|_| Response::Unit)
-                .map_err(NetError::Db)
-        }
-        Request::Checkpoint => db
-            .checkpoint()
-            .map(|_| Response::Unit)
-            .map_err(NetError::Db),
-        other => Err(NetError::Malformed(format!(
-            "'{}' is not an engine-lane operation",
-            other.op_name()
-        ))),
-    }
 }

@@ -32,13 +32,15 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use cdb_core::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
-use cdb_core::sql::{SqlMode, SqlOutcome};
-use cdb_geometry::tuple::GeneralizedTuple;
+use cdb_core::query::{QueryResult, QueryStats};
+use cdb_core::sql::SqlOutcome;
 
-use crate::client::StatsReply;
+use crate::api::{
+    expect_explain, expect_query, expect_relations, expect_sql, expect_unit, Api, Backend,
+    StatsReply,
+};
 use crate::cluster::{ClusterClient, ClusterConfig};
-use crate::proto::NetError;
+use crate::proto::{NetError, Request, Response};
 
 /// An epoch-versioned map from shard id to that shard's member
 /// addresses: the first address of each group is the primary, the rest
@@ -132,16 +134,19 @@ impl fmt::Display for ShardMap {
     }
 }
 
-/// A client for a sharded deployment: owner-routed DML, concurrent
+/// A sharded deployment as a [`Backend`]: owner-routed DML, concurrent
 /// fan-out reads, exact merges. See the module docs for the routing and
 /// merge rules.
-pub struct ShardedClient {
+pub struct Shards {
     map: ShardMap,
     clients: Vec<ClusterClient>,
     /// Predicted next global id per relation, kept in lockstep with the
     /// servers' assignments and resynced from every acknowledged insert.
     next_ids: HashMap<String, u32>,
 }
+
+/// The typed API over a sharded deployment.
+pub type ShardedClient = Api<Shards>;
 
 impl ShardedClient {
     /// Builds a client over the map, one [`ClusterClient`] per shard
@@ -162,13 +167,15 @@ impl ShardedClient {
                 ClusterClient::new(group.iter().cloned(), c)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedClient {
+        Ok(Api(Shards {
             map,
             clients,
             next_ids: HashMap::new(),
-        })
+        }))
     }
+}
 
+impl Shards {
     /// The shard map this client routes by.
     pub fn map(&self) -> &ShardMap {
         &self.map
@@ -199,194 +206,12 @@ impl ShardedClient {
         })
     }
 
-    /// Fans `f` out to every shard and demands success everywhere —
-    /// DDL and merged reads have no partial-success story.
-    fn all_shards<T, F>(&mut self, f: F) -> Result<Vec<T>, NetError>
-    where
-        T: Send,
-        F: Fn(&mut ClusterClient) -> Result<T, NetError> + Sync,
-    {
-        self.fan_out(f).into_iter().collect()
-    }
-
-    /// Liveness probe against every shard.
-    pub fn ping(&mut self) -> Result<(), NetError> {
-        self.all_shards(ClusterClient::ping)?;
-        Ok(())
-    }
-
-    /// Creates a relation on every shard.
-    pub fn create_relation(&mut self, relation: &str, dim: u32) -> Result<(), NetError> {
-        self.all_shards(|c| c.create_relation(relation, dim))?;
-        self.next_ids.insert(relation.to_string(), 0);
-        Ok(())
-    }
-
-    /// Drops a relation from every shard.
-    pub fn drop_relation(&mut self, relation: &str) -> Result<(), NetError> {
-        self.all_shards(|c| {
-            match c.write(crate::proto::Request::DropRelation {
-                relation: relation.into(),
-            })? {
-                crate::proto::Response::Unit => Ok(()),
-                other => Err(crate::client::protocol_violation(&other)),
-            }
-        })?;
-        self.next_ids.remove(relation);
-        Ok(())
-    }
-
-    /// Builds the 2-D dual index on every shard.
-    pub fn build_dual(&mut self, relation: &str, slopes: Vec<f64>) -> Result<(), NetError> {
-        let slopes = &slopes;
-        self.all_shards(|c| c.build_dual(relation, slopes.clone()))?;
-        Ok(())
-    }
-
-    /// Builds the d-dimensional dual index on every shard.
-    pub fn build_dual_d(
-        &mut self,
-        relation: &str,
-        per_axis: u32,
-        range: f64,
-    ) -> Result<(), NetError> {
-        self.all_shards(|c| c.build_dual_d(relation, per_axis, range))?;
-        Ok(())
-    }
-
-    /// Packs the R⁺-tree baseline on every shard.
-    pub fn build_rplus(&mut self, relation: &str, fill: f64) -> Result<(), NetError> {
-        self.all_shards(|c| c.build_rplus(relation, fill))?;
-        Ok(())
-    }
-
-    /// Forces a durable checkpoint on every shard's primary.
-    pub fn checkpoint(&mut self) -> Result<(), NetError> {
-        self.all_shards(ClusterClient::checkpoint)?;
-        Ok(())
-    }
-
-    /// Inserts a tuple, routed to the shard owning the next global id —
-    /// so a sharded deployment assigns exactly the ids a single node
-    /// would, in the same order. The counter resyncs from every
-    /// acknowledged id, which also recovers from other writers or
-    /// pre-existing data.
-    pub fn insert(&mut self, relation: &str, tuple: GeneralizedTuple) -> Result<u32, NetError> {
-        let next = self.next_ids.get(relation).copied().unwrap_or(0);
-        let shard = self.map.owner(next);
-        let id = self.clients[shard as usize].insert(relation, tuple)?;
-        self.next_ids.insert(relation.to_string(), id + 1);
-        Ok(id)
-    }
-
-    /// Deletes a tuple on the shard owning its id; a `WrongShard`
-    /// redirect (stale map) is followed once.
-    pub fn delete(&mut self, relation: &str, id: u32) -> Result<GeneralizedTuple, NetError> {
-        let shard = self.map.owner(id);
-        match self.clients[shard as usize].delete(relation, id) {
-            Err(NetError::WrongShard { hint, .. })
-                if hint != shard && (hint as usize) < self.clients.len() =>
-            {
-                self.clients[hint as usize].delete(relation, id)
-            }
-            outcome => outcome,
-        }
-    }
-
-    /// Fetches a tuple from the shard owning its id; a `WrongShard`
-    /// redirect is followed once.
-    pub fn fetch_tuple(&mut self, relation: &str, id: u32) -> Result<GeneralizedTuple, NetError> {
-        let shard = self.map.owner(id);
-        match self.clients[shard as usize].fetch_tuple(relation, id) {
-            Err(NetError::WrongShard { hint, .. })
-                if hint != shard && (hint as usize) < self.clients.len() =>
-            {
-                self.clients[hint as usize].fetch_tuple(relation, id)
-            }
-            outcome => outcome,
-        }
-    }
-
-    /// Runs an ALL/EXIST selection on every shard concurrently and
-    /// merges: the shards' id sets are disjoint, so the global answer is
-    /// their sorted union, with I/O accounting summed.
-    pub fn query(
-        &mut self,
-        relation: &str,
-        selection: Selection,
-        strategy: Strategy,
-    ) -> Result<QueryResult, NetError> {
-        let selection = &selection;
-        let parts = self.all_shards(|c| c.query(relation, selection.clone(), strategy))?;
-        Ok(merge_results(parts))
-    }
-
-    /// Equality (line) query fanned out and merged like [`query`].
-    ///
-    /// [`query`]: Self::query
-    pub fn query_line(
-        &mut self,
-        relation: &str,
-        kind: SelectionKind,
-        a: f64,
-        c: f64,
-    ) -> Result<QueryResult, NetError> {
-        let parts = self.all_shards(|cl| cl.query_line(relation, kind, a, c))?;
-        Ok(merge_results(parts))
-    }
-
-    /// EXPLAIN ANALYZE on every shard: the per-shard reports labeled and
-    /// concatenated, the results merged like [`query`](Self::query).
-    pub fn explain(
-        &mut self,
-        relation: &str,
-        selection: Selection,
-    ) -> Result<(String, QueryResult), NetError> {
-        let selection = &selection;
-        let parts = self.all_shards(|c| c.explain(relation, selection.clone()))?;
-        let mut rendered = Vec::new();
-        let mut results = Vec::new();
-        for (shard, (report, result)) in parts.into_iter().enumerate() {
-            rendered.push(format!("shard {shard}:\n{}", report.trim_end()));
-            results.push(result);
-        }
-        Ok((rendered.join("\n"), merge_results(results)))
-    }
-
-    /// Runs one constraint-SQL statement on every shard and merges the
-    /// rows by ascending id, re-applying `LIMIT` after the merge (exact:
-    /// each shard's rows are already its `LIMIT`-sized ascending-id
-    /// prefix). Multi-relation queries are refused — a per-shard join
-    /// would silently drop every cross-shard pair.
-    ///
-    /// # Errors
-    /// [`NetError::Malformed`] for a join; otherwise any shard's error.
-    pub fn sql(&mut self, text: &str, mode: SqlMode) -> Result<SqlOutcome, NetError> {
-        let query = match cdb_core::sql::parse(text) {
-            Ok(q) => q,
-            // Let one engine report the parse error with its own (richer)
-            // diagnostics — it will fail the same way everywhere.
-            Err(_) => return self.clients[0].sql(text, mode),
-        };
-        if query.relations.len() > 1 {
-            return Err(NetError::Malformed(format!(
-                "cross-shard joins are not supported: the query names {} relations \
-                 and shards hold disjoint id ranges of each",
-                query.relations.len()
-            )));
-        }
-        let parts = self.all_shards(|c| c.sql(text, mode))?;
-        Ok(merge_sql(parts, query.limit))
-    }
-
-    /// Relation names across the deployment (sorted union — normally
-    /// identical on every shard, since DDL fans out).
-    pub fn relations(&mut self) -> Result<Vec<String>, NetError> {
-        let parts = self.all_shards(|c| c.relations())?;
-        let mut names: Vec<String> = parts.into_iter().flatten().collect();
-        names.sort();
-        names.dedup();
-        Ok(names)
+    /// Fans the request out to every shard and demands success everywhere
+    /// — DDL and merged reads have no partial-success story.
+    fn all_shards(&mut self, request: &Request) -> Result<Vec<Response>, NetError> {
+        self.fan_out(|c| c.call(request.clone()))
+            .into_iter()
+            .collect()
     }
 
     /// `stats` from every member of every shard: one `(shard, address,
@@ -409,10 +234,134 @@ impl ShardedClient {
     /// the vector its read-your-writes guarantee is enforced against
     /// (each shard's [`ClusterClient`] tracks its own watermark).
     pub fn last_write_lsns(&self) -> Vec<u64> {
-        self.clients
-            .iter()
-            .map(ClusterClient::last_write_lsn)
-            .collect()
+        self.clients.iter().map(|c| c.last_write_lsn()).collect()
+    }
+}
+
+impl Backend for Shards {
+    fn call(&mut self, request: Request) -> Result<Response, NetError> {
+        match &request {
+            // Routed to the shard owning the next global id — so a sharded
+            // deployment assigns exactly the ids a single node would, in
+            // the same order. The counter resyncs from every acknowledged
+            // id, which also recovers from other writers or pre-existing
+            // data.
+            Request::Insert { relation, .. } => {
+                let relation = relation.clone();
+                let next = self.next_ids.get(&relation).copied().unwrap_or(0);
+                let shard = self.map.owner(next);
+                let response = self.clients[shard as usize].call(request)?;
+                if let Response::Inserted(id) = response {
+                    self.next_ids.insert(relation, id + 1);
+                }
+                Ok(response)
+            }
+            // Routed to the shard owning the id; a `WrongShard` redirect
+            // (stale map) is followed once.
+            Request::Delete { id, .. } | Request::FetchTuple { id, .. } => {
+                let shard = self.map.owner(*id);
+                match self.clients[shard as usize].call(request.clone()) {
+                    Err(NetError::WrongShard { hint, .. })
+                        if hint != shard && (hint as usize) < self.clients.len() =>
+                    {
+                        self.clients[hint as usize].call(request)
+                    }
+                    outcome => outcome,
+                }
+            }
+            // The shards' id sets are disjoint, so the global answer is
+            // their sorted union, with I/O accounting summed.
+            Request::Query { .. } | Request::QueryLine { .. } => {
+                let parts = self.all_shards(&request)?;
+                let parts = parts
+                    .into_iter()
+                    .map(expect_query)
+                    .collect::<Result<_, _>>()?;
+                Ok(Response::Query((&merge_results(parts)).into()))
+            }
+            // The per-shard reports labeled and concatenated, the results
+            // merged like a query's.
+            Request::Explain { .. } => {
+                let mut rendered = Vec::new();
+                let mut results = Vec::new();
+                for (shard, part) in self.all_shards(&request)?.into_iter().enumerate() {
+                    let (report, result) = expect_explain(part)?;
+                    rendered.push(format!("shard {shard}:\n{}", report.trim_end()));
+                    results.push(result);
+                }
+                Ok(Response::Explain {
+                    rendered: rendered.join("\n"),
+                    result: (&merge_results(results)).into(),
+                })
+            }
+            // Rows merged by ascending id, `LIMIT` re-applied after the
+            // merge (exact: each shard's rows are already its `LIMIT`-sized
+            // ascending-id prefix). Multi-relation queries are refused — a
+            // per-shard join would silently drop every cross-shard pair.
+            Request::Sql { text, .. } => {
+                let query = match cdb_core::sql::parse(text) {
+                    Ok(q) => q,
+                    // Let one engine report the parse error with its own
+                    // (richer) diagnostics — it fails the same everywhere.
+                    Err(_) => return self.clients[0].call(request),
+                };
+                if query.relations.len() > 1 {
+                    return Err(NetError::Malformed(format!(
+                        "cross-shard joins are not supported: the query names {} relations \
+                         and shards hold disjoint id ranges of each",
+                        query.relations.len()
+                    )));
+                }
+                let parts = self.all_shards(&request)?;
+                let parts = parts
+                    .into_iter()
+                    .map(expect_sql)
+                    .collect::<Result<_, _>>()?;
+                Ok(Response::Sql((&merge_sql(parts, query.limit)).into()))
+            }
+            // Sorted union — normally identical on every shard, since DDL
+            // fans out.
+            Request::ListRelations => {
+                let mut names = Vec::new();
+                for part in self.all_shards(&request)? {
+                    names.extend(expect_relations(part)?);
+                }
+                names.sort();
+                names.dedup();
+                Ok(Response::Relations(names))
+            }
+            // Liveness, DDL, index builds and checkpoints apply to every
+            // shard.
+            Request::Ping
+            | Request::CreateRelation { .. }
+            | Request::DropRelation { .. }
+            | Request::BuildDual { .. }
+            | Request::BuildDualD { .. }
+            | Request::BuildRPlus { .. }
+            | Request::Checkpoint => {
+                for part in self.all_shards(&request)? {
+                    expect_unit(part)?;
+                }
+                match request {
+                    Request::CreateRelation { relation, .. } => {
+                        self.next_ids.insert(relation, 0);
+                    }
+                    Request::DropRelation { relation } => {
+                        self.next_ids.remove(&relation);
+                    }
+                    _ => {}
+                }
+                Ok(Response::Unit)
+            }
+            // One node's answer is a fragment of the deployment's.
+            Request::Stats | Request::Fsck | Request::Shutdown | Request::Subscribe { .. } => {
+                Err(NetError::Malformed(format!(
+                    "'{}' has no single answer on a sharded session — address one member \
+                 (the shell's 'cluster stats' walks them all)",
+                    request.op_name()
+                )))
+            }
+        }
     }
 }
 

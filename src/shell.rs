@@ -1,16 +1,17 @@
-//! Shared implementation of the interactive shells: command parsing and
-//! routing over either an in-process engine ([`Session::Local`]) or a wire
-//! connection to a `cdb-server` ([`Session::Remote`]).
+//! Shared implementation of the interactive shells: command parsing over
+//! a [`Session`], which is an in-process engine, a wire connection to a
+//! `cdb-server`, a replicated cluster or a sharded deployment.
 //!
 //! The `cdb` binary starts local and can `connect <addr>` mid-session; the
-//! `cdb-client` binary starts connected. Every command works in both modes
-//! except where the distinction is inherent (`open` needs to own a file,
-//! `shutdown` needs a server).
+//! `cdb-client` binary starts connected. Every data command is written
+//! once over the typed [`Api`] of whatever [`Backend`] the session holds
+//! — same requests, same validation, same rendering; only session
+//! management (`open` needs to own a file, `shutdown` needs a server,
+//! `cluster stats` needs members) looks at the session kind.
 
 use std::io::{BufRead, Write};
 
 use cdb_core::db::{ConstraintDb, DbConfig, DbStats};
-use cdb_core::ddim::SlopePoints;
 use cdb_core::query::{QueryResult, Selection, SelectionKind, Strategy};
 use cdb_core::slopes::SlopeSet;
 use cdb_core::sql::{SqlMode, SqlOutcome};
@@ -19,8 +20,8 @@ use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::parse::parse_tuple;
 use cdb_net::proto::WireRecoveryReport;
 use cdb_net::{
-    Client, ClusterClient, ClusterConfig, NetError, ReplicationInfo, ShardMap, ShardedClient,
-    StatsReply,
+    Api, Backend, Client, ClusterClient, ClusterConfig, NetError, ReplicationInfo, ShardMap,
+    ShardedClient, StatsReply,
 };
 use cdb_storage::PagerRecovery;
 
@@ -146,21 +147,10 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             *session = Session::Local(Box::new(ConstraintDb::in_memory(DbConfig::paper_1999())));
             Ok("disconnected; now on a fresh in-memory database".into())
         }
-        "ping" => match session {
-            Session::Local(_) => Ok("pong (local)".into()),
-            Session::Remote(c) => {
-                c.ping().map_err(|e| e.to_string())?;
-                Ok("pong".into())
-            }
-            Session::Cluster(cc) => {
-                cc.ping().map_err(|e| e.to_string())?;
-                Ok("pong".into())
-            }
-            Session::Sharded(sc) => {
-                sc.ping().map_err(|e| e.to_string())?;
-                Ok("pong".into())
-            }
-        },
+        "ping" => {
+            session.api().ping().map_err(|e| e.to_string())?;
+            Ok("pong".into())
+        }
         "create" => {
             let mut it = rest.split_whitespace();
             let name = it.next().ok_or("usage: create <name> <dim>")?;
@@ -169,33 +159,16 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
                 .ok_or("usage: create <name> <dim>")?
                 .parse()
                 .map_err(|_| "dim must be a number")?;
-            if dim == 0 {
-                return Err("dim must be positive".into());
-            }
-            match session {
-                Session::Local(db) => {
-                    db.create_relation(name, dim as usize)
-                        .map_err(|e| e.to_string())?;
-                }
-                Session::Remote(c) => c.create_relation(name, dim).map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => {
-                    cc.create_relation(name, dim).map_err(|e| e.to_string())?;
-                }
-                Session::Sharded(sc) => {
-                    sc.create_relation(name, dim).map_err(|e| e.to_string())?;
-                }
-            }
+            session
+                .api()
+                .create_relation(name, dim)
+                .map_err(|e| e.to_string())?;
             Ok(format!("created {dim}-D relation '{name}'"))
         }
         "insert" => {
             let (name, expr) = rest.split_once(' ').ok_or("usage: insert <rel> <tuple>")?;
             let t = parse_tuple(expr).map_err(|e| e.to_string())?;
-            let id = match session {
-                Session::Local(db) => db.insert(name, t).map_err(|e| e.to_string())?,
-                Session::Remote(c) => c.insert(name, t).map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => cc.insert(name, t).map_err(|e| e.to_string())?,
-                Session::Sharded(sc) => sc.insert(name, t).map_err(|e| e.to_string())?,
-            };
+            let id = session.api().insert(name, t).map_err(|e| e.to_string())?;
             Ok(format!("tuple {id}"))
         }
         "delete" => {
@@ -206,20 +179,7 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
                 .ok_or("usage: delete <rel> <id>")?
                 .parse()
                 .map_err(|_| "id must be a number")?;
-            match session {
-                Session::Local(db) => {
-                    db.delete(name, id).map_err(|e| e.to_string())?;
-                }
-                Session::Remote(c) => {
-                    c.delete(name, id).map_err(|e| e.to_string())?;
-                }
-                Session::Cluster(cc) => {
-                    cc.delete(name, id).map_err(|e| e.to_string())?;
-                }
-                Session::Sharded(sc) => {
-                    sc.delete(name, id).map_err(|e| e.to_string())?;
-                }
-            }
+            session.api().delete(name, id).map_err(|e| e.to_string())?;
             Ok(format!("deleted tuple {id}"))
         }
         "index" => {
@@ -233,61 +193,30 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             if k < 2 {
                 return Err("k must be a number >= 2".into());
             }
-            match session {
-                Session::Local(db) => db
-                    .build_dual_index(name, SlopeSet::uniform_tan(k))
-                    .map_err(|e| e.to_string())?,
-                Session::Remote(c) => c
-                    .build_dual(name, SlopeSet::uniform_tan(k).as_slice().to_vec())
-                    .map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => cc
-                    .build_dual(name, SlopeSet::uniform_tan(k).as_slice().to_vec())
-                    .map_err(|e| e.to_string())?,
-                Session::Sharded(sc) => sc
-                    .build_dual(name, SlopeSet::uniform_tan(k).as_slice().to_vec())
-                    .map_err(|e| e.to_string())?,
-            }
+            session
+                .api()
+                .build_dual(name, SlopeSet::uniform_tan(k).as_slice().to_vec())
+                .map_err(|e| e.to_string())?;
             Ok(format!("dual index built over {k} slopes"))
         }
         "indexd" => {
             let mut it = rest.split_whitespace();
             let name = it.next().ok_or("usage: indexd <rel> <per_axis> [range]")?;
-            let per_axis: usize = it
+            let per_axis: u32 = it
                 .next()
                 .ok_or("usage: indexd <rel> <per_axis> [range]")?
                 .parse()
                 .map_err(|_| "per_axis must be a number >= 2")?;
-            if per_axis < 2 {
-                return Err("per_axis must be a number >= 2".into());
-            }
             let range: f64 = it
                 .next()
                 .map(str::parse)
                 .transpose()
                 .map_err(|_| "range must be a number")?
                 .unwrap_or(1.0);
-            if !range.is_finite() || range <= 0.0 {
-                return Err("range must be positive".into());
-            }
-            match session {
-                Session::Local(db) => {
-                    let dim = db.relation(name).map_err(|e| e.to_string())?.dim();
-                    if dim < 2 {
-                        return Err("the d-dimensional index needs dim >= 2".into());
-                    }
-                    db.build_dual_index_d(name, SlopePoints::grid(dim, per_axis, range))
-                        .map_err(|e| e.to_string())?;
-                }
-                Session::Remote(c) => c
-                    .build_dual_d(name, per_axis as u32, range)
-                    .map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => cc
-                    .build_dual_d(name, per_axis as u32, range)
-                    .map_err(|e| e.to_string())?,
-                Session::Sharded(sc) => sc
-                    .build_dual_d(name, per_axis as u32, range)
-                    .map_err(|e| e.to_string())?,
-            }
+            session
+                .api()
+                .build_dual_d(name, per_axis, range)
+                .map_err(|e| e.to_string())?;
             Ok(format!(
                 "d-dimensional dual index built over a {per_axis}-per-axis grid (range {range})"
             ))
@@ -302,20 +231,10 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             }
             let h = HalfPlane::from_constraint(&t.constraints()[0])
                 .ok_or("vertical lines are not supported by the dual transform")?;
-            let r = match session {
-                Session::Local(db) => db
-                    .exist_line(name, h.slope2d(), h.intercept)
-                    .map_err(|e| e.to_string())?,
-                Session::Remote(c) => c
-                    .query_line(name, SelectionKind::Exist, h.slope2d(), h.intercept)
-                    .map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => cc
-                    .query_line(name, SelectionKind::Exist, h.slope2d(), h.intercept)
-                    .map_err(|e| e.to_string())?,
-                Session::Sharded(sc) => sc
-                    .query_line(name, SelectionKind::Exist, h.slope2d(), h.intercept)
-                    .map_err(|e| e.to_string())?,
-            };
+            let r = session
+                .api()
+                .query_line(name, SelectionKind::Exist, h.slope2d(), h.intercept)
+                .map_err(|e| e.to_string())?;
             Ok(format!(
                 "{} matches: {:?} ({} index + {} heap page accesses)",
                 r.len(),
@@ -331,16 +250,12 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
                 .next()
                 .map(str::parse)
                 .transpose()
-                .unwrap_or(None)
+                .map_err(|_| "usage: rplus <rel> [fill] — fill must be a number")?
                 .unwrap_or(1.0);
-            match session {
-                Session::Local(db) => db
-                    .build_rplus_index(name, fill)
-                    .map_err(|e| e.to_string())?,
-                Session::Remote(c) => c.build_rplus(name, fill).map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => cc.build_rplus(name, fill).map_err(|e| e.to_string())?,
-                Session::Sharded(sc) => sc.build_rplus(name, fill).map_err(|e| e.to_string())?,
-            }
+            session
+                .api()
+                .build_rplus(name, fill)
+                .map_err(|e| e.to_string())?;
             Ok(format!("R+-tree baseline packed at fill {fill}"))
         }
         "sql" => {
@@ -348,14 +263,11 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             if text.is_empty() {
                 return Err("usage: sql <SELECT ...>".into());
             }
-            let o = run_sql(session, text, SqlMode::Execute)?;
-            Ok(render_sql_outcome(&o))
+            run_sql(session, text, SqlMode::Execute)
         }
         "explain" => {
             // Three forms: `explain analyze <sql>`, `explain <sql>`, and
             // the legacy typed `explain <all|exist> <rel> <halfplane>`.
-            // Local and remote sessions share the SQL paths end to end, so
-            // the rendered plan is identical either way.
             let trimmed = rest.trim();
             let lower = trimmed.to_ascii_lowercase();
             if let Some(stripped) = lower
@@ -363,12 +275,10 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
                 .filter(|s| s.starts_with(char::is_whitespace))
             {
                 let text = trimmed[trimmed.len() - stripped.len()..].trim();
-                let o = run_sql(session, text, SqlMode::ExplainAnalyze)?;
-                return Ok(render_sql_outcome(&o));
+                return run_sql(session, text, SqlMode::ExplainAnalyze);
             }
             if lower.starts_with("select") {
-                let o = run_sql(session, trimmed, SqlMode::Explain)?;
-                return Ok(render_sql_outcome(&o));
+                return run_sql(session, trimmed, SqlMode::Explain);
             }
             let mut it = rest.splitn(3, ' ');
             let usage =
@@ -382,12 +292,10 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
                 "exist" => Selection::exist(q),
                 _ => return Err("explain kind must be 'all' or 'exist'".into()),
             };
-            let rendered = match session {
-                Session::Local(db) => db.explain(name, sel).map_err(|e| e.to_string())?.render(),
-                Session::Remote(c) => c.explain(name, sel).map_err(|e| e.to_string())?.0,
-                Session::Cluster(cc) => cc.explain(name, sel).map_err(|e| e.to_string())?.0,
-                Session::Sharded(sc) => sc.explain(name, sel).map_err(|e| e.to_string())?.0,
-            };
+            let (rendered, _) = session
+                .api()
+                .explain(name, sel)
+                .map_err(|e| e.to_string())?;
             Ok(rendered.trim_end().to_string())
         }
         "exist" | "all" | "scan" => {
@@ -405,14 +313,10 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             } else {
                 Strategy::Auto
             };
-            let r = match session {
-                Session::Local(db) => db
-                    .query_with(name, sel, strategy)
-                    .map_err(|e| e.to_string())?,
-                Session::Remote(c) => c.query(name, sel, strategy).map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => cc.query(name, sel, strategy).map_err(|e| e.to_string())?,
-                Session::Sharded(sc) => sc.query(name, sel, strategy).map_err(|e| e.to_string())?,
-            };
+            let r = session
+                .api()
+                .query(name, sel, strategy)
+                .map_err(|e| e.to_string())?;
             Ok(render_result(&r))
         }
         "show" => {
@@ -423,41 +327,18 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
                 .ok_or("usage: show <rel> <id>")?
                 .parse()
                 .map_err(|_| "id must be a number")?;
-            let t = match session {
-                Session::Local(db) => db.fetch_tuple(name, id).map_err(|e| e.to_string())?,
-                Session::Remote(c) => c.fetch_tuple(name, id).map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => cc.fetch_tuple(name, id).map_err(|e| e.to_string())?,
-                Session::Sharded(sc) => sc.fetch_tuple(name, id).map_err(|e| e.to_string())?,
-            };
+            let t = session
+                .api()
+                .fetch_tuple(name, id)
+                .map_err(|e| e.to_string())?;
             Ok(format!("{t}"))
         }
         "relations" => {
-            let names = match session {
-                Session::Local(db) => db.relation_names(),
-                Session::Remote(c) => c.relations().map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => cc.relations().map_err(|e| e.to_string())?,
-                Session::Sharded(sc) => sc.relations().map_err(|e| e.to_string())?,
-            };
+            let names = session.api().relations().map_err(|e| e.to_string())?;
             Ok(format!("{names:?}"))
         }
         "stats" => {
-            let reply = match session {
-                Session::Local(db) => {
-                    return Ok(render_stats(&db.stats_snapshot()));
-                }
-                Session::Remote(c) => c.stats().map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => cc.stats().map_err(|e| e.to_string())?,
-                // One node's stats are a fragment of a sharded deployment;
-                // answer with the whole topology instead.
-                Session::Sharded(sc) => {
-                    let rows: Vec<_> = sc
-                        .member_stats()
-                        .into_iter()
-                        .map(|(shard, addr, reply)| (Some(shard), addr, reply))
-                        .collect();
-                    return Ok(render_member_table(&rows));
-                }
-            };
+            let reply = session.api().stats().map_err(|e| e.to_string())?;
             let mut out = render_stats(&reply.db);
             if let Some(identity) = reply.shard {
                 out.push_str(&format!(
@@ -465,89 +346,96 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
                     identity.shard, identity.shards, identity.seed, identity.epoch
                 ));
             }
-            out.push_str(&format!("\nconnections: {}", reply.connections));
+            // An in-process engine admits no sessions; a server counts at
+            // least the one asking.
+            if reply.connections > 0 {
+                out.push_str(&format!("\nconnections: {}", reply.connections));
+            }
             if let Some(info) = reply.replication {
                 out.push('\n');
                 out.push_str(&render_replication(&info));
             }
             Ok(out)
         }
-        "open" => match session {
-            Session::Remote(_) | Session::Cluster(_) | Session::Sharded(_) => {
-                Err("open is unavailable over a connection — the server owns its file".into())
+        "open" => {
+            let Session::Local(db) = session else {
+                return Err(
+                    "open is unavailable over a connection — the server owns its file".into(),
+                );
+            };
+            let path = std::path::Path::new(rest.trim());
+            if path.as_os_str().is_empty() {
+                return Err("usage: open <path>".into());
             }
-            Session::Local(db) => {
-                let path = std::path::Path::new(rest.trim());
-                if path.as_os_str().is_empty() {
-                    return Err("usage: open <path>".into());
-                }
-                let (opened, verb) = if path.exists() {
-                    (
-                        ConstraintDb::open(path).map_err(|e| e.to_string())?,
-                        "opened",
-                    )
-                } else {
-                    (
-                        ConstraintDb::create(path, DbConfig::paper_1999())
-                            .map_err(|e| e.to_string())?,
-                        "created",
-                    )
-                };
-                let rels = opened.relation_names();
-                **db = opened;
-                Ok(format!(
-                    "{verb} {} ({} relations: {:?})",
-                    path.display(),
-                    rels.len(),
-                    rels
-                ))
-            }
-        },
+            let (opened, verb) = if path.exists() {
+                (
+                    ConstraintDb::open(path).map_err(|e| e.to_string())?,
+                    "opened",
+                )
+            } else {
+                (
+                    ConstraintDb::create(path, DbConfig::paper_1999())
+                        .map_err(|e| e.to_string())?,
+                    "created",
+                )
+            };
+            let rels = opened.relation_names();
+            **db = opened;
+            Ok(format!(
+                "{verb} {} ({} relations: {:?})",
+                path.display(),
+                rels.len(),
+                rels
+            ))
+        }
         "save" => {
-            match session {
-                Session::Local(db) => db.checkpoint().map_err(|e| e.to_string())?,
-                Session::Remote(c) => c.checkpoint().map_err(|e| e.to_string())?,
-                Session::Cluster(cc) => cc.checkpoint().map_err(|e| e.to_string())?,
-                Session::Sharded(sc) => sc.checkpoint().map_err(|e| e.to_string())?,
-            }
+            session.api().checkpoint().map_err(|e| e.to_string())?;
             Ok("catalog checkpointed".into())
         }
-        "fsck" => match session {
-            Session::Remote(c) if rest.trim().is_empty() => {
-                let rep = c.fsck().map_err(|e| e.to_string())?;
-                Ok(render_remote_fsck(&rep))
+        // With a path: offline verification of that file. Without: the
+        // session's own engine verifies itself, wherever it runs.
+        "fsck" if rest.trim().is_empty() => {
+            let rep = session.api().fsck().map_err(|e| e.to_string())?;
+            let mut out = String::new();
+            let problems = render_report(&mut out, &rep);
+            out.push_str(if problems {
+                "fsck: problems found"
+            } else {
+                "fsck: ok"
+            });
+            Ok(out)
+        }
+        "fsck" => fsck(rest),
+        "shutdown" => {
+            if let Session::Local(_) = session {
+                return Err("shutdown needs a connection — see 'connect'".into());
             }
-            Session::Cluster(cc) if rest.trim().is_empty() => {
-                let rep = cc.fsck().map_err(|e| e.to_string())?;
-                Ok(render_remote_fsck(&rep))
-            }
-            _ => fsck(rest),
-        },
-        "shutdown" => match session {
-            Session::Local(_) => Err("shutdown needs a connection — see 'connect'".into()),
-            Session::Remote(c) => {
-                c.shutdown().map_err(|e| e.to_string())?;
-                Ok("server is draining and will checkpoint before exit".into())
-            }
-            Session::Cluster(_) | Session::Sharded(_) => {
-                Err("shutdown over a cluster session is ambiguous — connect to one member".into())
-            }
-        },
+            session.api().shutdown().map_err(|e| e.to_string())?;
+            Ok("server is draining and will checkpoint before exit".into())
+        }
         other => Err(format!("unknown command '{other}' — try 'help'")),
     }
 }
 
-/// Runs one SQL statement on whichever side of the session holds the
-/// data. Both arms return the same [`SqlOutcome`] type, so every caller —
-/// `sql`, `explain <sql>`, `explain analyze <sql>` — renders through one
-/// printer and local/remote output is byte-identical.
-fn run_sql(session: &mut Session, text: &str, mode: SqlMode) -> Result<SqlOutcome, String> {
-    match session {
-        Session::Local(db) => db.sql(text, mode).map_err(|e| e.to_string()),
-        Session::Remote(c) => c.sql(text, mode).map_err(|e| e.to_string()),
-        Session::Cluster(cc) => cc.sql(text, mode).map_err(|e| e.to_string()),
-        Session::Sharded(sc) => sc.sql(text, mode).map_err(|e| e.to_string()),
+impl Session {
+    /// The typed API over whichever backend the session holds: the one
+    /// place data commands meet the session kind.
+    fn api(&mut self) -> Api<&mut dyn Backend> {
+        Api(match self {
+            Session::Local(db) => &mut **db,
+            Session::Remote(c) => &mut c.0,
+            Session::Cluster(cc) => &mut cc.0,
+            Session::Sharded(sc) => &mut sc.0,
+        })
     }
+}
+
+/// Runs one SQL statement and renders its outcome. Every backend returns
+/// the same [`SqlOutcome`] type, so `sql`, `explain <sql>` and `explain
+/// analyze <sql>` print byte-identical text wherever the data lives.
+fn run_sql(session: &mut Session, text: &str, mode: SqlMode) -> Result<String, String> {
+    let o = session.api().sql(text, mode).map_err(|e| e.to_string())?;
+    Ok(render_sql_outcome(&o))
 }
 
 fn render_sql_outcome(o: &SqlOutcome) -> String {
@@ -778,8 +666,10 @@ fn render_wal_replay(out: &mut String, wal: &Option<WalReplay>) {
     }
 }
 
-fn render_remote_fsck(rep: &WireRecoveryReport) -> String {
-    let mut out = String::new();
+/// Renders a verification report's findings — pager verdict, WAL replay,
+/// per-relation health, quarantine cross-check — into `out`. Returns
+/// whether any of them is a problem.
+fn render_report(out: &mut String, rep: &WireRecoveryReport) -> bool {
     match rep.pager {
         PagerRecovery::Clean => out.push_str("pager: clean\n"),
         PagerRecovery::FellBack {
@@ -789,7 +679,7 @@ fn render_remote_fsck(rep: &WireRecoveryReport) -> String {
             "pager: commit {lost_epoch} was torn; fell back to epoch {recovered_epoch}\n"
         )),
     }
-    render_wal_replay(&mut out, &rep.wal);
+    render_wal_replay(out, &rep.wal);
     if rep.relations.is_empty() {
         out.push_str("no relations\n");
     }
@@ -801,19 +691,11 @@ fn render_remote_fsck(rep: &WireRecoveryReport) -> String {
         Some(false) => out.push_str("quarantine: VIOLATION — a quarantined page is still live\n"),
         None => {}
     }
-    let verdict = if rep
-        .relations
+    rep.relations
         .iter()
         .any(|(_, h)| *h != RelationHealth::Healthy)
         || rep.wal.as_ref().is_some_and(|w| w.error.is_some())
         || rep.quarantine == Some(false)
-    {
-        "fsck: problems found"
-    } else {
-        "fsck: ok"
-    };
-    out.push_str(verdict);
-    out
 }
 
 /// Verifies every page of an on-disk database through the checksumming
@@ -838,29 +720,15 @@ pub fn fsck(rest: &str) -> Result<String, String> {
         ConstraintDb::open_read_only(path).map_err(|e| e.to_string())?
     };
     let report = db.recovery_report().clone();
+    let fell_back = matches!(report.pager, PagerRecovery::FellBack { .. });
+    let report = WireRecoveryReport {
+        pager: report.pager,
+        wal: report.wal,
+        relations: report.relations,
+        quarantine: db.quarantine_clean(),
+    };
     let mut out = String::new();
-    match report.pager {
-        PagerRecovery::Clean => out.push_str("pager: clean\n"),
-        PagerRecovery::FellBack {
-            recovered_epoch,
-            lost_epoch,
-        } => out.push_str(&format!(
-            "pager: commit {lost_epoch} was torn; fell back to epoch {recovered_epoch}\n"
-        )),
-    }
-    render_wal_replay(&mut out, &report.wal);
-    if report.relations.is_empty() {
-        out.push_str("no relations\n");
-    }
-    for (name, health) in &report.relations {
-        out.push_str(&format!("  {name}: {health}\n"));
-    }
-    let quarantine = db.quarantine_clean();
-    match quarantine {
-        Some(true) => out.push_str("quarantine: clean (no freed page is still live)\n"),
-        Some(false) => out.push_str("quarantine: VIOLATION — a quarantined page is still live\n"),
-        None => {}
-    }
+    let problems = render_report(&mut out, &report);
     if rebuild {
         let degraded: Vec<String> = report
             .relations
@@ -877,19 +745,13 @@ pub fn fsck(rest: &str) -> Result<String, String> {
             out.push_str("nothing to rebuild\n");
         }
     }
-    let verdict = if report
-        .relations
-        .iter()
-        .any(|(_, h)| *h != RelationHealth::Healthy)
-        || report.wal.as_ref().is_some_and(|w| w.error.is_some())
-        || quarantine == Some(false)
-    {
+    let verdict = if problems {
         if rebuild {
             "fsck: repairs applied (quarantined relations, if any, need manual attention)"
         } else {
             "fsck: problems found"
         }
-    } else if matches!(report.pager, PagerRecovery::FellBack { .. }) {
+    } else if fell_back {
         "fsck: ok (after fallback to the previous commit)"
     } else {
         "fsck: ok"

@@ -1,0 +1,310 @@
+//! One request-execution surface, four executors: the same seeded op
+//! script must produce the same answers — equal to the brute-force
+//! predicate oracle — through an in-process engine, one wire session, a
+//! one-primary cluster and a K = 2 sharded deployment; and the shell must
+//! print the same text for the same lines wherever the data lives.
+
+use cdb_prng::StdRng;
+use constraint_db::geometry::predicates;
+use constraint_db::index::db::{ConstraintDb, DbConfig};
+use constraint_db::index::PartitionSpec;
+use constraint_db::net::server::{Server, ServerConfig, ShutdownHandle};
+use constraint_db::net::shard::ShardMap;
+use constraint_db::net::{
+    Api, Backend, Client, ClusterClient, ClusterConfig, NetError, ShardedClient,
+};
+use constraint_db::prelude::*;
+use constraint_db::shell::{run_command, Session};
+
+const SEED: u64 = 0xC0DB;
+
+/// In-process servers on ephemeral ports, stopped on [`Servers::stop`].
+struct Servers {
+    addrs: Vec<String>,
+    stops: Vec<ShutdownHandle>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+/// Boots `shards` in-memory servers; with more than one, each carries its
+/// partition spec.
+fn boot(shards: u32) -> Servers {
+    let mut servers = Servers {
+        addrs: Vec::new(),
+        stops: Vec::new(),
+        threads: Vec::new(),
+    };
+    for k in 0..shards {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        if shards > 1 {
+            db.set_partition(PartitionSpec::new(shards, k, SEED).unwrap())
+                .unwrap();
+        }
+        let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).unwrap();
+        servers.addrs.push(server.local_addr().to_string());
+        servers.stops.push(server.shutdown_handle());
+        servers.threads.push(std::thread::spawn(move || {
+            server.run().unwrap();
+        }));
+    }
+    servers
+}
+
+impl Servers {
+    fn stop(self) {
+        for s in &self.stops {
+            s.shutdown();
+        }
+        for t in self.threads {
+            t.join().unwrap();
+        }
+    }
+}
+
+fn seeded_tuples() -> Vec<GeneralizedTuple> {
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut tuples: Vec<GeneralizedTuple> = (0..40)
+        .map(|_| {
+            let x0: f64 = rng.gen_range(-50.0..45.0);
+            let y0: f64 = rng.gen_range(-50.0..45.0);
+            let (w, h) = (rng.gen_range(1.0..6.0), rng.gen_range(1.0..6.0));
+            parse_tuple(&format!(
+                "x >= {x0} && x <= {} && y >= {y0} && y <= {}",
+                x0 + w,
+                y0 + h
+            ))
+            .unwrap()
+        })
+        .collect();
+    // An unbounded tuple in the middle of the id sequence.
+    tuples.insert(17, parse_tuple("y >= x && x >= 10").unwrap());
+    tuples
+}
+
+/// Live `(id, tuple)` pairs the oracle evaluates over.
+type Model = Vec<(u32, GeneralizedTuple)>;
+
+fn oracle(model: &Model, sel: &Selection) -> Vec<u32> {
+    let all = sel.kind == SelectionKind::All;
+    predicates::oracle_select(&sel.halfplane, all, model.iter().map(|(_, t)| t))
+        .into_iter()
+        .map(|i| model[i].0)
+        .collect()
+}
+
+/// Selections with slopes inside and outside the index's slope set `S`,
+/// both operators, both kinds.
+fn selections(slopes: &[f64]) -> Vec<Selection> {
+    let mut out = Vec::new();
+    for (i, a) in [slopes[1], slopes[2], 0.3, -0.45].into_iter().enumerate() {
+        let q = if i % 2 == 0 {
+            HalfPlane::above(a, -5.0)
+        } else {
+            HalfPlane::below(a, 12.0)
+        };
+        out.push(Selection::exist(q.clone()));
+        out.push(Selection::all(q));
+    }
+    out
+}
+
+/// The op script. Asserts every answer against the oracle and returns
+/// the answers, so the caller can also compare backends with each other.
+fn run_script<B: Backend>(api: &mut Api<B>, label: &str) -> Vec<Vec<u32>> {
+    let mut transcript = Vec::new();
+    api.ping().unwrap();
+    api.create_relation("r", 2).unwrap();
+    let mut model: Model = Vec::new();
+    for (i, t) in seeded_tuples().into_iter().enumerate() {
+        let id = api.insert("r", t.clone()).unwrap();
+        assert_eq!(id, i as u32, "{label}: ids are the single-node sequence");
+        model.push((id, t));
+    }
+    let slope_set = SlopeSet::uniform_tan(4);
+    api.build_dual("r", slope_set.as_slice().to_vec()).unwrap();
+
+    // The dispatcher's validation answers every backend the same way.
+    for bad_fill in [0.1, 1.5] {
+        assert!(
+            matches!(api.build_rplus("r", bad_fill), Err(NetError::Malformed(_))),
+            "{label}: fill {bad_fill} must be refused, not packed"
+        );
+    }
+    assert!(matches!(
+        api.create_relation("zero", 0),
+        Err(NetError::Malformed(_))
+    ));
+    assert!(matches!(
+        api.build_dual("r", vec![1.0, 1.0]),
+        Err(NetError::Malformed(_))
+    ));
+
+    let sels = selections(slope_set.as_slice());
+    for sel in &sels {
+        let r = api.query("r", sel.clone(), Strategy::Auto).unwrap();
+        assert_eq!(r.ids(), oracle(&model, sel), "{label}: {sel:?}");
+        transcript.push(r.ids().to_vec());
+    }
+
+    let (a, c) = (0.5, 1.0);
+    let line = api.query_line("r", SelectionKind::Exist, a, c).unwrap();
+    let expected: Vec<u32> = model
+        .iter()
+        .filter(|(_, t)| predicates::exist_hyperplane(&[a], c, t))
+        .map(|(id, _)| *id)
+        .collect();
+    assert_eq!(line.ids(), expected, "{label}: line query");
+    assert!(!expected.is_empty(), "the line query must select something");
+    transcript.push(line.ids().to_vec());
+
+    let exist = Selection::exist(HalfPlane::above(0.3, -5.0));
+    let full = oracle(&model, &exist);
+    assert!(full.len() > 5, "LIMIT must actually cut");
+    let o = api
+        .sql(
+            "SELECT * FROM r WHERE y >= 0.3x - 5 EXIST LIMIT 5",
+            SqlMode::Execute,
+        )
+        .unwrap();
+    let rows: Vec<u32> = o.rows.iter().map(|row| row.ids[0]).collect();
+    assert_eq!(rows, full[..5], "{label}: SQL LIMIT keeps the lowest ids");
+    transcript.push(rows);
+
+    let (rendered, explained) = api.explain("r", exist.clone()).unwrap();
+    assert!(rendered.contains("method="), "{label}: {rendered}");
+    assert_eq!(explained.ids(), full, "{label}: EXPLAIN executes the query");
+
+    // Delete a bounded tuple and the unbounded one; both disappear.
+    for id in [3u32, 17] {
+        let at = model.iter().position(|(i, _)| *i == id).unwrap();
+        let (_, t) = model.remove(at);
+        assert_eq!(api.delete("r", id).unwrap(), t, "{label}: delete {id}");
+        assert!(api.fetch_tuple("r", id).is_err(), "{label}: {id} is gone");
+    }
+    assert_eq!(api.fetch_tuple("r", 4).unwrap(), model[3].1);
+    for sel in &sels {
+        let r = api.query("r", sel.clone(), Strategy::Auto).unwrap();
+        assert_eq!(r.ids(), oracle(&model, sel), "{label} after delete");
+        transcript.push(r.ids().to_vec());
+    }
+
+    assert_eq!(api.relations().unwrap(), ["r"]);
+    api.checkpoint().unwrap();
+    api.drop_relation("r").unwrap();
+    assert!(api.relations().unwrap().is_empty(), "{label}: dropped");
+    transcript
+}
+
+#[test]
+fn every_backend_answers_the_script_like_the_oracle() {
+    let mut local = Api(ConstraintDb::in_memory(DbConfig::paper_1999()));
+    let reference = run_script(&mut local, "local");
+
+    let served = boot(1);
+    let mut client = Client::connect(served.addrs[0].as_str()).unwrap();
+    assert_eq!(run_script(&mut client, "client"), reference);
+    served.stop();
+
+    let primary = boot(1);
+    let mut cluster =
+        ClusterClient::new(primary.addrs.iter().cloned(), ClusterConfig::default()).unwrap();
+    assert_eq!(run_script(&mut cluster, "cluster"), reference);
+    // Stopping "the" member of a cluster is ambiguous: a typed refusal.
+    assert!(matches!(cluster.shutdown(), Err(NetError::Malformed(_))));
+    primary.stop();
+
+    let shards = boot(2);
+    let map = ShardMap::parse(&shards.addrs.join(";"), SEED, 0).unwrap();
+    let mut sharded = ShardedClient::new(map, ClusterConfig::default()).unwrap();
+    assert_eq!(run_script(&mut sharded, "sharded"), reference);
+    // No single node can answer these for the whole deployment.
+    assert!(matches!(sharded.stats(), Err(NetError::Malformed(_))));
+    assert!(matches!(sharded.fsck(), Err(NetError::Malformed(_))));
+    assert!(matches!(sharded.shutdown(), Err(NetError::Malformed(_))));
+    shards.stop();
+}
+
+/// Each stats-bearing backend reports through the same typed reply; the
+/// in-process engine has no sessions, replication role or shard identity.
+#[test]
+fn stats_and_fsck_answer_on_every_single_answer_backend() {
+    let mut local = Api(ConstraintDb::in_memory(DbConfig::paper_1999()));
+    local.create_relation("r", 2).unwrap();
+    let reply = local.stats().unwrap();
+    assert_eq!(reply.db.relations[0].name, "r");
+    assert_eq!(reply.connections, 0);
+    assert!(reply.replication.is_none() && reply.shard.is_none());
+    assert!(local.fsck().unwrap().relations[0].0 == "r");
+    // An in-process engine has no server to stop, and no wire decoder in
+    // front of it: the dispatcher itself refuses non-finite parameters.
+    assert!(local.shutdown().is_err());
+    assert!(local.build_rplus("r", f64::NAN).is_err());
+    assert!(local.build_dual("r", vec![f64::NAN, 1.0]).is_err());
+    assert!(local.build_dual_d("r", 3, f64::INFINITY).is_err());
+
+    let served = boot(1);
+    let mut client = Client::connect(served.addrs[0].as_str()).unwrap();
+    client.create_relation("r", 2).unwrap();
+    assert!(client.stats().unwrap().connections >= 1);
+    assert_eq!(client.fsck().unwrap().relations[0].0, "r");
+    served.stop();
+}
+
+/// The same shell lines on a local and a remote session: identical text
+/// for queries, SQL and EXPLAIN; identical refusals for bad arguments.
+#[test]
+fn shell_renders_the_same_text_local_and_remote() {
+    let served = boot(1);
+    let mut remote = Session::Remote(Client::connect(served.addrs[0].as_str()).unwrap());
+    let mut local = Session::Local(Box::new(ConstraintDb::in_memory(DbConfig::paper_1999())));
+
+    let lines = [
+        "ping",
+        "create r 2",
+        "insert r y >= 0 && y <= 2 && x >= 0 && x + y <= 4",
+        "insert r y >= x && y <= x + 1 && x >= 10",
+        "insert r y >= -1 && y <= 1 && x >= -3 && x <= -1",
+        "insert r y >= x && x >= 20",
+        "index r 4",
+        "explain SELECT * FROM r WHERE y >= 0.3x - 5 EXIST",
+        "sql SELECT * FROM r WHERE y >= 0.3x - 5 EXIST LIMIT 3",
+        "explain all r y <= 100",
+        "scan r y >= 0.3x - 5",
+        "line r y = 0.5x + 1",
+        "show r 1",
+        "delete r 0",
+        "relations",
+        "rplus r 0.75",
+        "save",
+        "fsck",
+    ];
+    for line in lines {
+        let l = run_command(&mut local, line);
+        let r = run_command(&mut remote, line);
+        assert!(l.is_ok(), "local `{line}`: {l:?}");
+        assert_eq!(l, r, "`{line}` must render identically");
+    }
+
+    // Bad arguments are refused by the one dispatcher — never a panic,
+    // never silently defaulted — with the same message on both sides.
+    for line in [
+        "rplus r 0.1",
+        "rplus r abc",
+        "create z 0",
+        "index r 1",
+        "indexd r 1",
+        "indexd r 3 -2",
+        "show r 0",
+        "exist nope y >= 0",
+    ] {
+        let l = run_command(&mut local, line);
+        let r = run_command(&mut remote, line);
+        assert!(l.is_err(), "local `{line}` must be refused: {l:?}");
+        assert_eq!(l, r, "`{line}` must be refused identically");
+    }
+
+    // Session management is the one place the kind shows.
+    assert!(run_command(&mut local, "shutdown").is_err());
+    assert!(run_command(&mut remote, "open /nonexistent").is_err());
+    assert!(run_command(&mut remote, "cluster stats").is_err());
+    served.stop();
+}
