@@ -33,6 +33,17 @@ step snapshot-isolation cargo test -q --test snapshot_isolation
 step sql-equivalence cargo test -q --test sql_equivalence
 step backend-conformance cargo test -q --test backend_conformance
 
+# Every byte layout — wire frames, WAL records, the catalog blob — through
+# the one conformance harness (`cdb_storage::conformance`), the persisted
+# ones against the golden bytes of the format, and the forged-count
+# regression.
+codec_conformance() {
+  cargo test -q -p cdb-storage --lib -- conform forged
+  cargo test -q -p cdb-core --lib -- conform golden forged
+  cargo test -q -p cdb-net --lib -- conform
+}
+step codec-conformance codec_conformance
+
 # End-to-end health check: build a small database with the shell, then
 # verify every page checksum through `cdb fsck` (read-only and repair
 # modes must both report a clean file).

@@ -3,52 +3,50 @@
 //! planner EWMAs, committed through the pager's shadow-page meta protocol
 //! (see `cdb_storage::FilePager::commit_meta`).
 //!
-//! Layout (all integers little-endian, written with
-//! [`cdb_storage::RecordWriter`]):
+//! Layout (all integers little-endian; every bracketed type is laid out by
+//! its own [`Wire`] impl, `Option` as a presence byte, lists as a `u32`
+//! count then the items):
 //!
 //! ```text
-//! magic "CDBC" u32 | version u16 | durable_lsn u64 | strategy u8
-//!                  | partition u8 [shards u32, shard u32, seed u64]
-//!                  | relation count u32
+//! magic "CDBC" u32 | version u16 | durable_lsn u64 | [Strategy]
+//!                  | [Option<PartitionSpec>] | relation count u32
 //! per relation (sorted by name):
 //!   name str | dim u32
-//!   heap:   page count u32, page u32 ...
-//!   slots:  len u32, { present u8, [page u32, slot u16] } ...
-//!   2-D dual index:  present u8, [ k u32, slope f64 ×k, anchor_x f64,
+//!   heap:   page list u32 ...
+//!   slots:  list of [Option<RecordId>]
+//!   2-D dual index:  present u8, [ [SlopeSet] of k, anchor_x f64,
 //!                    dirty u8, (up tree, down tree) ×k ]
-//!   d-dim dual index: present u8, [ point count u32, coords f64 ×(d-1)
-//!                    per point, grid u8 [axis len u32 + f64s ×(d-1)],
-//!                    (up tree, down tree) per point ]
-//!   R⁺-tree: present u8, [ root u32, height u32, len u64, pages u64,
-//!                    fill f64, unbounded u32s, dead u32s ]
-//!   plan catalog: probe_clock u64, entry count u32,
-//!                    { method u8, kind u8, frac f64, pages f64,
-//!                      samples u64 } ...
+//!   d-dim dual index: present u8, [ [SlopePoints] body of k points,
+//!                    (up tree, down tree) ×k ]
+//!   R⁺-tree: present u8, [ [RTreeMeta], fill f64, unbounded u32 list,
+//!                    dead u32 list (sorted-unique) ]
+//!   [PlanCatalog]
 //! ```
 //!
-//! B⁺-trees serialize as `root u32, height u32, len u64, first u32,
-//! last u32, pages u64` — scalars only, because node contents (handicaps
-//! included) live in their pages on disk.
+//! B⁺-trees serialize as `TreeMeta` — scalars only, because node contents
+//! (handicaps included) live in their pages on disk.
 //!
 //! Integrity is layered: the pager's meta protocol CRCs the whole blob, so
 //! `decode` normally sees exactly what `encode` produced. Decoding still
-//! never panics on bad input — every structural invariant that a
-//! constructor would `assert!` is checked first and surfaced as
-//! [`CdbError::CorruptRecord`] with the [`CATALOG_RECORD`] sentinel.
+//! never panics on bad input and never allocates from a forged count —
+//! every field type refuses what its constructor would `assert!` against,
+//! surfaced as [`CdbError::CorruptRecord`] with the [`CATALOG_RECORD`]
+//! sentinel.
 
 use std::collections::HashMap;
 
 use cdb_btree::BTree;
 use cdb_rplustree::RPlusTree;
-use cdb_storage::{CodecError, HeapFile, RecordId, RecordReader, RecordWriter};
+use cdb_storage::codec::{ascending, finite, get_option, put_option};
+use cdb_storage::{CodecError, HeapFile, RecordId, RecordReader, RecordWriter, Wire};
 
 use crate::db::{RPlusIndex, Relation, RelationHealth};
 use crate::ddim::{DualIndexD, SlopePoints};
 use crate::error::{CdbError, CATALOG_RECORD};
 use crate::index::DualIndex;
 use crate::partition::PartitionSpec;
-use crate::plan::{MethodKind, Observation, PlanCatalog};
-use crate::query::{SelectionKind, Strategy};
+use crate::plan::PlanCatalog;
+use crate::query::Strategy;
 use crate::slopes::SlopeSet;
 
 /// Catalog magic: `"CDBC"`.
@@ -60,112 +58,174 @@ const MAGIC: u32 = 0x4344_4243;
 /// engine allocates exactly the same tuple ids after a reopen.
 const VERSION: u16 = 3;
 
-fn corrupt() -> CdbError {
-    CdbError::CorruptRecord(CATALOG_RECORD)
-}
-
-impl From<CodecError> for CdbError {
-    fn from(_: CodecError) -> Self {
-        corrupt()
-    }
-}
-
-// ------------------------------------------------------------- enum codes
-
-fn strategy_code(s: Strategy) -> u8 {
-    match s {
-        Strategy::Auto => 0,
-        Strategy::Restricted => 1,
-        Strategy::T1 => 2,
-        Strategy::T2 => 3,
-        Strategy::Scan => 4,
-        Strategy::RPlus => 5,
-    }
-}
-
-fn strategy_from(code: u8) -> Result<Strategy, CdbError> {
-    Ok(match code {
-        0 => Strategy::Auto,
-        1 => Strategy::Restricted,
-        2 => Strategy::T1,
-        3 => Strategy::T2,
-        4 => Strategy::Scan,
-        5 => Strategy::RPlus,
-        _ => return Err(corrupt()),
-    })
-}
-
-fn method_code(m: MethodKind) -> u8 {
-    match m {
-        MethodKind::Restricted => 0,
-        MethodKind::T1 => 1,
-        MethodKind::T2 => 2,
-        MethodKind::DualD => 3,
-        MethodKind::SeqScan => 4,
-        MethodKind::RPlus => 5,
-    }
-}
-
-fn method_from(code: u8) -> Result<MethodKind, CdbError> {
-    Ok(match code {
-        0 => MethodKind::Restricted,
-        1 => MethodKind::T1,
-        2 => MethodKind::T2,
-        3 => MethodKind::DualD,
-        4 => MethodKind::SeqScan,
-        5 => MethodKind::RPlus,
-        _ => return Err(corrupt()),
-    })
-}
-
-fn kind_code(k: SelectionKind) -> u8 {
-    match k {
-        SelectionKind::Exist => 0,
-        SelectionKind::All => 1,
-    }
-}
-
-fn kind_from(code: u8) -> Result<SelectionKind, CdbError> {
-    Ok(match code {
-        0 => SelectionKind::Exist,
-        1 => SelectionKind::All,
-        _ => return Err(corrupt()),
-    })
-}
-
 // ------------------------------------------------------------------ trees
 
-fn put_btree(w: &mut RecordWriter, t: &BTree) {
-    w.put_u32(t.root());
-    w.put_u32(t.height() as u32);
-    w.put_u64(t.len());
-    w.put_u32(t.first_leaf());
-    w.put_u32(t.last_leaf());
-    w.put_u64(t.page_count());
+/// A B⁺-tree's persisted scalars.
+struct TreeMeta {
+    root: u32,
+    height: usize,
+    len: u64,
+    first: u32,
+    last: u32,
+    pages: u64,
 }
 
-fn get_btree(r: &mut RecordReader<'_>, page_size: usize) -> Result<BTree, CdbError> {
-    let root = r.get_u32()?;
-    let height = r.get_u32()? as usize;
-    let len = r.get_u64()?;
-    let first = r.get_u32()?;
-    let last = r.get_u32()?;
-    let pages = r.get_u64()?;
-    Ok(BTree::from_parts(
-        page_size, root, height, len, first, last, pages,
-    ))
-}
+cdb_storage::wire_struct!(TreeMeta {
+    root,
+    height,
+    len,
+    first,
+    last,
+    pages
+});
 
-fn get_finite_f64(r: &mut RecordReader<'_>) -> Result<f64, CdbError> {
-    let v = r.get_f64()?;
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(corrupt())
+impl TreeMeta {
+    fn of(t: &BTree) -> Self {
+        TreeMeta {
+            root: t.root(),
+            height: t.height(),
+            len: t.len(),
+            first: t.first_leaf(),
+            last: t.last_leaf(),
+            pages: t.page_count(),
+        }
+    }
+
+    fn attach(self, page_size: usize) -> BTree {
+        BTree::from_parts(
+            page_size,
+            self.root,
+            self.height,
+            self.len,
+            self.first,
+            self.last,
+            self.pages,
+        )
     }
 }
 
-// ----------------------------------------------------------------- encode
+/// The `(B^up, B^down)` pairs of an index back to back; their number is
+/// the index's slope count, which precedes them.
+fn put_trees<'a>(w: &mut RecordWriter, pairs: impl Iterator<Item = (&'a BTree, &'a BTree)>) {
+    for (up, down) in pairs {
+        (TreeMeta::of(up), TreeMeta::of(down)).put(w);
+    }
+}
+
+fn get_trees(
+    r: &mut RecordReader<'_>,
+    k: usize,
+    page_size: usize,
+) -> Result<Vec<(BTree, BTree)>, CodecError> {
+    let metas = r.get_seq::<(TreeMeta, TreeMeta)>(k)?;
+    Ok(metas
+        .into_iter()
+        .map(|(up, down)| (up.attach(page_size), down.attach(page_size)))
+        .collect())
+}
+
+/// An R⁺-tree's persisted scalars.
+struct RTreeMeta {
+    root: u32,
+    height: usize,
+    len: u64,
+    pages: u64,
+}
+
+cdb_storage::wire_struct!(RTreeMeta {
+    root,
+    height,
+    len,
+    pages
+});
+
+// -------------------------------------------------------------- relations
+
+fn put_relation(rel: &Relation, w: &mut RecordWriter) {
+    rel.name.put(w);
+    rel.dim.put(w);
+    w.put_counted(rel.heap.pages());
+    rel.slots.put(w);
+    put_option(rel.index.as_ref(), w, |idx, w| {
+        idx.slopes().put(w);
+        idx.anchor_x().put(w);
+        idx.needs_refresh().put(w);
+        put_trees(w, idx.tree_pairs())
+    });
+    put_option(rel.index_d.as_ref(), w, |idx, w| {
+        idx.points().put_body(w);
+        put_trees(w, idx.tree_pairs())
+    });
+    put_option(rel.rplus.as_ref(), w, |rp, w| {
+        RTreeMeta {
+            root: rp.tree.root(),
+            height: rp.tree.height(),
+            len: rp.tree.len(),
+            pages: rp.tree.page_count(),
+        }
+        .put(w);
+        rp.fill.put(w);
+        rp.unbounded.put(w);
+        rp.dead.put(w)
+    });
+    rel.catalog.put(w)
+}
+
+/// Mirror of [`put_relation`]. `by_record` and `live` are derived from the
+/// slot table, so a reopened database never rescans its heap.
+fn get_relation(r: &mut RecordReader<'_>, page_size: usize) -> Result<Relation, CodecError> {
+    let name = String::get(r)?;
+    let dim = usize::get(r)?;
+    if dim < 1 {
+        return Err(CodecError::Invalid("relation dimension"));
+    }
+    let heap = HeapFile::from_pages(page_size, Wire::get(r)?);
+    let slots = Vec::<Option<RecordId>>::get(r)?;
+    let mut by_record = HashMap::new();
+    for (id, rid) in slots.iter().enumerate() {
+        if rid.is_some_and(|rid| by_record.insert(rid, id as u32).is_some()) {
+            return Err(CodecError::Invalid("two tuples sharing a record"));
+        }
+    }
+    let index = get_option(r, |r| {
+        let slopes: SlopeSet = Wire::get(r)?;
+        let anchor_x = finite::get(r)?;
+        let dirty = bool::get(r)?;
+        let pairs = get_trees(r, slopes.len(), page_size)?;
+        Ok(DualIndex::from_parts(slopes, pairs, anchor_x, dirty))
+    })?;
+    let index_d = get_option(r, |r| {
+        let points = SlopePoints::get_body(r, dim)?;
+        let trees = get_trees(r, points.len(), page_size)?;
+        Ok(DualIndexD::from_parts(points, trees))
+    })?;
+    let rplus = get_option(r, |r| {
+        let m: RTreeMeta = Wire::get(r)?;
+        Ok(RPlusIndex {
+            tree: RPlusTree::from_parts(page_size, m.root, m.height, m.len, m.pages),
+            fill: finite::get(r)?,
+            unbounded: Wire::get(r)?,
+            dead: ascending::get(r)?,
+        })
+    })?;
+    Ok(Relation {
+        name,
+        dim,
+        heap,
+        live: by_record.len() as u64,
+        slots,
+        by_record,
+        index,
+        index_d,
+        rplus,
+        catalog: PlanCatalog::get(r)?,
+        // The open-time verification pass re-classifies this right after
+        // decoding (see `ConstraintDb::open`).
+        health: RelationHealth::Healthy,
+    })
+}
+
+// ------------------------------------------------------------------- blob
 
 /// Serializes the default strategy, the WAL durability watermark, the
 /// partition spec (when the engine is one shard of a deployment) and every
@@ -178,359 +238,44 @@ pub(crate) fn encode(
     relations: &HashMap<String, Relation>,
 ) -> Vec<u8> {
     let mut w = RecordWriter::new();
-    w.put_u32(MAGIC);
-    w.put_u16(VERSION);
-    w.put_u64(durable_lsn);
-    w.put_u8(strategy_code(strategy));
-    match partition {
-        Some(spec) => {
-            w.put_u8(1);
-            w.put_u32(spec.shards);
-            w.put_u32(spec.shard);
-            w.put_u64(spec.seed);
-        }
-        None => w.put_u8(0),
-    }
-    w.put_u32(relations.len() as u32);
+    (MAGIC, VERSION, durable_lsn).put(&mut w);
+    (strategy, partition).put(&mut w);
+    relations.len().put(&mut w);
     let mut names: Vec<&String> = relations.keys().collect();
     names.sort();
     for name in names {
-        let rel = &relations[name];
-        w.put_str(name);
-        w.put_u32(rel.dim as u32);
-
-        w.put_u32(rel.heap.pages().len() as u32);
-        for &p in rel.heap.pages() {
-            w.put_u32(p);
-        }
-
-        w.put_u32(rel.slots.len() as u32);
-        for slot in &rel.slots {
-            match slot {
-                Some(rid) => {
-                    w.put_u8(1);
-                    w.put_u32(rid.page);
-                    w.put_u16(rid.slot);
-                }
-                None => w.put_u8(0),
-            }
-        }
-
-        match rel.index.as_ref() {
-            Some(idx) => {
-                w.put_u8(1);
-                let slopes = idx.slopes().as_slice();
-                w.put_u32(slopes.len() as u32);
-                for &s in slopes {
-                    w.put_f64(s);
-                }
-                w.put_f64(idx.anchor_x());
-                w.put_u8(idx.needs_refresh() as u8);
-                for (up, down) in idx.tree_pairs() {
-                    put_btree(&mut w, up);
-                    put_btree(&mut w, down);
-                }
-            }
-            None => w.put_u8(0),
-        }
-
-        match rel.index_d.as_ref() {
-            Some(idx) => {
-                w.put_u8(1);
-                let points = idx.points();
-                w.put_u32(points.len() as u32);
-                for p in points.as_slice() {
-                    for &c in p {
-                        w.put_f64(c);
-                    }
-                }
-                match points.grid_axes() {
-                    Some(axes) => {
-                        w.put_u8(1);
-                        for axis in axes {
-                            w.put_u32(axis.len() as u32);
-                            for &c in axis {
-                                w.put_f64(c);
-                            }
-                        }
-                    }
-                    None => w.put_u8(0),
-                }
-                for (up, down) in idx.tree_pairs() {
-                    put_btree(&mut w, up);
-                    put_btree(&mut w, down);
-                }
-            }
-            None => w.put_u8(0),
-        }
-
-        match rel.rplus.as_ref() {
-            Some(rp) => {
-                w.put_u8(1);
-                w.put_u32(rp.tree.root());
-                w.put_u32(rp.tree.height() as u32);
-                w.put_u64(rp.tree.len());
-                w.put_u64(rp.tree.page_count());
-                w.put_f64(rp.fill);
-                w.put_u32(rp.unbounded.len() as u32);
-                for &id in &rp.unbounded {
-                    w.put_u32(id);
-                }
-                w.put_u32(rp.dead.len() as u32);
-                for &id in &rp.dead {
-                    w.put_u32(id);
-                }
-            }
-            None => w.put_u8(0),
-        }
-
-        w.put_u64(rel.catalog.probe_clock());
-        let entries = rel.catalog.entries();
-        w.put_u32(entries.len() as u32);
-        for (m, k, o) in entries {
-            w.put_u8(method_code(m));
-            w.put_u8(kind_code(k));
-            w.put_f64(o.candidate_frac);
-            w.put_f64(o.total_pages);
-            w.put_u64(o.samples);
-        }
+        put_relation(&relations[name], &mut w);
     }
     w.into_bytes()
 }
 
-// ----------------------------------------------------------------- decode
-
 /// Rebuilds the default strategy and the full relation map from a catalog
-/// blob. `by_record` and `live` are derived from the slot table, so a
-/// reopened database never rescans its heap.
+/// blob.
 ///
 /// # Errors
 /// [`CdbError::CorruptRecord`] (id [`CATALOG_RECORD`]) on any structural
-/// violation: bad magic, unknown version or enum code, truncation,
-/// non-finite floats where finite ones are required, or trailing garbage.
+/// violation: bad magic, unknown version or enum code, truncation, a
+/// duplicate relation name, values a constructor would refuse, or trailing
+/// garbage.
 pub(crate) fn decode(blob: &[u8], page_size: usize) -> Result<DecodedCatalog, CdbError> {
-    let mut r = RecordReader::new(blob);
-    if r.get_u32()? != MAGIC {
-        return Err(corrupt());
+    read(blob, page_size).map_err(|_| CdbError::CorruptRecord(CATALOG_RECORD))
+}
+
+fn read(blob: &[u8], page_size: usize) -> Result<DecodedCatalog, CodecError> {
+    let r = &mut RecordReader::new(blob);
+    if (u32::get(r)?, u16::get(r)?) != (MAGIC, VERSION) {
+        return Err(CodecError::Invalid("catalog magic or version"));
     }
-    if r.get_u16()? != VERSION {
-        return Err(corrupt());
-    }
-    let durable_lsn = r.get_u64()?;
-    let strategy = strategy_from(r.get_u8()?)?;
-    let partition = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let shards = r.get_u32()?;
-            let shard = r.get_u32()?;
-            let seed = r.get_u64()?;
-            // PartitionSpec::new validates range; a violation here means
-            // the blob is damaged, not that the caller mis-called.
-            Some(PartitionSpec::new(shards, shard, seed).map_err(|_| corrupt())?)
-        }
-        _ => return Err(corrupt()),
-    };
-    let nrel = r.get_u32()?;
+    let durable_lsn = u64::get(r)?;
+    let (strategy, partition) = Wire::get(r)?;
     let mut relations = HashMap::new();
-    for _ in 0..nrel {
-        let name = r.get_str()?.to_string();
-        let dim = r.get_u32()? as usize;
-        if dim < 1 {
-            return Err(corrupt());
-        }
-
-        let npages = r.get_u32()?;
-        let mut pages = Vec::new();
-        for _ in 0..npages {
-            pages.push(r.get_u32()?);
-        }
-        let heap = HeapFile::from_pages(page_size, pages);
-
-        let nslots = r.get_u32()?;
-        let mut slots = Vec::new();
-        let mut by_record = HashMap::new();
-        let mut live = 0u64;
-        for id in 0..nslots {
-            match r.get_u8()? {
-                0 => slots.push(None),
-                1 => {
-                    let rid = RecordId {
-                        page: r.get_u32()?,
-                        slot: r.get_u16()?,
-                    };
-                    slots.push(Some(rid));
-                    if by_record.insert(rid, id).is_some() {
-                        return Err(corrupt()); // two tuples sharing a record
-                    }
-                    live += 1;
-                }
-                _ => return Err(corrupt()),
-            }
-        }
-
-        let index = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let k = r.get_u32()? as usize;
-                if k < 2 {
-                    return Err(corrupt());
-                }
-                let mut slopes = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let s = get_finite_f64(&mut r)?;
-                    // Persisted ascending and distinct; anything else would
-                    // make SlopeSet::new panic, so reject it here.
-                    if slopes.last().is_some_and(|&prev| s <= prev) {
-                        return Err(corrupt());
-                    }
-                    slopes.push(s);
-                }
-                let anchor_x = get_finite_f64(&mut r)?;
-                let dirty = match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(corrupt()),
-                };
-                let mut pairs = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let up = get_btree(&mut r, page_size)?;
-                    let down = get_btree(&mut r, page_size)?;
-                    pairs.push((up, down));
-                }
-                Some(DualIndex::from_parts(
-                    SlopeSet::new(slopes),
-                    pairs,
-                    anchor_x,
-                    dirty,
-                ))
-            }
-            _ => return Err(corrupt()),
-        };
-
-        let index_d = match r.get_u8()? {
-            0 => None,
-            1 => {
-                if dim < 2 {
-                    return Err(corrupt());
-                }
-                let k = r.get_u32()? as usize;
-                if k < dim {
-                    return Err(corrupt()); // SlopePoints needs a covering simplex
-                }
-                let mut points = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let mut p = Vec::with_capacity(dim - 1);
-                    for _ in 0..dim - 1 {
-                        p.push(get_finite_f64(&mut r)?);
-                    }
-                    points.push(p);
-                }
-                let grid_axes = match r.get_u8()? {
-                    0 => None,
-                    1 => {
-                        let mut axes = Vec::with_capacity(dim - 1);
-                        for _ in 0..dim - 1 {
-                            let n = r.get_u32()? as usize;
-                            let mut axis = Vec::with_capacity(n.min(r.remaining() / 8));
-                            for _ in 0..n {
-                                axis.push(get_finite_f64(&mut r)?);
-                            }
-                            axes.push(axis);
-                        }
-                        Some(axes)
-                    }
-                    _ => return Err(corrupt()),
-                };
-                let mut trees = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let up = get_btree(&mut r, page_size)?;
-                    let down = get_btree(&mut r, page_size)?;
-                    trees.push((up, down));
-                }
-                Some(DualIndexD::from_parts(
-                    SlopePoints::from_parts(dim, points, grid_axes),
-                    trees,
-                ))
-            }
-            _ => return Err(corrupt()),
-        };
-
-        let rplus = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let root = r.get_u32()?;
-                let height = r.get_u32()? as usize;
-                let len = r.get_u64()?;
-                let tpages = r.get_u64()?;
-                let fill = get_finite_f64(&mut r)?;
-                let n = r.get_u32()?;
-                let mut unbounded = Vec::new();
-                for _ in 0..n {
-                    unbounded.push(r.get_u32()?);
-                }
-                let n = r.get_u32()?;
-                let mut dead = Vec::new();
-                for _ in 0..n {
-                    dead.push(r.get_u32()?);
-                }
-                if dead.windows(2).any(|w| w[0] >= w[1]) {
-                    return Err(corrupt()); // tombstones are sorted + unique
-                }
-                Some(RPlusIndex {
-                    tree: RPlusTree::from_parts(page_size, root, height, len, tpages),
-                    unbounded,
-                    dead,
-                    fill,
-                })
-            }
-            _ => return Err(corrupt()),
-        };
-
-        let probe_clock = r.get_u64()?;
-        let nent = r.get_u32()?;
-        let mut entries = Vec::new();
-        for _ in 0..nent {
-            let m = method_from(r.get_u8()?)?;
-            let k = kind_from(r.get_u8()?)?;
-            entries.push((
-                m,
-                k,
-                Observation {
-                    candidate_frac: get_finite_f64(&mut r)?,
-                    total_pages: get_finite_f64(&mut r)?,
-                    samples: r.get_u64()?,
-                },
-            ));
-        }
-        let catalog = PlanCatalog::from_entries(&entries, probe_clock);
-
-        if relations
-            .insert(
-                name.clone(),
-                Relation {
-                    name,
-                    dim,
-                    heap,
-                    slots,
-                    by_record,
-                    live,
-                    index,
-                    index_d,
-                    rplus,
-                    catalog,
-                    // The open-time verification pass re-classifies this
-                    // right after decoding (see `ConstraintDb::open`).
-                    health: RelationHealth::Healthy,
-                },
-            )
-            .is_some()
-        {
-            return Err(corrupt()); // duplicate relation name
+    for _ in 0..usize::get(r)? {
+        let rel = get_relation(r, page_size)?;
+        if relations.insert(rel.name.clone(), rel).is_some() {
+            return Err(CodecError::Invalid("duplicate relation name"));
         }
     }
-    if r.remaining() != 0 {
-        return Err(corrupt()); // trailing garbage
-    }
+    r.finish()?;
     Ok(DecodedCatalog {
         strategy,
         durable_lsn,
@@ -550,112 +295,172 @@ pub(crate) struct DecodedCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::{ConstraintDb, DbConfig};
+    use crate::plan::MethodKind;
+    use crate::query::{Selection, SelectionKind};
+    use cdb_geometry::tuple::GeneralizedTuple;
+    use cdb_geometry::{HalfPlane, LinearConstraint, RelOp};
+    use cdb_storage::codec;
+    use cdb_storage::conformance::{conformance, wire_conformance};
 
     fn is_corrupt(r: Result<DecodedCatalog, CdbError>) -> bool {
         matches!(r, Err(CdbError::CorruptRecord(CATALOG_RECORD)))
     }
 
+    /// The catalog of one shard of two holding a 2-D relation (dual index
+    /// with a stale handicap flag, R⁺-tree with an unbounded tuple and a
+    /// tombstone, absent slots, planner feedback) and a 3-D relation with
+    /// a grid `DualIndexD` — the state behind `golden/catalog_v3.hex`.
+    fn sample_blob() -> Vec<u8> {
+        let cube = |lo: &[f64], side: f64| {
+            let mut cs = Vec::new();
+            for (axis, &l) in lo.iter().enumerate() {
+                let mut unit = vec![0.0; lo.len()];
+                unit[axis] = 1.0;
+                cs.push(LinearConstraint::new(unit.clone(), -l, RelOp::Ge));
+                cs.push(LinearConstraint::new(unit, -(l + side), RelOp::Le));
+            }
+            GeneralizedTuple::new(cs)
+        };
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.set_partition(PartitionSpec::new(2, 1, 0xC0FFEE).unwrap())
+            .unwrap();
+        db.create_relation("plane", 2).unwrap();
+        let mut first = None;
+        for i in 0..6 {
+            let id = db
+                .insert("plane", cube(&[i as f64, 2.0 * i as f64], 1.5))
+                .unwrap();
+            first.get_or_insert(id);
+        }
+        let quadrant = GeneralizedTuple::new(vec![
+            LinearConstraint::new(vec![1.0, 0.0], 0.0, RelOp::Ge),
+            LinearConstraint::new(vec![0.0, 1.0], 0.0, RelOp::Ge),
+        ]);
+        db.insert("plane", quadrant).unwrap();
+        db.build_dual_index("plane", SlopeSet::new(vec![-1.5, 0.25, 2.0]))
+            .unwrap();
+        db.build_rplus_index("plane", 0.8).unwrap();
+        db.delete("plane", first.unwrap()).unwrap();
+        db.query("plane", Selection::exist(HalfPlane::above(0.5, 1.0)))
+            .unwrap();
+        db.query("plane", Selection::all(HalfPlane::below(0.25, 40.0)))
+            .unwrap();
+        db.create_relation("space", 3).unwrap();
+        for i in 0..4 {
+            db.insert("space", cube(&[i as f64, 1.0, -(i as f64)], 2.0))
+                .unwrap();
+        }
+        db.build_dual_index_d("space", SlopePoints::grid(3, 2, 1.0))
+            .unwrap();
+        db.query(
+            "space",
+            Selection::exist(HalfPlane::new(vec![0.25, -0.5], 0.0, RelOp::Ge)),
+        )
+        .unwrap();
+        encode(db.config.strategy, 17, db.partition(), &db.relations)
+    }
+
+    fn reencoded(blob: &[u8]) -> Result<Vec<u8>, CdbError> {
+        let cat = decode(blob, 1024)?;
+        Ok(encode(
+            cat.strategy,
+            cat.durable_lsn,
+            cat.partition,
+            &cat.relations,
+        ))
+    }
+
     #[test]
-    fn rejects_garbage_and_truncation() {
-        assert!(is_corrupt(decode(b"not a catalog", 1024)));
-        assert!(is_corrupt(decode(&[], 1024)));
-        // Right magic, truncated immediately after.
+    fn catalog_conformance() {
+        // A blob is its own sample: the round trip is decode, then encode.
+        let empty = encode(Strategy::T2, 17, None, &HashMap::new());
+        conformance(&[sample_blob(), empty], Vec::clone, reencoded);
+    }
+
+    #[test]
+    fn golden_bytes_are_those_of_the_parent_format() {
+        let golden = crate::unhex(include_str!("../golden/catalog_v3.hex").trim_end());
+        assert_eq!(sample_blob(), golden);
+        assert_eq!(reencoded(&golden).unwrap(), golden);
+        let cat = decode(&golden, 1024).unwrap();
+        assert_eq!(cat.durable_lsn, 17);
+        assert_eq!(cat.partition, PartitionSpec::new(2, 1, 0xC0FFEE).ok());
+        let plane = &cat.relations["plane"];
+        assert_eq!((plane.dim, plane.live), (2, 6));
+        assert!(plane.index.is_some() && plane.rplus.is_some());
+        assert!(cat.relations["space"]
+            .index_d
+            .as_ref()
+            .unwrap()
+            .points()
+            .is_grid());
+    }
+
+    #[test]
+    fn forged_slope_count_is_corrupt_not_an_abort() {
+        // One relation with a 2-D index claiming u32::MAX slopes: decoding
+        // must run out of bytes, not reserve 32 GiB for them.
         let mut w = RecordWriter::new();
-        w.put_u32(MAGIC);
+        (MAGIC, VERSION, 0u64).put(&mut w);
+        (Strategy::Auto, None::<PartitionSpec>).put(&mut w);
+        (1u32, "r".to_string(), 2u32).put(&mut w);
+        (0u32, 0u32).put(&mut w); // no heap pages, no slots
+        (true, u32::MAX).put(&mut w);
         assert!(is_corrupt(decode(&w.into_bytes(), 1024)));
     }
 
     #[test]
-    fn rejects_wrong_version_and_trailing_garbage() {
-        let mut w = RecordWriter::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION + 1);
-        w.put_u64(0);
-        w.put_u8(0);
-        w.put_u8(0);
-        w.put_u32(0);
-        assert!(is_corrupt(decode(&w.into_bytes(), 1024)));
-
+    fn rejects_garbage_and_wrong_versions() {
+        assert!(is_corrupt(decode(b"not a catalog", 1024)));
+        assert!(is_corrupt(decode(&[], 1024)));
         let mut bytes = encode(Strategy::Auto, 0, None, &HashMap::new());
-        bytes.push(0);
+        bytes[4] += 1; // the version's low byte
         assert!(is_corrupt(decode(&bytes, 1024)));
     }
 
     #[test]
-    fn empty_catalog_round_trips() {
-        let bytes = encode(Strategy::T2, 17, None, &HashMap::new());
-        let cat = decode(&bytes, 1024).unwrap();
-        assert_eq!(cat.strategy, Strategy::T2);
-        assert_eq!(cat.durable_lsn, 17);
-        assert_eq!(cat.partition, None);
-        assert!(cat.relations.is_empty());
-    }
-
-    #[test]
-    fn partition_spec_round_trips_byte_exact() {
-        let spec = PartitionSpec::new(8, 5, 0xFEED_FACE_CAFE_BEEF).unwrap();
-        let bytes = encode(Strategy::Auto, 3, Some(spec), &HashMap::new());
-        let cat = decode(&bytes, 1024).unwrap();
-        assert_eq!(cat.partition, Some(spec));
-        // Re-encoding the decoded state reproduces the exact bytes — the
-        // persisted seed/params survive any number of reopen cycles
-        // unchanged.
-        let again = encode(cat.strategy, cat.durable_lsn, cat.partition, &cat.relations);
-        assert_eq!(again, bytes);
-    }
-
-    #[test]
     fn rejects_damaged_partition_spec() {
-        // shard index out of range: structurally well-formed, semantically
-        // impossible — decode must refuse rather than build a spec that
-        // PartitionSpec::new would have rejected.
-        let mut w = RecordWriter::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u64(0);
-        w.put_u8(0);
-        w.put_u8(1);
-        w.put_u32(2); // shards
-        w.put_u32(7); // shard — out of range
-        w.put_u64(1);
-        w.put_u32(0);
-        assert!(is_corrupt(decode(&w.into_bytes(), 1024)));
+        let header = |partition: &dyn Fn(&mut RecordWriter)| {
+            let mut w = RecordWriter::new();
+            (MAGIC, VERSION, 0u64).put(&mut w);
+            Strategy::Auto.put(&mut w);
+            partition(&mut w);
+            0u32.put(&mut w);
+            w.into_bytes()
+        };
+        assert!(decode(&header(&|w| (true, (2u32, 1u32, 1u64)).put(w)), 1024).is_ok());
+        // Shard index out of range: structurally well-formed, semantically
+        // impossible — PartitionSpec::new would have refused it.
+        assert!(is_corrupt(decode(
+            &header(&|w| (true, (2u32, 7u32, 1u64)).put(w)),
+            1024
+        )));
         // Unknown presence byte.
-        let mut w = RecordWriter::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u64(0);
-        w.put_u8(0);
-        w.put_u8(9);
-        w.put_u32(0);
-        assert!(is_corrupt(decode(&w.into_bytes(), 1024)));
+        assert!(is_corrupt(decode(&header(&|w| 9u8.put(w)), 1024)));
     }
 
     #[test]
-    fn strategy_and_enum_codes_round_trip() {
-        for s in [
+    fn enum_tags_conform_and_unknown_tags_fail() {
+        wire_conformance(&[
             Strategy::Auto,
             Strategy::Restricted,
             Strategy::T1,
             Strategy::T2,
             Strategy::Scan,
             Strategy::RPlus,
-        ] {
-            assert_eq!(strategy_from(strategy_code(s)).unwrap(), s);
-        }
-        assert_eq!(strategy_from(99), Err(corrupt()));
-        for m in [
+        ]);
+        wire_conformance(&[
             MethodKind::Restricted,
             MethodKind::T1,
             MethodKind::T2,
             MethodKind::DualD,
             MethodKind::SeqScan,
             MethodKind::RPlus,
-        ] {
-            assert_eq!(method_from(method_code(m)).unwrap(), m);
-        }
-        for k in [SelectionKind::Exist, SelectionKind::All] {
-            assert_eq!(kind_from(kind_code(k)).unwrap(), k);
-        }
+        ]);
+        wire_conformance(&[SelectionKind::Exist, SelectionKind::All]);
+        assert!(codec::decode::<Strategy>(&[99]).is_err());
+        assert!(codec::decode::<MethodKind>(&[6]).is_err());
+        assert!(codec::decode::<SelectionKind>(&[2]).is_err());
     }
 }

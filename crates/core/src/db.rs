@@ -89,6 +89,12 @@ pub enum RelationHealth {
     },
 }
 
+cdb_storage::wire_enum!(RelationHealth {
+    0 => Healthy,
+    1 => Degraded { corrupt_indexes },
+    2 => Quarantined { detail },
+});
+
 impl std::fmt::Display for RelationHealth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -123,6 +129,15 @@ pub struct WalReplay {
     /// could not be absorbed. The log is kept on disk in that case.
     pub error: Option<String>,
 }
+
+cdb_storage::wire_struct!(WalReplay {
+    start_lsn,
+    replayed,
+    first_lsn,
+    last_lsn,
+    torn_tail,
+    error
+});
 
 /// What [`ConstraintDb::open`] found and did: the pager's header-slot
 /// recovery, the WAL replay (which runs *before* verification), and the
@@ -190,6 +205,16 @@ pub struct RelationStats {
     pub health: RelationHealth,
 }
 
+cdb_storage::wire_struct!(RelationStats {
+    name,
+    dim,
+    live,
+    heap_pages,
+    total_pages,
+    indexes,
+    health
+});
+
 /// Point-in-time snapshot of the whole engine's operational state.
 /// Taken through `&self`, so a server can serve it from a shared read
 /// lock while queries are in flight.
@@ -214,6 +239,16 @@ pub struct DbStats {
     pub epochs: EpochStats,
 }
 
+cdb_storage::wire_struct!(DbStats {
+    relations,
+    live_pages,
+    io,
+    read_only,
+    checkpoint_failures,
+    wal,
+    epochs,
+});
+
 /// Point-in-time state of an armed write-ahead log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalStats {
@@ -225,6 +260,12 @@ pub struct WalStats {
     /// Records appended but not yet fsynced (not yet acknowledgeable).
     pub pending: u64,
 }
+
+cdb_storage::wire_struct!(WalStats {
+    durable_lsn,
+    next_lsn,
+    pending
+});
 
 /// The Section 5 baseline as a relation-level index: a packed R⁺-tree over
 /// the MBRs of *bounded* tuples, plus an overflow list of unbounded tuple
@@ -804,7 +845,7 @@ impl ConstraintDb {
             },
             dirty: false,
             // Restored catalogs start at version 0 (see
-            // `PlanCatalog::from_entries`), so the committed sum is 0.
+            // `PlanCatalog`'s `Wire::get`), so the committed sum is 0.
             committed_plan_version: 0,
             read_only,
             recovery,
@@ -891,11 +932,7 @@ impl ConstraintDb {
             }
             WalRecord::BuildRPlus { relation, fill } => self.build_rplus_index(&relation, fill),
             WalRecord::TightenIndex { relation } => self.tighten_index(&relation),
-            WalRecord::SetPartition {
-                shards,
-                shard,
-                seed,
-            } => self.set_partition(PartitionSpec::new(shards, shard, seed)?),
+            WalRecord::SetPartition(spec) => self.set_partition(spec),
         }
     }
 
@@ -1268,11 +1305,7 @@ impl ConstraintDb {
         }
         self.partition = Some(spec);
         self.dirty = true;
-        self.log_mutation(WalRecord::SetPartition {
-            shards: spec.shards,
-            shard: spec.shard,
-            seed: spec.seed,
-        })?;
+        self.log_mutation(WalRecord::SetPartition(spec))?;
         Ok(())
     }
 

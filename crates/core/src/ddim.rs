@@ -34,7 +34,8 @@
 use cdb_btree::BTree;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_geometry::{dual, scalar};
-use cdb_storage::{PageReader, Pager, TrackedReader};
+use cdb_storage::codec::{get_option, put_option, Finite};
+use cdb_storage::{CodecError, PageReader, Pager, RecordReader, RecordWriter, TrackedReader, Wire};
 use std::io;
 
 use cdb_btree::Handicaps;
@@ -56,28 +57,64 @@ pub struct SlopePoints {
     grid_axes: Option<Vec<Vec<f64>>>,
 }
 
+/// The write-ahead log's layout: the dimension, then the body.
+impl Wire for SlopePoints {
+    fn put(&self, w: &mut RecordWriter) {
+        self.dim.put(w);
+        self.put_body(w)
+    }
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+        let dim = usize::get(r)?;
+        Self::get_body(r, dim)
+    }
+}
+
 impl SlopePoints {
     /// Builds a set of slope points for a `dim`-dimensional space; each
     /// point must have `dim − 1` coordinates.
     ///
     /// # Panics
-    /// Panics on dimension mismatches or fewer than `dim` points (a
-    /// covering simplex needs `d` vertices).
+    /// Panics on dimension mismatches, non-finite coordinates or fewer
+    /// than `dim` points (a covering simplex needs `d` vertices).
     pub fn new(dim: usize, points: Vec<Vec<f64>>) -> Self {
-        assert!(dim >= 2, "dimension must be at least 2");
-        assert!(
-            points.iter().all(|p| p.len() == dim - 1),
-            "slope points live in E^(d-1)"
-        );
-        assert!(
-            points.len() >= dim,
-            "need at least d = {dim} slope points for simplex covering"
-        );
-        SlopePoints {
+        Self::try_from_parts(dim, points, None).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// The one place a slope-point set is validated, grid axes included —
+    /// for parts from outside the program (a log record, the catalog).
+    ///
+    /// # Errors
+    /// The reason: `dim < 2`, a point outside `E^(d-1)`, a non-finite
+    /// coordinate, fewer than `d` points (a covering simplex needs `d`
+    /// vertices), or grid axes that do not index exactly the points.
+    pub(crate) fn try_from_parts(
+        dim: usize,
+        points: Vec<Vec<f64>>,
+        grid_axes: Option<Vec<Vec<f64>>>,
+    ) -> Result<Self, &'static str> {
+        if dim < 2 {
+            return Err("dimension must be at least 2");
+        }
+        if points.iter().any(|p| p.len() != dim - 1) {
+            return Err("slope points live in E^(d-1)");
+        }
+        if points.len() < dim {
+            return Err("need at least d slope points for simplex covering");
+        }
+        if !(points.all_finite() && grid_axes.iter().all(Finite::all_finite)) {
+            return Err("slope coordinates must be finite");
+        }
+        if let Some(axes) = &grid_axes {
+            let cells = axes.iter().try_fold(1usize, |n, a| n.checked_mul(a.len()));
+            if axes.len() != dim - 1 || cells != Some(points.len()) {
+                return Err("grid axes must index exactly the slope points");
+            }
+        }
+        Ok(SlopePoints {
             dim,
             points,
-            grid_axes: None,
-        }
+            grid_axes,
+        })
     }
 
     /// A regular grid of `per_axis^(d-1)` points over `[-range, range]` in
@@ -110,29 +147,38 @@ impl SlopePoints {
                                 .collect()
                         })
                         .collect();
-                    let mut sp = SlopePoints::new(dim, points);
-                    sp.grid_axes = Some(axes);
-                    return sp;
+                    return Self::try_from_parts(dim, points, Some(axes))
+                        .unwrap_or_else(|why| panic!("{why}"));
                 }
             }
         }
     }
 
-    /// Re-attaches a set from persisted parts, restoring the grid axes that
-    /// [`grid`](Self::grid) would have computed.
-    pub(crate) fn from_parts(
-        dim: usize,
-        points: Vec<Vec<f64>>,
-        grid_axes: Option<Vec<Vec<f64>>>,
-    ) -> Self {
-        let mut sp = SlopePoints::new(dim, points);
-        sp.grid_axes = grid_axes;
-        sp
+    /// Everything but the dimension, which in the catalog the owning
+    /// relation supplies: the point count, `dim − 1` coordinates per point,
+    /// a presence byte and the grid axes as `dim − 1` counted lists.
+    pub(crate) fn put_body(&self, w: &mut RecordWriter) {
+        self.points.len().put(w);
+        for p in &self.points {
+            w.put_seq(p);
+        }
+        put_option(self.grid_axes.as_ref(), w, |axes, w| w.put_seq(axes));
     }
 
-    /// The per-axis grid coordinates, when grid-constructed.
-    pub(crate) fn grid_axes(&self) -> Option<&[Vec<f64>]> {
-        self.grid_axes.as_deref()
+    /// Mirror of [`put_body`](Self::put_body), validated by
+    /// [`try_from_parts`](Self::try_from_parts).
+    pub(crate) fn get_body(r: &mut RecordReader<'_>, dim: usize) -> Result<Self, CodecError> {
+        if dim < 2 {
+            // Zero-coordinate points would read no bytes: nothing would
+            // bound a forged count.
+            return Err(CodecError::Invalid("slope points dimension"));
+        }
+        let mut points = Vec::new();
+        for _ in 0..usize::get(r)? {
+            points.push(r.get_seq(dim - 1)?);
+        }
+        let grid_axes = get_option(r, |r| r.get_seq(dim - 1))?;
+        Self::try_from_parts(dim, points, grid_axes).map_err(CodecError::Invalid)
     }
 
     /// Ambient dimension `d`.

@@ -50,6 +50,20 @@ pub enum CdbError {
     ReadOnly,
 }
 
+cdb_storage::wire_enum!(CdbError {
+    0 => RelationNotFound(name),
+    1 => RelationExists(name),
+    2 => DimensionMismatch { expected, got },
+    3 => UnsatisfiableTuple,
+    4 => NoSuchTuple(id),
+    5 => NoIndex(name),
+    6 => UnsupportedQuery(why),
+    7 => CorruptRecord(id),
+    8 => Io(why),
+    9 => Quarantined(name),
+    10 => ReadOnly,
+});
+
 impl std::fmt::Display for CdbError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -59,6 +59,7 @@ pub mod read;
 pub mod slopes;
 pub mod sql;
 pub(crate) mod wal;
+pub mod wire;
 
 pub use db::{
     ConstraintDb, DbConfig, DbStats, RecoveryReport, Relation, RelationHealth, RelationStats,
@@ -77,3 +78,16 @@ pub use query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
 pub use read::{PageSource, ReadSurface, Snapshot};
 pub use slopes::SlopeSet;
 pub use sql::{SqlError, SqlMode, SqlOutcome, SqlQuery, SqlRow};
+
+#[cfg(test)]
+#[global_allocator]
+static PEAK_ALLOC: cdb_storage::conformance::PeakAlloc = cdb_storage::conformance::PeakAlloc;
+
+/// Parses one line of a `golden/*.hex` fixture.
+#[cfg(test)]
+pub(crate) fn unhex(line: &str) -> Vec<u8> {
+    (0..line.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("hex fixture"))
+        .collect()
+}

@@ -69,6 +69,11 @@ pub struct PartitionSpec {
     pub seed: u64,
 }
 
+// A range `new` would refuse is damage.
+cdb_storage::wire_struct!(PartitionSpec { shards, shard, seed } => |s: &PartitionSpec| {
+    PartitionSpec::new(s.shards, s.shard, s.seed).is_ok()
+});
+
 impl PartitionSpec {
     /// Builds a validated spec.
     ///

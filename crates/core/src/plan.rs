@@ -37,7 +37,8 @@ use std::sync::Mutex;
 use cdb_btree::layout::leaf_capacity;
 use cdb_geometry::predicates;
 use cdb_rplustree::RPlusTree;
-use cdb_storage::{PageReader, TrackedReader};
+use cdb_storage::codec::{self, finite};
+use cdb_storage::{CodecError, PageReader, RecordReader, RecordWriter, TrackedReader, Wire};
 
 use crate::db::Relation;
 use crate::ddim::DualIndexD;
@@ -100,6 +101,15 @@ pub enum MethodKind {
     RPlus,
 }
 
+cdb_storage::wire_enum!(MethodKind {
+    0 => Restricted,
+    1 => T1,
+    2 => T2,
+    3 => DualD,
+    4 => SeqScan,
+    5 => RPlus,
+});
+
 impl MethodKind {
     /// The legacy [`Strategy`] this method corresponds to, if any.
     pub fn strategy(self) -> Option<Strategy> {
@@ -152,6 +162,12 @@ pub struct CostEstimate {
     /// Candidate tuples produced by the index phase (duplicates included).
     pub candidates: f64,
 }
+
+cdb_storage::wire_struct!(CostEstimate {
+    index_pages,
+    heap_pages,
+    candidates
+});
 
 impl CostEstimate {
     /// Total predicted page accesses.
@@ -828,6 +844,8 @@ pub struct Observation {
     pub samples: u64,
 }
 
+cdb_storage::wire_struct!(Observation { candidate_frac as finite, total_pages as finite, samples });
+
 /// Per-(method, selection-kind) feedback from executed queries: the planner
 /// seeds its cost formulas with the observed candidate fraction, so
 /// estimates tighten as the engine serves traffic.
@@ -859,51 +877,36 @@ impl Clone for PlanCatalog {
     }
 }
 
+/// The probe clock, then [`entries`](PlanCatalog::entries) as a counted
+/// list. A restored catalog starts at version 0.
+impl Wire for PlanCatalog {
+    fn put(&self, w: &mut RecordWriter) {
+        self.probe_clock().put(w);
+        self.entries().put(w)
+    }
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+        let probe_clock = u64::get(r)?;
+        let entries = Vec::<(MethodKind, SelectionKind, Observation)>::get(r)?;
+        Ok(PlanCatalog {
+            inner: Mutex::new(entries.into_iter().map(|(m, k, o)| ((m, k), o)).collect()),
+            version: AtomicU64::new(0),
+            probe_clock: AtomicU64::new(probe_clock),
+        })
+    }
+}
+
 impl PlanCatalog {
     /// An empty catalog.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Restores a catalog from persisted entries and probe clock.
-    pub fn from_entries(
-        entries: &[(MethodKind, SelectionKind, Observation)],
-        probe_clock: u64,
-    ) -> Self {
-        PlanCatalog {
-            inner: Mutex::new(
-                entries
-                    .iter()
-                    .map(|&(m, k, o)| ((m, k), o))
-                    .collect::<HashMap<_, _>>(),
-            ),
-            version: AtomicU64::new(0),
-            probe_clock: AtomicU64::new(probe_clock),
-        }
-    }
-
-    /// Snapshot of every entry, deterministically ordered (for
-    /// serialization and reproducible diffs).
+    /// Snapshot of every entry, ordered by the persisted method and kind
+    /// tags (deterministic, for serialization and reproducible diffs).
     pub fn entries(&self) -> Vec<(MethodKind, SelectionKind, Observation)> {
-        fn method_rank(m: MethodKind) -> u8 {
-            match m {
-                MethodKind::Restricted => 0,
-                MethodKind::T1 => 1,
-                MethodKind::T2 => 2,
-                MethodKind::DualD => 3,
-                MethodKind::SeqScan => 4,
-                MethodKind::RPlus => 5,
-            }
-        }
-        fn kind_rank(k: SelectionKind) -> u8 {
-            match k {
-                SelectionKind::Exist => 0,
-                SelectionKind::All => 1,
-            }
-        }
         let map = self.inner.lock().expect("catalog poisoned");
         let mut out: Vec<_> = map.iter().map(|(&(m, k), &o)| (m, k, o)).collect();
-        out.sort_by_key(|&(m, k, _)| (method_rank(m), kind_rank(k)));
+        out.sort_by_cached_key(|&(m, k, _)| codec::encode(&(m, k)));
         out
     }
 
@@ -1260,7 +1263,7 @@ mod tests {
         assert_eq!(cat.version(), 2, "each record bumps the version");
         let entries = cat.entries();
         assert_eq!(entries.len(), 2);
-        let restored = PlanCatalog::from_entries(&entries, cat.probe_clock());
+        let restored: PlanCatalog = codec::decode(&codec::encode(&cat)).unwrap();
         assert_eq!(restored.version(), 0, "a restored catalog starts clean");
         assert_eq!(restored.probe_clock(), cat.probe_clock());
         for (m, k, o) in &entries {

@@ -13,6 +13,8 @@ pub enum SelectionKind {
     Exist,
 }
 
+cdb_storage::wire_enum!(SelectionKind { 0 => Exist, 1 => All });
+
 /// A half-plane selection.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Selection {
@@ -21,6 +23,8 @@ pub struct Selection {
     /// The query half-plane.
     pub halfplane: HalfPlane,
 }
+
+cdb_storage::wire_struct!(Selection { kind, halfplane as crate::wire::halfplane });
 
 impl Selection {
     /// `ALL(q)` — containment selection.
@@ -63,6 +67,15 @@ pub enum Strategy {
     /// structure), served through the planner's `RPlusAccess` adapter.
     RPlus,
 }
+
+cdb_storage::wire_enum!(Strategy {
+    0 => Auto,
+    1 => Restricted,
+    2 => T1,
+    3 => T2,
+    4 => Scan,
+    5 => RPlus,
+});
 
 /// Which neighbour of a slope a strip extends toward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -114,6 +127,17 @@ pub struct QueryStats {
     /// actuals above so estimate-vs-actual accuracy is always observable.
     pub estimate: Option<crate::plan::CostEstimate>,
 }
+
+cdb_storage::wire_struct!(QueryStats {
+    index_io,
+    heap_io,
+    candidates,
+    duplicates,
+    false_hits,
+    accepted_by_key,
+    method,
+    estimate,
+});
 
 impl QueryStats {
     /// Total page accesses charged to the query.

@@ -10,6 +10,8 @@
 //! * `a₁ < a, a₂ < a` / `a < a₁, a < a₂` — the rotation wraps through the
 //!   vertical.
 
+use cdb_storage::{CodecError, RecordReader, RecordWriter, Wire};
+
 use crate::query::Side;
 
 /// A predefined, sorted set of `k ≥ 2` distinct slopes.
@@ -17,6 +19,22 @@ use crate::query::Side;
 pub struct SlopeSet {
     /// Slope values, ascending.
     slopes: Vec<f64>,
+}
+
+/// The slopes as a counted `f64` list. Persisted sets are canonical
+/// (ascending, distinct), so anything [`SlopeSet::try_new`] would have to
+/// reorder is damage, not input.
+impl Wire for SlopeSet {
+    fn put(&self, w: &mut RecordWriter) {
+        self.slopes.put(w)
+    }
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+        let raw = Vec::<f64>::get(r)?;
+        match SlopeSet::try_new(raw.clone()) {
+            Ok(set) if set.slopes == raw => Ok(set),
+            _ => Err(CodecError::Invalid("slope set")),
+        }
+    }
 }
 
 /// Neighbourhood of a query slope (Table 1 of the paper).
@@ -35,16 +53,27 @@ impl SlopeSet {
     /// Builds a slope set from arbitrary values (sorted, deduplicated).
     ///
     /// # Panics
-    /// Panics with fewer than 2 distinct finite slopes.
-    pub fn new(mut slopes: Vec<f64>) -> Self {
-        assert!(
-            slopes.iter().all(|s| s.is_finite()),
-            "slopes must be finite"
-        );
-        slopes.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    /// Panics where [`try_new`](Self::try_new) refuses.
+    pub fn new(slopes: Vec<f64>) -> Self {
+        Self::try_new(slopes).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`new`](Self::new) for values from outside the program (a request, a
+    /// log record, the catalog): the one place a slope set is validated.
+    ///
+    /// # Errors
+    /// The reason, with fewer than 2 distinct finite slopes.
+    pub fn try_new(mut slopes: Vec<f64>) -> Result<Self, &'static str> {
+        const REFUSED: &str = "a slope set needs at least 2 distinct finite slopes";
+        if !slopes.iter().all(|s| s.is_finite()) {
+            return Err(REFUSED);
+        }
+        slopes.sort_by(|a, b| a.partial_cmp(b).expect("finite slopes compare"));
         slopes.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        assert!(slopes.len() >= 2, "a slope set needs at least 2 slopes");
-        SlopeSet { slopes }
+        if slopes.len() < 2 {
+            return Err(REFUSED);
+        }
+        Ok(SlopeSet { slopes })
     }
 
     /// `k` slopes `tan(φ)` at angles `φ` evenly spread over `(0, π)` away

@@ -176,6 +176,8 @@ pub enum SqlMode {
     ExplainAnalyze,
 }
 
+cdb_storage::wire_enum!(SqlMode { 0 => Execute, 1 => Explain, 2 => ExplainAnalyze });
+
 /// One result row: the matched tuple id per `FROM` relation, plus the
 /// projected region when the query projects variables.
 #[derive(Clone, Debug, PartialEq)]
@@ -185,6 +187,8 @@ pub struct SqlRow {
     /// The projected region (present iff the query is not `SELECT *`).
     pub region: Option<GeneralizedTuple>,
 }
+
+cdb_storage::wire_struct!(SqlRow { ids, region as crate::wire::opt_tuple });
 
 /// The result of running (or explaining) a SQL query.
 #[derive(Clone, Debug, PartialEq)]
@@ -199,6 +203,13 @@ pub struct SqlOutcome {
     /// Aggregated I/O and candidate accounting across all scan nodes.
     pub stats: QueryStats,
 }
+
+cdb_storage::wire_struct!(SqlOutcome {
+    columns,
+    rows,
+    plan,
+    stats
+});
 
 // ------------------------------------------------------------------ lexer
 

@@ -7,35 +7,24 @@
 //! engine state bit-for-bit: in particular, tuple ids are deterministic
 //! because `insert` assigns `slots.len()` and the slot table only grows.
 //!
-//! The encoding reuses the little-endian [`RecordWriter`]/[`RecordReader`]
-//! pair behind the catalog: a tag byte, then the variant's fields. The
+//! The byte layout is the record's [`Wire`](cdb_storage::Wire) impl: a tag
+//! byte, then the variant's fields, each laid out by its own type. The
 //! framing, CRC and LSN stamping live one layer down in
 //! [`cdb_storage::wal`] — this module only sees payload bytes. Decoding
-//! never panics: every invariant a constructor would `assert!` (slope
-//! ordering, simplex coverage, finite floats) is checked first and
-//! surfaced as [`CdbError::CorruptRecord`] with the [`WAL_RECORD`]
-//! sentinel, which replay treats as the end of the usable log.
+//! never panics: the field types refuse everything their constructors
+//! would `assert!` against (slope ordering, simplex coverage, partition
+//! range, finite floats), surfaced as [`CdbError::CorruptRecord`] with the
+//! [`WAL_RECORD`] sentinel, which replay treats as the end of the usable
+//! log.
 
 use cdb_geometry::tuple::GeneralizedTuple;
-use cdb_storage::{RecordReader, RecordWriter};
+use cdb_storage::codec::{self, finite};
 
 use crate::ddim::SlopePoints;
 use crate::error::{CdbError, WAL_RECORD};
+use crate::partition::PartitionSpec;
 use crate::slopes::SlopeSet;
-
-fn corrupt() -> CdbError {
-    CdbError::CorruptRecord(WAL_RECORD)
-}
-
-const TAG_CREATE_RELATION: u8 = 1;
-const TAG_DROP_RELATION: u8 = 2;
-const TAG_INSERT: u8 = 3;
-const TAG_DELETE: u8 = 4;
-const TAG_BUILD_DUAL: u8 = 5;
-const TAG_BUILD_DUAL_D: u8 = 6;
-const TAG_BUILD_RPLUS: u8 = 7;
-const TAG_TIGHTEN_INDEX: u8 = 8;
-const TAG_SET_PARTITION: u8 = 9;
+use crate::wire::tuple;
 
 /// One logged mutation, carrying the parameters of the engine call that
 /// produced it.
@@ -63,218 +52,37 @@ pub(crate) enum WalRecord {
     BuildRPlus { relation: String, fill: f64 },
     /// `tighten_index(relation)`.
     TightenIndex { relation: String },
-    /// `set_partition(PartitionSpec { shards, shard, seed })` — logged so
-    /// crash replay (and a follower applying the shipped stream) installs
-    /// the spec before re-running any insert, keeping id allocation
-    /// deterministic.
-    SetPartition { shards: u32, shard: u32, seed: u64 },
+    /// `set_partition(spec)` — logged so crash replay (and a follower
+    /// applying the shipped stream) installs the spec before re-running any
+    /// insert, keeping id allocation deterministic.
+    SetPartition(PartitionSpec),
 }
+
+cdb_storage::wire_enum!(WalRecord {
+    1 => CreateRelation { name, dim },
+    2 => DropRelation { name },
+    3 => Insert { relation, tuple as tuple },
+    4 => Delete { relation, id },
+    5 => BuildDual { relation, slopes },
+    6 => BuildDualD { relation, points },
+    7 => BuildRPlus { relation, fill as finite },
+    8 => TightenIndex { relation },
+    9 => SetPartition(spec),
+});
 
 impl WalRecord {
     /// Serializes the record for the log.
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut w = RecordWriter::new();
-        match self {
-            WalRecord::CreateRelation { name, dim } => {
-                w.put_u8(TAG_CREATE_RELATION);
-                w.put_str(name);
-                w.put_u32(*dim);
-            }
-            WalRecord::DropRelation { name } => {
-                w.put_u8(TAG_DROP_RELATION);
-                w.put_str(name);
-            }
-            WalRecord::Insert { relation, tuple } => {
-                w.put_u8(TAG_INSERT);
-                w.put_str(relation);
-                w.put_bytes(&tuple.encode());
-            }
-            WalRecord::Delete { relation, id } => {
-                w.put_u8(TAG_DELETE);
-                w.put_str(relation);
-                w.put_u32(*id);
-            }
-            WalRecord::BuildDual { relation, slopes } => {
-                w.put_u8(TAG_BUILD_DUAL);
-                w.put_str(relation);
-                let s = slopes.as_slice();
-                w.put_u32(s.len() as u32);
-                for &v in s {
-                    w.put_f64(v);
-                }
-            }
-            WalRecord::BuildDualD { relation, points } => {
-                w.put_u8(TAG_BUILD_DUAL_D);
-                w.put_str(relation);
-                w.put_u32(points.dim() as u32);
-                w.put_u32(points.len() as u32);
-                for p in points.as_slice() {
-                    for &c in p {
-                        w.put_f64(c);
-                    }
-                }
-                match points.grid_axes() {
-                    Some(axes) => {
-                        w.put_u8(1);
-                        for axis in axes {
-                            w.put_u32(axis.len() as u32);
-                            for &c in axis {
-                                w.put_f64(c);
-                            }
-                        }
-                    }
-                    None => w.put_u8(0),
-                }
-            }
-            WalRecord::BuildRPlus { relation, fill } => {
-                w.put_u8(TAG_BUILD_RPLUS);
-                w.put_str(relation);
-                w.put_f64(*fill);
-            }
-            WalRecord::TightenIndex { relation } => {
-                w.put_u8(TAG_TIGHTEN_INDEX);
-                w.put_str(relation);
-            }
-            WalRecord::SetPartition {
-                shards,
-                shard,
-                seed,
-            } => {
-                w.put_u8(TAG_SET_PARTITION);
-                w.put_u32(*shards);
-                w.put_u32(*shard);
-                w.put_u64(*seed);
-            }
-        }
-        w.into_bytes()
+        codec::encode(self)
     }
 
-    /// Deserializes a logged record, validating every constructor
-    /// invariant so replay can never panic on bad bytes.
+    /// Deserializes a logged record.
     ///
     /// # Errors
     /// [`CdbError::CorruptRecord`] (id [`WAL_RECORD`]) on an unknown tag,
     /// truncation, trailing garbage, or values a constructor would refuse.
     pub(crate) fn decode(bytes: &[u8]) -> Result<WalRecord, CdbError> {
-        let mut r = RecordReader::new(bytes);
-        let on_err = |_| corrupt();
-        let rec = match r.get_u8().map_err(on_err)? {
-            TAG_CREATE_RELATION => WalRecord::CreateRelation {
-                name: r.get_str().map_err(on_err)?.to_string(),
-                dim: r.get_u32().map_err(on_err)?,
-            },
-            TAG_DROP_RELATION => WalRecord::DropRelation {
-                name: r.get_str().map_err(on_err)?.to_string(),
-            },
-            TAG_INSERT => {
-                let relation = r.get_str().map_err(on_err)?.to_string();
-                let tuple =
-                    GeneralizedTuple::decode(r.get_bytes().map_err(on_err)?).ok_or(corrupt())?;
-                WalRecord::Insert { relation, tuple }
-            }
-            TAG_DELETE => WalRecord::Delete {
-                relation: r.get_str().map_err(on_err)?.to_string(),
-                id: r.get_u32().map_err(on_err)?,
-            },
-            TAG_BUILD_DUAL => {
-                let relation = r.get_str().map_err(on_err)?.to_string();
-                let k = r.get_u32().map_err(on_err)? as usize;
-                if k < 2 {
-                    return Err(corrupt());
-                }
-                let mut slopes = Vec::with_capacity(k.min(r.remaining() / 8));
-                for _ in 0..k {
-                    let s = r.get_f64().map_err(on_err)?;
-                    // Ascending, distinct and finite, or SlopeSet::new
-                    // would panic.
-                    if !s.is_finite() || slopes.last().is_some_and(|&prev| s <= prev) {
-                        return Err(corrupt());
-                    }
-                    slopes.push(s);
-                }
-                WalRecord::BuildDual {
-                    relation,
-                    slopes: SlopeSet::new(slopes),
-                }
-            }
-            TAG_BUILD_DUAL_D => {
-                let relation = r.get_str().map_err(on_err)?.to_string();
-                let dim = r.get_u32().map_err(on_err)? as usize;
-                if dim < 2 {
-                    return Err(corrupt());
-                }
-                let k = r.get_u32().map_err(on_err)? as usize;
-                if k < dim {
-                    return Err(corrupt()); // SlopePoints needs a covering simplex
-                }
-                let mut points = Vec::with_capacity(k.min(r.remaining() / 8));
-                for _ in 0..k {
-                    let mut p = Vec::with_capacity(dim - 1);
-                    for _ in 0..dim - 1 {
-                        let c = r.get_f64().map_err(on_err)?;
-                        if !c.is_finite() {
-                            return Err(corrupt());
-                        }
-                        p.push(c);
-                    }
-                    points.push(p);
-                }
-                let grid_axes = match r.get_u8().map_err(on_err)? {
-                    0 => None,
-                    1 => {
-                        let mut axes = Vec::with_capacity(dim - 1);
-                        for _ in 0..dim - 1 {
-                            let n = r.get_u32().map_err(on_err)? as usize;
-                            let mut axis = Vec::with_capacity(n.min(r.remaining() / 8));
-                            for _ in 0..n {
-                                let c = r.get_f64().map_err(on_err)?;
-                                if !c.is_finite() {
-                                    return Err(corrupt());
-                                }
-                                axis.push(c);
-                            }
-                            axes.push(axis);
-                        }
-                        Some(axes)
-                    }
-                    _ => return Err(corrupt()),
-                };
-                WalRecord::BuildDualD {
-                    relation,
-                    points: SlopePoints::from_parts(dim, points, grid_axes),
-                }
-            }
-            TAG_BUILD_RPLUS => {
-                let relation = r.get_str().map_err(on_err)?.to_string();
-                let fill = r.get_f64().map_err(on_err)?;
-                if !fill.is_finite() {
-                    return Err(corrupt());
-                }
-                WalRecord::BuildRPlus { relation, fill }
-            }
-            TAG_TIGHTEN_INDEX => WalRecord::TightenIndex {
-                relation: r.get_str().map_err(on_err)?.to_string(),
-            },
-            TAG_SET_PARTITION => {
-                let shards = r.get_u32().map_err(on_err)?;
-                let shard = r.get_u32().map_err(on_err)?;
-                let seed = r.get_u64().map_err(on_err)?;
-                // PartitionSpec::new would refuse these; reject them here.
-                if shards == 0 || shard >= shards {
-                    return Err(corrupt());
-                }
-                WalRecord::SetPartition {
-                    shards,
-                    shard,
-                    seed,
-                }
-            }
-            _ => return Err(corrupt()),
-        };
-        if r.remaining() != 0 {
-            return Err(corrupt()); // trailing garbage
-        }
-        Ok(rec)
+        codec::decode(bytes).map_err(|_| CdbError::CorruptRecord(WAL_RECORD))
     }
 }
 
@@ -282,6 +90,8 @@ impl WalRecord {
 mod tests {
     use super::*;
     use cdb_geometry::{LinearConstraint, RelOp};
+    use cdb_storage::conformance::conformance;
+    use cdb_storage::{RecordWriter, Wire};
 
     fn box_tuple() -> GeneralizedTuple {
         GeneralizedTuple::new(vec![
@@ -292,55 +102,82 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn every_variant_round_trips() {
-        let records = vec![
-            WalRecord::CreateRelation {
-                name: "r".into(),
+    /// The sample after `prev`, one arm per variant: a new variant does
+    /// not compile until it is given a sample here.
+    fn sample_after(prev: Option<&WalRecord>) -> Option<WalRecord> {
+        let relation = || "r".to_string();
+        Some(match prev {
+            None => WalRecord::CreateRelation {
+                name: relation(),
                 dim: 2,
             },
-            WalRecord::DropRelation { name: "r".into() },
-            WalRecord::Insert {
-                relation: "r".into(),
+            Some(WalRecord::CreateRelation { .. }) => WalRecord::DropRelation { name: relation() },
+            Some(WalRecord::DropRelation { .. }) => WalRecord::Insert {
+                relation: relation(),
                 tuple: box_tuple(),
             },
-            WalRecord::Delete {
-                relation: "r".into(),
+            Some(WalRecord::Insert { .. }) => WalRecord::Delete {
+                relation: relation(),
                 id: 7,
             },
-            WalRecord::BuildDual {
-                relation: "r".into(),
-                slopes: SlopeSet::uniform_tan(6),
+            Some(WalRecord::Delete { .. }) => WalRecord::BuildDual {
+                relation: relation(),
+                slopes: SlopeSet::new(vec![-2.0, -0.5, 0.75, 3.0]),
             },
-            WalRecord::BuildDualD {
-                relation: "r".into(),
+            Some(WalRecord::BuildDual { .. }) => WalRecord::BuildDualD {
+                relation: relation(),
                 points: SlopePoints::grid(3, 2, 1.0),
             },
+            Some(WalRecord::BuildDualD { .. }) => WalRecord::BuildRPlus {
+                relation: relation(),
+                fill: 0.8,
+            },
+            Some(WalRecord::BuildRPlus { .. }) => WalRecord::TightenIndex {
+                relation: relation(),
+            },
+            Some(WalRecord::TightenIndex { .. }) => {
+                WalRecord::SetPartition(PartitionSpec::new(4, 2, 0xC0FFEE).unwrap())
+            }
+            Some(WalRecord::SetPartition(_)) => return None,
+        })
+    }
+
+    /// Every variant once, plus a non-grid `BuildDualD` after the grid one
+    /// — the order of `golden/wal_records.hex`.
+    fn samples() -> Vec<WalRecord> {
+        let mut all: Vec<_> =
+            std::iter::successors(sample_after(None), |prev| sample_after(Some(prev))).collect();
+        all.insert(
+            6,
             WalRecord::BuildDualD {
                 relation: "r".into(),
                 points: SlopePoints::new(3, vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]),
             },
-            WalRecord::BuildRPlus {
-                relation: "r".into(),
-                fill: 0.8,
-            },
-            WalRecord::TightenIndex {
-                relation: "r".into(),
-            },
-            WalRecord::SetPartition {
-                shards: 4,
-                shard: 2,
-                seed: 0xC0FFEE,
-            },
-        ];
-        for rec in records {
-            let bytes = rec.encode();
-            assert_eq!(WalRecord::decode(&bytes).unwrap(), rec, "{rec:?}");
+        );
+        all
+    }
+
+    #[test]
+    fn wal_record_conformance() {
+        conformance(&samples(), WalRecord::encode, WalRecord::decode);
+    }
+
+    #[test]
+    fn golden_bytes_are_those_of_the_parent_format() {
+        let golden: Vec<Vec<u8>> = include_str!("../golden/wal_records.hex")
+            .lines()
+            .map(crate::unhex)
+            .collect();
+        let samples = samples();
+        assert_eq!(golden.len(), samples.len());
+        for (rec, bytes) in samples.iter().zip(&golden) {
+            assert_eq!(&rec.encode(), bytes, "{rec:?}");
+            assert_eq!(&WalRecord::decode(bytes).unwrap(), rec);
         }
     }
 
     #[test]
-    fn decode_rejects_garbage_without_panicking() {
+    fn decode_rejects_what_constructors_would_refuse() {
         let is_corrupt = |b: &[u8]| {
             matches!(
                 WalRecord::decode(b),
@@ -350,37 +187,23 @@ mod tests {
         assert!(is_corrupt(&[]));
         assert!(is_corrupt(&[0xFF]));
         assert!(is_corrupt(b"\x01truncated"));
-        // Trailing garbage after a valid record.
-        let mut bytes = WalRecord::DropRelation { name: "r".into() }.encode();
-        bytes.push(0);
-        assert!(is_corrupt(&bytes));
-        // Non-ascending slopes would make SlopeSet::new panic.
-        let mut w = RecordWriter::new();
-        w.put_u8(TAG_BUILD_DUAL);
-        w.put_str("r");
-        w.put_u32(2);
-        w.put_f64(1.0);
-        w.put_f64(0.5);
-        assert!(is_corrupt(&w.into_bytes()));
+        let record = |tag: u8, body: &dyn Fn(&mut RecordWriter)| {
+            let mut w = RecordWriter::new();
+            (tag, "r".to_string()).put(&mut w);
+            body(&mut w);
+            w.into_bytes()
+        };
+        // Non-ascending slopes would make SlopeSet::new reorder them.
+        assert!(is_corrupt(&record(5, &|w| vec![1.0, 0.5].put(w))));
         // Too few points for a covering simplex.
-        let mut w = RecordWriter::new();
-        w.put_u8(TAG_BUILD_DUAL_D);
-        w.put_str("r");
-        w.put_u32(3);
-        w.put_u32(2);
-        assert!(is_corrupt(&w.into_bytes()));
+        assert!(is_corrupt(&record(6, &|w| (3u32, 2u32).put(w))));
+        // A forged dimension must not size any allocation.
+        assert!(is_corrupt(&record(6, &|w| (u32::MAX, u32::MAX).put(w))));
         // Non-finite fill factor.
+        assert!(is_corrupt(&record(7, &|w| f64::NAN.put(w))));
+        // Out-of-range shard index (PartitionSpec::new would refuse).
         let mut w = RecordWriter::new();
-        w.put_u8(TAG_BUILD_RPLUS);
-        w.put_str("r");
-        w.put_f64(f64::NAN);
-        assert!(is_corrupt(&w.into_bytes()));
-        // Out-of-range shard index (would make PartitionSpec::new refuse).
-        let mut w = RecordWriter::new();
-        w.put_u8(TAG_SET_PARTITION);
-        w.put_u32(2);
-        w.put_u32(2);
-        w.put_u64(1);
+        (9u8, 2u32, (2u32, 1u64)).put(&mut w);
         assert!(is_corrupt(&w.into_bytes()));
     }
 }

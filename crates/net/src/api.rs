@@ -99,7 +99,7 @@ pub(crate) fn expect_explain(response: Response) -> Result<(String, QueryResult)
 
 pub(crate) fn expect_sql(response: Response) -> Result<SqlOutcome, NetError> {
     match response {
-        Response::Sql(o) => Ok(o.into()),
+        Response::Sql(o) => Ok(o),
         other => Err(protocol_violation(&other)),
     }
 }

@@ -86,7 +86,7 @@ pub(crate) fn apply_read<P: PageSource>(
         }
         Request::Sql { text, mode } => snap
             .sql(text, *mode)
-            .map(|o| Response::Sql((&o).into()))
+            .map(Response::Sql)
             .map_err(NetError::Db),
         Request::FetchTuple { relation, id } => snap
             .fetch_tuple(relation, *id)
@@ -150,15 +150,9 @@ pub(crate) fn apply_engine(
             .map(Response::Tuple)
             .map_err(NetError::Db),
         Request::BuildDual { relation, slopes } => {
-            let mut distinct = slopes.clone();
-            distinct.sort_by(f64::total_cmp);
-            distinct.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-            if distinct.len() < 2 || !distinct.iter().all(|s| s.is_finite()) {
-                return Err(NetError::Malformed(
-                    "a slope set needs at least 2 distinct finite slopes".into(),
-                ));
-            }
-            db.build_dual_index(&relation, SlopeSet::new(slopes))
+            let slopes =
+                SlopeSet::try_new(slopes).map_err(|why| NetError::Malformed(why.into()))?;
+            db.build_dual_index(&relation, slopes)
                 .map(|_| Response::Unit)
                 .map_err(NetError::Db)
         }

@@ -60,3 +60,7 @@ pub use cluster::{ClusterClient, ClusterConfig};
 pub use proto::{NetError, ReplicationInfo, Request, Response, ShardIdentity, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ShutdownHandle};
 pub use shard::{ShardMap, ShardedClient};
+
+#[cfg(test)]
+#[global_allocator]
+static PEAK_ALLOC: cdb_storage::conformance::PeakAlloc = cdb_storage::conformance::PeakAlloc;

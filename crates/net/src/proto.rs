@@ -3,10 +3,13 @@
 //!
 //! Every message is one frame ([`cdb_storage::write_frame`] /
 //! [`cdb_storage::read_frame`]: `[len u32][payload][crc32 u32]`), whose
-//! payload is encoded with the same fallible [`RecordWriter`] /
-//! [`RecordReader`] codec the durable catalog uses — little-endian,
-//! length-prefixed strings, explicit tags. Decoding therefore *fails*
-//! (never panics, never over-allocates) on torn, malicious or
+//! payload is the message type's [`Wire`] layout — the same trait, over
+//! the same fallible [`RecordWriter`] / [`RecordReader`] pair, that lays
+//! out the durable catalog and the WAL records: little-endian,
+//! length-prefixed strings, explicit tags. Each type in this file declares
+//! its layout once, in the `wire_struct!` / `wire_enum!` line under it (the
+//! engine's own types declare theirs in `cdb-core`). Decoding therefore
+//! *fails* (never panics, never over-allocates) on torn, malicious or
 //! version-skewed bytes, exactly like catalog reads.
 //!
 //! Connection lifecycle:
@@ -22,8 +25,8 @@
 //!    is relative to receipt; 0 means no deadline.
 //! 4. **Responses** (server → client):
 //!    `[request_id u64][lsn u64][status u8][body]` where status 0 carries
-//!    a tagged [`Response`] and any other status carries a [`NetError`]
-//!    body. The request id is echoed verbatim. `lsn` stamps the state the
+//!    a tagged [`Response`] and any other status is the tag of a
+//!    [`NetError`]. The request id is echoed verbatim. `lsn` stamps the state the
 //!    answer reflects — the snapshot's applied LSN for reads, the durable
 //!    LSN after the batch for writes — which is what a cluster client's
 //!    read-your-writes mode compares against.
@@ -37,14 +40,15 @@
 //! tag, so a client can distinguish "your query is wrong" from "the
 //! relation is quarantined" without parsing message strings.
 
-use cdb_core::plan::{CostEstimate, MethodKind};
 use cdb_core::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
-use cdb_core::sql::{SqlMode, SqlOutcome, SqlRow};
-use cdb_core::{CdbError, DbStats, RelationHealth, RelationStats, WalReplay, WalStats};
-use cdb_geometry::constraint::RelOp;
-use cdb_geometry::halfplane::HalfPlane;
+use cdb_core::sql::{SqlMode, SqlOutcome};
+use cdb_core::wire::tuple;
+use cdb_core::{CdbError, DbStats, RelationHealth, WalReplay};
 use cdb_geometry::tuple::GeneralizedTuple;
-use cdb_storage::{CodecError, EpochStats, IoStats, PagerRecovery, RecordReader, RecordWriter};
+use cdb_storage::codec::{self, ascending, finite};
+use cdb_storage::{
+    wire_enum, wire_struct, CodecError, PagerRecovery, RecordReader, RecordWriter, Wire,
+};
 
 /// Protocol magic, first bytes of both greeting and hello.
 pub const MAGIC: [u8; 4] = *b"CDBN";
@@ -58,8 +62,11 @@ pub const MAGIC: [u8; 4] = *b"CDBN";
 /// stream frames), the `NotPrimary` redirect error, a replication section
 /// in `Stats`, and an LSN stamp on every response envelope; version 6
 /// added sharding (the `WrongShard` redirect error, and the active-session
-/// count plus shard identity in `Stats`).
-pub const PROTOCOL_VERSION: u16 = 6;
+/// count plus shard identity in `Stats`); version 7 gave every type its one
+/// `Wire` layout: `Strategy` and `SelectionKind` take the catalog's tags,
+/// the replication section of `Stats` and the quarantine verdict of `Fsck`
+/// are plain `Option`s, and `Transport`/`Timeout` have error tags.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Handshake verdict carried by the server's greeting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,64 +82,43 @@ pub enum HandshakeStatus {
     ShuttingDown,
 }
 
-impl HandshakeStatus {
-    fn tag(self) -> u8 {
-        match self {
-            HandshakeStatus::Ok => 0,
-            HandshakeStatus::VersionMismatch => 1,
-            HandshakeStatus::Overloaded => 2,
-            HandshakeStatus::ShuttingDown => 3,
-        }
-    }
+wire_enum!(HandshakeStatus { 0 => Ok, 1 => VersionMismatch, 2 => Overloaded, 3 => ShuttingDown });
 
-    fn from_tag(t: u8) -> Result<Self, CodecError> {
-        Ok(match t {
-            0 => HandshakeStatus::Ok,
-            1 => HandshakeStatus::VersionMismatch,
-            2 => HandshakeStatus::Overloaded,
-            3 => HandshakeStatus::ShuttingDown,
-            _ => return Err(CodecError::Invalid("handshake status tag")),
-        })
+/// The length-prefixed [`MAGIC`] that opens both handshake payloads.
+struct Magic;
+
+impl Wire for Magic {
+    fn put(&self, w: &mut RecordWriter) {
+        w.put_bytes(&MAGIC)
+    }
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+        if r.get_bytes()? == MAGIC {
+            Ok(Magic)
+        } else {
+            Err(CodecError::Invalid("handshake magic"))
+        }
     }
 }
 
 /// Encodes the server's greeting payload.
 pub fn encode_greeting(version: u16, status: HandshakeStatus) -> Vec<u8> {
-    let mut w = RecordWriter::new();
-    w.put_bytes(&MAGIC);
-    w.put_u16(version);
-    w.put_u8(status.tag());
-    w.into_bytes()
+    codec::encode(&(Magic, version, status))
 }
 
 /// Decodes a greeting payload into `(server_version, status)`.
 pub fn decode_greeting(buf: &[u8]) -> Result<(u16, HandshakeStatus), CodecError> {
-    let mut r = RecordReader::new(buf);
-    if r.get_bytes()? != MAGIC {
-        return Err(CodecError::Invalid("greeting magic"));
-    }
-    let version = r.get_u16()?;
-    let status = HandshakeStatus::from_tag(r.get_u8()?)?;
-    expect_end(&r)?;
+    let (Magic, version, status) = codec::decode(buf)?;
     Ok((version, status))
 }
 
 /// Encodes the client's hello payload.
 pub fn encode_hello(version: u16) -> Vec<u8> {
-    let mut w = RecordWriter::new();
-    w.put_bytes(&MAGIC);
-    w.put_u16(version);
-    w.into_bytes()
+    codec::encode(&(Magic, version))
 }
 
 /// Decodes a hello payload into the client's version.
 pub fn decode_hello(buf: &[u8]) -> Result<u16, CodecError> {
-    let mut r = RecordReader::new(buf);
-    if r.get_bytes()? != MAGIC {
-        return Err(CodecError::Invalid("hello magic"));
-    }
-    let version = r.get_u16()?;
-    expect_end(&r)?;
+    let (Magic, version) = codec::decode(buf)?;
     Ok(version)
 }
 
@@ -305,6 +291,28 @@ impl Request {
     }
 }
 
+wire_enum!(Request {
+    0 => Ping,
+    1 => CreateRelation { relation, dim },
+    2 => DropRelation { relation },
+    3 => Insert { relation, tuple as tuple },
+    4 => Delete { relation, id },
+    5 => BuildDual { relation, slopes as finite },
+    6 => BuildDualD { relation, per_axis, range as finite },
+    7 => BuildRPlus { relation, fill as finite },
+    8 => Query { relation, strategy, selection },
+    9 => Explain { relation, selection },
+    10 => FetchTuple { relation, id },
+    11 => ListRelations,
+    12 => Stats,
+    13 => Fsck,
+    14 => Checkpoint,
+    15 => Shutdown,
+    16 => QueryLine { relation, kind, a as finite, c as finite },
+    17 => Sql { text, mode },
+    18 => Subscribe { from_lsn, follower_id },
+});
+
 /// A request frame: id, relative deadline, operation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RequestEnvelope {
@@ -315,6 +323,12 @@ pub struct RequestEnvelope {
     /// The operation.
     pub request: Request,
 }
+
+wire_struct!(RequestEnvelope {
+    request_id,
+    deadline_ms,
+    request
+});
 
 /// Successful response bodies, tagged so the decoder is self-describing.
 #[derive(Clone, Debug, PartialEq)]
@@ -335,7 +349,7 @@ pub enum Response {
         result: WireQueryResult,
     },
     /// Constraint-SQL outcome: columns, rows and/or a rendered plan.
-    Sql(WireSqlOutcome),
+    Sql(SqlOutcome),
     /// Relation names, sorted.
     Relations(Vec<String>),
     /// Engine statistics snapshot plus the serving node's replication
@@ -361,6 +375,19 @@ pub enum Response {
         durable_lsn: u64,
     },
 }
+
+wire_enum!(Response {
+    0 => Unit,
+    1 => Inserted(id),
+    2 => Tuple(t as tuple),
+    3 => Query(result),
+    4 => Explain { rendered, result },
+    5 => Relations(names),
+    6 => Stats { db, replication, connections, shard },
+    7 => Fsck(report),
+    8 => Sql(outcome),
+    9 => Subscribed { start_lsn, durable_lsn },
+});
 
 /// Replication role and progress, carried inside [`Response::Stats`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -388,6 +415,11 @@ pub enum ReplicationInfo {
     },
 }
 
+wire_enum!(ReplicationInfo {
+    1 => Primary { followers },
+    2 => Replica { primary, connected, applied_lsn, batches, source_lsn },
+});
+
 /// One node's place in a sharded deployment, carried inside
 /// [`Response::Stats`] so clients can verify their shard map against what
 /// the node believes.
@@ -403,6 +435,13 @@ pub struct ShardIdentity {
     pub epoch: u64,
 }
 
+wire_struct!(ShardIdentity {
+    shard,
+    shards,
+    seed,
+    epoch
+});
+
 /// Per-follower shipping progress tracked by a primary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FollowerInfo {
@@ -416,6 +455,13 @@ pub struct FollowerInfo {
     pub batches: u64,
 }
 
+wire_struct!(FollowerInfo {
+    id,
+    connected,
+    acked_lsn,
+    batches
+});
+
 /// One shipped batch of WAL records (primary → follower, after
 /// [`Response::Subscribed`]). An empty `records` is a heartbeat carrying
 /// a fresh `durable_lsn`.
@@ -428,6 +474,11 @@ pub struct WalBatch {
     pub records: Vec<(u64, Vec<u8>)>,
 }
 
+// A gap in the LSNs is a protocol violation.
+wire_struct!(WalBatch { durable_lsn, records } => |b: &WalBatch| {
+    b.records.windows(2).all(|p| p[1].0 == p[0].0 + 1)
+});
+
 /// A [`QueryResult`] in transportable form: ids are sorted and unique
 /// (validated on decode), stats carry the full planner accounting.
 #[derive(Clone, Debug, PartialEq)]
@@ -438,70 +489,13 @@ pub struct WireQueryResult {
     pub stats: QueryStats,
 }
 
+wire_struct!(WireQueryResult { ids as ascending, stats });
+
 impl From<&QueryResult> for WireQueryResult {
     fn from(r: &QueryResult) -> Self {
         WireQueryResult {
             ids: r.ids().to_vec(),
             stats: r.stats,
-        }
-    }
-}
-
-/// A [`SqlOutcome`] in transportable form. Identical shape; the wire type
-/// exists so the codec layer owns validation on decode.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireSqlOutcome {
-    /// Column headers.
-    pub columns: Vec<String>,
-    /// Result rows (empty for explain modes).
-    pub rows: Vec<WireSqlRow>,
-    /// Rendered operator tree (explain modes).
-    pub plan: Option<String>,
-    /// Aggregated scan accounting.
-    pub stats: QueryStats,
-}
-
-/// One [`SqlRow`] on the wire.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireSqlRow {
-    /// Tuple ids, one per `FROM` relation.
-    pub ids: Vec<u32>,
-    /// The projected region, when the query projects variables.
-    pub region: Option<GeneralizedTuple>,
-}
-
-impl From<&SqlOutcome> for WireSqlOutcome {
-    fn from(o: &SqlOutcome) -> Self {
-        WireSqlOutcome {
-            columns: o.columns.clone(),
-            rows: o
-                .rows
-                .iter()
-                .map(|r| WireSqlRow {
-                    ids: r.ids.clone(),
-                    region: r.region.clone(),
-                })
-                .collect(),
-            plan: o.plan.clone(),
-            stats: o.stats,
-        }
-    }
-}
-
-impl From<WireSqlOutcome> for SqlOutcome {
-    fn from(o: WireSqlOutcome) -> Self {
-        SqlOutcome {
-            columns: o.columns,
-            rows: o
-                .rows
-                .into_iter()
-                .map(|r| SqlRow {
-                    ids: r.ids,
-                    region: r.region,
-                })
-                .collect(),
-            plan: o.plan,
-            stats: o.stats,
         }
     }
 }
@@ -520,6 +514,13 @@ pub struct WireRecoveryReport {
     /// for engines without a durable quarantine.
     pub quarantine: Option<bool>,
 }
+
+wire_struct!(WireRecoveryReport {
+    pager,
+    wal,
+    relations,
+    quarantine
+});
 
 /// Failure responses. `Db` carries the engine's structured error; the
 /// rest are conditions of the serving layer itself.
@@ -556,13 +557,27 @@ pub enum NetError {
         hint: u32,
     },
     /// Client-side transport failure (connection reset, frame corruption).
-    /// Never sent over the wire.
+    /// No server generates it.
     Transport(String),
     /// A client-side socket timeout: the peer was slow, hung or
     /// blackholed. The request may or may not have executed, so only
-    /// idempotent operations should be retried. Never sent over the wire.
+    /// idempotent operations should be retried. No server generates it.
     Timeout,
 }
+
+// Tags are the response envelope's status byte; 0 is taken by success.
+wire_enum!(NetError {
+    1 => Db(e),
+    2 => Overloaded,
+    3 => DeadlineExceeded,
+    4 => Malformed(why),
+    5 => ShuttingDown,
+    6 => VersionMismatch { server_version },
+    7 => NotPrimary { leader_hint },
+    8 => WrongShard { map_epoch, hint },
+    9 => Transport(why),
+    10 => Timeout,
+});
 
 impl NetError {
     /// `true` for failures worth retrying — on the same node after a
@@ -611,899 +626,16 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-// --------------------------------------------------------------- tag tables
-
-fn strategy_tag(s: Strategy) -> u8 {
-    match s {
-        Strategy::Restricted => 0,
-        Strategy::T1 => 1,
-        Strategy::T2 => 2,
-        Strategy::Auto => 3,
-        Strategy::Scan => 4,
-        Strategy::RPlus => 5,
-    }
-}
-
-fn strategy_from_tag(t: u8) -> Result<Strategy, CodecError> {
-    Ok(match t {
-        0 => Strategy::Restricted,
-        1 => Strategy::T1,
-        2 => Strategy::T2,
-        3 => Strategy::Auto,
-        4 => Strategy::Scan,
-        5 => Strategy::RPlus,
-        _ => return Err(CodecError::Invalid("strategy tag")),
-    })
-}
-
-fn sql_mode_tag(m: SqlMode) -> u8 {
-    match m {
-        SqlMode::Execute => 0,
-        SqlMode::Explain => 1,
-        SqlMode::ExplainAnalyze => 2,
-    }
-}
-
-fn sql_mode_from_tag(t: u8) -> Result<SqlMode, CodecError> {
-    Ok(match t {
-        0 => SqlMode::Execute,
-        1 => SqlMode::Explain,
-        2 => SqlMode::ExplainAnalyze,
-        _ => return Err(CodecError::Invalid("sql mode tag")),
-    })
-}
-
-fn method_tag(m: MethodKind) -> u8 {
-    match m {
-        MethodKind::Restricted => 0,
-        MethodKind::T1 => 1,
-        MethodKind::T2 => 2,
-        MethodKind::DualD => 3,
-        MethodKind::SeqScan => 4,
-        MethodKind::RPlus => 5,
-    }
-}
-
-fn method_from_tag(t: u8) -> Result<MethodKind, CodecError> {
-    Ok(match t {
-        0 => MethodKind::Restricted,
-        1 => MethodKind::T1,
-        2 => MethodKind::T2,
-        3 => MethodKind::DualD,
-        4 => MethodKind::SeqScan,
-        5 => MethodKind::RPlus,
-        _ => return Err(CodecError::Invalid("method tag")),
-    })
-}
-
-// ----------------------------------------------------------- field helpers
-
-fn expect_end(r: &RecordReader<'_>) -> Result<(), CodecError> {
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes"));
-    }
-    Ok(())
-}
-
-fn get_finite_f64(r: &mut RecordReader<'_>) -> Result<f64, CodecError> {
-    let v = r.get_f64()?;
-    if !v.is_finite() {
-        return Err(CodecError::Invalid("non-finite coefficient"));
-    }
-    Ok(v)
-}
-
-/// Reads a count-prefixed vector without trusting the count for
-/// allocation: elements are pushed as their bytes actually arrive, so a
-/// forged count fails with `Truncated` after at most the real buffer.
-fn get_counted<T>(
-    r: &mut RecordReader<'_>,
-    mut read: impl FnMut(&mut RecordReader<'_>) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
-    let n = r.get_u32()? as usize;
-    let mut v = Vec::new();
-    for _ in 0..n {
-        v.push(read(r)?);
-    }
-    Ok(v)
-}
-
-fn put_halfplane(w: &mut RecordWriter, h: &HalfPlane) {
-    w.put_u8(match h.op {
-        RelOp::Le => 0,
-        RelOp::Ge => 1,
-    });
-    w.put_f64(h.intercept);
-    w.put_u32(h.slope.len() as u32);
-    for &s in &h.slope {
-        w.put_f64(s);
-    }
-}
-
-fn get_halfplane(r: &mut RecordReader<'_>) -> Result<HalfPlane, CodecError> {
-    let op = match r.get_u8()? {
-        0 => RelOp::Le,
-        1 => RelOp::Ge,
-        _ => return Err(CodecError::Invalid("relop tag")),
-    };
-    let intercept = get_finite_f64(r)?;
-    let slope = get_counted(r, get_finite_f64)?;
-    // Coefficients are finite by construction above, so `new` cannot panic.
-    Ok(HalfPlane::new(slope, intercept, op))
-}
-
-fn put_selection(w: &mut RecordWriter, s: &Selection) {
-    w.put_u8(match s.kind {
-        SelectionKind::All => 0,
-        SelectionKind::Exist => 1,
-    });
-    put_halfplane(w, &s.halfplane);
-}
-
-fn get_selection(r: &mut RecordReader<'_>) -> Result<Selection, CodecError> {
-    let kind = match r.get_u8()? {
-        0 => SelectionKind::All,
-        1 => SelectionKind::Exist,
-        _ => return Err(CodecError::Invalid("selection kind tag")),
-    };
-    let halfplane = get_halfplane(r)?;
-    Ok(Selection { kind, halfplane })
-}
-
-fn put_tuple(w: &mut RecordWriter, t: &GeneralizedTuple) {
-    w.put_bytes(&t.encode());
-}
-
-fn get_tuple(r: &mut RecordReader<'_>) -> Result<GeneralizedTuple, CodecError> {
-    GeneralizedTuple::decode(r.get_bytes()?).ok_or(CodecError::Invalid("tuple bytes"))
-}
-
-fn put_iostats(w: &mut RecordWriter, s: &IoStats) {
-    w.put_u64(s.reads);
-    w.put_u64(s.writes);
-    w.put_u64(s.allocations);
-    w.put_u64(s.frees);
-}
-
-fn get_iostats(r: &mut RecordReader<'_>) -> Result<IoStats, CodecError> {
-    Ok(IoStats {
-        reads: r.get_u64()?,
-        writes: r.get_u64()?,
-        allocations: r.get_u64()?,
-        frees: r.get_u64()?,
-    })
-}
-
-fn put_query_stats(w: &mut RecordWriter, s: &QueryStats) {
-    put_iostats(w, &s.index_io);
-    put_iostats(w, &s.heap_io);
-    w.put_u64(s.candidates);
-    w.put_u64(s.duplicates);
-    w.put_u64(s.false_hits);
-    w.put_u64(s.accepted_by_key);
-    match s.method {
-        None => w.put_u8(0),
-        Some(m) => {
-            w.put_u8(1);
-            w.put_u8(method_tag(m));
-        }
-    }
-    match &s.estimate {
-        None => w.put_u8(0),
-        Some(e) => {
-            w.put_u8(1);
-            w.put_f64(e.index_pages);
-            w.put_f64(e.heap_pages);
-            w.put_f64(e.candidates);
-        }
-    }
-}
-
-fn get_query_stats(r: &mut RecordReader<'_>) -> Result<QueryStats, CodecError> {
-    let index_io = get_iostats(r)?;
-    let heap_io = get_iostats(r)?;
-    let candidates = r.get_u64()?;
-    let duplicates = r.get_u64()?;
-    let false_hits = r.get_u64()?;
-    let accepted_by_key = r.get_u64()?;
-    let method = match r.get_u8()? {
-        0 => None,
-        1 => Some(method_from_tag(r.get_u8()?)?),
-        _ => return Err(CodecError::Invalid("method option tag")),
-    };
-    let estimate = match r.get_u8()? {
-        0 => None,
-        1 => Some(CostEstimate {
-            index_pages: r.get_f64()?,
-            heap_pages: r.get_f64()?,
-            candidates: r.get_f64()?,
-        }),
-        _ => return Err(CodecError::Invalid("estimate option tag")),
-    };
-    Ok(QueryStats {
-        index_io,
-        heap_io,
-        candidates,
-        duplicates,
-        false_hits,
-        accepted_by_key,
-        method,
-        estimate,
-    })
-}
-
-fn put_wire_result(w: &mut RecordWriter, res: &WireQueryResult) {
-    w.put_u32(res.ids.len() as u32);
-    for &id in &res.ids {
-        w.put_u32(id);
-    }
-    put_query_stats(w, &res.stats);
-}
-
-fn get_wire_result(r: &mut RecordReader<'_>) -> Result<WireQueryResult, CodecError> {
-    let ids = get_counted(r, |r| r.get_u32())?;
-    if ids.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(CodecError::Invalid("result ids not sorted-unique"));
-    }
-    let stats = get_query_stats(r)?;
-    Ok(WireQueryResult { ids, stats })
-}
-
-fn put_sql_outcome(w: &mut RecordWriter, o: &WireSqlOutcome) {
-    w.put_u32(o.columns.len() as u32);
-    for c in &o.columns {
-        w.put_str(c);
-    }
-    w.put_u32(o.rows.len() as u32);
-    for row in &o.rows {
-        w.put_u32(row.ids.len() as u32);
-        for &id in &row.ids {
-            w.put_u32(id);
-        }
-        match &row.region {
-            None => w.put_u8(0),
-            Some(t) => {
-                w.put_u8(1);
-                put_tuple(w, t);
-            }
-        }
-    }
-    match &o.plan {
-        None => w.put_u8(0),
-        Some(p) => {
-            w.put_u8(1);
-            w.put_str(p);
-        }
-    }
-    put_query_stats(w, &o.stats);
-}
-
-fn get_sql_outcome(r: &mut RecordReader<'_>) -> Result<WireSqlOutcome, CodecError> {
-    let columns = get_counted(r, |r| Ok(r.get_str()?.to_string()))?;
-    let rows = get_counted(r, |r| {
-        let ids = get_counted(r, |r| r.get_u32())?;
-        let region = match r.get_u8()? {
-            0 => None,
-            1 => Some(get_tuple(r)?),
-            _ => return Err(CodecError::Invalid("sql region presence")),
-        };
-        Ok(WireSqlRow { ids, region })
-    })?;
-    let plan = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_str()?.to_string()),
-        _ => return Err(CodecError::Invalid("sql plan presence")),
-    };
-    let stats = get_query_stats(r)?;
-    Ok(WireSqlOutcome {
-        columns,
-        rows,
-        plan,
-        stats,
-    })
-}
-
-fn put_health(w: &mut RecordWriter, h: &RelationHealth) {
-    match h {
-        RelationHealth::Healthy => w.put_u8(0),
-        RelationHealth::Degraded { corrupt_indexes } => {
-            w.put_u8(1);
-            w.put_u32(corrupt_indexes.len() as u32);
-            for c in corrupt_indexes {
-                w.put_str(c);
-            }
-        }
-        RelationHealth::Quarantined { detail } => {
-            w.put_u8(2);
-            w.put_str(detail);
-        }
-    }
-}
-
-fn get_health(r: &mut RecordReader<'_>) -> Result<RelationHealth, CodecError> {
-    Ok(match r.get_u8()? {
-        0 => RelationHealth::Healthy,
-        1 => RelationHealth::Degraded {
-            corrupt_indexes: get_counted(r, |r| Ok(r.get_str()?.to_string()))?,
-        },
-        2 => RelationHealth::Quarantined {
-            detail: r.get_str()?.to_string(),
-        },
-        _ => return Err(CodecError::Invalid("health tag")),
-    })
-}
-
-fn put_pager_recovery(w: &mut RecordWriter, p: &PagerRecovery) {
-    match p {
-        PagerRecovery::Clean => w.put_u8(0),
-        PagerRecovery::FellBack {
-            recovered_epoch,
-            lost_epoch,
-        } => {
-            w.put_u8(1);
-            w.put_u32(*recovered_epoch);
-            w.put_u32(*lost_epoch);
-        }
-    }
-}
-
-fn get_pager_recovery(r: &mut RecordReader<'_>) -> Result<PagerRecovery, CodecError> {
-    Ok(match r.get_u8()? {
-        0 => PagerRecovery::Clean,
-        1 => PagerRecovery::FellBack {
-            recovered_epoch: r.get_u32()?,
-            lost_epoch: r.get_u32()?,
-        },
-        _ => return Err(CodecError::Invalid("pager recovery tag")),
-    })
-}
-
-fn put_wal_replay(w: &mut RecordWriter, rep: &Option<WalReplay>) {
-    match rep {
-        None => w.put_u8(0),
-        Some(rep) => {
-            w.put_u8(1);
-            w.put_u64(rep.start_lsn);
-            w.put_u64(rep.replayed);
-            w.put_u64(rep.first_lsn);
-            w.put_u64(rep.last_lsn);
-            w.put_u8(u8::from(rep.torn_tail));
-            match &rep.error {
-                None => w.put_u8(0),
-                Some(msg) => {
-                    w.put_u8(1);
-                    w.put_str(msg);
-                }
-            }
-        }
-    }
-}
-
-fn get_wal_replay(r: &mut RecordReader<'_>) -> Result<Option<WalReplay>, CodecError> {
-    Ok(match r.get_u8()? {
-        0 => None,
-        1 => Some(WalReplay {
-            start_lsn: r.get_u64()?,
-            replayed: r.get_u64()?,
-            first_lsn: r.get_u64()?,
-            last_lsn: r.get_u64()?,
-            torn_tail: get_bool(r, "wal torn-tail flag")?,
-            error: match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_str()?.to_string()),
-                _ => return Err(CodecError::Invalid("wal error presence")),
-            },
-        }),
-        _ => return Err(CodecError::Invalid("wal replay presence")),
-    })
-}
-
-fn get_bool(r: &mut RecordReader<'_>, what: &'static str) -> Result<bool, CodecError> {
-    match r.get_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(CodecError::Invalid(what)),
-    }
-}
-
-fn put_db_stats(w: &mut RecordWriter, s: &DbStats) {
-    w.put_u32(s.relations.len() as u32);
-    for rel in &s.relations {
-        w.put_str(&rel.name);
-        w.put_u32(rel.dim as u32);
-        w.put_u64(rel.live);
-        w.put_u64(rel.heap_pages);
-        w.put_u64(rel.total_pages);
-        w.put_u32(rel.indexes.len() as u32);
-        for i in &rel.indexes {
-            w.put_str(i);
-        }
-        put_health(w, &rel.health);
-    }
-    w.put_u64(s.live_pages);
-    put_iostats(w, &s.io);
-    w.put_u8(u8::from(s.read_only));
-    w.put_u64(s.checkpoint_failures);
-    match &s.wal {
-        None => w.put_u8(0),
-        Some(wal) => {
-            w.put_u8(1);
-            w.put_u64(wal.durable_lsn);
-            w.put_u64(wal.next_lsn);
-            w.put_u64(wal.pending);
-        }
-    }
-    w.put_u64(s.epochs.current_epoch);
-    w.put_u64(s.epochs.pinned_epochs);
-    w.put_u64(s.epochs.quarantined_pages);
-}
-
-fn get_db_stats(r: &mut RecordReader<'_>) -> Result<DbStats, CodecError> {
-    let relations = get_counted(r, |r| {
-        Ok(RelationStats {
-            name: r.get_str()?.to_string(),
-            dim: r.get_u32()? as usize,
-            live: r.get_u64()?,
-            heap_pages: r.get_u64()?,
-            total_pages: r.get_u64()?,
-            indexes: get_counted(r, |r| Ok(r.get_str()?.to_string()))?,
-            health: get_health(r)?,
-        })
-    })?;
-    let live_pages = r.get_u64()?;
-    let io = get_iostats(r)?;
-    let read_only = get_bool(r, "read-only flag")?;
-    let checkpoint_failures = r.get_u64()?;
-    let wal = match r.get_u8()? {
-        0 => None,
-        1 => Some(WalStats {
-            durable_lsn: r.get_u64()?,
-            next_lsn: r.get_u64()?,
-            pending: r.get_u64()?,
-        }),
-        _ => return Err(CodecError::Invalid("wal stats presence")),
-    };
-    let epochs = EpochStats {
-        current_epoch: r.get_u64()?,
-        pinned_epochs: r.get_u64()?,
-        quarantined_pages: r.get_u64()?,
-    };
-    Ok(DbStats {
-        relations,
-        live_pages,
-        io,
-        read_only,
-        checkpoint_failures,
-        wal,
-        epochs,
-    })
-}
-
-// ------------------------------------------------------- request envelope
-
-const OP_PING: u8 = 0;
-const OP_CREATE: u8 = 1;
-const OP_DROP: u8 = 2;
-const OP_INSERT: u8 = 3;
-const OP_DELETE: u8 = 4;
-const OP_BUILD_DUAL: u8 = 5;
-const OP_BUILD_DUAL_D: u8 = 6;
-const OP_BUILD_RPLUS: u8 = 7;
-const OP_QUERY: u8 = 8;
-const OP_EXPLAIN: u8 = 9;
-const OP_FETCH: u8 = 10;
-const OP_RELATIONS: u8 = 11;
-const OP_STATS: u8 = 12;
-const OP_FSCK: u8 = 13;
-const OP_CHECKPOINT: u8 = 14;
-const OP_SHUTDOWN: u8 = 15;
-const OP_QUERY_LINE: u8 = 16;
-const OP_SQL: u8 = 17;
-const OP_SUBSCRIBE: u8 = 18;
+// ------------------------------------------------------------------ frames
 
 /// Encodes a request envelope into a frame payload.
 pub fn encode_request(env: &RequestEnvelope) -> Vec<u8> {
-    let mut w = RecordWriter::new();
-    w.put_u64(env.request_id);
-    w.put_u32(env.deadline_ms);
-    match &env.request {
-        Request::Ping => w.put_u8(OP_PING),
-        Request::CreateRelation { relation, dim } => {
-            w.put_u8(OP_CREATE);
-            w.put_str(relation);
-            w.put_u32(*dim);
-        }
-        Request::DropRelation { relation } => {
-            w.put_u8(OP_DROP);
-            w.put_str(relation);
-        }
-        Request::Insert { relation, tuple } => {
-            w.put_u8(OP_INSERT);
-            w.put_str(relation);
-            put_tuple(&mut w, tuple);
-        }
-        Request::Delete { relation, id } => {
-            w.put_u8(OP_DELETE);
-            w.put_str(relation);
-            w.put_u32(*id);
-        }
-        Request::BuildDual { relation, slopes } => {
-            w.put_u8(OP_BUILD_DUAL);
-            w.put_str(relation);
-            w.put_u32(slopes.len() as u32);
-            for &s in slopes {
-                w.put_f64(s);
-            }
-        }
-        Request::BuildDualD {
-            relation,
-            per_axis,
-            range,
-        } => {
-            w.put_u8(OP_BUILD_DUAL_D);
-            w.put_str(relation);
-            w.put_u32(*per_axis);
-            w.put_f64(*range);
-        }
-        Request::BuildRPlus { relation, fill } => {
-            w.put_u8(OP_BUILD_RPLUS);
-            w.put_str(relation);
-            w.put_f64(*fill);
-        }
-        Request::Query {
-            relation,
-            selection,
-            strategy,
-        } => {
-            w.put_u8(OP_QUERY);
-            w.put_str(relation);
-            w.put_u8(strategy_tag(*strategy));
-            put_selection(&mut w, selection);
-        }
-        Request::Explain {
-            relation,
-            selection,
-        } => {
-            w.put_u8(OP_EXPLAIN);
-            w.put_str(relation);
-            put_selection(&mut w, selection);
-        }
-        Request::QueryLine {
-            relation,
-            kind,
-            a,
-            c,
-        } => {
-            w.put_u8(OP_QUERY_LINE);
-            w.put_str(relation);
-            w.put_u8(match kind {
-                SelectionKind::All => 0,
-                SelectionKind::Exist => 1,
-            });
-            w.put_f64(*a);
-            w.put_f64(*c);
-        }
-        Request::Sql { text, mode } => {
-            w.put_u8(OP_SQL);
-            w.put_str(text);
-            w.put_u8(sql_mode_tag(*mode));
-        }
-        Request::FetchTuple { relation, id } => {
-            w.put_u8(OP_FETCH);
-            w.put_str(relation);
-            w.put_u32(*id);
-        }
-        Request::ListRelations => w.put_u8(OP_RELATIONS),
-        Request::Stats => w.put_u8(OP_STATS),
-        Request::Fsck => w.put_u8(OP_FSCK),
-        Request::Checkpoint => w.put_u8(OP_CHECKPOINT),
-        Request::Shutdown => w.put_u8(OP_SHUTDOWN),
-        Request::Subscribe {
-            from_lsn,
-            follower_id,
-        } => {
-            w.put_u8(OP_SUBSCRIBE);
-            w.put_u64(*from_lsn);
-            w.put_str(follower_id);
-        }
-    }
-    w.into_bytes()
+    codec::encode(env)
 }
 
 /// Decodes a request frame payload.
 pub fn decode_request(buf: &[u8]) -> Result<RequestEnvelope, CodecError> {
-    let mut r = RecordReader::new(buf);
-    let request_id = r.get_u64()?;
-    let deadline_ms = r.get_u32()?;
-    let op = r.get_u8()?;
-    let request = match op {
-        OP_PING => Request::Ping,
-        OP_CREATE => Request::CreateRelation {
-            relation: r.get_str()?.to_string(),
-            dim: r.get_u32()?,
-        },
-        OP_DROP => Request::DropRelation {
-            relation: r.get_str()?.to_string(),
-        },
-        OP_INSERT => Request::Insert {
-            relation: r.get_str()?.to_string(),
-            tuple: get_tuple(&mut r)?,
-        },
-        OP_DELETE => Request::Delete {
-            relation: r.get_str()?.to_string(),
-            id: r.get_u32()?,
-        },
-        OP_BUILD_DUAL => Request::BuildDual {
-            relation: r.get_str()?.to_string(),
-            slopes: get_counted(&mut r, get_finite_f64)?,
-        },
-        OP_BUILD_DUAL_D => Request::BuildDualD {
-            relation: r.get_str()?.to_string(),
-            per_axis: r.get_u32()?,
-            range: get_finite_f64(&mut r)?,
-        },
-        OP_BUILD_RPLUS => Request::BuildRPlus {
-            relation: r.get_str()?.to_string(),
-            fill: get_finite_f64(&mut r)?,
-        },
-        OP_QUERY => {
-            let relation = r.get_str()?.to_string();
-            let strategy = strategy_from_tag(r.get_u8()?)?;
-            let selection = get_selection(&mut r)?;
-            Request::Query {
-                relation,
-                selection,
-                strategy,
-            }
-        }
-        OP_EXPLAIN => Request::Explain {
-            relation: r.get_str()?.to_string(),
-            selection: get_selection(&mut r)?,
-        },
-        OP_QUERY_LINE => Request::QueryLine {
-            relation: r.get_str()?.to_string(),
-            kind: match r.get_u8()? {
-                0 => SelectionKind::All,
-                1 => SelectionKind::Exist,
-                _ => return Err(CodecError::Invalid("selection kind tag")),
-            },
-            a: get_finite_f64(&mut r)?,
-            c: get_finite_f64(&mut r)?,
-        },
-        OP_SQL => Request::Sql {
-            text: r.get_str()?.to_string(),
-            mode: sql_mode_from_tag(r.get_u8()?)?,
-        },
-        OP_FETCH => Request::FetchTuple {
-            relation: r.get_str()?.to_string(),
-            id: r.get_u32()?,
-        },
-        OP_RELATIONS => Request::ListRelations,
-        OP_STATS => Request::Stats,
-        OP_FSCK => Request::Fsck,
-        OP_CHECKPOINT => Request::Checkpoint,
-        OP_SHUTDOWN => Request::Shutdown,
-        OP_SUBSCRIBE => Request::Subscribe {
-            from_lsn: r.get_u64()?,
-            follower_id: r.get_str()?.to_string(),
-        },
-        _ => return Err(CodecError::Invalid("request op tag")),
-    };
-    expect_end(&r)?;
-    Ok(RequestEnvelope {
-        request_id,
-        deadline_ms,
-        request,
-    })
-}
-
-// ------------------------------------------------------ response envelope
-
-const STATUS_OK: u8 = 0;
-const STATUS_DB: u8 = 1;
-const STATUS_OVERLOADED: u8 = 2;
-const STATUS_DEADLINE: u8 = 3;
-const STATUS_MALFORMED: u8 = 4;
-const STATUS_SHUTTING_DOWN: u8 = 5;
-const STATUS_VERSION: u8 = 6;
-const STATUS_NOT_PRIMARY: u8 = 7;
-const STATUS_WRONG_SHARD: u8 = 8;
-
-const RESP_UNIT: u8 = 0;
-const RESP_INSERTED: u8 = 1;
-const RESP_TUPLE: u8 = 2;
-const RESP_QUERY: u8 = 3;
-const RESP_EXPLAIN: u8 = 4;
-const RESP_RELATIONS: u8 = 5;
-const RESP_STATS: u8 = 6;
-const RESP_FSCK: u8 = 7;
-const RESP_SQL: u8 = 8;
-const RESP_SUBSCRIBED: u8 = 9;
-
-/// Stream-frame markers after a subscription handshake; distinct from
-/// every response status so a desynced stream fails decode immediately.
-const REPL_BATCH: u8 = 0xB1;
-const REPL_ACK: u8 = 0xA1;
-
-const DBERR_NOT_FOUND: u8 = 0;
-const DBERR_EXISTS: u8 = 1;
-const DBERR_DIM: u8 = 2;
-const DBERR_UNSAT: u8 = 3;
-const DBERR_NO_TUPLE: u8 = 4;
-const DBERR_NO_INDEX: u8 = 5;
-const DBERR_UNSUPPORTED: u8 = 6;
-const DBERR_CORRUPT: u8 = 7;
-const DBERR_IO: u8 = 8;
-const DBERR_QUARANTINED: u8 = 9;
-const DBERR_READ_ONLY: u8 = 10;
-
-fn put_db_error(w: &mut RecordWriter, e: &CdbError) {
-    match e {
-        CdbError::RelationNotFound(n) => {
-            w.put_u8(DBERR_NOT_FOUND);
-            w.put_str(n);
-        }
-        CdbError::RelationExists(n) => {
-            w.put_u8(DBERR_EXISTS);
-            w.put_str(n);
-        }
-        CdbError::DimensionMismatch { expected, got } => {
-            w.put_u8(DBERR_DIM);
-            w.put_u32(*expected as u32);
-            w.put_u32(*got as u32);
-        }
-        CdbError::UnsatisfiableTuple => w.put_u8(DBERR_UNSAT),
-        CdbError::NoSuchTuple(id) => {
-            w.put_u8(DBERR_NO_TUPLE);
-            w.put_u32(*id);
-        }
-        CdbError::NoIndex(n) => {
-            w.put_u8(DBERR_NO_INDEX);
-            w.put_str(n);
-        }
-        CdbError::UnsupportedQuery(m) => {
-            w.put_u8(DBERR_UNSUPPORTED);
-            w.put_str(m);
-        }
-        CdbError::CorruptRecord(id) => {
-            w.put_u8(DBERR_CORRUPT);
-            w.put_u32(*id);
-        }
-        CdbError::Io(m) => {
-            w.put_u8(DBERR_IO);
-            w.put_str(m);
-        }
-        CdbError::Quarantined(n) => {
-            w.put_u8(DBERR_QUARANTINED);
-            w.put_str(n);
-        }
-        CdbError::ReadOnly => w.put_u8(DBERR_READ_ONLY),
-    }
-}
-
-fn get_db_error(r: &mut RecordReader<'_>) -> Result<CdbError, CodecError> {
-    Ok(match r.get_u8()? {
-        DBERR_NOT_FOUND => CdbError::RelationNotFound(r.get_str()?.to_string()),
-        DBERR_EXISTS => CdbError::RelationExists(r.get_str()?.to_string()),
-        DBERR_DIM => CdbError::DimensionMismatch {
-            expected: r.get_u32()? as usize,
-            got: r.get_u32()? as usize,
-        },
-        DBERR_UNSAT => CdbError::UnsatisfiableTuple,
-        DBERR_NO_TUPLE => CdbError::NoSuchTuple(r.get_u32()?),
-        DBERR_NO_INDEX => CdbError::NoIndex(r.get_str()?.to_string()),
-        DBERR_UNSUPPORTED => CdbError::UnsupportedQuery(r.get_str()?.to_string()),
-        DBERR_CORRUPT => CdbError::CorruptRecord(r.get_u32()?),
-        DBERR_IO => CdbError::Io(r.get_str()?.to_string()),
-        DBERR_QUARANTINED => CdbError::Quarantined(r.get_str()?.to_string()),
-        DBERR_READ_ONLY => CdbError::ReadOnly,
-        _ => return Err(CodecError::Invalid("db error tag")),
-    })
-}
-
-fn put_replication(w: &mut RecordWriter, info: &Option<ReplicationInfo>) {
-    match info {
-        None => w.put_u8(0),
-        Some(ReplicationInfo::Primary { followers }) => {
-            w.put_u8(1);
-            w.put_u32(followers.len() as u32);
-            for f in followers {
-                w.put_str(&f.id);
-                w.put_u8(u8::from(f.connected));
-                w.put_u64(f.acked_lsn);
-                w.put_u64(f.batches);
-            }
-        }
-        Some(ReplicationInfo::Replica {
-            primary,
-            connected,
-            applied_lsn,
-            batches,
-            source_lsn,
-        }) => {
-            w.put_u8(2);
-            w.put_str(primary);
-            w.put_u8(u8::from(*connected));
-            w.put_u64(*applied_lsn);
-            w.put_u64(*batches);
-            w.put_u64(*source_lsn);
-        }
-    }
-}
-
-fn get_replication(r: &mut RecordReader<'_>) -> Result<Option<ReplicationInfo>, CodecError> {
-    Ok(match r.get_u8()? {
-        0 => None,
-        1 => Some(ReplicationInfo::Primary {
-            followers: get_counted(r, |r| {
-                Ok(FollowerInfo {
-                    id: r.get_str()?.to_string(),
-                    connected: get_bool(r, "follower connected flag")?,
-                    acked_lsn: r.get_u64()?,
-                    batches: r.get_u64()?,
-                })
-            })?,
-        }),
-        2 => Some(ReplicationInfo::Replica {
-            primary: r.get_str()?.to_string(),
-            connected: get_bool(r, "replica connected flag")?,
-            applied_lsn: r.get_u64()?,
-            batches: r.get_u64()?,
-            source_lsn: r.get_u64()?,
-        }),
-        _ => return Err(CodecError::Invalid("replication info tag")),
-    })
-}
-
-/// Encodes one shipped batch of WAL records as a stream-frame payload.
-pub fn encode_wal_batch(batch: &WalBatch) -> Vec<u8> {
-    let mut w = RecordWriter::new();
-    w.put_u8(REPL_BATCH);
-    w.put_u64(batch.durable_lsn);
-    w.put_u32(batch.records.len() as u32);
-    for (lsn, bytes) in &batch.records {
-        w.put_u64(*lsn);
-        w.put_bytes(bytes);
-    }
-    w.into_bytes()
-}
-
-/// Decodes a shipped batch, validating the marker and LSN contiguity.
-pub fn decode_wal_batch(buf: &[u8]) -> Result<WalBatch, CodecError> {
-    let mut r = RecordReader::new(buf);
-    if r.get_u8()? != REPL_BATCH {
-        return Err(CodecError::Invalid("wal batch marker"));
-    }
-    let durable_lsn = r.get_u64()?;
-    let records = get_counted(&mut r, |r| Ok((r.get_u64()?, r.get_bytes()?.to_vec())))?;
-    if records.windows(2).any(|p| p[1].0 != p[0].0 + 1) {
-        return Err(CodecError::Invalid("wal batch lsn gap"));
-    }
-    expect_end(&r)?;
-    Ok(WalBatch {
-        durable_lsn,
-        records,
-    })
-}
-
-/// Encodes a follower's acknowledgement: every record up to and including
-/// `applied_lsn` is applied and locally synced.
-pub fn encode_repl_ack(applied_lsn: u64) -> Vec<u8> {
-    let mut w = RecordWriter::new();
-    w.put_u8(REPL_ACK);
-    w.put_u64(applied_lsn);
-    w.into_bytes()
-}
-
-/// Decodes a follower's acknowledgement.
-pub fn decode_repl_ack(buf: &[u8]) -> Result<u64, CodecError> {
-    let mut r = RecordReader::new(buf);
-    if r.get_u8()? != REPL_ACK {
-        return Err(CodecError::Invalid("repl ack marker"));
-    }
-    let lsn = r.get_u64()?;
-    expect_end(&r)?;
-    Ok(lsn)
+    codec::decode(buf)
 }
 
 /// Encodes a response frame payload: `Ok(response)` or `Err(error)` for
@@ -1511,218 +643,67 @@ pub fn decode_repl_ack(buf: &[u8]) -> Result<u64, CodecError> {
 /// the module docs).
 pub fn encode_response(request_id: u64, lsn: u64, outcome: &Result<Response, NetError>) -> Vec<u8> {
     let mut w = RecordWriter::new();
-    w.put_u64(request_id);
-    w.put_u64(lsn);
-    match outcome {
-        Ok(resp) => {
-            w.put_u8(STATUS_OK);
-            match resp {
-                Response::Unit => w.put_u8(RESP_UNIT),
-                Response::Inserted(id) => {
-                    w.put_u8(RESP_INSERTED);
-                    w.put_u32(*id);
-                }
-                Response::Tuple(t) => {
-                    w.put_u8(RESP_TUPLE);
-                    put_tuple(&mut w, t);
-                }
-                Response::Query(res) => {
-                    w.put_u8(RESP_QUERY);
-                    put_wire_result(&mut w, res);
-                }
-                Response::Explain { rendered, result } => {
-                    w.put_u8(RESP_EXPLAIN);
-                    w.put_str(rendered);
-                    put_wire_result(&mut w, result);
-                }
-                Response::Sql(o) => {
-                    w.put_u8(RESP_SQL);
-                    put_sql_outcome(&mut w, o);
-                }
-                Response::Relations(names) => {
-                    w.put_u8(RESP_RELATIONS);
-                    w.put_u32(names.len() as u32);
-                    for n in names {
-                        w.put_str(n);
-                    }
-                }
-                Response::Stats {
-                    db,
-                    replication,
-                    connections,
-                    shard,
-                } => {
-                    w.put_u8(RESP_STATS);
-                    put_db_stats(&mut w, db);
-                    put_replication(&mut w, replication);
-                    w.put_u32(*connections);
-                    match shard {
-                        None => w.put_u8(0),
-                        Some(identity) => {
-                            w.put_u8(1);
-                            w.put_u32(identity.shard);
-                            w.put_u32(identity.shards);
-                            w.put_u64(identity.seed);
-                            w.put_u64(identity.epoch);
-                        }
-                    }
-                }
-                Response::Subscribed {
-                    start_lsn,
-                    durable_lsn,
-                } => {
-                    w.put_u8(RESP_SUBSCRIBED);
-                    w.put_u64(*start_lsn);
-                    w.put_u64(*durable_lsn);
-                }
-                Response::Fsck(rep) => {
-                    w.put_u8(RESP_FSCK);
-                    put_pager_recovery(&mut w, &rep.pager);
-                    put_wal_replay(&mut w, &rep.wal);
-                    w.put_u32(rep.relations.len() as u32);
-                    for (name, health) in &rep.relations {
-                        w.put_str(name);
-                        put_health(&mut w, health);
-                    }
-                    match rep.quarantine {
-                        None => w.put_u8(0),
-                        Some(clean) => w.put_u8(if clean { 1 } else { 2 }),
-                    }
-                }
-            }
-        }
-        Err(err) => match err {
-            NetError::Db(e) => {
-                w.put_u8(STATUS_DB);
-                put_db_error(&mut w, e);
-            }
-            NetError::Overloaded => w.put_u8(STATUS_OVERLOADED),
-            NetError::DeadlineExceeded => w.put_u8(STATUS_DEADLINE),
-            NetError::Malformed(m) => {
-                w.put_u8(STATUS_MALFORMED);
-                w.put_str(m);
-            }
-            NetError::ShuttingDown => w.put_u8(STATUS_SHUTTING_DOWN),
-            NetError::VersionMismatch { server_version } => {
-                w.put_u8(STATUS_VERSION);
-                w.put_u16(*server_version);
-            }
-            NetError::NotPrimary { leader_hint } => {
-                w.put_u8(STATUS_NOT_PRIMARY);
-                match leader_hint {
-                    None => w.put_u8(0),
-                    Some(addr) => {
-                        w.put_u8(1);
-                        w.put_str(addr);
-                    }
-                }
-            }
-            NetError::WrongShard { map_epoch, hint } => {
-                w.put_u8(STATUS_WRONG_SHARD);
-                w.put_u64(*map_epoch);
-                w.put_u32(*hint);
-            }
-            NetError::Transport(_) | NetError::Timeout => {
-                // Both describe the client's own socket and are never
-                // generated server-side; encode defensively as a
-                // malformed-session close.
-                w.put_u8(STATUS_MALFORMED);
-                w.put_str("transport error");
-            }
-        },
-    }
+    (request_id, lsn).put(&mut w);
+    outcome.put(&mut w);
     w.into_bytes()
 }
 
 /// Decodes a response frame payload into `(request_id, lsn, outcome)`.
 #[allow(clippy::type_complexity)]
 pub fn decode_response(buf: &[u8]) -> Result<(u64, u64, Result<Response, NetError>), CodecError> {
-    let mut r = RecordReader::new(buf);
-    let request_id = r.get_u64()?;
-    let lsn = r.get_u64()?;
-    let status = r.get_u8()?;
-    let outcome = match status {
-        STATUS_OK => Ok(match r.get_u8()? {
-            RESP_UNIT => Response::Unit,
-            RESP_INSERTED => Response::Inserted(r.get_u32()?),
-            RESP_TUPLE => Response::Tuple(get_tuple(&mut r)?),
-            RESP_QUERY => Response::Query(get_wire_result(&mut r)?),
-            RESP_EXPLAIN => Response::Explain {
-                rendered: r.get_str()?.to_string(),
-                result: get_wire_result(&mut r)?,
-            },
-            RESP_SQL => Response::Sql(get_sql_outcome(&mut r)?),
-            RESP_RELATIONS => {
-                Response::Relations(get_counted(&mut r, |r| Ok(r.get_str()?.to_string()))?)
-            }
-            RESP_STATS => Response::Stats {
-                db: get_db_stats(&mut r)?,
-                replication: get_replication(&mut r)?,
-                connections: r.get_u32()?,
-                shard: match r.get_u8()? {
-                    0 => None,
-                    1 => Some(ShardIdentity {
-                        shard: r.get_u32()?,
-                        shards: r.get_u32()?,
-                        seed: r.get_u64()?,
-                        epoch: r.get_u64()?,
-                    }),
-                    _ => return Err(CodecError::Invalid("shard identity presence")),
-                },
-            },
-            RESP_SUBSCRIBED => Response::Subscribed {
-                start_lsn: r.get_u64()?,
-                durable_lsn: r.get_u64()?,
-            },
-            RESP_FSCK => {
-                let pager = get_pager_recovery(&mut r)?;
-                let wal = get_wal_replay(&mut r)?;
-                let relations =
-                    get_counted(&mut r, |r| Ok((r.get_str()?.to_string(), get_health(r)?)))?;
-                let quarantine = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(true),
-                    2 => Some(false),
-                    _ => return Err(CodecError::Invalid("quarantine verdict")),
-                };
-                Response::Fsck(WireRecoveryReport {
-                    pager,
-                    wal,
-                    relations,
-                    quarantine,
-                })
-            }
-            _ => return Err(CodecError::Invalid("response tag")),
-        }),
-        STATUS_DB => Err(NetError::Db(get_db_error(&mut r)?)),
-        STATUS_OVERLOADED => Err(NetError::Overloaded),
-        STATUS_DEADLINE => Err(NetError::DeadlineExceeded),
-        STATUS_MALFORMED => Err(NetError::Malformed(r.get_str()?.to_string())),
-        STATUS_SHUTTING_DOWN => Err(NetError::ShuttingDown),
-        STATUS_VERSION => Err(NetError::VersionMismatch {
-            server_version: r.get_u16()?,
-        }),
-        STATUS_NOT_PRIMARY => Err(NetError::NotPrimary {
-            leader_hint: match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_str()?.to_string()),
-                _ => return Err(CodecError::Invalid("leader hint presence")),
-            },
-        }),
-        STATUS_WRONG_SHARD => Err(NetError::WrongShard {
-            map_epoch: r.get_u64()?,
-            hint: r.get_u32()?,
-        }),
-        _ => return Err(CodecError::Invalid("response status tag")),
-    };
-    expect_end(&r)?;
-    Ok((request_id, lsn, outcome))
+    codec::decode(buf)
+}
+
+/// Stream-frame markers after a subscription handshake; distinct from
+/// every response status so a desynced stream fails decode immediately.
+const REPL_BATCH: u8 = 0xB1;
+const REPL_ACK: u8 = 0xA1;
+
+fn encode_marked<T: Wire>(marker: u8, body: &T) -> Vec<u8> {
+    let mut w = RecordWriter::new();
+    w.put_u8(marker);
+    body.put(&mut w);
+    w.into_bytes()
+}
+
+fn decode_marked<T: Wire>(marker: u8, buf: &[u8]) -> Result<T, CodecError> {
+    match codec::decode::<(u8, T)>(buf)? {
+        (m, body) if m == marker => Ok(body),
+        _ => Err(CodecError::Invalid("stream frame marker")),
+    }
+}
+
+/// Encodes one shipped batch of WAL records as a stream-frame payload.
+pub fn encode_wal_batch(batch: &WalBatch) -> Vec<u8> {
+    encode_marked(REPL_BATCH, batch)
+}
+
+/// Decodes a shipped batch, validating the marker and LSN contiguity.
+pub fn decode_wal_batch(buf: &[u8]) -> Result<WalBatch, CodecError> {
+    decode_marked(REPL_BATCH, buf)
+}
+
+/// Encodes a follower's acknowledgement: every record up to and including
+/// `applied_lsn` is applied and locally synced.
+pub fn encode_repl_ack(applied_lsn: u64) -> Vec<u8> {
+    encode_marked(REPL_ACK, &applied_lsn)
+}
+
+/// Decodes a follower's acknowledgement.
+pub fn decode_repl_ack(buf: &[u8]) -> Result<u64, CodecError> {
+    decode_marked(REPL_ACK, buf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdb_geometry::constraint::LinearConstraint;
+    use cdb_core::plan::{CostEstimate, MethodKind};
+    use cdb_core::sql::SqlRow;
+    use cdb_core::{RelationStats, WalStats};
+    use cdb_geometry::constraint::{LinearConstraint, RelOp};
+    use cdb_geometry::halfplane::HalfPlane;
+    use cdb_storage::conformance::{conformance, wire_conformance};
+    use cdb_storage::{EpochStats, IoStats};
 
     fn sample_tuple() -> GeneralizedTuple {
         GeneralizedTuple::new(vec![
@@ -1732,111 +713,79 @@ mod tests {
         ])
     }
 
-    fn empty_db_stats() -> DbStats {
-        DbStats {
-            relations: Vec::new(),
-            live_pages: 0,
-            io: IoStats::default(),
-            read_only: false,
-            checkpoint_failures: 0,
-            wal: None,
-            epochs: EpochStats {
-                current_epoch: 0,
-                pinned_epochs: 0,
-                quarantined_pages: 0,
+    /// The sample after `prev`, one arm per variant: a new variant does
+    /// not compile until it is given a sample here. The same shape serves
+    /// `Response`, `NetError` and `CdbError` below.
+    fn request_after(prev: Option<&Request>) -> Option<Request> {
+        let relation = || "r".to_string();
+        Some(match prev {
+            None => Request::Ping,
+            Some(Request::Ping) => Request::CreateRelation {
+                relation: relation(),
+                dim: 3,
             },
-        }
+            Some(Request::CreateRelation { .. }) => Request::DropRelation {
+                relation: relation(),
+            },
+            Some(Request::DropRelation { .. }) => Request::Insert {
+                relation: relation(),
+                tuple: sample_tuple(),
+            },
+            Some(Request::Insert { .. }) => Request::Delete {
+                relation: relation(),
+                id: 7,
+            },
+            Some(Request::Delete { .. }) => Request::BuildDual {
+                relation: relation(),
+                slopes: vec![-1.0, 0.5, 2.0],
+            },
+            Some(Request::BuildDual { .. }) => Request::BuildDualD {
+                relation: relation(),
+                per_axis: 3,
+                range: 2.0,
+            },
+            Some(Request::BuildDualD { .. }) => Request::BuildRPlus {
+                relation: relation(),
+                fill: 0.7,
+            },
+            Some(Request::BuildRPlus { .. }) => Request::Query {
+                relation: relation(),
+                selection: Selection::exist(HalfPlane::above(0.3, -5.0)),
+                strategy: Strategy::Auto,
+            },
+            Some(Request::Query { .. }) => Request::Explain {
+                relation: relation(),
+                selection: Selection::all(HalfPlane::new(vec![0.1, -0.2], 1.0, RelOp::Le)),
+            },
+            Some(Request::Explain { .. }) => Request::QueryLine {
+                relation: relation(),
+                kind: SelectionKind::Exist,
+                a: 0.5,
+                c: 2.0,
+            },
+            Some(Request::QueryLine { .. }) => Request::Sql {
+                text: "SELECT x, y FROM r JOIN s WHERE x <= 1 EXIST".into(),
+                mode: SqlMode::ExplainAnalyze,
+            },
+            Some(Request::Sql { .. }) => Request::FetchTuple {
+                relation: relation(),
+                id: 9,
+            },
+            Some(Request::FetchTuple { .. }) => Request::ListRelations,
+            Some(Request::ListRelations) => Request::Stats,
+            Some(Request::Stats) => Request::Fsck,
+            Some(Request::Fsck) => Request::Checkpoint,
+            Some(Request::Checkpoint) => Request::Shutdown,
+            Some(Request::Shutdown) => Request::Subscribe {
+                from_lsn: 1234,
+                follower_id: "127.0.0.1:9999".into(),
+            },
+            Some(Request::Subscribe { .. }) => return None,
+        })
     }
 
-    fn roundtrip_request(req: Request) {
-        let env = RequestEnvelope {
-            request_id: 42,
-            deadline_ms: 250,
-            request: req,
-        };
-        let bytes = encode_request(&env);
-        assert_eq!(decode_request(&bytes).unwrap(), env);
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        roundtrip_request(Request::Ping);
-        roundtrip_request(Request::CreateRelation {
-            relation: "r".into(),
-            dim: 3,
-        });
-        roundtrip_request(Request::DropRelation {
-            relation: "r".into(),
-        });
-        roundtrip_request(Request::Insert {
-            relation: "r".into(),
-            tuple: sample_tuple(),
-        });
-        roundtrip_request(Request::Delete {
-            relation: "r".into(),
-            id: 7,
-        });
-        roundtrip_request(Request::BuildDual {
-            relation: "r".into(),
-            slopes: vec![-1.0, 0.5, 2.0],
-        });
-        roundtrip_request(Request::BuildDualD {
-            relation: "r".into(),
-            per_axis: 3,
-            range: 2.0,
-        });
-        roundtrip_request(Request::BuildRPlus {
-            relation: "r".into(),
-            fill: 0.7,
-        });
-        roundtrip_request(Request::Query {
-            relation: "r".into(),
-            selection: Selection::exist(HalfPlane::above(0.3, -5.0)),
-            strategy: Strategy::Auto,
-        });
-        roundtrip_request(Request::Explain {
-            relation: "r".into(),
-            selection: Selection::all(HalfPlane::new(vec![0.1, -0.2], 1.0, RelOp::Le)),
-        });
-        roundtrip_request(Request::QueryLine {
-            relation: "r".into(),
-            kind: SelectionKind::Exist,
-            a: 0.5,
-            c: 2.0,
-        });
-        roundtrip_request(Request::Sql {
-            text: "SELECT x, y FROM r JOIN s WHERE x <= 1 EXIST".into(),
-            mode: SqlMode::ExplainAnalyze,
-        });
-        roundtrip_request(Request::FetchTuple {
-            relation: "r".into(),
-            id: 9,
-        });
-        roundtrip_request(Request::ListRelations);
-        roundtrip_request(Request::Stats);
-        roundtrip_request(Request::Fsck);
-        roundtrip_request(Request::Checkpoint);
-        roundtrip_request(Request::Shutdown);
-        roundtrip_request(Request::Subscribe {
-            from_lsn: 1234,
-            follower_id: "127.0.0.1:9999".into(),
-        });
-    }
-
-    fn roundtrip_outcome(outcome: Result<Response, NetError>) {
-        let bytes = encode_response(7, 99, &outcome);
-        let (id, lsn, got) = decode_response(&bytes).unwrap();
-        assert_eq!(id, 7);
-        assert_eq!(lsn, 99, "the lsn stamp is echoed");
-        assert_eq!(got, outcome);
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        roundtrip_outcome(Ok(Response::Unit));
-        roundtrip_outcome(Ok(Response::Inserted(11)));
-        roundtrip_outcome(Ok(Response::Tuple(sample_tuple())));
-        let stats = QueryStats {
+    fn full_stats() -> QueryStats {
+        QueryStats {
             index_io: IoStats {
                 reads: 5,
                 ..IoStats::default()
@@ -1855,83 +804,133 @@ mod tests {
                 heap_pages: 2.5,
                 candidates: 8.0,
             }),
-        };
-        roundtrip_outcome(Ok(Response::Query(WireQueryResult {
-            ids: vec![1, 4, 9],
-            stats,
-        })));
-        roundtrip_outcome(Ok(Response::Explain {
-            rendered: "plan ...".into(),
-            result: WireQueryResult {
-                ids: vec![],
-                stats: QueryStats::default(),
+        }
+    }
+
+    fn db_stats(relations: Vec<RelationStats>, wal: Option<WalStats>) -> DbStats {
+        DbStats {
+            read_only: !relations.is_empty(),
+            relations,
+            live_pages: 20,
+            io: IoStats {
+                reads: 1,
+                writes: 2,
+                allocations: 3,
+                frees: 0,
             },
-        }));
-        roundtrip_outcome(Ok(Response::Sql(WireSqlOutcome {
-            columns: vec!["id(r)".into(), "id(s)".into(), "region(x, y)".into()],
-            rows: vec![
-                WireSqlRow {
-                    ids: vec![3, 7],
-                    region: Some(sample_tuple()),
-                },
-                WireSqlRow {
-                    ids: vec![4, 1],
-                    region: None,
-                },
-            ],
-            plan: Some("NestedLoopJoin\n├─ IndexScan r\n└─ SeqScan s\n".into()),
-            stats: QueryStats::default(),
-        })));
-        roundtrip_outcome(Ok(Response::Relations(vec!["a".into(), "b".into()])));
-        roundtrip_outcome(Ok(Response::Subscribed {
-            start_lsn: 1,
-            durable_lsn: 77,
-        }));
-        roundtrip_outcome(Ok(Response::Stats {
-            replication: None,
-            connections: 3,
-            shard: Some(ShardIdentity {
-                shard: 1,
-                shards: 4,
-                seed: 0xFEED_FACE_CAFE_BEEF,
-                epoch: 7,
+            checkpoint_failures: 3,
+            wal,
+            epochs: EpochStats {
+                current_epoch: 9,
+                pinned_epochs: 2,
+                quarantined_pages: 5,
+            },
+        }
+    }
+
+    fn response_after(prev: Option<&Response>) -> Option<Response> {
+        Some(match prev {
+            None => Response::Unit,
+            Some(Response::Unit) => Response::Inserted(11),
+            Some(Response::Inserted(_)) => Response::Tuple(sample_tuple()),
+            Some(Response::Tuple(_)) => Response::Query(WireQueryResult {
+                ids: vec![1, 4, 9],
+                stats: full_stats(),
             }),
-            db: DbStats {
-                relations: vec![RelationStats {
-                    name: "r".into(),
-                    dim: 2,
-                    live: 100,
-                    heap_pages: 7,
-                    total_pages: 19,
-                    indexes: vec!["dual".into(), "rplus".into()],
-                    health: RelationHealth::Degraded {
-                        corrupt_indexes: vec!["rplus".into()],
-                    },
-                }],
-                live_pages: 20,
-                io: IoStats {
-                    reads: 1,
-                    writes: 2,
-                    allocations: 3,
-                    frees: 0,
-                },
-                read_only: true,
-                checkpoint_failures: 3,
-                wal: Some(WalStats {
-                    durable_lsn: 41,
-                    next_lsn: 44,
-                    pending: 2,
-                }),
-                epochs: EpochStats {
-                    current_epoch: 9,
-                    pinned_epochs: 2,
-                    quarantined_pages: 5,
+            Some(Response::Query(_)) => Response::Explain {
+                rendered: "plan ...".into(),
+                result: WireQueryResult {
+                    ids: vec![],
+                    stats: QueryStats::default(),
                 },
             },
-        }));
-        roundtrip_outcome(Ok(Response::Stats {
-            db: empty_db_stats(),
-            replication: Some(ReplicationInfo::Primary {
+            Some(Response::Explain { .. }) => Response::Sql(SqlOutcome {
+                columns: vec!["id(r)".into(), "id(s)".into(), "region(x, y)".into()],
+                rows: vec![
+                    SqlRow {
+                        ids: vec![3, 7],
+                        region: Some(sample_tuple()),
+                    },
+                    SqlRow {
+                        ids: vec![4, 1],
+                        region: None,
+                    },
+                ],
+                plan: Some("NestedLoopJoin\n├─ IndexScan r\n└─ SeqScan s\n".into()),
+                stats: QueryStats::default(),
+            }),
+            Some(Response::Sql(_)) => Response::Relations(vec!["a".into(), "b".into()]),
+            Some(Response::Relations(_)) => Response::Stats {
+                db: db_stats(
+                    vec![RelationStats {
+                        name: "r".into(),
+                        dim: 2,
+                        live: 100,
+                        heap_pages: 7,
+                        total_pages: 19,
+                        indexes: vec!["dual".into(), "rplus".into()],
+                        health: RelationHealth::Degraded {
+                            corrupt_indexes: vec!["rplus".into()],
+                        },
+                    }],
+                    Some(WalStats {
+                        durable_lsn: 41,
+                        next_lsn: 44,
+                        pending: 2,
+                    }),
+                ),
+                replication: None,
+                connections: 3,
+                shard: Some(ShardIdentity {
+                    shard: 1,
+                    shards: 4,
+                    seed: 0xFEED_FACE_CAFE_BEEF,
+                    epoch: 7,
+                }),
+            },
+            Some(Response::Stats { .. }) => Response::Fsck(WireRecoveryReport {
+                pager: PagerRecovery::FellBack {
+                    recovered_epoch: 4,
+                    lost_epoch: 5,
+                },
+                wal: Some(WalReplay {
+                    start_lsn: 7,
+                    replayed: 2,
+                    first_lsn: 7,
+                    last_lsn: 8,
+                    torn_tail: true,
+                    error: Some("replay stopped at lsn 9: boom".into()),
+                }),
+                relations: vec![
+                    ("a".into(), RelationHealth::Healthy),
+                    (
+                        "b".into(),
+                        RelationHealth::Quarantined {
+                            detail: "heap page 3".into(),
+                        },
+                    ),
+                ],
+                quarantine: Some(false),
+            }),
+            Some(Response::Fsck(_)) => Response::Subscribed {
+                start_lsn: 1,
+                durable_lsn: 77,
+            },
+            Some(Response::Subscribed { .. }) => return None,
+        })
+    }
+
+    /// Both replication roles, which `response_after`'s one `Stats` leaves
+    /// out, and the fsck report of an engine with nothing to report.
+    fn more_responses() -> Vec<Response> {
+        let stats = |replication| Response::Stats {
+            db: db_stats(Vec::new(), None),
+            replication: Some(replication),
+            connections: 17,
+            shard: None,
+        };
+        vec![
+            stats(ReplicationInfo::Primary {
                 followers: vec![FollowerInfo {
                     id: "127.0.0.1:4000".into(),
                     connected: true,
@@ -1939,99 +938,113 @@ mod tests {
                     batches: 40,
                 }],
             }),
-            connections: 0,
-            shard: None,
-        }));
-        roundtrip_outcome(Ok(Response::Stats {
-            db: empty_db_stats(),
-            replication: Some(ReplicationInfo::Replica {
+            stats(ReplicationInfo::Replica {
                 primary: "127.0.0.1:3000".into(),
                 connected: false,
                 applied_lsn: 810,
                 batches: 39,
                 source_lsn: 812,
             }),
-            connections: 17,
-            shard: None,
-        }));
-        roundtrip_outcome(Ok(Response::Fsck(WireRecoveryReport {
-            pager: PagerRecovery::FellBack {
-                recovered_epoch: 4,
-                lost_epoch: 5,
-            },
-            wal: Some(WalReplay {
-                start_lsn: 7,
-                replayed: 2,
-                first_lsn: 7,
-                last_lsn: 8,
-                torn_tail: true,
-                error: Some("replay stopped at lsn 9: boom".into()),
+            Response::Fsck(WireRecoveryReport {
+                pager: PagerRecovery::Clean,
+                wal: None,
+                relations: Vec::new(),
+                quarantine: None,
             }),
-            relations: vec![
-                ("a".into(), RelationHealth::Healthy),
-                (
-                    "b".into(),
-                    RelationHealth::Quarantined {
-                        detail: "heap page 3".into(),
-                    },
-                ),
-            ],
-            quarantine: Some(false),
-        })));
+        ]
     }
 
-    #[test]
-    fn every_db_error_survives_the_wire() {
-        let errors = vec![
-            CdbError::RelationNotFound("r".into()),
-            CdbError::RelationExists("r".into()),
-            CdbError::DimensionMismatch {
+    fn db_error_after(prev: Option<&CdbError>) -> Option<CdbError> {
+        Some(match prev {
+            None => CdbError::RelationNotFound("r".into()),
+            Some(CdbError::RelationNotFound(_)) => CdbError::RelationExists("r".into()),
+            Some(CdbError::RelationExists(_)) => CdbError::DimensionMismatch {
                 expected: 2,
                 got: 3,
             },
-            CdbError::UnsatisfiableTuple,
-            CdbError::NoSuchTuple(5),
-            CdbError::NoIndex("r".into()),
-            CdbError::UnsupportedQuery("vertical".into()),
-            CdbError::CorruptRecord(cdb_core::CATALOG_RECORD),
-            CdbError::Io("disk gone".into()),
-            CdbError::Quarantined("r".into()),
-            CdbError::ReadOnly,
-        ];
-        for e in errors {
-            roundtrip_outcome(Err(NetError::Db(e)));
-        }
-        roundtrip_outcome(Err(NetError::Overloaded));
-        roundtrip_outcome(Err(NetError::DeadlineExceeded));
-        roundtrip_outcome(Err(NetError::Malformed("bad tag".into())));
-        roundtrip_outcome(Err(NetError::ShuttingDown));
-        roundtrip_outcome(Err(NetError::VersionMismatch { server_version: 2 }));
-        roundtrip_outcome(Err(NetError::NotPrimary { leader_hint: None }));
-        roundtrip_outcome(Err(NetError::NotPrimary {
-            leader_hint: Some("10.0.0.1:7878".into()),
-        }));
-        roundtrip_outcome(Err(NetError::WrongShard {
-            map_epoch: 12,
-            hint: 3,
-        }));
+            Some(CdbError::DimensionMismatch { .. }) => CdbError::UnsatisfiableTuple,
+            Some(CdbError::UnsatisfiableTuple) => CdbError::NoSuchTuple(5),
+            Some(CdbError::NoSuchTuple(_)) => CdbError::NoIndex("r".into()),
+            Some(CdbError::NoIndex(_)) => CdbError::UnsupportedQuery("vertical".into()),
+            Some(CdbError::UnsupportedQuery(_)) => {
+                CdbError::CorruptRecord(cdb_core::CATALOG_RECORD)
+            }
+            Some(CdbError::CorruptRecord(_)) => CdbError::Io("disk gone".into()),
+            Some(CdbError::Io(_)) => CdbError::Quarantined("r".into()),
+            Some(CdbError::Quarantined(_)) => CdbError::ReadOnly,
+            Some(CdbError::ReadOnly) => return None,
+        })
+    }
+
+    fn net_error_after(prev: Option<&NetError>) -> Option<NetError> {
+        Some(match prev {
+            None => NetError::Db(CdbError::ReadOnly),
+            Some(NetError::Db(_)) => NetError::Overloaded,
+            Some(NetError::Overloaded) => NetError::DeadlineExceeded,
+            Some(NetError::DeadlineExceeded) => NetError::Malformed("bad tag".into()),
+            Some(NetError::Malformed(_)) => NetError::ShuttingDown,
+            Some(NetError::ShuttingDown) => NetError::VersionMismatch { server_version: 2 },
+            Some(NetError::VersionMismatch { .. }) => NetError::NotPrimary {
+                leader_hint: Some("10.0.0.1:7878".into()),
+            },
+            Some(NetError::NotPrimary { .. }) => NetError::WrongShard {
+                map_epoch: 12,
+                hint: 3,
+            },
+            Some(NetError::WrongShard { .. }) => NetError::Transport("reset".into()),
+            Some(NetError::Transport(_)) => NetError::Timeout,
+            Some(NetError::Timeout) => return None,
+        })
+    }
+
+    fn chain<T>(after: fn(Option<&T>) -> Option<T>) -> impl Iterator<Item = T> {
+        std::iter::successors(after(None), move |prev| after(Some(prev)))
     }
 
     #[test]
-    fn replication_stream_frames_round_trip() {
-        let batch = WalBatch {
-            durable_lsn: 42,
-            records: vec![(40, b"a".to_vec()), (41, b"bb".to_vec()), (42, vec![])],
-        };
-        assert_eq!(decode_wal_batch(&encode_wal_batch(&batch)).unwrap(), batch);
+    fn request_frames_conform() {
+        let samples: Vec<_> = chain(request_after)
+            .map(|request| RequestEnvelope {
+                request_id: 42,
+                deadline_ms: 250,
+                request,
+            })
+            .collect();
+        conformance(&samples, encode_request, decode_request);
+    }
 
-        // A heartbeat is an empty batch with a fresh durable lsn.
-        let hb = WalBatch {
-            durable_lsn: 99,
-            records: vec![],
-        };
-        assert_eq!(decode_wal_batch(&encode_wal_batch(&hb)).unwrap(), hb);
+    #[test]
+    fn response_frames_conform() {
+        let outcomes = chain(response_after)
+            .chain(more_responses())
+            .map(Ok)
+            .chain(chain(db_error_after).map(|e| Err(NetError::Db(e))))
+            .chain(chain(net_error_after).map(Err))
+            .chain([Err(NetError::NotPrimary { leader_hint: None })]);
+        // The request id and the lsn stamp are echoed with every outcome.
+        let samples: Vec<_> = outcomes.map(|outcome| (7u64, 99u64, outcome)).collect();
+        conformance(
+            &samples,
+            |(id, lsn, outcome)| encode_response(*id, *lsn, outcome),
+            decode_response,
+        );
+    }
 
-        assert_eq!(decode_repl_ack(&encode_repl_ack(41)).unwrap(), 41);
+    #[test]
+    fn replication_stream_frames_conform() {
+        let batches = [
+            WalBatch {
+                durable_lsn: 42,
+                records: vec![(40, b"a".to_vec()), (41, b"bb".to_vec()), (42, vec![])],
+            },
+            // A heartbeat is an empty batch with a fresh durable lsn.
+            WalBatch {
+                durable_lsn: 99,
+                records: vec![],
+            },
+        ];
+        conformance(&batches, encode_wal_batch, decode_wal_batch);
+        conformance(&[41u64], |lsn| encode_repl_ack(*lsn), decode_repl_ack);
 
         // Gapped LSNs inside a batch are a protocol violation.
         let gapped = WalBatch {
@@ -2042,8 +1055,37 @@ mod tests {
 
         // Markers keep the two stream directions from decoding as each
         // other after a desync.
-        assert!(decode_repl_ack(&encode_wal_batch(&hb)).is_err());
+        assert!(decode_repl_ack(&encode_wal_batch(&batches[1])).is_err());
         assert!(decode_wal_batch(&encode_repl_ack(7)).is_err());
+    }
+
+    #[test]
+    fn handshake_conforms_and_rejects_bad_magic() {
+        let greetings = [
+            (PROTOCOL_VERSION, HandshakeStatus::Ok),
+            (PROTOCOL_VERSION, HandshakeStatus::VersionMismatch),
+            (3, HandshakeStatus::Overloaded),
+            (PROTOCOL_VERSION, HandshakeStatus::ShuttingDown),
+        ];
+        conformance(
+            &greetings,
+            |(v, s)| encode_greeting(*v, *s),
+            decode_greeting,
+        );
+        conformance(&[PROTOCOL_VERSION], |v| encode_hello(*v), decode_hello);
+        let mut bad = encode_hello(PROTOCOL_VERSION);
+        bad[4] ^= 0xFF; // corrupt the magic bytes (after the length prefix)
+        assert!(decode_hello(&bad).is_err());
+    }
+
+    #[test]
+    fn leaf_types_conform_on_their_own() {
+        wire_conformance(&[SqlMode::Execute, SqlMode::Explain, SqlMode::ExplainAnalyze]);
+        wire_conformance(&[
+            Selection::exist(HalfPlane::above(0.3, -5.0)),
+            Selection::all(HalfPlane::new(vec![], 1.0, RelOp::Le)),
+        ]);
+        wire_conformance(&[full_stats(), QueryStats::default()]);
     }
 
     #[test]
@@ -2063,61 +1105,40 @@ mod tests {
         assert!(!NetError::Malformed("x".into()).is_retryable());
     }
 
-    #[test]
-    fn handshake_round_trips_and_rejects_bad_magic() {
-        let g = encode_greeting(PROTOCOL_VERSION, HandshakeStatus::Ok);
-        assert_eq!(
-            decode_greeting(&g).unwrap(),
-            (PROTOCOL_VERSION, HandshakeStatus::Ok)
-        );
-        let h = encode_hello(PROTOCOL_VERSION);
-        assert_eq!(decode_hello(&h).unwrap(), PROTOCOL_VERSION);
-        let mut bad = h.clone();
-        bad[4] ^= 0xFF; // corrupt the magic bytes (after the length prefix)
-        assert!(decode_hello(&bad).is_err());
+    /// A `Query` request frame with the given half-plane intercept.
+    fn query_frame(intercept: f64) -> Vec<u8> {
+        let mut w = RecordWriter::new();
+        (1u64, 0u32, 8u8).put(&mut w); // id, no deadline, the Query op
+        ("r".to_string(), Strategy::Auto, SelectionKind::Exist).put(&mut w);
+        (1u8, intercept, vec![0.5]).put(&mut w); // Ge
+        w.into_bytes()
     }
 
     #[test]
     fn non_finite_coefficients_are_rejected() {
-        // Hand-craft a query whose intercept is NaN: the decoder must fail
-        // cleanly instead of constructing a HalfPlane (whose constructor
-        // would panic).
-        let mut w = RecordWriter::new();
-        w.put_u64(1);
-        w.put_u32(0);
-        w.put_u8(OP_QUERY);
-        w.put_str("r");
-        w.put_u8(strategy_tag(Strategy::Auto));
-        w.put_u8(1); // Exist
-        w.put_u8(1); // Ge
-        w.put_f64(f64::NAN);
-        w.put_u32(1);
-        w.put_f64(0.5);
-        assert!(decode_request(&w.into_bytes()).is_err());
-    }
-
-    #[test]
-    fn trailing_garbage_is_rejected() {
-        let mut bytes = encode_request(&RequestEnvelope {
+        // The decoder must fail cleanly instead of constructing a HalfPlane
+        // (whose constructor would panic).
+        assert!(decode_request(&query_frame(2.0)).is_ok());
+        assert!(decode_request(&query_frame(f64::NAN)).is_err());
+        let nan_fill = encode_request(&RequestEnvelope {
             request_id: 1,
             deadline_ms: 0,
-            request: Request::Ping,
+            request: Request::BuildRPlus {
+                relation: "r".into(),
+                fill: f64::NAN,
+            },
         });
-        bytes.push(0);
-        assert!(decode_request(&bytes).is_err());
+        assert!(decode_request(&nan_fill).is_err());
     }
 
     #[test]
     fn unsorted_result_ids_are_rejected() {
-        let mut w = RecordWriter::new();
-        w.put_u64(1);
-        w.put_u64(0); // lsn stamp
-        w.put_u8(STATUS_OK);
-        w.put_u8(RESP_QUERY);
-        w.put_u32(2);
-        w.put_u32(9);
-        w.put_u32(3);
-        put_query_stats(&mut w, &QueryStats::default());
-        assert!(decode_response(&w.into_bytes()).is_err());
+        let result = |ids| {
+            let stats = QueryStats::default();
+            encode_response(1, 0, &Ok(Response::Query(WireQueryResult { ids, stats })))
+        };
+        assert!(decode_response(&result(vec![3, 9])).is_ok());
+        assert!(decode_response(&result(vec![9, 3])).is_err());
+        assert!(decode_response(&result(vec![3, 3])).is_err());
     }
 }

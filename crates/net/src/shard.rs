@@ -317,7 +317,7 @@ impl Backend for Shards {
                     .into_iter()
                     .map(expect_sql)
                     .collect::<Result<_, _>>()?;
-                Ok(Response::Sql((&merge_sql(parts, query.limit)).into()))
+                Ok(Response::Sql(merge_sql(parts, query.limit)))
             }
             // Sorted union — normally identical on every shard, since DDL
             // fans out.

@@ -230,6 +230,343 @@ impl<'a> RecordReader<'a> {
     }
 }
 
+// -------------------------------------------------------------------- Wire
+
+/// A type's byte layout, declared once: `put` appends it to a record and
+/// `get` reads it back. `get` fails — it never panics, and never sizes an
+/// allocation from a count it has not yet seen the bytes for — on torn,
+/// forged or version-skewed input, and hands out only values the type's
+/// constructors would have accepted.
+///
+/// Structs and enums declare their layout with
+/// [`wire_struct!`](crate::wire_struct) and
+/// [`wire_enum!`](crate::wire_enum); a hand-written impl is for a `get`
+/// that validates.
+pub trait Wire: Sized {
+    /// Appends `self` to the record.
+    fn put(&self, w: &mut RecordWriter);
+    /// Reads one value off the record.
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError>;
+}
+
+/// Encodes one value as a whole record.
+pub fn encode<T: Wire>(v: &T) -> Vec<u8> {
+    let mut w = RecordWriter::new();
+    v.put(&mut w);
+    w.into_bytes()
+}
+
+/// Decodes a whole record as one value; bytes left over are an error.
+pub fn decode<T: Wire>(buf: &[u8]) -> Result<T, CodecError> {
+    let mut r = RecordReader::new(buf);
+    let v = T::get(&mut r)?;
+    r.finish()?;
+    Ok(v)
+}
+
+impl RecordWriter {
+    /// Appends the items back to back, without a count.
+    pub fn put_seq<T: Wire>(&mut self, items: &[T]) {
+        for item in items {
+            item.put(self);
+        }
+    }
+
+    /// Appends a `u32` count, then the items — the layout of `Vec<T>`.
+    pub fn put_counted<T: Wire>(&mut self, items: &[T]) {
+        items.len().put(self);
+        self.put_seq(items)
+    }
+}
+
+impl RecordReader<'_> {
+    /// Reads `n` items written by [`RecordWriter::put_seq`]. `n` is not
+    /// trusted for allocation: the vector grows as items actually decode,
+    /// so a forged count fails with `Truncated` once the real bytes run out.
+    pub fn get_seq<T: Wire>(&mut self, n: usize) -> Result<Vec<T>, CodecError> {
+        let mut v = Vec::new();
+        for _ in 0..n {
+            v.push(T::get(self)?);
+        }
+        Ok(v)
+    }
+
+    /// Fails unless every byte has been read.
+    pub fn finish(&self) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            _ => Err(CodecError::Invalid("trailing bytes")),
+        }
+    }
+}
+
+macro_rules! wire_primitive {
+    ($($t:ty: $put:ident / $get:ident),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut RecordWriter) {
+                w.$put(*self)
+            }
+            fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+wire_primitive!(u8: put_u8 / get_u8, u16: put_u16 / get_u16, u32: put_u32 / get_u32);
+wire_primitive!(u64: put_u64 / get_u64, f64: put_f64 / get_f64);
+
+/// One byte, `0` or `1`.
+impl Wire for bool {
+    fn put(&self, w: &mut RecordWriter) {
+        w.put_u8(u8::from(*self))
+    }
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::Invalid("bool flag")),
+        }
+    }
+}
+
+/// Counts and dimensions travel as `u32`.
+impl Wire for usize {
+    fn put(&self, w: &mut RecordWriter) {
+        w.put_u32(u32::try_from(*self).expect("count over u32::MAX"))
+    }
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+        Ok(r.get_u32()? as usize)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut RecordWriter) {
+        w.put_str(self)
+    }
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+        Ok(r.get_str()?.to_string())
+    }
+}
+
+/// A presence byte, then the value when it is `1`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut RecordWriter) {
+        put_option(self.as_ref(), w, T::put)
+    }
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+        get_option(r, T::get)
+    }
+}
+
+/// [`Option`]'s layout over an explicit element codec (the `field as module`
+/// of [`wire_struct!`](crate::wire_struct)).
+pub fn put_option<T>(v: Option<&T>, w: &mut RecordWriter, put: impl FnOnce(&T, &mut RecordWriter)) {
+    match v {
+        None => w.put_u8(0),
+        Some(v) => {
+            w.put_u8(1);
+            put(v, w)
+        }
+    }
+}
+
+/// Mirror of [`put_option`].
+pub fn get_option<'a, T>(
+    r: &mut RecordReader<'a>,
+    get: impl FnOnce(&mut RecordReader<'a>) -> Result<T, CodecError>,
+) -> Result<Option<T>, CodecError> {
+    match r.get_u8()? {
+        0 => Ok(None),
+        1 => get(r).map(Some),
+        _ => Err(CodecError::Invalid("option presence")),
+    }
+}
+
+/// A `u32` count, then the items (see [`RecordReader::get_seq`]).
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut RecordWriter) {
+        w.put_counted(self)
+    }
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+        let n = usize::get(r)?;
+        r.get_seq(n)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($i:tt $T:ident),+) => {
+        /// The members back to back.
+        impl<$($T: Wire),+> Wire for ($($T,)+) {
+            fn put(&self, w: &mut RecordWriter) {
+                $(self.$i.put(w);)+
+            }
+            fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+                Ok(($($T::get(r)?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(0 A, 1 B);
+wire_tuple!(0 A, 1 B, 2 C);
+
+/// A `0` byte then `T`, or `E` alone — so `E`'s first byte (its enum tag)
+/// must never be `0`.
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    fn put(&self, w: &mut RecordWriter) {
+        match self {
+            Ok(v) => {
+                w.put_u8(0);
+                v.put(w)
+            }
+            Err(e) => e.put(w),
+        }
+    }
+    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
+        let mut ahead = *r;
+        Ok(if ahead.get_u8()? == 0 {
+            *r = ahead;
+            Ok(T::get(r)?)
+        } else {
+            Err(E::get(r)?)
+        })
+    }
+}
+
+/// Values made of `f64`s that constructors require to be finite.
+pub trait Finite {
+    /// Whether every `f64` inside is finite.
+    fn all_finite(&self) -> bool;
+}
+
+impl Finite for f64 {
+    fn all_finite(&self) -> bool {
+        self.is_finite()
+    }
+}
+
+impl<T: Finite> Finite for Vec<T> {
+    fn all_finite(&self) -> bool {
+        self.iter().all(T::all_finite)
+    }
+}
+
+/// Field codec (`field as finite`): the type's own layout, refused on
+/// decode unless every `f64` in it is finite.
+pub mod finite {
+    use super::{CodecError, Finite, RecordReader, RecordWriter, Wire};
+
+    /// Same bytes as `T::put`.
+    pub fn put<T: Wire>(v: &T, w: &mut RecordWriter) {
+        v.put(w)
+    }
+
+    /// `T::get`, then the finiteness check.
+    pub fn get<T: Wire + Finite>(r: &mut RecordReader<'_>) -> Result<T, CodecError> {
+        let v = T::get(r)?;
+        if v.all_finite() {
+            Ok(v)
+        } else {
+            Err(CodecError::Invalid("non-finite coefficient"))
+        }
+    }
+}
+
+/// Field codec (`field as ascending`): a `Vec`'s own layout, refused on
+/// decode unless strictly ascending — sorted and duplicate-free.
+pub mod ascending {
+    use super::{CodecError, RecordReader, RecordWriter, Wire};
+
+    /// Same bytes as `Vec::put`.
+    pub fn put<T: Wire>(v: &Vec<T>, w: &mut RecordWriter) {
+        v.put(w)
+    }
+
+    /// `Vec::get`, then the order check.
+    pub fn get<T: Wire + PartialOrd>(r: &mut RecordReader<'_>) -> Result<Vec<T>, CodecError> {
+        let v = Vec::<T>::get(r)?;
+        if v.windows(2).all(|w| w[0] < w[1]) {
+            Ok(v)
+        } else {
+            Err(CodecError::Invalid("list not sorted-unique"))
+        }
+    }
+}
+
+/// Implements [`Wire`] for a struct from one field list, written and read
+/// in the order listed: `wire_struct!(T { a, b as codec, c } => check)`.
+///
+/// `field as module` swaps the field type's own `Wire` impl for the
+/// module's `put(&F, &mut RecordWriter)` / `get(&mut RecordReader) ->
+/// Result<F, CodecError>` pair — for a foreign type, or a `get` that
+/// validates (e.g. [`finite`]). The optional `=> check` is a
+/// `fn(&T) -> bool` every decoded value must pass.
+#[macro_export]
+macro_rules! wire_struct {
+    ($t:ty { $($f:ident $(as $($c:ident)::+)?),* $(,)? } $(=> $check:expr)?) => {
+        impl $crate::codec::Wire for $t {
+            fn put(&self, w: &mut $crate::codec::RecordWriter) {
+                $($crate::wire_struct!(@put w, &self.$f $(, $($c)::+)?);)*
+            }
+            fn get(
+                r: &mut $crate::codec::RecordReader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                let v = Self { $($f: $crate::wire_struct!(@get r $(, $($c)::+)?)),* };
+                $(if !$check(&v) {
+                    return Err($crate::codec::CodecError::Invalid(concat!(
+                        stringify!($t),
+                        " invariant"
+                    )));
+                })?
+                Ok(v)
+            }
+        }
+    };
+    (@put $w:ident, $v:expr) => { $crate::codec::Wire::put($v, $w) };
+    (@put $w:ident, $v:expr, $($c:ident)::+) => { $($c)::+::put($v, $w) };
+    (@get $r:ident) => { $crate::codec::Wire::get($r)? };
+    (@get $r:ident, $($c:ident)::+) => { $($c)::+::get($r)? };
+}
+
+/// Implements [`Wire`] for an enum from one tag list — a `u8` tag, then the
+/// variant's fields as in [`wire_struct!`](crate::wire_struct):
+/// `wire_enum!(E { 0 => Unit, 1 => Newtype(x), 2 => Struct { a, b as codec } })`.
+/// An unknown tag is a decode error.
+#[macro_export]
+macro_rules! wire_enum {
+    ($t:ty { $($tag:literal => $v:ident
+        $(($x:ident $(as $($xc:ident)::+)?))?
+        $({ $($f:ident $(as $($c:ident)::+)?),* $(,)? })?
+    ),* $(,)? }) => {
+        impl $crate::codec::Wire for $t {
+            fn put(&self, w: &mut $crate::codec::RecordWriter) {
+                match self {$(
+                    Self::$v $(($x))? $({ $($f),* })? => {
+                        w.put_u8($tag);
+                        $($crate::wire_struct!(@put w, $x $(, $($xc)::+)?);)?
+                        $($($crate::wire_struct!(@put w, $f $(, $($c)::+)?);)*)?
+                    }
+                )*}
+            }
+            fn get(
+                r: &mut $crate::codec::RecordReader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok(match r.get_u8()? {
+                    $($tag => Self::$v
+                        $(({ let $x = $crate::wire_struct!(@get r $(, $($xc)::+)?); $x }))?
+                        $({ $($f: $crate::wire_struct!(@get r $(, $($c)::+)?)),* })?,
+                    )*
+                    _ => {
+                        return Err($crate::codec::CodecError::Invalid(concat!(
+                            stringify!($t),
+                            " tag"
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
 // ----------------------------------------------------------- frame streaming
 
 /// Largest frame payload [`read_frame`] accepts unless the caller tightens
@@ -510,6 +847,79 @@ mod tests {
         assert_eq!(r.get_bytes(), Ok(&[1u8, 2, 3][..]));
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.get_u8(), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn wire_conformance_of_primitives_and_containers() {
+        use crate::conformance::wire_conformance;
+        wire_conformance(&[0u8, 7, u8::MAX]);
+        wire_conformance(&[0xBEEFu16, 0]);
+        wire_conformance(&[0xDEAD_BEEFu32, 1]);
+        wire_conformance(&[u64::MAX - 3, 0]);
+        wire_conformance(&[-0.125f64, f64::INFINITY]);
+        wire_conformance(&[true, false]);
+        wire_conformance(&[0usize, 1 << 20]);
+        wire_conformance(&[String::new(), "relation-name".to_string()]);
+        wire_conformance(&[None, Some(9u32)]);
+        wire_conformance(&[vec![], vec![(1u64, vec![1u8, 2, 3]), (2, vec![])]]);
+        wire_conformance(&[(1u8, "a".to_string(), vec![Some(false)])]);
+        wire_conformance::<Result<u16, u8>>(&[Ok(0), Ok(513), Err(1), Err(255)]);
+    }
+
+    #[test]
+    fn wire_conformance_of_storage_types() {
+        use crate::conformance::wire_conformance;
+        use crate::{EpochStats, IoStats, PagerRecovery, RecordId};
+        wire_conformance(&[
+            IoStats::default(),
+            IoStats {
+                reads: 1,
+                writes: 2,
+                allocations: 3,
+                frees: 4,
+            },
+        ]);
+        wire_conformance(&[EpochStats {
+            current_epoch: 9,
+            pinned_epochs: 2,
+            quarantined_pages: 5,
+        }]);
+        wire_conformance(&[
+            PagerRecovery::Clean,
+            PagerRecovery::FellBack {
+                recovered_epoch: 4,
+                lost_epoch: 5,
+            },
+        ]);
+        wire_conformance(&[RecordId { page: 77, slot: 3 }]);
+    }
+
+    #[test]
+    fn forged_counts_fail_without_allocating() {
+        // u32::MAX elements claimed, four bytes present.
+        let forged = [0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4];
+        assert_eq!(decode::<Vec<u64>>(&forged), Err(CodecError::Truncated));
+        assert_eq!(decode::<Vec<String>>(&forged), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn validating_field_codecs_refuse_what_they_name() {
+        let mut r = RecordReader::new(&[0u8; 0]);
+        assert_eq!(finite::get::<f64>(&mut r), Err(CodecError::Truncated));
+        let nan = encode(&vec![1.0, f64::NAN]);
+        assert!(finite::get::<Vec<f64>>(&mut RecordReader::new(&nan)).is_err());
+        assert!(Vec::<f64>::get(&mut RecordReader::new(&nan)).is_ok());
+        for (ids, ok) in [
+            (vec![1u32, 4, 9], true),
+            (vec![9, 3], false),
+            (vec![2, 2], false),
+        ] {
+            let bytes = encode(&ids);
+            assert_eq!(
+                ascending::get::<u32>(&mut RecordReader::new(&bytes)).is_ok(),
+                ok
+            );
+        }
     }
 
     #[test]

@@ -43,6 +43,12 @@ pub struct EpochStats {
     pub quarantined_pages: u64,
 }
 
+crate::wire_struct!(EpochStats {
+    current_epoch,
+    pinned_epochs,
+    quarantined_pages
+});
+
 /// A frozen read view of a pager at one publish point.
 ///
 /// The whole [`PageReader`] surface works from `&self` with no lock on the

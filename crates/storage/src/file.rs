@@ -87,6 +87,8 @@ pub enum PagerRecovery {
     },
 }
 
+crate::wire_enum!(PagerRecovery { 0 => Clean, 1 => FellBack { recovered_epoch, lost_epoch } });
+
 /// A committed map entry: where the logical page lives and which epoch
 /// sealed its current image.
 #[derive(Clone, Copy, Debug)]

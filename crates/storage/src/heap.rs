@@ -37,6 +37,8 @@ pub struct RecordId {
     pub slot: u16,
 }
 
+crate::wire_struct!(RecordId { page, slot });
+
 /// A heap file over a pager. Pages are owned exclusively by the heap.
 #[derive(Clone, Debug)]
 pub struct HeapFile {

@@ -22,8 +22,10 @@
 //!   group-commit batching and torn-tail-tolerant replay, closing the
 //!   durability gap between shadow-paged checkpoints;
 //! * [`codec`] — little-endian page field helpers shared by the tree crates,
-//!   the fallible record codec and CRC-32 behind the durable catalog, and
-//!   the [`seal_page`]/[`check_page`] page-trailer pair behind torn-page
+//!   the fallible record codec and CRC-32 behind the durable catalog, the
+//!   [`Wire`] trait through which every type declares its byte layout once
+//!   (checked by the one harness in [`conformance`]), and the
+//!   [`seal_page`]/[`check_page`] page-trailer pair behind torn-page
 //!   detection.
 //!
 //! The pager interface is split into a read half ([`PageReader`], `&self`)
@@ -35,6 +37,7 @@
 
 pub mod buffer;
 pub mod codec;
+pub mod conformance;
 pub mod epoch;
 pub mod fault;
 pub mod file;
@@ -47,7 +50,7 @@ pub mod wal;
 pub use buffer::BufferPool;
 pub use codec::{
     check_page, crc32, read_frame, seal_page, write_frame, CodecError, FrameError, RecordReader,
-    RecordWriter, DEFAULT_MAX_FRAME, PAGE_TRAILER,
+    RecordWriter, Wire, DEFAULT_MAX_FRAME, PAGE_TRAILER,
 };
 pub use epoch::{EpochStats, SnapshotReader};
 pub use fault::{FaultOp, FaultPager, FaultPlan, TraceEntry};
@@ -57,3 +60,7 @@ pub use pager::{MemPager, PageId, PageReader, Pager, DEFAULT_PAGE_SIZE};
 pub use stats::IoStats;
 pub use tracked::TrackedReader;
 pub use wal::{wal_path, Wal, WalFaultPlan, WalScan};
+
+#[cfg(test)]
+#[global_allocator]
+static PEAK_ALLOC: conformance::PeakAlloc = conformance::PeakAlloc;

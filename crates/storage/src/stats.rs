@@ -13,6 +13,13 @@ pub struct IoStats {
     pub frees: u64,
 }
 
+crate::wire_struct!(IoStats {
+    reads,
+    writes,
+    allocations,
+    frees
+});
+
 impl IoStats {
     /// Total page accesses (reads + writes) — the headline experiment metric.
     pub fn accesses(&self) -> u64 {
