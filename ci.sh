@@ -22,6 +22,22 @@ tmp_snapshot() {
 tmp_before=$(tmp_snapshot)
 
 step build cargo build --release
+
+# The refinement fast path, by name and first (it fails fastest): the 2-D
+# TOP/BOT kernel against the simplex and the V-representation, the encoded
+# view against `decode`, the heap's page-ordered visitor, the slack-matched
+# B+-tree delete, and refinement on borrowed record bytes against a
+# `fetch_batch`-only source (same ids, same QueryStats, same errors).
+refine_kernel() {
+  cargo test -q -p cdb-geometry --lib -- kernel2d
+  cargo test -q -p cdb-geometry --test refine_kernel
+  cargo test -q -p cdb-storage --lib -- visit_many foreign_pages
+  cargo test -q -p cdb-btree --lib -- delete_finds_keys
+  cargo test -q -p cdb-core --lib -- refine_paths delete_that_misses
+  cargo test -q --test hyperplane_queries concurrent_line_queries
+}
+step refine-kernel refine_kernel
+
 step test cargo test -q --workspace
 # The durability suites run as part of the workspace tests, but a broken
 # lifecycle should fail loudly under its own name, not inside a wall of
@@ -467,9 +483,11 @@ shard_smoke() {
     || { die "cluster stats is missing a follower row"; return 1; }
 
   # SIGKILL shard 0's primary: merged reads ride through its follower.
+  # (Full-read grep, not -q, on every client pipe below: quitting on the
+  # first match SIGPIPEs the client's next line and fails the pipeline.)
   kill -9 "$p0pid"
   TERM= ./target/release/cdb-client --shards "$spec" \
-    exist parcels 'y >= -1000000' | grep -q '^16 matches' \
+    exist parcels 'y >= -1000000' | grep '^16 matches' >/dev/null \
     || { die "reads failed with one shard primary down"; return 1; }
 
   # Same-port restart with the same --shard flags (the spec in the file's
@@ -485,13 +503,13 @@ shard_smoke() {
   done
   [ -n "$raddr" ] || { die "restarted shard primary never came up"; return 1; }
   TERM= ./target/release/cdb-client --shards "$spec" \
-    exist parcels 'y >= -1000000' | grep -q '^16 matches' \
+    exist parcels 'y >= -1000000' | grep '^16 matches' >/dev/null \
     || { die "restart lost acknowledged writes"; return 1; }
   TERM= ./target/release/cdb-client --shards "$spec" \
     insert parcels 'y >= 0 && y <= 1 && x >= 90 && x <= 91' >/dev/null \
     || { die "write after shard restart failed"; return 1; }
   TERM= ./target/release/cdb-client --shards "$spec" \
-    exist parcels 'y >= -1000000' | grep -q '^17 matches' \
+    exist parcels 'y >= -1000000' | grep '^17 matches' >/dev/null \
     || { die "post-restart write is not visible"; return 1; }
 
   # Graceful teardown of every member, then offline fsck of every file.

@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the substrates: B⁺-tree operations, R⁺-tree packing
-//! and search, LP surface evaluation, polygon construction.
+//! and search, `TOP_P` evaluation (2-D kernel against the simplex), polygon
+//! construction.
 //!
 //! Dependency-free harness (`harness = false`): each case is warmed up and
 //! then timed over a fixed batch, reporting mean ns/op. Run with
@@ -8,8 +9,9 @@
 use std::time::Instant;
 
 use cdb_btree::BTree;
-use cdb_geometry::dual;
+use cdb_geometry::dual::{self, DualSurfaces};
 use cdb_geometry::polygon::Polygon;
+use cdb_geometry::TupleView;
 use cdb_rplustree::RPlusTree;
 use cdb_storage::MemPager;
 use cdb_workload::{tuple_mbr, DatasetSpec, ObjectSize, TupleGen};
@@ -84,10 +86,30 @@ fn bench_geometry() {
     println!("geometry");
     let mut g = TupleGen::new(7, cdb_geometry::Rect::paper_window(), ObjectSize::Small);
     let tuples: Vec<_> = (0..64).map(|_| g.bounded_tuple()).collect();
+    // The same 64 evaluations three ways: the routed 2-D kernel on owned
+    // tuples, the kernel on the encoded record bytes (validation included,
+    // as refinement pays it), and the simplex reference.
     let ns = time_ns(5, 100, || {
         let mut acc = 0.0;
         for t in &tuples {
             acc += dual::top(t, &[0.37]).unwrap();
+        }
+        std::hint::black_box(acc);
+    });
+    report("top_kernel_eval/64", ns);
+    let records: Vec<Vec<u8>> = tuples.iter().map(|t| t.encode()).collect();
+    let ns = time_ns(5, 100, || {
+        let mut acc = 0.0;
+        for r in &records {
+            acc += TupleView::new(r).unwrap().top(&[0.37]).unwrap();
+        }
+        std::hint::black_box(acc);
+    });
+    report("top_kernel_encoded_eval/64", ns);
+    let ns = time_ns(5, 100, || {
+        let mut acc = 0.0;
+        for t in &tuples {
+            acc += dual::top_lp(t, &[0.37]).unwrap();
         }
         std::hint::black_box(acc);
     });

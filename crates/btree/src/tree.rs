@@ -24,7 +24,7 @@ use std::io;
 
 use cdb_storage::{PageId, PageReader, Pager};
 
-use crate::layout::{internal_capacity, leaf_capacity, Handicaps, NULL_PAGE};
+use crate::layout::{internal_capacity, key_slack, leaf_capacity, Handicaps, NULL_PAGE};
 use crate::node::{is_leaf, Internal, Leaf};
 
 /// Flow control for leaf sweeps.
@@ -294,69 +294,87 @@ impl BTree {
 
     // ------------------------------------------------------------- delete --
 
-    /// Removes one entry equal to `(key, value)` (key compared after the
-    /// same `f32` rounding applied at insert). Returns `true` if found.
+    /// Removes the entry `(key, value)`. Returns `true` if found.
+    ///
+    /// The stored key is matched within [`key_slack`]`(key)` of `key`, not
+    /// bit for bit: callers recompute the key of the entry they delete, and
+    /// a recomputation that lands one ulp away across an `f32` rounding
+    /// boundary (another binary, another evaluator) must still find the
+    /// entry it wrote. Among several entries carrying `value` inside the
+    /// band the one whose stored key is nearest wins, so an exact match is
+    /// always preferred.
     pub fn delete(&mut self, pager: &mut dyn Pager, key: f64, value: u32) -> io::Result<bool> {
         assert!(!key.is_nan(), "NaN keys are not allowed");
         let k32 = key as f32 as f64;
-        let Some((mut page, mut slot)) = self.find_first_geq(&*pager, k32)? else {
+        let slack = key_slack(key);
+        let Some((mut page, mut slot)) = self.find_first_geq(&*pager, k32 - slack)? else {
             return Ok(false);
         };
         let mut buf = vec![0u8; self.page_size];
-        loop {
+        let mut hit: Option<(PageId, usize, f64)> = None;
+        'band: loop {
             self.read(&*pager, page, &mut buf)?;
-            let mut leaf = Leaf::new(&mut buf);
+            let leaf = Leaf::new(&mut buf);
             while slot < leaf.count() {
                 let k = leaf.key(slot);
-                if k > k32 {
-                    return Ok(false);
+                if k > k32 + slack {
+                    break 'band;
                 }
-                if k == k32 && leaf.value(slot) == value {
-                    leaf.remove(slot);
-                    let emptied = leaf.count() == 0;
-                    let (prev, next, h) = (leaf.prev(), leaf.next(), leaf.handicaps());
-                    pager.write(page, &buf)?;
-                    self.len -= 1;
-                    if emptied {
-                        // Preserve handicap reachability: an emptied leaf may
-                        // be skipped by future sweep starts, so its `low`
-                        // bounds migrate upward (next leaf) and its `high`
-                        // bounds downward (previous leaf). Folding is
-                        // conservative (min/max), cascading through later
-                        // deletions, so technique T2 stays correct without a
-                        // rebuild.
-                        if next != NULL_PAGE {
-                            let mut nbuf = vec![0u8; self.page_size];
-                            self.read(&*pager, next, &mut nbuf)?;
-                            let mut nleaf = Leaf::new(&mut nbuf);
-                            let mut nh = nleaf.handicaps();
-                            nh.low_prev = nh.low_prev.min(h.low_prev);
-                            nh.low_next = nh.low_next.min(h.low_next);
-                            nleaf.set_handicaps(nh);
-                            pager.write(next, &nbuf)?;
-                        }
-                        if prev != NULL_PAGE {
-                            let mut pbuf = vec![0u8; self.page_size];
-                            self.read(&*pager, prev, &mut pbuf)?;
-                            let mut pleaf = Leaf::new(&mut pbuf);
-                            let mut ph = pleaf.handicaps();
-                            ph.high_prev = ph.high_prev.max(h.high_prev);
-                            ph.high_next = ph.high_next.max(h.high_next);
-                            pleaf.set_handicaps(ph);
-                            pager.write(prev, &pbuf)?;
-                        }
-                    }
-                    return Ok(true);
+                // Equal infinities are an exact match (∞ − ∞ is NaN).
+                let off = if k == k32 { 0.0 } else { (k - k32).abs() };
+                if leaf.value(slot) == value && hit.is_none_or(|(_, _, best)| off < best) {
+                    hit = Some((page, slot, off));
                 }
                 slot += 1;
             }
             let next = leaf.next();
             if next == NULL_PAGE {
-                return Ok(false);
+                break;
             }
             page = next;
             slot = 0;
         }
+        let Some((hit_page, slot, _)) = hit else {
+            return Ok(false);
+        };
+        if hit_page != page {
+            page = hit_page;
+            self.read(&*pager, page, &mut buf)?;
+        }
+        let mut leaf = Leaf::new(&mut buf);
+        leaf.remove(slot);
+        let emptied = leaf.count() == 0;
+        let (prev, next, h) = (leaf.prev(), leaf.next(), leaf.handicaps());
+        pager.write(page, &buf)?;
+        self.len -= 1;
+        if emptied {
+            // Preserve handicap reachability: an emptied leaf may be skipped
+            // by future sweep starts, so its `low` bounds migrate upward
+            // (next leaf) and its `high` bounds downward (previous leaf).
+            // Folding is conservative (min/max), cascading through later
+            // deletions, so technique T2 stays correct without a rebuild.
+            if next != NULL_PAGE {
+                let mut nbuf = vec![0u8; self.page_size];
+                self.read(&*pager, next, &mut nbuf)?;
+                let mut nleaf = Leaf::new(&mut nbuf);
+                let mut nh = nleaf.handicaps();
+                nh.low_prev = nh.low_prev.min(h.low_prev);
+                nh.low_next = nh.low_next.min(h.low_next);
+                nleaf.set_handicaps(nh);
+                pager.write(next, &nbuf)?;
+            }
+            if prev != NULL_PAGE {
+                let mut pbuf = vec![0u8; self.page_size];
+                self.read(&*pager, prev, &mut pbuf)?;
+                let mut pleaf = Leaf::new(&mut pbuf);
+                let mut ph = pleaf.handicaps();
+                ph.high_prev = ph.high_prev.max(h.high_prev);
+                ph.high_next = ph.high_next.max(h.high_next);
+                pleaf.set_handicaps(ph);
+                pager.write(prev, &pbuf)?;
+            }
+        }
+        Ok(true)
     }
 
     // ------------------------------------------------------------- search --
@@ -888,6 +906,70 @@ mod tests {
         assert!(!vals.contains(&17));
         assert_eq!(vals.len(), 29);
         t.validate(&pager).unwrap();
+    }
+
+    /// Regression: a key recomputed one ulp away from the one that was
+    /// inserted — across an `f32` rounding boundary, so the rounded keys
+    /// differ by one `f32` step — used to miss the entry and leave a
+    /// dangling id in the tree.
+    #[test]
+    fn delete_finds_keys_recomputed_a_rounding_step_away() {
+        let mut pager = MemPager::new(P);
+        let mut t = BTree::new(&mut pager).unwrap();
+        // Midpoints between adjacent f32 values: ±1 ulp (f64) rounds to
+        // different f32 neighbours.
+        let boundary = |lo: f32| (lo as f64 + lo.next_up() as f64) / 2.0;
+        let keys: Vec<f64> = [-37.25f32, -1e-3, 0.5, 12.75, 48.0, 1.9e4]
+            .into_iter()
+            .map(boundary)
+            .collect();
+        // Filler on both sides of every key, one f32 step away and further,
+        // with other values: must never be taken instead.
+        let mut filler = 1000u32;
+        for &k in &keys {
+            let k32 = k as f32;
+            for near in [k32.next_down().next_down(), k32.next_up().next_up(), k32] {
+                t.insert(&mut pager, near as f64, filler).unwrap();
+                filler += 1;
+            }
+        }
+        type Perturb = fn(f64) -> f64;
+        let perturbations: [(&str, Perturb); 5] = [
+            ("exact", |k| k),
+            ("+1 ulp", |k| k.next_up()),
+            ("-1 ulp", |k| k.next_down()),
+            ("+1 f32 step", |k| (k as f32).next_up() as f64),
+            ("-1 f32 step", |k| (k as f32).next_down() as f64),
+        ];
+        for (name, perturb) in perturbations {
+            for (v, &k) in keys.iter().enumerate() {
+                t.insert(&mut pager, k, v as u32).unwrap();
+            }
+            let before = t.len();
+            for (v, &k) in keys.iter().enumerate() {
+                assert!(
+                    t.delete(&mut pager, perturb(k), v as u32).unwrap(),
+                    "{name}: key {k} not found"
+                );
+            }
+            assert_eq!(t.len(), before - keys.len() as u64, "{name}");
+            t.validate(&pager).unwrap();
+        }
+        // Outside the slack band nothing matches, and infinities are exact.
+        t.insert(&mut pager, 100.0, 7).unwrap();
+        t.insert(&mut pager, f64::INFINITY, 8).unwrap();
+        assert!(!t.delete(&mut pager, 100.0 + 1e-3, 7).unwrap());
+        assert!(!t.delete(&mut pager, 1e30, 8).unwrap());
+        assert!(t.delete(&mut pager, f64::INFINITY, 8).unwrap());
+        // Two entries of one value inside the band: the nearest key goes.
+        let (a, b) = (100.0f32, 100.0f32.next_up());
+        t.insert(&mut pager, b as f64, 7).unwrap();
+        assert!(t.delete(&mut pager, b as f64, 7).unwrap());
+        assert_eq!(
+            t.range(&pager, a as f64, b as f64).unwrap(),
+            vec![(a as f64, 7)]
+        );
+        assert_eq!(t.len(), 1 + (filler - 1000) as u64);
     }
 
     #[test]

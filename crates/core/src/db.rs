@@ -30,7 +30,7 @@ use cdb_storage::{
 
 use crate::ddim::{DualIndexD, SlopePoints};
 use crate::error::CdbError;
-use crate::index::DualIndex;
+use crate::index::{DualIndex, HeapSource};
 use crate::partition::PartitionSpec;
 use crate::plan::{
     AccessMethod, DualDAccess, MethodContext, MethodKind, PlanCatalog, RPlusAccess,
@@ -385,6 +385,25 @@ impl Relation {
         }
     }
 
+    /// Flags one index structure as no longer trustworthy, degrading the
+    /// relation: the planner routes around it until
+    /// [`ConstraintDb::rebuild_indexes`] re-derives it from the heap.
+    fn mark_corrupt(&mut self, which: &str) {
+        match &mut self.health {
+            RelationHealth::Degraded { corrupt_indexes } => {
+                if !corrupt_indexes.iter().any(|c| c == which) {
+                    corrupt_indexes.push(which.to_string());
+                }
+            }
+            RelationHealth::Healthy => {
+                self.health = RelationHealth::Degraded {
+                    corrupt_indexes: vec![which.to_string()],
+                }
+            }
+            RelationHealth::Quarantined { .. } => {}
+        }
+    }
+
     /// Clears one structure's corruption flag after a successful rebuild;
     /// a degraded relation with nothing left corrupt becomes healthy.
     fn mark_repaired(&mut self, which: &str) {
@@ -462,10 +481,7 @@ impl Relation {
     /// Page-batched candidate fetcher over this relation's heap, for
     /// access-method execution.
     pub(crate) fn tuple_source(&self) -> HeapSource<'_> {
-        HeapSource {
-            heap: &self.heap,
-            slots: &self.slots,
-        }
+        HeapSource::new(&self.heap, &self.slots)
     }
 
     /// Every access method currently available on this relation, boxed as
@@ -543,40 +559,6 @@ fn verify_relation(pager: &dyn PageReader, rel: &Relation) -> RelationHealth {
         RelationHealth::Healthy
     } else {
         RelationHealth::Degraded { corrupt_indexes }
-    }
-}
-
-/// Page-batched [`crate::index::TupleSource`] over a relation's heap:
-/// candidate fetches cost one page access per *distinct* heap page.
-pub(crate) struct HeapSource<'a> {
-    heap: &'a HeapFile,
-    slots: &'a [Option<RecordId>],
-}
-
-impl crate::index::TupleSource for HeapSource<'_> {
-    fn fetch_batch(
-        &self,
-        pager: &dyn PageReader,
-        ids: &[u32],
-    ) -> Result<Vec<GeneralizedTuple>, CdbError> {
-        let mut rids = Vec::with_capacity(ids.len());
-        for &id in ids {
-            rids.push(
-                self.slots
-                    .get(id as usize)
-                    .and_then(|r| *r)
-                    .ok_or(CdbError::NoSuchTuple(id))?,
-            );
-        }
-        self.heap
-            .get_many(pager, &rids)?
-            .into_iter()
-            .zip(ids)
-            .map(|(bytes, &id)| {
-                let bytes = bytes.ok_or(CdbError::NoSuchTuple(id))?;
-                GeneralizedTuple::decode(&bytes).ok_or(CdbError::CorruptRecord(id))
-            })
-            .collect()
     }
 }
 
@@ -1483,14 +1465,18 @@ impl ConstraintDb {
         rel.slots[id as usize] = None;
         rel.by_record.remove(&rid);
         rel.live -= 1;
+        // An index that does not hold the entry it should is out of step
+        // with the heap: a dangling id would surface later as
+        // `NoSuchTuple` in the middle of a query. The heap is the truth, so
+        // the delete stands and the index is flagged for a rebuild.
         if let Some(idx) = rel.index.as_mut() {
-            if !c_dual {
-                idx.remove(pager, id, &tuple)?;
+            if !c_dual && !idx.remove(pager, id, &tuple)? {
+                rel.mark_corrupt("dual");
             }
         }
         if let Some(idx) = rel.index_d.as_mut() {
-            if !c_duald {
-                idx.remove(pager, id, &tuple)?;
+            if !c_duald && !idx.remove(pager, id, &tuple)? {
+                rel.mark_corrupt("dual-d");
             }
         }
         if let Some(rp) = rel.rplus.as_mut() {
@@ -1751,6 +1737,61 @@ mod tests {
             db.create_relation("land", 2),
             Err(CdbError::RelationExists(_))
         ));
+    }
+
+    /// Regression: `delete` used to drop `DualIndex::remove`'s verdict, so
+    /// an index that had lost step with the heap kept a dangling id that
+    /// surfaced later as `NoSuchTuple` in the middle of a query.
+    #[test]
+    fn delete_that_misses_its_index_entry_degrades_the_relation() {
+        let mut db = sample_db();
+        db.build_dual_index("land", SlopeSet::uniform_tan(3))
+            .unwrap();
+        let sel = Selection::exist(HalfPlane::above(0.3, -50.0));
+        assert_eq!(db.query("land", sel.clone()).unwrap().ids(), &[0, 1, 2, 3]);
+        // Knock tuple 2's entries out of the index behind the engine's back.
+        let victim = db.fetch_tuple("land", 2).unwrap();
+        {
+            let view = &mut db.view;
+            let rel = view.relations.get_mut("land").unwrap();
+            let idx = rel.index.as_mut().unwrap();
+            assert!(idx.remove(view.pager.as_mut(), 2, &victim).unwrap());
+        }
+        assert_eq!(
+            db.relation("land").unwrap().health(),
+            &RelationHealth::Healthy
+        );
+        // The heap delete stands; the index is flagged, not trusted.
+        assert_eq!(db.delete("land", 2).unwrap(), victim);
+        assert_eq!(
+            db.relation("land").unwrap().health(),
+            &RelationHealth::Degraded {
+                corrupt_indexes: vec!["dual".to_string()]
+            }
+        );
+        assert_eq!(db.query("land", sel.clone()).unwrap().ids(), &[0, 1, 3]);
+        assert!(matches!(
+            db.query_with("land", sel.clone(), Strategy::T2),
+            Err(CdbError::NoIndex(_))
+        ));
+        assert_eq!(
+            db.rebuild_indexes("land").unwrap(),
+            vec!["dual".to_string()]
+        );
+        assert_eq!(
+            db.relation("land").unwrap().health(),
+            &RelationHealth::Healthy
+        );
+        assert_eq!(
+            db.query_with("land", sel, Strategy::T2).unwrap().ids(),
+            &[0, 1, 3]
+        );
+        // A clean delete leaves the relation healthy.
+        db.delete("land", 0).unwrap();
+        assert_eq!(
+            db.relation("land").unwrap().health(),
+            &RelationHealth::Healthy
+        );
     }
 
     #[test]

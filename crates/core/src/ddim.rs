@@ -654,7 +654,7 @@ impl DualIndexD {
             };
             stats.index_io = pager.stats().since(&before);
             let heap_before = pager.stats();
-            let kept = refine(pager, sel, check, fetch, &mut stats)?;
+            let kept = refine(pager, &|t| sel.holds(t), check, fetch, &mut stats)?;
             stats.heap_io = pager.stats().since(&heap_before);
             sure.extend(kept);
             return Ok(QueryResult::new(sure, stats));
@@ -683,7 +683,7 @@ impl DualIndexD {
             };
             stats.index_io = pager.stats().since(&before);
             let heap_before = pager.stats();
-            let ids = refine(pager, sel, raw, fetch, &mut stats)?;
+            let ids = refine(pager, &|t| sel.holds(t), raw, fetch, &mut stats)?;
             stats.heap_io = pager.stats().since(&heap_before);
             return Ok(QueryResult::new(ids, stats));
         }
@@ -747,7 +747,7 @@ impl DualIndexD {
         raw.dedup();
         stats.duplicates = (before_len - raw.len()) as u64;
         let heap_before = pager.stats();
-        let ids = refine(pager, sel, raw, fetch, &mut stats)?;
+        let ids = refine(pager, &|t| sel.holds(t), raw, fetch, &mut stats)?;
         stats.heap_io = pager.stats().since(&heap_before);
         Ok(QueryResult::new(ids, stats))
     }

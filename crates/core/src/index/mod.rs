@@ -2,20 +2,23 @@
 //! restricted (Section 3), T1 (Section 4.1) and T2 (Sections 4.2–4.3) query
 //! strategies, each in its own submodule.
 
+mod heap_source;
 mod restricted;
 mod t1;
 mod t2;
 
 use std::io;
 
+pub(crate) use heap_source::HeapSource;
 pub(crate) use restricted::sweep_candidates;
 pub(crate) use t2::handicap_guided_candidates;
 
 use cdb_btree::{BTree, Handicaps};
 use cdb_geometry::constraint::RelOp;
+use cdb_geometry::dual::{self, DualSurfaces};
 use cdb_geometry::halfplane::HalfPlane;
+use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
-use cdb_geometry::{dual, predicates};
 use cdb_storage::{PageReader, Pager, TrackedReader};
 
 use crate::error::CdbError;
@@ -43,6 +46,25 @@ pub trait TupleSource {
         pager: &dyn PageReader,
         ids: &[u32],
     ) -> Result<Vec<GeneralizedTuple>, CdbError>;
+
+    /// Shows the stored form of every tuple in `ids` to `visit`, as
+    /// `(position in ids, surfaces)`, in whatever order is cheapest for the
+    /// source — what the refinement step consumes. The default materializes
+    /// the tuples with [`fetch_batch`](Self::fetch_batch); a source that
+    /// owns the records (the engine's heap) lends each one's encoded bytes
+    /// out of its page instead, so refinement copies and decodes nothing.
+    /// Page accesses and errors are those of `fetch_batch`.
+    fn visit_batch(
+        &self,
+        pager: &dyn PageReader,
+        ids: &[u32],
+        visit: &mut dyn FnMut(usize, &dyn DualSurfaces),
+    ) -> Result<(), CdbError> {
+        for (at, tuple) in self.fetch_batch(pager, ids)?.iter().enumerate() {
+            visit(at, tuple);
+        }
+        Ok(())
+    }
 }
 
 impl<F> TupleSource for F
@@ -402,39 +424,21 @@ impl DualIndex {
                 got: sel.halfplane.dim(),
             });
         }
-        let tracked = TrackedReader::new(pager);
-        let pager: &dyn PageReader = &tracked;
-        let a = sel.halfplane.slope2d();
-        let bracket = self.slopes.bracket(a);
-        match (strategy, bracket) {
-            (Strategy::Restricted, Bracket::Member(i)) => self.restricted(pager, sel, i, fetch),
-            (Strategy::Restricted, _) => Err(CdbError::UnsupportedQuery(format!(
-                "slope {a} is not in the predefined set S"
-            ))),
-            (Strategy::Auto, Bracket::Member(i)) => self.restricted(pager, sel, i, fetch),
-            (Strategy::T1 | Strategy::T2, Bracket::Member(i)) => {
-                self.restricted(pager, sel, i, fetch)
-            }
-            (Strategy::T1, _) => self.t1(pager, sel, fetch),
-            (Strategy::T2 | Strategy::Auto, Bracket::Between(i, j)) => {
-                self.t2(pager, sel, i, j, fetch)
-            }
-            // The paper details T2 for the main case a1 < a < a2 only; the
-            // wrapped cases fall back to T1 exactly like Section 4.1.
-            (Strategy::T2 | Strategy::Auto, Bracket::Wrapped(..)) => self.t1(pager, sel, fetch),
-            (Strategy::Scan | Strategy::RPlus, _) => Err(CdbError::UnsupportedQuery(
-                "Scan and RPlus are executed by the planner, not the dual index".into(),
-            )),
-        }
+        let exact = Exact {
+            keep: &|t| sel.holds(t),
+            keys_decide: true,
+        };
+        self.run(pager, sel, strategy, fetch, &exact)
     }
 
     /// Footnote 2 of the paper: *equality* queries. Retrieves tuples whose
     /// extension intersects (`Exist`) or is contained in (`All`) the
     /// hyperplane `x_d = a·x' + c` — e.g. the query generalized tuple
     /// `y = a x + c`. A tuple meets the line iff `BOT ≤ c ≤ TOP`, so the
-    /// exact `EXIST(x_d ≥ a·x' + c)` answer (`TOP ≥ c`) is a candidate
-    /// superset; one extra refinement pass against the hyperplane predicate
-    /// finishes the job.
+    /// candidates of `EXIST(x_d ≥ a·x' + c)` (`TOP ≥ c`) are a superset;
+    /// the one refinement pass applies the hyperplane predicate to them
+    /// directly (keys alone decide nothing here: `BOT` is not in the swept
+    /// tree).
     pub fn execute_hyperplane(
         &self,
         pager: &dyn PageReader,
@@ -444,30 +448,56 @@ impl DualIndex {
         strategy: Strategy,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        let sup = self.execute(
-            pager,
-            &Selection::exist(HalfPlane::new2d(slope, c, RelOp::Ge)),
-            strategy,
-            fetch,
-        )?;
-        let mut stats = sup.stats;
-        let heap_before = pager.stats();
-        let candidates: Vec<u32> = sup.ids().to_vec();
-        let tuples = fetch.fetch_batch(pager, &candidates)?;
-        let mut ids = Vec::with_capacity(candidates.len());
-        for (id, t) in candidates.into_iter().zip(&tuples) {
-            let keep = match kind {
-                SelectionKind::Exist => predicates::exist_hyperplane(&[slope], c, t),
-                SelectionKind::All => predicates::all_hyperplane(&[slope], c, t),
-            };
-            if keep {
-                ids.push(id);
-            } else {
-                stats.false_hits += 1;
+        let superset = Selection::exist(HalfPlane::new2d(slope, c, RelOp::Ge));
+        let keep = |t: &dyn DualSurfaces| match kind {
+            SelectionKind::Exist => predicates::exist_hyperplane(&[slope], c, t),
+            SelectionKind::All => predicates::all_hyperplane(&[slope], c, t),
+        };
+        let exact = Exact {
+            keep: &keep,
+            keys_decide: false,
+        };
+        self.run(pager, &superset, strategy, fetch, &exact)
+    }
+
+    /// Sweeps for `sel` with `strategy` and refines with `exact`, under a
+    /// private [`TrackedReader`] so the I/O windows are this query's own.
+    fn run(
+        &self,
+        pager: &dyn PageReader,
+        sel: &Selection,
+        strategy: Strategy,
+        fetch: &dyn TupleSource,
+        exact: &Exact<'_>,
+    ) -> Result<QueryResult, CdbError> {
+        let tracked = TrackedReader::new(pager);
+        let pager: &dyn PageReader = &tracked;
+        let a = sel.halfplane.slope2d();
+        let bracket = self.slopes.bracket(a);
+        match (strategy, bracket) {
+            (Strategy::Restricted, Bracket::Member(i)) => {
+                self.restricted(pager, sel, i, fetch, exact)
             }
+            (Strategy::Restricted, _) => Err(CdbError::UnsupportedQuery(format!(
+                "slope {a} is not in the predefined set S"
+            ))),
+            (Strategy::Auto, Bracket::Member(i)) => self.restricted(pager, sel, i, fetch, exact),
+            (Strategy::T1 | Strategy::T2, Bracket::Member(i)) => {
+                self.restricted(pager, sel, i, fetch, exact)
+            }
+            (Strategy::T1, _) => self.t1(pager, sel, fetch, exact),
+            (Strategy::T2 | Strategy::Auto, Bracket::Between(i, j)) => {
+                self.t2(pager, sel, i, j, fetch, exact)
+            }
+            // The paper details T2 for the main case a1 < a < a2 only; the
+            // wrapped cases fall back to T1 exactly like Section 4.1.
+            (Strategy::T2 | Strategy::Auto, Bracket::Wrapped(..)) => {
+                self.t1(pager, sel, fetch, exact)
+            }
+            (Strategy::Scan | Strategy::RPlus, _) => Err(CdbError::UnsupportedQuery(
+                "Scan and RPlus are executed by the planner, not the dual index".into(),
+            )),
         }
-        stats.heap_io = stats.heap_io.plus(&pager.stats().since(&heap_before));
-        Ok(QueryResult::new(ids, stats))
     }
 
     /// Frees every page of every tree back to the pager.
@@ -553,29 +583,35 @@ pub(crate) fn fold_high(
     Ok(())
 }
 
-/// Exact refinement: fetches the candidates (batched by the source, so the
-/// cost is one page access per distinct heap page) and keeps those
-/// satisfying the original selection (Proposition 2.2 evaluated by LP).
+/// What the refinement step decides per candidate, and whether the index
+/// keys already decide it.
+pub(crate) struct Exact<'a> {
+    /// The exact predicate on a candidate's stored form.
+    pub keep: &'a dyn Fn(&dyn DualSurfaces) -> bool,
+    /// `true` when the swept tree's key test at a member slope *is* this
+    /// predicate, so entries clear of the `f32` rounding band are accepted
+    /// from their keys; `false` sends every candidate through `keep`.
+    pub keys_decide: bool,
+}
+
+/// Exact refinement — the one loop behind every technique: shows the
+/// candidates' stored forms to `keep` (batched by the source, so the cost
+/// is one page access per distinct heap page; the engine's heap source runs
+/// `keep` on the record bytes in the page) and returns those it accepts, in
+/// candidate order.
 pub(crate) fn refine(
     pager: &dyn PageReader,
-    sel: &Selection,
+    keep: &dyn Fn(&dyn DualSurfaces) -> bool,
     candidates: Vec<u32>,
     fetch: &dyn TupleSource,
     stats: &mut QueryStats,
 ) -> Result<Vec<u32>, CdbError> {
-    let tuples = fetch.fetch_batch(pager, &candidates)?;
-    let mut out = Vec::with_capacity(candidates.len());
-    for (id, t) in candidates.into_iter().zip(&tuples) {
-        let keep = match sel.kind {
-            SelectionKind::All => predicates::all(&sel.halfplane, t),
-            SelectionKind::Exist => predicates::exist(&sel.halfplane, t),
-        };
-        if keep {
-            out.push(id);
-        } else {
-            stats.false_hits += 1;
-        }
-    }
+    let mut kept = vec![false; candidates.len()];
+    fetch.visit_batch(pager, &candidates, &mut |at, t| kept[at] = keep(t))?;
+    let mut out = candidates;
+    let mut verdicts = kept.iter();
+    out.retain(|_| *verdicts.next().expect("one verdict per candidate"));
+    stats.false_hits += (kept.len() - out.len()) as u64;
     Ok(out)
 }
 

@@ -6,7 +6,7 @@ use std::io;
 use cdb_btree::{key_slack, BTree, SweepControl};
 use cdb_storage::PageReader;
 
-use super::{refine, DualIndex, TupleSource};
+use super::{refine, DualIndex, Exact, TupleSource};
 use crate::error::CdbError;
 use crate::query::{tree_and_direction, QueryResult, QueryStats, Selection};
 
@@ -14,19 +14,25 @@ impl DualIndex {
     /// Section 3: one tree search plus a leaf sweep. With the paper's
     /// 4-byte stored keys the entries within one `f32` quantum of the
     /// threshold cannot be decided from the page alone; only those few are
-    /// verified exactly (tuple fetch), every other entry is accepted by key.
+    /// verified exactly (tuple fetch), every other entry is accepted by key
+    /// — unless `exact` is a predicate the keys do not decide, in which
+    /// case the whole sweep is refined.
     pub(super) fn restricted(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
         slope_idx: usize,
         fetch: &dyn TupleSource,
+        exact: &Exact<'_>,
     ) -> Result<QueryResult, CdbError> {
         let before = pager.stats();
         let b = sel.halfplane.intercept;
         let (use_up, upward) = tree_and_direction(sel.kind, sel.halfplane.op);
         let tree = self.tree(slope_idx, use_up);
-        let (mut sure, check) = sweep_candidates(tree, pager, b, upward)?;
+        let (mut sure, mut check) = sweep_candidates(tree, pager, b, upward)?;
+        if !exact.keys_decide {
+            check.append(&mut sure);
+        }
         let mut stats = QueryStats {
             candidates: (sure.len() + check.len()) as u64,
             accepted_by_key: sure.len() as u64,
@@ -36,7 +42,7 @@ impl DualIndex {
         let heap_before = pager.stats();
         // The boundary-band predicate at the tree's own slope equals the
         // exact selection predicate, so refine() decides it exactly.
-        let kept = refine(pager, sel, check, fetch, &mut stats)?;
+        let kept = refine(pager, exact.keep, check, fetch, &mut stats)?;
         stats.heap_io = pager.stats().since(&heap_before);
         sure.extend(kept);
         Ok(QueryResult::new(sure, stats))

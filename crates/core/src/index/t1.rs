@@ -4,7 +4,7 @@
 use cdb_geometry::constraint::RelOp;
 use cdb_storage::PageReader;
 
-use super::{refine, sweep_candidates, DualIndex, TupleSource};
+use super::{refine, sweep_candidates, DualIndex, Exact, TupleSource};
 use crate::error::CdbError;
 use crate::query::{tree_and_direction, QueryResult, QueryStats, Selection, SelectionKind};
 use crate::slopes::Bracket;
@@ -17,6 +17,7 @@ impl DualIndex {
         pager: &dyn PageReader,
         sel: &Selection,
         fetch: &dyn TupleSource,
+        exact: &Exact<'_>,
     ) -> Result<QueryResult, CdbError> {
         let before = pager.stats();
         let a = sel.halfplane.slope2d();
@@ -54,7 +55,7 @@ impl DualIndex {
         raw.dedup();
         stats.duplicates = (before_len - raw.len()) as u64;
         let heap_before = pager.stats();
-        let ids = refine(pager, sel, raw, fetch, &mut stats)?;
+        let ids = refine(pager, exact.keep, raw, fetch, &mut stats)?;
         stats.heap_io = pager.stats().since(&heap_before);
         Ok(QueryResult::new(ids, stats))
     }

@@ -6,7 +6,7 @@ use std::io;
 use cdb_btree::{key_slack, BTree, Handicaps, SweepControl};
 use cdb_storage::PageReader;
 
-use super::{refine, DualIndex, TupleSource};
+use super::{refine, DualIndex, Exact, TupleSource};
 use crate::error::CdbError;
 use crate::query::{tree_and_direction, QueryResult, QueryStats, Selection, Side};
 
@@ -19,6 +19,7 @@ impl DualIndex {
         lo_idx: usize,
         hi_idx: usize,
         fetch: &dyn TupleSource,
+        exact: &Exact<'_>,
     ) -> Result<QueryResult, CdbError> {
         let before = pager.stats();
         let a = sel.halfplane.slope2d();
@@ -57,7 +58,7 @@ impl DualIndex {
             "T2 must not produce duplicates"
         );
         let heap_before = pager.stats();
-        let ids = refine(pager, sel, raw, fetch, &mut stats)?;
+        let ids = refine(pager, exact.keep, raw, fetch, &mut stats)?;
         stats.heap_io = pager.stats().since(&heap_before);
         Ok(QueryResult::new(ids, stats))
     }

@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use cdb_btree::layout::leaf_capacity;
-use cdb_geometry::predicates;
 use cdb_rplustree::RPlusTree;
 use cdb_storage::codec::{self, finite};
 use cdb_storage::{CodecError, PageReader, RecordReader, RecordWriter, TrackedReader, Wire};
@@ -145,7 +144,7 @@ pub enum Capability {
     /// band, which is verified in place); no candidate superset.
     Exact,
     /// The index phase produces a candidate superset that an exact
-    /// refinement pass (tuple fetches + LP) filters down.
+    /// refinement pass (tuple fetches + the exact predicate) filters down.
     Refined,
     /// The method cannot serve this selection; the reason is shown in
     /// EXPLAIN output.
@@ -713,11 +712,7 @@ impl AccessMethod for SeqScanAccess<'_> {
         let tuples = self.relation.scan(pager)?;
         let mut ids = Vec::new();
         for (id, t) in &tuples {
-            let keep = match sel.kind {
-                SelectionKind::All => predicates::all(&sel.halfplane, t),
-                SelectionKind::Exist => predicates::exist(&sel.halfplane, t),
-            };
-            if keep {
+            if sel.holds(t) {
                 ids.push(*id);
             }
         }
@@ -816,7 +811,7 @@ impl AccessMethod for RPlusAccess<'_> {
         };
         stats.index_io = pager.stats().since(&before);
         let heap_before = pager.stats();
-        let ids = refine(pager, sel, candidates, fetch, &mut stats)?;
+        let ids = refine(pager, &|t| sel.holds(t), candidates, fetch, &mut stats)?;
         stats.heap_io = pager.stats().since(&heap_before);
         Ok(QueryResult::new(ids, stats))
     }

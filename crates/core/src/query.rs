@@ -1,7 +1,9 @@
 //! Query model: selections, strategies, results and cost accounting.
 
 use cdb_geometry::constraint::RelOp;
+use cdb_geometry::dual::DualSurfaces;
 use cdb_geometry::halfplane::HalfPlane;
+use cdb_geometry::predicates;
 use cdb_storage::IoStats;
 
 /// ALL (containment) or EXIST (intersection) selection.
@@ -40,6 +42,15 @@ impl Selection {
         Selection {
             kind: SelectionKind::Exist,
             halfplane,
+        }
+    }
+
+    /// The exact predicate of Proposition 2.2: does `tuple` (owned, or a
+    /// view of its encoded bytes) satisfy this selection?
+    pub fn holds<P: DualSurfaces + ?Sized>(&self, tuple: &P) -> bool {
+        match self.kind {
+            SelectionKind::All => predicates::all(&self.halfplane, tuple),
+            SelectionKind::Exist => predicates::exist(&self.halfplane, tuple),
         }
     }
 }

@@ -14,15 +14,27 @@
 //! * `BOT_P(b)` — the minimum such intercept.
 //!
 //! Equivalently `TOP_P(b) = sup {x_d − b·x' : x ∈ P}` (and `BOT` the `inf`),
-//! which is how this module evaluates them — as linear programs — so that
-//! *unbounded* polyhedra yield `±∞` with no special casing. `TOP_P` is convex
-//! and `BOT_P` concave in the slope; therefore their extrema over a slope
-//! segment are attained at the segment endpoints, which is exactly what the
-//! T2 handicap computation needs.
+//! so *unbounded* polyhedra yield `±∞` with no special casing. Two
+//! evaluators compute it:
+//!
+//! * for `d = 2`, the allocation-free planar kernel ([`crate::kernel2d`]):
+//!   the maximum over the feasible pairwise boundary intersections plus a
+//!   recession-direction test — on an owned tuple or directly on its
+//!   encoded bytes ([`TupleView`]);
+//! * the two-phase simplex ([`top_lp`]/[`bot_lp`]): the only evaluator for
+//!   `d > 2`, the fallback for whatever the kernel leaves undecided (no
+//!   feasible vertex: empty set, half-plane, strip, line; or too many
+//!   rows), and the *independent reference* every oracle compares against.
+//!
+//! [`top`]/[`bot`] route between them; callers never choose. `TOP_P` is
+//! convex and `BOT_P` concave in the slope; therefore their extrema over a
+//! slope segment are attained at the segment endpoints, which is exactly
+//! what the T2 handicap computation needs.
 
 use crate::halfplane::HalfPlane;
+use crate::kernel2d;
 use crate::simplex::LpResult;
-use crate::tuple::GeneralizedTuple;
+use crate::tuple::{GeneralizedTuple, TupleView};
 
 /// A surface value: finite, `+∞` (upward-unbounded) or `−∞`.
 pub type DualValue = f64;
@@ -36,8 +48,73 @@ pub enum Surface {
     Bot,
 }
 
-/// Builds the LP objective `x_d − b·x'` for a slope `b` in dimension `d`.
-fn intercept_objective(dim: usize, slope: &[f64]) -> Vec<f64> {
+/// Anything whose `TOP_P`/`BOT_P` surfaces can be evaluated: an owned
+/// tuple, a borrowed [`TupleView`] of its encoded bytes, or the simplex
+/// reference [`Lp`]. The exact predicates ([`crate::predicates`]) are
+/// written once against this trait, so the refinement step can run them on
+/// a record still sitting in its heap page.
+///
+/// Every evaluation returns `None` for an empty extension.
+pub trait DualSurfaces {
+    /// Dimension `d` of the ambient space.
+    fn dim(&self) -> usize;
+    /// One of the two surfaces at `slope`.
+    fn surface(&self, which: Surface, slope: &[f64]) -> Option<DualValue>;
+    /// `TOP_P(slope)`.
+    fn top(&self, slope: &[f64]) -> Option<DualValue> {
+        self.surface(Surface::Top, slope)
+    }
+    /// `BOT_P(slope)`.
+    fn bot(&self, slope: &[f64]) -> Option<DualValue> {
+        self.surface(Surface::Bot, slope)
+    }
+}
+
+impl<T: DualSurfaces + ?Sized> DualSurfaces for &T {
+    fn dim(&self) -> usize {
+        (**self).dim()
+    }
+    fn surface(&self, which: Surface, slope: &[f64]) -> Option<DualValue> {
+        (**self).surface(which, slope)
+    }
+}
+
+impl DualSurfaces for GeneralizedTuple {
+    fn dim(&self) -> usize {
+        self.dim()
+    }
+    fn surface(&self, which: Surface, slope: &[f64]) -> Option<DualValue> {
+        planar(self.dim(), self.le_rows_2d(), which, slope)
+            .or_else(|| surface_lp(self, which, slope))
+    }
+}
+
+impl DualSurfaces for TupleView<'_> {
+    fn dim(&self) -> usize {
+        self.dim()
+    }
+    fn surface(&self, which: Surface, slope: &[f64]) -> Option<DualValue> {
+        planar(self.dim(), self.le_rows_2d(), which, slope)
+            .or_else(|| surface_lp(&self.to_tuple(), which, slope))
+    }
+}
+
+/// A tuple evaluated by the simplex only — the reference the kernel is
+/// checked against ([`crate::predicates::oracle_select`] wraps every tuple
+/// in it).
+#[derive(Clone, Copy, Debug)]
+pub struct Lp<'a>(pub &'a GeneralizedTuple);
+
+impl DualSurfaces for Lp<'_> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn surface(&self, which: Surface, slope: &[f64]) -> Option<DualValue> {
+        surface_lp(self.0, which, slope)
+    }
+}
+
+fn check_slope(dim: usize, slope: &[f64]) {
     assert_eq!(
         slope.len() + 1,
         dim,
@@ -45,9 +122,26 @@ fn intercept_objective(dim: usize, slope: &[f64]) -> Vec<f64> {
         slope.len(),
         dim
     );
-    let mut obj: Vec<f64> = slope.iter().map(|b| -b).collect();
-    obj.push(1.0);
-    obj
+}
+
+/// The 2-D fast path: the surface value from the constraint rows, or
+/// `None` when the answer is the simplex's to give (`d ≠ 2`, or the kernel
+/// left it undecided). `rows` is only consumed for `d = 2`.
+fn planar(
+    dim: usize,
+    rows: impl Iterator<Item = [f64; 3]>,
+    which: Surface,
+    slope: &[f64],
+) -> Option<DualValue> {
+    check_slope(dim, slope);
+    if dim != 2 {
+        return None;
+    }
+    let (bot, top) = kernel2d::bot_top(rows, slope[0])?;
+    Some(match which {
+        Surface::Top => top,
+        Surface::Bot => bot,
+    })
 }
 
 /// Evaluates `TOP_P(slope)` for the tuple's extension `P`.
@@ -69,29 +163,43 @@ fn intercept_objective(dim: usize, slope: &[f64]) -> Vec<f64> {
 /// assert_eq!(dual::top(&wedge, &[0.5]), Some(f64::INFINITY));
 /// ```
 pub fn top(tuple: &GeneralizedTuple, slope: &[f64]) -> Option<DualValue> {
-    let obj = intercept_objective(tuple.dim(), slope);
-    match tuple.maximize(&obj) {
-        LpResult::Infeasible => None,
-        LpResult::Unbounded => Some(f64::INFINITY),
-        LpResult::Optimal { value, .. } => Some(value),
-    }
+    tuple.surface(Surface::Top, slope)
 }
 
 /// Evaluates `BOT_P(slope)`; `Some(−∞)` for downward-unbounded `P`.
 pub fn bot(tuple: &GeneralizedTuple, slope: &[f64]) -> Option<DualValue> {
-    let obj = intercept_objective(tuple.dim(), slope);
-    match tuple.minimize(&obj) {
-        LpResult::Infeasible => None,
-        LpResult::Unbounded => Some(f64::NEG_INFINITY),
-        LpResult::Optimal { value, .. } => Some(value),
-    }
+    tuple.surface(Surface::Bot, slope)
 }
 
 /// Evaluates one of the two surfaces.
 pub fn surface(tuple: &GeneralizedTuple, which: Surface, slope: &[f64]) -> Option<DualValue> {
-    match which {
-        Surface::Top => top(tuple, slope),
-        Surface::Bot => bot(tuple, slope),
+    DualSurfaces::surface(tuple, which, slope)
+}
+
+/// `TOP_P(slope)` by linear programming, in any dimension: the reference
+/// evaluator, and what [`top`] falls back to.
+pub fn top_lp(tuple: &GeneralizedTuple, slope: &[f64]) -> Option<DualValue> {
+    surface_lp(tuple, Surface::Top, slope)
+}
+
+/// `BOT_P(slope)` by linear programming (see [`top_lp`]).
+pub fn bot_lp(tuple: &GeneralizedTuple, slope: &[f64]) -> Option<DualValue> {
+    surface_lp(tuple, Surface::Bot, slope)
+}
+
+/// One surface as the linear program `max/min x_d − b·x'` over `P`.
+fn surface_lp(tuple: &GeneralizedTuple, which: Surface, slope: &[f64]) -> Option<DualValue> {
+    check_slope(tuple.dim(), slope);
+    let mut obj: Vec<f64> = slope.iter().map(|b| -b).collect();
+    obj.push(1.0);
+    let (lp, unbounded) = match which {
+        Surface::Top => (tuple.maximize(&obj), f64::INFINITY),
+        Surface::Bot => (tuple.minimize(&obj), f64::NEG_INFINITY),
+    };
+    match lp {
+        LpResult::Infeasible => None,
+        LpResult::Unbounded => Some(unbounded),
+        LpResult::Optimal { value, .. } => Some(value),
     }
 }
 

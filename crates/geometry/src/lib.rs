@@ -32,6 +32,7 @@ pub mod constraint;
 pub mod dual;
 pub mod eliminate;
 pub mod halfplane;
+pub mod kernel2d;
 pub mod parse;
 pub mod polygon;
 pub mod predicates;
@@ -42,8 +43,8 @@ pub mod tuple;
 pub mod vertex_enum;
 
 pub use constraint::{LinearConstraint, RelOp};
-pub use dual::{DualValue, Surface};
+pub use dual::{DualSurfaces, DualValue, Surface};
 pub use halfplane::HalfPlane;
 pub use polygon::Polygon;
 pub use rect::Rect;
-pub use tuple::GeneralizedTuple;
+pub use tuple::{GeneralizedTuple, TupleView};

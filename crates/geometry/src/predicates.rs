@@ -15,11 +15,16 @@
 //! Both query and tuple extensions are closed sets, so boundary contact
 //! counts as intersection and containment admits touching boundaries —
 //! hence the non-strict comparisons.
+//!
+//! Each predicate is written once, over [`DualSurfaces`]: an owned tuple
+//! and a borrowed view of its encoded bytes go through the 2-D kernel (or
+//! the simplex for `d > 2`), while [`oracle_select`] evaluates through the
+//! simplex alone ([`dual::Lp`]) and so stays an independent reference.
 
 use crate::constraint::RelOp;
-use crate::dual;
+use crate::dual::{self, DualSurfaces};
 use crate::halfplane::HalfPlane;
-use crate::scalar::{approx_ge, approx_le};
+use crate::scalar::{approx_eq, approx_ge, approx_le};
 use crate::tuple::GeneralizedTuple;
 
 /// `true` iff the extension of `tuple` is contained in the half-plane `q`.
@@ -27,14 +32,14 @@ use crate::tuple::GeneralizedTuple;
 /// An unsatisfiable tuple (empty extension) is vacuously contained in any
 /// query; the index layer filters empty tuples at insert time, but the
 /// predicate is total.
-pub fn all(q: &HalfPlane, tuple: &GeneralizedTuple) -> bool {
+pub fn all<P: DualSurfaces + ?Sized>(q: &HalfPlane, tuple: &P) -> bool {
     assert_eq!(q.dim(), tuple.dim(), "query/tuple dimension mismatch");
     match q.op {
-        RelOp::Ge => match dual::bot(tuple, &q.slope) {
+        RelOp::Ge => match tuple.bot(&q.slope) {
             None => true, // empty extension: vacuous containment
             Some(b) => approx_le(q.intercept, b),
         },
-        RelOp::Le => match dual::top(tuple, &q.slope) {
+        RelOp::Le => match tuple.top(&q.slope) {
             None => true,
             Some(t) => approx_ge(q.intercept, t),
         },
@@ -42,14 +47,14 @@ pub fn all(q: &HalfPlane, tuple: &GeneralizedTuple) -> bool {
 }
 
 /// `true` iff the extension of `tuple` intersects the half-plane `q`.
-pub fn exist(q: &HalfPlane, tuple: &GeneralizedTuple) -> bool {
+pub fn exist<P: DualSurfaces + ?Sized>(q: &HalfPlane, tuple: &P) -> bool {
     assert_eq!(q.dim(), tuple.dim(), "query/tuple dimension mismatch");
     match q.op {
-        RelOp::Ge => match dual::top(tuple, &q.slope) {
+        RelOp::Ge => match tuple.top(&q.slope) {
             None => false, // empty extension intersects nothing
             Some(t) => approx_le(q.intercept, t),
         },
-        RelOp::Le => match dual::bot(tuple, &q.slope) {
+        RelOp::Le => match tuple.bot(&q.slope) {
             None => false,
             Some(b) => approx_ge(q.intercept, b),
         },
@@ -60,8 +65,8 @@ pub fn exist(q: &HalfPlane, tuple: &GeneralizedTuple) -> bool {
 /// `x_d = slope·x' + c` — the equality-constraint query of the paper's
 /// footnote 2 (`θ ∈ {=}`): the line touches `P` iff its intercept lies in
 /// `[BOT_P(slope), TOP_P(slope)]` (continuity of the touching intercepts).
-pub fn exist_hyperplane(slope: &[f64], c: f64, tuple: &GeneralizedTuple) -> bool {
-    match (dual::bot(tuple, slope), dual::top(tuple, slope)) {
+pub fn exist_hyperplane<P: DualSurfaces + ?Sized>(slope: &[f64], c: f64, tuple: &P) -> bool {
+    match (tuple.bot(slope), tuple.top(slope)) {
         (Some(b), Some(t)) => approx_le(b, c) && approx_le(c, t),
         _ => false, // empty extension
     }
@@ -70,16 +75,18 @@ pub fn exist_hyperplane(slope: &[f64], c: f64, tuple: &GeneralizedTuple) -> bool
 /// `true` iff the extension of `tuple` is contained in the hyperplane
 /// `x_d = slope·x' + c`: both surfaces collapse onto the intercept
 /// (a degenerate, flat polyhedron lying inside the hyperplane).
-pub fn all_hyperplane(slope: &[f64], c: f64, tuple: &GeneralizedTuple) -> bool {
-    match (dual::bot(tuple, slope), dual::top(tuple, slope)) {
-        (Some(b), Some(t)) => crate::scalar::approx_eq(b, c) && crate::scalar::approx_eq(t, c),
+pub fn all_hyperplane<P: DualSurfaces + ?Sized>(slope: &[f64], c: f64, tuple: &P) -> bool {
+    match (tuple.bot(slope), tuple.top(slope)) {
+        (Some(b), Some(t)) => approx_eq(b, c) && approx_eq(t, c),
         _ => true, // empty extension: vacuous containment
     }
 }
 
 /// Brute-force reference evaluation of a selection over a whole relation:
 /// returns the indices of the qualifying tuples. This is the oracle used by
-/// the integration and property tests and by the selectivity calibrator.
+/// the integration and property tests and by the selectivity calibrator; it
+/// evaluates every surface by linear programming, never by the kernel the
+/// engine's own refinement uses.
 pub fn oracle_select<'a, I>(q: &HalfPlane, all_query: bool, tuples: I) -> Vec<usize>
 where
     I: IntoIterator<Item = &'a GeneralizedTuple>,
@@ -87,7 +94,14 @@ where
     tuples
         .into_iter()
         .enumerate()
-        .filter(|(_, t)| if all_query { all(q, t) } else { exist(q, t) })
+        .filter(|(_, t)| {
+            let t = dual::Lp(t);
+            if all_query {
+                all(q, &t)
+            } else {
+                exist(q, &t)
+            }
+        })
         .map(|(i, _)| i)
         .collect()
 }

@@ -6,6 +6,7 @@
 //! paper): a generalized relation is a collection of generalized tuples.
 
 use crate::constraint::{LinearConstraint, RelOp};
+use crate::kernel2d;
 use crate::simplex::{self, LpResult};
 
 /// A generalized tuple `⋀ᵢ aᵢ·x + cᵢ θᵢ 0`.
@@ -182,6 +183,42 @@ impl GeneralizedTuple {
     ///
     /// Returns `None` on malformed input.
     pub fn decode(bytes: &[u8]) -> Option<GeneralizedTuple> {
+        TupleView::new(bytes).map(|v| v.to_tuple())
+    }
+
+    /// The rows of a 2-D tuple in canonical `a·x + b·y ≤ r` form, for the
+    /// planar kernel. Lazy: only to be consumed when `dim() == 2`.
+    pub(crate) fn le_rows_2d(&self) -> impl Iterator<Item = [f64; 3]> + '_ {
+        self.constraints
+            .iter()
+            .map(|c| kernel2d::le_row(c.op, c.coeffs[0], c.coeffs[1], c.constant))
+    }
+}
+
+/// A validated, borrowed view of [`GeneralizedTuple::encode`] bytes.
+///
+/// Validation ([`TupleView::new`]) rejects exactly what
+/// [`GeneralizedTuple::decode`] rejects — `decode` *is* `new` followed by
+/// [`to_tuple`](Self::to_tuple) — so code that only needs to read the
+/// constraints (the refinement step, evaluating `TOP_P`/`BOT_P` on a
+/// record still sitting in its heap page) skips the per-constraint
+/// allocations of an owned tuple.
+#[derive(Clone, Copy, Debug)]
+pub struct TupleView<'a> {
+    dim: usize,
+    /// The constraint records: `len() · (1 + 8·(dim + 1))` bytes.
+    body: &'a [u8],
+}
+
+fn f64_at(bytes: &[u8], off: usize) -> f64 {
+    f64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte field"))
+}
+
+impl<'a> TupleView<'a> {
+    /// Validates `bytes` as an encoded tuple. `None` on malformed input:
+    /// wrong length, zero dimension or constraint count, an operator byte
+    /// other than 0/1, a non-finite number.
+    pub fn new(bytes: &'a [u8]) -> Option<Self> {
         if bytes.len() < 4 {
             return None;
         }
@@ -191,38 +228,74 @@ impl GeneralizedTuple {
             return None;
         }
         let per = 1 + 8 * (dim + 1);
-        if bytes.len() != 4 + m * per {
+        let body = &bytes[4..];
+        if body.len() != m * per {
             return None;
         }
-        let mut constraints = Vec::with_capacity(m);
-        let mut off = 4;
-        for _ in 0..m {
-            let op = match bytes[off] {
-                0 => RelOp::Le,
-                1 => RelOp::Ge,
-                _ => return None,
-            };
-            off += 1;
-            let mut f = [0u8; 8];
-            f.copy_from_slice(&bytes[off..off + 8]);
-            let constant = f64::from_le_bytes(f);
-            off += 8;
-            let mut coeffs = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                f.copy_from_slice(&bytes[off..off + 8]);
-                coeffs.push(f64::from_le_bytes(f));
-                off += 8;
-            }
-            if !constant.is_finite() || coeffs.iter().any(|a| !a.is_finite()) {
-                return None;
-            }
-            constraints.push(LinearConstraint {
-                coeffs,
-                constant,
-                op,
-            });
+        let well_formed = body.chunks_exact(per).all(|rec| {
+            rec[0] <= 1 && (0..=dim).all(|field| f64_at(rec, 1 + 8 * field).is_finite())
+        });
+        well_formed.then_some(TupleView { dim, body })
+    }
+
+    /// Dimension `d` of the ambient space.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of constraints.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.body.len() / self.record_len()
+    }
+
+    /// Always `false`: an encoded tuple has at least one constraint.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    fn record_len(&self) -> usize {
+        1 + 8 * (self.dim + 1)
+    }
+
+    fn op_of(rec: &[u8]) -> RelOp {
+        if rec[0] == 0 {
+            RelOp::Le
+        } else {
+            RelOp::Ge
         }
-        Some(GeneralizedTuple::new(constraints))
+    }
+
+    /// The owned tuple these bytes encode.
+    pub fn to_tuple(&self) -> GeneralizedTuple {
+        let constraints = self
+            .body
+            .chunks_exact(self.record_len())
+            .map(|rec| LinearConstraint {
+                coeffs: (1..=self.dim).map(|f| f64_at(rec, 1 + 8 * f)).collect(),
+                constant: f64_at(rec, 1),
+                op: Self::op_of(rec),
+            })
+            .collect();
+        GeneralizedTuple {
+            dim: self.dim,
+            constraints,
+        }
+    }
+
+    /// The rows of a 2-D tuple in canonical `a·x + b·y ≤ r` form, read
+    /// off the bytes. Lazy: only to be consumed when `dim() == 2`.
+    pub(crate) fn le_rows_2d(&self) -> impl Iterator<Item = [f64; 3]> + 'a {
+        self.body.chunks_exact(self.record_len()).map(|rec| {
+            kernel2d::le_row(
+                Self::op_of(rec),
+                f64_at(rec, 9),
+                f64_at(rec, 17),
+                f64_at(rec, 1),
+            )
+        })
     }
 }
 

@@ -19,7 +19,9 @@
 //! read can fail with an I/O error or a checksum mismatch, and the heap
 //! propagates it instead of panicking — the heap's *own* invariants (a
 //! foreign page id, an out-of-range slot) still panic, because they are
-//! caller bugs rather than storage conditions.
+//! caller bugs rather than storage conditions. The foreign-page check is
+//! paid once per page loaded (a binary search of the sorted page set),
+//! never per record.
 
 use crate::codec::{get_u16, put_u16};
 use crate::pager::{PageId, PageReader, Pager};
@@ -43,6 +45,9 @@ crate::wire_struct!(RecordId { page, slot });
 #[derive(Clone, Debug)]
 pub struct HeapFile {
     pages: Vec<PageId>,
+    /// `pages`, ascending: the membership test behind the foreign-page
+    /// check.
+    sorted: Vec<PageId>,
     page_size: usize,
 }
 
@@ -52,6 +57,7 @@ impl HeapFile {
         let _ = pager; // first page allocated lazily
         HeapFile {
             pages: Vec::new(),
+            sorted: Vec::new(),
             page_size: pager.page_size(),
         }
     }
@@ -59,7 +65,13 @@ impl HeapFile {
     /// Re-attaches a heap from its persisted page list (the pages must
     /// already be allocated in the pager and hold valid slotted content).
     pub fn from_pages(page_size: usize, pages: Vec<PageId>) -> Self {
-        HeapFile { pages, page_size }
+        let mut sorted = pages.clone();
+        sorted.sort_unstable();
+        HeapFile {
+            pages,
+            sorted,
+            page_size,
+        }
     }
 
     /// The page ids owned by the heap, in insertion order. This list is what
@@ -107,7 +119,21 @@ impl HeapFile {
         let slot = try_insert(&mut buf, data, self.page_size).expect("fits in a fresh page");
         pager.write(id, &buf)?;
         self.pages.push(id);
+        let at = self.sorted.partition_point(|&p| p < id);
+        self.sorted.insert(at, id);
         Ok(RecordId { page: id, slot })
+    }
+
+    /// Loads a heap page into `buf`.
+    ///
+    /// # Panics
+    /// Panics if `page` is not one of the heap's pages.
+    fn load(&self, pager: &dyn PageReader, page: PageId, buf: &mut [u8]) -> std::io::Result<()> {
+        assert!(
+            self.sorted.binary_search(&page).is_ok(),
+            "foreign page in RecordId"
+        );
+        pager.read(page, buf)
     }
 
     /// Reads a record. Returns `Ok(None)` for a tombstoned slot.
@@ -115,63 +141,61 @@ impl HeapFile {
     /// # Panics
     /// Panics if the id does not refer to a heap page/slot.
     pub fn get(&self, pager: &dyn PageReader, id: RecordId) -> std::io::Result<Option<Vec<u8>>> {
-        assert!(self.pages.contains(&id.page), "foreign page in RecordId");
         let mut buf = vec![0u8; self.page_size];
-        pager.read(id.page, &mut buf)?;
-        let n = get_u16(&buf, 0);
-        assert!(id.slot < n, "slot {} out of range {n}", id.slot);
-        let off = get_u16(&buf, HDR + id.slot as usize * SLOT) as usize;
-        let len = get_u16(&buf, HDR + id.slot as usize * SLOT + 2);
-        if len == TOMBSTONE {
-            return Ok(None);
-        }
-        Ok(Some(buf[off..off + len as usize].to_vec()))
+        self.load(pager, id.page, &mut buf)?;
+        Ok(record(&buf, id.slot).map(<[u8]>::to_vec))
     }
 
-    /// Reads many records with one page access per *distinct page*: the
-    /// batched fetch used by query refinement (candidates are grouped by
-    /// page before reading). Results align with `ids`; tombstoned slots
-    /// yield `None`.
+    /// Shows many records to `visit` with one page access per *distinct
+    /// page*: the batched fetch used by query refinement. Records are
+    /// visited in `(page, slot)` order as `(position in ids, bytes)`, the
+    /// bytes lent straight out of the page buffer — no per-record copy;
+    /// tombstoned slots are shown as `None`. The first error `visit`
+    /// returns ends the walk.
+    pub fn visit_many<E: From<std::io::Error>>(
+        &self,
+        pager: &dyn PageReader,
+        ids: &[RecordId],
+        mut visit: impl FnMut(usize, Option<&[u8]>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut order: Vec<usize> = (0..ids.len()).collect();
+        order.sort_unstable_by_key(|&i| ids[i]);
+        let mut buf = vec![0u8; self.page_size];
+        let mut loaded: Option<PageId> = None;
+        for i in order {
+            let id = ids[i];
+            if loaded != Some(id.page) {
+                self.load(pager, id.page, &mut buf)?;
+                loaded = Some(id.page);
+            }
+            visit(i, record(&buf, id.slot))?;
+        }
+        Ok(())
+    }
+
+    /// [`visit_many`](Self::visit_many) collecting owned copies. Results
+    /// align with `ids`; tombstoned slots yield `None`.
     pub fn get_many(
         &self,
         pager: &dyn PageReader,
         ids: &[RecordId],
     ) -> std::io::Result<Vec<Option<Vec<u8>>>> {
-        let mut order: Vec<usize> = (0..ids.len()).collect();
-        order.sort_by_key(|&i| (ids[i].page, ids[i].slot));
         let mut out: Vec<Option<Vec<u8>>> = vec![None; ids.len()];
-        let mut buf = vec![0u8; self.page_size];
-        let mut loaded: Option<PageId> = None;
-        for i in order {
-            let id = ids[i];
-            assert!(self.pages.contains(&id.page), "foreign page in RecordId");
-            if loaded != Some(id.page) {
-                pager.read(id.page, &mut buf)?;
-                loaded = Some(id.page);
-            }
-            let n = get_u16(&buf, 0);
-            assert!(id.slot < n, "slot {} out of range {n}", id.slot);
-            let off = get_u16(&buf, HDR + id.slot as usize * SLOT) as usize;
-            let len = get_u16(&buf, HDR + id.slot as usize * SLOT + 2);
-            if len != TOMBSTONE {
-                out[i] = Some(buf[off..off + len as usize].to_vec());
-            }
-        }
+        self.visit_many(pager, ids, |i, bytes| {
+            out[i] = bytes.map(<[u8]>::to_vec);
+            Ok::<(), std::io::Error>(())
+        })?;
         Ok(out)
     }
 
     /// Tombstones a record. Returns `true` if it was live.
     pub fn delete(&mut self, pager: &mut dyn Pager, id: RecordId) -> std::io::Result<bool> {
-        assert!(self.pages.contains(&id.page), "foreign page in RecordId");
         let mut buf = vec![0u8; self.page_size];
-        pager.read(id.page, &mut buf)?;
-        let n = get_u16(&buf, 0);
-        assert!(id.slot < n, "slot out of range");
-        let len_off = HDR + id.slot as usize * SLOT + 2;
-        if get_u16(&buf, len_off) == TOMBSTONE {
+        self.load(&*pager, id.page, &mut buf)?;
+        if record(&buf, id.slot).is_none() {
             return Ok(false);
         }
-        put_u16(&mut buf, len_off, TOMBSTONE);
+        put_u16(&mut buf, HDR + id.slot as usize * SLOT + 2, TOMBSTONE);
         pager.write(id.page, &buf)?;
         Ok(true)
     }
@@ -182,15 +206,9 @@ impl HeapFile {
         let mut buf = vec![0u8; self.page_size];
         for &page in &self.pages {
             pager.read(page, &mut buf)?;
-            let n = get_u16(&buf, 0);
-            for slot in 0..n {
-                let off = get_u16(&buf, HDR + slot as usize * SLOT) as usize;
-                let len = get_u16(&buf, HDR + slot as usize * SLOT + 2);
-                if len != TOMBSTONE {
-                    out.push((
-                        RecordId { page, slot },
-                        buf[off..off + len as usize].to_vec(),
-                    ));
+            for slot in 0..get_u16(&buf, 0) {
+                if let Some(bytes) = record(&buf, slot) {
+                    out.push((RecordId { page, slot }, bytes.to_vec()));
                 }
             }
         }
@@ -203,6 +221,18 @@ impl HeapFile {
             pager.free(page);
         }
     }
+}
+
+/// The live record in `slot` of the page image, `None` for a tombstone.
+///
+/// # Panics
+/// Panics if the page has no such slot.
+fn record(page: &[u8], slot: u16) -> Option<&[u8]> {
+    let n = get_u16(page, 0);
+    assert!(slot < n, "slot {slot} out of range {n}");
+    let off = get_u16(page, HDR + slot as usize * SLOT) as usize;
+    let len = get_u16(page, HDR + slot as usize * SLOT + 2);
+    (len != TOMBSTONE).then(|| &page[off..off + len as usize])
 }
 
 /// Tries to append `data` to the page image; returns the new slot on success.
@@ -339,6 +369,89 @@ mod tests {
             heap.page_count(),
             "one read per distinct page"
         );
+    }
+
+    #[test]
+    fn visit_many_lends_page_bytes_in_page_order() {
+        let mut pager = MemPager::new(256);
+        let mut heap = HeapFile::new(&mut pager);
+        let ids: Vec<_> = (0..30u8)
+            .map(|i| heap.insert(&mut pager, &[i; 10]).unwrap())
+            .collect();
+        heap.delete(&mut pager, ids[7]).unwrap();
+        let mut asked: Vec<RecordId> = ids.clone();
+        asked.reverse();
+        asked.push(ids[3]); // the same record twice is two visits
+        pager.reset_stats();
+        let mut seen: Vec<(usize, Option<Vec<u8>>)> = Vec::new();
+        heap.visit_many(&pager, &asked, |i, bytes| {
+            seen.push((i, bytes.map(<[u8]>::to_vec)));
+            Ok::<(), std::io::Error>(())
+        })
+        .unwrap();
+        assert_eq!(
+            pager.stats().reads as usize,
+            heap.page_count(),
+            "one read per distinct page"
+        );
+        // (page, slot) order, every position exactly once.
+        let visited: Vec<RecordId> = seen.iter().map(|(i, _)| asked[*i]).collect();
+        assert!(visited.windows(2).all(|w| w[0] <= w[1]), "{visited:?}");
+        let mut positions: Vec<usize> = seen.iter().map(|(i, _)| *i).collect();
+        positions.sort_unstable();
+        assert_eq!(positions, (0..asked.len()).collect::<Vec<_>>());
+        // Same bytes as the copying wrapper, tombstone included.
+        let copied = heap.get_many(&pager, &asked).unwrap();
+        for (i, bytes) in &seen {
+            assert_eq!(&copied[*i], bytes, "position {i}");
+        }
+        assert_eq!(copied[30 - 1 - 7], None);
+        // The visitor's first error ends the walk and is returned as is.
+        let mut calls = 0;
+        let err = heap
+            .visit_many(&pager, &asked, |_, _| {
+                calls += 1;
+                if calls == 3 {
+                    Err(std::io::Error::other("stop"))
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert_eq!((calls, err.to_string().as_str()), (3, "stop"));
+    }
+
+    #[test]
+    fn foreign_pages_are_rejected_by_every_reader() {
+        let mut pager = MemPager::new(128);
+        let mut other = HeapFile::new(&mut pager);
+        let foreign = other.insert(&mut pager, b"not yours").unwrap();
+        let mut heap = HeapFile::new(&mut pager);
+        let own: Vec<RecordId> = (0..12u8)
+            .map(|i| heap.insert(&mut pager, &[i; 30]).unwrap())
+            .collect();
+        // A heap re-attached from an unsorted page list knows its pages too.
+        let mut shuffled = heap.pages().to_vec();
+        shuffled.reverse();
+        let reattached = HeapFile::from_pages(128, shuffled);
+        for id in &own {
+            assert_eq!(
+                reattached.get(&pager, *id).unwrap(),
+                heap.get(&pager, *id).unwrap()
+            );
+        }
+        let panics = |f: &mut dyn FnMut()| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        };
+        assert!(panics(&mut || drop(heap.get(&pager, foreign))));
+        assert!(panics(&mut || drop(reattached.get(&pager, foreign))));
+        assert!(panics(&mut || drop(
+            heap.get_many(&pager, &[own[0], foreign])
+        )));
+        assert!(panics(&mut || drop(
+            heap.clone().delete(&mut pager, foreign)
+        )));
+        assert_eq!(other.get(&pager, foreign).unwrap().unwrap(), b"not yours");
     }
 
     #[test]

@@ -137,3 +137,56 @@ fn facade_line_queries_match_the_oracle() {
     let r = db.all_line("r", 0.5, 2.0).unwrap();
     assert_eq!(r.ids(), &[id]);
 }
+
+/// Regression: the line query's second pass used to run on the caller's
+/// shared reader, so a line query running beside another one booked the
+/// other's heap reads into its own `heap_io` window.
+#[test]
+fn concurrent_line_queries_report_their_own_heap_io() {
+    let pairs = mixed_relation(23, 1500, 100);
+    let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+    db.create_relation("r", 2).unwrap();
+    for (_, t) in &pairs {
+        db.insert("r", t.clone()).unwrap();
+    }
+    db.build_dual_index("r", SlopeSet::uniform_tan(4)).unwrap();
+    let mut rng = cdb_prng::StdRng::seed_from_u64(0xC0C0);
+    let lines: Vec<(f64, f64)> = (0..24)
+        .map(|_| (rng.gen_range(-3.0..3.0), rng.gen_range(-50.0..50.0)))
+        .collect();
+    let sequential: Vec<_> = lines
+        .iter()
+        .map(|&(a, c)| db.exist_line("r", a, c).unwrap())
+        .collect();
+    assert!(sequential.iter().all(|r| r.stats.heap_io.reads > 0));
+
+    let db = &db;
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|w| {
+                let (lines, sequential, start) = (&lines, &sequential, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // Opposite orders, several passes: the two threads are
+                    // inside different queries nearly all of the time.
+                    for pass in 0..6 {
+                        for n in 0..lines.len() {
+                            let i = if w == 0 { n } else { lines.len() - 1 - n };
+                            let (a, c) = lines[i];
+                            let r = db.exist_line("r", a, c).unwrap();
+                            assert_eq!(r.ids(), sequential[i].ids(), "line {i}");
+                            assert_eq!(
+                                r.stats, sequential[i].stats,
+                                "thread {w} pass {pass} line {i}"
+                            );
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("line-query thread");
+        }
+    });
+}
