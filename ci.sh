@@ -539,6 +539,37 @@ perf_harness() {
 }
 step perf-harness perf_harness
 
+# The counts a change to the read or write path must not move: each
+# workload at full scale and the baseline's seed for three seconds (long
+# enough for `durable_churn` to pass the 4 096 mutations after which it
+# samples its space), no failed operation, and `pages_per_query` and
+# `space_bytes_per_tuple` equal to `perf/baseline/BENCH_12.json` to the
+# last digit. Timings are not looked at: this is not a benchmark run.
+perf_counts() {
+  local baseline=perf/baseline/BENCH_12.json w m line got want
+  for w in embedded_t2 embedded_restricted durable_churn served_mixed; do
+    line=$(cargo run --release --quiet --manifest-path perf/Cargo.toml -- \
+      --workload "$w" --seed 12 --seconds 3 --trace 0 | tail -n 1)
+    case "$line" in
+      *'"failed":0,'*) ;;
+      *) echo "ci: perf-counts: $w reports failed operations: $line" >&2; return 1 ;;
+    esac
+    for m in pages_per_query space_bytes_per_tuple; do
+      got=$(printf '%s\n' "$line" | sed -n "s/.*\"$m\":{\"value\":\([^,]*\),.*/\1/p")
+      want=$(awk -v w="\"$w\": {" -v m="\"$m\": {" '
+        index($0, w) { in_w = 1 }
+        in_w && index($0, m) { in_m = 1; next }
+        in_m && /"value":/ { gsub(/[ ,]|"value":/, ""); print; exit }
+      ' "$baseline")
+      if [ -z "$got" ] || [ "$got" != "$want" ]; then
+        echo "ci: perf-counts: $w/$m is ${got:-missing}, the baseline says ${want:-nothing}" >&2
+        return 1
+      fi
+    done
+  done
+}
+step perf-counts perf_counts
+
 step clippy cargo clippy --workspace --all-targets -- -D warnings
 step doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 step fmt cargo fmt --all --check

@@ -33,8 +33,8 @@ use crate::error::CdbError;
 use crate::index::{DualIndex, HeapSource};
 use crate::partition::PartitionSpec;
 use crate::plan::{
-    AccessMethod, DualDAccess, MethodContext, MethodKind, PlanCatalog, RPlusAccess,
-    RestrictedAccess, SeqScanAccess, T1Access, T2Access,
+    AccessMethods, DualAccess, DualDAccess, MethodContext, MethodKind, PlanCatalog, RPlusAccess,
+    SeqScanAccess,
 };
 use crate::query::Strategy;
 pub use crate::read::{ReadSurface, Snapshot};
@@ -484,45 +484,40 @@ impl Relation {
         HeapSource::new(&self.heap, &self.slots)
     }
 
-    /// Every access method currently available on this relation, boxed as
+    /// Every access method currently available on this relation, as
     /// planner inputs. The sequential scan is always present; index-backed
     /// methods appear once their structure is built — and disappear while
     /// the structure is marked corrupt, so a degraded relation plans
     /// around the damage instead of reading bad pages.
-    pub fn access_methods(&self, page_size: usize) -> Vec<Box<dyn AccessMethod + '_>> {
+    pub fn access_methods(&self, page_size: usize) -> AccessMethods<'_> {
         let ctx = MethodContext {
             n: self.live,
             heap_pages: self.heap_pages(),
             page_size,
         };
         let (c_dual, c_duald, c_rplus) = self.corrupt_flags();
-        let mut methods: Vec<Box<dyn AccessMethod + '_>> = vec![Box::new(SeqScanAccess {
-            relation: self,
-            ctx,
-        })];
-        if let Some(idx) = self.index.as_ref() {
-            if !c_dual {
-                methods.push(Box::new(RestrictedAccess { index: idx, ctx }));
-                methods.push(Box::new(T2Access { index: idx, ctx }));
-                methods.push(Box::new(T1Access { index: idx, ctx }));
-            }
-        }
-        if let Some(idx) = self.index_d.as_ref() {
-            if !c_duald {
-                methods.push(Box::new(DualDAccess { index: idx, ctx }));
-            }
-        }
-        if let Some(rp) = self.rplus.as_ref() {
-            if !c_rplus {
-                methods.push(Box::new(RPlusAccess {
+        AccessMethods {
+            seq_scan: SeqScanAccess {
+                relation: self,
+                ctx,
+            },
+            dual: (self.index.as_ref())
+                .filter(|_| !c_dual)
+                .map(|index| DualAccess::techniques(index, ctx)),
+            dual_d: (self.index_d.as_ref())
+                .filter(|_| !c_duald)
+                .map(|index| DualDAccess { index, ctx }),
+            rplus: self
+                .rplus
+                .as_ref()
+                .filter(|_| !c_rplus)
+                .map(|rp| RPlusAccess {
                     tree: &rp.tree,
                     unbounded: &rp.unbounded,
                     dead: &rp.dead,
                     ctx,
-                }));
-            }
+                }),
         }
-        methods
     }
 }
 

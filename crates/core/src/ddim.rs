@@ -45,7 +45,9 @@ use crate::handicap::{assign_high, assign_low};
 use crate::index::{
     fold_high, fold_low, handicap_guided_candidates, refine, sweep_candidates, TupleSource,
 };
-use crate::query::{tree_and_direction, QueryResult, QueryStats, Selection, SelectionKind, Side};
+use crate::query::{
+    order_ids, tree_and_direction, QueryResult, QueryStats, Selection, SelectionKind, Side,
+};
 
 /// A predefined set of slope points in `E^{d-1}`.
 #[derive(Clone, Debug, PartialEq)]
@@ -742,10 +744,7 @@ impl DualIndexD {
             ..QueryStats::default()
         };
         stats.index_io = pager.stats().since(&before);
-        raw.sort_unstable();
-        let before_len = raw.len();
-        raw.dedup();
-        stats.duplicates = (before_len - raw.len()) as u64;
+        stats.duplicates = order_ids(&mut raw) as u64;
         let heap_before = pager.stats();
         let ids = refine(pager, &|t| sel.holds(t), raw, fetch, &mut stats)?;
         stats.heap_io = pager.stats().since(&heap_before);

@@ -6,7 +6,9 @@ use cdb_storage::PageReader;
 
 use super::{refine, sweep_candidates, DualIndex, Exact, TupleSource};
 use crate::error::CdbError;
-use crate::query::{tree_and_direction, QueryResult, QueryStats, Selection, SelectionKind};
+use crate::query::{
+    order_ids, tree_and_direction, QueryResult, QueryStats, Selection, SelectionKind,
+};
 use crate::slopes::Bracket;
 
 impl DualIndex {
@@ -50,10 +52,7 @@ impl DualIndex {
         };
         stats.index_io = pager.stats().since(&before);
         // Dedupe (T1's duplication problem), then exact refinement.
-        raw.sort_unstable();
-        let before_len = raw.len();
-        raw.dedup();
-        stats.duplicates = (before_len - raw.len()) as u64;
+        stats.duplicates = order_ids(&mut raw) as u64;
         let heap_before = pager.stats();
         let ids = refine(pager, exact.keep, raw, fetch, &mut stats)?;
         stats.heap_io = pager.stats().since(&heap_before);

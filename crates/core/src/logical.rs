@@ -1,5 +1,5 @@
 //! Logical query plans: the bridge between parsed constraint-SQL
-//! ([`crate::sql`]) and the Volcano operators ([`crate::physical`]).
+//! ([`crate::sql`]) and the batch-at-a-time operators ([`crate::physical`]).
 //!
 //! Lowering resolves relation names to dimensions, lifts every `WHERE`
 //! conjunct into the query's combined variable space (the maximum relation

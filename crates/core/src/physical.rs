@@ -1,24 +1,28 @@
-//! The Volcano execution layer: pull-based operators over constraint
-//! relations.
+//! The execution layer: pull-based operators over constraint relations,
+//! exchanging [`Batch`]es of rows.
 //!
-//! Every query — typed or SQL — executes as a tree of [`Operator`]s with
-//! the classic `open`/`next`/`close` contract:
+//! Every query — typed or SQL — executes as a tree of [`Operator`]s with an
+//! `open`/`next_batch`/`close` contract:
 //!
 //! * `open` acquires resources and runs any eager work (planner choice and
 //!   access-method execution for [`IndexScanOp`], the heap scan for
 //!   [`SeqScanOp`], buffering the inner side for [`NestedLoopJoinOp`]);
-//! * `next` yields one [`Row`] at a time, or `None` when drained;
+//! * `next_batch` yields the next [`Batch`] of rows, or `None` when
+//!   drained; a batch may be empty (a filter that kept nothing);
 //! * `close` releases state; operators may be closed early (`LIMIT`).
 //!
-//! Rows carry the matched tuple id per source relation plus, when a
-//! downstream operator needs geometry (filter, join, project), the row's
-//! constraint region. Leaf operators only materialize regions when asked,
-//! so a one-node plan built by the typed `query()` wrapper stays id-only
-//! and pays no extra heap traffic.
+//! A batch carries the matched tuple ids per source relation plus, when a
+//! downstream operator needs geometry (filter, join, project), each row's
+//! constraint region. Leaf operators only materialize regions when asked:
+//! an id-only [`IndexScanOp`] hands the access method's id vector on as one
+//! batch, by move, so a one-node plan costs what its index search costs;
+//! asked for regions, it emits `REGION_CHUNK`-row (256) batches fetched through
+//! the relation's [`TupleSource`] — one heap access per distinct page of
+//! the chunk.
 //!
 //! Each operator renders itself as a [`PlanNode`] for `EXPLAIN`
 //! ([`Operator::node`]); with `analyze` set the node also reports observed
-//! rows and inclusive wall-clock time.
+//! rows and inclusive wall-clock time, read once per batch.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -33,28 +37,87 @@ use cdb_storage::{PageReader, TrackedReader};
 
 use crate::db::Relation;
 use crate::error::CdbError;
+use crate::index::TupleSource;
 use crate::logical::LogicalPlan;
 use crate::plan::{Planner, QueryPlan};
 use crate::pretty::{actual_line, plan_detail_lines, PlanNode};
 use crate::query::{QueryStats, Selection, SelectionKind, Strategy};
 use crate::sql::var_name;
 
-/// One intermediate result row.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Matched tuple ids, one per source relation in `FROM` order.
+/// Rows an [`IndexScanOp`] fetches regions for at a time: large enough
+/// that rows sharing a heap page share its access, small enough that a
+/// `LIMIT` above pays for at most this many rows it does not return.
+const REGION_CHUNK: usize = 256;
+
+/// A run of intermediate result rows.
+#[derive(Clone, Debug, Default)]
+pub struct Batch {
+    /// Ids per row: one per source relation in `FROM` order.
+    pub arity: usize,
+    /// Matched tuple ids, row-major (`arity` per row).
     pub ids: Vec<u32>,
-    /// The row's constraint region (combined across joins, projected by
-    /// `Project`). `None` when no downstream operator asked for geometry.
-    pub region: Option<GeneralizedTuple>,
+    /// The rows' constraint regions (combined across joins, projected by
+    /// `Project`): one per row, or empty when no downstream operator asked
+    /// for geometry.
+    pub regions: Vec<GeneralizedTuple>,
 }
 
-/// The Volcano operator contract.
+impl Batch {
+    /// Rows of one relation: an id each and, if any, a region each.
+    fn of(ids: Vec<u32>, regions: Vec<GeneralizedTuple>) -> Batch {
+        Batch {
+            arity: 1,
+            ids,
+            regions,
+        }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.ids.len() / self.arity.max(1)
+    }
+
+    /// The ids of row `i`.
+    fn row_ids(&self, i: usize) -> &[u32] {
+        &self.ids[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// Keeps the first `rows` rows.
+    fn truncate(&mut self, rows: usize) {
+        self.ids.truncate(rows * self.arity);
+        self.regions.truncate(rows);
+    }
+
+    /// Moves the rows of `more` behind this batch's.
+    fn append(&mut self, mut more: Batch) {
+        if self.ids.is_empty() {
+            *self = more;
+        } else {
+            self.ids.append(&mut more.ids);
+            self.regions.append(&mut more.regions);
+        }
+    }
+
+    /// Rows produced under a filter, join or projection must carry
+    /// geometry; the plan builder guarantees it, and this converts a
+    /// violation into an error instead of a panic (the server must never
+    /// panic on a query).
+    fn require_regions(&self) -> Result<(), CdbError> {
+        if self.regions.len() == self.rows() {
+            return Ok(());
+        }
+        Err(CdbError::UnsupportedQuery(
+            "internal: operator input is missing its region".into(),
+        ))
+    }
+}
+
+/// The operator contract.
 pub trait Operator {
     /// Prepares the operator (and its inputs) for iteration.
     fn open(&mut self) -> Result<(), CdbError>;
-    /// Produces the next row, or `None` when drained.
-    fn next(&mut self) -> Result<Option<Row>, CdbError>;
+    /// Produces the next batch of rows, or `None` when drained.
+    fn next_batch(&mut self) -> Result<Option<Batch>, CdbError>;
     /// Releases per-execution state; safe to call before drain (`LIMIT`).
     fn close(&mut self);
     /// Plans without executing, so `EXPLAIN` can render cost estimates.
@@ -65,6 +128,34 @@ pub trait Operator {
     /// Accumulates I/O and candidate accounting from every scan in the
     /// subtree.
     fn add_stats(&self, agg: &mut QueryStats);
+}
+
+/// Opens `op`, pulls it dry into one batch and closes it.
+pub fn drain(op: &mut dyn Operator) -> Result<Batch, CdbError> {
+    op.open()?;
+    let mut all = Batch::default();
+    while let Some(batch) = op.next_batch()? {
+        all.append(batch);
+    }
+    op.close();
+    Ok(all)
+}
+
+/// What an operator observed of its own run, for `EXPLAIN ANALYZE`. The
+/// clock is read once per batch, never per row.
+#[derive(Default)]
+struct Seen {
+    rows_in: u64,
+    rows_out: u64,
+    elapsed: Duration,
+}
+
+impl Seen {
+    /// Books one produced batch and the time since `t0`.
+    fn batch(&mut self, out: &Batch, t0: Instant) {
+        self.rows_out += out.rows() as u64;
+        self.elapsed += t0.elapsed();
+    }
 }
 
 fn kind_word(kind: SelectionKind) -> &'static str {
@@ -96,15 +187,6 @@ fn lift_region(t: &GeneralizedTuple, dim: usize) -> GeneralizedTuple {
     GeneralizedTuple::new(t.constraints().iter().map(|c| lift(c, dim)).collect())
 }
 
-/// Rows produced under a filter, join or projection must carry geometry;
-/// the plan builder guarantees it, and this converts a violation into an
-/// error instead of a panic (the server must never panic on a query).
-fn require_region(row: &Row) -> Result<&GeneralizedTuple, CdbError> {
-    row.region.as_ref().ok_or_else(|| {
-        CdbError::UnsupportedQuery("internal: operator input is missing its region".into())
-    })
-}
-
 // --------------------------------------------------------------- EmptyOp
 
 /// A statically-empty plan (unsatisfiable or false `WHERE`).
@@ -117,7 +199,7 @@ impl Operator for EmptyOp {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>, CdbError> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, CdbError> {
         Ok(None)
     }
 
@@ -153,14 +235,16 @@ pub struct IndexScanOp<'a> {
     fetch_regions: bool,
     plan: Option<QueryPlan>,
     stats: QueryStats,
-    queue: std::vec::IntoIter<u32>,
-    rows_out: u64,
-    elapsed: Duration,
+    /// The access method's answer, ascending; `ids[at..]` is still to emit.
+    ids: Vec<u32>,
+    at: usize,
+    seen: Seen,
 }
 
 impl<'a> IndexScanOp<'a> {
-    /// Creates the operator; `fetch_regions` asks `next` to materialize
-    /// each row's constraint region (needed under filters/joins).
+    /// Creates the operator; `fetch_regions` asks `next_batch` to
+    /// materialize each row's constraint region (needed under
+    /// filters/joins).
     pub fn new(
         rel: &'a Relation,
         reader: &'a dyn PageReader,
@@ -178,9 +262,9 @@ impl<'a> IndexScanOp<'a> {
             fetch_regions,
             plan: None,
             stats: QueryStats::default(),
-            queue: Vec::new().into_iter(),
-            rows_out: 0,
-            elapsed: Duration::ZERO,
+            ids: Vec::new(),
+            at: 0,
+            seen: Seen::default(),
         }
     }
 
@@ -208,58 +292,51 @@ impl Operator for IndexScanOp<'_> {
         self.check()?;
         let forced = crate::db::forced_kind(self.strategy, self.rel)?;
         let methods = self.rel.access_methods(self.page_size);
-        let refs: Vec<&dyn crate::plan::AccessMethod> =
-            methods.iter().map(|m| m.as_ref()).collect();
-        let (mi, plan) = Planner::choose(&refs, &self.sel, forced, self.rel.catalog(), true)?;
+        let (method, plan) =
+            Planner::choose(methods.iter(), &self.sel, forced, self.rel.catalog(), true)?;
         let source = self.rel.tuple_source();
-        let mut result = methods[mi].execute(self.reader, &self.sel, &source)?;
+        let mut result = method.execute(self.reader, &self.sel, &source)?;
         result.stats.method = Some(plan.method);
         result.stats.estimate = Some(plan.estimate);
         self.rel
             .catalog()
             .record(plan.method, self.sel.kind, &result.stats, self.rel.len());
-        self.stats = result.stats;
-        self.queue = result.ids().to_vec().into_iter();
+        (self.ids, self.stats) = result.into_parts();
         self.plan = Some(plan);
-        self.elapsed += t0.elapsed();
+        self.seen.elapsed += t0.elapsed();
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>, CdbError> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, CdbError> {
+        if self.at >= self.ids.len() {
+            return Ok(None);
+        }
         let t0 = Instant::now();
-        let out = match self.queue.next() {
-            None => None,
-            Some(id) => {
-                let region = if self.fetch_regions {
-                    let tracked = TrackedReader::new(self.reader);
-                    let t = self.rel.fetch(&tracked, id)?;
-                    self.stats.heap_io.reads += tracked.reads();
-                    Some(t)
-                } else {
-                    None
-                };
-                self.rows_out += 1;
-                Some(Row {
-                    ids: vec![id],
-                    region,
-                })
-            }
+        let batch = if self.fetch_regions {
+            let end = self.ids.len().min(self.at + REGION_CHUNK);
+            let ids = self.ids[self.at..end].to_vec();
+            self.at = end;
+            let tracked = TrackedReader::new(self.reader);
+            let regions = self.rel.tuple_source().fetch_batch(&tracked, &ids)?;
+            self.stats.heap_io.reads += tracked.reads();
+            Batch::of(ids, regions)
+        } else {
+            Batch::of(std::mem::take(&mut self.ids), Vec::new())
         };
-        self.elapsed += t0.elapsed();
-        Ok(out)
+        self.seen.batch(&batch, t0);
+        Ok(Some(batch))
     }
 
     fn close(&mut self) {
-        self.queue = Vec::new().into_iter();
+        self.ids = Vec::new();
     }
 
     fn describe(&mut self) -> Result<(), CdbError> {
         self.check()?;
         let methods = self.rel.access_methods(self.page_size);
-        let refs: Vec<&dyn crate::plan::AccessMethod> =
-            methods.iter().map(|m| m.as_ref()).collect();
         // `explore = false`: EXPLAIN is deterministic and side-effect free.
-        let (_, plan) = Planner::choose(&refs, &self.sel, None, self.rel.catalog(), false)?;
+        let (_, plan) =
+            Planner::choose(methods.iter(), &self.sel, None, self.rel.catalog(), false)?;
         self.plan = Some(plan);
         Ok(())
     }
@@ -270,8 +347,8 @@ impl Operator for IndexScanOp<'_> {
             None => vec!["(not planned)".into()],
         };
         if analyze {
-            detail.push(actual_line(&self.stats, self.rows_out));
-            detail.push(ms(self.elapsed));
+            detail.push(actual_line(&self.stats, self.seen.rows_out));
+            detail.push(ms(self.seen.elapsed));
         }
         PlanNode {
             label: format!(
@@ -308,24 +385,10 @@ fn merge_stats(agg: &mut QueryStats, s: &QueryStats) {
 pub struct SeqScanOp<'a> {
     rel: &'a Relation,
     reader: &'a dyn PageReader,
-    rows: std::vec::IntoIter<(u32, GeneralizedTuple)>,
+    /// Every live tuple, from `open` until the one `next_batch` takes it.
+    rows: Option<Batch>,
     stats: QueryStats,
-    rows_out: u64,
-    elapsed: Duration,
-}
-
-impl<'a> SeqScanOp<'a> {
-    /// Creates a scan over `rel` through `reader`.
-    pub fn new(rel: &'a Relation, reader: &'a dyn PageReader) -> SeqScanOp<'a> {
-        SeqScanOp {
-            rel,
-            reader,
-            rows: Vec::new().into_iter(),
-            stats: QueryStats::default(),
-            rows_out: 0,
-            elapsed: Duration::ZERO,
-        }
-    }
+    seen: Seen,
 }
 
 impl Operator for SeqScanOp<'_> {
@@ -333,29 +396,22 @@ impl Operator for SeqScanOp<'_> {
         let t0 = Instant::now();
         self.rel.ensure_usable()?;
         let tracked = TrackedReader::new(self.reader);
-        let rows = self.rel.scan(&tracked)?;
+        let (ids, regions): (Vec<u32>, _) = self.rel.scan(&tracked)?.into_iter().unzip();
         self.stats.heap_io.reads += tracked.reads();
-        self.stats.candidates += rows.len() as u64;
-        self.rows = rows.into_iter();
-        self.elapsed += t0.elapsed();
+        self.stats.candidates += ids.len() as u64;
+        self.rows = Some(Batch::of(ids, regions));
+        self.seen.elapsed += t0.elapsed();
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>, CdbError> {
-        let t0 = Instant::now();
-        let out = self.rows.next().map(|(id, t)| {
-            self.rows_out += 1;
-            Row {
-                ids: vec![id],
-                region: Some(t),
-            }
-        });
-        self.elapsed += t0.elapsed();
-        Ok(out)
+    fn next_batch(&mut self) -> Result<Option<Batch>, CdbError> {
+        let batch = self.rows.take();
+        self.seen.rows_out += batch.as_ref().map_or(0, Batch::rows) as u64;
+        Ok(batch)
     }
 
     fn close(&mut self) {
-        self.rows = Vec::new().into_iter();
+        self.rows = None;
     }
 
     fn describe(&mut self) -> Result<(), CdbError> {
@@ -369,8 +425,8 @@ impl Operator for SeqScanOp<'_> {
             self.rel.len()
         )];
         if analyze {
-            detail.push(actual_line(&self.stats, self.rows_out));
-            detail.push(ms(self.elapsed));
+            detail.push(actual_line(&self.stats, self.seen.rows_out));
+            detail.push(ms(self.seen.elapsed));
         }
         PlanNode {
             label: format!("SeqScan {}", self.rel.name()),
@@ -399,43 +455,20 @@ pub struct FilterOp<'a> {
     kind: SelectionKind,
     constraints: Vec<LinearConstraint>,
     dim: usize,
-    rows_in: u64,
-    rows_out: u64,
-    elapsed: Duration,
+    seen: Seen,
 }
 
-impl<'a> FilterOp<'a> {
-    /// Wraps `input` with the conjunction predicate.
-    pub fn new(
-        input: Box<dyn Operator + 'a>,
-        kind: SelectionKind,
-        constraints: Vec<LinearConstraint>,
-        dim: usize,
-    ) -> FilterOp<'a> {
-        FilterOp {
-            input,
-            kind,
-            constraints,
-            dim,
-            rows_in: 0,
-            rows_out: 0,
-            elapsed: Duration::ZERO,
-        }
-    }
-
+impl FilterOp<'_> {
     fn keep(&self, region: &GeneralizedTuple) -> bool {
+        let mut sys = lift_region(region, self.dim);
         match self.kind {
             SelectionKind::Exist => {
-                let mut sys = lift_region(region, self.dim);
                 for c in &self.constraints {
                     sys.push(lift(c, self.dim));
                 }
                 sys.is_satisfiable()
             }
-            SelectionKind::All => {
-                let lifted = lift_region(region, self.dim);
-                self.constraints.iter().all(|c| contained(&lifted, c))
-            }
+            SelectionKind::All => self.constraints.iter().all(|c| contained(&sys, c)),
         }
     }
 }
@@ -467,20 +500,26 @@ impl Operator for FilterOp<'_> {
         self.input.open()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, CdbError> {
-        loop {
-            let Some(row) = self.input.next()? else {
-                return Ok(None);
-            };
-            let t0 = Instant::now();
-            self.rows_in += 1;
-            let keep = self.keep(require_region(&row)?);
-            self.elapsed += t0.elapsed();
-            if keep {
-                self.rows_out += 1;
-                return Ok(Some(row));
+    fn next_batch(&mut self) -> Result<Option<Batch>, CdbError> {
+        let Some(mut batch) = self.input.next_batch()? else {
+            return Ok(None);
+        };
+        let t0 = Instant::now();
+        batch.require_regions()?;
+        self.seen.rows_in += batch.rows() as u64;
+        let (arity, mut kept) = (batch.arity, 0);
+        for row in 0..batch.rows() {
+            if self.keep(&batch.regions[row]) {
+                batch.regions.swap(kept, row);
+                batch
+                    .ids
+                    .copy_within(row * arity..(row + 1) * arity, kept * arity);
+                kept += 1;
             }
         }
+        batch.truncate(kept);
+        self.seen.batch(&batch, t0);
+        Ok(Some(batch))
     }
 
     fn close(&mut self) {
@@ -505,8 +544,9 @@ impl Operator for FilterOp<'_> {
             }
         }];
         if analyze {
-            detail.push(format!("rows: {} in, {} out", self.rows_in, self.rows_out));
-            detail.push(ms(self.elapsed));
+            let (rows_in, rows_out) = (self.seen.rows_in, self.seen.rows_out);
+            detail.push(format!("rows: {rows_in} in, {rows_out} out"));
+            detail.push(ms(self.seen.elapsed));
         }
         PlanNode {
             label: format!("Filter [{}: {pred}]", kind_word(self.kind)),
@@ -529,33 +569,9 @@ pub struct NestedLoopJoinOp<'a> {
     left: Box<dyn Operator + 'a>,
     right: Box<dyn Operator + 'a>,
     dim: usize,
-    inner: Vec<Row>,
-    cur: Option<Row>,
-    ri: usize,
-    rows_out: u64,
-    pairs: u64,
-    elapsed: Duration,
-}
-
-impl<'a> NestedLoopJoinOp<'a> {
-    /// Builds the join over already-constructed inputs.
-    pub fn new(
-        left: Box<dyn Operator + 'a>,
-        right: Box<dyn Operator + 'a>,
-        dim: usize,
-    ) -> NestedLoopJoinOp<'a> {
-        NestedLoopJoinOp {
-            left,
-            right,
-            dim,
-            inner: Vec::new(),
-            cur: None,
-            ri: 0,
-            rows_out: 0,
-            pairs: 0,
-            elapsed: Duration::ZERO,
-        }
-    }
+    inner: Batch,
+    /// `rows_in` counts the pairs tested.
+    seen: Seen,
 }
 
 impl Operator for NestedLoopJoinOp<'_> {
@@ -563,60 +579,51 @@ impl Operator for NestedLoopJoinOp<'_> {
         self.left.open()?;
         self.right.open()?;
         let t0 = Instant::now();
-        while let Some(row) = self.right.next()? {
-            require_region(&row)?;
-            self.inner.push(row);
+        while let Some(batch) = self.right.next_batch()? {
+            batch.require_regions()?;
+            self.inner.append(batch);
         }
         self.right.close();
-        self.elapsed += t0.elapsed();
+        self.seen.elapsed += t0.elapsed();
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>, CdbError> {
-        loop {
-            if self.cur.is_none() {
-                let Some(row) = self.left.next()? else {
-                    return Ok(None);
-                };
-                require_region(&row)?;
-                self.cur = Some(row);
-                self.ri = 0;
-            }
-            let t0 = Instant::now();
-            let left = self.cur.as_ref().expect("set above");
-            let lregion = left.region.as_ref().expect("checked above");
-            while self.ri < self.inner.len() {
-                let right = &self.inner[self.ri];
-                self.ri += 1;
-                self.pairs += 1;
-                let mut sys: Vec<LinearConstraint> = lregion
-                    .constraints()
-                    .iter()
-                    .map(|c| lift(c, self.dim))
-                    .collect();
-                let rregion = right.region.as_ref().expect("buffered with region");
+    fn next_batch(&mut self) -> Result<Option<Batch>, CdbError> {
+        let Some(outer) = self.left.next_batch()? else {
+            return Ok(None);
+        };
+        let t0 = Instant::now();
+        outer.require_regions()?;
+        let mut out = Batch {
+            arity: outer.arity + self.inner.arity,
+            ..Batch::default()
+        };
+        for (li, lregion) in outer.regions.iter().enumerate() {
+            let lifted: Vec<LinearConstraint> = lregion
+                .constraints()
+                .iter()
+                .map(|c| lift(c, self.dim))
+                .collect();
+            for (ri, rregion) in self.inner.regions.iter().enumerate() {
+                self.seen.rows_in += 1;
+                let mut sys = lifted.clone();
                 sys.extend(rregion.constraints().iter().map(|c| lift(c, self.dim)));
                 let combined = GeneralizedTuple::new(sys);
                 if combined.is_satisfiable() {
-                    let mut ids = left.ids.clone();
-                    ids.extend_from_slice(&right.ids);
-                    self.rows_out += 1;
-                    self.elapsed += t0.elapsed();
-                    return Ok(Some(Row {
-                        ids,
-                        region: Some(combined),
-                    }));
+                    out.ids.extend_from_slice(outer.row_ids(li));
+                    out.ids.extend_from_slice(self.inner.row_ids(ri));
+                    out.regions.push(combined);
                 }
             }
-            self.cur = None;
-            self.elapsed += t0.elapsed();
         }
+        self.seen.batch(&out, t0);
+        Ok(Some(out))
     }
 
     fn close(&mut self) {
         self.left.close();
         self.right.close();
-        self.inner.clear();
+        self.inner = Batch::default();
     }
 
     fn describe(&mut self) -> Result<(), CdbError> {
@@ -627,11 +634,9 @@ impl Operator for NestedLoopJoinOp<'_> {
     fn node(&self, analyze: bool) -> PlanNode {
         let mut detail = vec!["conjunction of regions; satisfiable pairs survive".to_string()];
         if analyze {
-            detail.push(format!(
-                "pairs tested: {}, rows out: {}",
-                self.pairs, self.rows_out
-            ));
-            detail.push(ms(self.elapsed));
+            let (pairs, rows_out) = (self.seen.rows_in, self.seen.rows_out);
+            detail.push(format!("pairs tested: {pairs}, rows out: {rows_out}"));
+            detail.push(ms(self.seen.elapsed));
         }
         PlanNode {
             label: "NestedLoopJoin".into(),
@@ -651,23 +656,10 @@ impl Operator for NestedLoopJoinOp<'_> {
 /// Projection as existential variable elimination (Fourier–Motzkin).
 pub struct ProjectOp<'a> {
     input: Box<dyn Operator + 'a>,
+    /// The variables kept, in output order, of the input's `dim`.
     keep: Vec<usize>,
     dim: usize,
-    rows_out: u64,
-    elapsed: Duration,
-}
-
-impl<'a> ProjectOp<'a> {
-    /// Projects rows of width `dim` onto `keep` (in output order).
-    pub fn new(input: Box<dyn Operator + 'a>, keep: Vec<usize>, dim: usize) -> ProjectOp<'a> {
-        ProjectOp {
-            input,
-            keep,
-            dim,
-            rows_out: 0,
-            elapsed: Duration::ZERO,
-        }
-    }
+    seen: Seen,
 }
 
 impl Operator for ProjectOp<'_> {
@@ -675,19 +667,17 @@ impl Operator for ProjectOp<'_> {
         self.input.open()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, CdbError> {
-        let Some(row) = self.input.next()? else {
+    fn next_batch(&mut self) -> Result<Option<Batch>, CdbError> {
+        let Some(mut batch) = self.input.next_batch()? else {
             return Ok(None);
         };
         let t0 = Instant::now();
-        let region = lift_region(require_region(&row)?, self.dim);
-        let projected = eliminate::project(&region, &self.keep);
-        self.rows_out += 1;
-        self.elapsed += t0.elapsed();
-        Ok(Some(Row {
-            ids: row.ids,
-            region: Some(projected),
-        }))
+        batch.require_regions()?;
+        for region in &mut batch.regions {
+            *region = eliminate::project(&lift_region(region, self.dim), &self.keep);
+        }
+        self.seen.batch(&batch, t0);
+        Ok(Some(batch))
     }
 
     fn close(&mut self) {
@@ -716,8 +706,8 @@ impl Operator for ProjectOp<'_> {
             format!("Fourier–Motzkin elimination of {dropped}")
         }];
         if analyze {
-            detail.push(format!("rows: {}", self.rows_out));
-            detail.push(ms(self.elapsed));
+            detail.push(format!("rows: {}", self.seen.rows_out));
+            detail.push(ms(self.seen.elapsed));
         }
         PlanNode {
             label: format!("Project [{vars}]"),
@@ -733,22 +723,12 @@ impl Operator for ProjectOp<'_> {
 
 // ---------------------------------------------------------------- LimitOp
 
-/// Stops pulling after `n` rows (and closes its input early).
+/// Cuts the stream at `n` rows and closes its input as soon as they are
+/// in, so nothing past the batch holding row `n` is ever produced.
 pub struct LimitOp<'a> {
     input: Box<dyn Operator + 'a>,
     n: u64,
     produced: u64,
-}
-
-impl<'a> LimitOp<'a> {
-    /// Caps `input` at `n` rows.
-    pub fn new(input: Box<dyn Operator + 'a>, n: u64) -> LimitOp<'a> {
-        LimitOp {
-            input,
-            n,
-            produced: 0,
-        }
-    }
 }
 
 impl Operator for LimitOp<'_> {
@@ -756,17 +736,20 @@ impl Operator for LimitOp<'_> {
         self.input.open()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, CdbError> {
+    fn next_batch(&mut self) -> Result<Option<Batch>, CdbError> {
         if self.produced >= self.n {
             return Ok(None);
         }
-        match self.input.next()? {
-            Some(row) => {
-                self.produced += 1;
-                Ok(Some(row))
-            }
-            None => Ok(None),
+        let Some(mut batch) = self.input.next_batch()? else {
+            return Ok(None);
+        };
+        let left = self.n - self.produced;
+        if batch.rows() as u64 >= left {
+            batch.truncate(left as usize);
+            self.input.close();
         }
+        self.produced += batch.rows() as u64;
+        Ok(Some(batch))
     }
 
     fn close(&mut self) {
@@ -825,7 +808,13 @@ pub fn build<'a>(
         LogicalPlan::Empty { reason, .. } => Box::new(EmptyOp {
             reason: reason.clone(),
         }),
-        LogicalPlan::Scan { relation, .. } => Box::new(SeqScanOp::new(rel(relation)?, ctx.reader)),
+        LogicalPlan::Scan { relation, .. } => Box::new(SeqScanOp {
+            rel: rel(relation)?,
+            reader: ctx.reader,
+            rows: None,
+            stats: QueryStats::default(),
+            seen: Seen::default(),
+        }),
         LogicalPlan::IndexSelection {
             relation,
             selection,
@@ -843,24 +832,31 @@ pub fn build<'a>(
             constraints,
             dim,
             input,
-        } => Box::new(FilterOp::new(
-            build(input, ctx, true)?,
-            *kind,
-            constraints.clone(),
-            *dim,
-        )),
-        LogicalPlan::Join { left, right, dim } => Box::new(NestedLoopJoinOp::new(
-            build(left, ctx, true)?,
-            build(right, ctx, true)?,
-            *dim,
-        )),
-        LogicalPlan::Project { keep, input } => {
-            let dim = logical_dim(input);
-            Box::new(ProjectOp::new(build(input, ctx, true)?, keep.clone(), dim))
-        }
-        LogicalPlan::Limit { n, input } => {
-            Box::new(LimitOp::new(build(input, ctx, need_regions)?, *n))
-        }
+        } => Box::new(FilterOp {
+            input: build(input, ctx, true)?,
+            kind: *kind,
+            constraints: constraints.clone(),
+            dim: *dim,
+            seen: Seen::default(),
+        }),
+        LogicalPlan::Join { left, right, dim } => Box::new(NestedLoopJoinOp {
+            left: build(left, ctx, true)?,
+            right: build(right, ctx, true)?,
+            dim: *dim,
+            inner: Batch::default(),
+            seen: Seen::default(),
+        }),
+        LogicalPlan::Project { keep, input } => Box::new(ProjectOp {
+            input: build(input, ctx, true)?,
+            keep: keep.clone(),
+            dim: logical_dim(input),
+            seen: Seen::default(),
+        }),
+        LogicalPlan::Limit { n, input } => Box::new(LimitOp {
+            input: build(input, ctx, need_regions)?,
+            n: *n,
+            produced: 0,
+        }),
     })
 }
 
@@ -874,5 +870,156 @@ fn logical_dim(plan: &LogicalPlan) -> usize {
         | LogicalPlan::Join { dim, .. } => *dim,
         LogicalPlan::Project { keep, .. } => keep.len(),
         LogicalPlan::Limit { input, .. } => logical_dim(input),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::db::{ConstraintDb, DbConfig};
+    use crate::slopes::SlopeSet;
+    use crate::sql::SqlMode;
+    use cdb_geometry::halfplane::HalfPlane;
+    use cdb_storage::conformance::allocations_during;
+    use cdb_workload::{DatasetSpec, ObjectSize};
+    use std::collections::BTreeSet;
+
+    /// `n` small paper-style tuples under a 4-slope dual index, and one of
+    /// the index's own slopes.
+    fn bed(n: usize) -> (ConstraintDb, f64) {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.create_relation("r", 2).unwrap();
+        for t in DatasetSpec::paper_1999(n, ObjectSize::Small, 0xBA7C).generate() {
+            db.insert("r", t).unwrap();
+        }
+        db.build_dual_index("r", SlopeSet::uniform_tan(4)).unwrap();
+        let member = db.relation("r").unwrap().index().unwrap().slopes().get(2);
+        (db, member)
+    }
+
+    /// A scan over everything, asked for regions.
+    fn region_scan(db: &ConstraintDb) -> IndexScanOp<'_> {
+        IndexScanOp::new(
+            db.relation("r").unwrap(),
+            db.reader(),
+            1024,
+            Selection::exist(HalfPlane::above(0.3, -1e9)),
+            Strategy::Auto,
+            true,
+        )
+    }
+
+    /// Heap pages holding `ids`.
+    fn pages_of(db: &ConstraintDb, ids: &[u32]) -> BTreeSet<u32> {
+        let rel = db.relation("r").unwrap();
+        (ids.iter())
+            .map(|&id| rel.slots[id as usize].expect("live").page)
+            .collect()
+    }
+
+    /// The regression guard against per-row work: a restricted query
+    /// allocates per leaf swept and per batch, never per returned id — and
+    /// so does the SQL text of the same selection, apart from the one
+    /// `SqlRow` per row its public result type demands.
+    #[test]
+    fn restricted_query_allocations_do_not_grow_with_rows() {
+        let (db, member) = bed(4000);
+        let sel = Selection::exist(HalfPlane::above(member, -1e9));
+        db.query_with("r", sel.clone(), Strategy::Auto).unwrap(); // warm the catalog
+        let (result, allocations) =
+            allocations_during(|| db.query_with("r", sel, Strategy::Auto).unwrap());
+        assert_eq!(
+            result.stats.method,
+            Some(crate::plan::MethodKind::Restricted)
+        );
+        assert_eq!(result.len(), 4000);
+        assert!(
+            allocations < result.len() as u64 / 10,
+            "{allocations} allocations for {} ids",
+            result.len()
+        );
+        let stmt = format!("SELECT * FROM r WHERE -{member}*x + 1*y >= -1000000000 EXIST");
+        let (outcome, allocations) =
+            allocations_during(|| db.sql(&stmt, SqlMode::Execute).unwrap());
+        let rows = outcome.rows.len() as u64;
+        assert_eq!(rows, 4000);
+        assert!(
+            allocations - rows < rows / 10,
+            "{allocations} allocations for {rows} SQL rows"
+        );
+    }
+
+    /// Asked for regions, the scan emits `REGION_CHUNK`-row batches and
+    /// pays one heap access per distinct page of each.
+    #[test]
+    fn region_chunks_cost_one_heap_read_per_distinct_page() {
+        let (db, _) = bed(700);
+        let mut op = region_scan(&db);
+        op.open().unwrap();
+        let mut reads = op.stats.heap_io.reads;
+        let mut sizes = Vec::new();
+        let mut seen = Vec::new();
+        while let Some(batch) = op.next_batch().unwrap() {
+            assert_eq!((batch.arity, batch.regions.len()), (1, batch.rows()));
+            let charged = op.stats.heap_io.reads - reads;
+            assert_eq!(charged, pages_of(&db, &batch.ids).len() as u64);
+            assert!(charged < batch.rows() as u64, "several rows share a page");
+            reads = op.stats.heap_io.reads;
+            sizes.push(batch.rows());
+            seen.extend(batch.ids);
+        }
+        assert_eq!(sizes, [REGION_CHUNK, REGION_CHUNK, 700 - 2 * REGION_CHUNK]);
+        assert_eq!(seen, (0..700).collect::<Vec<u32>>());
+    }
+
+    /// `LIMIT n` takes the batch holding row `n`, closes its input, and
+    /// nothing past that batch is fetched.
+    #[test]
+    fn limit_closes_its_input_at_the_batch_holding_row_n() {
+        let (db, _) = bed(700);
+        for n in [0usize, 7, REGION_CHUNK, REGION_CHUNK + 1, 699, 700, 5000] {
+            let mut op = LimitOp {
+                input: Box::new(region_scan(&db)),
+                n: n as u64,
+                produced: 0,
+            };
+            let batch = drain(&mut op).unwrap();
+            let want = n.min(700);
+            assert_eq!(batch.ids, (0..want as u32).collect::<Vec<_>>(), "LIMIT {n}");
+            assert_eq!(batch.regions.len(), want, "LIMIT {n}");
+            let mut stats = QueryStats::default();
+            op.add_stats(&mut stats);
+            let mut whole = region_scan(&db);
+            whole.open().unwrap();
+            let scan_reads = whole.stats.heap_io.reads;
+            // Chunks that had to be fetched: those up to and including the
+            // one holding row `n` (none for LIMIT 0).
+            let fetched = (want.div_ceil(REGION_CHUNK) * REGION_CHUNK).min(700);
+            let region_reads: u64 = (0..fetched as u32)
+                .collect::<Vec<_>>()
+                .chunks(REGION_CHUNK)
+                .map(|chunk| pages_of(&db, chunk).len() as u64)
+                .sum();
+            assert_eq!(stats.heap_io.reads, scan_reads + region_reads, "LIMIT {n}");
+        }
+    }
+
+    #[test]
+    fn batches_append_and_truncate_row_major() {
+        let pair = |a: u32, b: u32| Batch {
+            arity: 2,
+            ids: vec![a, b],
+            regions: Vec::new(),
+        };
+        let mut all = Batch::default();
+        assert_eq!(all.rows(), 0);
+        for (a, b) in [(1, 10), (1, 11), (2, 10)] {
+            all.append(pair(a, b));
+        }
+        assert_eq!((all.arity, all.rows()), (2, 3));
+        assert_eq!(all.row_ids(1), [1, 11]);
+        all.truncate(2);
+        assert_eq!(all.ids, [1, 10, 1, 11]);
+        assert!(all.require_regions().is_err(), "two rows, no regions");
     }
 }

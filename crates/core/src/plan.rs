@@ -7,16 +7,19 @@
 //!
 //! * [`AccessMethod`] — one uniform `&self` execution surface over a
 //!   [`PageReader`], with a capability descriptor (exact vs refined vs
-//!   unsupported per [`Selection`]), a cost estimator, and page/maintenance
-//!   accessors. Implemented by adapters over the three [`DualIndex`]
-//!   techniques, [`DualIndexD`] for `d > 2`, a first-class sequential scan
-//!   over a relation, and [`RPlusAccess`] over [`cdb_rplustree::RPlusTree`].
+//!   unsupported per [`Selection`]) and a cost estimator. Implemented by
+//!   [`DualAccess`] for the three [`DualIndex`] techniques, [`DualDAccess`]
+//!   for `d > 2`, a first-class sequential scan over a relation, and
+//!   [`RPlusAccess`] over [`cdb_rplustree::RPlusTree`]; a relation hands
+//!   the planner its [`AccessMethods`] inline, no allocation per query.
 //! * [`Planner`] — enumerates the feasible methods, scores each with the
 //!   paper-shaped I/O formulas evaluated at a candidate fraction seeded from
 //!   a small feedback catalog ([`PlanCatalog`]) of observed per-plan
 //!   [`QueryStats`], and returns the cheapest as a [`QueryPlan`].
 //! * [`QueryPlan::explain`] / [`ExplainReport`] — render chosen method,
 //!   estimated vs actual page accesses, bracket case and refinement mode.
+//!   The case and every rejection reason are plain data ([`PlanCase`],
+//!   [`Rejection`]) until then: planning a query formats no string.
 //!
 //! The cost model follows the shape of the paper's theorems rather than
 //! reproducing their constants: a B⁺-tree search costs one root-to-leaf
@@ -43,7 +46,7 @@ use crate::db::Relation;
 use crate::ddim::DualIndexD;
 use crate::error::CdbError;
 use crate::index::{refine, DualIndex, TupleSource};
-use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
+use crate::query::{order_ids, QueryResult, QueryStats, Selection, SelectionKind, Strategy};
 use crate::slopes::Bracket;
 
 /// Candidate fraction assumed before any feedback is available (the paper's
@@ -138,7 +141,7 @@ impl fmt::Display for MethodKind {
 }
 
 /// Whether (and how) a method can serve one particular selection.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Capability {
     /// The index phase alone decides membership (up to the f32 boundary
     /// band, which is verified in place); no candidate superset.
@@ -148,7 +151,49 @@ pub enum Capability {
     Refined,
     /// The method cannot serve this selection; the reason is shown in
     /// EXPLAIN output.
-    Unsupported(String),
+    Unsupported(Rejection),
+}
+
+/// Why a method cannot serve a selection. Plain data on the executing
+/// path; text only when EXPLAIN or an error message renders it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Rejection {
+    /// A 2-D dual index asked a query of another dimension.
+    Dual2dOnly,
+    /// The restricted technique asked a slope outside `S`.
+    SlopeNotInS(f64),
+    /// A d-dimensional index asked a query of another dimension.
+    DualDimOnly(usize),
+    /// The query slope (owned: its dimension is unbounded) lies outside
+    /// the hull of the d-dimensional slope points.
+    OutsideHull(Vec<f64>),
+    /// Relation and query dimensions differ.
+    DimMismatch {
+        /// The relation's dimension.
+        relation: usize,
+        /// The query's dimension.
+        query: usize,
+    },
+    /// The R⁺-tree asked a query that is not 2-D.
+    RPlus2dOnly,
+}
+
+impl fmt::Display for Rejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Rejection::Dual2dOnly => f.write_str("the 2-D dual index serves 2-D queries only"),
+            Rejection::SlopeNotInS(a) => write!(f, "slope {a} is not in the predefined set S"),
+            Rejection::DualDimOnly(d) => write!(f, "the index serves {d}-D queries only"),
+            Rejection::OutsideHull(slope) => write!(
+                f,
+                "query slope {slope:?} lies outside the hull of the predefined set S"
+            ),
+            Rejection::DimMismatch { relation, query } => {
+                write!(f, "the relation is {relation}-D, the query {query}-D")
+            }
+            Rejection::RPlus2dOnly => f.write_str("the R⁺-tree serves 2-D queries only"),
+        }
+    }
 }
 
 /// Predicted I/O for one (method, selection) pair, in page accesses.
@@ -175,14 +220,92 @@ impl CostEstimate {
     }
 }
 
-/// Human-readable execution detail for EXPLAIN output.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlanDetail {
-    /// The bracket/routing case, e.g. `member slope 1.0` or
-    /// `between slopes -0.414 and 0.414`.
-    pub case: String,
-    /// Refinement mode, e.g. `boundary band only` or `candidate superset`.
-    pub refinement: &'static str,
+/// The bracket/routing case a method takes for one selection, e.g.
+/// `member slope 1` or `between slopes -0.414 and 0.414: …`. Plain data
+/// on the executing path; text only when EXPLAIN renders it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum PlanCase {
+    /// Restricted at a member slope.
+    Member(f64),
+    /// T1/T2 at a member slope: delegates to the restricted technique.
+    MemberRestricted(f64),
+    /// Restricted asked for a slope outside `S` (never chosen).
+    OutsideS,
+    /// T1 between two slopes of `S`.
+    AppQueries(f64, f64),
+    /// T1 wrapped through the vertical (Table 1).
+    WrappedAppQueries(f64, f64),
+    /// T2 between slopes `lo` and `hi`, sweeping the tree at `near`.
+    Between {
+        /// Lower bracketing slope.
+        lo: f64,
+        /// Upper bracketing slope.
+        hi: f64,
+        /// The slope whose tree is swept.
+        near: f64,
+    },
+    /// T2 at a wrapped slope: T1 fallback.
+    WrappedFallback,
+    /// d-dimensional member slope point (owned: unbounded dimension).
+    MemberPoint(Vec<f64>),
+    /// d-dimensional T2 over grid cell `.0`.
+    GridCell(usize),
+    /// Simplex covering with `.0` app-queries.
+    SimplexCovering(usize),
+    /// Sequential scan of `.0` tuples.
+    FullScan(u64),
+    /// R⁺-tree search plus `.0` unbounded tuples from the overflow list.
+    MbrSearch(usize),
+}
+
+impl PlanCase {
+    /// How the case's candidates become the answer.
+    pub fn refinement(&self) -> &'static str {
+        match self {
+            PlanCase::Member(_)
+            | PlanCase::MemberRestricted(_)
+            | PlanCase::OutsideS
+            | PlanCase::MemberPoint(_) => "exact by key; f32 boundary band verified",
+            PlanCase::AppQueries(..)
+            | PlanCase::WrappedAppQueries(..)
+            | PlanCase::WrappedFallback
+            | PlanCase::SimplexCovering(_) => {
+                "candidate superset; duplicates removed, then exact refinement"
+            }
+            PlanCase::Between { .. } | PlanCase::GridCell(_) => {
+                "duplicate-free candidate superset, then exact refinement"
+            }
+            PlanCase::FullScan(_) => "exact predicate per tuple (no candidate superset)",
+            PlanCase::MbrSearch(_) => "candidate superset (EXIST MBRs), then exact refinement",
+        }
+    }
+}
+
+impl fmt::Display for PlanCase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanCase::Member(s) => write!(f, "member slope {s}"),
+            PlanCase::MemberRestricted(s) => write!(f, "member slope {s} (restricted)"),
+            PlanCase::OutsideS => f.write_str("slope outside S"),
+            PlanCase::AppQueries(a, b) => write!(f, "two app-queries at slopes {a} and {b}"),
+            PlanCase::WrappedAppQueries(a, b) => {
+                write!(f, "wrapped: app-queries at slopes {a} and {b} (Table 1)")
+            }
+            PlanCase::Between { lo, hi, near } => write!(
+                f,
+                "between slopes {lo} and {hi}: handicap-guided sweeps on the tree at {near}"
+            ),
+            PlanCase::WrappedFallback => f.write_str("wrapped slope: T1 fallback (Section 4.1)"),
+            PlanCase::MemberPoint(slope) => write!(f, "member slope point {slope:?}"),
+            PlanCase::GridCell(cell) => write!(f, "grid cell {cell}: d-dimensional T2 sweeps"),
+            PlanCase::SimplexCovering(d) => write!(f, "simplex covering with {d} app-queries"),
+            PlanCase::FullScan(n) => write!(f, "full scan of {n} tuples"),
+            PlanCase::MbrSearch(unbounded) => write!(
+                f,
+                "MBR intersection search; {unbounded} unbounded tuples via overflow list"
+            ),
+        }
+    }
 }
 
 /// Shared sizing facts the cost formulas need.
@@ -224,17 +347,13 @@ pub trait AccessMethod: Sync {
     /// Whether (and how) this method can serve `sel`.
     fn capability(&self, sel: &Selection) -> Capability;
 
-    /// Cost estimate at the default candidate fraction.
-    fn estimate(&self, sel: &Selection) -> CostEstimate {
-        self.estimate_at(sel, DEFAULT_SELECTIVITY)
-    }
-
     /// Cost estimate assuming the index phase produces `frac · n`
     /// candidates (before method-specific duplication factors).
     fn estimate_at(&self, sel: &Selection, frac: f64) -> CostEstimate;
 
-    /// The bracket/routing case and refinement mode for EXPLAIN output.
-    fn detail(&self, sel: &Selection) -> PlanDetail;
+    /// The bracket/routing case (and with it the refinement mode) for
+    /// EXPLAIN output.
+    fn detail(&self, sel: &Selection) -> PlanCase;
 
     /// Executes the selection, charging I/O to `pager` and fetching
     /// refinement tuples through `fetch`.
@@ -244,256 +363,106 @@ pub trait AccessMethod: Sync {
         sel: &Selection,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError>;
+}
 
-    /// Pages owned by the method's backing structure (0 for scans).
-    fn page_count(&self) -> u64;
+// -------------------------------------------------------- dual-index adapter
 
-    /// `true` when update traffic has loosened auxiliary structures and a
-    /// maintenance pass (e.g. handicap refresh) would improve costs.
-    fn needs_maintenance(&self) -> bool {
-        false
+/// One technique of the 2-D dual index — restricted (Section 3), T1
+/// (Section 4.1) or T2 (Sections 4.2–4.3) — as an [`AccessMethod`]. At a
+/// member slope all three run the restricted search.
+pub struct DualAccess<'a> {
+    index: &'a DualIndex,
+    ctx: MethodContext,
+    /// `Restricted`, `T1` or `T2`: [`DualAccess::techniques`] is the only
+    /// constructor.
+    technique: MethodKind,
+}
+
+impl<'a> DualAccess<'a> {
+    /// The three techniques over one forest, in the planner's tie-breaking
+    /// order.
+    pub(crate) fn techniques(index: &'a DualIndex, ctx: MethodContext) -> [DualAccess<'a>; 3] {
+        [MethodKind::Restricted, MethodKind::T2, MethodKind::T1].map(|technique| DualAccess {
+            index,
+            ctx,
+            technique,
+        })
+    }
+
+    fn bracket(&self, sel: &Selection) -> Bracket {
+        self.index.slopes().bracket(sel.halfplane.slope2d())
     }
 }
 
-// ------------------------------------------------------- dual-index adapters
-
-/// The restricted technique (Section 3) as an [`AccessMethod`].
-pub struct RestrictedAccess<'a> {
-    /// The shared dual forest.
-    pub index: &'a DualIndex,
-    /// Relation sizing for the cost formulas.
-    pub ctx: MethodContext,
-}
-
-impl AccessMethod for RestrictedAccess<'_> {
+impl AccessMethod for DualAccess<'_> {
     fn kind(&self) -> MethodKind {
-        MethodKind::Restricted
+        self.technique
     }
 
     fn capability(&self, sel: &Selection) -> Capability {
         if sel.halfplane.dim() != 2 {
-            return Capability::Unsupported("the 2-D dual index serves 2-D queries only".into());
+            return Capability::Unsupported(Rejection::Dual2dOnly);
         }
-        match self.index.slopes().bracket(sel.halfplane.slope2d()) {
-            Bracket::Member(_) => Capability::Exact,
-            _ => Capability::Unsupported(format!(
-                "slope {} is not in the predefined set S",
-                sel.halfplane.slope2d()
-            )),
-        }
-    }
-
-    fn estimate_at(&self, _sel: &Selection, frac: f64) -> CostEstimate {
-        let h = self.index.tree_height() as f64;
-        let c = frac * self.ctx.n as f64;
-        CostEstimate {
-            index_pages: h + frac * self.ctx.dual_leaf_pages(),
-            // Only the f32 boundary band is fetched: a handful of tuples.
-            heap_pages: self.ctx.heap_fetch_pages(2.0_f64.min(c)),
-            candidates: c,
-        }
-    }
-
-    fn detail(&self, sel: &Selection) -> PlanDetail {
-        let case = match self.index.slopes().bracket(sel.halfplane.slope2d()) {
-            Bracket::Member(i) => format!("member slope {}", self.index.slopes().get(i)),
-            _ => "slope outside S".into(),
-        };
-        PlanDetail {
-            case,
-            refinement: "exact by key; f32 boundary band verified",
-        }
-    }
-
-    fn execute(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        self.index.execute(pager, sel, Strategy::Restricted, fetch)
-    }
-
-    fn page_count(&self) -> u64 {
-        self.index.page_count()
-    }
-
-    fn needs_maintenance(&self) -> bool {
-        self.index.needs_refresh()
-    }
-}
-
-/// Technique T1 (Section 4.1) as an [`AccessMethod`].
-pub struct T1Access<'a> {
-    /// The shared dual forest.
-    pub index: &'a DualIndex,
-    /// Relation sizing for the cost formulas.
-    pub ctx: MethodContext,
-}
-
-impl AccessMethod for T1Access<'_> {
-    fn kind(&self) -> MethodKind {
-        MethodKind::T1
-    }
-
-    fn capability(&self, sel: &Selection) -> Capability {
-        if sel.halfplane.dim() != 2 {
-            return Capability::Unsupported("the 2-D dual index serves 2-D queries only".into());
-        }
-        match self.index.slopes().bracket(sel.halfplane.slope2d()) {
-            Bracket::Member(_) => Capability::Exact, // delegates to restricted
+        match (self.bracket(sel), self.technique) {
+            (Bracket::Member(_), _) => Capability::Exact,
+            (_, MethodKind::Restricted) => {
+                Capability::Unsupported(Rejection::SlopeNotInS(sel.halfplane.slope2d()))
+            }
             _ => Capability::Refined,
         }
     }
 
     fn estimate_at(&self, sel: &Selection, frac: f64) -> CostEstimate {
         let h = self.index.tree_height() as f64;
-        if matches!(
-            self.index.slopes().bracket(sel.halfplane.slope2d()),
-            Bracket::Member(_)
-        ) {
-            // Member slopes execute the restricted technique.
-            return RestrictedAccess {
-                index: self.index,
-                ctx: self.ctx,
-            }
-            .estimate_at(sel, frac);
-        }
-        // Two app-queries; the legs over-cover and overlap (duplication),
-        // so candidates roughly double before refinement.
-        let c = 2.0 * frac * self.ctx.n as f64;
-        CostEstimate {
-            index_pages: 2.0 * (h + frac * self.ctx.dual_leaf_pages()),
-            heap_pages: self.ctx.heap_fetch_pages(c),
-            candidates: c,
+        let (n, leaves) = (self.ctx.n as f64, self.ctx.dual_leaf_pages());
+        match (self.technique, self.bracket(sel)) {
+            (MethodKind::Restricted, _) | (_, Bracket::Member(_)) => CostEstimate {
+                index_pages: h + frac * leaves,
+                // Only the f32 boundary band is fetched: a handful of tuples.
+                heap_pages: self.ctx.heap_fetch_pages(2.0_f64.min(frac * n)),
+                candidates: frac * n,
+            },
+            // Two app-queries (T2's wrapped case falls back to them); the
+            // legs over-cover and overlap (duplication), so candidates
+            // roughly double before refinement.
+            (MethodKind::T1, _) | (_, Bracket::Wrapped(..)) => CostEstimate {
+                index_pages: 2.0 * (h + frac * leaves),
+                heap_pages: self.ctx.heap_fetch_pages(2.0 * frac * n),
+                candidates: 2.0 * frac * n,
+            },
+            // One descent; the two disjoint sweeps over-cover the exact
+            // answer by the handicap overshoot (a strip, not a doubling).
+            _ => CostEstimate {
+                index_pages: h + 1.2 * frac * leaves,
+                heap_pages: self.ctx.heap_fetch_pages(1.2 * frac * n),
+                candidates: 1.2 * frac * n,
+            },
         }
     }
 
-    fn detail(&self, sel: &Selection) -> PlanDetail {
+    fn detail(&self, sel: &Selection) -> PlanCase {
         let slopes = self.index.slopes();
-        let a = sel.halfplane.slope2d();
-        let (case, refinement) = match slopes.bracket(a) {
-            Bracket::Member(i) => (
-                format!("member slope {} (restricted)", slopes.get(i)),
-                "exact by key; f32 boundary band verified",
-            ),
-            Bracket::Between(i, j) => (
-                format!(
-                    "two app-queries at slopes {} and {}",
-                    slopes.get(i),
-                    slopes.get(j)
-                ),
-                "candidate superset; duplicates removed, then exact refinement",
-            ),
-            Bracket::Wrapped(cw, acw) => (
-                format!(
-                    "wrapped: app-queries at slopes {} and {} (Table 1)",
-                    slopes.get(cw),
-                    slopes.get(acw)
-                ),
-                "candidate superset; duplicates removed, then exact refinement",
-            ),
-        };
-        PlanDetail { case, refinement }
-    }
-
-    fn execute(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        self.index.execute(pager, sel, Strategy::T1, fetch)
-    }
-
-    fn page_count(&self) -> u64 {
-        self.index.page_count()
-    }
-
-    fn needs_maintenance(&self) -> bool {
-        self.index.needs_refresh()
-    }
-}
-
-/// Technique T2 (Sections 4.2–4.3) as an [`AccessMethod`].
-pub struct T2Access<'a> {
-    /// The shared dual forest.
-    pub index: &'a DualIndex,
-    /// Relation sizing for the cost formulas.
-    pub ctx: MethodContext,
-}
-
-impl AccessMethod for T2Access<'_> {
-    fn kind(&self) -> MethodKind {
-        MethodKind::T2
-    }
-
-    fn capability(&self, sel: &Selection) -> Capability {
-        if sel.halfplane.dim() != 2 {
-            return Capability::Unsupported("the 2-D dual index serves 2-D queries only".into());
-        }
-        match self.index.slopes().bracket(sel.halfplane.slope2d()) {
-            Bracket::Member(_) => Capability::Exact, // delegates to restricted
-            _ => Capability::Refined,
-        }
-    }
-
-    fn estimate_at(&self, sel: &Selection, frac: f64) -> CostEstimate {
-        let h = self.index.tree_height() as f64;
-        match self.index.slopes().bracket(sel.halfplane.slope2d()) {
-            Bracket::Member(_) => RestrictedAccess {
-                index: self.index,
-                ctx: self.ctx,
+        match (self.technique, self.bracket(sel)) {
+            (MethodKind::Restricted, Bracket::Member(i)) => PlanCase::Member(slopes.get(i)),
+            (MethodKind::Restricted, _) => PlanCase::OutsideS,
+            (_, Bracket::Member(i)) => PlanCase::MemberRestricted(slopes.get(i)),
+            (MethodKind::T1, Bracket::Between(i, j)) => {
+                PlanCase::AppQueries(slopes.get(i), slopes.get(j))
             }
-            .estimate_at(sel, frac),
-            Bracket::Wrapped(..) => T1Access {
-                index: self.index,
-                ctx: self.ctx,
+            (MethodKind::T1, Bracket::Wrapped(cw, acw)) => {
+                PlanCase::WrappedAppQueries(slopes.get(cw), slopes.get(acw))
             }
-            .estimate_at(sel, frac),
-            Bracket::Between(..) => {
-                // One descent; the two disjoint sweeps over-cover the exact
-                // answer by the handicap overshoot (a strip, not a doubling).
-                let c = 1.2 * frac * self.ctx.n as f64;
-                CostEstimate {
-                    index_pages: h + 1.2 * frac * self.ctx.dual_leaf_pages(),
-                    heap_pages: self.ctx.heap_fetch_pages(c),
-                    candidates: c,
-                }
-            }
-        }
-    }
-
-    fn detail(&self, sel: &Selection) -> PlanDetail {
-        let slopes = self.index.slopes();
-        let a = sel.halfplane.slope2d();
-        let (case, refinement) = match slopes.bracket(a) {
-            Bracket::Member(i) => (
-                format!("member slope {} (restricted)", slopes.get(i)),
-                "exact by key; f32 boundary band verified",
-            ),
-            Bracket::Between(i, j) => {
-                let mid = (slopes.get(i) + slopes.get(j)) / 2.0;
-                let near = if a <= mid {
-                    slopes.get(i)
+            (_, Bracket::Between(i, j)) => {
+                let (lo, hi) = (slopes.get(i), slopes.get(j));
+                let near = if sel.halfplane.slope2d() <= (lo + hi) / 2.0 {
+                    lo
                 } else {
-                    slopes.get(j)
+                    hi
                 };
-                (
-                    format!(
-                        "between slopes {} and {}: handicap-guided sweeps on the tree at {near}",
-                        slopes.get(i),
-                        slopes.get(j)
-                    ),
-                    "duplicate-free candidate superset, then exact refinement",
-                )
+                PlanCase::Between { lo, hi, near }
             }
-            Bracket::Wrapped(..) => (
-                "wrapped slope: T1 fallback (Section 4.1)".into(),
-                "candidate superset; duplicates removed, then exact refinement",
-            ),
-        };
-        PlanDetail { case, refinement }
+            (_, Bracket::Wrapped(..)) => PlanCase::WrappedFallback,
+        }
     }
 
     fn execute(
@@ -502,15 +471,8 @@ impl AccessMethod for T2Access<'_> {
         sel: &Selection,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        self.index.execute(pager, sel, Strategy::T2, fetch)
-    }
-
-    fn page_count(&self) -> u64 {
-        self.index.page_count()
-    }
-
-    fn needs_maintenance(&self) -> bool {
-        self.index.needs_refresh()
+        let strategy = self.technique.strategy().expect("a dual technique");
+        self.index.execute(pager, sel, strategy, fetch)
     }
 }
 
@@ -572,7 +534,7 @@ impl AccessMethod for DualDAccess<'_> {
     fn capability(&self, sel: &Selection) -> Capability {
         let d = self.index.dim();
         if sel.halfplane.dim() != d {
-            return Capability::Unsupported(format!("the index serves {d}-D queries only"));
+            return Capability::Unsupported(Rejection::DualDimOnly(d));
         }
         let slope = &sel.halfplane.slope;
         if self.index.points().position(slope).is_some() {
@@ -582,9 +544,7 @@ impl AccessMethod for DualDAccess<'_> {
         {
             Capability::Refined
         } else {
-            Capability::Unsupported(format!(
-                "query slope {slope:?} lies outside the hull of the predefined set S"
-            ))
+            Capability::Unsupported(Rejection::OutsideHull(slope.clone()))
         }
     }
 
@@ -623,23 +583,14 @@ impl AccessMethod for DualDAccess<'_> {
         }
     }
 
-    fn detail(&self, sel: &Selection) -> PlanDetail {
+    fn detail(&self, sel: &Selection) -> PlanCase {
         let slope = &sel.halfplane.slope;
         if self.index.points().position(slope).is_some() {
-            PlanDetail {
-                case: format!("member slope point {slope:?}"),
-                refinement: "exact by key; f32 boundary band verified",
-            }
+            PlanCase::MemberPoint(slope.clone())
         } else if let Some(cell) = self.index.points().nearest_grid(slope) {
-            PlanDetail {
-                case: format!("grid cell {cell}: d-dimensional T2 sweeps"),
-                refinement: "duplicate-free candidate superset, then exact refinement",
-            }
+            PlanCase::GridCell(cell)
         } else {
-            PlanDetail {
-                case: format!("simplex covering with {} app-queries", self.index.dim()),
-                refinement: "candidate superset; duplicates removed, then exact refinement",
-            }
+            PlanCase::SimplexCovering(self.index.dim())
         }
     }
 
@@ -650,10 +601,6 @@ impl AccessMethod for DualDAccess<'_> {
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
         self.index.execute(pager, sel, fetch)
-    }
-
-    fn page_count(&self) -> u64 {
-        self.index.page_count()
     }
 }
 
@@ -676,11 +623,10 @@ impl AccessMethod for SeqScanAccess<'_> {
 
     fn capability(&self, sel: &Selection) -> Capability {
         if sel.halfplane.dim() != self.relation.dim() {
-            return Capability::Unsupported(format!(
-                "the relation is {}-D, the query {}-D",
-                self.relation.dim(),
-                sel.halfplane.dim()
-            ));
+            return Capability::Unsupported(Rejection::DimMismatch {
+                relation: self.relation.dim(),
+                query: sel.halfplane.dim(),
+            });
         }
         Capability::Exact
     }
@@ -693,11 +639,8 @@ impl AccessMethod for SeqScanAccess<'_> {
         }
     }
 
-    fn detail(&self, _sel: &Selection) -> PlanDetail {
-        PlanDetail {
-            case: format!("full scan of {} tuples", self.ctx.n),
-            refinement: "exact predicate per tuple (no candidate superset)",
-        }
+    fn detail(&self, _sel: &Selection) -> PlanCase {
+        PlanCase::FullScan(self.ctx.n)
     }
 
     fn execute(
@@ -722,10 +665,6 @@ impl AccessMethod for SeqScanAccess<'_> {
         };
         stats.heap_io = pager.stats().since(&before);
         Ok(QueryResult::new(ids, stats))
-    }
-
-    fn page_count(&self) -> u64 {
-        0
     }
 }
 
@@ -759,7 +698,7 @@ impl AccessMethod for RPlusAccess<'_> {
 
     fn capability(&self, sel: &Selection) -> Capability {
         if sel.halfplane.dim() != 2 {
-            return Capability::Unsupported("the R⁺-tree serves 2-D queries only".into());
+            return Capability::Unsupported(Rejection::RPlus2dOnly);
         }
         Capability::Refined
     }
@@ -774,14 +713,8 @@ impl AccessMethod for RPlusAccess<'_> {
         }
     }
 
-    fn detail(&self, _sel: &Selection) -> PlanDetail {
-        PlanDetail {
-            case: format!(
-                "MBR intersection search; {} unbounded tuples via overflow list",
-                self.unbounded.len()
-            ),
-            refinement: "candidate superset (EXIST MBRs), then exact refinement",
-        }
+    fn detail(&self, _sel: &Selection) -> PlanCase {
+        PlanCase::MbrSearch(self.unbounded.len())
     }
 
     fn execute(
@@ -801,8 +734,7 @@ impl AccessMethod for RPlusAccess<'_> {
         let before = pager.stats();
         let (mut candidates, search) = self.tree.search_halfplane(pager, &sel.halfplane)?;
         candidates.extend_from_slice(self.unbounded);
-        candidates.sort_unstable();
-        candidates.dedup();
+        order_ids(&mut candidates);
         candidates.retain(|id| self.dead.binary_search(id).is_err());
         let mut stats = QueryStats {
             candidates: search.raw_hits + self.unbounded.len() as u64,
@@ -815,14 +747,33 @@ impl AccessMethod for RPlusAccess<'_> {
         stats.heap_io = pager.stats().since(&heap_before);
         Ok(QueryResult::new(ids, stats))
     }
+}
 
-    fn page_count(&self) -> u64 {
-        self.tree.page_count()
-    }
+// ------------------------------------------------------- the planner's input
 
-    fn needs_maintenance(&self) -> bool {
-        // Tombstones inflate candidate sets until the tree is repacked.
-        !self.dead.is_empty()
+/// Every access method available on one relation, held inline: built per
+/// query without touching the heap allocator.
+pub struct AccessMethods<'a> {
+    /// Always present: an index-less relation is queryable.
+    pub(crate) seq_scan: SeqScanAccess<'a>,
+    /// The three techniques of the 2-D dual index, once it is built.
+    pub(crate) dual: Option<[DualAccess<'a>; 3]>,
+    /// The d-dimensional dual index, once it is built.
+    pub(crate) dual_d: Option<DualDAccess<'a>>,
+    /// The R⁺-tree baseline, once it is built.
+    pub(crate) rplus: Option<RPlusAccess<'a>>,
+}
+
+impl AccessMethods<'_> {
+    /// The methods in the planner's tie-breaking order.
+    pub fn iter(&self) -> impl Iterator<Item = &dyn AccessMethod> {
+        fn erased<'m>(m: &'m (impl AccessMethod + 'm)) -> &'m dyn AccessMethod {
+            m
+        }
+        std::iter::once(erased(&self.seq_scan))
+            .chain(self.dual.iter().flatten().map(erased))
+            .chain(self.dual_d.iter().map(erased))
+            .chain(self.rplus.iter().map(erased))
     }
 }
 
@@ -999,9 +950,7 @@ pub struct QueryPlan {
     /// `true` when the index phase alone decides membership.
     pub exact: bool,
     /// The bracket/routing case (e.g. `between slopes -0.414 and 0.414`).
-    pub case: String,
-    /// Refinement mode.
-    pub refinement: &'static str,
+    pub case: PlanCase,
     /// Predicted I/O for the chosen method.
     pub estimate: CostEstimate,
     /// The candidate fraction the estimates were evaluated at.
@@ -1012,7 +961,7 @@ pub struct QueryPlan {
     /// Every feasible method with its estimate, cheapest first.
     pub considered: Vec<(MethodKind, CostEstimate)>,
     /// Methods that cannot serve this selection, with reasons.
-    pub rejected: Vec<(MethodKind, String)>,
+    pub rejected: Vec<(MethodKind, Rejection)>,
 }
 
 impl QueryPlan {
@@ -1034,7 +983,7 @@ impl QueryPlan {
         ));
         out.push_str(&format!(
             "  refinement: {} [{}]\n",
-            self.refinement,
+            self.case.refinement(),
             if self.exact { "exact" } else { "refined" }
         ));
         out.push_str(&format!(
@@ -1066,8 +1015,8 @@ impl QueryPlan {
 pub struct Planner;
 
 impl Planner {
-    /// Plans `sel` over `methods`. Returns the index of the chosen method
-    /// in `methods` plus the [`QueryPlan`].
+    /// Plans `sel` over `methods`. Returns the chosen method plus the
+    /// [`QueryPlan`].
     ///
     /// With `explore` set (queries that will actually execute), every
     /// `PROBE_PERIOD`-th decision with a near-tie — a rival estimated
@@ -1079,16 +1028,16 @@ impl Planner {
     /// # Errors
     /// [`CdbError::UnsupportedQuery`] when `forced` names a method that is
     /// absent or cannot serve the selection, or when no method can.
-    pub fn choose(
-        methods: &[&dyn AccessMethod],
+    pub fn choose<'m>(
+        methods: impl IntoIterator<Item = &'m dyn AccessMethod>,
         sel: &Selection,
         forced: Option<MethodKind>,
         catalog: &PlanCatalog,
         explore: bool,
-    ) -> Result<(usize, QueryPlan), CdbError> {
-        let mut considered: Vec<(usize, MethodKind, Capability, CostEstimate, f64)> = Vec::new();
-        let mut rejected: Vec<(MethodKind, String)> = Vec::new();
-        for (i, m) in methods.iter().enumerate() {
+    ) -> Result<(&'m dyn AccessMethod, QueryPlan), CdbError> {
+        let mut considered: Vec<(&dyn AccessMethod, bool, CostEstimate, f64)> = Vec::new();
+        let mut rejected: Vec<(MethodKind, Rejection)> = Vec::new();
+        for m in methods {
             match m.capability(sel) {
                 Capability::Unsupported(why) => rejected.push((m.kind(), why)),
                 cap => {
@@ -1096,26 +1045,29 @@ impl Planner {
                         .frac_for(m.kind(), sel.kind)
                         .unwrap_or(DEFAULT_SELECTIVITY);
                     let est = m.estimate_at(sel, frac);
-                    considered.push((i, m.kind(), cap, est, frac));
+                    considered.push((m, cap == Capability::Exact, est, frac));
                 }
             }
         }
         considered.sort_by(|a, b| {
-            a.3.total()
-                .partial_cmp(&b.3.total())
+            a.2.total()
+                .partial_cmp(&b.2.total())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let mut explored = false;
         let chosen = match forced {
-            Some(k) => considered.iter().position(|c| c.1 == k).ok_or_else(|| {
-                if let Some((_, why)) = rejected.iter().find(|(m, _)| *m == k) {
-                    CdbError::UnsupportedQuery(format!("forced method {k}: {why}"))
-                } else {
-                    CdbError::UnsupportedQuery(format!(
-                        "forced method {k} is not available on this relation"
-                    ))
-                }
-            })?,
+            Some(k) => considered
+                .iter()
+                .position(|c| c.0.kind() == k)
+                .ok_or_else(|| {
+                    if let Some((_, why)) = rejected.iter().find(|(m, _)| *m == k) {
+                        CdbError::UnsupportedQuery(format!("forced method {k}: {why}"))
+                    } else {
+                        CdbError::UnsupportedQuery(format!(
+                            "forced method {k} is not available on this relation"
+                        ))
+                    }
+                })?,
             None => {
                 if considered.is_empty() {
                     let reasons: Vec<String> = rejected
@@ -1132,10 +1084,10 @@ impl Planner {
                     && considered.len() > 1
                     && catalog.probe_tick().is_multiple_of(PROBE_PERIOD)
                 {
-                    let best_total = considered[0].3.total();
+                    let best_total = considered[0].2.total();
                     let probe = (1..considered.len())
-                        .filter(|&i| considered[i].3.total() <= NEAR_TIE_RATIO * best_total)
-                        .min_by_key(|&i| catalog.samples(considered[i].1, sel.kind));
+                        .filter(|&i| considered[i].2.total() <= NEAR_TIE_RATIO * best_total)
+                        .min_by_key(|&i| catalog.samples(considered[i].0.kind(), sel.kind));
                     if let Some(i) = probe {
                         pick = i;
                         explored = true;
@@ -1144,21 +1096,19 @@ impl Planner {
                 pick
             }
         };
-        let (mi, kind, cap, est, frac) = considered[chosen].clone();
-        let detail = methods[mi].detail(sel);
+        let (method, exact, estimate, frac) = considered[chosen];
         let plan = QueryPlan {
-            method: kind,
+            method: method.kind(),
             forced: forced.is_some(),
-            exact: cap == Capability::Exact,
-            case: detail.case,
-            refinement: detail.refinement,
-            estimate: est,
+            exact,
+            case: method.detail(sel),
+            estimate,
             frac,
             explored,
-            considered: considered.iter().map(|(_, m, _, e, _)| (*m, *e)).collect(),
+            considered: considered.iter().map(|c| (c.0.kind(), c.2)).collect(),
             rejected,
         };
-        Ok((mi, plan))
+        Ok((method, plan))
     }
 }
 

@@ -166,11 +166,16 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// Builds a result, sorting and asserting uniqueness of ids.
+    /// Builds a result: ids ascending ([`order_ids`]), asserted unique.
     pub fn new(mut ids: Vec<u32>, stats: QueryStats) -> Self {
-        ids.sort_unstable();
-        debug_assert!(ids.windows(2).all(|w| w[0] != w[1]), "duplicate result id");
+        let duplicates = order_ids(&mut ids);
+        debug_assert!(duplicates == 0, "duplicate result id");
         QueryResult { ids, stats }
+    }
+
+    /// The ascending ids and the stats, by move.
+    pub fn into_parts(self) -> (Vec<u32>, QueryStats) {
+        (self.ids, self.stats)
     }
 
     /// Matching tuple ids, ascending.
@@ -187,6 +192,40 @@ impl QueryResult {
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
+}
+
+/// Orders tuple ids ascending and drops repeats, returning how many were
+/// dropped — the one ordering step behind every result and candidate list.
+///
+/// Ids that already ascend return at once. Ids that cover a fair share of
+/// their own range (a bitmap over `0..=max` takes no more words than the
+/// list has ids — slot ids swept out of a B⁺-tree do) are ordered in
+/// linear time by setting and reading back bits; anything sparser is
+/// comparison-sorted, so three ids near `u32::MAX` never allocate 64 MiB.
+pub fn order_ids(ids: &mut Vec<u32>) -> usize {
+    if ids.windows(2).all(|w| w[0] < w[1]) {
+        return 0;
+    }
+    let before = ids.len();
+    let max = ids.iter().copied().max().expect("an empty list ascends");
+    let words = max as usize / 64 + 1;
+    if words <= before {
+        let mut bits = vec![0u64; words];
+        for &id in ids.iter() {
+            bits[id as usize / 64] |= 1 << (id % 64);
+        }
+        ids.clear();
+        for (at, mut word) in bits.into_iter().enumerate() {
+            while word != 0 {
+                ids.push(at as u32 * 64 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+    } else {
+        ids.sort_unstable();
+        ids.dedup();
+    }
+    before - ids.len()
 }
 
 #[cfg(test)]
@@ -209,6 +248,55 @@ mod tests {
         assert_eq!(r.ids(), &[1, 3, 5]);
         assert_eq!(r.len(), 3);
         assert!(!r.is_empty());
+    }
+
+    /// `order_ids` against `sort_unstable` + `dedup`, ids and count alike.
+    fn check_order(ids: Vec<u32>, what: &str) {
+        let mut want = ids.clone();
+        want.sort_unstable();
+        want.dedup();
+        let mut got = ids.clone();
+        let removed = order_ids(&mut got);
+        assert_eq!(got, want, "{what}");
+        assert_eq!(
+            removed,
+            ids.len() - want.len(),
+            "{what}: duplicates removed"
+        );
+    }
+
+    #[test]
+    fn order_ids_equals_sort_and_dedup() {
+        let mut rng = cdb_prng::StdRng::seed_from_u64(0x1D5);
+        for round in 0..64 {
+            // Dense: slot ids of a relation, some repeated (T1's two legs).
+            let n = rng.gen_range(1..3000usize);
+            let dense: Vec<u32> = (0..n).map(|_| rng.gen_range(0..12_000u32)).collect();
+            check_order(dense, &format!("dense round {round}"));
+            // Sparse: far fewer ids than their range has words.
+            let sparse: Vec<u32> = (0..rng.gen_range(2..40usize))
+                .map(|_| rng.gen_range(0..=u32::MAX))
+                .collect();
+            check_order(sparse, &format!("sparse round {round}"));
+        }
+        check_order((0..500).collect(), "ascending");
+        check_order((0..500).rev().collect(), "descending");
+        check_order(vec![7; 300], "all equal");
+        check_order(vec![0, 0, 1, 1, 2, 2], "ascending with repeats");
+        check_order(vec![], "empty");
+        check_order(vec![42], "single");
+        check_order(vec![u32::MAX, 0], "both ends of the range");
+    }
+
+    /// Three ids near `u32::MAX` must be comparison-sorted: a bitmap over
+    /// their range would be 64 MiB.
+    #[test]
+    fn order_ids_never_sizes_a_bitmap_from_a_sparse_range() {
+        let mut ids = vec![u32::MAX, u32::MAX - 9, u32::MAX - 4];
+        let (removed, peak) = cdb_storage::conformance::peak_during(|| order_ids(&mut ids));
+        assert_eq!(ids, [u32::MAX - 9, u32::MAX - 4, u32::MAX]);
+        assert_eq!(removed, 0);
+        assert!(peak < 4096, "allocated {peak} bytes at once to order 3 ids");
     }
 
     #[test]

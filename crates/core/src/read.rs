@@ -18,7 +18,7 @@ use cdb_storage::{PageReader, Pager, SnapshotReader};
 use crate::db::{DbConfig, Relation, RelationStats};
 use crate::error::CdbError;
 use crate::exec::QueryExecutor;
-use crate::physical::{ExecCtx, IndexScanOp, Operator};
+use crate::physical::{drain, ExecCtx, IndexScanOp, Operator};
 use crate::plan::{ExplainReport, QueryPlan};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
 use crate::sql::{Projection, SqlMode, SqlOutcome, SqlRow};
@@ -103,7 +103,8 @@ impl<P: PageSource> ReadSurface<P> {
     /// Plans and executes one selection as a one-node operator pipeline:
     /// the planner chooses (or validates the forced) access method, the
     /// method runs, estimate and method are stamped into the result's
-    /// stats, and the actuals feed the relation's catalog.
+    /// stats, the actuals feed the relation's catalog, and the scan's one
+    /// batch of ascending ids becomes the result by move.
     fn planned(
         &self,
         name: &str,
@@ -119,12 +120,7 @@ impl<P: PageSource> ReadSurface<P> {
             strategy,
             false,
         );
-        op.open()?;
-        let mut ids = Vec::new();
-        while let Some(row) = op.next()? {
-            ids.extend_from_slice(&row.ids);
-        }
-        op.close();
+        let ids = drain(&mut op)?.ids;
         let (plan, stats) = op.into_plan_stats();
         let plan = plan.expect("open() stamps the chosen plan");
         Ok((plan, QueryResult::new(ids, stats)))
@@ -223,21 +219,25 @@ impl<P: PageSource> ReadSurface<P> {
                 stats: QueryStats::default(),
             });
         }
-        op.open()?;
-        let mut rows = Vec::new();
-        while let Some(row) = op.next()? {
-            rows.push(SqlRow {
-                ids: row.ids,
-                region: if keep_regions { row.region } else { None },
-            });
-        }
-        op.close();
+        let batch = drain(op.as_mut())?;
         let mut stats = QueryStats::default();
         op.add_stats(&mut stats);
         let analyze = matches!(mode, SqlMode::ExplainAnalyze);
+        // The public row type is the one per-row cost left: materialized
+        // here, at the very end, and not at all under ANALYZE.
+        let mut rows = Vec::new();
+        if !analyze {
+            let mut regions = batch.regions.into_iter();
+            rows.extend(
+                (batch.ids.chunks_exact(batch.arity.max(1))).map(|ids| SqlRow {
+                    ids: ids.to_vec(),
+                    region: regions.next().filter(|_| keep_regions),
+                }),
+            );
+        }
         Ok(SqlOutcome {
             columns,
-            rows: if analyze { Vec::new() } else { rows },
+            rows,
             plan: analyze.then(|| crate::pretty::render(&op.node(true))),
             stats,
         })

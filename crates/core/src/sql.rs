@@ -22,7 +22,7 @@
 //! `cdb_geometry::parse`.
 //!
 //! This module is the *frontend* only: lowering to a logical plan lives in
-//! [`crate::logical`], the Volcano operators in [`crate::physical`], and
+//! [`crate::logical`], the batch-at-a-time operators in [`crate::physical`], and
 //! the entry points on `ConstraintDb`/`Snapshot` in [`crate::db`].
 
 use cdb_geometry::tuple::GeneralizedTuple;

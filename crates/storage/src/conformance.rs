@@ -27,22 +27,24 @@ const MUTATIONS: usize = 256;
 const ALLOC_PER_BYTE: usize = 256;
 
 /// The system allocator, remembering the largest single allocation each
-/// thread has asked for.
+/// thread has asked for and how many it has made.
 pub struct PeakAlloc;
 
 thread_local! {
     static PEAK: Cell<usize> = const { Cell::new(0) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
     // `try_with`: allocations during thread teardown find the slot gone.
     let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
 // SAFETY: every call is forwarded to `System` with the arguments it was
 // given, so `System`'s own upholding of the `GlobalAlloc` contract carries
-// over; the only addition is a store to a const-initialised thread-local
-// integer, which neither allocates nor unwinds.
+// over; the only addition is a store to two const-initialised thread-local
+// integers, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -65,10 +67,19 @@ unsafe impl GlobalAlloc for PeakAlloc {
 
 /// Runs `f`, returning its result and the largest single allocation it
 /// made on this thread.
-fn peak_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+pub fn peak_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
     PEAK.with(|p| p.set(0));
     let out = f();
     (out, PEAK.with(Cell::get))
+}
+
+/// Runs `f`, returning its result and how many allocations (`alloc` and
+/// `realloc` calls) it made on this thread — the guard against per-row
+/// work creeping back into a path that should allocate per batch.
+pub fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
 }
 
 /// Checks a codec against `samples`:

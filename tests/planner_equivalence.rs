@@ -232,3 +232,89 @@ fn planned_batches_match_standalone_queries() {
         }
     }
 }
+
+/// `QueryStats` of the duplicate-prone paths — T1's two legs, the
+/// d-dimensional simplex covering, the R⁺-tree's candidate list — summed
+/// over seeded beds as `[candidates, duplicates, false hits, pages, rows]`.
+/// The totals were recorded at the parent of the change that replaced each
+/// path's `sort_unstable` + `dedup` with `query::order_ids`; ordering ids
+/// another way must not move one of them.
+#[test]
+fn duplicate_and_candidate_accounting_is_pinned() {
+    fn fold(acc: &mut [u64; 5], r: &constraint_db::index::QueryResult) {
+        let s = &r.stats;
+        let add = [
+            s.candidates,
+            s.duplicates,
+            s.false_hits,
+            s.total_accesses(),
+            r.len() as u64,
+        ];
+        for (a, x) in acc.iter_mut().zip(add) {
+            *a += x;
+        }
+    }
+    let tuples = DatasetSpec::paper_1999(600, ObjectSize::Small, 31).generate();
+    let mut db = build_db(&tuples, Some(3));
+    db.build_rplus_index("r", 1.0).unwrap();
+    let mut qg = QueryGen::new(0xF1E1D);
+    let (mut t1, mut rplus) = ([0u64; 5], [0u64; 5]);
+    for i in 0..40 {
+        let kind = if i % 2 == 0 {
+            cdb_workload::QueryKind::Exist
+        } else {
+            cdb_workload::QueryKind::All
+        };
+        let q = qg.calibrated(&tuples, kind, 0.10);
+        let sel = match kind {
+            cdb_workload::QueryKind::Exist => Selection::exist(q.halfplane.clone()),
+            cdb_workload::QueryKind::All => Selection::all(q.halfplane.clone()),
+        };
+        fold(
+            &mut t1,
+            &db.query_with("r", sel.clone(), Strategy::T1).unwrap(),
+        );
+        fold(
+            &mut rplus,
+            &db.query_with("r", sel, Strategy::RPlus).unwrap(),
+        );
+    }
+
+    let mut db3 = ConstraintDb::in_memory(DbConfig::paper_1999());
+    db3.create_relation("boxes", 3).unwrap();
+    let mut rng = cdb_prng::StdRng::seed_from_u64(0xD3D);
+    for _ in 0..150 {
+        let mut cs = Vec::new();
+        for axis in 0..3usize {
+            let lo: f64 = rng.gen_range(-50.0..45.0);
+            let hi = lo + rng.gen_range(1.0..6.0);
+            let mut a = vec![0.0; 3];
+            a[axis] = 1.0;
+            cs.push(LinearConstraint::new(a.clone(), -lo, RelOp::Ge));
+            cs.push(LinearConstraint::new(a, -hi, RelOp::Le));
+        }
+        db3.insert("boxes", GeneralizedTuple::new(cs)).unwrap();
+    }
+    // A bare simplex, not a grid: every interior slope takes the covering.
+    let simplex = vec![vec![-1.0, -1.0], vec![1.0, -1.0], vec![0.0, 1.0]];
+    db3.build_dual_index_d("boxes", SlopePoints::new(3, simplex))
+        .unwrap();
+    let mut ddim = [0u64; 5];
+    for (i, slope) in [[0.0, 0.0], [0.3, -0.4], [-0.2, 0.1], [0.1, 0.5]]
+        .into_iter()
+        .enumerate()
+    {
+        for op in [RelOp::Ge, RelOp::Le] {
+            let hp = HalfPlane::new(slope.to_vec(), 5.0 * i as f64 - 10.0, op);
+            for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
+                let r = db3.query_with("boxes", sel, Strategy::Auto).unwrap();
+                if r.stats.method == Some(MethodKind::DualD) {
+                    fold(&mut ddim, &r);
+                }
+            }
+        }
+    }
+    assert_eq!(t1, [13154, 1206, 9548, 3320, 2400], "T1");
+    assert_eq!(rplus, [6514, 615, 3499, 2949, 2400], "R⁺-tree");
+    assert_eq!(ddim, [529, 248, 102, 100, 179], "simplex covering");
+}

@@ -457,3 +457,283 @@ fn sql_round_trips_over_the_wire() {
     client.shutdown().unwrap();
     server_thread.join().unwrap();
 }
+
+// ------------------------------------------------------------ batches
+//
+// Operators exchange batches of rows (DESIGN §9). What a statement answers
+// must not depend on where a batch ends.
+
+/// Rows an index scan fetches regions for at a time — `physical.rs`'s
+/// private `REGION_CHUNK`, mirrored. It appears below in upper bounds
+/// only, which a larger chunk keeps true.
+const CHUNK: usize = 256;
+
+/// A half-plane every tuple of `random_boxes` meets.
+const EVERYTHING: &str = "y >= -1000";
+
+/// The ids of a single-relation result, in the order the rows came.
+fn single_ids(outcome: &SqlOutcome) -> Vec<u32> {
+    outcome.rows.iter().map(|r| r.ids[0]).collect()
+}
+
+/// SQL ≡ typed ≡ the LP oracle when the answer spans several batches, and
+/// when it is empty; rows arrive in ascending id order.
+#[test]
+fn answers_larger_than_a_chunk_and_empty_answers_match_typed_and_oracle() {
+    let db = single_relation_db(2, 900, 0xB1);
+    let tuples = db.scan_relation("r").unwrap();
+    for (coeffs, rhs, least) in [
+        ([0.0, 1.0], -1000.0, 900), // everything: four chunks
+        ([-0.3, 1.0], 0.0, CHUNK),  // about half
+        ([0.5, 1.0], 1000.0, 0),    // nothing
+    ] {
+        for (kind, op) in [
+            (SelectionKind::Exist, RelOp::Ge),
+            (SelectionKind::All, RelOp::Ge),
+            (SelectionKind::Exist, RelOp::Le),
+        ] {
+            let c = LinearConstraint::new(coeffs.to_vec(), -rhs, op);
+            let hp = HalfPlane::from_constraint(&c).unwrap();
+            let oracle: Vec<u32> = predicates::oracle_select(
+                &hp,
+                kind == SelectionKind::All,
+                tuples.iter().map(|(_, t)| t),
+            )
+            .into_iter()
+            .map(|i| tuples[i].0)
+            .collect();
+            let stmt = format!(
+                "SELECT * FROM r WHERE {} {}",
+                sql_comparison(&coeffs, rhs, op),
+                kind_word(kind)
+            );
+            if op == RelOp::Ge && kind == SelectionKind::Exist {
+                assert!(oracle.len() >= least, "{stmt}: bed too thin");
+                assert!(least > 0 || oracle.is_empty(), "{stmt}: bed not empty");
+            }
+            let sel = Selection {
+                kind,
+                halfplane: hp,
+            };
+            let typed = db.query_with("r", sel, Strategy::Auto).unwrap();
+            assert_eq!(typed.ids(), oracle.as_slice(), "typed vs oracle: {stmt}");
+            let got = db.sql(&stmt, SqlMode::Execute).unwrap();
+            assert_eq!(single_ids(&got), oracle, "sql vs oracle: {stmt}");
+            assert!(got.rows.iter().all(|r| r.region.is_none()), "{stmt}");
+        }
+    }
+}
+
+/// `LIMIT` 0, inside a chunk, exactly on a chunk boundary, one past it and
+/// beyond the result keeps the lowest ids — over a bare scan (one batch),
+/// a filtered one and a projected one (chunked).
+#[test]
+fn limit_keeps_the_lowest_ids_wherever_it_cuts() {
+    let db = single_relation_db(2, 700, 0xB2);
+    for (select, tail) in [("*", ""), ("*", " AND x >= -1000"), ("x", "")] {
+        for n in [0, 7, CHUNK, CHUNK + 1, 2 * CHUNK, 699, 700, 5000] {
+            let stmt = format!("SELECT {select} FROM r WHERE {EVERYTHING}{tail} EXIST LIMIT {n}");
+            let got = db.sql(&stmt, SqlMode::Execute).unwrap();
+            let want: Vec<u32> = (0..n.min(700) as u32).collect();
+            assert_eq!(single_ids(&got), want, "{stmt}");
+            assert_eq!(
+                got.rows.iter().filter(|r| r.region.is_some()).count(),
+                if select == "x" { want.len() } else { 0 },
+                "{stmt}"
+            );
+        }
+    }
+}
+
+/// The heap reads region fetches add to a statement's scan.
+fn region_reads(stmt: &str, sel: &Selection) -> (u64, u64) {
+    // Fresh beds: the planner's feedback catalog must not differ.
+    let scan = single_relation_db(2, 700, 0xB3)
+        .query_with("r", sel.clone(), Strategy::Auto)
+        .unwrap();
+    let got = single_relation_db(2, 700, 0xB3)
+        .sql(stmt, SqlMode::Execute)
+        .unwrap();
+    assert_eq!(got.stats.index_io, scan.stats.index_io, "{stmt}");
+    (
+        got.stats.heap_io.reads - scan.stats.heap_io.reads,
+        scan.len() as u64,
+    )
+}
+
+/// A filter over an index scan pays one heap read per distinct page of
+/// each chunk of the scan's output — not one per row, which is what the
+/// row-at-a-time pipeline charged — and an early `LIMIT` stops the
+/// fetches with the chunk that holds its last row.
+#[test]
+fn region_fetches_are_charged_per_page_and_stop_at_the_limit() {
+    let sel = Selection::exist(HalfPlane::above(0.0, -1000.0));
+    let heap_pages = single_relation_db(2, 700, 0xB3)
+        .relation("r")
+        .unwrap()
+        .heap_pages();
+    let (reads, rows) = region_reads(
+        &format!("SELECT * FROM r WHERE {EVERYTHING} AND x >= -1000 EXIST"),
+        &sel,
+    );
+    assert_eq!(rows, 700);
+    assert!(reads <= rows, "never more than the per-row charge: {reads}");
+    let chunks = rows.div_ceil(CHUNK as u64);
+    assert!(
+        reads >= heap_pages && reads <= heap_pages + chunks,
+        "{reads} region reads over {heap_pages} heap pages in {chunks} chunks: \
+         ascending ids walk the heap once, a page is read twice only where a chunk ends"
+    );
+    let (limited, _) = region_reads(
+        &format!("SELECT * FROM r WHERE {EVERYTHING} AND x >= -1000 EXIST LIMIT 7"),
+        &sel,
+    );
+    assert!(
+        limited > 0 && limited <= reads * CHUNK as u64 / rows + 1,
+        "{limited} region reads for LIMIT 7 against {reads} for all {rows} rows"
+    );
+}
+
+/// Filter, Project and Join over inputs of several batches, and a join
+/// whose buffered inner side arrives in several batches: the same rows as
+/// the oracle, ids row-major in `SqlRow.ids`, outer-then-inner order.
+#[test]
+fn filter_project_and_join_span_batches() {
+    let mut db = single_relation_db(2, 600, 0xB4);
+    db.create_relation("s", 2).unwrap();
+    for t in random_boxes(2, 6, 0xB5) {
+        db.insert("s", t).unwrap();
+    }
+    let rt = db.scan_relation("r").unwrap();
+    let st = db.scan_relation("s").unwrap();
+
+    // Filter: a vertical conjunct no index serves, over three chunks.
+    let got = db
+        .sql(
+            &format!("SELECT * FROM r WHERE {EVERYTHING} AND x >= 0 EXIST"),
+            SqlMode::Execute,
+        )
+        .unwrap();
+    let x_reaches_zero = |t: &GeneralizedTuple| {
+        let mut sys = t.constraints().to_vec();
+        sys.push(LinearConstraint::new(vec![1.0, 0.0], 0.0, RelOp::Ge));
+        GeneralizedTuple::new(sys).is_satisfiable()
+    };
+    let want: Vec<u32> = (rt.iter())
+        .filter(|(_, t)| x_reaches_zero(t))
+        .map(|(id, _)| *id)
+        .collect();
+    assert!(want.len() > CHUNK && want.len() < 600, "{}", want.len());
+    assert_eq!(single_ids(&got), want);
+
+    // Project: every row keeps its id and gets its own shadow.
+    let got = db
+        .sql(
+            &format!("SELECT x FROM r WHERE {EVERYTHING} EXIST"),
+            SqlMode::Execute,
+        )
+        .unwrap();
+    assert_eq!(single_ids(&got), (0..600).collect::<Vec<u32>>());
+    for (row, (_, t)) in got.rows.iter().zip(&rt) {
+        let shadow = row.region.as_ref().expect("projected");
+        let bounds = |c: &[f64]| match (t.minimize(c), t.maximize(c)) {
+            (
+                constraint_db::geometry::simplex::LpResult::Optimal { value: lo, .. },
+                constraint_db::geometry::simplex::LpResult::Optimal { value: hi, .. },
+            ) => (lo, hi),
+            other => panic!("boxes are bounded: {other:?}"),
+        };
+        let (lo, hi) = bounds(&[1.0, 0.0]);
+        assert!(shadow.contains(&[(lo + hi) / 2.0]), "row {:?}", row.ids);
+        assert!(!shadow.contains(&[lo - 1.0]) && !shadow.contains(&[hi + 1.0]));
+    }
+
+    // Join, both ways round: a multi-batch outer, then a multi-batch inner.
+    let joint = |a: &GeneralizedTuple, b: &GeneralizedTuple| {
+        let mut sys = a.constraints().to_vec();
+        sys.extend(b.constraints().iter().cloned());
+        GeneralizedTuple::new(sys).is_satisfiable()
+    };
+    for (from, outer, inner) in [("r JOIN s", &rt, &st), ("s JOIN r", &st, &rt)] {
+        let got = db
+            .sql(
+                &format!("SELECT * FROM {from} WHERE {EVERYTHING} EXIST"),
+                SqlMode::Execute,
+            )
+            .unwrap();
+        let mut want = Vec::new();
+        for (oid, o) in outer {
+            for (iid, i) in inner {
+                if joint(o, i) {
+                    want.push(vec![*oid, *iid]);
+                }
+            }
+        }
+        assert!(!want.is_empty(), "{from}: boxes should overlap");
+        let rows: Vec<Vec<u32>> = got.rows.iter().map(|r| r.ids.clone()).collect();
+        assert_eq!(rows, want, "{from}");
+    }
+}
+
+/// What `EXPLAIN ANALYZE` counts, line by line, for the four plan shapes —
+/// recorded from the row-at-a-time pipeline this one replaced. Only two
+/// things may differ, both on purpose: the heap pages a scan is charged
+/// for regions (per distinct page of a chunk, was per row), and, below a
+/// `LIMIT` that cuts inside the result, counts that now advance a batch
+/// at a time.
+#[test]
+fn explain_analyze_counts_match_the_row_at_a_time_pipeline() {
+    fn counts(stmt: &str) -> Vec<String> {
+        let mut db = single_relation_db(2, 600, 0xA7);
+        db.create_relation("s", 2).unwrap();
+        for t in random_boxes(2, 12, 0xA8) {
+            db.insert("s", t).unwrap();
+        }
+        let outcome = db.sql(stmt, SqlMode::ExplainAnalyze).unwrap();
+        assert!(outcome.rows.is_empty(), "ANALYZE returns the plan only");
+        let plan = outcome.plan.unwrap();
+        assert!(plan.contains("time: "), "{plan}");
+        plan.lines()
+            .filter(|l| l.contains("rows"))
+            .map(|l| l.trim_start_matches(['│', ' ']).to_string())
+            .collect()
+    }
+    let scan =
+        "actual:   9 index + 67 heap = 76 pages, 435 candidates (0 duplicates, 77 false hits)";
+    assert_eq!(
+        counts("SELECT * FROM r WHERE y >= 0.3*x - 5 EXIST"),
+        [format!("{scan}, 358 rows")],
+        "one node"
+    );
+    assert_eq!(
+        counts("SELECT * FROM r WHERE y >= 0.3*x - 5 EXIST LIMIT 100000"),
+        ["rows: 358".to_string(), format!("{scan}, 358 rows")],
+        "LIMIT beyond the result"
+    );
+    // Was `9 index + 425 heap = 434 pages`: 67 for the scan, 358 for rows.
+    assert_eq!(
+        counts("SELECT * FROM r WHERE y >= 0.3*x - 5 AND x >= 0 EXIST"),
+        [
+            "rows: 358 in, 158 out",
+            "actual:   9 index + 134 heap = 143 pages, 435 candidates (0 duplicates, 77 false hits), 358 rows",
+        ],
+        "Filter over IndexScan"
+    );
+    // Was `8 index + 272 heap = 280 pages` on the inner scan.
+    assert_eq!(
+        counts("SELECT * FROM s JOIN r WHERE y >= 0.3*x + 20 EXIST"),
+        [
+            "rows: 3 in, 3 out",
+            "pairs tested: 205, rows out: 3",
+            "actual:   0 index + 3 heap = 3 pages, 12 candidates (0 duplicates, 0 false hits), 1 rows",
+            "actual:   8 index + 134 heap = 142 pages, 333 candidates (0 duplicates, 128 false hits), 205 rows",
+        ],
+        "Join"
+    );
+    // The scan hands over its one batch: was `…, 5 rows`.
+    assert_eq!(
+        counts("SELECT * FROM r WHERE y >= 0.3*x - 5 EXIST LIMIT 5"),
+        ["rows: 5".to_string(), format!("{scan}, 358 rows")],
+        "LIMIT inside the result"
+    );
+}
