@@ -21,6 +21,40 @@ tmp_snapshot() {
 }
 tmp_before=$(tmp_snapshot)
 
+# The audit that keeps "features nobody uses get removed" a gate: every
+# `pub fn` / `pub(crate) fn` name under the workspace's `src` trees must be
+# mentioned somewhere besides its own definition(s) — in the workspace,
+# `perf/src`, `tests/` or `examples/`. Grep only; under a second.
+dead_api() {
+  local defs uses dead
+  defs=$(find crates/*/src src -name '*.rs' -print0 |
+    xargs -0 grep -ohE 'pub(\(crate\))? (const )?fn [A-Za-z0-9_]+' |
+    awk '{print $NF}' | sort | uniq -c | awk '{print $2, $1}')
+  uses=$(find crates src tests examples perf/src -name '*.rs' -not -path '*/target/*' -print0 |
+    xargs -0 cat | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c | awk '{print $2, $1}')
+  dead=$(join <(echo "$defs") <(echo "$uses") | awk '$3 <= $2 {print $1}')
+  if [ -n "$dead" ]; then
+    echo "pub fn names mentioned nowhere but at their definition:" $dead
+    return 1
+  fi
+}
+step dead-api dead_api
+
+# Report only: non-test lines per crate, counted as the lines above a
+# file's first `#[cfg(test)]` — the figure CHANGES.md quotes before/after
+# a simplicity PR.
+non_test_lines() {
+  local dir
+  for dir in crates/*/src src; do
+    find "$dir" -name '*.rs' -print0 | xargs -0 awk -v dir="$dir" '
+      FNR == 1 { counting = 1 }
+      /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
+      counting { n++ }
+      END { printf "%-22s %6d\n", dir, n }'
+  done
+}
+step non-test-lines non_test_lines
+
 step build cargo build --release
 
 # The refinement fast path, by name and first (it fails fastest): the 2-D

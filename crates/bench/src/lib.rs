@@ -16,7 +16,7 @@
 
 use cdb_core::query::Strategy;
 use cdb_core::{
-    ConstraintDb, DbConfig, MethodKind, QueryStats, Selection, SelectionKind, SlopeSet,
+    ConstraintDb, DbConfig, IndexKind, MethodKind, QueryStats, Selection, SelectionKind, SlopeSet,
 };
 use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
@@ -45,6 +45,13 @@ pub fn figure_cardinalities(quick: bool) -> Vec<usize> {
     }
 }
 
+/// Pages of the one index a testbed builds over relation `"r"` (heap pages
+/// excluded): the Figure 10 metric.
+fn index_pages(db: &ConstraintDb, kind: IndexKind) -> u64 {
+    let rel = db.relation("r").expect("exists");
+    rel.built(kind).expect("built").page_count()
+}
+
 /// Technique-T2 testbed: engine + dual index over a generated relation.
 pub struct T2Bed {
     /// The engine holding relation `"r"`.
@@ -70,12 +77,7 @@ impl T2Bed {
 
     /// Index pages only (heap pages excluded): the Figure 10 metric.
     pub fn index_pages(&self) -> u64 {
-        self.db
-            .relation("r")
-            .expect("exists")
-            .index()
-            .expect("built")
-            .page_count()
+        index_pages(&self.db, IndexKind::Dual)
     }
 
     /// Runs one calibrated query, returning `(stats, result ids)`.
@@ -116,13 +118,7 @@ impl RplusBed {
 
     /// Tree pages only (heap pages excluded): the Figure 10 metric.
     pub fn index_pages(&self) -> u64 {
-        self.db
-            .relation("r")
-            .expect("exists")
-            .rplus()
-            .expect("built")
-            .tree
-            .page_count()
+        index_pages(&self.db, IndexKind::RPlus)
     }
 
     /// Runs one calibrated query through the planner with the R⁺-tree

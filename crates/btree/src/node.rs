@@ -248,11 +248,6 @@ impl<'a> Internal<'a> {
         }
     }
 
-    /// Sets separator key `i`.
-    pub fn set_key(&mut self, i: usize, k: f64) {
-        put_f32(self.buf, INTERNAL_HDR + i * INTERNAL_ENTRY, k as f32);
-    }
-
     /// Child index to descend into for key `k`: the child after the last
     /// separator `≤ k` (so duplicates of a separator key land right of it).
     pub fn descend_index(&self, k: f64) -> usize {

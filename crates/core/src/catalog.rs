@@ -23,8 +23,8 @@
 //!   [PlanCatalog]
 //! ```
 //!
-//! B⁺-trees serialize as `TreeMeta` — scalars only, because node contents
-//! (handicaps included) live in their pages on disk.
+//! B⁺-trees serialize as the forest's `TreeMeta` — scalars only, because
+//! node contents (handicaps included) live in their pages on disk.
 //!
 //! Integrity is layered: the pager's meta protocol CRCs the whole blob, so
 //! `decode` normally sees exactly what `encode` produced. Decoding still
@@ -35,18 +35,18 @@
 
 use std::collections::HashMap;
 
-use cdb_btree::BTree;
 use cdb_rplustree::RPlusTree;
 use cdb_storage::codec::{ascending, finite, get_option, put_option};
 use cdb_storage::{CodecError, HeapFile, RecordId, RecordReader, RecordWriter, Wire};
 
-use crate::db::{RPlusIndex, Relation, RelationHealth};
-use crate::ddim::{DualIndexD, SlopePoints};
 use crate::error::{CdbError, CATALOG_RECORD};
-use crate::index::DualIndex;
+use crate::index::ddim::{DualIndexD, SlopePoints};
+use crate::index::forest::Forest;
+use crate::index::{DualIndex, Index, IndexKind, RPlusIndex};
 use crate::partition::PartitionSpec;
 use crate::plan::PlanCatalog;
 use crate::query::Strategy;
+use crate::relation::Relation;
 use crate::slopes::SlopeSet;
 
 /// Catalog magic: `"CDBC"`.
@@ -58,71 +58,7 @@ const MAGIC: u32 = 0x4344_4243;
 /// engine allocates exactly the same tuple ids after a reopen.
 const VERSION: u16 = 3;
 
-// ------------------------------------------------------------------ trees
-
-/// A B⁺-tree's persisted scalars.
-struct TreeMeta {
-    root: u32,
-    height: usize,
-    len: u64,
-    first: u32,
-    last: u32,
-    pages: u64,
-}
-
-cdb_storage::wire_struct!(TreeMeta {
-    root,
-    height,
-    len,
-    first,
-    last,
-    pages
-});
-
-impl TreeMeta {
-    fn of(t: &BTree) -> Self {
-        TreeMeta {
-            root: t.root(),
-            height: t.height(),
-            len: t.len(),
-            first: t.first_leaf(),
-            last: t.last_leaf(),
-            pages: t.page_count(),
-        }
-    }
-
-    fn attach(self, page_size: usize) -> BTree {
-        BTree::from_parts(
-            page_size,
-            self.root,
-            self.height,
-            self.len,
-            self.first,
-            self.last,
-            self.pages,
-        )
-    }
-}
-
-/// The `(B^up, B^down)` pairs of an index back to back; their number is
-/// the index's slope count, which precedes them.
-fn put_trees<'a>(w: &mut RecordWriter, pairs: impl Iterator<Item = (&'a BTree, &'a BTree)>) {
-    for (up, down) in pairs {
-        (TreeMeta::of(up), TreeMeta::of(down)).put(w);
-    }
-}
-
-fn get_trees(
-    r: &mut RecordReader<'_>,
-    k: usize,
-    page_size: usize,
-) -> Result<Vec<(BTree, BTree)>, CodecError> {
-    let metas = r.get_seq::<(TreeMeta, TreeMeta)>(k)?;
-    Ok(metas
-        .into_iter()
-        .map(|(up, down)| (up.attach(page_size), down.attach(page_size)))
-        .collect())
-}
+// ---------------------------------------------------------------- indexes
 
 /// An R⁺-tree's persisted scalars.
 struct RTreeMeta {
@@ -139,6 +75,68 @@ cdb_storage::wire_struct!(RTreeMeta {
     pages
 });
 
+/// One built index in its kind's layout (see the module docs). B⁺-trees
+/// serialize through [`Forest::put_trees`].
+fn put_index(index: &Index, w: &mut RecordWriter) {
+    match index {
+        Index::Dual(idx) => {
+            idx.slopes().put(w);
+            idx.anchor_x().put(w);
+            idx.needs_refresh().put(w);
+            idx.forest.put_trees(w)
+        }
+        Index::DualD(idx) => {
+            idx.points().put_body(w);
+            idx.forest.put_trees(w)
+        }
+        Index::RPlus(rp) => {
+            RTreeMeta {
+                root: rp.tree.root(),
+                height: rp.tree.height(),
+                len: rp.tree.len(),
+                pages: rp.tree.page_count(),
+            }
+            .put(w);
+            rp.fill.put(w);
+            rp.unbounded.put(w);
+            rp.dead.put(w)
+        }
+    }
+}
+
+/// Mirror of [`put_index`] for the slot of `kind` in a `dim`-dimensional
+/// relation.
+fn get_index(
+    r: &mut RecordReader<'_>,
+    kind: IndexKind,
+    dim: usize,
+    page_size: usize,
+) -> Result<Index, CodecError> {
+    Ok(match kind {
+        IndexKind::Dual => {
+            let slopes: SlopeSet = Wire::get(r)?;
+            let anchor_x = finite::get(r)?;
+            let dirty = bool::get(r)?;
+            let forest = Forest::get_trees(r, slopes.len(), page_size)?;
+            Index::Dual(DualIndex::from_parts(slopes, forest, anchor_x, dirty))
+        }
+        IndexKind::DualD => {
+            let points = SlopePoints::get_body(r, dim)?;
+            let forest = Forest::get_trees(r, points.len(), page_size)?;
+            Index::DualD(DualIndexD::from_parts(points, forest))
+        }
+        IndexKind::RPlus => {
+            let m: RTreeMeta = Wire::get(r)?;
+            Index::RPlus(RPlusIndex {
+                tree: RPlusTree::from_parts(page_size, m.root, m.height, m.len, m.pages),
+                fill: finite::get(r)?,
+                unbounded: Wire::get(r)?,
+                dead: ascending::get(r)?,
+            })
+        }
+    })
+}
+
 // -------------------------------------------------------------- relations
 
 fn put_relation(rel: &Relation, w: &mut RecordWriter) {
@@ -146,28 +144,9 @@ fn put_relation(rel: &Relation, w: &mut RecordWriter) {
     rel.dim.put(w);
     w.put_counted(rel.heap.pages());
     rel.slots.put(w);
-    put_option(rel.index.as_ref(), w, |idx, w| {
-        idx.slopes().put(w);
-        idx.anchor_x().put(w);
-        idx.needs_refresh().put(w);
-        put_trees(w, idx.tree_pairs())
-    });
-    put_option(rel.index_d.as_ref(), w, |idx, w| {
-        idx.points().put_body(w);
-        put_trees(w, idx.tree_pairs())
-    });
-    put_option(rel.rplus.as_ref(), w, |rp, w| {
-        RTreeMeta {
-            root: rp.tree.root(),
-            height: rp.tree.height(),
-            len: rp.tree.len(),
-            pages: rp.tree.page_count(),
-        }
-        .put(w);
-        rp.fill.put(w);
-        rp.unbounded.put(w);
-        rp.dead.put(w)
-    });
+    for kind in IndexKind::ALL {
+        put_option(rel.built(kind), w, put_index);
+    }
     rel.catalog.put(w)
 }
 
@@ -179,50 +158,21 @@ fn get_relation(r: &mut RecordReader<'_>, page_size: usize) -> Result<Relation, 
     if dim < 1 {
         return Err(CodecError::Invalid("relation dimension"));
     }
-    let heap = HeapFile::from_pages(page_size, Wire::get(r)?);
-    let slots = Vec::<Option<RecordId>>::get(r)?;
-    let mut by_record = HashMap::new();
-    for (id, rid) in slots.iter().enumerate() {
-        if rid.is_some_and(|rid| by_record.insert(rid, id as u32).is_some()) {
+    // Relations come out nominally `Healthy`: the open-time verification
+    // pass re-classifies them right after decoding (see `ConstraintDb::open`).
+    let mut rel = Relation::new(&name, dim, HeapFile::from_pages(page_size, Wire::get(r)?));
+    rel.slots = Vec::<Option<RecordId>>::get(r)?;
+    for (id, rid) in rel.slots.iter().enumerate() {
+        if rid.is_some_and(|rid| rel.by_record.insert(rid, id as u32).is_some()) {
             return Err(CodecError::Invalid("two tuples sharing a record"));
         }
     }
-    let index = get_option(r, |r| {
-        let slopes: SlopeSet = Wire::get(r)?;
-        let anchor_x = finite::get(r)?;
-        let dirty = bool::get(r)?;
-        let pairs = get_trees(r, slopes.len(), page_size)?;
-        Ok(DualIndex::from_parts(slopes, pairs, anchor_x, dirty))
-    })?;
-    let index_d = get_option(r, |r| {
-        let points = SlopePoints::get_body(r, dim)?;
-        let trees = get_trees(r, points.len(), page_size)?;
-        Ok(DualIndexD::from_parts(points, trees))
-    })?;
-    let rplus = get_option(r, |r| {
-        let m: RTreeMeta = Wire::get(r)?;
-        Ok(RPlusIndex {
-            tree: RPlusTree::from_parts(page_size, m.root, m.height, m.len, m.pages),
-            fill: finite::get(r)?,
-            unbounded: Wire::get(r)?,
-            dead: ascending::get(r)?,
-        })
-    })?;
-    Ok(Relation {
-        name,
-        dim,
-        heap,
-        live: by_record.len() as u64,
-        slots,
-        by_record,
-        index,
-        index_d,
-        rplus,
-        catalog: PlanCatalog::get(r)?,
-        // The open-time verification pass re-classifies this right after
-        // decoding (see `ConstraintDb::open`).
-        health: RelationHealth::Healthy,
-    })
+    rel.live = rel.by_record.len() as u64;
+    for kind in IndexKind::ALL {
+        rel.indexes[kind as usize] = get_option(r, |r| get_index(r, kind, dim, page_size))?;
+    }
+    rel.catalog = PlanCatalog::get(r)?;
+    Ok(rel)
 }
 
 // ------------------------------------------------------------------- blob
@@ -388,13 +338,11 @@ mod tests {
         assert_eq!(cat.partition, PartitionSpec::new(2, 1, 0xC0FFEE).ok());
         let plane = &cat.relations["plane"];
         assert_eq!((plane.dim, plane.live), (2, 6));
-        assert!(plane.index.is_some() && plane.rplus.is_some());
-        assert!(cat.relations["space"]
-            .index_d
-            .as_ref()
-            .unwrap()
-            .points()
-            .is_grid());
+        assert!(plane.index().is_some() && plane.built(IndexKind::RPlus).is_some());
+        let Some(Index::DualD(idx)) = cat.relations["space"].built(IndexKind::DualD) else {
+            panic!("the golden state has a 3-D index");
+        };
+        assert!(idx.points().is_grid());
     }
 
     #[test]

@@ -18,26 +18,22 @@
 //! [`CdbError::Quarantined`] but sibling relations keep answering.
 
 use std::collections::HashMap;
+use std::path::Path;
 
 use cdb_geometry::tuple::GeneralizedTuple;
-use cdb_geometry::Rect;
-use cdb_rplustree::RPlusTree;
 use cdb_storage::wal::{wal_path, Wal, WalFaultPlan};
 use cdb_storage::{
-    EpochStats, FilePager, HeapFile, IoStats, MemPager, PageId, PageReader, Pager, PagerRecovery,
-    RecordId, DEFAULT_PAGE_SIZE,
+    EpochStats, FilePager, HeapFile, IoStats, MemPager, PageReader, Pager, PagerRecovery,
+    DEFAULT_PAGE_SIZE,
 };
 
-use crate::ddim::{DualIndexD, SlopePoints};
 use crate::error::CdbError;
-use crate::index::{DualIndex, HeapSource};
+use crate::index::ddim::SlopePoints;
+use crate::index::IndexSpec;
 use crate::partition::PartitionSpec;
-use crate::plan::{
-    AccessMethods, DualAccess, DualDAccess, MethodContext, MethodKind, PlanCatalog, RPlusAccess,
-    SeqScanAccess,
-};
 use crate::query::Strategy;
 pub use crate::read::{ReadSurface, Snapshot};
+pub use crate::relation::{Relation, RelationHealth, RelationStats};
 use crate::slopes::SlopeSet;
 use crate::wal::WalRecord;
 
@@ -63,49 +59,6 @@ impl DbConfig {
 impl Default for DbConfig {
     fn default() -> Self {
         Self::paper_1999()
-    }
-}
-
-/// Verdict of the open-time verification pass for one relation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RelationHealth {
-    /// Every heap and index page read back and verified.
-    Healthy,
-    /// The heap is intact but the named index structures have unreadable
-    /// pages. Queries keep running on the remaining access methods;
-    /// [`ConstraintDb::rebuild_indexes`] re-derives the corrupt ones from
-    /// the heap.
-    Degraded {
-        /// Which structures failed verification: `"dual"`, `"dual-d"`,
-        /// `"rplus"`.
-        corrupt_indexes: Vec<String>,
-    },
-    /// The heap itself has unreadable pages — there is no trustworthy
-    /// source to rebuild from, so queries and mutations are refused with
-    /// [`CdbError::Quarantined`] until the data is restored.
-    Quarantined {
-        /// First verification failure, for diagnostics.
-        detail: String,
-    },
-}
-
-cdb_storage::wire_enum!(RelationHealth {
-    0 => Healthy,
-    1 => Degraded { corrupt_indexes },
-    2 => Quarantined { detail },
-});
-
-impl std::fmt::Display for RelationHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RelationHealth::Healthy => write!(f, "healthy"),
-            RelationHealth::Degraded { corrupt_indexes } => {
-                write!(f, "degraded (corrupt: {})", corrupt_indexes.join(", "))
-            }
-            RelationHealth::Quarantined { detail } => {
-                write!(f, "quarantined ({detail})")
-            }
-        }
     }
 }
 
@@ -176,45 +129,6 @@ impl RecoveryReport {
     }
 }
 
-fn clean_recovery() -> RecoveryReport {
-    RecoveryReport {
-        pager: PagerRecovery::Clean,
-        relations: Vec::new(),
-        wal: None,
-    }
-}
-
-/// Point-in-time operational statistics for one relation, as reported by
-/// [`ConstraintDb::stats_snapshot`] (and served over the wire by the STATS
-/// operation).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RelationStats {
-    /// Relation name.
-    pub name: String,
-    /// Tuple dimension.
-    pub dim: usize,
-    /// Live tuple count.
-    pub live: u64,
-    /// Pages of the heap file alone.
-    pub heap_pages: u64,
-    /// Heap + index pages owned.
-    pub total_pages: u64,
-    /// Built access structures: any of `"dual"`, `"dual-d"`, `"rplus"`.
-    pub indexes: Vec<String>,
-    /// Verdict of the last verification pass.
-    pub health: RelationHealth,
-}
-
-cdb_storage::wire_struct!(RelationStats {
-    name,
-    dim,
-    live,
-    heap_pages,
-    total_pages,
-    indexes,
-    health
-});
-
 /// Point-in-time snapshot of the whole engine's operational state.
 /// Taken through `&self`, so a server can serve it from a shared read
 /// lock while queries are in flight.
@@ -266,327 +180,6 @@ cdb_storage::wire_struct!(WalStats {
     next_lsn,
     pending
 });
-
-/// The Section 5 baseline as a relation-level index: a packed R⁺-tree over
-/// the MBRs of *bounded* tuples, plus an overflow list of unbounded tuple
-/// ids (no finite MBR exists for those — they are always refined) and a
-/// tombstone list for deleted bounded tuples (the packed tree supports
-/// inserts but not deletes; rebuild with
-/// [`ConstraintDb::build_rplus_index`] to compact).
-#[derive(Clone)]
-pub struct RPlusIndex {
-    /// The packed tree.
-    pub tree: RPlusTree,
-    /// Ids of unbounded tuples, kept outside the tree.
-    pub unbounded: Vec<u32>,
-    /// Sorted ids of deleted bounded tuples still present in the tree.
-    pub dead: Vec<u32>,
-    /// The fill factor the tree was packed at (persisted so a reopened
-    /// database reports the same build parameters).
-    pub fill: f64,
-}
-
-/// A stored generalized relation: tuples in a heap file, optional access
-/// structures (2-D dual index, d-dimensional dual index, R⁺-tree), and the
-/// planner's per-relation feedback catalog.
-///
-/// `Clone` copies the in-memory descriptors (slot table, tree roots,
-/// catalog EWMAs) but not the pages themselves — a clone paired with a
-/// frozen [`cdb_storage::SnapshotReader`] view of the pager is exactly what a
-/// [`Snapshot`] serves queries from.
-#[derive(Clone)]
-pub struct Relation {
-    pub(crate) name: String,
-    pub(crate) dim: usize,
-    pub(crate) heap: HeapFile,
-    /// Tuple id -> heap record. Persisted by the catalog; `by_record` and
-    /// `live` are derived from it on open.
-    pub(crate) slots: Vec<Option<RecordId>>,
-    pub(crate) by_record: HashMap<RecordId, u32>, // heap record -> tuple id
-    pub(crate) live: u64,
-    pub(crate) index: Option<DualIndex>,
-    pub(crate) index_d: Option<DualIndexD>,
-    pub(crate) rplus: Option<RPlusIndex>,
-    pub(crate) catalog: PlanCatalog,
-    /// Verdict of the last verification pass (always `Healthy` for
-    /// relations born in memory; set by `open` for file-backed ones).
-    pub(crate) health: RelationHealth,
-}
-
-impl Relation {
-    /// Relation name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Dimension of the tuples.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of live tuples.
-    pub fn len(&self) -> u64 {
-        self.live
-    }
-
-    /// `true` when the relation holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// `true` when a 2-D dual index exists.
-    pub fn is_indexed(&self) -> bool {
-        self.index.is_some()
-    }
-
-    /// The 2-D dual index, if built.
-    pub fn index(&self) -> Option<&DualIndex> {
-        self.index.as_ref()
-    }
-
-    /// The d-dimensional dual index, if built.
-    pub fn index_d(&self) -> Option<&DualIndexD> {
-        self.index_d.as_ref()
-    }
-
-    /// The R⁺-tree baseline index, if built.
-    pub fn rplus(&self) -> Option<&RPlusIndex> {
-        self.rplus.as_ref()
-    }
-
-    /// The planner's feedback catalog for this relation.
-    pub fn catalog(&self) -> &PlanCatalog {
-        &self.catalog
-    }
-
-    /// Verdict of the open-time verification pass.
-    pub fn health(&self) -> &RelationHealth {
-        &self.health
-    }
-
-    /// Refuses quarantined relations; every query and mutation path goes
-    /// through this gate.
-    pub(crate) fn ensure_usable(&self) -> Result<(), CdbError> {
-        if matches!(self.health, RelationHealth::Quarantined { .. }) {
-            return Err(CdbError::Quarantined(self.name.clone()));
-        }
-        Ok(())
-    }
-
-    /// `(dual, dual-d, rplus)` corruption flags from the health verdict.
-    pub(crate) fn corrupt_flags(&self) -> (bool, bool, bool) {
-        match &self.health {
-            RelationHealth::Degraded { corrupt_indexes } => (
-                corrupt_indexes.iter().any(|c| c == "dual"),
-                corrupt_indexes.iter().any(|c| c == "dual-d"),
-                corrupt_indexes.iter().any(|c| c == "rplus"),
-            ),
-            _ => (false, false, false),
-        }
-    }
-
-    /// Flags one index structure as no longer trustworthy, degrading the
-    /// relation: the planner routes around it until
-    /// [`ConstraintDb::rebuild_indexes`] re-derives it from the heap.
-    fn mark_corrupt(&mut self, which: &str) {
-        match &mut self.health {
-            RelationHealth::Degraded { corrupt_indexes } => {
-                if !corrupt_indexes.iter().any(|c| c == which) {
-                    corrupt_indexes.push(which.to_string());
-                }
-            }
-            RelationHealth::Healthy => {
-                self.health = RelationHealth::Degraded {
-                    corrupt_indexes: vec![which.to_string()],
-                }
-            }
-            RelationHealth::Quarantined { .. } => {}
-        }
-    }
-
-    /// Clears one structure's corruption flag after a successful rebuild;
-    /// a degraded relation with nothing left corrupt becomes healthy.
-    fn mark_repaired(&mut self, which: &str) {
-        if let RelationHealth::Degraded { corrupt_indexes } = &mut self.health {
-            corrupt_indexes.retain(|c| c != which);
-            if corrupt_indexes.is_empty() {
-                self.health = RelationHealth::Healthy;
-            }
-        }
-    }
-
-    /// Pages of the heap file alone (the planner's scan cost).
-    pub fn heap_pages(&self) -> u64 {
-        self.heap.page_count() as u64
-    }
-
-    /// Page ids owned by the heap file, in allocation order. Index pages
-    /// are whatever else the pager has allocated — corruption tooling and
-    /// tests use the difference to aim at one structure or the other.
-    pub fn heap_page_ids(&self) -> &[PageId] {
-        self.heap.pages()
-    }
-
-    /// Heap + index pages currently owned.
-    pub fn page_count(&self) -> u64 {
-        self.heap_pages()
-            + self.index.as_ref().map(|i| i.page_count()).unwrap_or(0)
-            + self.index_d.as_ref().map(|i| i.page_count()).unwrap_or(0)
-            + self
-                .rplus
-                .as_ref()
-                .map(|r| r.tree.page_count())
-                .unwrap_or(0)
-    }
-
-    /// Fetches a tuple by id, charging the page read to `pager`.
-    ///
-    /// # Errors
-    /// [`CdbError::NoSuchTuple`] for dead/unknown ids;
-    /// [`CdbError::CorruptRecord`] when the stored bytes fail to decode;
-    /// [`CdbError::Io`] when the page cannot be read.
-    pub fn fetch(&self, pager: &dyn PageReader, id: u32) -> Result<GeneralizedTuple, CdbError> {
-        let rid = self
-            .slots
-            .get(id as usize)
-            .and_then(|r| *r)
-            .ok_or(CdbError::NoSuchTuple(id))?;
-        let bytes = self
-            .heap
-            .get(pager, rid)?
-            .ok_or(CdbError::NoSuchTuple(id))?;
-        GeneralizedTuple::decode(&bytes).ok_or(CdbError::CorruptRecord(id))
-    }
-
-    /// Iterates `(id, tuple)` for all live tuples (one scan of the heap;
-    /// record ids resolve through the reverse map maintained on
-    /// insert/delete, so no per-scan rebuild).
-    ///
-    /// # Errors
-    /// [`CdbError::CorruptRecord`] when a stored record fails to decode;
-    /// [`CdbError::Io`] when a heap page cannot be read.
-    pub fn scan(&self, pager: &dyn PageReader) -> Result<Vec<(u32, GeneralizedTuple)>, CdbError> {
-        self.heap
-            .scan(pager)?
-            .into_iter()
-            .filter_map(|(rid, bytes)| self.by_record.get(&rid).map(|&id| (id, bytes)))
-            .map(|(id, bytes)| {
-                GeneralizedTuple::decode(&bytes)
-                    .map(|t| (id, t))
-                    .ok_or(CdbError::CorruptRecord(id))
-            })
-            .collect()
-    }
-
-    /// Page-batched candidate fetcher over this relation's heap, for
-    /// access-method execution.
-    pub(crate) fn tuple_source(&self) -> HeapSource<'_> {
-        HeapSource::new(&self.heap, &self.slots)
-    }
-
-    /// Every access method currently available on this relation, as
-    /// planner inputs. The sequential scan is always present; index-backed
-    /// methods appear once their structure is built — and disappear while
-    /// the structure is marked corrupt, so a degraded relation plans
-    /// around the damage instead of reading bad pages.
-    pub fn access_methods(&self, page_size: usize) -> AccessMethods<'_> {
-        let ctx = MethodContext {
-            n: self.live,
-            heap_pages: self.heap_pages(),
-            page_size,
-        };
-        let (c_dual, c_duald, c_rplus) = self.corrupt_flags();
-        AccessMethods {
-            seq_scan: SeqScanAccess {
-                relation: self,
-                ctx,
-            },
-            dual: (self.index.as_ref())
-                .filter(|_| !c_dual)
-                .map(|index| DualAccess::techniques(index, ctx)),
-            dual_d: (self.index_d.as_ref())
-                .filter(|_| !c_duald)
-                .map(|index| DualDAccess { index, ctx }),
-            rplus: self
-                .rplus
-                .as_ref()
-                .filter(|_| !c_rplus)
-                .map(|rp| RPlusAccess {
-                    tree: &rp.tree,
-                    unbounded: &rp.unbounded,
-                    dead: &rp.dead,
-                    ctx,
-                }),
-        }
-    }
-}
-
-/// One open-time verification pass: reads every page the relation owns
-/// through the checksumming pager. The heap decides quarantine — it is the
-/// ground truth every index rebuild needs; unreadable index pages only
-/// degrade the relation.
-fn verify_relation(pager: &dyn PageReader, rel: &Relation) -> RelationHealth {
-    let mut buf = vec![0u8; pager.page_size()];
-    for &p in rel.heap.pages() {
-        if let Err(e) = pager.read(p, &mut buf) {
-            return RelationHealth::Quarantined {
-                detail: format!("heap page {p}: {e}"),
-            };
-        }
-    }
-    let mut corrupt_indexes = Vec::new();
-    if let Some(idx) = rel.index.as_ref() {
-        if idx.verify(pager).is_err() {
-            corrupt_indexes.push("dual".to_string());
-        }
-    }
-    if let Some(idx) = rel.index_d.as_ref() {
-        if idx.verify(pager).is_err() {
-            corrupt_indexes.push("dual-d".to_string());
-        }
-    }
-    if let Some(rp) = rel.rplus.as_ref() {
-        if rp.tree.collect_pages(pager).is_err() {
-            corrupt_indexes.push("rplus".to_string());
-        }
-    }
-    if corrupt_indexes.is_empty() {
-        RelationHealth::Healthy
-    } else {
-        RelationHealth::Degraded { corrupt_indexes }
-    }
-}
-
-/// Maps a legacy [`Strategy`] to the planner's forced-method argument,
-/// preserving the historical `NoIndex` errors for explicitly requested
-/// index techniques on index-less relations. A structure marked corrupt
-/// counts as absent.
-pub(crate) fn forced_kind(
-    strategy: Strategy,
-    rel: &Relation,
-) -> Result<Option<MethodKind>, CdbError> {
-    let (c_dual, _, c_rplus) = rel.corrupt_flags();
-    match strategy {
-        Strategy::Auto => Ok(None),
-        Strategy::Scan => Ok(Some(MethodKind::SeqScan)),
-        Strategy::Restricted | Strategy::T1 | Strategy::T2 => {
-            if rel.index.is_none() || c_dual {
-                return Err(CdbError::NoIndex(rel.name.clone()));
-            }
-            Ok(Some(match strategy {
-                Strategy::Restricted => MethodKind::Restricted,
-                Strategy::T1 => MethodKind::T1,
-                _ => MethodKind::T2,
-            }))
-        }
-        Strategy::RPlus => {
-            if rel.rplus.is_none() || c_rplus {
-                return Err(CdbError::NoIndex(rel.name.clone()));
-            }
-            Ok(Some(MethodKind::RPlus))
-        }
-    }
-}
 
 /// The engine: a pager, a catalog of relations, and planned query
 /// execution.
@@ -647,7 +240,7 @@ impl ConstraintDb {
     }
 
     /// An engine over a caller-supplied pager (e.g. a
-    /// [`cdb_storage::file::FilePager`] or a buffer pool).
+    /// [`cdb_storage::file::FilePager`] or a fault-injecting wrapper).
     pub fn with_pager(pager: Box<dyn Pager>, config: DbConfig) -> Self {
         assert_eq!(pager.page_size(), config.page_size, "page size mismatch");
         ConstraintDb {
@@ -659,7 +252,11 @@ impl ConstraintDb {
             dirty: false,
             committed_plan_version: 0,
             read_only: false,
-            recovery: clean_recovery(),
+            recovery: RecoveryReport {
+                pager: PagerRecovery::Clean,
+                relations: Vec::new(),
+                wal: None,
+            },
             wal: None,
             wal_base: None,
             durable_lsn: 0,
@@ -676,9 +273,8 @@ impl ConstraintDb {
     ///
     /// # Errors
     /// [`CdbError::Io`] when the file cannot be created or synced.
-    pub fn create(path: &std::path::Path, config: DbConfig) -> Result<Self, CdbError> {
-        let pager =
-            FilePager::create(path, config.page_size).map_err(|e| CdbError::Io(e.to_string()))?;
+    pub fn create(path: &Path, config: DbConfig) -> Result<Self, CdbError> {
+        let pager = FilePager::create(path, config.page_size)?;
         // A database that lived at this path before may have left a log
         // behind; its records belong to the overwritten file.
         let _ = std::fs::remove_file(wal_path(path));
@@ -714,12 +310,8 @@ impl ConstraintDb {
     /// when the header, meta chain or catalog blob fails validation — a
     /// torn or tampered file is reported, never served as an empty
     /// database. [`CdbError::Io`] for operating-system failures.
-    pub fn open(path: &std::path::Path) -> Result<Self, CdbError> {
-        let mut db = Self::decode_file(FilePager::open(path).map_err(Self::lift)?)?;
-        db.wal_base = Some(path.to_path_buf());
-        db.replay_wal()?;
-        db.classify_relations();
-        Ok(db)
+    pub fn open(path: &Path) -> Result<Self, CdbError> {
+        Self::open_with(path, false)
     }
 
     /// [`open`](Self::open) for a replication primary: identical recovery,
@@ -733,10 +325,14 @@ impl ConstraintDb {
     ///
     /// # Errors
     /// Exactly those of [`open`](Self::open).
-    pub fn open_retaining(path: &std::path::Path) -> Result<Self, CdbError> {
+    pub fn open_retaining(path: &Path) -> Result<Self, CdbError> {
+        Self::open_with(path, true)
+    }
+
+    fn open_with(path: &Path, retain_wal: bool) -> Result<Self, CdbError> {
         let mut db = Self::decode_file(FilePager::open(path).map_err(Self::lift)?)?;
         db.wal_base = Some(path.to_path_buf());
-        db.retain_wal = true;
+        db.retain_wal = retain_wal;
         db.replay_wal()?;
         db.classify_relations();
         Ok(db)
@@ -757,9 +353,9 @@ impl ConstraintDb {
     /// file is someone else's to write) — it is reported in the
     /// [`RecoveryReport`] instead, and the handle serves the state as of
     /// the last checkpoint.
-    pub fn open_read_only(path: &std::path::Path) -> Result<Self, CdbError> {
+    pub fn open_read_only(path: &Path) -> Result<Self, CdbError> {
         let mut db = Self::decode_file(FilePager::open_read_only(path).map_err(Self::lift)?)?;
-        if let Some(scan) = Wal::read(&wal_path(path)).map_err(|e| CdbError::Io(e.to_string()))? {
+        if let Some(scan) = Wal::read(&wal_path(path))? {
             let pending: Vec<u64> = scan
                 .records
                 .iter()
@@ -805,34 +401,20 @@ impl ConstraintDb {
             .ok_or(CdbError::CorruptRecord(crate::error::CATALOG_RECORD))?;
         let page_size = pager.page_size();
         let cat = crate::catalog::decode(&blob, page_size)?;
-        let read_only = pager.is_read_only();
-        let recovery = RecoveryReport {
-            pager: pager.recovery(),
-            relations: Vec::new(),
-            wal: None,
+        let (read_only, recovery) = (pager.is_read_only(), pager.recovery());
+        let config = DbConfig {
+            page_size,
+            strategy: cat.strategy,
         };
-        Ok(ConstraintDb {
-            view: ReadSurface {
-                pager: Box::new(pager),
-                config: DbConfig {
-                    page_size,
-                    strategy: cat.strategy,
-                },
-                relations: cat.relations,
-            },
-            dirty: false,
-            // Restored catalogs start at version 0 (see
-            // `PlanCatalog`'s `Wire::get`), so the committed sum is 0.
-            committed_plan_version: 0,
-            read_only,
-            recovery,
-            wal: None,
-            wal_base: None,
-            durable_lsn: cat.durable_lsn,
-            checkpoint_failures: 0,
-            retain_wal: false,
-            partition: cat.partition,
-        })
+        // Restored plan catalogs start at version 0 (see `PlanCatalog`'s
+        // `Wire::get`), so the committed sum `with_pager` starts at holds.
+        let mut db = Self::with_pager(Box::new(pager), config);
+        db.view.relations = cat.relations;
+        db.read_only = read_only;
+        db.recovery.pager = recovery;
+        db.durable_lsn = cat.durable_lsn;
+        db.partition = cat.partition;
+        Ok(db)
     }
 
     /// Stage 2 of `open`: replay the write-ahead-log suffix beyond the
@@ -842,13 +424,11 @@ impl ConstraintDb {
     /// absorbed log is checkpointed and deleted; any failure keeps it on
     /// disk for the next open and is recorded in the report.
     fn replay_wal(&mut self) -> Result<(), CdbError> {
-        let Some(base) = self.wal_base.clone() else {
+        let Some(wpath) = self.wal_base.as_deref().map(wal_path) else {
             return Ok(());
         };
-        let wpath = wal_path(&base);
-        let scan = match Wal::read(&wpath).map_err(|e| CdbError::Io(e.to_string()))? {
-            Some(scan) => scan,
-            None => return Ok(()),
+        let Some(scan) = Wal::read(&wpath)? else {
+            return Ok(());
         };
         let mut replay = WalReplay {
             start_lsn: scan.start_lsn,
@@ -916,27 +496,11 @@ impl ConstraintDb {
     /// Stage 3 of `open`: the per-page verification pass, classifying
     /// every relation's health into the recovery report.
     fn classify_relations(&mut self) {
-        let mut names: Vec<String> = self.view.relations.keys().cloned().collect();
-        names.sort();
-        let mut verdicts = Vec::with_capacity(names.len());
-        for name in names {
-            let health = {
-                // Never fails: `names` was collected from this very map.
-                let rel = self
-                    .view
-                    .relations
-                    .get(&name)
-                    .expect("name from the key set");
-                verify_relation(self.reader(), rel)
-            };
-            self.view
-                .relations
-                .get_mut(&name)
-                .expect("name from the key set")
-                .health = health.clone();
-            verdicts.push((name, health));
+        self.recovery.relations = self.verify_now().relations;
+        for (name, health) in &self.recovery.relations {
+            let rel = self.view.relations.get_mut(name);
+            rel.expect("verified a moment ago").health = health.clone();
         }
-        self.recovery.relations = verdicts;
     }
 
     /// What the last `open` found and did. Trivially clean for in-memory
@@ -975,19 +539,17 @@ impl ConstraintDb {
         if self.wal.is_some() {
             return Ok(true);
         }
-        let Some(base) = self.wal_base.clone() else {
+        let Some(wpath) = self.wal_base.as_deref().map(wal_path) else {
             return Ok(false);
         };
         self.checkpoint()?;
-        let wpath = wal_path(&base);
         let wal = if self.retain_wal {
             // Retention mode appends to the existing history (torn tails
             // trimmed) so shipped LSNs stay addressable across restarts.
             Wal::open_or_create(&wpath, self.durable_lsn + 1)
         } else {
             Wal::create(&wpath, self.durable_lsn + 1)
-        }
-        .map_err(|e| CdbError::Io(e.to_string()))?;
+        }?;
         self.wal = Some(wal);
         Ok(true)
     }
@@ -1003,7 +565,7 @@ impl ConstraintDb {
     /// the last successful sync).
     pub fn wal_sync(&mut self) -> Result<(), CdbError> {
         match self.wal.as_mut() {
-            Some(w) => w.sync().map_err(|e| CdbError::Io(e.to_string())),
+            Some(w) => Ok(w.sync()?),
             None => Ok(()),
         }
     }
@@ -1021,8 +583,7 @@ impl ConstraintDb {
     /// or whatever the underlying mutation returns — either means the
     /// stream is damaged or divergent and the subscription must restart.
     pub fn apply_replicated(&mut self, record: &[u8]) -> Result<(), CdbError> {
-        let rec = WalRecord::decode(record)?;
-        self.apply_wal_record(rec)
+        self.apply_wal_record(WalRecord::decode(record)?)
     }
 
     /// The LSN of the last mutation *applied* in memory (acked-but-
@@ -1069,18 +630,9 @@ impl ConstraintDb {
     /// contract applies (durable state untouched; reopen to recover).
     fn log_mutation(&mut self, rec: WalRecord) -> Result<(), CdbError> {
         if let Some(w) = self.wal.as_mut() {
-            w.append(&rec.encode())
-                .map_err(|e| CdbError::Io(e.to_string()))?;
+            w.append(&rec.encode())?;
         }
         Ok(())
-    }
-
-    fn plan_version_sum(&self) -> u64 {
-        self.view
-            .relations
-            .values()
-            .map(|r| r.catalog.version())
-            .sum()
     }
 
     /// Serializes the catalog (relations, index metadata, planner EWMAs,
@@ -1107,7 +659,8 @@ impl ConstraintDb {
             // handle never persists: the file is someone else's to write.
             return Ok(());
         }
-        let vsum = self.plan_version_sum();
+        let relations = self.view.relations.values();
+        let vsum: u64 = relations.map(|r| r.catalog.version()).sum();
         if !self.dirty && vsum == self.committed_plan_version {
             return Ok(());
         }
@@ -1156,13 +709,8 @@ impl ConstraintDb {
     /// # Errors
     /// [`CdbError::Io`] when flushing buffered pages for publication fails.
     pub fn snapshot(&mut self) -> Result<Snapshot, CdbError> {
-        let pager = self
-            .view
-            .pager
-            .publish_view()
-            .map_err(|e| CdbError::Io(e.to_string()))?;
         Ok(ReadSurface {
-            pager,
+            pager: self.view.pager.publish_view()?,
             config: self.view.config,
             relations: self.view.relations.clone(),
         })
@@ -1177,10 +725,8 @@ impl ConstraintDb {
     /// [`CdbError::Io`] when the final checkpoint fails.
     pub fn close(mut self) -> Result<(), CdbError> {
         self.checkpoint()?;
-        if self.wal.take().is_some() && !self.retain_wal {
-            if let Some(base) = &self.wal_base {
-                let _ = std::fs::remove_file(wal_path(base));
-            }
+        if let Some(log) = self.wal_file_path().filter(|_| !self.retain_wal) {
+            let _ = std::fs::remove_file(log);
         }
         Ok(())
     }
@@ -1230,7 +776,7 @@ impl ConstraintDb {
             .view
             .relations
             .values()
-            .map(|rel| (rel.name.clone(), verify_relation(self.reader(), rel)))
+            .map(|rel| (rel.name.clone(), rel.verify(self.reader())))
             .collect();
         relations.sort_by(|a, b| a.0.cmp(&b.0));
         RecoveryReport {
@@ -1282,8 +828,7 @@ impl ConstraintDb {
         }
         self.partition = Some(spec);
         self.dirty = true;
-        self.log_mutation(WalRecord::SetPartition(spec))?;
-        Ok(())
+        self.log_mutation(WalRecord::SetPartition(spec))
     }
 
     /// The installed partition spec, when this engine is one shard of a
@@ -1304,28 +849,30 @@ impl ConstraintDb {
         }
         assert!(dim >= 1, "dimension must be positive");
         self.dirty = true;
-        let heap = HeapFile::new(self.view.pager.as_mut());
-        self.view.relations.insert(
-            name.to_string(),
-            Relation {
-                name: name.to_string(),
-                dim,
-                heap,
-                slots: Vec::new(),
-                by_record: HashMap::new(),
-                live: 0,
-                index: None,
-                index_d: None,
-                rplus: None,
-                catalog: PlanCatalog::new(),
-                health: RelationHealth::Healthy,
-            },
-        );
+        let rel = Relation::new(name, dim, HeapFile::new(self.view.pager.as_mut()));
+        self.view.relations.insert(name.to_string(), rel);
         self.log_mutation(WalRecord::CreateRelation {
             name: name.to_string(),
             dim: dim as u32,
         })?;
         Ok(&self.view.relations[name])
+    }
+
+    /// The guard every mutation of one relation passes: a writable handle
+    /// and an existing relation that is not quarantined. Hands out what a
+    /// mutation works on: the pager, the relation and the dirty flag.
+    pub(crate) fn for_update(
+        &mut self,
+        name: &str,
+    ) -> Result<(&mut dyn Pager, &mut Relation, &mut bool), CdbError> {
+        self.ensure_writable()?;
+        let view = &mut self.view;
+        let rel = view
+            .relations
+            .get_mut(name)
+            .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
+        rel.ensure_usable()?;
+        Ok((view.pager.as_mut(), rel, &mut self.dirty))
     }
 
     /// Drops a relation, freeing its heap and index pages. Dropping an
@@ -1340,98 +887,26 @@ impl ConstraintDb {
             .remove(name)
             .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
         self.dirty = true;
-        let salvage = rel.health != RelationHealth::Healthy;
-        let pager = self.view.pager.as_mut();
-        rel.heap.destroy(pager);
-        if let Some(idx) = rel.index {
-            let freed = idx.destroy(pager);
-            if !salvage {
-                freed?;
-            }
-        }
-        if let Some(idx) = rel.index_d {
-            let freed = idx.destroy(pager);
-            if !salvage {
-                freed?;
-            }
-        }
-        if let Some(rp) = rel.rplus {
-            let freed = rp.tree.destroy(pager);
-            if !salvage {
-                freed.map_err(CdbError::from)?;
-            }
-        }
+        rel.destroy(self.view.pager.as_mut())?;
         self.log_mutation(WalRecord::DropRelation {
             name: name.to_string(),
-        })?;
-        Ok(())
+        })
     }
 
-    /// Inserts a satisfiable tuple, returning its id. Maintains every
-    /// built access structure (`O(k log_B n)` tree inserts for the dual
-    /// indexes; handicaps are refreshed lazily before the next T2 query).
-    /// On a degraded relation, structures marked corrupt are skipped —
-    /// they will be rebuilt wholesale from the heap.
+    /// Inserts a satisfiable tuple, returning its id, and maintains every
+    /// built access structure (see [`Relation`]'s index seam). On a
+    /// degraded relation, structures marked corrupt are skipped — they
+    /// will be rebuilt wholesale from the heap.
     ///
     /// A failed insert leaves the durable state untouched (nothing commits
     /// before the next checkpoint) but may leave the in-memory structures
     /// out of step; reopen to recover the last committed state.
     pub fn insert(&mut self, name: &str, tuple: GeneralizedTuple) -> Result<u32, CdbError> {
-        self.ensure_writable()?;
-        let rel_dim = {
-            let rel = self.relation(name)?;
-            rel.ensure_usable()?;
-            rel.dim
-        };
-        if rel_dim != tuple.dim() {
-            return Err(CdbError::DimensionMismatch {
-                expected: rel_dim,
-                got: tuple.dim(),
-            });
-        }
-        if !tuple.is_satisfiable() {
-            return Err(CdbError::UnsatisfiableTuple);
-        }
-        self.dirty = true;
-        let pager = self.view.pager.as_mut();
-        let rel = self.view.relations.get_mut(name).expect("checked above");
-        let (c_dual, c_duald, c_rplus) = rel.corrupt_flags();
-        let rid = rel.heap.insert(pager, &tuple.encode())?;
-        if let Some(spec) = self.partition {
-            // One shard of a partitioned deployment allocates only ids it
-            // owns: foreign ids are skipped with absent slots (they live
-            // on their owning shard), keeping the shards' id spaces
-            // disjoint. Ids stay deterministic — the next owned id is a
-            // pure function of the slot count and the persisted spec.
-            while !spec.owns(rel.slots.len() as u32) {
-                rel.slots.push(None);
-            }
-        }
-        let id = rel.slots.len() as u32;
-        rel.slots.push(Some(rid));
-        rel.by_record.insert(rid, id);
-        rel.live += 1;
-        if let Some(idx) = rel.index.as_mut() {
-            if !c_dual {
-                idx.insert(pager, id, &tuple)?;
-            }
-        }
-        if let Some(idx) = rel.index_d.as_mut() {
-            if !c_duald {
-                idx.insert(pager, id, &tuple)?;
-            }
-        }
-        if let Some(rp) = rel.rplus.as_mut() {
-            if !c_rplus {
-                match tuple.bounding_box() {
-                    Some((lo, hi)) if rel_dim == 2 => {
-                        rp.tree
-                            .insert(pager, Rect::new(lo[0], lo[1], hi[0], hi[1]), id)?;
-                    }
-                    _ => rp.unbounded.push(id),
-                }
-            }
-        }
+        let partition = self.partition;
+        let (pager, rel, dirty) = self.for_update(name)?;
+        rel.admits(&tuple)?;
+        *dirty = true;
+        let id = rel.insert(pager, partition, &tuple)?;
         self.log_mutation(WalRecord::Insert {
             relation: name.to_string(),
             tuple,
@@ -1443,47 +918,11 @@ impl ConstraintDb {
     /// relation, structures marked corrupt are skipped (see
     /// [`insert`](Self::insert) for the failure contract).
     pub fn delete(&mut self, name: &str, id: u32) -> Result<GeneralizedTuple, CdbError> {
-        self.ensure_writable()?;
-        let pager = self.view.pager.as_mut();
-        let rel = self
-            .view
-            .relations
-            .get_mut(name)
-            .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
-        rel.ensure_usable()?;
-        let (c_dual, c_duald, c_rplus) = rel.corrupt_flags();
-        let tuple = rel.fetch(&*pager, id)?;
+        let (pager, rel, dirty) = self.for_update(name)?;
         // `fetch` succeeding proves the slot is present and live.
-        let rid = rel.slots[id as usize].expect("checked by fetch");
-        rel.heap.delete(pager, rid)?;
-        self.dirty = true;
-        rel.slots[id as usize] = None;
-        rel.by_record.remove(&rid);
-        rel.live -= 1;
-        // An index that does not hold the entry it should is out of step
-        // with the heap: a dangling id would surface later as
-        // `NoSuchTuple` in the middle of a query. The heap is the truth, so
-        // the delete stands and the index is flagged for a rebuild.
-        if let Some(idx) = rel.index.as_mut() {
-            if !c_dual && !idx.remove(pager, id, &tuple)? {
-                rel.mark_corrupt("dual");
-            }
-        }
-        if let Some(idx) = rel.index_d.as_mut() {
-            if !c_duald && !idx.remove(pager, id, &tuple)? {
-                rel.mark_corrupt("dual-d");
-            }
-        }
-        if let Some(rp) = rel.rplus.as_mut() {
-            if !c_rplus {
-                if let Some(pos) = rp.unbounded.iter().position(|&u| u == id) {
-                    rp.unbounded.swap_remove(pos);
-                } else if let Err(pos) = rp.dead.binary_search(&id) {
-                    // The packed tree has no delete: tombstone the id instead.
-                    rp.dead.insert(pos, id);
-                }
-            }
-        }
+        let tuple = rel.fetch(&*pager, id)?;
+        *dirty = true;
+        rel.delete(pager, id, &tuple)?;
         self.log_mutation(WalRecord::Delete {
             relation: name.to_string(),
             id,
@@ -1491,210 +930,79 @@ impl ConstraintDb {
         Ok(tuple)
     }
 
-    /// Builds (or rebuilds) the dual index of a 2-D relation over `slopes`.
-    /// A previous index's pages are freed first (best-effort when the old
-    /// index is marked corrupt — unreadable pages cannot be walked to the
-    /// free list). Rebuilding clears the structure's corruption flag.
-    pub fn build_dual_index(&mut self, name: &str, slopes: SlopeSet) -> Result<(), CdbError> {
-        self.ensure_writable()?;
-        let pager = self.view.pager.as_mut();
-        let rel = self
-            .view
-            .relations
-            .get_mut(name)
-            .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
-        rel.ensure_usable()?;
-        if rel.dim != 2 {
-            return Err(CdbError::UnsupportedQuery(
-                "the 2-D dual index requires a 2-D relation (see build_dual_index_d for E^d)"
-                    .into(),
-            ));
-        }
-        let (c_dual, _, _) = rel.corrupt_flags();
+    /// Builds (or rebuilds) the index `spec` describes — the one build body
+    /// behind the typed fronts below, log replay, replication and
+    /// [`rebuild_indexes`](Self::rebuild_indexes). A previous index of the
+    /// same kind is freed first; rebuilding clears its corruption flag.
+    ///
+    /// # Errors
+    /// What [`IndexSpec::check`] refuses, as a typed error and never a
+    /// panic; [`CdbError::Quarantined`]; [`CdbError::ReadOnly`].
+    pub fn build_index(&mut self, name: &str, spec: IndexSpec) -> Result<(), CdbError> {
+        let (pager, rel, dirty) = self.for_update(name)?;
+        spec.check(rel.dim)?;
         let tuples = rel.scan(&*pager)?;
-        self.dirty = true;
-        if let Some(old) = rel.index.take() {
-            let freed = old.destroy(pager);
-            if !c_dual {
-                freed?;
-            }
-        }
-        rel.index = Some(DualIndex::build(pager, slopes.clone(), &tuples)?);
-        rel.mark_repaired("dual");
-        self.log_mutation(WalRecord::BuildDual {
-            relation: name.to_string(),
-            slopes,
-        })?;
-        Ok(())
+        *dirty = true;
+        rel.build_index(pager, spec.clone(), &tuples)?;
+        self.log_mutation(WalRecord::build(name, spec))
+    }
+
+    /// Builds (or rebuilds) the dual index of a 2-D relation over `slopes`.
+    pub fn build_dual_index(&mut self, name: &str, slopes: SlopeSet) -> Result<(), CdbError> {
+        self.build_index(name, IndexSpec::Dual(slopes))
     }
 
     /// Builds (or rebuilds) the d-dimensional dual index (Section 4.4) over
     /// a point set in slope space `E^{d-1}`.
     pub fn build_dual_index_d(&mut self, name: &str, points: SlopePoints) -> Result<(), CdbError> {
-        self.ensure_writable()?;
-        let pager = self.view.pager.as_mut();
-        let rel = self
-            .view
-            .relations
-            .get_mut(name)
-            .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
-        rel.ensure_usable()?;
-        if rel.dim != points.dim() {
-            return Err(CdbError::DimensionMismatch {
-                expected: rel.dim,
-                got: points.dim(),
-            });
-        }
-        let (_, c_duald, _) = rel.corrupt_flags();
-        let tuples = rel.scan(&*pager)?;
-        self.dirty = true;
-        if let Some(old) = rel.index_d.take() {
-            let freed = old.destroy(pager);
-            if !c_duald {
-                freed?;
-            }
-        }
-        rel.index_d = Some(DualIndexD::build(pager, points.clone(), &tuples)?);
-        rel.mark_repaired("dual-d");
-        self.log_mutation(WalRecord::BuildDualD {
-            relation: name.to_string(),
-            points,
-        })?;
-        Ok(())
+        self.build_index(name, IndexSpec::DualD(points))
     }
 
     /// Builds (or rebuilds) the Section 5 R⁺-tree baseline over a 2-D
     /// relation: bounded tuples' MBRs are bulk-packed at the given fill
     /// factor; unbounded tuples go to the overflow list.
     pub fn build_rplus_index(&mut self, name: &str, fill: f64) -> Result<(), CdbError> {
-        self.ensure_writable()?;
-        let pager = self.view.pager.as_mut();
-        let rel = self
-            .view
-            .relations
-            .get_mut(name)
-            .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
-        rel.ensure_usable()?;
-        if rel.dim != 2 {
-            return Err(CdbError::UnsupportedQuery(
-                "the R⁺-tree baseline requires a 2-D relation".into(),
-            ));
-        }
-        let (_, _, c_rplus) = rel.corrupt_flags();
-        let tuples = rel.scan(&*pager)?;
-        self.dirty = true;
-        let mut entries = Vec::new();
-        let mut unbounded = Vec::new();
-        for (id, t) in &tuples {
-            match t.bounding_box() {
-                Some((lo, hi)) => entries.push((Rect::new(lo[0], lo[1], hi[0], hi[1]), *id)),
-                None => unbounded.push(*id),
-            }
-        }
-        if let Some(old) = rel.rplus.take() {
-            let freed = old.tree.destroy(pager);
-            if !c_rplus {
-                freed.map_err(CdbError::from)?;
-            }
-        }
-        rel.rplus = Some(RPlusIndex {
-            tree: RPlusTree::pack(pager, &entries, fill)?,
-            unbounded,
-            dead: Vec::new(),
-            fill,
-        });
-        rel.mark_repaired("rplus");
-        self.log_mutation(WalRecord::BuildRPlus {
-            relation: name.to_string(),
-            fill,
-        })?;
-        Ok(())
+        self.build_index(name, IndexSpec::RPlus { fill })
     }
 
     /// Re-derives every corrupt index of a degraded relation from the
     /// (verified) heap, reusing the build parameters persisted in the
-    /// catalog: the dual forest rebuilds over its original slopes, the
-    /// d-dimensional forest over its slope points, the R⁺-tree at its
-    /// original fill factor. Returns the names of the rebuilt structures;
-    /// a healthy relation is a no-op.
+    /// catalog ([`Index::spec`](crate::Index::spec)). Returns the
+    /// names of the rebuilt structures; a healthy relation is a no-op.
     ///
     /// # Errors
     /// [`CdbError::Quarantined`] when the heap itself is corrupt — there
     /// is nothing trustworthy to rebuild from;
     /// [`CdbError::ReadOnly`] on a read-only handle.
     pub fn rebuild_indexes(&mut self, name: &str) -> Result<Vec<String>, CdbError> {
-        self.ensure_writable()?;
-        let rel = self.relation(name)?;
-        rel.ensure_usable()?;
-        let (c_dual, c_duald, c_rplus) = rel.corrupt_flags();
         let mut rebuilt = Vec::new();
-        if c_dual {
-            // The flag is only ever set by verification of an existing
-            // structure, so the index must be present.
-            let slopes = rel
-                .index
-                .as_ref()
-                .expect("corrupt flag implies the index exists")
-                .slopes()
-                .clone();
-            self.build_dual_index(name, slopes)?;
-            rebuilt.push("dual".to_string());
-        }
-        if c_duald {
-            let points = self.view.relations[name]
-                .index_d
-                .as_ref()
-                .expect("corrupt flag implies the index exists")
-                .points()
-                .clone();
-            self.build_dual_index_d(name, points)?;
-            rebuilt.push("dual-d".to_string());
-        }
-        if c_rplus {
-            let fill = self.view.relations[name]
-                .rplus
-                .as_ref()
-                .expect("corrupt flag implies the index exists")
-                .fill;
-            self.build_rplus_index(name, fill)?;
-            rebuilt.push("rplus".to_string());
+        for spec in self.for_update(name)?.1.corrupt_specs() {
+            rebuilt.push(spec.kind().name().to_string());
+            self.build_index(name, spec)?;
         }
         Ok(rebuilt)
     }
 
     /// Re-tightens a relation's index handicaps after heavy update traffic
     /// (incremental maintenance keeps them correct but increasingly loose;
-    /// see [`DualIndex::refresh_handicaps`]).
+    /// see [`DualIndex::refresh_handicaps`](crate::DualIndex::refresh_handicaps)).
+    /// [`CdbError::NoIndex`] without a usable 2-D dual index, decided
+    /// before any page is read.
     pub fn tighten_index(&mut self, name: &str) -> Result<(), CdbError> {
-        self.ensure_writable()?;
-        let pager = self.view.pager.as_mut();
-        let rel = self
-            .view
-            .relations
-            .get_mut(name)
-            .ok_or_else(|| CdbError::RelationNotFound(name.into()))?;
-        rel.ensure_usable()?;
-        let (c_dual, _, _) = rel.corrupt_flags();
-        let tuples = rel.scan(&*pager)?;
-        let Some(idx) = rel.index.as_mut() else {
-            return Err(CdbError::NoIndex(name.into()));
-        };
-        if c_dual {
-            // A corrupt index cannot be tightened, only rebuilt.
-            return Err(CdbError::NoIndex(name.into()));
-        }
-        idx.refresh_handicaps(pager, &tuples)?;
-        self.dirty = true;
+        let (pager, rel, dirty) = self.for_update(name)?;
+        rel.tighten(pager)?;
+        *dirty = true;
         self.log_mutation(WalRecord::TightenIndex {
             relation: name.to_string(),
-        })?;
-        Ok(())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{Index, IndexKind};
+    use crate::plan::MethodKind;
     use crate::query::Selection;
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::parse::parse_tuple;
@@ -1734,6 +1042,69 @@ mod tests {
         ));
     }
 
+    /// Regression: an R⁺-tree fill factor outside `[0.5, 1]` reached
+    /// `RPlusTree::pack`'s `assert!` from everywhere but the wire
+    /// dispatcher, panicking the engine's owner.
+    #[test]
+    fn unbuildable_index_specs_are_typed_errors_not_panics() {
+        let mut db = sample_db();
+        let refused = |r: Result<(), CdbError>| matches!(r, Err(CdbError::UnsupportedQuery(_)));
+        for fill in [0.25, 1.5, f64::NAN] {
+            assert!(refused(db.build_rplus_index("land", fill)), "fill {fill}");
+        }
+        // A shipped (or replayed) log record takes the same path.
+        let shipped = WalRecord::BuildRPlus {
+            relation: "land".into(),
+            fill: 0.25,
+        };
+        assert!(refused(db.apply_replicated(&shipped.encode())));
+        assert!(db
+            .relation("land")
+            .unwrap()
+            .built(IndexKind::RPlus)
+            .is_none());
+        // Specs that do not fit the relation's dimension.
+        db.create_relation("space", 3).unwrap();
+        assert!(refused(
+            db.build_dual_index("space", SlopeSet::uniform_tan(3))
+        ));
+        assert!(refused(db.build_rplus_index("space", 1.0)));
+        assert_eq!(
+            db.build_dual_index_d("land", SlopePoints::grid(3, 2, 1.0)),
+            Err(CdbError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            })
+        );
+        db.build_rplus_index("land", 0.5).unwrap();
+    }
+
+    /// Regression: `tighten_index` used to scan the whole heap before
+    /// finding out there was nothing to tighten.
+    #[test]
+    fn tighten_without_a_usable_index_reads_no_page() {
+        let mut db = sample_db();
+        db.reset_io_stats();
+        assert_eq!(
+            db.tighten_index("land"),
+            Err(CdbError::NoIndex("land".into()))
+        );
+        assert_eq!(db.io_stats().reads, 0, "refused before the heap scan");
+        db.build_dual_index("land", SlopeSet::uniform_tan(3))
+            .unwrap();
+        db.tighten_index("land").unwrap();
+        db.for_update("land")
+            .unwrap()
+            .1
+            .set_corrupt(IndexKind::Dual, true);
+        db.reset_io_stats();
+        assert_eq!(
+            db.tighten_index("land"),
+            Err(CdbError::NoIndex("land".into()))
+        );
+        assert_eq!(db.io_stats().reads, 0, "refused before the heap scan");
+    }
+
     /// Regression: `delete` used to drop `DualIndex::remove`'s verdict, so
     /// an index that had lost step with the heap kept a dangling id that
     /// surfaced later as `NoSuchTuple` in the middle of a query.
@@ -1749,7 +1120,9 @@ mod tests {
         {
             let view = &mut db.view;
             let rel = view.relations.get_mut("land").unwrap();
-            let idx = rel.index.as_mut().unwrap();
+            let Some(Index::Dual(idx)) = rel.indexes[IndexKind::Dual as usize].as_mut() else {
+                panic!("built above");
+            };
             assert!(idx.remove(view.pager.as_mut(), 2, &victim).unwrap());
         }
         assert_eq!(
@@ -1761,7 +1134,7 @@ mod tests {
         assert_eq!(
             db.relation("land").unwrap().health(),
             &RelationHealth::Degraded {
-                corrupt_indexes: vec!["dual".to_string()]
+                corrupt_indexes: vec![IndexKind::Dual.name().to_string()]
             }
         );
         assert_eq!(db.query("land", sel.clone()).unwrap().ids(), &[0, 1, 3]);
@@ -1771,7 +1144,7 @@ mod tests {
         ));
         assert_eq!(
             db.rebuild_indexes("land").unwrap(),
-            vec!["dual".to_string()]
+            vec![IndexKind::Dual.name().to_string()]
         );
         assert_eq!(
             db.relation("land").unwrap().health(),
@@ -2081,7 +1454,9 @@ mod tests {
     fn rplus_baseline_through_the_facade() {
         let mut db = sample_db();
         db.build_rplus_index("land", 1.0).unwrap();
-        let rp = db.relation("land").unwrap().rplus().unwrap();
+        let Some(Index::RPlus(rp)) = db.relation("land").unwrap().built(IndexKind::RPlus) else {
+            panic!("built above");
+        };
         assert_eq!(rp.tree.len(), 3, "three bounded tuples packed");
         assert_eq!(rp.unbounded, vec![1], "the strip is unbounded");
         for sel in [

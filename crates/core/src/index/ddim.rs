@@ -31,23 +31,15 @@
 //! the query workload's slope region. The experiments of Section 5 are all
 //! 2-D; `dimension_sweep` exercises this module for the Section 6 claim.
 
-use cdb_btree::BTree;
+use cdb_geometry::scalar;
 use cdb_geometry::tuple::GeneralizedTuple;
-use cdb_geometry::{dual, scalar};
 use cdb_storage::codec::{get_option, put_option, Finite};
 use cdb_storage::{CodecError, PageReader, Pager, RecordReader, RecordWriter, TrackedReader, Wire};
-use std::io;
 
-use cdb_btree::Handicaps;
-
+use super::forest::{keys_at, Forest};
+use super::{Exact, TupleSource};
 use crate::error::CdbError;
-use crate::handicap::{assign_high, assign_low};
-use crate::index::{
-    fold_high, fold_low, handicap_guided_candidates, refine, sweep_candidates, TupleSource,
-};
-use crate::query::{
-    order_ids, tree_and_direction, QueryResult, QueryStats, Selection, SelectionKind, Side,
-};
+use crate::query::{QueryResult, Selection, Side};
 
 /// A predefined set of slope points in `E^{d-1}`.
 #[derive(Clone, Debug, PartialEq)]
@@ -121,39 +113,44 @@ impl SlopePoints {
 
     /// A regular grid of `per_axis^(d-1)` points over `[-range, range]` in
     /// each slope coordinate.
+    ///
+    /// # Panics
+    /// Panics where [`try_grid`](Self::try_grid) refuses.
     pub fn grid(dim: usize, per_axis: usize, range: f64) -> Self {
-        assert!(per_axis >= 2);
-        let d1 = dim - 1;
-        let mut points = Vec::new();
-        let mut idx = vec![0usize; d1];
-        loop {
-            points.push(
-                idx.iter()
-                    .map(|&i| -range + 2.0 * range * i as f64 / (per_axis - 1) as f64)
-                    .collect(),
-            );
-            // Odometer increment.
-            let mut c = 0;
-            loop {
-                idx[c] += 1;
-                if idx[c] < per_axis {
-                    break;
-                }
-                idx[c] = 0;
-                c += 1;
-                if c == d1 {
-                    let axes: Vec<Vec<f64>> = (0..d1)
-                        .map(|_| {
-                            (0..per_axis)
-                                .map(|i| -range + 2.0 * range * i as f64 / (per_axis - 1) as f64)
-                                .collect()
-                        })
-                        .collect();
-                    return Self::try_from_parts(dim, points, Some(axes))
-                        .unwrap_or_else(|why| panic!("{why}"));
-                }
-            }
+        Self::try_grid(dim, per_axis, range).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`grid`](Self::grid) for parameters from outside the program (a
+    /// request, the shell).
+    ///
+    /// # Errors
+    /// The reason: `dim < 2`, `per_axis < 2`, a range that is not a positive
+    /// finite number, or a point count beyond `usize`.
+    pub fn try_grid(dim: usize, per_axis: usize, range: f64) -> Result<Self, &'static str> {
+        if dim < 2 {
+            return Err("the d-dimensional dual index needs a relation of dimension >= 2");
         }
+        if per_axis < 2 {
+            return Err("grid needs per_axis >= 2");
+        }
+        if !(range.is_finite() && range > 0.0) {
+            return Err("grid range must be positive");
+        }
+        let axis: Vec<f64> = (0..per_axis)
+            .map(|i| -range + 2.0 * range * i as f64 / (per_axis - 1) as f64)
+            .collect();
+        let cells = per_axis
+            .checked_pow(dim as u32 - 1)
+            .ok_or("grid has too many points")?;
+        // Point `i` has multi-index `(i / per^j) % per` on axis `j`.
+        let points = (0..cells)
+            .map(|i| {
+                (0..dim - 1)
+                    .map(|j| axis[i / per_axis.pow(j as u32) % per_axis])
+                    .collect()
+            })
+            .collect();
+        Self::try_from_parts(dim, points, Some(vec![axis; dim - 1]))
     }
 
     /// Everything but the dimension, which in the catalog the owning
@@ -203,6 +200,11 @@ impl SlopePoints {
         &self.points
     }
 
+    /// The slope points as the forest's keying elements.
+    pub(crate) fn elements(&self) -> impl Iterator<Item = &[f64]> {
+        self.points.iter().map(Vec::as_slice)
+    }
+
     /// Index of a (numerically) matching member point.
     pub fn position(&self, slope: &[f64]) -> Option<usize> {
         self.points
@@ -250,25 +252,16 @@ impl SlopePoints {
         self.grid_axes.is_some()
     }
 
-    /// `true` if `slope` lies within the hull (the grid bounding box).
-    pub fn in_grid_hull(&self, slope: &[f64]) -> bool {
-        let Some(axes) = &self.grid_axes else {
-            return false;
-        };
-        axes.iter()
-            .zip(slope)
-            .all(|(axis, &v)| v >= axis[0] - 1e-12 && v <= axis[axis.len() - 1] + 1e-12)
-    }
-
-    /// Index of the grid point whose (box) Voronoi cell contains `slope`.
+    /// Index of the grid point whose (box) Voronoi cell contains `slope`;
+    /// `None` outside the hull (the grid bounding box) and for non-grid sets.
     pub fn nearest_grid(&self, slope: &[f64]) -> Option<usize> {
         let axes = self.grid_axes.as_ref()?;
-        if !self.in_grid_hull(slope) {
-            return None;
-        }
         let mut index = 0usize;
         let mut stride = 1usize;
         for (axis, &v) in axes.iter().zip(slope) {
+            if v < axis[0] - 1e-12 || v > axis[axis.len() - 1] + 1e-12 {
+                return None;
+            }
             let mut best = 0usize;
             let mut best_d = f64::INFINITY;
             for (i, &c) in axis.iter().enumerate() {
@@ -420,7 +413,7 @@ fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
 #[derive(Clone, Debug)]
 pub struct DualIndexD {
     points: SlopePoints,
-    trees: Vec<(BTree, BTree)>, // (up, down) per slope point
+    pub(crate) forest: Forest,
 }
 
 impl DualIndexD {
@@ -431,24 +424,8 @@ impl DualIndexD {
         points: SlopePoints,
         tuples: &[(u32, GeneralizedTuple)],
     ) -> Result<Self, CdbError> {
-        let mut trees = Vec::with_capacity(points.len());
-        for p in points.as_slice() {
-            let mut up: Vec<(f64, u32)> = tuples
-                .iter()
-                .map(|(id, t)| (dual::top(t, p).expect("satisfiable"), *id))
-                .collect();
-            let mut down: Vec<(f64, u32)> = tuples
-                .iter()
-                .map(|(id, t)| (dual::bot(t, p).expect("satisfiable"), *id))
-                .collect();
-            up.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            down.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            trees.push((
-                BTree::bulk_load(pager, &up, 1.0)?,
-                BTree::bulk_load(pager, &down, 1.0)?,
-            ));
-        }
-        let mut idx = DualIndexD { points, trees };
+        let forest = Forest::build(pager, points.elements(), tuples)?;
+        let mut idx = Self::from_parts(points, forest);
         idx.refresh_handicaps(pager, tuples)?;
         Ok(idx)
     }
@@ -457,13 +434,10 @@ impl DualIndexD {
     /// cell corners (exact by convexity/concavity over the box cell).
     fn cell_reach(&self, i: usize, t: &GeneralizedTuple) -> Option<(f64, f64)> {
         let corners = self.points.cell_corners(i)?;
-        let mut max_top = f64::NEG_INFINITY;
-        let mut min_bot = f64::INFINITY;
-        for c in &corners {
-            max_top = max_top.max(dual::top(t, c).expect("satisfiable"));
-            min_bot = min_bot.min(dual::bot(t, c).expect("satisfiable"));
-        }
-        Some((max_top, min_bot))
+        Some(corners.iter().map(|c| keys_at(t, c)).fold(
+            (f64::NEG_INFINITY, f64::INFINITY),
+            |(max_top, min_bot), (top, bot)| (max_top.max(top), min_bot.min(bot)),
+        ))
     }
 
     /// Recomputes the whole-cell handicaps (grid sets only; a no-op for
@@ -477,69 +451,22 @@ impl DualIndexD {
         if !self.points.is_grid() {
             return Ok(());
         }
-        for i in 0..self.points.len() {
-            let p = self.points.as_slice()[i].clone();
+        for (i, p) in self.points.elements().enumerate() {
+            let keys: Vec<(f64, f64)> = tuples.iter().map(|(_, t)| keys_at(t, p)).collect();
             let reaches: Vec<(f64, f64)> = tuples
                 .iter()
                 .map(|(_, t)| self.cell_reach(i, t).expect("grid set"))
                 .collect();
-            for up_tree in [true, false] {
-                let tree = if up_tree {
-                    &self.trees[i].0
-                } else {
-                    &self.trees[i].1
-                };
-                let keys: Vec<f64> = tuples
-                    .iter()
-                    .map(|(_, t)| {
-                        if up_tree {
-                            dual::top(t, &p).expect("satisfiable")
-                        } else {
-                            dual::bot(t, &p).expect("satisfiable")
-                        }
-                    })
-                    .collect();
-                let low_pairs: Vec<(f64, f64)> = reaches
-                    .iter()
-                    .zip(&keys)
-                    .map(|(&(mt, _), &k)| (mt, k))
-                    .collect();
-                let high_pairs: Vec<(f64, f64)> = reaches
-                    .iter()
-                    .zip(&keys)
-                    .map(|(&(_, mb), &k)| (mb, k))
-                    .collect();
-                let leaves = tree.leaves(&*pager)?;
-                let low = assign_low(&leaves, &low_pairs);
-                let high = assign_high(&leaves, &high_pairs);
-                for (li, leaf) in leaves.iter().enumerate() {
-                    tree.set_handicaps(
-                        pager,
-                        leaf.page,
-                        Handicaps {
-                            low_prev: low[li],
-                            low_next: f64::INFINITY,
-                            high_prev: high[li],
-                            high_next: f64::NEG_INFINITY,
-                        },
-                    )?;
-                }
-            }
+            self.forest
+                .assign_handicaps(pager, i, &keys, [Some(&reaches), None])?;
         }
         Ok(())
     }
 
     /// Re-attaches an index from persisted parts; the trees' node pages
     /// (whole-cell handicaps included) are already on disk.
-    pub(crate) fn from_parts(points: SlopePoints, trees: Vec<(BTree, BTree)>) -> Self {
-        assert_eq!(points.len(), trees.len(), "one tree pair per slope point");
-        DualIndexD { points, trees }
-    }
-
-    /// The `(B^up, B^down)` trees per slope point — what the catalog
-    /// persists.
-    pub(crate) fn tree_pairs(&self) -> impl Iterator<Item = (&BTree, &BTree)> {
-        self.trees.iter().map(|(u, d)| (u, d))
+    pub(crate) fn from_parts(points: SlopePoints, forest: Forest) -> Self {
+        DualIndexD { points, forest }
     }
 
     /// The slope-point set `S`.
@@ -554,21 +481,7 @@ impl DualIndexD {
 
     /// Pages owned by the index.
     pub fn page_count(&self) -> u64 {
-        self.trees
-            .iter()
-            .map(|(u, d)| u.page_count() + d.page_count())
-            .sum()
-    }
-
-    /// Reads every page of every tree through `pager`; under a
-    /// checksumming pager any torn or stale page surfaces here. Used by
-    /// the open-time verification pass.
-    pub fn verify(&self, pager: &dyn PageReader) -> io::Result<()> {
-        for (up, down) in self.tree_pairs() {
-            up.collect_pages(pager)?;
-            down.collect_pages(pager)?;
-        }
-        Ok(())
+        self.forest.page_count()
     }
 
     /// Adds a tuple to every tree, incrementally folding its cell reaches
@@ -579,17 +492,11 @@ impl DualIndexD {
         id: u32,
         tuple: &GeneralizedTuple,
     ) -> Result<(), CdbError> {
-        for i in 0..self.points.len() {
-            let p = self.points.as_slice()[i].clone();
-            let top = dual::top(tuple, &p).expect("satisfiable");
-            let bot = dual::bot(tuple, &p).expect("satisfiable");
-            self.trees[i].0.insert(pager, top, id)?;
-            self.trees[i].1.insert(pager, bot, id)?;
-            if let Some((max_top, min_bot)) = self.cell_reach(i, tuple) {
-                for (tree, key) in [(&self.trees[i].0, top), (&self.trees[i].1, bot)] {
-                    fold_low(pager, tree, Side::Prev, max_top, key)?;
-                    fold_high(pager, tree, Side::Prev, min_bot, key)?;
-                }
+        for (i, p) in self.points.elements().enumerate() {
+            let keys = self.forest.insert(pager, i, p, id, tuple)?;
+            if let Some(reach) = self.cell_reach(i, tuple) {
+                self.forest
+                    .fold_handicaps(pager, i, Side::Prev, keys, reach)?;
             }
         }
         Ok(())
@@ -602,18 +509,9 @@ impl DualIndexD {
         id: u32,
         tuple: &GeneralizedTuple,
     ) -> Result<bool, CdbError> {
-        let mut found = true;
-        for (i, p) in self.points.as_slice().iter().enumerate() {
-            found &=
-                self.trees[i]
-                    .0
-                    .delete(pager, dual::top(tuple, p).expect("satisfiable"), id)?;
-            found &=
-                self.trees[i]
-                    .1
-                    .delete(pager, dual::bot(tuple, p).expect("satisfiable"), id)?;
-        }
-        Ok(found)
+        Ok(self
+            .forest
+            .remove(pager, self.points.elements(), id, tuple)?)
     }
 
     /// Executes a selection: exact when the slope is a member of `S`,
@@ -637,60 +535,22 @@ impl DualIndexD {
         let tracked = TrackedReader::new(pager);
         let pager: &dyn PageReader = &tracked;
         let slope = &sel.halfplane.slope;
-        let b = sel.halfplane.intercept;
-        let before = pager.stats();
-
+        let exact = Exact {
+            keep: &|t| sel.holds(t),
+            keys_decide: true,
+        };
         if let Some(i) = self.points.position(slope) {
             // Exact restricted query; boundary band verified exactly.
-            let (use_up, upward) = tree_and_direction(sel.kind, sel.halfplane.op);
-            let tree = if use_up {
-                &self.trees[i].0
-            } else {
-                &self.trees[i].1
-            };
-            let (mut sure, check) = sweep_candidates(tree, pager, b, upward)?;
-            let mut stats = QueryStats {
-                candidates: (sure.len() + check.len()) as u64,
-                accepted_by_key: sure.len() as u64,
-                ..QueryStats::default()
-            };
-            stats.index_io = pager.stats().since(&before);
-            let heap_before = pager.stats();
-            let kept = refine(pager, &|t| sel.holds(t), check, fetch, &mut stats)?;
-            stats.heap_io = pager.stats().since(&heap_before);
-            sure.extend(kept);
-            return Ok(QueryResult::new(sure, stats));
+            self.forest.restricted(pager, sel, i, fetch, &exact)
+        } else if let Some(cell) = self.points.nearest_grid(slope) {
+            // Grid sets: the d-dimensional technique T2 (single tree, two
+            // handicap-guided sweeps, duplicate-free) on the whole-cell
+            // handicaps.
+            self.forest
+                .guided(pager, sel, cell, Side::Prev, fetch, &exact)
+        } else {
+            self.simplex(pager, sel, fetch, &exact)
         }
-
-        // Grid sets: the d-dimensional technique T2 (single tree, two
-        // handicap-guided sweeps, duplicate-free).
-        if let Some(cell) = self.points.nearest_grid(slope) {
-            let (use_up, upward) = tree_and_direction(sel.kind, sel.halfplane.op);
-            let tree = if use_up {
-                &self.trees[cell].0
-            } else {
-                &self.trees[cell].1
-            };
-            let raw = handicap_guided_candidates(
-                tree,
-                pager,
-                b,
-                upward,
-                &|h: &Handicaps| h.low_prev,
-                &|h: &Handicaps| h.high_prev,
-            )?;
-            let mut stats = QueryStats {
-                candidates: raw.len() as u64,
-                ..QueryStats::default()
-            };
-            stats.index_io = pager.stats().since(&before);
-            let heap_before = pager.stats();
-            let ids = refine(pager, &|t| sel.holds(t), raw, fetch, &mut stats)?;
-            stats.heap_io = pager.stats().since(&heap_before);
-            return Ok(QueryResult::new(ids, stats));
-        }
-
-        self.execute_simplex_from(pager, sel, fetch, before)
     }
 
     /// Generalized T1 (simplex covering) — also the fallback for
@@ -701,88 +561,38 @@ impl DualIndexD {
         sel: &Selection,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        let tracked = TrackedReader::new(pager);
-        let pager: &dyn PageReader = &tracked;
-        let before = pager.stats();
-        self.execute_simplex_from(pager, sel, fetch, before)
+        let exact = Exact {
+            keep: &|t| sel.holds(t),
+            keys_decide: true,
+        };
+        self.simplex(&TrackedReader::new(pager), sel, fetch, &exact)
     }
 
-    fn execute_simplex_from(
+    fn simplex(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
         fetch: &dyn TupleSource,
-        before: cdb_storage::IoStats,
+        exact: &Exact<'_>,
     ) -> Result<QueryResult, CdbError> {
         let slope = &sel.halfplane.slope;
-        let b = sel.halfplane.intercept;
         let simplex = self.points.containing_simplex(slope).ok_or_else(|| {
             CdbError::UnsupportedQuery(format!(
                 "query slope {slope:?} lies outside the hull of the predefined set S"
             ))
         })?;
         // d app-queries through P = (0,…,0,b): same intercept, same operator.
-        let mut raw: Vec<u32> = Vec::new();
-        for (j, &pi) in simplex.iter().enumerate() {
-            let kind = match (sel.kind, j) {
-                (SelectionKind::All, 0) => SelectionKind::All,
-                (SelectionKind::All, _) => SelectionKind::Exist,
-                (SelectionKind::Exist, _) => SelectionKind::Exist,
-            };
-            let (use_up, upward) = tree_and_direction(kind, sel.halfplane.op);
-            let tree = if use_up {
-                &self.trees[pi].0
-            } else {
-                &self.trees[pi].1
-            };
-            let (sure, check) = sweep_candidates(tree, pager, b, upward)?;
-            raw.extend(sure);
-            raw.extend(check);
-        }
-        let mut stats = QueryStats {
-            candidates: raw.len() as u64,
-            ..QueryStats::default()
-        };
-        stats.index_io = pager.stats().since(&before);
-        stats.duplicates = order_ids(&mut raw) as u64;
-        let heap_before = pager.stats();
-        let ids = refine(pager, &|t| sel.holds(t), raw, fetch, &mut stats)?;
-        stats.heap_io = pager.stats().since(&heap_before);
-        Ok(QueryResult::new(ids, stats))
-    }
-
-    /// Number of indexed entries per tree (should equal the relation size).
-    pub fn len(&self) -> u64 {
-        self.trees.first().map(|(u, _)| u.len()).unwrap_or(0)
-    }
-
-    /// `true` when no tuples are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Height of the (first) `B^up` tree: the per-search descent cost.
-    pub fn tree_height(&self) -> usize {
-        self.trees.first().map(|(u, _)| u.height()).unwrap_or(0)
-    }
-
-    /// Frees every page of every tree back to the pager.
-    ///
-    /// # Errors
-    /// [`CdbError::Io`] when collecting the pages to free fails; pages
-    /// already freed stay freed.
-    pub fn destroy(self, pager: &mut dyn Pager) -> Result<(), CdbError> {
-        for (up, down) in self.trees {
-            up.destroy(pager)?;
-            down.destroy(pager)?;
-        }
-        Ok(())
+        let legs = simplex
+            .into_iter()
+            .map(|pi| (pi, sel.halfplane.op, sel.halfplane.intercept));
+        self.forest.covering(pager, sel.kind, legs, fetch, exact)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::SelectionKind;
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::predicates;

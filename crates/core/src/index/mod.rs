@@ -1,9 +1,21 @@
-//! The 2-D dual index: `B^up`/`B^down` forests over a slope set, with the
-//! restricted (Section 3), T1 (Section 4.1) and T2 (Sections 4.2–4.3) query
-//! strategies, each in its own submodule.
+//! The index seam and the 2-D dual index.
+//!
+//! [`IndexKind`] names the access structures a relation can own,
+//! [`IndexSpec`] says what to build, [`Index`] is what was built:
+//! everything the engine does per kind (build, maintain, verify, count,
+//! free, offer to the planner) is a method of [`Index`], so the rest of the
+//! engine loops over a relation's slots instead of spelling the kinds out.
+//!
+//! [`DualIndex`] is the paper's structure in 2-D: `B^up`/`B^down` forests
+//! over a slope set, with the restricted (Section 3), T1 (Section 4.1) and
+//! T2 (Sections 4.2–4.3) query strategies, each in its own submodule.
 
+pub mod ddim;
+pub(crate) mod forest;
+pub mod handicap;
 mod heap_source;
 mod restricted;
+mod rplus;
 mod t1;
 mod t2;
 
@@ -11,20 +23,226 @@ use std::io;
 
 pub(crate) use heap_source::HeapSource;
 pub(crate) use restricted::sweep_candidates;
-pub(crate) use t2::handicap_guided_candidates;
+pub use rplus::RPlusIndex;
 
-use cdb_btree::{BTree, Handicaps};
 use cdb_geometry::constraint::RelOp;
-use cdb_geometry::dual::{self, DualSurfaces};
+use cdb_geometry::dual::DualSurfaces;
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{PageReader, Pager, TrackedReader};
 
 use crate::error::CdbError;
-use crate::handicap::{assign_high, assign_low};
+use crate::plan::{AccessMethods, DualAccess, DualDAccess, MethodContext, RPlusAccess};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side, Strategy};
 use crate::slopes::{Bracket, SlopeSet};
+use ddim::{DualIndexD, SlopePoints};
+use forest::{keys_at, Forest};
+
+/// The access structures a relation can own, in slot order. The one owner
+/// of their names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IndexKind {
+    /// The 2-D dual index (Sections 3–4.3).
+    Dual,
+    /// The d-dimensional dual index (Section 4.4).
+    DualD,
+    /// The R⁺-tree baseline (Section 5).
+    RPlus,
+}
+
+impl IndexKind {
+    /// Every kind, in slot order.
+    pub const ALL: [IndexKind; 3] = [IndexKind::Dual, IndexKind::DualD, IndexKind::RPlus];
+
+    /// The name reports, health verdicts and the wire use.
+    pub fn name(self) -> &'static str {
+        match self {
+            IndexKind::Dual => "dual",
+            IndexKind::DualD => "dual-d",
+            IndexKind::RPlus => "rplus",
+        }
+    }
+}
+
+/// The build parameters of one index: what
+/// [`ConstraintDb::build_index`](crate::ConstraintDb::build_index) takes,
+/// the log and the catalog persist, and a rebuild reuses.
+#[derive(Clone, Debug, PartialEq)]
+pub enum IndexSpec {
+    /// The 2-D dual index over a slope set.
+    Dual(SlopeSet),
+    /// The d-dimensional dual index over slope points in `E^{d-1}`.
+    DualD(SlopePoints),
+    /// The R⁺-tree baseline, bulk-packed at a fill factor.
+    RPlus {
+        /// Node fill factor, in `[0.5, 1]`.
+        fill: f64,
+    },
+}
+
+impl IndexSpec {
+    /// Which slot this spec fills.
+    pub fn kind(&self) -> IndexKind {
+        match self {
+            IndexSpec::Dual(_) => IndexKind::Dual,
+            IndexSpec::DualD(_) => IndexKind::DualD,
+            IndexSpec::RPlus { .. } => IndexKind::RPlus,
+        }
+    }
+
+    /// What is wrong with the parameters themselves, whatever relation
+    /// they are meant for. Slope sets and slope points are validated by
+    /// their own constructors, which leaves the fill factor.
+    pub fn check_parameters(&self) -> Result<(), &'static str> {
+        match self {
+            IndexSpec::RPlus { fill } if !(0.5..=1.0).contains(fill) => {
+                Err("fill factor must be in [0.5, 1.0]")
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether this index can be built over a `dim`-dimensional relation.
+    /// Every build goes through here, so no parameter from a request, a log
+    /// record or a catalog reaches an `assert!` further down.
+    ///
+    /// # Errors
+    /// [`CdbError::UnsupportedQuery`] for bad parameters or a 2-D-only
+    /// index on another dimension; [`CdbError::DimensionMismatch`] for
+    /// slope points of another dimension.
+    pub fn check(&self, dim: usize) -> Result<(), CdbError> {
+        self.check_parameters()
+            .map_err(|why| CdbError::UnsupportedQuery(why.into()))?;
+        match self {
+            IndexSpec::Dual(_) if dim != 2 => Err(CdbError::UnsupportedQuery(
+                "the 2-D dual index requires a 2-D relation (see build_dual_index_d for E^d)"
+                    .into(),
+            )),
+            IndexSpec::RPlus { .. } if dim != 2 => Err(CdbError::UnsupportedQuery(
+                "the R⁺-tree baseline requires a 2-D relation".into(),
+            )),
+            IndexSpec::DualD(points) if points.dim() != dim => Err(CdbError::DimensionMismatch {
+                expected: dim,
+                got: points.dim(),
+            }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// One built access structure of a relation.
+#[derive(Clone)]
+pub enum Index {
+    /// The 2-D dual index.
+    Dual(DualIndex),
+    /// The d-dimensional dual index.
+    DualD(DualIndexD),
+    /// The R⁺-tree baseline.
+    RPlus(RPlusIndex),
+}
+
+impl Index {
+    /// Builds what `spec` (already [`check`](IndexSpec::check)ed) asks for
+    /// over `(id, tuple)` pairs.
+    pub(crate) fn build(
+        pager: &mut dyn Pager,
+        spec: IndexSpec,
+        tuples: &[(u32, GeneralizedTuple)],
+    ) -> Result<Self, CdbError> {
+        Ok(match spec {
+            IndexSpec::Dual(slopes) => Index::Dual(DualIndex::build(pager, slopes, tuples)?),
+            IndexSpec::DualD(points) => Index::DualD(DualIndexD::build(pager, points, tuples)?),
+            IndexSpec::RPlus { fill } => Index::RPlus(RPlusIndex::build(pager, fill, tuples)?),
+        })
+    }
+
+    /// The parameters this index was built with (persisted, so a rebuild
+    /// after corruption reuses them).
+    pub fn spec(&self) -> IndexSpec {
+        match self {
+            Index::Dual(idx) => IndexSpec::Dual(idx.slopes().clone()),
+            Index::DualD(idx) => IndexSpec::DualD(idx.points().clone()),
+            Index::RPlus(rp) => IndexSpec::RPlus { fill: rp.fill },
+        }
+    }
+
+    /// The 2-D dual index, if this is one.
+    pub fn as_dual(&self) -> Option<&DualIndex> {
+        match self {
+            Index::Dual(idx) => Some(idx),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn insert(
+        &mut self,
+        pager: &mut dyn Pager,
+        id: u32,
+        tuple: &GeneralizedTuple,
+    ) -> Result<(), CdbError> {
+        match self {
+            Index::Dual(idx) => idx.insert(pager, id, tuple),
+            Index::DualD(idx) => idx.insert(pager, id, tuple),
+            Index::RPlus(rp) => Ok(rp.insert(pager, id, tuple)?),
+        }
+    }
+
+    /// `false` when the structure did not hold the entry it should have.
+    pub(crate) fn remove(
+        &mut self,
+        pager: &mut dyn Pager,
+        id: u32,
+        tuple: &GeneralizedTuple,
+    ) -> Result<bool, CdbError> {
+        match self {
+            Index::Dual(idx) => idx.remove(pager, id, tuple),
+            Index::DualD(idx) => idx.remove(pager, id, tuple),
+            Index::RPlus(rp) => {
+                rp.remove(id);
+                Ok(true)
+            }
+        }
+    }
+
+    /// Reads every page of the structure through `pager`; under a
+    /// checksumming pager any torn or stale page surfaces here.
+    pub(crate) fn verify(&self, pager: &dyn PageReader) -> io::Result<()> {
+        match self {
+            Index::Dual(idx) => idx.forest.verify(pager),
+            Index::DualD(idx) => idx.forest.verify(pager),
+            Index::RPlus(rp) => rp.tree.collect_pages(pager).map(|_| ()),
+        }
+    }
+
+    /// Pages owned by the structure (the space metric of Figure 10).
+    pub fn page_count(&self) -> u64 {
+        match self {
+            Index::Dual(idx) => idx.page_count(),
+            Index::DualD(idx) => idx.page_count(),
+            Index::RPlus(rp) => rp.tree.page_count(),
+        }
+    }
+
+    /// Frees every page back to the pager; on an error, pages already
+    /// freed stay freed.
+    pub(crate) fn destroy(self, pager: &mut dyn Pager) -> io::Result<()> {
+        match self {
+            Index::Dual(idx) => idx.forest.destroy(pager),
+            Index::DualD(idx) => idx.forest.destroy(pager),
+            Index::RPlus(rp) => rp.tree.destroy(pager),
+        }
+    }
+
+    /// Adds this structure's access methods to the planner's inputs.
+    pub(crate) fn offer<'a>(&'a self, ctx: MethodContext, methods: &mut AccessMethods<'a>) {
+        match self {
+            Index::Dual(index) => methods.dual = Some(DualAccess::techniques(index, ctx)),
+            Index::DualD(index) => methods.dual_d = Some(DualDAccess { index, ctx }),
+            Index::RPlus(index) => methods.rplus = Some(RPlusAccess { index, ctx }),
+        }
+    }
+}
 
 /// Source of tuples for the exact refinement step.
 ///
@@ -80,14 +298,6 @@ where
     }
 }
 
-/// The two B⁺-trees of one slope: `B^up` keyed by `TOP_P`, `B^down` by
-/// `BOT_P`.
-#[derive(Clone, Debug)]
-struct TreePair {
-    up: BTree,
-    down: BTree,
-}
-
 /// Dual-representation index over a 2-D generalized relation.
 ///
 /// ```
@@ -118,7 +328,7 @@ struct TreePair {
 #[derive(Clone, Debug)]
 pub struct DualIndex {
     slopes: SlopeSet,
-    pairs: Vec<TreePair>,
+    pub(crate) forest: Forest,
     /// Where the app-query lines of T1 are anchored: the x coordinate of the
     /// point `P` on the query line (Section 4.1, "choice of b1, b2"). The
     /// centre of the data distribution minimizes expected false hits.
@@ -137,56 +347,22 @@ impl DualIndex {
         slopes: SlopeSet,
         tuples: &[(u32, GeneralizedTuple)],
     ) -> Result<Self, CdbError> {
-        let mut pairs = Vec::with_capacity(slopes.len());
-        for i in 0..slopes.len() {
-            let s = slopes.get(i);
-            let mut up_entries: Vec<(f64, u32)> =
-                tuples.iter().map(|(id, t)| (top_at(t, s), *id)).collect();
-            let mut down_entries: Vec<(f64, u32)> =
-                tuples.iter().map(|(id, t)| (bot_at(t, s), *id)).collect();
-            up_entries.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN key"));
-            down_entries.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN key"));
-            pairs.push(TreePair {
-                up: BTree::bulk_load(pager, &up_entries, 1.0)?,
-                down: BTree::bulk_load(pager, &down_entries, 1.0)?,
-            });
-        }
-        let mut idx = DualIndex {
-            slopes,
-            pairs,
-            anchor_x: 0.0,
-            dirty: true,
-        };
+        let forest = Forest::build(pager, slopes.elements(), tuples)?;
+        let mut idx = Self::from_parts(slopes, forest, 0.0, true);
         idx.refresh_handicaps(pager, tuples)?;
         Ok(idx)
     }
 
     /// Re-attaches an index from persisted metadata. The trees' node pages
     /// (handicaps included — they live in the bucket leaves) are already on
-    /// disk; `pairs` supplies the `(B^up, B^down)` trees per slope in slope
-    /// order.
-    pub(crate) fn from_parts(
-        slopes: SlopeSet,
-        pairs: Vec<(BTree, BTree)>,
-        anchor_x: f64,
-        dirty: bool,
-    ) -> Self {
-        assert_eq!(slopes.len(), pairs.len(), "one tree pair per slope");
+    /// disk; `forest` holds one tree pair per slope, in slope order.
+    pub(crate) fn from_parts(slopes: SlopeSet, forest: Forest, anchor_x: f64, dirty: bool) -> Self {
         DualIndex {
             slopes,
-            pairs: pairs
-                .into_iter()
-                .map(|(up, down)| TreePair { up, down })
-                .collect(),
+            forest,
             anchor_x,
             dirty,
         }
-    }
-
-    /// The `(B^up, B^down)` trees per slope, in slope order — what the
-    /// catalog persists.
-    pub(crate) fn tree_pairs(&self) -> impl Iterator<Item = (&BTree, &BTree)> {
-        self.pairs.iter().map(|p| (&p.up, &p.down))
     }
 
     /// The slope set `S`.
@@ -199,44 +375,9 @@ impl DualIndex {
         self.anchor_x
     }
 
-    /// Sets the x coordinate of T1's app-query anchor point.
-    pub fn set_anchor_x(&mut self, x: f64) {
-        self.anchor_x = x;
-    }
-
     /// Pages owned by the index (the space metric of Figure 10).
     pub fn page_count(&self) -> u64 {
-        self.pairs
-            .iter()
-            .map(|p| p.up.page_count() + p.down.page_count())
-            .sum()
-    }
-
-    /// Reads every page of every tree through `pager`; under a
-    /// checksumming pager any torn or stale page surfaces here. Used by
-    /// the open-time verification pass.
-    pub fn verify(&self, pager: &dyn PageReader) -> io::Result<()> {
-        for (up, down) in self.tree_pairs() {
-            up.collect_pages(pager)?;
-            down.collect_pages(pager)?;
-        }
-        Ok(())
-    }
-
-    /// Number of indexed entries per tree (should equal the relation size).
-    pub fn len(&self) -> u64 {
-        self.pairs.first().map(|p| p.up.len()).unwrap_or(0)
-    }
-
-    /// `true` when no tuples are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Height of the (first) `B^up` tree — every tree of the forest has the
-    /// same height, so this is the per-search descent cost in pages.
-    pub fn tree_height(&self) -> usize {
-        self.pairs.first().map(|p| p.up.height()).unwrap_or(0)
+        self.forest.page_count()
     }
 
     /// `true` when updates have *loosened* the handicaps since the last
@@ -260,23 +401,17 @@ impl DualIndex {
         id: u32,
         tuple: &GeneralizedTuple,
     ) -> Result<(), CdbError> {
-        for i in 0..self.slopes.len() {
-            let s = self.slopes.get(i);
-            let top = top_at(tuple, s);
-            let bot = bot_at(tuple, s);
-            self.pairs[i].up.insert(pager, top, id)?;
-            self.pairs[i].down.insert(pager, bot, id)?;
+        for (i, slope) in self.slopes.elements().enumerate() {
+            let (top, bot) = self.forest.insert(pager, i, slope, id, tuple)?;
             for side in [Side::Prev, Side::Next] {
                 let Some(mid) = self.slopes.mid(i, side) else {
                     continue;
                 };
                 // Strip extrema at the endpoints (TOP convex, BOT concave).
-                let low_reach = top.max(top_at(tuple, mid));
-                let high_reach = bot.min(bot_at(tuple, mid));
-                for (tree, key) in [(&self.pairs[i].up, top), (&self.pairs[i].down, bot)] {
-                    fold_low(pager, tree, side, low_reach, key)?;
-                    fold_high(pager, tree, side, high_reach, key)?;
-                }
+                let (mid_top, mid_bot) = keys_at(tuple, &[mid]);
+                let reach = (top.max(mid_top), bot.min(mid_bot));
+                self.forest
+                    .fold_handicaps(pager, i, side, (top, bot), reach)?;
             }
         }
         self.dirty = true; // loose, not invalid
@@ -292,14 +427,10 @@ impl DualIndex {
         id: u32,
         tuple: &GeneralizedTuple,
     ) -> Result<bool, CdbError> {
-        let mut found = true;
-        for i in 0..self.slopes.len() {
-            let s = self.slopes.get(i);
-            found &= self.pairs[i].up.delete(pager, top_at(tuple, s), id)?;
-            found &= self.pairs[i].down.delete(pager, bot_at(tuple, s), id)?;
-        }
         self.dirty = true; // loose, not invalid
-        Ok(found)
+        Ok(self
+            .forest
+            .remove(pager, self.slopes.elements(), id, tuple)?)
     }
 
     /// Recomputes every leaf's handicap values from the current relation
@@ -316,84 +447,22 @@ impl DualIndex {
         pager: &mut dyn Pager,
         tuples: &[(u32, GeneralizedTuple)],
     ) -> Result<(), CdbError> {
-        for i in 0..self.slopes.len() {
-            let s = self.slopes.get(i);
-            // Surface values at the tree slope.
-            let tops: Vec<f64> = tuples.iter().map(|(_, t)| top_at(t, s)).collect();
-            let bots: Vec<f64> = tuples.iter().map(|(_, t)| bot_at(t, s)).collect();
-            // Reaches per side (None at the ends of S).
-            type ReachTables = Option<(Vec<(f64, f64)>, Vec<(f64, f64)>)>;
-            let side_pairs = |side: Side| -> ReachTables {
-                let mid = self.slopes.mid(i, side)?;
-                let mut low_reach = Vec::with_capacity(tuples.len());
-                let mut high_reach = Vec::with_capacity(tuples.len());
-                for (j, (_, t)) in tuples.iter().enumerate() {
-                    // TOP convex / BOT concave ⇒ strip extrema at endpoints.
-                    low_reach.push(tops[j].max(top_at(t, mid)));
-                    high_reach.push(bots[j].min(bot_at(t, mid)));
-                }
-                Some((
-                    low_reach
-                        .iter()
-                        .copied()
-                        .zip(tops.iter().copied())
-                        .collect(),
-                    high_reach
-                        .iter()
-                        .copied()
-                        .zip(tops.iter().copied())
-                        .collect(),
-                ))
-            };
-            // For B^up the key is TOP; for B^down it is BOT. Build the four
-            // (reach, key) tables per tree.
-            for up_tree in [true, false] {
-                let keys = if up_tree { &tops } else { &bots };
-                let tree = if up_tree {
-                    &self.pairs[i].up
-                } else {
-                    &self.pairs[i].down
-                };
-                let leaves = tree.leaves(&*pager)?;
-                let mut low = [
-                    vec![f64::INFINITY; leaves.len()],
-                    vec![f64::INFINITY; leaves.len()],
-                ];
-                let mut high = [
-                    vec![f64::NEG_INFINITY; leaves.len()],
-                    vec![f64::NEG_INFINITY; leaves.len()],
-                ];
-                for (si, side) in [Side::Prev, Side::Next].into_iter().enumerate() {
-                    let Some((low_base, high_base)) = side_pairs(side) else {
-                        continue;
-                    };
-                    // Rekey to this tree's keys.
-                    let low_pairs: Vec<(f64, f64)> = low_base
-                        .iter()
-                        .zip(keys)
-                        .map(|(&(reach, _), &k)| (reach, k))
-                        .collect();
-                    let high_pairs: Vec<(f64, f64)> = high_base
-                        .iter()
-                        .zip(keys)
-                        .map(|(&(reach, _), &k)| (reach, k))
-                        .collect();
-                    low[si] = assign_low(&leaves, &low_pairs);
-                    high[si] = assign_high(&leaves, &high_pairs);
-                }
-                for (li, leaf) in leaves.iter().enumerate() {
-                    tree.set_handicaps(
-                        pager,
-                        leaf.page,
-                        Handicaps {
-                            low_prev: low[0][li],
-                            low_next: low[1][li],
-                            high_prev: high[0][li],
-                            high_next: high[1][li],
-                        },
-                    )?;
-                }
-            }
+        for (i, slope) in self.slopes.elements().enumerate() {
+            let keys: Vec<(f64, f64)> = tuples.iter().map(|(_, t)| keys_at(t, slope)).collect();
+            // Per side (none at the ends of S), every tuple's reaches over
+            // the strip up to the midpoint towards the neighbour: TOP
+            // convex / BOT concave ⇒ strip extrema at the endpoints.
+            let reaches = [Side::Prev, Side::Next].map(|side| {
+                let mid = [self.slopes.mid(i, side)?];
+                let strip = tuples.iter().zip(&keys).map(|((_, t), &(top, bot))| {
+                    let (mid_top, mid_bot) = keys_at(t, &mid);
+                    (top.max(mid_top), bot.min(mid_bot))
+                });
+                Some(strip.collect::<Vec<_>>())
+            });
+            let [prev, next] = &reaches;
+            self.forest
+                .assign_handicaps(pager, i, &keys, [prev.as_deref(), next.as_deref()])?;
         }
         self.dirty = false;
         Ok(())
@@ -476,14 +545,16 @@ impl DualIndex {
         let bracket = self.slopes.bracket(a);
         match (strategy, bracket) {
             (Strategy::Restricted, Bracket::Member(i)) => {
-                self.restricted(pager, sel, i, fetch, exact)
+                self.forest.restricted(pager, sel, i, fetch, exact)
             }
             (Strategy::Restricted, _) => Err(CdbError::UnsupportedQuery(format!(
                 "slope {a} is not in the predefined set S"
             ))),
-            (Strategy::Auto, Bracket::Member(i)) => self.restricted(pager, sel, i, fetch, exact),
+            (Strategy::Auto, Bracket::Member(i)) => {
+                self.forest.restricted(pager, sel, i, fetch, exact)
+            }
             (Strategy::T1 | Strategy::T2, Bracket::Member(i)) => {
-                self.restricted(pager, sel, i, fetch, exact)
+                self.forest.restricted(pager, sel, i, fetch, exact)
             }
             (Strategy::T1, _) => self.t1(pager, sel, fetch, exact),
             (Strategy::T2 | Strategy::Auto, Bracket::Between(i, j)) => {
@@ -499,88 +570,6 @@ impl DualIndex {
             )),
         }
     }
-
-    /// Frees every page of every tree back to the pager.
-    ///
-    /// # Errors
-    /// [`CdbError::Io`] when collecting the pages to free fails; pages
-    /// already freed stay freed.
-    pub fn destroy(self, pager: &mut dyn Pager) -> Result<(), CdbError> {
-        for pair in self.pairs {
-            pair.up.destroy(pager)?;
-            pair.down.destroy(pager)?;
-        }
-        Ok(())
-    }
-
-    pub(super) fn tree(&self, i: usize, up: bool) -> &BTree {
-        if up {
-            &self.pairs[i].up
-        } else {
-            &self.pairs[i].down
-        }
-    }
-}
-
-/// `TOP_P` for index keys; panics on unsatisfiable tuples (the relation
-/// layer rejects them at insert).
-fn top_at(t: &GeneralizedTuple, slope: f64) -> f64 {
-    dual::top(t, &[slope]).expect("indexed tuples are satisfiable")
-}
-
-/// `BOT_P` for index keys.
-fn bot_at(t: &GeneralizedTuple, slope: f64) -> f64 {
-    dual::bot(t, &[slope]).expect("indexed tuples are satisfiable")
-}
-
-/// Folds one `(reach, key)` pair into the low handicap of its bucket leaf:
-/// the leaf holding the first entry `≥ reach` (clamped to the last leaf).
-pub(crate) fn fold_low(
-    pager: &mut dyn Pager,
-    tree: &BTree,
-    side: Side,
-    reach: f64,
-    key: f64,
-) -> io::Result<()> {
-    let page = tree
-        .find_first_geq(&*pager, reach)?
-        .map(|(p, _)| p)
-        .unwrap_or_else(|| tree.last_leaf());
-    let mut h = tree.read_handicaps(&*pager, page)?;
-    let slot = match side {
-        Side::Prev => &mut h.low_prev,
-        Side::Next => &mut h.low_next,
-    };
-    if key < *slot {
-        *slot = key;
-        tree.set_handicaps(pager, page, h)?;
-    }
-    Ok(())
-}
-
-/// Folds one `(reach, key)` pair into the high handicap of its bucket leaf:
-/// the leaf holding the last entry `≤ reach` (clamped to the first leaf).
-pub(crate) fn fold_high(
-    pager: &mut dyn Pager,
-    tree: &BTree,
-    side: Side,
-    reach: f64,
-    key: f64,
-) -> io::Result<()> {
-    let page = tree
-        .find_last_leq(&*pager, reach)?
-        .map(|(p, _)| p)
-        .unwrap_or_else(|| tree.first_leaf());
-    let mut h = tree.read_handicaps(&*pager, page)?;
-    let slot = match side {
-        Side::Prev => &mut h.high_prev,
-        Side::Next => &mut h.high_next,
-    };
-    if key > *slot {
-        *slot = key;
-        tree.set_handicaps(pager, page, h)?;
-    }
-    Ok(())
 }
 
 /// What the refinement step decides per candidate, and whether the index

@@ -6,18 +6,20 @@ use std::io;
 use cdb_btree::{key_slack, BTree, SweepControl};
 use cdb_storage::PageReader;
 
-use super::{refine, DualIndex, Exact, TupleSource};
+use super::forest::Forest;
+use super::{refine, Exact, TupleSource};
 use crate::error::CdbError;
 use crate::query::{tree_and_direction, QueryResult, QueryStats, Selection};
 
-impl DualIndex {
-    /// Section 3: one tree search plus a leaf sweep. With the paper's
+impl Forest {
+    /// Section 3: one tree search plus a leaf sweep in the trees of
+    /// element `slope_idx`, whose slope is the query's. With the paper's
     /// 4-byte stored keys the entries within one `f32` quantum of the
     /// threshold cannot be decided from the page alone; only those few are
     /// verified exactly (tuple fetch), every other entry is accepted by key
     /// — unless `exact` is a predicate the keys do not decide, in which
     /// case the whole sweep is refined.
-    pub(super) fn restricted(
+    pub(crate) fn restricted(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,

@@ -1,0 +1,101 @@
+//! The Section 5 baseline as a relation-level index.
+
+use std::io;
+
+use cdb_geometry::halfplane::HalfPlane;
+use cdb_geometry::tuple::GeneralizedTuple;
+use cdb_geometry::Rect;
+use cdb_rplustree::{RPlusTree, SearchStats};
+use cdb_storage::{PageReader, Pager};
+
+use crate::query::order_ids;
+
+/// A packed R⁺-tree over the MBRs of *bounded* tuples, plus an overflow
+/// list of unbounded tuple ids (no finite MBR exists for those — they are
+/// always refined) and a tombstone list for deleted bounded tuples (the
+/// packed tree supports inserts but not deletes; rebuild the index to
+/// compact).
+#[derive(Clone)]
+pub struct RPlusIndex {
+    /// The packed tree.
+    pub tree: RPlusTree,
+    /// Ids of unbounded tuples, kept outside the tree.
+    pub unbounded: Vec<u32>,
+    /// Sorted ids of deleted bounded tuples still present in the tree.
+    pub dead: Vec<u32>,
+    /// The fill factor the tree was packed at (persisted so a reopened
+    /// database reports the same build parameters).
+    pub fill: f64,
+}
+
+/// The MBR of a bounded 2-D tuple.
+fn mbr(tuple: &GeneralizedTuple) -> Option<Rect> {
+    let (lo, hi) = tuple.bounding_box()?;
+    Some(Rect::new(lo[0], lo[1], hi[0], hi[1]))
+}
+
+impl RPlusIndex {
+    /// Bulk-packs the bounded tuples' MBRs at `fill` (which the caller has
+    /// checked to lie in `[0.5, 1]`); unbounded tuples go to the overflow
+    /// list.
+    pub(crate) fn build(
+        pager: &mut dyn Pager,
+        fill: f64,
+        tuples: &[(u32, GeneralizedTuple)],
+    ) -> io::Result<Self> {
+        let mut entries = Vec::new();
+        let mut unbounded = Vec::new();
+        for (id, t) in tuples {
+            match mbr(t) {
+                Some(rect) => entries.push((rect, *id)),
+                None => unbounded.push(*id),
+            }
+        }
+        Ok(RPlusIndex {
+            tree: RPlusTree::pack(pager, &entries, fill)?,
+            unbounded,
+            dead: Vec::new(),
+            fill,
+        })
+    }
+
+    pub(crate) fn insert(
+        &mut self,
+        pager: &mut dyn Pager,
+        id: u32,
+        tuple: &GeneralizedTuple,
+    ) -> io::Result<()> {
+        match mbr(tuple) {
+            Some(rect) => self.tree.insert(pager, rect, id),
+            None => {
+                self.unbounded.push(id);
+                Ok(())
+            }
+        }
+    }
+
+    /// The packed tree has no delete: an unbounded id leaves the overflow
+    /// list, a bounded one is tombstoned.
+    pub(crate) fn remove(&mut self, id: u32) {
+        if let Some(pos) = self.unbounded.iter().position(|&u| u == id) {
+            self.unbounded.swap_remove(pos);
+        } else if let Err(pos) = self.dead.binary_search(&id) {
+            self.dead.insert(pos, id);
+        }
+    }
+
+    /// The candidate superset of a half-plane selection, ascending: the
+    /// EXIST search over MBRs (valid for ALL too, since `ALL(q) ⊆ EXIST(q)`
+    /// over satisfiable tuples) plus the overflow list, minus tombstones.
+    pub(crate) fn candidates(
+        &self,
+        pager: &dyn PageReader,
+        q: &HalfPlane,
+    ) -> io::Result<(Vec<u32>, SearchStats)> {
+        let (mut candidates, search) = self.tree.search_halfplane(pager, q)?;
+        candidates.extend_from_slice(&self.unbounded);
+        order_ids(&mut candidates);
+        candidates.retain(|id| self.dead.binary_search(id).is_err());
+        Ok((candidates, search))
+    }
+}

@@ -4,12 +4,50 @@
 use cdb_geometry::constraint::RelOp;
 use cdb_storage::PageReader;
 
+use super::forest::Forest;
 use super::{refine, sweep_candidates, DualIndex, Exact, TupleSource};
 use crate::error::CdbError;
 use crate::query::{
     order_ids, tree_and_direction, QueryResult, QueryStats, Selection, SelectionKind,
 };
 use crate::slopes::Bracket;
+
+impl Forest {
+    /// Answers a selection by app-queries — `(element, operator,
+    /// intercept)` legs, each an exact sweep at its own slope — whose union
+    /// covers the original, then refines exactly. An ALL original keeps
+    /// ALL on its first leg only; the others must be EXIST (Figure 4: two
+    /// ALL app-queries are incorrect). Legs may overlap, so candidates are
+    /// deduplicated (T1's duplication problem).
+    pub(crate) fn covering(
+        &self,
+        pager: &dyn PageReader,
+        kind: SelectionKind,
+        legs: impl IntoIterator<Item = (usize, RelOp, f64)>,
+        fetch: &dyn TupleSource,
+        exact: &Exact<'_>,
+    ) -> Result<QueryResult, CdbError> {
+        let before = pager.stats();
+        let mut raw: Vec<u32> = Vec::new();
+        for (li, (si, th, bi)) in legs.into_iter().enumerate() {
+            let kind = if li == 0 { kind } else { SelectionKind::Exist };
+            let (use_up, upward) = tree_and_direction(kind, th);
+            let (sure, check) = sweep_candidates(self.tree(si, use_up), pager, bi, upward)?;
+            raw.extend(sure);
+            raw.extend(check);
+        }
+        let mut stats = QueryStats {
+            candidates: raw.len() as u64,
+            ..QueryStats::default()
+        };
+        stats.index_io = pager.stats().since(&before);
+        stats.duplicates = order_ids(&mut raw) as u64;
+        let heap_before = pager.stats();
+        let ids = refine(pager, exact.keep, raw, fetch, &mut stats)?;
+        stats.heap_io = pager.stats().since(&heap_before);
+        Ok(QueryResult::new(ids, stats))
+    }
+}
 
 impl DualIndex {
     /// Section 4.1: approximate an arbitrary-slope query with two
@@ -21,42 +59,13 @@ impl DualIndex {
         fetch: &dyn TupleSource,
         exact: &Exact<'_>,
     ) -> Result<QueryResult, CdbError> {
-        let before = pager.stats();
         let a = sel.halfplane.slope2d();
-        let b = sel.halfplane.intercept;
-        let theta = sel.halfplane.op;
-        let (i1, i2, th1, th2) = self.app_query_plan(a, theta);
+        let (i1, i2, th1, th2) = self.app_query_plan(a, sel.halfplane.op);
         // Both app-query lines pass through P = (anchor_x, a·anchor_x + b).
-        let py = a * self.anchor_x() + b;
-        let legs = [(i1, th1), (i2, th2)];
-        let mut raw: Vec<u32> = Vec::new();
-        for (li, (si, th)) in legs.into_iter().enumerate() {
-            let s = self.slopes().get(si);
-            let bi = py - s * self.anchor_x();
-            // ALL original: first leg keeps ALL, second leg must be EXIST
-            // (Figure 4: two ALL app-queries are incorrect).
-            let kind = match (sel.kind, li) {
-                (SelectionKind::All, 0) => SelectionKind::All,
-                (SelectionKind::All, _) => SelectionKind::Exist,
-                (SelectionKind::Exist, _) => SelectionKind::Exist,
-            };
-            let (use_up, upward) = tree_and_direction(kind, th);
-            let tree = self.tree(si, use_up);
-            let (sure, check) = sweep_candidates(tree, pager, bi, upward)?;
-            raw.extend(sure);
-            raw.extend(check);
-        }
-        let mut stats = QueryStats {
-            candidates: raw.len() as u64,
-            ..QueryStats::default()
-        };
-        stats.index_io = pager.stats().since(&before);
-        // Dedupe (T1's duplication problem), then exact refinement.
-        stats.duplicates = order_ids(&mut raw) as u64;
-        let heap_before = pager.stats();
-        let ids = refine(pager, exact.keep, raw, fetch, &mut stats)?;
-        stats.heap_io = pager.stats().since(&heap_before);
-        Ok(QueryResult::new(ids, stats))
+        let py = a * self.anchor_x() + sel.halfplane.intercept;
+        let legs = [(i1, th1), (i2, th2)]
+            .map(|(si, th)| (si, th, py - self.slopes().get(si) * self.anchor_x()));
+        self.forest.covering(pager, sel.kind, legs, fetch, exact)
     }
 
     /// Table 1: picks the app-query slopes (clockwise/anticlockwise

@@ -6,6 +6,7 @@ use std::io;
 use cdb_btree::{key_slack, BTree, Handicaps, SweepControl};
 use cdb_storage::PageReader;
 
+use super::forest::Forest;
 use super::{refine, DualIndex, Exact, TupleSource};
 use crate::error::CdbError;
 use crate::query::{tree_and_direction, QueryResult, QueryStats, Selection, Side};
@@ -21,9 +22,6 @@ impl DualIndex {
         fetch: &dyn TupleSource,
         exact: &Exact<'_>,
     ) -> Result<QueryResult, CdbError> {
-        let before = pager.stats();
-        let a = sel.halfplane.slope2d();
-        let b = sel.halfplane.intercept;
         // Nearest slope in *slope* distance (the paper's |a1−a| < |a2−a|),
         // i.e. by comparison with a_mid — this must match the handicap
         // strips, which are computed over the slope intervals
@@ -31,17 +29,31 @@ impl DualIndex {
         // send a query to a tree whose strip does not contain its slope,
         // under-covering the reaches and missing results.
         let mid = (self.slopes().get(lo_idx) + self.slopes().get(hi_idx)) / 2.0;
-        let (near, side) = if a <= mid {
+        let (near, side) = if sel.halfplane.slope2d() <= mid {
             (lo_idx, Side::Next)
         } else {
             (hi_idx, Side::Prev)
         };
+        self.forest.guided(pager, sel, near, side, fetch, exact)
+    }
+}
+
+impl Forest {
+    /// The handicap-guided search in the trees of element `near`, whose
+    /// handicaps on `side` cover the query slope, then exact refinement.
+    pub(crate) fn guided(
+        &self,
+        pager: &dyn PageReader,
+        sel: &Selection,
+        near: usize,
+        side: Side,
+        fetch: &dyn TupleSource,
+        exact: &Exact<'_>,
+    ) -> Result<QueryResult, CdbError> {
+        let before = pager.stats();
         let (use_up, upward) = tree_and_direction(sel.kind, sel.halfplane.op);
         let tree = self.tree(near, use_up);
-        let raw =
-            handicap_guided_candidates(tree, pager, b, upward, &|h| side_low(h, side), &|h| {
-                side_high(h, side)
-            })?;
+        let raw = handicap_guided_candidates(tree, pager, sel.halfplane.intercept, upward, side)?;
         let mut stats = QueryStats {
             candidates: raw.len() as u64,
             ..QueryStats::default()
@@ -79,19 +91,18 @@ fn side_high(h: &Handicaps, side: Side) -> f64 {
 }
 
 /// The two handicap-guided sweeps of technique T2 (Section 4.2 Step 3),
-/// shared by the 2-D index and the d-dimensional grid extension.
+/// reading the handicaps of one `side`.
 ///
 /// First sweep: from `b` in the query direction, collecting candidates and
 /// folding the relevant handicap of every visited leaf into the bound for
 /// the second, opposite sweep. The sweeps cover disjoint key ranges, so the
 /// result is duplicate-free by construction.
-pub(crate) fn handicap_guided_candidates(
+fn handicap_guided_candidates(
     tree: &BTree,
     pager: &dyn PageReader,
     b: f64,
     upward: bool,
-    low_of: &dyn Fn(&Handicaps) -> f64,
-    high_of: &dyn Fn(&Handicaps) -> f64,
+    side: Side,
 ) -> io::Result<Vec<u32>> {
     let mut raw: Vec<u32> = Vec::new();
     if upward {
@@ -101,7 +112,7 @@ pub(crate) fn handicap_guided_candidates(
         let mut visited = false;
         tree.sweep_up(pager, start, |snap| {
             visited = true;
-            low_q = low_q.min(low_of(&snap.handicaps));
+            low_q = low_q.min(side_low(&snap.handicaps, side));
             raw.extend(snap.entries.iter().map(|e| e.1));
             SweepControl::Continue
         })?;
@@ -109,7 +120,7 @@ pub(crate) fn handicap_guided_candidates(
             // b beyond every key: bucketed reaches clamp to the last leaf,
             // whose handicap must still be honoured.
             let h = tree.read_handicaps(pager, tree.last_leaf())?;
-            low_q = low_of(&h);
+            low_q = side_low(&h, side);
         }
         // Second sweep: downward, disjoint from the first, to low(q).
         if low_q < f64::INFINITY {
@@ -132,13 +143,13 @@ pub(crate) fn handicap_guided_candidates(
         let mut visited = false;
         tree.sweep_down(pager, start, |snap| {
             visited = true;
-            high_q = high_q.max(high_of(&snap.handicaps));
+            high_q = high_q.max(side_high(&snap.handicaps, side));
             raw.extend(snap.entries.iter().map(|e| e.1));
             SweepControl::Continue
         })?;
         if !visited {
             let h = tree.read_handicaps(pager, tree.first_leaf())?;
-            high_q = high_of(&h);
+            high_q = side_high(&h, side);
         }
         if high_q > f64::NEG_INFINITY {
             let bound = high_q + key_slack(high_q);

@@ -19,7 +19,7 @@
 //! Both finite and infinite (unbounded) polyhedra are supported uniformly —
 //! unbounded tuples simply contribute `±∞` keys.
 //!
-//! [`ddim::DualIndexD`] extends the scheme to `E^d` (Section 4.4): `S`
+//! [`index::ddim::DualIndexD`] extends the scheme to `E^d` (Section 4.4): `S`
 //! becomes a point set in slope space `E^{d-1}`, queries with slopes in `S`
 //! stay exact, and arbitrary queries are covered by `d` app-queries whose
 //! slopes span a containing simplex.
@@ -31,8 +31,8 @@
 //!
 //! The whole query path is `&self` over the read half of the pager
 //! ([`cdb_storage::PageReader`]), so one built index can serve many queries
-//! concurrently: [`exec::QueryExecutor`] fans a batch of selections out over
-//! scoped threads sharing the same snapshot, with exact per-query
+//! concurrently: [`ReadSurface::query_batch`] fans a batch of selections
+//! out over scoped threads sharing the same snapshot, with exact per-query
 //! [`QueryStats`] via [`cdb_storage::TrackedReader`].
 //!
 //! Every query path — the three dual-index techniques, the d-dimensional
@@ -44,10 +44,7 @@
 
 pub mod catalog;
 pub mod db;
-pub mod ddim;
 pub mod error;
-pub mod exec;
-pub mod handicap;
 pub mod index;
 pub mod logical;
 pub mod partition;
@@ -56,18 +53,15 @@ pub mod plan;
 pub mod pretty;
 pub mod query;
 pub mod read;
+pub mod relation;
 pub mod slopes;
 pub mod sql;
 pub(crate) mod wal;
 pub mod wire;
 
-pub use db::{
-    ConstraintDb, DbConfig, DbStats, RecoveryReport, Relation, RelationHealth, RelationStats,
-    WalReplay, WalStats,
-};
+pub use db::{ConstraintDb, DbConfig, DbStats, RecoveryReport, WalReplay, WalStats};
 pub use error::{CdbError, CATALOG_RECORD, WAL_RECORD};
-pub use exec::QueryExecutor;
-pub use index::DualIndex;
+pub use index::{ddim, DualIndex, Index, IndexKind, IndexSpec};
 pub use partition::{hash_owner, PartitionSpec, Partitioner};
 pub use plan::{
     AccessMethod, Capability, CostEstimate, ExplainReport, MethodKind, PlanCatalog, Planner,
@@ -76,6 +70,7 @@ pub use plan::{
 pub use pretty::PlanNode;
 pub use query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
 pub use read::{PageSource, ReadSurface, Snapshot};
+pub use relation::{Relation, RelationHealth, RelationStats};
 pub use slopes::SlopeSet;
 pub use sql::{SqlError, SqlMode, SqlOutcome, SqlQuery, SqlRow};
 

@@ -35,13 +35,13 @@ use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_geometry::{LinearConstraint, RelOp};
 use cdb_storage::{PageReader, TrackedReader};
 
-use crate::db::Relation;
 use crate::error::CdbError;
 use crate::index::TupleSource;
 use crate::logical::LogicalPlan;
 use crate::plan::{Planner, QueryPlan};
 use crate::pretty::{actual_line, plan_detail_lines, PlanNode};
 use crate::query::{QueryStats, Selection, SelectionKind, Strategy};
+use crate::relation::Relation;
 use crate::sql::var_name;
 
 /// Rows an [`IndexScanOp`] fetches regions for at a time: large enough
@@ -290,7 +290,7 @@ impl Operator for IndexScanOp<'_> {
     fn open(&mut self) -> Result<(), CdbError> {
         let t0 = Instant::now();
         self.check()?;
-        let forced = crate::db::forced_kind(self.strategy, self.rel)?;
+        let forced = self.rel.forced_kind(self.strategy)?;
         let methods = self.rel.access_methods(self.page_size);
         let (method, plan) =
             Planner::choose(methods.iter(), &self.sel, forced, self.rel.catalog(), true)?;

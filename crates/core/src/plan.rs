@@ -38,15 +38,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use cdb_btree::layout::leaf_capacity;
-use cdb_rplustree::RPlusTree;
 use cdb_storage::codec::{self, finite};
 use cdb_storage::{CodecError, PageReader, RecordReader, RecordWriter, TrackedReader, Wire};
 
-use crate::db::Relation;
-use crate::ddim::DualIndexD;
 use crate::error::CdbError;
-use crate::index::{refine, DualIndex, TupleSource};
-use crate::query::{order_ids, QueryResult, QueryStats, Selection, SelectionKind, Strategy};
+use crate::index::ddim::DualIndexD;
+use crate::index::{refine, DualIndex, RPlusIndex, TupleSource};
+use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
+use crate::relation::Relation;
 use crate::slopes::Bracket;
 
 /// Candidate fraction assumed before any feedback is available (the paper's
@@ -413,7 +412,7 @@ impl AccessMethod for DualAccess<'_> {
     }
 
     fn estimate_at(&self, sel: &Selection, frac: f64) -> CostEstimate {
-        let h = self.index.tree_height() as f64;
+        let h = self.index.forest.height() as f64;
         let (n, leaves) = (self.ctx.n as f64, self.ctx.dual_leaf_pages());
         match (self.technique, self.bracket(sel)) {
             (MethodKind::Restricted, _) | (_, Bracket::Member(_)) => CostEstimate {
@@ -494,7 +493,7 @@ impl DualDAccess<'_> {
     /// `candidates` is the pre-dedup total the executor reports, but the
     /// heap only pays for the deduped union of the legs.
     pub fn simplex_estimate(&self, sel: &Selection, frac: f64) -> CostEstimate {
-        let h = self.index.tree_height() as f64;
+        let h = self.index.forest.height() as f64;
         let leaf = self.ctx.dual_leaf_pages();
         let d = self.index.dim() as f64;
         let n = self.ctx.n as f64;
@@ -549,7 +548,7 @@ impl AccessMethod for DualDAccess<'_> {
     }
 
     fn estimate_at(&self, sel: &Selection, frac: f64) -> CostEstimate {
-        let h = self.index.tree_height() as f64;
+        let h = self.index.forest.height() as f64;
         let leaf = self.ctx.dual_leaf_pages();
         let slope = &sel.halfplane.slope;
         if self.index.points().position(slope).is_some() {
@@ -673,22 +672,13 @@ impl AccessMethod for SeqScanAccess<'_> {
 /// The packed R⁺-tree baseline (Section 5) as an [`AccessMethod`], finally
 /// buildable and queryable through `ConstraintDb` like any other index.
 ///
-/// The tree stores bounding boxes of the *bounded* tuples; a selection runs
-/// the EXIST half-plane search as a candidate superset (valid for ALL too,
-/// since `ALL(q) ⊆ EXIST(q)` over satisfiable tuples), appends the
-/// unbounded overflow list (no finite MBR exists for those), and refines
-/// exactly.
+/// The tree stores bounding boxes of the *bounded* tuples; a selection
+/// refines the candidate superset of `RPlusIndex::candidates` exactly.
 pub struct RPlusAccess<'a> {
-    /// The packed tree over bounded tuples' MBRs.
-    pub tree: &'a RPlusTree,
-    /// Ids of unbounded tuples, kept outside the tree and always refined.
-    pub unbounded: &'a [u32],
-    /// Sorted tombstones: deleted bounded tuples still present in the tree
-    /// (the packed structure supports inserts but not deletes), filtered
-    /// out of every candidate set.
-    pub dead: &'a [u32],
+    /// The packed tree with its overflow and tombstone lists.
+    pub(crate) index: &'a RPlusIndex,
     /// Relation sizing for the cost formulas.
-    pub ctx: MethodContext,
+    pub(crate) ctx: MethodContext,
 }
 
 impl AccessMethod for RPlusAccess<'_> {
@@ -704,17 +694,18 @@ impl AccessMethod for RPlusAccess<'_> {
     }
 
     fn estimate_at(&self, _sel: &Selection, frac: f64) -> CostEstimate {
-        let h = self.tree.height() as f64;
-        let c = frac * self.ctx.n as f64 + self.unbounded.len() as f64;
+        let tree = &self.index.tree;
+        let h = tree.height() as f64;
+        let c = frac * self.ctx.n as f64 + self.index.unbounded.len() as f64;
         CostEstimate {
-            index_pages: h + frac * self.tree.page_count() as f64,
+            index_pages: h + frac * tree.page_count() as f64,
             heap_pages: self.ctx.heap_fetch_pages(c),
             candidates: c,
         }
     }
 
     fn detail(&self, _sel: &Selection) -> PlanCase {
-        PlanCase::MbrSearch(self.unbounded.len())
+        PlanCase::MbrSearch(self.index.unbounded.len())
     }
 
     fn execute(
@@ -732,12 +723,9 @@ impl AccessMethod for RPlusAccess<'_> {
         let tracked = TrackedReader::new(pager);
         let pager: &dyn PageReader = &tracked;
         let before = pager.stats();
-        let (mut candidates, search) = self.tree.search_halfplane(pager, &sel.halfplane)?;
-        candidates.extend_from_slice(self.unbounded);
-        order_ids(&mut candidates);
-        candidates.retain(|id| self.dead.binary_search(id).is_err());
+        let (candidates, search) = self.index.candidates(pager, &sel.halfplane)?;
         let mut stats = QueryStats {
-            candidates: search.raw_hits + self.unbounded.len() as u64,
+            candidates: search.raw_hits + self.index.unbounded.len() as u64,
             duplicates: search.duplicates,
             ..QueryStats::default()
         };

@@ -10,17 +10,20 @@
 //! code, from `&self`, concurrently.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{PageReader, Pager, SnapshotReader};
 
-use crate::db::{DbConfig, Relation, RelationStats};
+use crate::db::DbConfig;
 use crate::error::CdbError;
-use crate::exec::QueryExecutor;
+use crate::index::{Index, IndexKind};
 use crate::physical::{drain, ExecCtx, IndexScanOp, Operator};
 use crate::plan::{ExplainReport, QueryPlan};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
+use crate::relation::{Relation, RelationStats};
 use crate::sql::{Projection, SqlMode, SqlOutcome, SqlRow};
 
 /// A page store a read surface can query: hands out the read half of
@@ -243,10 +246,19 @@ impl<P: PageSource> ReadSurface<P> {
         })
     }
 
-    /// Executes a batch of selections concurrently over this surface,
-    /// using a [`QueryExecutor`] with `threads` worker threads. Every query
-    /// goes through the planner. Results are positionally aligned with the
-    /// batch.
+    /// Executes a batch of selections on `threads` scoped worker threads
+    /// that all borrow this surface — the read path is `&self` throughout,
+    /// so there is nothing to clone or lock. Every query is planned exactly
+    /// as a standalone [`query_with`](Self::query_with) would be, and its
+    /// stats stay exact because each execution reads through its own
+    /// [`cdb_storage::TrackedReader`]. Results are positionally aligned
+    /// with the batch; page accesses are the same at any thread count.
+    ///
+    /// Workers claim queries from a shared cursor, so an expensive query
+    /// never stalls the rest of the batch behind a fixed partition.
+    ///
+    /// # Panics
+    /// Panics when `threads` is 0.
     pub fn query_batch(
         &self,
         name: &str,
@@ -254,7 +266,30 @@ impl<P: PageSource> ReadSurface<P> {
         threads: usize,
     ) -> Result<Vec<Result<QueryResult, CdbError>>, CdbError> {
         self.relation(name)?; // surface missing relations once, up front
-        Ok(QueryExecutor::new(self, name).run(batch, threads))
+        assert!(threads >= 1, "need at least one worker");
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<Result<QueryResult, CdbError>>>> =
+            batch.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..threads.min(batch.len()) {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some((sel, strategy)) = batch.get(i) else {
+                        break;
+                    };
+                    let r = self.query_with(name, sel.clone(), *strategy);
+                    *slots[i].lock().expect("worker panicked") = Some(r);
+                });
+            }
+        });
+        Ok(slots
+            .into_iter()
+            .map(|m| {
+                m.into_inner()
+                    .expect("worker panicked")
+                    .expect("every query claimed exactly once")
+            })
+            .collect())
     }
 
     /// Equality-query convenience (the paper's footnote 2): tuples whose
@@ -284,11 +319,10 @@ impl<P: PageSource> ReadSurface<P> {
                 got: 2,
             });
         }
-        let (c_dual, _, _) = rel.corrupt_flags();
-        let idx = match rel.index.as_ref() {
-            Some(idx) if !c_dual => idx,
-            _ => return Err(CdbError::NoIndex(rel.name.clone())),
-        };
+        let idx = rel
+            .usable(IndexKind::Dual)
+            .and_then(Index::as_dual)
+            .ok_or_else(|| CdbError::NoIndex(rel.name.clone()))?;
         idx.execute_hyperplane(
             self.reader(),
             a,
@@ -313,32 +347,133 @@ impl<P: PageSource> ReadSurface<P> {
     /// name — the relation half of
     /// [`stats_snapshot`](crate::db::ConstraintDb::stats_snapshot).
     pub fn relation_stats(&self) -> Vec<RelationStats> {
-        let mut relations: Vec<RelationStats> = self
-            .relations
-            .values()
-            .map(|rel| {
-                let mut indexes = Vec::new();
-                if rel.index.is_some() {
-                    indexes.push("dual".to_string());
-                }
-                if rel.index_d.is_some() {
-                    indexes.push("dual-d".to_string());
-                }
-                if rel.rplus.is_some() {
-                    indexes.push("rplus".to_string());
-                }
-                RelationStats {
-                    name: rel.name.clone(),
-                    dim: rel.dim,
-                    live: rel.live,
-                    heap_pages: rel.heap_pages(),
-                    total_pages: rel.page_count(),
-                    indexes,
-                    health: rel.health.clone(),
-                }
-            })
-            .collect();
+        let mut relations: Vec<RelationStats> =
+            self.relations.values().map(Relation::stats).collect();
         relations.sort_by(|a, b| a.name.cmp(&b.name));
         relations
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::db::ConstraintDb;
+    use crate::plan::MethodKind;
+    use crate::SlopeSet;
+    use cdb_geometry::tuple::GeneralizedTuple;
+    use cdb_geometry::HalfPlane;
+    use cdb_workload::{DatasetSpec, ObjectSize, QueryGen, QueryKind};
+
+    fn testbed(n: usize, seed: u64) -> (ConstraintDb, Vec<GeneralizedTuple>) {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.create_relation("r", 2).unwrap();
+        let tuples = DatasetSpec::paper_1999(n, ObjectSize::Small, seed).generate();
+        for t in &tuples {
+            db.insert("r", t.clone()).unwrap();
+        }
+        db.build_dual_index("r", SlopeSet::uniform_tan(4)).unwrap();
+        (db, tuples)
+    }
+
+    fn mixed_batch(tuples: &[GeneralizedTuple], n: usize) -> Vec<(Selection, Strategy)> {
+        let mut qg = QueryGen::new(0xBA7C4);
+        (0..n)
+            .map(|i| {
+                let kind = if i % 2 == 0 {
+                    QueryKind::Exist
+                } else {
+                    QueryKind::All
+                };
+                let q = qg.calibrated(tuples, kind, 0.05 + 0.3 * (i % 3) as f64 / 2.0);
+                let sel = match kind {
+                    QueryKind::Exist => Selection::exist(q.halfplane),
+                    QueryKind::All => Selection::all(q.halfplane),
+                };
+                let strategy = match i % 3 {
+                    0 => Strategy::T1,
+                    1 => Strategy::T2,
+                    _ => Strategy::Auto,
+                };
+                (sel, strategy)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_equals_sequential_at_every_thread_count() {
+        let (db, tuples) = testbed(600, 41);
+        let batch = mixed_batch(&tuples, 24);
+        let sequential: Vec<Vec<u32>> = batch
+            .iter()
+            .map(|(sel, st)| db.query_with("r", sel.clone(), *st).unwrap().ids().to_vec())
+            .collect();
+        for threads in [1, 2, 4, 8] {
+            let got = db.query_batch("r", &batch, threads).unwrap();
+            for (i, (g, want)) in got.iter().zip(&sequential).enumerate() {
+                let g = g.as_ref().unwrap();
+                assert_eq!(g.ids(), want.as_slice(), "query {i} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn per_query_stats_are_isolated_under_concurrency() {
+        let (db, tuples) = testbed(400, 43);
+        // Forced strategies keep the plans deterministic regardless of what
+        // the feedback catalog learns across executions.
+        let batch: Vec<(Selection, Strategy)> = mixed_batch(&tuples, 16)
+            .into_iter()
+            .map(|(sel, _)| (sel, Strategy::T2))
+            .collect();
+        // Sequential stats are the per-query truth; concurrent windows must
+        // match exactly (TrackedReader isolates them from the other workers).
+        let sequential: Vec<u64> = batch
+            .iter()
+            .map(|(sel, st)| {
+                db.query_with("r", sel.clone(), *st)
+                    .unwrap()
+                    .stats
+                    .index_io
+                    .reads
+            })
+            .collect();
+        let got = db.query_batch("r", &batch, 8).unwrap();
+        for (i, (g, want)) in got.iter().zip(&sequential).enumerate() {
+            let g = g.as_ref().unwrap();
+            assert_eq!(g.stats.index_io.reads, *want, "index reads of query {i}");
+            assert!(g.stats.index_io.reads > 0, "query {i} read no pages?");
+            assert_eq!(g.stats.method, Some(MethodKind::T2), "planned method");
+            assert!(g.stats.estimate.is_some(), "estimate recorded");
+        }
+    }
+
+    #[test]
+    fn errors_are_reported_in_place() {
+        let (db, _tuples) = testbed(60, 47);
+        let good = Selection::exist(HalfPlane::above(0.3, 0.0));
+        let bad = Selection::exist(HalfPlane::above(0.123456, 0.0));
+        let batch = vec![
+            (good.clone(), Strategy::T2),
+            (bad, Strategy::Restricted), // foreign slope: UnsupportedQuery
+            (good, Strategy::T2),
+        ];
+        let got = db.query_batch("r", &batch, 2).unwrap();
+        assert!(got[0].is_ok());
+        assert!(matches!(got[1], Err(CdbError::UnsupportedQuery(_))));
+        assert!(got[2].is_ok());
+        assert_eq!(
+            got[0].as_ref().unwrap().ids(),
+            got[2].as_ref().unwrap().ids()
+        );
+    }
+
+    #[test]
+    fn empty_batch_and_excess_threads() {
+        let (db, _tuples) = testbed(30, 53);
+        assert!(db.query_batch("r", &[], 4).unwrap().is_empty());
+        let one = vec![(Selection::exist(HalfPlane::above(0.5, 1.0)), Strategy::Auto)];
+        let got = db.query_batch("r", &one, 64).unwrap(); // workers clamp to batch size
+        assert_eq!(got.len(), 1);
+        assert!(got[0].is_ok());
     }
 }

@@ -1,0 +1,649 @@
+//! A stored relation: tuples in a heap file plus the indexes it owns, as
+//! slots in the fixed order of [`IndexKind`] — dual, dual-d, rplus: the
+//! order pages are allocated and the catalog is laid out in. Everything
+//! per-kind is behind [`Index`], so the methods here loop over slots.
+
+use std::collections::HashMap;
+
+use cdb_geometry::tuple::GeneralizedTuple;
+use cdb_storage::{HeapFile, PageId, PageReader, Pager, RecordId};
+
+use crate::error::CdbError;
+use crate::index::{DualIndex, HeapSource, Index, IndexKind, IndexSpec, TupleSource};
+use crate::partition::PartitionSpec;
+use crate::plan::{AccessMethods, MethodContext, MethodKind, PlanCatalog, SeqScanAccess};
+use crate::query::Strategy;
+
+/// Verdict of the open-time verification pass for one relation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RelationHealth {
+    /// Every heap and index page read back and verified.
+    Healthy,
+    /// The heap is intact but the named index structures have unreadable
+    /// pages. Queries keep running on the remaining access methods;
+    /// [`ConstraintDb::rebuild_indexes`](crate::ConstraintDb::rebuild_indexes)
+    /// re-derives the corrupt ones from the heap.
+    Degraded {
+        /// Which structures failed verification, by [`IndexKind::name`].
+        corrupt_indexes: Vec<String>,
+    },
+    /// The heap itself has unreadable pages — there is no trustworthy
+    /// source to rebuild from, so queries and mutations are refused with
+    /// [`CdbError::Quarantined`] until the data is restored.
+    Quarantined {
+        /// First verification failure, for diagnostics.
+        detail: String,
+    },
+}
+
+cdb_storage::wire_enum!(RelationHealth {
+    0 => Healthy,
+    1 => Degraded { corrupt_indexes },
+    2 => Quarantined { detail },
+});
+
+impl std::fmt::Display for RelationHealth {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RelationHealth::Healthy => write!(f, "healthy"),
+            RelationHealth::Degraded { corrupt_indexes } => {
+                write!(f, "degraded (corrupt: {})", corrupt_indexes.join(", "))
+            }
+            RelationHealth::Quarantined { detail } => {
+                write!(f, "quarantined ({detail})")
+            }
+        }
+    }
+}
+
+impl RelationHealth {
+    fn is_corrupt(&self, kind: IndexKind) -> bool {
+        matches!(self, RelationHealth::Degraded { corrupt_indexes }
+            if corrupt_indexes.iter().any(|c| c == kind.name()))
+    }
+}
+
+/// Point-in-time operational statistics for one relation, as reported by
+/// [`ConstraintDb::stats_snapshot`](crate::ConstraintDb::stats_snapshot)
+/// (and served over the wire by the STATS operation).
+#[derive(Clone, Debug, PartialEq)]
+pub struct RelationStats {
+    /// Relation name.
+    pub name: String,
+    /// Tuple dimension.
+    pub dim: usize,
+    /// Live tuple count.
+    pub live: u64,
+    /// Pages of the heap file alone.
+    pub heap_pages: u64,
+    /// Heap + index pages owned.
+    pub total_pages: u64,
+    /// Built access structures, by [`IndexKind::name`].
+    pub indexes: Vec<String>,
+    /// Verdict of the last verification pass.
+    pub health: RelationHealth,
+}
+
+cdb_storage::wire_struct!(RelationStats {
+    name,
+    dim,
+    live,
+    heap_pages,
+    total_pages,
+    indexes,
+    health
+});
+
+/// A stored generalized relation: tuples in a heap file, its built
+/// indexes, and the planner's per-relation feedback catalog.
+///
+/// `Clone` copies the in-memory descriptors (slot table, tree roots,
+/// catalog EWMAs) but not the pages themselves — a clone paired with a
+/// frozen [`cdb_storage::SnapshotReader`] view of the pager is exactly what a
+/// [`Snapshot`](crate::Snapshot) serves queries from.
+#[derive(Clone)]
+pub struct Relation {
+    pub(crate) name: String,
+    pub(crate) dim: usize,
+    pub(crate) heap: HeapFile,
+    /// Tuple id -> heap record. Persisted by the catalog; `by_record` and
+    /// `live` are derived from it on open.
+    pub(crate) slots: Vec<Option<RecordId>>,
+    pub(crate) by_record: HashMap<RecordId, u32>, // heap record -> tuple id
+    pub(crate) live: u64,
+    /// Built indexes; slot `kind as usize` holds the index of that kind.
+    pub(crate) indexes: [Option<Index>; 3],
+    pub(crate) catalog: PlanCatalog,
+    /// Verdict of the last verification pass (always `Healthy` for
+    /// relations born in memory; set by `open` for file-backed ones).
+    pub(crate) health: RelationHealth,
+}
+
+impl Relation {
+    /// An empty relation over a fresh heap file.
+    pub(crate) fn new(name: &str, dim: usize, heap: HeapFile) -> Self {
+        Relation {
+            name: name.to_string(),
+            dim,
+            heap,
+            slots: Vec::new(),
+            by_record: HashMap::new(),
+            live: 0,
+            indexes: [None, None, None],
+            catalog: PlanCatalog::new(),
+            health: RelationHealth::Healthy,
+        }
+    }
+
+    /// Relation name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Dimension of the tuples.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of live tuples.
+    pub fn len(&self) -> u64 {
+        self.live
+    }
+
+    /// `true` when the relation holds no tuples.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// The index of one kind, if built (trustworthy or not).
+    pub fn built(&self, kind: IndexKind) -> Option<&Index> {
+        self.indexes[kind as usize].as_ref()
+    }
+
+    /// The index of one kind, if built and not marked corrupt: what
+    /// queries may read and mutations must maintain.
+    pub fn usable(&self, kind: IndexKind) -> Option<&Index> {
+        self.built(kind).filter(|_| !self.health.is_corrupt(kind))
+    }
+
+    /// The 2-D dual index, if built.
+    pub fn index(&self) -> Option<&DualIndex> {
+        self.built(IndexKind::Dual).and_then(Index::as_dual)
+    }
+
+    /// The planner's feedback catalog for this relation.
+    pub fn catalog(&self) -> &PlanCatalog {
+        &self.catalog
+    }
+
+    /// Verdict of the open-time verification pass.
+    pub fn health(&self) -> &RelationHealth {
+        &self.health
+    }
+
+    /// Refuses quarantined relations; every query and mutation path goes
+    /// through this gate.
+    pub(crate) fn ensure_usable(&self) -> Result<(), CdbError> {
+        if matches!(self.health, RelationHealth::Quarantined { .. }) {
+            return Err(CdbError::Quarantined(self.name.clone()));
+        }
+        Ok(())
+    }
+
+    /// Sets or clears one index structure's corruption flag. A flagged
+    /// structure degrades the relation — the planner routes around it until
+    /// it is rebuilt from the heap; with nothing left flagged the relation
+    /// is healthy again. Quarantine is not touched.
+    pub(crate) fn set_corrupt(&mut self, kind: IndexKind, corrupt: bool) {
+        let mut flagged = match std::mem::replace(&mut self.health, RelationHealth::Healthy) {
+            RelationHealth::Healthy => Vec::new(),
+            RelationHealth::Degraded { corrupt_indexes } => corrupt_indexes,
+            quarantined => return self.health = quarantined,
+        };
+        flagged.retain(|c| c != kind.name());
+        if corrupt {
+            flagged.push(kind.name().to_string());
+        }
+        if !flagged.is_empty() {
+            self.health = RelationHealth::Degraded {
+                corrupt_indexes: flagged,
+            };
+        }
+    }
+
+    /// Pages of the heap file alone (the planner's scan cost).
+    pub fn heap_pages(&self) -> u64 {
+        self.heap.page_count() as u64
+    }
+
+    /// Page ids owned by the heap file, in allocation order. Index pages
+    /// are whatever else the pager has allocated — corruption tooling and
+    /// tests use the difference to aim at one structure or the other.
+    pub fn heap_page_ids(&self) -> &[PageId] {
+        self.heap.pages()
+    }
+
+    /// Heap + index pages currently owned.
+    pub fn page_count(&self) -> u64 {
+        let indexes = self.indexes.iter().flatten();
+        self.heap_pages() + indexes.map(Index::page_count).sum::<u64>()
+    }
+
+    /// Sizes, built indexes and health: this relation's row of STATS.
+    pub fn stats(&self) -> RelationStats {
+        let built = IndexKind::ALL
+            .into_iter()
+            .filter(|&k| self.built(k).is_some());
+        RelationStats {
+            name: self.name.clone(),
+            dim: self.dim,
+            live: self.live,
+            heap_pages: self.heap_pages(),
+            total_pages: self.page_count(),
+            indexes: built.map(|k| k.name().to_string()).collect(),
+            health: self.health.clone(),
+        }
+    }
+
+    /// Fetches a tuple by id, charging the page read to `pager`.
+    ///
+    /// # Errors
+    /// [`CdbError::NoSuchTuple`] for dead/unknown ids;
+    /// [`CdbError::CorruptRecord`] when the stored bytes fail to decode;
+    /// [`CdbError::Io`] when the page cannot be read.
+    pub fn fetch(&self, pager: &dyn PageReader, id: u32) -> Result<GeneralizedTuple, CdbError> {
+        let mut found = self.tuple_source().fetch_batch(pager, &[id])?;
+        Ok(found.pop().expect("one tuple per id asked for"))
+    }
+
+    /// Iterates `(id, tuple)` for all live tuples (one scan of the heap;
+    /// record ids resolve through the reverse map maintained on
+    /// insert/delete, so no per-scan rebuild).
+    ///
+    /// # Errors
+    /// [`CdbError::CorruptRecord`] when a stored record fails to decode;
+    /// [`CdbError::Io`] when a heap page cannot be read.
+    pub fn scan(&self, pager: &dyn PageReader) -> Result<Vec<(u32, GeneralizedTuple)>, CdbError> {
+        self.heap
+            .scan(pager)?
+            .into_iter()
+            .filter_map(|(rid, bytes)| self.by_record.get(&rid).map(|&id| (id, bytes)))
+            .map(|(id, bytes)| {
+                GeneralizedTuple::decode(&bytes)
+                    .map(|t| (id, t))
+                    .ok_or(CdbError::CorruptRecord(id))
+            })
+            .collect()
+    }
+
+    /// Page-batched candidate fetcher over this relation's heap, for
+    /// access-method execution.
+    pub(crate) fn tuple_source(&self) -> HeapSource<'_> {
+        HeapSource::new(&self.heap, &self.slots)
+    }
+
+    /// Every access method currently available on this relation, as
+    /// planner inputs. The sequential scan is always present; index-backed
+    /// methods appear once their structure is built — and disappear while
+    /// the structure is marked corrupt, so a degraded relation plans
+    /// around the damage instead of reading bad pages.
+    pub fn access_methods(&self, page_size: usize) -> AccessMethods<'_> {
+        let ctx = MethodContext {
+            n: self.live,
+            heap_pages: self.heap_pages(),
+            page_size,
+        };
+        let mut methods = AccessMethods {
+            seq_scan: SeqScanAccess {
+                relation: self,
+                ctx,
+            },
+            dual: None,
+            dual_d: None,
+            rplus: None,
+        };
+        for index in IndexKind::ALL.into_iter().filter_map(|k| self.usable(k)) {
+            index.offer(ctx, &mut methods);
+        }
+        methods
+    }
+
+    /// Maps a legacy [`Strategy`] to the planner's forced-method argument,
+    /// preserving the historical `NoIndex` errors for explicitly requested
+    /// index techniques on index-less relations. A structure marked corrupt
+    /// counts as absent.
+    pub(crate) fn forced_kind(&self, strategy: Strategy) -> Result<Option<MethodKind>, CdbError> {
+        let (method, needs) = match strategy {
+            Strategy::Auto => return Ok(None),
+            Strategy::Scan => return Ok(Some(MethodKind::SeqScan)),
+            Strategy::Restricted => (MethodKind::Restricted, IndexKind::Dual),
+            Strategy::T1 => (MethodKind::T1, IndexKind::Dual),
+            Strategy::T2 => (MethodKind::T2, IndexKind::Dual),
+            Strategy::RPlus => (MethodKind::RPlus, IndexKind::RPlus),
+        };
+        match self.usable(needs) {
+            Some(_) => Ok(Some(method)),
+            None => Err(CdbError::NoIndex(self.name.clone())),
+        }
+    }
+
+    /// One verification pass: reads every page the relation owns through
+    /// the checksumming pager. The heap decides quarantine — it is the
+    /// ground truth every index rebuild needs; unreadable index pages only
+    /// degrade the relation.
+    pub(crate) fn verify(&self, pager: &dyn PageReader) -> RelationHealth {
+        let mut buf = vec![0u8; pager.page_size()];
+        for &p in self.heap.pages() {
+            if let Err(e) = pager.read(p, &mut buf) {
+                return RelationHealth::Quarantined {
+                    detail: format!("heap page {p}: {e}"),
+                };
+            }
+        }
+        let corrupt_indexes: Vec<String> = IndexKind::ALL
+            .into_iter()
+            .filter(|&k| self.built(k).is_some_and(|i| i.verify(pager).is_err()))
+            .map(|k| k.name().to_string())
+            .collect();
+        if corrupt_indexes.is_empty() {
+            RelationHealth::Healthy
+        } else {
+            RelationHealth::Degraded { corrupt_indexes }
+        }
+    }
+
+    /// Whether `tuple` may be stored here: [`CdbError::DimensionMismatch`]
+    /// or [`CdbError::UnsatisfiableTuple`] if not.
+    pub(crate) fn admits(&self, tuple: &GeneralizedTuple) -> Result<(), CdbError> {
+        if self.dim != tuple.dim() {
+            return Err(CdbError::DimensionMismatch {
+                expected: self.dim,
+                got: tuple.dim(),
+            });
+        }
+        if !tuple.is_satisfiable() {
+            return Err(CdbError::UnsatisfiableTuple);
+        }
+        Ok(())
+    }
+
+    /// Stores an [admitted](Self::admits) tuple and adds it to every usable
+    /// index (`O(k log_B n)` tree inserts for the dual indexes; handicaps
+    /// are folded in incrementally). Structures marked corrupt are skipped
+    /// — they will be rebuilt wholesale from the heap. Returns the new id.
+    pub(crate) fn insert(
+        &mut self,
+        pager: &mut dyn Pager,
+        partition: Option<PartitionSpec>,
+        tuple: &GeneralizedTuple,
+    ) -> Result<u32, CdbError> {
+        let rid = self.heap.insert(pager, &tuple.encode())?;
+        if let Some(spec) = partition {
+            // One shard of a partitioned deployment allocates only ids it
+            // owns: foreign ids are skipped with absent slots (they live
+            // on their owning shard), keeping the shards' id spaces
+            // disjoint. Ids stay deterministic — the next owned id is a
+            // pure function of the slot count and the persisted spec.
+            while !spec.owns(self.slots.len() as u32) {
+                self.slots.push(None);
+            }
+        }
+        let id = self.slots.len() as u32;
+        self.slots.push(Some(rid));
+        self.by_record.insert(rid, id);
+        self.live += 1;
+        for (kind, slot) in IndexKind::ALL.into_iter().zip(&mut self.indexes) {
+            if let Some(index) = slot.as_mut().filter(|_| !self.health.is_corrupt(kind)) {
+                index.insert(pager, id, tuple)?;
+            }
+        }
+        Ok(id)
+    }
+
+    /// Removes the live tuple `id`, whose stored form is `tuple`, from the
+    /// heap and from every usable index.
+    pub(crate) fn delete(
+        &mut self,
+        pager: &mut dyn Pager,
+        id: u32,
+        tuple: &GeneralizedTuple,
+    ) -> Result<(), CdbError> {
+        let rid = self.slots[id as usize].expect("the caller fetched this id");
+        self.heap.delete(pager, rid)?;
+        self.slots[id as usize] = None;
+        self.by_record.remove(&rid);
+        self.live -= 1;
+        for kind in IndexKind::ALL {
+            let Some(index) = self.indexes[kind as usize].as_mut() else {
+                continue;
+            };
+            // An index that does not hold the entry it should is out of
+            // step with the heap: a dangling id would surface later as
+            // `NoSuchTuple` in the middle of a query. The heap is the
+            // truth, so the delete stands and the index is flagged for a
+            // rebuild.
+            if !self.health.is_corrupt(kind) && !index.remove(pager, id, tuple)? {
+                self.set_corrupt(kind, true);
+            }
+        }
+        Ok(())
+    }
+
+    /// Builds (or rebuilds) the index `spec` — already
+    /// [`check`](IndexSpec::check)ed against this relation — over `tuples`,
+    /// the relation's scan. A previous index's pages are freed first
+    /// (best-effort when it is marked corrupt — unreadable pages cannot be
+    /// walked to the free list); building clears the corruption flag.
+    pub(crate) fn build_index(
+        &mut self,
+        pager: &mut dyn Pager,
+        spec: IndexSpec,
+        tuples: &[(u32, GeneralizedTuple)],
+    ) -> Result<(), CdbError> {
+        let kind = spec.kind();
+        if let Some(old) = self.indexes[kind as usize].take() {
+            let freed = old.destroy(pager);
+            if !self.health.is_corrupt(kind) {
+                freed?;
+            }
+        }
+        self.indexes[kind as usize] = Some(Index::build(pager, spec, tuples)?);
+        self.set_corrupt(kind, false);
+        Ok(())
+    }
+
+    /// The build parameters of every index marked corrupt, in slot order.
+    pub(crate) fn corrupt_specs(&self) -> Vec<IndexSpec> {
+        IndexKind::ALL
+            .into_iter()
+            .filter(|&k| self.health.is_corrupt(k))
+            .filter_map(|k| self.built(k).map(Index::spec))
+            .collect()
+    }
+
+    /// Re-tightens the 2-D dual index's handicaps from the current tuples
+    /// (see [`DualIndex::refresh_handicaps`]). [`CdbError::NoIndex`] without
+    /// a usable one — a corrupt index cannot be tightened, only rebuilt —
+    /// decided before any page is read.
+    pub(crate) fn tighten(&mut self, pager: &mut dyn Pager) -> Result<(), CdbError> {
+        if self.usable(IndexKind::Dual).is_none() {
+            return Err(CdbError::NoIndex(self.name.clone()));
+        }
+        let tuples = self.scan(&*pager)?;
+        match self.indexes[IndexKind::Dual as usize].as_mut() {
+            Some(Index::Dual(idx)) => idx.refresh_handicaps(pager, &tuples),
+            _ => unreachable!("slot 0 holds the usable 2-D dual index"),
+        }
+    }
+
+    /// Frees the heap and every index. On an unhealthy relation, structures
+    /// too corrupt to walk are skipped (their pages stay allocated until
+    /// the file is rebuilt) instead of failing the drop.
+    pub(crate) fn destroy(self, pager: &mut dyn Pager) -> Result<(), CdbError> {
+        let salvage = self.health != RelationHealth::Healthy;
+        self.heap.destroy(pager);
+        for index in self.indexes.into_iter().flatten() {
+            let freed = index.destroy(pager);
+            if !salvage {
+                freed?;
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::db::{ConstraintDb, DbConfig};
+    use crate::index::ddim::SlopePoints;
+    use crate::plan::Planner;
+    use crate::query::Selection;
+    use crate::slopes::SlopeSet;
+    use cdb_geometry::constraint::{LinearConstraint, RelOp};
+    use cdb_geometry::halfplane::HalfPlane;
+    use cdb_geometry::predicates::oracle_select;
+    use cdb_prng::StdRng;
+
+    /// Random axis-aligned boxes in E^d, plus — every fifth — a slab
+    /// unbounded in all but the last coordinate.
+    fn tuples(dim: usize, n: usize, seed: u64) -> Vec<GeneralizedTuple> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let bounded_axes = if i % 5 == 4 { dim - 1..dim } else { 0..dim };
+                let mut cs = Vec::new();
+                for axis in bounded_axes {
+                    let lo: f64 = rng.gen_range(-50.0..45.0);
+                    let mut unit = vec![0.0; dim];
+                    unit[axis] = 1.0;
+                    cs.push(LinearConstraint::new(unit.clone(), -lo, RelOp::Ge));
+                    let hi = lo + rng.gen_range(0.5..5.0);
+                    cs.push(LinearConstraint::new(unit, -hi, RelOp::Le));
+                }
+                GeneralizedTuple::new(cs)
+            })
+            .collect()
+    }
+
+    /// EXIST and ALL, above and below, at a slope of `S`-friendly and one
+    /// arbitrary direction of the relation's dimension.
+    fn selections(dim: usize) -> Vec<Selection> {
+        let mut out = Vec::new();
+        for (slope, b) in [(0.0, 3.0), (0.3, -8.0)] {
+            let slope: Vec<f64> = (0..dim - 1).map(|j| slope / (j + 1) as f64).collect();
+            for op in [RelOp::Ge, RelOp::Le] {
+                let q = HalfPlane::new(slope.clone(), b, op);
+                out.extend([Selection::exist(q.clone()), Selection::all(q)]);
+            }
+        }
+        out
+    }
+
+    /// Plans with `forced` over the relation's current access methods and
+    /// executes, as `IndexScanOp` does: `(chosen method, ids)`.
+    fn run(
+        db: &ConstraintDb,
+        sel: &Selection,
+        forced: Option<MethodKind>,
+    ) -> Result<(MethodKind, Vec<u32>), CdbError> {
+        let rel = db.relation("r")?;
+        let methods = rel.access_methods(db.config.page_size);
+        let (method, plan) = Planner::choose(methods.iter(), sel, forced, rel.catalog(), false)?;
+        let result = method.execute(db.reader(), sel, &rel.tuple_source())?;
+        Ok((plan.method, result.ids().to_vec()))
+    }
+
+    fn assert_matches_oracle(
+        db: &ConstraintDb,
+        model: &[(u32, GeneralizedTuple)],
+        forced: Option<MethodKind>,
+        what: &str,
+    ) {
+        let dim = db.relation("r").unwrap().dim();
+        for sel in selections(dim) {
+            let all = sel.kind == crate::query::SelectionKind::All;
+            let want: Vec<u32> = oracle_select(&sel.halfplane, all, model.iter().map(|(_, t)| t))
+                .into_iter()
+                .map(|i| model[i].0)
+                .collect();
+            let (_, got) = run(db, &sel, forced).unwrap();
+            assert_eq!(got, want, "{what}: {sel:?}");
+        }
+    }
+
+    /// The seam, one row per [`IndexKind`]: build, a fixed insert/delete
+    /// script, forced-method answers ≡ oracle, page accounting ≡ pager;
+    /// then that one kind marked corrupt — the planner routes around it,
+    /// DML skips it, `rebuild_indexes` restores it from its persisted
+    /// `spec()`, and `drop_relation` frees every page.
+    #[test]
+    fn every_index_kind_lives_behind_the_seam() {
+        let rows = [
+            (IndexSpec::Dual(SlopeSet::uniform_tan(3)), 2, MethodKind::T2),
+            (
+                IndexSpec::DualD(SlopePoints::grid(3, 3, 1.5)),
+                3,
+                MethodKind::DualD,
+            ),
+            (IndexSpec::RPlus { fill: 0.8 }, 2, MethodKind::RPlus),
+        ];
+        for (spec, dim, method) in rows {
+            let kind = spec.kind();
+            let what = kind.name();
+            let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+            db.create_relation("r", dim).unwrap();
+            let mut model: Vec<(u32, GeneralizedTuple)> = Vec::new();
+            let insert = |db: &mut ConstraintDb, model: &mut Vec<_>, n, seed| {
+                for t in tuples(dim, n, seed) {
+                    model.push((db.insert("r", t.clone()).unwrap(), t));
+                }
+            };
+            insert(&mut db, &mut model, 60, 1);
+            db.build_index("r", spec.clone()).unwrap();
+            insert(&mut db, &mut model, 30, 2);
+            for id in (0..90).step_by(4) {
+                db.delete("r", id).unwrap();
+                model.retain(|(i, _)| *i != id);
+            }
+            assert_matches_oracle(&db, &model, Some(method), what);
+            let rel = db.relation("r").unwrap();
+            assert_eq!(rel.page_count(), db.live_pages() as u64, "{what}");
+            assert_eq!(rel.stats().indexes, vec![what.to_string()]);
+
+            // Corrupt: absent for the planner, skipped by DML.
+            db.for_update("r").unwrap().1.set_corrupt(kind, true);
+            let rel = db.relation("r").unwrap();
+            assert!(rel.usable(kind).is_none() && rel.built(kind).is_some());
+            for sel in selections(dim) {
+                assert!(run(&db, &sel, Some(method)).is_err(), "{what}");
+                assert_ne!(run(&db, &sel, None).unwrap().0, method, "{what}");
+            }
+            assert_matches_oracle(&db, &model, None, what);
+            let before = db.io_stats().accesses();
+            insert(&mut db, &mut model, 1, 3);
+            let skipped = db.io_stats().accesses() - before;
+            let (gone, _) = model.remove(0);
+            db.delete("r", gone).unwrap();
+            let degraded = RelationHealth::Degraded {
+                corrupt_indexes: vec![what.to_string()],
+            };
+            assert_eq!(db.relation("r").unwrap().health(), &degraded, "{what}");
+
+            // Rebuilt from the heap with the parameters it was built with.
+            assert_eq!(db.rebuild_indexes("r").unwrap(), vec![what.to_string()]);
+            let rel = db.relation("r").unwrap();
+            assert_eq!(rel.health(), &RelationHealth::Healthy, "{what}");
+            assert_eq!(rel.usable(kind).map(Index::spec), Some(spec), "{what}");
+            assert_matches_oracle(&db, &model, Some(method), what);
+            assert_eq!(rel.page_count(), db.live_pages() as u64, "{what}");
+            let before = db.io_stats().accesses();
+            insert(&mut db, &mut model, 1, 3);
+            let maintained = db.io_stats().accesses() - before;
+            assert!(maintained > skipped, "{what}: {maintained} vs {skipped}");
+
+            db.drop_relation("r").unwrap();
+            assert_eq!(db.live_pages(), 0, "{what}: every page freed");
+        }
+    }
+}

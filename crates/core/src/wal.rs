@@ -20,8 +20,9 @@
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::codec::{self, finite};
 
-use crate::ddim::SlopePoints;
 use crate::error::{CdbError, WAL_RECORD};
+use crate::index::ddim::SlopePoints;
+use crate::index::IndexSpec;
 use crate::partition::PartitionSpec;
 use crate::slopes::SlopeSet;
 use crate::wire::tuple;
@@ -41,14 +42,14 @@ pub(crate) enum WalRecord {
     },
     /// `delete(relation, id)`.
     Delete { relation: String, id: u32 },
-    /// `build_dual_index(relation, slopes)`.
+    /// `build_index(relation, IndexSpec::Dual(slopes))`.
     BuildDual { relation: String, slopes: SlopeSet },
-    /// `build_dual_index_d(relation, points)`.
+    /// `build_index(relation, IndexSpec::DualD(points))`.
     BuildDualD {
         relation: String,
         points: SlopePoints,
     },
-    /// `build_rplus_index(relation, fill)`.
+    /// `build_index(relation, IndexSpec::RPlus { fill })`.
     BuildRPlus { relation: String, fill: f64 },
     /// `tighten_index(relation)`.
     TightenIndex { relation: String },
@@ -71,6 +72,16 @@ cdb_storage::wire_enum!(WalRecord {
 });
 
 impl WalRecord {
+    /// The record of `build_index(relation, spec)`: one tag per index kind.
+    pub(crate) fn build(relation: &str, spec: IndexSpec) -> WalRecord {
+        let relation = relation.to_string();
+        match spec {
+            IndexSpec::Dual(slopes) => WalRecord::BuildDual { relation, slopes },
+            IndexSpec::DualD(points) => WalRecord::BuildDualD { relation, points },
+            IndexSpec::RPlus { fill } => WalRecord::BuildRPlus { relation, fill },
+        }
+    }
+
     /// Serializes the record for the log.
     pub(crate) fn encode(&self) -> Vec<u8> {
         codec::encode(self)

@@ -149,11 +149,6 @@ impl Cluster {
         self.last_write_lsn
     }
 
-    /// The address currently believed to be the primary, if discovered.
-    pub fn primary_addr(&self) -> Option<&str> {
-        self.primary.map(|i| self.members[i].addr.as_str())
-    }
-
     /// Routes a mutation to the primary, following leader hints and
     /// re-probing the member list on connection failures. See the module
     /// docs for what is — and deliberately is not — retried. The retry

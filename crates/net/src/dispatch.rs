@@ -8,8 +8,9 @@
 //! against itself — so a local shell session gets exactly the validation
 //! a wire peer gets.
 
+use cdb_core::ddim::SlopePoints;
 use cdb_core::slopes::SlopeSet;
-use cdb_core::{CdbError, ConstraintDb, PageSource, ReadSurface};
+use cdb_core::{ConstraintDb, IndexSpec, PageSource, ReadSurface};
 
 use crate::api::Backend;
 use crate::proto::{
@@ -101,10 +102,10 @@ pub(crate) fn apply_read<P: PageSource>(
 }
 
 /// Applies one request that needs the live engine (a mutation, or a
-/// Stats/Fsck report). Engine preconditions that would panic (`assert!`s
-/// guarding constructor contracts) are validated here first and answered
-/// as errors — no peer, on the wire or in process, must be able to panic
-/// the engine's owner. `node` is only consulted for `Stats`.
+/// Stats/Fsck report). Raw wire parameters become the engine's checked
+/// types here — refusals are answered as `Malformed`, never a panic — and
+/// the engine checks the rest itself ([`IndexSpec::check`]). `node` is only
+/// consulted for `Stats`.
 pub(crate) fn apply_engine(
     db: &mut ConstraintDb,
     request: Request,
@@ -150,45 +151,20 @@ pub(crate) fn apply_engine(
             .map(Response::Tuple)
             .map_err(NetError::Db),
         Request::BuildDual { relation, slopes } => {
-            let slopes =
-                SlopeSet::try_new(slopes).map_err(|why| NetError::Malformed(why.into()))?;
-            db.build_dual_index(&relation, slopes)
-                .map(|_| Response::Unit)
-                .map_err(NetError::Db)
+            let slopes = SlopeSet::try_new(slopes).map_err(malformed)?;
+            build_index(db, &relation, IndexSpec::Dual(slopes))
         }
         Request::BuildDualD {
             relation,
             per_axis,
             range,
         } => {
-            if per_axis < 2 {
-                return Err(NetError::Malformed("grid needs per_axis >= 2".into()));
-            }
-            if !(range.is_finite() && range > 0.0) {
-                return Err(NetError::Malformed("grid range must be positive".into()));
-            }
             let dim = db.relation(&relation).map_err(NetError::Db)?.dim();
-            if dim < 2 {
-                return Err(NetError::Db(CdbError::UnsupportedQuery(
-                    "the d-dimensional dual index needs a relation of dimension >= 2".into(),
-                )));
-            }
-            db.build_dual_index_d(
-                &relation,
-                cdb_core::ddim::SlopePoints::grid(dim, per_axis as usize, range),
-            )
-            .map(|_| Response::Unit)
-            .map_err(NetError::Db)
+            let points = SlopePoints::try_grid(dim, per_axis as usize, range).map_err(malformed)?;
+            build_index(db, &relation, IndexSpec::DualD(points))
         }
         Request::BuildRPlus { relation, fill } => {
-            if !(0.5..=1.0).contains(&fill) {
-                return Err(NetError::Malformed(
-                    "fill factor must be in [0.5, 1.0]".into(),
-                ));
-            }
-            db.build_rplus_index(&relation, fill)
-                .map(|_| Response::Unit)
-                .map_err(NetError::Db)
+            build_index(db, &relation, IndexSpec::RPlus { fill })
         }
         Request::Checkpoint => db
             .checkpoint()
@@ -199,4 +175,21 @@ pub(crate) fn apply_engine(
             other.op_name()
         ))),
     }
+}
+
+fn malformed(why: &'static str) -> NetError {
+    NetError::Malformed(why.into())
+}
+
+/// Parameters no relation could take are the request's fault; whether the
+/// spec fits this relation is the engine's answer.
+fn build_index(
+    db: &mut ConstraintDb,
+    relation: &str,
+    spec: IndexSpec,
+) -> Result<Response, NetError> {
+    spec.check_parameters().map_err(malformed)?;
+    db.build_index(relation, spec)
+        .map(|_| Response::Unit)
+        .map_err(NetError::Db)
 }

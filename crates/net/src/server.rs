@@ -154,11 +154,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
 }
 
 /// A client request queued for the engine lane.

@@ -229,13 +229,6 @@ impl Shards {
             })
             .collect()
     }
-
-    /// Per-shard durable LSNs of this client's last acknowledged writes —
-    /// the vector its read-your-writes guarantee is enforced against
-    /// (each shard's [`ClusterClient`] tracks its own watermark).
-    pub fn last_write_lsns(&self) -> Vec<u64> {
-        self.clients.iter().map(|c| c.last_write_lsn()).collect()
-    }
 }
 
 impl Backend for Shards {

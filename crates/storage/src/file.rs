@@ -501,11 +501,6 @@ impl FilePager {
         self.read_only
     }
 
-    /// The committed epoch (bumped by every successful commit).
-    pub fn committed_epoch(&self) -> u32 {
-        self.epoch
-    }
-
     /// Physical size of an on-disk page image (logical size + seal trailer).
     pub fn disk_page_len(&self) -> usize {
         self.page_size + PAGE_TRAILER

@@ -12,8 +12,6 @@
 //!   shadow-paged (copy-on-write) commits, per-page CRC-32 seals and
 //!   dual-slot headers so a torn write can never produce a silently mixed
 //!   on-disk state;
-//! * [`buffer::BufferPool`] — an LRU cache decorating any pager, separating
-//!   logical from physical I/O;
 //! * [`fault::FaultPager`] — a decorator that injects planned I/O errors,
 //!   torn writes and crash points, for deterministic recovery testing;
 //! * [`heap::HeapFile`] — a slotted-page heap for variable-length records
@@ -35,7 +33,6 @@
 //! Every operation that can touch a device is fallible (`io::Result`);
 //! panics are reserved for caller bugs, as documented per method.
 
-pub mod buffer;
 pub mod codec;
 pub mod conformance;
 pub mod epoch;
@@ -47,7 +44,6 @@ pub mod stats;
 pub mod tracked;
 pub mod wal;
 
-pub use buffer::BufferPool;
 pub use codec::{
     check_page, crc32, read_frame, seal_page, write_frame, CodecError, FrameError, RecordReader,
     RecordWriter, Wire, DEFAULT_MAX_FRAME, PAGE_TRAILER,

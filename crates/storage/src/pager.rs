@@ -106,9 +106,6 @@ pub trait Pager: PageReader + Send + Sync {
     /// generation: later writes never disturb a page the view maps, and
     /// pages freed afterwards are quarantined until the view (and every
     /// older one) is dropped.
-    ///
-    /// Buffered decorators flush before delegating, so the view observes
-    /// everything written so far.
     fn publish_view(&mut self) -> std::io::Result<Box<dyn SnapshotReader>>;
 
     /// Live epoch counters: current generation, pinned views, quarantined

@@ -1,5 +1,5 @@
 //! Randomized tests of the storage substrate: heap files against a
-//! `HashMap` oracle, and the buffer pool's transparency over a raw pager.
+//! `HashMap` oracle, and the file pager against the in-memory one.
 //!
 //! Deterministic drop-in for the former proptest suite: each property runs
 //! over a sweep of fixed seeds, so failures reproduce exactly.
@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use cdb_prng::StdRng;
-use cdb_storage::{BufferPool, HeapFile, MemPager, PageReader, Pager, RecordId};
+use cdb_storage::{HeapFile, MemPager, PageReader, Pager, RecordId};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -77,41 +77,6 @@ fn heap_matches_hashmap() {
         for (id, got) in ids.iter().zip(batch) {
             assert_eq!(&got, &oracle[id], "seed {seed}");
         }
-    }
-}
-
-/// A buffer pool of any capacity is observably identical to the raw pager
-/// (contents), while never increasing physical I/O.
-#[test]
-fn buffer_pool_is_transparent() {
-    for seed in 0..48u64 {
-        let mut rng = StdRng::seed_from_u64(1000 + seed);
-        let capacity = rng.gen_range(1..16usize);
-        let n_pages = 12;
-        let n_writes = rng.gen_range(1..120usize);
-        let writes: Vec<(usize, u8)> = (0..n_writes)
-            .map(|_| (rng.gen_range(0..n_pages), rng.gen::<u32>() as u8))
-            .collect();
-        let mut raw = MemPager::new(64);
-        let mut pooled = BufferPool::new(MemPager::new(64), capacity);
-        let raw_ids: Vec<_> = (0..n_pages).map(|_| raw.allocate().unwrap()).collect();
-        let pool_ids: Vec<_> = (0..n_pages).map(|_| pooled.allocate().unwrap()).collect();
-        assert_eq!(&raw_ids, &pool_ids);
-        for &(page, byte) in &writes {
-            let data = vec![byte; 64];
-            raw.write(raw_ids[page], &data).unwrap();
-            pooled.write(pool_ids[page], &data).unwrap();
-        }
-        pooled.flush().unwrap();
-        let mut a = vec![0u8; 64];
-        let mut b = vec![0u8; 64];
-        for page in 0..n_pages {
-            raw.read(raw_ids[page], &mut a).unwrap();
-            pooled.read(pool_ids[page], &mut b).unwrap();
-            assert_eq!(&a, &b, "page {page} differs (seed {seed})");
-        }
-        // Physical reads through the pool never exceed logical reads.
-        assert!(pooled.physical_stats().reads <= pooled.stats().reads);
     }
 }
 

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use cdb_core::query::{QueryStats, Selection, SelectionKind, Strategy};
     pub use cdb_core::slopes::SlopeSet;
     pub use cdb_core::sql::{SqlMode, SqlOutcome, SqlRow};
-    pub use cdb_core::{DualIndex, QueryExecutor};
+    pub use cdb_core::DualIndex;
     pub use cdb_geometry::parse::{parse_constraint, parse_tuple};
     pub use cdb_geometry::{GeneralizedTuple, HalfPlane, LinearConstraint, Polygon, Rect, RelOp};
     pub use cdb_rplustree::RPlusTree;

@@ -108,23 +108,3 @@ fn btree_on_file_pager_matches_mem_pager() {
     }
     std::fs::remove_file(&path).unwrap();
 }
-
-#[test]
-fn buffer_pool_reduces_physical_io_for_queries() {
-    use constraint_db::storage::BufferPool;
-    let tuples = DatasetSpec::paper_1999(200, ObjectSize::Small, 17).generate();
-    let pool = BufferPool::new(constraint_db::storage::MemPager::paper_1999(), 256);
-    let mut db = ConstraintDb::with_pager(Box::new(pool), DbConfig::paper_1999());
-    db.create_relation("r", 2).unwrap();
-    for t in &tuples {
-        db.insert("r", t.clone()).unwrap();
-    }
-    db.build_dual_index("r", SlopeSet::uniform_tan(3)).unwrap();
-    // Repeat the same query: logical accesses accrue, results stay equal.
-    let q = HalfPlane::above(0.37, 0.0);
-    let first = db.exist("r", q.clone()).unwrap();
-    let before = db.io_stats();
-    let second = db.exist("r", q).unwrap();
-    assert_eq!(first.ids(), second.ids());
-    assert!(db.io_stats().reads > before.reads, "logical reads counted");
-}

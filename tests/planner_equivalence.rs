@@ -190,7 +190,7 @@ fn explain_covers_d_dimensional_selections() {
     }
 }
 
-/// Batches through [`QueryExecutor`] plan per-query exactly like the
+/// Batches through `query_batch` plan per-query exactly like the
 /// standalone path, at any worker count.
 #[test]
 fn planned_batches_match_standalone_queries() {
