@@ -40,6 +40,38 @@ dead_api() {
 }
 step dead-api dead_api
 
+# The audit that keeps "a selection is routed once" a gate, over the
+# engine crate's non-test lines (those above a file's first
+# `#[cfg(test)]`): the bracket rule and the slope-point lookups each have
+# one call site — `AccessMethod::route`'s two bodies — the `Capability`
+# descriptor routing used to be duplicated in stays gone, and `Strategy`
+# variants are matched only where `Strategy::forced` converts them.
+one_router() {
+  local lines want what skip re hits
+  lines=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { counting = 1 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
+    counting { print FILENAME ":" $0 }')
+  # Rows: how many hits are wanted | of what | the one file whose lines
+  # do not count | the pattern.
+  while IFS='|' read -r want what skip re; do
+    hits=$(printf '%s\n' "$lines" | grep -v "^crates/core/src/$skip:" | grep -E -- "$re" || true)
+    if [ "$(printf '%s' "$hits" | grep -c .)" -ne "$want" ]; then
+      echo "ci: one-router: want $want × $what outside $skip, found:" >&2
+      printf '%s\n' "${hits:-  (none)}" >&2
+      return 1
+    fi
+  done <<'RULES'
+1|a .bracket( call|slopes.rs|\.bracket\(
+1|a .containing_simplex( call|-|\.containing_simplex\(
+1|a .nearest_grid( call|-|\.nearest_grid\(
+1|a slope-point .position( call|-|points(\(\))?\.position\(
+0|mentions of Capability|-|(^|[^A-Za-z0-9_])Capability([^A-Za-z0-9_]|$)
+0|matches on Strategy variants|query.rs|Strategy::[A-Za-z0-9]+[^;]*=>|\| *Strategy::
+RULES
+}
+step one-router one_router
+
 # Report only: non-test lines per crate, counted as the lines above a
 # file's first `#[cfg(test)]` — the figure CHANGES.md quotes before/after
 # a simplicity PR.

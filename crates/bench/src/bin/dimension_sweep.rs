@@ -14,7 +14,8 @@
 //! ```
 
 use cdb_core::ddim::{DualIndexD, SlopePoints};
-use cdb_core::plan::{AccessMethod, DualDAccess, MethodContext};
+use cdb_core::index::Exact;
+use cdb_core::plan::{AccessMethod, DualDAccess, MethodContext, PlanCase};
 use cdb_core::{Selection, SelectionKind};
 use cdb_geometry::constraint::{LinearConstraint, RelOp};
 use cdb_geometry::halfplane::HalfPlane;
@@ -103,7 +104,11 @@ fn main() {
             };
             let before = pager.stats();
             let fetch = |_: &dyn PageReader, id: u32| -> GeneralizedTuple { lookup[&id].clone() };
-            let r = idx.execute(&pager, &sel, &fetch).expect("in-hull query");
+            // The grid set routes an in-hull slope to T2 over its cell.
+            let cell = access.route(&sel).expect("in-hull query");
+            let r = access
+                .execute(&pager, &sel, &cell, Exact::Selection, &fetch)
+                .expect("routed query");
             // Cross-check against the oracle.
             let want: Vec<u32> = pairs
                 .iter()
@@ -124,17 +129,20 @@ fn main() {
             // selectivity: does the formula predict the observed candidate
             // count and index I/O?
             let frac = want.len() as f64 / n as f64;
-            let est = access.estimate_at(&sel, frac);
+            let est = access.estimate(&sel, &cell, frac);
             t2_est_cand += est.candidates;
             t2_act_cand += r.stats.candidates as f64;
             t2_est_io += est.index_pages;
             t2_act_io += io as f64;
-            // The simplex-covering path, for comparison.
+            // The simplex-covering path, for comparison: the same entry
+            // points, handed the other case.
+            let vertices = idx.points().containing_simplex(&sel.halfplane.slope);
+            let simplex = PlanCase::SimplexCovering(vertices.expect("in-hull query"));
             let before = pager.stats();
             let fetch = |_: &dyn PageReader, id: u32| -> GeneralizedTuple { lookup[&id].clone() };
-            let r1 = idx
-                .execute_simplex(&pager, &sel, &fetch)
-                .expect("in-hull query");
+            let r1 = access
+                .execute(&pager, &sel, &simplex, Exact::Selection, &fetch)
+                .expect("covered query");
             assert_eq!(r1.ids(), r.ids(), "simplex and T2 agree");
             let io1 = pager.stats().since(&before).accesses();
             if kind == SelectionKind::Exist {
@@ -142,7 +150,7 @@ fn main() {
             } else {
                 t1_all_io += io1;
             }
-            let est1 = access.simplex_estimate(&sel, frac);
+            let est1 = access.estimate(&sel, &simplex, frac);
             t1_est_cand += est1.candidates;
             t1_act_cand += r1.stats.candidates as f64;
             t1_est_io += est1.index_pages;

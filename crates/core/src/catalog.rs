@@ -8,7 +8,7 @@
 //! count then the items):
 //!
 //! ```text
-//! magic "CDBC" u32 | version u16 | durable_lsn u64 | [Strategy]
+//! magic "CDBC" u32 | version u16 | durable_lsn u64 | reserved [Strategy]
 //!                  | [Option<PartitionSpec>] | relation count u32
 //! per relation (sorted by name):
 //!   name str | dim u32
@@ -177,19 +177,19 @@ fn get_relation(r: &mut RecordReader<'_>, page_size: usize) -> Result<Relation, 
 
 // ------------------------------------------------------------------- blob
 
-/// Serializes the default strategy, the WAL durability watermark, the
-/// partition spec (when the engine is one shard of a deployment) and every
-/// relation into one catalog blob. Relations are written in name order, so
-/// identical database states produce identical bytes.
+/// Serializes the WAL durability watermark, the partition spec (when the
+/// engine is one shard of a deployment) and every relation into one catalog
+/// blob. Relations are written in name order, so identical database states
+/// produce identical bytes. The header byte that once held a configurable
+/// default strategy keeps its place in the format, written as `Auto`.
 pub(crate) fn encode(
-    strategy: Strategy,
     durable_lsn: u64,
     partition: Option<PartitionSpec>,
     relations: &HashMap<String, Relation>,
 ) -> Vec<u8> {
     let mut w = RecordWriter::new();
     (MAGIC, VERSION, durable_lsn).put(&mut w);
-    (strategy, partition).put(&mut w);
+    (Strategy::Auto, partition).put(&mut w);
     relations.len().put(&mut w);
     let mut names: Vec<&String> = relations.keys().collect();
     names.sort();
@@ -199,8 +199,7 @@ pub(crate) fn encode(
     w.into_bytes()
 }
 
-/// Rebuilds the default strategy and the full relation map from a catalog
-/// blob.
+/// Rebuilds the full relation map from a catalog blob.
 ///
 /// # Errors
 /// [`CdbError::CorruptRecord`] (id [`CATALOG_RECORD`]) on any structural
@@ -217,7 +216,8 @@ fn read(blob: &[u8], page_size: usize) -> Result<DecodedCatalog, CodecError> {
         return Err(CodecError::Invalid("catalog magic or version"));
     }
     let durable_lsn = u64::get(r)?;
-    let (strategy, partition) = Wire::get(r)?;
+    // The reserved byte: any valid tag is accepted and ignored.
+    let (_, partition): (Strategy, _) = Wire::get(r)?;
     let mut relations = HashMap::new();
     for _ in 0..usize::get(r)? {
         let rel = get_relation(r, page_size)?;
@@ -227,7 +227,6 @@ fn read(blob: &[u8], page_size: usize) -> Result<DecodedCatalog, CodecError> {
     }
     r.finish()?;
     Ok(DecodedCatalog {
-        strategy,
         durable_lsn,
         partition,
         relations,
@@ -236,7 +235,6 @@ fn read(blob: &[u8], page_size: usize) -> Result<DecodedCatalog, CodecError> {
 
 /// Everything [`decode`] rebuilds from one catalog blob.
 pub(crate) struct DecodedCatalog {
-    pub strategy: Strategy,
     pub durable_lsn: u64,
     pub partition: Option<PartitionSpec>,
     pub relations: HashMap<String, Relation>,
@@ -308,24 +306,33 @@ mod tests {
             Selection::exist(HalfPlane::new(vec![0.25, -0.5], 0.0, RelOp::Ge)),
         )
         .unwrap();
-        encode(db.config.strategy, 17, db.partition(), &db.relations)
+        encode(17, db.partition(), &db.relations)
     }
 
     fn reencoded(blob: &[u8]) -> Result<Vec<u8>, CdbError> {
         let cat = decode(blob, 1024)?;
-        Ok(encode(
-            cat.strategy,
-            cat.durable_lsn,
-            cat.partition,
-            &cat.relations,
-        ))
+        Ok(encode(cat.durable_lsn, cat.partition, &cat.relations))
     }
 
     #[test]
     fn catalog_conformance() {
         // A blob is its own sample: the round trip is decode, then encode.
-        let empty = encode(Strategy::T2, 17, None, &HashMap::new());
+        let empty = encode(17, None, &HashMap::new());
         conformance(&[sample_blob(), empty], Vec::clone, reencoded);
+    }
+
+    /// The header's reserved byte: files written when it was a configurable
+    /// default strategy open, whatever valid tag they hold; the tag is
+    /// dropped, and a byte that is no tag at all is still damage.
+    #[test]
+    fn reserved_strategy_byte_is_accepted_and_ignored() {
+        let mut blob = encode(17, None, &HashMap::new());
+        let at = 4 + 2 + 8; // magic, version, durable_lsn
+        assert_eq!(blob[at], codec::encode(&Strategy::Auto)[0]);
+        blob[at] = codec::encode(&Strategy::T2)[0];
+        assert_eq!(reencoded(&blob).unwrap(), encode(17, None, &HashMap::new()));
+        blob[at] = 99;
+        assert!(is_corrupt(decode(&blob, 1024)));
     }
 
     #[test]
@@ -362,7 +369,7 @@ mod tests {
     fn rejects_garbage_and_wrong_versions() {
         assert!(is_corrupt(decode(b"not a catalog", 1024)));
         assert!(is_corrupt(decode(&[], 1024)));
-        let mut bytes = encode(Strategy::Auto, 0, None, &HashMap::new());
+        let mut bytes = encode(0, None, &HashMap::new());
         bytes[4] += 1; // the version's low byte
         assert!(is_corrupt(decode(&bytes, 1024)));
     }

@@ -31,7 +31,6 @@ use crate::error::CdbError;
 use crate::index::ddim::SlopePoints;
 use crate::index::IndexSpec;
 use crate::partition::PartitionSpec;
-use crate::query::Strategy;
 pub use crate::read::{ReadSurface, Snapshot};
 pub use crate::relation::{Relation, RelationHealth, RelationStats};
 use crate::slopes::SlopeSet;
@@ -42,8 +41,6 @@ use crate::wal::WalRecord;
 pub struct DbConfig {
     /// Page size for every structure.
     pub page_size: usize,
-    /// Default query strategy (`Auto` = cost-based planner choice).
-    pub strategy: Strategy,
 }
 
 impl DbConfig {
@@ -51,7 +48,6 @@ impl DbConfig {
     pub fn paper_1999() -> Self {
         DbConfig {
             page_size: DEFAULT_PAGE_SIZE,
-            strategy: Strategy::Auto,
         }
     }
 }
@@ -402,10 +398,7 @@ impl ConstraintDb {
         let page_size = pager.page_size();
         let cat = crate::catalog::decode(&blob, page_size)?;
         let (read_only, recovery) = (pager.is_read_only(), pager.recovery());
-        let config = DbConfig {
-            page_size,
-            strategy: cat.strategy,
-        };
+        let config = DbConfig { page_size };
         // Restored plan catalogs start at version 0 (see `PlanCatalog`'s
         // `Wire::get`), so the committed sum `with_pager` starts at holds.
         let mut db = Self::with_pager(Box::new(pager), config);
@@ -669,12 +662,7 @@ impl ConstraintDb {
             // synced or not — the commit itself is their durability.
             self.durable_lsn = w.next_lsn() - 1;
         }
-        let blob = crate::catalog::encode(
-            self.view.config.strategy,
-            self.durable_lsn,
-            self.partition,
-            &self.view.relations,
-        );
+        let blob = crate::catalog::encode(self.durable_lsn, self.partition, &self.view.relations);
         if let Err(e) = self.view.pager.commit_meta(&blob) {
             self.checkpoint_failures += 1;
             return Err(CdbError::Io(e.to_string()));
@@ -898,9 +886,12 @@ impl ConstraintDb {
     /// degraded relation, structures marked corrupt are skipped — they
     /// will be rebuilt wholesale from the heap.
     ///
-    /// A failed insert leaves the durable state untouched (nothing commits
-    /// before the next checkpoint) but may leave the in-memory structures
-    /// out of step; reopen to recover the last committed state.
+    /// A failed insert commits nothing (only the next checkpoint does), but
+    /// it may be half-applied in memory: the heap may hold the tuple, and an
+    /// index whose maintenance failed half-way is dropped (build it again),
+    /// so what a later checkpoint commits never holds an index that
+    /// disagrees with its heap. Reopen instead to recover the last
+    /// committed state.
     pub fn insert(&mut self, name: &str, tuple: GeneralizedTuple) -> Result<u32, CdbError> {
         let partition = self.partition;
         let (pager, rel, dirty) = self.for_update(name)?;
@@ -1003,7 +994,7 @@ mod tests {
     use super::*;
     use crate::index::{Index, IndexKind};
     use crate::plan::MethodKind;
-    use crate::query::Selection;
+    use crate::query::{Selection, SelectionKind, Strategy};
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::parse::parse_tuple;
 
@@ -1332,6 +1323,111 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    /// Line queries are planned like every other selection, so whatever
+    /// access methods a relation has — none, the R⁺-tree alone, a dual
+    /// index marked corrupt (each of which used to answer `NoIndex`) —
+    /// answers them, and the stats say which search did.
+    #[test]
+    fn line_queries_are_served_by_every_access_method() {
+        use cdb_geometry::predicates::{all_hyperplane, exist_hyperplane};
+        use cdb_workload::{ObjectSize, TupleGen};
+        let mut g = TupleGen::new(29, cdb_geometry::Rect::paper_window(), ObjectSize::Small);
+        let mut tuples: Vec<GeneralizedTuple> = (0..80).map(|_| g.bounded_tuple()).collect();
+        tuples.extend((0..20).map(|_| g.unbounded_tuple()));
+        tuples.push(parse_tuple("y = 0.5x + 2 && x >= 0 && x <= 10").unwrap());
+        let bed = |prepare: &dyn Fn(&mut ConstraintDb)| {
+            let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+            db.create_relation("r", 2).unwrap();
+            for t in &tuples {
+                db.insert("r", t.clone()).unwrap();
+            }
+            prepare(&mut db);
+            db
+        };
+        let beds = [
+            ("no index", bed(&|_| ()), vec![MethodKind::SeqScan]),
+            (
+                "R⁺-tree only",
+                bed(&|db| db.build_rplus_index("r", 0.8).unwrap()),
+                vec![MethodKind::SeqScan, MethodKind::RPlus],
+            ),
+            (
+                "corrupt dual index",
+                bed(&|db| {
+                    db.build_dual_index("r", SlopeSet::uniform_tan(3)).unwrap();
+                    let rel = db.for_update("r").unwrap().1;
+                    rel.set_corrupt(IndexKind::Dual, true);
+                }),
+                vec![MethodKind::SeqScan],
+            ),
+        ];
+        for (what, db, methods) in &beds {
+            for (a, c) in [(0.5, 2.0), (0.3, 0.0), (-1.2, 15.0), (2.0, -30.0)] {
+                let exist = db.exist_line("r", a, c).unwrap();
+                let all = db.all_line("r", a, c).unwrap();
+                let on = |keep: &dyn Fn(&GeneralizedTuple) -> bool| -> Vec<u32> {
+                    let ids = (0u32..).zip(&tuples).filter(|(_, t)| keep(t));
+                    ids.map(|(id, _)| id).collect()
+                };
+                let want = on(&|t| exist_hyperplane(&[a], c, t));
+                assert_eq!(exist.ids(), want, "{what}: EXIST y = {a}x + {c}");
+                let want = on(&|t| all_hyperplane(&[a], c, t));
+                assert_eq!(all.ids(), want, "{what}: ALL y = {a}x + {c}");
+                for r in [&exist, &all] {
+                    let ran = r.stats.method.expect("planned");
+                    assert!(methods.contains(&ran), "{what}: ran {ran}");
+                }
+            }
+            assert_eq!(db.all_line("r", 0.5, 2.0).unwrap().ids(), &[100], "{what}");
+        }
+    }
+
+    /// An equality query shows every candidate to its predicate, so at a
+    /// member slope the heap is costed for all of them — not for the
+    /// boundary band a half-plane selection fetches there.
+    #[test]
+    fn line_queries_at_a_member_slope_are_costed_with_every_candidate_fetched() {
+        use crate::index::Exact;
+        use crate::plan::Planner;
+        use cdb_workload::{DatasetSpec, ObjectSize};
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.create_relation("r", 2).unwrap();
+        for t in DatasetSpec::paper_1999(600, ObjectSize::Small, 3).generate() {
+            db.insert("r", t).unwrap();
+        }
+        let slopes = SlopeSet::uniform_tan(3);
+        db.build_dual_index("r", slopes.clone()).unwrap();
+        let rel = db.relation("r").unwrap();
+        let methods = rel.access_methods(db.config.page_size);
+        let sel = Selection::line_superset(slopes.get(1), 0.0);
+        let plan = |exact| {
+            let forced = Some(MethodKind::Restricted);
+            Planner::choose(&methods, &sel, exact, forced, false)
+                .unwrap()
+                .1
+        };
+        let (half_plane, line) = (
+            plan(Exact::Selection),
+            plan(Exact::Line(SelectionKind::Exist)),
+        );
+        assert_eq!(half_plane.case, line.case);
+        assert!(half_plane.estimate.heap_pages <= 2.0);
+        let fetched = methods
+            .seq_scan
+            .ctx
+            .heap_fetch_pages(line.estimate.candidates);
+        assert_eq!(line.estimate.heap_pages, fetched);
+        assert!(fetched > 10.0, "{fetched}");
+        assert_eq!(half_plane.estimate.index_pages, line.estimate.index_pages);
+        // What the estimate now says is what a line query there reads.
+        let ran = db.exist_line("r", slopes.get(1), 0.0).unwrap();
+        let read = ran.stats.heap_io.reads as f64;
+        assert!(
+            read > 10.0 && (read - fetched).abs() < 0.5 * read,
+            "{read} vs {fetched}"
+        );
+    }
+
     #[test]
     fn unbounded_tuples_round_trip_through_storage() {
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
@@ -1529,7 +1625,7 @@ mod tests {
             .plan_query("land", &Selection::exist(HalfPlane::above(member, 0.0)))
             .unwrap();
         assert_eq!(plan.method, MethodKind::Restricted);
-        assert!(plan.exact);
+        assert!(matches!(plan.case, crate::plan::PlanCase::Member(_)));
         // A non-member slope must not plan Restricted (it is infeasible).
         let plan = db
             .plan_query(

@@ -37,8 +37,9 @@ use cdb_storage::codec::{get_option, put_option, Finite};
 use cdb_storage::{CodecError, PageReader, Pager, RecordReader, RecordWriter, TrackedReader, Wire};
 
 use super::forest::{keys_at, Forest};
-use super::{Exact, TupleSource};
+use super::{foreign, Exact, TupleSource};
 use crate::error::CdbError;
+use crate::plan::{PlanCase, Rejection};
 use crate::query::{QueryResult, Selection, Side};
 
 /// A predefined set of slope points in `E^{d-1}`.
@@ -225,23 +226,19 @@ impl SlopePoints {
                 .sum()
         };
         order.sort_by(|&i, &j| dist(i).partial_cmp(&dist(j)).unwrap());
-        // Try combinations of the nearest points first.
-        let combos = combinations(order.len(), d);
-        for combo in combos {
+        // Try combinations of the nearest points first, one at a time:
+        // there are C(k, d) of them.
+        let mut combo: Vec<usize> = (0..d).collect();
+        loop {
             let pick: Vec<usize> = combo.iter().map(|&c| order[c]).collect();
-            if let Some(l) = barycentric(
-                &pick
-                    .iter()
-                    .map(|&i| self.points[i].as_slice())
-                    .collect::<Vec<_>>(),
-                slope,
-            ) {
-                if l.iter().all(|&w| w >= -1e-9) {
-                    return Some(pick);
-                }
+            let verts: Vec<&[f64]> = pick.iter().map(|&i| self.points[i].as_slice()).collect();
+            if barycentric(&verts, slope).is_some_and(|l| l.iter().all(|&w| w >= -1e-9)) {
+                return Some(pick);
+            }
+            if !next_combination(&mut combo, order.len()) {
+                return None;
             }
         }
-        None
     }
 }
 
@@ -380,33 +377,18 @@ fn barycentric(verts: &[&[f64]], p: &[f64]) -> Option<Vec<f64>> {
     Some((0..n).map(|i| m[i][n] / m[i][i]).collect())
 }
 
-/// All `k`-subsets of `0..n`, smallest-index-first order.
-fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    if k > n {
-        return out;
+/// Advances `idx`, a `k`-subset of `0..n` in ascending order, to the next
+/// one in smallest-index-first order; `false` after the last.
+fn next_combination(idx: &mut [usize], n: usize) -> bool {
+    let k = idx.len();
+    let Some(i) = (0..k).rfind(|&i| idx[i] != i + n - k) else {
+        return false;
+    };
+    idx[i] += 1;
+    for j in (i + 1)..k {
+        idx[j] = idx[j - 1] + 1;
     }
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        out.push(idx.clone());
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if idx[i] != i + n - k {
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
-        }
-        idx[i] += 1;
-        for j in (i + 1)..k {
-            idx[j] = idx[j - 1] + 1;
-        }
-    }
+    true
 }
 
 /// Dual-representation index over a d-dimensional generalized relation.
@@ -514,78 +496,65 @@ impl DualIndexD {
             .remove(pager, self.points.elements(), id, tuple)?)
     }
 
-    /// Executes a selection: exact when the slope is a member of `S`,
-    /// otherwise the generalized-T1 simplex covering with exact refinement.
+    /// The routing table of Section 4.4: a member slope point is searched
+    /// exactly; on a grid set the box Voronoi cell around the query slope
+    /// takes the d-dimensional technique T2 (single tree, two
+    /// handicap-guided sweeps, duplicate-free); any other set covers the
+    /// slope with a simplex of `d` points (generalized T1).
     ///
     /// # Errors
-    /// [`CdbError::UnsupportedQuery`] when the query slope lies outside the
-    /// convex hull of `S` or dimensions mismatch.
+    /// The [`Rejection`]: a query of another dimension, or a slope outside
+    /// the hull of `S` — on a grid set that is the grid box, so no simplex
+    /// is searched for.
+    pub fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
+        Rejection::dimension(self.dim(), sel)?;
+        let slope = &sel.halfplane.slope;
+        let outside = || Rejection::OutsideHull(slope.clone());
+        if let Some(i) = self.points.position(slope) {
+            Ok(PlanCase::MemberPoint {
+                i,
+                slope: slope.clone(),
+            })
+        } else if self.points.is_grid() {
+            let cell = self.points.nearest_grid(slope).ok_or_else(outside)?;
+            Ok(PlanCase::GridCell(cell))
+        } else {
+            let vertices = self.points.containing_simplex(slope).ok_or_else(outside)?;
+            Ok(PlanCase::SimplexCovering(vertices))
+        }
+    }
+
+    /// Executes `sel` along `case`, a [`route`](Self::route) of this index
+    /// (or, for ablations, a `SimplexCovering` over any vertices whose
+    /// simplex contains the query slope).
     pub fn execute(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
+        case: &PlanCase,
+        exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        if sel.halfplane.dim() != self.dim() {
-            return Err(CdbError::DimensionMismatch {
-                expected: self.dim(),
-                got: sel.halfplane.dim(),
-            });
-        }
         let tracked = TrackedReader::new(pager);
         let pager: &dyn PageReader = &tracked;
-        let slope = &sel.halfplane.slope;
-        let exact = Exact {
-            keep: &|t| sel.holds(t),
-            keys_decide: true,
-        };
-        if let Some(i) = self.points.position(slope) {
+        match case {
             // Exact restricted query; boundary band verified exactly.
-            self.forest.restricted(pager, sel, i, fetch, &exact)
-        } else if let Some(cell) = self.points.nearest_grid(slope) {
-            // Grid sets: the d-dimensional technique T2 (single tree, two
-            // handicap-guided sweeps, duplicate-free) on the whole-cell
-            // handicaps.
-            self.forest
-                .guided(pager, sel, cell, Side::Prev, fetch, &exact)
-        } else {
-            self.simplex(pager, sel, fetch, &exact)
+            PlanCase::MemberPoint { i, .. } => self.forest.restricted(pager, sel, *i, exact, fetch),
+            // The whole-cell handicaps live in the `Prev` leaf slots.
+            PlanCase::GridCell(cell) => {
+                self.forest
+                    .guided(pager, sel, *cell, Side::Prev, exact, fetch)
+            }
+            // d app-queries through P = (0,…,0,b): same intercept, same
+            // operator.
+            PlanCase::SimplexCovering(vertices) => {
+                let legs = vertices
+                    .iter()
+                    .map(|&pi| (pi, sel.halfplane.op, sel.halfplane.intercept));
+                self.forest.covering(pager, sel, legs, exact, fetch)
+            }
+            _ => Err(foreign(case)),
         }
-    }
-
-    /// Generalized T1 (simplex covering) — also the fallback for
-    /// non-grid point sets, and directly callable for ablations.
-    pub fn execute_simplex(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        let exact = Exact {
-            keep: &|t| sel.holds(t),
-            keys_decide: true,
-        };
-        self.simplex(&TrackedReader::new(pager), sel, fetch, &exact)
-    }
-
-    fn simplex(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        fetch: &dyn TupleSource,
-        exact: &Exact<'_>,
-    ) -> Result<QueryResult, CdbError> {
-        let slope = &sel.halfplane.slope;
-        let simplex = self.points.containing_simplex(slope).ok_or_else(|| {
-            CdbError::UnsupportedQuery(format!(
-                "query slope {slope:?} lies outside the hull of the predefined set S"
-            ))
-        })?;
-        // d app-queries through P = (0,…,0,b): same intercept, same operator.
-        let legs = simplex
-            .into_iter()
-            .map(|pi| (pi, sel.halfplane.op, sel.halfplane.intercept));
-        self.forest.covering(pager, sel.kind, legs, fetch, exact)
     }
 }
 
@@ -638,7 +607,9 @@ mod tests {
         let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
             pairs.iter().cloned().collect();
         let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
-        idx.execute(pager, sel, &fetch).expect("query")
+        let case = idx.route(sel).expect("in-hull slope");
+        idx.execute(pager, sel, &case, Exact::Selection, &fetch)
+            .expect("query")
     }
 
     #[test]
@@ -735,13 +706,78 @@ mod tests {
         let pairs = random_boxes(3, 20, 13);
         let idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 2, 1.0), &pairs).unwrap();
         let sel = Selection::exist(HalfPlane::new(vec![3.0, 0.0], 0.0, RelOp::Ge));
-        let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
-            pairs.iter().cloned().collect();
-        let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
+        assert_eq!(idx.route(&sel), Err(Rejection::OutsideHull(vec![3.0, 0.0])));
+        // A case another index routed is refused, not run.
+        let fetch = |_: &dyn PageReader, _: u32| -> GeneralizedTuple { unreachable!() };
         assert!(matches!(
-            idx.execute(&pager, &sel, &fetch),
+            idx.execute(
+                &pager,
+                &sel,
+                &PlanCase::FullScan(20),
+                Exact::Selection,
+                &fetch
+            ),
             Err(CdbError::UnsupportedQuery(_))
         ));
+    }
+
+    /// Regression: an out-of-box slope on a grid set used to fall through
+    /// to `containing_simplex`, which materialised all `C(k, d)` subsets —
+    /// 88 M `Vec`s for this 4-D grid of 216 points, enough to abort the
+    /// process. The grid box is the hull: the slope is rejected at once.
+    #[test]
+    fn out_of_box_slope_on_a_grid_is_rejected_without_a_simplex_search() {
+        let mut pager = MemPager::paper_1999();
+        let pairs = random_boxes(4, 10, 41);
+        let idx = DualIndexD::build(&mut pager, SlopePoints::grid(4, 6, 1.0), &pairs).unwrap();
+        let slope = vec![0.2, -1.5, 0.3];
+        let sel = Selection::exist(HalfPlane::new(slope.clone(), 0.0, RelOp::Ge));
+        let (routed, peak) = cdb_storage::conformance::peak_during(|| idx.route(&sel));
+        assert_eq!(routed, Err(Rejection::OutsideHull(slope)));
+        assert!(peak < 4096, "allocated {peak} bytes to reject a slope");
+    }
+
+    /// A non-grid set still searches for a simplex, one subset at a time.
+    #[test]
+    fn simplex_search_holds_one_subset_at_a_time() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let points: Vec<Vec<f64>> = (0..40)
+            .map(|_| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)])
+            .collect();
+        let free = SlopePoints::new(3, points);
+        // Outside the hull: all C(40, 3) = 9 880 subsets are tried.
+        let (found, peak) =
+            cdb_storage::conformance::peak_during(|| free.containing_simplex(&[5.0, 5.0]));
+        assert_eq!(found, None);
+        assert!(peak < 4096, "held {peak} bytes of subsets at once");
+        assert!(free.containing_simplex(&[0.0, 0.0]).is_some());
+    }
+
+    /// `execute` is public and takes any case a caller builds: elements of
+    /// `S` the forest does not have are an error like any foreign case.
+    #[test]
+    fn a_case_naming_a_tree_the_forest_lacks_is_an_error_not_a_panic() {
+        let mut pager = MemPager::paper_1999();
+        let pairs = random_boxes(3, 10, 5);
+        let idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 2, 1.0), &pairs).unwrap();
+        let fetch = |_: &dyn PageReader, _: u32| -> GeneralizedTuple { unreachable!() };
+        let sel = Selection::exist(HalfPlane::new(vec![0.1, 0.2], 0.0, RelOp::Ge));
+        let k = idx.points().len();
+        for case in [
+            PlanCase::GridCell(k),
+            PlanCase::SimplexCovering(vec![0, 1, k + 7]),
+            PlanCase::MemberPoint {
+                i: usize::MAX,
+                slope: vec![0.1, 0.2],
+            },
+            PlanCase::FullScan(10),
+        ] {
+            let got = idx.execute(&pager, &sel, &case, Exact::Selection, &fetch);
+            assert!(
+                matches!(got, Err(CdbError::UnsupportedQuery(_))),
+                "{case}: {got:?}"
+            );
+        }
     }
 
     #[test]
@@ -781,10 +817,19 @@ mod tests {
                     let want = oracle(&pairs, &sel);
                     let l1 = lookup.clone();
                     let f1 = move |_: &dyn PageReader, id: u32| l1[&id].clone();
-                    let t2 = idx.execute(&pager, &sel, &f1).unwrap();
+                    let cell = idx.route(&sel).unwrap();
+                    assert!(matches!(cell, PlanCase::GridCell(_)), "{cell:?}");
+                    let t2 = idx
+                        .execute(&pager, &sel, &cell, Exact::Selection, &f1)
+                        .unwrap();
                     let l2 = lookup.clone();
                     let f2 = move |_: &dyn PageReader, id: u32| l2[&id].clone();
-                    let t1 = idx.execute_simplex(&pager, &sel, &f2).unwrap();
+                    // The forced-simplex ablation: same entry point, another case.
+                    let vertices = idx.points().containing_simplex(&slope).unwrap();
+                    let simplex = PlanCase::SimplexCovering(vertices);
+                    let t1 = idx
+                        .execute(&pager, &sel, &simplex, Exact::Selection, &f2)
+                        .unwrap();
                     assert_eq!(t2.ids(), want.as_slice(), "T2-d {kind:?} {op:?} {slope:?}");
                     assert_eq!(
                         t1.ids(),

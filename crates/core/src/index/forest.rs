@@ -17,6 +17,7 @@ use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{CodecError, PageReader, Pager, RecordReader, RecordWriter, Wire};
 
 use super::handicap::{assign_high, assign_low};
+use crate::error::CdbError;
 use crate::query::Side;
 
 /// `(TOP_P, BOT_P)` of an indexed tuple at one element of `S`; panics on
@@ -72,6 +73,19 @@ impl Forest {
         } else {
             &self.pairs[i].1
         }
+    }
+
+    /// [`tree`](Self::tree) for the query side, where `i` comes out of a
+    /// [`PlanCase`](crate::plan::PlanCase) a caller may have built by hand:
+    /// an element this forest does not have is an error, not a panic.
+    pub(crate) fn routed(&self, i: usize, up: bool) -> Result<&BTree, CdbError> {
+        if i >= self.pairs.len() {
+            let k = self.pairs.len();
+            return Err(CdbError::UnsupportedQuery(format!(
+                "internal: routed to tree pair {i} of a forest of {k}"
+            )));
+        }
+        Ok(self.tree(i, up))
     }
 
     /// Adds `id` to both trees of element `i`, whose slope is `slope`;

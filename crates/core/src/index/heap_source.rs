@@ -86,7 +86,8 @@ impl TupleSource for HeapSource<'_> {
 mod tests {
     use super::*;
     use crate::ddim::{DualIndexD, SlopePoints};
-    use crate::index::{refine, DualIndex};
+    use crate::index::{refine, DualIndex, Exact};
+    use crate::plan::PlanCase;
     use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
     use crate::slopes::SlopeSet;
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
@@ -291,9 +292,11 @@ mod tests {
                         halfplane: HalfPlane::new(slope.clone(), b, op),
                     };
                     let what = format!("{kind:?} {op:?} {slope:?} {b}");
-                    let got = bed
-                        .both(&what, |src| idx.execute(&bed.pager, &sel, src))
-                        .unwrap();
+                    let case = idx.route(&sel).unwrap();
+                    let run = |case: &PlanCase, src: &dyn TupleSource| {
+                        idx.execute(&bed.pager, &sel, case, Exact::Selection, src)
+                    };
+                    let got = bed.both(&what, |src| run(&case, src)).unwrap();
                     let want: Vec<u32> = bed
                         .pairs
                         .iter()
@@ -301,10 +304,10 @@ mod tests {
                         .map(|(id, _)| *id)
                         .collect();
                     assert_eq!(got.ids(), want, "{what}: oracle");
-                    let simplex = bed
-                        .both(&what, |src| idx.execute_simplex(&bed.pager, &sel, src))
-                        .unwrap();
-                    assert_eq!(simplex.ids(), want, "{what}: simplex covering");
+                    let vertices = idx.points().containing_simplex(&slope).unwrap();
+                    let simplex = PlanCase::SimplexCovering(vertices);
+                    let covered = bed.both(&what, |src| run(&simplex, src)).unwrap();
+                    assert_eq!(covered.ids(), want, "{what}: simplex covering");
                 }
             }
         }
@@ -317,7 +320,8 @@ mod tests {
         let run = |bed: &Bed, ids: &[u32]| {
             bed.both(&format!("refine {ids:?}"), |src| {
                 let mut stats = QueryStats::default();
-                refine(&bed.pager, &|t| sel.holds(t), ids.to_vec(), src, &mut stats)
+                let ids = ids.to_vec();
+                refine(&bed.pager, &sel, Exact::Selection, ids, src, &mut stats)
                     .map(|ids| QueryResult::new(ids, stats))
             })
         };

@@ -25,15 +25,16 @@ pub(crate) use heap_source::HeapSource;
 pub(crate) use restricted::sweep_candidates;
 pub use rplus::RPlusIndex;
 
-use cdb_geometry::constraint::RelOp;
 use cdb_geometry::dual::DualSurfaces;
-use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{PageReader, Pager, TrackedReader};
 
 use crate::error::CdbError;
-use crate::plan::{AccessMethods, DualAccess, DualDAccess, MethodContext, RPlusAccess};
+use crate::plan::{
+    AccessMethods, DualAccess, DualDAccess, MethodContext, MethodKind, PlanCase, RPlusAccess,
+    Rejection, TreeAt,
+};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side, Strategy};
 use crate::slopes::{Bracket, SlopeSet};
 use ddim::{DualIndexD, SlopePoints};
@@ -468,7 +469,9 @@ impl DualIndex {
         Ok(())
     }
 
-    /// Executes a selection with the requested strategy.
+    /// Executes a selection with the requested strategy, `Auto` being the
+    /// paper's deployment: restricted when the slope is in `S`, otherwise
+    /// T2 — which is what T2 [routes](Self::route) to.
     ///
     /// `fetch` loads a tuple for the exact refinement step, charging its
     /// page accesses to `pager`. Execution is `&self` over a read-only
@@ -487,27 +490,13 @@ impl DualIndex {
         strategy: Strategy,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        if sel.halfplane.dim() != 2 {
-            return Err(CdbError::DimensionMismatch {
-                expected: 2,
-                got: sel.halfplane.dim(),
-            });
-        }
-        let exact = Exact {
-            keep: &|t| sel.holds(t),
-            keys_decide: true,
-        };
-        self.run(pager, sel, strategy, fetch, &exact)
+        self.front(pager, sel, strategy, Exact::Selection, fetch)
     }
 
     /// Footnote 2 of the paper: *equality* queries. Retrieves tuples whose
     /// extension intersects (`Exist`) or is contained in (`All`) the
     /// hyperplane `x_d = a·x' + c` — e.g. the query generalized tuple
-    /// `y = a x + c`. A tuple meets the line iff `BOT ≤ c ≤ TOP`, so the
-    /// candidates of `EXIST(x_d ≥ a·x' + c)` (`TOP ≥ c`) are a superset;
-    /// the one refinement pass applies the hyperplane predicate to them
-    /// directly (keys alone decide nothing here: `BOT` is not in the swept
-    /// tree).
+    /// `y = a x + c` — as [`Exact::Line`] over [`Selection::line_superset`].
     pub fn execute_hyperplane(
         &self,
         pager: &dyn PageReader,
@@ -517,86 +506,180 @@ impl DualIndex {
         strategy: Strategy,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        let superset = Selection::exist(HalfPlane::new2d(slope, c, RelOp::Ge));
-        let keep = |t: &dyn DualSurfaces| match kind {
-            SelectionKind::Exist => predicates::exist_hyperplane(&[slope], c, t),
-            SelectionKind::All => predicates::all_hyperplane(&[slope], c, t),
-        };
-        let exact = Exact {
-            keep: &keep,
-            keys_decide: false,
-        };
-        self.run(pager, &superset, strategy, fetch, &exact)
+        let superset = Selection::line_superset(slope, c);
+        self.front(pager, &superset, strategy, Exact::Line(kind), fetch)
     }
 
-    /// Sweeps for `sel` with `strategy` and refines with `exact`, under a
-    /// private [`TrackedReader`] so the I/O windows are this query's own.
-    fn run(
+    /// The public front: strategy → technique → route → run.
+    fn front(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
         strategy: Strategy,
+        exact: Exact,
         fetch: &dyn TupleSource,
-        exact: &Exact<'_>,
+    ) -> Result<QueryResult, CdbError> {
+        let technique = match strategy.forced() {
+            None => MethodKind::T2,
+            Some(k @ (MethodKind::Restricted | MethodKind::T1 | MethodKind::T2)) => k,
+            Some(other) => {
+                return Err(CdbError::UnsupportedQuery(format!(
+                    "{other} is executed by the planner, not the dual index"
+                )))
+            }
+        };
+        let case = self
+            .route(technique, sel)
+            .map_err(|why| CdbError::UnsupportedQuery(why.to_string()))?;
+        self.run(pager, sel, &case, exact, fetch)
+    }
+
+    /// The routing table of the 2-D index: which trees `technique` sweeps
+    /// for `sel`, in which way — Section 3's member case, Table 1's two
+    /// app-queries with their operators, Section 4.2's nearer tree.
+    ///
+    /// # Errors
+    /// The [`Rejection`]: a non-2-D query, or `Restricted` with a slope
+    /// outside `S`.
+    ///
+    /// `technique` is one of this index's three — `Restricted`, `T1`, `T2`
+    /// (anything else is the caller's bug, and routed as `T2` is).
+    pub fn route(&self, technique: MethodKind, sel: &Selection) -> Result<PlanCase, Rejection> {
+        use MethodKind::{Restricted, T1, T2};
+        debug_assert!(matches!(technique, Restricted | T1 | T2), "{technique}");
+        Rejection::dimension(2, sel)?;
+        let (a, theta) = (sel.halfplane.slope2d(), sel.halfplane.op);
+        let at = |i: usize| TreeAt {
+            i,
+            slope: self.slopes.get(i),
+        };
+        Ok(match (technique, self.slopes.bracket(a)) {
+            (MethodKind::Restricted, Bracket::Member(i)) => PlanCase::Member(at(i)),
+            (_, Bracket::Member(i)) => PlanCase::MemberRestricted(at(i)),
+            (MethodKind::Restricted, _) => return Err(Rejection::SlopeNotInS(a)),
+            // a1 < a < a2: both app-queries keep θ.
+            (MethodKind::T1, Bracket::Between(i, j)) => {
+                PlanCase::AppQueries([(at(i), theta), (at(j), theta)])
+            }
+            // Nearest slope in *slope* distance (the paper's |a1−a| <
+            // |a2−a|), i.e. by comparison with a_mid — this must match the
+            // handicap strips, which are computed over the slope intervals
+            // [aᵢ, (aᵢ+aⱼ)/2]: routing by any other metric (e.g. angle) can
+            // send a query to a tree whose strip does not contain its
+            // slope, under-covering the reaches and missing results.
+            (_, Bracket::Between(i, j)) => {
+                let (lo, hi) = (at(i), at(j));
+                let (near, side) = if a <= (lo.slope + hi.slope) / 2.0 {
+                    (lo, Side::Next)
+                } else {
+                    (hi, Side::Prev)
+                };
+                PlanCase::Between {
+                    lo: lo.slope,
+                    hi: hi.slope,
+                    near,
+                    side,
+                }
+            }
+            // Wrapped through the vertical, a1 the clockwise (max S)
+            // neighbour and a2 the anticlockwise (min S) one. Beyond max S
+            // both are smaller than a — Table 1 row 2: θ1 = θ, θ2 = ¬θ;
+            // below min S both are larger — row 3: θ1 = ¬θ, θ2 = θ.
+            (_, Bracket::Wrapped(cw, acw)) => {
+                let (th1, th2) = if a > self.slopes.get(cw) {
+                    (theta, theta.negated())
+                } else {
+                    (theta.negated(), theta)
+                };
+                let legs = [(at(cw), th1), (at(acw), th2)];
+                if technique == MethodKind::T1 {
+                    PlanCase::WrappedAppQueries(legs)
+                } else {
+                    PlanCase::WrappedFallback(legs)
+                }
+            }
+        })
+    }
+
+    /// Sweeps for `sel` along `case` — a [`route`](Self::route) of this
+    /// index — and refines with `exact`, under a private [`TrackedReader`]
+    /// so the I/O windows are this query's own.
+    pub(crate) fn run(
+        &self,
+        pager: &dyn PageReader,
+        sel: &Selection,
+        case: &PlanCase,
+        exact: Exact,
+        fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
         let tracked = TrackedReader::new(pager);
         let pager: &dyn PageReader = &tracked;
-        let a = sel.halfplane.slope2d();
-        let bracket = self.slopes.bracket(a);
-        match (strategy, bracket) {
-            (Strategy::Restricted, Bracket::Member(i)) => {
-                self.forest.restricted(pager, sel, i, fetch, exact)
+        match case {
+            PlanCase::Member(tree) | PlanCase::MemberRestricted(tree) => {
+                self.forest.restricted(pager, sel, tree.i, exact, fetch)
             }
-            (Strategy::Restricted, _) => Err(CdbError::UnsupportedQuery(format!(
-                "slope {a} is not in the predefined set S"
-            ))),
-            (Strategy::Auto, Bracket::Member(i)) => {
-                self.forest.restricted(pager, sel, i, fetch, exact)
+            PlanCase::AppQueries(legs)
+            | PlanCase::WrappedAppQueries(legs)
+            | PlanCase::WrappedFallback(legs) => self.t1(pager, sel, legs, exact, fetch),
+            PlanCase::Between { near, side, .. } => {
+                self.forest.guided(pager, sel, near.i, *side, exact, fetch)
             }
-            (Strategy::T1 | Strategy::T2, Bracket::Member(i)) => {
-                self.forest.restricted(pager, sel, i, fetch, exact)
-            }
-            (Strategy::T1, _) => self.t1(pager, sel, fetch, exact),
-            (Strategy::T2 | Strategy::Auto, Bracket::Between(i, j)) => {
-                self.t2(pager, sel, i, j, fetch, exact)
-            }
-            // The paper details T2 for the main case a1 < a < a2 only; the
-            // wrapped cases fall back to T1 exactly like Section 4.1.
-            (Strategy::T2 | Strategy::Auto, Bracket::Wrapped(..)) => {
-                self.t1(pager, sel, fetch, exact)
-            }
-            (Strategy::Scan | Strategy::RPlus, _) => Err(CdbError::UnsupportedQuery(
-                "Scan and RPlus are executed by the planner, not the dual index".into(),
-            )),
+            _ => Err(foreign(case)),
         }
     }
 }
 
+/// The error for a [`PlanCase`] handed to an index that did not route it.
+pub(crate) fn foreign(case: &PlanCase) -> CdbError {
+    CdbError::UnsupportedQuery(format!("internal: not a route of this index: {case}"))
+}
+
 /// What the refinement step decides per candidate, and whether the index
 /// keys already decide it.
-pub(crate) struct Exact<'a> {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Exact {
+    /// The selection's own predicate (Proposition 2.2). At a member slope
+    /// the swept tree's key test *is* this predicate, so entries clear of
+    /// the `f32` rounding band are accepted from their keys.
+    Selection,
+    /// An equality query: the selection is its
+    /// [superset](Selection::line_superset) and every candidate is shown to
+    /// the hyperplane predicate of this kind (keys alone decide nothing
+    /// here: `BOT` is not in the swept tree).
+    Line(SelectionKind),
+}
+
+impl Exact {
     /// The exact predicate on a candidate's stored form.
-    pub keep: &'a dyn Fn(&dyn DualSurfaces) -> bool,
-    /// `true` when the swept tree's key test at a member slope *is* this
-    /// predicate, so entries clear of the `f32` rounding band are accepted
-    /// from their keys; `false` sends every candidate through `keep`.
-    pub keys_decide: bool,
+    pub(crate) fn keep(self, sel: &Selection, t: &dyn DualSurfaces) -> bool {
+        let q = &sel.halfplane;
+        match self {
+            Exact::Selection => sel.holds(t),
+            Exact::Line(SelectionKind::Exist) => {
+                predicates::exist_hyperplane(&q.slope, q.intercept, t)
+            }
+            Exact::Line(SelectionKind::All) => predicates::all_hyperplane(&q.slope, q.intercept, t),
+        }
+    }
 }
 
 /// Exact refinement — the one loop behind every technique: shows the
-/// candidates' stored forms to `keep` (batched by the source, so the cost
-/// is one page access per distinct heap page; the engine's heap source runs
-/// `keep` on the record bytes in the page) and returns those it accepts, in
-/// candidate order.
+/// candidates' stored forms to [`Exact::keep`] (batched by the source, so
+/// the cost is one page access per distinct heap page; the engine's heap
+/// source runs it on the record bytes in the page) and returns those it
+/// accepts, in candidate order.
 pub(crate) fn refine(
     pager: &dyn PageReader,
-    keep: &dyn Fn(&dyn DualSurfaces) -> bool,
+    sel: &Selection,
+    exact: Exact,
     candidates: Vec<u32>,
     fetch: &dyn TupleSource,
     stats: &mut QueryStats,
 ) -> Result<Vec<u32>, CdbError> {
     let mut kept = vec![false; candidates.len()];
-    fetch.visit_batch(pager, &candidates, &mut |at, t| kept[at] = keep(t))?;
+    fetch.visit_batch(pager, &candidates, &mut |at, t| {
+        kept[at] = exact.keep(sel, t)
+    })?;
     let mut out = candidates;
     let mut verdicts = kept.iter();
     out.retain(|_| *verdicts.next().expect("one verdict per candidate"));
@@ -607,6 +690,7 @@ pub(crate) fn refine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdb_geometry::constraint::RelOp;
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::predicates::oracle_select;
     use cdb_storage::MemPager;
@@ -810,6 +894,30 @@ mod tests {
         let sel = Selection::exist(HalfPlane::above(0.37, -3.0));
         let got = run(&idx, &pager, &pairs, &sel, Strategy::T2);
         assert_eq!(got.ids(), oracle(&pairs, &sel));
+    }
+
+    /// What the index itself refuses, as errors: a strategy that names no
+    /// technique of its own, and a case naming a tree it does not have.
+    #[test]
+    fn foreign_strategies_and_trees_are_errors_not_panics() {
+        let mut pager = MemPager::paper_1999();
+        let tuples = DatasetSpec::paper_1999(20, ObjectSize::Small, 8).generate();
+        let (idx, _) = build_index(&mut pager, &tuples, 3);
+        let fetch = |_: &dyn PageReader, _: u32| -> GeneralizedTuple { unreachable!() };
+        let sel = Selection::exist(HalfPlane::above(0.3, 0.0));
+        for strategy in [Strategy::Scan, Strategy::RPlus] {
+            let got = idx.execute(&pager, &sel, strategy, &fetch);
+            assert!(matches!(got, Err(CdbError::UnsupportedQuery(_))), "{got:?}");
+        }
+        let nowhere = crate::plan::TreeAt { i: 3, slope: 0.3 };
+        let got = idx.run(
+            &pager,
+            &sel,
+            &PlanCase::Member(nowhere),
+            Exact::Selection,
+            &fetch,
+        );
+        assert!(matches!(got, Err(CdbError::UnsupportedQuery(_))), "{got:?}");
     }
 
     #[test]

@@ -24,15 +24,15 @@ impl Forest {
         pager: &dyn PageReader,
         sel: &Selection,
         slope_idx: usize,
+        exact: Exact,
         fetch: &dyn TupleSource,
-        exact: &Exact<'_>,
     ) -> Result<QueryResult, CdbError> {
         let before = pager.stats();
         let b = sel.halfplane.intercept;
         let (use_up, upward) = tree_and_direction(sel.kind, sel.halfplane.op);
-        let tree = self.tree(slope_idx, use_up);
+        let tree = self.routed(slope_idx, use_up)?;
         let (mut sure, mut check) = sweep_candidates(tree, pager, b, upward)?;
-        if !exact.keys_decide {
+        if exact != Exact::Selection {
             check.append(&mut sure);
         }
         let mut stats = QueryStats {
@@ -44,7 +44,7 @@ impl Forest {
         let heap_before = pager.stats();
         // The boundary-band predicate at the tree's own slope equals the
         // exact selection predicate, so refine() decides it exactly.
-        let kept = refine(pager, exact.keep, check, fetch, &mut stats)?;
+        let kept = refine(pager, sel, exact, check, fetch, &mut stats)?;
         stats.heap_io = pager.stats().since(&heap_before);
         sure.extend(kept);
         Ok(QueryResult::new(sure, stats))

@@ -7,36 +7,9 @@ use cdb_btree::{key_slack, BTree, Handicaps, SweepControl};
 use cdb_storage::PageReader;
 
 use super::forest::Forest;
-use super::{refine, DualIndex, Exact, TupleSource};
+use super::{refine, Exact, TupleSource};
 use crate::error::CdbError;
 use crate::query::{tree_and_direction, QueryResult, QueryStats, Selection, Side};
-
-impl DualIndex {
-    /// Sections 4.2–4.3: one tree, two disjoint sweeps guided by handicaps.
-    pub(super) fn t2(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        lo_idx: usize,
-        hi_idx: usize,
-        fetch: &dyn TupleSource,
-        exact: &Exact<'_>,
-    ) -> Result<QueryResult, CdbError> {
-        // Nearest slope in *slope* distance (the paper's |a1−a| < |a2−a|),
-        // i.e. by comparison with a_mid — this must match the handicap
-        // strips, which are computed over the slope intervals
-        // [aᵢ, (aᵢ+aⱼ)/2]: routing by any other metric (e.g. angle) can
-        // send a query to a tree whose strip does not contain its slope,
-        // under-covering the reaches and missing results.
-        let mid = (self.slopes().get(lo_idx) + self.slopes().get(hi_idx)) / 2.0;
-        let (near, side) = if sel.halfplane.slope2d() <= mid {
-            (lo_idx, Side::Next)
-        } else {
-            (hi_idx, Side::Prev)
-        };
-        self.forest.guided(pager, sel, near, side, fetch, exact)
-    }
-}
 
 impl Forest {
     /// The handicap-guided search in the trees of element `near`, whose
@@ -47,12 +20,12 @@ impl Forest {
         sel: &Selection,
         near: usize,
         side: Side,
+        exact: Exact,
         fetch: &dyn TupleSource,
-        exact: &Exact<'_>,
     ) -> Result<QueryResult, CdbError> {
         let before = pager.stats();
         let (use_up, upward) = tree_and_direction(sel.kind, sel.halfplane.op);
-        let tree = self.tree(near, use_up);
+        let tree = self.routed(near, use_up)?;
         let raw = handicap_guided_candidates(tree, pager, sel.halfplane.intercept, upward, side)?;
         let mut stats = QueryStats {
             candidates: raw.len() as u64,
@@ -70,7 +43,7 @@ impl Forest {
             "T2 must not produce duplicates"
         );
         let heap_before = pager.stats();
-        let ids = refine(pager, exact.keep, raw, fetch, &mut stats)?;
+        let ids = refine(pager, sel, exact, raw, fetch, &mut stats)?;
         stats.heap_io = pager.stats().since(&heap_before);
         Ok(QueryResult::new(ids, stats))
     }

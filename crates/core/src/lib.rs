@@ -64,8 +64,8 @@ pub use error::{CdbError, CATALOG_RECORD, WAL_RECORD};
 pub use index::{ddim, DualIndex, Index, IndexKind, IndexSpec};
 pub use partition::{hash_owner, PartitionSpec, Partitioner};
 pub use plan::{
-    AccessMethod, Capability, CostEstimate, ExplainReport, MethodKind, PlanCatalog, Planner,
-    QueryPlan,
+    AccessMethod, CostEstimate, ExplainReport, MethodKind, PlanCase, PlanCatalog, Planner,
+    QueryPlan, Rejection,
 };
 pub use pretty::PlanNode;
 pub use query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};

@@ -36,7 +36,7 @@ use cdb_geometry::{LinearConstraint, RelOp};
 use cdb_storage::{PageReader, TrackedReader};
 
 use crate::error::CdbError;
-use crate::index::TupleSource;
+use crate::index::{Exact, TupleSource};
 use crate::logical::LogicalPlan;
 use crate::plan::{Planner, QueryPlan};
 use crate::pretty::{actual_line, plan_detail_lines, PlanNode};
@@ -231,6 +231,9 @@ pub struct IndexScanOp<'a> {
     reader: &'a dyn PageReader,
     page_size: usize,
     sel: Selection,
+    /// What refinement decides: `sel` itself, or the line query `sel` is
+    /// the superset of.
+    exact: Exact,
     strategy: Strategy,
     fetch_regions: bool,
     plan: Option<QueryPlan>,
@@ -250,6 +253,7 @@ impl<'a> IndexScanOp<'a> {
         reader: &'a dyn PageReader,
         page_size: usize,
         sel: Selection,
+        exact: Exact,
         strategy: Strategy,
         fetch_regions: bool,
     ) -> IndexScanOp<'a> {
@@ -258,6 +262,7 @@ impl<'a> IndexScanOp<'a> {
             reader,
             page_size,
             sel,
+            exact,
             strategy,
             fetch_regions,
             plan: None,
@@ -290,17 +295,18 @@ impl Operator for IndexScanOp<'_> {
     fn open(&mut self) -> Result<(), CdbError> {
         let t0 = Instant::now();
         self.check()?;
-        let forced = self.rel.forced_kind(self.strategy)?;
+        let forced = self.strategy.forced();
         let methods = self.rel.access_methods(self.page_size);
-        let (method, plan) =
-            Planner::choose(methods.iter(), &self.sel, forced, self.rel.catalog(), true)?;
+        let (method, plan) = Planner::choose(&methods, &self.sel, self.exact, forced, true)?;
         let source = self.rel.tuple_source();
-        let mut result = method.execute(self.reader, &self.sel, &source)?;
-        result.stats.method = Some(plan.method);
+        let mut result = method.execute(self.reader, &self.sel, &plan.case, self.exact, &source)?;
+        // Booked under the search that ran, not the label that won.
+        let ran = plan.case.runs();
+        result.stats.method = Some(ran);
         result.stats.estimate = Some(plan.estimate);
         self.rel
             .catalog()
-            .record(plan.method, self.sel.kind, &result.stats, self.rel.len());
+            .record(ran, self.sel.kind, &result.stats, self.rel.len());
         (self.ids, self.stats) = result.into_parts();
         self.plan = Some(plan);
         self.seen.elapsed += t0.elapsed();
@@ -335,8 +341,7 @@ impl Operator for IndexScanOp<'_> {
         self.check()?;
         let methods = self.rel.access_methods(self.page_size);
         // `explore = false`: EXPLAIN is deterministic and side-effect free.
-        let (_, plan) =
-            Planner::choose(methods.iter(), &self.sel, None, self.rel.catalog(), false)?;
+        let (_, plan) = Planner::choose(&methods, &self.sel, self.exact, None, false)?;
         self.plan = Some(plan);
         Ok(())
     }
@@ -824,6 +829,7 @@ pub fn build<'a>(
             ctx.reader,
             ctx.page_size,
             selection.clone(),
+            Exact::Selection,
             Strategy::Auto,
             need_regions,
         )),
@@ -904,6 +910,7 @@ mod tests {
             db.reader(),
             1024,
             Selection::exist(HalfPlane::above(0.3, -1e9)),
+            Exact::Selection,
             Strategy::Auto,
             true,
         )

@@ -5,21 +5,23 @@
 //! R⁺-tree baseline of Section 5 — with analytic costs (Theorems 3.1/4.2)
 //! that predict which wins. This module makes that choice first-class:
 //!
-//! * [`AccessMethod`] — one uniform `&self` execution surface over a
-//!   [`PageReader`], with a capability descriptor (exact vs refined vs
-//!   unsupported per [`Selection`]) and a cost estimator. Implemented by
-//!   [`DualAccess`] for the three [`DualIndex`] techniques, [`DualDAccess`]
-//!   for `d > 2`, a first-class sequential scan over a relation, and
-//!   [`RPlusAccess`] over [`cdb_rplustree::RPlusTree`]; a relation hands
-//!   the planner its [`AccessMethods`] inline, no allocation per query.
+//! * [`AccessMethod`] — one uniform `&self` surface over a [`PageReader`]:
+//!   [`route`](AccessMethod::route) decides once how a [`Selection`] is
+//!   served — a [`PlanCase`], or the [`Rejection`] saying why not — and the
+//!   cost estimator, the executor and EXPLAIN all read that one case.
+//!   Implemented by [`DualAccess`] for the three [`DualIndex`] techniques,
+//!   [`DualDAccess`] for `d > 2`, a first-class sequential scan over a
+//!   relation, and [`RPlusAccess`] over [`cdb_rplustree::RPlusTree`]; a
+//!   relation hands the planner its [`AccessMethods`] inline, no
+//!   allocation per query.
 //! * [`Planner`] — enumerates the feasible methods, scores each with the
 //!   paper-shaped I/O formulas evaluated at a candidate fraction seeded from
 //!   a small feedback catalog ([`PlanCatalog`]) of observed per-plan
 //!   [`QueryStats`], and returns the cheapest as a [`QueryPlan`].
 //! * [`QueryPlan::explain`] / [`ExplainReport`] — render chosen method,
-//!   estimated vs actual page accesses, bracket case and refinement mode.
-//!   The case and every rejection reason are plain data ([`PlanCase`],
-//!   [`Rejection`]) until then: planning a query formats no string.
+//!   estimated vs actual page accesses, routing case and refinement mode.
+//!   The case and every rejection reason are plain data until then:
+//!   planning a query formats no string.
 //!
 //! The cost model follows the shape of the paper's theorems rather than
 //! reproducing their constants: a B⁺-tree search costs one root-to-leaf
@@ -38,15 +40,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use cdb_btree::layout::leaf_capacity;
+use cdb_geometry::constraint::RelOp;
 use cdb_storage::codec::{self, finite};
 use cdb_storage::{CodecError, PageReader, RecordReader, RecordWriter, TrackedReader, Wire};
 
 use crate::error::CdbError;
 use crate::index::ddim::DualIndexD;
-use crate::index::{refine, DualIndex, RPlusIndex, TupleSource};
-use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
+use crate::index::{foreign, refine, DualIndex, Exact, RPlusIndex, TupleSource};
+use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side};
 use crate::relation::Relation;
-use crate::slopes::Bracket;
 
 /// Candidate fraction assumed before any feedback is available (the paper's
 /// experiments run at 10–15% selectivity; 1/8 sits in that band).
@@ -111,20 +113,6 @@ cdb_storage::wire_enum!(MethodKind {
     5 => RPlus,
 });
 
-impl MethodKind {
-    /// The legacy [`Strategy`] this method corresponds to, if any.
-    pub fn strategy(self) -> Option<Strategy> {
-        match self {
-            MethodKind::Restricted => Some(Strategy::Restricted),
-            MethodKind::T1 => Some(Strategy::T1),
-            MethodKind::T2 => Some(Strategy::T2),
-            MethodKind::SeqScan => Some(Strategy::Scan),
-            MethodKind::RPlus => Some(Strategy::RPlus),
-            MethodKind::DualD => None,
-        }
-    }
-}
-
 impl fmt::Display for MethodKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -139,58 +127,47 @@ impl fmt::Display for MethodKind {
     }
 }
 
-/// Whether (and how) a method can serve one particular selection.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Capability {
-    /// The index phase alone decides membership (up to the f32 boundary
-    /// band, which is verified in place); no candidate superset.
-    Exact,
-    /// The index phase produces a candidate superset that an exact
-    /// refinement pass (tuple fetches + the exact predicate) filters down.
-    Refined,
-    /// The method cannot serve this selection; the reason is shown in
-    /// EXPLAIN output.
-    Unsupported(Rejection),
-}
-
 /// Why a method cannot serve a selection. Plain data on the executing
 /// path; text only when EXPLAIN or an error message renders it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Rejection {
-    /// A 2-D dual index asked a query of another dimension.
-    Dual2dOnly,
-    /// The restricted technique asked a slope outside `S`.
-    SlopeNotInS(f64),
-    /// A d-dimensional index asked a query of another dimension.
-    DualDimOnly(usize),
-    /// The query slope (owned: its dimension is unbounded) lies outside
-    /// the hull of the d-dimensional slope points.
-    OutsideHull(Vec<f64>),
-    /// Relation and query dimensions differ.
-    DimMismatch {
-        /// The relation's dimension.
-        relation: usize,
+    /// The method serves `serves`-dimensional queries only.
+    Dimension {
+        /// The dimension of the method's index, or of the relation.
+        serves: usize,
         /// The query's dimension.
         query: usize,
     },
-    /// The R⁺-tree asked a query that is not 2-D.
-    RPlus2dOnly,
+    /// The restricted technique asked a slope outside `S`.
+    SlopeNotInS(f64),
+    /// The query slope (owned: its dimension is unbounded) lies outside
+    /// the hull of the d-dimensional slope points.
+    OutsideHull(Vec<f64>),
+}
+
+impl Rejection {
+    /// The refusal of a `query`-dimensional selection by a method that
+    /// serves `serves` dimensions, if they differ.
+    pub(crate) fn dimension(serves: usize, sel: &Selection) -> Result<(), Rejection> {
+        let query = sel.halfplane.dim();
+        if query == serves {
+            return Ok(());
+        }
+        Err(Rejection::Dimension { serves, query })
+    }
 }
 
 impl fmt::Display for Rejection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Rejection::Dual2dOnly => f.write_str("the 2-D dual index serves 2-D queries only"),
+            Rejection::Dimension { serves, query } => {
+                write!(f, "serves {serves}-D queries only, the query is {query}-D")
+            }
             Rejection::SlopeNotInS(a) => write!(f, "slope {a} is not in the predefined set S"),
-            Rejection::DualDimOnly(d) => write!(f, "the index serves {d}-D queries only"),
             Rejection::OutsideHull(slope) => write!(
                 f,
                 "query slope {slope:?} lies outside the hull of the predefined set S"
             ),
-            Rejection::DimMismatch { relation, query } => {
-                write!(f, "the relation is {relation}-D, the query {query}-D")
-            }
-            Rejection::RPlus2dOnly => f.write_str("the R⁺-tree serves 2-D queries only"),
         }
     }
 }
@@ -219,38 +196,63 @@ impl CostEstimate {
     }
 }
 
-/// The bracket/routing case a method takes for one selection, e.g.
-/// `member slope 1` or `between slopes -0.414 and 0.414: …`. Plain data
-/// on the executing path; text only when EXPLAIN renders it.
+/// One tree pair of a 2-D dual forest: element `i` of `S`, whose slope
+/// is `slope`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TreeAt {
+    /// Index of the slope in `S` (and of its tree pair in the forest).
+    pub i: usize,
+    /// The slope itself.
+    pub slope: f64,
+}
+
+/// One app-query of Table 1: the trees it sweeps and its operator `θ`.
+pub type Leg = (TreeAt, RelOp);
+
+/// The route a method takes for one selection — decided once by
+/// [`AccessMethod::route`], then read by the cost model, the executor and
+/// EXPLAIN alike. It carries what execution needs (tree indices, sides,
+/// operators, cells, vertices) next to what EXPLAIN prints, e.g. `member
+/// slope 1` or `between slopes -0.414 and 0.414: …`. Plain data on the
+/// executing path; text only when EXPLAIN renders it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PlanCase {
     /// Restricted at a member slope.
-    Member(f64),
-    /// T1/T2 at a member slope: delegates to the restricted technique.
-    MemberRestricted(f64),
-    /// Restricted asked for a slope outside `S` (never chosen).
-    OutsideS,
-    /// T1 between two slopes of `S`.
-    AppQueries(f64, f64),
-    /// T1 wrapped through the vertical (Table 1).
-    WrappedAppQueries(f64, f64),
-    /// T2 between slopes `lo` and `hi`, sweeping the tree at `near`.
+    Member(TreeAt),
+    /// T1/T2 at a member slope: runs the restricted search.
+    MemberRestricted(TreeAt),
+    /// T1 between two slopes of `S`: both legs keep `θ`.
+    AppQueries([Leg; 2]),
+    /// T1 wrapped through the vertical: the clockwise and anticlockwise
+    /// neighbours, one leg with `¬θ` (Table 1 rows 2 and 3).
+    WrappedAppQueries([Leg; 2]),
+    /// T2 between slopes `lo` and `hi`, sweeping the trees at `near`
+    /// guided by the handicaps of `side`.
     Between {
         /// Lower bracketing slope.
         lo: f64,
         /// Upper bracketing slope.
         hi: f64,
-        /// The slope whose tree is swept.
-        near: f64,
+        /// The trees that are swept: those whose handicap strip
+        /// `[aᵢ, (aᵢ+aⱼ)/2]` contains the query slope.
+        near: TreeAt,
+        /// The side of `near` that strip lies on.
+        side: Side,
     },
-    /// T2 at a wrapped slope: T1 fallback.
-    WrappedFallback,
-    /// d-dimensional member slope point (owned: unbounded dimension).
-    MemberPoint(Vec<f64>),
+    /// T2 at a wrapped slope: the paper details T2 for `a₁ < a < a₂` only,
+    /// so this runs T1's two app-queries exactly like Section 4.1.
+    WrappedFallback([Leg; 2]),
+    /// d-dimensional member slope point `i` (owned: unbounded dimension).
+    MemberPoint {
+        /// Index of the point in `S`.
+        i: usize,
+        /// The point itself.
+        slope: Vec<f64>,
+    },
     /// d-dimensional T2 over grid cell `.0`.
     GridCell(usize),
-    /// Simplex covering with `.0` app-queries.
-    SimplexCovering(usize),
+    /// Simplex covering: one app-query per vertex (indices into `S`).
+    SimplexCovering(Vec<usize>),
     /// Sequential scan of `.0` tuples.
     FullScan(u64),
     /// R⁺-tree search plus `.0` unbounded tuples from the overflow list.
@@ -258,24 +260,54 @@ pub enum PlanCase {
 }
 
 impl PlanCase {
-    /// How the case's candidates become the answer.
+    /// The search this case actually runs — what planner feedback is
+    /// booked under and [`QueryStats::method`] reports. At a member slope
+    /// every dual technique runs the restricted search, and T2's wrapped
+    /// fallback runs T1's.
+    pub fn runs(&self) -> MethodKind {
+        match self {
+            PlanCase::Member(_) | PlanCase::MemberRestricted(_) => MethodKind::Restricted,
+            PlanCase::AppQueries(_)
+            | PlanCase::WrappedAppQueries(_)
+            | PlanCase::WrappedFallback(_) => MethodKind::T1,
+            PlanCase::Between { .. } => MethodKind::T2,
+            PlanCase::MemberPoint { .. } | PlanCase::GridCell(_) | PlanCase::SimplexCovering(_) => {
+                MethodKind::DualD
+            }
+            PlanCase::FullScan(_) => MethodKind::SeqScan,
+            PlanCase::MbrSearch(_) => MethodKind::RPlus,
+        }
+    }
+
+    /// The member cases: the swept tree's keys decide the selection's own
+    /// predicate, so all but the `f32` boundary band is accepted unfetched.
+    pub fn exact_by_key(&self) -> bool {
+        use PlanCase::{Member, MemberPoint, MemberRestricted};
+        matches!(self, Member(_) | MemberRestricted(_) | MemberPoint { .. })
+    }
+
+    /// How the case's candidates become the answer: `[exact]` when the
+    /// index phase alone decides membership (up to the f32 boundary band,
+    /// which is verified in place), `[refined]` when it produces a
+    /// candidate superset that exact refinement filters down.
     pub fn refinement(&self) -> &'static str {
         match self {
-            PlanCase::Member(_)
-            | PlanCase::MemberRestricted(_)
-            | PlanCase::OutsideS
-            | PlanCase::MemberPoint(_) => "exact by key; f32 boundary band verified",
-            PlanCase::AppQueries(..)
-            | PlanCase::WrappedAppQueries(..)
-            | PlanCase::WrappedFallback
+            PlanCase::Member(_) | PlanCase::MemberRestricted(_) | PlanCase::MemberPoint { .. } => {
+                "exact by key; f32 boundary band verified [exact]"
+            }
+            PlanCase::AppQueries(_)
+            | PlanCase::WrappedAppQueries(_)
+            | PlanCase::WrappedFallback(_)
             | PlanCase::SimplexCovering(_) => {
-                "candidate superset; duplicates removed, then exact refinement"
+                "candidate superset; duplicates removed, then exact refinement [refined]"
             }
             PlanCase::Between { .. } | PlanCase::GridCell(_) => {
-                "duplicate-free candidate superset, then exact refinement"
+                "duplicate-free candidate superset, then exact refinement [refined]"
             }
-            PlanCase::FullScan(_) => "exact predicate per tuple (no candidate superset)",
-            PlanCase::MbrSearch(_) => "candidate superset (EXIST MBRs), then exact refinement",
+            PlanCase::FullScan(_) => "exact predicate per tuple (no candidate superset) [exact]",
+            PlanCase::MbrSearch(_) => {
+                "candidate superset (EXIST MBRs), then exact refinement [refined]"
+            }
         }
     }
 }
@@ -283,21 +315,27 @@ impl PlanCase {
 impl fmt::Display for PlanCase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanCase::Member(s) => write!(f, "member slope {s}"),
-            PlanCase::MemberRestricted(s) => write!(f, "member slope {s} (restricted)"),
-            PlanCase::OutsideS => f.write_str("slope outside S"),
-            PlanCase::AppQueries(a, b) => write!(f, "two app-queries at slopes {a} and {b}"),
-            PlanCase::WrappedAppQueries(a, b) => {
-                write!(f, "wrapped: app-queries at slopes {a} and {b} (Table 1)")
+            PlanCase::Member(t) => write!(f, "member slope {}", t.slope),
+            PlanCase::MemberRestricted(t) => write!(f, "member slope {} (restricted)", t.slope),
+            PlanCase::AppQueries([(a, _), (b, _)]) => {
+                write!(f, "two app-queries at slopes {} and {}", a.slope, b.slope)
             }
-            PlanCase::Between { lo, hi, near } => write!(
+            PlanCase::WrappedAppQueries([(a, _), (b, _)]) => write!(
                 f,
-                "between slopes {lo} and {hi}: handicap-guided sweeps on the tree at {near}"
+                "wrapped: app-queries at slopes {} and {} (Table 1)",
+                a.slope, b.slope
             ),
-            PlanCase::WrappedFallback => f.write_str("wrapped slope: T1 fallback (Section 4.1)"),
-            PlanCase::MemberPoint(slope) => write!(f, "member slope point {slope:?}"),
+            PlanCase::Between { lo, hi, near, .. } => write!(
+                f,
+                "between slopes {lo} and {hi}: handicap-guided sweeps on the tree at {}",
+                near.slope
+            ),
+            PlanCase::WrappedFallback(_) => f.write_str("wrapped slope: T1 fallback (Section 4.1)"),
+            PlanCase::MemberPoint { slope, .. } => write!(f, "member slope point {slope:?}"),
             PlanCase::GridCell(cell) => write!(f, "grid cell {cell}: d-dimensional T2 sweeps"),
-            PlanCase::SimplexCovering(d) => write!(f, "simplex covering with {d} app-queries"),
+            PlanCase::SimplexCovering(vertices) => {
+                write!(f, "simplex covering with {} app-queries", vertices.len())
+            }
             PlanCase::FullScan(n) => write!(f, "full scan of {n} tuples"),
             PlanCase::MbrSearch(unbounded) => write!(
                 f,
@@ -337,29 +375,30 @@ impl MethodContext {
     }
 }
 
-/// One query path the planner can choose: uniform `&self` execution over a
-/// shared [`PageReader`], with capability, cost and maintenance metadata.
+/// One query path the planner can choose: uniform `&self` routing, costing
+/// and execution over a shared [`PageReader`].
 pub trait AccessMethod: Sync {
     /// Which method this is.
     fn kind(&self) -> MethodKind;
 
-    /// Whether (and how) this method can serve `sel`.
-    fn capability(&self, sel: &Selection) -> Capability;
+    /// How this method serves `sel`, or why it cannot. Computed once per
+    /// plan; [`estimate`](Self::estimate) and [`execute`](Self::execute)
+    /// take the case back instead of re-deriving it.
+    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection>;
 
-    /// Cost estimate assuming the index phase produces `frac · n`
-    /// candidates (before method-specific duplication factors).
-    fn estimate_at(&self, sel: &Selection, frac: f64) -> CostEstimate;
+    /// Cost estimate of `case` (this method's [`route`](Self::route) of
+    /// `sel`) assuming the index phase produces `frac · n` candidates
+    /// (before case-specific duplication factors).
+    fn estimate(&self, sel: &Selection, case: &PlanCase, frac: f64) -> CostEstimate;
 
-    /// The bracket/routing case (and with it the refinement mode) for
-    /// EXPLAIN output.
-    fn detail(&self, sel: &Selection) -> PlanCase;
-
-    /// Executes the selection, charging I/O to `pager` and fetching
-    /// refinement tuples through `fetch`.
+    /// Executes `sel` along `case`, charging I/O to `pager`, fetching
+    /// refinement tuples through `fetch` and deciding them with `exact`.
     fn execute(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
+        case: &PlanCase,
+        exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError>;
 }
@@ -387,10 +426,6 @@ impl<'a> DualAccess<'a> {
             technique,
         })
     }
-
-    fn bracket(&self, sel: &Selection) -> Bracket {
-        self.index.slopes().bracket(sel.halfplane.slope2d())
-    }
 }
 
 impl AccessMethod for DualAccess<'_> {
@@ -398,69 +433,35 @@ impl AccessMethod for DualAccess<'_> {
         self.technique
     }
 
-    fn capability(&self, sel: &Selection) -> Capability {
-        if sel.halfplane.dim() != 2 {
-            return Capability::Unsupported(Rejection::Dual2dOnly);
-        }
-        match (self.bracket(sel), self.technique) {
-            (Bracket::Member(_), _) => Capability::Exact,
-            (_, MethodKind::Restricted) => {
-                Capability::Unsupported(Rejection::SlopeNotInS(sel.halfplane.slope2d()))
-            }
-            _ => Capability::Refined,
-        }
+    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
+        self.index.route(self.technique, sel)
     }
 
-    fn estimate_at(&self, sel: &Selection, frac: f64) -> CostEstimate {
+    fn estimate(&self, _sel: &Selection, case: &PlanCase, frac: f64) -> CostEstimate {
         let h = self.index.forest.height() as f64;
         let (n, leaves) = (self.ctx.n as f64, self.ctx.dual_leaf_pages());
-        match (self.technique, self.bracket(sel)) {
-            (MethodKind::Restricted, _) | (_, Bracket::Member(_)) => CostEstimate {
+        match case.runs() {
+            MethodKind::Restricted => CostEstimate {
                 index_pages: h + frac * leaves,
                 // Only the f32 boundary band is fetched: a handful of tuples.
                 heap_pages: self.ctx.heap_fetch_pages(2.0_f64.min(frac * n)),
                 candidates: frac * n,
             },
-            // Two app-queries (T2's wrapped case falls back to them); the
-            // legs over-cover and overlap (duplication), so candidates
-            // roughly double before refinement.
-            (MethodKind::T1, _) | (_, Bracket::Wrapped(..)) => CostEstimate {
-                index_pages: 2.0 * (h + frac * leaves),
-                heap_pages: self.ctx.heap_fetch_pages(2.0 * frac * n),
-                candidates: 2.0 * frac * n,
-            },
             // One descent; the two disjoint sweeps over-cover the exact
             // answer by the handicap overshoot (a strip, not a doubling).
-            _ => CostEstimate {
+            MethodKind::T2 => CostEstimate {
                 index_pages: h + 1.2 * frac * leaves,
                 heap_pages: self.ctx.heap_fetch_pages(1.2 * frac * n),
                 candidates: 1.2 * frac * n,
             },
-        }
-    }
-
-    fn detail(&self, sel: &Selection) -> PlanCase {
-        let slopes = self.index.slopes();
-        match (self.technique, self.bracket(sel)) {
-            (MethodKind::Restricted, Bracket::Member(i)) => PlanCase::Member(slopes.get(i)),
-            (MethodKind::Restricted, _) => PlanCase::OutsideS,
-            (_, Bracket::Member(i)) => PlanCase::MemberRestricted(slopes.get(i)),
-            (MethodKind::T1, Bracket::Between(i, j)) => {
-                PlanCase::AppQueries(slopes.get(i), slopes.get(j))
-            }
-            (MethodKind::T1, Bracket::Wrapped(cw, acw)) => {
-                PlanCase::WrappedAppQueries(slopes.get(cw), slopes.get(acw))
-            }
-            (_, Bracket::Between(i, j)) => {
-                let (lo, hi) = (slopes.get(i), slopes.get(j));
-                let near = if sel.halfplane.slope2d() <= (lo + hi) / 2.0 {
-                    lo
-                } else {
-                    hi
-                };
-                PlanCase::Between { lo, hi, near }
-            }
-            (_, Bracket::Wrapped(..)) => PlanCase::WrappedFallback,
+            // Two app-queries; the legs over-cover and overlap
+            // (duplication), so candidates roughly double before
+            // refinement.
+            _ => CostEstimate {
+                index_pages: 2.0 * (h + frac * leaves),
+                heap_pages: self.ctx.heap_fetch_pages(2.0 * frac * n),
+                candidates: 2.0 * frac * n,
+            },
         }
     }
 
@@ -468,10 +469,11 @@ impl AccessMethod for DualAccess<'_> {
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
+        case: &PlanCase,
+        exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        let strategy = self.technique.strategy().expect("a dual technique");
-        self.index.execute(pager, sel, strategy, fetch)
+        self.index.run(pager, sel, case, exact, fetch)
     }
 }
 
@@ -485,111 +487,64 @@ pub struct DualDAccess<'a> {
     pub ctx: MethodContext,
 }
 
-impl DualDAccess<'_> {
-    /// Cost of the simplex covering (generalized T1): `d` descents and `d`
-    /// sweeps against `d` different trees. Each leg over-covers in
-    /// proportion to how far its vertex sits from the query slope
-    /// ([`SIMPLEX_LEG_OVERSHOOT`]), and the legs overlap heavily —
-    /// `candidates` is the pre-dedup total the executor reports, but the
-    /// heap only pays for the deduped union of the legs.
-    pub fn simplex_estimate(&self, sel: &Selection, frac: f64) -> CostEstimate {
-        let h = self.index.forest.height() as f64;
-        let leaf = self.ctx.dual_leaf_pages();
-        let d = self.index.dim() as f64;
-        let n = self.ctx.n as f64;
-        let slope = &sel.halfplane.slope;
-        let points = self.index.points();
-        let mean_dist = points
-            .containing_simplex(slope)
-            .map(|vs| {
-                vs.iter()
-                    .map(|&i| {
-                        points.as_slice()[i]
-                            .iter()
-                            .zip(slope)
-                            .map(|(a, b)| (a - b) * (a - b))
-                            .sum::<f64>()
-                            .sqrt()
-                    })
-                    .sum::<f64>()
-                    / vs.len() as f64
-            })
-            .unwrap_or(0.0);
-        let leg = (frac + SIMPLEX_LEG_OVERSHOOT * mean_dist).min(1.0);
-        let union = n * (1.0 - (1.0 - leg).powf(d));
-        CostEstimate {
-            index_pages: d * (h + leg * leaf),
-            heap_pages: self.ctx.heap_fetch_pages(union),
-            candidates: d * leg * n,
-        }
-    }
-}
-
 impl AccessMethod for DualDAccess<'_> {
     fn kind(&self) -> MethodKind {
         MethodKind::DualD
     }
 
-    fn capability(&self, sel: &Selection) -> Capability {
-        let d = self.index.dim();
-        if sel.halfplane.dim() != d {
-            return Capability::Unsupported(Rejection::DualDimOnly(d));
-        }
-        let slope = &sel.halfplane.slope;
-        if self.index.points().position(slope).is_some() {
-            Capability::Exact
-        } else if self.index.points().nearest_grid(slope).is_some()
-            || self.index.points().containing_simplex(slope).is_some()
-        {
-            Capability::Refined
-        } else {
-            Capability::Unsupported(Rejection::OutsideHull(slope.clone()))
-        }
+    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
+        self.index.route(sel)
     }
 
-    fn estimate_at(&self, sel: &Selection, frac: f64) -> CostEstimate {
+    fn estimate(&self, sel: &Selection, case: &PlanCase, frac: f64) -> CostEstimate {
         let h = self.index.forest.height() as f64;
         let leaf = self.ctx.dual_leaf_pages();
-        let slope = &sel.halfplane.slope;
-        if self.index.points().position(slope).is_some() {
-            let c = frac * self.ctx.n as f64;
-            CostEstimate {
-                index_pages: h + frac * leaf,
-                heap_pages: self.ctx.heap_fetch_pages(2.0_f64.min(c)),
-                candidates: c,
-            }
-        } else if let Some(cell) = self.index.points().nearest_grid(slope) {
+        let n = self.ctx.n as f64;
+        let points = self.index.points();
+        match case {
             // d-dimensional T2: one descent, two disjoint handicap-guided
             // sweeps over one tree. The whole-cell handicaps admit an extra
             // band of near-boundary tuples sized by the cell's slope-space
             // extent — additive in n, per-cell (boundary cells are clipped
             // smaller) — not the fixed 2-D strip factor.
-            let band: f64 = self
-                .index
-                .points()
-                .cell_widths(cell)
-                .map(|ws| ws.iter().map(|w| w / 2.0).sum())
-                .unwrap_or(0.0);
-            let covered = (frac + T2_CELL_OVERSHOOT * band).min(1.0);
-            let c = covered * self.ctx.n as f64;
-            CostEstimate {
-                index_pages: h + covered * leaf,
-                heap_pages: self.ctx.heap_fetch_pages(c),
-                candidates: c,
+            PlanCase::GridCell(cell) => {
+                let band: f64 = points
+                    .cell_widths(*cell)
+                    .map(|ws| ws.iter().map(|w| w / 2.0).sum())
+                    .unwrap_or(0.0);
+                let covered = (frac + T2_CELL_OVERSHOOT * band).min(1.0);
+                CostEstimate {
+                    index_pages: h + covered * leaf,
+                    heap_pages: self.ctx.heap_fetch_pages(covered * n),
+                    candidates: covered * n,
+                }
             }
-        } else {
-            self.simplex_estimate(sel, frac)
-        }
-    }
-
-    fn detail(&self, sel: &Selection) -> PlanCase {
-        let slope = &sel.halfplane.slope;
-        if self.index.points().position(slope).is_some() {
-            PlanCase::MemberPoint(slope.clone())
-        } else if let Some(cell) = self.index.points().nearest_grid(slope) {
-            PlanCase::GridCell(cell)
-        } else {
-            PlanCase::SimplexCovering(self.index.dim())
+            // Generalized T1: `d` descents and `d` sweeps against `d`
+            // different trees. Each leg over-covers in proportion to how
+            // far its vertex sits from the query slope
+            // ([`SIMPLEX_LEG_OVERSHOOT`]), and the legs overlap heavily —
+            // `candidates` is the pre-dedup total the executor reports, but
+            // the heap only pays for the deduped union of the legs.
+            PlanCase::SimplexCovering(vertices) => {
+                let d = vertices.len() as f64;
+                let dist = |&v: &usize| {
+                    let to = points.as_slice()[v].iter().zip(&sel.halfplane.slope);
+                    to.map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+                };
+                let mean_dist = vertices.iter().map(dist).sum::<f64>() / d;
+                let leg = (frac + SIMPLEX_LEG_OVERSHOOT * mean_dist).min(1.0);
+                CostEstimate {
+                    index_pages: d * (h + leg * leaf),
+                    heap_pages: self.ctx.heap_fetch_pages(n * (1.0 - (1.0 - leg).powf(d))),
+                    candidates: d * leg * n,
+                }
+            }
+            // A member point: the restricted search, as in 2-D.
+            _ => CostEstimate {
+                index_pages: h + frac * leaf,
+                heap_pages: self.ctx.heap_fetch_pages(2.0_f64.min(frac * n)),
+                candidates: frac * n,
+            },
         }
     }
 
@@ -597,9 +552,11 @@ impl AccessMethod for DualDAccess<'_> {
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
+        case: &PlanCase,
+        exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        self.index.execute(pager, sel, fetch)
+        self.index.execute(pager, sel, case, exact, fetch)
     }
 }
 
@@ -620,17 +577,12 @@ impl AccessMethod for SeqScanAccess<'_> {
         MethodKind::SeqScan
     }
 
-    fn capability(&self, sel: &Selection) -> Capability {
-        if sel.halfplane.dim() != self.relation.dim() {
-            return Capability::Unsupported(Rejection::DimMismatch {
-                relation: self.relation.dim(),
-                query: sel.halfplane.dim(),
-            });
-        }
-        Capability::Exact
+    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
+        Rejection::dimension(self.relation.dim(), sel)?;
+        Ok(PlanCase::FullScan(self.ctx.n))
     }
 
-    fn estimate_at(&self, _sel: &Selection, _frac: f64) -> CostEstimate {
+    fn estimate(&self, _sel: &Selection, _case: &PlanCase, _frac: f64) -> CostEstimate {
         CostEstimate {
             index_pages: 0.0,
             heap_pages: self.ctx.heap_pages as f64,
@@ -638,14 +590,12 @@ impl AccessMethod for SeqScanAccess<'_> {
         }
     }
 
-    fn detail(&self, _sel: &Selection) -> PlanCase {
-        PlanCase::FullScan(self.ctx.n)
-    }
-
     fn execute(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
+        _case: &PlanCase,
+        exact: Exact,
         _fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
         let tracked = TrackedReader::new(pager);
@@ -654,7 +604,7 @@ impl AccessMethod for SeqScanAccess<'_> {
         let tuples = self.relation.scan(pager)?;
         let mut ids = Vec::new();
         for (id, t) in &tuples {
-            if sel.holds(t) {
+            if exact.keep(sel, t) {
                 ids.push(*id);
             }
         }
@@ -686,14 +636,12 @@ impl AccessMethod for RPlusAccess<'_> {
         MethodKind::RPlus
     }
 
-    fn capability(&self, sel: &Selection) -> Capability {
-        if sel.halfplane.dim() != 2 {
-            return Capability::Unsupported(Rejection::RPlus2dOnly);
-        }
-        Capability::Refined
+    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
+        Rejection::dimension(2, sel)?;
+        Ok(PlanCase::MbrSearch(self.index.unbounded.len()))
     }
 
-    fn estimate_at(&self, _sel: &Selection, frac: f64) -> CostEstimate {
+    fn estimate(&self, _sel: &Selection, _case: &PlanCase, frac: f64) -> CostEstimate {
         let tree = &self.index.tree;
         let h = tree.height() as f64;
         let c = frac * self.ctx.n as f64 + self.index.unbounded.len() as f64;
@@ -704,22 +652,18 @@ impl AccessMethod for RPlusAccess<'_> {
         }
     }
 
-    fn detail(&self, _sel: &Selection) -> PlanCase {
-        PlanCase::MbrSearch(self.index.unbounded.len())
-    }
-
     fn execute(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
+        case: &PlanCase,
+        exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        if sel.halfplane.dim() != 2 {
-            return Err(CdbError::DimensionMismatch {
-                expected: 2,
-                got: sel.halfplane.dim(),
-            });
-        }
+        // Its own route is the proof that the query is 2-D.
+        let PlanCase::MbrSearch(_) = case else {
+            return Err(foreign(case));
+        };
         let tracked = TrackedReader::new(pager);
         let pager: &dyn PageReader = &tracked;
         let before = pager.stats();
@@ -731,7 +675,7 @@ impl AccessMethod for RPlusAccess<'_> {
         };
         stats.index_io = pager.stats().since(&before);
         let heap_before = pager.stats();
-        let ids = refine(pager, &|t| sel.holds(t), candidates, fetch, &mut stats)?;
+        let ids = refine(pager, sel, exact, candidates, fetch, &mut stats)?;
         stats.heap_io = pager.stats().since(&heap_before);
         Ok(QueryResult::new(ids, stats))
     }
@@ -878,34 +822,32 @@ impl PlanCatalog {
         e.samples += 1;
     }
 
-    /// The candidate fraction to evaluate `method`'s cost formula at: its
-    /// own observation if any, else the mean over same-selection-kind
-    /// entries (one shared fraction keeps the cross-method cost *ordering*
-    /// intact), else `None` (caller falls back to
-    /// [`DEFAULT_SELECTIVITY`]).
+    /// The candidate fraction to evaluate the cost formula of a case that
+    /// [runs](PlanCase::runs) `method` at: the method's own observation if
+    /// any, else the mean over same-selection-kind entries (one shared
+    /// fraction keeps the cross-method cost *ordering* intact), else `None`
+    /// (caller falls back to [`DEFAULT_SELECTIVITY`]). A sequential scan's
+    /// candidates are the whole relation by definition — its fraction of
+    /// 1.0 says nothing about the selection and stays out of the mean.
     pub fn frac_for(&self, method: MethodKind, kind: SelectionKind) -> Option<f64> {
-        let map = self.inner.lock().expect("catalog poisoned");
-        if let Some(o) = map.get(&(method, kind)) {
-            // Convert observed raw candidates back to a base selectivity:
-            // the formulas re-apply each method's duplication factor.
-            let divisor = match method {
+        // Converts observed raw candidates back to a base selectivity: the
+        // formulas re-apply each search's duplication factor.
+        let base = |m: MethodKind, o: &Observation| {
+            let divisor = match m {
                 MethodKind::T1 => 2.0,
                 MethodKind::T2 | MethodKind::RPlus => 1.2,
                 _ => 1.0,
             };
-            return Some((o.candidate_frac / divisor).clamp(0.0, 1.0));
+            o.candidate_frac / divisor
+        };
+        let map = self.inner.lock().expect("catalog poisoned");
+        if let Some(o) = map.get(&(method, kind)) {
+            return Some(base(method, o).clamp(0.0, 1.0));
         }
         let same_kind: Vec<f64> = map
             .iter()
-            .filter(|((_, k), _)| *k == kind)
-            .map(|((m, _), o)| {
-                let divisor = match m {
-                    MethodKind::T1 => 2.0,
-                    MethodKind::T2 | MethodKind::RPlus => 1.2,
-                    _ => 1.0,
-                };
-                o.candidate_frac / divisor
-            })
+            .filter(|((m, k), _)| *k == kind && *m != MethodKind::SeqScan)
+            .map(|((m, _), o)| base(*m, o))
             .collect();
         if same_kind.is_empty() {
             None
@@ -935,9 +877,8 @@ pub struct QueryPlan {
     /// `true` when the method was forced by the caller rather than chosen
     /// on cost.
     pub forced: bool,
-    /// `true` when the index phase alone decides membership.
-    pub exact: bool,
-    /// The bracket/routing case (e.g. `between slopes -0.414 and 0.414`).
+    /// The route the method takes (e.g. `between slopes -0.414 and
+    /// 0.414`), and with it the refinement mode.
     pub case: PlanCase,
     /// Predicted I/O for the chosen method.
     pub estimate: CostEstimate,
@@ -969,11 +910,7 @@ impl QueryPlan {
             },
             self.case
         ));
-        out.push_str(&format!(
-            "  refinement: {} [{}]\n",
-            self.case.refinement(),
-            if self.exact { "exact" } else { "refined" }
-        ));
+        out.push_str(&format!("  refinement: {}\n", self.case.refinement()));
         out.push_str(&format!(
             "  estimate: {:.1} index + {:.1} heap = {:.1} pages, ~{:.0} candidates (frac {:.3})\n",
             self.estimate.index_pages,
@@ -1006,58 +943,67 @@ impl Planner {
     /// Plans `sel` over `methods`. Returns the chosen method plus the
     /// [`QueryPlan`].
     ///
-    /// With `explore` set (queries that will actually execute), every
-    /// `PROBE_PERIOD`-th decision with a near-tie — a rival estimated
-    /// within `NEAR_TIE_RATIO` of the incumbent — picks the rival with
-    /// the fewest recorded samples instead, keeping its observed candidate
-    /// fraction calibrated. Pure planning calls (EXPLAIN-style) pass
-    /// `false` so they are side-effect-free and deterministic.
+    /// Every method is [routed](AccessMethod::route) once; its case is
+    /// costed at the candidate fraction observed for the search the case
+    /// [runs](PlanCase::runs) — and, when `exact` is not the selection's
+    /// own predicate, with every candidate of a member case fetched: its
+    /// keys decide nothing then. With `explore` set (queries that will
+    /// actually execute), every `PROBE_PERIOD`-th decision with a near-tie
+    /// — a rival running another search than the incumbent's, estimated
+    /// within `NEAR_TIE_RATIO` of it — picks the rival with the fewest
+    /// recorded samples instead, keeping its observed candidate fraction
+    /// calibrated. Pure planning calls (EXPLAIN-style) pass `false` so they
+    /// are side-effect-free and deterministic.
     ///
     /// # Errors
-    /// [`CdbError::UnsupportedQuery`] when `forced` names a method that is
-    /// absent or cannot serve the selection, or when no method can.
+    /// [`CdbError::NoIndex`] when `forced` names a method whose index the
+    /// relation has not built (or has marked corrupt);
+    /// [`CdbError::UnsupportedQuery`] when the forced method cannot serve
+    /// the selection, or when no method can.
     pub fn choose<'m>(
-        methods: impl IntoIterator<Item = &'m dyn AccessMethod>,
+        methods: &'m AccessMethods<'_>,
         sel: &Selection,
+        exact: Exact,
         forced: Option<MethodKind>,
-        catalog: &PlanCatalog,
         explore: bool,
     ) -> Result<(&'m dyn AccessMethod, QueryPlan), CdbError> {
-        let mut considered: Vec<(&dyn AccessMethod, bool, CostEstimate, f64)> = Vec::new();
+        let (relation, ctx) = (methods.seq_scan.relation, methods.seq_scan.ctx);
+        let catalog = relation.catalog();
+        let mut routed: Vec<(&dyn AccessMethod, PlanCase, CostEstimate, f64)> = Vec::new();
         let mut rejected: Vec<(MethodKind, Rejection)> = Vec::new();
-        for m in methods {
-            match m.capability(sel) {
-                Capability::Unsupported(why) => rejected.push((m.kind(), why)),
-                cap => {
+        for m in methods.iter() {
+            match m.route(sel) {
+                Err(why) => rejected.push((m.kind(), why)),
+                Ok(case) => {
                     let frac = catalog
-                        .frac_for(m.kind(), sel.kind)
+                        .frac_for(case.runs(), sel.kind)
                         .unwrap_or(DEFAULT_SELECTIVITY);
-                    let est = m.estimate_at(sel, frac);
-                    considered.push((m, cap == Capability::Exact, est, frac));
+                    let mut est = m.estimate(sel, &case, frac);
+                    if exact != Exact::Selection && case.exact_by_key() {
+                        est.heap_pages = ctx.heap_fetch_pages(est.candidates);
+                    }
+                    routed.push((m, case, est, frac));
                 }
             }
         }
-        considered.sort_by(|a, b| {
+        routed.sort_by(|a, b| {
             a.2.total()
                 .partial_cmp(&b.2.total())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let mut explored = false;
         let chosen = match forced {
-            Some(k) => considered
+            Some(k) => routed
                 .iter()
                 .position(|c| c.0.kind() == k)
-                .ok_or_else(|| {
-                    if let Some((_, why)) = rejected.iter().find(|(m, _)| *m == k) {
+                .ok_or_else(|| match rejected.iter().find(|(m, _)| *m == k) {
+                    Some((_, why)) => {
                         CdbError::UnsupportedQuery(format!("forced method {k}: {why}"))
-                    } else {
-                        CdbError::UnsupportedQuery(format!(
-                            "forced method {k} is not available on this relation"
-                        ))
                     }
+                    None => CdbError::NoIndex(relation.name().into()),
                 })?,
             None => {
-                if considered.is_empty() {
+                if routed.is_empty() {
                     let reasons: Vec<String> = rejected
                         .iter()
                         .map(|(m, why)| format!("{m}: {why}"))
@@ -1068,14 +1014,13 @@ impl Planner {
                     )));
                 }
                 let mut pick = 0;
-                if explore
-                    && considered.len() > 1
-                    && catalog.probe_tick().is_multiple_of(PROBE_PERIOD)
+                if explore && routed.len() > 1 && catalog.probe_tick().is_multiple_of(PROBE_PERIOD)
                 {
-                    let best_total = considered[0].2.total();
-                    let probe = (1..considered.len())
-                        .filter(|&i| considered[i].2.total() <= NEAR_TIE_RATIO * best_total)
-                        .min_by_key(|&i| catalog.samples(considered[i].0.kind(), sel.kind));
+                    let (incumbent, best_total) = (routed[0].1.runs(), routed[0].2.total());
+                    let probe = (1..routed.len())
+                        .filter(|&i| routed[i].1.runs() != incumbent)
+                        .filter(|&i| routed[i].2.total() <= NEAR_TIE_RATIO * best_total)
+                        .min_by_key(|&i| catalog.samples(routed[i].1.runs(), sel.kind));
                     if let Some(i) = probe {
                         pick = i;
                         explored = true;
@@ -1084,16 +1029,16 @@ impl Planner {
                 pick
             }
         };
-        let (method, exact, estimate, frac) = considered[chosen];
+        let considered = routed.iter().map(|c| (c.0.kind(), c.2)).collect();
+        let (method, case, estimate, frac) = routed.swap_remove(chosen);
         let plan = QueryPlan {
             method: method.kind(),
             forced: forced.is_some(),
-            exact,
-            case: method.detail(sel),
+            case,
             estimate,
             frac,
             explored,
-            considered: considered.iter().map(|c| (c.0.kind(), c.2)).collect(),
+            considered,
             rejected,
         };
         Ok((method, plan))
@@ -1182,6 +1127,20 @@ mod tests {
         assert!((g - 0.1).abs() < 1e-9);
         // Different selection kind: still no data.
         assert_eq!(cat.frac_for(MethodKind::T2, SelectionKind::All), None);
+        // A scan reads every tuple whatever was asked: its fraction of 1.0
+        // must not drag a method without an observation up to "everything".
+        let scanned = QueryStats {
+            candidates: 1000,
+            ..QueryStats::default()
+        };
+        cat.record(MethodKind::SeqScan, SelectionKind::Exist, &scanned, 1000);
+        let g = cat.frac_for(MethodKind::T1, SelectionKind::Exist).unwrap();
+        assert!((g - 0.1).abs() < 1e-9, "the scan is not in the mean, {g}");
+        let own = cat.frac_for(MethodKind::SeqScan, SelectionKind::Exist);
+        assert_eq!(own, Some(1.0), "its own entry still answers for it");
+        // And a catalog holding nothing but scans has no data to offer.
+        cat.record(MethodKind::SeqScan, SelectionKind::All, &scanned, 1000);
+        assert_eq!(cat.frac_for(MethodKind::T2, SelectionKind::All), None);
     }
 
     #[test]
@@ -1203,14 +1162,5 @@ mod tests {
             assert_eq!(restored.frac_for(*m, *k), cat.frac_for(*m, *k));
             assert_eq!(restored.samples(*m, *k), o.samples);
         }
-    }
-
-    #[test]
-    fn method_kind_strategy_round_trip() {
-        assert_eq!(MethodKind::T2.strategy(), Some(Strategy::T2));
-        assert_eq!(MethodKind::SeqScan.strategy(), Some(Strategy::Scan));
-        assert_eq!(MethodKind::RPlus.strategy(), Some(Strategy::RPlus));
-        assert_eq!(MethodKind::DualD.strategy(), None);
-        assert_eq!(MethodKind::T2.to_string(), "T2");
     }
 }

@@ -6,6 +6,8 @@ use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::predicates;
 use cdb_storage::IoStats;
 
+use crate::plan::MethodKind;
+
 /// ALL (containment) or EXIST (intersection) selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SelectionKind {
@@ -45,6 +47,16 @@ impl Selection {
         }
     }
 
+    /// The half-plane superset of the equality query `y = a·x + c`
+    /// (footnote 2 of the paper): a tuple meets the line iff
+    /// `BOT ≤ c ≤ TOP`, so the candidates of `EXIST(y ≥ a·x + c)`
+    /// (`TOP ≥ c`) contain every answer; one refinement pass with
+    /// [`Exact::Line`](crate::index::Exact::Line) applies the hyperplane
+    /// predicate to them.
+    pub fn line_superset(a: f64, c: f64) -> Self {
+        Selection::exist(HalfPlane::new2d(a, c, RelOp::Ge))
+    }
+
     /// The exact predicate of Proposition 2.2: does `tuple` (owned, or a
     /// view of its encoded bytes) satisfy this selection?
     pub fn holds<P: DualSurfaces + ?Sized>(&self, tuple: &P) -> bool {
@@ -55,7 +67,9 @@ impl Selection {
     }
 }
 
-/// Which query technique of the paper to use.
+/// A request's hint at which query technique of the paper to use: what
+/// callers, the wire and the catalog header name. The engine works in
+/// [`MethodKind`]s; [`forced`](Strategy::forced) is the one conversion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Section 3: exact single-tree search; the query slope must belong to
@@ -87,6 +101,21 @@ cdb_storage::wire_enum!(Strategy {
     4 => Scan,
     5 => RPlus,
 });
+
+impl Strategy {
+    /// The access method this hint forces on the planner; `None` leaves
+    /// the choice to it.
+    pub fn forced(self) -> Option<MethodKind> {
+        match self {
+            Strategy::Auto => None,
+            Strategy::Restricted => Some(MethodKind::Restricted),
+            Strategy::T1 => Some(MethodKind::T1),
+            Strategy::T2 => Some(MethodKind::T2),
+            Strategy::Scan => Some(MethodKind::SeqScan),
+            Strategy::RPlus => Some(MethodKind::RPlus),
+        }
+    }
+}
 
 /// Which neighbour of a slope a strip extends toward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -131,9 +160,10 @@ pub struct QueryStats {
     /// Candidates accepted without fetching the tuple (exact-by-key in the
     /// restricted technique).
     pub accepted_by_key: u64,
-    /// The access method that actually executed the query, when the
-    /// planner chose it (`None` on the legacy direct-execution paths).
-    pub method: Option<crate::plan::MethodKind>,
+    /// The search that actually ran ([`crate::plan::PlanCase::runs`]),
+    /// stamped on every planned query; `None` only when an index was
+    /// executed directly, with no plan.
+    pub method: Option<MethodKind>,
     /// The planner's pre-execution cost estimate, recorded next to the
     /// actuals above so estimate-vs-actual accuracy is always observable.
     pub estimate: Option<crate::plan::CostEstimate>,
@@ -240,6 +270,24 @@ mod tests {
         assert_eq!(tree_and_direction(All, Le), (true, false));
         assert_eq!(tree_and_direction(Exist, Ge), (true, true));
         assert_eq!(tree_and_direction(Exist, Le), (false, false));
+    }
+
+    #[test]
+    fn forced_names_each_method_once() {
+        let hints = [
+            Strategy::Restricted,
+            Strategy::T1,
+            Strategy::T2,
+            Strategy::Scan,
+            Strategy::RPlus,
+        ];
+        let forced: Vec<MethodKind> = hints.iter().filter_map(|s| s.forced()).collect();
+        assert_eq!(forced.len(), hints.len());
+        for (i, m) in forced.iter().enumerate() {
+            assert!(!forced[..i].contains(m), "{m} is forced by two hints");
+        }
+        assert_eq!(Strategy::Auto.forced(), None);
+        assert_eq!(Strategy::Scan.forced(), Some(MethodKind::SeqScan));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use cdb_storage::{PageReader, Pager, SnapshotReader};
 
 use crate::db::DbConfig;
 use crate::error::CdbError;
-use crate::index::{Index, IndexKind};
+use crate::index::Exact;
 use crate::physical::{drain, ExecCtx, IndexScanOp, Operator};
 use crate::plan::{ExplainReport, QueryPlan};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
@@ -103,15 +103,17 @@ impl<P: PageSource> ReadSurface<P> {
         rel.scan(self.reader())
     }
 
-    /// Plans and executes one selection as a one-node operator pipeline:
-    /// the planner chooses (or validates the forced) access method, the
-    /// method runs, estimate and method are stamped into the result's
-    /// stats, the actuals feed the relation's catalog, and the scan's one
-    /// batch of ascending ids becomes the result by move.
+    /// Plans and executes one selection — refined by `exact` — as a
+    /// one-node operator pipeline: the planner chooses (or validates the
+    /// forced) access method, the method runs, estimate and method are
+    /// stamped into the result's stats, the actuals feed the relation's
+    /// catalog, and the scan's one batch of ascending ids becomes the
+    /// result by move.
     fn planned(
         &self,
         name: &str,
         sel: Selection,
+        exact: Exact,
         strategy: Strategy,
     ) -> Result<(QueryPlan, QueryResult), CdbError> {
         let rel = self.relation(name)?;
@@ -120,6 +122,7 @@ impl<P: PageSource> ReadSurface<P> {
             self.reader(),
             self.config.page_size,
             sel,
+            exact,
             strategy,
             false,
         );
@@ -129,9 +132,9 @@ impl<P: PageSource> ReadSurface<P> {
         Ok((plan, QueryResult::new(ids, stats)))
     }
 
-    /// Executes a selection with the default strategy.
+    /// Executes a selection on the access method the planner chooses.
     pub fn query(&self, name: &str, sel: Selection) -> Result<QueryResult, CdbError> {
-        self.query_with(name, sel, self.config.strategy)
+        self.query_with(name, sel, Strategy::Auto)
     }
 
     /// Executes a selection with an explicit strategy; `Strategy::Auto`
@@ -146,7 +149,8 @@ impl<P: PageSource> ReadSurface<P> {
         sel: Selection,
         strategy: Strategy,
     ) -> Result<QueryResult, CdbError> {
-        self.planned(name, sel, strategy).map(|(_, r)| r)
+        self.planned(name, sel, Exact::Selection, strategy)
+            .map(|(_, r)| r)
     }
 
     /// Plans a selection without executing it (no probe ticks): which
@@ -158,6 +162,7 @@ impl<P: PageSource> ReadSurface<P> {
             self.reader(),
             self.config.page_size,
             sel.clone(),
+            Exact::Selection,
             Strategy::Auto,
             false,
         );
@@ -166,11 +171,11 @@ impl<P: PageSource> ReadSurface<P> {
         Ok(plan.expect("describe() stamps the chosen plan"))
     }
 
-    /// EXPLAIN ANALYZE: plans with the default strategy, executes the
-    /// chosen method, and returns the plan next to the actual result so
-    /// estimated and measured page accesses line up.
+    /// EXPLAIN ANALYZE: plans, executes the chosen method, and returns the
+    /// plan next to the actual result so estimated and measured page
+    /// accesses line up.
     pub fn explain(&self, name: &str, sel: Selection) -> Result<ExplainReport, CdbError> {
-        self.explain_with(name, sel, self.config.strategy)
+        self.explain_with(name, sel, Strategy::Auto)
     }
 
     /// [`explain`](Self::explain) with an explicit strategy.
@@ -180,7 +185,7 @@ impl<P: PageSource> ReadSurface<P> {
         sel: Selection,
         strategy: Strategy,
     ) -> Result<ExplainReport, CdbError> {
-        let (plan, result) = self.planned(name, sel, strategy)?;
+        let (plan, result) = self.planned(name, sel, Exact::Selection, strategy)?;
         Ok(ExplainReport { plan, result })
     }
 
@@ -293,7 +298,8 @@ impl<P: PageSource> ReadSurface<P> {
     }
 
     /// Equality-query convenience (the paper's footnote 2): tuples whose
-    /// extension intersects the line `y = a·x + c`.
+    /// extension intersects the line `y = a·x + c`. Planned like any other
+    /// selection, so every access method serves it — index or no index.
     pub fn exist_line(&self, name: &str, a: f64, c: f64) -> Result<QueryResult, CdbError> {
         self.line_query(name, a, c, SelectionKind::Exist)
     }
@@ -311,34 +317,17 @@ impl<P: PageSource> ReadSurface<P> {
         c: f64,
         kind: SelectionKind,
     ) -> Result<QueryResult, CdbError> {
-        let rel = self.relation(name)?;
-        rel.ensure_usable()?;
-        if rel.dim != 2 {
-            return Err(CdbError::DimensionMismatch {
-                expected: rel.dim,
-                got: 2,
-            });
-        }
-        let idx = rel
-            .usable(IndexKind::Dual)
-            .and_then(Index::as_dual)
-            .ok_or_else(|| CdbError::NoIndex(rel.name.clone()))?;
-        idx.execute_hyperplane(
-            self.reader(),
-            a,
-            c,
-            kind,
-            self.config.strategy,
-            &rel.tuple_source(),
-        )
+        let superset = Selection::line_superset(a, c);
+        self.planned(name, superset, Exact::Line(kind), Strategy::Auto)
+            .map(|(_, r)| r)
     }
 
-    /// Convenience: EXIST selection via the default strategy.
+    /// Convenience: EXIST selection, planned.
     pub fn exist(&self, name: &str, q: HalfPlane) -> Result<QueryResult, CdbError> {
         self.query(name, Selection::exist(q))
     }
 
-    /// Convenience: ALL selection via the default strategy.
+    /// Convenience: ALL selection, planned.
     pub fn all(&self, name: &str, q: HalfPlane) -> Result<QueryResult, CdbError> {
         self.query(name, Selection::all(q))
     }
@@ -359,6 +348,7 @@ mod tests {
     use super::*;
     use crate::db::ConstraintDb;
     use crate::plan::MethodKind;
+    use crate::slopes::Bracket;
     use crate::SlopeSet;
     use cdb_geometry::tuple::GeneralizedTuple;
     use cdb_geometry::HalfPlane;
@@ -438,11 +428,18 @@ mod tests {
             })
             .collect();
         let got = db.query_batch("r", &batch, 8).unwrap();
+        let slopes = db.relation("r").unwrap().index().unwrap().slopes();
         for (i, (g, want)) in got.iter().zip(&sequential).enumerate() {
             let g = g.as_ref().unwrap();
             assert_eq!(g.stats.index_io.reads, *want, "index reads of query {i}");
             assert!(g.stats.index_io.reads > 0, "query {i} read no pages?");
-            assert_eq!(g.stats.method, Some(MethodKind::T2), "planned method");
+            // The search forced T2 routes to, by the slope's bracket.
+            let ran = match slopes.bracket(batch[i].0.halfplane.slope2d()) {
+                Bracket::Member(_) => MethodKind::Restricted,
+                Bracket::Between(..) => MethodKind::T2,
+                Bracket::Wrapped(..) => MethodKind::T1,
+            };
+            assert_eq!(g.stats.method, Some(ran), "the search that ran");
             assert!(g.stats.estimate.is_some(), "estimate recorded");
         }
     }

@@ -11,8 +11,7 @@ use cdb_storage::{HeapFile, PageId, PageReader, Pager, RecordId};
 use crate::error::CdbError;
 use crate::index::{DualIndex, HeapSource, Index, IndexKind, IndexSpec, TupleSource};
 use crate::partition::PartitionSpec;
-use crate::plan::{AccessMethods, MethodContext, MethodKind, PlanCatalog, SeqScanAccess};
-use crate::query::Strategy;
+use crate::plan::{AccessMethods, MethodContext, PlanCatalog, SeqScanAccess};
 
 /// Verdict of the open-time verification pass for one relation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -308,25 +307,6 @@ impl Relation {
         methods
     }
 
-    /// Maps a legacy [`Strategy`] to the planner's forced-method argument,
-    /// preserving the historical `NoIndex` errors for explicitly requested
-    /// index techniques on index-less relations. A structure marked corrupt
-    /// counts as absent.
-    pub(crate) fn forced_kind(&self, strategy: Strategy) -> Result<Option<MethodKind>, CdbError> {
-        let (method, needs) = match strategy {
-            Strategy::Auto => return Ok(None),
-            Strategy::Scan => return Ok(Some(MethodKind::SeqScan)),
-            Strategy::Restricted => (MethodKind::Restricted, IndexKind::Dual),
-            Strategy::T1 => (MethodKind::T1, IndexKind::Dual),
-            Strategy::T2 => (MethodKind::T2, IndexKind::Dual),
-            Strategy::RPlus => (MethodKind::RPlus, IndexKind::RPlus),
-        };
-        match self.usable(needs) {
-            Some(_) => Ok(Some(method)),
-            None => Err(CdbError::NoIndex(self.name.clone())),
-        }
-    }
-
     /// One verification pass: reads every page the relation owns through
     /// the checksumming pager. The heap decides quarantine — it is the
     /// ground truth every index rebuild needs; unreadable index pages only
@@ -371,6 +351,8 @@ impl Relation {
     /// index (`O(k log_B n)` tree inserts for the dual indexes; handicaps
     /// are folded in incrementally). Structures marked corrupt are skipped
     /// — they will be rebuilt wholesale from the heap. Returns the new id.
+    /// An error after the heap took the record leaves the tuple stored;
+    /// every index that could not follow is [dropped](Self::maintained).
     pub(crate) fn insert(
         &mut self,
         pager: &mut dyn Pager,
@@ -392,16 +374,16 @@ impl Relation {
         self.slots.push(Some(rid));
         self.by_record.insert(rid, id);
         self.live += 1;
-        for (kind, slot) in IndexKind::ALL.into_iter().zip(&mut self.indexes) {
-            if let Some(index) = slot.as_mut().filter(|_| !self.health.is_corrupt(kind)) {
-                index.insert(pager, id, tuple)?;
-            }
-        }
+        self.maintained(pager, |index, pager| {
+            index.insert(pager, id, tuple).map(|()| true)
+        })?;
         Ok(id)
     }
 
     /// Removes the live tuple `id`, whose stored form is `tuple`, from the
-    /// heap and from every usable index.
+    /// heap and from every usable index. An error after the heap let the
+    /// record go leaves the tuple deleted; every index that could not
+    /// follow is [dropped](Self::maintained).
     pub(crate) fn delete(
         &mut self,
         pager: &mut dyn Pager,
@@ -413,20 +395,44 @@ impl Relation {
         self.slots[id as usize] = None;
         self.by_record.remove(&rid);
         self.live -= 1;
+        self.maintained(pager, |index, pager| index.remove(pager, id, tuple))
+    }
+
+    /// Runs one maintenance `step` on every usable index after the heap has
+    /// changed; the heap is the truth, so the change stands whatever the
+    /// indexes do. A step answering `false` (the index did not hold the
+    /// entry it should: a dangling id would surface as `NoSuchTuple` in the
+    /// middle of a query) flags the index corrupt. A step that *fails* has
+    /// changed some of the index's pages and not others, and the flag would
+    /// not survive a checkpoint and reopen — it lives in memory, and `open`
+    /// verifies checksums, which well-formed stale pages pass. That index
+    /// is dropped, as after a failed [`build_index`](Self::build_index),
+    /// its pages freed as far as they can be walked. Every index gets its
+    /// step; the first error is returned.
+    fn maintained(
+        &mut self,
+        pager: &mut dyn Pager,
+        mut step: impl FnMut(&mut Index, &mut dyn Pager) -> Result<bool, CdbError>,
+    ) -> Result<(), CdbError> {
+        let mut outcome = Ok(());
         for kind in IndexKind::ALL {
+            if self.health.is_corrupt(kind) {
+                continue;
+            }
             let Some(index) = self.indexes[kind as usize].as_mut() else {
                 continue;
             };
-            // An index that does not hold the entry it should is out of
-            // step with the heap: a dangling id would surface later as
-            // `NoSuchTuple` in the middle of a query. The heap is the
-            // truth, so the delete stands and the index is flagged for a
-            // rebuild.
-            if !self.health.is_corrupt(kind) && !index.remove(pager, id, tuple)? {
-                self.set_corrupt(kind, true);
+            match step(index, pager) {
+                Ok(true) => {}
+                Ok(false) => self.set_corrupt(kind, true),
+                Err(e) => {
+                    let stale = self.indexes[kind as usize].take();
+                    let _ = stale.expect("just stepped").destroy(pager);
+                    outcome = outcome.and(Err(e));
+                }
             }
         }
-        Ok(())
+        outcome
     }
 
     /// Builds (or rebuilds) the index `spec` — already
@@ -497,7 +503,8 @@ mod tests {
     use super::*;
     use crate::db::{ConstraintDb, DbConfig};
     use crate::index::ddim::SlopePoints;
-    use crate::plan::Planner;
+    use crate::index::Exact;
+    use crate::plan::{MethodKind, Planner};
     use crate::query::Selection;
     use crate::slopes::SlopeSet;
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
@@ -549,8 +556,9 @@ mod tests {
     ) -> Result<(MethodKind, Vec<u32>), CdbError> {
         let rel = db.relation("r")?;
         let methods = rel.access_methods(db.config.page_size);
-        let (method, plan) = Planner::choose(methods.iter(), sel, forced, rel.catalog(), false)?;
-        let result = method.execute(db.reader(), sel, &rel.tuple_source())?;
+        let (method, plan) = Planner::choose(&methods, sel, Exact::Selection, forced, false)?;
+        let source = rel.tuple_source();
+        let result = method.execute(db.reader(), sel, &plan.case, Exact::Selection, &source)?;
         Ok((plan.method, result.ids().to_vec()))
     }
 

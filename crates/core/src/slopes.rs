@@ -152,22 +152,6 @@ impl SlopeSet {
         Bracket::Between(i, i + 1)
     }
 
-    /// Index of the slope nearest to `a` **in angle distance** (robust to
-    /// the tan scale; ties break low).
-    pub fn nearest(&self, a: f64) -> usize {
-        let phi = angle_of(a);
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for (i, &s) in self.slopes.iter().enumerate() {
-            let d = angle_dist(phi, angle_of(s));
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
-    }
-
     /// The strip midpoint `(sᵢ + sⱼ)/2` toward the given side of slope `i`
     /// (Section 4.2 Step 1), or `None` at the ends of the set.
     pub fn mid(&self, i: usize, side: Side) -> Option<f64> {
@@ -179,22 +163,6 @@ impl SlopeSet {
             _ => None,
         }
     }
-}
-
-/// Angle `φ ∈ (0, π)` of the line with slope `a`.
-pub fn angle_of(a: f64) -> f64 {
-    let phi = a.atan(); // (−π/2, π/2)
-    if phi < 0.0 {
-        phi + std::f64::consts::PI
-    } else {
-        phi
-    }
-}
-
-/// Cyclic distance between two line angles (period π).
-pub fn angle_dist(p: f64, q: f64) -> f64 {
-    let d = (p - q).abs() % std::f64::consts::PI;
-    d.min(std::f64::consts::PI - d)
 }
 
 #[cfg(test)]
@@ -263,43 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn nearest_uses_angle_metric() {
-        let s = SlopeSet::new(vec![0.0, 10.0]);
-        // Slope 100 is very close to 10 in slope distance? No: in angle
-        // space, 100 (φ≈1.56) is near vertical, 10 (φ≈1.47) is much closer
-        // to it than 0 (φ=0).
-        assert_eq!(s.nearest(100.0), 1);
-        // Slope -100 is also near the vertical: nearest is 10, through the
-        // wrap (φ(-100)≈1.58, φ(10)≈1.47).
-        assert_eq!(s.nearest(-100.0), 1);
-        assert_eq!(s.nearest(0.1), 0);
-    }
-
-    #[test]
     fn mid_points() {
         let s = SlopeSet::new(vec![-1.0, 1.0, 3.0]);
         assert_eq!(s.mid(1, Side::Prev), Some(0.0));
         assert_eq!(s.mid(1, Side::Next), Some(2.0));
         assert_eq!(s.mid(0, Side::Prev), None);
         assert_eq!(s.mid(2, Side::Next), None);
-    }
-
-    #[test]
-    fn angle_roundtrip() {
-        for a in [-5.0, -1.0, -0.1, 0.0, 0.3, 2.0, 40.0] {
-            let phi = angle_of(a);
-            assert!((0.0..std::f64::consts::PI).contains(&phi));
-            assert!((phi.tan() - a).abs() < 1e-9 * (1.0 + a.abs() * a.abs()));
-        }
-    }
-
-    #[test]
-    fn angle_dist_wraps() {
-        // Slopes 100 and -100: angles straddle π/2, tiny cyclic distance.
-        let d = angle_dist(angle_of(100.0), angle_of(-100.0));
-        assert!(d < 0.03, "wrap distance {d}");
-        let d2 = angle_dist(angle_of(0.0), angle_of(1.0));
-        assert!((d2 - std::f64::consts::FRAC_PI_4).abs() < 1e-9);
     }
 
     #[test]

@@ -193,3 +193,81 @@ fn build_index(
         .map(|_| Response::Unit)
         .map_err(NetError::Db)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cdb_core::plan::{MethodKind, Rejection};
+    use cdb_core::{DbConfig, Selection, Strategy};
+    use cdb_geometry::{HalfPlane, LinearConstraint, RelOp};
+    use cdb_storage::conformance::peak_during;
+
+    /// Regression: on a grid slope set a query slope outside the grid box
+    /// fell through to the simplex search, which materialised all `C(k, d)`
+    /// point subsets — 88 M for this 4-D grid of 216 points, aborting the
+    /// process from one `BuildDualD` and one `Query` frame. The box is the
+    /// hull: the index rejects the slope at once and the scan answers.
+    #[test]
+    fn out_of_box_slope_on_a_4d_grid_is_planned_as_a_scan() {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        let engine = |db: &mut ConstraintDb, request| {
+            apply_engine(db, request, NodeStatus::default).expect("engine request")
+        };
+        let relation = "r".to_string();
+        let create = Request::CreateRelation {
+            relation: relation.clone(),
+            dim: 4,
+        };
+        engine(&mut db, create);
+        for i in 0..8 {
+            let cube = (0..4).flat_map(|axis| {
+                let mut unit = vec![0.0; 4];
+                unit[axis] = 1.0;
+                let lo = LinearConstraint::new(unit.clone(), -f64::from(i), RelOp::Ge);
+                [
+                    lo,
+                    LinearConstraint::new(unit, -f64::from(i + 2), RelOp::Le),
+                ]
+            });
+            let tuple = cdb_geometry::GeneralizedTuple::new(cube.collect());
+            let insert = Request::Insert {
+                relation: relation.clone(),
+                tuple,
+            };
+            engine(&mut db, insert);
+        }
+        let build = Request::BuildDualD {
+            relation: relation.clone(),
+            per_axis: 6,
+            range: 1.0,
+        };
+        engine(&mut db, build);
+
+        let slope = vec![0.2, -1.5, 0.3];
+        let selection = Selection::exist(HalfPlane::new(slope.clone(), 3.0, RelOp::Ge));
+        // Embedded: the plan names the scan and the typed rejection.
+        let (plan, peak) = peak_during(|| db.plan_query("r", &selection).expect("planned"));
+        assert_eq!(plan.method, MethodKind::SeqScan);
+        let why = Rejection::OutsideHull(slope);
+        assert_eq!(plan.rejected, [(MethodKind::DualD, why)]);
+        assert!(peak < 4096, "one allocation of {peak} bytes to plan a scan");
+        // And through the dispatcher, as a wire peer's frame would arrive.
+        let query = Request::Query {
+            relation,
+            selection: selection.clone(),
+            strategy: Strategy::Auto,
+        };
+        let (answer, peak) = peak_during(|| apply_read(&db, &query));
+        let Ok(Response::Query(answer)) = answer else {
+            panic!("not a query answer: {answer:?}");
+        };
+        assert_eq!(answer.stats.method, Some(MethodKind::SeqScan));
+        let scanned = db.scan_relation("r").unwrap();
+        let want = scanned.iter().filter(|(_, t)| selection.holds(t));
+        assert_eq!(answer.ids, want.map(|(id, _)| *id).collect::<Vec<_>>());
+        assert!(
+            peak < 1 << 16,
+            "one allocation of {peak} bytes to scan 8 tuples"
+        );
+    }
+}

@@ -14,8 +14,21 @@ use constraint_db::geometry::predicates;
 use constraint_db::geometry::tuple::GeneralizedTuple;
 use constraint_db::geometry::HalfPlane;
 use constraint_db::index::ddim::{DualIndexD, SlopePoints};
-use constraint_db::index::query::{Selection, SelectionKind};
+use constraint_db::index::index::{Exact, TupleSource};
+use constraint_db::index::query::{QueryResult, Selection, SelectionKind};
 use constraint_db::storage::{MemPager, PageReader, Pager};
+
+/// Routes `sel` (member point, grid cell or covering simplex) and runs it.
+fn run(
+    idx: &DualIndexD,
+    pager: &MemPager,
+    sel: &Selection,
+    fetch: &dyn TupleSource,
+) -> QueryResult {
+    let case = idx.route(sel).expect("a slope inside the hull of S");
+    idx.execute(pager, sel, &case, Exact::Selection, fetch)
+        .unwrap()
+}
 
 fn corridor(x: (f64, f64), y: (f64, f64), z: (f64, f64)) -> GeneralizedTuple {
     let mut cs = Vec::new();
@@ -63,14 +76,10 @@ fn main() {
     let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
 
     pager.reset_stats();
-    let clear = idx
-        .execute(&pager, &Selection::all(terrain.clone()), &fetch)
-        .unwrap();
+    let clear = run(&idx, &pager, &Selection::all(terrain.clone()), &fetch);
     let all_io = pager.stats().accesses();
     pager.reset_stats();
-    let touching = idx
-        .execute(&pager, &Selection::exist(terrain.clone()), &fetch)
-        .unwrap();
+    let touching = run(&idx, &pager, &Selection::exist(terrain.clone()), &fetch);
     let exist_io = pager.stats().accesses();
 
     println!("\nterrain half-space: z >= 0.05x - 0.12y + 4");
@@ -94,9 +103,7 @@ fn main() {
 
     // A restricted (member-slope) query is exact with a single tree sweep.
     let flat = HalfPlane::new(vec![0.0, 0.0], 8.0, RelOp::Ge);
-    let high = idx
-        .execute(&pager, &Selection::exist(flat), &fetch)
-        .unwrap();
+    let high = run(&idx, &pager, &Selection::exist(flat), &fetch);
     let mut want = 0;
     for (_, t) in &tuples {
         if predicates::exist(&HalfPlane::new(vec![0.0, 0.0], 8.0, RelOp::Ge), t) {

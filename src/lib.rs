@@ -74,8 +74,8 @@ pub mod shell;
 pub mod prelude {
     pub use cdb_core::db::{ConstraintDb, DbConfig, Snapshot};
     pub use cdb_core::plan::{
-        AccessMethod, Capability, CostEstimate, ExplainReport, MethodKind, PlanCatalog, Planner,
-        QueryPlan,
+        AccessMethod, CostEstimate, ExplainReport, MethodKind, PlanCase, PlanCatalog, Planner,
+        QueryPlan, Rejection,
     };
     pub use cdb_core::query::{QueryStats, Selection, SelectionKind, Strategy};
     pub use cdb_core::slopes::SlopeSet;

@@ -785,7 +785,8 @@ commands:
                             p-per-axis slope grid (relations with dim > 2)
   exist <rel> <halfplane>   EXIST selection, e.g. exist r y >= 0.3x - 5
   all <rel> <halfplane>     ALL (containment) selection
-  line <rel> <y = ax + c>   EXIST against an equality (line) query
+  line <rel> <y = ax + c>   EXIST against an equality (line) query; planned like
+                            any selection, so it works with or without an index
   scan <rel> <halfplane>    sequential-scan EXIST (no index needed)
   rplus <rel> [fill]        pack the R+-tree baseline (Section 5)
   sql <SELECT ...>          constraint-SQL over the operator pipeline, e.g.

@@ -11,6 +11,9 @@
 //!   every strategy identically to the uncorrupted oracle.
 //! - A corrupt index page only degrades its relation, and
 //!   `rebuild_indexes` re-derives the structure from the checksummed heap.
+//! - An insert or delete that fails half-way through an index drops that
+//!   index: what survives answers as the heap does, before and after the
+//!   state is committed.
 
 use constraint_db::index::error::CdbError;
 use constraint_db::index::query::Strategy;
@@ -219,6 +222,106 @@ fn random_fault_schedules_never_panic_and_reopen_cleanly() {
             }
         }
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// One injected error — the pager stays up — at every op index of an
+/// indexed relation's insert/delete traffic in turn. The heap is the truth
+/// and keeps whatever half of the mutation it took; an index whose
+/// maintenance failed half-way is dropped, so every index that survives
+/// answers as the scan does, at once and after the state is checkpointed
+/// and reopened (nothing durable could say "stale": `open` verifies
+/// checksums, and a half-maintained tree is made of well-formed pages).
+#[test]
+fn maintenance_failing_at_any_op_leaves_no_index_out_of_step_with_the_heap() {
+    use constraint_db::index::IndexKind;
+    let path = tmp("halfway");
+    // 125 tuples fill the bulk-loaded leaves (122 entries a page), so the
+    // inserts below split leaves: the longest half-way a tree insert has.
+    let tuples = DatasetSpec::paper_1999(127, ObjectSize::Small, 31).generate();
+    let (setup, traffic) = tuples.split_at(125);
+    let sels = [
+        Selection::exist(HalfPlane::above(0.37, 0.0)),
+        Selection::all(HalfPlane::below(-0.8, 60.0)),
+        Selection::exist(HalfPlane::below(2.5, -10.0)),
+    ];
+    let agree = |db: &ConstraintDb, what: &str| {
+        let rel = db.relation("r").unwrap();
+        let mut serving = vec![Strategy::Auto];
+        if rel.built(IndexKind::Dual).is_some() {
+            serving.extend([Strategy::Restricted, Strategy::T1, Strategy::T2]);
+        }
+        if rel.built(IndexKind::RPlus).is_some() {
+            serving.push(Strategy::RPlus);
+        }
+        for sel in &sels {
+            let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
+            for &st in &serving {
+                match db.query_with("r", sel.clone(), st) {
+                    Ok(got) => assert_eq!(got.ids(), scan.ids(), "{what}: {st:?}"),
+                    // Restricted at a slope outside S.
+                    Err(CdbError::UnsupportedQuery(_)) => {}
+                    Err(e) => panic!("{what}: {st:?}: {e}"),
+                }
+            }
+        }
+    };
+    // The indexed relation, driven through a pager that fails op `k`:
+    // `None` when the fault fell into the setup.
+    let indexed = |k: u64| {
+        let _ = std::fs::remove_file(&path);
+        let pager = FaultPager::new(
+            FilePager::create(&path, 1024).unwrap(),
+            FaultPlan::new().fail_op(k),
+        );
+        let mut db = ConstraintDb::with_pager(Box::new(pager), DbConfig::paper_1999());
+        let ready = db.create_relation("r", 2).is_ok()
+            && setup.iter().all(|t| db.insert("r", t.clone()).is_ok())
+            && db.build_dual_index("r", SlopeSet::uniform_tan(2)).is_ok()
+            && db.build_rplus_index("r", 0.8).is_ok();
+        ready.then_some(db)
+    };
+    // The engine owns its pager, so the first op past the setup is found
+    // by bisection rather than read off a counter.
+    let (mut in_setup, mut past) = (0u64, 1u64 << 16);
+    while past - in_setup > 1 {
+        let mid = in_setup + (past - in_setup) / 2;
+        match indexed(mid) {
+            None => in_setup = mid,
+            Some(_) => past = mid,
+        }
+    }
+    let (mut failed, mut dropped) = (0, 0);
+    for k in past.. {
+        let mut db = indexed(k).expect("past the setup");
+        let pages = db.relation("r").unwrap().page_count();
+        let mut clean = traffic.iter().all(|t| db.insert("r", t.clone()).is_ok());
+        clean &= db.delete("r", 64).is_ok();
+        if clean {
+            let grown = db.relation("r").unwrap().page_count() - pages;
+            assert!(grown >= 2, "the traffic was meant to split leaves");
+            break; // op k lies beyond the traffic
+        }
+        failed += 1;
+        let rel = db.relation("r").unwrap();
+        let survived = |kind| rel.built(kind).is_some();
+        if !(survived(IndexKind::Dual) && survived(IndexKind::RPlus)) {
+            dropped += 1;
+        }
+        agree(&db, &format!("fault at op {k}, in process"));
+        db.checkpoint().unwrap();
+        drop(db);
+        let db = ConstraintDb::open(&path).unwrap();
+        let health = db.relation("r").unwrap().health().clone();
+        assert_eq!(health, RelationHealth::Healthy, "fault at op {k}");
+        agree(&db, &format!("fault at op {k}, reopened"));
+    }
+    assert!(failed > 100, "only {failed} faults fell into the traffic");
+    assert!(dropped > 100, "only {dropped} faults fell inside an index");
+    assert!(
+        dropped < failed,
+        "a fault before the heap changes costs no index"
+    );
     let _ = std::fs::remove_file(&path);
 }
 

@@ -1,15 +1,21 @@
 //! The cost-based planner must be a pure optimisation: whatever access
-//! method it picks, the result set is exactly what the legacy
-//! `Strategy::Auto` dispatch (bracket-based: member slope → restricted
-//! search, otherwise T2) and the scan oracle produce, and replaying the
-//! chosen method as a forced strategy reproduces the same ids and I/O
-//! stats. `explain` must return a plan for every selection shape the
-//! engine accepts — both selection kinds, both operators, member / between
-//! / wrapped slopes, with and without an index, in `E²` and `E^d`.
+//! method it picks, the result set is exactly what the paper's bracket
+//! rule (member slope → restricted search, otherwise T2 — the reference
+//! the planner is compared against) and the scan oracle produce, and
+//! replaying the search that ran as a forced strategy reproduces the same
+//! ids and I/O stats. `explain` must return a plan for every selection
+//! shape the engine accepts — both selection kinds, both operators, member
+//! / between / wrapped slopes, with and without an index, in `E²` and `E^d`
+//! — and the plan's [`PlanCase`] must be the route that executed: the same
+//! search run directly on a stand-alone index returns the same ids and the
+//! same counts.
 
-use constraint_db::index::ddim::SlopePoints;
-use constraint_db::index::plan::MethodKind;
-use constraint_db::index::query::Strategy;
+use std::collections::HashMap;
+
+use constraint_db::index::ddim::{DualIndexD, SlopePoints};
+use constraint_db::index::index::Exact;
+use constraint_db::index::plan::{MethodKind, PlanCase, Rejection, TreeAt};
+use constraint_db::index::query::{QueryResult, Side, Strategy};
 use constraint_db::index::slopes::Bracket;
 use constraint_db::prelude::*;
 
@@ -25,10 +31,40 @@ fn build_db(tuples: &[GeneralizedTuple], k: Option<usize>) -> ConstraintDb {
     db
 }
 
-/// The pre-planner `Strategy::Auto` dispatch rule: exact restricted search
-/// for member slopes, technique T2 for everything else (T2 itself falls
-/// back to T1 on wrapped slopes).
-fn legacy_auto(db: &ConstraintDb, slope: f64) -> Strategy {
+/// The planned `result` against `direct`, the same search run on a
+/// stand-alone index over the same tuples: same ids, same counts. The
+/// stand-alone fetch is an in-memory lookup that reads no heap page, and
+/// only the planner stamps `method` and `estimate`.
+fn assert_same_run(planned: &QueryResult, direct: &QueryResult, what: &str) {
+    assert_eq!(planned.ids(), direct.ids(), "{what}: ids");
+    let counts = QueryStats {
+        heap_io: direct.stats.heap_io,
+        method: None,
+        estimate: None,
+        ..planned.stats
+    };
+    assert_eq!(counts, direct.stats, "{what}: stats");
+}
+
+/// The hint that forces `method`: a search over `Strategy::forced`, the
+/// one table, not a second one.
+fn hint_forcing(method: MethodKind) -> Strategy {
+    [
+        Strategy::Restricted,
+        Strategy::T1,
+        Strategy::T2,
+        Strategy::Scan,
+        Strategy::RPlus,
+    ]
+    .into_iter()
+    .find(|s| s.forced() == Some(method))
+    .expect("every 2-D method is forcible")
+}
+
+/// The paper's bracket rule, the reference the planner is compared
+/// against: exact restricted search for member slopes, technique T2 for
+/// everything else (T2 itself falls back to T1 on wrapped slopes).
+fn bracket_rule(db: &ConstraintDb, slope: f64) -> Strategy {
     let slopes = db.relation("r").unwrap().index().unwrap().slopes();
     match slopes.bracket(slope) {
         Bracket::Member(_) => Strategy::Restricted,
@@ -56,21 +92,20 @@ fn planner_auto_matches_legacy_dispatch_and_oracle() {
             };
             let auto = db.query_with("r", sel.clone(), Strategy::Auto).unwrap();
             let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
-            let legacy = db
-                .query_with("r", sel.clone(), legacy_auto(&db, q.halfplane.slope2d()))
+            let reference = db
+                .query_with("r", sel.clone(), bracket_rule(&db, q.halfplane.slope2d()))
                 .unwrap();
             assert_eq!(auto.ids(), scan.ids(), "seed {seed} query {i} vs oracle");
             assert_eq!(
                 auto.ids(),
-                legacy.ids(),
-                "seed {seed} query {i} vs legacy dispatch"
+                reference.ids(),
+                "seed {seed} query {i} vs the bracket rule"
             );
-            // Replaying the planner's choice as a forced strategy must be
+            // Replaying the search that ran as a forced strategy must be
             // bit-identical in result and measured I/O: the planner changes
             // *which* method runs, never *how* it runs.
-            let chosen = auto.stats.method.expect("planner stamps the method");
-            let forced = chosen.strategy().expect("every 2-D method is forcible");
-            let replay = db.query_with("r", sel, forced).unwrap();
+            let ran = auto.stats.method.expect("planner stamps the method");
+            let replay = db.query_with("r", sel, hint_forcing(ran)).unwrap();
             assert_eq!(replay.ids(), auto.ids(), "replay ids");
             assert_eq!(
                 replay.stats.index_io, auto.stats.index_io,
@@ -108,17 +143,30 @@ fn unindexed_relation_plans_a_scan_with_oracle_results() {
 }
 
 /// Every selection shape gets a plan in `E²`: both kinds × both operators
-/// × member / between / wrapped query slopes, indexed or not.
+/// × member / between / wrapped query slopes, indexed or not — and, forced
+/// to each dual technique or left to the planner, the plan's case is the
+/// routing table's entry and the search that ran.
 #[test]
 fn explain_covers_every_selection_shape_2d() {
     let tuples = DatasetSpec::paper_1999(250, ObjectSize::Small, 31).generate();
     let slopes = SlopeSet::uniform_tan(4);
     let member = slopes.get(1);
-    let between = (slopes.get(1) + slopes.get(2)) / 2.0;
+    let between = 0.75 * slopes.get(1) + 0.25 * slopes.get(2); // nearer slope 1
     let wrapped = slopes.get(3) + 1.0; // beyond max S: wraps through vertical
     assert!(matches!(slopes.bracket(member), Bracket::Member(1)));
     assert!(matches!(slopes.bracket(between), Bracket::Between(1, 2)));
     assert!(matches!(slopes.bracket(wrapped), Bracket::Wrapped(3, 0)));
+    let at = |i: usize| TreeAt {
+        i,
+        slope: slopes.get(i),
+    };
+
+    // The stand-alone index the planned runs are compared with.
+    let pairs: Vec<(u32, GeneralizedTuple)> = (0u32..).zip(tuples.iter().cloned()).collect();
+    let mut pager = MemPager::paper_1999();
+    let index = DualIndex::build(&mut pager, slopes.clone(), &pairs).unwrap();
+    let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
+    let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
 
     for indexed in [true, false] {
         let db = build_db(&tuples, if indexed { Some(4) } else { None });
@@ -138,56 +186,214 @@ fn explain_covers_every_selection_shape_2d() {
                     // The plan-only entry point agrees on the method.
                     let plan = db.plan_query("r", &sel).unwrap();
                     assert_eq!(plan.method, report.plan.method);
+                    if !indexed {
+                        assert!(matches!(report.plan.case, PlanCase::FullScan(250)));
+                        continue;
+                    }
+
+                    let theta = hp.op;
+                    for forced in [
+                        Strategy::Restricted,
+                        Strategy::T1,
+                        Strategy::T2,
+                        Strategy::Auto,
+                    ] {
+                        let what = format!("{forced:?} {sel:?}");
+                        let report = match db.explain_with("r", sel.clone(), forced) {
+                            Ok(report) => report,
+                            Err(e) => {
+                                assert!(forced == Strategy::Restricted && slope != member, "{e}");
+                                continue;
+                            }
+                        };
+                        let (plan, result) = (&report.plan, &report.result);
+                        assert_eq!(result.stats.method, Some(plan.case.runs()), "{what}");
+                        if forced == Strategy::Auto && plan.method == MethodKind::SeqScan {
+                            // On 250 tuples the scan is a fair choice.
+                            assert_eq!(plan.case, PlanCase::FullScan(250), "{what}");
+                            continue;
+                        }
+                        // The label that won (all of Auto's candidates run
+                        // the same search at a member slope, and tie).
+                        let technique = forced.forced().unwrap_or(plan.method);
+                        assert_eq!(plan.method, technique, "{what}");
+                        let wrapped_legs = [(at(3), theta), (at(0), theta.negated())];
+                        let want = match (technique, slopes.bracket(slope)) {
+                            (MethodKind::Restricted, _) => PlanCase::Member(at(1)),
+                            (_, Bracket::Member(_)) => PlanCase::MemberRestricted(at(1)),
+                            (MethodKind::T1, Bracket::Between(..)) => {
+                                PlanCase::AppQueries([(at(1), theta), (at(2), theta)])
+                            }
+                            (MethodKind::T1, _) => PlanCase::WrappedAppQueries(wrapped_legs),
+                            // `near` is the slope whose handicap strip
+                            // [a₁, (a₁+a₂)/2] contains the query slope.
+                            (MethodKind::T2, Bracket::Between(..)) => PlanCase::Between {
+                                lo: slopes.get(1),
+                                hi: slopes.get(2),
+                                near: at(1),
+                                side: Side::Next,
+                            },
+                            (MethodKind::T2, _) => PlanCase::WrappedFallback(wrapped_legs),
+                            (other, _) => panic!("{what}: the planner chose {other}"),
+                        };
+                        assert_eq!(plan.case, want, "{what}");
+                        let hint = hint_forcing(technique);
+                        let direct = index.execute(&pager, &sel, hint, &fetch).unwrap();
+                        assert_same_run(result, &direct, &what);
+                    }
                 }
             }
+        }
+    }
+    // The other half of the gap routes to the other tree.
+    let upper = 0.25 * slopes.get(1) + 0.75 * slopes.get(2);
+    let sel = Selection::exist(HalfPlane::above(upper, 2.0));
+    let db = build_db(&tuples, Some(4));
+    let report = db.explain_with("r", sel, Strategy::T2).unwrap();
+    assert!(
+        matches!(report.plan.case, PlanCase::Between { near, side: Side::Prev, .. } if near == at(2)),
+        "{:?}",
+        report.plan.case
+    );
+}
+
+fn boxes_3d(n: usize) -> Vec<GeneralizedTuple> {
+    let mut rng = cdb_prng::StdRng::seed_from_u64(0xD3D);
+    (0..n)
+        .map(|_| {
+            let mut cs = Vec::new();
+            for axis in 0..3usize {
+                let lo: f64 = rng.gen_range(-50.0..45.0);
+                let hi = lo + rng.gen_range(1.0..6.0);
+                let mut a = vec![0.0; 3];
+                a[axis] = 1.0;
+                cs.push(LinearConstraint::new(a.clone(), -lo, RelOp::Ge));
+                cs.push(LinearConstraint::new(a, -hi, RelOp::Le));
+            }
+            GeneralizedTuple::new(cs)
+        })
+        .collect()
+}
+
+/// And in `E^d` (d = 3): member (grid-point), grid-cell and out-of-hull
+/// slopes on a grid set, simplex-covered slopes on a bare simplex, all get
+/// a plan — out of the hull falling back to the scan method — and whenever
+/// the planner runs the d-dimensional index, the plan's case is the
+/// index's route and the search that ran.
+#[test]
+fn explain_covers_d_dimensional_selections() {
+    let tuples = boxes_3d(150);
+    let pairs: Vec<(u32, GeneralizedTuple)> = (0u32..).zip(tuples.iter().cloned()).collect();
+    let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
+    let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
+    let simplex = vec![vec![-1.0, -1.0], vec![1.0, -1.0], vec![0.0, 1.0]];
+
+    // Grid axes are 5 steps over [-0.2, 0.2]² (cells small enough that T2's
+    // whole-cell band still beats a scan of 150 boxes): a grid point, an
+    // interior point, and a slope outside the hull (only the scan can serve
+    // it); then a bare simplex, where every interior slope takes the
+    // covering.
+    // One stand-alone index per slope set; one database per shape, so each
+    // is planned from a fresh feedback catalog.
+    let standalone = |points: SlopePoints| {
+        let mut pager = MemPager::paper_1999();
+        let index = DualIndexD::build(&mut pager, points, &pairs).unwrap();
+        (index, pager)
+    };
+    let grid = standalone(SlopePoints::grid(3, 5, 0.2));
+    let covering = standalone(SlopePoints::new(3, simplex));
+    let shapes: [(&str, &(DualIndexD, MemPager), Vec<f64>); 4] = [
+        ("member", &grid, vec![0.0, 0.0]),
+        ("grid cell", &grid, vec![0.13, -0.07]),
+        ("outside hull", &grid, vec![2.5, 2.5]),
+        ("simplex", &covering, vec![0.1, 0.5]),
+    ];
+    for (label, (index, pager), slope) in shapes {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.create_relation("boxes", 3).unwrap();
+        for t in &tuples {
+            db.insert("boxes", t.clone()).unwrap();
+        }
+        db.build_dual_index_d("boxes", index.points().clone())
+            .unwrap();
+        let mut planned_on_the_index = 0;
+        for op in [RelOp::Ge, RelOp::Le] {
+            let hp = HalfPlane::new(slope.clone(), 10.0, op);
+            for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
+                let what = format!("{label} {sel:?}");
+                let report = db
+                    .explain("boxes", sel.clone())
+                    .unwrap_or_else(|e| panic!("explain {what}: {e}"));
+                let scan = db.query_with("boxes", sel.clone(), Strategy::Scan).unwrap();
+                assert_eq!(report.result.ids(), scan.ids(), "{what} vs scan oracle");
+                let routed = index.route(&sel);
+                if label == "outside hull" {
+                    assert_eq!(report.plan.method, MethodKind::SeqScan, "{what}");
+                    let why = Rejection::OutsideHull(slope.clone());
+                    assert_eq!(routed, Err(why.clone()), "{what}");
+                    assert_eq!(report.plan.rejected, [(MethodKind::DualD, why)], "{what}");
+                    continue;
+                }
+                let case = routed.unwrap_or_else(|why| panic!("{what}: {why}"));
+                match label {
+                    "member" => assert!(matches!(case, PlanCase::MemberPoint { .. }), "{case:?}"),
+                    "grid cell" => assert!(matches!(case, PlanCase::GridCell(_)), "{case:?}"),
+                    _ => assert!(matches!(case, PlanCase::SimplexCovering(_)), "{case:?}"),
+                }
+                let direct = index
+                    .execute(pager, &sel, &case, Exact::Selection, &fetch)
+                    .unwrap();
+                assert_eq!(direct.ids(), scan.ids(), "{what}: direct vs scan oracle");
+                if report.plan.method == MethodKind::DualD {
+                    planned_on_the_index += 1;
+                    assert_eq!(report.plan.case, case, "{what}");
+                    assert_eq!(report.result.stats.method, Some(MethodKind::DualD));
+                    assert_same_run(&report.result, &direct, &what);
+                }
+            }
+        }
+        if label != "outside hull" {
+            assert!(
+                planned_on_the_index > 0,
+                "{label}: the planner never ran it"
+            );
         }
     }
 }
 
-/// And in `E^d` (d = 3): member (grid-point), interior and out-of-hull
-/// slopes all get a plan — the latter falling back to the scan method.
+/// Planner feedback is keyed by the search that ran, not by the label that
+/// won. At a member slope every dual technique runs the restricted search:
+/// 256 such queries used to be booked under `T1` and `T2` whenever those
+/// labels won the tie (225 and 16 times), dragging T1's and T2's observed
+/// fractions toward the restricted search's for every other slope.
 #[test]
-fn explain_covers_d_dimensional_selections() {
-    let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
-    db.create_relation("boxes", 3).unwrap();
-    let mut rng = cdb_prng::StdRng::seed_from_u64(0xD3D);
-    for _ in 0..150 {
-        let mut cs = Vec::new();
-        for axis in 0..3usize {
-            let lo: f64 = rng.gen_range(-50.0..45.0);
-            let hi = lo + rng.gen_range(1.0..6.0);
-            let mut a = vec![0.0; 3];
-            a[axis] = 1.0;
-            cs.push(LinearConstraint::new(a.clone(), -lo, RelOp::Ge));
-            cs.push(LinearConstraint::new(a, -hi, RelOp::Le));
-        }
-        db.insert("boxes", GeneralizedTuple::new(cs)).unwrap();
+fn feedback_is_booked_under_the_search_that_ran() {
+    let tuples = DatasetSpec::paper_1999(2000, ObjectSize::Small, 43).generate();
+    let db = build_db(&tuples, Some(4));
+    let slopes = SlopeSet::uniform_tan(4);
+    for i in 0..256 {
+        let hp = HalfPlane::above(slopes.get(i % 4), -40.0 + 0.3 * i as f64);
+        let r = db.query("r", Selection::exist(hp)).unwrap();
+        assert_eq!(r.stats.method, Some(MethodKind::Restricted), "query {i}");
     }
-    db.build_dual_index_d("boxes", SlopePoints::grid(3, 3, 1.0))
-        .unwrap();
-
-    // Grid axes are [-1, 0, 1]²: a grid point, an interior point, and a
-    // slope outside the hull (only the scan can serve it).
-    let shapes: [(&str, Vec<f64>); 3] = [
-        ("member", vec![0.0, 0.0]),
-        ("interior", vec![0.3, -0.4]),
-        ("outside hull", vec![2.5, 2.5]),
-    ];
-    for (label, slope) in shapes {
-        for op in [RelOp::Ge, RelOp::Le] {
-            let hp = HalfPlane::new(slope.clone(), 10.0, op);
-            for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
-                let report = db
-                    .explain("boxes", sel.clone())
-                    .unwrap_or_else(|e| panic!("explain {label} {sel:?}: {e}"));
-                let scan = db.query_with("boxes", sel, Strategy::Scan).unwrap();
-                assert_eq!(report.result.ids(), scan.ids(), "{label} vs scan oracle");
-                if label == "outside hull" {
-                    assert_eq!(report.plan.method, MethodKind::SeqScan, "{label}");
-                }
-            }
-        }
+    let entries = db.relation("r").unwrap().catalog().entries();
+    let booked: Vec<(MethodKind, u64)> = entries.iter().map(|(m, _, o)| (*m, o.samples)).collect();
+    assert_eq!(booked, [(MethodKind::Restricted, 256)]);
+    // Forced T1/T2 at a member slope still answer — by that same search.
+    let sel = Selection::exist(HalfPlane::above(slopes.get(2), 5.0));
+    let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
+    for forced in [Strategy::T1, Strategy::T2] {
+        let r = db.query_with("r", sel.clone(), forced).unwrap();
+        assert_eq!(r.ids(), scan.ids(), "{forced:?}");
+        assert_eq!(r.stats.method, Some(MethodKind::Restricted), "{forced:?}");
     }
+    // Likewise T2's wrapped fallback is T1's search, and booked as such.
+    let wrapped = Selection::exist(HalfPlane::above(slopes.get(3) + 1.0, 5.0));
+    let r = db.query_with("r", wrapped, Strategy::T2).unwrap();
+    assert_eq!(r.stats.method, Some(MethodKind::T1));
+    let catalog = db.relation("r").unwrap().catalog();
+    assert_eq!(catalog.samples(MethodKind::T1, SelectionKind::Exist), 1);
+    assert_eq!(catalog.samples(MethodKind::T2, SelectionKind::Exist), 0);
 }
 
 /// Batches through `query_batch` plan per-query exactly like the
@@ -282,18 +488,8 @@ fn duplicate_and_candidate_accounting_is_pinned() {
 
     let mut db3 = ConstraintDb::in_memory(DbConfig::paper_1999());
     db3.create_relation("boxes", 3).unwrap();
-    let mut rng = cdb_prng::StdRng::seed_from_u64(0xD3D);
-    for _ in 0..150 {
-        let mut cs = Vec::new();
-        for axis in 0..3usize {
-            let lo: f64 = rng.gen_range(-50.0..45.0);
-            let hi = lo + rng.gen_range(1.0..6.0);
-            let mut a = vec![0.0; 3];
-            a[axis] = 1.0;
-            cs.push(LinearConstraint::new(a.clone(), -lo, RelOp::Ge));
-            cs.push(LinearConstraint::new(a, -hi, RelOp::Le));
-        }
-        db3.insert("boxes", GeneralizedTuple::new(cs)).unwrap();
+    for t in boxes_3d(150) {
+        db3.insert("boxes", t).unwrap();
     }
     // A bare simplex, not a grid: every interior slope takes the covering.
     let simplex = vec![vec![-1.0, -1.0], vec![1.0, -1.0], vec![0.0, 1.0]];
