@@ -40,28 +40,35 @@ dead_api() {
 }
 step dead-api dead_api
 
-# The audit that keeps "a selection is routed once" a gate, over the
-# engine crate's non-test lines (those above a file's first
-# `#[cfg(test)]`): the bracket rule and the slope-point lookups each have
-# one call site — `AccessMethod::route`'s two bodies — the `Capability`
-# descriptor routing used to be duplicated in stays gone, and `Strategy`
-# variants are matched only where `Strategy::forced` converts them.
-one_router() {
-  local lines want what skip re hits
-  lines=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+# The grep audits below share this: over the non-test lines (those above a
+# file's first `#[cfg(test)]`) of the source trees given as arguments, every
+# rule row on stdin — how many hits are wanted | of what | the one file
+# whose lines do not count (`-`: none) | the pattern — must hold. Under a
+# second.
+grep_audit() {
+  local name=$1 lines want what skip re hits
+  shift
+  lines=$(find "$@" -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { counting = 1 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
     counting { print FILENAME ":" $0 }')
-  # Rows: how many hits are wanted | of what | the one file whose lines
-  # do not count | the pattern.
   while IFS='|' read -r want what skip re; do
-    hits=$(printf '%s\n' "$lines" | grep -v "^crates/core/src/$skip:" | grep -E -- "$re" || true)
+    hits=$(printf '%s\n' "$lines" | grep -v "/$skip:" | grep -E -- "$re" || true)
     if [ "$(printf '%s' "$hits" | grep -c .)" -ne "$want" ]; then
-      echo "ci: one-router: want $want × $what outside $skip, found:" >&2
+      echo "ci: $name: want $want × $what outside $skip, found:" >&2
       printf '%s\n' "${hits:-  (none)}" >&2
       return 1
     fi
-  done <<'RULES'
+  done
+}
+
+# The audit that keeps "a selection is routed once" a gate, over the
+# engine crate: the bracket rule and the slope-point lookups each have one
+# call site — `AccessMethod::route`'s two bodies — the `Capability`
+# descriptor routing used to be duplicated in stays gone, and `Strategy`
+# variants are matched only where `Strategy::forced` converts them.
+one_router() {
+  grep_audit one-router crates/core/src <<'RULES'
 1|a .bracket( call|slopes.rs|\.bracket\(
 1|a .containing_simplex( call|-|\.containing_simplex\(
 1|a .nearest_grid( call|-|\.nearest_grid\(
@@ -71,6 +78,26 @@ one_router() {
 RULES
 }
 step one-router one_router
+
+# The audit that keeps "T2 is written once" a gate, over the tree and the
+# engine crates: one dual index over a slope geometry (`DualIndexD` is an
+# alias, handicaps are assigned and folded from one place each), one sweep
+# over a `Direction` (no function comes back as the down/low/high half of
+# a mirrored pair; `sweep_up` is the one front, for `perf/`), and T1's
+# anchor stays a reserved catalog slot.
+one_forest() {
+  grep_audit one-forest crates/btree/src crates/core/src/index <<'RULES'
+1|an .assign_handicaps( call|-|\.assign_handicaps\(
+1|a .fold_handicaps( call|-|\.fold_handicaps\(
+0|down/low/high halves of a mirrored pair|-|fn ([a-z_]+_(down|low|high)|find_last_leq)\b
+0|definitions of struct DualIndexD|-|struct DualIndexD
+1|the DualIndexD alias|-|type DualIndexD =
+RULES
+  grep_audit one-forest crates/core/src <<'RULES'
+0|mentions of anchor_x|catalog.rs|anchor_x
+RULES
+}
+step one-forest one_forest
 
 # Report only: non-test lines per crate, counted as the lines above a
 # file's first `#[cfg(test)]` — the figure CHANGES.md quotes before/after

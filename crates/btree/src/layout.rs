@@ -25,6 +25,8 @@
 //! internal separators per page (the paper's idealized `B = 1024/8 = 128`
 //! minus header overhead).
 
+use std::ops::Range;
+
 /// Sentinel for "no page" in leaf links.
 pub const NULL_PAGE: u32 = u32::MAX;
 
@@ -52,6 +54,103 @@ pub const fn internal_capacity(page_size: usize) -> usize {
     (page_size - INTERNAL_HDR) / INTERNAL_ENTRY
 }
 
+/// Which neighbour of a slope a strip extends toward.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Side {
+    /// Toward the previous (smaller) slope in `S`.
+    Prev,
+    /// Toward the next (larger) slope in `S`.
+    Next,
+}
+
+/// The direction of a leaf sweep — where technique T2 makes two, of the
+/// *first*. "Up" and "down" are mirror images; everything they differ in
+/// is one of the primitives below, and the searches are written against
+/// those: which leaf link continues the sweep ([`Leaf::link`]), which side
+/// of a bound is past it ([`before`](Self::before)), and which handicap
+/// pair guides the return sweep ([`Handicaps::slot`]).
+///
+/// [`Leaf::link`]: crate::node::Leaf::link
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Direction {
+    /// Toward larger keys.
+    Up,
+    /// Toward smaller keys.
+    Down,
+}
+
+impl Direction {
+    /// Both directions, `Up` first.
+    pub const BOTH: [Direction; 2] = [Direction::Up, Direction::Down];
+
+    /// The opposite direction (that of T2's second sweep).
+    pub fn reversed(self) -> Self {
+        match self {
+            Direction::Up => Direction::Down,
+            Direction::Down => Direction::Up,
+        }
+    }
+
+    /// `true` when a sweep in this direction meets `a` strictly before `b`.
+    #[inline]
+    pub fn before(self, a: f64, b: f64) -> bool {
+        match self {
+            Direction::Up => a < b,
+            Direction::Down => a > b,
+        }
+    }
+
+    /// Whichever of `a` and `b` a sweep in this direction meets first.
+    pub fn earlier(self, a: f64, b: f64) -> f64 {
+        match self {
+            Direction::Up => a.min(b),
+            Direction::Down => a.max(b),
+        }
+    }
+
+    /// Where every sweep in this direction ends: no key is past it, so it
+    /// is also the neutral handicap.
+    pub fn end(self) -> f64 {
+        match self {
+            Direction::Up => f64::INFINITY,
+            Direction::Down => f64::NEG_INFINITY,
+        }
+    }
+
+    /// `x` moved `by` further along.
+    pub fn advance(self, x: f64, by: f64) -> f64 {
+        match self {
+            Direction::Up => x + by,
+            Direction::Down => x - by,
+        }
+    }
+
+    /// The nearest value strictly past `x`.
+    pub fn next_after(self, x: f64) -> f64 {
+        match self {
+            Direction::Up => x.next_up(),
+            Direction::Down => x.next_down(),
+        }
+    }
+
+    /// Of `count` ascending slots split at `rank`, those a sweep in this
+    /// direction covers (in ascending order either way).
+    pub fn slots(self, rank: usize, count: usize) -> Range<usize> {
+        match self {
+            Direction::Up => rank..count,
+            Direction::Down => 0..rank,
+        }
+    }
+
+    /// This direction's component of an `(up, down)` pair.
+    pub fn of<T>(self, pair: (T, T)) -> T {
+        match self {
+            Direction::Up => pair.0,
+            Direction::Down => pair.1,
+        }
+    }
+}
+
 /// The four per-leaf handicap values of technique T2 (Sections 4.2–4.3).
 ///
 /// `low_*` guide the second (downward) sweep of upward-first queries —
@@ -69,6 +168,25 @@ pub struct Handicaps {
     pub high_prev: f64,
     /// Max bucketed key for slopes toward the next slope in `S`.
     pub high_next: f64,
+}
+
+impl Handicaps {
+    /// The handicap guiding the return sweep of a search whose first sweep
+    /// goes `dir`, for query slopes on `side`: the `low` pair when it goes
+    /// up, the `high` pair when it goes down.
+    pub fn slot(&mut self, dir: Direction, side: Side) -> &mut f64 {
+        match (dir, side) {
+            (Direction::Up, Side::Prev) => &mut self.low_prev,
+            (Direction::Up, Side::Next) => &mut self.low_next,
+            (Direction::Down, Side::Prev) => &mut self.high_prev,
+            (Direction::Down, Side::Next) => &mut self.high_next,
+        }
+    }
+
+    /// The value in [`slot`](Self::slot).
+    pub fn get(mut self, dir: Direction, side: Side) -> f64 {
+        *self.slot(dir, side)
+    }
 }
 
 impl Default for Handicaps {

@@ -16,7 +16,8 @@
 //! * **`±∞` keys** — unbounded polyhedra have infinite `TOP`/`BOT` values;
 //!   they are stored as IEEE infinities, which order correctly.
 //! * **bidirectional leaf sweeps** — leaves form a doubly-linked list so both
-//!   the upward and downward sweeps of technique T2 cost one page per leaf.
+//!   the upward and downward sweeps of technique T2 cost one page per leaf;
+//!   both are the one [`BTree::sweep`] over a [`Direction`].
 //! * **handicap slots** — each leaf reserves four `f64` slots
 //!   (`low_prev`, `low_next`, `high_prev`, `high_next`; Section 4.2 Step 2)
 //!   that the index layer fills and the sweep callbacks expose.
@@ -25,5 +26,5 @@ pub mod layout;
 pub mod node;
 pub mod tree;
 
-pub use layout::{key_slack, Handicaps, NULL_PAGE};
+pub use layout::{key_slack, Direction, Handicaps, Side, NULL_PAGE};
 pub use tree::{BTree, LeafInfo, LeafSnapshot, SweepControl};

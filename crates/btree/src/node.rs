@@ -8,13 +8,35 @@
 use cdb_storage::codec::{get_f32, get_f64, get_u16, get_u32, put_f32, put_f64, put_u16, put_u32};
 
 use crate::layout::{
-    internal_capacity, leaf_capacity, Handicaps, INTERNAL_ENTRY, INTERNAL_HDR, KIND_INTERNAL,
-    KIND_LEAF, LEAF_ENTRY, LEAF_HDR,
+    internal_capacity, leaf_capacity, Direction, Handicaps, INTERNAL_ENTRY, INTERNAL_HDR,
+    KIND_INTERNAL, KIND_LEAF, LEAF_ENTRY, LEAF_HDR,
 };
 
 /// Returns `true` if the page image is a leaf.
 pub fn is_leaf(page: &[u8]) -> bool {
     page[0] == KIND_LEAF
+}
+
+/// Where a sweep in `dir` from `k` splits `n` ascending keys (read through
+/// `key`): how many lie below its first one — those `< k` going up (it
+/// starts at the first key `≥ k`), those `≤ k` going down (it starts at the
+/// last key `≤ k`).
+#[inline]
+fn rank(n: usize, key: impl Fn(usize) -> f64, dir: Direction, k: f64) -> usize {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        let below = match dir {
+            Direction::Up => key(mid) < k,
+            Direction::Down => key(mid) <= k,
+        };
+        if below {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Mutable leaf view.
@@ -72,6 +94,14 @@ impl<'a> Leaf<'a> {
         put_u32(self.buf, 8, p);
     }
 
+    /// The leaf a sweep in `dir` continues in.
+    pub fn link(&self, dir: Direction) -> u32 {
+        match dir {
+            Direction::Up => self.next(),
+            Direction::Down => self.prev(),
+        }
+    }
+
     /// The four handicap slots.
     pub fn handicaps(&self) -> Handicaps {
         Handicaps {
@@ -102,26 +132,11 @@ impl<'a> Leaf<'a> {
         get_u32(self.buf, LEAF_HDR + i * LEAF_ENTRY + 4)
     }
 
-    /// All entries in key order.
-    pub fn entries(&self) -> Vec<(f64, u32)> {
-        (0..self.count())
-            .map(|i| (self.key(i), self.value(i)))
-            .collect()
-    }
-
-    /// First index whose key is `≥ k` (lower bound), or `count()`.
-    pub fn lower_bound(&self, k: f64) -> usize {
-        let n = self.count();
-        let (mut lo, mut hi) = (0, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.key(mid) < k {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+    /// Where a sweep in `dir` from `k` splits the entries: the first slot
+    /// with key `≥ k` going up, one past the last with key `≤ k` going
+    /// down (see [`Direction::slots`]).
+    pub fn rank(&self, dir: Direction, k: f64) -> usize {
+        rank(self.count(), |i| self.key(i), dir, k)
     }
 
     /// Inserts `(k, v)` keeping key order (after equal keys). Returns the
@@ -132,11 +147,8 @@ impl<'a> Leaf<'a> {
     pub fn insert(&mut self, page_size: usize, k: f64, v: u32) -> usize {
         let n = self.count();
         assert!(n < leaf_capacity(page_size), "leaf overflow");
-        // Position after all keys <= k (upper bound) keeps insertion stable.
-        let mut pos = self.lower_bound(k);
-        while pos < n && self.key(pos) <= k {
-            pos += 1;
-        }
+        // After all keys <= k: keeps insertion stable.
+        let pos = self.rank(Direction::Down, k);
         let start = LEAF_HDR + pos * LEAF_ENTRY;
         let end = LEAF_HDR + n * LEAF_ENTRY;
         self.buf.copy_within(start..end, start + LEAF_ENTRY);
@@ -172,22 +184,6 @@ impl<'a> Leaf<'a> {
         right.set_count(n - mid);
         self.set_count(mid);
         right.key(0)
-    }
-
-    /// Appends every entry of `right` (used by merges).
-    ///
-    /// # Panics
-    /// Panics if the combined count exceeds capacity.
-    pub fn absorb(&mut self, page_size: usize, right: &Leaf<'_>) {
-        let n = self.count();
-        let m = right.count();
-        assert!(n + m <= leaf_capacity(page_size), "merge overflow");
-        for i in 0..m {
-            let off = LEAF_HDR + (n + i) * LEAF_ENTRY;
-            put_f32(self.buf, off, right.key(i) as f32);
-            put_u32(self.buf, off + 4, right.value(i));
-        }
-        self.set_count(n + m);
     }
 }
 
@@ -248,36 +244,13 @@ impl<'a> Internal<'a> {
         }
     }
 
-    /// Child index to descend into for key `k`: the child after the last
-    /// separator `≤ k` (so duplicates of a separator key land right of it).
-    pub fn descend_index(&self, k: f64) -> usize {
-        let n = self.count();
-        let (mut lo, mut hi) = (0, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.key(mid) <= k {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Leftmost child index whose subtree may contain keys `≥ k`
-    /// (for locating the *first* occurrence of a duplicated key).
-    pub fn descend_index_left(&self, k: f64) -> usize {
-        let n = self.count();
-        let (mut lo, mut hi) = (0, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.key(mid) < k {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+    /// Child index to descend into toward where a sweep in `dir` from `k`
+    /// starts: going down (and for inserts) the child after the last
+    /// separator `≤ k`, so duplicates of a separator key land right of it;
+    /// going up the leftmost child whose subtree may hold keys `≥ k`, i.e.
+    /// the *first* occurrence of a duplicated key.
+    pub fn rank(&self, dir: Direction, k: f64) -> usize {
+        rank(self.count(), |i| self.key(i), dir, k)
     }
 
     /// Inserts separator `k` with right child `c` at position `pos`.
@@ -294,16 +267,6 @@ impl<'a> Internal<'a> {
         put_f32(self.buf, start, k as f32);
         put_u32(self.buf, start + 4, c);
         self.set_count(n + 1);
-    }
-
-    /// Removes separator `i` and its *right* child pointer.
-    pub fn remove_at(&mut self, i: usize) {
-        let n = self.count();
-        assert!(i < n);
-        let start = INTERNAL_HDR + (i + 1) * INTERNAL_ENTRY;
-        let end = INTERNAL_HDR + n * INTERNAL_ENTRY;
-        self.buf.copy_within(start..end, start - INTERNAL_ENTRY);
-        self.set_count(n - 1);
     }
 
     /// Splits around the median: upper entries move to `right` (empty
@@ -323,22 +286,6 @@ impl<'a> Internal<'a> {
         right.set_count(n - mid - 1);
         self.set_count(mid);
         promoted
-    }
-
-    /// Appends `sep` and all of `right`'s separators/children (merge).
-    pub fn absorb(&mut self, page_size: usize, sep: f64, right: &Internal<'_>) {
-        let n = self.count();
-        let m = right.count();
-        assert!(n + m < internal_capacity(page_size), "merge overflow");
-        let off = INTERNAL_HDR + n * INTERNAL_ENTRY;
-        put_f32(self.buf, off, sep as f32);
-        put_u32(self.buf, off + 4, right.child(0));
-        for i in 0..m {
-            let off = INTERNAL_HDR + (n + 1 + i) * INTERNAL_ENTRY;
-            put_f32(self.buf, off, right.key(i) as f32);
-            put_u32(self.buf, off + 4, right.child(i + 1));
-        }
-        self.set_count(n + m + 1);
     }
 }
 
@@ -364,16 +311,16 @@ mod tests {
     }
 
     #[test]
-    fn leaf_lower_bound() {
+    fn leaf_rank() {
         let mut buf = vec![0u8; P];
         let mut leaf = Leaf::init(&mut buf);
         for (k, v) in [(1.0, 1), (3.0, 2), (3.0, 3), (7.0, 4)] {
             leaf.insert(P, k, v);
         }
-        assert_eq!(leaf.lower_bound(0.0), 0);
-        assert_eq!(leaf.lower_bound(3.0), 1);
-        assert_eq!(leaf.lower_bound(4.0), 3);
-        assert_eq!(leaf.lower_bound(8.0), 4);
+        assert_eq!(leaf.rank(Direction::Up, 0.0), 0);
+        assert_eq!(leaf.rank(Direction::Up, 3.0), 1);
+        assert_eq!(leaf.rank(Direction::Up, 4.0), 3);
+        assert_eq!(leaf.rank(Direction::Up, 8.0), 4);
     }
 
     #[test]
@@ -390,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn leaf_split_and_absorb() {
+    fn leaf_split() {
         let mut buf = vec![0u8; P];
         let mut leaf = Leaf::init(&mut buf);
         for i in 0..10 {
@@ -403,9 +350,7 @@ mod tests {
         assert_eq!(leaf.count(), 5);
         assert_eq!(right.count(), 5);
         assert_eq!(right.key(0), 5.0);
-        leaf.absorb(P, &right);
-        assert_eq!(leaf.count(), 10);
-        assert_eq!(leaf.key(9), 9.0);
+        assert_eq!(leaf.key(4), 4.0);
     }
 
     #[test]
@@ -442,18 +387,18 @@ mod tests {
         node.insert_at(P, 0, 10.0, 101);
         node.insert_at(P, 1, 20.0, 102);
         assert_eq!(node.count(), 2);
-        assert_eq!(node.descend_index(5.0), 0);
-        assert_eq!(node.descend_index(10.0), 1, "equal key goes right");
-        assert_eq!(node.descend_index_left(10.0), 0, "left variant stays left");
-        assert_eq!(node.descend_index(15.0), 1);
-        assert_eq!(node.descend_index(25.0), 2);
+        assert_eq!(node.rank(Direction::Down, 5.0), 0);
+        assert_eq!(node.rank(Direction::Down, 10.0), 1, "equal key goes right");
+        assert_eq!(node.rank(Direction::Up, 10.0), 0, "going up stays left");
+        assert_eq!(node.rank(Direction::Down, 15.0), 1);
+        assert_eq!(node.rank(Direction::Down, 25.0), 2);
         assert_eq!(node.child(0), 100);
         assert_eq!(node.child(1), 101);
         assert_eq!(node.child(2), 102);
     }
 
     #[test]
-    fn internal_split_and_absorb() {
+    fn internal_split() {
         let mut buf = vec![0u8; P];
         let mut node = Internal::init(&mut buf, 0);
         for i in 0..9 {
@@ -467,24 +412,7 @@ mod tests {
         assert_eq!(right.count(), 4);
         assert_eq!(right.child(0), 5, "child right of the median");
         assert_eq!(right.key(0), 60.0);
-        // Merge back.
-        node.absorb(P, promoted, &right);
-        assert_eq!(node.count(), 9);
-        assert_eq!(node.key(4), 50.0);
-        assert_eq!(node.child(9), 9);
-    }
-
-    #[test]
-    fn internal_remove() {
-        let mut buf = vec![0u8; P];
-        let mut node = Internal::init(&mut buf, 0);
-        node.insert_at(P, 0, 10.0, 1);
-        node.insert_at(P, 1, 20.0, 2);
-        node.remove_at(0);
-        assert_eq!(node.count(), 1);
-        assert_eq!(node.key(0), 20.0);
-        assert_eq!(node.child(0), 0);
-        assert_eq!(node.child(1), 2);
+        assert_eq!(right.child(4), 9);
     }
 
     #[test]

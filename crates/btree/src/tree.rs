@@ -15,16 +15,19 @@
 //! **Deletion policy.** Entries are removed in place; leaves are never
 //! merged (the PostgreSQL-style relaxed deletion): an emptied leaf stays in
 //! the chain and is skipped by sweeps. Space therefore tracks the high-water
-//! mark; [`BTree::rebuild`] compacts. This keeps the duplicate-heavy delete
+//! mark until the index is rebuilt. This keeps the duplicate-heavy delete
 //! path simple and does not affect any experiment (the paper's workloads are
 //! build-then-query); the paper's `O(log_B n)` amortized update bound still
 //! holds since no operation exceeds one root-to-leaf path plus splits.
 
 use std::io;
+use std::ops::Range;
 
 use cdb_storage::{PageId, PageReader, Pager};
 
-use crate::layout::{internal_capacity, key_slack, leaf_capacity, Handicaps, NULL_PAGE};
+use crate::layout::{
+    internal_capacity, key_slack, leaf_capacity, Direction, Handicaps, Side, NULL_PAGE,
+};
 use crate::node::{is_leaf, Internal, Leaf};
 
 /// Flow control for leaf sweeps.
@@ -168,10 +171,6 @@ impl BTree {
         self.pages
     }
 
-    fn read(&self, pager: &dyn PageReader, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        pager.read(id, buf)
-    }
-
     // ------------------------------------------------------------- insert --
 
     /// Inserts `(key, value)`. Duplicate keys are allowed; `NaN` is not.
@@ -189,14 +188,14 @@ impl BTree {
         let mut page = self.root;
         let mut buf = vec![0u8; self.page_size];
         for _ in 0..self.height {
-            self.read(&*pager, page, &mut buf)?;
+            pager.read(page, &mut buf)?;
             let node = Internal::new(&mut buf);
-            let idx = node.descend_index(key);
+            let idx = node.rank(Direction::Down, key);
             let child = node.child(idx);
             path.push((page, idx));
             page = child;
         }
-        self.read(&*pager, page, &mut buf)?;
+        pager.read(page, &mut buf)?;
         let mut leaf = Leaf::new(&mut buf);
         if leaf.count() < leaf_capacity(self.page_size) {
             leaf.insert(self.page_size, key, value);
@@ -225,7 +224,7 @@ impl BTree {
             self.last_leaf = new_page;
         } else {
             let mut nbuf = vec![0u8; self.page_size];
-            self.read(&*pager, old_next, &mut nbuf)?;
+            pager.read(old_next, &mut nbuf)?;
             Leaf::new(&mut nbuf).set_prev(new_page);
             pager.write(old_next, &nbuf)?;
         }
@@ -252,7 +251,7 @@ impl BTree {
     ) -> io::Result<()> {
         let mut buf = vec![0u8; self.page_size];
         while let Some((page, idx)) = path.pop() {
-            self.read(&*pager, page, &mut buf)?;
+            pager.read(page, &mut buf)?;
             let mut node = Internal::new(&mut buf);
             if node.count() < internal_capacity(self.page_size) {
                 node.insert_at(self.page_size, idx, sep, right_child);
@@ -268,11 +267,11 @@ impl BTree {
             let promoted = node.split_into(&mut right);
             if sep < promoted {
                 let mut left = Internal::new(&mut buf);
-                let pos = left.descend_index(sep);
+                let pos = left.rank(Direction::Down, sep);
                 left.insert_at(self.page_size, pos, sep, right_child);
             } else {
                 let mut r = Internal::new(&mut rbuf);
-                let pos = r.descend_index(sep);
+                let pos = r.rank(Direction::Down, sep);
                 r.insert_at(self.page_size, pos, sep, right_child);
             }
             pager.write(page, &buf)?;
@@ -307,13 +306,14 @@ impl BTree {
         assert!(!key.is_nan(), "NaN keys are not allowed");
         let k32 = key as f32 as f64;
         let slack = key_slack(key);
-        let Some((mut page, mut slot)) = self.find_first_geq(&*pager, k32 - slack)? else {
+        let Some((mut page, band)) = self.find(Direction::Up, &*pager, k32 - slack)? else {
             return Ok(false);
         };
+        let mut slot = band.start;
         let mut buf = vec![0u8; self.page_size];
         let mut hit: Option<(PageId, usize, f64)> = None;
         'band: loop {
-            self.read(&*pager, page, &mut buf)?;
+            pager.read(page, &mut buf)?;
             let leaf = Leaf::new(&mut buf);
             while slot < leaf.count() {
                 let k = leaf.key(slot);
@@ -339,39 +339,35 @@ impl BTree {
         };
         if hit_page != page {
             page = hit_page;
-            self.read(&*pager, page, &mut buf)?;
+            pager.read(page, &mut buf)?;
         }
         let mut leaf = Leaf::new(&mut buf);
         leaf.remove(slot);
         let emptied = leaf.count() == 0;
-        let (prev, next, h) = (leaf.prev(), leaf.next(), leaf.handicaps());
+        let (links, h) = (Direction::BOTH.map(|dir| leaf.link(dir)), leaf.handicaps());
         pager.write(page, &buf)?;
         self.len -= 1;
         if emptied {
             // Preserve handicap reachability: an emptied leaf may be skipped
-            // by future sweep starts, so its `low` bounds migrate upward
-            // (next leaf) and its `high` bounds downward (previous leaf).
-            // Folding is conservative (min/max), cascading through later
-            // deletions, so technique T2 stays correct without a rebuild.
-            if next != NULL_PAGE {
+            // by future sweep starts, so the bounds guiding upward-first
+            // searches migrate upward (next leaf) and those guiding
+            // downward-first ones downward (previous leaf). Folding is
+            // conservative (min/max), cascading through later deletions,
+            // so technique T2 stays correct without a rebuild.
+            for (dir, neighbour) in Direction::BOTH.into_iter().zip(links) {
+                if neighbour == NULL_PAGE {
+                    continue;
+                }
                 let mut nbuf = vec![0u8; self.page_size];
-                self.read(&*pager, next, &mut nbuf)?;
+                pager.read(neighbour, &mut nbuf)?;
                 let mut nleaf = Leaf::new(&mut nbuf);
                 let mut nh = nleaf.handicaps();
-                nh.low_prev = nh.low_prev.min(h.low_prev);
-                nh.low_next = nh.low_next.min(h.low_next);
+                for side in [Side::Prev, Side::Next] {
+                    let slot = nh.slot(dir, side);
+                    *slot = dir.earlier(*slot, h.get(dir, side));
+                }
                 nleaf.set_handicaps(nh);
-                pager.write(next, &nbuf)?;
-            }
-            if prev != NULL_PAGE {
-                let mut pbuf = vec![0u8; self.page_size];
-                self.read(&*pager, prev, &mut pbuf)?;
-                let mut pleaf = Leaf::new(&mut pbuf);
-                let mut ph = pleaf.handicaps();
-                ph.high_prev = ph.high_prev.max(h.high_prev);
-                ph.high_next = ph.high_next.max(h.high_next);
-                pleaf.set_handicaps(ph);
-                pager.write(prev, &pbuf)?;
+                pager.write(neighbour, &nbuf)?;
             }
         }
         Ok(true)
@@ -379,65 +375,34 @@ impl BTree {
 
     // ------------------------------------------------------------- search --
 
-    /// Locates the first entry with key `≥ key`: `(leaf page, slot)`.
-    /// Returns `None` when every key is smaller.
-    pub fn find_first_geq(
+    /// Where a sweep in `dir` from `key` starts: the first leaf on its way
+    /// holding an entry at or past `key` — the first with key `≥ key` going
+    /// up, the last with key `≤ key` going down — and the slots of that
+    /// leaf's entries that are. `None` when every key is before `key`.
+    pub fn find(
         &self,
+        dir: Direction,
         pager: &dyn PageReader,
         key: f64,
-    ) -> io::Result<Option<(PageId, usize)>> {
+    ) -> io::Result<Option<(PageId, Range<usize>)>> {
         let mut page = self.root;
         let mut buf = vec![0u8; self.page_size];
         for _ in 0..self.height {
-            self.read(pager, page, &mut buf)?;
+            pager.read(page, &mut buf)?;
             let node = Internal::new(&mut buf);
-            page = node.child(node.descend_index_left(key));
+            page = node.child(node.rank(dir, key));
         }
         loop {
-            self.read(pager, page, &mut buf)?;
+            pager.read(page, &mut buf)?;
             let leaf = Leaf::new(&mut buf);
-            let slot = leaf.lower_bound(key);
-            if slot < leaf.count() {
-                return Ok(Some((page, slot)));
+            let slots = dir.slots(leaf.rank(dir, key), leaf.count());
+            if !slots.is_empty() {
+                return Ok(Some((page, slots)));
             }
-            let next = leaf.next();
-            if next == NULL_PAGE {
+            page = leaf.link(dir);
+            if page == NULL_PAGE {
                 return Ok(None);
             }
-            page = next;
-        }
-    }
-
-    /// Locates the last entry with key `≤ key`: `(leaf page, slot)`.
-    /// Returns `None` when every key is larger.
-    pub fn find_last_leq(
-        &self,
-        pager: &dyn PageReader,
-        key: f64,
-    ) -> io::Result<Option<(PageId, usize)>> {
-        let mut page = self.root;
-        let mut buf = vec![0u8; self.page_size];
-        for _ in 0..self.height {
-            self.read(pager, page, &mut buf)?;
-            let node = Internal::new(&mut buf);
-            page = node.child(node.descend_index(key));
-        }
-        loop {
-            self.read(pager, page, &mut buf)?;
-            let leaf = Leaf::new(&mut buf);
-            // Last index with key <= key.
-            let mut ub = leaf.lower_bound(key);
-            while ub < leaf.count() && leaf.key(ub) <= key {
-                ub += 1;
-            }
-            if ub > 0 {
-                return Ok(Some((page, ub - 1)));
-            }
-            let prev = leaf.prev();
-            if prev == NULL_PAGE {
-                return Ok(None);
-            }
-            page = prev;
         }
     }
 
@@ -458,23 +423,34 @@ impl BTree {
 
     // ------------------------------------------------------------- sweeps --
 
-    /// Sweeps leaves upward starting from the first entry with key `≥ from`,
-    /// invoking `visit` once per leaf (ascending entries ≥ `from`).
-    pub fn sweep_up<F>(&self, pager: &dyn PageReader, from: f64, mut visit: F) -> io::Result<()>
+    /// Sweeps leaves in `dir` starting where [`find`](Self::find) says —
+    /// upward from the first entry with key `≥ from`, downward from the
+    /// last with key `≤ from` — invoking `visit` once per leaf with its
+    /// entries at or past `from`, in sweep order.
+    pub fn sweep<F>(
+        &self,
+        dir: Direction,
+        pager: &dyn PageReader,
+        from: f64,
+        mut visit: F,
+    ) -> io::Result<()>
     where
         F: FnMut(&LeafSnapshot) -> SweepControl,
     {
-        let Some((mut page, slot)) = self.find_first_geq(pager, from)? else {
+        let Some((mut page, first)) = self.find(dir, pager, from)? else {
             return Ok(());
         };
-        let mut first_slot = slot;
+        let mut first = Some(first);
         let mut buf = vec![0u8; self.page_size];
         loop {
-            self.read(pager, page, &mut buf)?;
+            pager.read(page, &mut buf)?;
             let leaf = Leaf::new(&mut buf);
-            let entries: Vec<(f64, u32)> = (first_slot..leaf.count())
-                .map(|i| (leaf.key(i), leaf.value(i)))
-                .collect();
+            let slots = first.take().unwrap_or(0..leaf.count());
+            let entry = |i| (leaf.key(i), leaf.value(i));
+            let entries: Vec<(f64, u32)> = match dir {
+                Direction::Up => slots.map(entry).collect(),
+                Direction::Down => slots.rev().map(entry).collect(),
+            };
             let snap = LeafSnapshot {
                 page,
                 handicaps: leaf.handicaps(),
@@ -483,53 +459,19 @@ impl BTree {
             if visit(&snap) == SweepControl::Stop {
                 return Ok(());
             }
-            let next = leaf.next();
-            if next == NULL_PAGE {
+            page = leaf.link(dir);
+            if page == NULL_PAGE {
                 return Ok(());
             }
-            page = next;
-            first_slot = 0;
         }
     }
 
-    /// Sweeps leaves downward starting from the last entry with key `≤ from`,
-    /// invoking `visit` once per leaf (descending entries ≤ `from`).
-    pub fn sweep_down<F>(&self, pager: &dyn PageReader, from: f64, mut visit: F) -> io::Result<()>
+    /// [`sweep`](Self::sweep) upward.
+    pub fn sweep_up<F>(&self, pager: &dyn PageReader, from: f64, visit: F) -> io::Result<()>
     where
         F: FnMut(&LeafSnapshot) -> SweepControl,
     {
-        let Some((mut page, slot)) = self.find_last_leq(pager, from)? else {
-            return Ok(());
-        };
-        let mut last_slot = Some(slot);
-        let mut buf = vec![0u8; self.page_size];
-        loop {
-            self.read(pager, page, &mut buf)?;
-            let leaf = Leaf::new(&mut buf);
-            let hi = last_slot.unwrap_or_else(|| leaf.count().wrapping_sub(1));
-            let entries: Vec<(f64, u32)> = if leaf.count() == 0 {
-                Vec::new()
-            } else {
-                (0..=hi)
-                    .rev()
-                    .map(|i| (leaf.key(i), leaf.value(i)))
-                    .collect()
-            };
-            let snap = LeafSnapshot {
-                page,
-                handicaps: leaf.handicaps(),
-                entries,
-            };
-            if visit(&snap) == SweepControl::Stop {
-                return Ok(());
-            }
-            let prev = leaf.prev();
-            if prev == NULL_PAGE {
-                return Ok(());
-            }
-            page = prev;
-            last_slot = None;
-        }
+        self.sweep(Direction::Up, pager, from, visit)
     }
 
     // ---------------------------------------------------------- bulk load --
@@ -619,22 +561,6 @@ impl BTree {
         })
     }
 
-    /// Rewrites the tree compactly (full leaves) and frees the old pages.
-    pub fn rebuild(&mut self, pager: &mut dyn Pager) -> io::Result<()> {
-        let mut entries = Vec::with_capacity(self.len as usize);
-        self.sweep_up(&*pager, f64::NEG_INFINITY, |snap| {
-            entries.extend_from_slice(&snap.entries);
-            SweepControl::Continue
-        })?;
-        let old_pages = self.collect_pages(&*pager)?;
-        let rebuilt = BTree::bulk_load(pager, &entries, 1.0)?;
-        for p in old_pages {
-            pager.free(p);
-        }
-        *self = rebuilt;
-        Ok(())
-    }
-
     /// All page ids owned by the tree (BFS). The walk reads every page —
     /// internal nodes to find their children, leaves for integrity alone —
     /// so under a checksumming pager it doubles as a full-tree
@@ -645,7 +571,7 @@ impl BTree {
         let mut buf = vec![0u8; self.page_size];
         while let Some(page) = queue.pop() {
             out.push(page);
-            self.read(pager, page, &mut buf)?;
+            pager.read(page, &mut buf)?;
             if !is_leaf(&buf) {
                 let node = Internal::new(&mut buf);
                 for i in 0..=node.count() {
@@ -672,7 +598,7 @@ impl BTree {
         let mut page = self.first_leaf;
         let mut buf = vec![0u8; self.page_size];
         loop {
-            self.read(pager, page, &mut buf)?;
+            pager.read(page, &mut buf)?;
             let leaf = Leaf::new(&mut buf);
             let count = leaf.count();
             out.push(LeafInfo {
@@ -693,20 +619,19 @@ impl BTree {
         }
     }
 
-    /// First leaf in chain order.
-    pub fn first_leaf(&self) -> PageId {
-        self.first_leaf
-    }
-
-    /// Last leaf in chain order.
-    pub fn last_leaf(&self) -> PageId {
-        self.last_leaf
+    /// The leaf every sweep in `dir` ends in: the last of the chain going
+    /// up, the first going down.
+    pub fn end_leaf(&self, dir: Direction) -> PageId {
+        match dir {
+            Direction::Up => self.last_leaf,
+            Direction::Down => self.first_leaf,
+        }
     }
 
     /// Reads the handicap slots of a leaf page (one page access).
     pub fn read_handicaps(&self, pager: &dyn PageReader, page: PageId) -> io::Result<Handicaps> {
         let mut buf = vec![0u8; self.page_size];
-        self.read(pager, page, &mut buf)?;
+        pager.read(page, &mut buf)?;
         Ok(Leaf::new(&mut buf).handicaps())
     }
 
@@ -718,7 +643,7 @@ impl BTree {
         h: Handicaps,
     ) -> io::Result<()> {
         let mut buf = vec![0u8; self.page_size];
-        self.read(&*pager, page, &mut buf)?;
+        pager.read(page, &mut buf)?;
         let mut leaf = Leaf::new(&mut buf);
         leaf.set_handicaps(h);
         pager.write(page, &buf)
@@ -738,7 +663,7 @@ impl BTree {
         let mut page = self.first_leaf;
         let mut buf = vec![0u8; self.page_size];
         loop {
-            self.read(pager, page, &mut buf)?;
+            pager.read(page, &mut buf)?;
             let leaf = Leaf::new(&mut buf);
             assert_eq!(leaf.prev(), prev_page, "broken prev link at {page}");
             for i in 0..leaf.count() {
@@ -756,7 +681,7 @@ impl BTree {
             page = next;
         }
         assert_eq!(total, self.len, "len out of sync");
-        // Separator sanity: every key reachable via find_first_geq of itself.
+        // Separator sanity: every key reachable by a `find` of itself.
         self.check_node(
             pager,
             self.root,
@@ -775,7 +700,7 @@ impl BTree {
         hi: f64,
     ) -> io::Result<()> {
         let mut buf = vec![0u8; self.page_size];
-        self.read(pager, page, &mut buf)?;
+        pager.read(page, &mut buf)?;
         if depth == 0 {
             let leaf = Leaf::new(&mut buf);
             for i in 0..leaf.count() {
@@ -992,23 +917,25 @@ mod tests {
     }
 
     #[test]
-    fn find_first_geq_and_last_leq() {
+    fn find_up_and_down() {
         let mut pager = MemPager::new(P);
         let mut t = BTree::new(&mut pager).unwrap();
         for i in 0..50 {
             t.insert(&mut pager, (i * 2) as f64, i as u32).unwrap(); // evens 0..98
         }
-        let (page, slot) = t.find_first_geq(&pager, 51.0).unwrap().unwrap();
+        let (page, slots) = t.find(Direction::Up, &pager, 51.0).unwrap().unwrap();
         let mut buf = vec![0u8; P];
         pager.read(page, &mut buf).unwrap();
         let leaf = Leaf::new(&mut buf);
-        assert_eq!(leaf.key(slot), 52.0);
-        let (page, slot) = t.find_last_leq(&pager, 51.0).unwrap().unwrap();
+        assert_eq!(leaf.key(slots.start), 52.0);
+        assert_eq!(slots.end, leaf.count());
+        let (page, slots) = t.find(Direction::Down, &pager, 51.0).unwrap().unwrap();
         pager.read(page, &mut buf).unwrap();
         let leaf = Leaf::new(&mut buf);
-        assert_eq!(leaf.key(slot), 50.0);
-        assert!(t.find_first_geq(&pager, 99.0).unwrap().is_none());
-        assert!(t.find_last_leq(&pager, -1.0).unwrap().is_none());
+        assert_eq!(leaf.key(slots.end - 1), 50.0);
+        assert_eq!(slots.start, 0);
+        assert!(t.find(Direction::Up, &pager, 99.0).unwrap().is_none());
+        assert!(t.find(Direction::Down, &pager, -1.0).unwrap().is_none());
     }
 
     #[test]
@@ -1019,7 +946,7 @@ mod tests {
             t.insert(&mut pager, i as f64, i).unwrap();
         }
         let mut seen = Vec::new();
-        t.sweep_down(&pager, 42.5, |snap| {
+        t.sweep(Direction::Down, &pager, 42.5, |snap| {
             seen.extend(snap.entries.iter().map(|e| e.0));
             SweepControl::Continue
         })
@@ -1134,26 +1061,6 @@ mod tests {
         for w in leaves.windows(2) {
             assert!(w[0].max_key <= w[1].min_key);
         }
-    }
-
-    #[test]
-    fn rebuild_compacts() {
-        let mut pager = MemPager::new(P);
-        let mut t = BTree::new(&mut pager).unwrap();
-        for i in 0..300u32 {
-            t.insert(&mut pager, i as f64, i).unwrap();
-        }
-        for i in 0..280u32 {
-            t.delete(&mut pager, i as f64, i).unwrap();
-        }
-        let before = pager.live_pages();
-        t.rebuild(&mut pager).unwrap();
-        t.validate(&pager).unwrap();
-        assert_eq!(t.len(), 20);
-        assert!(pager.live_pages() < before, "rebuild reclaims pages");
-        let all = collect_all(&t, &mut pager);
-        assert_eq!(all.len(), 20);
-        assert_eq!(all[0].1, 280);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use cdb_btree::{BTree, SweepControl};
+use cdb_btree::{BTree, Direction, SweepControl};
 use cdb_prng::StdRng;
 use cdb_storage::{MemPager, PageReader};
 
@@ -91,7 +91,7 @@ fn random_ops_match_btreemap() {
                 Op::SweepDown(k) => {
                     let mut last = f64::INFINITY;
                     let mut n = 0usize;
-                    tree.sweep_down(&pager, k as f64, |snap| {
+                    tree.sweep(Direction::Down, &pager, k as f64, |snap| {
                         for &(key, _) in &snap.entries {
                             assert!(key <= last, "descending order violated");
                             last = key;
@@ -101,7 +101,7 @@ fn random_ops_match_btreemap() {
                     })
                     .unwrap();
                     let want = oracle.range((i64::MIN, 0)..=(k as i64, u32::MAX)).count();
-                    assert_eq!(n, want, "sweep_down from {k} (seed {seed})");
+                    assert_eq!(n, want, "sweep down from {k} (seed {seed})");
                 }
             }
         }
@@ -162,8 +162,8 @@ fn sweeps_partition_the_key_space() {
         for (i, &k) in keys.iter().enumerate() {
             tree.insert(&mut pager, k as f64, i as u32).unwrap();
         }
-        // Everything strictly below pivot from sweep_down(pivot - eps),
-        // everything >= pivot from sweep_up(pivot): together = all.
+        // Everything strictly below pivot from a downward sweep from
+        // pivot - eps, everything >= pivot from an upward one: together = all.
         let mut up = 0usize;
         tree.sweep_up(&pager, pivot as f64, |s| {
             up += s.entries.len();
@@ -171,7 +171,7 @@ fn sweeps_partition_the_key_space() {
         })
         .unwrap();
         let mut down = 0usize;
-        tree.sweep_down(&pager, (pivot as f64).next_down(), |s| {
+        tree.sweep(Direction::Down, &pager, (pivot as f64).next_down(), |s| {
             down += s.entries.len();
             SweepControl::Continue
         })

@@ -14,8 +14,8 @@
 //!   name str | dim u32
 //!   heap:   page list u32 ...
 //!   slots:  list of [Option<RecordId>]
-//!   2-D dual index:  present u8, [ [SlopeSet] of k, anchor_x f64,
-//!                    dirty u8, (up tree, down tree) ×k ]
+//!   2-D dual index:  present u8, [ [SlopeSet] of k, reserved f64 (once
+//!                    `anchor_x`), dirty u8, (up tree, down tree) ×k ]
 //!   d-dim dual index: present u8, [ [SlopePoints] body of k points,
 //!                    (up tree, down tree) ×k ]
 //!   R⁺-tree: present u8, [ [RTreeMeta], fill f64, unbounded u32 list,
@@ -81,7 +81,7 @@ fn put_index(index: &Index, w: &mut RecordWriter) {
     match index {
         Index::Dual(idx) => {
             idx.slopes().put(w);
-            idx.anchor_x().put(w);
+            0.0_f64.put(w); // where `anchor_x` was: reserved
             idx.needs_refresh().put(w);
             idx.forest.put_trees(w)
         }
@@ -115,15 +115,18 @@ fn get_index(
     Ok(match kind {
         IndexKind::Dual => {
             let slopes: SlopeSet = Wire::get(r)?;
-            let anchor_x = finite::get(r)?;
+            // The reserved `anchor_x` slot: any finite value is accepted
+            // and ignored.
+            let _: f64 = finite::get(r)?;
             let dirty = bool::get(r)?;
             let forest = Forest::get_trees(r, slopes.len(), page_size)?;
-            Index::Dual(DualIndex::from_parts(slopes, forest, anchor_x, dirty))
+            Index::Dual(DualIndex::from_parts(slopes, forest, dirty))
         }
         IndexKind::DualD => {
             let points = SlopePoints::get_body(r, dim)?;
             let forest = Forest::get_trees(r, points.len(), page_size)?;
-            Index::DualD(DualIndexD::from_parts(points, forest))
+            // No flag is persisted here: the handicaps may be loose.
+            Index::DualD(DualIndexD::from_parts(points, forest, true))
         }
         IndexKind::RPlus => {
             let m: RTreeMeta = Wire::get(r)?;
@@ -244,7 +247,8 @@ pub(crate) struct DecodedCatalog {
 mod tests {
     use super::*;
     use crate::db::{ConstraintDb, DbConfig};
-    use crate::plan::MethodKind;
+    use crate::index::Exact;
+    use crate::plan::{MethodKind, Planner};
     use crate::query::{Selection, SelectionKind};
     use cdb_geometry::tuple::GeneralizedTuple;
     use cdb_geometry::{HalfPlane, LinearConstraint, RelOp};
@@ -332,6 +336,57 @@ mod tests {
         blob[at] = codec::encode(&Strategy::T2)[0];
         assert_eq!(reencoded(&blob).unwrap(), encode(17, None, &HashMap::new()));
         blob[at] = 99;
+        assert!(is_corrupt(decode(&blob, 1024)));
+    }
+
+    /// The 2-D index's reserved `f64`: files written when it was T1's
+    /// configurable anchor open whatever finite value it holds; the value
+    /// is dropped (every anchor on the query line is covering, Table 1, so
+    /// T1 answers as the oracle does either way), and a non-finite one is
+    /// still damage.
+    #[test]
+    fn reserved_anchor_is_accepted_and_ignored() {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.create_relation("r", 2).unwrap();
+        for t in
+            cdb_workload::DatasetSpec::paper_1999(60, cdb_workload::ObjectSize::Small, 5).generate()
+        {
+            db.insert("r", t).unwrap();
+        }
+        let slopes = SlopeSet::uniform_tan(3);
+        db.build_dual_index("r", slopes.clone()).unwrap();
+        let written = encode(0, None, &db.relations);
+        let slopes = codec::encode(&slopes);
+        let at = written
+            .windows(slopes.len())
+            .position(|w| w == slopes)
+            .unwrap()
+            + slopes.len();
+        assert_eq!(written[at..at + 8], 0.0_f64.to_le_bytes());
+        let mut blob = written.clone();
+        blob[at..at + 8].copy_from_slice(&123.5_f64.to_le_bytes());
+        assert_eq!(reencoded(&blob).unwrap(), written);
+        // The decoded relation, over the pages it was encoded from.
+        let decoded = decode(&blob, 1024).unwrap().relations;
+        let methods = decoded["r"].access_methods(1024);
+        let source = decoded["r"].tuple_source();
+        for (a, b) in [(0.3, 4.0), (-1.1, -20.0), (7.0, 0.0)] {
+            for sel in [
+                Selection::exist(HalfPlane::above(a, b)),
+                Selection::all(HalfPlane::below(a, b)),
+            ] {
+                let forced = Some(MethodKind::T1);
+                let (t1, plan) =
+                    Planner::choose(&methods, &sel, Exact::Selection, forced, false).unwrap();
+                assert_eq!(plan.case.runs(), MethodKind::T1, "slope {a}");
+                let got = t1
+                    .execute(db.reader(), &sel, &plan.case, Exact::Selection, &source)
+                    .unwrap();
+                let scan = db.query_with("r", sel, Strategy::Scan).unwrap();
+                assert_eq!(got.ids(), scan.ids(), "slope {a}");
+            }
+        }
+        blob[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(is_corrupt(decode(&blob, 1024)));
     }
 

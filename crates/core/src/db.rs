@@ -977,8 +977,8 @@ impl ConstraintDb {
     /// Re-tightens a relation's index handicaps after heavy update traffic
     /// (incremental maintenance keeps them correct but increasingly loose;
     /// see [`DualIndex::refresh_handicaps`](crate::DualIndex::refresh_handicaps)).
-    /// [`CdbError::NoIndex`] without a usable 2-D dual index, decided
-    /// before any page is read.
+    /// Every usable dual index is re-tightened, 2-D and d-dimensional;
+    /// [`CdbError::NoIndex`] without one, decided before any page is read.
     pub fn tighten_index(&mut self, name: &str) -> Result<(), CdbError> {
         let (pager, rel, dirty) = self.for_update(name)?;
         rel.tighten(pager)?;
@@ -1094,6 +1094,94 @@ mod tests {
             Err(CdbError::NoIndex("land".into()))
         );
         assert_eq!(db.io_stats().reads, 0, "refused before the heap scan");
+    }
+
+    /// Regression: `tighten_index` re-tightened slot `Dual` only and
+    /// answered `NoIndex` on a relation with just a d-dimensional index, so
+    /// a grid's whole-cell handicaps only ever loosened under churn.
+    #[test]
+    fn tighten_reaches_the_d_dimensional_index() {
+        use crate::index::ddim::tests::random_boxes;
+        use crate::index::Exact;
+        use crate::plan::Planner;
+        use cdb_geometry::predicates::oracle_select;
+        use cdb_geometry::RelOp;
+
+        // Grid-cell (T2) searches: `(candidates per query, all ids)`, the
+        // ids checked against the oracle over `model`.
+        let searched = |db: &ConstraintDb, model: &[(u32, GeneralizedTuple)]| {
+            let rel = db.relation("boxes").unwrap();
+            let methods = rel.access_methods(db.config.page_size);
+            let source = rel.tuple_source();
+            let mut candidates = Vec::new();
+            for (slope, b) in [
+                ([0.2, -0.1], -20.0),
+                ([-0.9, -0.8], 5.0),
+                ([0.7, 0.3], 30.0),
+            ] {
+                for op in [RelOp::Ge, RelOp::Le] {
+                    let q = HalfPlane::new(slope.to_vec(), b, op);
+                    for sel in [Selection::exist(q.clone()), Selection::all(q.clone())] {
+                        let forced = Some(MethodKind::DualD);
+                        let (method, plan) =
+                            Planner::choose(&methods, &sel, Exact::Selection, forced, false)
+                                .unwrap();
+                        assert!(matches!(plan.case, crate::plan::PlanCase::GridCell(_)));
+                        let got = method
+                            .execute(db.reader(), &sel, &plan.case, Exact::Selection, &source)
+                            .unwrap();
+                        let all = sel.kind == SelectionKind::All;
+                        let want: Vec<u32> =
+                            oracle_select(&sel.halfplane, all, model.iter().map(|(_, t)| t))
+                                .into_iter()
+                                .map(|i| model[i].0)
+                                .collect();
+                        assert_eq!(got.ids(), want, "{sel:?}");
+                        candidates.push(got.stats.candidates);
+                    }
+                }
+            }
+            candidates
+        };
+
+        let path = tmp_path("tighten_d");
+        let mut db = ConstraintDb::create(&path, DbConfig::paper_1999()).unwrap();
+        assert!(db.begin_wal().unwrap());
+        db.create_relation("boxes", 3).unwrap();
+        let mut model: Vec<(u32, GeneralizedTuple)> = Vec::new();
+        for (_, t) in random_boxes(3, 120, 71) {
+            model.push((db.insert("boxes", t.clone()).unwrap(), t));
+        }
+        db.build_dual_index_d("boxes", SlopePoints::grid(3, 3, 1.0))
+            .unwrap();
+        db.checkpoint().unwrap();
+        for (_, t) in random_boxes(3, 80, 72) {
+            model.push((db.insert("boxes", t.clone()).unwrap(), t));
+        }
+        for id in (0..200).step_by(3) {
+            db.delete("boxes", id).unwrap();
+            model.retain(|(i, _)| *i != id);
+        }
+        let loose = searched(&db, &model);
+        db.tighten_index("boxes").unwrap();
+        let tight = searched(&db, &model);
+        assert!(
+            tight.iter().zip(&loose).all(|(t, l)| t <= l),
+            "{tight:?} vs {loose:?}"
+        );
+        assert!(tight.iter().sum::<u64>() < loose.iter().sum());
+
+        // Crash; the log replays the churn and the `TightenIndex` record.
+        db.wal_sync().unwrap();
+        let log = db.wal_file_path().unwrap();
+        drop(db);
+        let db = ConstraintDb::open(&path).unwrap();
+        let replay = db.recovery_report().wal.clone().expect("a log was found");
+        assert_eq!((replay.replayed, replay.error), (80 + 67 + 1, None));
+        assert_eq!(searched(&db, &model), tight, "replayed");
+        drop(db);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&log);
     }
 
     /// Regression: `delete` used to drop `DualIndex::remove`'s verdict, so

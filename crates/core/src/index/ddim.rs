@@ -1,4 +1,5 @@
-//! The d-dimensional extension (Section 4.4).
+//! The d-dimensional extension (Section 4.4): [`SlopePoints`], the second
+//! [`SlopeGeometry`] of the one [`DualIndex`], and its routing table.
 //!
 //! In `E^d` the predefined set `S` becomes a set of *slope points* in
 //! `E^{d-1}`; every point carries a `B^up`/`B^down` tree pair keyed by
@@ -6,7 +7,7 @@
 //! are exact, exactly as in 2-D.
 //!
 //! For an arbitrary slope the paper notes that "d searches against d
-//! different B⁺-trees are sufficient in `E^d`": this module implements that
+//! different B⁺-trees are sufficient in `E^d`": this module routes to that
 //! generalized T1. The query slope is covered by a simplex of `d` points of
 //! `S`; the `d` app-queries share the point `P = (0, …, 0, b)` on the query
 //! hyperplane, so each app-query keeps the intercept `b` and the original
@@ -32,15 +33,12 @@
 //! 2-D; `dimension_sweep` exercises this module for the Section 6 claim.
 
 use cdb_geometry::scalar;
-use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::codec::{get_option, put_option, Finite};
-use cdb_storage::{CodecError, PageReader, Pager, RecordReader, RecordWriter, TrackedReader, Wire};
+use cdb_storage::{CodecError, RecordReader, RecordWriter, Wire};
 
-use super::forest::{keys_at, Forest};
-use super::{foreign, Exact, TupleSource};
-use crate::error::CdbError;
+use super::{DualIndex, Region, SlopeGeometry};
 use crate::plan::{PlanCase, Rejection};
-use crate::query::{QueryResult, Selection, Side};
+use crate::query::{Selection, Side};
 
 /// A predefined set of slope points in `E^{d-1}`.
 #[derive(Clone, Debug, PartialEq)]
@@ -199,11 +197,6 @@ impl SlopePoints {
     /// The slope points.
     pub fn as_slice(&self) -> &[Vec<f64>] {
         &self.points
-    }
-
-    /// The slope points as the forest's keying elements.
-    pub(crate) fn elements(&self) -> impl Iterator<Item = &[f64]> {
-        self.points.iter().map(Vec::as_slice)
     }
 
     /// Index of a (numerically) matching member point.
@@ -391,109 +384,27 @@ fn next_combination(idx: &mut [usize], n: usize) -> bool {
     true
 }
 
-/// Dual-representation index over a d-dimensional generalized relation.
-#[derive(Clone, Debug)]
-pub struct DualIndexD {
-    points: SlopePoints,
-    pub(crate) forest: Forest,
+impl SlopeGeometry for SlopePoints {
+    fn elements(&self) -> impl Iterator<Item = &[f64]> {
+        self.points.iter().map(Vec::as_slice)
+    }
+
+    /// A grid point answers for its whole (box) Voronoi cell, in the
+    /// `low_prev`/`high_prev` leaf slots.
+    fn regions(&self, i: usize) -> Vec<Region> {
+        let cell = self.cell_corners(i).map(|corners| (Side::Prev, corners));
+        cell.into_iter().collect()
+    }
 }
 
-impl DualIndexD {
-    /// Bulk-builds the index. For grid slope sets, the whole-cell handicap
-    /// values enabling the d-dimensional technique T2 are computed too.
-    pub fn build(
-        pager: &mut dyn Pager,
-        points: SlopePoints,
-        tuples: &[(u32, GeneralizedTuple)],
-    ) -> Result<Self, CdbError> {
-        let forest = Forest::build(pager, points.elements(), tuples)?;
-        let mut idx = Self::from_parts(points, forest);
-        idx.refresh_handicaps(pager, tuples)?;
-        Ok(idx)
-    }
+/// The dual index over a d-dimensional generalized relation: the same
+/// index as in 2-D, keyed by slope points and routed by Section 4.4.
+pub type DualIndexD = DualIndex<SlopePoints>;
 
-    /// Reach of a tuple over grid cell `i`: `(max TOP, min BOT)` over the
-    /// cell corners (exact by convexity/concavity over the box cell).
-    fn cell_reach(&self, i: usize, t: &GeneralizedTuple) -> Option<(f64, f64)> {
-        let corners = self.points.cell_corners(i)?;
-        Some(corners.iter().map(|c| keys_at(t, c)).fold(
-            (f64::NEG_INFINITY, f64::INFINITY),
-            |(max_top, min_bot), (top, bot)| (max_top.max(top), min_bot.min(bot)),
-        ))
-    }
-
-    /// Recomputes the whole-cell handicaps (grid sets only; a no-op for
-    /// arbitrary point sets, which use the simplex covering instead).
-    /// Stored in the `low_prev`/`high_prev` leaf slots.
-    pub fn refresh_handicaps(
-        &mut self,
-        pager: &mut dyn Pager,
-        tuples: &[(u32, GeneralizedTuple)],
-    ) -> Result<(), CdbError> {
-        if !self.points.is_grid() {
-            return Ok(());
-        }
-        for (i, p) in self.points.elements().enumerate() {
-            let keys: Vec<(f64, f64)> = tuples.iter().map(|(_, t)| keys_at(t, p)).collect();
-            let reaches: Vec<(f64, f64)> = tuples
-                .iter()
-                .map(|(_, t)| self.cell_reach(i, t).expect("grid set"))
-                .collect();
-            self.forest
-                .assign_handicaps(pager, i, &keys, [Some(&reaches), None])?;
-        }
-        Ok(())
-    }
-
-    /// Re-attaches an index from persisted parts; the trees' node pages
-    /// (whole-cell handicaps included) are already on disk.
-    pub(crate) fn from_parts(points: SlopePoints, forest: Forest) -> Self {
-        DualIndexD { points, forest }
-    }
-
+impl DualIndex<SlopePoints> {
     /// The slope-point set `S`.
     pub fn points(&self) -> &SlopePoints {
-        &self.points
-    }
-
-    /// Ambient dimension `d`.
-    pub fn dim(&self) -> usize {
-        self.points.dim()
-    }
-
-    /// Pages owned by the index.
-    pub fn page_count(&self) -> u64 {
-        self.forest.page_count()
-    }
-
-    /// Adds a tuple to every tree, incrementally folding its cell reaches
-    /// into the handicaps (grid sets).
-    pub fn insert(
-        &mut self,
-        pager: &mut dyn Pager,
-        id: u32,
-        tuple: &GeneralizedTuple,
-    ) -> Result<(), CdbError> {
-        for (i, p) in self.points.elements().enumerate() {
-            let keys = self.forest.insert(pager, i, p, id, tuple)?;
-            if let Some(reach) = self.cell_reach(i, tuple) {
-                self.forest
-                    .fold_handicaps(pager, i, Side::Prev, keys, reach)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes a tuple from every tree.
-    pub fn remove(
-        &mut self,
-        pager: &mut dyn Pager,
-        id: u32,
-        tuple: &GeneralizedTuple,
-    ) -> Result<bool, CdbError> {
-        Ok(self
-            .forest
-            .remove(pager, self.points.elements(), id, tuple)?)
+        &self.geometry
     }
 
     /// The routing table of Section 4.4: a member slope point is searched
@@ -507,69 +418,42 @@ impl DualIndexD {
     /// the hull of `S` — on a grid set that is the grid box, so no simplex
     /// is searched for.
     pub fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
-        Rejection::dimension(self.dim(), sel)?;
+        Rejection::dimension(self.geometry.dim(), sel)?;
         let slope = &sel.halfplane.slope;
         let outside = || Rejection::OutsideHull(slope.clone());
-        if let Some(i) = self.points.position(slope) {
+        if let Some(i) = self.points().position(slope) {
             Ok(PlanCase::MemberPoint {
                 i,
                 slope: slope.clone(),
             })
-        } else if self.points.is_grid() {
-            let cell = self.points.nearest_grid(slope).ok_or_else(outside)?;
+        } else if self.points().is_grid() {
+            let cell = self.points().nearest_grid(slope).ok_or_else(outside)?;
             Ok(PlanCase::GridCell(cell))
         } else {
-            let vertices = self.points.containing_simplex(slope).ok_or_else(outside)?;
+            let vertices = self
+                .points()
+                .containing_simplex(slope)
+                .ok_or_else(outside)?;
             Ok(PlanCase::SimplexCovering(vertices))
-        }
-    }
-
-    /// Executes `sel` along `case`, a [`route`](Self::route) of this index
-    /// (or, for ablations, a `SimplexCovering` over any vertices whose
-    /// simplex contains the query slope).
-    pub fn execute(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        case: &PlanCase,
-        exact: Exact,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        let tracked = TrackedReader::new(pager);
-        let pager: &dyn PageReader = &tracked;
-        match case {
-            // Exact restricted query; boundary band verified exactly.
-            PlanCase::MemberPoint { i, .. } => self.forest.restricted(pager, sel, *i, exact, fetch),
-            // The whole-cell handicaps live in the `Prev` leaf slots.
-            PlanCase::GridCell(cell) => {
-                self.forest
-                    .guided(pager, sel, *cell, Side::Prev, exact, fetch)
-            }
-            // d app-queries through P = (0,…,0,b): same intercept, same
-            // operator.
-            PlanCase::SimplexCovering(vertices) => {
-                let legs = vertices
-                    .iter()
-                    .map(|&pi| (pi, sel.halfplane.op, sel.halfplane.intercept));
-                self.forest.covering(pager, sel, legs, exact, fetch)
-            }
-            _ => Err(foreign(case)),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::query::SelectionKind;
+    use crate::error::CdbError;
+    use crate::index::Exact;
+    use crate::query::{QueryResult, SelectionKind};
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::predicates;
+    use cdb_geometry::tuple::GeneralizedTuple;
     use cdb_prng::StdRng;
-    use cdb_storage::MemPager;
+    use cdb_storage::{MemPager, PageReader};
 
     /// Random axis-aligned boxes in E^d (satisfiable, bounded).
-    fn random_boxes(dim: usize, n: usize, seed: u64) -> Vec<(u32, GeneralizedTuple)> {
+    pub(crate) fn random_boxes(dim: usize, n: usize, seed: u64) -> Vec<(u32, GeneralizedTuple)> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|i| {
@@ -608,7 +492,7 @@ mod tests {
             pairs.iter().cloned().collect();
         let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
         let case = idx.route(sel).expect("in-hull slope");
-        idx.execute(pager, sel, &case, Exact::Selection, &fetch)
+        idx.run(pager, sel, &case, Exact::Selection, &fetch)
             .expect("query")
     }
 
@@ -710,7 +594,7 @@ mod tests {
         // A case another index routed is refused, not run.
         let fetch = |_: &dyn PageReader, _: u32| -> GeneralizedTuple { unreachable!() };
         assert!(matches!(
-            idx.execute(
+            idx.run(
                 &pager,
                 &sel,
                 &PlanCase::FullScan(20),
@@ -753,7 +637,7 @@ mod tests {
         assert!(free.containing_simplex(&[0.0, 0.0]).is_some());
     }
 
-    /// `execute` is public and takes any case a caller builds: elements of
+    /// `run` is public and takes any case a caller builds: elements of
     /// `S` the forest does not have are an error like any foreign case.
     #[test]
     fn a_case_naming_a_tree_the_forest_lacks_is_an_error_not_a_panic() {
@@ -772,29 +656,12 @@ mod tests {
             },
             PlanCase::FullScan(10),
         ] {
-            let got = idx.execute(&pager, &sel, &case, Exact::Selection, &fetch);
+            let got = idx.run(&pager, &sel, &case, Exact::Selection, &fetch);
             assert!(
                 matches!(got, Err(CdbError::UnsupportedQuery(_))),
                 "{case}: {got:?}"
             );
         }
-    }
-
-    #[test]
-    fn insert_remove_round_trip() {
-        let mut pager = MemPager::paper_1999();
-        let mut pairs = random_boxes(3, 50, 17);
-        let mut idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 2, 1.0), &pairs).unwrap();
-        let extra = random_boxes(3, 1, 99)[0].1.clone();
-        idx.insert(&mut pager, 500, &extra).unwrap();
-        pairs.push((500, extra.clone()));
-        let sel = Selection::exist(HalfPlane::new(vec![0.5, 0.5], -200.0, RelOp::Ge));
-        let got = run(&idx, &pager, &pairs, &sel);
-        assert!(got.ids().contains(&500));
-        assert!(idx.remove(&mut pager, 500, &extra).unwrap());
-        pairs.pop();
-        let got = run(&idx, &pager, &pairs, &sel);
-        assert!(!got.ids().contains(&500));
     }
 
     #[test]
@@ -819,16 +686,14 @@ mod tests {
                     let f1 = move |_: &dyn PageReader, id: u32| l1[&id].clone();
                     let cell = idx.route(&sel).unwrap();
                     assert!(matches!(cell, PlanCase::GridCell(_)), "{cell:?}");
-                    let t2 = idx
-                        .execute(&pager, &sel, &cell, Exact::Selection, &f1)
-                        .unwrap();
+                    let t2 = idx.run(&pager, &sel, &cell, Exact::Selection, &f1).unwrap();
                     let l2 = lookup.clone();
                     let f2 = move |_: &dyn PageReader, id: u32| l2[&id].clone();
                     // The forced-simplex ablation: same entry point, another case.
                     let vertices = idx.points().containing_simplex(&slope).unwrap();
                     let simplex = PlanCase::SimplexCovering(vertices);
                     let t1 = idx
-                        .execute(&pager, &sel, &simplex, Exact::Selection, &f2)
+                        .run(&pager, &sel, &simplex, Exact::Selection, &f2)
                         .unwrap();
                     assert_eq!(t2.ids(), want.as_slice(), "T2-d {kind:?} {op:?} {slope:?}");
                     assert_eq!(
@@ -839,32 +704,6 @@ mod tests {
                     // T2-d is duplicate-free; the simplex covering may not be.
                     assert_eq!(t2.stats.duplicates, 0);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn t2d_incremental_inserts_stay_correct() {
-        let mut pager = MemPager::paper_1999();
-        let mut pairs = random_boxes(3, 100, 37);
-        let mut idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 3, 1.0), &pairs).unwrap();
-        // Insert 60 more without any handicap rebuild.
-        for (j, (_, t)) in random_boxes(3, 60, 38).into_iter().enumerate() {
-            let id = 2000 + j as u32;
-            idx.insert(&mut pager, id, &t).unwrap();
-            pairs.push((id, t));
-        }
-        let mut rng = StdRng::seed_from_u64(39);
-        for _ in 0..6 {
-            let slope = vec![rng.gen_range(-0.9..0.9), rng.gen_range(-0.9..0.9)];
-            let b = rng.gen_range(-40.0..40.0);
-            for kind in [SelectionKind::All, SelectionKind::Exist] {
-                let sel = Selection {
-                    kind,
-                    halfplane: HalfPlane::new(slope.clone(), b, RelOp::Ge),
-                };
-                let got = run(&idx, &pager, &pairs, &sel);
-                assert_eq!(got.ids(), oracle(&pairs, &sel), "{kind:?} {slope:?} {b}");
             }
         }
     }

@@ -1,22 +1,23 @@
-//! The forest every dual index is made of: one `(B^up, B^down)` pair of
+//! The forest the dual index is made of: one `(B^up, B^down)` pair of
 //! B⁺-trees per element of the predefined set `S`, keyed by `TOP_P` and
 //! `BOT_P` evaluated there (Section 3; Section 4.4 only changes what an
 //! element of `S` is — a slope in 2-D, a slope point in `E^{d-1}`).
 //!
-//! What differs between [`super::DualIndex`] and
-//! [`super::ddim::DualIndexD`] — the slope-set type, the handicap geometry,
-//! the query techniques — stays with them; building, key maintenance,
+//! [`super::DualIndex`] knows which elements there are and which regions
+//! of slope space their handicaps answer for (its
+//! [`SlopeGeometry`](super::SlopeGeometry)); building, key and handicap
+//! maintenance, the three searches (`restricted`, `covering`, `guided`),
 //! verification, accounting, teardown and the persisted form of the trees
-//! are written here once.
+//! are written here once, up and down alike (over a [`Direction`]).
 
 use std::io;
 
-use cdb_btree::{BTree, Handicaps};
+use cdb_btree::{BTree, Direction, Handicaps};
 use cdb_geometry::dual;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{CodecError, PageReader, Pager, RecordReader, RecordWriter, Wire};
 
-use super::handicap::{assign_high, assign_low};
+use super::handicap::assign;
 use crate::error::CdbError;
 use crate::query::Side;
 
@@ -125,50 +126,47 @@ impl Forest {
 
     /// Recomputes the handicaps of every leaf of both trees of element `i`
     /// (Section 4.2 Steps 1–2) from every tuple's `keys` there and, per
-    /// side, its `(low, high)` reaches over the part of slope space that
-    /// side's handicaps answer for (`None`: nothing on that side, the
-    /// handicaps stay at their neutral `±∞`).
+    /// side that answers for a region of slope space, its `(max TOP, min
+    /// BOT)` reaches over that region (a side not listed keeps the neutral
+    /// `±∞`).
     pub(crate) fn assign_handicaps(
         &self,
         pager: &mut dyn Pager,
         i: usize,
         keys: &[(f64, f64)],
-        reaches: [Option<&[(f64, f64)]>; 2],
+        reaches: &[(Side, Vec<(f64, f64)>)],
     ) -> io::Result<()> {
         for up in [true, false] {
             let tree = self.tree(i, up);
             let leaves = tree.leaves(&*pager)?;
-            let mut low = [(); 2].map(|_| vec![f64::INFINITY; leaves.len()]);
-            let mut high = [(); 2].map(|_| vec![f64::NEG_INFINITY; leaves.len()]);
-            for (side, reach) in reaches.iter().enumerate() {
-                let Some(reach) = reach else { continue };
-                // (reach, key) per tuple, keyed as this tree is.
-                let (lows, highs): (Vec<_>, Vec<_>) = reach
-                    .iter()
-                    .zip(keys)
-                    .map(|(&(low, high), &(top, bot))| {
-                        let key = if up { top } else { bot };
-                        ((low, key), (high, key))
-                    })
-                    .unzip();
-                low[side] = assign_low(&leaves, &lows);
-                high[side] = assign_high(&leaves, &highs);
+            let mut handicaps = vec![Handicaps::default(); leaves.len()];
+            for (side, reach) in reaches {
+                for dir in Direction::BOTH {
+                    // (reach, key) per tuple, keyed as this tree is: a
+                    // search going up first must get back down to every
+                    // tuple whose TOP reaches its start, and vice versa.
+                    let pairs: Vec<(f64, f64)> = reach
+                        .iter()
+                        .zip(keys)
+                        .map(|(&reach, &(top, bot))| (dir.of(reach), if up { top } else { bot }))
+                        .collect();
+                    for (h, value) in handicaps.iter_mut().zip(assign(dir, &leaves, &pairs)) {
+                        *h.slot(dir, *side) = value;
+                    }
+                }
             }
-            for (li, leaf) in leaves.iter().enumerate() {
-                let handicaps = Handicaps {
-                    low_prev: low[0][li],
-                    low_next: low[1][li],
-                    high_prev: high[0][li],
-                    high_next: high[1][li],
-                };
-                tree.set_handicaps(pager, leaf.page, handicaps)?;
+            for (leaf, h) in leaves.iter().zip(handicaps) {
+                tree.set_handicaps(pager, leaf.page, h)?;
             }
         }
         Ok(())
     }
 
-    /// Folds one inserted tuple's `(low, high)` reaches on `side` into the
-    /// bucket leaves of both trees of element `i`, under its `keys` there.
+    /// Folds one inserted tuple's `(max TOP, min BOT)` reaches over the
+    /// region `side` answers for into the bucket leaves of both trees of
+    /// element `i`, under its `keys` there: per tree and direction, the
+    /// leaf a sweep from the reach starts in (clamped to the last one on
+    /// its way) takes the key if that loosens its handicap.
     pub(crate) fn fold_handicaps(
         &self,
         pager: &mut dyn Pager,
@@ -178,8 +176,18 @@ impl Forest {
         reach: (f64, f64),
     ) -> io::Result<()> {
         for (up, key) in [(true, keys.0), (false, keys.1)] {
-            fold_low(pager, self.tree(i, up), side, reach.0, key)?;
-            fold_high(pager, self.tree(i, up), side, reach.1, key)?;
+            let tree = self.tree(i, up);
+            for dir in Direction::BOTH {
+                let page = tree
+                    .find(dir, &*pager, dir.of(reach))?
+                    .map_or_else(|| tree.end_leaf(dir), |(page, _)| page);
+                let mut h = tree.read_handicaps(&*pager, page)?;
+                let slot = h.slot(dir, side);
+                if dir.before(key, *slot) {
+                    *slot = key;
+                    tree.set_handicaps(pager, page, h)?;
+                }
+            }
         }
         Ok(())
     }
@@ -246,56 +254,6 @@ impl Forest {
     }
 }
 
-/// Folds one `(reach, key)` pair into the low handicap of its bucket leaf:
-/// the leaf holding the first entry `≥ reach` (clamped to the last leaf).
-fn fold_low(
-    pager: &mut dyn Pager,
-    tree: &BTree,
-    side: Side,
-    reach: f64,
-    key: f64,
-) -> io::Result<()> {
-    let page = tree
-        .find_first_geq(&*pager, reach)?
-        .map(|(p, _)| p)
-        .unwrap_or_else(|| tree.last_leaf());
-    let mut h = tree.read_handicaps(&*pager, page)?;
-    let slot = match side {
-        Side::Prev => &mut h.low_prev,
-        Side::Next => &mut h.low_next,
-    };
-    if key < *slot {
-        *slot = key;
-        tree.set_handicaps(pager, page, h)?;
-    }
-    Ok(())
-}
-
-/// Folds one `(reach, key)` pair into the high handicap of its bucket leaf:
-/// the leaf holding the last entry `≤ reach` (clamped to the first leaf).
-fn fold_high(
-    pager: &mut dyn Pager,
-    tree: &BTree,
-    side: Side,
-    reach: f64,
-    key: f64,
-) -> io::Result<()> {
-    let page = tree
-        .find_last_leq(&*pager, reach)?
-        .map(|(p, _)| p)
-        .unwrap_or_else(|| tree.first_leaf());
-    let mut h = tree.read_handicaps(&*pager, page)?;
-    let slot = match side {
-        Side::Prev => &mut h.high_prev,
-        Side::Next => &mut h.high_next,
-    };
-    if key > *slot {
-        *slot = key;
-        tree.set_handicaps(pager, page, h)?;
-    }
-    Ok(())
-}
-
 /// A B⁺-tree's persisted scalars.
 struct TreeMeta {
     root: u32,
@@ -321,8 +279,8 @@ impl TreeMeta {
             root: t.root(),
             height: t.height(),
             len: t.len(),
-            first: t.first_leaf(),
-            last: t.last_leaf(),
+            first: t.end_leaf(Direction::Down),
+            last: t.end_leaf(Direction::Up),
             pages: t.page_count(),
         }
     }
@@ -337,5 +295,133 @@ impl TreeMeta {
             self.last,
             self.pages,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cdb_btree::{LeafSnapshot, SweepControl};
+    use cdb_storage::MemPager;
+
+    const PAGE: usize = 128; // 10 entries per leaf
+
+    fn bulk(pager: &mut MemPager, keys: impl Iterator<Item = f64>) -> BTree {
+        let mut entries: Vec<(f64, u32)> = keys.zip(0u32..).collect();
+        entries.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        BTree::bulk_load(pager, &entries, 1.0).unwrap()
+    }
+
+    fn swept(tree: &BTree, pager: &MemPager, dir: Direction, from: f64) -> Vec<LeafSnapshot> {
+        let mut leaves = Vec::new();
+        let visit = |leaf: &LeafSnapshot| {
+            leaves.push(leaf.clone());
+            SweepControl::Continue
+        };
+        tree.sweep(dir, pager, from, visit).unwrap();
+        leaves
+    }
+
+    /// Up ≡ mirrored down: whatever is found, swept, assigned or folded in
+    /// one direction over keys `K` is, negated, what the other direction
+    /// does over `−K` — entry for entry and handicap for handicap.
+    #[test]
+    fn up_is_mirrored_down() {
+        let finite = (0..28).map(|i| (i * 37 % 28) as f64 * 1.5 - 20.0);
+        let with_infinities: Vec<f64> = finite.chain([f64::INFINITY, f64::NEG_INFINITY]).collect();
+        for keys in [Vec::new(), with_infinities] {
+            for dir in Direction::BOTH {
+                mirrored(&keys, dir);
+            }
+        }
+    }
+
+    fn mirrored(keys: &[f64], dir: Direction) {
+        let back = dir.reversed();
+        let mut pager = MemPager::new(PAGE);
+        // Element 0's `B^up` holds K and its `B^down` −K; element 1 is its
+        // mirror image, tree for tree.
+        let k = bulk(&mut pager, keys.iter().copied());
+        let neg = bulk(&mut pager, keys.iter().map(|k| -k));
+        let mirror = (
+            bulk(&mut pager, keys.iter().copied()),
+            bulk(&mut pager, keys.iter().map(|k| -k)),
+        );
+        let forest = Forest {
+            pairs: vec![(k, neg), mirror],
+        };
+        let (tree, image) = (forest.tree(0, true), forest.tree(0, false));
+
+        // Found and swept: from beyond both ends, between keys, on a key.
+        for from in [
+            f64::NEG_INFINITY,
+            -1e9,
+            -20.0,
+            -3.3,
+            0.0,
+            1.0,
+            20.5,
+            1e9,
+            f64::INFINITY,
+        ] {
+            let (here, there) = (
+                swept(tree, &pager, dir, from),
+                swept(image, &pager, back, -from),
+            );
+            let negated = |leaf: &LeafSnapshot| -> Vec<(f64, u32)> {
+                leaf.entries.iter().map(|&(k, v)| (-k, v)).collect()
+            };
+            assert_eq!(here.len(), there.len(), "{dir:?} from {from}");
+            for (a, b) in here.iter().zip(&there) {
+                assert_eq!(a.entries, negated(b), "{dir:?} from {from}");
+            }
+            let found = tree.find(dir, &pager, from).unwrap();
+            assert_eq!(found.is_some(), !here.is_empty(), "{dir:?} from {from}");
+            if let Some((page, slots)) = found {
+                assert_eq!((page, slots.len()), (here[0].page, here[0].entries.len()));
+            }
+        }
+
+        // Assigned: the image's leaves are the tree's, negated, in reverse.
+        let (leaves, image_leaves) = (tree.leaves(&pager).unwrap(), image.leaves(&pager).unwrap());
+        let pairs: Vec<(f64, f64)> = (0..40)
+            .map(|i| {
+                (
+                    (i * 13 % 40) as f64 * 1.25 - 25.0,
+                    (i * 7 % 40) as f64 - 20.0,
+                )
+            })
+            .chain([(f64::INFINITY, 3.0), (f64::NEG_INFINITY, -4.0)])
+            .collect();
+        let negated: Vec<(f64, f64)> = pairs.iter().map(|&(r, k)| (-r, -k)).collect();
+        let mut there = assign(back, &image_leaves, &negated);
+        there.reverse();
+        let there: Vec<f64> = there.into_iter().map(|h| -h).collect();
+        assert_eq!(assign(dir, &leaves, &pairs), there, "{dir:?} assign");
+
+        // Folded: the same tuples into element 0 and, mirrored, element 1.
+        for (side, &(top, bot)) in [Side::Prev, Side::Next].into_iter().cycle().zip(&pairs) {
+            let keys = (top.clamp(-1e3, 1e3), bot);
+            let reach = (top.max(bot), top.min(bot));
+            forest
+                .fold_handicaps(&mut pager, 0, side, keys, reach)
+                .unwrap();
+            let (keys, reach) = ((-keys.1, -keys.0), (-reach.1, -reach.0));
+            forest
+                .fold_handicaps(&mut pager, 1, side, keys, reach)
+                .unwrap();
+        }
+        for up in [true, false] {
+            let (here, there) = (forest.tree(0, up), forest.tree(1, !up));
+            let mut image_leaves = there.leaves(&pager).unwrap();
+            image_leaves.reverse();
+            for (a, b) in here.leaves(&pager).unwrap().iter().zip(&image_leaves) {
+                let a = here.read_handicaps(&pager, a.page).unwrap();
+                let b = there.read_handicaps(&pager, b.page).unwrap();
+                for side in [Side::Prev, Side::Next] {
+                    assert_eq!(a.get(dir, side), -b.get(back, side), "{dir:?} fold");
+                }
+            }
+        }
     }
 }

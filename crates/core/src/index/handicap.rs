@@ -18,55 +18,38 @@
 //! this module's tests (`missed_tuples_are_recoverable_*`) and exercised
 //! end-to-end by the T2 oracle property tests.
 
-use cdb_btree::LeafInfo;
+use cdb_btree::{Direction, LeafInfo};
 
-/// For each leaf, the `low` handicap: the minimum key among tuples whose
-/// reach buckets into that leaf (`+∞` when no tuple does).
+/// For each leaf, the handicap guiding the return sweep of searches whose
+/// first sweep goes `dir`: the key that sweep must get back to — the first
+/// one `dir` meets, i.e. the minimum for `Up` (`low`), the maximum for
+/// `Down` (`high`) — among tuples whose reach
+/// buckets into that leaf ([`Direction::end`], the neutral `±∞`, when no
+/// tuple does). Bucket rule: the first non-empty leaf on the way of `dir`
+/// whose far edge is not before the reach, clamped to the last one.
 ///
 /// `pairs` is `(reach, key)` per tuple; order is irrelevant.
-pub fn assign_low(leaves: &[LeafInfo], pairs: &[(f64, f64)]) -> Vec<f64> {
-    let mut out = vec![f64::INFINITY; leaves.len()];
-    // Non-empty leaves in chain order.
-    let idx: Vec<usize> = (0..leaves.len()).filter(|&i| leaves[i].count > 0).collect();
+pub fn assign(dir: Direction, leaves: &[LeafInfo], pairs: &[(f64, f64)]) -> Vec<f64> {
+    let mut out = vec![dir.end(); leaves.len()];
+    // Non-empty leaves and reaches, both in the order `dir` meets them.
+    let mut idx: Vec<usize> = (0..leaves.len()).filter(|&i| leaves[i].count > 0).collect();
     if idx.is_empty() {
         return out;
     }
     let mut sorted: Vec<(f64, f64)> = pairs.to_vec();
     sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN reach"));
+    if dir == Direction::Down {
+        idx.reverse();
+        sorted.reverse();
+    }
+    let far_edge = |leaf: usize| dir.of((leaves[leaf].max_key, leaves[leaf].min_key));
     let mut li = 0usize; // position in idx
     for &(reach, key) in &sorted {
-        // Advance to the first non-empty leaf with max_key >= reach.
-        while li + 1 < idx.len() && leaves[idx[li]].max_key < reach {
+        while li + 1 < idx.len() && dir.before(far_edge(idx[li]), reach) {
             li += 1;
         }
-        let leaf = idx[li];
-        if out[leaf] > key {
-            out[leaf] = key;
-        }
-    }
-    out
-}
-
-/// For each leaf, the `high` handicap: the maximum key among tuples whose
-/// reach buckets into that leaf (`−∞` when no tuple does). Bucket rule:
-/// the **last** non-empty leaf whose min key is `≤ reach`, clamped to the
-/// first non-empty leaf.
-pub fn assign_high(leaves: &[LeafInfo], pairs: &[(f64, f64)]) -> Vec<f64> {
-    let mut out = vec![f64::NEG_INFINITY; leaves.len()];
-    let idx: Vec<usize> = (0..leaves.len()).filter(|&i| leaves[i].count > 0).collect();
-    if idx.is_empty() {
-        return out;
-    }
-    let mut sorted: Vec<(f64, f64)> = pairs.to_vec();
-    sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("NaN reach"));
-    let mut li = idx.len() - 1;
-    for &(reach, key) in &sorted {
-        while li > 0 && leaves[idx[li]].min_key > reach {
-            li -= 1;
-        }
-        let leaf = idx[li];
-        if out[leaf] < key {
-            out[leaf] = key;
+        if dir.before(key, out[idx[li]]) {
+            out[idx[li]] = key;
         }
     }
     out
@@ -98,7 +81,11 @@ mod tests {
     fn low_buckets_by_reach() {
         // Tuple with key 2 but reach 15: buckets into the middle leaf,
         // whose low handicap becomes 2.
-        let h = assign_low(&chain(), &[(15.0, 2.0), (25.0, 21.0), (5.0, 4.0)]);
+        let h = assign(
+            Direction::Up,
+            &chain(),
+            &[(15.0, 2.0), (25.0, 21.0), (5.0, 4.0)],
+        );
         assert_eq!(h, vec![4.0, 2.0, 21.0]);
     }
 
@@ -106,13 +93,17 @@ mod tests {
     fn low_clamps_to_extremes() {
         // Reach beyond the last leaf clamps there; reach below the first
         // clamps to the first.
-        let h = assign_low(&chain(), &[(100.0, 0.5), (-50.0, 7.0)]);
+        let h = assign(Direction::Up, &chain(), &[(100.0, 0.5), (-50.0, 7.0)]);
         assert_eq!(h, vec![7.0, f64::INFINITY, 0.5]);
     }
 
     #[test]
     fn low_takes_minimum_per_bucket() {
-        let h = assign_low(&chain(), &[(12.0, 8.0), (13.0, 3.0), (14.0, 6.0)]);
+        let h = assign(
+            Direction::Up,
+            &chain(),
+            &[(12.0, 8.0), (13.0, 3.0), (14.0, 6.0)],
+        );
         assert_eq!(h[1], 3.0);
     }
 
@@ -120,13 +111,13 @@ mod tests {
     fn high_buckets_by_reach() {
         // Tuple with key 27 but reach 12: buckets into the middle leaf,
         // whose high handicap becomes 27.
-        let h = assign_high(&chain(), &[(12.0, 27.0), (3.0, 9.0)]);
+        let h = assign(Direction::Down, &chain(), &[(12.0, 27.0), (3.0, 9.0)]);
         assert_eq!(h, vec![9.0, 27.0, f64::NEG_INFINITY]);
     }
 
     #[test]
     fn high_clamps_to_extremes() {
-        let h = assign_high(&chain(), &[(-100.0, 5.0), (200.0, 1.0)]);
+        let h = assign(Direction::Down, &chain(), &[(-100.0, 5.0), (200.0, 1.0)]);
         assert_eq!(h, vec![5.0, f64::NEG_INFINITY, 1.0]);
     }
 
@@ -137,19 +128,19 @@ mod tests {
             leaf(2, f64::NAN, f64::NAN, 0), // emptied by deletions
             leaf(3, 20.0, 29.0, 10),
         ];
-        let h = assign_low(&leaves, &[(15.0, 2.0)]);
+        let h = assign(Direction::Up, &leaves, &[(15.0, 2.0)]);
         // Reach 15: first non-empty leaf with max >= 15 is the third.
         assert_eq!(h, vec![f64::INFINITY, f64::INFINITY, 2.0]);
-        let h2 = assign_high(&leaves, &[(15.0, 28.0)]);
+        let h2 = assign(Direction::Down, &leaves, &[(15.0, 28.0)]);
         // Last non-empty leaf with min <= 15 is the first.
         assert_eq!(h2, vec![28.0, f64::NEG_INFINITY, f64::NEG_INFINITY]);
     }
 
     #[test]
     fn infinite_reaches() {
-        let h = assign_low(&chain(), &[(f64::INFINITY, 1.0)]);
+        let h = assign(Direction::Up, &chain(), &[(f64::INFINITY, 1.0)]);
         assert_eq!(h[2], 1.0, "+inf reach clamps to the last leaf");
-        let h2 = assign_high(&chain(), &[(f64::NEG_INFINITY, 22.0)]);
+        let h2 = assign(Direction::Down, &chain(), &[(f64::NEG_INFINITY, 22.0)]);
         assert_eq!(h2[0], 22.0, "-inf reach clamps to the first leaf");
     }
 
@@ -167,7 +158,7 @@ mod tests {
                 (reach, key)
             })
             .collect();
-        let h = assign_low(&leaves, &pairs);
+        let h = assign(Direction::Up, &leaves, &pairs);
         for b in [0.0, 5.0, 12.0, 19.5, 28.0] {
             let first_visited = (0..leaves.len())
                 .find(|&i| leaves[i].max_key >= b)
@@ -198,7 +189,7 @@ mod tests {
                 (reach, key)
             })
             .collect();
-        let h = assign_high(&leaves, &pairs);
+        let h = assign(Direction::Down, &leaves, &pairs);
         for b in [1.0, 8.0, 14.0, 22.0, 29.0] {
             let last_visited = (0..leaves.len())
                 .rev()

@@ -294,7 +294,7 @@ mod tests {
                     let what = format!("{kind:?} {op:?} {slope:?} {b}");
                     let case = idx.route(&sel).unwrap();
                     let run = |case: &PlanCase, src: &dyn TupleSource| {
-                        idx.execute(&bed.pager, &sel, case, Exact::Selection, src)
+                        idx.run(&bed.pager, &sel, case, Exact::Selection, src)
                     };
                     let got = bed.both(&what, |src| run(&case, src)).unwrap();
                     let want: Vec<u32> = bed

@@ -1,4 +1,4 @@
-//! The index seam and the 2-D dual index.
+//! The index seam and the dual index.
 //!
 //! [`IndexKind`] names the access structures a relation can own,
 //! [`IndexSpec`] says what to build, [`Index`] is what was built:
@@ -6,9 +6,11 @@
 //! free, offer to the planner) is a method of [`Index`], so the rest of the
 //! engine loops over a relation's slots instead of spelling the kinds out.
 //!
-//! [`DualIndex`] is the paper's structure in 2-D: `B^up`/`B^down` forests
-//! over a slope set, with the restricted (Section 3), T1 (Section 4.1) and
-//! T2 (Sections 4.2–4.3) query strategies, each in its own submodule.
+//! [`DualIndex`] is the paper's structure: a `B^up`/`B^down` forest over
+//! the elements of a [`SlopeGeometry`] — a [`SlopeSet`] in 2-D, [`SlopePoints`]
+//! in `E^d` — maintained and searched the same way whichever it is; each
+//! geometry adds its own routing table, and the restricted (Section 3), T1
+//! (Section 4.1) and T2 (Sections 4.2–4.3) searches each have a submodule.
 
 pub mod ddim;
 pub(crate) mod forest;
@@ -299,7 +301,43 @@ where
     }
 }
 
-/// Dual-representation index over a 2-D generalized relation.
+/// One handicap region of an element of `S`: the [`Side`] whose leaf slots
+/// answer for it, and its corners in slope space besides the element.
+pub type Region = (Side, Vec<Vec<f64>>);
+
+/// What a [`DualIndex`] is built over — data only: the elements of `S` its
+/// forest is keyed by and, per element, the regions of slope space that
+/// element's handicaps answer for. Each region is convex with the element
+/// and the listed corners as its extreme points, so a tuple's reach over
+/// it (`TOP_P` convex, `BOT_P` concave) is attained at one of them.
+pub trait SlopeGeometry {
+    /// The elements of `S` as points of slope space `E^{d-1}`, in order.
+    fn elements(&self) -> impl Iterator<Item = &[f64]>;
+
+    /// The handicap regions of element `i`: the strips `[aᵢ, mid]` toward
+    /// either neighbour for a slope set (Section 4.2), the box Voronoi cell
+    /// under [`Side::Prev`] for a grid (Section 4.4), none for a bare point
+    /// set, which is only ever covered by app-queries.
+    fn regions(&self, i: usize) -> Vec<Region>;
+}
+
+impl SlopeGeometry for SlopeSet {
+    fn elements(&self) -> impl Iterator<Item = &[f64]> {
+        self.as_slice().iter().map(std::slice::from_ref)
+    }
+
+    fn regions(&self, i: usize) -> Vec<Region> {
+        let strip = |side| Some((side, vec![vec![self.mid(i, side)?]]));
+        [Side::Prev, Side::Next]
+            .into_iter()
+            .filter_map(strip)
+            .collect()
+    }
+}
+
+/// Dual-representation index over a generalized relation: 2-D over a
+/// [`SlopeSet`] (the default), `E^d` over [`SlopePoints`]
+/// ([`DualIndexD`]).
 ///
 /// ```
 /// use cdb_core::{DualIndex, Selection, SlopeSet, Strategy};
@@ -327,53 +365,51 @@ where
 /// assert_eq!(r.stats.duplicates, 0);
 /// ```
 #[derive(Clone, Debug)]
-pub struct DualIndex {
-    slopes: SlopeSet,
+pub struct DualIndex<G = SlopeSet> {
+    geometry: G,
+    /// [`SlopeGeometry::regions`] of every element, computed once.
+    regions: Vec<Vec<Region>>,
     pub(crate) forest: Forest,
-    /// Where the app-query lines of T1 are anchored: the x coordinate of the
-    /// point `P` on the query line (Section 4.1, "choice of b1, b2"). The
-    /// centre of the data distribution minimizes expected false hits.
-    anchor_x: f64,
     dirty: bool,
 }
 
-impl DualIndex {
+/// A tuple's `(max TOP_P, min BOT_P)` over a region: its `keys` at the
+/// element folded with those at the region's `corners`.
+fn reach(tuple: &GeneralizedTuple, keys: (f64, f64), corners: &[Vec<f64>]) -> (f64, f64) {
+    let at_corners = corners.iter().map(|c| keys_at(tuple, c));
+    at_corners.fold(keys, |(max_top, min_bot), (top, bot)| {
+        (max_top.max(top), min_bot.min(bot))
+    })
+}
+
+impl<G: SlopeGeometry> DualIndex<G> {
     /// Bulk-builds the index over `(id, tuple)` pairs. All tuples must be
-    /// satisfiable and 2-D.
+    /// satisfiable and of the geometry's dimension.
     ///
     /// # Errors
     /// [`CdbError::Io`] when the pager fails while writing tree pages.
     pub fn build(
         pager: &mut dyn Pager,
-        slopes: SlopeSet,
+        geometry: G,
         tuples: &[(u32, GeneralizedTuple)],
     ) -> Result<Self, CdbError> {
-        let forest = Forest::build(pager, slopes.elements(), tuples)?;
-        let mut idx = Self::from_parts(slopes, forest, 0.0, true);
+        let forest = Forest::build(pager, geometry.elements(), tuples)?;
+        let mut idx = Self::from_parts(geometry, forest, true);
         idx.refresh_handicaps(pager, tuples)?;
         Ok(idx)
     }
 
     /// Re-attaches an index from persisted metadata. The trees' node pages
     /// (handicaps included — they live in the bucket leaves) are already on
-    /// disk; `forest` holds one tree pair per slope, in slope order.
-    pub(crate) fn from_parts(slopes: SlopeSet, forest: Forest, anchor_x: f64, dirty: bool) -> Self {
+    /// disk; `forest` holds one tree pair per element, in the order of `S`.
+    pub(crate) fn from_parts(geometry: G, forest: Forest, dirty: bool) -> Self {
+        let regions = (0..geometry.elements().count()).map(|i| geometry.regions(i));
         DualIndex {
-            slopes,
+            regions: regions.collect(),
+            geometry,
             forest,
-            anchor_x,
             dirty,
         }
-    }
-
-    /// The slope set `S`.
-    pub fn slopes(&self) -> &SlopeSet {
-        &self.slopes
-    }
-
-    /// The x coordinate of T1's app-query anchor point.
-    pub fn anchor_x(&self) -> f64 {
-        self.anchor_x
     }
 
     /// Pages owned by the index (the space metric of Figure 10).
@@ -390,29 +426,24 @@ impl DualIndex {
         self.dirty
     }
 
-    /// Adds one tuple to every tree and folds its reach values into the
-    /// bucket leaves' handicaps — the paper's `O(k log_B n)` amortized
-    /// update (Theorems 3.1/4.2). The fold is monotone (min/max), so
-    /// correctness is maintained incrementally; handicaps only become
-    /// *looser* over time and can be re-tightened with
-    /// [`refresh_handicaps`](Self::refresh_handicaps).
+    /// Adds one tuple to every tree and folds its reach over every handicap
+    /// region into the bucket leaves' handicaps — the paper's
+    /// `O(k log_B n)` amortized update (Theorems 3.1/4.2). The fold is
+    /// monotone (min/max), so correctness is maintained incrementally;
+    /// handicaps only become *looser* over time and can be re-tightened
+    /// with [`refresh_handicaps`](Self::refresh_handicaps).
     pub fn insert(
         &mut self,
         pager: &mut dyn Pager,
         id: u32,
         tuple: &GeneralizedTuple,
     ) -> Result<(), CdbError> {
-        for (i, slope) in self.slopes.elements().enumerate() {
-            let (top, bot) = self.forest.insert(pager, i, slope, id, tuple)?;
-            for side in [Side::Prev, Side::Next] {
-                let Some(mid) = self.slopes.mid(i, side) else {
-                    continue;
-                };
-                // Strip extrema at the endpoints (TOP convex, BOT concave).
-                let (mid_top, mid_bot) = keys_at(tuple, &[mid]);
-                let reach = (top.max(mid_top), bot.min(mid_bot));
-                self.forest
-                    .fold_handicaps(pager, i, side, (top, bot), reach)?;
+        let elements = self.geometry.elements().zip(&self.regions);
+        for (i, (slope, regions)) in elements.enumerate() {
+            let keys = self.forest.insert(pager, i, slope, id, tuple)?;
+            for (side, corners) in regions {
+                let reach = reach(tuple, keys, corners);
+                self.forest.fold_handicaps(pager, i, *side, keys, reach)?;
             }
         }
         self.dirty = true; // loose, not invalid
@@ -429,13 +460,13 @@ impl DualIndex {
         tuple: &GeneralizedTuple,
     ) -> Result<bool, CdbError> {
         self.dirty = true; // loose, not invalid
-        Ok(self
-            .forest
-            .remove(pager, self.slopes.elements(), id, tuple)?)
+        let elements = self.geometry.elements();
+        Ok(self.forest.remove(pager, elements, id, tuple)?)
     }
 
     /// Recomputes every leaf's handicap values from the current relation
-    /// snapshot (Section 4.2 Steps 1–2), restoring the tightest bounds.
+    /// snapshot (Section 4.2 Steps 1–2), restoring the tightest bounds;
+    /// elements without a handicap region are left alone.
     ///
     /// Incremental updates keep handicaps *correct* at `O(k log_B n)` cost
     /// per update (the paper's amortized bound) but only ever loosen them:
@@ -448,25 +479,70 @@ impl DualIndex {
         pager: &mut dyn Pager,
         tuples: &[(u32, GeneralizedTuple)],
     ) -> Result<(), CdbError> {
-        for (i, slope) in self.slopes.elements().enumerate() {
+        let elements = self.geometry.elements().zip(&self.regions);
+        for (i, (slope, regions)) in elements.enumerate() {
+            if regions.is_empty() {
+                continue;
+            }
             let keys: Vec<(f64, f64)> = tuples.iter().map(|(_, t)| keys_at(t, slope)).collect();
-            // Per side (none at the ends of S), every tuple's reaches over
-            // the strip up to the midpoint towards the neighbour: TOP
-            // convex / BOT concave ⇒ strip extrema at the endpoints.
-            let reaches = [Side::Prev, Side::Next].map(|side| {
-                let mid = [self.slopes.mid(i, side)?];
-                let strip = tuples.iter().zip(&keys).map(|((_, t), &(top, bot))| {
-                    let (mid_top, mid_bot) = keys_at(t, &mid);
-                    (top.max(mid_top), bot.min(mid_bot))
-                });
-                Some(strip.collect::<Vec<_>>())
-            });
-            let [prev, next] = &reaches;
-            self.forest
-                .assign_handicaps(pager, i, &keys, [prev.as_deref(), next.as_deref()])?;
+            let mut reaches = Vec::new();
+            for (side, corners) in regions {
+                let over = tuples.iter().zip(&keys);
+                let over = over.map(|((_, t), &k)| reach(t, k, corners));
+                reaches.push((*side, over.collect()));
+            }
+            self.forest.assign_handicaps(pager, i, &keys, &reaches)?;
         }
         self.dirty = false;
         Ok(())
+    }
+
+    /// Sweeps for `sel` along `case` — a route of this index (or, for
+    /// ablations, a `SimplexCovering` over any vertices whose simplex
+    /// contains the query slope) — and refines with `exact`, under a
+    /// private [`TrackedReader`] so the I/O windows are this query's own.
+    pub fn run(
+        &self,
+        pager: &dyn PageReader,
+        sel: &Selection,
+        case: &PlanCase,
+        exact: Exact,
+        fetch: &dyn TupleSource,
+    ) -> Result<QueryResult, CdbError> {
+        let tracked = TrackedReader::new(pager);
+        let pager: &dyn PageReader = &tracked;
+        let forest = &self.forest;
+        match case {
+            // Exact restricted query; boundary band verified exactly.
+            PlanCase::Member(TreeAt { i, .. })
+            | PlanCase::MemberRestricted(TreeAt { i, .. })
+            | PlanCase::MemberPoint { i, .. } => forest.restricted(pager, sel, *i, exact, fetch),
+            // Table 1's two app-queries, each with its own operator.
+            PlanCase::AppQueries(legs)
+            | PlanCase::WrappedAppQueries(legs)
+            | PlanCase::WrappedFallback(legs) => {
+                let legs = legs.map(|(tree, th)| (tree.i, th));
+                forest.covering(pager, sel, legs, exact, fetch)
+            }
+            // d app-queries, all with the query's operator.
+            PlanCase::SimplexCovering(vertices) => {
+                let legs = vertices.iter().map(|&pi| (pi, sel.halfplane.op));
+                forest.covering(pager, sel, legs, exact, fetch)
+            }
+            PlanCase::Between { near, side, .. } => {
+                forest.guided(pager, sel, near.i, *side, exact, fetch)
+            }
+            // The whole-cell handicaps live in the `Prev` leaf slots.
+            PlanCase::GridCell(cell) => forest.guided(pager, sel, *cell, Side::Prev, exact, fetch),
+            PlanCase::FullScan(_) | PlanCase::MbrSearch(_) => Err(foreign(case)),
+        }
+    }
+}
+
+impl DualIndex {
+    /// The slope set `S`.
+    pub fn slopes(&self) -> &SlopeSet {
+        &self.geometry
     }
 
     /// Executes a selection with the requested strategy, `Auto` being the
@@ -551,9 +627,9 @@ impl DualIndex {
         let (a, theta) = (sel.halfplane.slope2d(), sel.halfplane.op);
         let at = |i: usize| TreeAt {
             i,
-            slope: self.slopes.get(i),
+            slope: self.geometry.get(i),
         };
-        Ok(match (technique, self.slopes.bracket(a)) {
+        Ok(match (technique, self.geometry.bracket(a)) {
             (MethodKind::Restricted, Bracket::Member(i)) => PlanCase::Member(at(i)),
             (_, Bracket::Member(i)) => PlanCase::MemberRestricted(at(i)),
             (MethodKind::Restricted, _) => return Err(Rejection::SlopeNotInS(a)),
@@ -586,7 +662,7 @@ impl DualIndex {
             // both are smaller than a — Table 1 row 2: θ1 = θ, θ2 = ¬θ;
             // below min S both are larger — row 3: θ1 = ¬θ, θ2 = θ.
             (_, Bracket::Wrapped(cw, acw)) => {
-                let (th1, th2) = if a > self.slopes.get(cw) {
+                let (th1, th2) = if a > self.geometry.get(cw) {
                     (theta, theta.negated())
                 } else {
                     (theta.negated(), theta)
@@ -599,33 +675,6 @@ impl DualIndex {
                 }
             }
         })
-    }
-
-    /// Sweeps for `sel` along `case` — a [`route`](Self::route) of this
-    /// index — and refines with `exact`, under a private [`TrackedReader`]
-    /// so the I/O windows are this query's own.
-    pub(crate) fn run(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        case: &PlanCase,
-        exact: Exact,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        let tracked = TrackedReader::new(pager);
-        let pager: &dyn PageReader = &tracked;
-        match case {
-            PlanCase::Member(tree) | PlanCase::MemberRestricted(tree) => {
-                self.forest.restricted(pager, sel, tree.i, exact, fetch)
-            }
-            PlanCase::AppQueries(legs)
-            | PlanCase::WrappedAppQueries(legs)
-            | PlanCase::WrappedFallback(legs) => self.t1(pager, sel, legs, exact, fetch),
-            PlanCase::Between { near, side, .. } => {
-                self.forest.guided(pager, sel, near.i, *side, exact, fetch)
-            }
-            _ => Err(foreign(case)),
-        }
     }
 }
 
@@ -876,26 +925,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn insert_then_query_after_refresh() {
-        let mut pager = MemPager::paper_1999();
-        let tuples = DatasetSpec::paper_1999(100, ObjectSize::Small, 6).generate();
-        let (mut idx, mut pairs) = build_index(&mut pager, &tuples, 3);
-        // Insert 50 more.
-        let more = DatasetSpec::paper_1999(50, ObjectSize::Small, 60).generate();
-        for (j, t) in more.into_iter().enumerate() {
-            let id = 1000 + j as u32;
-            idx.insert(&mut pager, id, &t).unwrap();
-            pairs.push((id, t));
-        }
-        assert!(idx.needs_refresh());
-        idx.refresh_handicaps(&mut pager, &pairs).unwrap();
-        assert!(!idx.needs_refresh());
-        let sel = Selection::exist(HalfPlane::above(0.37, -3.0));
-        let got = run(&idx, &pager, &pairs, &sel, Strategy::T2);
-        assert_eq!(got.ids(), oracle(&pairs, &sel));
-    }
-
     /// What the index itself refuses, as errors: a strategy that names no
     /// technique of its own, and a case naming a tree it does not have.
     #[test]
@@ -920,71 +949,110 @@ mod tests {
         assert!(matches!(got, Err(CdbError::UnsupportedQuery(_))), "{got:?}");
     }
 
+    /// Both geometries stay exact under maintenance, one row each: build,
+    /// insert without a refresh, delete, handicap-guided searches ≡ oracle
+    /// and duplicate-free; then a refresh, which tightens (no search gets
+    /// more candidates) and stays exact.
     #[test]
-    fn remove_then_query() {
-        let mut pager = MemPager::paper_1999();
-        let tuples = DatasetSpec::paper_1999(120, ObjectSize::Small, 8).generate();
-        let (mut idx, mut pairs) = build_index(&mut pager, &tuples, 3);
-        // Remove every third tuple.
-        let removed: Vec<(u32, GeneralizedTuple)> = pairs
-            .iter()
-            .filter(|(id, _)| id % 3 == 0)
-            .cloned()
-            .collect();
-        for (id, t) in &removed {
-            assert!(idx.remove(&mut pager, *id, t).unwrap(), "remove {id}");
-        }
-        pairs.retain(|(id, _)| id % 3 != 0);
-        idx.refresh_handicaps(&mut pager, &pairs).unwrap();
-        let sel = Selection::all(HalfPlane::below(-0.21, 40.0));
-        let got = run(&idx, &pager, &pairs, &sel, Strategy::T2);
-        assert_eq!(got.ids(), oracle(&pairs, &sel));
-        // Removing an absent tuple reports false.
-        let (id, t) = &removed[0];
-        assert!(!idx.remove(&mut pager, *id, t).unwrap());
-    }
-
-    #[test]
-    fn t2_is_correct_without_refresh_after_updates() {
-        // Incremental maintenance: inserts and deletes keep the handicaps
-        // conservative, so T2 stays exact with no rebuild at all.
-        let mut pager = MemPager::paper_1999();
-        let tuples = DatasetSpec::paper_1999(120, ObjectSize::Small, 10).generate();
-        let (mut idx, mut pairs) = build_index(&mut pager, &tuples, 3);
-        let more = DatasetSpec::paper_1999(80, ObjectSize::Medium, 11).generate();
-        for (j, t) in more.into_iter().enumerate() {
-            let id = 5000 + j as u32;
-            idx.insert(&mut pager, id, &t).unwrap();
-            pairs.push((id, t));
-        }
-        let removed: Vec<(u32, GeneralizedTuple)> = pairs
-            .iter()
-            .filter(|(id, _)| id % 4 == 1)
-            .cloned()
-            .collect();
-        for (id, t) in &removed {
-            assert!(idx.remove(&mut pager, *id, t).unwrap());
-        }
-        pairs.retain(|(id, _)| id % 4 != 1);
-        assert!(idx.needs_refresh(), "updates loosen the handicaps");
-        for (a, b) in [(0.37, 0.0), (-1.1, 12.0), (0.9, -25.0)] {
-            for kind in [SelectionKind::All, SelectionKind::Exist] {
-                for op in [RelOp::Ge, RelOp::Le] {
-                    let sel = Selection {
-                        kind,
-                        halfplane: HalfPlane::new2d(a, b, op),
-                    };
-                    let got = run(&idx, &pager, &pairs, &sel, Strategy::T2);
-                    assert_eq!(got.ids(), oracle(&pairs, &sel), "{kind:?} {op:?} a={a}");
-                }
+    fn every_geometry_keeps_t2_exact_under_churn() {
+        fn row<G: SlopeGeometry>(
+            what: &str,
+            geometry: G,
+            mut pairs: Vec<(u32, GeneralizedTuple)>,
+            late: Vec<GeneralizedTuple>,
+            slopes: &[&[f64]],
+            route: impl Fn(&DualIndex<G>, &Selection) -> PlanCase,
+        ) {
+            let mut pager = MemPager::paper_1999();
+            let mut idx = DualIndex::build(&mut pager, geometry, &pairs).unwrap();
+            assert!(!idx.needs_refresh(), "{what}: built tight");
+            for (id, t) in (5000u32..).zip(late) {
+                idx.insert(&mut pager, id, &t).unwrap();
+                pairs.push((id, t));
             }
+            // (2-D: `insert_then_query_after_refresh`.)
+            assert!(idx.needs_refresh(), "{what}: updates loosen the handicaps");
+            let (gone, kept): (Vec<_>, Vec<_>) = pairs.into_iter().partition(|(id, _)| id % 4 == 1);
+            for (id, t) in &gone {
+                // (2-D: `remove_then_query`; d-D: `insert_remove_round_trip`.)
+                assert!(
+                    idx.remove(&mut pager, *id, t).unwrap(),
+                    "{what}: remove {id}"
+                );
+            }
+            let (id, t) = &gone[0];
+            assert!(!idx.remove(&mut pager, *id, t).unwrap(), "{what}: absent");
+            let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
+                kept.iter().cloned().collect();
+            let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
+            let candidates = |idx: &DualIndex<G>, pager: &MemPager, when: &str| -> Vec<u64> {
+                let mut counts = Vec::new();
+                for (slope, b) in slopes
+                    .iter()
+                    .zip([-25.0, 0.0, 12.0, 40.0].into_iter().cycle())
+                {
+                    for kind in [SelectionKind::All, SelectionKind::Exist] {
+                        for op in [RelOp::Ge, RelOp::Le] {
+                            let halfplane = HalfPlane::new(slope.to_vec(), b, op);
+                            let sel = Selection { kind, halfplane };
+                            let case = route(idx, &sel);
+                            let guided =
+                                matches!(case, PlanCase::Between { .. } | PlanCase::GridCell(_));
+                            assert!(guided, "{what}: {case}");
+                            let got = idx
+                                .run(pager, &sel, &case, Exact::Selection, &fetch)
+                                .unwrap();
+                            // (2-D: `t2_is_correct_without_refresh_after_updates`;
+                            // d-D: `t2d_incremental_inserts_stay_correct`.)
+                            assert_eq!(got.ids(), oracle(&kept, &sel), "{what} {when}: {sel:?}");
+                            assert_eq!(got.stats.duplicates, 0, "{what} {when}: {sel:?}");
+                            counts.push(got.stats.candidates);
+                        }
+                    }
+                }
+                counts
+            };
+            let loose = candidates(&idx, &pager, "after churn");
+            idx.refresh_handicaps(&mut pager, &kept).unwrap();
+            assert!(!idx.needs_refresh(), "{what}: refreshed");
+            let tight = candidates(&idx, &pager, "after refresh");
+            assert!(
+                tight.iter().zip(&loose).all(|(t, l)| t <= l),
+                "{what}: {tight:?} vs {loose:?}"
+            );
+            assert!(
+                tight.iter().sum::<u64>() < loose.iter().sum(),
+                "{what}: tightened nothing"
+            );
         }
-        // A refresh re-tightens and of course stays correct.
-        idx.refresh_handicaps(&mut pager, &pairs).unwrap();
-        assert!(!idx.needs_refresh());
-        let sel = Selection::exist(HalfPlane::above(0.41, 3.0));
-        let got = run(&idx, &pager, &pairs, &sel, Strategy::T2);
-        assert_eq!(got.ids(), oracle(&pairs, &sel));
+        let flat = |n, size, seed| DatasetSpec::paper_1999(n, size, seed).generate();
+        let numbered = |tuples: Vec<GeneralizedTuple>| (0u32..).zip(tuples).collect::<Vec<_>>();
+        let boxes = |n, seed| ddim::tests::random_boxes(3, n, seed);
+        let late_boxes = boxes(60, 38).into_iter().map(|(_, t)| t).collect();
+        row(
+            "slope set",
+            SlopeSet::uniform_tan(4),
+            numbered(flat(120, ObjectSize::Small, 10)),
+            flat(80, ObjectSize::Medium, 11),
+            &[&[-1.9], &[-1.2], &[-0.9], &[0.2], &[0.9], &[1.9]],
+            |idx, sel| idx.route(MethodKind::T2, sel).unwrap(),
+        );
+        row(
+            "2-D grid",
+            SlopePoints::grid(2, 4, 2.0),
+            numbered(flat(120, ObjectSize::Small, 10)),
+            flat(80, ObjectSize::Medium, 11),
+            &[&[-1.9], &[-1.2], &[-0.9], &[0.2], &[0.9], &[1.9]],
+            |idx, sel| idx.route(sel).unwrap(),
+        );
+        row(
+            "3-D grid",
+            SlopePoints::grid(3, 3, 1.0),
+            boxes(100, 37),
+            late_boxes,
+            &[&[0.2, -0.1], &[-0.9, -0.8], &[0.7, 0.3], &[-0.4, 0.95]],
+            |idx, sel| idx.route(sel).unwrap(),
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::io;
 
-use cdb_btree::{key_slack, BTree, SweepControl};
+use cdb_btree::{key_slack, BTree, Direction, SweepControl};
 use cdb_storage::PageReader;
 
 use super::forest::Forest;
@@ -29,9 +29,9 @@ impl Forest {
     ) -> Result<QueryResult, CdbError> {
         let before = pager.stats();
         let b = sel.halfplane.intercept;
-        let (use_up, upward) = tree_and_direction(sel.kind, sel.halfplane.op);
+        let (use_up, dir) = tree_and_direction(sel.kind, sel.halfplane.op);
         let tree = self.routed(slope_idx, use_up)?;
-        let (mut sure, mut check) = sweep_candidates(tree, pager, b, upward)?;
+        let (mut sure, mut check) = sweep_candidates(tree, pager, b, dir)?;
         if exact != Exact::Selection {
             check.append(&mut sure);
         }
@@ -52,39 +52,28 @@ impl Forest {
 }
 
 /// One-direction threshold sweep with `f32`-rounding bands: returns
-/// `(sure, boundary)` ids — `sure` certainly satisfy the key test, the
-/// boundary band is within one rounding quantum of `b`.
+/// `(sure, boundary)` ids — `sure` certainly satisfy the key test (their
+/// keys are past `b` by more than a rounding quantum), the boundary band is
+/// within one of `b`.
 pub(crate) fn sweep_candidates(
     tree: &BTree,
     pager: &dyn PageReader,
     b: f64,
-    upward: bool,
+    dir: Direction,
 ) -> io::Result<(Vec<u32>, Vec<u32>)> {
     let slack = key_slack(b);
+    let (from, clear) = (dir.reversed().advance(b, slack), dir.advance(b, slack));
     let mut sure = Vec::new();
     let mut band = Vec::new();
-    if upward {
-        tree.sweep_up(pager, b - slack, |snap| {
-            for &(k, v) in &snap.entries {
-                if k > b + slack {
-                    sure.push(v);
-                } else {
-                    band.push(v);
-                }
-            }
-            SweepControl::Continue
-        })?;
-    } else {
-        tree.sweep_down(pager, b + slack, |snap| {
-            for &(k, v) in &snap.entries {
-                if k < b - slack {
-                    sure.push(v);
-                } else {
-                    band.push(v);
-                }
-            }
-            SweepControl::Continue
-        })?;
-    }
+    tree.sweep(dir, pager, from, |snap| {
+        // In sweep order keys only move away from `b`: the band comes first.
+        let in_band = snap
+            .entries
+            .partition_point(|&(k, _)| !dir.before(clear, k));
+        let (near, far) = snap.entries.split_at(in_band);
+        band.extend(near.iter().map(|e| e.1));
+        sure.extend(far.iter().map(|e| e.1));
+        SweepControl::Continue
+    })?;
     Ok((sure, band))
 }

@@ -3,7 +3,7 @@
 
 use std::io;
 
-use cdb_btree::{key_slack, BTree, Handicaps, SweepControl};
+use cdb_btree::{key_slack, BTree, Direction, SweepControl};
 use cdb_storage::PageReader;
 
 use super::forest::Forest;
@@ -24,9 +24,9 @@ impl Forest {
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
         let before = pager.stats();
-        let (use_up, upward) = tree_and_direction(sel.kind, sel.halfplane.op);
+        let (use_up, dir) = tree_and_direction(sel.kind, sel.halfplane.op);
         let tree = self.routed(near, use_up)?;
-        let raw = handicap_guided_candidates(tree, pager, sel.halfplane.intercept, upward, side)?;
+        let raw = handicap_guided_candidates(tree, pager, sel.halfplane.intercept, dir, side)?;
         let mut stats = QueryStats {
             candidates: raw.len() as u64,
             ..QueryStats::default()
@@ -49,94 +49,53 @@ impl Forest {
     }
 }
 
-fn side_low(h: &Handicaps, side: Side) -> f64 {
-    match side {
-        Side::Prev => h.low_prev,
-        Side::Next => h.low_next,
-    }
-}
-
-fn side_high(h: &Handicaps, side: Side) -> f64 {
-    match side {
-        Side::Prev => h.high_prev,
-        Side::Next => h.high_next,
-    }
-}
-
 /// The two handicap-guided sweeps of technique T2 (Section 4.2 Step 3),
 /// reading the handicaps of one `side`.
 ///
-/// First sweep: from `b` in the query direction, collecting candidates and
-/// folding the relevant handicap of every visited leaf into the bound for
-/// the second, opposite sweep. The sweeps cover disjoint key ranges, so the
-/// result is duplicate-free by construction.
+/// First sweep: from `b` in the query direction `dir`, collecting
+/// candidates and folding the handicap of every visited leaf — `low` going
+/// up, `high` going down — into the bound for the second, opposite sweep.
+/// The sweeps cover disjoint key ranges, so the result is duplicate-free by
+/// construction.
 fn handicap_guided_candidates(
     tree: &BTree,
     pager: &dyn PageReader,
     b: f64,
-    upward: bool,
+    dir: Direction,
     side: Side,
 ) -> io::Result<Vec<u32>> {
+    let back = dir.reversed();
     let mut raw: Vec<u32> = Vec::new();
-    if upward {
-        // First sweep: upward from b, folding the low handicap.
-        let start = b - key_slack(b);
-        let mut low_q = f64::INFINITY;
-        let mut visited = false;
-        tree.sweep_up(pager, start, |snap| {
-            visited = true;
-            low_q = low_q.min(side_low(&snap.handicaps, side));
-            raw.extend(snap.entries.iter().map(|e| e.1));
-            SweepControl::Continue
-        })?;
-        if !visited {
-            // b beyond every key: bucketed reaches clamp to the last leaf,
-            // whose handicap must still be honoured.
-            let h = tree.read_handicaps(pager, tree.last_leaf())?;
-            low_q = side_low(&h, side);
-        }
-        // Second sweep: downward, disjoint from the first, to low(q).
-        if low_q < f64::INFINITY {
-            let bound = low_q - key_slack(low_q);
-            let from = start.next_down();
-            tree.sweep_down(pager, from, |snap| {
-                for &(k, v) in &snap.entries {
-                    if k < bound {
-                        return SweepControl::Stop;
-                    }
-                    raw.push(v);
-                }
+    let start = back.advance(b, key_slack(b));
+    let mut handicap = dir.end();
+    let mut visited = false;
+    tree.sweep(dir, pager, start, |snap| {
+        visited = true;
+        handicap = dir.earlier(handicap, snap.handicaps.get(dir, side));
+        raw.extend(snap.entries.iter().map(|e| e.1));
+        SweepControl::Continue
+    })?;
+    if !visited {
+        // b beyond every key: bucketed reaches clamp to the last leaf on
+        // the way, whose handicap must still be honoured.
+        let h = tree.read_handicaps(pager, tree.end_leaf(dir))?;
+        handicap = h.get(dir, side);
+    }
+    // Second sweep: backward, disjoint from the first, to the handicap.
+    if dir.before(handicap, dir.end()) {
+        let bound = back.advance(handicap, key_slack(handicap));
+        tree.sweep(back, pager, back.next_after(start), |snap| {
+            // In sweep order keys only move on: those up to the bound first.
+            let wanted = snap
+                .entries
+                .partition_point(|&(k, _)| !back.before(bound, k));
+            raw.extend(snap.entries[..wanted].iter().map(|e| e.1));
+            if wanted < snap.entries.len() {
+                SweepControl::Stop
+            } else {
                 SweepControl::Continue
-            })?;
-        }
-    } else {
-        // Mirror image: downward first, folding the high handicap.
-        let start = b + key_slack(b);
-        let mut high_q = f64::NEG_INFINITY;
-        let mut visited = false;
-        tree.sweep_down(pager, start, |snap| {
-            visited = true;
-            high_q = high_q.max(side_high(&snap.handicaps, side));
-            raw.extend(snap.entries.iter().map(|e| e.1));
-            SweepControl::Continue
+            }
         })?;
-        if !visited {
-            let h = tree.read_handicaps(pager, tree.first_leaf())?;
-            high_q = side_high(&h, side);
-        }
-        if high_q > f64::NEG_INFINITY {
-            let bound = high_q + key_slack(high_q);
-            let from = start.next_up();
-            tree.sweep_up(pager, from, |snap| {
-                for &(k, v) in &snap.entries {
-                    if k > bound {
-                        return SweepControl::Stop;
-                    }
-                    raw.push(v);
-                }
-                SweepControl::Continue
-            })?;
-        }
     }
     Ok(raw)
 }

@@ -19,10 +19,14 @@
 //! Both finite and infinite (unbounded) polyhedra are supported uniformly —
 //! unbounded tuples simply contribute `±∞` keys.
 //!
-//! [`index::ddim::DualIndexD`] extends the scheme to `E^d` (Section 4.4): `S`
-//! becomes a point set in slope space `E^{d-1}`, queries with slopes in `S`
-//! stay exact, and arbitrary queries are covered by `d` app-queries whose
-//! slopes span a containing simplex.
+//! [`index::ddim::DualIndexD`] is the same index — `DualIndex<SlopePoints>`,
+//! built, maintained and searched by the same code — over the other
+//! [`index::SlopeGeometry`], extending the scheme to `E^d` (Section 4.4):
+//! `S` becomes a point set in slope space `E^{d-1}`, queries with slopes in
+//! `S` stay exact, a grid set answers the rest by T2 over its box cells,
+//! and any other set covers them by `d` app-queries whose slopes span a
+//! containing simplex. What each geometry keeps to itself is its routing
+//! table.
 //!
 //! [`db::ConstraintDb`] is a small engine facade tying relations (heap
 //! files), indexes and queries together; its whole read side — and a

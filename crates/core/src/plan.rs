@@ -556,7 +556,7 @@ impl AccessMethod for DualDAccess<'_> {
         exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        self.index.execute(pager, sel, case, exact, fetch)
+        self.index.run(pager, sel, case, exact, fetch)
     }
 }
 

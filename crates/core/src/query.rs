@@ -1,5 +1,6 @@
 //! Query model: selections, strategies, results and cost accounting.
 
+pub use cdb_btree::{Direction, Side};
 use cdb_geometry::constraint::RelOp;
 use cdb_geometry::dual::DualSurfaces;
 use cdb_geometry::halfplane::HalfPlane;
@@ -117,28 +118,19 @@ impl Strategy {
     }
 }
 
-/// Which neighbour of a slope a strip extends toward.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Side {
-    /// Toward the previous (smaller) slope in `S`.
-    Prev,
-    /// Toward the next (larger) slope in `S`.
-    Next,
-}
-
 /// Sweep/tree selection shared by all techniques (the table of Section 3).
 ///
-/// Returns `(use_up_tree, sweep_upward)`:
+/// Returns `(use_up_tree, direction of the sweep)`:
 /// * `ALL(q(≥))`   → `B^down`, upward;
 /// * `ALL(q(≤))`   → `B^up`, downward;
 /// * `EXIST(q(≥))` → `B^up`, upward;
 /// * `EXIST(q(≤))` → `B^down`, downward.
-pub fn tree_and_direction(kind: SelectionKind, op: RelOp) -> (bool, bool) {
+pub fn tree_and_direction(kind: SelectionKind, op: RelOp) -> (bool, Direction) {
     match (kind, op) {
-        (SelectionKind::All, RelOp::Ge) => (false, true),
-        (SelectionKind::All, RelOp::Le) => (true, false),
-        (SelectionKind::Exist, RelOp::Ge) => (true, true),
-        (SelectionKind::Exist, RelOp::Le) => (false, false),
+        (SelectionKind::All, RelOp::Ge) => (false, Direction::Up),
+        (SelectionKind::All, RelOp::Le) => (true, Direction::Down),
+        (SelectionKind::Exist, RelOp::Ge) => (true, Direction::Up),
+        (SelectionKind::Exist, RelOp::Le) => (false, Direction::Down),
     }
 }
 
@@ -266,10 +258,10 @@ mod tests {
     fn tree_direction_table() {
         use RelOp::*;
         use SelectionKind::*;
-        assert_eq!(tree_and_direction(All, Ge), (false, true));
-        assert_eq!(tree_and_direction(All, Le), (true, false));
-        assert_eq!(tree_and_direction(Exist, Ge), (true, true));
-        assert_eq!(tree_and_direction(Exist, Le), (false, false));
+        assert_eq!(tree_and_direction(All, Ge), (false, Direction::Up));
+        assert_eq!(tree_and_direction(All, Le), (true, Direction::Down));
+        assert_eq!(tree_and_direction(Exist, Ge), (true, Direction::Up));
+        assert_eq!(tree_and_direction(Exist, Le), (false, Direction::Down));
     }
 
     #[test]

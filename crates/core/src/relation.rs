@@ -467,19 +467,27 @@ impl Relation {
             .collect()
     }
 
-    /// Re-tightens the 2-D dual index's handicaps from the current tuples
-    /// (see [`DualIndex::refresh_handicaps`]). [`CdbError::NoIndex`] without
-    /// a usable one — a corrupt index cannot be tightened, only rebuilt —
-    /// decided before any page is read.
+    /// Re-tightens the handicaps of every usable dual index from the
+    /// current tuples (see [`DualIndex::refresh_handicaps`]).
+    /// [`CdbError::NoIndex`] without one — a corrupt index cannot be
+    /// tightened, only rebuilt — decided before any page is read.
     pub(crate) fn tighten(&mut self, pager: &mut dyn Pager) -> Result<(), CdbError> {
-        if self.usable(IndexKind::Dual).is_none() {
+        let slots: Vec<IndexKind> = [IndexKind::Dual, IndexKind::DualD]
+            .into_iter()
+            .filter(|&kind| self.usable(kind).is_some())
+            .collect();
+        if slots.is_empty() {
             return Err(CdbError::NoIndex(self.name.clone()));
         }
         let tuples = self.scan(&*pager)?;
-        match self.indexes[IndexKind::Dual as usize].as_mut() {
-            Some(Index::Dual(idx)) => idx.refresh_handicaps(pager, &tuples),
-            _ => unreachable!("slot 0 holds the usable 2-D dual index"),
+        for kind in slots {
+            match self.indexes[kind as usize].as_mut() {
+                Some(Index::Dual(idx)) => idx.refresh_handicaps(pager, &tuples)?,
+                Some(Index::DualD(idx)) => idx.refresh_handicaps(pager, &tuples)?,
+                _ => unreachable!("a usable dual slot holds a dual index"),
+            }
         }
+        Ok(())
     }
 
     /// Frees the heap and every index. On an unhealthy relation, structures

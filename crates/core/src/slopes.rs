@@ -116,12 +116,6 @@ impl SlopeSet {
         &self.slopes
     }
 
-    /// The slopes as one-coordinate points of slope space — the element
-    /// shape the d-dimensional sets have, which the index forest is keyed by.
-    pub(crate) fn elements(&self) -> impl Iterator<Item = &[f64]> {
-        self.slopes.iter().map(std::slice::from_ref)
-    }
-
     /// Index of `a` if it is (numerically) in the set.
     ///
     /// The tolerance is relative to the *larger* magnitude of the two slopes

@@ -683,37 +683,49 @@ impl FilePager {
     }
 }
 
+/// The page read behind the pager and its epoch views alike: the image
+/// `e` maps, out of `file` into `buf`, verified against the epoch `e` was
+/// sealed at and counted in `stats`. A page never written reads as zeros.
+fn read_image(
+    file: &File,
+    page_size: usize,
+    e: Entry,
+    stats: &AtomicStats,
+    buf: &mut [u8],
+) -> std::io::Result<()> {
+    // An invariant (caller bug), not an I/O error: structures own their
+    // page ids and never present a foreign id or a mis-sized buffer.
+    assert_eq!(buf.len(), page_size);
+    if e.phys == PHYS_NONE {
+        buf.fill(0);
+        stats.bump_read();
+        return Ok(());
+    }
+    let mut page = vec![0u8; page_size + PAGE_TRAILER];
+    // Positioned read: no shared cursor, so concurrent query threads
+    // can read through `&self` without racing on the file offset.
+    file.read_exact_at(&mut page, FilePager::phys_offset(page_size, e.phys))?;
+    match check_page(&page) {
+        Ok(epoch) if epoch == e.epoch => {
+            buf.copy_from_slice(&page[..page_size]);
+            stats.bump_read();
+            Ok(())
+        }
+        _ => Err(invalid_data("page checksum mismatch")),
+    }
+}
+
 impl PageReader for FilePager {
     fn page_size(&self) -> usize {
         self.page_size
     }
 
     fn read(&self, id: PageId, buf: &mut [u8]) -> std::io::Result<()> {
-        // Invariants (caller bugs), not I/O errors: structures own their
-        // page ids and never present a foreign id or a mis-sized buffer.
-        assert_eq!(buf.len(), self.page_size);
         let e = self
             .map
             .get(&id)
             .unwrap_or_else(|| panic!("read of unallocated page {id}"));
-        if e.phys == PHYS_NONE {
-            buf.fill(0);
-            self.stats.bump_read();
-            return Ok(());
-        }
-        let mut page = vec![0u8; self.disk_page_len()];
-        // Positioned read: no shared cursor, so concurrent query threads
-        // can read through `&self` without racing on the file offset.
-        self.file
-            .read_exact_at(&mut page, Self::phys_offset(self.page_size, e.phys))?;
-        match check_page(&page) {
-            Ok(epoch) if epoch == e.epoch => {
-                buf.copy_from_slice(&page[..self.page_size]);
-                self.stats.bump_read();
-                Ok(())
-            }
-            _ => Err(invalid_data("page checksum mismatch")),
-        }
+        read_image(&self.file, self.page_size, *e, &self.stats, buf)
     }
 
     fn live_pages(&self) -> usize {
@@ -897,27 +909,11 @@ impl PageReader for FileEpochView {
     }
 
     fn read(&self, id: PageId, buf: &mut [u8]) -> std::io::Result<()> {
-        assert_eq!(buf.len(), self.page_size);
         let e = self
             .map
             .get(&id)
             .unwrap_or_else(|| panic!("read of page {id} not in this epoch view"));
-        if e.phys == PHYS_NONE {
-            buf.fill(0);
-            self.stats.bump_read();
-            return Ok(());
-        }
-        let mut page = vec![0u8; self.page_size + PAGE_TRAILER];
-        self.file
-            .read_exact_at(&mut page, FilePager::phys_offset(self.page_size, e.phys))?;
-        match check_page(&page) {
-            Ok(epoch) if epoch == e.epoch => {
-                buf.copy_from_slice(&page[..self.page_size]);
-                self.stats.bump_read();
-                Ok(())
-            }
-            _ => Err(invalid_data("page checksum mismatch")),
-        }
+        read_image(&self.file, self.page_size, *e, &self.stats, buf)
     }
 
     fn live_pages(&self) -> usize {

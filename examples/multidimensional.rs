@@ -26,8 +26,7 @@ fn run(
     fetch: &dyn TupleSource,
 ) -> QueryResult {
     let case = idx.route(sel).expect("a slope inside the hull of S");
-    idx.execute(pager, sel, &case, Exact::Selection, fetch)
-        .unwrap()
+    idx.run(pager, sel, &case, Exact::Selection, fetch).unwrap()
 }
 
 fn corridor(x: (f64, f64), y: (f64, f64), z: (f64, f64)) -> GeneralizedTuple {

@@ -341,7 +341,7 @@ fn explain_covers_d_dimensional_selections() {
                     _ => assert!(matches!(case, PlanCase::SimplexCovering(_)), "{case:?}"),
                 }
                 let direct = index
-                    .execute(pager, &sel, &case, Exact::Selection, &fetch)
+                    .run(pager, &sel, &case, Exact::Selection, &fetch)
                     .unwrap();
                 assert_eq!(direct.ids(), scan.ids(), "{what}: direct vs scan oracle");
                 if report.plan.method == MethodKind::DualD {
@@ -513,4 +513,92 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     assert_eq!(t1, [13154, 1206, 9548, 3320, 2400], "T1");
     assert_eq!(rplus, [6514, 615, 3499, 2949, 2400], "R⁺-tree");
     assert_eq!(ddim, [529, 248, 102, 100, 179], "simplex covering");
+
+    // Incremental folds, both geometries: a fixed insert/delete script on
+    // stand-alone indexes (no refresh), then handicap-guided searches only.
+    // Recorded at the parent of the change that made the dual index one
+    // type over its slope geometry.
+    macro_rules! churn {
+        ($index:ident, $pager:ident, $pairs:ident, $late:expr) => {
+            for (id, t) in (5000u32..).zip($late) {
+                $index.insert(&mut $pager, id, &t).unwrap();
+                $pairs.push((id, t));
+            }
+            for (id, t) in $pairs.iter().filter(|(id, _)| id % 3 == 1) {
+                assert!($index.remove(&mut $pager, *id, t).unwrap(), "remove {id}");
+            }
+            $pairs.retain(|(id, _)| id % 3 != 1);
+        };
+    }
+
+    let mut pager = MemPager::paper_1999();
+    let mut pairs: Vec<(u32, GeneralizedTuple)> = (0u32..)
+        .zip(DatasetSpec::paper_1999(500, ObjectSize::Small, 41).generate())
+        .collect();
+    let mut index = DualIndex::build(&mut pager, SlopeSet::uniform_tan(4), &pairs).unwrap();
+    let late = DatasetSpec::paper_1999(300, ObjectSize::Medium, 42).generate();
+    churn!(index, pager, pairs, late);
+    let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
+    let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
+    let mut between = [0u64; 5];
+    for (i, a) in [-2.0, -1.2, -0.9, -0.2, 0.2, 0.9, 1.2, 2.0]
+        .into_iter()
+        .enumerate()
+    {
+        for op in [RelOp::Ge, RelOp::Le] {
+            let hp = HalfPlane::new2d(a, 9.0 * i as f64 - 30.0, op);
+            for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
+                let case = index.route(MethodKind::T2, &sel).unwrap();
+                assert!(matches!(case, PlanCase::Between { .. }), "{case}");
+                fold(
+                    &mut between,
+                    &index.execute(&pager, &sel, Strategy::T2, &fetch).unwrap(),
+                );
+            }
+        }
+    }
+
+    let mut pager = MemPager::paper_1999();
+    let mut boxes = boxes_3d(330);
+    let late = boxes.split_off(200);
+    let mut pairs: Vec<(u32, GeneralizedTuple)> = (0u32..).zip(boxes).collect();
+    let mut index = DualIndexD::build(&mut pager, SlopePoints::grid(3, 3, 1.0), &pairs).unwrap();
+    churn!(index, pager, pairs, late);
+    let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
+    let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
+    let mut cell = [0u64; 5];
+    for (i, slope) in [
+        [0.2, -0.1],
+        [-0.9, -0.8],
+        [0.7, 0.3],
+        [-0.4, 0.95],
+        [0.45, -0.6],
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for op in [RelOp::Ge, RelOp::Le] {
+            let hp = HalfPlane::new(slope.to_vec(), 11.0 * i as f64 - 25.0, op);
+            for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
+                let case = index.route(&sel).unwrap();
+                assert!(matches!(case, PlanCase::GridCell(_)), "{case}");
+                fold(
+                    &mut cell,
+                    &index
+                        .run(&pager, &sel, &case, Exact::Selection, &fetch)
+                        .unwrap(),
+                );
+            }
+        }
+    }
+    assert_eq!(
+        between,
+        [16513, 0, 7985, 470, 8528],
+        "2-D Between after churn"
+    );
+    assert_eq!(
+        cell,
+        [4120, 0, 1920, 176, 2200],
+        "3-D grid cell after churn"
+    );
 }
