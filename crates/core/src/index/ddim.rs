@@ -395,6 +395,11 @@ impl SlopeGeometry for SlopePoints {
         let cell = self.cell_corners(i).map(|corners| (Side::Prev, corners));
         cell.into_iter().collect()
     }
+
+    fn routes(case: &PlanCase) -> bool {
+        use PlanCase::*;
+        matches!(case, MemberPoint { .. } | GridCell(_) | SimplexCovering(_))
+    }
 }
 
 /// The dual index over a d-dimensional generalized relation: the same
@@ -444,6 +449,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::error::CdbError;
     use crate::index::Exact;
+    use crate::plan::TreeAt;
     use crate::query::{QueryResult, SelectionKind};
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
     use cdb_geometry::halfplane::HalfPlane;
@@ -638,7 +644,9 @@ pub(crate) mod tests {
     }
 
     /// `run` is public and takes any case a caller builds: elements of
-    /// `S` the forest does not have are an error like any foreign case.
+    /// `S` the forest does not have are an error like any foreign case —
+    /// a case of the 2-D routing table (run, a `Between` would read cell
+    /// handicaps as strips), a grid cell on a point set that has none.
     #[test]
     fn a_case_naming_a_tree_the_forest_lacks_is_an_error_not_a_panic() {
         let mut pager = MemPager::paper_1999();
@@ -655,6 +663,13 @@ pub(crate) mod tests {
                 slope: vec![0.1, 0.2],
             },
             PlanCase::FullScan(10),
+            PlanCase::Between {
+                lo: 0.0,
+                hi: 1.0,
+                near: TreeAt { i: 0, slope: 0.0 },
+                side: Side::Prev,
+            },
+            PlanCase::AppQueries([(TreeAt { i: 0, slope: 0.0 }, RelOp::Ge); 2]),
         ] {
             let got = idx.run(&pager, &sel, &case, Exact::Selection, &fetch);
             assert!(
@@ -662,6 +677,16 @@ pub(crate) mod tests {
                 "{case}: {got:?}"
             );
         }
+        let bare = SlopePoints::new(3, vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]);
+        let idx = DualIndexD::build(&mut pager, bare, &pairs).unwrap();
+        let got = idx.run(
+            &pager,
+            &sel,
+            &PlanCase::GridCell(0),
+            Exact::Selection,
+            &fetch,
+        );
+        assert!(matches!(got, Err(CdbError::UnsupportedQuery(_))), "{got:?}");
     }
 
     #[test]

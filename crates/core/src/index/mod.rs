@@ -305,9 +305,9 @@ where
 /// answer for it, and its corners in slope space besides the element.
 pub type Region = (Side, Vec<Vec<f64>>);
 
-/// What a [`DualIndex`] is built over — data only: the elements of `S` its
-/// forest is keyed by and, per element, the regions of slope space that
-/// element's handicaps answer for. Each region is convex with the element
+/// What a [`DualIndex`] is built over — data, and which cases its routing
+/// table hands out: the elements of `S` its forest is keyed by and, per
+/// element, the regions of slope space that element's handicaps answer for. Each region is convex with the element
 /// and the listed corners as its extreme points, so a tuple's reach over
 /// it (`TOP_P` convex, `BOT_P` concave) is attained at one of them.
 pub trait SlopeGeometry {
@@ -319,6 +319,10 @@ pub trait SlopeGeometry {
     /// under [`Side::Prev`] for a grid (Section 4.4), none for a bare point
     /// set, which is only ever covered by app-queries.
     fn regions(&self, i: usize) -> Vec<Region>;
+
+    /// Whether `case` is one this geometry's routing table hands out; its
+    /// index [runs](DualIndex::run) no other.
+    fn routes(case: &PlanCase) -> bool;
 }
 
 impl SlopeGeometry for SlopeSet {
@@ -332,6 +336,19 @@ impl SlopeGeometry for SlopeSet {
             .into_iter()
             .filter_map(strip)
             .collect()
+    }
+
+    fn routes(case: &PlanCase) -> bool {
+        use PlanCase::*;
+        matches!(
+            case,
+            Member(_)
+                | MemberRestricted(_)
+                | AppQueries(_)
+                | WrappedAppQueries(_)
+                | Between { .. }
+                | WrappedFallback(_)
+        )
     }
 }
 
@@ -422,6 +439,9 @@ impl<G: SlopeGeometry> DualIndex<G> {
     /// maintenance is conservative); a
     /// [`refresh_handicaps`](Self::refresh_handicaps) re-tightens them and
     /// restores the best second-sweep bounds.
+    ///
+    /// Only the 2-D catalog entry persists the flag (and is its one reader);
+    /// a d-D index says `true` after every reopen, whatever its handicaps.
     pub fn needs_refresh(&self) -> bool {
         self.dirty
     }
@@ -501,6 +521,11 @@ impl<G: SlopeGeometry> DualIndex<G> {
     /// ablations, a `SimplexCovering` over any vertices whose simplex
     /// contains the query slope) — and refines with `exact`, under a
     /// private [`TrackedReader`] so the I/O windows are this query's own.
+    ///
+    /// # Errors
+    /// [`CdbError::UnsupportedQuery`] for a case of another geometry's
+    /// routing table, or one naming a tree or handicap region this index
+    /// does not have.
     pub fn run(
         &self,
         pager: &dyn PageReader,
@@ -512,6 +537,18 @@ impl<G: SlopeGeometry> DualIndex<G> {
         let tracked = TrackedReader::new(pager);
         let pager: &dyn PageReader = &tracked;
         let forest = &self.forest;
+        if !G::routes(case) {
+            return Err(foreign(case));
+        }
+        // A guided search trusts the handicaps of one region; where the
+        // geometry has none they are neutral and it would miss tuples.
+        let guided = |i: usize, side: Side| {
+            let mut regions = self.regions.get(i).into_iter().flatten();
+            if !regions.any(|(s, _)| *s == side) {
+                return Err(foreign(case));
+            }
+            forest.guided(pager, sel, i, side, exact, fetch)
+        };
         match case {
             // Exact restricted query; boundary band verified exactly.
             PlanCase::Member(TreeAt { i, .. })
@@ -529,11 +566,9 @@ impl<G: SlopeGeometry> DualIndex<G> {
                 let legs = vertices.iter().map(|&pi| (pi, sel.halfplane.op));
                 forest.covering(pager, sel, legs, exact, fetch)
             }
-            PlanCase::Between { near, side, .. } => {
-                forest.guided(pager, sel, near.i, *side, exact, fetch)
-            }
+            PlanCase::Between { near, side, .. } => guided(near.i, *side),
             // The whole-cell handicaps live in the `Prev` leaf slots.
-            PlanCase::GridCell(cell) => forest.guided(pager, sel, *cell, Side::Prev, exact, fetch),
+            PlanCase::GridCell(cell) => guided(*cell, Side::Prev),
             PlanCase::FullScan(_) | PlanCase::MbrSearch(_) => Err(foreign(case)),
         }
     }
@@ -926,7 +961,9 @@ mod tests {
     }
 
     /// What the index itself refuses, as errors: a strategy that names no
-    /// technique of its own, and a case naming a tree it does not have.
+    /// technique of its own, and a case naming a tree or a strip it does
+    /// not have, or out of the d-D routing table (run, a `GridCell` would
+    /// trust the `Prev` strip alone and miss tuples).
     #[test]
     fn foreign_strategies_and_trees_are_errors_not_panics() {
         let mut pager = MemPager::paper_1999();
@@ -938,15 +975,26 @@ mod tests {
             let got = idx.execute(&pager, &sel, strategy, &fetch);
             assert!(matches!(got, Err(CdbError::UnsupportedQuery(_))), "{got:?}");
         }
-        let nowhere = crate::plan::TreeAt { i: 3, slope: 0.3 };
-        let got = idx.run(
-            &pager,
-            &sel,
-            &PlanCase::Member(nowhere),
-            Exact::Selection,
-            &fetch,
-        );
-        assert!(matches!(got, Err(CdbError::UnsupportedQuery(_))), "{got:?}");
+        let at = |i| crate::plan::TreeAt { i, slope: 0.3 };
+        let between = |near, side| PlanCase::Between {
+            lo: 0.0,
+            hi: 1.0,
+            near,
+            side,
+        };
+        for case in [
+            PlanCase::Member(at(3)),
+            between(at(2), Side::Next), // the last slope has no next strip
+            between(at(0), Side::Prev),
+            PlanCase::GridCell(1),
+            PlanCase::SimplexCovering(vec![0, 1]),
+        ] {
+            let got = idx.run(&pager, &sel, &case, Exact::Selection, &fetch);
+            assert!(
+                matches!(got, Err(CdbError::UnsupportedQuery(_))),
+                "{case}: {got:?}"
+            );
+        }
     }
 
     /// Both geometries stay exact under maintenance, one row each: build,
