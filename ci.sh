@@ -99,6 +99,24 @@ RULES
 }
 step one-forest one_forest
 
+# The audit that keeps "a constraint is read once" a gate: the engine
+# crate and the shell keep no lexer or linear-expression grammar of their
+# own — tuple text, SQL `WHERE` and the shell all read a comparison through
+# `cdb_geometry::parse` — and the coordinate names are spelled on one code
+# line, the one `var_name`/`var_index` and every `Display` share.
+one_grammar() {
+  grep_audit one-grammar crates/core/src src <<'RULES'
+0|definitions of fn lex|-|fn lex\(
+0|definitions of struct LinExpr|-|struct LinExpr
+0|mentions of AstConstraint|-|AstConstraint
+0|mentions of CmpOp|-|CmpOp
+RULES
+  grep_audit one-grammar crates/geometry/src crates/core/src <<'RULES'
+1|code lines spelling the coordinate names|-|^[^:]*:[[:space:]]*([^/[:space:]].*)?("w"|'w')
+RULES
+}
+step one-grammar one_grammar
+
 # Report only: non-test lines per crate, counted as the lines above a
 # file's first `#[cfg(test)]` — the figure CHANGES.md quotes before/after
 # a simplicity PR.

@@ -132,13 +132,6 @@ impl<'a> Leaf<'a> {
         get_u32(self.buf, LEAF_HDR + i * LEAF_ENTRY + 4)
     }
 
-    /// All entries in key order.
-    pub fn entries(&self) -> Vec<(f64, u32)> {
-        (0..self.count())
-            .map(|i| (self.key(i), self.value(i)))
-            .collect()
-    }
-
     /// Where a sweep in `dir` from `k` splits the entries: the first slot
     /// with key `≥ k` going up, one past the last with key `≤ k` going
     /// down (see [`Direction::slots`]).
@@ -191,22 +184,6 @@ impl<'a> Leaf<'a> {
         right.set_count(n - mid);
         self.set_count(mid);
         right.key(0)
-    }
-
-    /// Appends every entry of `right` (used by merges).
-    ///
-    /// # Panics
-    /// Panics if the combined count exceeds capacity.
-    pub fn absorb(&mut self, page_size: usize, right: &Leaf<'_>) {
-        let n = self.count();
-        let m = right.count();
-        assert!(n + m <= leaf_capacity(page_size), "merge overflow");
-        for i in 0..m {
-            let off = LEAF_HDR + (n + i) * LEAF_ENTRY;
-            put_f32(self.buf, off, right.key(i) as f32);
-            put_u32(self.buf, off + 4, right.value(i));
-        }
-        self.set_count(n + m);
     }
 }
 
@@ -292,16 +269,6 @@ impl<'a> Internal<'a> {
         self.set_count(n + 1);
     }
 
-    /// Removes separator `i` and its *right* child pointer.
-    pub fn remove_at(&mut self, i: usize) {
-        let n = self.count();
-        assert!(i < n);
-        let start = INTERNAL_HDR + (i + 1) * INTERNAL_ENTRY;
-        let end = INTERNAL_HDR + n * INTERNAL_ENTRY;
-        self.buf.copy_within(start..end, start - INTERNAL_ENTRY);
-        self.set_count(n - 1);
-    }
-
     /// Splits around the median: upper entries move to `right` (empty
     /// internal node); returns the median key to promote. `right`'s child 0
     /// becomes the child right of the median.
@@ -319,22 +286,6 @@ impl<'a> Internal<'a> {
         right.set_count(n - mid - 1);
         self.set_count(mid);
         promoted
-    }
-
-    /// Appends `sep` and all of `right`'s separators/children (merge).
-    pub fn absorb(&mut self, page_size: usize, sep: f64, right: &Internal<'_>) {
-        let n = self.count();
-        let m = right.count();
-        assert!(n + m < internal_capacity(page_size), "merge overflow");
-        let off = INTERNAL_HDR + n * INTERNAL_ENTRY;
-        put_f32(self.buf, off, sep as f32);
-        put_u32(self.buf, off + 4, right.child(0));
-        for i in 0..m {
-            let off = INTERNAL_HDR + (n + 1 + i) * INTERNAL_ENTRY;
-            put_f32(self.buf, off, right.key(i) as f32);
-            put_u32(self.buf, off + 4, right.child(i + 1));
-        }
-        self.set_count(n + m + 1);
     }
 }
 
@@ -386,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn leaf_split_and_absorb() {
+    fn leaf_split() {
         let mut buf = vec![0u8; P];
         let mut leaf = Leaf::init(&mut buf);
         for i in 0..10 {
@@ -399,9 +350,6 @@ mod tests {
         assert_eq!(leaf.count(), 5);
         assert_eq!(right.count(), 5);
         assert_eq!(right.key(0), 5.0);
-        leaf.absorb(P, &right);
-        assert_eq!(leaf.count(), 10);
-        assert_eq!(leaf.key(9), 9.0);
     }
 
     #[test]
@@ -449,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn internal_split_and_absorb() {
+    fn internal_split() {
         let mut buf = vec![0u8; P];
         let mut node = Internal::init(&mut buf, 0);
         for i in 0..9 {
@@ -463,24 +411,6 @@ mod tests {
         assert_eq!(right.count(), 4);
         assert_eq!(right.child(0), 5, "child right of the median");
         assert_eq!(right.key(0), 60.0);
-        // Merge back.
-        node.absorb(P, promoted, &right);
-        assert_eq!(node.count(), 9);
-        assert_eq!(node.key(4), 50.0);
-        assert_eq!(node.child(9), 9);
-    }
-
-    #[test]
-    fn internal_remove() {
-        let mut buf = vec![0u8; P];
-        let mut node = Internal::init(&mut buf, 0);
-        node.insert_at(P, 0, 10.0, 1);
-        node.insert_at(P, 1, 20.0, 2);
-        node.remove_at(0);
-        assert_eq!(node.count(), 1);
-        assert_eq!(node.key(0), 20.0);
-        assert_eq!(node.child(0), 0);
-        assert_eq!(node.child(1), 2);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! **Deletion policy.** Entries are removed in place; leaves are never
 //! merged (the PostgreSQL-style relaxed deletion): an emptied leaf stays in
 //! the chain and is skipped by sweeps. Space therefore tracks the high-water
-//! mark; [`BTree::rebuild`] compacts. This keeps the duplicate-heavy delete
-//! path simple and does not affect any experiment (the paper's workloads are
-//! build-then-query); the paper's `O(log_B n)` amortized update bound still
+//! mark; an index is compacted by rebuilding it from the heap
+//! (`cdb-core`'s `ConstraintDb::rebuild_indexes`). This keeps the
+//! duplicate-heavy delete path simple and does not affect any experiment
+//! (the paper's workloads are build-then-query); the paper's `O(log_B n)`
+//! amortized update bound still
 //! holds since no operation exceeds one root-to-leaf path plus splits.
 
 use std::io;
@@ -561,22 +563,6 @@ impl BTree {
         })
     }
 
-    /// Rewrites the tree compactly (full leaves) and frees the old pages.
-    pub fn rebuild(&mut self, pager: &mut dyn Pager) -> io::Result<()> {
-        let mut entries = Vec::with_capacity(self.len as usize);
-        self.sweep_up(&*pager, f64::NEG_INFINITY, |snap| {
-            entries.extend_from_slice(&snap.entries);
-            SweepControl::Continue
-        })?;
-        let old_pages = self.collect_pages(&*pager)?;
-        let rebuilt = BTree::bulk_load(pager, &entries, 1.0)?;
-        for p in old_pages {
-            pager.free(p);
-        }
-        *self = rebuilt;
-        Ok(())
-    }
-
     /// All page ids owned by the tree (BFS). The walk reads every page —
     /// internal nodes to find their children, leaves for integrity alone —
     /// so under a checksumming pager it doubles as a full-tree
@@ -1077,26 +1063,6 @@ mod tests {
         for w in leaves.windows(2) {
             assert!(w[0].max_key <= w[1].min_key);
         }
-    }
-
-    #[test]
-    fn rebuild_compacts() {
-        let mut pager = MemPager::new(P);
-        let mut t = BTree::new(&mut pager).unwrap();
-        for i in 0..300u32 {
-            t.insert(&mut pager, i as f64, i).unwrap();
-        }
-        for i in 0..280u32 {
-            t.delete(&mut pager, i as f64, i).unwrap();
-        }
-        let before = pager.live_pages();
-        t.rebuild(&mut pager).unwrap();
-        t.validate(&pager).unwrap();
-        assert_eq!(t.len(), 20);
-        assert!(pager.live_pages() < before, "rebuild reclaims pages");
-        let all = collect_all(&t, &mut pager);
-        assert_eq!(all.len(), 20);
-        assert_eq!(all[0].1, 280);
     }
 
     #[test]

@@ -61,11 +61,9 @@ pub enum LogicalPlan {
         relation: String,
         /// Relation dimension.
         dim: usize,
-        /// The pushed-down selection.
+        /// The pushed-down selection: the whole answer, or a candidate
+        /// prefilter when a residual `Filter` sits above the node.
         selection: Selection,
-        /// `true` when the selection alone answers the query (no residual
-        /// filter above), `false` when it is a candidate prefilter.
-        exact: bool,
     },
     /// Exact predicate filter over the full `WHERE` conjunction.
     Filter {
@@ -319,7 +317,6 @@ fn push_down(
                 relation,
                 dim: rel_dim,
                 selection,
-                exact: residual.is_empty(),
             };
             if residual.is_empty() {
                 scan
@@ -377,7 +374,6 @@ fn prefilter_branch(constraints: &[LinearConstraint], branch: LogicalPlan) -> Lo
                     relation,
                     dim,
                     selection,
-                    exact: false,
                 },
                 None => LogicalPlan::Scan { relation, dim },
             }
@@ -408,13 +404,10 @@ mod tests {
     fn single_constraint_exist_becomes_exact_index_selection() {
         let plan = lowered("SELECT * FROM r WHERE y >= 0.3x - 5 EXIST");
         match plan {
-            LogicalPlan::IndexSelection {
-                exact, selection, ..
-            } => {
-                assert!(exact);
+            LogicalPlan::IndexSelection { selection, .. } => {
                 assert_eq!(selection.kind, SelectionKind::Exist);
             }
-            other => panic!("expected IndexSelection, got {other:?}"),
+            other => panic!("expected a bare IndexSelection, got {other:?}"),
         }
     }
 
@@ -426,10 +419,7 @@ mod tests {
                 constraints, input, ..
             } => {
                 assert_eq!(constraints.len(), 2);
-                assert!(matches!(
-                    *input,
-                    LogicalPlan::IndexSelection { exact: false, .. }
-                ));
+                assert!(matches!(*input, LogicalPlan::IndexSelection { .. }));
             }
             other => panic!("expected Filter, got {other:?}"),
         }
@@ -486,14 +476,8 @@ mod tests {
         match &plan {
             LogicalPlan::Filter { input, .. } => match input.as_ref() {
                 LogicalPlan::Join { left, right, .. } => {
-                    assert!(matches!(
-                        **left,
-                        LogicalPlan::IndexSelection { exact: false, .. }
-                    ));
-                    assert!(matches!(
-                        **right,
-                        LogicalPlan::IndexSelection { exact: false, .. }
-                    ));
+                    assert!(matches!(**left, LogicalPlan::IndexSelection { .. }));
+                    assert!(matches!(**right, LogicalPlan::IndexSelection { .. }));
                 }
                 other => panic!("expected Join, got {other:?}"),
             },

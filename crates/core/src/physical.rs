@@ -368,20 +368,8 @@ impl Operator for IndexScanOp<'_> {
     }
 
     fn add_stats(&self, agg: &mut QueryStats) {
-        merge_stats(agg, &self.stats);
+        agg.accumulate(&self.stats);
     }
-}
-
-/// Component-wise accumulation of scan-node stats into an aggregate.
-fn merge_stats(agg: &mut QueryStats, s: &QueryStats) {
-    agg.index_io.reads += s.index_io.reads;
-    agg.index_io.writes += s.index_io.writes;
-    agg.heap_io.reads += s.heap_io.reads;
-    agg.heap_io.writes += s.heap_io.writes;
-    agg.candidates += s.candidates;
-    agg.duplicates += s.duplicates;
-    agg.false_hits += s.false_hits;
-    agg.accepted_by_key += s.accepted_by_key;
 }
 
 // -------------------------------------------------------------- SeqScanOp
@@ -441,7 +429,7 @@ impl Operator for SeqScanOp<'_> {
     }
 
     fn add_stats(&self, agg: &mut QueryStats) {
-        merge_stats(agg, &self.stats);
+        agg.accumulate(&self.stats);
     }
 }
 

@@ -177,6 +177,18 @@ impl QueryStats {
     pub fn total_accesses(&self) -> u64 {
         self.index_io.accesses() + self.heap_io.accesses()
     }
+
+    /// Adds every counter of `other` into `self` — the one sum behind a
+    /// plan's scan nodes and a sharded fan-out. `method` and `estimate`
+    /// describe one execution and are left alone.
+    pub fn accumulate(&mut self, other: &QueryStats) {
+        self.index_io = self.index_io.plus(&other.index_io);
+        self.heap_io = self.heap_io.plus(&other.heap_io);
+        self.candidates += other.candidates;
+        self.duplicates += other.duplicates;
+        self.false_hits += other.false_hits;
+        self.accepted_by_key += other.accepted_by_key;
+    }
 }
 
 /// The outcome of a query: matching tuple ids plus cost accounting.
@@ -346,6 +358,47 @@ mod tests {
         s.heap_io.reads = 3;
         s.heap_io.writes = 1;
         assert_eq!(s.total_accesses(), 11);
+    }
+
+    #[test]
+    fn accumulate_sums_every_counter() {
+        let io = |k: u64| IoStats {
+            reads: k,
+            writes: k + 1,
+            allocations: k + 2,
+            frees: k + 3,
+        };
+        let part = QueryStats {
+            index_io: io(1),
+            heap_io: io(10),
+            candidates: 20,
+            duplicates: 21,
+            false_hits: 22,
+            accepted_by_key: 23,
+            method: Some(MethodKind::T2),
+            estimate: None,
+        };
+        let mut sum = QueryStats {
+            method: Some(MethodKind::SeqScan),
+            ..QueryStats::default()
+        };
+        sum.accumulate(&part);
+        sum.accumulate(&part);
+        assert_eq!(
+            sum,
+            QueryStats {
+                index_io: io(1).plus(&io(1)),
+                heap_io: io(10).plus(&io(10)),
+                candidates: 40,
+                duplicates: 42,
+                false_hits: 44,
+                accepted_by_key: 46,
+                method: Some(MethodKind::SeqScan),
+                estimate: None,
+            }
+        );
+        assert_eq!(sum.index_io.frees, 8);
+        assert_eq!(sum.heap_io.allocations, 24);
     }
 
     #[test]

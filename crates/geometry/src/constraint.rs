@@ -5,6 +5,7 @@
 //! conjunction of a `≤` and a `≥` constraint (see
 //! [`LinearConstraint::equality_pair`]).
 
+use crate::parse::var_name;
 use crate::scalar::approx_zero;
 
 /// Comparison operator of a linear constraint.
@@ -145,17 +146,12 @@ impl LinearConstraint {
 
 impl std::fmt::Display for LinearConstraint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names = ["x", "y", "z", "w"];
         let mut first = true;
         for (i, a) in self.coeffs.iter().enumerate() {
             if approx_zero(*a) {
                 continue;
             }
-            let name: String = if i < names.len() {
-                names[i].to_string()
-            } else {
-                format!("x{}", i + 1)
-            };
+            let name = var_name(i);
             if first {
                 write!(f, "{a}*{name}")?;
                 first = false;

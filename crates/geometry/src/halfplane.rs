@@ -7,6 +7,7 @@
 //! "angular coefficient" in 2-D) and `b_d` the *intercept*.
 
 use crate::constraint::{LinearConstraint, RelOp};
+use crate::parse::var_name;
 use crate::scalar::approx_zero;
 
 /// A non-vertical query half-plane `x_d θ slope·(x1..x_{d-1}) + intercept`.
@@ -127,21 +128,9 @@ impl HalfPlane {
 
 impl std::fmt::Display for HalfPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names = ["x", "y", "z", "w"];
-        let d = self.dim();
-        let lhs = if d <= names.len() {
-            names[d - 1].to_string()
-        } else {
-            format!("x{d}")
-        };
-        write!(f, "{lhs} {} ", self.op)?;
+        write!(f, "{} {} ", var_name(self.slope.len()), self.op)?;
         for (i, b) in self.slope.iter().enumerate() {
-            let name = if i < names.len() {
-                names[i].to_string()
-            } else {
-                format!("x{}", i + 1)
-            };
-            write!(f, "{b}*{name} + ")?;
+            write!(f, "{b}*{} + ", var_name(i))?;
         }
         write!(f, "{}", self.intercept)
     }

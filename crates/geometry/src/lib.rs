@@ -22,8 +22,8 @@
 //!   Proposition 2.2, used as the refinement step and as the test oracle;
 //! * [`vertex_enum`] — brute-force vertex/ray enumeration in `E^d` for
 //!   cross-validation of the LP evaluator;
-//! * [`parse`] — a tiny text syntax for constraints and tuples used by the
-//!   examples ("`y >= 2x + 1 && x <= 4`").
+//! * [`parse`] — the one text syntax for constraints ("`y >= 2x + 1 && x
+//!   <= 4`"): tuple text, SQL `WHERE` conjuncts and the shell read through it.
 //!
 //! All computations are in `f64` with a single, explicit tolerance policy
 //! defined in [`scalar`].

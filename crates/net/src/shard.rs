@@ -364,7 +364,7 @@ fn merge_results(parts: Vec<QueryResult>) -> QueryResult {
     let mut stats = QueryStats::default();
     for part in parts {
         ids.extend_from_slice(part.ids());
-        add_stats(&mut stats, &part.stats);
+        stats.accumulate(&part.stats);
     }
     QueryResult::new(ids, stats)
 }
@@ -387,7 +387,7 @@ fn merge_sql(parts: Vec<SqlOutcome>, limit: Option<u64>) -> SqlOutcome {
         if let Some(p) = part.plan {
             plans.push(format!("shard {shard}:\n{p}"));
         }
-        add_stats(&mut merged.stats, &part.stats);
+        merged.stats.accumulate(&part.stats);
     }
     merged.rows.sort_by(|a, b| a.ids.cmp(&b.ids));
     if let Some(n) = limit {
@@ -397,21 +397,6 @@ fn merge_sql(parts: Vec<SqlOutcome>, limit: Option<u64>) -> SqlOutcome {
         merged.plan = Some(plans.join("\n"));
     }
     merged
-}
-
-fn add_stats(into: &mut QueryStats, part: &QueryStats) {
-    into.index_io.reads += part.index_io.reads;
-    into.index_io.writes += part.index_io.writes;
-    into.index_io.allocations += part.index_io.allocations;
-    into.index_io.frees += part.index_io.frees;
-    into.heap_io.reads += part.heap_io.reads;
-    into.heap_io.writes += part.heap_io.writes;
-    into.heap_io.allocations += part.heap_io.allocations;
-    into.heap_io.frees += part.heap_io.frees;
-    into.candidates += part.candidates;
-    into.duplicates += part.duplicates;
-    into.false_hits += part.false_hits;
-    into.accepted_by_key += part.accepted_by_key;
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use cdb_core::slopes::SlopeSet;
 use cdb_core::sql::{SqlMode, SqlOutcome};
 use cdb_core::{RelationHealth, WalReplay};
 use cdb_geometry::halfplane::HalfPlane;
-use cdb_geometry::parse::parse_tuple;
+use cdb_geometry::parse::{parse_comparison, parse_constraint, parse_tuple};
 use cdb_net::proto::WireRecoveryReport;
 use cdb_net::{
     Api, Backend, Client, ClusterClient, ClusterConfig, NetError, ReplicationInfo, ShardMap,
@@ -225,11 +225,13 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             let (name, expr) = rest
                 .split_once(' ')
                 .ok_or("usage: line <rel> <y = ax + c>")?;
-            let t = parse_tuple(expr).map_err(|e| e.to_string())?;
-            if t.constraints().len() != 2 {
+            let c = parse_comparison(expr).map_err(|e| e.to_string())?;
+            if !c.eq {
                 return Err("a line query must be a single equality, e.g. y = 0.5x + 2".into());
             }
-            let h = HalfPlane::from_constraint(&t.constraints()[0])
+            // A line is 2-D: `x = 1` is vertical, not a 1-D half-plane.
+            let ge = c.lower(2).map_err(|e| e.to_string())?.remove(0);
+            let h = HalfPlane::from_constraint(&ge)
                 .ok_or("vertical lines are not supported by the dual transform")?;
             let r = session
                 .api()
@@ -762,11 +764,8 @@ pub fn fsck(rest: &str) -> Result<String, String> {
 
 /// Parses a half-plane in solved form, e.g. `y >= 0.3x - 5`.
 pub fn parse_halfplane(expr: &str) -> Result<HalfPlane, String> {
-    let t = parse_tuple(expr).map_err(|e| e.to_string())?;
-    if t.constraints().len() != 1 {
-        return Err("a query must be a single half-plane".into());
-    }
-    HalfPlane::from_constraint(&t.constraints()[0])
+    let c = parse_constraint(expr).map_err(|e| e.to_string())?;
+    HalfPlane::from_constraint(&c)
         .ok_or_else(|| "vertical query boundaries are not supported by the dual transform".into())
 }
 
@@ -825,3 +824,36 @@ commands:
   shutdown                  ask the connected server to drain and exit
   quit
 "#;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn local() -> Session {
+        let mut s = Session::Local(Box::new(ConstraintDb::in_memory(DbConfig::paper_1999())));
+        run_command(&mut s, "create r 2").unwrap();
+        s
+    }
+
+    /// Lines of shell input that used to take the process down: a `Vec`
+    /// sized from `x18446744073709551615`, and `slope2d` on the 1-D or
+    /// 3-D half-plane a `line` command made of `x = 1` or `y = z`.
+    #[test]
+    fn malformed_constraints_are_errors_not_panics() {
+        let mut s = local();
+        for line in [
+            "insert r x18446744073709551615 >= 1",
+            "insert r x4000000000 >= 1",
+            "insert r 2x3y >= 0",
+            "line r x = 1",
+            "line r y = z",
+            "line r y >= x",
+            "exist r y = x",
+            "exist r y >= x && x >= 0",
+        ] {
+            assert!(run_command(&mut s, line).is_err(), "{line}");
+        }
+        assert!(run_command(&mut s, "line r y = 0.5x + 2").is_ok());
+        assert!(run_command(&mut s, "exist r y >= 1e-3x - 5").is_ok());
+    }
+}
