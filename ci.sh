@@ -84,7 +84,7 @@ step one-router one_router
 # alias, handicaps are assigned and folded from one place each), one sweep
 # over a `Direction` (no function comes back as the down/low/high half of
 # a mirrored pair; `sweep_up` is the one front, for `perf/`), and T1's
-# anchor stays a reserved catalog slot.
+# anchor stays gone, catalog included.
 one_forest() {
   grep_audit one-forest crates/btree/src crates/core/src/index <<'RULES'
 1|an .assign_handicaps( call|-|\.assign_handicaps\(
@@ -94,10 +94,27 @@ one_forest() {
 1|the DualIndexD alias|-|type DualIndexD =
 RULES
   grep_audit one-forest crates/core/src <<'RULES'
-0|mentions of anchor_x|catalog.rs|anchor_x
+0|mentions of anchor_x|-|anchor_x
 RULES
 }
 step one-forest one_forest
+
+# The audit that keeps "planner feedback is a cache, not state" a gate,
+# over the engine crate: one lock-free table per relation (no `Mutex` in
+# the planner), no exploration probes and no persisted planner state (the
+# catalog names no `PlanCatalog`), and no handicap-refresh flag.
+one_planner_cache() {
+  grep_audit one-planner-cache crates/core/src/plan.rs <<'RULES'
+0|mentions of Mutex|-|Mutex
+RULES
+  grep_audit one-planner-cache crates/core/src <<'RULES'
+0|probe and refresh-flag names|-|NEAR_TIE_RATIO|PROBE_PERIOD|probe_clock|explored|needs_refresh
+RULES
+  grep_audit one-planner-cache crates/core/src/catalog.rs <<'RULES'
+0|mentions of PlanCatalog|-|PlanCatalog
+RULES
+}
+step one-planner-cache one_planner_cache
 
 # The audit that keeps "a constraint is read once" a gate: the engine
 # crate and the shell keep no lexer or linear-expression grammar of their

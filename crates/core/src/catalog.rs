@@ -1,30 +1,32 @@
 //! The persistent database catalog: one versioned, checksummed blob
-//! holding every relation's heap roots, slot table, index metadata and
-//! planner EWMAs, committed through the pager's shadow-page meta protocol
-//! (see `cdb_storage::FilePager::commit_meta`).
+//! holding every relation's heap roots, slot table and index metadata,
+//! committed through the pager's shadow-page meta protocol (see
+//! `cdb_storage::FilePager::commit_meta`). Planner feedback is not in it: a
+//! reopened database plans cold.
 //!
 //! Layout (all integers little-endian; every bracketed type is laid out by
 //! its own [`Wire`] impl, `Option` as a presence byte, lists as a `u32`
 //! count then the items):
 //!
 //! ```text
-//! magic "CDBC" u32 | version u16 | durable_lsn u64 | reserved [Strategy]
+//! magic "CDBC" u32 | version u16 | durable_lsn u64
 //!                  | [Option<PartitionSpec>] | relation count u32
 //! per relation (sorted by name):
 //!   name str | dim u32
 //!   heap:   page list u32 ...
 //!   slots:  list of [Option<RecordId>]
-//!   2-D dual index:  present u8, [ [SlopeSet] of k, reserved f64 (once
-//!                    `anchor_x`), dirty u8, (up tree, down tree) ×k ]
-//!   d-dim dual index: present u8, [ [SlopePoints] body of k points,
-//!                    (up tree, down tree) ×k ]
-//!   R⁺-tree: present u8, [ [RTreeMeta], fill f64, unbounded u32 list,
-//!                    dead u32 list (sorted-unique) ]
-//!   [PlanCatalog]
+//!   per index slot, in IndexKind order: present u8, [ corrupt u8, body ]
+//!     2-D dual index:  [SlopeSet] of k, (up tree, down tree) ×k
+//!     d-dim dual index: [SlopePoints] body of k points, (up tree, down tree) ×k
+//!     R⁺-tree: [RTreeMeta], fill f64, unbounded u32 list,
+//!              dead u32 list (sorted-unique)
 //! ```
 //!
 //! B⁺-trees serialize as the forest's `TreeMeta` — scalars only, because
-//! node contents (handicaps included) live in their pages on disk.
+//! node contents (handicaps included) live in their pages on disk. The
+//! corrupt byte is the relation's health flag for that index: set when
+//! maintenance found the index out of step with its heap, cleared by a
+//! rebuild. Open degrades the relation for it, whatever the checksums say.
 //!
 //! Integrity is layered: the pager's meta protocol CRCs the whole blob, so
 //! `decode` normally sees exactly what `encode` produced. Decoding still
@@ -44,8 +46,6 @@ use crate::index::ddim::{DualIndexD, SlopePoints};
 use crate::index::forest::Forest;
 use crate::index::{DualIndex, Index, IndexKind, RPlusIndex};
 use crate::partition::PartitionSpec;
-use crate::plan::PlanCatalog;
-use crate::query::Strategy;
 use crate::relation::Relation;
 use crate::slopes::SlopeSet;
 
@@ -55,8 +55,10 @@ const MAGIC: u32 = 0x4344_4243;
 /// WAL watermark: every mutation with an LSN at or below it is covered by
 /// this blob, so replay applies only the strictly newer log suffix.
 /// Version 3 added the optional partition spec, persisted so a sharded
-/// engine allocates exactly the same tuple ids after a reopen.
-const VERSION: u16 = 3;
+/// engine allocates exactly the same tuple ids after a reopen. Version 4
+/// dropped the planner feedback and the reserved strategy, anchor and
+/// handicap-refresh bytes, and added each index's corrupt flag.
+const VERSION: u16 = 4;
 
 // ---------------------------------------------------------------- indexes
 
@@ -81,8 +83,6 @@ fn put_index(index: &Index, w: &mut RecordWriter) {
     match index {
         Index::Dual(idx) => {
             idx.slopes().put(w);
-            0.0_f64.put(w); // where `anchor_x` was: reserved
-            idx.needs_refresh().put(w);
             idx.forest.put_trees(w)
         }
         Index::DualD(idx) => {
@@ -115,18 +115,13 @@ fn get_index(
     Ok(match kind {
         IndexKind::Dual => {
             let slopes: SlopeSet = Wire::get(r)?;
-            // The reserved `anchor_x` slot: any finite value is accepted
-            // and ignored.
-            let _: f64 = finite::get(r)?;
-            let dirty = bool::get(r)?;
             let forest = Forest::get_trees(r, slopes.len(), page_size)?;
-            Index::Dual(DualIndex::from_parts(slopes, forest, dirty))
+            Index::Dual(DualIndex::from_parts(slopes, forest))
         }
         IndexKind::DualD => {
             let points = SlopePoints::get_body(r, dim)?;
             let forest = Forest::get_trees(r, points.len(), page_size)?;
-            // No flag is persisted here: the handicaps may be loose.
-            Index::DualD(DualIndexD::from_parts(points, forest, true))
+            Index::DualD(DualIndexD::from_parts(points, forest))
         }
         IndexKind::RPlus => {
             let m: RTreeMeta = Wire::get(r)?;
@@ -148,9 +143,11 @@ fn put_relation(rel: &Relation, w: &mut RecordWriter) {
     w.put_counted(rel.heap.pages());
     rel.slots.put(w);
     for kind in IndexKind::ALL {
-        put_option(rel.built(kind), w, put_index);
+        put_option(rel.built(kind), w, |index, w| {
+            rel.health.is_corrupt(kind).put(w);
+            put_index(index, w)
+        });
     }
-    rel.catalog.put(w)
 }
 
 /// Mirror of [`put_relation`]. `by_record` and `live` are derived from the
@@ -161,8 +158,9 @@ fn get_relation(r: &mut RecordReader<'_>, page_size: usize) -> Result<Relation, 
     if dim < 1 {
         return Err(CodecError::Invalid("relation dimension"));
     }
-    // Relations come out nominally `Healthy`: the open-time verification
-    // pass re-classifies them right after decoding (see `ConstraintDb::open`).
+    // Relations come out `Healthy` but for their flagged indexes: the
+    // open-time verification pass adds what the pages say right after
+    // decoding (see `ConstraintDb::open`).
     let mut rel = Relation::new(&name, dim, HeapFile::from_pages(page_size, Wire::get(r)?));
     rel.slots = Vec::<Option<RecordId>>::get(r)?;
     for (id, rid) in rel.slots.iter().enumerate() {
@@ -172,9 +170,14 @@ fn get_relation(r: &mut RecordReader<'_>, page_size: usize) -> Result<Relation, 
     }
     rel.live = rel.by_record.len() as u64;
     for kind in IndexKind::ALL {
-        rel.indexes[kind as usize] = get_option(r, |r| get_index(r, kind, dim, page_size))?;
+        let slot = get_option(r, |r| {
+            Ok((bool::get(r)?, get_index(r, kind, dim, page_size)?))
+        })?;
+        if let Some((corrupt, index)) = slot {
+            rel.indexes[kind as usize] = Some(index);
+            rel.set_corrupt(kind, corrupt);
+        }
     }
-    rel.catalog = PlanCatalog::get(r)?;
     Ok(rel)
 }
 
@@ -183,8 +186,7 @@ fn get_relation(r: &mut RecordReader<'_>, page_size: usize) -> Result<Relation, 
 /// Serializes the WAL durability watermark, the partition spec (when the
 /// engine is one shard of a deployment) and every relation into one catalog
 /// blob. Relations are written in name order, so identical database states
-/// produce identical bytes. The header byte that once held a configurable
-/// default strategy keeps its place in the format, written as `Auto`.
+/// produce identical bytes.
 pub(crate) fn encode(
     durable_lsn: u64,
     partition: Option<PartitionSpec>,
@@ -192,7 +194,7 @@ pub(crate) fn encode(
 ) -> Vec<u8> {
     let mut w = RecordWriter::new();
     (MAGIC, VERSION, durable_lsn).put(&mut w);
-    (Strategy::Auto, partition).put(&mut w);
+    partition.put(&mut w);
     relations.len().put(&mut w);
     let mut names: Vec<&String> = relations.keys().collect();
     names.sort();
@@ -218,9 +220,7 @@ fn read(blob: &[u8], page_size: usize) -> Result<DecodedCatalog, CodecError> {
     if (u32::get(r)?, u16::get(r)?) != (MAGIC, VERSION) {
         return Err(CodecError::Invalid("catalog magic or version"));
     }
-    let durable_lsn = u64::get(r)?;
-    // The reserved byte: any valid tag is accepted and ignored.
-    let (_, partition): (Strategy, _) = Wire::get(r)?;
+    let (durable_lsn, partition) = Wire::get(r)?;
     let mut relations = HashMap::new();
     for _ in 0..usize::get(r)? {
         let rel = get_relation(r, page_size)?;
@@ -247,9 +247,8 @@ pub(crate) struct DecodedCatalog {
 mod tests {
     use super::*;
     use crate::db::{ConstraintDb, DbConfig};
-    use crate::index::Exact;
-    use crate::plan::{MethodKind, Planner};
-    use crate::query::{Selection, SelectionKind};
+    use crate::plan::MethodKind;
+    use crate::query::{Selection, SelectionKind, Strategy};
     use cdb_geometry::tuple::GeneralizedTuple;
     use cdb_geometry::{HalfPlane, LinearConstraint, RelOp};
     use cdb_storage::codec;
@@ -260,9 +259,10 @@ mod tests {
     }
 
     /// The catalog of one shard of two holding a 2-D relation (dual index
-    /// with a stale handicap flag, R⁺-tree with an unbounded tuple and a
-    /// tombstone, absent slots, planner feedback) and a 3-D relation with
-    /// a grid `DualIndexD` — the state behind `golden/catalog_v3.hex`.
+    /// after churn, R⁺-tree with an unbounded tuple and a tombstone and
+    /// flagged corrupt, absent slots, queries whose feedback is not
+    /// persisted) and a 3-D relation with a grid `DualIndexD` — the state
+    /// behind `golden/catalog_v4.hex`.
     fn sample_blob() -> Vec<u8> {
         let cube = |lo: &[f64], side: f64| {
             let mut cs = Vec::new();
@@ -310,6 +310,8 @@ mod tests {
             Selection::exist(HalfPlane::new(vec![0.25, -0.5], 0.0, RelOp::Ge)),
         )
         .unwrap();
+        let plane = db.for_update("plane").unwrap().1;
+        plane.set_corrupt(IndexKind::RPlus, true);
         encode(17, db.partition(), &db.relations)
     }
 
@@ -325,74 +327,9 @@ mod tests {
         conformance(&[sample_blob(), empty], Vec::clone, reencoded);
     }
 
-    /// The header's reserved byte: files written when it was a configurable
-    /// default strategy open, whatever valid tag they hold; the tag is
-    /// dropped, and a byte that is no tag at all is still damage.
     #[test]
-    fn reserved_strategy_byte_is_accepted_and_ignored() {
-        let mut blob = encode(17, None, &HashMap::new());
-        let at = 4 + 2 + 8; // magic, version, durable_lsn
-        assert_eq!(blob[at], codec::encode(&Strategy::Auto)[0]);
-        blob[at] = codec::encode(&Strategy::T2)[0];
-        assert_eq!(reencoded(&blob).unwrap(), encode(17, None, &HashMap::new()));
-        blob[at] = 99;
-        assert!(is_corrupt(decode(&blob, 1024)));
-    }
-
-    /// The 2-D index's reserved `f64`: files written when it was T1's
-    /// configurable anchor open whatever finite value it holds; the value
-    /// is dropped (every anchor on the query line is covering, Table 1, so
-    /// T1 answers as the oracle does either way), and a non-finite one is
-    /// still damage.
-    #[test]
-    fn reserved_anchor_is_accepted_and_ignored() {
-        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
-        db.create_relation("r", 2).unwrap();
-        for t in
-            cdb_workload::DatasetSpec::paper_1999(60, cdb_workload::ObjectSize::Small, 5).generate()
-        {
-            db.insert("r", t).unwrap();
-        }
-        let slopes = SlopeSet::uniform_tan(3);
-        db.build_dual_index("r", slopes.clone()).unwrap();
-        let written = encode(0, None, &db.relations);
-        let slopes = codec::encode(&slopes);
-        let at = written
-            .windows(slopes.len())
-            .position(|w| w == slopes)
-            .unwrap()
-            + slopes.len();
-        assert_eq!(written[at..at + 8], 0.0_f64.to_le_bytes());
-        let mut blob = written.clone();
-        blob[at..at + 8].copy_from_slice(&123.5_f64.to_le_bytes());
-        assert_eq!(reencoded(&blob).unwrap(), written);
-        // The decoded relation, over the pages it was encoded from.
-        let decoded = decode(&blob, 1024).unwrap().relations;
-        let methods = decoded["r"].access_methods(1024);
-        let source = decoded["r"].tuple_source();
-        for (a, b) in [(0.3, 4.0), (-1.1, -20.0), (7.0, 0.0)] {
-            for sel in [
-                Selection::exist(HalfPlane::above(a, b)),
-                Selection::all(HalfPlane::below(a, b)),
-            ] {
-                let forced = Some(MethodKind::T1);
-                let (t1, plan) =
-                    Planner::choose(&methods, &sel, Exact::Selection, forced, false).unwrap();
-                assert_eq!(plan.case.runs(), MethodKind::T1, "slope {a}");
-                let got = t1
-                    .execute(db.reader(), &sel, &plan.case, Exact::Selection, &source)
-                    .unwrap();
-                let scan = db.query_with("r", sel, Strategy::Scan).unwrap();
-                assert_eq!(got.ids(), scan.ids(), "slope {a}");
-            }
-        }
-        blob[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert!(is_corrupt(decode(&blob, 1024)));
-    }
-
-    #[test]
-    fn golden_bytes_are_those_of_the_parent_format() {
-        let golden = crate::unhex(include_str!("../golden/catalog_v3.hex").trim_end());
+    fn golden_bytes_are_those_of_the_format() {
+        let golden = crate::unhex(include_str!("../golden/catalog_v4.hex").trim_end());
         assert_eq!(sample_blob(), golden);
         assert_eq!(reencoded(&golden).unwrap(), golden);
         let cat = decode(&golden, 1024).unwrap();
@@ -401,10 +338,22 @@ mod tests {
         let plane = &cat.relations["plane"];
         assert_eq!((plane.dim, plane.live), (2, 6));
         assert!(plane.index().is_some() && plane.built(IndexKind::RPlus).is_some());
+        assert!(
+            plane.usable(IndexKind::Dual).is_some() && plane.usable(IndexKind::RPlus).is_none()
+        );
         let Some(Index::DualD(idx)) = cat.relations["space"].built(IndexKind::DualD) else {
             panic!("the golden state has a 3-D index");
         };
         assert!(idx.points().is_grid());
+    }
+
+    /// The previous format stays frozen, and is refused as damage: it
+    /// holds bytes version 4 no longer reads.
+    #[test]
+    fn golden_bytes_of_version_3_are_refused() {
+        let v3 = crate::unhex(include_str!("../golden/catalog_v3.hex").trim_end());
+        assert_eq!(v3[4..6], 3u16.to_le_bytes());
+        assert!(is_corrupt(decode(&v3, 1024)));
     }
 
     #[test]
@@ -413,10 +362,10 @@ mod tests {
         // must run out of bytes, not reserve 32 GiB for them.
         let mut w = RecordWriter::new();
         (MAGIC, VERSION, 0u64).put(&mut w);
-        (Strategy::Auto, None::<PartitionSpec>).put(&mut w);
+        None::<PartitionSpec>.put(&mut w);
         (1u32, "r".to_string(), 2u32).put(&mut w);
         (0u32, 0u32).put(&mut w); // no heap pages, no slots
-        (true, u32::MAX).put(&mut w);
+        (true, false, u32::MAX).put(&mut w);
         assert!(is_corrupt(decode(&w.into_bytes(), 1024)));
     }
 
@@ -434,7 +383,6 @@ mod tests {
         let header = |partition: &dyn Fn(&mut RecordWriter)| {
             let mut w = RecordWriter::new();
             (MAGIC, VERSION, 0u64).put(&mut w);
-            Strategy::Auto.put(&mut w);
             partition(&mut w);
             0u32.put(&mut w);
             w.into_bytes()

@@ -184,13 +184,8 @@ pub struct ConstraintDb {
     /// queries, which this handle additionally mutates.
     view: ReadSurface<Box<dyn Pager>>,
     /// Structural changes (DDL, inserts/deletes, index builds) since the
-    /// last checkpoint. Planner-catalog movement is tracked separately via
-    /// [`PlanCatalog::version`] so `&self` query feedback needs no flag.
+    /// last checkpoint: the only state the catalog persists.
     dirty: bool,
-    /// Sum of every relation's plan-catalog version at the last
-    /// checkpoint; a differing sum means the EWMAs moved and are worth
-    /// re-persisting.
-    committed_plan_version: u64,
     /// Opened via [`ConstraintDb::open_read_only`]: every mutating entry
     /// point refuses with [`CdbError::ReadOnly`].
     read_only: bool,
@@ -246,7 +241,6 @@ impl ConstraintDb {
                 relations: HashMap::new(),
             },
             dirty: false,
-            committed_plan_version: 0,
             read_only: false,
             recovery: RecoveryReport {
                 pager: PagerRecovery::Clean,
@@ -284,15 +278,16 @@ impl ConstraintDb {
     /// Opens an existing database file in three recovery stages:
     ///
     /// 1. rebuilds every relation — heaps, slot tables, dual indexes,
-    ///    R⁺-tree, planner EWMAs — from the committed catalog (the header
-    ///    flip already happened inside [`FilePager::open`]);
+    ///    R⁺-tree, corrupt-index flags — from the committed catalog (the
+    ///    header flip already happened inside [`FilePager::open`]); the
+    ///    planner starts without feedback;
     /// 2. replays any write-ahead-log suffix newer than the catalog's
     ///    durable-LSN watermark through the normal mutation paths, then
     ///    checkpoints and deletes the absorbed log — so an acknowledged
     ///    mutation survives a crash that outran the last checkpoint;
     /// 3. verifies every page each relation owns through the checksumming
-    ///    pager and classifies the damage (see [`RecoveryReport`] /
-    ///    [`ConstraintDb::recovery_report`]).
+    ///    pager and classifies the damage, on top of the persisted flags
+    ///    (see [`RecoveryReport`] / [`ConstraintDb::recovery_report`]).
     ///
     /// A corrupt index degrades its relation; a corrupt heap quarantines
     /// it; sibling relations are unaffected either way, so `open` succeeds
@@ -344,8 +339,7 @@ impl ConstraintDb {
     /// [`open`](Self::open), but the file is mapped read-only and every
     /// mutating entry point (DDL, inserts/deletes, index builds,
     /// checkpoints) refuses with [`CdbError::ReadOnly`]. Queries work as
-    /// usual; planner feedback accumulates in memory only and is never
-    /// persisted. A pending write-ahead-log suffix is *not* replayed (the
+    /// usual. A pending write-ahead-log suffix is *not* replayed (the
     /// file is someone else's to write) — it is reported in the
     /// [`RecoveryReport`] instead, and the handle serves the state as of
     /// the last checkpoint.
@@ -399,8 +393,6 @@ impl ConstraintDb {
         let cat = crate::catalog::decode(&blob, page_size)?;
         let (read_only, recovery) = (pager.is_read_only(), pager.recovery());
         let config = DbConfig { page_size };
-        // Restored plan catalogs start at version 0 (see `PlanCatalog`'s
-        // `Wire::get`), so the committed sum `with_pager` starts at holds.
         let mut db = Self::with_pager(Box::new(pager), config);
         db.view.relations = cat.relations;
         db.read_only = read_only;
@@ -628,10 +620,11 @@ impl ConstraintDb {
         Ok(())
     }
 
-    /// Serializes the catalog (relations, index metadata, planner EWMAs,
-    /// WAL watermark) and commits it through the pager's shadow-page
-    /// protocol. A no-op when nothing changed since the last checkpoint,
-    /// and on read-only handles (whose durable state cannot move). After a
+    /// Serializes the catalog (relations, index metadata, WAL watermark)
+    /// and commits it through the pager's shadow-page protocol. A no-op
+    /// when nothing changed since the last checkpoint — queries change
+    /// nothing it holds — and on read-only handles (whose durable state
+    /// cannot move). After a
     /// crash, a reader sees either the previous catalog or this one —
     /// never a mixture.
     ///
@@ -647,14 +640,7 @@ impl ConstraintDb {
     /// counter surfaced by [`stats_snapshot`](Self::stats_snapshot) is
     /// bumped.
     pub fn checkpoint(&mut self) -> Result<(), CdbError> {
-        if self.read_only {
-            // Plan-catalog EWMAs may drift in memory, but a read-only
-            // handle never persists: the file is someone else's to write.
-            return Ok(());
-        }
-        let relations = self.view.relations.values();
-        let vsum: u64 = relations.map(|r| r.catalog.version()).sum();
-        if !self.dirty && vsum == self.committed_plan_version {
+        if self.read_only || !self.dirty {
             return Ok(());
         }
         if let Some(w) = self.wal.as_ref() {
@@ -668,7 +654,6 @@ impl ConstraintDb {
             return Err(CdbError::Io(e.to_string()));
         }
         self.dirty = false;
-        self.committed_plan_version = vsum;
         self.checkpoint_failures = 0;
         if !self.retain_wal {
             if let Some(w) = self.wal.as_mut() {
@@ -683,9 +668,11 @@ impl ConstraintDb {
     /// The pager freezes its page table at the current epoch — subsequent
     /// writes through this handle copy-on-write onto fresh pages, so the
     /// frozen pages stay exactly as published until the snapshot drops —
-    /// and the in-memory catalog (relation descriptors, index roots,
-    /// planner state) is cloned so the snapshot's query surface is fully
-    /// self-contained. `&mut self` because publication advances the
+    /// and the in-memory catalog (relation descriptors, index roots) is
+    /// cloned so the snapshot's query surface is self-contained; each
+    /// relation's planner feedback table is shared, not copied, so what the
+    /// snapshot's queries observe reaches this handle and every later
+    /// snapshot. `&mut self` because publication advances the
     /// writer's working generation; the returned snapshot is `Send + Sync`
     /// and never blocks this handle.
     ///
@@ -1124,8 +1111,7 @@ mod tests {
                     for sel in [Selection::exist(q.clone()), Selection::all(q.clone())] {
                         let forced = Some(MethodKind::DualD);
                         let (method, plan) =
-                            Planner::choose(&methods, &sel, Exact::Selection, forced, false)
-                                .unwrap();
+                            Planner::choose(&methods, &sel, Exact::Selection, forced).unwrap();
                         assert!(matches!(plan.case, crate::plan::PlanCase::GridCell(_)));
                         let got = method
                             .execute(db.reader(), &sel, &plan.case, Exact::Selection, &source)
@@ -1239,6 +1225,60 @@ mod tests {
             db.relation("land").unwrap().health(),
             &RelationHealth::Healthy
         );
+    }
+
+    /// Regression: the flag a missed index entry raises lived in memory
+    /// only, and `open` verifies checksums, which well-formed stale pages
+    /// pass — so after a checkpoint and reopen the index came back
+    /// `Healthy` and served its dangling id again. The catalog persists
+    /// the flag until `rebuild_indexes` clears it.
+    #[test]
+    fn a_flagged_index_stays_degraded_across_reopen() {
+        let path = tmp_path("flagged");
+        let mut db = ConstraintDb::create(&path, DbConfig::paper_1999()).unwrap();
+        db.create_relation("land", 2).unwrap();
+        for s in [
+            "y >= 0 && y <= 2 && x >= 0 && x + y <= 4",
+            "y >= x && y <= x + 1 && x >= 10",
+            "y >= -1 && y <= 1 && x >= -3 && x <= -1",
+        ] {
+            db.insert("land", parse_tuple(s).unwrap()).unwrap();
+        }
+        db.build_dual_index("land", SlopeSet::uniform_tan(3))
+            .unwrap();
+        let victim = db.fetch_tuple("land", 1).unwrap();
+        {
+            let view = &mut db.view;
+            let rel = view.relations.get_mut("land").unwrap();
+            let Some(Index::Dual(idx)) = rel.indexes[IndexKind::Dual as usize].as_mut() else {
+                panic!("built above");
+            };
+            assert!(idx.remove(view.pager.as_mut(), 1, &victim).unwrap());
+        }
+        db.delete("land", 1).unwrap();
+        let degraded = RelationHealth::Degraded {
+            corrupt_indexes: vec![IndexKind::Dual.name().to_string()],
+        };
+        assert_eq!(db.relation("land").unwrap().health(), &degraded);
+        db.close().unwrap();
+
+        let mut db = ConstraintDb::open(&path).unwrap();
+        assert_eq!(db.relation("land").unwrap().health(), &degraded);
+        assert!(!db.recovery_report().is_clean());
+        let sel = Selection::exist(HalfPlane::above(0.3, -50.0));
+        assert_eq!(db.query("land", sel.clone()).unwrap().ids(), &[0, 2]);
+        assert_eq!(
+            db.rebuild_indexes("land").unwrap(),
+            vec![IndexKind::Dual.name().to_string()]
+        );
+        db.close().unwrap();
+
+        let db = ConstraintDb::open(&path).unwrap();
+        assert!(db.recovery_report().is_clean());
+        let t2 = db.query_with("land", sel, Strategy::T2).unwrap();
+        assert_eq!(t2.ids(), &[0, 2]);
+        drop(db);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1490,9 +1530,7 @@ mod tests {
         let sel = Selection::line_superset(slopes.get(1), 0.0);
         let plan = |exact| {
             let forced = Some(MethodKind::Restricted);
-            Planner::choose(&methods, &sel, exact, forced, false)
-                .unwrap()
-                .1
+            Planner::choose(&methods, &sel, exact, forced).unwrap().1
         };
         let (half_plane, line) = (
             plan(Exact::Selection),

@@ -387,7 +387,6 @@ pub struct DualIndex<G = SlopeSet> {
     /// [`SlopeGeometry::regions`] of every element, computed once.
     regions: Vec<Vec<Region>>,
     pub(crate) forest: Forest,
-    dirty: bool,
 }
 
 /// A tuple's `(max TOP_P, min BOT_P)` over a region: its `keys` at the
@@ -411,7 +410,7 @@ impl<G: SlopeGeometry> DualIndex<G> {
         tuples: &[(u32, GeneralizedTuple)],
     ) -> Result<Self, CdbError> {
         let forest = Forest::build(pager, geometry.elements(), tuples)?;
-        let mut idx = Self::from_parts(geometry, forest, true);
+        let mut idx = Self::from_parts(geometry, forest);
         idx.refresh_handicaps(pager, tuples)?;
         Ok(idx)
     }
@@ -419,31 +418,18 @@ impl<G: SlopeGeometry> DualIndex<G> {
     /// Re-attaches an index from persisted metadata. The trees' node pages
     /// (handicaps included — they live in the bucket leaves) are already on
     /// disk; `forest` holds one tree pair per element, in the order of `S`.
-    pub(crate) fn from_parts(geometry: G, forest: Forest, dirty: bool) -> Self {
+    pub(crate) fn from_parts(geometry: G, forest: Forest) -> Self {
         let regions = (0..geometry.elements().count()).map(|i| geometry.regions(i));
         DualIndex {
             regions: regions.collect(),
             geometry,
             forest,
-            dirty,
         }
     }
 
     /// Pages owned by the index (the space metric of Figure 10).
     pub fn page_count(&self) -> u64 {
         self.forest.page_count()
-    }
-
-    /// `true` when updates have *loosened* the handicaps since the last
-    /// rebuild. T2 queries remain correct either way (incremental
-    /// maintenance is conservative); a
-    /// [`refresh_handicaps`](Self::refresh_handicaps) re-tightens them and
-    /// restores the best second-sweep bounds.
-    ///
-    /// Only the 2-D catalog entry persists the flag (and is its one reader);
-    /// a d-D index says `true` after every reopen, whatever its handicaps.
-    pub fn needs_refresh(&self) -> bool {
-        self.dirty
     }
 
     /// Adds one tuple to every tree and folds its reach over every handicap
@@ -466,7 +452,6 @@ impl<G: SlopeGeometry> DualIndex<G> {
                 self.forest.fold_handicaps(pager, i, *side, keys, reach)?;
             }
         }
-        self.dirty = true; // loose, not invalid
         Ok(())
     }
 
@@ -479,7 +464,6 @@ impl<G: SlopeGeometry> DualIndex<G> {
         id: u32,
         tuple: &GeneralizedTuple,
     ) -> Result<bool, CdbError> {
-        self.dirty = true; // loose, not invalid
         let elements = self.geometry.elements();
         Ok(self.forest.remove(pager, elements, id, tuple)?)
     }
@@ -513,7 +497,6 @@ impl<G: SlopeGeometry> DualIndex<G> {
             }
             self.forest.assign_handicaps(pager, i, &keys, &reaches)?;
         }
-        self.dirty = false;
         Ok(())
     }
 
@@ -1013,13 +996,11 @@ mod tests {
         ) {
             let mut pager = MemPager::paper_1999();
             let mut idx = DualIndex::build(&mut pager, geometry, &pairs).unwrap();
-            assert!(!idx.needs_refresh(), "{what}: built tight");
             for (id, t) in (5000u32..).zip(late) {
+                // (2-D: `insert_then_query_after_refresh`.)
                 idx.insert(&mut pager, id, &t).unwrap();
                 pairs.push((id, t));
             }
-            // (2-D: `insert_then_query_after_refresh`.)
-            assert!(idx.needs_refresh(), "{what}: updates loosen the handicaps");
             let (gone, kept): (Vec<_>, Vec<_>) = pairs.into_iter().partition(|(id, _)| id % 4 == 1);
             for (id, t) in &gone {
                 // (2-D: `remove_then_query`; d-D: `insert_remove_round_trip`.)
@@ -1062,7 +1043,6 @@ mod tests {
             };
             let loose = candidates(&idx, &pager, "after churn");
             idx.refresh_handicaps(&mut pager, &kept).unwrap();
-            assert!(!idx.needs_refresh(), "{what}: refreshed");
             let tight = candidates(&idx, &pager, "after refresh");
             assert!(
                 tight.iter().zip(&loose).all(|(t, l)| t <= l),

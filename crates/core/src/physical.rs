@@ -297,7 +297,7 @@ impl Operator for IndexScanOp<'_> {
         self.check()?;
         let forced = self.strategy.forced();
         let methods = self.rel.access_methods(self.page_size);
-        let (method, plan) = Planner::choose(&methods, &self.sel, self.exact, forced, true)?;
+        let (method, plan) = Planner::choose(&methods, &self.sel, self.exact, forced)?;
         let source = self.rel.tuple_source();
         let mut result = method.execute(self.reader, &self.sel, &plan.case, self.exact, &source)?;
         // Booked under the search that ran, not the label that won.
@@ -340,8 +340,7 @@ impl Operator for IndexScanOp<'_> {
     fn describe(&mut self) -> Result<(), CdbError> {
         self.check()?;
         let methods = self.rel.access_methods(self.page_size);
-        // `explore = false`: EXPLAIN is deterministic and side-effect free.
-        let (_, plan) = Planner::choose(&methods, &self.sel, self.exact, None, false)?;
+        let (_, plan) = Planner::choose(&methods, &self.sel, self.exact, None)?;
         self.plan = Some(plan);
         Ok(())
     }

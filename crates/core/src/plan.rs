@@ -16,8 +16,9 @@
 //!   allocation per query.
 //! * [`Planner`] — enumerates the feasible methods, scores each with the
 //!   paper-shaped I/O formulas evaluated at a candidate fraction seeded from
-//!   a small feedback catalog ([`PlanCatalog`]) of observed per-plan
-//!   [`QueryStats`], and returns the cheapest as a [`QueryPlan`].
+//!   a small lock-free feedback table ([`PlanCatalog`]) of observed
+//!   per-search candidate fractions, and returns the cheapest as a
+//!   [`QueryPlan`].
 //! * [`QueryPlan::explain`] / [`ExplainReport`] — render chosen method,
 //!   estimated vs actual page accesses, routing case and refinement mode.
 //!   The case and every rejection reason are plain data until then:
@@ -34,15 +35,12 @@
 //! overshoot) and duplicate-free candidates; the restricted technique
 //! refines only the f32 boundary band, so its heap cost is near zero.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use cdb_btree::layout::leaf_capacity;
 use cdb_geometry::constraint::RelOp;
-use cdb_storage::codec::{self, finite};
-use cdb_storage::{CodecError, PageReader, RecordReader, RecordWriter, TrackedReader, Wire};
+use cdb_storage::{PageReader, TrackedReader};
 
 use crate::error::CdbError;
 use crate::index::ddim::DualIndexD;
@@ -75,17 +73,6 @@ pub const SIMPLEX_LEG_OVERSHOOT: f64 = 0.06;
 
 /// EWMA weight of the newest observation in the feedback catalog.
 const EWMA_ALPHA: f64 = 0.3;
-
-/// A rival access method whose estimate is within this factor of the
-/// incumbent's counts as a near-tie and is eligible for an exploration
-/// probe.
-const NEAR_TIE_RATIO: f64 = 1.2;
-
-/// Every `PROBE_PERIOD`-th executed query with a near-tie is served by the
-/// least-sampled rival instead of the incumbent, so the rival's observed
-/// candidate fraction stays calibrated instead of one method locking in
-/// forever on stale feedback.
-const PROBE_PERIOD: u64 = 16;
 
 /// Identifies an access method independent of its borrowed adapter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -711,120 +698,61 @@ impl AccessMethods<'_> {
 
 // ------------------------------------------------------------------ catalog
 
-/// One EWMA-smoothed feedback entry of the [`PlanCatalog`].
-#[derive(Clone, Copy, Debug)]
-pub struct Observation {
-    /// Smoothed candidates / n.
-    pub candidate_frac: f64,
-    /// Smoothed total page accesses.
-    pub total_pages: f64,
-    /// Number of executions folded in.
-    pub samples: u64,
-}
-
-cdb_storage::wire_struct!(Observation { candidate_frac as finite, total_pages as finite, samples });
+/// Every method, in the order of its [`PlanCatalog`] row.
+const METHODS: [MethodKind; 6] = [
+    MethodKind::Restricted,
+    MethodKind::T1,
+    MethodKind::T2,
+    MethodKind::DualD,
+    MethodKind::SeqScan,
+    MethodKind::RPlus,
+];
 
 /// Per-(method, selection-kind) feedback from executed queries: the planner
 /// seeds its cost formulas with the observed candidate fraction, so
 /// estimates tighten as the engine serves traffic.
 ///
-/// Interior-mutable (a mutex around a small map) so concurrent batch
-/// workers can record through a shared `&self`.
-#[derive(Debug, Default)]
-pub struct PlanCatalog {
-    inner: Mutex<HashMap<(MethodKind, SelectionKind), Observation>>,
-    /// Bumped on every [`record`](Self::record); the database uses it to
-    /// detect planner-state changes behind `&self` queries, so a catalog
-    /// checkpoint is written only when something actually moved.
-    version: AtomicU64,
-    /// Monotone counter driving the exploration probes (persisted so a
-    /// reopened database keeps its probe cadence).
-    probe_clock: AtomicU64,
-}
+/// A cache, not state: one EWMA per `[MethodKind][SelectionKind]` slot, its
+/// `f64` bits in a relaxed atomic (NaN until the first observation), so any
+/// number of readers record through `&self` without a lock. Nothing
+/// persists it — a reopened database plans cold — and a relation shares it,
+/// behind an `Arc`, with every snapshot taken of it.
+#[derive(Debug)]
+pub struct PlanCatalog([[AtomicU64; 2]; 6]);
 
-impl Clone for PlanCatalog {
-    /// Deep copy of the feedback state (for database snapshots). The
-    /// clone's counters continue independently; feedback recorded against
-    /// a snapshot is not folded back into the live catalog.
-    fn clone(&self) -> Self {
-        PlanCatalog {
-            inner: Mutex::new(self.inner.lock().expect("catalog poisoned").clone()),
-            version: AtomicU64::new(self.version()),
-            probe_clock: AtomicU64::new(self.probe_clock()),
-        }
-    }
-}
-
-/// The probe clock, then [`entries`](PlanCatalog::entries) as a counted
-/// list. A restored catalog starts at version 0.
-impl Wire for PlanCatalog {
-    fn put(&self, w: &mut RecordWriter) {
-        self.probe_clock().put(w);
-        self.entries().put(w)
-    }
-    fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
-        let probe_clock = u64::get(r)?;
-        let entries = Vec::<(MethodKind, SelectionKind, Observation)>::get(r)?;
-        Ok(PlanCatalog {
-            inner: Mutex::new(entries.into_iter().map(|(m, k, o)| ((m, k), o)).collect()),
-            version: AtomicU64::new(0),
-            probe_clock: AtomicU64::new(probe_clock),
-        })
+impl Default for PlanCatalog {
+    fn default() -> Self {
+        let unobserved = |_| AtomicU64::new(f64::NAN.to_bits());
+        PlanCatalog(std::array::from_fn(|_| std::array::from_fn(unobserved)))
     }
 }
 
 impl PlanCatalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshot of every entry, ordered by the persisted method and kind
-    /// tags (deterministic, for serialization and reproducible diffs).
-    pub fn entries(&self) -> Vec<(MethodKind, SelectionKind, Observation)> {
-        let map = self.inner.lock().expect("catalog poisoned");
-        let mut out: Vec<_> = map.iter().map(|(&(m, k), &o)| (m, k, o)).collect();
-        out.sort_by_cached_key(|&(m, k, _)| codec::encode(&(m, k)));
-        out
-    }
-
-    /// Number of [`record`](Self::record) calls since construction.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Relaxed)
-    }
-
-    /// The exploration probe clock (see [`Planner::choose`]).
-    pub fn probe_clock(&self) -> u64 {
-        self.probe_clock.load(Ordering::Relaxed)
-    }
-
-    /// Advances the probe clock, returning the new tick value.
-    fn probe_tick(&self) -> u64 {
-        self.probe_clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Folds one executed query's actuals into the catalog.
+    /// Folds one executed query's candidate fraction into its slot.
     pub fn record(&self, method: MethodKind, kind: SelectionKind, stats: &QueryStats, n: u64) {
         if n == 0 {
             return;
         }
-        self.version.fetch_add(1, Ordering::Relaxed);
         let frac = stats.candidates as f64 / n as f64;
-        let pages = stats.total_accesses() as f64;
-        let mut map = self.inner.lock().expect("catalog poisoned");
-        let e = map.entry((method, kind)).or_insert(Observation {
-            candidate_frac: frac,
-            total_pages: pages,
-            samples: 0,
-        });
-        e.candidate_frac = EWMA_ALPHA * frac + (1.0 - EWMA_ALPHA) * e.candidate_frac;
-        e.total_pages = EWMA_ALPHA * pages + (1.0 - EWMA_ALPHA) * e.total_pages;
-        e.samples += 1;
+        let fold = |bits: u64| {
+            let old = f64::from_bits(bits);
+            let old = if old.is_nan() { frac } else { old };
+            Some((EWMA_ALPHA * frac + (1.0 - EWMA_ALPHA) * old).to_bits())
+        };
+        let slot = &self.0[method as usize][kind as usize];
+        let _ = slot.fetch_update(Ordering::Relaxed, Ordering::Relaxed, fold);
+    }
+
+    /// The smoothed candidate fraction (candidates / n) observed for one
+    /// pair, if any query of it has run.
+    pub fn observed(&self, method: MethodKind, kind: SelectionKind) -> Option<f64> {
+        let frac = f64::from_bits(self.0[method as usize][kind as usize].load(Ordering::Relaxed));
+        (!frac.is_nan()).then_some(frac)
     }
 
     /// The candidate fraction to evaluate the cost formula of a case that
     /// [runs](PlanCase::runs) `method` at: the method's own observation if
-    /// any, else the mean over same-selection-kind entries (one shared
+    /// any, else the mean over same-selection-kind observations (one shared
     /// fraction keeps the cross-method cost *ordering* intact), else `None`
     /// (caller falls back to [`DEFAULT_SELECTIVITY`]). A sequential scan's
     /// candidates are the whole relation by definition — its fraction of
@@ -832,38 +760,22 @@ impl PlanCatalog {
     pub fn frac_for(&self, method: MethodKind, kind: SelectionKind) -> Option<f64> {
         // Converts observed raw candidates back to a base selectivity: the
         // formulas re-apply each search's duplication factor.
-        let base = |m: MethodKind, o: &Observation| {
+        let base = |m: MethodKind| {
             let divisor = match m {
                 MethodKind::T1 => 2.0,
                 MethodKind::T2 | MethodKind::RPlus => 1.2,
                 _ => 1.0,
             };
-            o.candidate_frac / divisor
+            self.observed(m, kind).map(|frac| frac / divisor)
         };
-        let map = self.inner.lock().expect("catalog poisoned");
-        if let Some(o) = map.get(&(method, kind)) {
-            return Some(base(method, o).clamp(0.0, 1.0));
+        if let Some(own) = base(method) {
+            return Some(own.clamp(0.0, 1.0));
         }
-        let same_kind: Vec<f64> = map
-            .iter()
-            .filter(|((m, k), _)| *k == kind && *m != MethodKind::SeqScan)
-            .map(|((m, _), o)| base(*m, o))
-            .collect();
-        if same_kind.is_empty() {
-            None
-        } else {
-            Some((same_kind.iter().sum::<f64>() / same_kind.len() as f64).clamp(0.0, 1.0))
-        }
-    }
-
-    /// Number of executions recorded for one (method, kind) pair.
-    pub fn samples(&self, method: MethodKind, kind: SelectionKind) -> u64 {
-        self.inner
-            .lock()
-            .expect("catalog poisoned")
-            .get(&(method, kind))
-            .map(|o| o.samples)
-            .unwrap_or(0)
+        let others = METHODS.into_iter().filter(|&m| m != MethodKind::SeqScan);
+        let (sum, count) = others
+            .filter_map(base)
+            .fold((0.0, 0), |(sum, count), f| (sum + f, count + 1));
+        (count > 0).then(|| (sum / count as f64).clamp(0.0, 1.0))
     }
 }
 
@@ -884,9 +796,6 @@ pub struct QueryPlan {
     pub estimate: CostEstimate,
     /// The candidate fraction the estimates were evaluated at.
     pub frac: f64,
-    /// `true` when the method was picked as an exploration probe of a
-    /// near-tie rival rather than as the cheapest estimate.
-    pub explored: bool,
     /// Every feasible method with its estimate, cheapest first.
     pub considered: Vec<(MethodKind, CostEstimate)>,
     /// Methods that cannot serve this selection, with reasons.
@@ -901,13 +810,7 @@ impl QueryPlan {
         out.push_str(&format!(
             "method={} ({})  case: {}\n",
             self.method,
-            if self.forced {
-                "forced"
-            } else if self.explored {
-                "cost-based, exploration probe"
-            } else {
-                "cost-based"
-            },
+            if self.forced { "forced" } else { "cost-based" },
             self.case
         ));
         out.push_str(&format!("  refinement: {}\n", self.case.refinement()));
@@ -947,13 +850,8 @@ impl Planner {
     /// costed at the candidate fraction observed for the search the case
     /// [runs](PlanCase::runs) — and, when `exact` is not the selection's
     /// own predicate, with every candidate of a member case fetched: its
-    /// keys decide nothing then. With `explore` set (queries that will
-    /// actually execute), every `PROBE_PERIOD`-th decision with a near-tie
-    /// — a rival running another search than the incumbent's, estimated
-    /// within `NEAR_TIE_RATIO` of it — picks the rival with the fewest
-    /// recorded samples instead, keeping its observed candidate fraction
-    /// calibrated. Pure planning calls (EXPLAIN-style) pass `false` so they
-    /// are side-effect-free and deterministic.
+    /// keys decide nothing then. Planning reads the feedback catalog and
+    /// changes nothing.
     ///
     /// # Errors
     /// [`CdbError::NoIndex`] when `forced` names a method whose index the
@@ -965,7 +863,6 @@ impl Planner {
         sel: &Selection,
         exact: Exact,
         forced: Option<MethodKind>,
-        explore: bool,
     ) -> Result<(&'m dyn AccessMethod, QueryPlan), CdbError> {
         let (relation, ctx) = (methods.seq_scan.relation, methods.seq_scan.ctx);
         let catalog = relation.catalog();
@@ -991,7 +888,6 @@ impl Planner {
                 .partial_cmp(&b.2.total())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let mut explored = false;
         let chosen = match forced {
             Some(k) => routed
                 .iter()
@@ -1002,32 +898,17 @@ impl Planner {
                     }
                     None => CdbError::NoIndex(relation.name().into()),
                 })?,
-            None => {
-                if routed.is_empty() {
-                    let reasons: Vec<String> = rejected
-                        .iter()
-                        .map(|(m, why)| format!("{m}: {why}"))
-                        .collect();
-                    return Err(CdbError::UnsupportedQuery(format!(
-                        "no access method supports this selection ({})",
-                        reasons.join("; ")
-                    )));
-                }
-                let mut pick = 0;
-                if explore && routed.len() > 1 && catalog.probe_tick().is_multiple_of(PROBE_PERIOD)
-                {
-                    let (incumbent, best_total) = (routed[0].1.runs(), routed[0].2.total());
-                    let probe = (1..routed.len())
-                        .filter(|&i| routed[i].1.runs() != incumbent)
-                        .filter(|&i| routed[i].2.total() <= NEAR_TIE_RATIO * best_total)
-                        .min_by_key(|&i| catalog.samples(routed[i].1.runs(), sel.kind));
-                    if let Some(i) = probe {
-                        pick = i;
-                        explored = true;
-                    }
-                }
-                pick
+            None if routed.is_empty() => {
+                let reasons: Vec<String> = rejected
+                    .iter()
+                    .map(|(m, why)| format!("{m}: {why}"))
+                    .collect();
+                return Err(CdbError::UnsupportedQuery(format!(
+                    "no access method supports this selection ({})",
+                    reasons.join("; ")
+                )));
             }
+            None => 0,
         };
         let considered = routed.iter().map(|c| (c.0.kind(), c.2)).collect();
         let (method, case, estimate, frac) = routed.swap_remove(chosen);
@@ -1037,7 +918,6 @@ impl Planner {
             case,
             estimate,
             frac,
-            explored,
             considered,
             rejected,
         };
@@ -1108,7 +988,7 @@ mod tests {
 
     #[test]
     fn catalog_feedback_tightens_frac() {
-        let cat = PlanCatalog::new();
+        let cat = PlanCatalog::default();
         assert_eq!(cat.frac_for(MethodKind::T2, SelectionKind::Exist), None);
         let stats = QueryStats {
             candidates: 120,
@@ -1119,7 +999,9 @@ mod tests {
             .frac_for(MethodKind::T2, SelectionKind::Exist)
             .expect("recorded");
         assert!((f - 0.1).abs() < 1e-9, "0.12 observed / 1.2 divisor, {f}");
-        assert_eq!(cat.samples(MethodKind::T2, SelectionKind::Exist), 1);
+        let seen = cat.observed(MethodKind::T2, SelectionKind::Exist);
+        assert!(seen.is_some_and(|o| (o - 0.12).abs() < 1e-12), "{seen:?}");
+        assert_eq!(cat.observed(MethodKind::T1, SelectionKind::Exist), None);
         // Same-kind fallback for a method with no entry of its own.
         let g = cat
             .frac_for(MethodKind::T1, SelectionKind::Exist)
@@ -1141,26 +1023,5 @@ mod tests {
         // And a catalog holding nothing but scans has no data to offer.
         cat.record(MethodKind::SeqScan, SelectionKind::All, &scanned, 1000);
         assert_eq!(cat.frac_for(MethodKind::T2, SelectionKind::All), None);
-    }
-
-    #[test]
-    fn catalog_entries_round_trip() {
-        let cat = PlanCatalog::new();
-        let stats = QueryStats {
-            candidates: 120,
-            ..QueryStats::default()
-        };
-        cat.record(MethodKind::T2, SelectionKind::Exist, &stats, 1000);
-        cat.record(MethodKind::RPlus, SelectionKind::All, &stats, 1000);
-        assert_eq!(cat.version(), 2, "each record bumps the version");
-        let entries = cat.entries();
-        assert_eq!(entries.len(), 2);
-        let restored: PlanCatalog = codec::decode(&codec::encode(&cat)).unwrap();
-        assert_eq!(restored.version(), 0, "a restored catalog starts clean");
-        assert_eq!(restored.probe_clock(), cat.probe_clock());
-        for (m, k, o) in &entries {
-            assert_eq!(restored.frac_for(*m, *k), cat.frac_for(*m, *k));
-            assert_eq!(restored.samples(*m, *k), o.samples);
-        }
     }
 }

@@ -64,9 +64,9 @@ pub struct ReadSurface<P> {
 /// copied pages and never touches these.
 ///
 /// `Send + Sync`: one snapshot can serve any number of reader threads.
-/// Planner feedback recorded during snapshot queries lands in the
-/// snapshot's cloned catalog and is discarded with it — observation
-/// continuity belongs to the live engine.
+/// Each relation's planner feedback table is shared with the live engine
+/// (see [`Relation`]): what a snapshot's queries observe, the engine and
+/// every later snapshot plan with.
 pub type Snapshot = ReadSurface<Box<dyn SnapshotReader>>;
 
 impl<P: PageSource> ReadSurface<P> {
@@ -153,9 +153,8 @@ impl<P: PageSource> ReadSurface<P> {
             .map(|(_, r)| r)
     }
 
-    /// Plans a selection without executing it (no probe ticks): which
-    /// access method the planner would choose, its cost estimate, and why
-    /// the others lost.
+    /// Plans a selection without executing it: which access method the
+    /// planner would choose, its cost estimate, and why the others lost.
     pub fn plan_query(&self, name: &str, sel: &Selection) -> Result<QueryPlan, CdbError> {
         let mut op = IndexScanOp::new(
             self.relation(name)?,
@@ -462,6 +461,28 @@ mod tests {
             got[0].as_ref().unwrap().ids(),
             got[2].as_ref().unwrap().ids()
         );
+    }
+
+    /// Feedback a snapshot's query records is the relation's: the live
+    /// engine plans with it, and so does a snapshot published after the
+    /// next write.
+    #[test]
+    fn snapshot_feedback_reaches_the_engine_and_later_snapshots() {
+        use crate::plan::DEFAULT_SELECTIVITY;
+        let (mut db, tuples) = testbed(600, 59);
+        let sel = Selection::exist(HalfPlane::above(0.3, 0.0));
+        let frac = |plan: Result<QueryPlan, CdbError>| plan.unwrap().frac;
+        assert_eq!(frac(db.plan_query("r", &sel)), DEFAULT_SELECTIVITY);
+        let snap = db.snapshot().unwrap();
+        snap.query("r", sel.clone()).unwrap();
+        let learned = frac(db.plan_query("r", &sel));
+        assert_ne!(learned, DEFAULT_SELECTIVITY, "the engine plans with it");
+        assert_eq!(frac(snap.plan_query("r", &sel)), learned);
+        db.insert("r", tuples[0].clone()).unwrap();
+        let later = db.snapshot().unwrap();
+        let now = frac(db.plan_query("r", &sel));
+        assert_ne!(now, DEFAULT_SELECTIVITY);
+        assert_eq!(frac(later.plan_query("r", &sel)), now);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! per-kind is behind [`Index`], so the methods here loop over slots.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{HeapFile, PageId, PageReader, Pager, RecordId};
@@ -19,7 +20,7 @@ pub enum RelationHealth {
     /// Every heap and index page read back and verified.
     Healthy,
     /// The heap is intact but the named index structures have unreadable
-    /// pages. Queries keep running on the remaining access methods;
+    /// pages, or were found out of step with the heap. Queries keep running on the remaining access methods;
     /// [`ConstraintDb::rebuild_indexes`](crate::ConstraintDb::rebuild_indexes)
     /// re-derives the corrupt ones from the heap.
     Degraded {
@@ -56,7 +57,7 @@ impl std::fmt::Display for RelationHealth {
 }
 
 impl RelationHealth {
-    fn is_corrupt(&self, kind: IndexKind) -> bool {
+    pub(crate) fn is_corrupt(&self, kind: IndexKind) -> bool {
         matches!(self, RelationHealth::Degraded { corrupt_indexes }
             if corrupt_indexes.iter().any(|c| c == kind.name()))
     }
@@ -94,12 +95,14 @@ cdb_storage::wire_struct!(RelationStats {
 });
 
 /// A stored generalized relation: tuples in a heap file, its built
-/// indexes, and the planner's per-relation feedback catalog.
+/// indexes, and the planner's per-relation feedback table.
 ///
-/// `Clone` copies the in-memory descriptors (slot table, tree roots,
-/// catalog EWMAs) but not the pages themselves — a clone paired with a
-/// frozen [`cdb_storage::SnapshotReader`] view of the pager is exactly what a
-/// [`Snapshot`](crate::Snapshot) serves queries from.
+/// `Clone` copies the in-memory descriptors (slot table, tree roots) but
+/// not the pages themselves — a clone paired with a frozen
+/// [`cdb_storage::SnapshotReader`] view of the pager is exactly what a
+/// [`Snapshot`](crate::Snapshot) serves queries from. The clone *shares*
+/// the [`PlanCatalog`]: what a query on any snapshot observes reaches the
+/// engine and every later snapshot.
 #[derive(Clone)]
 pub struct Relation {
     pub(crate) name: String,
@@ -112,9 +115,10 @@ pub struct Relation {
     pub(crate) live: u64,
     /// Built indexes; slot `kind as usize` holds the index of that kind.
     pub(crate) indexes: [Option<Index>; 3],
-    pub(crate) catalog: PlanCatalog,
-    /// Verdict of the last verification pass (always `Healthy` for
-    /// relations born in memory; set by `open` for file-backed ones).
+    /// Planner feedback: in memory only, shared with every clone.
+    catalog: Arc<PlanCatalog>,
+    /// Verdict of the last verification pass, with the indexes flagged
+    /// corrupt since (persisted, so a flag survives checkpoint + reopen).
     pub(crate) health: RelationHealth,
 }
 
@@ -129,7 +133,7 @@ impl Relation {
             by_record: HashMap::new(),
             live: 0,
             indexes: [None, None, None],
-            catalog: PlanCatalog::new(),
+            catalog: Arc::default(),
             health: RelationHealth::Healthy,
         }
     }
@@ -170,7 +174,8 @@ impl Relation {
         self.built(IndexKind::Dual).and_then(Index::as_dual)
     }
 
-    /// The planner's feedback catalog for this relation.
+    /// The planner's feedback table for this relation, shared with every
+    /// snapshot of it.
     pub fn catalog(&self) -> &PlanCatalog {
         &self.catalog
     }
@@ -310,7 +315,8 @@ impl Relation {
     /// One verification pass: reads every page the relation owns through
     /// the checksumming pager. The heap decides quarantine — it is the
     /// ground truth every index rebuild needs; unreadable index pages only
-    /// degrade the relation.
+    /// degrade the relation, as does an index already flagged corrupt
+    /// (well-formed stale pages pass every checksum).
     pub(crate) fn verify(&self, pager: &dyn PageReader) -> RelationHealth {
         let mut buf = vec![0u8; pager.page_size()];
         for &p in self.heap.pages() {
@@ -320,9 +326,11 @@ impl Relation {
                 };
             }
         }
+        let corrupt =
+            |k: IndexKind, i: &Index| self.health.is_corrupt(k) || i.verify(pager).is_err();
         let corrupt_indexes: Vec<String> = IndexKind::ALL
             .into_iter()
-            .filter(|&k| self.built(k).is_some_and(|i| i.verify(pager).is_err()))
+            .filter(|&k| self.built(k).is_some_and(|i| corrupt(k, i)))
             .map(|k| k.name().to_string())
             .collect();
         if corrupt_indexes.is_empty() {
@@ -402,13 +410,12 @@ impl Relation {
     /// changed; the heap is the truth, so the change stands whatever the
     /// indexes do. A step answering `false` (the index did not hold the
     /// entry it should: a dangling id would surface as `NoSuchTuple` in the
-    /// middle of a query) flags the index corrupt. A step that *fails* has
-    /// changed some of the index's pages and not others, and the flag would
-    /// not survive a checkpoint and reopen — it lives in memory, and `open`
-    /// verifies checksums, which well-formed stale pages pass. That index
-    /// is dropped, as after a failed [`build_index`](Self::build_index),
-    /// its pages freed as far as they can be walked. Every index gets its
-    /// step; the first error is returned.
+    /// middle of a query) flags the index corrupt; the catalog persists the
+    /// flag. A step that *fails* has changed some of the index's pages and
+    /// not others: that index is dropped, as after a failed
+    /// [`build_index`](Self::build_index), its pages freed as far as they
+    /// can be walked. Every index gets its step; the first error is
+    /// returned.
     fn maintained(
         &mut self,
         pager: &mut dyn Pager,
@@ -564,7 +571,7 @@ mod tests {
     ) -> Result<(MethodKind, Vec<u32>), CdbError> {
         let rel = db.relation("r")?;
         let methods = rel.access_methods(db.config.page_size);
-        let (method, plan) = Planner::choose(&methods, sel, Exact::Selection, forced, false)?;
+        let (method, plan) = Planner::choose(&methods, sel, Exact::Selection, forced)?;
         let source = rel.tuple_source();
         let result = method.execute(db.reader(), sel, &plan.case, Exact::Selection, &source)?;
         Ok((plan.method, result.ids().to_vec()))

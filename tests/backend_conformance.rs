@@ -277,7 +277,31 @@ fn shell_renders_the_same_text_local_and_remote() {
         "save",
         "fsck",
     ];
-    for line in lines {
+    // What executed reads taught the planner outlives the write after
+    // them: the remote reads ran on a snapshot the write replaced.
+    let boxes = (0..40).map(|i| {
+        let (x, y) = ((i * 37) % 100 - 50, (i * 53) % 100 - 50);
+        format!(
+            "insert b x >= {x} && x <= {} && y >= {y} && y <= {}",
+            x + 4,
+            y + 3
+        )
+    });
+    let feedback = std::iter::once("create b 2".to_string())
+        .chain(boxes)
+        .chain(
+            [
+                "index b 4",
+                "rplus b 1.0",
+                "all b y <= 0.3x + 10",
+                "all b y <= 0.3x + 12",
+                "insert b x >= 1 && x <= 2 && y >= 1 && y <= 2",
+                "explain all b y <= 0.3x + 11",
+            ]
+            .map(String::from),
+        );
+    for line in lines.map(String::from).into_iter().chain(feedback) {
+        let line = line.as_str();
         let l = run_command(&mut local, line);
         let r = run_command(&mut remote, line);
         assert!(l.is_ok(), "local `{line}`: {l:?}");

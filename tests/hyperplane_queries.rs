@@ -168,7 +168,7 @@ impl TupleSource for HeapReplica {
 /// shared reader, so a line query running beside another one booked the
 /// other's heap reads into its own `heap_io` window.
 ///
-/// Line queries are planned, and the planner learns and probes: which
+/// Line queries are planned, and the planner learns from feedback: which
 /// search serves a line depends on how the two threads interleave, but what
 /// one search reads for one line does not. The reference is therefore
 /// total — every line under every search the relation can route it to

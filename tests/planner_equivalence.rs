@@ -376,9 +376,21 @@ fn feedback_is_booked_under_the_search_that_ran() {
         let r = db.query("r", Selection::exist(hp)).unwrap();
         assert_eq!(r.stats.method, Some(MethodKind::Restricted), "query {i}");
     }
-    let entries = db.relation("r").unwrap().catalog().entries();
-    let booked: Vec<(MethodKind, u64)> = entries.iter().map(|(m, _, o)| (*m, o.samples)).collect();
-    assert_eq!(booked, [(MethodKind::Restricted, 256)]);
+    let catalog = db.relation("r").unwrap().catalog();
+    let methods = [
+        MethodKind::Restricted,
+        MethodKind::T1,
+        MethodKind::T2,
+        MethodKind::DualD,
+        MethodKind::SeqScan,
+        MethodKind::RPlus,
+    ];
+    let booked: Vec<(MethodKind, SelectionKind)> = methods
+        .iter()
+        .flat_map(|&m| [(m, SelectionKind::Exist), (m, SelectionKind::All)])
+        .filter(|&(m, k)| catalog.observed(m, k).is_some())
+        .collect();
+    assert_eq!(booked, [(MethodKind::Restricted, SelectionKind::Exist)]);
     // Forced T1/T2 at a member slope still answer — by that same search.
     let sel = Selection::exist(HalfPlane::above(slopes.get(2), 5.0));
     let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
@@ -392,8 +404,10 @@ fn feedback_is_booked_under_the_search_that_ran() {
     let r = db.query_with("r", wrapped, Strategy::T2).unwrap();
     assert_eq!(r.stats.method, Some(MethodKind::T1));
     let catalog = db.relation("r").unwrap().catalog();
-    assert_eq!(catalog.samples(MethodKind::T1, SelectionKind::Exist), 1);
-    assert_eq!(catalog.samples(MethodKind::T2, SelectionKind::Exist), 0);
+    assert!(catalog
+        .observed(MethodKind::T1, SelectionKind::Exist)
+        .is_some());
+    assert_eq!(catalog.observed(MethodKind::T2, SelectionKind::Exist), None);
 }
 
 /// Batches through `query_batch` plan per-query exactly like the
