@@ -64,15 +64,19 @@ grep_audit() {
 
 # The audit that keeps "a selection is routed once" a gate, over the
 # engine crate: the bracket rule and the slope-point lookups each have one
-# call site — `AccessMethod::route`'s two bodies — the `Capability`
-# descriptor routing used to be duplicated in stays gone, and `Strategy`
-# variants are matched only where `Strategy::forced` converts them.
+# call site — `AccessMethod::route`'s two bodies — every slope-point set is
+# routed to its nearest element's cell (no engine path searches for a
+# covering simplex, and the grid special case stays gone), the
+# `Capability` descriptor routing used to be duplicated in stays gone, and
+# `Strategy` variants are matched only where `Strategy::forced` converts
+# them.
 one_router() {
   grep_audit one-router crates/core/src <<'RULES'
 1|a .bracket( call|slopes.rs|\.bracket\(
-1|a .containing_simplex( call|-|\.containing_simplex\(
-1|a .nearest_grid( call|-|\.nearest_grid\(
+0|.containing_simplex( calls|-|\.containing_simplex\(
+1|one nearest-element routing call|-|\.nearest\(
 1|a slope-point .position( call|-|points(\(\))?\.position\(
+0|names of the grid special case|-|grid_axes|is_grid|nearest_grid|cell_widths|cell_corners|GridCell
 0|mentions of Capability|-|(^|[^A-Za-z0-9_])Capability([^A-Za-z0-9_]|$)
 0|matches on Strategy variants|query.rs|Strategy::[A-Za-z0-9]+[^;]*=>|\| *Strategy::
 RULES

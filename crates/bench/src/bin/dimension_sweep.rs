@@ -3,15 +3,22 @@
 //! deal with single values".
 //!
 //! The d-dimensional index ([`cdb_core::ddim::DualIndexD`]) is measured for
-//! d ∈ {2, 3, 4} on random boxes: technique T2 over grid cells (the default
-//! for grid slope sets) and the d-search simplex covering (generalized T1),
-//! against the sequential-scan baseline (the R⁺-tree baseline is 2-D only —
-//! and no R-tree variant stores the unbounded objects the dual index
-//! handles natively).
+//! d ∈ {2, 3, 4} on random boxes: technique T2 over the Voronoi cells of a
+//! grid slope set (what the index routes an arbitrary slope to) and the
+//! d-search simplex covering (generalized T1, as an ablation), against the
+//! sequential-scan baseline (the R⁺-tree baseline is 2-D only — and no
+//! R-tree variant stores the unbounded objects the dual index handles
+//! natively). A second table repeats T2 over random slope-point sets of
+//! `d` points and of the grid's size, next to the grid's T2 on the same
+//! slopes and to what serves those slopes without cells: the covering for
+//! slopes inside the set's hull, the scan for slopes in its box but outside
+//! the hull.
 //!
 //! ```text
 //! cargo run --release -p cdb-bench --bin dimension_sweep [--quick]
 //! ```
+
+use std::collections::HashMap;
 
 use cdb_core::ddim::{DualIndexD, SlopePoints};
 use cdb_core::index::Exact;
@@ -23,6 +30,9 @@ use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_prng::StdRng;
 use cdb_storage::{MemPager, PageReader};
+
+/// Queries per dimension and slope set, alternately EXIST and ALL.
+const QUERIES: usize = 12;
 
 fn random_boxes(dim: usize, n: usize, seed: u64) -> Vec<(u32, GeneralizedTuple)> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -42,6 +52,154 @@ fn random_boxes(dim: usize, n: usize, seed: u64) -> Vec<(u32, GeneralizedTuple)>
         .collect()
 }
 
+/// Query `qi` at `slope`: EXIST (≥) on even, ALL (≤) on odd queries, with
+/// intercepts hitting ~10-15% selectivity on uniform boxes.
+fn query(qi: usize, slope: Vec<f64>, rng: &mut StdRng) -> Selection {
+    let exist = qi.is_multiple_of(2);
+    let b = rng.gen_range(20.0..35.0) * if exist { 1.0 } else { -1.0 };
+    let (kind, op) = if exist {
+        (SelectionKind::Exist, RelOp::Ge)
+    } else {
+        (SelectionKind::All, RelOp::Le)
+    };
+    Selection {
+        kind,
+        halfplane: HalfPlane::new(slope, b, op),
+    }
+}
+
+/// Page accesses per selection kind, and the cost model's estimates next
+/// to what the executor did, over one query set.
+#[derive(Default)]
+struct Tally {
+    exist_io: u64,
+    all_io: u64,
+    est_cand: f64,
+    act_cand: f64,
+    est_io: f64,
+    act_io: f64,
+}
+
+impl Tally {
+    /// Mean page accesses of the EXIST and of the ALL queries.
+    fn means(&self) -> (f64, f64) {
+        let per_kind = (QUERIES / 2) as f64;
+        (
+            self.exist_io as f64 / per_kind,
+            self.all_io as f64 / per_kind,
+        )
+    }
+}
+
+/// One index with the relation it is built over.
+struct Bed<'a> {
+    pager: MemPager,
+    access: DualDAccess<'a>,
+    pairs: &'a [(u32, GeneralizedTuple)],
+    lookup: &'a HashMap<u32, GeneralizedTuple>,
+}
+
+impl Bed<'_> {
+    /// Runs every query along `case(sel)`, cross-checks the answer against
+    /// the oracle (a mismatch panics), and tallies its page accesses and
+    /// the cost model's estimate at the query's *true* selectivity.
+    fn measure(&self, queries: &[Selection], case: impl Fn(&Selection) -> PlanCase) -> Tally {
+        let mut tally = Tally::default();
+        let n = self.pairs.len() as f64;
+        for (qi, sel) in queries.iter().enumerate() {
+            let want: Vec<u32> = self
+                .pairs
+                .iter()
+                .filter(|(_, t)| match sel.kind {
+                    SelectionKind::All => predicates::all(&sel.halfplane, t),
+                    SelectionKind::Exist => predicates::exist(&sel.halfplane, t),
+                })
+                .map(|(id, _)| *id)
+                .collect();
+            let case = case(sel);
+            let before = self.pager.stats();
+            let fetch = |_: &dyn PageReader, id: u32| self.lookup[&id].clone();
+            let r = self
+                .access
+                .execute(&self.pager, sel, &case, Exact::Selection, &fetch)
+                .expect("routed query");
+            assert_eq!(r.ids(), want, "query {qi} along {case}");
+            let io = self.pager.stats().since(&before).accesses();
+            if sel.kind == SelectionKind::Exist {
+                tally.exist_io += io;
+            } else {
+                tally.all_io += io;
+            }
+            let est = self.access.estimate(sel, &case, want.len() as f64 / n);
+            tally.est_cand += est.candidates;
+            tally.act_cand += r.stats.candidates as f64;
+            tally.est_io += est.index_pages;
+            tally.act_io += io as f64;
+        }
+        tally
+    }
+}
+
+/// A random slope-point set and queries at slopes in its box: inside its
+/// hull, or outside it.
+struct RandomSet {
+    points: SlopePoints,
+    in_hull: bool,
+    queries: Vec<Selection>,
+}
+
+impl RandomSet {
+    /// Rejection-samples [`QUERIES`] slopes from the bounding box of
+    /// `points`, kept by whether a simplex of them covers the slope.
+    fn draw(points: SlopePoints, in_hull: bool, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD4 ^ u64::from(in_hull));
+        let bounds: Vec<(f64, f64)> = (0..points.dim() - 1)
+            .map(|j| {
+                let along = points.as_slice().iter().map(|p| p[j]);
+                along.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                    (lo.min(v), hi.max(v))
+                })
+            })
+            .collect();
+        let mut slopes = Vec::new();
+        while slopes.len() < QUERIES {
+            let slope: Vec<f64> = bounds
+                .iter()
+                .map(|&(lo, hi)| rng.gen_range(lo..hi))
+                .collect();
+            if points.containing_simplex(&slope).is_some() == in_hull {
+                slopes.push(slope);
+            }
+        }
+        let queries = (0..QUERIES)
+            .map(|qi| query(qi, slopes[qi].clone(), &mut rng))
+            .collect();
+        RandomSet {
+            points,
+            in_hull,
+            queries,
+        }
+    }
+}
+
+/// Builds the index over `points` and hands `run` the bed.
+fn with_bed<R>(
+    points: SlopePoints,
+    pairs: &[(u32, GeneralizedTuple)],
+    lookup: &HashMap<u32, GeneralizedTuple>,
+    ctx: MethodContext,
+    run: impl FnOnce(&Bed<'_>) -> R,
+) -> R {
+    let mut pager = MemPager::paper_1999();
+    let index = DualIndexD::build(&mut pager, points, pairs).unwrap();
+    run(&Bed {
+        pager,
+        access: DualDAccess { index: &index, ctx },
+        pairs,
+        lookup,
+    })
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let n = if quick { 500 } else { 4000 };
@@ -53,124 +211,125 @@ fn main() {
     let mut csv =
         String::from("d,k,t2_exist_accesses,t2_all_accesses,t1_exist,t1_all,scan_accesses\n");
     let mut accuracy: Vec<(usize, f64, f64, f64, f64)> = Vec::new();
+    let mut random_rows: Vec<String> = Vec::new();
+    let mut random_csv = String::from(
+        "d,k,in_hull,grid_t2_exist,grid_t2_all,t2_exist,t2_all,else_exist,else_all,t2_cand_ratio,t2_io_ratio\n",
+    );
     for dim in [2usize, 3, 4] {
         let pairs = random_boxes(dim, n, 0xD1 + dim as u64);
-        let mut pager = MemPager::paper_1999();
         // Keep k comparable across d: a small grid spanning slope space.
         let per_axis = if dim == 2 { 4 } else { 2 };
-        let points = SlopePoints::grid(dim, per_axis, 1.0);
-        let k = points.len();
-        let idx = DualIndexD::build(&mut pager, points, &pairs).unwrap();
-        let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
-            pairs.iter().cloned().collect();
+        let grid = SlopePoints::grid(dim, per_axis, 1.0);
+        let k = grid.len();
+        let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
         // Scan baseline sizing (also the heap size for the cost formulas):
         // every tuple page is read once per query, estimated from record
         // sizes on the paper's 1024-byte pages.
         let rec = pairs[0].1.encode().len() + 4;
         let per_page = (1024 - 4) / rec;
         let scan_pages = n.div_ceil(per_page) as u64;
-        let access = DualDAccess {
-            index: &idx,
-            ctx: MethodContext {
-                n: n as u64,
-                heap_pages: scan_pages,
-                page_size: 1024,
-            },
+        let ctx = MethodContext {
+            n: n as u64,
+            heap_pages: scan_pages,
+            page_size: 1024,
         };
+
+        // Random sets of the fewest points (k = d) and of the grid's k; for
+        // each, slopes inside its hull and — past d = 2, where the hull of
+        // points on a line is their box — slopes in its box but outside the
+        // hull, where no simplex covers and only the scan is left.
+        let random_sets: Vec<RandomSet> = [dim, k]
+            .into_iter()
+            .flat_map(|rk| {
+                let seed = (0xD3 + dim as u64) ^ ((rk as u64) << 8);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let draw: Vec<Vec<f64>> = (0..rk)
+                    .map(|_| (1..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
+                    .collect();
+                let points = SlopePoints::new(dim, draw);
+                let hulls: &[bool] = if dim == 2 { &[true] } else { &[true, false] };
+                hulls
+                    .iter()
+                    .map(|&in_hull| RandomSet::draw(points.clone(), in_hull, seed))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+
         let mut rng = StdRng::seed_from_u64(0xD2 + dim as u64);
-        let mut exist_io = 0u64;
-        let mut all_io = 0u64;
-        let mut t1_exist_io = 0u64;
-        let mut t1_all_io = 0u64;
-        // Planner-validation accumulators: estimated vs observed candidates
-        // and index page accesses, per technique.
-        let (mut t2_est_cand, mut t2_act_cand) = (0.0f64, 0.0f64);
-        let (mut t2_est_io, mut t2_act_io) = (0.0f64, 0.0f64);
-        let (mut t1_est_cand, mut t1_act_cand) = (0.0f64, 0.0f64);
-        let (mut t1_est_io, mut t1_act_io) = (0.0f64, 0.0f64);
-        let queries = 12;
-        for qi in 0..queries {
-            let slope: Vec<f64> = (0..dim - 1).map(|_| rng.gen_range(-0.9..0.9)).collect();
-            // Intercepts hitting ~10-15% selectivity on uniform boxes.
-            let b = rng.gen_range(20.0..35.0) * if qi % 2 == 0 { 1.0 } else { -1.0 };
-            let (kind, op) = if qi % 2 == 0 {
-                (SelectionKind::Exist, RelOp::Ge)
-            } else {
-                (SelectionKind::All, RelOp::Le)
-            };
-            let sel = Selection {
-                kind,
-                halfplane: HalfPlane::new(slope, b, op),
-            };
-            let before = pager.stats();
-            let fetch = |_: &dyn PageReader, id: u32| -> GeneralizedTuple { lookup[&id].clone() };
-            // The grid set routes an in-hull slope to T2 over its cell.
-            let cell = access.route(&sel).expect("in-hull query");
-            let r = access
-                .execute(&pager, &sel, &cell, Exact::Selection, &fetch)
-                .expect("routed query");
-            // Cross-check against the oracle.
-            let want: Vec<u32> = pairs
+        let queries: Vec<Selection> = (0..QUERIES)
+            .map(|qi| {
+                let slope: Vec<f64> = (0..dim - 1).map(|_| rng.gen_range(-0.9..0.9)).collect();
+                query(qi, slope, &mut rng)
+            })
+            .collect();
+        // T2 over the cell a slope routes to; the simplex covering, for
+        // comparison: the same entry points, handed the other case.
+        let cell = |bed: &Bed<'_>, sel: &Selection| {
+            let case = bed.access.route(sel).expect("in-box query");
+            assert!(matches!(case, PlanCase::Cell(_)), "{case}");
+            case
+        };
+        let covering = |bed: &Bed<'_>, sel: &Selection| {
+            let vertices = bed
+                .access
+                .index
+                .points()
+                .containing_simplex(&sel.halfplane.slope);
+            PlanCase::SimplexCovering(vertices.expect("in-hull query"))
+        };
+        let (t2, t1, grid_on_random) = with_bed(grid, &pairs, &lookup, ctx, |bed| {
+            let t2 = bed.measure(&queries, |sel| cell(bed, sel));
+            let t1 = bed.measure(&queries, |sel| covering(bed, sel));
+            let on_random: Vec<Tally> = random_sets
                 .iter()
-                .filter(|(_, t)| match kind {
-                    SelectionKind::All => predicates::all(&sel.halfplane, t),
-                    SelectionKind::Exist => predicates::exist(&sel.halfplane, t),
-                })
-                .map(|(id, _)| *id)
+                .map(|set| bed.measure(&set.queries, |sel| cell(bed, sel)))
                 .collect();
-            assert_eq!(r.ids(), want, "d={dim} query {qi}");
-            let io = pager.stats().since(&before).accesses();
-            if kind == SelectionKind::Exist {
-                exist_io += io;
-            } else {
-                all_io += io;
-            }
-            // Validate the planner's cost model at the query's *true*
-            // selectivity: does the formula predict the observed candidate
-            // count and index I/O?
-            let frac = want.len() as f64 / n as f64;
-            let est = access.estimate(&sel, &cell, frac);
-            t2_est_cand += est.candidates;
-            t2_act_cand += r.stats.candidates as f64;
-            t2_est_io += est.index_pages;
-            t2_act_io += io as f64;
-            // The simplex-covering path, for comparison: the same entry
-            // points, handed the other case.
-            let vertices = idx.points().containing_simplex(&sel.halfplane.slope);
-            let simplex = PlanCase::SimplexCovering(vertices.expect("in-hull query"));
-            let before = pager.stats();
-            let fetch = |_: &dyn PageReader, id: u32| -> GeneralizedTuple { lookup[&id].clone() };
-            let r1 = access
-                .execute(&pager, &sel, &simplex, Exact::Selection, &fetch)
-                .expect("covered query");
-            assert_eq!(r1.ids(), r.ids(), "simplex and T2 agree");
-            let io1 = pager.stats().since(&before).accesses();
-            if kind == SelectionKind::Exist {
-                t1_exist_io += io1;
-            } else {
-                t1_all_io += io1;
-            }
-            let est1 = access.estimate(&sel, &simplex, frac);
-            t1_est_cand += est1.candidates;
-            t1_act_cand += r1.stats.candidates as f64;
-            t1_est_io += est1.index_pages;
-            t1_act_io += io1 as f64;
-        }
-        let e = exist_io as f64 / (queries / 2) as f64;
-        let a = all_io as f64 / (queries / 2) as f64;
-        let e1 = t1_exist_io as f64 / (queries / 2) as f64;
-        let a1 = t1_all_io as f64 / (queries / 2) as f64;
+            (t2, t1, on_random)
+        });
+        let (e, a) = t2.means();
+        let (e1, a1) = t1.means();
         println!("{dim:>4}{k:>8}{e:>14.1}{a:>14.1}{e1:>14.1}{a1:>14.1}{scan_pages:>14}");
         csv.push_str(&format!(
             "{dim},{k},{e:.1},{a:.1},{e1:.1},{a1:.1},{scan_pages}\n"
         ));
         accuracy.push((
             dim,
-            t2_est_cand / t2_act_cand,
-            t2_est_io / t2_act_io,
-            t1_est_cand / t1_act_cand,
-            t1_est_io / t1_act_io,
+            t2.est_cand / t2.act_cand,
+            t2.est_io / t2.act_io,
+            t1.est_cand / t1.act_cand,
+            t1.est_io / t1.act_io,
         ));
+
+        for (set, on_grid) in random_sets.into_iter().zip(grid_on_random) {
+            let (rk, in_hull) = (set.points.len(), set.in_hull);
+            // T2 over the set's cells, and what serves the same slopes
+            // without them: the covering inside the hull, else the scan.
+            let (rt2, (oe, oa)) = with_bed(set.points, &pairs, &lookup, ctx, |bed| {
+                let rt2 = bed.measure(&set.queries, |sel| cell(bed, sel));
+                let other = if in_hull {
+                    bed.measure(&set.queries, |sel| covering(bed, sel)).means()
+                } else {
+                    (scan_pages as f64, scan_pages as f64)
+                };
+                (rt2, other)
+            });
+            let (ge, ga) = on_grid.means();
+            let (re, ra) = rt2.means();
+            let (cand, io) = (rt2.est_cand / rt2.act_cand, rt2.est_io / rt2.act_io);
+            // The grid bound is the target at the grid's own k only.
+            let near_grid = rk != k || (re <= 1.2 * ge && ra <= 1.2 * ga);
+            let met = near_grid && re < oe && ra < oa;
+            let verdict = if met { "met" } else { "not met" };
+            let slopes = if in_hull { "hull/T1" } else { "box/scan" };
+            random_rows.push(format!(
+                "{dim:>4}{rk:>6}{slopes:>10}{ge:>10.1}{ga:>10.1}{re:>10.1}{ra:>10.1}{oe:>10.1}{oa:>10.1}{:>8.2}{:>8.2}{cand:>8.2}{io:>8.2}  {verdict}",
+                (re + ra) / (ge + ga),
+                (re + ra) / (oe + oa),
+            ));
+            random_csv.push_str(&format!(
+                "{dim},{rk},{in_hull},{ge:.1},{ga:.1},{re:.1},{ra:.1},{oe:.1},{oa:.1},{cand:.3},{io:.3}\n"
+            ));
+        }
     }
     println!("\nCost-model accuracy (estimate / actual, 1.0 = perfect):");
     println!(
@@ -186,4 +345,33 @@ fn main() {
     std::fs::write("results/dimension_sweep.csv", csv).expect("write CSV");
     std::fs::write("results/dimension_cost_model.csv", acc_csv).expect("write CSV");
     println!("\nwrote results/dimension_sweep.csv and results/dimension_cost_model.csv");
+
+    println!(
+        "\nRandom slope points (k = d, and the grid's k): T2 over Voronoi cells vs \
+         the grid's T2 on the same slopes vs what serves them without cells —\n\
+         simplex T1 for slopes in the hull, the scan for slopes in the box but \
+         outside the hull\n(target: T2 below that, and ≤ 1.2 × grid at the \
+         grid's k; cost model as estimate / actual)"
+    );
+    println!(
+        "{:>4}{:>6}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>8}{:>8}{:>8}{:>8}",
+        "d",
+        "k",
+        "slopes",
+        "grid EX",
+        "grid ALL",
+        "T2 EX",
+        "T2 ALL",
+        "else EX",
+        "else ALL",
+        "/grid",
+        "/else",
+        "cand",
+        "idx-IO"
+    );
+    for row in &random_rows {
+        println!("{row}");
+    }
+    std::fs::write("results/dimension_random_sets.csv", random_csv).expect("write CSV");
+    println!("\nwrote results/dimension_random_sets.csv");
 }

@@ -57,8 +57,10 @@ const MAGIC: u32 = 0x4344_4243;
 /// Version 3 added the optional partition spec, persisted so a sharded
 /// engine allocates exactly the same tuple ids after a reopen. Version 4
 /// dropped the planner feedback and the reserved strategy, anchor and
-/// handicap-refresh bytes, and added each index's corrupt flag.
-const VERSION: u16 = 4;
+/// handicap-refresh bytes, and added each index's corrupt flag. Version 5
+/// dropped the slope points' grid axes: every point set is routed by the
+/// Voronoi cells of its points.
+const VERSION: u16 = 5;
 
 // ---------------------------------------------------------------- indexes
 
@@ -262,7 +264,7 @@ mod tests {
     /// after churn, R⁺-tree with an unbounded tuple and a tombstone and
     /// flagged corrupt, absent slots, queries whose feedback is not
     /// persisted) and a 3-D relation with a grid `DualIndexD` — the state
-    /// behind `golden/catalog_v4.hex`.
+    /// behind `golden/catalog_v5.hex`.
     fn sample_blob() -> Vec<u8> {
         let cube = |lo: &[f64], side: f64| {
             let mut cs = Vec::new();
@@ -329,7 +331,7 @@ mod tests {
 
     #[test]
     fn golden_bytes_are_those_of_the_format() {
-        let golden = crate::unhex(include_str!("../golden/catalog_v4.hex").trim_end());
+        let golden = crate::unhex(include_str!("../golden/catalog_v5.hex").trim_end());
         assert_eq!(sample_blob(), golden);
         assert_eq!(reencoded(&golden).unwrap(), golden);
         let cat = decode(&golden, 1024).unwrap();
@@ -344,16 +346,25 @@ mod tests {
         let Some(Index::DualD(idx)) = cat.relations["space"].built(IndexKind::DualD) else {
             panic!("the golden state has a 3-D index");
         };
-        assert!(idx.points().is_grid());
+        assert_eq!(idx.points(), &SlopePoints::grid(3, 2, 1.0));
     }
 
-    /// The previous format stays frozen, and is refused as damage: it
-    /// holds bytes version 4 no longer reads.
+    /// The previous formats stay frozen, and are refused as damage: they
+    /// hold bytes version 5 no longer reads.
     #[test]
     fn golden_bytes_of_version_3_are_refused() {
         let v3 = crate::unhex(include_str!("../golden/catalog_v3.hex").trim_end());
         assert_eq!(v3[4..6], 3u16.to_le_bytes());
         assert!(is_corrupt(decode(&v3, 1024)));
+    }
+
+    /// Version 4 still wrote a grid presence byte (and the grid's axes)
+    /// after every slope-point set.
+    #[test]
+    fn golden_bytes_of_version_4_are_refused() {
+        let v4 = crate::unhex(include_str!("../golden/catalog_v4.hex").trim_end());
+        assert_eq!(v4[4..6], 4u16.to_le_bytes());
+        assert!(is_corrupt(decode(&v4, 1024)));
     }
 
     #[test]
@@ -366,6 +377,23 @@ mod tests {
         (1u32, "r".to_string(), 2u32).put(&mut w);
         (0u32, 0u32).put(&mut w); // no heap pages, no slots
         (true, false, u32::MAX).put(&mut w);
+        assert!(is_corrupt(decode(&w.into_bytes(), 1024)));
+    }
+
+    #[test]
+    fn slope_points_past_the_cell_bound_are_corrupt_not_an_abort() {
+        // An 8-D relation whose d-dimensional index claims 8 points: more
+        // cell work than any index may ask for, refused before the trees.
+        let mut w = RecordWriter::new();
+        (MAGIC, VERSION, 0u64).put(&mut w);
+        None::<PartitionSpec>.put(&mut w);
+        (1u32, "r".to_string(), 8u32).put(&mut w);
+        (0u32, 0u32).put(&mut w); // no heap pages, no slots
+        (false, true, false).put(&mut w); // no 2-D index; a healthy d-D one
+        8u32.put(&mut w); // of 8 points
+        for _ in 0..8 {
+            w.put_seq(&[0.5; 7]);
+        }
         assert!(is_corrupt(decode(&w.into_bytes(), 1024)));
     }
 

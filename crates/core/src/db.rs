@@ -1094,7 +1094,7 @@ mod tests {
         use cdb_geometry::predicates::oracle_select;
         use cdb_geometry::RelOp;
 
-        // Grid-cell (T2) searches: `(candidates per query, all ids)`, the
+        // Cell (T2) searches: `(candidates per query, all ids)`, the
         // ids checked against the oracle over `model`.
         let searched = |db: &ConstraintDb, model: &[(u32, GeneralizedTuple)]| {
             let rel = db.relation("boxes").unwrap();
@@ -1112,7 +1112,7 @@ mod tests {
                         let forced = Some(MethodKind::DualD);
                         let (method, plan) =
                             Planner::choose(&methods, &sel, Exact::Selection, forced).unwrap();
-                        assert!(matches!(plan.case, crate::plan::PlanCase::GridCell(_)));
+                        assert!(matches!(plan.case, crate::plan::PlanCase::Cell(_)));
                         let got = method
                             .execute(db.reader(), &sel, &plan.case, Exact::Selection, &source)
                             .unwrap();

@@ -33,7 +33,8 @@ pub enum CdbError {
     /// requested operation.
     NoIndex(String),
     /// The query cannot be handled by the chosen strategy (e.g. a vertical
-    /// query boundary, or a d-dimensional slope outside the hull of `S`).
+    /// query boundary, or a d-dimensional slope outside the bounding box of
+    /// `S`).
     UnsupportedQuery(String),
     /// A stored heap record failed to decode back into a generalized tuple
     /// (truncated or overwritten bytes). Carries the offending tuple id,

@@ -6,34 +6,35 @@
 //! `TOP_P`/`BOT_P` evaluated at that point. Queries whose slope is in `S`
 //! are exact, exactly as in 2-D.
 //!
-//! For an arbitrary slope the paper notes that "d searches against d
-//! different B⁺-trees are sufficient in `E^d`": this module routes to that
-//! generalized T1. The query slope is covered by a simplex of `d` points of
-//! `S`; the `d` app-queries share the point `P = (0, …, 0, b)` on the query
-//! hyperplane, so each app-query keeps the intercept `b` and the original
-//! operator. Covering proof: if a point `x` fails every app-query
-//! (`x_d < sʲ·x' + b` for all `j`), any convex combination with the
-//! barycentric weights of the query slope gives `x_d < s·x' + b`, i.e. `x`
-//! fails the original query too. ALL selections run one ALL app-query plus
-//! `d−1` EXIST app-queries (the Figure 4 argument, unchanged).
+//! Any other slope in the bounding box of `S` takes the d-dimensional
+//! **technique T2**, routed "via the Voronoi partition of S": to its
+//! nearest element, whose handicaps answer for that element's Voronoi cell
+//! clipped to the box. A tuple's *reach* over the cell is the maximum of
+//! `TOP_P` (resp. minimum of `BOT_P`) over the cell's vertices — exact
+//! because the surfaces are convex/concave and the cell is the convex hull
+//! of its vertices. One low/high handicap pair per leaf then drives the
+//! same two-sweep, duplicate-free search as in 2-D. Each cell is cut once
+//! per index from the box by the bisectors of the `3(d−1)` nearest other
+//! elements: a superset of the true cell (so the reaches stay correct, if
+//! looser), and on a grid ([`SlopePoints::grid`]) exactly its box. The
+//! paper's finer per-Voronoi-edge handicaps (`4e` per leaf) are not built.
 //!
-//! For **grid** slope sets ([`SlopePoints::grid`]) the d-dimensional
-//! **technique T2** is also available and is the default: the Voronoi cell
-//! of a grid point is a box, so a tuple's *reach* over the cell is the
-//! maximum of `TOP_P` (resp. minimum of `BOT_P`) over the cell's `2^{d-1}`
-//! corners — exact because the surfaces are convex/concave and the cell is
-//! the convex hull of its corners. One low/high handicap pair per leaf then
-//! drives the same two-sweep, duplicate-free search as in 2-D. (The paper
-//! sketches per-Voronoi-edge handicaps, `4·d` per leaf, for arbitrary point
-//! sets; whole-cell reaches are a correct, slightly looser specialization
-//! that a box grid makes exact.)
+//! Slopes outside the box are rejected — choose `S` to cover the query
+//! workload's slope region. The paper's other route, "d searches against d
+//! different B⁺-trees", stays for ablations only: no route hands out
+//! `PlanCase::SimplexCovering`, which [`containing_simplex`] builds. Its
+//! `d` app-queries share the point `P = (0, …, 0, b)` on the query
+//! hyperplane, so each keeps the intercept `b` and the operator. Covering
+//! proof: if a point `x` fails every app-query (`x_d < sʲ·x' + b` for all
+//! `j`), the convex combination with the barycentric weights of the query
+//! slope gives `x_d < s·x' + b`. ALL runs one ALL app-query plus `d−1`
+//! EXIST app-queries (the Figure 4 argument, unchanged).
 //!
-//! Slopes outside the convex hull of `S` are rejected — choose `S` to cover
-//! the query workload's slope region. The experiments of Section 5 are all
-//! 2-D; `dimension_sweep` exercises this module for the Section 6 claim.
+//! [`containing_simplex`]: SlopePoints::containing_simplex
 
+use cdb_geometry::vertex_enum::{self, Combinations};
 use cdb_geometry::{scalar, simplex};
-use cdb_storage::codec::{get_option, put_option, Finite};
+use cdb_storage::codec::Finite;
 use cdb_storage::{CodecError, RecordReader, RecordWriter, Wire};
 
 use super::{DualIndex, Region, SlopeGeometry};
@@ -44,14 +45,24 @@ use crate::query::{Selection, Side};
 /// (in slope coordinates) a slope may lie and still count as covered.
 const HULL_TOLERANCE: f64 = 1e-9;
 
+/// How far outside the bounding box of `S` a slope may lie and still be
+/// routed to a cell.
+const BOX_TOLERANCE: f64 = 1e-12;
+
+/// Per slope axis, the nearest other elements whose bisectors cut a cell:
+/// `3(d−1)` of them, beside the `2(d−1)` box facets.
+const NEIGHBOURS_PER_AXIS: usize = 3;
+
+/// The most region work a slope-point set may ask for, `k·(k + C(5(d−1),
+/// d−1))`: each of the `k` cells ranks the other elements, then solves
+/// every `(d−1)`-subset of its `5(d−1)` rows.
+const MAX_REGION_WORK: usize = 1 << 22;
+
 /// A predefined set of slope points in `E^{d-1}`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SlopePoints {
     dim: usize, // ambient space dimension d
     points: Vec<Vec<f64>>,
-    /// For grid-constructed sets: the sorted coordinate values per slope
-    /// axis. Point `i` has multi-index `(i / per^j) % per` on axis `j`.
-    grid_axes: Option<Vec<Vec<f64>>>,
 }
 
 /// The write-ahead log's layout: the dimension, then the body.
@@ -66,52 +77,57 @@ impl Wire for SlopePoints {
     }
 }
 
+/// Refuses `k` slope points in `E^{dim−1}` whose cells would cost more
+/// than [`MAX_REGION_WORK`], or need more rows than
+/// [`vertex_enum::MAX_ROWS`] (`d ≤ 7`) — before anything sized by either
+/// is allocated.
+fn check_region_work(dim: usize, k: usize) -> Result<(), &'static str> {
+    let axes = dim - 1;
+    let rows = (2 + NEIGHBOURS_PER_AXIS).saturating_mul(axes);
+    if rows > vertex_enum::MAX_ROWS {
+        return Err("the d-dimensional dual index serves d <= 7");
+    }
+    let subsets = (0..axes).try_fold(1usize, |c, j| Some(c.checked_mul(rows - j)? / (j + 1)));
+    match subsets.and_then(|c| k.checked_add(c)?.checked_mul(k)) {
+        Some(work) if work <= MAX_REGION_WORK => Ok(()),
+        _ => Err("too many slope points for their dimension"),
+    }
+}
+
 impl SlopePoints {
     /// Builds a set of slope points for a `dim`-dimensional space; each
     /// point must have `dim − 1` coordinates.
     ///
     /// # Panics
-    /// Panics on dimension mismatches, non-finite coordinates or fewer
-    /// than `dim` points (a covering simplex needs `d` vertices).
+    /// Panics on `dim < 2`, more cell work than `d ≤ 7` and
+    /// `k·(k + C(5(d−1), d−1)) ≤ 2²²` allow, a point outside `E^(d-1)`, a
+    /// non-finite coordinate, or fewer than `d` points.
     pub fn new(dim: usize, points: Vec<Vec<f64>>) -> Self {
-        Self::try_from_parts(dim, points, None).unwrap_or_else(|why| panic!("{why}"))
+        Self::try_from_parts(dim, points).unwrap_or_else(|why| panic!("{why}"))
     }
 
-    /// The one place a slope-point set is validated, grid axes included —
-    /// for parts from outside the program (a log record, the catalog).
+    /// The one place a slope-point set is validated — for parts from
+    /// outside the program (a log record, the catalog) too.
     ///
     /// # Errors
-    /// The reason: `dim < 2`, a point outside `E^(d-1)`, a non-finite
-    /// coordinate, fewer than `d` points (a covering simplex needs `d`
-    /// vertices), or grid axes that do not index exactly the points.
-    pub(crate) fn try_from_parts(
-        dim: usize,
-        points: Vec<Vec<f64>>,
-        grid_axes: Option<Vec<Vec<f64>>>,
-    ) -> Result<Self, &'static str> {
+    /// The reason: `dim < 2`, more cell work than [`MAX_REGION_WORK`], a
+    /// point outside `E^(d-1)`, a non-finite coordinate, or fewer than `d`
+    /// points.
+    pub(crate) fn try_from_parts(dim: usize, points: Vec<Vec<f64>>) -> Result<Self, &'static str> {
         if dim < 2 {
             return Err("dimension must be at least 2");
         }
+        check_region_work(dim, points.len())?;
         if points.iter().any(|p| p.len() != dim - 1) {
             return Err("slope points live in E^(d-1)");
         }
         if points.len() < dim {
-            return Err("need at least d slope points for simplex covering");
+            return Err("need at least d slope points");
         }
-        if !(points.all_finite() && grid_axes.iter().all(Finite::all_finite)) {
+        if !points.all_finite() {
             return Err("slope coordinates must be finite");
         }
-        if let Some(axes) = &grid_axes {
-            let cells = axes.iter().try_fold(1usize, |n, a| n.checked_mul(a.len()));
-            if axes.len() != dim - 1 || cells != Some(points.len()) {
-                return Err("grid axes must index exactly the slope points");
-            }
-        }
-        Ok(SlopePoints {
-            dim,
-            points,
-            grid_axes,
-        })
+        Ok(SlopePoints { dim, points })
     }
 
     /// A regular grid of `per_axis^(d-1)` points over `[-range, range]` in
@@ -128,7 +144,8 @@ impl SlopePoints {
     ///
     /// # Errors
     /// The reason: `dim < 2`, `per_axis < 2`, a range that is not a positive
-    /// finite number, or a point count beyond `usize`.
+    /// finite number, or more cell work than [`new`](Self::new) allows —
+    /// refused before anything is sized by the point count.
     pub fn try_grid(dim: usize, per_axis: usize, range: f64) -> Result<Self, &'static str> {
         if dim < 2 {
             return Err("the d-dimensional dual index needs a relation of dimension >= 2");
@@ -139,12 +156,14 @@ impl SlopePoints {
         if !(range.is_finite() && range > 0.0) {
             return Err("grid range must be positive");
         }
+        let cells = u32::try_from(dim - 1)
+            .ok()
+            .and_then(|e| per_axis.checked_pow(e));
+        let cells = cells.ok_or("grid has too many points")?;
+        check_region_work(dim, cells)?;
         let axis: Vec<f64> = (0..per_axis)
             .map(|i| -range + 2.0 * range * i as f64 / (per_axis - 1) as f64)
             .collect();
-        let cells = per_axis
-            .checked_pow(dim as u32 - 1)
-            .ok_or("grid has too many points")?;
         // Point `i` has multi-index `(i / per^j) % per` on axis `j`.
         let points = (0..cells)
             .map(|i| {
@@ -153,18 +172,17 @@ impl SlopePoints {
                     .collect()
             })
             .collect();
-        Self::try_from_parts(dim, points, Some(vec![axis; dim - 1]))
+        Self::try_from_parts(dim, points)
     }
 
     /// Everything but the dimension, which in the catalog the owning
-    /// relation supplies: the point count, `dim − 1` coordinates per point,
-    /// a presence byte and the grid axes as `dim − 1` counted lists.
+    /// relation supplies: the point count, then `dim − 1` coordinates per
+    /// point.
     pub(crate) fn put_body(&self, w: &mut RecordWriter) {
         self.points.len().put(w);
         for p in &self.points {
             w.put_seq(p);
         }
-        put_option(self.grid_axes.as_ref(), w, |axes, w| w.put_seq(axes));
     }
 
     /// Mirror of [`put_body`](Self::put_body), validated by
@@ -179,8 +197,7 @@ impl SlopePoints {
         for _ in 0..usize::get(r)? {
             points.push(r.get_seq(dim - 1)?);
         }
-        let grid_axes = get_option(r, |r| r.get_seq(dim - 1))?;
-        Self::try_from_parts(dim, points, grid_axes).map_err(CodecError::Invalid)
+        Self::try_from_parts(dim, points).map_err(CodecError::Invalid)
     }
 
     /// Ambient dimension `d`.
@@ -210,37 +227,107 @@ impl SlopePoints {
             .position(|p| p.iter().zip(slope).all(|(a, b)| scalar::approx_eq(*a, *b)))
     }
 
+    /// Squared distance from point `i` to `slope`.
+    fn distance(&self, i: usize, slope: &[f64]) -> f64 {
+        let to = self.points[i].iter().zip(slope);
+        to.map(|(a, b)| (a - b) * (a - b)).sum()
+    }
+
+    /// The extent `(min, max)` of `S` along slope axis `j`.
+    fn bounds(&self, j: usize) -> (f64, f64) {
+        let along = self.points.iter().map(|p| p[j]);
+        along.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+            (lo.min(v), hi.max(v))
+        })
+    }
+
+    /// The element of `S` nearest to `slope` (the first on ties), whose
+    /// Voronoi cell therefore holds it; `None` outside the bounding box of
+    /// `S`.
+    pub(crate) fn nearest(&self, slope: &[f64]) -> Option<usize> {
+        let inside = |(j, v): (usize, &f64)| {
+            let (lo, hi) = self.bounds(j);
+            *v >= lo - BOX_TOLERANCE && *v <= hi + BOX_TOLERANCE
+        };
+        if !slope.iter().enumerate().all(inside) {
+            return None;
+        }
+        let by_distance =
+            |&i: &usize, &j: &usize| self.distance(i, slope).total_cmp(&self.distance(j, slope));
+        (0..self.points.len()).min_by(by_distance)
+    }
+
+    /// The vertices of element `i`'s Voronoi cell, clipped to the bounding
+    /// box of `S`: the box facets cut by the bisectors of the `3(d−1)`
+    /// nearest other elements (first index on ties), each row scaled so its
+    /// largest coefficient is `±1`. The vertices come in the order of their
+    /// coordinates, last axis first, with `-0.0` read as `0.0` — on a grid,
+    /// the box corners bit for bit, in the order a corner mask counts them.
+    fn cell(&self, i: usize) -> Vec<Vec<f64>> {
+        let (p, axes) = (&self.points[i], self.dim - 1);
+        let (mut rows, mut rhs) = (Vec::new(), Vec::new());
+        for j in 0..axes {
+            let (lo, hi) = self.bounds(j);
+            let unit = |sign: f64| (0..axes).map(|a| if a == j { sign } else { 0.0 }).collect();
+            rows.extend([unit(-1.0), unit(1.0)]);
+            rhs.extend([-lo, hi]);
+        }
+        let mut others: Vec<(f64, usize)> = (0..self.points.len())
+            .filter(|&q| q != i)
+            .map(|q| (self.distance(q, p), q))
+            .collect();
+        others.sort_by(|a, b| a.0.total_cmp(&b.0)); // stable: first index on ties
+        for (_, q) in others.into_iter().take(NEIGHBOURS_PER_AXIS * axes) {
+            let q = &self.points[q];
+            let scale = q
+                .iter()
+                .zip(p)
+                .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()));
+            if scale == 0.0 {
+                continue; // a repeated point: no bisector
+            }
+            let row: Vec<f64> = q.iter().zip(p).map(|(a, b)| (a - b) / scale).collect();
+            let mid = q.iter().zip(p).map(|(a, b)| (a + b) / 2.0);
+            rhs.push(row.iter().zip(mid).map(|(r, m)| r * m).sum());
+            rows.push(row);
+        }
+        let mut vertices = vertex_enum::vertices(&rows, &rhs, axes);
+        for v in vertices.iter_mut().flatten() {
+            *v += 0.0; // -0.0 + 0.0 is 0.0; every other value is unchanged
+        }
+        let last_axis_first = |a: &Vec<f64>, b: &Vec<f64>| {
+            let pairs = a.iter().rev().zip(b.iter().rev());
+            pairs.fold(std::cmp::Ordering::Equal, |o, (x, y)| {
+                o.then(x.total_cmp(y))
+            })
+        };
+        vertices.sort_by(last_axis_first);
+        vertices
+    }
+
     /// Finds `d` member points whose simplex contains `slope`, preferring
-    /// nearby points. Returns the member indices. A slope outside the hull
-    /// of `S` is refused by one feasibility LP before any of the `C(k, d)`
-    /// subsets is tried.
+    /// nearby points — the covering of `PlanCase::SimplexCovering`, which
+    /// only ablations build. Returns the member indices. A slope outside
+    /// the hull of `S` is refused by one feasibility LP before any of the
+    /// `C(k, d)` subsets is tried.
     pub fn containing_simplex(&self, slope: &[f64]) -> Option<Vec<usize>> {
         if !self.hull_contains(slope) {
             return None;
         }
-        let d = self.dim; // simplex size in E^{d-1}
         let mut order: Vec<usize> = (0..self.points.len()).collect();
-        let dist = |i: usize| -> f64 {
-            self.points[i]
-                .iter()
-                .zip(slope)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum()
-        };
-        order.sort_by(|&i, &j| dist(i).partial_cmp(&dist(j)).unwrap());
+        let dist = |i: usize| self.distance(i, slope);
+        order.sort_by(|&i, &j| dist(i).total_cmp(&dist(j)));
         // Try combinations of the nearest points first, one at a time:
         // there are C(k, d) of them.
-        let mut combo: Vec<usize> = (0..d).collect();
-        loop {
+        let mut subsets = Combinations::new(order.len(), self.dim);
+        while let Some(combo) = subsets.advance() {
             let pick: Vec<usize> = combo.iter().map(|&c| order[c]).collect();
             let verts: Vec<&[f64]> = pick.iter().map(|&i| self.points[i].as_slice()).collect();
             if barycentric(&verts, slope).is_some_and(|l| l.iter().all(|&w| w >= -HULL_TOLERANCE)) {
                 return Some(pick);
             }
-            if !next_combination(&mut combo, order.len()) {
-                return None;
-            }
         }
+        None
     }
 
     /// Whether `slope` is a convex combination of the points: `λ ≥ 0`,
@@ -262,153 +349,15 @@ impl SlopePoints {
     }
 }
 
-impl SlopePoints {
-    /// `true` when the set was built by [`grid`](Self::grid), enabling the
-    /// d-dimensional technique T2.
-    pub fn is_grid(&self) -> bool {
-        self.grid_axes.is_some()
-    }
-
-    /// Index of the grid point whose (box) Voronoi cell contains `slope`;
-    /// `None` outside the hull (the grid bounding box) and for non-grid sets.
-    pub fn nearest_grid(&self, slope: &[f64]) -> Option<usize> {
-        let axes = self.grid_axes.as_ref()?;
-        let mut index = 0usize;
-        let mut stride = 1usize;
-        for (axis, &v) in axes.iter().zip(slope) {
-            if v < axis[0] - 1e-12 || v > axis[axis.len() - 1] + 1e-12 {
-                return None;
-            }
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (i, &c) in axis.iter().enumerate() {
-                let d = (c - v).abs();
-                if d < best_d {
-                    best_d = d;
-                    best = i;
-                }
-            }
-            index += best * stride;
-            stride *= axis.len();
-        }
-        Some(index)
-    }
-
-    /// The `2^{d-1}` corners of grid point `i`'s cell: per axis, the
-    /// midpoints toward the neighbouring coordinates (clipped to the hull at
-    /// the boundary).
-    pub fn cell_corners(&self, i: usize) -> Option<Vec<Vec<f64>>> {
-        let ranges = self.cell_ranges(i)?;
-        // Odometer over the corner choices.
-        let d1 = ranges.len();
-        let mut corners = Vec::with_capacity(1 << d1);
-        for mask in 0..(1usize << d1) {
-            corners.push(
-                ranges
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &(lo, hi))| if mask & (1 << j) != 0 { hi } else { lo })
-                    .collect(),
-            );
-        }
-        Some(corners)
-    }
-
-    /// Per-axis slope-space extent of grid point `i`'s Voronoi cell — the
-    /// band the whole-cell handicaps over-cover by. Boundary cells are
-    /// clipped to the hull, so their widths (and the planner's estimated
-    /// T2 overshoot) are smaller.
-    pub fn cell_widths(&self, i: usize) -> Option<Vec<f64>> {
-        Some(
-            self.cell_ranges(i)?
-                .iter()
-                .map(|(lo, hi)| hi - lo)
-                .collect(),
-        )
-    }
-
-    /// Per-axis `[lo, hi]` bounds of grid point `i`'s Voronoi cell: the
-    /// midpoints toward the neighbouring coordinates, clipped to the hull
-    /// at the boundary.
-    fn cell_ranges(&self, i: usize) -> Option<Vec<(f64, f64)>> {
-        let axes = self.grid_axes.as_ref()?;
-        let mut ranges: Vec<(f64, f64)> = Vec::with_capacity(axes.len());
-        let mut rest = i;
-        for axis in axes {
-            let per = axis.len();
-            let mi = rest % per;
-            rest /= per;
-            let lo = if mi == 0 {
-                axis[0]
-            } else {
-                (axis[mi - 1] + axis[mi]) / 2.0
-            };
-            let hi = if mi + 1 == per {
-                axis[per - 1]
-            } else {
-                (axis[mi] + axis[mi + 1]) / 2.0
-            };
-            ranges.push((lo, hi));
-        }
-        Some(ranges)
-    }
-}
-
-/// Barycentric coordinates of `p` w.r.t. `verts` (`n` points in `E^{n-1}`),
-/// or `None` if degenerate.
-#[allow(clippy::needless_range_loop)] // dense Gaussian elimination
+/// Barycentric coordinates of `p` w.r.t. `verts` (`n` points in
+/// `E^{n-1}`), or `None` if degenerate: `[v1 … vn; 1 … 1] λ = [p; 1]`.
 fn barycentric(verts: &[&[f64]], p: &[f64]) -> Option<Vec<f64>> {
-    let n = verts.len();
-    debug_assert_eq!(p.len(), n - 1);
-    // Solve [v1 … vn; 1 … 1] λ = [p; 1].
-    let mut m: Vec<Vec<f64>> = Vec::with_capacity(n);
-    for r in 0..(n - 1) {
-        let mut row: Vec<f64> = verts.iter().map(|v| v[r]).collect();
-        row.push(p[r]);
-        m.push(row);
-    }
-    let mut last = vec![1.0; n + 1];
-    last[n] = 1.0;
-    m.push(last);
-    // Gaussian elimination with partial pivoting.
-    for col in 0..n {
-        let piv = (col..n).max_by(|&i, &j| {
-            m[i][col]
-                .abs()
-                .partial_cmp(&m[j][col].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })?;
-        if m[piv][col].abs() < 1e-12 {
-            return None;
-        }
-        m.swap(col, piv);
-        let p0 = m[col][col];
-        for r in 0..n {
-            if r != col {
-                let f = m[r][col] / p0;
-                if f != 0.0 {
-                    for c in col..=n {
-                        m[r][c] -= f * m[col][c];
-                    }
-                }
-            }
-        }
-    }
-    Some((0..n).map(|i| m[i][n] / m[i][i]).collect())
-}
-
-/// Advances `idx`, a `k`-subset of `0..n` in ascending order, to the next
-/// one in smallest-index-first order; `false` after the last.
-fn next_combination(idx: &mut [usize], n: usize) -> bool {
-    let k = idx.len();
-    let Some(i) = (0..k).rfind(|&i| idx[i] != i + n - k) else {
-        return false;
-    };
-    idx[i] += 1;
-    for j in (i + 1)..k {
-        idx[j] = idx[j - 1] + 1;
-    }
-    true
+    let coordinate = |r: usize| verts.iter().map(|v| v[r]).collect();
+    let mut rows: Vec<Vec<f64>> = (0..p.len()).map(coordinate).collect();
+    rows.push(vec![1.0; verts.len()]);
+    let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+    let rhs: Vec<f64> = p.iter().copied().chain([1.0]).collect();
+    vertex_enum::solve_square(&rows, &rhs)
 }
 
 impl SlopeGeometry for SlopePoints {
@@ -416,16 +365,15 @@ impl SlopeGeometry for SlopePoints {
         self.points.iter().map(Vec::as_slice)
     }
 
-    /// A grid point answers for its whole (box) Voronoi cell, in the
-    /// `low_prev`/`high_prev` leaf slots.
+    /// A point answers for its Voronoi cell clipped to the bounding box,
+    /// in the `low_prev`/`high_prev` leaf slots.
     fn regions(&self, i: usize) -> Vec<Region> {
-        let cell = self.cell_corners(i).map(|corners| (Side::Prev, corners));
-        cell.into_iter().collect()
+        vec![(Side::Prev, self.cell(i))]
     }
 
     fn routes(case: &PlanCase) -> bool {
         use PlanCase::*;
-        matches!(case, MemberPoint { .. } | GridCell(_) | SimplexCovering(_))
+        matches!(case, MemberPoint { .. } | Cell(_) | SimplexCovering(_))
     }
 }
 
@@ -439,35 +387,40 @@ impl DualIndex<SlopePoints> {
         &self.geometry
     }
 
+    /// Per-axis slope-space extent of element `i`'s cell — the band its
+    /// whole-cell handicaps over-cover by; `None` for an element `S` lacks.
+    pub(crate) fn cell_extent(&self, i: usize) -> Option<Vec<f64>> {
+        let (_, corners) = self.regions.get(i)?.first()?;
+        let extent = |j: usize| {
+            let along = corners.iter().map(|c| c[j]);
+            let (lo, hi) = along.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                (lo.min(v), hi.max(v))
+            });
+            hi - lo
+        };
+        Some((0..self.geometry.dim() - 1).map(extent).collect())
+    }
+
     /// The routing table of Section 4.4: a member slope point is searched
-    /// exactly; on a grid set the box Voronoi cell around the query slope
-    /// takes the d-dimensional technique T2 (single tree, two
-    /// handicap-guided sweeps, duplicate-free); any other set covers the
-    /// slope with a simplex of `d` points (generalized T1).
+    /// exactly; any other slope in the bounding box of `S` takes the
+    /// d-dimensional technique T2 (single tree, two handicap-guided
+    /// sweeps, duplicate-free) over the cell of its nearest element.
     ///
     /// # Errors
     /// The [`Rejection`]: a query of another dimension, or a slope outside
-    /// the hull of `S` — on a grid set that is the grid box, so no simplex
-    /// is searched for.
+    /// the bounding box of `S`.
     pub fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
         Rejection::dimension(self.geometry.dim(), sel)?;
         let slope = &sel.halfplane.slope;
-        let outside = || Rejection::OutsideHull(slope.clone());
         if let Some(i) = self.points().position(slope) {
-            Ok(PlanCase::MemberPoint {
+            return Ok(PlanCase::MemberPoint {
                 i,
                 slope: slope.clone(),
-            })
-        } else if self.points().is_grid() {
-            let cell = self.points().nearest_grid(slope).ok_or_else(outside)?;
-            Ok(PlanCase::GridCell(cell))
-        } else {
-            let vertices = self
-                .points()
-                .containing_simplex(slope)
-                .ok_or_else(outside)?;
-            Ok(PlanCase::SimplexCovering(vertices))
+            });
         }
+        let cell = self.points().nearest(slope);
+        cell.map(PlanCase::Cell)
+            .ok_or_else(|| Rejection::OutsideBox(slope.clone()))
     }
 }
 
@@ -524,7 +477,7 @@ pub(crate) mod tests {
         let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
             pairs.iter().cloned().collect();
         let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
-        let case = idx.route(sel).expect("in-hull slope");
+        let case = idx.route(sel).expect("in-box slope");
         idx.run(pager, sel, &case, Exact::Selection, &fetch)
             .expect("query")
     }
@@ -578,22 +531,30 @@ pub(crate) mod tests {
         }
     }
 
+    /// The covering no route hands out any more, run as an ablation does.
     #[test]
     fn simplex_covering_matches_oracle_3d() {
         let mut pager = MemPager::paper_1999();
         let pairs = random_boxes(3, 200, 7);
         let idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 3, 1.5), &pairs).unwrap();
+        let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
+            pairs.iter().cloned().collect();
+        let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..12 {
             let slope = vec![rng.gen_range(-1.2..1.2), rng.gen_range(-1.2..1.2)];
             let b = rng.gen_range(-40.0..40.0);
+            let covering =
+                PlanCase::SimplexCovering(idx.points().containing_simplex(&slope).unwrap());
             for kind in [SelectionKind::All, SelectionKind::Exist] {
                 for op in [RelOp::Ge, RelOp::Le] {
                     let sel = Selection {
                         kind,
                         halfplane: HalfPlane::new(slope.clone(), b, op),
                     };
-                    let got = run(&idx, &pager, &pairs, &sel);
+                    let got = idx
+                        .run(&pager, &sel, &covering, Exact::Selection, &fetch)
+                        .unwrap();
                     assert_eq!(
                         got.ids(),
                         oracle(&pairs, &sel),
@@ -623,7 +584,7 @@ pub(crate) mod tests {
         let pairs = random_boxes(3, 20, 13);
         let idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 2, 1.0), &pairs).unwrap();
         let sel = Selection::exist(HalfPlane::new(vec![3.0, 0.0], 0.0, RelOp::Ge));
-        assert_eq!(idx.route(&sel), Err(Rejection::OutsideHull(vec![3.0, 0.0])));
+        assert_eq!(idx.route(&sel), Err(Rejection::OutsideBox(vec![3.0, 0.0])));
         // A case another index routed is refused, not run.
         let fetch = |_: &dyn PageReader, _: u32| -> GeneralizedTuple { unreachable!() };
         assert!(matches!(
@@ -641,7 +602,7 @@ pub(crate) mod tests {
     /// Regression: an out-of-box slope on a grid set used to fall through
     /// to `containing_simplex`, which materialised all `C(k, d)` subsets —
     /// 88 M `Vec`s for this 4-D grid of 216 points, enough to abort the
-    /// process. The grid box is the hull: the slope is rejected at once.
+    /// process. Outside the bounding box the slope is rejected at once.
     #[test]
     fn out_of_box_slope_on_a_grid_is_rejected_without_a_simplex_search() {
         let mut pager = MemPager::paper_1999();
@@ -650,12 +611,12 @@ pub(crate) mod tests {
         let slope = vec![0.2, -1.5, 0.3];
         let sel = Selection::exist(HalfPlane::new(slope.clone(), 0.0, RelOp::Ge));
         let (routed, peak) = cdb_storage::conformance::peak_during(|| idx.route(&sel));
-        assert_eq!(routed, Err(Rejection::OutsideHull(slope)));
+        assert_eq!(routed, Err(Rejection::OutsideBox(slope)));
         assert!(peak < 4096, "allocated {peak} bytes to reject a slope");
     }
 
-    /// A non-grid set still searches for a simplex, one subset at a time —
-    /// and only inside the hull. Regression: outside it, all C(64, 4) =
+    /// The ablations' simplex search goes one subset at a time — and only
+    /// inside the hull. Regression: outside it, all C(64, 4) =
     /// 635 376 subsets of this set were tried (a quarter second per
     /// query); one feasibility LP now refuses the slope.
     #[test]
@@ -684,7 +645,9 @@ pub(crate) mod tests {
     /// `run` is public and takes any case a caller builds: elements of
     /// `S` the forest does not have are an error like any foreign case —
     /// a case of the 2-D routing table (run, a `Between` would read cell
-    /// handicaps as strips), a grid cell on a point set that has none.
+    /// handicaps as strips), a cell one past the last point of a bare set
+    /// (which, since every point set has cells, is what a grid cell on a
+    /// bare set became).
     #[test]
     fn a_case_naming_a_tree_the_forest_lacks_is_an_error_not_a_panic() {
         let mut pager = MemPager::paper_1999();
@@ -694,7 +657,7 @@ pub(crate) mod tests {
         let sel = Selection::exist(HalfPlane::new(vec![0.1, 0.2], 0.0, RelOp::Ge));
         let k = idx.points().len();
         for case in [
-            PlanCase::GridCell(k),
+            PlanCase::Cell(k),
             PlanCase::SimplexCovering(vec![0, 1, k + 7]),
             PlanCase::MemberPoint {
                 i: usize::MAX,
@@ -717,13 +680,7 @@ pub(crate) mod tests {
         }
         let bare = SlopePoints::new(3, vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]);
         let idx = DualIndexD::build(&mut pager, bare, &pairs).unwrap();
-        let got = idx.run(
-            &pager,
-            &sel,
-            &PlanCase::GridCell(0),
-            Exact::Selection,
-            &fetch,
-        );
+        let got = idx.run(&pager, &sel, &PlanCase::Cell(3), Exact::Selection, &fetch);
         assert!(matches!(got, Err(CdbError::UnsupportedQuery(_))), "{got:?}");
     }
 
@@ -748,7 +705,7 @@ pub(crate) mod tests {
                     let l1 = lookup.clone();
                     let f1 = move |_: &dyn PageReader, id: u32| l1[&id].clone();
                     let cell = idx.route(&sel).unwrap();
-                    assert!(matches!(cell, PlanCase::GridCell(_)), "{cell:?}");
+                    assert!(matches!(cell, PlanCase::Cell(_)), "{cell:?}");
                     let t2 = idx.run(&pager, &sel, &cell, Exact::Selection, &f1).unwrap();
                     let l2 = lookup.clone();
                     let f2 = move |_: &dyn PageReader, id: u32| l2[&id].clone();
@@ -773,29 +730,125 @@ pub(crate) mod tests {
 
     #[test]
     fn cell_geometry() {
-        let g = SlopePoints::grid(3, 3, 1.0); // axes: [-1, 0, 1] x [-1, 0, 1]
-        assert!(g.is_grid());
-        // Point 4 is the centre (0,0); its cell is [-0.5,0.5]^2.
+        // Axes [-1, 0, 1] x [-1, 0, 1]: point 4 is the centre (0,0), and
+        // its cell is [-0.5,0.5]^2.
+        let g = SlopePoints::grid(3, 3, 1.0);
         assert_eq!(g.as_slice()[4], vec![0.0, 0.0]);
-        let corners = g.cell_corners(4).unwrap();
+        let [(Side::Prev, corners)] = &g.regions(4)[..] else {
+            panic!("one region, on the Prev side");
+        };
         assert_eq!(corners.len(), 4);
-        for c in &corners {
+        for c in corners {
             assert!(c[0].abs() == 0.5 && c[1].abs() == 0.5, "{c:?}");
         }
-        // Corner point 0 = (-1,-1): cell clipped at the hull.
-        let corners0 = g.cell_corners(0).unwrap();
-        for c in &corners0 {
+        // Corner point 0 = (-1,-1): cell clipped at the box.
+        for c in &g.regions(0)[0].1 {
             assert!((-1.0..=-0.5).contains(&c[0]) && (-1.0..=-0.5).contains(&c[1]));
         }
-        // Nearest-cell lookup.
-        assert_eq!(g.nearest_grid(&[0.2, -0.1]), Some(4));
-        assert_eq!(g.nearest_grid(&[-0.9, -0.8]), Some(0));
-        assert_eq!(g.nearest_grid(&[2.0, 0.0]), None, "outside hull");
-        // Non-grid sets have no cells.
+        // Nearest-element lookup.
+        assert_eq!(g.nearest(&[0.2, -0.1]), Some(4));
+        assert_eq!(g.nearest(&[-0.9, -0.8]), Some(0));
+        assert_eq!(g.nearest(&[2.0, 0.0]), None, "outside the box");
+        // A bare set has cells too: the right angle's is the square its two
+        // bisectors cut from the box; the others are cut by a diagonal.
         let free = SlopePoints::new(3, vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]);
-        assert!(!free.is_grid());
-        assert!(free.cell_corners(0).is_none());
-        assert!(free.nearest_grid(&[0.1, 0.1]).is_none());
+        let cell = |i: usize| free.regions(i).remove(0).1;
+        assert_eq!(cell(0), [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]]);
+        assert_eq!(cell(1), [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]]);
+        assert_eq!(free.nearest(&[0.8, 0.8]), Some(1), "first index on ties");
+    }
+
+    /// On a grid the Voronoi cells are the boxes the grid's axis midpoints
+    /// bound, clipped to the grid box, bit for bit; and routing to the
+    /// nearest point is routing per axis, first index on ties.
+    #[test]
+    fn grid_cells_and_routes_are_the_boxes_of_the_axis_midpoints() {
+        let grids = [
+            (2, 4, 2.0),
+            (3, 3, 1.0),
+            (3, 4, 1.0),
+            (3, 5, 0.2),
+            (4, 2, 1.0),
+            (4, 3, 1.0),
+            (4, 6, 1.0),
+            (5, 3, 1.0),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x6E1D);
+        for (dim, per, range) in grids {
+            let g = SlopePoints::grid(dim, per, range);
+            let idx = DualIndexD::build(&mut MemPager::paper_1999(), g.clone(), &[]).unwrap();
+            let axis: Vec<f64> = (0..per).map(|m| g.as_slice()[m][0]).collect();
+            // Per axis: the cell's [lo, hi] around multi-index `m`.
+            let span = |m: usize| {
+                let lo = if m == 0 {
+                    axis[0]
+                } else {
+                    (axis[m - 1] + axis[m]) / 2.0
+                };
+                let hi = if m + 1 == per {
+                    axis[per - 1]
+                } else {
+                    (axis[m] + axis[m + 1]) / 2.0
+                };
+                (lo, hi)
+            };
+            let bits = |c: &Vec<f64>| c.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            for i in 0..g.len() {
+                let spans: Vec<(f64, f64)> = (0..dim - 1)
+                    .map(|j| span(i / per.pow(j as u32) % per))
+                    .collect();
+                let corners = (0..1usize << (dim - 1)).map(|mask| {
+                    let pick = |(j, &(lo, hi)): (usize, &(f64, f64))| {
+                        if mask & (1 << j) != 0 {
+                            hi
+                        } else {
+                            lo
+                        }
+                    };
+                    spans.iter().enumerate().map(pick).collect::<Vec<f64>>()
+                });
+                let want: std::collections::BTreeSet<Vec<u64>> =
+                    corners.map(|c| bits(&c)).collect();
+                let got: std::collections::BTreeSet<Vec<u64>> =
+                    g.regions(i)[0].1.iter().map(bits).collect();
+                assert_eq!(got, want, "grid({dim}, {per}, {range}) cell {i}");
+            }
+            for _ in 0..1000 {
+                let slope: Vec<f64> = (1..dim).map(|_| rng.gen_range(-range..range)).collect();
+                let per_axis = slope.iter().enumerate().map(|(j, &v)| {
+                    let near = |m: &usize| (axis[*m] - v).abs();
+                    let m = (0..per).min_by(|a, b| near(a).total_cmp(&near(b))).unwrap();
+                    m * per.pow(j as u32)
+                });
+                let sel = Selection::exist(HalfPlane::new(slope.clone(), 0.0, RelOp::Ge));
+                let want = PlanCase::Cell(per_axis.sum());
+                assert_eq!(idx.route(&sel), Ok(want), "grid({dim}, {per}, {range})");
+            }
+        }
+    }
+
+    /// Cell work is bounded as a function of `(d, k)` before anything is
+    /// sized by either. At the parent the first two aborted the process
+    /// on a 12 GB allocation and in the box-corner enumeration (2¹³ cells
+    /// × 2¹³ corners), the third on a 32 GB allocation.
+    #[test]
+    fn region_work_is_refused_before_it_is_allocated() {
+        use cdb_storage::conformance::peak_during;
+        for (dim, per) in [(30, 2), (14, 2), (2, 4_000_000_000)] {
+            let (got, peak) = peak_during(|| SlopePoints::try_grid(dim, per, 1.0));
+            assert!(got.is_err(), "grid({dim}, {per})");
+            assert!(peak < 1 << 16, "grid({dim}, {per}): {peak} bytes at once");
+        }
+        let points = vec![vec![0.0; 7]; 8];
+        assert!(SlopePoints::try_from_parts(8, points).is_err(), "d = 8");
+        // Every geometry the workspace builds is admitted.
+        for (dim, per) in [(2, 4), (3, 5), (4, 6), (5, 3)] {
+            assert!(
+                SlopePoints::try_grid(dim, per, 1.0).is_ok(),
+                "grid({dim}, {per})"
+            );
+        }
+        assert!(SlopePoints::try_from_parts(4, vec![vec![0.5; 3]; 64]).is_ok());
     }
 
     #[test]

@@ -307,17 +307,18 @@ pub type Region = (Side, Vec<Vec<f64>>);
 
 /// What a [`DualIndex`] is built over — data, and which cases its routing
 /// table hands out: the elements of `S` its forest is keyed by and, per
-/// element, the regions of slope space that element's handicaps answer for. Each region is convex with the element
-/// and the listed corners as its extreme points, so a tuple's reach over
-/// it (`TOP_P` convex, `BOT_P` concave) is attained at one of them.
+/// element, the regions of slope space that element's handicaps answer
+/// for. Each region is the convex hull of the element and the listed
+/// corners, so a tuple's reach over it (`TOP_P` convex, `BOT_P` concave) is
+/// attained at one of them.
 pub trait SlopeGeometry {
     /// The elements of `S` as points of slope space `E^{d-1}`, in order.
     fn elements(&self) -> impl Iterator<Item = &[f64]>;
 
     /// The handicap regions of element `i`: the strips `[aᵢ, mid]` toward
-    /// either neighbour for a slope set (Section 4.2), the box Voronoi cell
-    /// under [`Side::Prev`] for a grid (Section 4.4), none for a bare point
-    /// set, which is only ever covered by app-queries.
+    /// either neighbour for a slope set (Section 4.2); for slope points
+    /// (Section 4.4), under [`Side::Prev`], the vertices of the point's
+    /// Voronoi cell clipped to the bounding box of `S`.
     fn regions(&self, i: usize) -> Vec<Region>;
 
     /// Whether `case` is one this geometry's routing table hands out; its
@@ -551,7 +552,7 @@ impl<G: SlopeGeometry> DualIndex<G> {
             }
             PlanCase::Between { near, side, .. } => guided(near.i, *side),
             // The whole-cell handicaps live in the `Prev` leaf slots.
-            PlanCase::GridCell(cell) => guided(*cell, Side::Prev),
+            PlanCase::Cell(i) => guided(*i, Side::Prev),
             PlanCase::FullScan(_) | PlanCase::MbrSearch(_) => Err(foreign(case)),
         }
     }
@@ -945,7 +946,7 @@ mod tests {
 
     /// What the index itself refuses, as errors: a strategy that names no
     /// technique of its own, and a case naming a tree or a strip it does
-    /// not have, or out of the d-D routing table (run, a `GridCell` would
+    /// not have, or out of the d-D routing table (run, a `Cell` would
     /// trust the `Prev` strip alone and miss tuples).
     #[test]
     fn foreign_strategies_and_trees_are_errors_not_panics() {
@@ -969,7 +970,7 @@ mod tests {
             PlanCase::Member(at(3)),
             between(at(2), Side::Next), // the last slope has no next strip
             between(at(0), Side::Prev),
-            PlanCase::GridCell(1),
+            PlanCase::Cell(1),
             PlanCase::SimplexCovering(vec![0, 1]),
         ] {
             let got = idx.run(&pager, &sel, &case, Exact::Selection, &fetch);
@@ -980,10 +981,11 @@ mod tests {
         }
     }
 
-    /// Both geometries stay exact under maintenance, one row each: build,
-    /// insert without a refresh, delete, handicap-guided searches ≡ oracle
-    /// and duplicate-free; then a refresh, which tightens (no search gets
-    /// more candidates) and stays exact.
+    /// Both geometries stay exact under maintenance — the slope set, grids,
+    /// random point sets and points all on one hyperplane: build, insert
+    /// without a refresh, delete, handicap-guided searches ≡ oracle and
+    /// duplicate-free; then a refresh, which tightens (no search gets more
+    /// candidates) and stays exact.
     #[test]
     fn every_geometry_keeps_t2_exact_under_churn() {
         fn row<G: SlopeGeometry>(
@@ -1026,7 +1028,7 @@ mod tests {
                             let sel = Selection { kind, halfplane };
                             let case = route(idx, &sel);
                             let guided =
-                                matches!(case, PlanCase::Between { .. } | PlanCase::GridCell(_));
+                                matches!(case, PlanCase::Between { .. } | PlanCase::Cell(_));
                             assert!(guided, "{what}: {case}");
                             let got = idx
                                 .run(pager, &sel, &case, Exact::Selection, &fetch)
@@ -1056,7 +1058,24 @@ mod tests {
         let flat = |n, size, seed| DatasetSpec::paper_1999(n, size, seed).generate();
         let numbered = |tuples: Vec<GeneralizedTuple>| (0u32..).zip(tuples).collect::<Vec<_>>();
         let boxes = |n, seed| ddim::tests::random_boxes(3, n, seed);
-        let late_boxes = boxes(60, 38).into_iter().map(|(_, t)| t).collect();
+        let late = |dim, seed| ddim::tests::random_boxes(dim, 60, seed).into_iter();
+        let late_boxes = || late(3, 38).map(|(_, t)| t).collect();
+        let cloud = |dim: usize, k: usize, seed: u64| {
+            let mut rng = cdb_prng::StdRng::seed_from_u64(seed);
+            let mut point = || (1..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            SlopePoints::new(dim, (0..k).map(|_| point()).collect())
+        };
+        // Query slopes inside the hull, so inside the box: midpoints.
+        let mids = |points: &SlopePoints| -> Vec<Vec<f64>> {
+            let p = points.as_slice();
+            let mid = |(i, j): (usize, usize)| p[i].iter().zip(&p[j]).map(|(a, b)| (a + b) / 2.0);
+            [(0, 1), (2, 3), (1, 4), (3, 0)]
+                .map(|ij| mid(ij).collect())
+                .to_vec()
+        };
+        fn slices(slopes: &[Vec<f64>]) -> Vec<&[f64]> {
+            slopes.iter().map(Vec::as_slice).collect()
+        }
         row(
             "slope set",
             SlopeSet::uniform_tan(4),
@@ -1077,8 +1096,49 @@ mod tests {
             "3-D grid",
             SlopePoints::grid(3, 3, 1.0),
             boxes(100, 37),
-            late_boxes,
+            late_boxes(),
             &[&[0.2, -0.1], &[-0.9, -0.8], &[0.7, 0.3], &[-0.4, 0.95]],
+            |idx, sel| idx.route(sel).unwrap(),
+        );
+        let line = cloud(2, 5, 51);
+        row(
+            "5 random points on a line",
+            line.clone(),
+            numbered(flat(120, ObjectSize::Small, 10)),
+            flat(80, ObjectSize::Medium, 11),
+            &slices(&mids(&line)),
+            |idx, sel| idx.route(sel).unwrap(),
+        );
+        let plane = cloud(3, 12, 52);
+        row(
+            "12 random points in E²",
+            plane.clone(),
+            boxes(100, 37),
+            late_boxes(),
+            &slices(&mids(&plane)),
+            |idx, sel| idx.route(sel).unwrap(),
+        );
+        let space = cloud(4, 16, 53);
+        row(
+            "16 random points in E³",
+            space.clone(),
+            ddim::tests::random_boxes(4, 100, 54),
+            late(4, 55).map(|(_, t)| t).collect(),
+            &slices(&mids(&space)),
+            |idx, sel| idx.route(sel).unwrap(),
+        );
+        // All on the line b = a/2 − 1/5, a hyperplane of slope space:
+        // slopes off it are routed to the nearest point's cell all the same.
+        let on_a_line = (0..8).map(|i| {
+            let a = -0.9 + 0.25 * f64::from(i);
+            vec![a, 0.5 * a - 0.2]
+        });
+        row(
+            "8 points on a hyperplane of E²",
+            SlopePoints::new(3, on_a_line.collect()),
+            boxes(100, 37),
+            late_boxes(),
+            &[&[0.2, -0.3], &[-0.5, 0.1], &[0.6, -0.5], &[-0.8, -0.6]],
             |idx, sel| idx.route(sel).unwrap(),
         );
     }

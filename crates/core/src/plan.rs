@@ -128,8 +128,8 @@ pub enum Rejection {
     /// The restricted technique asked a slope outside `S`.
     SlopeNotInS(f64),
     /// The query slope (owned: its dimension is unbounded) lies outside
-    /// the hull of the d-dimensional slope points.
-    OutsideHull(Vec<f64>),
+    /// the bounding box of the d-dimensional slope points.
+    OutsideBox(Vec<f64>),
 }
 
 impl Rejection {
@@ -151,9 +151,9 @@ impl fmt::Display for Rejection {
                 write!(f, "serves {serves}-D queries only, the query is {query}-D")
             }
             Rejection::SlopeNotInS(a) => write!(f, "slope {a} is not in the predefined set S"),
-            Rejection::OutsideHull(slope) => write!(
+            Rejection::OutsideBox(slope) => write!(
                 f,
-                "query slope {slope:?} lies outside the hull of the predefined set S"
+                "query slope {slope:?} lies outside the bounding box of the predefined set S"
             ),
         }
     }
@@ -236,8 +236,8 @@ pub enum PlanCase {
         /// The point itself.
         slope: Vec<f64>,
     },
-    /// d-dimensional T2 over grid cell `.0`.
-    GridCell(usize),
+    /// d-dimensional T2 over the Voronoi cell of slope point `.0`.
+    Cell(usize),
     /// Simplex covering: one app-query per vertex (indices into `S`).
     SimplexCovering(Vec<usize>),
     /// Sequential scan of `.0` tuples.
@@ -258,7 +258,7 @@ impl PlanCase {
             | PlanCase::WrappedAppQueries(_)
             | PlanCase::WrappedFallback(_) => MethodKind::T1,
             PlanCase::Between { .. } => MethodKind::T2,
-            PlanCase::MemberPoint { .. } | PlanCase::GridCell(_) | PlanCase::SimplexCovering(_) => {
+            PlanCase::MemberPoint { .. } | PlanCase::Cell(_) | PlanCase::SimplexCovering(_) => {
                 MethodKind::DualD
             }
             PlanCase::FullScan(_) => MethodKind::SeqScan,
@@ -288,7 +288,7 @@ impl PlanCase {
             | PlanCase::SimplexCovering(_) => {
                 "candidate superset; duplicates removed, then exact refinement [refined]"
             }
-            PlanCase::Between { .. } | PlanCase::GridCell(_) => {
+            PlanCase::Between { .. } | PlanCase::Cell(_) => {
                 "duplicate-free candidate superset, then exact refinement [refined]"
             }
             PlanCase::FullScan(_) => "exact predicate per tuple (no candidate superset) [exact]",
@@ -319,7 +319,10 @@ impl fmt::Display for PlanCase {
             ),
             PlanCase::WrappedFallback(_) => f.write_str("wrapped slope: T1 fallback (Section 4.1)"),
             PlanCase::MemberPoint { slope, .. } => write!(f, "member slope point {slope:?}"),
-            PlanCase::GridCell(cell) => write!(f, "grid cell {cell}: d-dimensional T2 sweeps"),
+            PlanCase::Cell(i) => write!(
+                f,
+                "Voronoi cell of slope point {i}: d-dimensional T2 sweeps"
+            ),
             PlanCase::SimplexCovering(vertices) => {
                 write!(f, "simplex covering with {} app-queries", vertices.len())
             }
@@ -494,9 +497,10 @@ impl AccessMethod for DualDAccess<'_> {
             // band of near-boundary tuples sized by the cell's slope-space
             // extent — additive in n, per-cell (boundary cells are clipped
             // smaller) — not the fixed 2-D strip factor.
-            PlanCase::GridCell(cell) => {
-                let band: f64 = points
-                    .cell_widths(*cell)
+            PlanCase::Cell(i) => {
+                let band: f64 = self
+                    .index
+                    .cell_extent(*i)
                     .map(|ws| ws.iter().map(|w| w / 2.0).sum())
                     .unwrap_or(0.0);
                 let covered = (frac + T2_CELL_OVERSHOOT * band).min(1.0);

@@ -12,10 +12,10 @@
 //! framing, CRC and LSN stamping live one layer down in
 //! [`cdb_storage::wal`] — this module only sees payload bytes. Decoding
 //! never panics: the field types refuse everything their constructors
-//! would `assert!` against (slope ordering, simplex coverage, partition
-//! range, finite floats), surfaced as [`CdbError::CorruptRecord`] with the
-//! [`WAL_RECORD`] sentinel, which replay treats as the end of the usable
-//! log.
+//! would `assert!` against (slope ordering, point count and cell work,
+//! partition range, finite floats), surfaced as
+//! [`CdbError::CorruptRecord`] with the [`WAL_RECORD`] sentinel, which
+//! replay treats as the end of the usable log.
 
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::codec::{self, finite};
@@ -153,8 +153,8 @@ mod tests {
         })
     }
 
-    /// Every variant once, plus a non-grid `BuildDualD` after the grid one
-    /// — the order of `golden/wal_records.hex`.
+    /// Every variant once, plus a bare `BuildDualD` after the grid one —
+    /// the order of `golden/wal_records.hex`.
     fn samples() -> Vec<WalRecord> {
         let mut all: Vec<_> =
             std::iter::successors(sample_after(None), |prev| sample_after(Some(prev))).collect();
@@ -187,6 +187,30 @@ mod tests {
         }
     }
 
+    /// The records as written beside catalog v4 stay frozen: its two
+    /// `BuildDualD` lines end in the grid presence byte (and a grid's
+    /// axes), which are refused as damage now; every other line reads as
+    /// before.
+    #[test]
+    fn build_dual_d_records_of_catalog_v4_are_refused() {
+        let frozen = include_str!("../golden/wal_records_v4.hex").lines();
+        let current = include_str!("../golden/wal_records.hex").lines();
+        let mut refused = 0;
+        for (old, new) in frozen.map(crate::unhex).zip(current.map(crate::unhex)) {
+            if old[0] == 6 {
+                let got = WalRecord::decode(&old);
+                assert!(
+                    matches!(got, Err(CdbError::CorruptRecord(WAL_RECORD))),
+                    "{got:?}"
+                );
+                refused += 1;
+            } else {
+                assert_eq!(old, new);
+            }
+        }
+        assert_eq!(refused, 2);
+    }
+
     #[test]
     fn decode_rejects_what_constructors_would_refuse() {
         let is_corrupt = |b: &[u8]| {
@@ -206,8 +230,15 @@ mod tests {
         };
         // Non-ascending slopes would make SlopeSet::new reorder them.
         assert!(is_corrupt(&record(5, &|w| vec![1.0, 0.5].put(w))));
-        // Too few points for a covering simplex.
+        // Too few points for the dimension.
         assert!(is_corrupt(&record(6, &|w| (3u32, 2u32).put(w))));
+        // More cell work than an index may ask for: d = 8.
+        assert!(is_corrupt(&record(6, &|w| {
+            (8u32, 8u32).put(w);
+            for _ in 0..8 {
+                w.put_seq(&[0.5; 7]);
+            }
+        })));
         // A forged dimension must not size any allocation.
         assert!(is_corrupt(&record(6, &|w| (u32::MAX, u32::MAX).put(w))));
         // Non-finite fill factor.

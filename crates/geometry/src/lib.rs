@@ -20,8 +20,9 @@
 //!   independent cross-check of the LP path;
 //! * [`predicates`] — the exact `ALL`/`EXIST` selection predicates of
 //!   Proposition 2.2, used as the refinement step and as the test oracle;
-//! * [`vertex_enum`] — brute-force vertex/ray enumeration in `E^d` for
-//!   cross-validation of the LP evaluator;
+//! * [`vertex_enum`] — brute-force vertex/ray enumeration in `E^d`: the
+//!   cells of the d-dimensional dual index, and a cross-check of the LP
+//!   evaluator;
 //! * [`parse`] — the one text syntax for constraints ("`y >= 2x + 1 && x
 //!   <= 4`"): tuple text, SQL `WHERE` conjuncts and the shell read through it.
 //!

@@ -1,14 +1,21 @@
 //! Brute-force vertex/ray enumeration for d-dimensional polyhedra.
 //!
-//! Intended for cross-validation and small inputs only (the index itself
-//! evaluates dual surfaces through linear programming and never enumerates
-//! vertices): every `d`-subset of constraint boundaries is solved as a dense
-//! linear system and kept when feasible; extreme recession rays come from
-//! `(d−1)`-subsets of the homogeneous system. Complexity is `O(C(m, d)·d³)`.
+//! Every `d`-subset of constraint boundaries is solved as a dense linear
+//! system and kept when feasible; extreme recession rays come from
+//! `(d−1)`-subsets of the homogeneous system. Complexity is
+//! `O(C(m, d)·d³)`, so the input is small: at most [`MAX_ROWS`] rows.
+//! [`vertices`] is the vertex pass alone, for bounded input — the
+//! slope-point cells of the d-dimensional dual index; [`enumerate`]
+//! cross-validates the LP evaluator on tuples. [`solve_square`] and
+//! [`Combinations`] are the workspace's one dense solver and one subset
+//! iterator.
 
 #![allow(clippy::needless_range_loop)] // index-parallel array math reads clearer here
 use crate::scalar::EPS;
 use crate::tuple::GeneralizedTuple;
+
+/// The most constraint rows an enumeration takes.
+pub const MAX_ROWS: usize = 32;
 
 /// Vertices and extreme recession rays of a tuple's extension.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -23,31 +30,11 @@ pub struct VRep {
 /// Enumerates vertices and extreme rays of `tuple`'s extension.
 ///
 /// # Panics
-/// Panics if the number of constraints exceeds 32 (this is a test helper,
-/// not a production path).
+/// Panics if the number of constraints exceeds [`MAX_ROWS`].
 pub fn enumerate(tuple: &GeneralizedTuple) -> VRep {
     let (rows, rhs) = tuple.as_le_system();
-    assert!(rows.len() <= 32, "vertex_enum is for small inputs only");
     let d = tuple.dim();
-    let m = rows.len();
-
-    let feasible = |p: &[f64]| {
-        rows.iter().zip(&rhs).all(|(a, &b)| {
-            let v: f64 = a.iter().zip(p).map(|(ai, xi)| ai * xi).sum();
-            v <= b + EPS * 10.0 * 1.0_f64.max(v.abs()).max(b.abs())
-        })
-    };
-
-    let mut vertices: Vec<Vec<f64>> = Vec::new();
-    for combo in combinations(m, d) {
-        let a: Vec<&[f64]> = combo.iter().map(|&i| rows[i].as_slice()).collect();
-        let b: Vec<f64> = combo.iter().map(|&i| rhs[i]).collect();
-        if let Some(x) = solve_square(&a, &b) {
-            if feasible(&x) && !vertices.iter().any(|v| vec_eq(v, &x)) {
-                vertices.push(x);
-            }
-        }
-    }
+    let vertices = vertices(&rows, &rhs, d);
 
     // Extreme rays: for each (d-1)-subset of the homogeneous system, the
     // null direction (if 1-dimensional) oriented to satisfy A r <= 0.
@@ -59,7 +46,8 @@ pub fn enumerate(tuple: &GeneralizedTuple) -> VRep {
     };
     let mut rays: Vec<Vec<f64>> = Vec::new();
     if d >= 2 {
-        for combo in combinations(m, d - 1) {
+        let mut subsets = Combinations::new(rows.len(), d - 1);
+        while let Some(combo) = subsets.advance() {
             let a: Vec<&[f64]> = combo.iter().map(|&i| rows[i].as_slice()).collect();
             if let Some(dir) = null_direction(&a, d) {
                 for sign in [1.0, -1.0] {
@@ -74,6 +62,36 @@ pub fn enumerate(tuple: &GeneralizedTuple) -> VRep {
     VRep { vertices, rays }
 }
 
+/// The vertices of `{x ∈ E^d : rows · x ≤ rhs}`, without the ray pass:
+/// for a bounded polytope, which has none.
+///
+/// # Panics
+/// Panics on more than [`MAX_ROWS`] rows.
+pub fn vertices(rows: &[Vec<f64>], rhs: &[f64], d: usize) -> Vec<Vec<f64>> {
+    assert!(
+        rows.len() <= MAX_ROWS,
+        "vertex_enum is for small inputs only"
+    );
+    let feasible = |p: &[f64]| {
+        rows.iter().zip(rhs).all(|(a, &b)| {
+            let v: f64 = a.iter().zip(p).map(|(ai, xi)| ai * xi).sum();
+            v <= b + EPS * 10.0 * 1.0_f64.max(v.abs()).max(b.abs())
+        })
+    };
+    let mut vertices: Vec<Vec<f64>> = Vec::new();
+    let mut subsets = Combinations::new(rows.len(), d);
+    while let Some(combo) = subsets.advance() {
+        let a: Vec<&[f64]> = combo.iter().map(|&i| rows[i].as_slice()).collect();
+        let b: Vec<f64> = combo.iter().map(|&i| rhs[i]).collect();
+        if let Some(x) = solve_square(&a, &b) {
+            if feasible(&x) && !vertices.iter().any(|v| vec_eq(v, &x)) {
+                vertices.push(x);
+            }
+        }
+    }
+    vertices
+}
+
 fn vec_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len()
         && a.iter()
@@ -81,39 +99,47 @@ fn vec_eq(a: &[f64], b: &[f64]) -> bool {
             .all(|(x, y)| crate::scalar::approx_eq(*x, *y))
 }
 
-/// All `k`-subsets of `0..n` (lexicographic).
-fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    if k > n {
-        return out;
+/// The `k`-subsets of `0..n` in lexicographic order, one at a time: each
+/// [`advance`](Self::advance) rewrites the one index buffer in place.
+#[derive(Clone, Debug)]
+pub struct Combinations {
+    idx: Vec<usize>,
+    n: usize,
+    started: bool,
+}
+
+impl Combinations {
+    /// Before the first `k`-subset of `0..n`.
+    pub fn new(n: usize, k: usize) -> Self {
+        Combinations {
+            // A `k` past `n` yields nothing: `n + 1` indices say as much.
+            idx: (0..k.min(n + 1)).collect(),
+            n,
+            started: false,
+        }
     }
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        out.push(idx.clone());
-        // Advance.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if idx[i] != i + n - k {
-                break;
-            }
-            if i == 0 {
-                return out;
+
+    /// The next subset, ascending; `None` after the last (at once when
+    /// `k > n`).
+    pub fn advance(&mut self) -> Option<&[usize]> {
+        let (n, k) = (self.n, self.idx.len());
+        if k > n {
+            return None;
+        }
+        if std::mem::replace(&mut self.started, true) {
+            let i = (0..k).rfind(|&i| self.idx[i] != i + n - k)?;
+            self.idx[i] += 1;
+            for j in (i + 1)..k {
+                self.idx[j] = self.idx[j - 1] + 1;
             }
         }
-        idx[i] += 1;
-        for j in (i + 1)..k {
-            idx[j] = idx[j - 1] + 1;
-        }
+        Some(&self.idx)
     }
 }
 
 /// Solves the square system `A x = b` by Gaussian elimination with partial
 /// pivoting; `None` if singular.
-fn solve_square(a: &[&[f64]], b: &[f64]) -> Option<Vec<f64>> {
+pub fn solve_square(a: &[&[f64]], b: &[f64]) -> Option<Vec<f64>> {
     let n = b.len();
     let mut m: Vec<Vec<f64>> = a
         .iter()
@@ -280,10 +306,37 @@ mod tests {
 
     #[test]
     fn combinations_counts() {
-        assert_eq!(combinations(5, 2).len(), 10);
-        assert_eq!(combinations(4, 4).len(), 1);
-        assert_eq!(combinations(3, 4).len(), 0);
-        assert_eq!(combinations(6, 1).len(), 6);
+        let count = |n, k| {
+            let mut subsets = Combinations::new(n, k);
+            std::iter::from_fn(|| subsets.advance().map(<[usize]>::to_vec)).count()
+        };
+        assert_eq!(count(5, 2), 10);
+        assert_eq!(count(4, 4), 1);
+        assert_eq!(count(3, 4), 0);
+        assert_eq!(count(6, 1), 6);
+        assert_eq!(count(3, 0), 1);
+        let mut subsets = Combinations::new(4, 2);
+        let all: Vec<Vec<usize>> =
+            std::iter::from_fn(|| subsets.advance().map(<[usize]>::to_vec)).collect();
+        assert_eq!(all[..3], [vec![0, 1], vec![0, 2], vec![0, 3]]);
+        assert_eq!(all[5], [2, 3]);
+        assert_eq!(subsets.advance(), None, "stays exhausted");
+    }
+
+    #[test]
+    fn vertices_of_a_box_skip_the_ray_pass() {
+        let rows = vec![
+            vec![-1.0, 0.0],
+            vec![1.0, 0.0],
+            vec![0.0, -1.0],
+            vec![0.0, 1.0],
+        ];
+        let v = vertices(&rows, &[0.5, 1.0, 0.0, 2.0], 2);
+        assert_eq!(v.len(), 4);
+        assert!(
+            v.contains(&vec![-0.5, 2.0]) && v.contains(&vec![1.0, 0.0]),
+            "{v:?}"
+        );
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! sent is returned to the caller, who knows whether the operation is
 //! safe to repeat.
 //!
-//! **Read-your-writes.** Every response carries the LSN of the state it
-//! reflects; the client remembers the durable LSN of its last
-//! acknowledged write. With `read_your_writes` on, a follower answer
-//! reflecting an older LSN is discarded: retried on another member while
-//! the lag is within `staleness_bound`, or served by the primary
-//! (which is never stale) once it exceeds it.
+//! **Read-your-writes, always.** Every response carries the LSN of the
+//! state it reflects; the client remembers the durable LSN of its last
+//! acknowledged write. A follower answer reflecting an older LSN is
+//! discarded: retried on another member while the lag is within
+//! `staleness_bound`, or served by the primary (which is never stale) once
+//! it exceeds it. The check has no off switch.
 
 use std::time::{Duration, Instant};
 
@@ -51,12 +51,9 @@ pub struct ClusterConfig {
     pub backoff_base: Duration,
     /// Retry delay ceiling.
     pub backoff_cap: Duration,
-    /// Discard follower answers older than this client's last
-    /// acknowledged write.
-    pub read_your_writes: bool,
-    /// With read-your-writes: a follower lagging more than this many
-    /// LSNs behind the last write stops being retried — the primary
-    /// serves the read directly.
+    /// A follower lagging more than this many LSNs behind this client's
+    /// last acknowledged write stops being retried — the primary serves
+    /// the read directly.
     pub staleness_bound: u64,
     /// Socket I/O timeout applied to every member connection (None: the
     /// client default). Chaos tests shorten this so blackholed links
@@ -72,7 +69,6 @@ impl Default for ClusterConfig {
             read_retries: 3,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(1),
-            read_your_writes: true,
             staleness_bound: 0,
             io_timeout: None,
         }
@@ -215,8 +211,8 @@ impl Cluster {
 
     /// Serves a read from a follower, load-balanced round-robin, with
     /// retryable failures moved to a different member after a backoff.
-    /// Falls back to the primary when followers are exhausted or (under
-    /// read-your-writes) too stale. Like [`write`](Self::write), the
+    /// Falls back to the primary when followers are exhausted or too stale
+    /// for read-your-writes. Like [`write`](Self::write), the
     /// configured per-request deadline caps the loop's total wall clock,
     /// not just its attempt count.
     ///
@@ -252,7 +248,7 @@ impl Cluster {
                 // response and desynchronize request ids — never reuse it.
                 self.members[idx].conn = None;
             }
-            if self.config.read_your_writes && seen < self.last_write_lsn {
+            if seen < self.last_write_lsn {
                 // This follower has not caught up to our own write — even
                 // an error (e.g. "no such tuple") could be from before it.
                 if self.last_write_lsn - seen > self.config.staleness_bound {

@@ -202,11 +202,39 @@ mod tests {
     use cdb_geometry::{HalfPlane, LinearConstraint, RelOp};
     use cdb_storage::conformance::peak_during;
 
+    /// Index parameters whose cells no engine should compute are refused
+    /// as `Malformed` before anything is sized by them. At the parent each
+    /// aborted the writer lane's process: a 12 GB allocation (30-D), the
+    /// box-corner enumeration (14-D), a 32 GB allocation (4·10⁹ points).
+    #[test]
+    fn unbuildable_slope_grids_are_malformed_not_an_abort() {
+        for (dim, per_axis) in [(30, 2), (14, 2), (2, 4_000_000_000)] {
+            let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+            let relation = "r".to_string();
+            let create = Request::CreateRelation {
+                relation: relation.clone(),
+                dim,
+            };
+            apply_engine(&mut db, create, NodeStatus::default).expect("create");
+            let build = Request::BuildDualD {
+                relation,
+                per_axis,
+                range: 1.0,
+            };
+            let (got, peak) = peak_during(|| apply_engine(&mut db, build, NodeStatus::default));
+            assert!(
+                matches!(got, Err(NetError::Malformed(_))),
+                "{dim}-D: {got:?}"
+            );
+            assert!(peak < 1 << 16, "{dim}-D: {peak} bytes at once");
+        }
+    }
+
     /// Regression: on a grid slope set a query slope outside the grid box
     /// fell through to the simplex search, which materialised all `C(k, d)`
     /// point subsets — 88 M for this 4-D grid of 216 points, aborting the
-    /// process from one `BuildDualD` and one `Query` frame. The box is the
-    /// hull: the index rejects the slope at once and the scan answers.
+    /// process from one `BuildDualD` and one `Query` frame. Outside the box
+    /// the index rejects the slope at once and the scan answers.
     #[test]
     fn out_of_box_slope_on_a_4d_grid_is_planned_as_a_scan() {
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
@@ -248,7 +276,7 @@ mod tests {
         // Embedded: the plan names the scan and the typed rejection.
         let (plan, peak) = peak_during(|| db.plan_query("r", &selection).expect("planned"));
         assert_eq!(plan.method, MethodKind::SeqScan);
-        let why = Rejection::OutsideHull(slope);
+        let why = Rejection::OutsideBox(slope);
         assert_eq!(plan.rejected, [(MethodKind::DualD, why)]);
         assert!(peak < 4096, "one allocation of {peak} bytes to plan a scan");
         // And through the dispatcher, as a wire peer's frame would arrive.

@@ -1,6 +1,7 @@
 //! The d-dimensional extension (Section 4.4): indexing 3-D boxes and
-//! querying with arbitrary-slope half-spaces through the simplex-covering
-//! generalization of T1.
+//! querying with arbitrary-slope half-spaces through technique T2 over the
+//! Voronoi cell of the slope point nearest the query — for a grid of slope
+//! points and for an irregular set alike.
 //!
 //! Scenario: flight corridors as (x, y, altitude) boxes; queries are tilted
 //! half-spaces "above the terrain plane z = a·x + b·y + c".
@@ -18,14 +19,17 @@ use constraint_db::index::index::{Exact, TupleSource};
 use constraint_db::index::query::{QueryResult, Selection, SelectionKind};
 use constraint_db::storage::{MemPager, PageReader, Pager};
 
-/// Routes `sel` (member point, grid cell or covering simplex) and runs it.
+/// Routes `sel` (a member point, or the nearest point's Voronoi cell) and
+/// runs it.
 fn run(
     idx: &DualIndexD,
     pager: &MemPager,
     sel: &Selection,
     fetch: &dyn TupleSource,
 ) -> QueryResult {
-    let case = idx.route(sel).expect("a slope inside the hull of S");
+    let case = idx
+        .route(sel)
+        .expect("a slope inside the bounding box of S");
     idx.run(pager, sel, &case, Exact::Selection, fetch).unwrap()
 }
 
@@ -99,6 +103,31 @@ fn main() {
         .collect();
     assert_eq!(clear.ids(), oracle, "index agrees with the exact oracle");
     println!("\noracle cross-check passed ({} ALL matches)", oracle.len());
+
+    // Any set of slope points routes the same way: here 9 irregular
+    // gradients, whose cells are Voronoi polygons rather than boxes.
+    let irregular = [
+        [-0.2, -0.15],
+        [0.1, -0.2],
+        [0.2, 0.0],
+        [-0.05, 0.05],
+        [0.15, 0.18],
+        [-0.18, 0.2],
+        [0.0, -0.05],
+        [0.06, 0.1],
+        [-0.12, -0.02],
+    ];
+    let points = SlopePoints::new(3, irregular.iter().map(|p| p.to_vec()).collect());
+    let mut pager2 = MemPager::paper_1999();
+    let idx2 = DualIndexD::build(&mut pager2, points, &tuples).unwrap();
+    pager2.reset_stats();
+    let again = run(&idx2, &pager2, &Selection::all(terrain.clone()), &fetch);
+    assert_eq!(again.ids(), oracle, "irregular slope points agree too");
+    println!(
+        "irregular slope points: {} ALL matches, {} page accesses",
+        again.len(),
+        pager2.stats().accesses()
+    );
 
     // A restricted (member-slope) query is exact with a single tree sweep.
     let flat = HalfPlane::new(vec![0.0, 0.0], 8.0, RelOp::Ge);

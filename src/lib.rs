@@ -87,3 +87,7 @@ pub mod prelude {
     pub use cdb_storage::{IoStats, MemPager, PageReader, Pager, TrackedReader};
     pub use cdb_workload::{DatasetSpec, ObjectSize, QueryGen, TupleGen};
 }
+
+#[cfg(test)]
+#[global_allocator]
+static PEAK_ALLOC: cdb_storage::conformance::PeakAlloc = cdb_storage::conformance::PeakAlloc;

@@ -856,4 +856,20 @@ mod tests {
         assert!(run_command(&mut s, "line r y = 0.5x + 2").is_ok());
         assert!(run_command(&mut s, "exist r y >= 1e-3x - 5").is_ok());
     }
+
+    /// `indexd` parameters that used to abort the process — on a 12 GB
+    /// allocation (30-D), in the box-corner enumeration (14-D), on a 32 GB
+    /// allocation (4·10⁹ points) — are an error line.
+    #[test]
+    fn unbuildable_slope_grids_are_errors_not_aborts() {
+        use cdb_storage::conformance::peak_during;
+        for (dim, per_axis) in [(30, 2), (14, 2), (2, 4_000_000_000u32)] {
+            let mut s = Session::Local(Box::new(ConstraintDb::in_memory(DbConfig::paper_1999())));
+            run_command(&mut s, &format!("create r {dim}")).unwrap();
+            let line = format!("indexd r {per_axis}");
+            let (got, peak) = peak_during(|| run_command(&mut s, &line));
+            assert!(got.is_err(), "{dim}-D `{line}`: {got:?}");
+            assert!(peak < 1 << 16, "{dim}-D `{line}`: {peak} bytes at once");
+        }
+    }
 }

@@ -275,24 +275,25 @@ fn boxes_3d(n: usize) -> Vec<GeneralizedTuple> {
         .collect()
 }
 
-/// And in `E^d` (d = 3): member (grid-point), grid-cell and out-of-hull
-/// slopes on a grid set, simplex-covered slopes on a bare simplex, all get
-/// a plan — out of the hull falling back to the scan method — and whenever
-/// the planner runs the d-dimensional index, the plan's case is the
-/// index's route and the search that ran.
+/// And in `E^d` (d = 3): member (grid-point), grid-cell and out-of-box
+/// slopes on a grid set, slopes in a bare simplex and in its box but
+/// outside its hull, all get a plan — out of the box falling back to the
+/// scan method — and whenever the planner runs the d-dimensional index,
+/// the plan's case is the index's route and the search that ran.
 #[test]
 fn explain_covers_d_dimensional_selections() {
     let tuples = boxes_3d(150);
     let pairs: Vec<(u32, GeneralizedTuple)> = (0u32..).zip(tuples.iter().cloned()).collect();
     let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
     let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
-    let simplex = vec![vec![-1.0, -1.0], vec![1.0, -1.0], vec![0.0, 1.0]];
+    let simplex = vec![vec![-0.2, -0.2], vec![0.2, -0.2], vec![0.0, 0.2]];
 
     // Grid axes are 5 steps over [-0.2, 0.2]² (cells small enough that T2's
     // whole-cell band still beats a scan of 150 boxes): a grid point, an
-    // interior point, and a slope outside the hull (only the scan can serve
-    // it); then a bare simplex, where every interior slope takes the
-    // covering.
+    // interior point, and a slope outside the box (only the scan can serve
+    // it). Then a bare simplex with the same box: every slope in it takes
+    // T2 over the nearest vertex's cell — the "simplex" shape used to take
+    // the covering, and (0.16, 0.16), outside the hull, used to be refused.
     // One stand-alone index per slope set; one database per shape, so each
     // is planned from a fresh feedback catalog.
     let standalone = |points: SlopePoints| {
@@ -301,12 +302,13 @@ fn explain_covers_d_dimensional_selections() {
         (index, pager)
     };
     let grid = standalone(SlopePoints::grid(3, 5, 0.2));
-    let covering = standalone(SlopePoints::new(3, simplex));
-    let shapes: [(&str, &(DualIndexD, MemPager), Vec<f64>); 4] = [
+    let bare = standalone(SlopePoints::new(3, simplex));
+    let shapes: [(&str, &(DualIndexD, MemPager), Vec<f64>); 5] = [
         ("member", &grid, vec![0.0, 0.0]),
         ("grid cell", &grid, vec![0.13, -0.07]),
-        ("outside hull", &grid, vec![2.5, 2.5]),
-        ("simplex", &covering, vec![0.1, 0.5]),
+        ("outside box", &grid, vec![2.5, 2.5]),
+        ("simplex", &bare, vec![0.02, 0.1]),
+        ("in box, outside hull", &bare, vec![0.16, 0.16]),
     ];
     for (label, (index, pager), slope) in shapes {
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
@@ -327,18 +329,18 @@ fn explain_covers_d_dimensional_selections() {
                 let scan = db.query_with("boxes", sel.clone(), Strategy::Scan).unwrap();
                 assert_eq!(report.result.ids(), scan.ids(), "{what} vs scan oracle");
                 let routed = index.route(&sel);
-                if label == "outside hull" {
+                if label == "outside box" {
                     assert_eq!(report.plan.method, MethodKind::SeqScan, "{what}");
-                    let why = Rejection::OutsideHull(slope.clone());
+                    let why = Rejection::OutsideBox(slope.clone());
                     assert_eq!(routed, Err(why.clone()), "{what}");
                     assert_eq!(report.plan.rejected, [(MethodKind::DualD, why)], "{what}");
                     continue;
                 }
                 let case = routed.unwrap_or_else(|why| panic!("{what}: {why}"));
-                match label {
-                    "member" => assert!(matches!(case, PlanCase::MemberPoint { .. }), "{case:?}"),
-                    "grid cell" => assert!(matches!(case, PlanCase::GridCell(_)), "{case:?}"),
-                    _ => assert!(matches!(case, PlanCase::SimplexCovering(_)), "{case:?}"),
+                if label == "member" {
+                    assert!(matches!(case, PlanCase::MemberPoint { .. }), "{case:?}");
+                } else {
+                    assert!(matches!(case, PlanCase::Cell(_)), "{case:?}");
                 }
                 let direct = index
                     .run(pager, &sel, &case, Exact::Selection, &fetch)
@@ -352,7 +354,7 @@ fn explain_covers_d_dimensional_selections() {
                 }
             }
         }
-        if label != "outside hull" {
+        if label != "outside box" {
             assert!(
                 planned_on_the_index > 0,
                 "{label}: the planner never ran it"
@@ -505,11 +507,20 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     for t in boxes_3d(150) {
         db3.insert("boxes", t).unwrap();
     }
-    // A bare simplex, not a grid: every interior slope takes the covering.
+    // A bare simplex, not a grid: the planner's `Auto` runs T2 over the
+    // nearest vertex's cell where it beats a scan; the covering the route
+    // used to take is run stand-alone, as an ablation builds it, and so is
+    // the routed cell on every selection, beside it.
     let simplex = vec![vec![-1.0, -1.0], vec![1.0, -1.0], vec![0.0, 1.0]];
-    db3.build_dual_index_d("boxes", SlopePoints::new(3, simplex))
-        .unwrap();
-    let mut ddim = [0u64; 5];
+    let bare = SlopePoints::new(3, simplex);
+    db3.build_dual_index_d("boxes", bare.clone()).unwrap();
+    let pairs: Vec<(u32, GeneralizedTuple)> = (0u32..).zip(boxes_3d(150)).collect();
+    let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
+    let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
+    let mut pager = MemPager::paper_1999();
+    let covered = DualIndexD::build(&mut pager, bare, &pairs).unwrap();
+    let covering = PlanCase::SimplexCovering(vec![0, 1, 2]);
+    let (mut auto, mut simplex, mut cells) = ([0u64; 5], [0u64; 5], [0u64; 5]);
     for (i, slope) in [[0.0, 0.0], [0.3, -0.4], [-0.2, 0.1], [0.1, 0.5]]
         .into_iter()
         .enumerate()
@@ -517,16 +528,32 @@ fn duplicate_and_candidate_accounting_is_pinned() {
         for op in [RelOp::Ge, RelOp::Le] {
             let hp = HalfPlane::new(slope.to_vec(), 5.0 * i as f64 - 10.0, op);
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
+                let r = covered.run(&pager, &sel, &covering, Exact::Selection, &fetch);
+                fold(&mut simplex, &r.unwrap());
+                let cell = covered.route(&sel).unwrap();
+                assert!(matches!(cell, PlanCase::Cell(_)), "{cell}");
+                let r = covered.run(&pager, &sel, &cell, Exact::Selection, &fetch);
+                fold(&mut cells, &r.unwrap());
                 let r = db3.query_with("boxes", sel, Strategy::Auto).unwrap();
                 if r.stats.method == Some(MethodKind::DualD) {
-                    fold(&mut ddim, &r);
+                    fold(&mut auto, &r);
                 }
             }
         }
     }
     assert_eq!(t1, [13154, 1206, 9548, 3320, 2400], "T1");
     assert_eq!(rplus, [6514, 615, 3499, 2949, 2400], "R⁺-tree");
-    assert_eq!(ddim, [529, 248, 102, 100, 179], "simplex covering");
+    // Recorded at the parent of the change that routed every point set
+    // to its cells, where `Auto` ran the covering: [529, 248, 102, 100, 179].
+    assert_eq!(
+        simplex,
+        [3762, 1614, 948, 168, 1200],
+        "bare simplex covering"
+    );
+    // The routed cell on the same selections: a third fewer candidates and
+    // pages than the covering, no duplicates, more false hits.
+    assert_eq!(cells, [2399, 0, 1199, 112, 1200], "bare simplex cells");
+    assert_eq!(auto, [300, 0, 131, 90, 169], "Auto over a bare set's cells");
 
     // Incremental folds, both geometries: a fixed insert/delete script on
     // stand-alone indexes (no refresh), then handicap-guided searches only.
@@ -595,7 +622,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
             let hp = HalfPlane::new(slope.to_vec(), 11.0 * i as f64 - 25.0, op);
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
                 let case = index.route(&sel).unwrap();
-                assert!(matches!(case, PlanCase::GridCell(_)), "{case}");
+                assert!(matches!(case, PlanCase::Cell(_)), "{case}");
                 fold(
                     &mut cell,
                     &index
