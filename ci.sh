@@ -138,6 +138,21 @@ RULES
 }
 step one-grammar one_grammar
 
+# The audit that keeps "one node, one id space" a gate: sharding stays out
+# of the engine, the catalog, the wire and the CLI — no partitioner, no
+# persisted partition spec or its log record, no shard redirect, identity
+# or map, no sharded client — and there is no `cdb-shard` launcher.
+one_node() {
+  grep_audit one-node crates/*/src src <<'RULES'
+0|sharding names|-|PartitionSpec|Partitioner|hash_owner|set_partition|SetPartition|WrongShard|ShardIdentity|ShardMap|ShardedClient|map_epoch
+RULES
+  if [ -e src/bin/cdb-shard.rs ]; then
+    echo "ci: one-node: src/bin/cdb-shard.rs is back" >&2
+    return 1
+  fi
+}
+step one-node one_node
+
 # Report only: non-test lines per crate, counted as the lines above a
 # file's first `#[cfg(test)]` — the figure CHANGES.md quotes before/after
 # a simplicity PR.
@@ -555,112 +570,6 @@ cluster_smoke() {
 }
 step cluster cluster_smoke
 
-# Sharding smoke: `cdb-shard` boots 2 shards × (primary + follower) on
-# ephemeral ports; scripted writes enter through a sharded session (each
-# insert routed to its id's owning shard, queries fanned out and merged).
-# Then one shard's primary is SIGKILLed: fanned-out reads keep flowing
-# through that shard's follower, a same-port restart with the same
-# --shard flags recovers every acknowledged write from the retained WAL,
-# the deployment takes one more write, and every file fscks clean.
-shard_smoke() {
-  local dir="${TMPDIR:-/tmp}/cdb_ci_shard_$$"
-  local log="${dir}/launcher.log" out="${dir}/client.out"
-  rm -rf "$dir"
-  mkdir -p "$dir"
-  die() {
-    echo "ci: shard smoke: $1" >&2
-    # The launcher's members are grandchildren: kill them by the pids it
-    # printed, or killing only the launcher would orphan every server.
-    sed -n 's/.* pid=\([0-9]*\) .*/\1/p' "$log" 2>/dev/null \
-      | xargs -r kill -9 2>/dev/null || true
-    kill -9 $(jobs -p) 2>/dev/null || true
-    wait 2>/dev/null || true
-    rm -rf "$dir"
-  }
-
-  ./target/release/cdb-shard --shards 2 --followers 1 --data-dir "$dir" \
-    --checkpoint-every 8 >"$log" &
-  local launcher=$!
-  local spec=""
-  for _ in $(seq 1 100); do
-    spec=$(sed -n 's/^spec //p' "$log")
-    [ -n "$spec" ] && break
-    sleep 0.1
-  done
-  [ -n "$spec" ] || { die "launcher never printed the shard spec"; return 1; }
-  local p0pid p0addr
-  p0pid=$(sed -n 's/^shard 0 primary pid=\([0-9]*\) .*/\1/p' "$log")
-  p0addr=$(sed -n 's/^shard 0 primary .* addr=\([^ ]*\) .*/\1/p' "$log")
-  { [ -n "$p0pid" ] && [ -n "$p0addr" ]; } \
-    || { die "launcher never printed shard 0's primary"; return 1; }
-
-  # 16 acked writes and a fanned-out index build through one sharded
-  # session (one session: the router's global id counter stays warm).
-  {
-    printf 'create parcels 2\n'
-    for i in $(seq 1 16); do
-      printf 'insert parcels y >= 0 && y <= 2 && x >= %s && x <= %s\n' "$i" "$((i + 3))"
-    done
-    printf 'index parcels 4\n'
-    printf 'exist parcels y >= -1000000\n'
-    printf 'cluster stats\n'
-  } | TERM= ./target/release/cdb-client --shards "$spec" >"$out" \
-    || { die "sharded write session failed"; return 1; }
-  # (The scripted session echoes prompts, so the match is not anchored.)
-  grep -Eq '(^|[^0-9])16 matches:' "$out" || { die "merged read missed rows"; return 1; }
-  # The fan-in stats table shows every member of every shard with a role.
-  [ "$(grep -c ' primary ' "$out")" -eq 2 ] \
-    || { die "cluster stats is missing a primary row"; return 1; }
-  [ "$(grep -c ' replica' "$out")" -eq 2 ] \
-    || { die "cluster stats is missing a follower row"; return 1; }
-
-  # SIGKILL shard 0's primary: merged reads ride through its follower.
-  # (Full-read grep, not -q, on every client pipe below: quitting on the
-  # first match SIGPIPEs the client's next line and fails the pipeline.)
-  kill -9 "$p0pid"
-  TERM= ./target/release/cdb-client --shards "$spec" \
-    exist parcels 'y >= -1000000' | grep '^16 matches' >/dev/null \
-    || { die "reads failed with one shard primary down"; return 1; }
-
-  # Same-port restart with the same --shard flags (the spec in the file's
-  # catalog must verify, not conflict): zero acked loss.
-  ./target/release/cdb-server "$dir/shard-0.cdb" --addr "$p0addr" \
-    --shard 0/2 --retain-wal --checkpoint-every 8 >"$dir/restart.log" &
-  local rpid=$!
-  local raddr=""
-  for _ in $(seq 1 50); do
-    raddr=$(sed -n 's/^listening on //p' "$dir/restart.log")
-    [ -n "$raddr" ] && break
-    sleep 0.1
-  done
-  [ -n "$raddr" ] || { die "restarted shard primary never came up"; return 1; }
-  TERM= ./target/release/cdb-client --shards "$spec" \
-    exist parcels 'y >= -1000000' | grep '^16 matches' >/dev/null \
-    || { die "restart lost acknowledged writes"; return 1; }
-  TERM= ./target/release/cdb-client --shards "$spec" \
-    insert parcels 'y >= 0 && y <= 1 && x >= 90 && x <= 91' >/dev/null \
-    || { die "write after shard restart failed"; return 1; }
-  TERM= ./target/release/cdb-client --shards "$spec" \
-    exist parcels 'y >= -1000000' | grep '^17 matches' >/dev/null \
-    || { die "post-restart write is not visible"; return 1; }
-
-  # Graceful teardown of every member, then offline fsck of every file.
-  local addr
-  for addr in $(echo "$spec" | tr ';,' '  '); do
-    TERM= ./target/release/cdb-client "$addr" shutdown >/dev/null \
-      || { die "member $addr refused shutdown"; return 1; }
-  done
-  wait "$rpid" 2>/dev/null || true
-  wait "$launcher" 2>/dev/null || true # exits 1: one child was SIGKILLed
-  local db
-  for db in "$dir"/shard-*.cdb; do
-    ./target/release/cdb fsck "$db" | grep -q 'fsck: ok' \
-      || { die "fsck failed on $db"; return 1; }
-  done
-  rm -rf "$dir"
-}
-step shard shard_smoke
-
 # `perf/` is its own workspace, so nothing above builds it: compile the
 # benchmark harness against the current API, run its unit tests, then one
 # quick pass over all four workloads (exits non-zero on any failed
@@ -675,13 +584,23 @@ step perf-harness perf_harness
 # workload at full scale and the baseline's seed for three seconds (long
 # enough for `durable_churn` to pass the 4 096 mutations after which it
 # samples its space), no failed operation, and `pages_per_query` and
-# `space_bytes_per_tuple` equal to `perf/baseline/BENCH_12.json` to the
-# last digit. Timings are not looked at: this is not a benchmark run.
+# `space_bytes_per_tuple` equal to the newest committed baseline — the
+# `perf/baseline/BENCH_<n>.json` of the largest n, its `_repeat` runs left
+# out — to the last digit. Timings are not looked at: this is not a
+# benchmark run.
 perf_counts() {
-  local baseline=perf/baseline/BENCH_12.json w m line got want
+  local baseline seed w m line got want
+  baseline=$(find perf/baseline -name 'BENCH_*.json' | grep -E '/BENCH_[0-9]+\.json$' |
+    sort -t_ -k2 -n | tail -n 1)
+  seed=$(sed -n 's/^  "seed": \([0-9]*\),$/\1/p' "${baseline:-/dev/null}")
+  if [ -z "$seed" ]; then
+    echo "ci: perf-counts: no perf/baseline/BENCH_<n>.json with a seed" >&2
+    return 1
+  fi
+  echo "baseline: $baseline (seed $seed)"
   for w in embedded_t2 embedded_restricted durable_churn served_mixed; do
     line=$(cargo run --release --quiet --manifest-path perf/Cargo.toml -- \
-      --workload "$w" --seed 12 --seconds 3 --trace 0 | tail -n 1)
+      --workload "$w" --seed "$seed" --seconds 3 --trace 0 | tail -n 1)
     case "$line" in
       *'"failed":0,'*) ;;
       *) echo "ci: perf-counts: $w reports failed operations: $line" >&2; return 1 ;;

@@ -9,10 +9,9 @@
 //! count then the items):
 //!
 //! ```text
-//! magic "CDBC" u32 | version u16 | durable_lsn u64
-//!                  | [Option<PartitionSpec>] | relation count u32
+//! magic "CDBC" u32 | version u16 | durable_lsn u64 | relation count u32
 //! per relation (sorted by name):
-//!   name str | dim u32
+//!   name str | dim u32 (1 up to what a heap page admits)
 //!   heap:   page list u32 ...
 //!   slots:  list of [Option<RecordId>]
 //!   per index slot, in IndexKind order: present u8, [ corrupt u8, body ]
@@ -45,7 +44,6 @@ use crate::error::{CdbError, CATALOG_RECORD};
 use crate::index::ddim::{DualIndexD, SlopePoints};
 use crate::index::forest::Forest;
 use crate::index::{DualIndex, Index, IndexKind, RPlusIndex};
-use crate::partition::PartitionSpec;
 use crate::relation::Relation;
 use crate::slopes::SlopeSet;
 
@@ -54,13 +52,13 @@ const MAGIC: u32 = 0x4344_4243;
 /// Current catalog format version. Version 2 added the `durable_lsn`
 /// WAL watermark: every mutation with an LSN at or below it is covered by
 /// this blob, so replay applies only the strictly newer log suffix.
-/// Version 3 added the optional partition spec, persisted so a sharded
-/// engine allocates exactly the same tuple ids after a reopen. Version 4
-/// dropped the planner feedback and the reserved strategy, anchor and
-/// handicap-refresh bytes, and added each index's corrupt flag. Version 5
-/// dropped the slope points' grid axes: every point set is routed by the
-/// Voronoi cells of its points.
-const VERSION: u16 = 5;
+/// Version 3 added the optional partition spec of a sharded engine.
+/// Version 4 dropped the planner feedback and the reserved strategy,
+/// anchor and handicap-refresh bytes, and added each index's corrupt flag.
+/// Version 5 dropped the slope points' grid axes: every point set is
+/// routed by the Voronoi cells of its points. Version 6 dropped the
+/// partition spec: an engine is one node with one id space.
+const VERSION: u16 = 6;
 
 // ---------------------------------------------------------------- indexes
 
@@ -157,13 +155,13 @@ fn put_relation(rel: &Relation, w: &mut RecordWriter) {
 fn get_relation(r: &mut RecordReader<'_>, page_size: usize) -> Result<Relation, CodecError> {
     let name = String::get(r)?;
     let dim = usize::get(r)?;
-    if dim < 1 {
-        return Err(CodecError::Invalid("relation dimension"));
-    }
     // Relations come out `Healthy` but for their flagged indexes: the
     // open-time verification pass adds what the pages say right after
-    // decoding (see `ConstraintDb::open`).
-    let mut rel = Relation::new(&name, dim, HeapFile::from_pages(page_size, Wire::get(r)?));
+    // decoding (see `ConstraintDb::open`). A dimension `create_relation`
+    // would refuse is damage.
+    let heap = HeapFile::from_pages(page_size, Wire::get(r)?);
+    let mut rel =
+        Relation::new(&name, dim, heap).map_err(|_| CodecError::Invalid("relation dimension"))?;
     rel.slots = Vec::<Option<RecordId>>::get(r)?;
     for (id, rid) in rel.slots.iter().enumerate() {
         if rid.is_some_and(|rid| rel.by_record.insert(rid, id as u32).is_some()) {
@@ -185,18 +183,12 @@ fn get_relation(r: &mut RecordReader<'_>, page_size: usize) -> Result<Relation, 
 
 // ------------------------------------------------------------------- blob
 
-/// Serializes the WAL durability watermark, the partition spec (when the
-/// engine is one shard of a deployment) and every relation into one catalog
-/// blob. Relations are written in name order, so identical database states
-/// produce identical bytes.
-pub(crate) fn encode(
-    durable_lsn: u64,
-    partition: Option<PartitionSpec>,
-    relations: &HashMap<String, Relation>,
-) -> Vec<u8> {
+/// Serializes the WAL durability watermark and every relation into one
+/// catalog blob. Relations are written in name order, so identical database
+/// states produce identical bytes.
+pub(crate) fn encode(durable_lsn: u64, relations: &HashMap<String, Relation>) -> Vec<u8> {
     let mut w = RecordWriter::new();
     (MAGIC, VERSION, durable_lsn).put(&mut w);
-    partition.put(&mut w);
     relations.len().put(&mut w);
     let mut names: Vec<&String> = relations.keys().collect();
     names.sort();
@@ -222,7 +214,7 @@ fn read(blob: &[u8], page_size: usize) -> Result<DecodedCatalog, CodecError> {
     if (u32::get(r)?, u16::get(r)?) != (MAGIC, VERSION) {
         return Err(CodecError::Invalid("catalog magic or version"));
     }
-    let (durable_lsn, partition) = Wire::get(r)?;
+    let durable_lsn = u64::get(r)?;
     let mut relations = HashMap::new();
     for _ in 0..usize::get(r)? {
         let rel = get_relation(r, page_size)?;
@@ -233,7 +225,6 @@ fn read(blob: &[u8], page_size: usize) -> Result<DecodedCatalog, CodecError> {
     r.finish()?;
     Ok(DecodedCatalog {
         durable_lsn,
-        partition,
         relations,
     })
 }
@@ -241,7 +232,6 @@ fn read(blob: &[u8], page_size: usize) -> Result<DecodedCatalog, CodecError> {
 /// Everything [`decode`] rebuilds from one catalog blob.
 pub(crate) struct DecodedCatalog {
     pub durable_lsn: u64,
-    pub partition: Option<PartitionSpec>,
     pub relations: HashMap<String, Relation>,
 }
 
@@ -260,11 +250,10 @@ mod tests {
         matches!(r, Err(CdbError::CorruptRecord(CATALOG_RECORD)))
     }
 
-    /// The catalog of one shard of two holding a 2-D relation (dual index
-    /// after churn, R⁺-tree with an unbounded tuple and a tombstone and
-    /// flagged corrupt, absent slots, queries whose feedback is not
-    /// persisted) and a 3-D relation with a grid `DualIndexD` — the state
-    /// behind `golden/catalog_v5.hex`.
+    /// The catalog of a 2-D relation (dual index after churn, R⁺-tree with
+    /// an unbounded tuple and a tombstone and flagged corrupt, an absent
+    /// slot, queries whose feedback is not persisted) and a 3-D relation
+    /// with a grid `DualIndexD` — the state behind `golden/catalog_v6.hex`.
     fn sample_blob() -> Vec<u8> {
         let cube = |lo: &[f64], side: f64| {
             let mut cs = Vec::new();
@@ -277,8 +266,6 @@ mod tests {
             GeneralizedTuple::new(cs)
         };
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
-        db.set_partition(PartitionSpec::new(2, 1, 0xC0FFEE).unwrap())
-            .unwrap();
         db.create_relation("plane", 2).unwrap();
         let mut first = None;
         for i in 0..6 {
@@ -314,29 +301,28 @@ mod tests {
         .unwrap();
         let plane = db.for_update("plane").unwrap().1;
         plane.set_corrupt(IndexKind::RPlus, true);
-        encode(17, db.partition(), &db.relations)
+        encode(17, &db.relations)
     }
 
     fn reencoded(blob: &[u8]) -> Result<Vec<u8>, CdbError> {
         let cat = decode(blob, 1024)?;
-        Ok(encode(cat.durable_lsn, cat.partition, &cat.relations))
+        Ok(encode(cat.durable_lsn, &cat.relations))
     }
 
     #[test]
     fn catalog_conformance() {
         // A blob is its own sample: the round trip is decode, then encode.
-        let empty = encode(17, None, &HashMap::new());
+        let empty = encode(17, &HashMap::new());
         conformance(&[sample_blob(), empty], Vec::clone, reencoded);
     }
 
     #[test]
     fn golden_bytes_are_those_of_the_format() {
-        let golden = crate::unhex(include_str!("../golden/catalog_v5.hex").trim_end());
+        let golden = crate::unhex(include_str!("../golden/catalog_v6.hex").trim_end());
         assert_eq!(sample_blob(), golden);
         assert_eq!(reencoded(&golden).unwrap(), golden);
         let cat = decode(&golden, 1024).unwrap();
         assert_eq!(cat.durable_lsn, 17);
-        assert_eq!(cat.partition, PartitionSpec::new(2, 1, 0xC0FFEE).ok());
         let plane = &cat.relations["plane"];
         assert_eq!((plane.dim, plane.live), (2, 6));
         assert!(plane.index().is_some() && plane.built(IndexKind::RPlus).is_some());
@@ -350,21 +336,20 @@ mod tests {
     }
 
     /// The previous formats stay frozen, and are refused as damage: they
-    /// hold bytes version 5 no longer reads.
+    /// hold bytes version 6 no longer reads — version 4 a grid presence
+    /// byte after every slope-point set, versions 3 to 5 the partition
+    /// spec's presence byte in the header.
     #[test]
-    fn golden_bytes_of_version_3_are_refused() {
-        let v3 = crate::unhex(include_str!("../golden/catalog_v3.hex").trim_end());
-        assert_eq!(v3[4..6], 3u16.to_le_bytes());
-        assert!(is_corrupt(decode(&v3, 1024)));
-    }
-
-    /// Version 4 still wrote a grid presence byte (and the grid's axes)
-    /// after every slope-point set.
-    #[test]
-    fn golden_bytes_of_version_4_are_refused() {
-        let v4 = crate::unhex(include_str!("../golden/catalog_v4.hex").trim_end());
-        assert_eq!(v4[4..6], 4u16.to_le_bytes());
-        assert!(is_corrupt(decode(&v4, 1024)));
+    fn golden_bytes_of_versions_3_to_5_are_refused() {
+        for (version, hex) in [
+            (3u16, include_str!("../golden/catalog_v3.hex")),
+            (4, include_str!("../golden/catalog_v4.hex")),
+            (5, include_str!("../golden/catalog_v5.hex")),
+        ] {
+            let old = crate::unhex(hex.trim_end());
+            assert_eq!(old[4..6], version.to_le_bytes());
+            assert!(is_corrupt(decode(&old, 1024)), "v{version}");
+        }
     }
 
     #[test]
@@ -373,7 +358,6 @@ mod tests {
         // must run out of bytes, not reserve 32 GiB for them.
         let mut w = RecordWriter::new();
         (MAGIC, VERSION, 0u64).put(&mut w);
-        None::<PartitionSpec>.put(&mut w);
         (1u32, "r".to_string(), 2u32).put(&mut w);
         (0u32, 0u32).put(&mut w); // no heap pages, no slots
         (true, false, u32::MAX).put(&mut w);
@@ -386,7 +370,6 @@ mod tests {
         // cell work than any index may ask for, refused before the trees.
         let mut w = RecordWriter::new();
         (MAGIC, VERSION, 0u64).put(&mut w);
-        None::<PartitionSpec>.put(&mut w);
         (1u32, "r".to_string(), 8u32).put(&mut w);
         (0u32, 0u32).put(&mut w); // no heap pages, no slots
         (false, true, false).put(&mut w); // no 2-D index; a healthy d-D one
@@ -401,29 +384,28 @@ mod tests {
     fn rejects_garbage_and_wrong_versions() {
         assert!(is_corrupt(decode(b"not a catalog", 1024)));
         assert!(is_corrupt(decode(&[], 1024)));
-        let mut bytes = encode(0, None, &HashMap::new());
+        let mut bytes = encode(0, &HashMap::new());
         bytes[4] += 1; // the version's low byte
         assert!(is_corrupt(decode(&bytes, 1024)));
     }
 
+    /// A relation of a dimension `create_relation` refuses — zero, or so
+    /// wide that one constraint outgrows a heap page — is damage: decoding
+    /// must not size anything by it.
     #[test]
-    fn rejects_damaged_partition_spec() {
-        let header = |partition: &dyn Fn(&mut RecordWriter)| {
+    fn relation_dimensions_past_the_page_bound_are_corrupt() {
+        let blob = |dim: u32| {
             let mut w = RecordWriter::new();
             (MAGIC, VERSION, 0u64).put(&mut w);
-            partition(&mut w);
-            0u32.put(&mut w);
+            (1u32, "r".to_string(), dim).put(&mut w);
+            (0u32, 0u32).put(&mut w); // no heap pages, no slots
+            (false, false, false).put(&mut w); // no indexes
             w.into_bytes()
         };
-        assert!(decode(&header(&|w| (true, (2u32, 1u32, 1u64)).put(w)), 1024).is_ok());
-        // Shard index out of range: structurally well-formed, semantically
-        // impossible — PartitionSpec::new would have refused it.
-        assert!(is_corrupt(decode(
-            &header(&|w| (true, (2u32, 7u32, 1u64)).put(w)),
-            1024
-        )));
-        // Unknown presence byte.
-        assert!(is_corrupt(decode(&header(&|w| 9u8.put(w)), 1024)));
+        assert_eq!(decode(&blob(125), 1024).unwrap().relations["r"].dim, 125);
+        for dim in [0, 126, 4_000_000_000] {
+            assert!(is_corrupt(decode(&blob(dim), 1024)), "{dim}-D");
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@ use cdb_storage::{
 use crate::error::CdbError;
 use crate::index::ddim::SlopePoints;
 use crate::index::IndexSpec;
-use crate::partition::PartitionSpec;
 pub use crate::read::{ReadSurface, Snapshot};
 pub use crate::relation::{Relation, RelationHealth, RelationStats};
 use crate::slopes::SlopeSet;
@@ -208,9 +207,6 @@ pub struct ConstraintDb {
     /// any suffix a lagging follower still needs (see
     /// [`ConstraintDb::open_retaining`]).
     retain_wal: bool,
-    /// When this engine is one shard of a partitioned deployment: which
-    /// tuple ids it may allocate (see [`ConstraintDb::set_partition`]).
-    partition: Option<PartitionSpec>,
 }
 
 /// The whole read surface — `relation`, `query`, `query_with`, `explain`,
@@ -252,7 +248,6 @@ impl ConstraintDb {
             durable_lsn: 0,
             checkpoint_failures: 0,
             retain_wal: false,
-            partition: None,
         }
     }
 
@@ -398,7 +393,6 @@ impl ConstraintDb {
         db.read_only = read_only;
         db.recovery.pager = recovery;
         db.durable_lsn = cat.durable_lsn;
-        db.partition = cat.partition;
         Ok(db)
     }
 
@@ -460,9 +454,6 @@ impl ConstraintDb {
     fn apply_wal_record(&mut self, rec: WalRecord) -> Result<(), CdbError> {
         match rec {
             WalRecord::CreateRelation { name, dim } => {
-                if dim == 0 {
-                    return Err(CdbError::CorruptRecord(crate::error::WAL_RECORD));
-                }
                 self.create_relation(&name, dim as usize).map(|_| ())
             }
             WalRecord::DropRelation { name } => self.drop_relation(&name),
@@ -474,7 +465,6 @@ impl ConstraintDb {
             }
             WalRecord::BuildRPlus { relation, fill } => self.build_rplus_index(&relation, fill),
             WalRecord::TightenIndex { relation } => self.tighten_index(&relation),
-            WalRecord::SetPartition(spec) => self.set_partition(spec),
         }
     }
 
@@ -648,7 +638,7 @@ impl ConstraintDb {
             // synced or not — the commit itself is their durability.
             self.durable_lsn = w.next_lsn() - 1;
         }
-        let blob = crate::catalog::encode(self.durable_lsn, self.partition, &self.view.relations);
+        let blob = crate::catalog::encode(self.durable_lsn, &self.view.relations);
         if let Err(e) = self.view.pager.commit_meta(&blob) {
             self.checkpoint_failures += 1;
             return Err(CdbError::Io(e.to_string()));
@@ -769,62 +759,19 @@ impl ConstraintDb {
         self.view.pager.quarantine_clean()
     }
 
-    /// Installs this engine's partition spec: from now on,
-    /// [`insert`](Self::insert) allocates only tuple ids the spec owns
-    /// (skipping foreign ids by pushing absent slots), so the id spaces
-    /// of the deployment's shards are disjoint by construction and query
-    /// answers merge by plain union.
-    ///
-    /// The spec must be installed before any tuple ids exist — already-
-    /// assigned ids can't be re-homed — and can never change afterwards
-    /// (re-installing the identical spec is a no-op, which makes WAL
-    /// replay and replicated re-application idempotent). It is persisted
-    /// in the catalog and write-ahead-logged, so allocation stays
-    /// deterministic across restarts, reopens, and crash replay.
-    ///
-    /// # Errors
-    /// [`CdbError::UnsupportedQuery`] when tuples already exist or a
-    /// different spec is already installed; [`CdbError::ReadOnly`] on a
-    /// read-only handle.
-    pub fn set_partition(&mut self, spec: PartitionSpec) -> Result<(), CdbError> {
-        self.ensure_writable()?;
-        if let Some(current) = self.partition {
-            if current == spec {
-                return Ok(());
-            }
-            return Err(CdbError::UnsupportedQuery(format!(
-                "partition spec is already {current} and cannot change"
-            )));
-        }
-        if self.view.relations.values().any(|r| !r.slots.is_empty()) {
-            return Err(CdbError::UnsupportedQuery(
-                "a partition spec must be installed before any tuple ids are assigned".into(),
-            ));
-        }
-        self.partition = Some(spec);
-        self.dirty = true;
-        self.log_mutation(WalRecord::SetPartition(spec))
-    }
-
-    /// The installed partition spec, when this engine is one shard of a
-    /// partitioned deployment.
-    pub fn partition(&self) -> Option<PartitionSpec> {
-        self.partition
-    }
-
     /// Creates an empty relation of the given dimension.
     ///
     /// # Errors
     /// [`CdbError::RelationExists`] if the name is taken;
-    /// [`CdbError::ReadOnly`] on a read-only handle.
+    /// [`CdbError::DimensionOutOfRange`] for a dimension no tuple could be
+    /// stored in; [`CdbError::ReadOnly`] on a read-only handle.
     pub fn create_relation(&mut self, name: &str, dim: usize) -> Result<&Relation, CdbError> {
         self.ensure_writable()?;
         if self.view.relations.contains_key(name) {
             return Err(CdbError::RelationExists(name.into()));
         }
-        assert!(dim >= 1, "dimension must be positive");
+        let rel = Relation::new(name, dim, HeapFile::new(self.view.pager.as_mut()))?;
         self.dirty = true;
-        let rel = Relation::new(name, dim, HeapFile::new(self.view.pager.as_mut()));
         self.view.relations.insert(name.to_string(), rel);
         self.log_mutation(WalRecord::CreateRelation {
             name: name.to_string(),
@@ -880,11 +827,10 @@ impl ConstraintDb {
     /// disagrees with its heap. Reopen instead to recover the last
     /// committed state.
     pub fn insert(&mut self, name: &str, tuple: GeneralizedTuple) -> Result<u32, CdbError> {
-        let partition = self.partition;
         let (pager, rel, dirty) = self.for_update(name)?;
         rel.admits(&tuple)?;
         *dirty = true;
-        let id = rel.insert(pager, partition, &tuple)?;
+        let id = rel.insert(pager, &tuple)?;
         self.log_mutation(WalRecord::Insert {
             relation: name.to_string(),
             tuple,
@@ -984,6 +930,7 @@ mod tests {
     use crate::query::{Selection, SelectionKind, Strategy};
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::parse::parse_tuple;
+    use cdb_geometry::{LinearConstraint, RelOp};
 
     fn sample_db() -> ConstraintDb {
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
@@ -1092,7 +1039,6 @@ mod tests {
         use crate::index::Exact;
         use crate::plan::Planner;
         use cdb_geometry::predicates::oracle_select;
-        use cdb_geometry::RelOp;
 
         // Cell (T2) searches: `(candidates per query, all ids)`, the
         // ids checked against the oracle over `model`.
@@ -1279,6 +1225,55 @@ mod tests {
         assert_eq!(t2.ids(), &[0, 2]);
         drop(db);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Regression: a tuple whose stored form outgrows a heap page reached
+    /// `HeapFile::insert`'s `assert!`, and a relation of any dimension could
+    /// be created — one of 4·10⁹ dimensions let a single SQL statement ask
+    /// for 32 GB. Both are typed refusals, decided before the heap is
+    /// touched, at both ends of the bound.
+    #[test]
+    fn records_and_dimensions_past_a_heap_page_are_typed_errors() {
+        let mut db = sample_db();
+        let conjunction = |n: usize, var: &str| {
+            let cs: Vec<String> = (0..n).map(|i| format!("{var} >= {i}")).collect();
+            parse_tuple(&cs.join(" && ")).unwrap()
+        };
+        // 2-D constraints take 25 bytes after a 4-byte header; a page
+        // holds 1 016.
+        let pages = db.live_pages();
+        assert_eq!(
+            db.insert("land", conjunction(61, "y")),
+            Err(CdbError::TupleTooLarge {
+                len: 1529,
+                max: 1016
+            })
+        );
+        assert_eq!(
+            db.insert("land", conjunction(41, "y")),
+            Err(CdbError::TupleTooLarge {
+                len: 1029,
+                max: 1016
+            })
+        );
+        assert_eq!(
+            (db.live_pages(), db.relation("land").unwrap().len()),
+            (pages, 4)
+        );
+        assert_eq!(db.insert("land", conjunction(40, "y")), Ok(4));
+
+        for dim in [0, 126, 4_000_000_000] {
+            assert!(matches!(
+                db.create_relation("big", dim),
+                Err(CdbError::DimensionOutOfRange { max: 125, .. })
+            ));
+        }
+        assert!(db.relation("big").is_err());
+        // One constraint of 125 coefficients is 1 013 bytes: it fits.
+        db.create_relation("widest", 125).unwrap();
+        let widest = LinearConstraint::new(vec![1.0; 125], 0.0, RelOp::Ge);
+        let widest = GeneralizedTuple::new(vec![widest]);
+        assert_eq!(db.insert("widest", widest), Ok(0));
     }
 
     #[test]

@@ -49,6 +49,21 @@ pub enum CdbError {
     Quarantined(String),
     /// The database was opened read-only; mutations are refused.
     ReadOnly,
+    /// A relation dimension no tuple could be stored in: zero, or past
+    /// `max`, where a single constraint outgrows a heap page.
+    DimensionOutOfRange {
+        /// The dimension asked for.
+        dim: usize,
+        /// The largest dimension a heap page of this database admits.
+        max: usize,
+    },
+    /// The tuple's stored form does not fit one heap page.
+    TupleTooLarge {
+        /// Encoded length of the tuple in bytes.
+        len: usize,
+        /// The longest record a heap page holds.
+        max: usize,
+    },
 }
 
 cdb_storage::wire_enum!(CdbError {
@@ -63,6 +78,8 @@ cdb_storage::wire_enum!(CdbError {
     8 => Io(why),
     9 => Quarantined(name),
     10 => ReadOnly,
+    11 => DimensionOutOfRange { dim, max },
+    12 => TupleTooLarge { len, max },
 });
 
 impl std::fmt::Display for CdbError {
@@ -96,6 +113,14 @@ impl std::fmt::Display for CdbError {
                 write!(f, "relation '{n}' is quarantined (corrupt heap pages)")
             }
             CdbError::ReadOnly => write!(f, "database is read-only"),
+            CdbError::DimensionOutOfRange { dim, max } => write!(
+                f,
+                "dimension {dim} is out of range: a heap page stores tuples of 1 to {max} dimensions"
+            ),
+            CdbError::TupleTooLarge { len, max } => write!(
+                f,
+                "tuple takes {len} bytes stored, more than the {max} a heap page holds"
+            ),
         }
     }
 }

@@ -51,7 +51,6 @@ pub mod db;
 pub mod error;
 pub mod index;
 pub mod logical;
-pub mod partition;
 pub mod physical;
 pub mod plan;
 pub mod pretty;
@@ -66,7 +65,6 @@ pub mod wire;
 pub use db::{ConstraintDb, DbConfig, DbStats, RecoveryReport, WalReplay, WalStats};
 pub use error::{CdbError, CATALOG_RECORD, WAL_RECORD};
 pub use index::{ddim, DualIndex, Index, IndexKind, IndexSpec};
-pub use partition::{hash_owner, PartitionSpec, Partitioner};
 pub use plan::{
     AccessMethod, CostEstimate, ExplainReport, MethodKind, PlanCase, PlanCatalog, Planner,
     QueryPlan, Rejection,

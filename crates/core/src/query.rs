@@ -179,8 +179,8 @@ impl QueryStats {
     }
 
     /// Adds every counter of `other` into `self` — the one sum behind a
-    /// plan's scan nodes and a sharded fan-out. `method` and `estimate`
-    /// describe one execution and are left alone.
+    /// plan's scan nodes. `method` and `estimate` describe one execution
+    /// and are left alone.
     pub fn accumulate(&mut self, other: &QueryStats) {
         self.index_io = self.index_io.plus(&other.index_io);
         self.heap_io = self.heap_io.plus(&other.heap_io);

@@ -11,7 +11,6 @@ use cdb_storage::{HeapFile, PageId, PageReader, Pager, RecordId};
 
 use crate::error::CdbError;
 use crate::index::{DualIndex, HeapSource, Index, IndexKind, IndexSpec, TupleSource};
-use crate::partition::PartitionSpec;
 use crate::plan::{AccessMethods, MethodContext, PlanCatalog, SeqScanAccess};
 
 /// Verdict of the open-time verification pass for one relation.
@@ -123,9 +122,20 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// An empty relation over a fresh heap file.
-    pub(crate) fn new(name: &str, dim: usize, heap: HeapFile) -> Self {
-        Relation {
+    /// An empty relation over `heap`, for a dimension some tuple can be
+    /// stored in: [`CdbError::DimensionOutOfRange`] for zero, or past the
+    /// last dimension whose one-constraint tuple fits a heap page (and the
+    /// tuple header's `u16`).
+    pub(crate) fn new(name: &str, dim: usize, heap: HeapFile) -> Result<Self, CdbError> {
+        let fits = |d: &usize| GeneralizedTuple::encoded_len(*d, 1) <= heap.max_record_len();
+        let max = (1..=usize::from(u16::MAX))
+            .take_while(fits)
+            .last()
+            .unwrap_or(0);
+        if !(1..=max).contains(&dim) {
+            return Err(CdbError::DimensionOutOfRange { dim, max });
+        }
+        Ok(Relation {
             name: name.to_string(),
             dim,
             heap,
@@ -135,7 +145,7 @@ impl Relation {
             indexes: [None, None, None],
             catalog: Arc::default(),
             health: RelationHealth::Healthy,
-        }
+        })
     }
 
     /// Relation name.
@@ -340,14 +350,22 @@ impl Relation {
         }
     }
 
-    /// Whether `tuple` may be stored here: [`CdbError::DimensionMismatch`]
-    /// or [`CdbError::UnsatisfiableTuple`] if not.
+    /// Whether `tuple` may be stored here: [`CdbError::DimensionMismatch`],
+    /// [`CdbError::TupleTooLarge`] (decided before the heap is touched) or
+    /// [`CdbError::UnsatisfiableTuple`] if not.
     pub(crate) fn admits(&self, tuple: &GeneralizedTuple) -> Result<(), CdbError> {
         if self.dim != tuple.dim() {
             return Err(CdbError::DimensionMismatch {
                 expected: self.dim,
                 got: tuple.dim(),
             });
+        }
+        let (len, max) = (
+            GeneralizedTuple::encoded_len(tuple.dim(), tuple.len()),
+            self.heap.max_record_len(),
+        );
+        if len > max {
+            return Err(CdbError::TupleTooLarge { len, max });
         }
         if !tuple.is_satisfiable() {
             return Err(CdbError::UnsatisfiableTuple);
@@ -364,20 +382,9 @@ impl Relation {
     pub(crate) fn insert(
         &mut self,
         pager: &mut dyn Pager,
-        partition: Option<PartitionSpec>,
         tuple: &GeneralizedTuple,
     ) -> Result<u32, CdbError> {
         let rid = self.heap.insert(pager, &tuple.encode())?;
-        if let Some(spec) = partition {
-            // One shard of a partitioned deployment allocates only ids it
-            // owns: foreign ids are skipped with absent slots (they live
-            // on their owning shard), keeping the shards' id spaces
-            // disjoint. Ids stay deterministic — the next owned id is a
-            // pure function of the slot count and the persisted spec.
-            while !spec.owns(self.slots.len() as u32) {
-                self.slots.push(None);
-            }
-        }
         let id = self.slots.len() as u32;
         self.slots.push(Some(rid));
         self.by_record.insert(rid, id);

@@ -13,7 +13,7 @@
 //! [`cdb_storage::wal`] — this module only sees payload bytes. Decoding
 //! never panics: the field types refuse everything their constructors
 //! would `assert!` against (slope ordering, point count and cell work,
-//! partition range, finite floats), surfaced as
+//! finite floats), surfaced as
 //! [`CdbError::CorruptRecord`] with the [`WAL_RECORD`] sentinel, which
 //! replay treats as the end of the usable log.
 
@@ -23,7 +23,6 @@ use cdb_storage::codec::{self, finite};
 use crate::error::{CdbError, WAL_RECORD};
 use crate::index::ddim::SlopePoints;
 use crate::index::IndexSpec;
-use crate::partition::PartitionSpec;
 use crate::slopes::SlopeSet;
 use crate::wire::tuple;
 
@@ -53,10 +52,6 @@ pub(crate) enum WalRecord {
     BuildRPlus { relation: String, fill: f64 },
     /// `tighten_index(relation)`.
     TightenIndex { relation: String },
-    /// `set_partition(spec)` — logged so crash replay (and a follower
-    /// applying the shipped stream) installs the spec before re-running any
-    /// insert, keeping id allocation deterministic.
-    SetPartition(PartitionSpec),
 }
 
 cdb_storage::wire_enum!(WalRecord {
@@ -68,7 +63,6 @@ cdb_storage::wire_enum!(WalRecord {
     6 => BuildDualD { relation, points },
     7 => BuildRPlus { relation, fill as finite },
     8 => TightenIndex { relation },
-    9 => SetPartition(spec),
 });
 
 impl WalRecord {
@@ -146,10 +140,7 @@ mod tests {
             Some(WalRecord::BuildRPlus { .. }) => WalRecord::TightenIndex {
                 relation: relation(),
             },
-            Some(WalRecord::TightenIndex { .. }) => {
-                WalRecord::SetPartition(PartitionSpec::new(4, 2, 0xC0FFEE).unwrap())
-            }
-            Some(WalRecord::SetPartition(_)) => return None,
+            Some(WalRecord::TightenIndex { .. }) => return None,
         })
     }
 
@@ -187,28 +178,46 @@ mod tests {
         }
     }
 
-    /// The records as written beside catalog v4 stay frozen: its two
-    /// `BuildDualD` lines end in the grid presence byte (and a grid's
-    /// axes), which are refused as damage now; every other line reads as
-    /// before.
-    #[test]
-    fn build_dual_d_records_of_catalog_v4_are_refused() {
-        let frozen = include_str!("../golden/wal_records_v4.hex").lines();
-        let current = include_str!("../golden/wal_records.hex").lines();
-        let mut refused = 0;
-        for (old, new) in frozen.map(crate::unhex).zip(current.map(crate::unhex)) {
-            if old[0] == 6 {
-                let got = WalRecord::decode(&old);
+    /// The records as written beside an older catalog stay frozen: one
+    /// line per line of `golden/wal_records.hex`, then a `SetPartition`
+    /// (tag 9). A line whose tag is in `refused` is refused as damage now,
+    /// and every other line reads as the current golden's. Returns how many
+    /// were refused.
+    fn frozen_lines_read_but_for(frozen: &str, refused: &[u8]) -> usize {
+        let current: Vec<_> = include_str!("../golden/wal_records.hex")
+            .lines()
+            .map(crate::unhex)
+            .collect();
+        let mut count = 0;
+        for (i, old) in frozen.lines().map(crate::unhex).enumerate() {
+            let got = WalRecord::decode(&old);
+            if refused.contains(&old[0]) {
                 assert!(
                     matches!(got, Err(CdbError::CorruptRecord(WAL_RECORD))),
                     "{got:?}"
                 );
-                refused += 1;
+                count += 1;
             } else {
-                assert_eq!(old, new);
+                assert_eq!(old, current[i]);
+                assert!(got.is_ok());
             }
         }
-        assert_eq!(refused, 2);
+        count
+    }
+
+    /// Beside catalog v4, the two `BuildDualD` lines ended in the grid
+    /// presence byte (and a grid's axes).
+    #[test]
+    fn build_dual_d_records_of_catalog_v4_are_refused() {
+        let frozen = include_str!("../golden/wal_records_v4.hex");
+        assert_eq!(frozen_lines_read_but_for(frozen, &[6, 9]), 3);
+    }
+
+    /// Beside catalog v5, tag 9 installed a sharded engine's partition spec.
+    #[test]
+    fn set_partition_records_of_catalog_v5_are_refused() {
+        let frozen = include_str!("../golden/wal_records_v5.hex");
+        assert_eq!(frozen_lines_read_but_for(frozen, &[9]), 1);
     }
 
     #[test]
@@ -243,9 +252,5 @@ mod tests {
         assert!(is_corrupt(&record(6, &|w| (u32::MAX, u32::MAX).put(w))));
         // Non-finite fill factor.
         assert!(is_corrupt(&record(7, &|w| f64::NAN.put(w))));
-        // Out-of-range shard index (PartitionSpec::new would refuse).
-        let mut w = RecordWriter::new();
-        (9u8, 2u32, (2u32, 1u64)).put(&mut w);
-        assert!(is_corrupt(&w.into_bytes()));
     }
 }

@@ -163,7 +163,7 @@ impl GeneralizedTuple {
     /// `f64` constant, `f64 × dim` coefficients.
     pub fn encode(&self) -> Vec<u8> {
         let m = self.constraints.len();
-        let mut out = Vec::with_capacity(4 + m * (1 + 8 * (self.dim + 1)));
+        let mut out = Vec::with_capacity(Self::encoded_len(self.dim, m));
         out.extend_from_slice(&(self.dim as u16).to_le_bytes());
         out.extend_from_slice(&(m as u16).to_le_bytes());
         for c in &self.constraints {
@@ -177,6 +177,12 @@ impl GeneralizedTuple {
             }
         }
         out
+    }
+
+    /// Length in bytes of what [`encode`](Self::encode) writes for `m`
+    /// constraints in `E^dim`.
+    pub fn encoded_len(dim: usize, m: usize) -> usize {
+        4 + m * (1 + 8 * (dim + 1))
     }
 
     /// Deserializes a tuple previously produced by [`encode`](Self::encode).

@@ -2,13 +2,12 @@
 //!
 //! A [`Backend`] is anything that can turn one [`Request`] into one
 //! [`Response`]: an in-process [`cdb_core::ConstraintDb`] (through the
-//! server's own dispatcher, `dispatch.rs`), one wire session ([`crate::client::Connection`]),
-//! a replicated deployment ([`crate::cluster::Cluster`]) or a sharded one
-//! ([`crate::shard::Shards`]). [`Api`] wraps any of them with the typed
-//! helpers — build the request, send it, unwrap the one response variant
-//! that answers it — so "who executes" never changes what a caller writes.
-//! [`crate::Client`], [`crate::ClusterClient`] and [`crate::ShardedClient`]
-//! are `Api` over their backend.
+//! server's own dispatcher, `dispatch.rs`), one wire session ([`crate::client::Connection`])
+//! or a replicated deployment ([`crate::cluster::Cluster`]). [`Api`] wraps
+//! any of them with the typed helpers — build the request, send it, unwrap
+//! the one response variant that answers it — so "who executes" never
+//! changes what a caller writes. [`crate::Client`] and
+//! [`crate::ClusterClient`] are `Api` over their backend.
 
 use std::ops::{Deref, DerefMut};
 
@@ -18,8 +17,7 @@ use cdb_core::DbStats;
 use cdb_geometry::tuple::GeneralizedTuple;
 
 use crate::proto::{
-    NetError, ReplicationInfo, Request, Response, ShardIdentity, WireQueryResult,
-    WireRecoveryReport,
+    NetError, ReplicationInfo, Request, Response, WireQueryResult, WireRecoveryReport,
 };
 
 /// One way of executing requests. See the module docs.
@@ -47,8 +45,6 @@ pub struct StatsReply {
     pub replication: Option<ReplicationInfo>,
     /// Client sessions currently admitted on the node.
     pub connections: u32,
-    /// The node's shard identity (`None` outside a sharded deployment).
-    pub shard: Option<ShardIdentity>,
 }
 
 /// The typed operations over a [`Backend`]. Dereferences to the backend,
@@ -74,21 +70,21 @@ fn protocol_violation(got: &Response) -> NetError {
     NetError::Transport(format!("unexpected response variant: {got:?}"))
 }
 
-pub(crate) fn expect_unit(response: Response) -> Result<(), NetError> {
+fn expect_unit(response: Response) -> Result<(), NetError> {
     match response {
         Response::Unit => Ok(()),
         other => Err(protocol_violation(&other)),
     }
 }
 
-pub(crate) fn expect_query(response: Response) -> Result<QueryResult, NetError> {
+fn expect_query(response: Response) -> Result<QueryResult, NetError> {
     match response {
         Response::Query(WireQueryResult { ids, stats }) => Ok(QueryResult::new(ids, stats)),
         other => Err(protocol_violation(&other)),
     }
 }
 
-pub(crate) fn expect_explain(response: Response) -> Result<(String, QueryResult), NetError> {
+fn expect_explain(response: Response) -> Result<(String, QueryResult), NetError> {
     match response {
         Response::Explain { rendered, result } => {
             Ok((rendered, expect_query(Response::Query(result))?))
@@ -97,14 +93,14 @@ pub(crate) fn expect_explain(response: Response) -> Result<(String, QueryResult)
     }
 }
 
-pub(crate) fn expect_sql(response: Response) -> Result<SqlOutcome, NetError> {
+fn expect_sql(response: Response) -> Result<SqlOutcome, NetError> {
     match response {
         Response::Sql(o) => Ok(o),
         other => Err(protocol_violation(&other)),
     }
 }
 
-pub(crate) fn expect_relations(response: Response) -> Result<Vec<String>, NetError> {
+fn expect_relations(response: Response) -> Result<Vec<String>, NetError> {
     match response {
         Response::Relations(names) => Ok(names),
         other => Err(protocol_violation(&other)),
@@ -267,19 +263,17 @@ impl<B: Backend> Api<B> {
     }
 
     /// Engine statistics snapshot, plus the answering node's replication
-    /// role, session count and shard identity.
+    /// role and session count.
     pub fn stats(&mut self) -> Result<StatsReply, NetError> {
         match self.0.call(Request::Stats)? {
             Response::Stats {
                 db,
                 replication,
                 connections,
-                shard,
             } => Ok(StatsReply {
                 db,
                 replication,
                 connections,
-                shard,
             }),
             other => Err(protocol_violation(&other)),
         }

@@ -13,18 +13,14 @@ use cdb_core::slopes::SlopeSet;
 use cdb_core::{ConstraintDb, IndexSpec, PageSource, ReadSurface};
 
 use crate::api::Backend;
-use crate::proto::{
-    NetError, ReplicationInfo, Request, Response, ShardIdentity, WireRecoveryReport,
-};
+use crate::proto::{NetError, ReplicationInfo, Request, Response, WireRecoveryReport};
 
 /// What `stats` reports about the answering node beyond its engine. The
-/// default is an in-process engine: no replication role, no sessions, no
-/// shard identity.
+/// default is an in-process engine: no replication role, no sessions.
 #[derive(Default)]
 pub(crate) struct NodeStatus {
     pub replication: Option<ReplicationInfo>,
     pub connections: u32,
-    pub shard: Option<ShardIdentity>,
 }
 
 /// Mutations must reach the engine's owner; Stats and Fsck report the
@@ -118,7 +114,6 @@ pub(crate) fn apply_engine(
                 db: db.stats_snapshot(),
                 replication: node.replication,
                 connections: node.connections,
-                shard: node.shard,
             })
         }
         Request::Fsck => {
@@ -130,14 +125,10 @@ pub(crate) fn apply_engine(
                 quarantine: db.quarantine_clean(),
             }))
         }
-        Request::CreateRelation { relation, dim } => {
-            if dim == 0 {
-                return Err(NetError::Malformed("dimension must be positive".into()));
-            }
-            db.create_relation(&relation, dim as usize)
-                .map(|_| Response::Unit)
-                .map_err(NetError::Db)
-        }
+        Request::CreateRelation { relation, dim } => db
+            .create_relation(&relation, dim as usize)
+            .map(|_| Response::Unit)
+            .map_err(NetError::Db),
         Request::DropRelation { relation } => db
             .drop_relation(&relation)
             .map(|_| Response::Unit)

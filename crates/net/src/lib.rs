@@ -25,7 +25,7 @@
 //!   [`Backend`] ("send a [`Request`], get a [`Response`]") and the
 //!   [`Api`] wrapper carrying `ping` … `checkpoint` for every backend —
 //!   an in-process engine (through the server's own dispatcher), a wire
-//!   session, a cluster, a sharded deployment;
+//!   session, a cluster;
 //! * [`client`] — a blocking wire session speaking the same protocol, used
 //!   by the `cdb-client` binary and the shell's `connect` command;
 //! * replication — protocol v5 ships the primary's write-ahead log to
@@ -51,15 +51,13 @@ mod dispatch;
 pub mod proto;
 mod replica;
 pub mod server;
-pub mod shard;
 
 pub use api::{Api, Backend, StatsReply};
 pub use chaos::{ChaosPlan, ChaosProxy};
 pub use client::{Client, Subscription};
 pub use cluster::{ClusterClient, ClusterConfig};
-pub use proto::{NetError, ReplicationInfo, Request, Response, ShardIdentity, PROTOCOL_VERSION};
+pub use proto::{NetError, ReplicationInfo, Request, Response, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ShutdownHandle};
-pub use shard::{ShardMap, ShardedClient};
 
 #[cfg(test)]
 #[global_allocator]

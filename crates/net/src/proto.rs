@@ -61,12 +61,14 @@ pub const MAGIC: [u8; 4] = *b"CDBN";
 /// replication (the `Subscribe` request and the `WalBatch`/`ReplAck`
 /// stream frames), the `NotPrimary` redirect error, a replication section
 /// in `Stats`, and an LSN stamp on every response envelope; version 6
-/// added sharding (the `WrongShard` redirect error, and the active-session
-/// count plus shard identity in `Stats`); version 7 gave every type its one
+/// added sharding (a redirect error, and the active-session count plus a
+/// shard identity in `Stats`); version 7 gave every type its one
 /// `Wire` layout: `Strategy` and `SelectionKind` take the catalog's tags,
 /// the replication section of `Stats` and the quarantine verdict of `Fsck`
-/// are plain `Option`s, and `Transport`/`Timeout` have error tags.
-pub const PROTOCOL_VERSION: u16 = 7;
+/// are plain `Option`s, and `Transport`/`Timeout` have error tags; version
+/// 8 dropped sharding (the redirect error and the shard identity in
+/// `Stats`) and added the engine's dimension and tuple-size refusals.
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Handshake verdict carried by the server's greeting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -353,7 +355,7 @@ pub enum Response {
     /// Relation names, sorted.
     Relations(Vec<String>),
     /// Engine statistics snapshot plus the serving node's replication
-    /// role and shard identity, when it has them.
+    /// role, when it has one.
     Stats {
         /// Engine statistics.
         db: DbStats,
@@ -362,8 +364,6 @@ pub enum Response {
         /// Client sessions currently admitted (the serving layer's
         /// connection count, the one admission control caps).
         connections: u32,
-        /// This node's place in a sharded deployment (`None` outside one).
-        shard: Option<ShardIdentity>,
     },
     /// Online verification report.
     Fsck(WireRecoveryReport),
@@ -383,7 +383,7 @@ wire_enum!(Response {
     3 => Query(result),
     4 => Explain { rendered, result },
     5 => Relations(names),
-    6 => Stats { db, replication, connections, shard },
+    6 => Stats { db, replication, connections },
     7 => Fsck(report),
     8 => Sql(outcome),
     9 => Subscribed { start_lsn, durable_lsn },
@@ -418,28 +418,6 @@ pub enum ReplicationInfo {
 wire_enum!(ReplicationInfo {
     1 => Primary { followers },
     2 => Replica { primary, connected, applied_lsn, batches, source_lsn },
-});
-
-/// One node's place in a sharded deployment, carried inside
-/// [`Response::Stats`] so clients can verify their shard map against what
-/// the node believes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardIdentity {
-    /// This node's shard index.
-    pub shard: u32,
-    /// Total shards in the deployment.
-    pub shards: u32,
-    /// The deployment-wide partition hash seed.
-    pub seed: u64,
-    /// The shard-map epoch this node was booted under.
-    pub epoch: u64,
-}
-
-wire_struct!(ShardIdentity {
-    shard,
-    shards,
-    seed,
-    epoch
 });
 
 /// Per-follower shipping progress tracked by a primary.
@@ -547,15 +525,6 @@ pub enum NetError {
         /// redirect, not just a refusal.
         leader_hint: Option<String>,
     },
-    /// The addressed tuple id belongs to a different shard of the
-    /// deployment — a routing correction, not a failure. A client whose
-    /// map epoch differs from `map_epoch` is holding a stale shard map.
-    WrongShard {
-        /// The shard-map epoch the serving node was booted under.
-        map_epoch: u64,
-        /// The shard index that owns the addressed id.
-        hint: u32,
-    },
     /// Client-side transport failure (connection reset, frame corruption).
     /// No server generates it.
     Transport(String),
@@ -565,7 +534,8 @@ pub enum NetError {
     Timeout,
 }
 
-// Tags are the response envelope's status byte; 0 is taken by success.
+// Tags are the response envelope's status byte; 0 is taken by success,
+// and 8 was the sharding redirect.
 wire_enum!(NetError {
     1 => Db(e),
     2 => Overloaded,
@@ -574,7 +544,6 @@ wire_enum!(NetError {
     5 => ShuttingDown,
     6 => VersionMismatch { server_version },
     7 => NotPrimary { leader_hint },
-    8 => WrongShard { map_epoch, hint },
     9 => Transport(why),
     10 => Timeout,
 });
@@ -583,8 +552,8 @@ impl NetError {
     /// `true` for failures worth retrying — on the same node after a
     /// backoff (`Overloaded`), or transparently on a *different* replica
     /// for idempotent reads (`Timeout`, `Transport`, `ShuttingDown`).
-    /// `NotPrimary` and `WrongShard` are redirects, not retries, and the
-    /// rest are deterministic refusals.
+    /// `NotPrimary` is a redirect, not a retry, and the rest are
+    /// deterministic refusals.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -614,10 +583,6 @@ impl std::fmt::Display for NetError {
                 Some(addr) => write!(f, "not the primary: writes go to {addr}"),
                 None => write!(f, "not the primary: this node is a read-only follower"),
             },
-            NetError::WrongShard { map_epoch, hint } => write!(
-                f,
-                "wrong shard: the id belongs to shard {hint} (map epoch {map_epoch})"
-            ),
             NetError::Transport(m) => write!(f, "transport failure: {m}"),
             NetError::Timeout => write!(f, "request timed out"),
         }
@@ -881,12 +846,6 @@ mod tests {
                 ),
                 replication: None,
                 connections: 3,
-                shard: Some(ShardIdentity {
-                    shard: 1,
-                    shards: 4,
-                    seed: 0xFEED_FACE_CAFE_BEEF,
-                    epoch: 7,
-                }),
             },
             Some(Response::Stats { .. }) => Response::Fsck(WireRecoveryReport {
                 pager: PagerRecovery::FellBack {
@@ -927,7 +886,6 @@ mod tests {
             db: db_stats(Vec::new(), None),
             replication: Some(replication),
             connections: 17,
-            shard: None,
         };
         vec![
             stats(ReplicationInfo::Primary {
@@ -972,7 +930,12 @@ mod tests {
             Some(CdbError::CorruptRecord(_)) => CdbError::Io("disk gone".into()),
             Some(CdbError::Io(_)) => CdbError::Quarantined("r".into()),
             Some(CdbError::Quarantined(_)) => CdbError::ReadOnly,
-            Some(CdbError::ReadOnly) => return None,
+            Some(CdbError::ReadOnly) => CdbError::DimensionOutOfRange { dim: 126, max: 125 },
+            Some(CdbError::DimensionOutOfRange { .. }) => CdbError::TupleTooLarge {
+                len: 1529,
+                max: 1016,
+            },
+            Some(CdbError::TupleTooLarge { .. }) => return None,
         })
     }
 
@@ -987,11 +950,7 @@ mod tests {
             Some(NetError::VersionMismatch { .. }) => NetError::NotPrimary {
                 leader_hint: Some("10.0.0.1:7878".into()),
             },
-            Some(NetError::NotPrimary { .. }) => NetError::WrongShard {
-                map_epoch: 12,
-                hint: 3,
-            },
-            Some(NetError::WrongShard { .. }) => NetError::Transport("reset".into()),
+            Some(NetError::NotPrimary { .. }) => NetError::Transport("reset".into()),
             Some(NetError::Transport(_)) => NetError::Timeout,
             Some(NetError::Timeout) => return None,
         })
@@ -1096,11 +1055,6 @@ mod tests {
         assert!(NetError::ShuttingDown.is_retryable());
         assert!(!NetError::DeadlineExceeded.is_retryable());
         assert!(!NetError::NotPrimary { leader_hint: None }.is_retryable());
-        assert!(!NetError::WrongShard {
-            map_epoch: 1,
-            hint: 0
-        }
-        .is_retryable());
         assert!(!NetError::Db(CdbError::ReadOnly).is_retryable());
         assert!(!NetError::Malformed("x".into()).is_retryable());
     }

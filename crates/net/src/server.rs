@@ -84,7 +84,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cdb_core::db::{ConstraintDb, Snapshot};
-use cdb_core::{hash_owner, CdbError};
+use cdb_core::CdbError;
 use cdb_storage::codec::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 use cdb_storage::wal::Wal;
 
@@ -92,7 +92,7 @@ use crate::client::ShipStream;
 use crate::dispatch::{apply_engine, apply_read, needs_engine, NodeStatus};
 use crate::proto::{
     decode_hello, decode_request, encode_greeting, encode_response, FollowerInfo, HandshakeStatus,
-    NetError, ReplicationInfo, Request, Response, ShardIdentity, WalBatch, PROTOCOL_VERSION,
+    NetError, ReplicationInfo, Request, Response, WalBatch, PROTOCOL_VERSION,
 };
 use crate::replica::{fetcher_loop, ReplicaStatus};
 
@@ -126,10 +126,6 @@ pub struct ServerConfig {
     pub write_queue: usize,
     /// Checkpoint after this many successful mutations.
     pub checkpoint_every: u64,
-    /// Shard-map epoch this node was booted under, echoed in `WrongShard`
-    /// redirects and `stats` so clients can detect a stale map. Only
-    /// meaningful when the engine carries a partition spec.
-    pub map_epoch: u64,
 }
 
 impl Default for ServerConfig {
@@ -139,7 +135,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             write_queue: 64,
             checkpoint_every: 64,
-            map_epoch: 0,
         }
     }
 }
@@ -216,9 +211,6 @@ struct Shared {
     /// session worker finishes (greeting failures included).
     active_sessions: AtomicUsize,
     role: RoleState,
-    /// This node's place in a sharded deployment, read from the engine's
-    /// persisted partition spec at bind (`None` outside one).
-    shard: Option<ShardIdentity>,
 }
 
 impl Shared {
@@ -258,20 +250,8 @@ impl Shared {
         }
     }
 
-    /// A `WrongShard` redirect when the addressed tuple id belongs to a
-    /// different shard of the deployment; `None` outside one, or when the
-    /// id is owned here.
-    fn wrong_shard(&self, id: u32) -> Option<NetError> {
-        let identity = self.shard?;
-        let owner = hash_owner(identity.seed, identity.shards, id);
-        (owner != identity.shard).then_some(NetError::WrongShard {
-            map_epoch: identity.epoch,
-            hint: owner,
-        })
-    }
-
     /// What `stats` reports about this node: replication role and
-    /// progress, admitted sessions, shard identity.
+    /// progress, admitted sessions.
     fn node_status(&self) -> NodeStatus {
         let replication = match &self.role {
             RoleState::Primary { wal_path: None, .. } => None,
@@ -304,7 +284,6 @@ impl Shared {
         NodeStatus {
             replication,
             connections: self.active_sessions.load(Ordering::SeqCst) as u32,
-            shard: self.shard,
         }
     }
 }
@@ -385,15 +364,6 @@ impl Server {
         let local_addr = listener.local_addr().map_err(CdbError::from)?;
         let lsn = db.applied_lsn();
         let initial = (Arc::new(db.snapshot()?), lsn);
-        // The engine's persisted partition spec is the authority on shard
-        // identity; the config only stamps which shard-map epoch this
-        // process was launched under.
-        let shard = db.partition().map(|spec| ShardIdentity {
-            shard: spec.shard,
-            shards: spec.shards,
-            seed: spec.seed,
-            epoch: config.map_epoch,
-        });
         Ok(Server {
             listener,
             local_addr,
@@ -403,7 +373,6 @@ impl Server {
                 shutdown: Arc::new(AtomicBool::new(false)),
                 active_sessions: AtomicUsize::new(0),
                 role,
-                shard,
             }),
             config,
         })
@@ -691,14 +660,6 @@ fn dispatch(
                     leader_hint: Some(primary.clone()),
                 }),
             );
-        }
-    }
-    // An id-addressed request must land on the owning shard; anywhere else
-    // answers a redirect naming the owner — before the lane, so a misrouted
-    // delete can never touch a foreign shard's engine.
-    if let Request::Delete { id, .. } | Request::FetchTuple { id, .. } = &request {
-        if let Some(err) = shared.wrong_shard(*id) {
-            return (0, Err(err));
         }
     }
     // Engine operations ride the writer lane; everything else is answered

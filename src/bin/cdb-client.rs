@@ -7,27 +7,20 @@
 //! cdb-client --cluster a:7878,b:7878,c:7878 # replicated deployment:
 //!                                           # writes to the primary, reads
 //!                                           # load-balanced over followers
-//! cdb-client --shards "a:1,a:2;b:1" --shard-seed 7   # sharded deployment
-//!                                           # (spec as printed by cdb-shard)
 //! ```
 //!
 //! Every shell command is proxied over the wire protocol; `help` lists them.
 
 use std::io::BufRead;
 
-use constraint_db::net::shard::ShardMap;
-use constraint_db::net::{Client, ClusterClient, ClusterConfig, ShardedClient};
+use constraint_db::net::{Client, ClusterClient, ClusterConfig};
 use constraint_db::shell::{repl, run_command, Session};
 
-const USAGE: &str = "usage: cdb-client <host:port | --cluster a:p,b:p,... | \
---shards 'a:p,b:p;c:p' [--shard-seed S] [--map-epoch E]> [command ...]";
+const USAGE: &str = "usage: cdb-client <host:port | --cluster a:p,b:p,...> [command ...]";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut cluster: Option<String> = None;
-    let mut shards: Option<String> = None;
-    let mut shard_seed: u64 = 0xC0DB;
-    let mut map_epoch: u64 = 0;
     if args.first().is_some_and(|a| a == "--cluster") {
         args.remove(0);
         if args.is_empty() {
@@ -35,49 +28,8 @@ fn main() {
             std::process::exit(1);
         }
         cluster = Some(args.remove(0));
-    } else if args.first().is_some_and(|a| a == "--shards") {
-        args.remove(0);
-        if args.is_empty() {
-            eprintln!("--shards needs a shard spec\n{USAGE}");
-            std::process::exit(1);
-        }
-        shards = Some(args.remove(0));
-        while let Some(flag) = args.first().map(String::as_str) {
-            let parse = |args: &mut Vec<String>, flag: &str| -> u64 {
-                args.remove(0);
-                if args.is_empty() {
-                    eprintln!("{flag} needs a number\n{USAGE}");
-                    std::process::exit(1);
-                }
-                args.remove(0).parse().unwrap_or_else(|_| {
-                    eprintln!("{flag} needs a number\n{USAGE}");
-                    std::process::exit(1);
-                })
-            };
-            match flag {
-                "--shard-seed" => shard_seed = parse(&mut args, "--shard-seed"),
-                "--map-epoch" => map_epoch = parse(&mut args, "--map-epoch"),
-                _ => break,
-            }
-        }
     }
-    let (mut session, connected_to) = if let Some(spec) = &shards {
-        let map = match ShardMap::parse(spec, shard_seed, map_epoch) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("bad shard spec '{spec}': {e}");
-                std::process::exit(1);
-            }
-        };
-        let sc = match ShardedClient::new(map, ClusterConfig::default()) {
-            Ok(sc) => sc,
-            Err(e) => {
-                eprintln!("cannot build a sharded client over '{spec}': {e}");
-                std::process::exit(1);
-            }
-        };
-        (Session::Sharded(sc), format!("shards {spec}"))
-    } else if let Some(members) = &cluster {
+    let (mut session, connected_to) = if let Some(members) = &cluster {
         let list: Vec<&str> = members
             .split(',')
             .map(str::trim)

@@ -17,22 +17,14 @@
 //! restarts so followers can subscribe from any point in its history;
 //! `--replica-of ADDR` runs this node as a read-serving follower of the
 //! primary at ADDR (writes are redirected there).
-//!
-//! `--shard K/N` makes this node shard K of an N-shard deployment: the
-//! partition spec (with `--shard-seed`) is installed into a fresh engine
-//! and verified byte-exact against a reopened one, so a node can never
-//! silently serve another shard's id space. `--map-epoch` stamps which
-//! shard-map revision this process was launched under (echoed in
-//! `WrongShard` redirects and `stats`).
 
 use constraint_db::index::db::{ConstraintDb, DbConfig};
-use constraint_db::index::PartitionSpec;
 use constraint_db::net::server::{Server, ServerConfig};
 use std::io::Write as _;
 
 const USAGE: &str = "usage: cdb-server <db-path | --in-memory> [--addr HOST:PORT] \
 [--workers N] [--max-connections N] [--write-queue N] [--checkpoint-every N] \
-[--retain-wal] [--replica-of HOST:PORT] [--shard K/N] [--shard-seed SEED] [--map-epoch E]";
+[--retain-wal] [--replica-of HOST:PORT]";
 
 fn main() {
     match run() {
@@ -51,8 +43,6 @@ fn run() -> Result<(), String> {
     let mut config = ServerConfig::default();
     let mut retain_wal = false;
     let mut replica_of: Option<String> = None;
-    let mut shard: Option<(u32, u32)> = None;
-    let mut shard_seed: u64 = 0xC0DB;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -73,21 +63,6 @@ fn run() -> Result<(), String> {
             }
             "--retain-wal" => retain_wal = true,
             "--replica-of" => replica_of = Some(flag_value(&mut args, "--replica-of")?),
-            "--shard" => {
-                let spec = flag_value(&mut args, "--shard")?;
-                let (k, n) = spec
-                    .split_once('/')
-                    .ok_or_else(|| format!("--shard needs K/N, got '{spec}'\n{USAGE}"))?;
-                let k = k
-                    .parse()
-                    .map_err(|_| format!("bad shard index in '{spec}'\n{USAGE}"))?;
-                let n = n
-                    .parse()
-                    .map_err(|_| format!("bad shard count in '{spec}'\n{USAGE}"))?;
-                shard = Some((k, n));
-            }
-            "--shard-seed" => shard_seed = parse_flag(&mut args, "--shard-seed")?,
-            "--map-epoch" => config.map_epoch = parse_flag(&mut args, "--map-epoch")?,
             other if !other.starts_with('-') && path.is_none() => path = Some(arg),
             other => return Err(format!("unexpected argument '{other}'\n{USAGE}")),
         }
@@ -118,14 +93,6 @@ fn run() -> Result<(), String> {
             }
         }
     };
-    if let Some((k, n)) = shard {
-        // Install (fresh engine) or verify (reopen) the partition spec
-        // before serving: set_partition is idempotent for an identical
-        // spec and refuses a conflicting one, so a node can never come up
-        // serving a different shard's id space than its file holds.
-        let spec = PartitionSpec::new(n, k, shard_seed).map_err(|e| format!("bad --shard: {e}"))?;
-        db.set_partition(spec).map_err(|e| e.to_string())?;
-    }
     if retain_wal || replica_of.is_some() {
         // A shippable primary must keep WAL history for followers; a
         // replica keeps its own so restarts resume from the applied LSN.

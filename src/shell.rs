@@ -1,6 +1,6 @@
 //! Shared implementation of the interactive shells: command parsing over
 //! a [`Session`], which is an in-process engine, a wire connection to a
-//! `cdb-server`, a replicated cluster or a sharded deployment.
+//! `cdb-server` or a replicated cluster.
 //!
 //! The `cdb` binary starts local and can `connect <addr>` mid-session; the
 //! `cdb-client` binary starts connected. Every data command is written
@@ -20,8 +20,7 @@ use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::parse::{parse_comparison, parse_constraint, parse_tuple};
 use cdb_net::proto::WireRecoveryReport;
 use cdb_net::{
-    Api, Backend, Client, ClusterClient, ClusterConfig, NetError, ReplicationInfo, ShardMap,
-    ShardedClient, StatsReply,
+    Api, Backend, Client, ClusterClient, ClusterConfig, NetError, ReplicationInfo, StatsReply,
 };
 use cdb_storage::PagerRecovery;
 
@@ -35,9 +34,6 @@ pub enum Session {
     /// A replicated deployment: writes go to the primary, reads are
     /// load-balanced across followers with retry and read-your-writes.
     Cluster(ClusterClient),
-    /// A sharded deployment: DML routed to the owning shard, queries
-    /// fanned out to every shard and merged.
-    Sharded(ShardedClient),
 }
 
 /// Runs the read-eval-print loop over `source` until EOF or `quit`.
@@ -80,25 +76,11 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
         }
         "cluster" => {
             if rest.trim() == "stats" {
-                // Fan-in: one table row per member of the deployment.
-                let rows = match session {
-                    Session::Cluster(cc) => cc
-                        .member_stats()
-                        .into_iter()
-                        .map(|(addr, reply)| (None, addr, reply))
-                        .collect::<Vec<_>>(),
-                    Session::Sharded(sc) => sc
-                        .member_stats()
-                        .into_iter()
-                        .map(|(shard, addr, reply)| (Some(shard), addr, reply))
-                        .collect(),
-                    _ => {
-                        return Err("cluster stats needs a cluster or sharded session — see \
-                             'cluster' and 'shards'"
-                            .into())
-                    }
+                // Fan-in: one table row per member of the cluster.
+                let Session::Cluster(cc) = session else {
+                    return Err("cluster stats needs a cluster session — see 'cluster'".into());
                 };
-                return Ok(render_member_table(&rows));
+                return Ok(render_member_table(&cc.member_stats()));
             }
             let members: Vec<&str> = rest
                 .trim()
@@ -117,31 +99,6 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             cc.ping().map_err(|e| e.to_string())?;
             *session = Session::Cluster(cc);
             Ok(format!("cluster session over {n} member(s)"))
-        }
-        "shards" => {
-            let mut it = rest.split_whitespace();
-            let spec = it
-                .next()
-                .ok_or("usage: shards <primary[,follower...];primary...> [seed] [epoch]")?;
-            let seed: u64 = it
-                .next()
-                .map(str::parse)
-                .transpose()
-                .map_err(|_| "seed must be a number")?
-                .unwrap_or(0xC0DB);
-            let epoch: u64 = it
-                .next()
-                .map(str::parse)
-                .transpose()
-                .map_err(|_| "epoch must be a number")?
-                .unwrap_or(0);
-            let map = ShardMap::parse(spec, seed, epoch).map_err(|e| e.to_string())?;
-            let shards = map.shards();
-            let mut sc =
-                ShardedClient::new(map, ClusterConfig::default()).map_err(|e| e.to_string())?;
-            sc.ping().map_err(|e| e.to_string())?;
-            *session = Session::Sharded(sc);
-            Ok(format!("sharded session over {shards} shard(s)"))
         }
         "disconnect" => {
             *session = Session::Local(Box::new(ConstraintDb::in_memory(DbConfig::paper_1999())));
@@ -342,12 +299,6 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
         "stats" => {
             let reply = session.api().stats().map_err(|e| e.to_string())?;
             let mut out = render_stats(&reply.db);
-            if let Some(identity) = reply.shard {
-                out.push_str(&format!(
-                    "\nshard: {} of {}, seed {:#x}, map epoch {}",
-                    identity.shard, identity.shards, identity.seed, identity.epoch
-                ));
-            }
             // An in-process engine admits no sessions; a server counts at
             // least the one asking.
             if reply.connections > 0 {
@@ -427,7 +378,6 @@ impl Session {
             Session::Local(db) => &mut **db,
             Session::Remote(c) => &mut c.0,
             Session::Cluster(cc) => &mut cc.0,
-            Session::Sharded(sc) => &mut sc.0,
         })
     }
 }
@@ -557,21 +507,17 @@ fn render_replication(info: &ReplicationInfo) -> String {
     }
 }
 
-/// Renders the `cluster stats` fan-in: one row per member of the
-/// deployment (shard column `-` on an unsharded cluster), column-aligned.
-/// Unreachable members keep their row, carrying the error.
-fn render_member_table(rows: &[(Option<u32>, String, Result<StatsReply, NetError>)]) -> String {
-    let mut table: Vec<[String; 7]> = vec![[
-        "shard".into(),
+/// Renders the `cluster stats` fan-in: one row per member of the cluster,
+/// column-aligned. Unreachable members keep their row, carrying the error.
+fn render_member_table(rows: &[(String, Result<StatsReply, NetError>)]) -> String {
+    let mut table: Vec<[String; 5]> = vec![[
         "address".into(),
         "role".into(),
         "durable".into(),
         "lag".into(),
-        "epoch".into(),
         "conns".into(),
     ]];
-    for (shard, addr, reply) in rows {
-        let shard = shard.map_or_else(|| "-".to_string(), |s| s.to_string());
+    for (addr, reply) in rows {
         match reply {
             Ok(r) => {
                 let (role, lag) = match &r.replication {
@@ -595,31 +541,18 @@ fn render_member_table(rows: &[(Option<u32>, String, Result<StatsReply, NetError
                     r.db.wal
                         .as_ref()
                         .map_or_else(|| "-".to_string(), |w| w.durable_lsn.to_string());
-                let epoch = r
-                    .shard
-                    .map_or_else(|| "-".to_string(), |s| s.epoch.to_string());
-                table.push([
-                    shard,
-                    addr.clone(),
-                    role,
-                    durable,
-                    lag,
-                    epoch,
-                    r.connections.to_string(),
-                ]);
+                table.push([addr.clone(), role, durable, lag, r.connections.to_string()]);
             }
             Err(e) => table.push([
-                shard,
                 addr.clone(),
                 format!("unreachable: {e}"),
-                "-".into(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
             ]),
         }
     }
-    let mut widths = [0usize; 7];
+    let mut widths = [0usize; 5];
     for row in &table {
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.len());
@@ -811,14 +744,8 @@ commands:
   cluster <a:p,b:p,...>     replicated deployment: writes to the primary,
                             reads load-balanced across followers with
                             retry and read-your-writes
-  cluster stats             one table row per member of the cluster or
-                            sharded deployment: role, durable LSN, lag,
-                            map epoch, connection count
-  shards <spec> [seed] [epoch]
-                            sharded deployment (spec as printed by
-                            cdb-shard: groups split by ';', members by
-                            ',', primary first): DML routed to the owning
-                            shard, queries fanned out and merged
+  cluster stats             one table row per member of the cluster:
+                            role, durable LSN, lag, connection count
   disconnect                drop the connection, back to local in-memory
   ping                      liveness probe
   shutdown                  ask the connected server to drain and exit
@@ -855,6 +782,25 @@ mod tests {
         }
         assert!(run_command(&mut s, "line r y = 0.5x + 2").is_ok());
         assert!(run_command(&mut s, "exist r y >= 1e-3x - 5").is_ok());
+    }
+
+    /// Lines that used to take the process down: a 61-constraint tuple
+    /// panicked in `HeapFile::insert`, and a relation of 4·10⁹ dimensions
+    /// let one SQL statement ask for 32 GB. Both are error lines, and the
+    /// session keeps working.
+    #[test]
+    fn records_and_dimensions_past_a_heap_page_are_errors_not_aborts() {
+        let mut s = local();
+        let wide: Vec<String> = (0..61).map(|i| format!("y >= {i}")).collect();
+        let wide = format!("insert r {}", wide.join(" && "));
+        for line in [
+            wide.as_str(),
+            "create big 4000000000",
+            "sql SELECT * FROM big WHERE y >= 0",
+        ] {
+            assert!(run_command(&mut s, line).is_err(), "{line}");
+        }
+        assert_eq!(run_command(&mut s, "insert r y >= 0"), Ok("tuple 0".into()));
     }
 
     /// `indexd` parameters that used to abort the process — on a 12 GB

@@ -1,62 +1,43 @@
-//! One request-execution surface, four executors: the same seeded op
+//! One request-execution surface, three executors: the same seeded op
 //! script must produce the same answers — equal to the brute-force
-//! predicate oracle — through an in-process engine, one wire session, a
-//! one-primary cluster and a K = 2 sharded deployment; and the shell must
-//! print the same text for the same lines wherever the data lives.
+//! predicate oracle — through an in-process engine, one wire session and a
+//! one-primary cluster; and the shell must print the same text for the
+//! same lines wherever the data lives.
 
 use cdb_prng::StdRng;
 use constraint_db::geometry::predicates;
 use constraint_db::index::db::{ConstraintDb, DbConfig};
-use constraint_db::index::PartitionSpec;
+use constraint_db::index::CdbError;
 use constraint_db::net::server::{Server, ServerConfig, ShutdownHandle};
-use constraint_db::net::shard::ShardMap;
-use constraint_db::net::{
-    Api, Backend, Client, ClusterClient, ClusterConfig, NetError, ShardedClient,
-};
+use constraint_db::net::{Api, Backend, Client, ClusterClient, ClusterConfig, NetError};
 use constraint_db::prelude::*;
 use constraint_db::shell::{run_command, Session};
 
-const SEED: u64 = 0xC0DB;
-
-/// In-process servers on ephemeral ports, stopped on [`Servers::stop`].
-struct Servers {
-    addrs: Vec<String>,
-    stops: Vec<ShutdownHandle>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+/// An in-process server on an ephemeral port, stopped on
+/// [`Served::stop`].
+struct Served {
+    addr: String,
+    stop: ShutdownHandle,
+    thread: std::thread::JoinHandle<()>,
 }
 
-/// Boots `shards` in-memory servers; with more than one, each carries its
-/// partition spec.
-fn boot(shards: u32) -> Servers {
-    let mut servers = Servers {
-        addrs: Vec::new(),
-        stops: Vec::new(),
-        threads: Vec::new(),
-    };
-    for k in 0..shards {
-        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
-        if shards > 1 {
-            db.set_partition(PartitionSpec::new(shards, k, SEED).unwrap())
-                .unwrap();
-        }
-        let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).unwrap();
-        servers.addrs.push(server.local_addr().to_string());
-        servers.stops.push(server.shutdown_handle());
-        servers.threads.push(std::thread::spawn(move || {
+/// Boots one in-memory server.
+fn boot() -> Served {
+    let db = ConstraintDb::in_memory(DbConfig::paper_1999());
+    let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).unwrap();
+    Served {
+        addr: server.local_addr().to_string(),
+        stop: server.shutdown_handle(),
+        thread: std::thread::spawn(move || {
             server.run().unwrap();
-        }));
+        }),
     }
-    servers
 }
 
-impl Servers {
+impl Served {
     fn stop(self) {
-        for s in &self.stops {
-            s.shutdown();
-        }
-        for t in self.threads {
-            t.join().unwrap();
-        }
+        self.stop.shutdown();
+        self.thread.join().unwrap();
     }
 }
 
@@ -131,7 +112,7 @@ fn run_script<B: Backend>(api: &mut Api<B>, label: &str) -> Vec<Vec<u32>> {
     }
     assert!(matches!(
         api.create_relation("zero", 0),
-        Err(NetError::Malformed(_))
+        Err(NetError::Db(CdbError::DimensionOutOfRange { dim: 0, .. }))
     ));
     assert!(matches!(
         api.build_dual("r", vec![1.0, 1.0]),
@@ -199,32 +180,21 @@ fn every_backend_answers_the_script_like_the_oracle() {
     let mut local = Api(ConstraintDb::in_memory(DbConfig::paper_1999()));
     let reference = run_script(&mut local, "local");
 
-    let served = boot(1);
-    let mut client = Client::connect(served.addrs[0].as_str()).unwrap();
+    let served = boot();
+    let mut client = Client::connect(served.addr.as_str()).unwrap();
     assert_eq!(run_script(&mut client, "client"), reference);
     served.stop();
 
-    let primary = boot(1);
-    let mut cluster =
-        ClusterClient::new(primary.addrs.iter().cloned(), ClusterConfig::default()).unwrap();
+    let primary = boot();
+    let mut cluster = ClusterClient::new([primary.addr.clone()], ClusterConfig::default()).unwrap();
     assert_eq!(run_script(&mut cluster, "cluster"), reference);
     // Stopping "the" member of a cluster is ambiguous: a typed refusal.
     assert!(matches!(cluster.shutdown(), Err(NetError::Malformed(_))));
     primary.stop();
-
-    let shards = boot(2);
-    let map = ShardMap::parse(&shards.addrs.join(";"), SEED, 0).unwrap();
-    let mut sharded = ShardedClient::new(map, ClusterConfig::default()).unwrap();
-    assert_eq!(run_script(&mut sharded, "sharded"), reference);
-    // No single node can answer these for the whole deployment.
-    assert!(matches!(sharded.stats(), Err(NetError::Malformed(_))));
-    assert!(matches!(sharded.fsck(), Err(NetError::Malformed(_))));
-    assert!(matches!(sharded.shutdown(), Err(NetError::Malformed(_))));
-    shards.stop();
 }
 
 /// Each stats-bearing backend reports through the same typed reply; the
-/// in-process engine has no sessions, replication role or shard identity.
+/// in-process engine has no sessions or replication role.
 #[test]
 fn stats_and_fsck_answer_on_every_single_answer_backend() {
     let mut local = Api(ConstraintDb::in_memory(DbConfig::paper_1999()));
@@ -232,7 +202,7 @@ fn stats_and_fsck_answer_on_every_single_answer_backend() {
     let reply = local.stats().unwrap();
     assert_eq!(reply.db.relations[0].name, "r");
     assert_eq!(reply.connections, 0);
-    assert!(reply.replication.is_none() && reply.shard.is_none());
+    assert!(reply.replication.is_none());
     assert!(local.fsck().unwrap().relations[0].0 == "r");
     // An in-process engine has no server to stop, and no wire decoder in
     // front of it: the dispatcher itself refuses non-finite parameters.
@@ -241,8 +211,8 @@ fn stats_and_fsck_answer_on_every_single_answer_backend() {
     assert!(local.build_dual("r", vec![f64::NAN, 1.0]).is_err());
     assert!(local.build_dual_d("r", 3, f64::INFINITY).is_err());
 
-    let served = boot(1);
-    let mut client = Client::connect(served.addrs[0].as_str()).unwrap();
+    let served = boot();
+    let mut client = Client::connect(served.addr.as_str()).unwrap();
     client.create_relation("r", 2).unwrap();
     assert!(client.stats().unwrap().connections >= 1);
     assert_eq!(client.fsck().unwrap().relations[0].0, "r");
@@ -253,8 +223,8 @@ fn stats_and_fsck_answer_on_every_single_answer_backend() {
 /// for queries, SQL and EXPLAIN; identical refusals for bad arguments.
 #[test]
 fn shell_renders_the_same_text_local_and_remote() {
-    let served = boot(1);
-    let mut remote = Session::Remote(Client::connect(served.addrs[0].as_str()).unwrap());
+    let served = boot();
+    let mut remote = Session::Remote(Client::connect(served.addr.as_str()).unwrap());
     let mut local = Session::Local(Box::new(ConstraintDb::in_memory(DbConfig::paper_1999())));
 
     let lines = [

@@ -1,6 +1,7 @@
 //! End-to-end wire-protocol tests: concurrent clients against a live
-//! server must answer bit-identically to the in-process engine, and a
-//! SIGKILLed server must leave its database recoverable.
+//! server must answer bit-identically to the in-process engine, a
+//! SIGKILLed server must leave its database recoverable, and an old
+//! protocol version or an oversized write is a typed refusal.
 
 use std::io::BufRead;
 use std::sync::Arc;
@@ -8,8 +9,9 @@ use std::sync::Arc;
 use cdb_prng::StdRng;
 use constraint_db::index::db::{ConstraintDb, DbConfig};
 use constraint_db::index::ddim::SlopePoints;
+use constraint_db::index::CdbError;
 use constraint_db::net::server::{Server, ServerConfig};
-use constraint_db::net::Client;
+use constraint_db::net::{Client, NetError, PROTOCOL_VERSION};
 use constraint_db::prelude::*;
 
 /// Random axis-aligned boxes, the workload of `dimension_sweep`.
@@ -266,6 +268,91 @@ fn kill_nine_loses_no_acknowledged_insert() {
     for id in r.ids() {
         db.fetch_tuple("boxes", *id).unwrap();
     }
+    drop(db);
+    std::fs::remove_file(&path).unwrap();
+    let _ = std::fs::remove_file(constraint_db::storage::wal_path(&path));
+}
+
+/// Protocol v8 dropped sharding from `Stats` and the error tags: a peer
+/// still speaking v7 is greeted with the server's version and its hello
+/// answered by a typed `VersionMismatch`, never served.
+#[test]
+fn a_version_7_hello_gets_the_version_mismatch_answer() {
+    use constraint_db::net::proto::{
+        decode_greeting, decode_response, encode_hello, HandshakeStatus,
+    };
+    use constraint_db::storage::codec::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+
+    assert_eq!(PROTOCOL_VERSION, 8);
+    let db = ConstraintDb::in_memory(DbConfig::paper_1999());
+    let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let stop = server.shutdown_handle();
+    let server_thread = std::thread::spawn(move || server.run().unwrap());
+
+    let greeting = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(
+        decode_greeting(&greeting).unwrap(),
+        (8, HandshakeStatus::Ok)
+    );
+    write_frame(&mut stream, &encode_hello(7)).unwrap();
+    let answer = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    assert!(matches!(
+        decode_response(&answer).unwrap().2,
+        Err(NetError::VersionMismatch { server_version: 8 })
+    ));
+    drop(stream);
+    stop.shutdown();
+    server_thread.join().unwrap();
+}
+
+/// Regression: a tuple too large for a heap page reached
+/// `HeapFile::insert`'s `assert!` inside the writer lane, which took the
+/// lane down — every later write answered "shutting down" and the process
+/// exited 101 without its final checkpoint — and a relation of 4·10⁹
+/// dimensions let one SQL statement abort the process on a 32 GB
+/// allocation. Both are typed refusals now: the node keeps taking writes,
+/// and a graceful shutdown commits them.
+#[test]
+fn oversized_tuples_and_dimensions_leave_the_server_writable() {
+    let path = std::env::temp_dir().join(format!("cdb_it_oversized_{}.db", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_cdb-server"))
+        .arg(&path)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn cdb-server");
+    let stdout = child.stdout.take().unwrap();
+    let banner = std::io::BufReader::new(stdout).lines().next();
+    let banner = banner.expect("server banner").unwrap();
+    let addr = banner.strip_prefix("listening on ").unwrap().to_string();
+
+    let mut client = Client::connect(addr.as_str()).unwrap();
+    client.create_relation("r", 2).unwrap();
+    // 61 constraints of 25 bytes after a 4-byte header: 1 529 bytes.
+    let wide = (0..61).map(|i| format!("y >= {i}")).collect::<Vec<_>>();
+    let wide = parse_tuple(&wide.join(" && ")).unwrap();
+    let refused = CdbError::TupleTooLarge {
+        len: 1529,
+        max: 1016,
+    };
+    assert_eq!(client.insert("r", wide), Err(NetError::Db(refused)));
+    let refused = CdbError::DimensionOutOfRange {
+        dim: 4_000_000_000,
+        max: 125,
+    };
+    let big = client.create_relation("big", 4_000_000_000);
+    assert_eq!(big, Err(NetError::Db(refused)));
+    let sql = client.sql("SELECT * FROM big WHERE y >= 0", SqlMode::Execute);
+    assert!(sql.is_err());
+    let id = client.insert("r", parse_tuple("y >= 0 && x >= 1").unwrap());
+    assert_eq!(id.unwrap(), 0, "the writer lane still takes writes");
+    client.shutdown().unwrap();
+    assert!(child.wait().unwrap().success(), "a clean exit");
+
+    let db = ConstraintDb::open(&path).unwrap();
+    assert_eq!(db.relation("r").unwrap().len(), 1);
+    assert_eq!(db.relation_names(), ["r"]);
     drop(db);
     std::fs::remove_file(&path).unwrap();
     let _ = std::fs::remove_file(constraint_db::storage::wal_path(&path));

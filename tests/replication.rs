@@ -648,3 +648,37 @@ fn staleness_is_bounded_and_accounting_is_exact() {
     cleanup(&p_path);
     cleanup(&r_path);
 }
+
+/// The per-request deadline caps the retry loop's *wall clock*, not just
+/// its attempt count: against an unreachable member with a generous
+/// attempt budget, a read surfaces `Timeout` close to the deadline
+/// instead of grinding through every backoff.
+#[test]
+fn cluster_deadline_caps_retry_wall_clock() {
+    // A port that refuses connections: bind, remember, release.
+    let dead = {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    };
+    let mut cc = ClusterClient::new(
+        vec![dead.as_str()],
+        ClusterConfig {
+            deadline_ms: 300,
+            read_retries: 10_000,
+            backoff_base: Duration::from_millis(5),
+            backoff_cap: Duration::from_millis(40),
+            ..ClusterConfig::default()
+        },
+    )
+    .unwrap();
+    let start = Instant::now();
+    match cc.relations() {
+        Err(NetError::Timeout) => {}
+        other => panic!("expected Timeout, got {other:?}"),
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(3),
+        "deadline did not cap the loop: took {elapsed:?}"
+    );
+}
