@@ -153,6 +153,19 @@ RULES
 }
 step one-node one_node
 
+# The audit that keeps "one checksum kernel" a gate: every page seal, WAL
+# record, catalog blob and wire frame goes through `codec::crc32_update` —
+# no private CRC table, and no second byte-at-a-time loop beside the
+# kernel's own tail.
+one_crc() {
+  grep_audit one-crc crates/*/src src <<'RULES'
+0|private CRC tables|-|const TABLE: \[u32; 256\]
+1|crc32_update definition|-|fn crc32_update\(
+1|byte-at-a-time CRC step|-|\(crc >> 8\) \^
+RULES
+}
+step one-crc one_crc
+
 # Report only: non-test lines per crate, counted as the lines above a
 # file's first `#[cfg(test)]` — the figure CHANGES.md quotes before/after
 # a simplicity PR.

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the substrates: B⁺-tree operations, R⁺-tree packing
 //! and search, `TOP_P` evaluation (2-D kernel against the simplex), polygon
-//! construction.
+//! construction, and the CRC-32 behind every page seal and wire frame.
 //!
 //! Dependency-free harness (`harness = false`): each case is warmed up and
 //! then timed over a fixed batch, reporting mean ns/op. Run with
@@ -13,7 +13,7 @@ use cdb_geometry::dual::{self, DualSurfaces};
 use cdb_geometry::polygon::Polygon;
 use cdb_geometry::TupleView;
 use cdb_rplustree::RPlusTree;
-use cdb_storage::MemPager;
+use cdb_storage::{crc32, MemPager, DEFAULT_PAGE_SIZE, PAGE_TRAILER};
 use cdb_workload::{tuple_mbr, DatasetSpec, ObjectSize, TupleGen};
 
 /// Times `op` over `iters` calls after `warmup` untimed ones; mean ns/op.
@@ -124,8 +124,24 @@ fn bench_geometry() {
     report("polygon_from_tuple/64", ns);
 }
 
+fn bench_crc32() {
+    println!("crc32");
+    // A sealed on-disk page image, and a query response of ≈ 1 500 ids.
+    for (name, len) in [
+        ("crc32/page_image_1032B", DEFAULT_PAGE_SIZE + PAGE_TRAILER),
+        ("crc32/frame_6KiB", 6 << 10),
+    ] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+        let ns = time_ns(1_000, 20_000, || {
+            std::hint::black_box(crc32(std::hint::black_box(&bytes)));
+        });
+        report(name, ns);
+    }
+}
+
 fn main() {
     bench_btree();
     bench_rplus();
     bench_geometry();
+    bench_crc32();
 }

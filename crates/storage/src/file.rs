@@ -60,7 +60,7 @@ const HEADER_LEN: usize = 24;
 /// has no physical image and reads as zeros.
 const PHYS_NONE: u32 = u32::MAX;
 
-fn invalid_data(msg: &'static str) -> std::io::Error {
+fn invalid_data(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
@@ -684,11 +684,14 @@ impl FilePager {
 }
 
 /// The page read behind the pager and its epoch views alike: the image
-/// `e` maps, out of `file` into `buf`, verified against the epoch `e` was
-/// sealed at and counted in `stats`. A page never written reads as zeros.
+/// `e` maps for logical page `id`, out of `file` into `buf`, verified
+/// against the epoch `e` was sealed at and counted in `stats`. A page never
+/// written reads as zeros. A failed check names the page and tells bit rot
+/// (the checksum fails) from a stale image (intact, sealed at another epoch).
 fn read_image(
     file: &File,
     page_size: usize,
+    id: PageId,
     e: Entry,
     stats: &AtomicStats,
     buf: &mut [u8],
@@ -705,14 +708,20 @@ fn read_image(
     // Positioned read: no shared cursor, so concurrent query threads
     // can read through `&self` without racing on the file offset.
     file.read_exact_at(&mut page, FilePager::phys_offset(page_size, e.phys))?;
-    match check_page(&page) {
-        Ok(epoch) if epoch == e.epoch => {
+    let sealed = get_u32(&page, page_size);
+    let problem = match check_page(&page) {
+        Ok(_) if sealed == e.epoch => {
             buf.copy_from_slice(&page[..page_size]);
             stats.bump_read();
-            Ok(())
+            return Ok(());
         }
-        _ => Err(invalid_data("page checksum mismatch")),
-    }
+        Ok(_) => "stale image sealed at",
+        Err(_) => "checksum mismatch, trailer says",
+    };
+    Err(invalid_data(format!(
+        "page {id} (physical {}): {problem} epoch {sealed}, mapped at epoch {}",
+        e.phys, e.epoch
+    )))
 }
 
 impl PageReader for FilePager {
@@ -725,7 +734,7 @@ impl PageReader for FilePager {
             .map
             .get(&id)
             .unwrap_or_else(|| panic!("read of unallocated page {id}"));
-        read_image(&self.file, self.page_size, *e, &self.stats, buf)
+        read_image(&self.file, self.page_size, id, *e, &self.stats, buf)
     }
 
     fn live_pages(&self) -> usize {
@@ -913,7 +922,7 @@ impl PageReader for FileEpochView {
             .map
             .get(&id)
             .unwrap_or_else(|| panic!("read of page {id} not in this epoch view"));
-        read_image(&self.file, self.page_size, *e, &self.stats, buf)
+        read_image(&self.file, self.page_size, id, *e, &self.stats, buf)
     }
 
     fn live_pages(&self) -> usize {
@@ -1125,6 +1134,60 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(disk_len, 128 + PAGE_TRAILER);
         drop(p);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn checksum_failures_name_the_page_and_tell_rot_from_stale() {
+        let path = tmp("named");
+        let a;
+        let old_image;
+        {
+            let mut p = FilePager::create(&path, 128).unwrap();
+            a = p.allocate().unwrap();
+            p.write(a, &[6u8; 128]).unwrap();
+            p.sync().unwrap();
+            let off = p.page_disk_offset(a).unwrap() as usize;
+            old_image = std::fs::read(&path).unwrap()[off..off + p.disk_page_len()].to_vec();
+            p.write(a, &[7u8; 128]).unwrap();
+            p.close().unwrap();
+        }
+        let (off, e) = {
+            let p = FilePager::open(&path).unwrap();
+            (p.page_disk_offset(a).unwrap() as usize, p.map[&a])
+        };
+        let old_epoch = get_u32(&old_image, 128);
+        assert!(old_epoch < e.epoch);
+        let read_err = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            let p = FilePager::open(&path).unwrap();
+            let err = p.read(a, &mut [0u8; 128]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            err.to_string()
+        };
+        let intact = std::fs::read(&path).unwrap();
+
+        let mut rotted = intact.clone();
+        rotted[off + 17] ^= 0x20;
+        assert_eq!(
+            read_err(&rotted),
+            format!(
+                "page {a} (physical {}): checksum mismatch, trailer says epoch {}, \
+                 mapped at epoch {}",
+                e.phys, e.epoch, e.epoch
+            )
+        );
+
+        let mut stale = intact;
+        stale[off..off + old_image.len()].copy_from_slice(&old_image);
+        assert_eq!(
+            read_err(&stale),
+            format!(
+                "page {a} (physical {}): stale image sealed at epoch {old_epoch}, \
+                 mapped at epoch {}",
+                e.phys, e.epoch
+            )
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

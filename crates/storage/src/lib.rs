@@ -20,7 +20,8 @@
 //!   group-commit batching and torn-tail-tolerant replay, closing the
 //!   durability gap between shadow-paged checkpoints;
 //! * [`codec`] — little-endian page field helpers shared by the tree crates,
-//!   the fallible record codec and CRC-32 behind the durable catalog, the
+//!   the fallible record codec and the one CRC-32 kernel behind every page
+//!   seal, WAL record, catalog blob and wire frame, the
 //!   [`Wire`] trait through which every type declares its byte layout once
 //!   (checked by the one harness in [`conformance`]), and the
 //!   [`seal_page`]/[`check_page`] page-trailer pair behind torn-page

@@ -105,3 +105,101 @@ fn forged_length_prefix_cannot_allocate_past_limit() {
         }
     }
 }
+
+/// Counts the `write` calls that reach the underlying sink.
+struct CountingWriter {
+    bytes: Vec<u8>,
+    writes: usize,
+}
+
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_frame_is_one_write() {
+    let mut w = CountingWriter {
+        bytes: Vec::new(),
+        writes: 0,
+    };
+    for (i, len) in [0usize, 1, 1_032, 6_164, 200_000].into_iter().enumerate() {
+        write_frame(&mut w, &vec![0xA5; len]).unwrap();
+        assert_eq!(w.writes, i + 1, "frame of {len} bytes");
+    }
+    let mut r = Cursor::new(w.bytes);
+    for len in [0usize, 1, 1_032, 6_164, 200_000] {
+        assert_eq!(
+            read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap(),
+            vec![0xA5; len]
+        );
+    }
+}
+
+/// Hands out at most one byte per `read` call.
+struct Trickle<'a>(&'a [u8]);
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match (self.0.split_first(), buf.first_mut()) {
+            (Some((&b, rest)), Some(slot)) => {
+                *slot = b;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+#[test]
+fn frames_read_alike_byte_by_byte_and_back_to_back() {
+    let mut rng = StdRng::seed_from_u64(32);
+    let first = random_payload(&mut rng, 8_000);
+    let second = random_payload(&mut rng, 8_000);
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &first).unwrap();
+    let first_len = wire.len();
+    write_frame(&mut wire, &second).unwrap();
+
+    let mut trickle = Trickle(&wire[..first_len]);
+    assert_eq!(read_frame(&mut trickle, DEFAULT_MAX_FRAME).unwrap(), first);
+    assert!(trickle.0.is_empty());
+
+    // Both frames in one buffer: the first read must stop at its own end,
+    // leaving the second intact for the next reader of the stream.
+    let mut r = Cursor::new(&wire);
+    assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap(), first);
+    assert_eq!(r.position() as usize, first_len);
+    assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap(), second);
+    assert!(matches!(
+        read_frame(&mut r, DEFAULT_MAX_FRAME),
+        Err(FrameError::Closed)
+    ));
+}
+
+#[test]
+fn eof_at_every_offset_is_closed_only_at_zero() {
+    let mut wire = Vec::new();
+    write_frame(&mut wire, b"a frame cut short").unwrap();
+    for cut in 0..wire.len() {
+        for bytewise in [false, true] {
+            let got = if bytewise {
+                read_frame(&mut Trickle(&wire[..cut]), DEFAULT_MAX_FRAME)
+            } else {
+                read_frame(&mut Cursor::new(&wire[..cut]), DEFAULT_MAX_FRAME)
+            };
+            match (cut, got) {
+                (0, Err(FrameError::Closed)) => {}
+                (1.., Err(FrameError::Corrupt(CodecError::Truncated))) => {}
+                (_, other) => panic!("cut at {cut} (bytewise {bytewise}): {other:?}"),
+            }
+        }
+    }
+}
