@@ -209,6 +209,11 @@ step snapshot-isolation cargo test -q --test snapshot_isolation
 step sql-equivalence cargo test -q --test sql_equivalence
 step backend-conformance cargo test -q --test backend_conformance
 
+# Incremental maintenance under load: 100 inserts then 100 deletes into
+# dual indexes at k = 2 and 5 (one descent per tree carrying each entry and
+# its handicap folds), then T2 must still answer as the brute-force oracle.
+step update-storm cargo run -q --release -p cdb-bench --bin update_cost -- --quick
+
 # Every byte layout — wire frames, WAL records, the catalog blob — through
 # the one conformance harness (`cdb_storage::conformance`), the persisted
 # ones against the golden bytes of the format, and the forged-count

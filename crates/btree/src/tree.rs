@@ -66,6 +66,63 @@ pub struct LeafInfo {
     pub count: usize,
 }
 
+/// The pages one operation works on, each read from the pager at most
+/// once: descents find nodes here first, changes land in these buffers,
+/// and [`write_back`](Self::write_back) writes each changed page once.
+struct Pages {
+    size: usize,
+    /// The pages held, in the order they came in, and whether they changed.
+    held: Vec<(PageId, bool)>,
+    /// Their bytes, back to back.
+    bytes: Vec<u8>,
+}
+
+impl Pages {
+    /// Room for a root-to-leaf path of `tree` and a few pages more.
+    fn of(tree: &BTree) -> Self {
+        let (size, room) = (tree.page_size, tree.height + 4);
+        let (held, bytes) = (Vec::with_capacity(room), Vec::with_capacity(room * size));
+        Pages { size, held, bytes }
+    }
+
+    /// `page`'s bytes, read on first use.
+    fn node(&mut self, pager: &dyn PageReader, page: PageId) -> io::Result<&mut [u8]> {
+        let at = match self.held.iter().position(|&(p, _)| p == page) {
+            Some(at) => at,
+            None => {
+                let at = self.held.len();
+                self.bytes.resize((at + 1) * self.size, 0);
+                pager.read(page, &mut self.bytes[at * self.size..])?;
+                self.held.push((page, false));
+                at
+            }
+        };
+        Ok(&mut self.bytes[at * self.size..][..self.size])
+    }
+
+    /// Holds `buf` as the changed bytes of the newly allocated `page`.
+    fn store(&mut self, page: PageId, buf: &[u8]) {
+        self.held.push((page, true));
+        self.bytes.extend_from_slice(buf);
+    }
+
+    /// Marks the held `page` for writing back.
+    fn changed(&mut self, page: PageId) {
+        for (_, changed) in self.held.iter_mut().filter(|(p, _)| *p == page) {
+            *changed = true;
+        }
+    }
+
+    fn write_back(&self, pager: &mut dyn Pager) -> io::Result<()> {
+        for (&(page, changed), bytes) in self.held.iter().zip(self.bytes.chunks(self.size)) {
+            if changed {
+                pager.write(page, bytes)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A disk-based B⁺-tree multi-map from `f64` keys (stored as `f32`) to
 /// `u32` values.
 ///
@@ -184,25 +241,70 @@ impl BTree {
     /// # Panics
     /// Panics on a `NaN` key.
     pub fn insert(&mut self, pager: &mut dyn Pager, key: f64, value: u32) -> io::Result<()> {
+        let (mut tree, mut pages) = (self.clone(), Pages::of(self));
+        tree.put(pager, &mut pages, key, value)?;
+        pages.write_back(pager)?;
+        *self = tree;
+        Ok(())
+    }
+
+    /// [Inserts](Self::insert) `entry`, if any, then folds each `(dir,
+    /// from, side, key)` of `folds` into the leaf a sweep in `dir` from
+    /// `from` starts in (the last on its way if none): its `(dir, side)`
+    /// handicap slot takes `key` if that loosens it. One descent serves
+    /// them all: each page is read once and each changed one written once.
+    /// On an error the tree's metadata stays as it was.
+    pub fn fold_handicaps(
+        &mut self,
+        pager: &mut dyn Pager,
+        entry: Option<(f64, u32)>,
+        folds: &[(Direction, f64, Side, f64)],
+    ) -> io::Result<()> {
+        let (mut tree, mut pages) = (self.clone(), Pages::of(self));
+        if let Some((key, value)) = entry {
+            tree.put(pager, &mut pages, key, value)?;
+        }
+        for &(dir, from, side, key) in folds {
+            let page = tree
+                .locate(dir, &*pager, &mut pages, from)?
+                .map_or_else(|| tree.end_leaf(dir), |(page, _)| page);
+            let mut leaf = Leaf::new(pages.node(&*pager, page)?);
+            let mut h = leaf.handicaps();
+            let slot = h.slot(dir, side);
+            if dir.before(key, *slot) {
+                *slot = key;
+                leaf.set_handicaps(h);
+                pages.changed(page);
+            }
+        }
+        pages.write_back(pager)?;
+        *self = tree;
+        Ok(())
+    }
+
+    /// Inserts `(key, value)` into `pages`, splitting as far up as needed.
+    fn put(
+        &mut self,
+        pager: &mut dyn Pager,
+        pages: &mut Pages,
+        key: f64,
+        value: u32,
+    ) -> io::Result<()> {
         assert!(!key.is_nan(), "NaN keys are not allowed");
         // Descend, remembering the path.
         let mut path: Vec<(PageId, usize)> = Vec::with_capacity(self.height);
         let mut page = self.root;
-        let mut buf = vec![0u8; self.page_size];
         for _ in 0..self.height {
-            pager.read(page, &mut buf)?;
-            let node = Internal::new(&mut buf);
+            let node = Internal::new(pages.node(&*pager, page)?);
             let idx = node.rank(Direction::Down, key);
-            let child = node.child(idx);
             path.push((page, idx));
-            page = child;
+            page = node.child(idx);
         }
-        pager.read(page, &mut buf)?;
-        let mut leaf = Leaf::new(&mut buf);
+        self.len += 1;
+        let mut leaf = Leaf::new(pages.node(&*pager, page)?);
         if leaf.count() < leaf_capacity(self.page_size) {
             leaf.insert(self.page_size, key, value);
-            pager.write(page, &buf)?;
-            self.len += 1;
+            pages.changed(page);
             return Ok(());
         }
         // Split the leaf. Both halves inherit the original handicap values:
@@ -212,52 +314,48 @@ impl BTree {
         // this (they re-tighten lazily via a rebuild).
         let new_page = pager.allocate()?;
         self.pages += 1;
-        let mut rbuf = vec![0u8; self.page_size];
-        let mut right = Leaf::init(&mut rbuf);
-        let mut leaf = Leaf::new(&mut buf);
-        right.set_handicaps(leaf.handicaps());
-        let sep = leaf.split_into(&mut right);
         // Fix the chain.
         let old_next = leaf.next();
-        leaf.set_next(new_page);
-        right.set_prev(page);
-        right.set_next(old_next);
         if old_next == NULL_PAGE {
             self.last_leaf = new_page;
         } else {
-            let mut nbuf = vec![0u8; self.page_size];
-            pager.read(old_next, &mut nbuf)?;
-            Leaf::new(&mut nbuf).set_prev(new_page);
-            pager.write(old_next, &nbuf)?;
+            Leaf::new(pages.node(&*pager, old_next)?).set_prev(new_page);
+            pages.changed(old_next);
         }
+        let mut rbuf = vec![0u8; self.page_size];
+        let mut right = Leaf::init(&mut rbuf);
+        let mut leaf = Leaf::new(pages.node(&*pager, page)?);
+        right.set_handicaps(leaf.handicaps());
+        let sep = leaf.split_into(&mut right);
+        leaf.set_next(new_page);
+        right.set_prev(page);
+        right.set_next(old_next);
         // Insert into the correct half. Duplicates of `sep` may span the
         // boundary; route by comparison with the separator.
         if key < sep {
-            Leaf::new(&mut buf).insert(self.page_size, key, value);
+            leaf.insert(self.page_size, key, value);
         } else {
-            Leaf::new(&mut rbuf).insert(self.page_size, key, value);
+            right.insert(self.page_size, key, value);
         }
-        pager.write(page, &buf)?;
-        pager.write(new_page, &rbuf)?;
-        self.len += 1;
-        self.insert_separator(pager, path, sep, new_page)
+        pages.changed(page);
+        pages.store(new_page, &rbuf);
+        self.insert_separator(pager, pages, path, sep, new_page)
     }
 
     /// Propagates a split upward: inserts `(sep, right_child)` along `path`.
     fn insert_separator(
         &mut self,
         pager: &mut dyn Pager,
+        pages: &mut Pages,
         mut path: Vec<(PageId, usize)>,
         mut sep: f64,
         mut right_child: PageId,
     ) -> io::Result<()> {
-        let mut buf = vec![0u8; self.page_size];
         while let Some((page, idx)) = path.pop() {
-            pager.read(page, &mut buf)?;
-            let mut node = Internal::new(&mut buf);
+            let mut node = Internal::new(pages.node(&*pager, page)?);
             if node.count() < internal_capacity(self.page_size) {
                 node.insert_at(self.page_size, idx, sep, right_child);
-                pager.write(page, &buf)?;
+                pages.changed(page);
                 return Ok(());
             }
             // Split this internal node. Insert first into a widened copy is
@@ -267,17 +365,15 @@ impl BTree {
             let mut rbuf = vec![0u8; self.page_size];
             let mut right = Internal::init(&mut rbuf, 0);
             let promoted = node.split_into(&mut right);
-            if sep < promoted {
-                let mut left = Internal::new(&mut buf);
-                let pos = left.rank(Direction::Down, sep);
-                left.insert_at(self.page_size, pos, sep, right_child);
+            let half = if sep < promoted {
+                &mut node
             } else {
-                let mut r = Internal::new(&mut rbuf);
-                let pos = r.rank(Direction::Down, sep);
-                r.insert_at(self.page_size, pos, sep, right_child);
-            }
-            pager.write(page, &buf)?;
-            pager.write(new_page, &rbuf)?;
+                &mut right
+            };
+            let pos = half.rank(Direction::Down, sep);
+            half.insert_at(self.page_size, pos, sep, right_child);
+            pages.changed(page);
+            pages.store(new_page, &rbuf);
             sep = promoted;
             right_child = new_page;
         }
@@ -287,7 +383,7 @@ impl BTree {
         let mut buf = vec![0u8; self.page_size];
         let mut root = Internal::init(&mut buf, self.root);
         root.insert_at(self.page_size, 0, sep, right_child);
-        pager.write(new_root, &buf)?;
+        pages.store(new_root, &buf);
         self.root = new_root;
         self.height += 1;
         Ok(())
@@ -308,15 +404,17 @@ impl BTree {
         assert!(!key.is_nan(), "NaN keys are not allowed");
         let k32 = key as f32 as f64;
         let slack = key_slack(key);
-        let Some((mut page, band)) = self.find(Direction::Up, &*pager, k32 - slack)? else {
+        // The band's leaves, from the search on, are read once each.
+        let mut pages = Pages::of(self);
+        let Some((mut page, band)) =
+            self.locate(Direction::Up, &*pager, &mut pages, k32 - slack)?
+        else {
             return Ok(false);
         };
         let mut slot = band.start;
-        let mut buf = vec![0u8; self.page_size];
         let mut hit: Option<(PageId, usize, f64)> = None;
         'band: loop {
-            pager.read(page, &mut buf)?;
-            let leaf = Leaf::new(&mut buf);
+            let leaf = Leaf::new(pages.node(&*pager, page)?);
             while slot < leaf.count() {
                 let k = leaf.key(slot);
                 if k > k32 + slack {
@@ -329,26 +427,20 @@ impl BTree {
                 }
                 slot += 1;
             }
-            let next = leaf.next();
-            if next == NULL_PAGE {
+            page = leaf.next();
+            if page == NULL_PAGE {
                 break;
             }
-            page = next;
             slot = 0;
         }
-        let Some((hit_page, slot, _)) = hit else {
+        let Some((page, slot, _)) = hit else {
             return Ok(false);
         };
-        if hit_page != page {
-            page = hit_page;
-            pager.read(page, &mut buf)?;
-        }
-        let mut leaf = Leaf::new(&mut buf);
+        let mut leaf = Leaf::new(pages.node(&*pager, page)?);
         leaf.remove(slot);
         let emptied = leaf.count() == 0;
         let (links, h) = (Direction::BOTH.map(|dir| leaf.link(dir)), leaf.handicaps());
-        pager.write(page, &buf)?;
-        self.len -= 1;
+        pages.changed(page);
         if emptied {
             // Preserve handicap reachability: an emptied leaf may be skipped
             // by future sweep starts, so the bounds guiding upward-first
@@ -360,18 +452,18 @@ impl BTree {
                 if neighbour == NULL_PAGE {
                     continue;
                 }
-                let mut nbuf = vec![0u8; self.page_size];
-                pager.read(neighbour, &mut nbuf)?;
-                let mut nleaf = Leaf::new(&mut nbuf);
+                let mut nleaf = Leaf::new(pages.node(&*pager, neighbour)?);
                 let mut nh = nleaf.handicaps();
                 for side in [Side::Prev, Side::Next] {
                     let slot = nh.slot(dir, side);
                     *slot = dir.earlier(*slot, h.get(dir, side));
                 }
                 nleaf.set_handicaps(nh);
-                pager.write(neighbour, &nbuf)?;
+                pages.changed(neighbour);
             }
         }
+        pages.write_back(pager)?;
+        self.len -= 1;
         Ok(true)
     }
 
@@ -387,16 +479,24 @@ impl BTree {
         pager: &dyn PageReader,
         key: f64,
     ) -> io::Result<Option<(PageId, Range<usize>)>> {
+        self.locate(dir, pager, &mut Pages::of(self), key)
+    }
+
+    /// [`find`](Self::find), reading nodes through `pages`.
+    fn locate(
+        &self,
+        dir: Direction,
+        pager: &dyn PageReader,
+        pages: &mut Pages,
+        key: f64,
+    ) -> io::Result<Option<(PageId, Range<usize>)>> {
         let mut page = self.root;
-        let mut buf = vec![0u8; self.page_size];
         for _ in 0..self.height {
-            pager.read(page, &mut buf)?;
-            let node = Internal::new(&mut buf);
+            let node = Internal::new(pages.node(pager, page)?);
             page = node.child(node.rank(dir, key));
         }
         loop {
-            pager.read(page, &mut buf)?;
-            let leaf = Leaf::new(&mut buf);
+            let leaf = Leaf::new(pages.node(pager, page)?);
             let slots = dir.slots(leaf.rank(dir, key), leaf.count());
             if !slots.is_empty() {
                 return Ok(Some((page, slots)));

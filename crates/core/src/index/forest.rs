@@ -89,21 +89,28 @@ impl Forest {
         Ok(self.tree(i, up))
     }
 
-    /// Adds `id` to both trees of element `i`, whose slope is `slope`;
-    /// returns the `(TOP_P, BOT_P)` keys it went in under, which the
-    /// caller folds into its handicaps.
+    /// Adds `id` to both trees of element `i` under its `(TOP_P, BOT_P)`
+    /// `keys` there and folds its `(max TOP, min BOT)` reach over each
+    /// side's region into both trees' handicaps, in one descent per tree.
     pub(crate) fn insert(
         &mut self,
         pager: &mut dyn Pager,
         i: usize,
-        slope: &[f64],
         id: u32,
-        tuple: &GeneralizedTuple,
-    ) -> io::Result<(f64, f64)> {
-        let (top, bot) = keys_at(tuple, slope);
-        self.pairs[i].0.insert(pager, top, id)?;
-        self.pairs[i].1.insert(pager, bot, id)?;
-        Ok((top, bot))
+        keys: (f64, f64),
+        reaches: &[(Side, (f64, f64))],
+    ) -> io::Result<()> {
+        let (up, down) = &mut self.pairs[i];
+        for (tree, key) in [(up, keys.0), (down, keys.1)] {
+            let folds: Vec<_> = reaches
+                .iter()
+                .flat_map(|&(side, reach)| {
+                    Direction::BOTH.map(|dir| (dir, dir.of(reach), side, key))
+                })
+                .collect();
+            tree.fold_handicaps(pager, Some((key, id)), &folds)?;
+        }
+        Ok(())
     }
 
     /// Removes `id` from every tree; `false` when some tree did not hold
@@ -157,36 +164,6 @@ impl Forest {
             }
             for (leaf, h) in leaves.iter().zip(handicaps) {
                 tree.set_handicaps(pager, leaf.page, h)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds one inserted tuple's `(max TOP, min BOT)` reaches over the
-    /// region `side` answers for into the bucket leaves of both trees of
-    /// element `i`, under its `keys` there: per tree and direction, the
-    /// leaf a sweep from the reach starts in (clamped to the last one on
-    /// its way) takes the key if that loosens its handicap.
-    pub(crate) fn fold_handicaps(
-        &self,
-        pager: &mut dyn Pager,
-        i: usize,
-        side: Side,
-        keys: (f64, f64),
-        reach: (f64, f64),
-    ) -> io::Result<()> {
-        for (up, key) in [(true, keys.0), (false, keys.1)] {
-            let tree = self.tree(i, up);
-            for dir in Direction::BOTH {
-                let page = tree
-                    .find(dir, &*pager, dir.of(reach))?
-                    .map_or_else(|| tree.end_leaf(dir), |(page, _)| page);
-                let mut h = tree.read_handicaps(&*pager, page)?;
-                let slot = h.slot(dir, side);
-                if dir.before(key, *slot) {
-                    *slot = key;
-                    tree.set_handicaps(pager, page, h)?;
-                }
             }
         }
         Ok(())
@@ -299,10 +276,44 @@ impl TreeMeta {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cdb_btree::{LeafSnapshot, SweepControl};
     use cdb_storage::MemPager;
+
+    /// The reference [`Forest::insert`] is checked against, one search per
+    /// target: both entries by [`BTree::insert`], then per region, tree and
+    /// direction a `find`, a `read_handicaps` and, when the fold loosens
+    /// the slot, a `set_handicaps` — one descent and up to three reads of
+    /// the bucket leaf per fold.
+    pub(crate) fn insert_per_fold(
+        forest: &mut Forest,
+        pager: &mut dyn Pager,
+        i: usize,
+        id: u32,
+        keys: (f64, f64),
+        reaches: &[(Side, (f64, f64))],
+    ) {
+        forest.pairs[i].0.insert(pager, keys.0, id).unwrap();
+        forest.pairs[i].1.insert(pager, keys.1, id).unwrap();
+        for &(side, reach) in reaches {
+            for (up, key) in [(true, keys.0), (false, keys.1)] {
+                let tree = forest.tree(i, up);
+                for dir in Direction::BOTH {
+                    let page = tree
+                        .find(dir, &*pager, dir.of(reach))
+                        .unwrap()
+                        .map_or_else(|| tree.end_leaf(dir), |(page, _)| page);
+                    let mut h = tree.read_handicaps(&*pager, page).unwrap();
+                    let slot = h.slot(dir, side);
+                    if dir.before(key, *slot) {
+                        *slot = key;
+                        tree.set_handicaps(pager, page, h).unwrap();
+                    }
+                }
+            }
+        }
+    }
 
     const PAGE: usize = 128; // 10 entries per leaf
 
@@ -336,6 +347,23 @@ mod tests {
         }
     }
 
+    /// [`Forest::insert`]'s folds without its entry: `keys` folded into
+    /// both trees of element `i` from the `(up, down)` `reach` on `side`.
+    fn fold(
+        forest: &mut Forest,
+        pager: &mut MemPager,
+        i: usize,
+        side: Side,
+        keys: (f64, f64),
+        reach: (f64, f64),
+    ) {
+        let (up, down) = &mut forest.pairs[i];
+        for (tree, key) in [(up, keys.0), (down, keys.1)] {
+            let folds = Direction::BOTH.map(|dir| (dir, dir.of(reach), side, key));
+            tree.fold_handicaps(pager, None, &folds).unwrap();
+        }
+    }
+
     fn mirrored(keys: &[f64], dir: Direction) {
         let back = dir.reversed();
         let mut pager = MemPager::new(PAGE);
@@ -347,7 +375,7 @@ mod tests {
             bulk(&mut pager, keys.iter().copied()),
             bulk(&mut pager, keys.iter().map(|k| -k)),
         );
-        let forest = Forest {
+        let mut forest = Forest {
             pairs: vec![(k, neg), mirror],
         };
         let (tree, image) = (forest.tree(0, true), forest.tree(0, false));
@@ -403,13 +431,9 @@ mod tests {
         for (side, &(top, bot)) in [Side::Prev, Side::Next].into_iter().cycle().zip(&pairs) {
             let keys = (top.clamp(-1e3, 1e3), bot);
             let reach = (top.max(bot), top.min(bot));
-            forest
-                .fold_handicaps(&mut pager, 0, side, keys, reach)
-                .unwrap();
+            fold(&mut forest, &mut pager, 0, side, keys, reach);
             let (keys, reach) = ((-keys.1, -keys.0), (-reach.1, -reach.0));
-            forest
-                .fold_handicaps(&mut pager, 1, side, keys, reach)
-                .unwrap();
+            fold(&mut forest, &mut pager, 1, side, keys, reach);
         }
         for up in [true, false] {
             let (here, there) = (forest.tree(0, up), forest.tree(1, !up));

@@ -447,11 +447,12 @@ impl<G: SlopeGeometry> DualIndex<G> {
     ) -> Result<(), CdbError> {
         let elements = self.geometry.elements().zip(&self.regions);
         for (i, (slope, regions)) in elements.enumerate() {
-            let keys = self.forest.insert(pager, i, slope, id, tuple)?;
-            for (side, corners) in regions {
-                let reach = reach(tuple, keys, corners);
-                self.forest.fold_handicaps(pager, i, *side, keys, reach)?;
-            }
+            let keys = keys_at(tuple, slope);
+            let reaches: Vec<_> = regions
+                .iter()
+                .map(|(side, corners)| (*side, reach(tuple, keys, corners)))
+                .collect();
+            self.forest.insert(pager, i, id, keys, &reaches)?;
         }
         Ok(())
     }
@@ -1139,6 +1140,129 @@ mod tests {
             boxes(100, 37),
             late_boxes(),
             &[&[0.2, -0.3], &[-0.5, 0.1], &[0.6, -0.5], &[-0.8, -0.6]],
+            |idx, sel| idx.route(sel).unwrap(),
+        );
+    }
+
+    /// The one-descent update ≡ the per-fold reference, page for page:
+    /// twin indexes take one seeded stream of inserts (splitting leaves,
+    /// internal nodes and the root of 128-byte-page trees) and deletes,
+    /// one through [`DualIndex::insert`], the other through
+    /// [`forest::tests::insert_per_fold`]. After the stream every tree page
+    /// of the two — entries, links and handicaps — is bit-identical, every
+    /// tree validates, and T2 answers as the oracle.
+    #[test]
+    fn one_descent_update_matches_the_per_fold_reference() {
+        fn stream<G: SlopeGeometry + Clone>(
+            what: &str,
+            geometry: G,
+            mut live: Vec<(u32, GeneralizedTuple)>,
+            late: Vec<GeneralizedTuple>,
+            slopes: &[&[f64]],
+            route: impl Fn(&DualIndex<G>, &Selection) -> PlanCase,
+        ) {
+            let (mut pager, mut twin_pager) = (MemPager::new(128), MemPager::new(128));
+            let mut idx = DualIndex::build(&mut pager, geometry.clone(), &live).unwrap();
+            let mut twin = DualIndex::build(&mut twin_pager, geometry, &live).unwrap();
+            let built = idx.page_count();
+            let mut rng = cdb_prng::StdRng::seed_from_u64(71);
+            for (id, t) in (5000u32..).zip(late) {
+                idx.insert(&mut pager, id, &t).unwrap();
+                let elements = twin.geometry.elements().zip(&twin.regions);
+                for (i, (slope, regions)) in elements.enumerate() {
+                    let keys = keys_at(&t, slope);
+                    let reaches: Vec<_> = regions
+                        .iter()
+                        .map(|(side, corners)| (*side, reach(&t, keys, corners)))
+                        .collect();
+                    let forest = &mut twin.forest;
+                    forest::tests::insert_per_fold(forest, &mut twin_pager, i, id, keys, &reaches);
+                }
+                live.push((id, t));
+                if rng.gen_bool(0.3) {
+                    let (id, t) = live.swap_remove(rng.gen_range(0..live.len()));
+                    assert!(idx.remove(&mut pager, id, &t).unwrap(), "{what}: {id}");
+                    assert!(
+                        twin.remove(&mut twin_pager, id, &t).unwrap(),
+                        "{what}: {id}"
+                    );
+                }
+            }
+            assert!(idx.page_count() > built, "{what}: no insert split a leaf");
+            for i in 0..idx.geometry.elements().count() {
+                for up in [true, false] {
+                    let (tree, reference) = (idx.forest.tree(i, up), twin.forest.tree(i, up));
+                    tree.validate(&pager).unwrap();
+                    let shape =
+                        |t: &cdb_btree::BTree| (t.root(), t.height(), t.len(), t.page_count());
+                    assert_eq!(shape(tree), shape(reference), "{what}: tree {i} {up}");
+                    let pages = tree.collect_pages(&pager).unwrap();
+                    assert_eq!(pages, reference.collect_pages(&twin_pager).unwrap());
+                    let (mut a, mut b) = (vec![0u8; 128], vec![0u8; 128]);
+                    for page in pages {
+                        pager.read(page, &mut a).unwrap();
+                        twin_pager.read(page, &mut b).unwrap();
+                        assert_eq!(a, b, "{what}: tree {i} {up}, page {page}");
+                    }
+                }
+            }
+            let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
+                live.iter().cloned().collect();
+            let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
+            for (slope, b) in slopes
+                .iter()
+                .zip([-25.0, 0.0, 12.0, 40.0].into_iter().cycle())
+            {
+                for kind in [SelectionKind::All, SelectionKind::Exist] {
+                    for op in [RelOp::Ge, RelOp::Le] {
+                        let halfplane = HalfPlane::new(slope.to_vec(), b, op);
+                        let sel = Selection { kind, halfplane };
+                        let case = route(&idx, &sel);
+                        let guided = matches!(case, PlanCase::Between { .. } | PlanCase::Cell(_));
+                        assert!(guided, "{what}: {case}");
+                        let got = idx
+                            .run(&pager, &sel, &case, Exact::Selection, &fetch)
+                            .unwrap();
+                        let mut want = oracle(&live, &sel);
+                        want.sort_unstable();
+                        assert_eq!(got.ids(), want, "{what}: {sel:?}");
+                    }
+                }
+            }
+        }
+        let flat = |n, size, seed| {
+            let tuples = DatasetSpec::paper_1999(n, size, seed).generate();
+            (0u32..).zip(tuples).collect::<Vec<_>>()
+        };
+        let late = |n| DatasetSpec::paper_1999(n, ObjectSize::Medium, 72).generate();
+        for (k, n) in [(2, 9), (4, 300), (5, 180)] {
+            let set = SlopeSet::uniform_tan(k);
+            // A third and two thirds of the way between neighbours of S.
+            let between = set
+                .as_slice()
+                .windows(2)
+                .flat_map(|w| [1.0, 2.0].map(|t| vec![w[0] + (w[1] - w[0]) * t / 3.0]));
+            let slopes: Vec<Vec<f64>> = between.collect();
+            let slopes: Vec<&[f64]> = slopes.iter().map(Vec::as_slice).collect();
+            let route = |idx: &DualIndex, sel: &Selection| idx.route(MethodKind::T2, sel).unwrap();
+            let what = format!("k = {k}");
+            stream(
+                &what,
+                set,
+                flat(n, ObjectSize::Small, 70),
+                late(150),
+                &slopes,
+                route,
+            );
+        }
+        let boxes = |n, seed| ddim::tests::random_boxes(3, n, seed);
+        let late_boxes = boxes(150, 74).into_iter().map(|(_, t)| t).collect();
+        stream(
+            "3-D grid",
+            SlopePoints::grid(3, 3, 1.0),
+            boxes(200, 73),
+            late_boxes,
+            &[&[0.2, -0.1], &[-0.9, -0.8], &[0.7, 0.3], &[-0.4, 0.95]],
             |idx, sel| idx.route(sel).unwrap(),
         );
     }

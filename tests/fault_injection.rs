@@ -238,7 +238,8 @@ fn maintenance_failing_at_any_op_leaves_no_index_out_of_step_with_the_heap() {
     let path = tmp("halfway");
     // 125 tuples fill the bulk-loaded leaves (122 entries a page), so the
     // inserts below split leaves: the longest half-way a tree insert has.
-    let tuples = DatasetSpec::paper_1999(127, ObjectSize::Small, 31).generate();
+    // Five inserts and a delete give the sweep 146 ops to fail.
+    let tuples = DatasetSpec::paper_1999(130, ObjectSize::Small, 31).generate();
     let (setup, traffic) = tuples.split_at(125);
     let sels = [
         Selection::exist(HalfPlane::above(0.37, 0.0)),
