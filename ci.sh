@@ -153,6 +153,24 @@ RULES
 }
 step one-node one_node
 
+# The audit that keeps "one role per node" a gate: replication stays out of
+# the engine, the storage layer, the wire and the CLI — no replica role or
+# fetcher, no subscription stream or its frames, no follower redirect, no
+# WAL-retention mode, no cluster client — and its two modules stay gone.
+one_role() {
+  grep_audit one-role crates/*/src src <<'RULES'
+0|replication names|-|ClusterClient|ClusterConfig|bind_replica|apply_replicated|open_retaining|set_wal_retention|retain_wal|Subscribe|Subscription|WalBatch|ReplicationInfo|FollowerInfo|NotPrimary|RoleState|fetcher_loop|open_or_create
+RULES
+  local f
+  for f in crates/net/src/cluster.rs crates/net/src/replica.rs; do
+    if [ -e "$f" ]; then
+      echo "ci: one-role: $f is back" >&2
+      return 1
+    fi
+  done
+}
+step one-role one_role
+
 # The audit that keeps "one checksum kernel" a gate: every page seal, WAL
 # record, catalog blob and wire frame goes through `codec::crc32_update` —
 # no private CRC table, and no second byte-at-a-time loop beside the
@@ -463,130 +481,6 @@ mixed_smoke() {
   rm -f "$f" "$f.wal" "$log"
 }
 step mixed mixed_smoke
-
-# Replication smoke: a WAL-retaining primary plus two followers, all on
-# ephemeral ports. Scripted writes enter through a cluster session whose
-# member list leads with a follower (exercising the NotPrimary redirect),
-# both followers converge and serve load-balanced reads, then the primary
-# is SIGKILLed and restarted on the same port: every acknowledged write
-# survives, the followers re-subscribe, and every file fscks clean.
-cluster_smoke() {
-  local base="${TMPDIR:-/tmp}/cdb_ci_cluster_$$"
-  local pdb="${base}_p.db" f1db="${base}_f1.db" f2db="${base}_f2.db"
-  local plog="${base}_p.log" f1log="${base}_f1.log" f2log="${base}_f2.log"
-  local all=("$pdb" "$pdb.wal" "$f1db" "$f1db.wal" "$f2db" "$f2db.wal" \
-    "$plog" "$f1log" "$f2log")
-  local pids=()
-  rm -f "${all[@]}"
-  await_addr() {
-    local log=$1 addr=""
-    for _ in $(seq 1 50); do
-      addr=$(sed -n 's/^listening on //p' "$log")
-      [ -n "$addr" ] && break
-      sleep 0.1
-    done
-    echo "$addr"
-  }
-  die() {
-    echo "ci: cluster smoke: $1" >&2
-    kill -9 "${pids[@]}" 2>/dev/null || true
-    wait 2>/dev/null || true
-    rm -f "${all[@]}"
-  }
-
-  ./target/release/cdb-server "$pdb" --retain-wal --checkpoint-every 8 >"$plog" &
-  local ppid=$!
-  pids+=("$ppid")
-  local paddr
-  paddr=$(await_addr "$plog")
-  [ -n "$paddr" ] || { die "primary never announced its address"; return 1; }
-  ./target/release/cdb-server "$f1db" --replica-of "$paddr" >"$f1log" &
-  pids+=($!)
-  ./target/release/cdb-server "$f2db" --replica-of "$paddr" >"$f2log" &
-  pids+=($!)
-  local f1addr f2addr
-  f1addr=$(await_addr "$f1log")
-  f2addr=$(await_addr "$f2log")
-  { [ -n "$f1addr" ] && [ -n "$f2addr" ]; } \
-    || { die "a follower never announced its address"; return 1; }
-
-  # Writes through a cluster session that lists a follower first: every
-  # mutation is redirected to the primary via NotPrimary{leader_hint}.
-  {
-    printf 'create parcels 2\n'
-    for i in $(seq 1 16); do
-      printf 'insert parcels y >= 0 && y <= 2 && x >= %s && x <= %s\n' "$i" "$((i + 3))"
-    done
-    printf 'index parcels 4\n'
-  } | TERM= ./target/release/cdb-client --cluster "$f1addr,$f2addr,$paddr" >/dev/null
-
-  # Both followers converge: the replicated state holds all 16 tuples.
-  local faddr ok
-  for faddr in "$f1addr" "$f2addr"; do
-    ok=""
-    for _ in $(seq 1 100); do
-      if TERM= ./target/release/cdb-client "$faddr" stats 2>/dev/null \
-        | grep 'parcels: 2-D, 16 tuples' >/dev/null; then
-        ok=1
-        break
-      fi
-      sleep 0.1
-    done
-    [ -n "$ok" ] || { die "follower $faddr never caught up"; return 1; }
-  done
-
-  # Load-balanced cluster reads see the full relation.
-  TERM= ./target/release/cdb-client --cluster "$f1addr,$f2addr,$paddr" \
-    exist parcels 'y >= -1000000' | grep '^16 matches' >/dev/null \
-    || { die "cluster read missed rows"; return 1; }
-
-  # SIGKILL the primary: reads keep flowing from the followers...
-  kill -9 "$ppid"
-  wait "$ppid" 2>/dev/null || true
-  TERM= ./target/release/cdb-client --cluster "$f1addr,$f2addr,$paddr" \
-    exist parcels 'y >= -1000000' | grep '^16 matches' >/dev/null \
-    || { die "reads failed with the primary down"; return 1; }
-
-  # ...and a restart on the same port recovers every acknowledged write
-  # from the retained WAL; the followers re-subscribe on their own.
-  ./target/release/cdb-server "$pdb" --retain-wal --checkpoint-every 8 \
-    --addr "$paddr" >"$plog" &
-  ppid=$!
-  pids+=("$ppid")
-  [ -n "$(await_addr "$plog")" ] \
-    || { die "restarted primary never announced its address"; return 1; }
-  TERM= ./target/release/cdb-client "$paddr" stats \
-    | grep 'parcels: 2-D, 16 tuples' >/dev/null \
-    || { die "restart lost acknowledged writes"; return 1; }
-  ok=""
-  for _ in $(seq 1 100); do
-    if TERM= ./target/release/cdb-client "$paddr" stats 2>/dev/null \
-      | grep ': connected, acked through' >/dev/null; then
-      ok=1
-      break
-    fi
-    sleep 0.1
-  done
-  [ -n "$ok" ] || { die "followers never re-subscribed after restart"; return 1; }
-
-  # One more write proves the cluster is writable again end to end.
-  TERM= ./target/release/cdb-client --cluster "$f1addr,$f2addr,$paddr" \
-    insert parcels 'y >= 0 && y <= 1 && x >= 90 && x <= 91' >/dev/null \
-    || { die "write after primary restart failed"; return 1; }
-
-  # Graceful teardown, then offline checksum verification of every file.
-  TERM= ./target/release/cdb-client "$f1addr" shutdown >/dev/null
-  TERM= ./target/release/cdb-client "$f2addr" shutdown >/dev/null
-  TERM= ./target/release/cdb-client "$paddr" shutdown >/dev/null
-  wait "${pids[@]}" 2>/dev/null || true
-  local db
-  for db in "$pdb" "$f1db" "$f2db"; do
-    ./target/release/cdb fsck "$db" | grep 'fsck: ok' >/dev/null \
-      || { die "fsck failed on $db"; return 1; }
-  done
-  rm -f "${all[@]}"
-}
-step cluster cluster_smoke
 
 # `perf/` is its own workspace, so nothing above builds it: compile the
 # benchmark harness against the current API, run its unit tests, then one

@@ -202,11 +202,6 @@ pub struct ConstraintDb {
     durable_lsn: u64,
     /// Consecutive checkpoint failures since the last success.
     checkpoint_failures: u64,
-    /// Keep the full WAL history on disk — checkpoints skip truncation,
-    /// close and replay keep the file — so a replication primary can ship
-    /// any suffix a lagging follower still needs (see
-    /// [`ConstraintDb::open_retaining`]).
-    retain_wal: bool,
 }
 
 /// The whole read surface — `relation`, `query`, `query_with`, `explain`,
@@ -247,7 +242,6 @@ impl ConstraintDb {
             wal_base: None,
             durable_lsn: 0,
             checkpoint_failures: 0,
-            retain_wal: false,
         }
     }
 
@@ -297,38 +291,11 @@ impl ConstraintDb {
     /// torn or tampered file is reported, never served as an empty
     /// database. [`CdbError::Io`] for operating-system failures.
     pub fn open(path: &Path) -> Result<Self, CdbError> {
-        Self::open_with(path, false)
-    }
-
-    /// [`open`](Self::open) for a replication primary: identical recovery,
-    /// but the engine is put in *WAL-retention* mode — the absorbed log is
-    /// kept on disk (instead of deleted), [`begin_wal`](Self::begin_wal)
-    /// reopens it in append mode, and checkpoints stop truncating it — so
-    /// the full record history from the log's birth stays shippable and a
-    /// follower that went dark can still catch up from its LSN gap after a
-    /// primary restart. The trade-off (the log only shrinks when retention
-    /// ends) is the replication primary's to make.
-    ///
-    /// # Errors
-    /// Exactly those of [`open`](Self::open).
-    pub fn open_retaining(path: &Path) -> Result<Self, CdbError> {
-        Self::open_with(path, true)
-    }
-
-    fn open_with(path: &Path, retain_wal: bool) -> Result<Self, CdbError> {
         let mut db = Self::decode_file(FilePager::open(path).map_err(Self::lift)?)?;
         db.wal_base = Some(path.to_path_buf());
-        db.retain_wal = retain_wal;
         db.replay_wal()?;
         db.classify_relations();
         Ok(db)
-    }
-
-    /// Switches a freshly created or in-memory engine into WAL-retention
-    /// mode (see [`open_retaining`](Self::open_retaining)); must be called
-    /// before [`begin_wal`](Self::begin_wal) arms the log.
-    pub fn set_wal_retention(&mut self, retain: bool) {
-        self.retain_wal = retain;
     }
 
     /// [`open`](Self::open), but the file is mapped read-only and every
@@ -443,7 +410,7 @@ impl ConstraintDb {
                 replay.error = Some(format!("replayed but not checkpointed: {e}"));
             }
         }
-        if replay.error.is_none() && !self.retain_wal {
+        if replay.error.is_none() {
             let _ = std::fs::remove_file(&wpath);
         }
         self.recovery.wal = Some(replay);
@@ -518,14 +485,7 @@ impl ConstraintDb {
             return Ok(false);
         };
         self.checkpoint()?;
-        let wal = if self.retain_wal {
-            // Retention mode appends to the existing history (torn tails
-            // trimmed) so shipped LSNs stay addressable across restarts.
-            Wal::open_or_create(&wpath, self.durable_lsn + 1)
-        } else {
-            Wal::create(&wpath, self.durable_lsn + 1)
-        }?;
-        self.wal = Some(wal);
+        self.wal = Some(Wal::create(&wpath, self.durable_lsn + 1)?);
         Ok(true)
     }
 
@@ -545,22 +505,6 @@ impl ConstraintDb {
         }
     }
 
-    /// Applies one replicated WAL record — raw bytes shipped from a
-    /// primary's log — through the same typed-decode + public-entry-point
-    /// path recovery uses, so a follower's state is bit-for-bit what replay
-    /// of the primary's log would build. With the follower's own log armed,
-    /// the mutation is re-logged locally (one record in, one record out:
-    /// LSNs stay aligned with the primary's as long as records are applied
-    /// gaplessly in order, which the shipping protocol guarantees).
-    ///
-    /// # Errors
-    /// [`CdbError::CorruptRecord`] when the bytes don't decode as a record,
-    /// or whatever the underlying mutation returns — either means the
-    /// stream is damaged or divergent and the subscription must restart.
-    pub fn apply_replicated(&mut self, record: &[u8]) -> Result<(), CdbError> {
-        self.apply_wal_record(WalRecord::decode(record)?)
-    }
-
     /// The LSN of the last mutation *applied* in memory (acked-but-
     /// unsynced included): what a published snapshot reflects. Falls back
     /// to the durable watermark when no log is armed.
@@ -572,8 +516,8 @@ impl ConstraintDb {
     }
 
     /// The LSN of the last mutation a successful
-    /// [`wal_sync`](Self::wal_sync) made durable: what a primary may
-    /// acknowledge — and ship. Falls back to the durable watermark when no
+    /// [`wal_sync`](Self::wal_sync) made durable: what a server may
+    /// acknowledge. Falls back to the durable watermark when no
     /// log is armed.
     pub fn wal_synced_lsn(&self) -> u64 {
         match self.wal.as_ref() {
@@ -582,8 +526,7 @@ impl ConstraintDb {
         }
     }
 
-    /// The sidecar log path, once a log is armed on a file-backed engine —
-    /// where a replication shipping loop tails records from.
+    /// The sidecar log path, once a log is armed on a file-backed engine.
     pub fn wal_file_path(&self) -> Option<std::path::PathBuf> {
         match (&self.wal, &self.wal_base) {
             (Some(_), Some(base)) => Some(wal_path(base)),
@@ -645,10 +588,8 @@ impl ConstraintDb {
         }
         self.dirty = false;
         self.checkpoint_failures = 0;
-        if !self.retain_wal {
-            if let Some(w) = self.wal.as_mut() {
-                let _ = w.truncate(self.durable_lsn + 1);
-            }
+        if let Some(w) = self.wal.as_mut() {
+            let _ = w.truncate(self.durable_lsn + 1);
         }
         Ok(())
     }
@@ -690,7 +631,7 @@ impl ConstraintDb {
     /// [`CdbError::Io`] when the final checkpoint fails.
     pub fn close(mut self) -> Result<(), CdbError> {
         self.checkpoint()?;
-        if let Some(log) = self.wal_file_path().filter(|_| !self.retain_wal) {
+        if let Some(log) = self.wal_file_path() {
             let _ = std::fs::remove_file(log);
         }
         Ok(())
@@ -855,7 +796,7 @@ impl ConstraintDb {
     }
 
     /// Builds (or rebuilds) the index `spec` describes — the one build body
-    /// behind the typed fronts below, log replay, replication and
+    /// behind the typed fronts below, log replay and
     /// [`rebuild_indexes`](Self::rebuild_indexes). A previous index of the
     /// same kind is freed first; rebuilding clears its corruption flag.
     ///
@@ -977,12 +918,13 @@ mod tests {
         for fill in [0.25, 1.5, f64::NAN] {
             assert!(refused(db.build_rplus_index("land", fill)), "fill {fill}");
         }
-        // A shipped (or replayed) log record takes the same path.
-        let shipped = WalRecord::BuildRPlus {
+        // A replayed log record takes the same path.
+        let logged = WalRecord::BuildRPlus {
             relation: "land".into(),
             fill: 0.25,
         };
-        assert!(refused(db.apply_replicated(&shipped.encode())));
+        let replayed = WalRecord::decode(&logged.encode()).unwrap();
+        assert!(refused(db.apply_wal_record(replayed)));
         assert!(db
             .relation("land")
             .unwrap()

@@ -2,12 +2,11 @@
 //!
 //! A [`Backend`] is anything that can turn one [`Request`] into one
 //! [`Response`]: an in-process [`cdb_core::ConstraintDb`] (through the
-//! server's own dispatcher, `dispatch.rs`), one wire session ([`crate::client::Connection`])
-//! or a replicated deployment ([`crate::cluster::Cluster`]). [`Api`] wraps
-//! any of them with the typed helpers — build the request, send it, unwrap
-//! the one response variant that answers it — so "who executes" never
-//! changes what a caller writes. [`crate::Client`] and
-//! [`crate::ClusterClient`] are `Api` over their backend.
+//! server's own dispatcher, `dispatch.rs`) or one wire session
+//! ([`crate::client::Connection`]). [`Api`] wraps either with the typed
+//! helpers — build the request, send it, unwrap the one response variant
+//! that answers it — so "who executes" never changes what a caller
+//! writes. [`crate::Client`] is `Api` over a wire session.
 
 use std::ops::{Deref, DerefMut};
 
@@ -16,9 +15,7 @@ use cdb_core::sql::{SqlMode, SqlOutcome};
 use cdb_core::DbStats;
 use cdb_geometry::tuple::GeneralizedTuple;
 
-use crate::proto::{
-    NetError, ReplicationInfo, Request, Response, WireQueryResult, WireRecoveryReport,
-};
+use crate::proto::{NetError, Request, Response, WireQueryResult, WireRecoveryReport};
 
 /// One way of executing requests. See the module docs.
 pub trait Backend {
@@ -41,15 +38,13 @@ impl<B: Backend + ?Sized> Backend for &mut B {
 pub struct StatsReply {
     /// Engine statistics.
     pub db: DbStats,
-    /// Replication role and progress (`None` on a standalone server).
-    pub replication: Option<ReplicationInfo>,
     /// Client sessions currently admitted on the node.
     pub connections: u32,
 }
 
 /// The typed operations over a [`Backend`]. Dereferences to the backend,
-/// so its own methods (connection tuning, topology introspection) are
-/// reachable on the same handle.
+/// so its own methods (connection tuning) are reachable on the same
+/// handle.
 pub struct Api<B>(pub B);
 
 impl<B> Deref for Api<B> {
@@ -103,17 +98,6 @@ fn expect_sql(response: Response) -> Result<SqlOutcome, NetError> {
 fn expect_relations(response: Response) -> Result<Vec<String>, NetError> {
     match response {
         Response::Relations(names) => Ok(names),
-        other => Err(protocol_violation(&other)),
-    }
-}
-
-/// `(start_lsn, durable_lsn)` of an accepted subscription.
-pub(crate) fn expect_subscribed(response: Response) -> Result<(u64, u64), NetError> {
-    match response {
-        Response::Subscribed {
-            start_lsn,
-            durable_lsn,
-        } => Ok((start_lsn, durable_lsn)),
         other => Err(protocol_violation(&other)),
     }
 }
@@ -262,19 +246,11 @@ impl<B: Backend> Api<B> {
         expect_relations(self.0.call(Request::ListRelations)?)
     }
 
-    /// Engine statistics snapshot, plus the answering node's replication
-    /// role and session count.
+    /// Engine statistics snapshot, plus the answering node's session
+    /// count.
     pub fn stats(&mut self) -> Result<StatsReply, NetError> {
         match self.0.call(Request::Stats)? {
-            Response::Stats {
-                db,
-                replication,
-                connections,
-            } => Ok(StatsReply {
-                db,
-                replication,
-                connections,
-            }),
+            Response::Stats { db, connections } => Ok(StatsReply { db, connections }),
             other => Err(protocol_violation(&other)),
         }
     }

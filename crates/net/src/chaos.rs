@@ -11,12 +11,12 @@
 //!
 //! The proxy counts frames globally across both directions and all
 //! connections through it, in arrival order. Under the protocol's
-//! stop-and-wait discipline (one request, one response; one shipped
-//! batch, one ack) that order is deterministic, which is what makes
-//! "reset on the 7th frame" a reproducible scenario rather than a race.
+//! stop-and-wait discipline (one request, one response) that order is
+//! deterministic, which is what makes "reset on the 7th frame" a
+//! reproducible scenario rather than a race.
 //!
 //! This is test infrastructure, compiled into the library so integration
-//! tests and the chaos matrix in `tests/replication.rs` can drive it; it
+//! tests (the chaos case in `tests/net_roundtrip.rs`) can drive it; it
 //! has no dependencies beyond std and never touches the engine.
 
 use std::io::{Read, Write};

@@ -13,15 +13,7 @@ use cdb_core::slopes::SlopeSet;
 use cdb_core::{ConstraintDb, IndexSpec, PageSource, ReadSurface};
 
 use crate::api::Backend;
-use crate::proto::{NetError, ReplicationInfo, Request, Response, WireRecoveryReport};
-
-/// What `stats` reports about the answering node beyond its engine. The
-/// default is an in-process engine: no replication role, no sessions.
-#[derive(Default)]
-pub(crate) struct NodeStatus {
-    pub replication: Option<ReplicationInfo>,
-    pub connections: u32,
-}
+use crate::proto::{NetError, Request, Response, WireRecoveryReport};
 
 /// Mutations must reach the engine's owner; Stats and Fsck report the
 /// live engine (WAL watermarks, quarantine cross-check). Everything else
@@ -33,7 +25,8 @@ pub(crate) fn needs_engine(request: &Request) -> bool {
 impl Backend for ConstraintDb {
     fn call(&mut self, request: Request) -> Result<Response, NetError> {
         if needs_engine(&request) {
-            apply_engine(self, request, NodeStatus::default)
+            // An in-process engine admits no sessions.
+            apply_engine(self, request, || 0)
         } else {
             apply_read(self, &request)
         }
@@ -100,22 +93,19 @@ pub(crate) fn apply_read<P: PageSource>(
 /// Applies one request that needs the live engine (a mutation, or a
 /// Stats/Fsck report). Raw wire parameters become the engine's checked
 /// types here — refusals are answered as `Malformed`, never a panic — and
-/// the engine checks the rest itself ([`IndexSpec::check`]). `node` is only
-/// consulted for `Stats`.
+/// the engine checks the rest itself ([`IndexSpec::check`]).
+/// `connections` counts the client sessions the answering node has
+/// admitted; it is only consulted for `Stats`.
 pub(crate) fn apply_engine(
     db: &mut ConstraintDb,
     request: Request,
-    node: impl FnOnce() -> NodeStatus,
+    connections: impl FnOnce() -> u32,
 ) -> Result<Response, NetError> {
     match request {
-        Request::Stats => {
-            let node = node();
-            Ok(Response::Stats {
-                db: db.stats_snapshot(),
-                replication: node.replication,
-                connections: node.connections,
-            })
-        }
+        Request::Stats => Ok(Response::Stats {
+            db: db.stats_snapshot(),
+            connections: connections(),
+        }),
         Request::Fsck => {
             let rep = db.verify_now();
             Ok(Response::Fsck(WireRecoveryReport {
@@ -206,13 +196,13 @@ mod tests {
                 relation: relation.clone(),
                 dim,
             };
-            apply_engine(&mut db, create, NodeStatus::default).expect("create");
+            apply_engine(&mut db, create, || 0).expect("create");
             let build = Request::BuildDualD {
                 relation,
                 per_axis,
                 range: 1.0,
             };
-            let (got, peak) = peak_during(|| apply_engine(&mut db, build, NodeStatus::default));
+            let (got, peak) = peak_during(|| apply_engine(&mut db, build, || 0));
             assert!(
                 matches!(got, Err(NetError::Malformed(_))),
                 "{dim}-D: {got:?}"
@@ -230,7 +220,7 @@ mod tests {
     fn out_of_box_slope_on_a_4d_grid_is_planned_as_a_scan() {
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
         let engine = |db: &mut ConstraintDb, request| {
-            apply_engine(db, request, NodeStatus::default).expect("engine request")
+            apply_engine(db, request, || 0).expect("engine request")
         };
         let relation = "r".to_string();
         let create = Request::CreateRelation {

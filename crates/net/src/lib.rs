@@ -24,19 +24,10 @@
 //! * [`api`] — the typed client API written once: a one-method
 //!   [`Backend`] ("send a [`Request`], get a [`Response`]") and the
 //!   [`Api`] wrapper carrying `ping` … `checkpoint` for every backend —
-//!   an in-process engine (through the server's own dispatcher), a wire
-//!   session, a cluster;
+//!   an in-process engine (through the server's own dispatcher) or a wire
+//!   session;
 //! * [`client`] — a blocking wire session speaking the same protocol, used
 //!   by the `cdb-client` binary and the shell's `connect` command;
-//! * replication — protocol v5 ships the primary's write-ahead log to
-//!   followers over the same framing (`Subscribe` turns a session into a
-//!   stop-and-wait record stream), [`Server::bind_replica`] runs a
-//!   read-serving follower that applies shipped records through the
-//!   recovery replay path and answers `NotPrimary` to writes, and
-//!   [`cluster`] adds a client that routes writes to the primary,
-//!   load-balances reads across followers with retry and backoff, and
-//!   enforces bounded-staleness read-your-writes via the LSN every
-//!   response is stamped with;
 //! * [`chaos`] — a deterministic in-process TCP proxy for fault-injection
 //!   tests: seeded plans tear frames at exact byte offsets, reset or
 //!   blackhole at exact frame indices.
@@ -46,17 +37,14 @@
 pub mod api;
 pub mod chaos;
 pub mod client;
-pub mod cluster;
 mod dispatch;
 pub mod proto;
-mod replica;
 pub mod server;
 
 pub use api::{Api, Backend, StatsReply};
 pub use chaos::{ChaosPlan, ChaosProxy};
-pub use client::{Client, Subscription};
-pub use cluster::{ClusterClient, ClusterConfig};
-pub use proto::{NetError, ReplicationInfo, Request, Response, PROTOCOL_VERSION};
+pub use client::Client;
+pub use proto::{NetError, Request, Response, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ShutdownHandle};
 
 #[cfg(test)]

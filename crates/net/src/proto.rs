@@ -28,12 +28,7 @@
 //!    a tagged [`Response`] and any other status is the tag of a
 //!    [`NetError`]. The request id is echoed verbatim. `lsn` stamps the state the
 //!    answer reflects — the snapshot's applied LSN for reads, the durable
-//!    LSN after the batch for writes — which is what a cluster client's
-//!    read-your-writes mode compares against.
-//! 5. **Replication** (after a [`Request::Subscribe`] is answered with
-//!    [`Response::Subscribed`]): the server pushes [`WalBatch`] frames and
-//!    reads `ReplAck` frames until either side disconnects; see
-//!    [`encode_wal_batch`] / [`encode_repl_ack`].
+//!    LSN after the batch for writes.
 //!
 //! Structured errors survive the wire: every [`CdbError`] variant —
 //! including `Quarantined`, `ReadOnly` and `CorruptRecord` — has a stable
@@ -58,17 +53,19 @@ pub const MAGIC: [u8; 4] = *b"CDBN";
 /// the WAL fields to `Stats` and `Fsck` responses; version 3 added the
 /// epoch counters to `Stats` and the quarantine verdict to `Fsck`;
 /// version 4 added the `Sql` request/response pair; version 5 added
-/// replication (the `Subscribe` request and the `WalBatch`/`ReplAck`
-/// stream frames), the `NotPrimary` redirect error, a replication section
-/// in `Stats`, and an LSN stamp on every response envelope; version 6
-/// added sharding (a redirect error, and the active-session count plus a
-/// shard identity in `Stats`); version 7 gave every type its one
-/// `Wire` layout: `Strategy` and `SelectionKind` take the catalog's tags,
-/// the replication section of `Stats` and the quarantine verdict of `Fsck`
-/// are plain `Option`s, and `Transport`/`Timeout` have error tags; version
-/// 8 dropped sharding (the redirect error and the shard identity in
-/// `Stats`) and added the engine's dimension and tuple-size refusals.
-pub const PROTOCOL_VERSION: u16 = 8;
+/// replication (a subscription request, WAL stream frames, a follower
+/// redirect error, a replication section in `Stats`) and an LSN stamp on
+/// every response envelope; version 6 added sharding (a redirect error,
+/// and the active-session count plus a shard identity in `Stats`); version
+/// 7 gave every type its one `Wire` layout: `Strategy` and `SelectionKind`
+/// take the catalog's tags, the replication section of `Stats` and the
+/// quarantine verdict of `Fsck` are plain `Option`s, and
+/// `Transport`/`Timeout` have error tags; version 8 dropped sharding (the
+/// redirect error and the shard identity in `Stats`) and added the
+/// engine's dimension and tuple-size refusals; version 9 dropped
+/// replication (request tag 18, response tag 9, the stream frames, error
+/// tag 7 and the replication section of `Stats`).
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Handshake verdict carried by the server's greeting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -236,18 +233,6 @@ pub enum Request {
     /// Begin graceful shutdown: the server stops admitting sessions,
     /// drains in-flight requests, checkpoints, and exits.
     Shutdown,
-    /// A follower asks the primary to stream WAL records from `from_lsn`
-    /// on. Answered with [`Response::Subscribed`], after which the session
-    /// leaves the request/response discipline: the server pushes
-    /// [`WalBatch`] frames and reads `ReplAck` frames until either side
-    /// disconnects.
-    Subscribe {
-        /// First LSN the follower still needs (its applied LSN + 1).
-        from_lsn: u64,
-        /// Stable follower identity (its serving address), keyed in the
-        /// primary's per-follower `stats` so reconnects resume one entry.
-        follower_id: String,
-    },
 }
 
 impl Request {
@@ -288,7 +273,6 @@ impl Request {
             Request::Fsck => "fsck",
             Request::Checkpoint => "checkpoint",
             Request::Shutdown => "shutdown",
-            Request::Subscribe { .. } => "subscribe",
         }
     }
 }
@@ -312,7 +296,6 @@ wire_enum!(Request {
     15 => Shutdown,
     16 => QueryLine { relation, kind, a as finite, c as finite },
     17 => Sql { text, mode },
-    18 => Subscribe { from_lsn, follower_id },
 });
 
 /// A request frame: id, relative deadline, operation.
@@ -354,26 +337,16 @@ pub enum Response {
     Sql(SqlOutcome),
     /// Relation names, sorted.
     Relations(Vec<String>),
-    /// Engine statistics snapshot plus the serving node's replication
-    /// role, when it has one.
+    /// Engine statistics snapshot plus the serving node's session count.
     Stats {
         /// Engine statistics.
         db: DbStats,
-        /// Replication role and progress (`None` on a standalone server).
-        replication: Option<ReplicationInfo>,
         /// Client sessions currently admitted (the serving layer's
         /// connection count, the one admission control caps).
         connections: u32,
     },
     /// Online verification report.
     Fsck(WireRecoveryReport),
-    /// Subscription accepted: WAL shipping begins with the next frame.
-    Subscribed {
-        /// First LSN the primary's retained log can ship.
-        start_lsn: u64,
-        /// The primary's durable (synced) LSN at accept time.
-        durable_lsn: u64,
-    },
 }
 
 wire_enum!(Response {
@@ -383,78 +356,9 @@ wire_enum!(Response {
     3 => Query(result),
     4 => Explain { rendered, result },
     5 => Relations(names),
-    6 => Stats { db, replication, connections },
+    6 => Stats { db, connections },
     7 => Fsck(report),
     8 => Sql(outcome),
-    9 => Subscribed { start_lsn, durable_lsn },
-});
-
-/// Replication role and progress, carried inside [`Response::Stats`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ReplicationInfo {
-    /// This node is a primary shipping its WAL.
-    Primary {
-        /// One entry per follower that ever subscribed, keyed by the
-        /// follower's self-reported id.
-        followers: Vec<FollowerInfo>,
-    },
-    /// This node is a read-only follower applying a primary's WAL.
-    Replica {
-        /// Address of the primary it follows (also the `NotPrimary`
-        /// leader hint it hands to misrouted writers).
-        primary: String,
-        /// Whether the subscription is currently connected.
-        connected: bool,
-        /// LSN of the last record applied and locally synced.
-        applied_lsn: u64,
-        /// Batches applied since this process started.
-        batches: u64,
-        /// The primary's durable LSN as of the last batch or heartbeat —
-        /// `source_lsn - applied_lsn` is the staleness bound in records.
-        source_lsn: u64,
-    },
-}
-
-wire_enum!(ReplicationInfo {
-    1 => Primary { followers },
-    2 => Replica { primary, connected, applied_lsn, batches, source_lsn },
-});
-
-/// Per-follower shipping progress tracked by a primary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FollowerInfo {
-    /// The follower's self-reported id (its serving address).
-    pub id: String,
-    /// Whether its subscription is currently connected.
-    pub connected: bool,
-    /// Last LSN the follower acknowledged as applied and synced.
-    pub acked_lsn: u64,
-    /// Batches shipped and acknowledged over the entry's lifetime.
-    pub batches: u64,
-}
-
-wire_struct!(FollowerInfo {
-    id,
-    connected,
-    acked_lsn,
-    batches
-});
-
-/// One shipped batch of WAL records (primary → follower, after
-/// [`Response::Subscribed`]). An empty `records` is a heartbeat carrying
-/// a fresh `durable_lsn`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalBatch {
-    /// The primary's durable LSN when the batch was cut.
-    pub durable_lsn: u64,
-    /// `(lsn, record bytes)` in LSN order, gapless from the follower's
-    /// last acknowledged LSN + 1.
-    pub records: Vec<(u64, Vec<u8>)>,
-}
-
-// A gap in the LSNs is a protocol violation.
-wire_struct!(WalBatch { durable_lsn, records } => |b: &WalBatch| {
-    b.records.windows(2).all(|p| p[1].0 == p[0].0 + 1)
 });
 
 /// A [`QueryResult`] in transportable form: ids are sorted and unique
@@ -519,12 +423,6 @@ pub enum NetError {
         /// Version advertised by the server's greeting.
         server_version: u16,
     },
-    /// The node is a read-only follower; writes belong on the primary.
-    NotPrimary {
-        /// Address of the primary, when the follower knows it — a
-        /// redirect, not just a refusal.
-        leader_hint: Option<String>,
-    },
     /// Client-side transport failure (connection reset, frame corruption).
     /// No server generates it.
     Transport(String),
@@ -535,7 +433,7 @@ pub enum NetError {
 }
 
 // Tags are the response envelope's status byte; 0 is taken by success,
-// and 8 was the sharding redirect.
+// 7 was the replication redirect and 8 the sharding one.
 wire_enum!(NetError {
     1 => Db(e),
     2 => Overloaded,
@@ -543,27 +441,9 @@ wire_enum!(NetError {
     4 => Malformed(why),
     5 => ShuttingDown,
     6 => VersionMismatch { server_version },
-    7 => NotPrimary { leader_hint },
     9 => Transport(why),
     10 => Timeout,
 });
-
-impl NetError {
-    /// `true` for failures worth retrying — on the same node after a
-    /// backoff (`Overloaded`), or transparently on a *different* replica
-    /// for idempotent reads (`Timeout`, `Transport`, `ShuttingDown`).
-    /// `NotPrimary` is a redirect, not a retry, and the rest are
-    /// deterministic refusals.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            NetError::Overloaded
-                | NetError::Timeout
-                | NetError::Transport(_)
-                | NetError::ShuttingDown
-        )
-    }
-}
 
 impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -579,10 +459,6 @@ impl std::fmt::Display for NetError {
                     "protocol version mismatch: server speaks v{server_version}, client v{PROTOCOL_VERSION}"
                 )
             }
-            NetError::NotPrimary { leader_hint } => match leader_hint {
-                Some(addr) => write!(f, "not the primary: writes go to {addr}"),
-                None => write!(f, "not the primary: this node is a read-only follower"),
-            },
             NetError::Transport(m) => write!(f, "transport failure: {m}"),
             NetError::Timeout => write!(f, "request timed out"),
         }
@@ -617,46 +493,6 @@ pub fn encode_response(request_id: u64, lsn: u64, outcome: &Result<Response, Net
 #[allow(clippy::type_complexity)]
 pub fn decode_response(buf: &[u8]) -> Result<(u64, u64, Result<Response, NetError>), CodecError> {
     codec::decode(buf)
-}
-
-/// Stream-frame markers after a subscription handshake; distinct from
-/// every response status so a desynced stream fails decode immediately.
-const REPL_BATCH: u8 = 0xB1;
-const REPL_ACK: u8 = 0xA1;
-
-fn encode_marked<T: Wire>(marker: u8, body: &T) -> Vec<u8> {
-    let mut w = RecordWriter::new();
-    w.put_u8(marker);
-    body.put(&mut w);
-    w.into_bytes()
-}
-
-fn decode_marked<T: Wire>(marker: u8, buf: &[u8]) -> Result<T, CodecError> {
-    match codec::decode::<(u8, T)>(buf)? {
-        (m, body) if m == marker => Ok(body),
-        _ => Err(CodecError::Invalid("stream frame marker")),
-    }
-}
-
-/// Encodes one shipped batch of WAL records as a stream-frame payload.
-pub fn encode_wal_batch(batch: &WalBatch) -> Vec<u8> {
-    encode_marked(REPL_BATCH, batch)
-}
-
-/// Decodes a shipped batch, validating the marker and LSN contiguity.
-pub fn decode_wal_batch(buf: &[u8]) -> Result<WalBatch, CodecError> {
-    decode_marked(REPL_BATCH, buf)
-}
-
-/// Encodes a follower's acknowledgement: every record up to and including
-/// `applied_lsn` is applied and locally synced.
-pub fn encode_repl_ack(applied_lsn: u64) -> Vec<u8> {
-    encode_marked(REPL_ACK, &applied_lsn)
-}
-
-/// Decodes a follower's acknowledgement.
-pub fn decode_repl_ack(buf: &[u8]) -> Result<u64, CodecError> {
-    decode_marked(REPL_ACK, buf)
 }
 
 #[cfg(test)]
@@ -741,11 +577,7 @@ mod tests {
             Some(Request::Stats) => Request::Fsck,
             Some(Request::Fsck) => Request::Checkpoint,
             Some(Request::Checkpoint) => Request::Shutdown,
-            Some(Request::Shutdown) => Request::Subscribe {
-                from_lsn: 1234,
-                follower_id: "127.0.0.1:9999".into(),
-            },
-            Some(Request::Subscribe { .. }) => return None,
+            Some(Request::Shutdown) => return None,
         })
     }
 
@@ -844,7 +676,6 @@ mod tests {
                         pending: 2,
                     }),
                 ),
-                replication: None,
                 connections: 3,
             },
             Some(Response::Stats { .. }) => Response::Fsck(WireRecoveryReport {
@@ -871,38 +702,19 @@ mod tests {
                 ],
                 quarantine: Some(false),
             }),
-            Some(Response::Fsck(_)) => Response::Subscribed {
-                start_lsn: 1,
-                durable_lsn: 77,
-            },
-            Some(Response::Subscribed { .. }) => return None,
+            Some(Response::Fsck(_)) => return None,
         })
     }
 
-    /// Both replication roles, which `response_after`'s one `Stats` leaves
-    /// out, and the fsck report of an engine with nothing to report.
+    /// The stats of an engine with no relations and no log, which
+    /// `response_after`'s one `Stats` leaves out, and the fsck report of an
+    /// engine with nothing to report.
     fn more_responses() -> Vec<Response> {
-        let stats = |replication| Response::Stats {
-            db: db_stats(Vec::new(), None),
-            replication: Some(replication),
-            connections: 17,
-        };
         vec![
-            stats(ReplicationInfo::Primary {
-                followers: vec![FollowerInfo {
-                    id: "127.0.0.1:4000".into(),
-                    connected: true,
-                    acked_lsn: 812,
-                    batches: 40,
-                }],
-            }),
-            stats(ReplicationInfo::Replica {
-                primary: "127.0.0.1:3000".into(),
-                connected: false,
-                applied_lsn: 810,
-                batches: 39,
-                source_lsn: 812,
-            }),
+            Response::Stats {
+                db: db_stats(Vec::new(), None),
+                connections: 17,
+            },
             Response::Fsck(WireRecoveryReport {
                 pager: PagerRecovery::Clean,
                 wal: None,
@@ -947,10 +759,7 @@ mod tests {
             Some(NetError::DeadlineExceeded) => NetError::Malformed("bad tag".into()),
             Some(NetError::Malformed(_)) => NetError::ShuttingDown,
             Some(NetError::ShuttingDown) => NetError::VersionMismatch { server_version: 2 },
-            Some(NetError::VersionMismatch { .. }) => NetError::NotPrimary {
-                leader_hint: Some("10.0.0.1:7878".into()),
-            },
-            Some(NetError::NotPrimary { .. }) => NetError::Transport("reset".into()),
+            Some(NetError::VersionMismatch { .. }) => NetError::Transport("reset".into()),
             Some(NetError::Transport(_)) => NetError::Timeout,
             Some(NetError::Timeout) => return None,
         })
@@ -978,8 +787,7 @@ mod tests {
             .chain(more_responses())
             .map(Ok)
             .chain(chain(db_error_after).map(|e| Err(NetError::Db(e))))
-            .chain(chain(net_error_after).map(Err))
-            .chain([Err(NetError::NotPrimary { leader_hint: None })]);
+            .chain(chain(net_error_after).map(Err));
         // The request id and the lsn stamp are echoed with every outcome.
         let samples: Vec<_> = outcomes.map(|outcome| (7u64, 99u64, outcome)).collect();
         conformance(
@@ -987,35 +795,6 @@ mod tests {
             |(id, lsn, outcome)| encode_response(*id, *lsn, outcome),
             decode_response,
         );
-    }
-
-    #[test]
-    fn replication_stream_frames_conform() {
-        let batches = [
-            WalBatch {
-                durable_lsn: 42,
-                records: vec![(40, b"a".to_vec()), (41, b"bb".to_vec()), (42, vec![])],
-            },
-            // A heartbeat is an empty batch with a fresh durable lsn.
-            WalBatch {
-                durable_lsn: 99,
-                records: vec![],
-            },
-        ];
-        conformance(&batches, encode_wal_batch, decode_wal_batch);
-        conformance(&[41u64], |lsn| encode_repl_ack(*lsn), decode_repl_ack);
-
-        // Gapped LSNs inside a batch are a protocol violation.
-        let gapped = WalBatch {
-            durable_lsn: 5,
-            records: vec![(1, vec![]), (3, vec![])],
-        };
-        assert!(decode_wal_batch(&encode_wal_batch(&gapped)).is_err());
-
-        // Markers keep the two stream directions from decoding as each
-        // other after a desync.
-        assert!(decode_repl_ack(&encode_wal_batch(&batches[1])).is_err());
-        assert!(decode_wal_batch(&encode_repl_ack(7)).is_err());
     }
 
     #[test]
@@ -1045,18 +824,6 @@ mod tests {
             Selection::all(HalfPlane::new(vec![], 1.0, RelOp::Le)),
         ]);
         wire_conformance(&[full_stats(), QueryStats::default()]);
-    }
-
-    #[test]
-    fn retryable_errors_are_exactly_the_transient_ones() {
-        assert!(NetError::Timeout.is_retryable());
-        assert!(NetError::Overloaded.is_retryable());
-        assert!(NetError::Transport("reset".into()).is_retryable());
-        assert!(NetError::ShuttingDown.is_retryable());
-        assert!(!NetError::DeadlineExceeded.is_retryable());
-        assert!(!NetError::NotPrimary { leader_hint: None }.is_retryable());
-        assert!(!NetError::Db(CdbError::ReadOnly).is_retryable());
-        assert!(!NetError::Malformed("x".into()).is_retryable());
     }
 
     /// A `Query` request frame with the given half-plane intercept.

@@ -493,16 +493,15 @@ pub mod ascending {
 }
 
 /// Implements [`Wire`] for a struct from one field list, written and read
-/// in the order listed: `wire_struct!(T { a, b as codec, c } => check)`.
+/// in the order listed: `wire_struct!(T { a, b as codec, c })`.
 ///
 /// `field as module` swaps the field type's own `Wire` impl for the
 /// module's `put(&F, &mut RecordWriter)` / `get(&mut RecordReader) ->
 /// Result<F, CodecError>` pair — for a foreign type, or a `get` that
-/// validates (e.g. [`finite`]). The optional `=> check` is a
-/// `fn(&T) -> bool` every decoded value must pass.
+/// validates (e.g. [`finite`]).
 #[macro_export]
 macro_rules! wire_struct {
-    ($t:ty { $($f:ident $(as $($c:ident)::+)?),* $(,)? } $(=> $check:expr)?) => {
+    ($t:ty { $($f:ident $(as $($c:ident)::+)?),* $(,)? }) => {
         impl $crate::codec::Wire for $t {
             fn put(&self, w: &mut $crate::codec::RecordWriter) {
                 $($crate::wire_struct!(@put w, &self.$f $(, $($c)::+)?);)*
@@ -510,14 +509,7 @@ macro_rules! wire_struct {
             fn get(
                 r: &mut $crate::codec::RecordReader<'_>,
             ) -> Result<Self, $crate::codec::CodecError> {
-                let v = Self { $($f: $crate::wire_struct!(@get r $(, $($c)::+)?)),* };
-                $(if !$check(&v) {
-                    return Err($crate::codec::CodecError::Invalid(concat!(
-                        stringify!($t),
-                        " invariant"
-                    )));
-                })?
-                Ok(v)
+                Ok(Self { $($f: $crate::wire_struct!(@get r $(, $($c)::+)?)),* })
             }
         }
     };

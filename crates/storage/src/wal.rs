@@ -107,14 +107,12 @@ impl WalFaultPlan {
     }
 }
 
-/// What [`Wal::read`] / [`Wal::read_from`] found in a log file.
+/// What [`Wal::read`] found in a log file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalScan {
     /// The LSN the header promises for the first record.
     pub start_lsn: u64,
-    /// `(lsn, record bytes)` in append order. A bounded
-    /// [`read_from`](Wal::read_from) may skip a prefix and cap the count,
-    /// so the first LSN here can exceed `start_lsn`.
+    /// `(lsn, record bytes)` in append order.
     pub records: Vec<(u64, Vec<u8>)>,
     /// The scan stopped at a frame that failed its CRC, broke LSN
     /// monotonicity, or a header that never fully landed. Everything after
@@ -122,29 +120,11 @@ pub struct WalScan {
     pub torn_tail: bool,
     /// File length in bytes.
     pub bytes: u64,
-    /// Byte offset just past the last *intact* frame the scan consumed —
-    /// the safe length to truncate a torn tail back to.
-    pub clean_bytes: u64,
-    /// The scan stopped because it hit the record cap, not the end of the
-    /// log: another `read_from` from `last_lsn() + 1` will yield more.
-    pub capped: bool,
-}
-
-impl WalScan {
-    /// LSN of the last record returned, or `start_lsn - 1` when none were
-    /// (an empty or fully skipped log).
-    pub fn last_lsn(&self) -> u64 {
-        match self.records.last() {
-            Some((lsn, _)) => *lsn,
-            None => self.start_lsn.saturating_sub(1),
-        }
-    }
 }
 
 /// An open write-ahead log; see the module docs.
 pub struct Wal {
     file: File,
-    start_lsn: u64,
     next_lsn: u64,
     /// Encoded frames appended since the last sync; reaches the file only
     /// inside [`Wal::sync`].
@@ -175,7 +155,6 @@ impl Wal {
         file.sync_all()?;
         Ok(Wal {
             file,
-            start_lsn,
             next_lsn: start_lsn,
             pending: Vec::new(),
             pending_records: 0,
@@ -288,7 +267,6 @@ impl Wal {
             self.down = true;
             return Err(e);
         }
-        self.start_lsn = start_lsn;
         self.next_lsn = start_lsn;
         self.pending.clear();
         self.pending_records = 0;
@@ -299,11 +277,6 @@ impl Wal {
     /// The LSN the next append will be assigned.
     pub fn next_lsn(&self) -> u64 {
         self.next_lsn
-    }
-
-    /// The LSN the current file starts at.
-    pub fn start_lsn(&self) -> u64 {
-        self.start_lsn
     }
 
     /// Records appended but not yet synced.
@@ -329,26 +302,6 @@ impl Wal {
     /// # Errors
     /// Only real I/O failures; corruption is a verdict, not an error.
     pub fn read(path: &Path) -> io::Result<Option<WalScan>> {
-        Wal::read_from(path, 0, usize::MAX)
-    }
-
-    /// Bounded tail-follow scan: like [`read`](Self::read), but skips
-    /// records below `from_lsn` and returns at most `max_records` of them
-    /// — the shared entry point for recovery (which passes the durable
-    /// watermark plus one, uncapped) and the replication shipping loop,
-    /// which follows a *live* log in chunks. A concurrent appender is safe
-    /// to race: frames land via one `write_all` per group commit, so the
-    /// scan only ever sees intact frames followed by at most one partial
-    /// frame, and stops cleanly there. `capped` tells a follower to read
-    /// again immediately instead of waiting for the next commit signal.
-    ///
-    /// # Errors
-    /// Only real I/O failures; corruption is a verdict, not an error.
-    pub fn read_from(
-        path: &Path,
-        from_lsn: u64,
-        max_records: usize,
-    ) -> io::Result<Option<WalScan>> {
         let file = match File::open(path) {
             Ok(f) => f,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -360,13 +313,7 @@ impl Wal {
             records: Vec::new(),
             torn_tail: true,
             bytes,
-            clean_bytes: 0,
-            capped: false,
         };
-        // Every frame occupies `4 (len) + payload + 4 (crc)` bytes, so the
-        // clean-prefix offset is derived from payload sizes — no need to
-        // fight BufReader's read-ahead with a counting wrapper.
-        let frame_len = |payload: &[u8]| payload.len() as u64 + 8;
         let mut r = BufReader::new(file);
         let header = match read_frame(&mut r, DEFAULT_MAX_FRAME) {
             Ok(p) => p,
@@ -382,14 +329,7 @@ impl Wal {
         };
         let mut records = Vec::new();
         let mut torn_tail = false;
-        let mut capped = false;
-        let mut seen = 0u64; // intact record frames consumed, kept or skipped
-        let mut clean_bytes = frame_len(&header);
         loop {
-            if records.len() >= max_records {
-                capped = true;
-                break;
-            }
             match read_frame(&mut r, DEFAULT_MAX_FRAME) {
                 Ok(payload) => {
                     if payload.len() < 8 {
@@ -397,15 +337,11 @@ impl Wal {
                         break;
                     }
                     let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-                    if lsn != start_lsn + seen {
+                    if lsn != start_lsn + records.len() as u64 {
                         torn_tail = true;
                         break;
                     }
-                    seen += 1;
-                    clean_bytes += frame_len(&payload);
-                    if lsn >= from_lsn {
-                        records.push((lsn, payload[8..].to_vec()));
-                    }
+                    records.push((lsn, payload[8..].to_vec()));
                 }
                 Err(FrameError::Closed) => break,
                 Err(FrameError::Corrupt(_)) => {
@@ -420,53 +356,12 @@ impl Wal {
             records,
             torn_tail,
             bytes,
-            clean_bytes,
-            capped,
         }))
     }
 
-    /// Reopens an existing log in append mode — the replication primary's
-    /// restart path, which must *keep* shipped history so a lagging
-    /// follower can still catch up from its LSN gap. The file is accepted
-    /// when its intact records end exactly at `next_lsn - 1` (a torn tail
-    /// is truncated away first — those records were never acknowledged);
-    /// anything else (missing, headerless, or discontinuous with the
-    /// engine's watermark) falls back to [`create`](Self::create).
-    ///
-    /// # Errors
-    /// Any real I/O failure opening, truncating or syncing the file.
-    pub fn open_or_create(path: &Path, next_lsn: u64) -> io::Result<Wal> {
-        let scan = match Wal::read(path)? {
-            Some(s) => s,
-            None => return Wal::create(path, next_lsn),
-        };
-        let continuous =
-            scan.start_lsn > 0 && scan.start_lsn <= next_lsn && scan.last_lsn() + 1 == next_lsn;
-        if !continuous {
-            return Wal::create(path, next_lsn);
-        }
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        if scan.torn_tail {
-            file.set_len(scan.clean_bytes)?;
-            file.sync_all()?;
-        }
-        let mut file = file;
-        file.seek(SeekFrom::End(0))?;
-        Ok(Wal {
-            file,
-            start_lsn: scan.start_lsn,
-            next_lsn,
-            pending: Vec::new(),
-            pending_records: 0,
-            durable_records: scan.records.len() as u64,
-            plan: WalFaultPlan::default(),
-            ops: 0,
-            down: false,
-        })
-    }
-
     /// The LSN of the last record a successful [`sync`](Self::sync) made
-    /// durable, or `start_lsn - 1` when none — what a primary may ship.
+    /// durable, or the LSN before the first one when none — what a server
+    /// may acknowledge.
     pub fn synced_lsn(&self) -> u64 {
         (self.next_lsn - self.pending_records).saturating_sub(1)
     }
@@ -505,7 +400,6 @@ mod tests {
                 (7, b"gamma".to_vec())
             ]
         );
-        assert_eq!(scan.last_lsn(), 7);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -645,132 +539,6 @@ mod tests {
         // watermark is what makes it harmless.
         let scan = Wal::read(&path).unwrap().unwrap();
         assert_eq!(scan.records, vec![(1, b"old".to_vec())]);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn read_from_skips_shipped_records_and_caps_chunks() {
-        let path = tmp("read_from");
-        let mut wal = Wal::create(&path, 1).unwrap();
-        for i in 1..=9u8 {
-            wal.append(&[i]).unwrap();
-        }
-        wal.sync().unwrap();
-
-        // Skip the first four, cap at three: a shipping-loop chunk.
-        let scan = Wal::read_from(&path, 5, 3).unwrap().unwrap();
-        assert_eq!(scan.start_lsn, 1);
-        assert_eq!(scan.records, vec![(5, vec![5]), (6, vec![6]), (7, vec![7])]);
-        assert!(scan.capped, "more records remain past the cap");
-        assert_eq!(scan.last_lsn(), 7);
-
-        // The follow-up chunk drains the tail and is not capped.
-        let scan = Wal::read_from(&path, 8, 3).unwrap().unwrap();
-        assert_eq!(scan.records, vec![(8, vec![8]), (9, vec![9])]);
-        assert!(!scan.capped);
-
-        // Reading past the end is empty, not an error.
-        let scan = Wal::read_from(&path, 10, 64).unwrap().unwrap();
-        assert!(scan.records.is_empty());
-        assert!(!scan.capped && !scan.torn_tail);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn read_from_follows_a_live_log_under_a_concurrent_appender() {
-        let path = tmp("tail_follow");
-        let mut wal = Wal::create(&path, 1).unwrap();
-        const TOTAL: u64 = 200;
-        std::thread::scope(|s| {
-            let appender = s.spawn(|| {
-                for i in 0..TOTAL {
-                    wal.append(format!("record-{i}").as_bytes()).unwrap();
-                    if i % 7 == 0 {
-                        wal.sync().unwrap();
-                    }
-                }
-                wal.sync().unwrap();
-            });
-            // The follower tails the file while the appender races it,
-            // reading in small chunks exactly like the shipping loop.
-            let mut next = 1u64;
-            while next <= TOTAL {
-                let scan = Wal::read_from(&path, next, 16).unwrap().unwrap();
-                for (lsn, rec) in &scan.records {
-                    assert_eq!(*lsn, next, "no gaps, no reorders");
-                    assert_eq!(rec, format!("record-{}", lsn - 1).as_bytes());
-                    next += 1;
-                }
-                if scan.records.is_empty() {
-                    std::thread::yield_now();
-                }
-            }
-            appender.join().unwrap();
-        });
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn read_from_stops_cleanly_at_a_torn_tail() {
-        let path = tmp("read_from_torn");
-        let mut wal = Wal::create(&path, 1).unwrap();
-        for i in 1..=4u8 {
-            wal.append(&[i]).unwrap();
-        }
-        wal.sync().unwrap();
-        drop(wal);
-        let clean = std::fs::metadata(&path).unwrap().len();
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&[0xBA, 0xD0]).unwrap();
-        drop(f);
-
-        let scan = Wal::read_from(&path, 3, 64).unwrap().unwrap();
-        assert!(scan.torn_tail);
-        assert!(!scan.capped);
-        assert_eq!(scan.records, vec![(3, vec![3]), (4, vec![4])]);
-        assert_eq!(scan.clean_bytes, clean, "clean prefix excludes the tear");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn open_or_create_appends_to_continuous_history() {
-        let path = tmp("reopen");
-        let mut wal = Wal::create(&path, 1).unwrap();
-        wal.append(b"one").unwrap();
-        wal.append(b"two").unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-
-        // Continuous restart: history is preserved, appends continue at 3.
-        let mut wal = Wal::open_or_create(&path, 3).unwrap();
-        assert_eq!(wal.start_lsn(), 1);
-        assert_eq!(wal.synced_lsn(), 2);
-        assert_eq!(wal.append(b"three").unwrap(), 3);
-        wal.sync().unwrap();
-        drop(wal);
-        let scan = Wal::read(&path).unwrap().unwrap();
-        assert_eq!(scan.records.len(), 3);
-        assert_eq!(scan.last_lsn(), 3);
-
-        // A torn tail is truncated away before appending resumes.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&[0xFF; 5]).unwrap();
-        drop(f);
-        let mut wal = Wal::open_or_create(&path, 4).unwrap();
-        wal.append(b"four").unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let scan = Wal::read(&path).unwrap().unwrap();
-        assert!(!scan.torn_tail);
-        assert_eq!(scan.records.len(), 4);
-
-        // A discontinuous watermark falls back to a fresh log.
-        let wal = Wal::open_or_create(&path, 42).unwrap();
-        assert_eq!(wal.start_lsn(), 42);
-        drop(wal);
-        let scan = Wal::read(&path).unwrap().unwrap();
-        assert!(scan.records.is_empty());
-        assert_eq!(scan.start_lsn, 42);
         std::fs::remove_file(&path).unwrap();
     }
 

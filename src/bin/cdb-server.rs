@@ -4,27 +4,19 @@
 //! ```text
 //! cdb-server db.cdb --addr 127.0.0.1:7878
 //! cdb-server --in-memory --addr 127.0.0.1:0   # ephemeral port, printed
-//! cdb-server primary.cdb --retain-wal         # shippable primary
-//! cdb-server replica.cdb --replica-of 127.0.0.1:7878
 //! ```
 //!
 //! The server prints `listening on <addr>` once ready (scripts and tests
 //! parse this line to discover an ephemeral port), then serves until a
 //! client sends `shutdown` or the process receives SIGINT/SIGTERM — on a
 //! clean shutdown it drains in-flight requests, checkpoints, and exits 0.
-//!
-//! `--retain-wal` keeps the write-ahead log across checkpoints and
-//! restarts so followers can subscribe from any point in its history;
-//! `--replica-of ADDR` runs this node as a read-serving follower of the
-//! primary at ADDR (writes are redirected there).
 
 use constraint_db::index::db::{ConstraintDb, DbConfig};
 use constraint_db::net::server::{Server, ServerConfig};
 use std::io::Write as _;
 
 const USAGE: &str = "usage: cdb-server <db-path | --in-memory> [--addr HOST:PORT] \
-[--workers N] [--max-connections N] [--write-queue N] [--checkpoint-every N] \
-[--retain-wal] [--replica-of HOST:PORT]";
+[--workers N] [--max-connections N] [--write-queue N] [--checkpoint-every N]";
 
 fn main() {
     match run() {
@@ -41,8 +33,6 @@ fn run() -> Result<(), String> {
     let mut in_memory = false;
     let mut addr = "127.0.0.1:0".to_string();
     let mut config = ServerConfig::default();
-    let mut retain_wal = false;
-    let mut replica_of: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -61,8 +51,6 @@ fn run() -> Result<(), String> {
             "--checkpoint-every" => {
                 config.checkpoint_every = parse_flag(&mut args, "--checkpoint-every")?;
             }
-            "--retain-wal" => retain_wal = true,
-            "--replica-of" => replica_of = Some(flag_value(&mut args, "--replica-of")?),
             other if !other.starts_with('-') && path.is_none() => path = Some(arg),
             other => return Err(format!("unexpected argument '{other}'\n{USAGE}")),
         }
@@ -70,20 +58,19 @@ fn run() -> Result<(), String> {
     if config.workers == 0 {
         return Err("--workers must be at least 1".into());
     }
+    // No session could ever be admitted, not even one asking to shut down.
+    if config.max_connections == 0 {
+        return Err("--max-connections must be at least 1".into());
+    }
 
-    let mut db = match (&path, in_memory) {
+    let db = match (&path, in_memory) {
         (Some(_), true) => {
             return Err(format!(
                 "choose a db path or --in-memory, not both\n{USAGE}"
             ))
         }
         (None, false) => return Err(USAGE.into()),
-        (None, true) => {
-            if replica_of.is_some() {
-                return Err(format!("a replica needs a db path\n{USAGE}"));
-            }
-            ConstraintDb::in_memory(DbConfig::paper_1999())
-        }
+        (None, true) => ConstraintDb::in_memory(DbConfig::paper_1999()),
         (Some(p), false) => {
             let p = std::path::Path::new(p);
             if p.exists() {
@@ -93,17 +80,7 @@ fn run() -> Result<(), String> {
             }
         }
     };
-    if retain_wal || replica_of.is_some() {
-        // A shippable primary must keep WAL history for followers; a
-        // replica keeps its own so restarts resume from the applied LSN.
-        db.set_wal_retention(true);
-    }
-
-    let server = match &replica_of {
-        Some(primary) => Server::bind_replica(addr.as_str(), primary.as_str(), db, config)
-            .map_err(|e| e.to_string())?,
-        None => Server::bind(addr.as_str(), db, config).map_err(|e| e.to_string())?,
-    };
+    let server = Server::bind(addr.as_str(), db, config).map_err(|e| e.to_string())?;
     println!("listening on {}", server.local_addr());
     std::io::stdout().flush().map_err(|e| e.to_string())?;
 

@@ -1,13 +1,13 @@
 //! Shared implementation of the interactive shells: command parsing over
-//! a [`Session`], which is an in-process engine, a wire connection to a
-//! `cdb-server` or a replicated cluster.
+//! a [`Session`], which is an in-process engine or a wire connection to a
+//! `cdb-server`.
 //!
 //! The `cdb` binary starts local and can `connect <addr>` mid-session; the
 //! `cdb-client` binary starts connected. Every data command is written
 //! once over the typed [`Api`] of whatever [`Backend`] the session holds
 //! — same requests, same validation, same rendering; only session
-//! management (`open` needs to own a file, `shutdown` needs a server,
-//! `cluster stats` needs members) looks at the session kind.
+//! management (`open` needs to own a file, `shutdown` needs a server)
+//! looks at the session kind.
 
 use std::io::{BufRead, Write};
 
@@ -19,9 +19,7 @@ use cdb_core::{RelationHealth, WalReplay};
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::parse::{parse_comparison, parse_constraint, parse_tuple};
 use cdb_net::proto::WireRecoveryReport;
-use cdb_net::{
-    Api, Backend, Client, ClusterClient, ClusterConfig, NetError, ReplicationInfo, StatsReply,
-};
+use cdb_net::{Api, Backend, Client};
 use cdb_storage::PagerRecovery;
 
 /// Where commands execute: in-process or over the wire.
@@ -31,9 +29,6 @@ pub enum Session {
     Local(Box<ConstraintDb>),
     /// A connected `cdb-server` session.
     Remote(Client),
-    /// A replicated deployment: writes go to the primary, reads are
-    /// load-balanced across followers with retry and read-your-writes.
-    Cluster(ClusterClient),
 }
 
 /// Runs the read-eval-print loop over `source` until EOF or `quit`.
@@ -73,32 +68,6 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             let client = Client::connect(addr).map_err(|e| e.to_string())?;
             *session = Session::Remote(client);
             Ok(format!("connected to {addr}"))
-        }
-        "cluster" => {
-            if rest.trim() == "stats" {
-                // Fan-in: one table row per member of the cluster.
-                let Session::Cluster(cc) = session else {
-                    return Err("cluster stats needs a cluster session — see 'cluster'".into());
-                };
-                return Ok(render_member_table(&cc.member_stats()));
-            }
-            let members: Vec<&str> = rest
-                .trim()
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .collect();
-            if members.is_empty() {
-                return Err(
-                    "usage: cluster <host:port>[,<host:port>...]  or  cluster stats".into(),
-                );
-            }
-            let n = members.len();
-            let mut cc =
-                ClusterClient::new(members, ClusterConfig::default()).map_err(|e| e.to_string())?;
-            cc.ping().map_err(|e| e.to_string())?;
-            *session = Session::Cluster(cc);
-            Ok(format!("cluster session over {n} member(s)"))
         }
         "disconnect" => {
             *session = Session::Local(Box::new(ConstraintDb::in_memory(DbConfig::paper_1999())));
@@ -304,10 +273,6 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             if reply.connections > 0 {
                 out.push_str(&format!("\nconnections: {}", reply.connections));
             }
-            if let Some(info) = reply.replication {
-                out.push('\n');
-                out.push_str(&render_replication(&info));
-            }
             Ok(out)
         }
         "open" => {
@@ -377,7 +342,6 @@ impl Session {
         Api(match self {
             Session::Local(db) => &mut **db,
             Session::Remote(c) => &mut c.0,
-            Session::Cluster(cc) => &mut cc.0,
         })
     }
 }
@@ -466,111 +430,6 @@ fn render_stats(s: &DbStats) -> String {
         ));
     }
     out
-}
-
-/// Renders the node's replication role and progress, as returned in the
-/// `stats` response of a protocol-v5 server.
-fn render_replication(info: &ReplicationInfo) -> String {
-    match info {
-        ReplicationInfo::Primary { followers } => {
-            let mut out = format!("replication: primary, {} follower(s)", followers.len());
-            for f in followers {
-                out.push_str(&format!(
-                    "\n  {}: {}, acked through lsn {}, {} batch(es)",
-                    f.id,
-                    if f.connected {
-                        "connected"
-                    } else {
-                        "disconnected"
-                    },
-                    f.acked_lsn,
-                    f.batches
-                ));
-            }
-            out
-        }
-        ReplicationInfo::Replica {
-            primary,
-            connected,
-            applied_lsn,
-            batches,
-            source_lsn,
-        } => format!(
-            "replication: replica of {primary} ({}), applied through lsn {applied_lsn} \
-             (primary durable at {source_lsn}), {batches} batch(es)",
-            if *connected {
-                "connected"
-            } else {
-                "disconnected"
-            },
-        ),
-    }
-}
-
-/// Renders the `cluster stats` fan-in: one row per member of the cluster,
-/// column-aligned. Unreachable members keep their row, carrying the error.
-fn render_member_table(rows: &[(String, Result<StatsReply, NetError>)]) -> String {
-    let mut table: Vec<[String; 5]> = vec![[
-        "address".into(),
-        "role".into(),
-        "durable".into(),
-        "lag".into(),
-        "conns".into(),
-    ]];
-    for (addr, reply) in rows {
-        match reply {
-            Ok(r) => {
-                let (role, lag) = match &r.replication {
-                    Some(ReplicationInfo::Primary { .. }) => ("primary".to_string(), "-".into()),
-                    Some(ReplicationInfo::Replica {
-                        applied_lsn,
-                        source_lsn,
-                        connected,
-                        ..
-                    }) => (
-                        if *connected {
-                            "replica".to_string()
-                        } else {
-                            "replica (disconnected)".to_string()
-                        },
-                        source_lsn.saturating_sub(*applied_lsn).to_string(),
-                    ),
-                    None => ("standalone".to_string(), "-".into()),
-                };
-                let durable =
-                    r.db.wal
-                        .as_ref()
-                        .map_or_else(|| "-".to_string(), |w| w.durable_lsn.to_string());
-                table.push([addr.clone(), role, durable, lag, r.connections.to_string()]);
-            }
-            Err(e) => table.push([
-                addr.clone(),
-                format!("unreachable: {e}"),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]),
-        }
-    }
-    let mut widths = [0usize; 5];
-    for row in &table {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    table
-        .iter()
-        .map(|row| {
-            row.iter()
-                .zip(widths)
-                .map(|(cell, w)| format!("{cell:w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
-                .trim_end()
-                .to_string()
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 /// Renders the WAL-replay section of a recovery report: how many records
@@ -741,11 +600,6 @@ commands:
                             verify page checksums; with no path on a
                             connected session, asks the server to verify
   connect <host:port>       proxy all commands to a cdb-server
-  cluster <a:p,b:p,...>     replicated deployment: writes to the primary,
-                            reads load-balanced across followers with
-                            retry and read-your-writes
-  cluster stats             one table row per member of the cluster:
-                            role, durable LSN, lag, connection count
   disconnect                drop the connection, back to local in-memory
   ping                      liveness probe
   shutdown                  ask the connected server to drain and exit

@@ -1,15 +1,15 @@
-//! One request-execution surface, three executors: the same seeded op
+//! One request-execution surface, two executors: the same seeded op
 //! script must produce the same answers — equal to the brute-force
-//! predicate oracle — through an in-process engine, one wire session and a
-//! one-primary cluster; and the shell must print the same text for the
-//! same lines wherever the data lives.
+//! predicate oracle — through an in-process engine and one wire session;
+//! and the shell must print the same text for the same lines wherever the
+//! data lives.
 
 use cdb_prng::StdRng;
 use constraint_db::geometry::predicates;
 use constraint_db::index::db::{ConstraintDb, DbConfig};
 use constraint_db::index::CdbError;
 use constraint_db::net::server::{Server, ServerConfig, ShutdownHandle};
-use constraint_db::net::{Api, Backend, Client, ClusterClient, ClusterConfig, NetError};
+use constraint_db::net::{Api, Backend, Client, NetError};
 use constraint_db::prelude::*;
 use constraint_db::shell::{run_command, Session};
 
@@ -184,17 +184,10 @@ fn every_backend_answers_the_script_like_the_oracle() {
     let mut client = Client::connect(served.addr.as_str()).unwrap();
     assert_eq!(run_script(&mut client, "client"), reference);
     served.stop();
-
-    let primary = boot();
-    let mut cluster = ClusterClient::new([primary.addr.clone()], ClusterConfig::default()).unwrap();
-    assert_eq!(run_script(&mut cluster, "cluster"), reference);
-    // Stopping "the" member of a cluster is ambiguous: a typed refusal.
-    assert!(matches!(cluster.shutdown(), Err(NetError::Malformed(_))));
-    primary.stop();
 }
 
 /// Each stats-bearing backend reports through the same typed reply; the
-/// in-process engine has no sessions or replication role.
+/// in-process engine has no sessions.
 #[test]
 fn stats_and_fsck_answer_on_every_single_answer_backend() {
     let mut local = Api(ConstraintDb::in_memory(DbConfig::paper_1999()));
@@ -202,7 +195,6 @@ fn stats_and_fsck_answer_on_every_single_answer_backend() {
     let reply = local.stats().unwrap();
     assert_eq!(reply.db.relations[0].name, "r");
     assert_eq!(reply.connections, 0);
-    assert!(reply.replication.is_none());
     assert!(local.fsck().unwrap().relations[0].0 == "r");
     // An in-process engine has no server to stop, and no wire decoder in
     // front of it: the dispatcher itself refuses non-finite parameters.
@@ -299,6 +291,5 @@ fn shell_renders_the_same_text_local_and_remote() {
     // Session management is the one place the kind shows.
     assert!(run_command(&mut local, "shutdown").is_err());
     assert!(run_command(&mut remote, "open /nonexistent").is_err());
-    assert!(run_command(&mut remote, "cluster stats").is_err());
     served.stop();
 }
