@@ -171,6 +171,21 @@ RULES
 }
 step one-role one_role
 
+# The audit that keeps "packed once" a gate: the R⁺-tree baseline is
+# bulk-packed and never maintained — no dynamic insert, clipping split or
+# region subtraction in the tree crate, no tombstone list, and no
+# handicap re-tightening entry point or its log record (a write drops the
+# R⁺-tree, and a rebuild is the one way to re-tighten handicaps).
+packed_rplus() {
+  grep_audit packed-rplus crates/*/src src <<'RULES'
+0|R⁺ maintenance and re-tightening names|-|fn insert_rec|split_entries|subtract_all|tighten_index|TightenIndex|fn tighten\(|\.dead\b
+RULES
+  grep_audit packed-rplus crates/rplustree/src <<'RULES'
+0|public inserts into the R⁺-tree|-|pub fn insert
+RULES
+}
+step packed-rplus packed_rplus
+
 # The audit that keeps "one checksum kernel" a gate: every page seal, WAL
 # record, catalog blob and wire frame goes through `codec::crc32_update` —
 # no private CRC table, and no second byte-at-a-time loop beside the

@@ -2,7 +2,8 @@
 //! `O(k log_B N/B)` (amortized, including handicap maintenance).
 //!
 //! Measures mean page accesses per *insert* and per *delete* into a dual
-//! index, as N and k grow, plus the R⁺-tree's per-insert cost for scale.
+//! index, as N and k grow. (The R⁺-tree baseline is packed once and not
+//! maintained: a write drops it, so it has no update cost to measure.)
 //! The log growth in N and the linear growth in k should be visible; the
 //! run finishes by verifying queries remain exact after the update storm
 //! (incremental handicap maintenance is conservative, never wrong).
@@ -15,9 +16,8 @@ use cdb_core::{DualIndex, Selection, SlopeSet};
 use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_geometry::{HalfPlane, Rect};
-use cdb_rplustree::RPlusTree;
 use cdb_storage::{MemPager, PageReader, Pager};
-use cdb_workload::{tuple_mbr, DatasetSpec, ObjectSize, TupleGen};
+use cdb_workload::{DatasetSpec, ObjectSize, TupleGen};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -27,11 +27,8 @@ fn main() {
         vec![500, 2000, 4000, 8000, 12000]
     };
     println!("Update cost — mean page accesses per operation");
-    println!(
-        "{:>8}{:>6}{:>14}{:>14}{:>14}",
-        "N", "k", "T2 insert", "T2 delete", "R+ insert"
-    );
-    let mut csv = String::from("n,k,t2_insert,t2_delete,rp_insert\n");
+    println!("{:>8}{:>6}{:>14}{:>14}", "N", "k", "T2 insert", "T2 delete");
+    let mut csv = String::from("n,k,t2_insert,t2_delete\n");
     for &n in &ns {
         for k in [2usize, 5] {
             let tuples = DatasetSpec::paper_1999(n, ObjectSize::Small, n as u64).generate();
@@ -60,25 +57,6 @@ fn main() {
             }
             let del = pager.stats().accesses() as f64 / batch.len() as f64;
 
-            // R+ insert baseline (k-independent; measure once per N).
-            let rp = if k == 2 {
-                let mut rpager = MemPager::paper_1999();
-                let items: Vec<_> = tuples
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| (tuple_mbr(t), i as u32))
-                    .collect();
-                let mut tree = RPlusTree::pack(&mut rpager, &items, 0.8).unwrap();
-                rpager.reset_stats();
-                for (j, t) in batch.iter().enumerate() {
-                    tree.insert(&mut rpager, tuple_mbr(t), (n + j) as u32)
-                        .unwrap();
-                }
-                rpager.stats().accesses() as f64 / batch.len() as f64
-            } else {
-                f64::NAN
-            };
-
             // Correctness after the storm: query vs oracle.
             let q = HalfPlane::above(0.37, -5.0);
             let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
@@ -99,12 +77,8 @@ fn main() {
                 .collect();
             assert_eq!(got.ids(), want, "index correct after update storm");
 
-            if rp.is_nan() {
-                println!("{n:>8}{k:>6}{ins:>14.1}{del:>14.1}{:>14}", "-");
-            } else {
-                println!("{n:>8}{k:>6}{ins:>14.1}{del:>14.1}{rp:>14.1}");
-            }
-            csv.push_str(&format!("{n},{k},{ins:.2},{del:.2},{rp:.2}\n"));
+            println!("{n:>8}{k:>6}{ins:>14.1}{del:>14.1}");
+            csv.push_str(&format!("{n},{k},{ins:.2},{del:.2}\n"));
         }
     }
     println!("\nexpected shape: ~log in N, ~linear in k (Theorems 3.1/4.2)");

@@ -17,8 +17,7 @@
 //!   per index slot, in IndexKind order: present u8, [ corrupt u8, body ]
 //!     2-D dual index:  [SlopeSet] of k, (up tree, down tree) ×k
 //!     d-dim dual index: [SlopePoints] body of k points, (up tree, down tree) ×k
-//!     R⁺-tree: [RTreeMeta], fill f64, unbounded u32 list,
-//!              dead u32 list (sorted-unique)
+//!     R⁺-tree: [RTreeMeta], fill f64, unbounded u32 list
 //! ```
 //!
 //! B⁺-trees serialize as the forest's `TreeMeta` — scalars only, because
@@ -37,7 +36,7 @@
 use std::collections::HashMap;
 
 use cdb_rplustree::RPlusTree;
-use cdb_storage::codec::{ascending, finite, get_option, put_option};
+use cdb_storage::codec::{finite, get_option, put_option};
 use cdb_storage::{CodecError, HeapFile, RecordId, RecordReader, RecordWriter, Wire};
 
 use crate::error::{CdbError, CATALOG_RECORD};
@@ -57,8 +56,10 @@ const MAGIC: u32 = 0x4344_4243;
 /// anchor and handicap-refresh bytes, and added each index's corrupt flag.
 /// Version 5 dropped the slope points' grid axes: every point set is
 /// routed by the Voronoi cells of its points. Version 6 dropped the
-/// partition spec: an engine is one node with one id space.
-const VERSION: u16 = 6;
+/// partition spec: an engine is one node with one id space. Version 7
+/// dropped the R⁺-tree's tombstone list: the tree is packed once, and a
+/// write to its relation drops it instead of maintaining it.
+const VERSION: u16 = 7;
 
 // ---------------------------------------------------------------- indexes
 
@@ -98,8 +99,7 @@ fn put_index(index: &Index, w: &mut RecordWriter) {
             }
             .put(w);
             rp.fill.put(w);
-            rp.unbounded.put(w);
-            rp.dead.put(w)
+            rp.unbounded.put(w)
         }
     }
 }
@@ -129,7 +129,6 @@ fn get_index(
                 tree: RPlusTree::from_parts(page_size, m.root, m.height, m.len, m.pages),
                 fill: finite::get(r)?,
                 unbounded: Wire::get(r)?,
-                dead: ascending::get(r)?,
             })
         }
     })
@@ -250,10 +249,11 @@ mod tests {
         matches!(r, Err(CdbError::CorruptRecord(CATALOG_RECORD)))
     }
 
-    /// The catalog of a 2-D relation (dual index after churn, R⁺-tree with
-    /// an unbounded tuple and a tombstone and flagged corrupt, an absent
-    /// slot, queries whose feedback is not persisted) and a 3-D relation
-    /// with a grid `DualIndexD` — the state behind `golden/catalog_v6.hex`.
+    /// The catalog of a 2-D relation (dual index after churn, R⁺-tree
+    /// packed after it with an unbounded tuple and flagged corrupt, an
+    /// absent slot, queries whose feedback is not persisted) and a 3-D
+    /// relation with a grid `DualIndexD` — the state behind
+    /// `golden/catalog_v7.hex`.
     fn sample_blob() -> Vec<u8> {
         let cube = |lo: &[f64], side: f64| {
             let mut cs = Vec::new();
@@ -281,8 +281,8 @@ mod tests {
         db.insert("plane", quadrant).unwrap();
         db.build_dual_index("plane", SlopeSet::new(vec![-1.5, 0.25, 2.0]))
             .unwrap();
-        db.build_rplus_index("plane", 0.8).unwrap();
         db.delete("plane", first.unwrap()).unwrap();
+        db.build_rplus_index("plane", 0.8).unwrap();
         db.query("plane", Selection::exist(HalfPlane::above(0.5, 1.0)))
             .unwrap();
         db.query("plane", Selection::all(HalfPlane::below(0.25, 40.0)))
@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn golden_bytes_are_those_of_the_format() {
-        let golden = crate::unhex(include_str!("../golden/catalog_v6.hex").trim_end());
+        let golden = crate::unhex(include_str!("../golden/catalog_v7.hex").trim_end());
         assert_eq!(sample_blob(), golden);
         assert_eq!(reencoded(&golden).unwrap(), golden);
         let cat = decode(&golden, 1024).unwrap();
@@ -336,15 +336,17 @@ mod tests {
     }
 
     /// The previous formats stay frozen, and are refused as damage: they
-    /// hold bytes version 6 no longer reads — version 4 a grid presence
+    /// hold bytes version 7 no longer reads — version 4 a grid presence
     /// byte after every slope-point set, versions 3 to 5 the partition
-    /// spec's presence byte in the header.
+    /// spec's presence byte in the header, versions 3 to 6 the R⁺-tree's
+    /// tombstone list.
     #[test]
-    fn golden_bytes_of_versions_3_to_5_are_refused() {
+    fn golden_bytes_of_versions_3_to_6_are_refused() {
         for (version, hex) in [
             (3u16, include_str!("../golden/catalog_v3.hex")),
             (4, include_str!("../golden/catalog_v4.hex")),
             (5, include_str!("../golden/catalog_v5.hex")),
+            (6, include_str!("../golden/catalog_v6.hex")),
         ] {
             let old = crate::unhex(hex.trim_end());
             assert_eq!(old[4..6], version.to_le_bytes());

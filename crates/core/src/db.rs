@@ -431,7 +431,6 @@ impl ConstraintDb {
                 self.build_dual_index_d(&relation, points)
             }
             WalRecord::BuildRPlus { relation, fill } => self.build_rplus_index(&relation, fill),
-            WalRecord::TightenIndex { relation } => self.tighten_index(&relation),
         }
     }
 
@@ -757,9 +756,10 @@ impl ConstraintDb {
     }
 
     /// Inserts a satisfiable tuple, returning its id, and maintains every
-    /// built access structure (see [`Relation`]'s index seam). On a
-    /// degraded relation, structures marked corrupt are skipped — they
-    /// will be rebuilt wholesale from the heap.
+    /// built dual index (see [`Relation`]'s index seam); the R⁺-tree is
+    /// dropped ([`build_rplus_index`](Self::build_rplus_index) re-packs
+    /// it). On a degraded relation, structures marked corrupt are skipped —
+    /// they will be rebuilt wholesale from the heap.
     ///
     /// A failed insert commits nothing (only the next checkpoint does), but
     /// it may be half-applied in memory: the heap may hold the tuple, and an
@@ -825,7 +825,8 @@ impl ConstraintDb {
 
     /// Builds (or rebuilds) the Section 5 R⁺-tree baseline over a 2-D
     /// relation: bounded tuples' MBRs are bulk-packed at the given fill
-    /// factor; unbounded tuples go to the overflow list.
+    /// factor; unbounded tuples go to the overflow list. The tree is packed
+    /// once: the next insert or delete on the relation drops it.
     pub fn build_rplus_index(&mut self, name: &str, fill: f64) -> Result<(), CdbError> {
         self.build_index(name, IndexSpec::RPlus { fill })
     }
@@ -846,20 +847,6 @@ impl ConstraintDb {
             self.build_index(name, spec)?;
         }
         Ok(rebuilt)
-    }
-
-    /// Re-tightens a relation's index handicaps after heavy update traffic
-    /// (incremental maintenance keeps them correct but increasingly loose;
-    /// see [`DualIndex::refresh_handicaps`](crate::DualIndex::refresh_handicaps)).
-    /// Every usable dual index is re-tightened, 2-D and d-dimensional;
-    /// [`CdbError::NoIndex`] without one, decided before any page is read.
-    pub fn tighten_index(&mut self, name: &str) -> Result<(), CdbError> {
-        let (pager, rel, dirty) = self.for_update(name)?;
-        rel.tighten(pager)?;
-        *dirty = true;
-        self.log_mutation(WalRecord::TightenIndex {
-            relation: name.to_string(),
-        })
     }
 }
 
@@ -944,118 +931,6 @@ mod tests {
             })
         );
         db.build_rplus_index("land", 0.5).unwrap();
-    }
-
-    /// Regression: `tighten_index` used to scan the whole heap before
-    /// finding out there was nothing to tighten.
-    #[test]
-    fn tighten_without_a_usable_index_reads_no_page() {
-        let mut db = sample_db();
-        db.reset_io_stats();
-        assert_eq!(
-            db.tighten_index("land"),
-            Err(CdbError::NoIndex("land".into()))
-        );
-        assert_eq!(db.io_stats().reads, 0, "refused before the heap scan");
-        db.build_dual_index("land", SlopeSet::uniform_tan(3))
-            .unwrap();
-        db.tighten_index("land").unwrap();
-        db.for_update("land")
-            .unwrap()
-            .1
-            .set_corrupt(IndexKind::Dual, true);
-        db.reset_io_stats();
-        assert_eq!(
-            db.tighten_index("land"),
-            Err(CdbError::NoIndex("land".into()))
-        );
-        assert_eq!(db.io_stats().reads, 0, "refused before the heap scan");
-    }
-
-    /// Regression: `tighten_index` re-tightened slot `Dual` only and
-    /// answered `NoIndex` on a relation with just a d-dimensional index, so
-    /// a grid's whole-cell handicaps only ever loosened under churn.
-    #[test]
-    fn tighten_reaches_the_d_dimensional_index() {
-        use crate::index::ddim::tests::random_boxes;
-        use crate::index::Exact;
-        use crate::plan::Planner;
-        use cdb_geometry::predicates::oracle_select;
-
-        // Cell (T2) searches: `(candidates per query, all ids)`, the
-        // ids checked against the oracle over `model`.
-        let searched = |db: &ConstraintDb, model: &[(u32, GeneralizedTuple)]| {
-            let rel = db.relation("boxes").unwrap();
-            let methods = rel.access_methods(db.config.page_size);
-            let source = rel.tuple_source();
-            let mut candidates = Vec::new();
-            for (slope, b) in [
-                ([0.2, -0.1], -20.0),
-                ([-0.9, -0.8], 5.0),
-                ([0.7, 0.3], 30.0),
-            ] {
-                for op in [RelOp::Ge, RelOp::Le] {
-                    let q = HalfPlane::new(slope.to_vec(), b, op);
-                    for sel in [Selection::exist(q.clone()), Selection::all(q.clone())] {
-                        let forced = Some(MethodKind::DualD);
-                        let (method, plan) =
-                            Planner::choose(&methods, &sel, Exact::Selection, forced).unwrap();
-                        assert!(matches!(plan.case, crate::plan::PlanCase::Cell(_)));
-                        let got = method
-                            .execute(db.reader(), &sel, &plan.case, Exact::Selection, &source)
-                            .unwrap();
-                        let all = sel.kind == SelectionKind::All;
-                        let want: Vec<u32> =
-                            oracle_select(&sel.halfplane, all, model.iter().map(|(_, t)| t))
-                                .into_iter()
-                                .map(|i| model[i].0)
-                                .collect();
-                        assert_eq!(got.ids(), want, "{sel:?}");
-                        candidates.push(got.stats.candidates);
-                    }
-                }
-            }
-            candidates
-        };
-
-        let path = tmp_path("tighten_d");
-        let mut db = ConstraintDb::create(&path, DbConfig::paper_1999()).unwrap();
-        assert!(db.begin_wal().unwrap());
-        db.create_relation("boxes", 3).unwrap();
-        let mut model: Vec<(u32, GeneralizedTuple)> = Vec::new();
-        for (_, t) in random_boxes(3, 120, 71) {
-            model.push((db.insert("boxes", t.clone()).unwrap(), t));
-        }
-        db.build_dual_index_d("boxes", SlopePoints::grid(3, 3, 1.0))
-            .unwrap();
-        db.checkpoint().unwrap();
-        for (_, t) in random_boxes(3, 80, 72) {
-            model.push((db.insert("boxes", t.clone()).unwrap(), t));
-        }
-        for id in (0..200).step_by(3) {
-            db.delete("boxes", id).unwrap();
-            model.retain(|(i, _)| *i != id);
-        }
-        let loose = searched(&db, &model);
-        db.tighten_index("boxes").unwrap();
-        let tight = searched(&db, &model);
-        assert!(
-            tight.iter().zip(&loose).all(|(t, l)| t <= l),
-            "{tight:?} vs {loose:?}"
-        );
-        assert!(tight.iter().sum::<u64>() < loose.iter().sum());
-
-        // Crash; the log replays the churn and the `TightenIndex` record.
-        db.wal_sync().unwrap();
-        let log = db.wal_file_path().unwrap();
-        drop(db);
-        let db = ConstraintDb::open(&path).unwrap();
-        let replay = db.recovery_report().wal.clone().expect("a log was found");
-        assert_eq!((replay.replayed, replay.error), (80 + 67 + 1, None));
-        assert_eq!(searched(&db, &model), tight, "replayed");
-        drop(db);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&log);
     }
 
     /// Regression: `delete` used to drop `DualIndex::remove`'s verdict, so
@@ -1629,16 +1504,28 @@ mod tests {
             assert_eq!(got.ids(), want.ids(), "{sel:?}");
             assert_eq!(got.stats.method, Some(MethodKind::RPlus));
         }
-        // Mixed updates: a delete tombstones a packed entry, an insert goes
-        // straight into the tree; results stay oracle-exact.
+        // Mixed updates: the delete drops the packed tree (a forced R⁺
+        // query is refused as on an unindexed relation), the insert finds
+        // none to maintain, and a re-pack is oracle-exact again.
         db.delete("land", 3).unwrap();
+        let rel = db.relation("land").unwrap();
+        assert!(rel.built(IndexKind::RPlus).is_none());
+        assert_eq!(rel.page_count(), db.live_pages() as u64, "its pages freed");
+        let sel = Selection::exist(HalfPlane::above(0.0, 4.5));
+        let refused = db.query_with("land", sel.clone(), Strategy::RPlus);
+        assert_eq!(refused.err(), Some(CdbError::NoIndex("land".into())));
         let id = db
             .insert(
                 "land",
                 parse_tuple("y >= 5 && y <= 7 && x >= 5 && x <= 8").unwrap(),
             )
             .unwrap();
-        let sel = Selection::exist(HalfPlane::above(0.0, 4.5));
+        assert!(db
+            .relation("land")
+            .unwrap()
+            .built(IndexKind::RPlus)
+            .is_none());
+        db.build_rplus_index("land", 1.0).unwrap();
         let want = db.query_with("land", sel.clone(), Strategy::Scan).unwrap();
         let got = db.query_with("land", sel.clone(), Strategy::RPlus).unwrap();
         assert_eq!(got.ids(), want.ids());
@@ -1742,7 +1629,6 @@ mod tests {
             ro.build_rplus_index("land", 1.0),
             Err(CdbError::ReadOnly)
         ));
-        assert!(matches!(ro.tighten_index("land"), Err(CdbError::ReadOnly)));
         assert!(matches!(
             ro.rebuild_indexes("land"),
             Err(CdbError::ReadOnly)

@@ -12,17 +12,14 @@ use crate::query::order_ids;
 
 /// A packed R⁺-tree over the MBRs of *bounded* tuples, plus an overflow
 /// list of unbounded tuple ids (no finite MBR exists for those — they are
-/// always refined) and a tombstone list for deleted bounded tuples (the
-/// packed tree supports inserts but not deletes; rebuild the index to
-/// compact).
+/// always refined). It is packed once and never maintained: a write to the
+/// relation drops it, and building it again re-packs the live tuples.
 #[derive(Clone)]
 pub struct RPlusIndex {
     /// The packed tree.
     pub tree: RPlusTree,
     /// Ids of unbounded tuples, kept outside the tree.
     pub unbounded: Vec<u32>,
-    /// Sorted ids of deleted bounded tuples still present in the tree.
-    pub dead: Vec<u32>,
     /// The fill factor the tree was packed at (persisted so a reopened
     /// database reports the same build parameters).
     pub fill: f64,
@@ -54,39 +51,13 @@ impl RPlusIndex {
         Ok(RPlusIndex {
             tree: RPlusTree::pack(pager, &entries, fill)?,
             unbounded,
-            dead: Vec::new(),
             fill,
         })
     }
 
-    pub(crate) fn insert(
-        &mut self,
-        pager: &mut dyn Pager,
-        id: u32,
-        tuple: &GeneralizedTuple,
-    ) -> io::Result<()> {
-        match mbr(tuple) {
-            Some(rect) => self.tree.insert(pager, rect, id),
-            None => {
-                self.unbounded.push(id);
-                Ok(())
-            }
-        }
-    }
-
-    /// The packed tree has no delete: an unbounded id leaves the overflow
-    /// list, a bounded one is tombstoned.
-    pub(crate) fn remove(&mut self, id: u32) {
-        if let Some(pos) = self.unbounded.iter().position(|&u| u == id) {
-            self.unbounded.swap_remove(pos);
-        } else if let Err(pos) = self.dead.binary_search(&id) {
-            self.dead.insert(pos, id);
-        }
-    }
-
     /// The candidate superset of a half-plane selection, ascending: the
     /// EXIST search over MBRs (valid for ALL too, since `ALL(q) ⊆ EXIST(q)`
-    /// over satisfiable tuples) plus the overflow list, minus tombstones.
+    /// over satisfiable tuples) plus the overflow list.
     pub(crate) fn candidates(
         &self,
         pager: &dyn PageReader,
@@ -95,7 +66,6 @@ impl RPlusIndex {
         let (mut candidates, search) = self.tree.search_halfplane(pager, q)?;
         candidates.extend_from_slice(&self.unbounded);
         order_ids(&mut candidates);
-        candidates.retain(|id| self.dead.binary_search(id).is_err());
         Ok((candidates, search))
     }
 }

@@ -616,7 +616,7 @@ impl AccessMethod for SeqScanAccess<'_> {
 /// The tree stores bounding boxes of the *bounded* tuples; a selection
 /// refines the candidate superset of `RPlusIndex::candidates` exactly.
 pub struct RPlusAccess<'a> {
-    /// The packed tree with its overflow and tombstone lists.
+    /// The packed tree with its overflow list.
     pub(crate) index: &'a RPlusIndex,
     /// Relation sizing for the cost formulas.
     pub(crate) ctx: MethodContext,

@@ -4,13 +4,16 @@
 //! per-kind is behind [`Index`], so the methods here loop over slots.
 
 use std::collections::HashMap;
+use std::io;
 use std::sync::Arc;
 
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{HeapFile, PageId, PageReader, Pager, RecordId};
 
 use crate::error::CdbError;
-use crate::index::{DualIndex, HeapSource, Index, IndexKind, IndexSpec, TupleSource};
+use crate::index::{
+    DualIndex, HeapSource, Index, IndexKind, IndexSpec, SlopeGeometry, TupleSource,
+};
 use crate::plan::{AccessMethods, MethodContext, PlanCatalog, SeqScanAccess};
 
 /// Verdict of the open-time verification pass for one relation.
@@ -92,6 +95,29 @@ cdb_storage::wire_struct!(RelationStats {
     indexes,
     health
 });
+
+/// A heap change, as the dual indexes take it: the tuple stored or deleted
+/// under its id.
+#[derive(Clone, Copy)]
+enum Change<'a> {
+    Insert(u32, &'a GeneralizedTuple),
+    Delete(u32, &'a GeneralizedTuple),
+}
+
+impl Change<'_> {
+    /// Carries the change into one dual index: `false` when a delete
+    /// missed the entry the index should have held.
+    fn apply<G: SlopeGeometry>(
+        self,
+        index: &mut DualIndex<G>,
+        pager: &mut dyn Pager,
+    ) -> Result<bool, CdbError> {
+        match self {
+            Change::Insert(id, tuple) => index.insert(pager, id, tuple).map(|()| true),
+            Change::Delete(id, tuple) => index.remove(pager, id, tuple),
+        }
+    }
+}
 
 /// A stored generalized relation: tuples in a heap file, its built
 /// indexes, and the planner's per-relation feedback table.
@@ -374,11 +400,12 @@ impl Relation {
     }
 
     /// Stores an [admitted](Self::admits) tuple and adds it to every usable
-    /// index (`O(k log_B n)` tree inserts for the dual indexes; handicaps
-    /// are folded in incrementally). Structures marked corrupt are skipped
-    /// — they will be rebuilt wholesale from the heap. Returns the new id.
-    /// An error after the heap took the record leaves the tuple stored;
-    /// every index that could not follow is [dropped](Self::maintained).
+    /// dual index (`O(k log_B n)` tree inserts; handicaps are folded in
+    /// incrementally) and drops the R⁺-tree. Structures marked corrupt are
+    /// skipped — they will be rebuilt wholesale from the heap. Returns the
+    /// new id. An error after the heap took the record leaves the tuple
+    /// stored; every index that could not follow is
+    /// [dropped](Self::maintained).
     pub(crate) fn insert(
         &mut self,
         pager: &mut dyn Pager,
@@ -389,16 +416,14 @@ impl Relation {
         self.slots.push(Some(rid));
         self.by_record.insert(rid, id);
         self.live += 1;
-        self.maintained(pager, |index, pager| {
-            index.insert(pager, id, tuple).map(|()| true)
-        })?;
+        self.maintained(pager, Change::Insert(id, tuple))?;
         Ok(id)
     }
 
     /// Removes the live tuple `id`, whose stored form is `tuple`, from the
-    /// heap and from every usable index. An error after the heap let the
-    /// record go leaves the tuple deleted; every index that could not
-    /// follow is [dropped](Self::maintained).
+    /// heap and from every usable dual index, and drops the R⁺-tree. An
+    /// error after the heap let the record go leaves the tuple deleted;
+    /// every index that could not follow is [dropped](Self::maintained).
     pub(crate) fn delete(
         &mut self,
         pager: &mut dyn Pager,
@@ -410,43 +435,57 @@ impl Relation {
         self.slots[id as usize] = None;
         self.by_record.remove(&rid);
         self.live -= 1;
-        self.maintained(pager, |index, pager| index.remove(pager, id, tuple))
+        self.maintained(pager, Change::Delete(id, tuple))
     }
 
-    /// Runs one maintenance `step` on every usable index after the heap has
-    /// changed; the heap is the truth, so the change stands whatever the
-    /// indexes do. A step answering `false` (the index did not hold the
-    /// entry it should: a dangling id would surface as `NoSuchTuple` in the
-    /// middle of a query) flags the index corrupt; the catalog persists the
-    /// flag. A step that *fails* has changed some of the index's pages and
-    /// not others: that index is dropped, as after a failed
-    /// [`build_index`](Self::build_index), its pages freed as far as they
-    /// can be walked. Every index gets its step; the first error is
-    /// returned.
-    fn maintained(
-        &mut self,
-        pager: &mut dyn Pager,
-        mut step: impl FnMut(&mut Index, &mut dyn Pager) -> Result<bool, CdbError>,
-    ) -> Result<(), CdbError> {
+    /// One rule for what a heap change does to each index, run after the
+    /// heap has changed; the heap is the truth, so the change stands
+    /// whatever the indexes do. Every usable dual index takes the `change`
+    /// incrementally. One answering `false` (it did not hold the entry it
+    /// should: a dangling id would surface as `NoSuchTuple` in the middle
+    /// of a query) is flagged corrupt; the catalog persists the flag. One
+    /// that *fails* has changed some of its pages and not others: it is
+    /// dropped, as after a failed [`build_index`](Self::build_index), its
+    /// pages freed as far as they can be walked. The R⁺-tree is packed once
+    /// and never maintained: it is dropped too, corrupt or not. Every index
+    /// gets its turn; the first error is returned.
+    fn maintained(&mut self, pager: &mut dyn Pager, change: Change<'_>) -> Result<(), CdbError> {
         let mut outcome = Ok(());
         for kind in IndexKind::ALL {
-            if self.health.is_corrupt(kind) {
-                continue;
-            }
-            let Some(index) = self.indexes[kind as usize].as_mut() else {
-                continue;
+            let corrupt = self.health.is_corrupt(kind);
+            let step = match self.indexes[kind as usize].as_mut() {
+                Some(Index::Dual(index)) if !corrupt => change.apply(index, pager),
+                Some(Index::DualD(index)) if !corrupt => change.apply(index, pager),
+                Some(Index::RPlus(_)) => {
+                    // Unreadable pages of a corrupt tree cannot be walked.
+                    let freed = self.drop_index(pager, kind);
+                    if !corrupt {
+                        outcome = outcome.and(freed.map_err(CdbError::from));
+                    }
+                    continue;
+                }
+                _ => continue,
             };
-            match step(index, pager) {
+            match step {
                 Ok(true) => {}
                 Ok(false) => self.set_corrupt(kind, true),
                 Err(e) => {
-                    let stale = self.indexes[kind as usize].take();
-                    let _ = stale.expect("just stepped").destroy(pager);
+                    let _ = self.drop_index(pager, kind);
                     outcome = outcome.and(Err(e));
                 }
             }
         }
         outcome
+    }
+
+    /// Empties slot `kind`, clears its corrupt flag and frees the pages of
+    /// the index it held, as far as they can be walked.
+    fn drop_index(&mut self, pager: &mut dyn Pager, kind: IndexKind) -> io::Result<()> {
+        self.set_corrupt(kind, false);
+        match self.indexes[kind as usize].take() {
+            Some(index) => index.destroy(pager),
+            None => Ok(()),
+        }
     }
 
     /// Builds (or rebuilds) the index `spec` — already
@@ -479,29 +518,6 @@ impl Relation {
             .filter(|&k| self.health.is_corrupt(k))
             .filter_map(|k| self.built(k).map(Index::spec))
             .collect()
-    }
-
-    /// Re-tightens the handicaps of every usable dual index from the
-    /// current tuples (see [`DualIndex::refresh_handicaps`]).
-    /// [`CdbError::NoIndex`] without one — a corrupt index cannot be
-    /// tightened, only rebuilt — decided before any page is read.
-    pub(crate) fn tighten(&mut self, pager: &mut dyn Pager) -> Result<(), CdbError> {
-        let slots: Vec<IndexKind> = [IndexKind::Dual, IndexKind::DualD]
-            .into_iter()
-            .filter(|&kind| self.usable(kind).is_some())
-            .collect();
-        if slots.is_empty() {
-            return Err(CdbError::NoIndex(self.name.clone()));
-        }
-        let tuples = self.scan(&*pager)?;
-        for kind in slots {
-            match self.indexes[kind as usize].as_mut() {
-                Some(Index::Dual(idx)) => idx.refresh_handicaps(pager, &tuples)?,
-                Some(Index::DualD(idx)) => idx.refresh_handicaps(pager, &tuples)?,
-                _ => unreachable!("a usable dual slot holds a dual index"),
-            }
-        }
-        Ok(())
     }
 
     /// Frees the heap and every index. On an unhealthy relation, structures
@@ -606,7 +622,10 @@ mod tests {
     /// script, forced-method answers ≡ oracle, page accounting ≡ pager;
     /// then that one kind marked corrupt — the planner routes around it,
     /// DML skips it, `rebuild_indexes` restores it from its persisted
-    /// `spec()`, and `drop_relation` frees every page.
+    /// `spec()`, and `drop_relation` frees every page. The R⁺-tree is
+    /// packed once: the script drops it (a forced query is refused, its
+    /// pages are freed) and it is packed again; marked corrupt, the next
+    /// write drops it as well, and `rebuild_indexes` leaves it gone.
     #[test]
     fn every_index_kind_lives_behind_the_seam() {
         let rows = [
@@ -621,12 +640,23 @@ mod tests {
         for (spec, dim, method) in rows {
             let kind = spec.kind();
             let what = kind.name();
+            let packed_once = kind == IndexKind::RPlus;
             let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
             db.create_relation("r", dim).unwrap();
             let mut model: Vec<(u32, GeneralizedTuple)> = Vec::new();
             let insert = |db: &mut ConstraintDb, model: &mut Vec<_>, n, seed| {
                 for t in tuples(dim, n, seed) {
                     model.push((db.insert("r", t.clone()).unwrap(), t));
+                }
+            };
+            let dropped = |db: &ConstraintDb| {
+                let rel = db.relation("r").unwrap();
+                assert!(rel.built(kind).is_none(), "{what}");
+                assert_eq!(rel.health(), &RelationHealth::Healthy, "{what}");
+                assert_eq!(rel.page_count(), db.live_pages() as u64, "{what}");
+                for sel in selections(dim) {
+                    let refused = run(db, &sel, Some(method)).err();
+                    assert_eq!(refused, Some(CdbError::NoIndex("r".into())), "{what}");
                 }
             };
             insert(&mut db, &mut model, 60, 1);
@@ -636,12 +666,16 @@ mod tests {
                 db.delete("r", id).unwrap();
                 model.retain(|(i, _)| *i != id);
             }
+            if packed_once {
+                dropped(&db);
+                db.build_index("r", spec.clone()).unwrap();
+            }
             assert_matches_oracle(&db, &model, Some(method), what);
             let rel = db.relation("r").unwrap();
             assert_eq!(rel.page_count(), db.live_pages() as u64, "{what}");
             assert_eq!(rel.stats().indexes, vec![what.to_string()]);
 
-            // Corrupt: absent for the planner, skipped by DML.
+            // Corrupt: absent for the planner, skipped (R⁺: dropped) by DML.
             db.for_update("r").unwrap().1.set_corrupt(kind, true);
             let rel = db.relation("r").unwrap();
             assert!(rel.usable(kind).is_none() && rel.built(kind).is_some());
@@ -655,6 +689,14 @@ mod tests {
             let skipped = db.io_stats().accesses() - before;
             let (gone, _) = model.remove(0);
             db.delete("r", gone).unwrap();
+            if packed_once {
+                dropped(&db);
+                assert!(db.rebuild_indexes("r").unwrap().is_empty(), "{what}");
+                dropped(&db);
+                db.drop_relation("r").unwrap();
+                assert_eq!(db.live_pages(), 0, "{what}: every page freed");
+                continue;
+            }
             let degraded = RelationHealth::Degraded {
                 corrupt_indexes: vec![what.to_string()],
             };

@@ -50,8 +50,6 @@ pub(crate) enum WalRecord {
     },
     /// `build_index(relation, IndexSpec::RPlus { fill })`.
     BuildRPlus { relation: String, fill: f64 },
-    /// `tighten_index(relation)`.
-    TightenIndex { relation: String },
 }
 
 cdb_storage::wire_enum!(WalRecord {
@@ -62,7 +60,6 @@ cdb_storage::wire_enum!(WalRecord {
     5 => BuildDual { relation, slopes },
     6 => BuildDualD { relation, points },
     7 => BuildRPlus { relation, fill as finite },
-    8 => TightenIndex { relation },
 });
 
 impl WalRecord {
@@ -137,10 +134,7 @@ mod tests {
                 relation: relation(),
                 fill: 0.8,
             },
-            Some(WalRecord::BuildRPlus { .. }) => WalRecord::TightenIndex {
-                relation: relation(),
-            },
-            Some(WalRecord::TightenIndex { .. }) => return None,
+            Some(WalRecord::BuildRPlus { .. }) => return None,
         })
     }
 
@@ -178,11 +172,11 @@ mod tests {
         }
     }
 
-    /// The records as written beside an older catalog stay frozen: one
-    /// line per line of `golden/wal_records.hex`, then a `SetPartition`
-    /// (tag 9). A line whose tag is in `refused` is refused as damage now,
-    /// and every other line reads as the current golden's. Returns how many
-    /// were refused.
+    /// The records as written beside an older catalog stay frozen: the
+    /// lines of the `golden/wal_records.hex` of their day, in the same
+    /// order. A line whose tag is in `refused` is refused as damage now,
+    /// and every other line reads as the current golden's line at the same
+    /// position. Returns how many were refused.
     fn frozen_lines_read_but_for(frozen: &str, refused: &[u8]) -> usize {
         let current: Vec<_> = include_str!("../golden/wal_records.hex")
             .lines()
@@ -206,18 +200,27 @@ mod tests {
     }
 
     /// Beside catalog v4, the two `BuildDualD` lines ended in the grid
-    /// presence byte (and a grid's axes).
+    /// presence byte (and a grid's axes); then come a `TightenIndex`
+    /// (tag 8) and a `SetPartition` (tag 9).
     #[test]
     fn build_dual_d_records_of_catalog_v4_are_refused() {
         let frozen = include_str!("../golden/wal_records_v4.hex");
-        assert_eq!(frozen_lines_read_but_for(frozen, &[6, 9]), 3);
+        assert_eq!(frozen_lines_read_but_for(frozen, &[6, 8, 9]), 4);
     }
 
     /// Beside catalog v5, tag 9 installed a sharded engine's partition spec.
     #[test]
     fn set_partition_records_of_catalog_v5_are_refused() {
         let frozen = include_str!("../golden/wal_records_v5.hex");
-        assert_eq!(frozen_lines_read_but_for(frozen, &[9]), 1);
+        assert_eq!(frozen_lines_read_but_for(frozen, &[8, 9]), 2);
+    }
+
+    /// Beside catalog v6, tag 8 re-tightened a relation's handicaps: a log
+    /// holding one is refused from that record on, like any damage.
+    #[test]
+    fn tighten_index_records_of_catalog_v6_are_refused() {
+        let frozen = include_str!("../golden/wal_records_v6.hex");
+        assert_eq!(frozen_lines_read_but_for(frozen, &[8]), 1);
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //! * Only bounded objects are representable — the very limitation (Figure 1)
 //!   motivating the dual-representation techniques; the experiments
 //!   therefore compare on bounded workloads, like the paper's.
-//! * Bulk builds ([`RPlusTree::pack`]) guarantee the sibling-disjointness
-//!   invariant exactly. Dynamic inserts ([`RPlusTree::insert`]) keep it in
-//!   all but one documented corner (uncoverable leftover space, a known gap
-//!   in the published insertion algorithm), where the affected child is
-//!   enlarged minimally instead; searches stay correct because they visit
-//!   every intersecting child.
+//! * The tree is bulk-built only ([`RPlusTree::pack`]), as in the paper's
+//!   evaluation; there is no dynamic insert or delete. A pack clips
+//!   straddling objects into both sides of a leaf cut while straddlers stay
+//!   few, so those leaf regions are disjoint; on dense data, and at the
+//!   STR-packed upper levels, sibling rectangles can overlap. What a pack
+//!   guarantees is coverage: every object is covered by its stored pieces,
+//!   and (what [`RPlusTree::validate`] checks) every entry lies inside its
+//!   parent's rectangle and all leaves share one depth. Searches visit
+//!   every intersecting child, so they stay exact either way.
 //! * ALL (containment) selections are processed as the paper prescribes for
 //!   non-rectangular queries: approximated by an EXIST search plus exact
 //!   refinement by the caller.

@@ -1,6 +1,5 @@
-//! Randomized tests: R⁺-tree search against a brute-force oracle under
-//! seeded random rectangle sets, random queries, packed and
-//! dynamically-built trees.
+//! Randomized tests: packed R⁺-tree search against a brute-force oracle
+//! under seeded random rectangle sets and random queries.
 
 use cdb_geometry::{HalfPlane, Rect};
 use cdb_prng::StdRng;
@@ -40,7 +39,7 @@ fn packed_tree_matches_oracle() {
         let b = rng.gen_range(-60.0..60.0f64);
         let mut pager = MemPager::new(256);
         let tree = RPlusTree::pack(&mut pager, &items, 1.0).unwrap();
-        tree.validate(&pager, false).unwrap();
+        tree.validate(&pager).unwrap();
         assert_eq!(tree.len() as usize, items.len(), "seed {seed}");
 
         let (got, stats) = tree.search_rect(&pager, &window).unwrap();
@@ -59,53 +58,6 @@ fn packed_tree_matches_oracle() {
                 "seed {seed}"
             );
         }
-    }
-}
-
-#[test]
-fn dynamic_tree_matches_oracle() {
-    for seed in 0..32u64 {
-        let mut rng = StdRng::seed_from_u64(100 + seed);
-        let items = random_items(&mut rng, 1, 150);
-        let a = rng.gen_range(-2.0..2.0f64);
-        let b = rng.gen_range(-60.0..60.0f64);
-        let mut pager = MemPager::new(256);
-        let mut tree = RPlusTree::new(&mut pager).unwrap();
-        for (r, p) in &items {
-            tree.insert(&mut pager, *r, *p).unwrap();
-        }
-        tree.validate(&pager, false).unwrap();
-        let q = HalfPlane::above(a, b);
-        let (got, _) = tree.search_halfplane(&pager, &q).unwrap();
-        assert_eq!(
-            got,
-            oracle(items.iter(), |r| r.intersects_halfplane(&q)),
-            "seed {seed}"
-        );
-    }
-}
-
-#[test]
-fn mixed_build_matches_oracle() {
-    for seed in 0..32u64 {
-        let mut rng = StdRng::seed_from_u64(200 + seed);
-        let mut items = random_items(&mut rng, 1, 120);
-        let n_extra = rng.gen_range(0..60usize);
-        let window = random_rect(&mut rng);
-        let mut pager = MemPager::new(256);
-        let mut tree = RPlusTree::pack(&mut pager, &items, 0.8).unwrap();
-        for j in 0..n_extra {
-            let r = random_rect(&mut rng);
-            let id = 10_000 + j as u32;
-            tree.insert(&mut pager, r, id).unwrap();
-            items.push((r, id));
-        }
-        let (got, _) = tree.search_rect(&pager, &window).unwrap();
-        assert_eq!(
-            got,
-            oracle(items.iter(), |r| r.intersects(&window)),
-            "seed {seed}"
-        );
     }
 }
 

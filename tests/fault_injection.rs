@@ -232,13 +232,16 @@ fn random_fault_schedules_never_panic_and_reopen_cleanly() {
 /// answers as the scan does, at once and after the state is checkpointed
 /// and reopened (nothing durable could say "stale": `open` verifies
 /// checksums, and a half-maintained tree is made of well-formed pages).
+/// The R⁺-tree is packed once: it survives exactly the faults that fell
+/// before the heap changed, and any write that got that far drops it.
 #[test]
 fn maintenance_failing_at_any_op_leaves_no_index_out_of_step_with_the_heap() {
     use constraint_db::index::IndexKind;
     let path = tmp("halfway");
     // 125 tuples fill the bulk-loaded leaves (122 entries a page), so the
     // inserts below split leaves: the longest half-way a tree insert has.
-    // Five inserts and a delete give the sweep 146 ops to fail.
+    // Five inserts and a delete give the sweep 121 ops to fail, the
+    // R⁺-tree's drop among them.
     let tuples = DatasetSpec::paper_1999(130, ObjectSize::Small, 31).generate();
     let (setup, traffic) = tuples.split_at(125);
     let sels = [
@@ -292,21 +295,37 @@ fn maintenance_failing_at_any_op_leaves_no_index_out_of_step_with_the_heap() {
             Some(_) => past = mid,
         }
     }
-    let (mut failed, mut dropped) = (0, 0);
+    let (mut failed, mut dropped, mut kept_rplus) = (0, 0, 0);
     for k in past.. {
         let mut db = indexed(k).expect("past the setup");
-        let pages = db.relation("r").unwrap().page_count();
-        let mut clean = traffic.iter().all(|t| db.insert("r", t.clone()).is_ok());
+        let dual_pages = |db: &ConstraintDb| {
+            let rel = db.relation("r").unwrap();
+            rel.built(IndexKind::Dual).map(|index| index.page_count())
+        };
+        let pages = dual_pages(&db).expect("built in the setup");
+        // The first write: the R⁺-tree outlives it exactly when the fault
+        // fell before the heap took the record.
+        let first = db.insert("r", traffic[0].clone()).is_ok();
+        let rel = db.relation("r").unwrap();
+        let untouched = rel.len() == setup.len() as u64;
+        assert_eq!(
+            rel.built(IndexKind::RPlus).is_some(),
+            untouched,
+            "fault at op {k}: the R⁺-tree"
+        );
+        kept_rplus += u32::from(untouched);
+        let mut clean = first
+            && traffic[1..]
+                .iter()
+                .all(|t| db.insert("r", t.clone()).is_ok());
         clean &= db.delete("r", 64).is_ok();
         if clean {
-            let grown = db.relation("r").unwrap().page_count() - pages;
+            let grown = dual_pages(&db).expect("maintained") - pages;
             assert!(grown >= 2, "the traffic was meant to split leaves");
             break; // op k lies beyond the traffic
         }
         failed += 1;
-        let rel = db.relation("r").unwrap();
-        let survived = |kind| rel.built(kind).is_some();
-        if !(survived(IndexKind::Dual) && survived(IndexKind::RPlus)) {
+        if dual_pages(&db).is_none() {
             dropped += 1;
         }
         agree(&db, &format!("fault at op {k}, in process"));
@@ -323,6 +342,7 @@ fn maintenance_failing_at_any_op_leaves_no_index_out_of_step_with_the_heap() {
         dropped < failed,
         "a fault before the heap changes costs no index"
     );
+    assert!(kept_rplus > 0, "no fault fell before the heap changed");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -8,6 +8,7 @@
 use constraint_db::index::ddim::SlopePoints;
 use constraint_db::index::error::{CdbError, CATALOG_RECORD};
 use constraint_db::index::query::Strategy;
+use constraint_db::index::IndexKind;
 use constraint_db::prelude::*;
 use constraint_db::storage::file::FilePager;
 
@@ -20,9 +21,10 @@ fn tmp(name: &str) -> std::path::PathBuf {
 }
 
 /// Builds the full randomized workload at `path`: a 2-D relation with the
-/// dual index and the R⁺-tree baseline under mixed insert/delete traffic,
-/// plus a 3-D relation with the d-dimensional index. Returns the battery
-/// of 2-D selections used for equivalence checks.
+/// dual index under mixed insert/delete traffic and the R⁺-tree baseline
+/// packed after it (a write would drop it), plus a 3-D relation with the
+/// d-dimensional index. Returns the battery of 2-D selections used for
+/// equivalence checks.
 fn build_workload(path: &std::path::Path, seed: u64) -> (ConstraintDb, Vec<Selection>) {
     let mut rng = cdb_prng::StdRng::seed_from_u64(seed);
     let mut db = ConstraintDb::create(path, DbConfig::paper_1999()).unwrap();
@@ -33,19 +35,20 @@ fn build_workload(path: &std::path::Path, seed: u64) -> (ConstraintDb, Vec<Selec
         db.insert("r", t.clone()).unwrap();
     }
     db.build_dual_index("r", SlopeSet::uniform_tan(4)).unwrap();
-    db.build_rplus_index("r", 1.0).unwrap();
-    // Deletes after the builds: dual-index removals plus R⁺ tombstones.
+    // Deletes after the build: dual-index removals.
     for _ in 0..25 {
         let id = rng.gen_range(0..tuples.len() as u32);
         let _ = db.delete("r", id); // double deletes simply error
     }
-    // And fresh inserts on top: tree inserts + R⁺ insert/overflow paths.
+    // And fresh inserts on top: tree inserts with handicap folds.
     for t in DatasetSpec::paper_1999(20, ObjectSize::Small, seed ^ 0xFF)
         .generate()
         .into_iter()
     {
         db.insert("r", t).unwrap();
     }
+    // The R⁺-tree last: packed once over the live tuples.
+    db.build_rplus_index("r", 1.0).unwrap();
 
     db.create_relation("boxes", 3).unwrap();
     for _ in 0..60 {
@@ -168,6 +171,10 @@ fn reopen_supports_further_updates_and_another_cycle() {
     }
     let deleted = (0..250u32).find(|&id| db.delete("r", id).is_ok());
     assert!(deleted.is_some(), "found a live tuple to delete");
+    // The writes dropped the persisted R⁺-tree; a re-pack is persisted in
+    // its place.
+    assert!(db.relation("r").unwrap().built(IndexKind::RPlus).is_none());
+    db.build_rplus_index("r", 1.0).unwrap();
     let want: Vec<Vec<u32>> = battery
         .iter()
         .map(|sel| {
@@ -357,4 +364,100 @@ fn random_garbage_file_is_corrupt_not_empty() {
         Ok(_) => panic!("random garbage opened as a database"),
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Regression: the R⁺-tree was maintained by a clipping insert and a
+/// tombstone per delete, and grew without bound under churn (a packed
+/// 67-page tree over N = 2 000 held 144 pages after 50 delete+insert
+/// pairs). A heap-changing write now drops it: the relation owns no R⁺ page
+/// afterwards — in process, and after a crash whose log replays the writes
+/// over a catalog that still holds the tree — a forced R⁺ query is refused
+/// as on an unindexed relation (a snapshot pinned before the writes still
+/// answers through the tree it holds), and one `build_rplus_index`
+/// re-packs exactly the tree a fresh pack of the live tuples is.
+#[test]
+fn churn_drops_the_rplus_tree_and_a_repack_is_a_fresh_pack() {
+    let battery: Vec<Selection> = [(0.37, 0.0), (-0.8, 6.0), (1.6, -3.0)]
+        .into_iter()
+        .flat_map(|(a, c)| {
+            [
+                Selection::exist(HalfPlane::above(a, c)),
+                Selection::all(HalfPlane::below(a, c)),
+            ]
+        })
+        .collect();
+    // No R⁺ page is left: the live pages are the heap's and the dual
+    // index's, and a forced R⁺ query has no index to run.
+    let dropped = |db: &ConstraintDb, what: &str| {
+        let rel = db.relation("r").unwrap();
+        assert!(rel.built(IndexKind::RPlus).is_none(), "{what}");
+        let dual = rel.built(IndexKind::Dual).expect("maintained").page_count();
+        assert_eq!(db.live_pages() as u64, rel.heap_pages() + dual, "{what}");
+        let forced = db.query_with("r", battery[0].clone(), Strategy::RPlus);
+        assert_eq!(forced.err(), Some(CdbError::NoIndex("r".into())), "{what}");
+    };
+    for pairs in [1usize, 50] {
+        let path = tmp(&format!("rplus_churn_{pairs}"));
+        let _ = std::fs::remove_file(&path);
+        let mut db = ConstraintDb::create(&path, DbConfig::paper_1999()).unwrap();
+        assert!(db.begin_wal().unwrap());
+        let log = db.wal_file_path().unwrap();
+        db.create_relation("r", 2).unwrap();
+        for t in DatasetSpec::paper_1999(2000, ObjectSize::Small, 3).generate() {
+            db.insert("r", t).unwrap();
+        }
+        db.build_dual_index("r", SlopeSet::uniform_tan(4)).unwrap();
+        db.build_rplus_index("r", 1.0).unwrap();
+        db.checkpoint().unwrap();
+        // A snapshot pinned before the churn keeps the tree it was taken
+        // with: the drop frees pages only for later epochs.
+        let pinned = db.snapshot().unwrap();
+
+        let mut rng = cdb_prng::StdRng::seed_from_u64(pairs as u64);
+        let mut live: Vec<u32> = (0..2000).collect();
+        for t in DatasetSpec::paper_1999(pairs, ObjectSize::Small, 4).generate() {
+            let victim = live.swap_remove(rng.gen_range(0..live.len()));
+            db.delete("r", victim).unwrap();
+            live.push(db.insert("r", t).unwrap());
+        }
+        dropped(&db, &format!("{pairs} pairs, in process"));
+        for sel in &battery {
+            let scan = pinned.query_with("r", sel.clone(), Strategy::Scan);
+            let got = pinned.query_with("r", sel.clone(), Strategy::RPlus);
+            assert_eq!(got.unwrap().ids(), scan.unwrap().ids(), "pinned: {sel:?}");
+        }
+        drop(pinned);
+
+        // Crash before any checkpoint: the catalog still holds the packed
+        // tree, and replaying the pairs drops it again.
+        db.wal_sync().unwrap();
+        drop(db);
+        let mut db = ConstraintDb::open(&path).unwrap();
+        let replay = db.recovery_report().wal.clone().expect("a log was found");
+        assert_eq!((replay.replayed, replay.error), (2 * pairs as u64, None));
+        dropped(&db, &format!("{pairs} pairs, reopened"));
+
+        // One re-pack: the same pages as a fresh pack of the live tuples,
+        // and the answers of a scan.
+        db.build_rplus_index("r", 1.0).unwrap();
+        let mut fresh = ConstraintDb::in_memory(DbConfig::paper_1999());
+        fresh.create_relation("r", 2).unwrap();
+        for (_, t) in db.scan_relation("r").unwrap() {
+            fresh.insert("r", t).unwrap();
+        }
+        fresh.build_rplus_index("r", 1.0).unwrap();
+        let pages = |db: &ConstraintDb| {
+            let rel = db.relation("r").unwrap();
+            rel.built(IndexKind::RPlus).unwrap().page_count()
+        };
+        assert_eq!(pages(&db), pages(&fresh), "{pairs} pairs");
+        for sel in &battery {
+            let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
+            let got = db.query_with("r", sel.clone(), Strategy::RPlus).unwrap();
+            assert_eq!(got.ids(), scan.ids(), "{pairs} pairs: {sel:?}");
+        }
+        db.close().unwrap();
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&log);
+    }
 }
