@@ -64,12 +64,16 @@ grep_audit() {
 
 # The audit that keeps "a selection is routed once" a gate, over the
 # engine crate: the bracket rule and the slope-point lookups each have one
-# call site — `AccessMethod::route`'s two bodies — every slope-point set is
-# routed to its nearest element's cell (no engine path searches for a
-# covering simplex, and the grid special case stays gone), the
-# `Capability` descriptor routing used to be duplicated in stays gone, and
-# `Strategy` variants are matched only where `Strategy::forced` converts
-# them.
+# call site — the two routing tables behind `AccessMethod::route` — every
+# slope-point set is routed to its nearest element's cell (no engine path
+# searches for a covering simplex, and the grid special case stays gone),
+# the `Capability` descriptor routing used to be duplicated in stays gone,
+# and `Strategy` variants are matched only where `Strategy::forced`
+# converts them. A route is what runs: `AccessMethod` is one enum (no
+# trait, no per-kind adapter structs, no `AccessMethods` mirror of a
+# relation's slots), no `PlanCase` variant differs from another in wording
+# alone, and a scan is planned once — by `IndexScanOp::new`, the one call
+# of the planner, with no `describe` planning it again for EXPLAIN.
 one_router() {
   grep_audit one-router crates/core/src <<'RULES'
 1|a .bracket( call|slopes.rs|\.bracket\(
@@ -79,6 +83,11 @@ one_router() {
 0|names of the grid special case|-|grid_axes|is_grid|nearest_grid|cell_widths|cell_corners|GridCell
 0|mentions of Capability|-|(^|[^A-Za-z0-9_])Capability([^A-Za-z0-9_]|$)
 0|matches on Strategy variants|query.rs|Strategy::[A-Za-z0-9]+[^;]*=>|\| *Strategy::
+0|definitions of trait AccessMethod|-|trait AccessMethod
+0|access-method adapter structs|-|struct (DualAccess|DualDAccess|SeqScanAccess|RPlusAccess|AccessMethods)\b
+0|wording-only PlanCase variants|-|MemberRestricted|WrappedAppQueries|WrappedFallback
+0|definitions of fn describe|-|fn describe\(
+1|a Planner::choose( call|-|Planner::choose\(
 RULES
 }
 step one-router one_router

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use cdb_core::ddim::{DualIndexD, SlopePoints};
 use cdb_core::index::Exact;
-use cdb_core::plan::{AccessMethod, DualDAccess, MethodContext, PlanCase};
+use cdb_core::plan::{AccessMethod, MethodContext, PlanCase};
 use cdb_core::{Selection, SelectionKind};
 use cdb_geometry::constraint::{LinearConstraint, RelOp};
 use cdb_geometry::halfplane::HalfPlane;
@@ -94,7 +94,9 @@ impl Tally {
 /// One index with the relation it is built over.
 struct Bed<'a> {
     pager: MemPager,
-    access: DualDAccess<'a>,
+    index: &'a DualIndexD,
+    /// Relation sizing for the cost formulas.
+    ctx: MethodContext,
     pairs: &'a [(u32, GeneralizedTuple)],
     lookup: &'a HashMap<u32, GeneralizedTuple>,
 }
@@ -106,6 +108,7 @@ impl Bed<'_> {
     fn measure(&self, queries: &[Selection], case: impl Fn(&Selection) -> PlanCase) -> Tally {
         let mut tally = Tally::default();
         let n = self.pairs.len() as f64;
+        let access = AccessMethod::DualD(self.index);
         for (qi, sel) in queries.iter().enumerate() {
             let want: Vec<u32> = self
                 .pairs
@@ -119,8 +122,7 @@ impl Bed<'_> {
             let case = case(sel);
             let before = self.pager.stats();
             let fetch = |_: &dyn PageReader, id: u32| self.lookup[&id].clone();
-            let r = self
-                .access
+            let r = access
                 .execute(&self.pager, sel, &case, Exact::Selection, &fetch)
                 .expect("routed query");
             assert_eq!(r.ids(), want, "query {qi} along {case}");
@@ -130,7 +132,7 @@ impl Bed<'_> {
             } else {
                 tally.all_io += io;
             }
-            let est = self.access.estimate(sel, &case, want.len() as f64 / n);
+            let est = access.estimate(&self.ctx, sel, &case, want.len() as f64 / n);
             tally.est_cand += est.candidates;
             tally.act_cand += r.stats.candidates as f64;
             tally.est_io += est.index_pages;
@@ -194,7 +196,8 @@ fn with_bed<R>(
     let index = DualIndexD::build(&mut pager, points, pairs).unwrap();
     run(&Bed {
         pager,
-        access: DualDAccess { index: &index, ctx },
+        index: &index,
+        ctx,
         pairs,
         lookup,
     })
@@ -265,16 +268,12 @@ fn main() {
         // T2 over the cell a slope routes to; the simplex covering, for
         // comparison: the same entry points, handed the other case.
         let cell = |bed: &Bed<'_>, sel: &Selection| {
-            let case = bed.access.route(sel).expect("in-box query");
+            let case = bed.index.route(sel).expect("in-box query");
             assert!(matches!(case, PlanCase::Cell(_)), "{case}");
             case
         };
         let covering = |bed: &Bed<'_>, sel: &Selection| {
-            let vertices = bed
-                .access
-                .index
-                .points()
-                .containing_simplex(&sel.halfplane.slope);
+            let vertices = bed.index.points().containing_simplex(&sel.halfplane.slope);
             PlanCase::SimplexCovering(vertices.expect("in-hull query"))
         };
         let (t2, t1, grid_on_random) = with_bed(grid, &pairs, &lookup, ctx, |bed| {

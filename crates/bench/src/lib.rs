@@ -7,7 +7,7 @@
 //!   seeded synthetic relation;
 //! * [`RplusBed`] — the R⁺-tree baseline over the *same* relation, also
 //!   held in a [`ConstraintDb`] and queried through the unified planner
-//!   path ([`Strategy::RPlus`] → `Planner::choose` → `RPlusAccess`).
+//!   path ([`Strategy::RPlus`] → `Planner::choose` → `AccessMethod::RPlus`).
 //!
 //! The measured quantity is page accesses per query (index structure pages
 //! plus tuple-heap pages fetched for refinement), which stands in for the

@@ -1152,6 +1152,44 @@ mod tests {
         assert!(matches!(err, CdbError::NoIndex(_)));
     }
 
+    /// A 2-D method forced on an `E^d` relation is refused for the
+    /// dimension, in the words EXPLAIN lists it with — not for an index no
+    /// build could supply — whether or not the relation has its own
+    /// d-dimensional index.
+    #[test]
+    fn forced_planar_methods_on_an_ed_relation_name_the_dimension() {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.create_relation("boxes", 3).unwrap();
+        let cube = "x >= 0 && x <= 1 && y >= 0 && y <= 1 && z >= 0 && z <= 1";
+        db.insert("boxes", parse_tuple(cube).unwrap()).unwrap();
+        let sel = Selection::exist(HalfPlane::new(vec![0.1, 0.2], 0.0, RelOp::Ge));
+        for indexed in [false, true] {
+            if indexed {
+                let points = crate::index::ddim::SlopePoints::grid(3, 3, 1.0);
+                db.build_dual_index_d("boxes", points).unwrap();
+            }
+            let forcing = [
+                Strategy::Restricted,
+                Strategy::T1,
+                Strategy::T2,
+                Strategy::RPlus,
+            ];
+            for strategy in forcing {
+                let refused = db.query_with("boxes", sel.clone(), strategy).unwrap_err();
+                let method = strategy.forced().unwrap();
+                let why =
+                    format!("forced method {method}: serves 2-D queries only, the query is 3-D");
+                assert_eq!(
+                    refused,
+                    CdbError::UnsupportedQuery(why),
+                    "indexed={indexed}"
+                );
+            }
+            let r = db.query_with("boxes", sel.clone(), Strategy::Auto).unwrap();
+            assert_eq!(r.ids(), &[0], "indexed={indexed}");
+        }
+    }
+
     #[test]
     fn indexed_queries_match_scan() {
         let mut db = sample_db();
@@ -1328,7 +1366,7 @@ mod tests {
     #[test]
     fn line_queries_at_a_member_slope_are_costed_with_every_candidate_fetched() {
         use crate::index::Exact;
-        use crate::plan::Planner;
+        use crate::plan::{MethodContext, Planner};
         use cdb_workload::{DatasetSpec, ObjectSize};
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
         db.create_relation("r", 2).unwrap();
@@ -1338,11 +1376,13 @@ mod tests {
         let slopes = SlopeSet::uniform_tan(3);
         db.build_dual_index("r", slopes.clone()).unwrap();
         let rel = db.relation("r").unwrap();
-        let methods = rel.access_methods(db.config.page_size);
+        let page_size = db.config.page_size;
         let sel = Selection::line_superset(slopes.get(1), 0.0);
         let plan = |exact| {
             let forced = Some(MethodKind::Restricted);
-            Planner::choose(&methods, &sel, exact, forced).unwrap().1
+            Planner::choose(rel, page_size, &sel, exact, forced)
+                .unwrap()
+                .1
         };
         let (half_plane, line) = (
             plan(Exact::Selection),
@@ -1350,10 +1390,12 @@ mod tests {
         );
         assert_eq!(half_plane.case, line.case);
         assert!(half_plane.estimate.heap_pages <= 2.0);
-        let fetched = methods
-            .seq_scan
-            .ctx
-            .heap_fetch_pages(line.estimate.candidates);
+        let ctx = MethodContext {
+            n: rel.len(),
+            heap_pages: rel.heap_pages(),
+            page_size,
+        };
+        let fetched = ctx.heap_fetch_pages(line.estimate.candidates);
         assert_eq!(line.estimate.heap_pages, fetched);
         assert!(fetched > 10.0, "{fetched}");
         assert_eq!(half_plane.estimate.index_pages, line.estimate.index_pages);

@@ -2,9 +2,10 @@
 //!
 //! [`IndexKind`] names the access structures a relation can own,
 //! [`IndexSpec`] says what to build, [`Index`] is what was built:
-//! everything the engine does per kind (build, verify, count, free, offer
-//! to the planner) is a method of [`Index`], so the rest of the engine
-//! loops over a relation's slots instead of spelling the kinds out. What a
+//! everything the engine does per kind (build, verify, count, free) is a
+//! method of [`Index`], so the rest of the engine loops over a relation's
+//! slots instead of spelling the kinds out; `Relation::method` hands a
+//! slot to the planner as a [`crate::plan::AccessMethod`]. What a
 //! write does to each kind is one rule in `Relation::maintained`: the dual
 //! indexes are maintained, the R⁺-tree is dropped.
 //!
@@ -35,10 +36,7 @@ use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{PageReader, Pager, TrackedReader};
 
 use crate::error::CdbError;
-use crate::plan::{
-    AccessMethods, DualAccess, DualDAccess, MethodContext, MethodKind, PlanCase, RPlusAccess,
-    Rejection, TreeAt,
-};
+use crate::plan::{MethodKind, PlanCase, Rejection, TreeAt};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side, Strategy};
 use crate::slopes::{Bracket, SlopeSet};
 use ddim::{DualIndexD, SlopePoints};
@@ -208,15 +206,6 @@ impl Index {
             Index::RPlus(rp) => rp.tree.destroy(pager),
         }
     }
-
-    /// Adds this structure's access methods to the planner's inputs.
-    pub(crate) fn offer<'a>(&'a self, ctx: MethodContext, methods: &mut AccessMethods<'a>) {
-        match self {
-            Index::Dual(index) => methods.dual = Some(DualAccess::techniques(index, ctx)),
-            Index::DualD(index) => methods.dual_d = Some(DualDAccess { index, ctx }),
-            Index::RPlus(index) => methods.rplus = Some(RPlusAccess { index, ctx }),
-        }
-    }
 }
 
 /// Source of tuples for the exact refinement step.
@@ -313,15 +302,7 @@ impl SlopeGeometry for SlopeSet {
 
     fn routes(case: &PlanCase) -> bool {
         use PlanCase::*;
-        matches!(
-            case,
-            Member(_)
-                | MemberRestricted(_)
-                | AppQueries(_)
-                | WrappedAppQueries(_)
-                | Between { .. }
-                | WrappedFallback(_)
-        )
+        matches!(case, Member(_) | AppQueries(_) | Between { .. })
     }
 }
 
@@ -492,13 +473,11 @@ impl<G: SlopeGeometry> DualIndex<G> {
         };
         match case {
             // Exact restricted query; boundary band verified exactly.
-            PlanCase::Member(TreeAt { i, .. })
-            | PlanCase::MemberRestricted(TreeAt { i, .. })
-            | PlanCase::MemberPoint { i, .. } => forest.restricted(pager, sel, *i, exact, fetch),
+            PlanCase::Member(TreeAt { i, .. }) | PlanCase::MemberPoint { i, .. } => {
+                forest.restricted(pager, sel, *i, exact, fetch)
+            }
             // Table 1's two app-queries, each with its own operator.
-            PlanCase::AppQueries(legs)
-            | PlanCase::WrappedAppQueries(legs)
-            | PlanCase::WrappedFallback(legs) => {
+            PlanCase::AppQueries(legs) => {
                 let legs = legs.map(|(tree, th)| (tree.i, th));
                 forest.covering(pager, sel, legs, exact, fetch)
             }
@@ -606,8 +585,7 @@ impl DualIndex {
             slope: self.geometry.get(i),
         };
         Ok(match (technique, self.geometry.bracket(a)) {
-            (MethodKind::Restricted, Bracket::Member(i)) => PlanCase::Member(at(i)),
-            (_, Bracket::Member(i)) => PlanCase::MemberRestricted(at(i)),
+            (_, Bracket::Member(i)) => PlanCase::Member(at(i)),
             (MethodKind::Restricted, _) => return Err(Rejection::SlopeNotInS(a)),
             // a1 < a < a2: both app-queries keep θ.
             (MethodKind::T1, Bracket::Between(i, j)) => {
@@ -636,19 +614,15 @@ impl DualIndex {
             // Wrapped through the vertical, a1 the clockwise (max S)
             // neighbour and a2 the anticlockwise (min S) one. Beyond max S
             // both are smaller than a — Table 1 row 2: θ1 = θ, θ2 = ¬θ;
-            // below min S both are larger — row 3: θ1 = ¬θ, θ2 = θ.
+            // below min S both are larger — row 3: θ1 = ¬θ, θ2 = θ. The
+            // paper details T2 for a1 < a < a2 only, so T2 runs these too.
             (_, Bracket::Wrapped(cw, acw)) => {
                 let (th1, th2) = if a > self.geometry.get(cw) {
                     (theta, theta.negated())
                 } else {
                     (theta.negated(), theta)
                 };
-                let legs = [(at(cw), th1), (at(acw), th2)];
-                if technique == MethodKind::T1 {
-                    PlanCase::WrappedAppQueries(legs)
-                } else {
-                    PlanCase::WrappedFallback(legs)
-                }
+                PlanCase::AppQueries([(at(cw), th1), (at(acw), th2)])
             }
         })
     }

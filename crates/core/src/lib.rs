@@ -41,7 +41,7 @@
 //!
 //! Every query path — the three dual-index techniques, the d-dimensional
 //! extension, a sequential scan, and the Section 5 R⁺-tree baseline — is
-//! unified behind the [`plan::AccessMethod`] trait; [`plan::Planner`]
+//! one variant of the [`plan::AccessMethod`] enum; [`plan::Planner`]
 //! chooses among them with the paper-shaped I/O cost formulas seeded by
 //! observed per-plan statistics, and
 //! [`ReadSurface::explain`] renders the decision next to the actuals.

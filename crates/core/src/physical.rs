@@ -4,9 +4,9 @@
 //! Every query — typed or SQL — executes as a tree of [`Operator`]s with an
 //! `open`/`next_batch`/`close` contract:
 //!
-//! * `open` acquires resources and runs any eager work (planner choice and
-//!   access-method execution for [`IndexScanOp`], the heap scan for
-//!   [`SeqScanOp`], buffering the inner side for [`NestedLoopJoinOp`]);
+//! * `open` acquires resources and runs any eager work (executing the
+//!   access method [`IndexScanOp`] planned when it was built, the heap scan
+//!   for [`SeqScanOp`], buffering the inner side for [`NestedLoopJoinOp`]);
 //! * `next_batch` yields the next [`Batch`] of rows, or `None` when
 //!   drained; a batch may be empty (a filter that kept nothing);
 //! * `close` releases state; operators may be closed early (`LIMIT`).
@@ -21,8 +21,9 @@
 //! the chunk.
 //!
 //! Each operator renders itself as a [`PlanNode`] for `EXPLAIN`
-//! ([`Operator::node`]); with `analyze` set the node also reports observed
-//! rows and inclusive wall-clock time, read once per batch.
+//! ([`Operator::node`]): a built tree is already planned, so `EXPLAIN`
+//! reads it without opening it; with `analyze` set the node also reports
+//! observed rows and inclusive wall-clock time, read once per batch.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -38,7 +39,7 @@ use cdb_storage::{PageReader, TrackedReader};
 use crate::error::CdbError;
 use crate::index::{Exact, TupleSource};
 use crate::logical::LogicalPlan;
-use crate::plan::{Planner, QueryPlan};
+use crate::plan::{AccessMethod, Planner, QueryPlan};
 use crate::pretty::{actual_line, plan_detail_lines, PlanNode};
 use crate::query::{QueryStats, Selection, SelectionKind, Strategy};
 use crate::relation::Relation;
@@ -120,8 +121,6 @@ pub trait Operator {
     fn next_batch(&mut self) -> Result<Option<Batch>, CdbError>;
     /// Releases per-execution state; safe to call before drain (`LIMIT`).
     fn close(&mut self);
-    /// Plans without executing, so `EXPLAIN` can render cost estimates.
-    fn describe(&mut self) -> Result<(), CdbError>;
     /// Renders this operator (and subtree) for `EXPLAIN`; with `analyze`,
     /// includes observed row counts and inclusive timings.
     fn node(&self, analyze: bool) -> PlanNode;
@@ -205,10 +204,6 @@ impl Operator for EmptyOp {
 
     fn close(&mut self) {}
 
-    fn describe(&mut self) -> Result<(), CdbError> {
-        Ok(())
-    }
-
     fn node(&self, _analyze: bool) -> PlanNode {
         PlanNode {
             label: "Empty".into(),
@@ -225,18 +220,19 @@ impl Operator for EmptyOp {
 /// Planned access-method execution on one relation: the cost-based
 /// planner picks among every available method (seq-scan, dual index
 /// techniques, R⁺-tree) exactly as the typed query path always has —
-/// now as one operator inside the pipeline.
+/// now as one operator inside the pipeline. It plans once, when built;
+/// `open` executes that plan, and `EXPLAIN` reads it.
 pub struct IndexScanOp<'a> {
     rel: &'a Relation,
     reader: &'a dyn PageReader,
-    page_size: usize,
     sel: Selection,
     /// What refinement decides: `sel` itself, or the line query `sel` is
     /// the superset of.
     exact: Exact,
-    strategy: Strategy,
     fetch_regions: bool,
-    plan: Option<QueryPlan>,
+    /// The method the planner chose, and its plan.
+    method: AccessMethod<'a>,
+    plan: QueryPlan,
     stats: QueryStats,
     /// The access method's answer, ascending; `ids[at..]` is still to emit.
     ids: Vec<u32>,
@@ -245,9 +241,15 @@ pub struct IndexScanOp<'a> {
 }
 
 impl<'a> IndexScanOp<'a> {
-    /// Creates the operator; `fetch_regions` asks `next_batch` to
+    /// Plans the scan, costed at `page_size`, on the method `strategy`
+    /// forces if it forces one; `fetch_regions` asks `next_batch` to
     /// materialize each row's constraint region (needed under
-    /// filters/joins).
+    /// filters/joins). The planning time counts toward the operator's own.
+    ///
+    /// # Errors
+    /// [`CdbError::Quarantined`] for a quarantined relation;
+    /// [`CdbError::DimensionMismatch`] for a selection of another
+    /// dimension; every refusal of [`Planner::choose`].
     pub fn new(
         rel: &'a Relation,
         reader: &'a dyn PageReader,
@@ -256,37 +258,38 @@ impl<'a> IndexScanOp<'a> {
         exact: Exact,
         strategy: Strategy,
         fetch_regions: bool,
-    ) -> IndexScanOp<'a> {
-        IndexScanOp {
+    ) -> Result<IndexScanOp<'a>, CdbError> {
+        let t0 = Instant::now();
+        rel.ensure_usable()?;
+        if rel.dim() != sel.halfplane.dim() {
+            return Err(CdbError::DimensionMismatch {
+                expected: rel.dim(),
+                got: sel.halfplane.dim(),
+            });
+        }
+        let (method, plan) = Planner::choose(rel, page_size, &sel, exact, strategy.forced())?;
+        let seen = Seen {
+            elapsed: t0.elapsed(),
+            ..Seen::default()
+        };
+        Ok(IndexScanOp {
             rel,
             reader,
-            page_size,
             sel,
             exact,
-            strategy,
             fetch_regions,
-            plan: None,
+            method,
+            plan,
             stats: QueryStats::default(),
             ids: Vec::new(),
             at: 0,
-            seen: Seen::default(),
-        }
-    }
-
-    fn check(&self) -> Result<(), CdbError> {
-        self.rel.ensure_usable()?;
-        if self.rel.dim() != self.sel.halfplane.dim() {
-            return Err(CdbError::DimensionMismatch {
-                expected: self.rel.dim(),
-                got: self.sel.halfplane.dim(),
-            });
-        }
-        Ok(())
+            seen,
+        })
     }
 
     /// The chosen plan and accumulated stats, for the typed wrappers that
     /// re-package pipeline output as a [`crate::query::QueryResult`].
-    pub fn into_plan_stats(self) -> (Option<QueryPlan>, QueryStats) {
+    pub fn into_plan_stats(self) -> (QueryPlan, QueryStats) {
         (self.plan, self.stats)
     }
 }
@@ -294,21 +297,19 @@ impl<'a> IndexScanOp<'a> {
 impl Operator for IndexScanOp<'_> {
     fn open(&mut self) -> Result<(), CdbError> {
         let t0 = Instant::now();
-        self.check()?;
-        let forced = self.strategy.forced();
-        let methods = self.rel.access_methods(self.page_size);
-        let (method, plan) = Planner::choose(&methods, &self.sel, self.exact, forced)?;
         let source = self.rel.tuple_source();
-        let mut result = method.execute(self.reader, &self.sel, &plan.case, self.exact, &source)?;
+        let case = &self.plan.case;
+        let mut result = self
+            .method
+            .execute(self.reader, &self.sel, case, self.exact, &source)?;
         // Booked under the search that ran, not the label that won.
-        let ran = plan.case.runs();
+        let ran = case.runs();
         result.stats.method = Some(ran);
-        result.stats.estimate = Some(plan.estimate);
+        result.stats.estimate = Some(self.plan.estimate);
         self.rel
             .catalog()
             .record(ran, self.sel.kind, &result.stats, self.rel.len());
         (self.ids, self.stats) = result.into_parts();
-        self.plan = Some(plan);
         self.seen.elapsed += t0.elapsed();
         Ok(())
     }
@@ -337,19 +338,8 @@ impl Operator for IndexScanOp<'_> {
         self.ids = Vec::new();
     }
 
-    fn describe(&mut self) -> Result<(), CdbError> {
-        self.check()?;
-        let methods = self.rel.access_methods(self.page_size);
-        let (_, plan) = Planner::choose(&methods, &self.sel, self.exact, None)?;
-        self.plan = Some(plan);
-        Ok(())
-    }
-
     fn node(&self, analyze: bool) -> PlanNode {
-        let mut detail = match &self.plan {
-            Some(p) => plan_detail_lines(p),
-            None => vec!["(not planned)".into()],
-        };
+        let mut detail = plan_detail_lines(&self.plan);
         if analyze {
             detail.push(actual_line(&self.stats, self.seen.rows_out));
             detail.push(ms(self.seen.elapsed));
@@ -386,7 +376,6 @@ pub struct SeqScanOp<'a> {
 impl Operator for SeqScanOp<'_> {
     fn open(&mut self) -> Result<(), CdbError> {
         let t0 = Instant::now();
-        self.rel.ensure_usable()?;
         let tracked = TrackedReader::new(self.reader);
         let (ids, regions): (Vec<u32>, _) = self.rel.scan(&tracked)?.into_iter().unzip();
         self.stats.heap_io.reads += tracked.reads();
@@ -404,10 +393,6 @@ impl Operator for SeqScanOp<'_> {
 
     fn close(&mut self) {
         self.rows = None;
-    }
-
-    fn describe(&mut self) -> Result<(), CdbError> {
-        self.rel.ensure_usable()
     }
 
     fn node(&self, analyze: bool) -> PlanNode {
@@ -518,10 +503,6 @@ impl Operator for FilterOp<'_> {
         self.input.close();
     }
 
-    fn describe(&mut self) -> Result<(), CdbError> {
-        self.input.describe()
-    }
-
     fn node(&self, analyze: bool) -> PlanNode {
         let pred = self
             .constraints
@@ -618,11 +599,6 @@ impl Operator for NestedLoopJoinOp<'_> {
         self.inner = Batch::default();
     }
 
-    fn describe(&mut self) -> Result<(), CdbError> {
-        self.left.describe()?;
-        self.right.describe()
-    }
-
     fn node(&self, analyze: bool) -> PlanNode {
         let mut detail = vec!["conjunction of regions; satisfiable pairs survive".to_string()];
         if analyze {
@@ -674,10 +650,6 @@ impl Operator for ProjectOp<'_> {
 
     fn close(&mut self) {
         self.input.close();
-    }
-
-    fn describe(&mut self) -> Result<(), CdbError> {
-        self.input.describe()
     }
 
     fn node(&self, analyze: bool) -> PlanNode {
@@ -748,10 +720,6 @@ impl Operator for LimitOp<'_> {
         self.input.close();
     }
 
-    fn describe(&mut self) -> Result<(), CdbError> {
-        self.input.describe()
-    }
-
     fn node(&self, analyze: bool) -> PlanNode {
         let mut detail = Vec::new();
         if analyze {
@@ -800,13 +768,17 @@ pub fn build<'a>(
         LogicalPlan::Empty { reason, .. } => Box::new(EmptyOp {
             reason: reason.clone(),
         }),
-        LogicalPlan::Scan { relation, .. } => Box::new(SeqScanOp {
-            rel: rel(relation)?,
-            reader: ctx.reader,
-            rows: None,
-            stats: QueryStats::default(),
-            seen: Seen::default(),
-        }),
+        LogicalPlan::Scan { relation, .. } => {
+            let rel = rel(relation)?;
+            rel.ensure_usable()?;
+            Box::new(SeqScanOp {
+                rel,
+                reader: ctx.reader,
+                rows: None,
+                stats: QueryStats::default(),
+                seen: Seen::default(),
+            })
+        }
         LogicalPlan::IndexSelection {
             relation,
             selection,
@@ -819,7 +791,7 @@ pub fn build<'a>(
             Exact::Selection,
             Strategy::Auto,
             need_regions,
-        )),
+        )?),
         LogicalPlan::Filter {
             kind,
             constraints,
@@ -901,6 +873,7 @@ mod tests {
             Strategy::Auto,
             true,
         )
+        .unwrap()
     }
 
     /// Heap pages holding `ids`.

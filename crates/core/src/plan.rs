@@ -5,15 +5,14 @@
 //! R⁺-tree baseline of Section 5 — with analytic costs (Theorems 3.1/4.2)
 //! that predict which wins. This module makes that choice first-class:
 //!
-//! * [`AccessMethod`] — one uniform `&self` surface over a [`PageReader`]:
+//! * [`AccessMethod`] — one borrowed, `Copy` enum over a relation's query
+//!   paths: a sequential scan, one of the three [`DualIndex`] techniques,
+//!   the d-dimensional index, or the R⁺-tree baseline
+//!   ([`cdb_rplustree::RPlusTree`]), handed out by
+//!   [`Relation::method`] with no allocation.
 //!   [`route`](AccessMethod::route) decides once how a [`Selection`] is
 //!   served — a [`PlanCase`], or the [`Rejection`] saying why not — and the
 //!   cost estimator, the executor and EXPLAIN all read that one case.
-//!   Implemented by [`DualAccess`] for the three [`DualIndex`] techniques,
-//!   [`DualDAccess`] for `d > 2`, a first-class sequential scan over a
-//!   relation, and [`RPlusAccess`] over [`cdb_rplustree::RPlusTree`]; a
-//!   relation hands the planner its [`AccessMethods`] inline, no
-//!   allocation per query.
 //! * [`Planner`] — enumerates the feasible methods, scores each with the
 //!   paper-shaped I/O formulas evaluated at a candidate fraction seeded from
 //!   a small lock-free feedback table ([`PlanCatalog`]) of observed
@@ -74,7 +73,19 @@ pub const SIMPLEX_LEG_OVERSHOOT: f64 = 0.06;
 /// EWMA weight of the newest observation in the feedback catalog.
 const EWMA_ALPHA: f64 = 0.3;
 
-/// Identifies an access method independent of its borrowed adapter.
+/// How many candidates the search `method` runs produces per tuple of a
+/// base fraction: T1's two overlapping app-queries roughly double it, T2's
+/// handicap overshoot adds a strip. The cost formulas multiply by it and
+/// [`PlanCatalog::frac_for`] divides observations by it.
+fn overcover(method: MethodKind) -> f64 {
+    match method {
+        MethodKind::T1 => 2.0,
+        MethodKind::T2 | MethodKind::RPlus => 1.2,
+        _ => 1.0,
+    }
+}
+
+/// Identifies an access method independent of what it borrows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MethodKind {
     /// Section 3: exact single-tree search (query slope must be in `S`).
@@ -198,21 +209,21 @@ pub type Leg = (TreeAt, RelOp);
 
 /// The route a method takes for one selection — decided once by
 /// [`AccessMethod::route`], then read by the cost model, the executor and
-/// EXPLAIN alike. It carries what execution needs (tree indices, sides,
-/// operators, cells, vertices) next to what EXPLAIN prints, e.g. `member
-/// slope 1` or `between slopes -0.414 and 0.414: …`. Plain data on the
-/// executing path; text only when EXPLAIN renders it.
+/// EXPLAIN alike. It names the search that runs and carries what execution
+/// needs (tree indices, sides, operators, cells, vertices) next to what
+/// EXPLAIN prints, e.g. `member slope 1` or `between slopes -0.414 and
+/// 0.414: …`; which technique was asked for is [`QueryPlan::method`].
+/// Plain data on the executing path; text only when EXPLAIN renders it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PlanCase {
-    /// Restricted at a member slope.
+    /// A member slope: the restricted search, whichever dual technique
+    /// routed it.
     Member(TreeAt),
-    /// T1/T2 at a member slope: runs the restricted search.
-    MemberRestricted(TreeAt),
-    /// T1 between two slopes of `S`: both legs keep `θ`.
+    /// Table 1's two app-queries: between two slopes of `S` both legs keep
+    /// `θ` (T1); wrapped through the vertical they are the clockwise and
+    /// anticlockwise neighbours, one leg with `¬θ` (rows 2 and 3) — where
+    /// T2 runs them too, as the paper details T2 for `a₁ < a < a₂` only.
     AppQueries([Leg; 2]),
-    /// T1 wrapped through the vertical: the clockwise and anticlockwise
-    /// neighbours, one leg with `¬θ` (Table 1 rows 2 and 3).
-    WrappedAppQueries([Leg; 2]),
     /// T2 between slopes `lo` and `hi`, sweeping the trees at `near`
     /// guided by the handicaps of `side`.
     Between {
@@ -226,9 +237,6 @@ pub enum PlanCase {
         /// The side of `near` that strip lies on.
         side: Side,
     },
-    /// T2 at a wrapped slope: the paper details T2 for `a₁ < a < a₂` only,
-    /// so this runs T1's two app-queries exactly like Section 4.1.
-    WrappedFallback([Leg; 2]),
     /// d-dimensional member slope point `i` (owned: unbounded dimension).
     MemberPoint {
         /// Index of the point in `S`.
@@ -248,15 +256,11 @@ pub enum PlanCase {
 
 impl PlanCase {
     /// The search this case actually runs — what planner feedback is
-    /// booked under and [`QueryStats::method`] reports. At a member slope
-    /// every dual technique runs the restricted search, and T2's wrapped
-    /// fallback runs T1's.
+    /// booked under and [`QueryStats::method`] reports.
     pub fn runs(&self) -> MethodKind {
         match self {
-            PlanCase::Member(_) | PlanCase::MemberRestricted(_) => MethodKind::Restricted,
-            PlanCase::AppQueries(_)
-            | PlanCase::WrappedAppQueries(_)
-            | PlanCase::WrappedFallback(_) => MethodKind::T1,
+            PlanCase::Member(_) => MethodKind::Restricted,
+            PlanCase::AppQueries(_) => MethodKind::T1,
             PlanCase::Between { .. } => MethodKind::T2,
             PlanCase::MemberPoint { .. } | PlanCase::Cell(_) | PlanCase::SimplexCovering(_) => {
                 MethodKind::DualD
@@ -269,8 +273,7 @@ impl PlanCase {
     /// The member cases: the swept tree's keys decide the selection's own
     /// predicate, so all but the `f32` boundary band is accepted unfetched.
     pub fn exact_by_key(&self) -> bool {
-        use PlanCase::{Member, MemberPoint, MemberRestricted};
-        matches!(self, Member(_) | MemberRestricted(_) | MemberPoint { .. })
+        matches!(self, PlanCase::Member(_) | PlanCase::MemberPoint { .. })
     }
 
     /// How the case's candidates become the answer: `[exact]` when the
@@ -279,13 +282,10 @@ impl PlanCase {
     /// candidate superset that exact refinement filters down.
     pub fn refinement(&self) -> &'static str {
         match self {
-            PlanCase::Member(_) | PlanCase::MemberRestricted(_) | PlanCase::MemberPoint { .. } => {
+            PlanCase::Member(_) | PlanCase::MemberPoint { .. } => {
                 "exact by key; f32 boundary band verified [exact]"
             }
-            PlanCase::AppQueries(_)
-            | PlanCase::WrappedAppQueries(_)
-            | PlanCase::WrappedFallback(_)
-            | PlanCase::SimplexCovering(_) => {
+            PlanCase::AppQueries(_) | PlanCase::SimplexCovering(_) => {
                 "candidate superset; duplicates removed, then exact refinement [refined]"
             }
             PlanCase::Between { .. } | PlanCase::Cell(_) => {
@@ -303,21 +303,19 @@ impl fmt::Display for PlanCase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanCase::Member(t) => write!(f, "member slope {}", t.slope),
-            PlanCase::MemberRestricted(t) => write!(f, "member slope {} (restricted)", t.slope),
-            PlanCase::AppQueries([(a, _), (b, _)]) => {
-                write!(f, "two app-queries at slopes {} and {}", a.slope, b.slope)
-            }
-            PlanCase::WrappedAppQueries([(a, _), (b, _)]) => write!(
+            PlanCase::AppQueries([(a, th1), (b, th2)]) if th1 != th2 => write!(
                 f,
                 "wrapped: app-queries at slopes {} and {} (Table 1)",
                 a.slope, b.slope
             ),
+            PlanCase::AppQueries([(a, _), (b, _)]) => {
+                write!(f, "two app-queries at slopes {} and {}", a.slope, b.slope)
+            }
             PlanCase::Between { lo, hi, near, .. } => write!(
                 f,
                 "between slopes {lo} and {hi}: handicap-guided sweeps on the tree at {}",
                 near.slope
             ),
-            PlanCase::WrappedFallback(_) => f.write_str("wrapped slope: T1 fallback (Section 4.1)"),
             PlanCase::MemberPoint { slope, .. } => write!(f, "member slope point {slope:?}"),
             PlanCase::Cell(i) => write!(
                 f,
@@ -365,97 +363,171 @@ impl MethodContext {
     }
 }
 
-/// One query path the planner can choose: uniform `&self` routing, costing
-/// and execution over a shared [`PageReader`].
-pub trait AccessMethod: Sync {
+/// One query path the planner can choose, borrowed from a relation by
+/// [`Relation::method`]: routing, costing and execution over a shared
+/// [`PageReader`], one match each.
+#[derive(Clone, Copy)]
+pub enum AccessMethod<'a> {
+    /// A first-class sequential scan over a relation's heap: the no-index
+    /// baseline and the correctness oracle, planned like any other method.
+    SeqScan(&'a Relation),
+    /// One technique of the 2-D dual index — restricted (Section 3), T1
+    /// (Section 4.1) or T2 (Sections 4.2–4.3); at a member slope all three
+    /// run the restricted search.
+    Dual(&'a DualIndex, MethodKind),
+    /// The d-dimensional dual index (Section 4.4).
+    DualD(&'a DualIndexD),
+    /// The packed R⁺-tree baseline (Section 5): bounding boxes of the
+    /// bounded tuples, whose candidate superset is refined exactly.
+    RPlus(&'a RPlusIndex),
+}
+
+impl AccessMethod<'_> {
     /// Which method this is.
-    fn kind(&self) -> MethodKind;
+    pub fn kind(&self) -> MethodKind {
+        match *self {
+            AccessMethod::SeqScan(_) => MethodKind::SeqScan,
+            AccessMethod::Dual(_, technique) => technique,
+            AccessMethod::DualD(_) => MethodKind::DualD,
+            AccessMethod::RPlus(_) => MethodKind::RPlus,
+        }
+    }
 
     /// How this method serves `sel`, or why it cannot. Computed once per
     /// plan; [`estimate`](Self::estimate) and [`execute`](Self::execute)
     /// take the case back instead of re-deriving it.
-    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection>;
+    pub fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
+        match *self {
+            AccessMethod::SeqScan(relation) => {
+                Rejection::dimension(relation.dim(), sel)?;
+                Ok(PlanCase::FullScan(relation.len()))
+            }
+            AccessMethod::Dual(index, technique) => index.route(technique, sel),
+            AccessMethod::DualD(index) => index.route(sel),
+            AccessMethod::RPlus(index) => {
+                Rejection::dimension(2, sel)?;
+                Ok(PlanCase::MbrSearch(index.unbounded.len()))
+            }
+        }
+    }
 
     /// Cost estimate of `case` (this method's [`route`](Self::route) of
-    /// `sel`) assuming the index phase produces `frac · n` candidates
-    /// (before case-specific duplication factors).
-    fn estimate(&self, sel: &Selection, case: &PlanCase, frac: f64) -> CostEstimate;
+    /// `sel`) over a relation sized by `ctx`, assuming the index phase
+    /// produces `frac · n` candidates (before case-specific duplication
+    /// factors).
+    pub fn estimate(
+        &self,
+        ctx: &MethodContext,
+        sel: &Selection,
+        case: &PlanCase,
+        frac: f64,
+    ) -> CostEstimate {
+        let (n, leaves) = (ctx.n as f64, ctx.dual_leaf_pages());
+        match *self {
+            AccessMethod::SeqScan(_) => CostEstimate {
+                index_pages: 0.0,
+                heap_pages: ctx.heap_pages as f64,
+                candidates: n,
+            },
+            AccessMethod::Dual(index, _) => {
+                let h = index.forest.height() as f64;
+                let over = overcover(case.runs());
+                match case.runs() {
+                    MethodKind::Restricted => CostEstimate {
+                        index_pages: h + frac * leaves,
+                        // Only the f32 boundary band is fetched: a handful
+                        // of tuples.
+                        heap_pages: ctx.heap_fetch_pages(2.0_f64.min(frac * n)),
+                        candidates: frac * n,
+                    },
+                    // One descent; the two disjoint sweeps over-cover the
+                    // exact answer by the handicap overshoot (a strip, not
+                    // a doubling).
+                    MethodKind::T2 => CostEstimate {
+                        index_pages: h + over * frac * leaves,
+                        heap_pages: ctx.heap_fetch_pages(over * frac * n),
+                        candidates: over * frac * n,
+                    },
+                    // Two app-queries; the legs over-cover and overlap
+                    // (duplication), so candidates roughly double before
+                    // refinement.
+                    _ => CostEstimate {
+                        index_pages: over * (h + frac * leaves),
+                        heap_pages: ctx.heap_fetch_pages(over * frac * n),
+                        candidates: over * frac * n,
+                    },
+                }
+            }
+            AccessMethod::DualD(index) => {
+                let h = index.forest.height() as f64;
+                match case {
+                    // d-dimensional T2: one descent, two disjoint
+                    // handicap-guided sweeps over one tree. The whole-cell
+                    // handicaps admit an extra band of near-boundary tuples
+                    // sized by the cell's slope-space extent — additive in
+                    // n, per-cell (boundary cells are clipped smaller) —
+                    // not the fixed 2-D strip factor.
+                    PlanCase::Cell(i) => {
+                        let band: f64 = index
+                            .cell_extent(*i)
+                            .map(|ws| ws.iter().map(|w| w / 2.0).sum())
+                            .unwrap_or(0.0);
+                        let covered = (frac + T2_CELL_OVERSHOOT * band).min(1.0);
+                        CostEstimate {
+                            index_pages: h + covered * leaves,
+                            heap_pages: ctx.heap_fetch_pages(covered * n),
+                            candidates: covered * n,
+                        }
+                    }
+                    // Generalized T1: `d` descents and `d` sweeps against
+                    // `d` different trees. Each leg over-covers in
+                    // proportion to how far its vertex sits from the query
+                    // slope ([`SIMPLEX_LEG_OVERSHOOT`]), and the legs
+                    // overlap heavily — `candidates` is the pre-dedup total
+                    // the executor reports, but the heap only pays for the
+                    // deduped union of the legs.
+                    PlanCase::SimplexCovering(vertices) => {
+                        let d = vertices.len() as f64;
+                        let dist = |&v: &usize| {
+                            let to = index.points().as_slice()[v].iter();
+                            let to = to.zip(&sel.halfplane.slope);
+                            to.map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+                        };
+                        let mean_dist = vertices.iter().map(dist).sum::<f64>() / d;
+                        let leg = (frac + SIMPLEX_LEG_OVERSHOOT * mean_dist).min(1.0);
+                        CostEstimate {
+                            index_pages: d * (h + leg * leaves),
+                            heap_pages: ctx.heap_fetch_pages(n * (1.0 - (1.0 - leg).powf(d))),
+                            candidates: d * leg * n,
+                        }
+                    }
+                    // A member point: the restricted search, as in 2-D.
+                    _ => CostEstimate {
+                        index_pages: h + frac * leaves,
+                        heap_pages: ctx.heap_fetch_pages(2.0_f64.min(frac * n)),
+                        candidates: frac * n,
+                    },
+                }
+            }
+            AccessMethod::RPlus(index) => {
+                let tree = &index.tree;
+                let c = frac * n + index.unbounded.len() as f64;
+                CostEstimate {
+                    index_pages: tree.height() as f64 + frac * tree.page_count() as f64,
+                    heap_pages: ctx.heap_fetch_pages(c),
+                    candidates: c,
+                }
+            }
+        }
+    }
 
     /// Executes `sel` along `case`, charging I/O to `pager`, fetching
     /// refinement tuples through `fetch` and deciding them with `exact`.
-    fn execute(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        case: &PlanCase,
-        exact: Exact,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError>;
-}
-
-// -------------------------------------------------------- dual-index adapter
-
-/// One technique of the 2-D dual index — restricted (Section 3), T1
-/// (Section 4.1) or T2 (Sections 4.2–4.3) — as an [`AccessMethod`]. At a
-/// member slope all three run the restricted search.
-pub struct DualAccess<'a> {
-    index: &'a DualIndex,
-    ctx: MethodContext,
-    /// `Restricted`, `T1` or `T2`: [`DualAccess::techniques`] is the only
-    /// constructor.
-    technique: MethodKind,
-}
-
-impl<'a> DualAccess<'a> {
-    /// The three techniques over one forest, in the planner's tie-breaking
-    /// order.
-    pub(crate) fn techniques(index: &'a DualIndex, ctx: MethodContext) -> [DualAccess<'a>; 3] {
-        [MethodKind::Restricted, MethodKind::T2, MethodKind::T1].map(|technique| DualAccess {
-            index,
-            ctx,
-            technique,
-        })
-    }
-}
-
-impl AccessMethod for DualAccess<'_> {
-    fn kind(&self) -> MethodKind {
-        self.technique
-    }
-
-    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
-        self.index.route(self.technique, sel)
-    }
-
-    fn estimate(&self, _sel: &Selection, case: &PlanCase, frac: f64) -> CostEstimate {
-        let h = self.index.forest.height() as f64;
-        let (n, leaves) = (self.ctx.n as f64, self.ctx.dual_leaf_pages());
-        match case.runs() {
-            MethodKind::Restricted => CostEstimate {
-                index_pages: h + frac * leaves,
-                // Only the f32 boundary band is fetched: a handful of tuples.
-                heap_pages: self.ctx.heap_fetch_pages(2.0_f64.min(frac * n)),
-                candidates: frac * n,
-            },
-            // One descent; the two disjoint sweeps over-cover the exact
-            // answer by the handicap overshoot (a strip, not a doubling).
-            MethodKind::T2 => CostEstimate {
-                index_pages: h + 1.2 * frac * leaves,
-                heap_pages: self.ctx.heap_fetch_pages(1.2 * frac * n),
-                candidates: 1.2 * frac * n,
-            },
-            // Two app-queries; the legs over-cover and overlap
-            // (duplication), so candidates roughly double before
-            // refinement.
-            _ => CostEstimate {
-                index_pages: 2.0 * (h + frac * leaves),
-                heap_pages: self.ctx.heap_fetch_pages(2.0 * frac * n),
-                candidates: 2.0 * frac * n,
-            },
-        }
-    }
-
-    fn execute(
+    ///
+    /// # Errors
+    /// [`CdbError::UnsupportedQuery`] for a case this method did not
+    /// route; the I/O and decoding errors of the search.
+    pub fn execute(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
@@ -463,240 +535,48 @@ impl AccessMethod for DualAccess<'_> {
         exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        self.index.run(pager, sel, case, exact, fetch)
-    }
-}
-
-// --------------------------------------------------------- d > 2 dimensions
-
-/// The d-dimensional dual index (Section 4.4) as an [`AccessMethod`].
-pub struct DualDAccess<'a> {
-    /// The d-dimensional forest.
-    pub index: &'a DualIndexD,
-    /// Relation sizing for the cost formulas.
-    pub ctx: MethodContext,
-}
-
-impl AccessMethod for DualDAccess<'_> {
-    fn kind(&self) -> MethodKind {
-        MethodKind::DualD
-    }
-
-    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
-        self.index.route(sel)
-    }
-
-    fn estimate(&self, sel: &Selection, case: &PlanCase, frac: f64) -> CostEstimate {
-        let h = self.index.forest.height() as f64;
-        let leaf = self.ctx.dual_leaf_pages();
-        let n = self.ctx.n as f64;
-        let points = self.index.points();
-        match case {
-            // d-dimensional T2: one descent, two disjoint handicap-guided
-            // sweeps over one tree. The whole-cell handicaps admit an extra
-            // band of near-boundary tuples sized by the cell's slope-space
-            // extent — additive in n, per-cell (boundary cells are clipped
-            // smaller) — not the fixed 2-D strip factor.
-            PlanCase::Cell(i) => {
-                let band: f64 = self
-                    .index
-                    .cell_extent(*i)
-                    .map(|ws| ws.iter().map(|w| w / 2.0).sum())
-                    .unwrap_or(0.0);
-                let covered = (frac + T2_CELL_OVERSHOOT * band).min(1.0);
-                CostEstimate {
-                    index_pages: h + covered * leaf,
-                    heap_pages: self.ctx.heap_fetch_pages(covered * n),
-                    candidates: covered * n,
+        match *self {
+            AccessMethod::SeqScan(relation) => {
+                let tracked = TrackedReader::new(pager);
+                let pager: &dyn PageReader = &tracked;
+                let before = pager.stats();
+                let tuples = relation.scan(pager)?;
+                let mut ids = Vec::new();
+                for (id, t) in &tuples {
+                    if exact.keep(sel, t) {
+                        ids.push(*id);
+                    }
                 }
-            }
-            // Generalized T1: `d` descents and `d` sweeps against `d`
-            // different trees. Each leg over-covers in proportion to how
-            // far its vertex sits from the query slope
-            // ([`SIMPLEX_LEG_OVERSHOOT`]), and the legs overlap heavily —
-            // `candidates` is the pre-dedup total the executor reports, but
-            // the heap only pays for the deduped union of the legs.
-            PlanCase::SimplexCovering(vertices) => {
-                let d = vertices.len() as f64;
-                let dist = |&v: &usize| {
-                    let to = points.as_slice()[v].iter().zip(&sel.halfplane.slope);
-                    to.map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+                let mut stats = QueryStats {
+                    candidates: tuples.len() as u64,
+                    ..QueryStats::default()
                 };
-                let mean_dist = vertices.iter().map(dist).sum::<f64>() / d;
-                let leg = (frac + SIMPLEX_LEG_OVERSHOOT * mean_dist).min(1.0);
-                CostEstimate {
-                    index_pages: d * (h + leg * leaf),
-                    heap_pages: self.ctx.heap_fetch_pages(n * (1.0 - (1.0 - leg).powf(d))),
-                    candidates: d * leg * n,
-                }
+                stats.heap_io = pager.stats().since(&before);
+                Ok(QueryResult::new(ids, stats))
             }
-            // A member point: the restricted search, as in 2-D.
-            _ => CostEstimate {
-                index_pages: h + frac * leaf,
-                heap_pages: self.ctx.heap_fetch_pages(2.0_f64.min(frac * n)),
-                candidates: frac * n,
-            },
-        }
-    }
-
-    fn execute(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        case: &PlanCase,
-        exact: Exact,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        self.index.run(pager, sel, case, exact, fetch)
-    }
-}
-
-// ------------------------------------------------------------------ seqscan
-
-/// A first-class sequential scan over a relation's heap: the no-index
-/// baseline and the correctness oracle, now planned like any other method
-/// instead of being an `UnsupportedQuery` wart inside the index.
-pub struct SeqScanAccess<'a> {
-    /// The relation to scan.
-    pub relation: &'a Relation,
-    /// Relation sizing for the cost formulas.
-    pub ctx: MethodContext,
-}
-
-impl AccessMethod for SeqScanAccess<'_> {
-    fn kind(&self) -> MethodKind {
-        MethodKind::SeqScan
-    }
-
-    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
-        Rejection::dimension(self.relation.dim(), sel)?;
-        Ok(PlanCase::FullScan(self.ctx.n))
-    }
-
-    fn estimate(&self, _sel: &Selection, _case: &PlanCase, _frac: f64) -> CostEstimate {
-        CostEstimate {
-            index_pages: 0.0,
-            heap_pages: self.ctx.heap_pages as f64,
-            candidates: self.ctx.n as f64,
-        }
-    }
-
-    fn execute(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        _case: &PlanCase,
-        exact: Exact,
-        _fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        let tracked = TrackedReader::new(pager);
-        let pager: &dyn PageReader = &tracked;
-        let before = pager.stats();
-        let tuples = self.relation.scan(pager)?;
-        let mut ids = Vec::new();
-        for (id, t) in &tuples {
-            if exact.keep(sel, t) {
-                ids.push(*id);
+            AccessMethod::Dual(index, _) => index.run(pager, sel, case, exact, fetch),
+            AccessMethod::DualD(index) => index.run(pager, sel, case, exact, fetch),
+            AccessMethod::RPlus(index) => {
+                // Its own route is the proof that the query is 2-D.
+                let PlanCase::MbrSearch(_) = case else {
+                    return Err(foreign(case));
+                };
+                let tracked = TrackedReader::new(pager);
+                let pager: &dyn PageReader = &tracked;
+                let before = pager.stats();
+                let (candidates, search) = index.candidates(pager, &sel.halfplane)?;
+                let mut stats = QueryStats {
+                    candidates: search.raw_hits + index.unbounded.len() as u64,
+                    duplicates: search.duplicates,
+                    ..QueryStats::default()
+                };
+                stats.index_io = pager.stats().since(&before);
+                let heap_before = pager.stats();
+                let ids = refine(pager, sel, exact, candidates, fetch, &mut stats)?;
+                stats.heap_io = pager.stats().since(&heap_before);
+                Ok(QueryResult::new(ids, stats))
             }
         }
-        let mut stats = QueryStats {
-            candidates: tuples.len() as u64,
-            ..QueryStats::default()
-        };
-        stats.heap_io = pager.stats().since(&before);
-        Ok(QueryResult::new(ids, stats))
-    }
-}
-
-// -------------------------------------------------------------- R⁺ baseline
-
-/// The packed R⁺-tree baseline (Section 5) as an [`AccessMethod`], finally
-/// buildable and queryable through `ConstraintDb` like any other index.
-///
-/// The tree stores bounding boxes of the *bounded* tuples; a selection
-/// refines the candidate superset of `RPlusIndex::candidates` exactly.
-pub struct RPlusAccess<'a> {
-    /// The packed tree with its overflow list.
-    pub(crate) index: &'a RPlusIndex,
-    /// Relation sizing for the cost formulas.
-    pub(crate) ctx: MethodContext,
-}
-
-impl AccessMethod for RPlusAccess<'_> {
-    fn kind(&self) -> MethodKind {
-        MethodKind::RPlus
-    }
-
-    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
-        Rejection::dimension(2, sel)?;
-        Ok(PlanCase::MbrSearch(self.index.unbounded.len()))
-    }
-
-    fn estimate(&self, _sel: &Selection, _case: &PlanCase, frac: f64) -> CostEstimate {
-        let tree = &self.index.tree;
-        let h = tree.height() as f64;
-        let c = frac * self.ctx.n as f64 + self.index.unbounded.len() as f64;
-        CostEstimate {
-            index_pages: h + frac * tree.page_count() as f64,
-            heap_pages: self.ctx.heap_fetch_pages(c),
-            candidates: c,
-        }
-    }
-
-    fn execute(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        case: &PlanCase,
-        exact: Exact,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        // Its own route is the proof that the query is 2-D.
-        let PlanCase::MbrSearch(_) = case else {
-            return Err(foreign(case));
-        };
-        let tracked = TrackedReader::new(pager);
-        let pager: &dyn PageReader = &tracked;
-        let before = pager.stats();
-        let (candidates, search) = self.index.candidates(pager, &sel.halfplane)?;
-        let mut stats = QueryStats {
-            candidates: search.raw_hits + self.index.unbounded.len() as u64,
-            duplicates: search.duplicates,
-            ..QueryStats::default()
-        };
-        stats.index_io = pager.stats().since(&before);
-        let heap_before = pager.stats();
-        let ids = refine(pager, sel, exact, candidates, fetch, &mut stats)?;
-        stats.heap_io = pager.stats().since(&heap_before);
-        Ok(QueryResult::new(ids, stats))
-    }
-}
-
-// ------------------------------------------------------- the planner's input
-
-/// Every access method available on one relation, held inline: built per
-/// query without touching the heap allocator.
-pub struct AccessMethods<'a> {
-    /// Always present: an index-less relation is queryable.
-    pub(crate) seq_scan: SeqScanAccess<'a>,
-    /// The three techniques of the 2-D dual index, once it is built.
-    pub(crate) dual: Option<[DualAccess<'a>; 3]>,
-    /// The d-dimensional dual index, once it is built.
-    pub(crate) dual_d: Option<DualDAccess<'a>>,
-    /// The R⁺-tree baseline, once it is built.
-    pub(crate) rplus: Option<RPlusAccess<'a>>,
-}
-
-impl AccessMethods<'_> {
-    /// The methods in the planner's tie-breaking order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn AccessMethod> {
-        fn erased<'m>(m: &'m (impl AccessMethod + 'm)) -> &'m dyn AccessMethod {
-            m
-        }
-        std::iter::once(erased(&self.seq_scan))
-            .chain(self.dual.iter().flatten().map(erased))
-            .chain(self.dual_d.iter().map(erased))
-            .chain(self.rplus.iter().map(erased))
     }
 }
 
@@ -764,14 +644,7 @@ impl PlanCatalog {
     pub fn frac_for(&self, method: MethodKind, kind: SelectionKind) -> Option<f64> {
         // Converts observed raw candidates back to a base selectivity: the
         // formulas re-apply each search's duplication factor.
-        let base = |m: MethodKind| {
-            let divisor = match m {
-                MethodKind::T1 => 2.0,
-                MethodKind::T2 | MethodKind::RPlus => 1.2,
-                _ => 1.0,
-            };
-            self.observed(m, kind).map(|frac| frac / divisor)
-        };
+        let base = |m: MethodKind| self.observed(m, kind).map(|frac| frac / overcover(m));
         if let Some(own) = base(method) {
             return Some(own.clamp(0.0, 1.0));
         }
@@ -786,7 +659,7 @@ impl PlanCatalog {
 // ------------------------------------------------------------------ planner
 
 /// The chosen plan for one selection, with everything EXPLAIN needs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QueryPlan {
     /// The chosen method.
     pub method: MethodKind,
@@ -842,13 +715,24 @@ impl QueryPlan {
     }
 }
 
+/// Every method, in the planner's tie-breaking order.
+const TIE_BREAK: [MethodKind; 6] = [
+    MethodKind::SeqScan,
+    MethodKind::Restricted,
+    MethodKind::T2,
+    MethodKind::T1,
+    MethodKind::DualD,
+    MethodKind::RPlus,
+];
+
 /// Enumerates feasible [`AccessMethod`]s for a selection and picks the
 /// cheapest by estimated page accesses (or the `forced` one, validated).
 pub struct Planner;
 
 impl Planner {
-    /// Plans `sel` over `methods`. Returns the chosen method plus the
-    /// [`QueryPlan`].
+    /// Plans `sel` over the methods `relation` offers
+    /// ([`Relation::method`]), costed at `page_size`. Returns the chosen
+    /// method plus the [`QueryPlan`].
     ///
     /// Every method is [routed](AccessMethod::route) once; its case is
     /// costed at the candidate fraction observed for the search the case
@@ -859,27 +743,33 @@ impl Planner {
     ///
     /// # Errors
     /// [`CdbError::NoIndex`] when `forced` names a method whose index the
-    /// relation has not built (or has marked corrupt);
-    /// [`CdbError::UnsupportedQuery`] when the forced method cannot serve
-    /// the selection, or when no method can.
-    pub fn choose<'m>(
-        methods: &'m AccessMethods<'_>,
+    /// relation could serve the selection with but has not built (or has
+    /// marked corrupt); [`CdbError::UnsupportedQuery`] when the forced
+    /// method cannot serve the selection — a 2-D method on a relation of
+    /// another dimension among them — or when no method can.
+    pub fn choose<'r>(
+        relation: &'r Relation,
+        page_size: usize,
         sel: &Selection,
         exact: Exact,
         forced: Option<MethodKind>,
-    ) -> Result<(&'m dyn AccessMethod, QueryPlan), CdbError> {
-        let (relation, ctx) = (methods.seq_scan.relation, methods.seq_scan.ctx);
+    ) -> Result<(AccessMethod<'r>, QueryPlan), CdbError> {
+        let ctx = MethodContext {
+            n: relation.len(),
+            heap_pages: relation.heap_pages(),
+            page_size,
+        };
         let catalog = relation.catalog();
-        let mut routed: Vec<(&dyn AccessMethod, PlanCase, CostEstimate, f64)> = Vec::new();
+        let mut routed: Vec<(AccessMethod, PlanCase, CostEstimate, f64)> = Vec::new();
         let mut rejected: Vec<(MethodKind, Rejection)> = Vec::new();
-        for m in methods.iter() {
+        for m in TIE_BREAK.into_iter().filter_map(|k| relation.method(k)) {
             match m.route(sel) {
                 Err(why) => rejected.push((m.kind(), why)),
                 Ok(case) => {
                     let frac = catalog
                         .frac_for(case.runs(), sel.kind)
                         .unwrap_or(DEFAULT_SELECTIVITY);
-                    let mut est = m.estimate(sel, &case, frac);
+                    let mut est = m.estimate(&ctx, sel, &case, frac);
                     if exact != Exact::Selection && case.exact_by_key() {
                         est.heap_pages = ctx.heap_fetch_pages(est.candidates);
                     }
@@ -893,15 +783,20 @@ impl Planner {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let chosen = match forced {
-            Some(k) => routed
-                .iter()
-                .position(|c| c.0.kind() == k)
-                .ok_or_else(|| match rejected.iter().find(|(m, _)| *m == k) {
-                    Some((_, why)) => {
-                        CdbError::UnsupportedQuery(format!("forced method {k}: {why}"))
-                    }
+            Some(k) => routed.iter().position(|c| c.0.kind() == k).ok_or_else(|| {
+                // A method the relation does not offer: only the
+                // d-dimensional index serves a relation of any dimension.
+                let absent = || {
+                    Rejection::dimension(2, sel)
+                        .err()
+                        .filter(|_| k != MethodKind::DualD)
+                };
+                let rejection = rejected.iter().find(|(m, _)| *m == k);
+                match rejection.map(|(_, why)| why.clone()).or_else(absent) {
+                    Some(why) => CdbError::UnsupportedQuery(format!("forced method {k}: {why}")),
                     None => CdbError::NoIndex(relation.name().into()),
-                })?,
+                }
+            })?,
             None if routed.is_empty() => {
                 let reasons: Vec<String> = rejected
                     .iter()
@@ -974,6 +869,28 @@ mod tests {
             candidates: 100.0,
         };
         assert!((e.total() - 7.5).abs() < 1e-12);
+    }
+
+    /// One `AppQueries` case serves both rows of Table 1: legs that keep
+    /// `θ` are the between case, legs whose operators differ wrap through
+    /// the vertical — and EXPLAIN says which.
+    #[test]
+    fn app_queries_tell_wrapped_legs_from_between_legs() {
+        let at = |i, slope| TreeAt { i, slope };
+        let between = PlanCase::AppQueries([(at(1, -0.5), RelOp::Ge), (at(2, 0.5), RelOp::Ge)]);
+        let wrapped = PlanCase::AppQueries([(at(3, 2.0), RelOp::Le), (at(0, -2.0), RelOp::Ge)]);
+        assert_eq!(
+            between.to_string(),
+            "two app-queries at slopes -0.5 and 0.5"
+        );
+        assert_eq!(
+            wrapped.to_string(),
+            "wrapped: app-queries at slopes 2 and -2 (Table 1)"
+        );
+        for case in [between, wrapped] {
+            assert_eq!(case.runs(), MethodKind::T1);
+            assert!(case.refinement().contains("duplicates removed"), "{case}");
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub enum Strategy {
     /// correctness oracle).
     Scan,
     /// The packed R⁺-tree over tuple bounding boxes (Section 5's baseline
-    /// structure), served through the planner's `RPlusAccess` adapter.
+    /// structure), served as the planner's `AccessMethod::RPlus`.
     RPlus,
 }
 

@@ -20,7 +20,7 @@ use cdb_storage::{PageReader, Pager, SnapshotReader};
 use crate::db::DbConfig;
 use crate::error::CdbError;
 use crate::index::Exact;
-use crate::physical::{drain, ExecCtx, IndexScanOp, Operator};
+use crate::physical::{drain, ExecCtx, IndexScanOp};
 use crate::plan::{ExplainReport, QueryPlan};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
 use crate::relation::{Relation, RelationStats};
@@ -125,10 +125,9 @@ impl<P: PageSource> ReadSurface<P> {
             exact,
             strategy,
             false,
-        );
+        )?;
         let ids = drain(&mut op)?.ids;
         let (plan, stats) = op.into_plan_stats();
-        let plan = plan.expect("open() stamps the chosen plan");
         Ok((plan, QueryResult::new(ids, stats)))
     }
 
@@ -156,7 +155,7 @@ impl<P: PageSource> ReadSurface<P> {
     /// Plans a selection without executing it: which access method the
     /// planner would choose, its cost estimate, and why the others lost.
     pub fn plan_query(&self, name: &str, sel: &Selection) -> Result<QueryPlan, CdbError> {
-        let mut op = IndexScanOp::new(
+        let op = IndexScanOp::new(
             self.relation(name)?,
             self.reader(),
             self.config.page_size,
@@ -164,10 +163,8 @@ impl<P: PageSource> ReadSurface<P> {
             Exact::Selection,
             Strategy::Auto,
             false,
-        );
-        op.describe()?;
-        let (plan, _) = op.into_plan_stats();
-        Ok(plan.expect("describe() stamps the chosen plan"))
+        )?;
+        Ok(op.into_plan_stats().0)
     }
 
     /// EXPLAIN ANALYZE: plans, executes the chosen method, and returns the
@@ -191,7 +188,7 @@ impl<P: PageSource> ReadSurface<P> {
     /// Runs one constraint-SQL statement through the operator pipeline:
     /// `SELECT <vars|*> FROM <rel> [JOIN <rel> …] WHERE <constraints>
     /// [EXIST|ALL] [LIMIT n]` — parse → lower → rewrite → build the
-    /// operator tree → execute or describe.
+    /// operator tree (which plans every scan) → execute, or render it.
     pub fn sql(&self, text: &str, mode: SqlMode) -> Result<SqlOutcome, CdbError> {
         let query =
             crate::sql::parse(text).map_err(|e| CdbError::UnsupportedQuery(e.to_string()))?;
@@ -218,7 +215,6 @@ impl<P: PageSource> ReadSurface<P> {
         };
         let mut op = crate::physical::build(&plan, &ctx, keep_regions)?;
         if matches!(mode, SqlMode::Explain) {
-            op.describe()?;
             return Ok(SqlOutcome {
                 columns,
                 rows: Vec::new(),

@@ -14,7 +14,7 @@ use crate::error::CdbError;
 use crate::index::{
     DualIndex, HeapSource, Index, IndexKind, IndexSpec, SlopeGeometry, TupleSource,
 };
-use crate::plan::{AccessMethods, MethodContext, PlanCatalog, SeqScanAccess};
+use crate::plan::{AccessMethod, MethodKind, PlanCatalog};
 
 /// Verdict of the open-time verification pass for one relation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -322,30 +322,23 @@ impl Relation {
         HeapSource::new(&self.heap, &self.slots)
     }
 
-    /// Every access method currently available on this relation, as
-    /// planner inputs. The sequential scan is always present; index-backed
-    /// methods appear once their structure is built — and disappear while
-    /// the structure is marked corrupt, so a degraded relation plans
-    /// around the damage instead of reading bad pages.
-    pub fn access_methods(&self, page_size: usize) -> AccessMethods<'_> {
-        let ctx = MethodContext {
-            n: self.live,
-            heap_pages: self.heap_pages(),
-            page_size,
+    /// Access method `kind` on this relation, if it can run: the
+    /// sequential scan always; an index-backed method once its structure
+    /// is built — and not while the structure is marked corrupt, so a
+    /// degraded relation plans around the damage instead of reading bad
+    /// pages.
+    pub fn method(&self, kind: MethodKind) -> Option<AccessMethod<'_>> {
+        let index = match kind {
+            MethodKind::SeqScan => return Some(AccessMethod::SeqScan(self)),
+            MethodKind::Restricted | MethodKind::T1 | MethodKind::T2 => IndexKind::Dual,
+            MethodKind::DualD => IndexKind::DualD,
+            MethodKind::RPlus => IndexKind::RPlus,
         };
-        let mut methods = AccessMethods {
-            seq_scan: SeqScanAccess {
-                relation: self,
-                ctx,
-            },
-            dual: None,
-            dual_d: None,
-            rplus: None,
-        };
-        for index in IndexKind::ALL.into_iter().filter_map(|k| self.usable(k)) {
-            index.offer(ctx, &mut methods);
-        }
-        methods
+        Some(match self.usable(index)? {
+            Index::Dual(index) => AccessMethod::Dual(index, kind),
+            Index::DualD(index) => AccessMethod::DualD(index),
+            Index::RPlus(index) => AccessMethod::RPlus(index),
+        })
     }
 
     /// One verification pass: reads every page the relation owns through
@@ -586,15 +579,19 @@ mod tests {
     }
 
     /// Plans with `forced` over the relation's current access methods and
-    /// executes, as `IndexScanOp` does: `(chosen method, ids)`.
+    /// executes the chosen one as [`Relation::method`] hands it out:
+    /// `(chosen method, ids)`.
     fn run(
         db: &ConstraintDb,
         sel: &Selection,
         forced: Option<MethodKind>,
     ) -> Result<(MethodKind, Vec<u32>), CdbError> {
         let rel = db.relation("r")?;
-        let methods = rel.access_methods(db.config.page_size);
-        let (method, plan) = Planner::choose(&methods, sel, Exact::Selection, forced)?;
+        let page_size = db.config.page_size;
+        let (_, plan) = Planner::choose(rel, page_size, sel, Exact::Selection, forced)?;
+        let method = rel
+            .method(plan.method)
+            .expect("the planner chose an offered method");
         let source = rel.tuple_source();
         let result = method.execute(db.reader(), sel, &plan.case, Exact::Selection, &source)?;
         Ok((plan.method, result.ids().to_vec()))
@@ -679,6 +676,7 @@ mod tests {
             db.for_update("r").unwrap().1.set_corrupt(kind, true);
             let rel = db.relation("r").unwrap();
             assert!(rel.usable(kind).is_none() && rel.built(kind).is_some());
+            assert!(rel.method(method).is_none(), "{what}");
             for sel in selections(dim) {
                 assert!(run(&db, &sel, Some(method)).is_err(), "{what}");
                 assert_ne!(run(&db, &sel, None).unwrap().0, method, "{what}");

@@ -30,7 +30,7 @@
 //!   restricted, T1 and T2 query strategies, plus the d-dimensional
 //!   extension, and the cost-based planner ([`index::plan`]) that unifies
 //!   every query path (dual techniques, sequential scan, R⁺-tree baseline)
-//!   behind one `AccessMethod` trait with `EXPLAIN` output;
+//!   as the variants of one `AccessMethod` enum, with `EXPLAIN` output;
 //! * [`workload`] — seeded generators reproducing the paper's experimental
 //!   setup.
 //!

@@ -173,9 +173,13 @@ fn explain_covers_every_selection_shape_2d() {
         for slope in [member, between, wrapped] {
             for hp in [HalfPlane::above(slope, 2.0), HalfPlane::below(slope, 2.0)] {
                 for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
+                    // The plan-only entry point plans what EXPLAIN runs, in
+                    // full: both read the plan of the one built scan.
+                    let plan = db.plan_query("r", &sel).unwrap();
                     let report = db
                         .explain("r", sel.clone())
                         .unwrap_or_else(|e| panic!("explain {sel:?} (indexed={indexed}): {e}"));
+                    assert_eq!(plan, report.plan, "{sel:?} (indexed={indexed})");
                     assert!(
                         report.plan.estimate.total() > 0.0,
                         "non-trivial estimate for {sel:?}"
@@ -183,9 +187,6 @@ fn explain_covers_every_selection_shape_2d() {
                     let text = report.to_string();
                     assert!(text.contains("method="), "rendered plan: {text}");
                     assert!(text.contains("actual:"), "rendered actuals: {text}");
-                    // The plan-only entry point agrees on the method.
-                    let plan = db.plan_query("r", &sel).unwrap();
-                    assert_eq!(plan.method, report.plan.method);
                     if !indexed {
                         assert!(matches!(report.plan.case, PlanCase::FullScan(250)));
                         continue;
@@ -218,13 +219,17 @@ fn explain_covers_every_selection_shape_2d() {
                         let technique = forced.forced().unwrap_or(plan.method);
                         assert_eq!(plan.method, technique, "{what}");
                         let wrapped_legs = [(at(3), theta), (at(0), theta.negated())];
+                        // Every technique runs the restricted search at a
+                        // member slope, and T2 runs T1's app-queries at a
+                        // wrapped one: the case names the search, the
+                        // plan's method the technique asked for.
                         let want = match (technique, slopes.bracket(slope)) {
                             (MethodKind::Restricted, _) => PlanCase::Member(at(1)),
-                            (_, Bracket::Member(_)) => PlanCase::MemberRestricted(at(1)),
+                            (_, Bracket::Member(_)) => PlanCase::Member(at(1)),
                             (MethodKind::T1, Bracket::Between(..)) => {
                                 PlanCase::AppQueries([(at(1), theta), (at(2), theta)])
                             }
-                            (MethodKind::T1, _) => PlanCase::WrappedAppQueries(wrapped_legs),
+                            (MethodKind::T1, _) => PlanCase::AppQueries(wrapped_legs),
                             // `near` is the slope whose handicap strip
                             // [a₁, (a₁+a₂)/2] contains the query slope.
                             (MethodKind::T2, Bracket::Between(..)) => PlanCase::Between {
@@ -233,7 +238,10 @@ fn explain_covers_every_selection_shape_2d() {
                                 near: at(1),
                                 side: Side::Next,
                             },
-                            (MethodKind::T2, _) => PlanCase::WrappedFallback(wrapped_legs),
+                            (MethodKind::T2, _) => {
+                                assert_eq!(result.stats.method, Some(MethodKind::T1), "{what}");
+                                PlanCase::AppQueries(wrapped_legs)
+                            }
                             (other, _) => panic!("{what}: the planner chose {other}"),
                         };
                         assert_eq!(plan.case, want, "{what}");
@@ -323,9 +331,11 @@ fn explain_covers_d_dimensional_selections() {
             let hp = HalfPlane::new(slope.clone(), 10.0, op);
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
                 let what = format!("{label} {sel:?}");
+                let plan = db.plan_query("boxes", &sel).unwrap();
                 let report = db
                     .explain("boxes", sel.clone())
                     .unwrap_or_else(|e| panic!("explain {what}: {e}"));
+                assert_eq!(plan, report.plan, "{what}");
                 let scan = db.query_with("boxes", sel.clone(), Strategy::Scan).unwrap();
                 assert_eq!(report.result.ids(), scan.ids(), "{what} vs scan oracle");
                 let routed = index.route(&sel);
