@@ -112,6 +112,26 @@ RULES
 }
 step one-forest one_forest
 
+# The audit that keeps "filter, then refine — once" a gate, over the engine
+# crate: every access method, the sequential scan included, hands its
+# candidates to the one `index::refine`, which alone opens a query's
+# private I/O window and books its index and heap I/O (the operators in
+# `physical.rs` window their own region fetches); the slot table is the
+# heap's only map (no reverse map beside it), and the heap is read through
+# `visit_many`/`get_many` alone.
+one_refine() {
+  grep_audit one-refine crates/core/src <<'RULES'
+1|TrackedReader::new( calls|physical.rs|TrackedReader::new\(
+1|stats.index_io assignments|-|stats\.index_io =[^=]
+1|stats.heap_io assignments|-|stats\.heap_io =[^=]
+0|mentions of by_record|-|by_record
+RULES
+  grep_audit one-refine crates/storage/src/heap.rs <<'RULES'
+0|heap reads besides visit_many and get_many|-|pub fn (scan|get)\(
+RULES
+}
+step one-refine one_refine
+
 # The audit that keeps "planner feedback is a cache, not state" a gate,
 # over the engine crate: one lock-free table per relation (no `Mutex` in
 # the planner), no exploration probes and no persisted planner state (the

@@ -15,12 +15,13 @@
 //! **Deletion policy.** Entries are removed in place; leaves are never
 //! merged (the PostgreSQL-style relaxed deletion): an emptied leaf stays in
 //! the chain and is skipped by sweeps. Space therefore tracks the high-water
-//! mark; an index is compacted by rebuilding it from the heap
-//! (`cdb-core`'s `ConstraintDb::rebuild_indexes`). This keeps the
-//! duplicate-heavy delete path simple and does not affect any experiment
-//! (the paper's workloads are build-then-query); the paper's `O(log_B n)`
-//! amortized update bound still
-//! holds since no operation exceeds one root-to-leaf path plus splits.
+//! mark; an index is compacted by building it again from the heap with
+//! its own parameters (`cdb-core`'s `ConstraintDb::build_index` with the
+//! index's `Index::spec`). This keeps the duplicate-heavy delete path
+//! simple and does not affect any experiment (the paper's workloads are
+//! build-then-query); the paper's `O(log_B n)` amortized update bound
+//! still holds since no operation exceeds one root-to-leaf path plus
+//! splits.
 
 use std::io;
 use std::ops::Range;

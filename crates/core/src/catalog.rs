@@ -149,8 +149,8 @@ fn put_relation(rel: &Relation, w: &mut RecordWriter) {
     }
 }
 
-/// Mirror of [`put_relation`]. `by_record` and `live` are derived from the
-/// slot table, so a reopened database never rescans its heap.
+/// Mirror of [`put_relation`]. `live` is derived from the slot table, so a
+/// reopened database never rescans its heap.
 fn get_relation(r: &mut RecordReader<'_>, page_size: usize) -> Result<Relation, CodecError> {
     let name = String::get(r)?;
     let dim = usize::get(r)?;
@@ -162,12 +162,15 @@ fn get_relation(r: &mut RecordReader<'_>, page_size: usize) -> Result<Relation, 
     let mut rel =
         Relation::new(&name, dim, heap).map_err(|_| CodecError::Invalid("relation dimension"))?;
     rel.slots = Vec::<Option<RecordId>>::get(r)?;
-    for (id, rid) in rel.slots.iter().enumerate() {
-        if rid.is_some_and(|rid| rel.by_record.insert(rid, id as u32).is_some()) {
-            return Err(CodecError::Invalid("two tuples sharing a record"));
-        }
+    let mut records: Vec<RecordId> = rel.slots.iter().flatten().copied().collect();
+    if records.iter().any(|rid| !rel.heap.owns(rid.page)) {
+        return Err(CodecError::Invalid("a tuple outside its relation's heap"));
     }
-    rel.live = rel.by_record.len() as u64;
+    records.sort_unstable();
+    if records.windows(2).any(|w| w[0] == w[1]) {
+        return Err(CodecError::Invalid("two tuples sharing a record"));
+    }
+    rel.live = records.len() as u64;
     for kind in IndexKind::ALL {
         let slot = get_option(r, |r| {
             Ok((bool::get(r)?, get_index(r, kind, dim, page_size)?))
@@ -364,6 +367,47 @@ mod tests {
         (0u32, 0u32).put(&mut w); // no heap pages, no slots
         (true, false, u32::MAX).put(&mut w);
         assert!(is_corrupt(decode(&w.into_bytes(), 1024)));
+    }
+
+    /// The slot table is the heap's only map, and every read of a tuple
+    /// goes through it: a slot naming a page outside its relation's heap
+    /// (here a page of the relation's own dual index) would panic the
+    /// first read of that tuple, and two slots sharing a record would make
+    /// one record two tuples. Both are damage.
+    #[test]
+    fn slots_outside_the_heap_or_sharing_a_record_are_corrupt() {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.create_relation("r", 2).unwrap();
+        for i in 0..20 {
+            let x = i as f64;
+            let strip = GeneralizedTuple::new(vec![
+                LinearConstraint::new(vec![1.0, 0.0], -x, RelOp::Ge),
+                LinearConstraint::new(vec![1.0, 0.0], -(x + 1.0), RelOp::Le),
+                LinearConstraint::new(vec![0.0, 1.0], 0.0, RelOp::Ge),
+            ]);
+            db.insert("r", strip).unwrap();
+        }
+        db.build_dual_index("r", SlopeSet::uniform_tan(3)).unwrap();
+        assert_eq!(
+            decode(&encode(0, &db.relations), 1024).unwrap().relations["r"].live,
+            20
+        );
+        let rel = db.for_update("r").unwrap().1;
+        let index_page = rel.index().unwrap().forest.tree(0, true).root();
+        let (kept, shared) = (rel.slots[3], rel.slots[4]);
+        rel.slots[3] = Some(RecordId {
+            page: index_page,
+            slot: 0,
+        });
+        assert!(is_corrupt(decode(&encode(0, &db.relations), 1024)));
+        let rel = db.for_update("r").unwrap().1;
+        rel.slots[3] = shared;
+        assert!(is_corrupt(decode(&encode(0, &db.relations), 1024)));
+        db.for_update("r").unwrap().1.slots[3] = kept;
+        assert_eq!(
+            decode(&encode(0, &db.relations), 1024).unwrap().relations["r"].live,
+            20
+        );
     }
 
     #[test]

@@ -86,9 +86,9 @@ impl TupleSource for HeapSource<'_> {
 mod tests {
     use super::*;
     use crate::ddim::{DualIndexD, SlopePoints};
-    use crate::index::{refine, DualIndex, Exact};
+    use crate::index::{refine, Candidates, DualIndex, Exact};
     use crate::plan::PlanCase;
-    use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
+    use crate::query::{QueryResult, Selection, SelectionKind, Strategy};
     use crate::slopes::SlopeSet;
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
     use cdb_geometry::halfplane::HalfPlane;
@@ -319,10 +319,8 @@ mod tests {
         let sel = Selection::exist(HalfPlane::above(0.3, -100.0));
         let run = |bed: &Bed, ids: &[u32]| {
             bed.both(&format!("refine {ids:?}"), |src| {
-                let mut stats = QueryStats::default();
-                let ids = ids.to_vec();
-                refine(&bed.pager, &sel, Exact::Selection, ids, src, &mut stats)
-                    .map(|ids| QueryResult::new(ids, stats))
+                let search = |_: &dyn PageReader| Ok(Candidates::check(ids.to_vec()));
+                refine(&bed.pager, &sel, Exact::Selection, src, search)
             })
         };
         assert_eq!(run(&bed, &[3, 4, 5]).unwrap().ids(), &[3, 4, 5]);

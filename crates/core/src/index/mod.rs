@@ -441,8 +441,8 @@ impl<G: SlopeGeometry> DualIndex<G> {
 
     /// Sweeps for `sel` along `case` — a route of this index (or, for
     /// ablations, a `SimplexCovering` over any vertices whose simplex
-    /// contains the query slope) — and refines with `exact`, under a
-    /// private [`TrackedReader`] so the I/O windows are this query's own.
+    /// contains the query slope) — and refines with `exact` in the one
+    /// filter-then-refine step, `index::refine`.
     ///
     /// # Errors
     /// [`CdbError::UnsupportedQuery`] for a case of another geometry's
@@ -456,41 +456,40 @@ impl<G: SlopeGeometry> DualIndex<G> {
         exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        let tracked = TrackedReader::new(pager);
-        let pager: &dyn PageReader = &tracked;
-        let forest = &self.forest;
         if !G::routes(case) {
             return Err(foreign(case));
         }
-        // A guided search trusts the handicaps of one region; where the
-        // geometry has none they are neutral and it would miss tuples.
-        let guided = |i: usize, side: Side| {
-            let mut regions = self.regions.get(i).into_iter().flatten();
-            if !regions.any(|(s, _)| *s == side) {
-                return Err(foreign(case));
+        let forest = &self.forest;
+        refine(pager, sel, exact, fetch, |pager| {
+            // A guided search trusts the handicaps of one region; where the
+            // geometry has none they are neutral and it would miss tuples.
+            let guided = |i: usize, side: Side| {
+                let mut regions = self.regions.get(i).into_iter().flatten();
+                if !regions.any(|(s, _)| *s == side) {
+                    return Err(foreign(case));
+                }
+                forest.guided(pager, sel, i, side)
+            };
+            match case {
+                // Exact restricted query; boundary band verified exactly.
+                PlanCase::Member(TreeAt { i, .. }) | PlanCase::MemberPoint { i, .. } => {
+                    forest.restricted(pager, sel, *i)
+                }
+                // Table 1's two app-queries, each with its own operator.
+                PlanCase::AppQueries(legs) => {
+                    forest.covering(pager, sel, legs.map(|(tree, th)| (tree.i, th)))
+                }
+                // d app-queries, all with the query's operator.
+                PlanCase::SimplexCovering(vertices) => {
+                    let legs = vertices.iter().map(|&pi| (pi, sel.halfplane.op));
+                    forest.covering(pager, sel, legs)
+                }
+                PlanCase::Between { near, side, .. } => guided(near.i, *side),
+                // The whole-cell handicaps live in the `Prev` leaf slots.
+                PlanCase::Cell(i) => guided(*i, Side::Prev),
+                PlanCase::FullScan(_) | PlanCase::MbrSearch(_) => Err(foreign(case)),
             }
-            forest.guided(pager, sel, i, side, exact, fetch)
-        };
-        match case {
-            // Exact restricted query; boundary band verified exactly.
-            PlanCase::Member(TreeAt { i, .. }) | PlanCase::MemberPoint { i, .. } => {
-                forest.restricted(pager, sel, *i, exact, fetch)
-            }
-            // Table 1's two app-queries, each with its own operator.
-            PlanCase::AppQueries(legs) => {
-                let legs = legs.map(|(tree, th)| (tree.i, th));
-                forest.covering(pager, sel, legs, exact, fetch)
-            }
-            // d app-queries, all with the query's operator.
-            PlanCase::SimplexCovering(vertices) => {
-                let legs = vertices.iter().map(|&pi| (pi, sel.halfplane.op));
-                forest.covering(pager, sel, legs, exact, fetch)
-            }
-            PlanCase::Between { near, side, .. } => guided(near.i, *side),
-            // The whole-cell handicaps live in the `Prev` leaf slots.
-            PlanCase::Cell(i) => guided(*i, Side::Prev),
-            PlanCase::FullScan(_) | PlanCase::MbrSearch(_) => Err(foreign(case)),
-        }
+        })
     }
 }
 
@@ -662,28 +661,74 @@ impl Exact {
     }
 }
 
-/// Exact refinement — the one loop behind every technique: shows the
-/// candidates' stored forms to [`Exact::keep`] (batched by the source, so
-/// the cost is one page access per distinct heap page; the engine's heap
-/// source runs it on the record bytes in the page) and returns those it
-/// accepts, in candidate order.
+/// What a search hands to [`refine`]: the distinct ids it produced,
+/// split into those its keys decide and those still to check, and how
+/// many repeats it dropped on the way.
+#[derive(Default)]
+pub(crate) struct Candidates {
+    /// Ids whose keys decide [`Exact::Selection`] (Section 3's exact
+    /// restricted search): accepted without a fetch.
+    pub sure: Vec<u32>,
+    /// Ids to show to [`Exact::keep`].
+    pub check: Vec<u32>,
+    /// Entries the search produced for an id it had already produced
+    /// (T1's duplication problem, the R⁺-tree's clipping).
+    pub duplicates: u64,
+}
+
+impl Candidates {
+    /// Distinct ids, none decided by key.
+    pub(crate) fn check(ids: Vec<u32>) -> Self {
+        Candidates {
+            check: ids,
+            ..Candidates::default()
+        }
+    }
+}
+
+/// Filter, then refine — the one step behind every access method, the
+/// sequential scan included. Runs `search` (the filter) under a private
+/// [`TrackedReader`], so the I/O windows are this query's own even when
+/// many queries share `pager`; then shows the candidates still to check
+/// to [`Exact::keep`] through `fetch` (batched by the source, so the cost
+/// is one page access per distinct heap page; the engine's heap source
+/// runs it on the record bytes in the page). Keys decide only
+/// [`Exact::Selection`]: for any other predicate every candidate is
+/// checked. The answer is the ids accepted by key plus those kept.
 pub(crate) fn refine(
     pager: &dyn PageReader,
     sel: &Selection,
     exact: Exact,
-    candidates: Vec<u32>,
     fetch: &dyn TupleSource,
-    stats: &mut QueryStats,
-) -> Result<Vec<u32>, CdbError> {
-    let mut kept = vec![false; candidates.len()];
-    fetch.visit_batch(pager, &candidates, &mut |at, t| {
-        kept[at] = exact.keep(sel, t)
-    })?;
-    let mut out = candidates;
+    search: impl FnOnce(&dyn PageReader) -> Result<Candidates, CdbError>,
+) -> Result<QueryResult, CdbError> {
+    let tracked = TrackedReader::new(pager);
+    let pager: &dyn PageReader = &tracked;
+    let before = pager.stats();
+    let Candidates {
+        mut sure,
+        mut check,
+        duplicates,
+    } = search(pager)?;
+    if exact != Exact::Selection {
+        check.append(&mut sure);
+    }
+    let mut stats = QueryStats {
+        candidates: (sure.len() + check.len()) as u64 + duplicates,
+        duplicates,
+        accepted_by_key: sure.len() as u64,
+        ..QueryStats::default()
+    };
+    stats.index_io = pager.stats().since(&before);
+    let heap_before = pager.stats();
+    let mut kept = vec![false; check.len()];
+    fetch.visit_batch(pager, &check, &mut |at, t| kept[at] = exact.keep(sel, t))?;
+    stats.heap_io = pager.stats().since(&heap_before);
     let mut verdicts = kept.iter();
-    out.retain(|_| *verdicts.next().expect("one verdict per candidate"));
-    stats.false_hits += (kept.len() - out.len()) as u64;
-    Ok(out)
+    check.retain(|_| *verdicts.next().expect("one verdict per candidate"));
+    stats.false_hits = (kept.len() - check.len()) as u64;
+    sure.append(&mut check);
+    Ok(QueryResult::new(sure, stats))
 }
 
 #[cfg(test)]

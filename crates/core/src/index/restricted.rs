@@ -7,47 +7,32 @@ use cdb_btree::{key_slack, BTree, Direction, SweepControl};
 use cdb_storage::PageReader;
 
 use super::forest::Forest;
-use super::{refine, Exact, TupleSource};
+use super::Candidates;
 use crate::error::CdbError;
-use crate::query::{tree_and_direction, QueryResult, QueryStats, Selection};
+use crate::query::{tree_and_direction, Selection};
 
 impl Forest {
     /// Section 3: one tree search plus a leaf sweep in the trees of
     /// element `slope_idx`, whose slope is the query's. With the paper's
     /// 4-byte stored keys the entries within one `f32` quantum of the
-    /// threshold cannot be decided from the page alone; only those few are
-    /// verified exactly (tuple fetch), every other entry is accepted by key
-    /// — unless `exact` is a predicate the keys do not decide, in which
-    /// case the whole sweep is refined.
+    /// threshold cannot be decided from the page alone: those few are the
+    /// candidates to check, every other entry is decided by its key. The
+    /// boundary-band predicate at the tree's own slope equals the exact
+    /// selection predicate, so refinement decides the band exactly.
     pub(crate) fn restricted(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
         slope_idx: usize,
-        exact: Exact,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        let before = pager.stats();
-        let b = sel.halfplane.intercept;
+    ) -> Result<Candidates, CdbError> {
         let (use_up, dir) = tree_and_direction(sel.kind, sel.halfplane.op);
         let tree = self.routed(slope_idx, use_up)?;
-        let (mut sure, mut check) = sweep_candidates(tree, pager, b, dir)?;
-        if exact != Exact::Selection {
-            check.append(&mut sure);
-        }
-        let mut stats = QueryStats {
-            candidates: (sure.len() + check.len()) as u64,
-            accepted_by_key: sure.len() as u64,
-            ..QueryStats::default()
-        };
-        stats.index_io = pager.stats().since(&before);
-        let heap_before = pager.stats();
-        // The boundary-band predicate at the tree's own slope equals the
-        // exact selection predicate, so refine() decides it exactly.
-        let kept = refine(pager, sel, exact, check, fetch, &mut stats)?;
-        stats.heap_io = pager.stats().since(&heap_before);
-        sure.extend(kept);
-        Ok(QueryResult::new(sure, stats))
+        let (sure, check) = sweep_candidates(tree, pager, sel.halfplane.intercept, dir)?;
+        Ok(Candidates {
+            sure,
+            check,
+            duplicates: 0,
+        })
     }
 }
 

@@ -5,10 +5,10 @@ use std::io;
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_geometry::Rect;
-use cdb_rplustree::{RPlusTree, SearchStats};
+use cdb_rplustree::RPlusTree;
 use cdb_storage::{PageReader, Pager};
 
-use crate::query::order_ids;
+use super::Candidates;
 
 /// A packed R⁺-tree over the MBRs of *bounded* tuples, plus an overflow
 /// list of unbounded tuple ids (no finite MBR exists for those — they are
@@ -55,17 +55,20 @@ impl RPlusIndex {
         })
     }
 
-    /// The candidate superset of a half-plane selection, ascending: the
-    /// EXIST search over MBRs (valid for ALL too, since `ALL(q) ⊆ EXIST(q)`
-    /// over satisfiable tuples) plus the overflow list.
+    /// The candidate superset of a half-plane selection: the EXIST search
+    /// over MBRs (valid for ALL too, since `ALL(q) ⊆ EXIST(q)` over
+    /// satisfiable tuples) plus the overflow list. The tree's hits are
+    /// distinct and the overflow ids are not in the tree.
     pub(crate) fn candidates(
         &self,
         pager: &dyn PageReader,
         q: &HalfPlane,
-    ) -> io::Result<(Vec<u32>, SearchStats)> {
-        let (mut candidates, search) = self.tree.search_halfplane(pager, q)?;
-        candidates.extend_from_slice(&self.unbounded);
-        order_ids(&mut candidates);
-        Ok((candidates, search))
+    ) -> io::Result<Candidates> {
+        let (mut check, search) = self.tree.search_halfplane(pager, q)?;
+        check.extend_from_slice(&self.unbounded);
+        Ok(Candidates {
+            duplicates: search.duplicates,
+            ..Candidates::check(check)
+        })
     }
 }

@@ -1,20 +1,18 @@
 //! Section 4.1: technique T1 — approximate an arbitrary-slope query with
-//! two app-queries at neighbouring slopes of `S` (Table 1), then refine.
+//! two app-queries at neighbouring slopes of `S` (Table 1).
 
 use cdb_geometry::constraint::RelOp;
 use cdb_storage::PageReader;
 
 use super::forest::Forest;
-use super::{refine, sweep_candidates, Exact, TupleSource};
+use super::{sweep_candidates, Candidates};
 use crate::error::CdbError;
-use crate::query::{
-    order_ids, tree_and_direction, QueryResult, QueryStats, Selection, SelectionKind,
-};
+use crate::query::{order_ids, tree_and_direction, Selection, SelectionKind};
 
 impl Forest {
-    /// Answers `sel` by app-queries — `(element, operator)` legs, each an
-    /// exact sweep at its own slope — whose union covers the original, then
-    /// refines exactly. Every leg keeps the query's intercept `b`: the
+    /// The candidates of `sel` by app-queries — `(element, operator)`
+    /// legs, each an exact sweep at its own slope — whose union covers
+    /// the original. Every leg keeps the query's intercept `b`: the
     /// app-query lines then meet the query's at `P = (0, …, 0, b)`, and
     /// any point of it makes them covering (Table 1; Section 4.4 for `d`
     /// legs). An ALL original keeps ALL on its first leg only; the others
@@ -26,10 +24,7 @@ impl Forest {
         pager: &dyn PageReader,
         sel: &Selection,
         legs: impl IntoIterator<Item = (usize, RelOp)>,
-        exact: Exact,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        let before = pager.stats();
+    ) -> Result<Candidates, CdbError> {
         let mut raw: Vec<u32> = Vec::new();
         let b = sel.halfplane.intercept;
         for (li, (si, th)) in legs.into_iter().enumerate() {
@@ -43,15 +38,10 @@ impl Forest {
             raw.extend(sure);
             raw.extend(check);
         }
-        let mut stats = QueryStats {
-            candidates: raw.len() as u64,
-            ..QueryStats::default()
-        };
-        stats.index_io = pager.stats().since(&before);
-        stats.duplicates = order_ids(&mut raw) as u64;
-        let heap_before = pager.stats();
-        let ids = refine(pager, sel, exact, raw, fetch, &mut stats)?;
-        stats.heap_io = pager.stats().since(&heap_before);
-        Ok(QueryResult::new(ids, stats))
+        let duplicates = order_ids(&mut raw) as u64;
+        Ok(Candidates {
+            duplicates,
+            ..Candidates::check(raw)
+        })
     }
 }

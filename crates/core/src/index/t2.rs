@@ -7,31 +7,23 @@ use cdb_btree::{key_slack, BTree, Direction, SweepControl};
 use cdb_storage::PageReader;
 
 use super::forest::Forest;
-use super::{refine, Exact, TupleSource};
+use super::Candidates;
 use crate::error::CdbError;
-use crate::query::{tree_and_direction, QueryResult, QueryStats, Selection, Side};
+use crate::query::{tree_and_direction, Selection, Side};
 
 impl Forest {
     /// The handicap-guided search in the trees of element `near`, whose
-    /// handicaps on `side` cover the query slope, then exact refinement.
+    /// handicaps on `side` cover the query slope.
     pub(crate) fn guided(
         &self,
         pager: &dyn PageReader,
         sel: &Selection,
         near: usize,
         side: Side,
-        exact: Exact,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        let before = pager.stats();
+    ) -> Result<Candidates, CdbError> {
         let (use_up, dir) = tree_and_direction(sel.kind, sel.halfplane.op);
         let tree = self.routed(near, use_up)?;
         let raw = handicap_guided_candidates(tree, pager, sel.halfplane.intercept, dir, side)?;
-        let mut stats = QueryStats {
-            candidates: raw.len() as u64,
-            ..QueryStats::default()
-        };
-        stats.index_io = pager.stats().since(&before);
         // The two sweeps visit disjoint leaf sets and every tuple occurs
         // once per tree: no duplicates by construction.
         debug_assert!(
@@ -42,10 +34,7 @@ impl Forest {
             },
             "T2 must not produce duplicates"
         );
-        let heap_before = pager.stats();
-        let ids = refine(pager, sel, exact, raw, fetch, &mut stats)?;
-        stats.heap_io = pager.stats().since(&heap_before);
-        Ok(QueryResult::new(ids, stats))
+        Ok(Candidates::check(raw))
     }
 }
 

@@ -39,11 +39,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cdb_btree::layout::leaf_capacity;
 use cdb_geometry::constraint::RelOp;
-use cdb_storage::{PageReader, TrackedReader};
+use cdb_storage::PageReader;
 
 use crate::error::CdbError;
 use crate::index::ddim::DualIndexD;
-use crate::index::{foreign, refine, DualIndex, Exact, RPlusIndex, TupleSource};
+use crate::index::{foreign, refine, Candidates, DualIndex, Exact, RPlusIndex, TupleSource};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side};
 use crate::relation::Relation;
 
@@ -536,24 +536,10 @@ impl AccessMethod<'_> {
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
         match *self {
-            AccessMethod::SeqScan(relation) => {
-                let tracked = TrackedReader::new(pager);
-                let pager: &dyn PageReader = &tracked;
-                let before = pager.stats();
-                let tuples = relation.scan(pager)?;
-                let mut ids = Vec::new();
-                for (id, t) in &tuples {
-                    if exact.keep(sel, t) {
-                        ids.push(*id);
-                    }
-                }
-                let mut stats = QueryStats {
-                    candidates: tuples.len() as u64,
-                    ..QueryStats::default()
-                };
-                stats.heap_io = pager.stats().since(&before);
-                Ok(QueryResult::new(ids, stats))
-            }
+            // The live ids are the scan's candidates: none decided by key.
+            AccessMethod::SeqScan(relation) => refine(pager, sel, exact, fetch, |_| {
+                Ok(Candidates::check(relation.live_ids()))
+            }),
             AccessMethod::Dual(index, _) => index.run(pager, sel, case, exact, fetch),
             AccessMethod::DualD(index) => index.run(pager, sel, case, exact, fetch),
             AccessMethod::RPlus(index) => {
@@ -561,20 +547,9 @@ impl AccessMethod<'_> {
                 let PlanCase::MbrSearch(_) = case else {
                     return Err(foreign(case));
                 };
-                let tracked = TrackedReader::new(pager);
-                let pager: &dyn PageReader = &tracked;
-                let before = pager.stats();
-                let (candidates, search) = index.candidates(pager, &sel.halfplane)?;
-                let mut stats = QueryStats {
-                    candidates: search.raw_hits + index.unbounded.len() as u64,
-                    duplicates: search.duplicates,
-                    ..QueryStats::default()
-                };
-                stats.index_io = pager.stats().since(&before);
-                let heap_before = pager.stats();
-                let ids = refine(pager, sel, exact, candidates, fetch, &mut stats)?;
-                stats.heap_io = pager.stats().since(&heap_before);
-                Ok(QueryResult::new(ids, stats))
+                refine(pager, sel, exact, fetch, |pager| {
+                    Ok(index.candidates(pager, &sel.halfplane)?)
+                })
             }
         }
     }

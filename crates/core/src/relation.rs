@@ -3,7 +3,6 @@
 //! order pages are allocated and the catalog is laid out in. Everything
 //! per-kind is behind [`Index`], so the methods here loop over slots.
 
-use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 
@@ -133,10 +132,9 @@ pub struct Relation {
     pub(crate) name: String,
     pub(crate) dim: usize,
     pub(crate) heap: HeapFile,
-    /// Tuple id -> heap record. Persisted by the catalog; `by_record` and
-    /// `live` are derived from it on open.
+    /// Tuple id -> heap record (`None` = deleted): the heap's only map.
+    /// Persisted by the catalog; `live` is derived from it on open.
     pub(crate) slots: Vec<Option<RecordId>>,
-    pub(crate) by_record: HashMap<RecordId, u32>, // heap record -> tuple id
     pub(crate) live: u64,
     /// Built indexes; slot `kind as usize` holds the index of that kind.
     pub(crate) indexes: [Option<Index>; 3],
@@ -166,7 +164,6 @@ impl Relation {
             dim,
             heap,
             slots: Vec::new(),
-            by_record: HashMap::new(),
             live: 0,
             indexes: [None, None, None],
             catalog: Arc::default(),
@@ -296,24 +293,25 @@ impl Relation {
         Ok(found.pop().expect("one tuple per id asked for"))
     }
 
-    /// Iterates `(id, tuple)` for all live tuples (one scan of the heap;
-    /// record ids resolve through the reverse map maintained on
-    /// insert/delete, so no per-scan rebuild).
+    /// The ids of every live tuple, ascending: the sequential scan's
+    /// candidates.
+    pub(crate) fn live_ids(&self) -> Vec<u32> {
+        let ids = self.slots.iter().enumerate();
+        ids.filter_map(|(id, rid)| rid.map(|_| id as u32)).collect()
+    }
+
+    /// `(id, tuple)` for every live tuple, ascending by id — the heap's
+    /// storage order, since inserts only append — fetched through the
+    /// slot table with one read per heap page that holds a live tuple.
     ///
     /// # Errors
     /// [`CdbError::CorruptRecord`] when a stored record fails to decode;
+    /// [`CdbError::NoSuchTuple`] when a slot names a deleted record;
     /// [`CdbError::Io`] when a heap page cannot be read.
     pub fn scan(&self, pager: &dyn PageReader) -> Result<Vec<(u32, GeneralizedTuple)>, CdbError> {
-        self.heap
-            .scan(pager)?
-            .into_iter()
-            .filter_map(|(rid, bytes)| self.by_record.get(&rid).map(|&id| (id, bytes)))
-            .map(|(id, bytes)| {
-                GeneralizedTuple::decode(&bytes)
-                    .map(|t| (id, t))
-                    .ok_or(CdbError::CorruptRecord(id))
-            })
-            .collect()
+        let ids = self.live_ids();
+        let tuples = self.tuple_source().fetch_batch(pager, &ids)?;
+        Ok(ids.into_iter().zip(tuples).collect())
     }
 
     /// Page-batched candidate fetcher over this relation's heap, for
@@ -407,7 +405,6 @@ impl Relation {
         let rid = self.heap.insert(pager, &tuple.encode())?;
         let id = self.slots.len() as u32;
         self.slots.push(Some(rid));
-        self.by_record.insert(rid, id);
         self.live += 1;
         self.maintained(pager, Change::Insert(id, tuple))?;
         Ok(id)
@@ -426,7 +423,6 @@ impl Relation {
         let rid = self.slots[id as usize].expect("the caller fetched this id");
         self.heap.delete(pager, rid)?;
         self.slots[id as usize] = None;
-        self.by_record.remove(&rid);
         self.live -= 1;
         self.maintained(pager, Change::Delete(id, tuple))
     }
@@ -535,8 +531,8 @@ mod tests {
     use crate::db::{ConstraintDb, DbConfig};
     use crate::index::ddim::SlopePoints;
     use crate::index::Exact;
-    use crate::plan::{MethodKind, Planner};
-    use crate::query::Selection;
+    use crate::plan::{MethodKind, PlanCase, Planner};
+    use crate::query::{QueryResult, Selection, SelectionKind};
     use crate::slopes::SlopeSet;
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
     use cdb_geometry::halfplane::HalfPlane;
@@ -605,7 +601,7 @@ mod tests {
     ) {
         let dim = db.relation("r").unwrap().dim();
         for sel in selections(dim) {
-            let all = sel.kind == crate::query::SelectionKind::All;
+            let all = sel.kind == SelectionKind::All;
             let want: Vec<u32> = oracle_select(&sel.halfplane, all, model.iter().map(|(_, t)| t))
                 .into_iter()
                 .map(|i| model[i].0)
@@ -714,6 +710,174 @@ mod tests {
 
             db.drop_relation("r").unwrap();
             assert_eq!(db.live_pages(), 0, "{what}: every page freed");
+        }
+    }
+
+    /// The relation's own heap source, recording every id it is shown.
+    struct Counting<'a>(HeapSource<'a>, std::cell::RefCell<Vec<u32>>);
+
+    impl TupleSource for Counting<'_> {
+        fn fetch_batch(
+            &self,
+            pager: &dyn PageReader,
+            ids: &[u32],
+        ) -> Result<Vec<GeneralizedTuple>, CdbError> {
+            self.1.borrow_mut().extend_from_slice(ids);
+            self.0.fetch_batch(pager, ids)
+        }
+
+        fn visit_batch(
+            &self,
+            pager: &dyn PageReader,
+            ids: &[u32],
+            visit: &mut dyn FnMut(usize, &dyn cdb_geometry::dual::DualSurfaces),
+        ) -> Result<(), CdbError> {
+            self.1.borrow_mut().extend_from_slice(ids);
+            self.0.visit_batch(pager, ids, visit)
+        }
+    }
+
+    /// Every case an access method can run, each through a [`Counting`]
+    /// source: forced Scan, Restricted (at a member slope), T1, T2, R⁺ and
+    /// Auto on a churned 2-D relation, for selections and line queries;
+    /// the scan, member-point, cell and simplex cases on a 3-D one.
+    /// `(what, result, the ids the source was shown)`.
+    fn every_refinement() -> Vec<(String, QueryResult, Vec<u32>)> {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.create_relation("plane", 2).unwrap();
+        for t in tuples(2, 150, 7) {
+            db.insert("plane", t).unwrap();
+        }
+        for id in (0..150).step_by(5) {
+            db.delete("plane", id).unwrap();
+        }
+        let slopes = SlopeSet::uniform_tan(4);
+        let member = slopes.get(1);
+        db.build_index("plane", IndexSpec::Dual(slopes)).unwrap();
+        db.build_index("plane", IndexSpec::RPlus { fill: 0.8 })
+            .unwrap();
+        db.create_relation("space", 3).unwrap();
+        for t in tuples(3, 90, 8) {
+            db.insert("space", t).unwrap();
+        }
+        let grid = SlopePoints::grid(3, 3, 1.5);
+        db.build_index("space", IndexSpec::DualD(grid)).unwrap();
+
+        let mut asked: Vec<(&str, Selection, Exact, MethodKind, PlanCase)> = Vec::new();
+        let mut plan = |name, sel: Selection, exact, forced| {
+            let rel = db.relation(name).unwrap();
+            let page_size = db.config.page_size;
+            if let Ok((_, plan)) = Planner::choose(rel, page_size, &sel, exact, forced) {
+                asked.push((name, sel, exact, plan.method, plan.case));
+            }
+        };
+        use MethodKind::{DualD, RPlus, Restricted, SeqScan, T1, T2};
+        for slope in [member, 0.3, -7.0] {
+            for b in [-20.0, 4.0] {
+                for forced in [
+                    None,
+                    Some(SeqScan),
+                    Some(Restricted),
+                    Some(T1),
+                    Some(T2),
+                    Some(RPlus),
+                ] {
+                    for kind in [SelectionKind::Exist, SelectionKind::All] {
+                        let line = Selection::line_superset(slope, b);
+                        plan("plane", line, Exact::Line(kind), forced);
+                        for op in [RelOp::Ge, RelOp::Le] {
+                            let q = HalfPlane::new2d(slope, b, op);
+                            plan(
+                                "plane",
+                                Selection { kind, halfplane: q },
+                                Exact::Selection,
+                                forced,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for slope in [vec![0.0, 1.5], vec![0.3, -0.7]] {
+            for forced in [None, Some(SeqScan), Some(DualD)] {
+                for sel in selections(3) {
+                    let sel = Selection {
+                        halfplane: HalfPlane::new(
+                            slope.clone(),
+                            sel.halfplane.intercept,
+                            sel.halfplane.op,
+                        ),
+                        ..sel
+                    };
+                    plan("space", sel, Exact::Selection, forced);
+                }
+            }
+        }
+        let Some(Index::DualD(idx)) = db.relation("space").unwrap().built(IndexKind::DualD) else {
+            panic!("the 3-D relation has a d-dimensional index");
+        };
+        for sel in selections(3) {
+            let vertices = idx
+                .points()
+                .containing_simplex(&sel.halfplane.slope)
+                .unwrap();
+            let simplex = PlanCase::SimplexCovering(vertices);
+            asked.push(("space", sel, Exact::Selection, DualD, simplex));
+        }
+
+        let mut out = Vec::new();
+        for (name, sel, exact, method, case) in asked {
+            let rel = db.relation(name).unwrap();
+            let counting = Counting(rel.tuple_source(), Default::default());
+            let method = rel.method(method).unwrap();
+            let result = method
+                .execute(db.reader(), &sel, &case, exact, &counting)
+                .unwrap();
+            let what = format!("{name}: {case} {exact:?} {sel:?}");
+            out.push((what, result, counting.1.into_inner()));
+        }
+        out
+    }
+
+    /// Refinement books every candidate once: as an answer, a false hit or
+    /// a duplicate — whichever method produced it, the scan included.
+    #[test]
+    fn every_method_accounts_for_each_candidate_once() {
+        let runs = every_refinement();
+        assert!(runs.len() > 150, "only {} queries", runs.len());
+        for (what, result, _) in &runs {
+            let s = &result.stats;
+            let booked = result.len() as u64 + s.false_hits + s.duplicates;
+            assert_eq!(s.candidates, booked, "{what}: {s:?}");
+        }
+        for case in [
+            "full scan",
+            "member slope ",
+            "app-queries at slopes",
+            "wrapped",
+            "handicap-guided",
+            "MBR",
+            "member slope point",
+            "Voronoi cell",
+            "simplex covering",
+            "Line(All)",
+            "Line(Exist)",
+        ] {
+            let ran = runs.iter().filter(|(what, ..)| what.contains(case)).count();
+            assert!(ran >= 4, "{case}: {ran} queries");
+        }
+    }
+
+    /// Every method refines through the source handed to `execute`, which
+    /// is shown each candidate not decided by key exactly once.
+    #[test]
+    fn every_method_refines_through_the_source_it_is_handed() {
+        for (what, result, mut seen) in every_refinement() {
+            let s = &result.stats;
+            let checked = s.candidates - s.duplicates - s.accepted_by_key;
+            assert_eq!(seen.len() as u64, checked, "{what}: {s:?}");
+            seen.sort_unstable();
+            assert!(seen.windows(2).all(|w| w[0] < w[1]), "{what}: shown twice");
         }
     }
 }

@@ -124,26 +124,18 @@ impl HeapFile {
         Ok(RecordId { page: id, slot })
     }
 
+    /// Whether `page` is one of the heap's pages.
+    pub fn owns(&self, page: PageId) -> bool {
+        self.sorted.binary_search(&page).is_ok()
+    }
+
     /// Loads a heap page into `buf`.
     ///
     /// # Panics
     /// Panics if `page` is not one of the heap's pages.
     fn load(&self, pager: &dyn PageReader, page: PageId, buf: &mut [u8]) -> std::io::Result<()> {
-        assert!(
-            self.sorted.binary_search(&page).is_ok(),
-            "foreign page in RecordId"
-        );
+        assert!(self.owns(page), "foreign page in RecordId");
         pager.read(page, buf)
-    }
-
-    /// Reads a record. Returns `Ok(None)` for a tombstoned slot.
-    ///
-    /// # Panics
-    /// Panics if the id does not refer to a heap page/slot.
-    pub fn get(&self, pager: &dyn PageReader, id: RecordId) -> std::io::Result<Option<Vec<u8>>> {
-        let mut buf = vec![0u8; self.page_size];
-        self.load(pager, id.page, &mut buf)?;
-        Ok(record(&buf, id.slot).map(<[u8]>::to_vec))
     }
 
     /// Shows many records to `visit` with one page access per *distinct
@@ -200,21 +192,6 @@ impl HeapFile {
         Ok(true)
     }
 
-    /// Scans all live records in storage order.
-    pub fn scan(&self, pager: &dyn PageReader) -> std::io::Result<Vec<(RecordId, Vec<u8>)>> {
-        let mut out = Vec::new();
-        let mut buf = vec![0u8; self.page_size];
-        for &page in &self.pages {
-            pager.read(page, &mut buf)?;
-            for slot in 0..get_u16(&buf, 0) {
-                if let Some(bytes) = record(&buf, slot) {
-                    out.push((RecordId { page, slot }, bytes.to_vec()));
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Frees every heap page back to the pager.
     pub fn destroy(self, pager: &mut dyn Pager) {
         for page in self.pages {
@@ -264,14 +241,20 @@ mod tests {
     use super::*;
     use crate::pager::MemPager;
 
+    /// One record through the batched read.
+    fn get(heap: &HeapFile, pager: &dyn PageReader, id: RecordId) -> Option<Vec<u8>> {
+        let mut got = heap.get_many(pager, &[id]).unwrap();
+        got.pop().expect("one result per id")
+    }
+
     #[test]
     fn insert_and_get() {
         let mut pager = MemPager::new(128);
         let mut heap = HeapFile::new(&mut pager);
         let a = heap.insert(&mut pager, b"hello").unwrap();
         let b = heap.insert(&mut pager, b"world!").unwrap();
-        assert_eq!(heap.get(&pager, a).unwrap().unwrap(), b"hello");
-        assert_eq!(heap.get(&pager, b).unwrap().unwrap(), b"world!");
+        assert_eq!(get(&heap, &pager, a).unwrap(), b"hello");
+        assert_eq!(get(&heap, &pager, b).unwrap(), b"world!");
         assert_eq!(heap.page_count(), 1);
     }
 
@@ -285,7 +268,7 @@ mod tests {
             .collect();
         assert!(heap.page_count() > 1, "should overflow a 128-byte page");
         for id in ids {
-            assert_eq!(heap.get(&pager, id).unwrap().unwrap(), payload);
+            assert_eq!(get(&heap, &pager, id).unwrap(), payload);
         }
     }
 
@@ -300,22 +283,8 @@ mod tests {
             !heap.delete(&mut pager, a).unwrap(),
             "second delete is a no-op"
         );
-        assert!(heap.get(&pager, a).unwrap().is_none());
-        assert_eq!(heap.get(&pager, b).unwrap().unwrap(), b"def");
-    }
-
-    #[test]
-    fn scan_returns_live_records_in_order() {
-        let mut pager = MemPager::new(256);
-        let mut heap = HeapFile::new(&mut pager);
-        let ids: Vec<_> = (0..5u8)
-            .map(|i| heap.insert(&mut pager, &[i; 10]).unwrap())
-            .collect();
-        heap.delete(&mut pager, ids[2]).unwrap();
-        let all = heap.scan(&pager).unwrap();
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[0].1, vec![0u8; 10]);
-        assert_eq!(all[2].1, vec![3u8; 10], "deleted record skipped");
+        assert!(get(&heap, &pager, a).is_none());
+        assert_eq!(get(&heap, &pager, b).unwrap(), b"def");
     }
 
     #[test]
@@ -324,7 +293,7 @@ mod tests {
         let mut heap = HeapFile::new(&mut pager);
         let big = vec![1u8; heap.max_record_len()];
         let id = heap.insert(&mut pager, &big).unwrap();
-        assert_eq!(heap.get(&pager, id).unwrap().unwrap(), big);
+        assert_eq!(get(&heap, &pager, id).unwrap(), big);
     }
 
     #[test]
@@ -434,24 +403,26 @@ mod tests {
         let mut shuffled = heap.pages().to_vec();
         shuffled.reverse();
         let reattached = HeapFile::from_pages(128, shuffled);
-        for id in &own {
-            assert_eq!(
-                reattached.get(&pager, *id).unwrap(),
-                heap.get(&pager, *id).unwrap()
-            );
-        }
+        assert_eq!(
+            reattached.get_many(&pager, &own).unwrap(),
+            heap.get_many(&pager, &own).unwrap()
+        );
+        assert!(own
+            .iter()
+            .all(|id| heap.owns(id.page) && reattached.owns(id.page)));
+        assert!(!heap.owns(foreign.page) && !reattached.owns(foreign.page));
         let panics = |f: &mut dyn FnMut()| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
         };
-        assert!(panics(&mut || drop(heap.get(&pager, foreign))));
-        assert!(panics(&mut || drop(reattached.get(&pager, foreign))));
+        assert!(panics(&mut || drop(get(&heap, &pager, foreign))));
+        assert!(panics(&mut || drop(get(&reattached, &pager, foreign))));
         assert!(panics(&mut || drop(
             heap.get_many(&pager, &[own[0], foreign])
         )));
         assert!(panics(&mut || drop(
             heap.clone().delete(&mut pager, foreign)
         )));
-        assert_eq!(other.get(&pager, foreign).unwrap().unwrap(), b"not yours");
+        assert_eq!(get(&other, &pager, foreign).unwrap(), b"not yours");
     }
 
     #[test]
@@ -460,7 +431,7 @@ mod tests {
         let mut heap = HeapFile::new(&mut pager);
         let id = heap.insert(&mut pager, b"x").unwrap();
         pager.reset_stats();
-        heap.get(&pager, id).unwrap();
+        get(&heap, &pager, id).unwrap();
         assert_eq!(pager.stats().reads, 1, "each fetch is one page read");
     }
 }
