@@ -115,15 +115,17 @@ step one-forest one_forest
 # The audit that keeps "filter, then refine — once" a gate, over the engine
 # crate: every access method, the sequential scan included, hands its
 # candidates to the one `index::refine`, which alone opens a query's
-# private I/O window and books its index and heap I/O (the operators in
-# `physical.rs` window their own region fetches); the slot table is the
-# heap's only map (no reverse map beside it), and the heap is read through
-# `visit_many`/`get_many` alone.
+# private I/O window, books its index and heap I/O (the operators in
+# `physical.rs` window their own region fetches) and asks the key columns
+# for a verdict on a candidate (`KeyBracket::verdict`, one call); the slot
+# table is the heap's only map (no reverse map beside it), and the heap is
+# read through `visit_many`/`get_many` alone.
 one_refine() {
   grep_audit one-refine crates/core/src <<'RULES'
 1|TrackedReader::new( calls|physical.rs|TrackedReader::new\(
 1|stats.index_io assignments|-|stats\.index_io =[^=]
 1|stats.heap_io assignments|-|stats\.heap_io =[^=]
+1|key-bracket .verdict( calls|-|\.verdict\(
 0|mentions of by_record|-|by_record
 RULES
   grep_audit one-refine crates/storage/src/heap.rs <<'RULES'
@@ -244,6 +246,24 @@ non_test_lines() {
 step non-test-lines non_test_lines
 
 step build cargo build --release
+
+# The paper's figures as a gate: the `--quick` stdout of every figure
+# binary equals its golden under `crates/bench/golden/`, byte for byte
+# (each binary also checks its answers against the oracle). A change that
+# moves a figure on purpose commits the new golden, with its before/after
+# in CHANGES.md. ≈ 3 s.
+paper_figures() {
+  local b status=0
+  cargo build --release -q -p cdb-bench --bins
+  for b in fig8 fig9 fig10 ablation_t1_t2 selectivity_sweep estimate_accuracy dimension_sweep; do
+    if ! ./target/release/"$b" --quick | diff -u "crates/bench/golden/$b.txt" -; then
+      echo "ci: paper-figures: $b differs from crates/bench/golden/$b.txt" >&2
+      status=1
+    fi
+  done
+  return "$status"
+}
+step paper-figures paper_figures
 
 # The refinement fast path, by name and first (it fails fastest): the 2-D
 # TOP/BOT kernel against the simplex and the V-representation, the encoded
@@ -537,23 +557,19 @@ perf_harness() {
 step perf-harness perf_harness
 
 # The counts a change to the read or write path must not move: each
-# workload at full scale and the baseline's seed for three seconds (long
-# enough for `durable_churn` to pass the 4 096 mutations after which it
-# samples its space), no failed operation, and `pages_per_query` and
-# `space_bytes_per_tuple` equal to the newest committed baseline — the
-# `perf/baseline/BENCH_<n>.json` of the largest n, its `_repeat` runs left
-# out — to the last digit. Timings are not looked at: this is not a
-# benchmark run.
+# workload at full scale and the pinned seed for three seconds (long enough
+# for `durable_churn` to pass the 4 096 mutations after which it samples
+# its space), no failed operation, and `pages_per_query` and
+# `space_bytes_per_tuple` equal to their pins in
+# `crates/bench/golden/perf_counts` to the last digit. Timings are not
+# looked at: this is not a benchmark run.
 perf_counts() {
-  local baseline seed w m line got want
-  baseline=$(find perf/baseline -name 'BENCH_*.json' | grep -E '/BENCH_[0-9]+\.json$' |
-    sort -t_ -k2 -n | tail -n 1)
-  seed=$(sed -n 's/^  "seed": \([0-9]*\),$/\1/p' "${baseline:-/dev/null}")
+  local pins=crates/bench/golden/perf_counts seed w m line got want
+  seed=$(awk '$1 == "seed" { print $2 }' "$pins")
   if [ -z "$seed" ]; then
-    echo "ci: perf-counts: no perf/baseline/BENCH_<n>.json with a seed" >&2
+    echo "ci: perf-counts: $pins names no seed" >&2
     return 1
   fi
-  echo "baseline: $baseline (seed $seed)"
   for w in embedded_t2 embedded_restricted durable_churn served_mixed; do
     line=$(cargo run --release --quiet --manifest-path perf/Cargo.toml -- \
       --workload "$w" --seed "$seed" --seconds 3 --trace 0 | tail -n 1)
@@ -563,13 +579,9 @@ perf_counts() {
     esac
     for m in pages_per_query space_bytes_per_tuple; do
       got=$(printf '%s\n' "$line" | sed -n "s/.*\"$m\":{\"value\":\([^,]*\),.*/\1/p")
-      want=$(awk -v w="\"$w\": {" -v m="\"$m\": {" '
-        index($0, w) { in_w = 1 }
-        in_w && index($0, m) { in_m = 1; next }
-        in_m && /"value":/ { gsub(/[ ,]|"value":/, ""); print; exit }
-      ' "$baseline")
+      want=$(awk -v w="$w" -v m="$m" '$1 == w && $2 == m { print $3 }' "$pins")
       if [ -z "$got" ] || [ "$got" != "$want" ]; then
-        echo "ci: perf-counts: $w/$m is ${got:-missing}, the baseline says ${want:-nothing}" >&2
+        echo "ci: perf-counts: $w/$m is ${got:-missing}, $pins says ${want:-nothing}" >&2
         return 1
       fi
     done

@@ -80,6 +80,13 @@ impl T2Bed {
         index_pages(&self.db, IndexKind::Dual)
     }
 
+    /// Bytes of RAM the index's key columns hold (nothing of them is
+    /// stored in pages).
+    pub fn key_bytes(&self) -> u64 {
+        let rel = self.db.relation("r").expect("exists");
+        rel.index().expect("built").key_bytes() as u64
+    }
+
     /// Runs one calibrated query, returning `(stats, result ids)`.
     pub fn run(&self, q: &CalibratedQuery, strategy: Strategy) -> (QueryStats, Vec<u32>) {
         let sel = selection_of(q);
@@ -356,6 +363,8 @@ pub struct SpacePoint {
     pub pages: u64,
     /// Pages relative to the R⁺-tree at the same `(size, n)`.
     pub ratio_vs_rplus: f64,
+    /// Bytes of RAM of the T2 rows' key columns (0 for the R⁺-tree).
+    pub key_bytes: u64,
 }
 
 impl SpacePoint {
@@ -383,15 +392,18 @@ pub fn run_space_experiment(cardinalities: &[usize], ks: &[usize], seed: u64) ->
                 k: None,
                 pages: rpages,
                 ratio_vs_rplus: 1.0,
+                key_bytes: 0,
             });
             for &k in ks {
-                let pages = T2Bed::build(spec, k).index_pages();
+                let bed = T2Bed::build(spec, k);
+                let pages = bed.index_pages();
                 out.push(SpacePoint {
                     size,
                     n,
                     k: Some(k),
                     pages,
                     ratio_vs_rplus: pages as f64 / rpages as f64,
+                    key_bytes: bed.key_bytes(),
                 });
             }
         }
@@ -400,7 +412,9 @@ pub fn run_space_experiment(cardinalities: &[usize], ks: &[usize], seed: u64) ->
 }
 
 /// Renders the space table, one panel per object-size class, with the
-/// per-`k` ratio of the largest slope set in the last column.
+/// per-`k` ratio of the largest slope set in the last column; then, per
+/// class, the RAM the T2 indexes' key columns hold, per tuple — memory,
+/// not pages, so no page column counts it.
 pub fn print_space_table(points: &[SpacePoint]) {
     let mut ks: Vec<usize> = points.iter().filter_map(|p| p.k).collect();
     ks.sort_unstable();
@@ -432,26 +446,44 @@ pub fn print_space_table(points: &[SpacePoint]) {
             let last = at(Some(*ks.last().unwrap()));
             println!("{:>14.2}", last.ratio_vs_rplus / last.k.unwrap() as f64);
         }
+        println!("\nFigure 10 — key columns in RAM, not pages [bytes/tuple], {size:?} objects");
+        print!("{:>10}", "N");
+        for &k in &ks {
+            print!("{:>10}", format!("T2 k={k}"));
+        }
+        println!();
+        for &n in &ns {
+            print!("{n:>10}");
+            for &k in &ks {
+                let p = rows.iter().find(|p| p.n == n && p.k == Some(k));
+                let p = p.expect("complete grid");
+                print!("{:>10.1}", p.key_bytes as f64 / n as f64);
+            }
+            println!();
+        }
     }
 }
 
 /// Writes space points as CSV under `results/`.
 pub fn write_space_csv(name: &str, points: &[SpacePoint]) -> std::io::Result<()> {
     std::fs::create_dir_all("results")?;
-    let mut s = String::from("size_class,n,structure,pages,ratio_vs_rplus,ratio_per_k\n");
+    let mut s = String::from(
+        "size_class,n,structure,pages,ratio_vs_rplus,ratio_per_k,key_bytes_per_tuple\n",
+    );
     for p in points {
         let per_k = match p.k {
             Some(k) => format!("{:.3}", p.ratio_vs_rplus / k as f64),
             None => String::new(),
         };
         s.push_str(&format!(
-            "{:?},{},{},{},{:.3},{}\n",
+            "{:?},{},{},{},{:.3},{},{:.1}\n",
             p.size,
             p.n,
             p.structure(),
             p.pages,
             p.ratio_vs_rplus,
-            per_k
+            per_k,
+            p.key_bytes as f64 / p.n as f64
         ));
     }
     std::fs::write(format!("results/{name}.csv"), s)

@@ -669,13 +669,28 @@ impl BTree {
     /// so under a checksumming pager it doubles as a full-tree
     /// verification pass.
     pub fn collect_pages(&self, pager: &dyn PageReader) -> io::Result<Vec<PageId>> {
+        self.walk(pager, |_, _| {})
+    }
+
+    /// [`collect_pages`](Self::collect_pages), showing every leaf entry
+    /// it reads to `entry` as `(key as stored, value)`.
+    pub fn walk(
+        &self,
+        pager: &dyn PageReader,
+        mut entry: impl FnMut(f64, u32),
+    ) -> io::Result<Vec<PageId>> {
         let mut out = Vec::new();
         let mut queue = vec![self.root];
         let mut buf = vec![0u8; self.page_size];
         while let Some(page) = queue.pop() {
             out.push(page);
             pager.read(page, &mut buf)?;
-            if !is_leaf(&buf) {
+            if is_leaf(&buf) {
+                let leaf = Leaf::new(&mut buf);
+                for i in 0..leaf.count() {
+                    entry(leaf.key(i), leaf.value(i));
+                }
+            } else {
                 let node = Internal::new(&mut buf);
                 for i in 0..=node.count() {
                     queue.push(node.child(i));

@@ -29,7 +29,7 @@ use cdb_storage::{
 
 use crate::error::CdbError;
 use crate::index::ddim::SlopePoints;
-use crate::index::IndexSpec;
+use crate::index::{Index, IndexKind, IndexSpec};
 pub use crate::read::{ReadSurface, Snapshot};
 pub use crate::relation::{Relation, RelationHealth, RelationStats};
 use crate::slopes::SlopeSet;
@@ -435,13 +435,22 @@ impl ConstraintDb {
     }
 
     /// Stage 3 of `open`: the per-page verification pass, classifying
-    /// every relation's health into the recovery report.
+    /// every relation's health into the recovery report; the walk's reads
+    /// of each 2-D dual index's leaves become its key columns.
     fn classify_relations(&mut self) {
-        self.recovery.relations = self.verify_now().relations;
-        for (name, health) in &self.recovery.relations {
-            let rel = self.view.relations.get_mut(name);
-            rel.expect("verified a moment ago").health = health.clone();
+        let view = &mut self.view;
+        let mut relations: Vec<(String, RelationHealth)> = Vec::new();
+        for rel in view.relations.values_mut() {
+            let (health, keys) = rel.verify(&*view.pager);
+            let dual = rel.indexes[IndexKind::Dual as usize].as_mut();
+            if let (Some(keys), Some(Index::Dual(index))) = (keys, dual) {
+                index.adopt_keys(keys);
+            }
+            rel.health = health.clone();
+            relations.push((rel.name.clone(), health));
         }
+        relations.sort_by(|a, b| a.0.cmp(&b.0));
+        self.recovery.relations = relations;
     }
 
     /// What the last `open` found and did. Trivially clean for in-memory
@@ -681,7 +690,7 @@ impl ConstraintDb {
             .view
             .relations
             .values()
-            .map(|rel| (rel.name.clone(), rel.verify(self.reader())))
+            .map(|rel| (rel.name.clone(), rel.verify(self.reader()).0))
             .collect();
         relations.sort_by(|a, b| a.0.cmp(&b.0));
         RecoveryReport {

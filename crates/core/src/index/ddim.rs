@@ -375,6 +375,12 @@ impl SlopeGeometry for SlopePoints {
         use PlanCase::*;
         matches!(case, MemberPoint { .. } | Cell(_) | SimplexCovering(_))
     }
+
+    /// None: the key decision brackets 2-D slopes between members of a
+    /// slope set only.
+    fn key_slopes(&self) -> Option<&[f64]> {
+        None
+    }
 }
 
 /// The dual index over a d-dimensional generalized relation: the same

@@ -170,11 +170,16 @@ impl Forest {
     }
 
     /// Reads every page of every tree through `pager`; under a
-    /// checksumming pager any torn or stale page surfaces here.
-    pub(crate) fn verify(&self, pager: &dyn PageReader) -> io::Result<()> {
-        for (up, down) in &self.pairs {
-            up.collect_pages(pager)?;
-            down.collect_pages(pager)?;
+    /// checksumming pager any torn or stale page surfaces here. Every leaf
+    /// entry read is shown to `entry` as `(element, up, key, id)`.
+    pub(crate) fn verify(
+        &self,
+        pager: &dyn PageReader,
+        mut entry: impl FnMut(usize, bool, f64, u32),
+    ) -> io::Result<()> {
+        for (i, (up, down)) in self.pairs.iter().enumerate() {
+            up.walk(pager, |key, id| entry(i, true, key, id))?;
+            down.walk(pager, |key, id| entry(i, false, key, id))?;
         }
         Ok(())
     }

@@ -320,7 +320,7 @@ mod tests {
         let run = |bed: &Bed, ids: &[u32]| {
             bed.both(&format!("refine {ids:?}"), |src| {
                 let search = |_: &dyn PageReader| Ok(Candidates::check(ids.to_vec()));
-                refine(&bed.pager, &sel, Exact::Selection, src, search)
+                refine(&bed.pager, &sel, Exact::Selection, src, None, search)
             })
         };
         assert_eq!(run(&bed, &[3, 4, 5]).unwrap().ids(), &[3, 4, 5]);

@@ -19,6 +19,7 @@ pub mod ddim;
 pub(crate) mod forest;
 pub mod handicap;
 mod heap_source;
+mod keys;
 mod restricted;
 mod rplus;
 mod t1;
@@ -27,6 +28,7 @@ mod t2;
 use std::io;
 
 pub(crate) use heap_source::HeapSource;
+pub(crate) use keys::KeyColumns;
 pub(crate) use restricted::sweep_candidates;
 pub use rplus::RPlusIndex;
 
@@ -41,6 +43,7 @@ use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side, Stra
 use crate::slopes::{Bracket, SlopeSet};
 use ddim::{DualIndexD, SlopePoints};
 use forest::{keys_at, Forest};
+use keys::{KeyBracket, Verdict};
 
 /// The access structures a relation can own, in slot order. The one owner
 /// of their names.
@@ -179,12 +182,13 @@ impl Index {
     }
 
     /// Reads every page of the structure through `pager`; under a
-    /// checksumming pager any torn or stale page surfaces here.
-    pub(crate) fn verify(&self, pager: &dyn PageReader) -> io::Result<()> {
+    /// checksumming pager any torn or stale page surfaces here. A 2-D dual
+    /// index hands back the key columns the walk read off its leaves.
+    pub(crate) fn verify(&self, pager: &dyn PageReader) -> io::Result<Option<KeyColumns>> {
         match self {
-            Index::Dual(idx) => idx.forest.verify(pager),
-            Index::DualD(idx) => idx.forest.verify(pager),
-            Index::RPlus(rp) => rp.tree.collect_pages(pager).map(|_| ()),
+            Index::Dual(idx) => idx.verify(pager),
+            Index::DualD(idx) => idx.verify(pager),
+            Index::RPlus(rp) => rp.tree.collect_pages(pager).map(|_| None),
         }
     }
 
@@ -285,6 +289,10 @@ pub trait SlopeGeometry {
     /// Whether `case` is one this geometry's routing table hands out; its
     /// index [runs](DualIndex::run) no other.
     fn routes(case: &PlanCase) -> bool;
+
+    /// The slopes of `S` when they are 2-D query slopes the index keeps
+    /// in-memory key columns over, for the key decision of its routes.
+    fn key_slopes(&self) -> Option<&[f64]>;
 }
 
 impl SlopeGeometry for SlopeSet {
@@ -303,6 +311,10 @@ impl SlopeGeometry for SlopeSet {
     fn routes(case: &PlanCase) -> bool {
         use PlanCase::*;
         matches!(case, Member(_) | AppQueries(_) | Between { .. })
+    }
+
+    fn key_slopes(&self) -> Option<&[f64]> {
+        Some(self.as_slice())
     }
 }
 
@@ -341,6 +353,9 @@ pub struct DualIndex<G = SlopeSet> {
     /// [`SlopeGeometry::regions`] of every element, computed once.
     regions: Vec<Vec<Region>>,
     pub(crate) forest: Forest,
+    /// The trees' keys per id, in memory, where the geometry has
+    /// `key_slopes`; never persisted.
+    keys: Option<KeyColumns>,
 }
 
 /// A tuple's `(max TOP_P, min BOT_P)` over a region: its `keys` at the
@@ -364,23 +379,36 @@ impl<G: SlopeGeometry> DualIndex<G> {
         tuples: &[(u32, GeneralizedTuple)],
     ) -> Result<Self, CdbError> {
         let forest = Forest::build(pager, geometry.elements(), tuples)?;
-        let idx = Self::from_parts(geometry, forest);
-        // Every leaf's handicap values from the tuples bucketed into it
-        // (Section 4.2 Steps 1–2); elements without a handicap region have
-        // none.
-        let elements = idx.geometry.elements().zip(&idx.regions);
-        for (i, (slope, regions)) in elements.enumerate() {
-            if regions.is_empty() {
+        let mut idx = Self::from_parts(geometry, forest);
+        // The key columns, and every leaf's handicap values from the
+        // tuples bucketed into it (Section 4.2 Steps 1–2); elements
+        // without a handicap region have none.
+        let DualIndex {
+            geometry,
+            regions,
+            forest,
+            keys: columns,
+        } = &mut idx;
+        for (i, (slope, regions)) in geometry.elements().zip(&*regions).enumerate() {
+            if regions.is_empty() && columns.is_none() {
                 continue;
             }
             let keys: Vec<(f64, f64)> = tuples.iter().map(|(_, t)| keys_at(t, slope)).collect();
+            if let Some(columns) = columns {
+                for ((id, _), &(top, bot)) in tuples.iter().zip(&keys) {
+                    columns.set(*id, i, true, top);
+                    columns.set(*id, i, false, bot);
+                }
+            }
             let mut reaches = Vec::new();
             for (side, corners) in regions {
                 let over = tuples.iter().zip(&keys);
                 let over = over.map(|((_, t), &k)| reach(t, k, corners));
                 reaches.push((*side, over.collect()));
             }
-            idx.forest.assign_handicaps(pager, i, &keys, &reaches)?;
+            if !reaches.is_empty() {
+                forest.assign_handicaps(pager, i, &keys, &reaches)?;
+            }
         }
         Ok(idx)
     }
@@ -388,10 +416,13 @@ impl<G: SlopeGeometry> DualIndex<G> {
     /// Re-attaches an index from persisted metadata. The trees' node pages
     /// (handicaps included — they live in the bucket leaves) are already on
     /// disk; `forest` holds one tree pair per element, in the order of `S`.
+    /// The key columns start with no row, so the keys decide nothing until
+    /// the open-time [`verify`](Self::verify) walk hands them over.
     pub(crate) fn from_parts(geometry: G, forest: Forest) -> Self {
         let regions = (0..geometry.elements().count()).map(|i| geometry.regions(i));
         DualIndex {
             regions: regions.collect(),
+            keys: geometry.key_slopes().map(KeyColumns::new),
             geometry,
             forest,
         }
@@ -400,6 +431,30 @@ impl<G: SlopeGeometry> DualIndex<G> {
     /// Pages owned by the index (the space metric of Figure 10).
     pub fn page_count(&self) -> u64 {
         self.forest.page_count()
+    }
+
+    /// Bytes the key columns hold in memory — not pages: nothing of them
+    /// is stored.
+    pub fn key_bytes(&self) -> usize {
+        self.keys.as_ref().map_or(0, KeyColumns::resident_bytes)
+    }
+
+    /// Reads every page of every tree through `pager`, returning the key
+    /// columns as the walk read them off the leaves.
+    pub(crate) fn verify(&self, pager: &dyn PageReader) -> io::Result<Option<KeyColumns>> {
+        let mut columns = self.geometry.key_slopes().map(KeyColumns::new);
+        self.forest.verify(pager, |i, up, key, id| {
+            if let Some(columns) = columns.as_mut() {
+                columns.set(id, i, up, key);
+            }
+        })?;
+        Ok(columns)
+    }
+
+    /// Takes over key columns a [`verify`](Self::verify) walk of this
+    /// index's trees read.
+    pub(crate) fn adopt_keys(&mut self, keys: KeyColumns) {
+        self.keys = Some(keys);
     }
 
     /// Adds one tuple to every tree and folds its reach over every handicap
@@ -422,6 +477,10 @@ impl<G: SlopeGeometry> DualIndex<G> {
                 .map(|(side, corners)| (*side, reach(tuple, keys, corners)))
                 .collect();
             self.forest.insert(pager, i, id, keys, &reaches)?;
+            if let Some(columns) = self.keys.as_mut() {
+                columns.set(id, i, true, keys.0);
+                columns.set(id, i, false, keys.1);
+            }
         }
         Ok(())
     }
@@ -435,6 +494,9 @@ impl<G: SlopeGeometry> DualIndex<G> {
         id: u32,
         tuple: &GeneralizedTuple,
     ) -> Result<bool, CdbError> {
+        if let Some(columns) = self.keys.as_mut() {
+            columns.clear(id);
+        }
         let elements = self.geometry.elements();
         Ok(self.forest.remove(pager, elements, id, tuple)?)
     }
@@ -460,7 +522,7 @@ impl<G: SlopeGeometry> DualIndex<G> {
             return Err(foreign(case));
         }
         let forest = &self.forest;
-        refine(pager, sel, exact, fetch, |pager| {
+        refine(pager, sel, exact, fetch, self.keys.as_ref(), |pager| {
             // A guided search trusts the handicaps of one region; where the
             // geometry has none they are neutral and it would miss tuples.
             let guided = |i: usize, side: Side| {
@@ -689,17 +751,21 @@ impl Candidates {
 /// Filter, then refine — the one step behind every access method, the
 /// sequential scan included. Runs `search` (the filter) under a private
 /// [`TrackedReader`], so the I/O windows are this query's own even when
-/// many queries share `pager`; then shows the candidates still to check
-/// to [`Exact::keep`] through `fetch` (batched by the source, so the cost
-/// is one page access per distinct heap page; the engine's heap source
-/// runs it on the record bytes in the page). Keys decide only
+/// many queries share `pager`; then decides what `keys` — the key columns
+/// of the 2-D dual index that searched, if it was one — can decide of the
+/// candidates still to check ([`KeyBracket`]), and shows the rest to
+/// [`Exact::keep`] through `fetch` (batched by the source, so the cost is
+/// one page access per distinct heap page; the engine's heap source runs
+/// it on the record bytes in the page). Keys decide only
 /// [`Exact::Selection`]: for any other predicate every candidate is
-/// checked. The answer is the ids accepted by key plus those kept.
+/// checked. The answer is the ids accepted by key plus those kept; a
+/// candidate the keys reject is a false hit, like one refinement drops.
 pub(crate) fn refine(
     pager: &dyn PageReader,
     sel: &Selection,
     exact: Exact,
     fetch: &dyn TupleSource,
+    keys: Option<&KeyColumns>,
     search: impl FnOnce(&dyn PageReader) -> Result<Candidates, CdbError>,
 ) -> Result<QueryResult, CdbError> {
     let tracked = TrackedReader::new(pager);
@@ -716,17 +782,31 @@ pub(crate) fn refine(
     let mut stats = QueryStats {
         candidates: (sure.len() + check.len()) as u64 + duplicates,
         duplicates,
-        accepted_by_key: sure.len() as u64,
         ..QueryStats::default()
     };
     stats.index_io = pager.stats().since(&before);
+    let keys = keys.filter(|_| exact == Exact::Selection && !check.is_empty());
+    if let Some(bracket) = keys.and_then(|keys| KeyBracket::new(keys, sel)) {
+        check.retain(|&id| match bracket.verdict(id) {
+            Verdict::Yes => {
+                sure.push(id);
+                false
+            }
+            Verdict::No => {
+                stats.false_hits += 1;
+                false
+            }
+            Verdict::Fetch => true,
+        });
+    }
+    stats.accepted_by_key = sure.len() as u64;
     let heap_before = pager.stats();
     let mut kept = vec![false; check.len()];
     fetch.visit_batch(pager, &check, &mut |at, t| kept[at] = exact.keep(sel, t))?;
     stats.heap_io = pager.stats().since(&heap_before);
     let mut verdicts = kept.iter();
     check.retain(|_| *verdicts.next().expect("one verdict per candidate"));
-    stats.false_hits = (kept.len() - check.len()) as u64;
+    stats.false_hits += (kept.len() - check.len()) as u64;
     sure.append(&mut check);
     Ok(QueryResult::new(sure, stats))
 }

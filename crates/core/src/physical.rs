@@ -945,6 +945,9 @@ mod tests {
     fn limit_closes_its_input_at_the_batch_holding_row_n() {
         let (db, _) = bed(700);
         for n in [0usize, 7, REGION_CHUNK, REGION_CHUNK + 1, 699, 700, 5000] {
+            // Planned before the limited scan runs and books its feedback,
+            // so both run the same search.
+            let mut whole = region_scan(&db);
             let mut op = LimitOp {
                 input: Box::new(region_scan(&db)),
                 n: n as u64,
@@ -956,7 +959,6 @@ mod tests {
             assert_eq!(batch.regions.len(), want, "LIMIT {n}");
             let mut stats = QueryStats::default();
             op.add_stats(&mut stats);
-            let mut whole = region_scan(&db);
             whole.open().unwrap();
             let scan_reads = whole.stats.heap_io.reads;
             // Chunks that had to be fetched: those up to and including the

@@ -537,7 +537,7 @@ impl AccessMethod<'_> {
     ) -> Result<QueryResult, CdbError> {
         match *self {
             // The live ids are the scan's candidates: none decided by key.
-            AccessMethod::SeqScan(relation) => refine(pager, sel, exact, fetch, |_| {
+            AccessMethod::SeqScan(relation) => refine(pager, sel, exact, fetch, None, |_| {
                 Ok(Candidates::check(relation.live_ids()))
             }),
             AccessMethod::Dual(index, _) => index.run(pager, sel, case, exact, fetch),
@@ -547,7 +547,7 @@ impl AccessMethod<'_> {
                 let PlanCase::MbrSearch(_) = case else {
                     return Err(foreign(case));
                 };
-                refine(pager, sel, exact, fetch, |pager| {
+                refine(pager, sel, exact, fetch, None, |pager| {
                     Ok(index.candidates(pager, &sel.halfplane)?)
                 })
             }

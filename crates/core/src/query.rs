@@ -147,10 +147,12 @@ pub struct QueryStats {
     /// Candidates that appeared more than once (T1's duplication problem;
     /// always 0 for T2 and Restricted).
     pub duplicates: u64,
-    /// Candidates discarded by the exact refinement step.
+    /// Candidates discarded: by the exact refinement step, or — on a 2-D
+    /// dual index's routes — rejected by their key columns unfetched.
     pub false_hits: u64,
-    /// Candidates accepted without fetching the tuple (exact-by-key in the
-    /// restricted technique).
+    /// Candidates accepted without fetching the tuple: exact-by-key in the
+    /// restricted technique, and on a 2-D dual index's routes those its
+    /// key columns accept.
     pub accepted_by_key: u64,
     /// The search that actually ran ([`crate::plan::PlanCase::runs`]),
     /// stamped on every planned query; `None` only when an index was

@@ -11,7 +11,7 @@ use cdb_storage::{HeapFile, PageId, PageReader, Pager, RecordId};
 
 use crate::error::CdbError;
 use crate::index::{
-    DualIndex, HeapSource, Index, IndexKind, IndexSpec, SlopeGeometry, TupleSource,
+    DualIndex, HeapSource, Index, IndexKind, IndexSpec, KeyColumns, SlopeGeometry, TupleSource,
 };
 use crate::plan::{AccessMethod, MethodKind, PlanCatalog};
 
@@ -343,28 +343,34 @@ impl Relation {
     /// the checksumming pager. The heap decides quarantine — it is the
     /// ground truth every index rebuild needs; unreadable index pages only
     /// degrade the relation, as does an index already flagged corrupt
-    /// (well-formed stale pages pass every checksum).
-    pub(crate) fn verify(&self, pager: &dyn PageReader) -> RelationHealth {
+    /// (well-formed stale pages pass every checksum). Also returns the key
+    /// columns the walk of a sound 2-D dual index read off its leaves.
+    pub(crate) fn verify(&self, pager: &dyn PageReader) -> (RelationHealth, Option<KeyColumns>) {
         let mut buf = vec![0u8; pager.page_size()];
         for &p in self.heap.pages() {
             if let Err(e) = pager.read(p, &mut buf) {
-                return RelationHealth::Quarantined {
-                    detail: format!("heap page {p}: {e}"),
-                };
+                let detail = format!("heap page {p}: {e}");
+                return (RelationHealth::Quarantined { detail }, None);
             }
         }
-        let corrupt =
-            |k: IndexKind, i: &Index| self.health.is_corrupt(k) || i.verify(pager).is_err();
-        let corrupt_indexes: Vec<String> = IndexKind::ALL
-            .into_iter()
-            .filter(|&k| self.built(k).is_some_and(|i| corrupt(k, i)))
-            .map(|k| k.name().to_string())
-            .collect();
-        if corrupt_indexes.is_empty() {
+        let (mut keys, mut corrupt_indexes) = (None, Vec::new());
+        for kind in IndexKind::ALL {
+            let Some(index) = self.built(kind) else {
+                continue;
+            };
+            // A flagged index is not walked: its pages are not trusted.
+            let flagged = self.health.is_corrupt(kind);
+            match (!flagged).then(|| index.verify(pager)) {
+                Some(Ok(read)) => keys = keys.or(read),
+                _ => corrupt_indexes.push(kind.name().to_string()),
+            }
+        }
+        let health = if corrupt_indexes.is_empty() {
             RelationHealth::Healthy
         } else {
             RelationHealth::Degraded { corrupt_indexes }
-        }
+        };
+        (health, keys)
     }
 
     /// Whether `tuple` may be stored here: [`CdbError::DimensionMismatch`],
@@ -839,6 +845,46 @@ mod tests {
         out
     }
 
+    /// A slot table entry naming a slot past its heap page's directory, or
+    /// a slot whose extent overruns the page, is a typed error wherever the
+    /// tuple is read — the relation's scan and refinement alike — not a
+    /// panic.
+    #[test]
+    fn damaged_heap_slots_are_typed_errors_at_read() {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.create_relation("r", 2).unwrap();
+        for t in tuples(2, 20, 3) {
+            db.insert("r", t).unwrap();
+        }
+        db.build_index("r", IndexSpec::Dual(SlopeSet::uniform_tan(3)))
+            .unwrap();
+        let everything = Selection::exist(HalfPlane::new2d(0.3, -1e6, RelOp::Ge));
+        let read = |db: &ConstraintDb| {
+            let rel = db.relation("r").unwrap();
+            let scan = rel.scan(db.reader()).map(|_| ());
+            (
+                scan,
+                run(db, &everything, Some(MethodKind::SeqScan)).map(|_| ()),
+            )
+        };
+        let rel = db.for_update("r").unwrap().1;
+        let kept = rel.slots[3].unwrap();
+        rel.slots[3] = Some(RecordId { slot: 999, ..kept });
+        let missing = Err(CdbError::NoSuchTuple(3));
+        assert_eq!(read(&db), (missing.clone(), missing));
+        db.for_update("r").unwrap().1.slots[3] = Some(kept);
+        assert_eq!(read(&db), (Ok(()), Ok(())));
+        // The record's length overruns its page.
+        let pager = db.for_update("r").unwrap().0;
+        let mut page = vec![0u8; pager.page_size()];
+        pager.read(kept.page, &mut page).unwrap();
+        let len_at = 4 + 4 * kept.slot as usize + 2;
+        page[len_at..len_at + 2].copy_from_slice(&0x0FFFu16.to_le_bytes());
+        pager.write(kept.page, &page).unwrap();
+        let damaged = Err(CdbError::CorruptRecord(3));
+        assert_eq!(read(&db), (damaged.clone(), damaged));
+    }
+
     /// Refinement books every candidate once: as an answer, a false hit or
     /// a duplicate — whichever method produced it, the scan included.
     #[test]
@@ -869,15 +915,36 @@ mod tests {
     }
 
     /// Every method refines through the source handed to `execute`, which
-    /// is shown each candidate not decided by key exactly once.
+    /// is shown each candidate not decided by key exactly once: an answer
+    /// was either accepted by key or shown, and a false hit was either
+    /// rejected by key or shown. Only the key columns of the 2-D dual index
+    /// reject: where there are none (the scan, the R⁺-tree, the d-D index)
+    /// or the predicate is not the selection's (line queries), the source
+    /// is shown every candidate not accepted by key.
     #[test]
     fn every_method_refines_through_the_source_it_is_handed() {
+        let mut rejected_by_key = 0;
         for (what, result, mut seen) in every_refinement() {
             let s = &result.stats;
-            let checked = s.candidates - s.duplicates - s.accepted_by_key;
-            assert_eq!(seen.len() as u64, checked, "{what}: {s:?}");
             seen.sort_unstable();
             assert!(seen.windows(2).all(|w| w[0] < w[1]), "{what}: shown twice");
+            let answered = seen.iter().filter(|id| result.ids().contains(id)).count() as u64;
+            assert_eq!(
+                answered + s.accepted_by_key,
+                result.len() as u64,
+                "{what}: {s:?}"
+            );
+            let refined_out = seen.len() as u64 - answered;
+            assert!(s.false_hits >= refined_out, "{what}: {s:?}");
+            let by_key = s.false_hits - refined_out;
+            let checked = s.candidates - s.duplicates - s.accepted_by_key;
+            assert_eq!(seen.len() as u64 + by_key, checked, "{what}: {s:?}");
+            let keyless = ["full scan", "MBR", "Line(", "space:"];
+            if keyless.iter().any(|case| what.contains(case)) {
+                assert_eq!(by_key, 0, "{what}: {s:?}");
+            }
+            rejected_by_key += by_key;
         }
+        assert!(rejected_by_key > 0, "the keys rejected nothing");
     }
 }

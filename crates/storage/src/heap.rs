@@ -17,11 +17,13 @@
 //!
 //! Every operation that touches a page is fallible: over a durable pager a
 //! read can fail with an I/O error or a checksum mismatch, and the heap
-//! propagates it instead of panicking — the heap's *own* invariants (a
-//! foreign page id, an out-of-range slot) still panic, because they are
-//! caller bugs rather than storage conditions. The foreign-page check is
-//! paid once per page loaded (a binary search of the sorted page set),
-//! never per record.
+//! propagates it instead of panicking — a foreign page id still panics,
+//! because it is a caller bug rather than a storage condition. A record id
+//! naming a slot past its page's directory reads as a tombstone, and a
+//! slot whose extent does not lie inside its page as a record of no bytes
+//! (which no record decodes from), so what the caller makes of them is a
+//! typed error, not an abort. The foreign-page check is paid once per page
+//! loaded (a binary search of the sorted page set), never per record.
 
 use crate::codec::{get_u16, put_u16};
 use crate::pager::{PageId, PageReader, Pager};
@@ -142,8 +144,9 @@ impl HeapFile {
     /// page*: the batched fetch used by query refinement. Records are
     /// visited in `(page, slot)` order as `(position in ids, bytes)`, the
     /// bytes lent straight out of the page buffer — no per-record copy;
-    /// tombstoned slots are shown as `None`. The first error `visit`
-    /// returns ends the walk.
+    /// tombstoned slots, and slots past the page's directory, are shown as
+    /// `None`, a slot whose extent overruns the page as no bytes. The first
+    /// error `visit` returns ends the walk.
     pub fn visit_many<E: From<std::io::Error>>(
         &self,
         pager: &dyn PageReader,
@@ -200,16 +203,16 @@ impl HeapFile {
     }
 }
 
-/// The live record in `slot` of the page image, `None` for a tombstone.
-///
-/// # Panics
-/// Panics if the page has no such slot.
+/// The live record in `slot` of the page image: `None` for a tombstone or
+/// a slot the page's directory does not have, no bytes for an extent that
+/// does not lie inside the page.
 fn record(page: &[u8], slot: u16) -> Option<&[u8]> {
-    let n = get_u16(page, 0);
-    assert!(slot < n, "slot {slot} out of range {n}");
+    if slot >= get_u16(page, 0) {
+        return None;
+    }
     let off = get_u16(page, HDR + slot as usize * SLOT) as usize;
     let len = get_u16(page, HDR + slot as usize * SLOT + 2);
-    (len != TOMBSTONE).then(|| &page[off..off + len as usize])
+    (len != TOMBSTONE).then(|| page.get(off..off + len as usize).unwrap_or_default())
 }
 
 /// Tries to append `data` to the page image; returns the new slot on success.
@@ -388,6 +391,29 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!((calls, err.to_string().as_str()), (3, "stop"));
+    }
+
+    /// A record id past its page's slot directory reads as no record, and
+    /// a slot whose extent overruns the page as no bytes: damage the
+    /// caller reports, never an abort.
+    #[test]
+    fn damaged_slots_read_as_no_record_or_no_bytes() {
+        let mut pager = MemPager::new(128);
+        let mut heap = HeapFile::new(&mut pager);
+        let kept = heap.insert(&mut pager, b"kept").unwrap();
+        let victim = heap.insert(&mut pager, b"victim").unwrap();
+        let past = RecordId {
+            page: victim.page,
+            slot: 999,
+        };
+        assert_eq!(get(&heap, &pager, past), None);
+        assert!(!heap.delete(&mut pager, past).unwrap());
+        let mut page = vec![0u8; 128];
+        pager.read(victim.page, &mut page).unwrap();
+        put_u16(&mut page, HDR + victim.slot as usize * SLOT + 2, 0x0FFF);
+        pager.write(victim.page, &page).unwrap();
+        assert_eq!(get(&heap, &pager, victim), Some(Vec::new()));
+        assert_eq!(get(&heap, &pager, kept).unwrap(), b"kept");
     }
 
     #[test]

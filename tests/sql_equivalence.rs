@@ -698,8 +698,9 @@ fn explain_analyze_counts_match_the_row_at_a_time_pipeline() {
             .map(|l| l.trim_start_matches(['│', ' ']).to_string())
             .collect()
     }
-    let scan =
-        "actual:   9 index + 67 heap = 76 pages, 435 candidates (0 duplicates, 77 false hits)";
+    // Was `9 index + 67 heap = 76 pages`: the key columns decide every
+    // candidate, so the scan fetches none.
+    let scan = "actual:   9 index + 0 heap = 9 pages, 435 candidates (0 duplicates, 77 false hits)";
     assert_eq!(
         counts("SELECT * FROM r WHERE y >= 0.3*x - 5 EXIST"),
         [format!("{scan}, 358 rows")],
@@ -710,25 +711,28 @@ fn explain_analyze_counts_match_the_row_at_a_time_pipeline() {
         ["rows: 358".to_string(), format!("{scan}, 358 rows")],
         "LIMIT beyond the result"
     );
-    // Was `9 index + 425 heap = 434 pages`: 67 for the scan, 358 for rows.
+    // Was `9 index + 425 heap = 434 pages`: 67 for the scan, 358 for rows;
+    // then `9 index + 134 heap = 143 pages` (67 for the scan, 67 for the
+    // regions' chunks). The keys decide the scan now: 67, the regions'.
     assert_eq!(
         counts("SELECT * FROM r WHERE y >= 0.3*x - 5 AND x >= 0 EXIST"),
         [
             "rows: 358 in, 158 out",
-            "actual:   9 index + 134 heap = 143 pages, 435 candidates (0 duplicates, 77 false hits), 358 rows",
+            "actual:   9 index + 67 heap = 76 pages, 435 candidates (0 duplicates, 77 false hits), 358 rows",
         ],
         "Filter over IndexScan"
     );
-    // Was `8 index + 272 heap = 280 pages` on the inner scan. The planned
-    // scan of `s` refines like every other method: the 11 tuples it
-    // rejects are false hits.
+    // Was `8 index + 272 heap = 280 pages` on the inner scan, then
+    // `8 index + 134 heap = 142 pages` before its keys decided it. The
+    // planned scan of `s` refines like every other method: the 11 tuples
+    // it rejects are false hits.
     assert_eq!(
         counts("SELECT * FROM s JOIN r WHERE y >= 0.3*x + 20 EXIST"),
         [
             "rows: 3 in, 3 out",
             "pairs tested: 205, rows out: 3",
             "actual:   0 index + 3 heap = 3 pages, 12 candidates (0 duplicates, 11 false hits), 1 rows",
-            "actual:   8 index + 134 heap = 142 pages, 333 candidates (0 duplicates, 128 false hits), 205 rows",
+            "actual:   8 index + 67 heap = 75 pages, 333 candidates (0 duplicates, 128 false hits), 205 rows",
         ],
         "Join"
     );
