@@ -134,10 +134,12 @@ RULES
 }
 step one-refine one_refine
 
-# The audit that keeps "planner feedback is a cache, not state" a gate,
-# over the engine crate: one lock-free table per relation (no `Mutex` in
-# the planner), no exploration probes and no persisted planner state (the
-# catalog names no `PlanCatalog`), and no handicap-refresh flag.
+# The audit that keeps "a plan is the paper's rule, not state" a gate,
+# over the engine crate: no lock in the planner, no exploration probes, no
+# handicap-refresh flag, and — over the engine and the experiment harness —
+# no cost model: no feedback table or its EWMA, no cost estimate or its
+# sizing context, no default selectivity or over-coverage constants, and no
+# estimating method.
 one_planner_cache() {
   grep_audit one-planner-cache crates/core/src/plan.rs <<'RULES'
 0|mentions of Mutex|-|Mutex
@@ -147,6 +149,16 @@ RULES
 RULES
   grep_audit one-planner-cache crates/core/src/catalog.rs <<'RULES'
 0|mentions of PlanCatalog|-|PlanCatalog
+RULES
+  grep_audit one-planner-cache crates/core/src crates/bench/src <<'RULES'
+0|mentions of PlanCatalog|-|PlanCatalog
+0|mentions of EWMA_ALPHA|-|EWMA_ALPHA
+0|mentions of CostEstimate|-|CostEstimate
+0|mentions of MethodContext|-|MethodContext
+0|mentions of DEFAULT_SELECTIVITY|-|DEFAULT_SELECTIVITY
+0|over-coverage constants|-|_OVERSHOOT
+0|definitions of fn overcover|-|fn overcover
+0|definitions of fn estimate|-|fn estimate\(
 RULES
 }
 step one-planner-cache one_planner_cache
@@ -255,7 +267,7 @@ step build cargo build --release
 paper_figures() {
   local b status=0
   cargo build --release -q -p cdb-bench --bins
-  for b in fig8 fig9 fig10 ablation_t1_t2 selectivity_sweep estimate_accuracy dimension_sweep; do
+  for b in fig8 fig9 fig10 ablation_t1_t2 selectivity_sweep auto_choice dimension_sweep; do
     if ! ./target/release/"$b" --quick | diff -u "crates/bench/golden/$b.txt" -; then
       echo "ci: paper-figures: $b differs from crates/bench/golden/$b.txt" >&2
       status=1

@@ -3,7 +3,8 @@
 //! paper gives for T2: duplicates disappear, candidate volume drops.
 //!
 //! Reported per strategy: candidates produced by the index phase,
-//! duplicates, false hits removed by refinement, and mean page accesses.
+//! duplicates, false candidates (rejected by key or by refinement), and
+//! mean page accesses.
 //!
 //! ```text
 //! cargo run --release -p cdb-bench --bin ablation_t1_t2 [--quick]
@@ -18,7 +19,10 @@ fn agg(rows: &[QueryStats]) -> (f64, f64, f64, f64) {
     (
         rows.iter().map(|s| s.candidates).sum::<u64>() as f64 / n,
         rows.iter().map(|s| s.duplicates).sum::<u64>() as f64 / n,
-        rows.iter().map(|s| s.false_hits).sum::<u64>() as f64 / n,
+        rows.iter()
+            .map(|s| s.false_hits + s.rejected_by_key)
+            .sum::<u64>() as f64
+            / n,
         rows.iter().map(|s| s.total_accesses()).sum::<u64>() as f64 / n,
     )
 }

@@ -22,8 +22,8 @@ use std::collections::HashMap;
 
 use cdb_core::ddim::{DualIndexD, SlopePoints};
 use cdb_core::index::Exact;
-use cdb_core::plan::{AccessMethod, MethodContext, PlanCase};
-use cdb_core::{Selection, SelectionKind};
+use cdb_core::plan::{AccessMethod, PlanCase};
+use cdb_core::{ConstraintDb, DbConfig, Selection, SelectionKind};
 use cdb_geometry::constraint::{LinearConstraint, RelOp};
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::predicates;
@@ -68,16 +68,11 @@ fn query(qi: usize, slope: Vec<f64>, rng: &mut StdRng) -> Selection {
     }
 }
 
-/// Page accesses per selection kind, and the cost model's estimates next
-/// to what the executor did, over one query set.
+/// Page accesses per selection kind over one query set.
 #[derive(Default)]
 struct Tally {
     exist_io: u64,
     all_io: u64,
-    est_cand: f64,
-    act_cand: f64,
-    est_io: f64,
-    act_io: f64,
 }
 
 impl Tally {
@@ -95,19 +90,15 @@ impl Tally {
 struct Bed<'a> {
     pager: MemPager,
     index: &'a DualIndexD,
-    /// Relation sizing for the cost formulas.
-    ctx: MethodContext,
     pairs: &'a [(u32, GeneralizedTuple)],
     lookup: &'a HashMap<u32, GeneralizedTuple>,
 }
 
 impl Bed<'_> {
     /// Runs every query along `case(sel)`, cross-checks the answer against
-    /// the oracle (a mismatch panics), and tallies its page accesses and
-    /// the cost model's estimate at the query's *true* selectivity.
+    /// the oracle (a mismatch panics), and tallies its page accesses.
     fn measure(&self, queries: &[Selection], case: impl Fn(&Selection) -> PlanCase) -> Tally {
         let mut tally = Tally::default();
-        let n = self.pairs.len() as f64;
         let access = AccessMethod::DualD(self.index);
         for (qi, sel) in queries.iter().enumerate() {
             let want: Vec<u32> = self
@@ -132,11 +123,6 @@ impl Bed<'_> {
             } else {
                 tally.all_io += io;
             }
-            let est = access.estimate(&self.ctx, sel, &case, want.len() as f64 / n);
-            tally.est_cand += est.candidates;
-            tally.act_cand += r.stats.candidates as f64;
-            tally.est_io += est.index_pages;
-            tally.act_io += io as f64;
         }
         tally
     }
@@ -184,12 +170,22 @@ impl RandomSet {
     }
 }
 
+/// Heap pages of a `dim`-dimensional relation holding `pairs`: what a
+/// sequential scan reads per query.
+fn heap_pages(dim: usize, pairs: &[(u32, GeneralizedTuple)]) -> u64 {
+    let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+    db.create_relation("r", dim).expect("fresh db");
+    for (_, t) in pairs {
+        db.insert("r", t.clone()).expect("satisfiable box");
+    }
+    db.relation("r").expect("created").heap_pages()
+}
+
 /// Builds the index over `points` and hands `run` the bed.
 fn with_bed<R>(
     points: SlopePoints,
     pairs: &[(u32, GeneralizedTuple)],
     lookup: &HashMap<u32, GeneralizedTuple>,
-    ctx: MethodContext,
     run: impl FnOnce(&Bed<'_>) -> R,
 ) -> R {
     let mut pager = MemPager::paper_1999();
@@ -197,7 +193,6 @@ fn with_bed<R>(
     run(&Bed {
         pager,
         index: &index,
-        ctx,
         pairs,
         lookup,
     })
@@ -213,11 +208,9 @@ fn main() {
     );
     let mut csv =
         String::from("d,k,t2_exist_accesses,t2_all_accesses,t1_exist,t1_all,scan_accesses\n");
-    let mut accuracy: Vec<(usize, f64, f64, f64, f64)> = Vec::new();
     let mut random_rows: Vec<String> = Vec::new();
-    let mut random_csv = String::from(
-        "d,k,in_hull,grid_t2_exist,grid_t2_all,t2_exist,t2_all,else_exist,else_all,t2_cand_ratio,t2_io_ratio\n",
-    );
+    let mut random_csv =
+        String::from("d,k,in_hull,grid_t2_exist,grid_t2_all,t2_exist,t2_all,else_exist,else_all\n");
     for dim in [2usize, 3, 4] {
         let pairs = random_boxes(dim, n, 0xD1 + dim as u64);
         // Keep k comparable across d: a small grid spanning slope space.
@@ -225,17 +218,7 @@ fn main() {
         let grid = SlopePoints::grid(dim, per_axis, 1.0);
         let k = grid.len();
         let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
-        // Scan baseline sizing (also the heap size for the cost formulas):
-        // every tuple page is read once per query, estimated from record
-        // sizes on the paper's 1024-byte pages.
-        let rec = pairs[0].1.encode().len() + 4;
-        let per_page = (1024 - 4) / rec;
-        let scan_pages = n.div_ceil(per_page) as u64;
-        let ctx = MethodContext {
-            n: n as u64,
-            heap_pages: scan_pages,
-            page_size: 1024,
-        };
+        let scan_pages = heap_pages(dim, &pairs);
 
         // Random sets of the fewest points (k = d) and of the grid's k; for
         // each, slopes inside its hull and — past d = 2, where the hull of
@@ -276,7 +259,7 @@ fn main() {
             let vertices = bed.index.points().containing_simplex(&sel.halfplane.slope);
             PlanCase::SimplexCovering(vertices.expect("in-hull query"))
         };
-        let (t2, t1, grid_on_random) = with_bed(grid, &pairs, &lookup, ctx, |bed| {
+        let (t2, t1, grid_on_random) = with_bed(grid, &pairs, &lookup, |bed| {
             let t2 = bed.measure(&queries, |sel| cell(bed, sel));
             let t1 = bed.measure(&queries, |sel| covering(bed, sel));
             let on_random: Vec<Tally> = random_sets
@@ -291,19 +274,12 @@ fn main() {
         csv.push_str(&format!(
             "{dim},{k},{e:.1},{a:.1},{e1:.1},{a1:.1},{scan_pages}\n"
         ));
-        accuracy.push((
-            dim,
-            t2.est_cand / t2.act_cand,
-            t2.est_io / t2.act_io,
-            t1.est_cand / t1.act_cand,
-            t1.est_io / t1.act_io,
-        ));
 
         for (set, on_grid) in random_sets.into_iter().zip(grid_on_random) {
             let (rk, in_hull) = (set.points.len(), set.in_hull);
             // T2 over the set's cells, and what serves the same slopes
             // without them: the covering inside the hull, else the scan.
-            let (rt2, (oe, oa)) = with_bed(set.points, &pairs, &lookup, ctx, |bed| {
+            let (rt2, (oe, oa)) = with_bed(set.points, &pairs, &lookup, |bed| {
                 let rt2 = bed.measure(&set.queries, |sel| cell(bed, sel));
                 let other = if in_hull {
                     bed.measure(&set.queries, |sel| covering(bed, sel)).means()
@@ -314,46 +290,34 @@ fn main() {
             });
             let (ge, ga) = on_grid.means();
             let (re, ra) = rt2.means();
-            let (cand, io) = (rt2.est_cand / rt2.act_cand, rt2.est_io / rt2.act_io);
             // The grid bound is the target at the grid's own k only.
             let near_grid = rk != k || (re <= 1.2 * ge && ra <= 1.2 * ga);
             let met = near_grid && re < oe && ra < oa;
             let verdict = if met { "met" } else { "not met" };
             let slopes = if in_hull { "hull/T1" } else { "box/scan" };
             random_rows.push(format!(
-                "{dim:>4}{rk:>6}{slopes:>10}{ge:>10.1}{ga:>10.1}{re:>10.1}{ra:>10.1}{oe:>10.1}{oa:>10.1}{:>8.2}{:>8.2}{cand:>8.2}{io:>8.2}  {verdict}",
+                "{dim:>4}{rk:>6}{slopes:>10}{ge:>10.1}{ga:>10.1}{re:>10.1}{ra:>10.1}{oe:>10.1}{oa:>10.1}{:>8.2}{:>8.2}  {verdict}",
                 (re + ra) / (ge + ga),
                 (re + ra) / (oe + oa),
             ));
             random_csv.push_str(&format!(
-                "{dim},{rk},{in_hull},{ge:.1},{ga:.1},{re:.1},{ra:.1},{oe:.1},{oa:.1},{cand:.3},{io:.3}\n"
+                "{dim},{rk},{in_hull},{ge:.1},{ga:.1},{re:.1},{ra:.1},{oe:.1},{oa:.1}\n"
             ));
         }
     }
-    println!("\nCost-model accuracy (estimate / actual, 1.0 = perfect):");
-    println!(
-        "{:>4}{:>14}{:>14}{:>14}{:>14}",
-        "d", "T2 cand", "T2 index-IO", "T1 cand", "T1 index-IO"
-    );
-    let mut acc_csv = String::from("d,t2_cand_ratio,t2_io_ratio,t1_cand_ratio,t1_io_ratio\n");
-    for (d, tc, ti, sc, si) in &accuracy {
-        println!("{d:>4}{tc:>14.2}{ti:>14.2}{sc:>14.2}{si:>14.2}");
-        acc_csv.push_str(&format!("{d},{tc:.3},{ti:.3},{sc:.3},{si:.3}\n"));
-    }
     std::fs::create_dir_all("results").expect("results dir");
     std::fs::write("results/dimension_sweep.csv", csv).expect("write CSV");
-    std::fs::write("results/dimension_cost_model.csv", acc_csv).expect("write CSV");
-    println!("\nwrote results/dimension_sweep.csv and results/dimension_cost_model.csv");
+    println!("\nwrote results/dimension_sweep.csv");
 
     println!(
         "\nRandom slope points (k = d, and the grid's k): T2 over Voronoi cells vs \
          the grid's T2 on the same slopes vs what serves them without cells —\n\
          simplex T1 for slopes in the hull, the scan for slopes in the box but \
          outside the hull\n(target: T2 below that, and ≤ 1.2 × grid at the \
-         grid's k; cost model as estimate / actual)"
+         grid's k)"
     );
     println!(
-        "{:>4}{:>6}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>8}{:>8}{:>8}{:>8}",
+        "{:>4}{:>6}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>10}{:>8}{:>8}",
         "d",
         "k",
         "slopes",
@@ -364,9 +328,7 @@ fn main() {
         "else EX",
         "else ALL",
         "/grid",
-        "/else",
-        "cand",
-        "idx-IO"
+        "/else"
     );
     for row in &random_rows {
         println!("{row}");

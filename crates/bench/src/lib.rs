@@ -15,9 +15,7 @@
 //! Each run cross-checks that both structures return identical result sets.
 
 use cdb_core::query::Strategy;
-use cdb_core::{
-    ConstraintDb, DbConfig, IndexKind, MethodKind, QueryStats, Selection, SelectionKind, SlopeSet,
-};
+use cdb_core::{ConstraintDb, DbConfig, IndexKind, QueryStats, Selection, SelectionKind, SlopeSet};
 use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_workload::{CalibratedQuery, DatasetSpec, ObjectSize, QueryGen, QueryKind};
@@ -264,10 +262,10 @@ pub fn run_time_experiment(
             });
         }
 
-        // Planner column: same bed at the middle k, every access method
-        // built (dual index + R⁺-tree + scan), `Strategy::Auto` picking per
-        // query. Shows what the cost-based choice achieves next to the
-        // forced-method columns.
+        // Planner column: same bed at the middle k, the R⁺-tree built
+        // beside the dual index, `Strategy::Auto` planning per query. The
+        // paper's rule runs T2 (the restricted search at a member slope),
+        // so the column equals the forced T2 column at that k.
         let k = ks[ks.len() / 2];
         let mut bed = T2Bed::build(spec, k);
         bed.db.build_rplus_index("r", 1.0).expect("2-D relation");
@@ -293,7 +291,9 @@ pub fn run_time_experiment(
 
 /// Renders figure points as aligned tables: two panels (EXIST/ALL) of the
 /// paper's index-access metric, then the same with refinement included.
+/// A column is 12 characters wide, or its label's length plus two.
 pub fn print_figure(title: &str, points: &[FigurePoint]) {
+    let width = |label: &str| 12.max(label.chars().count() + 2);
     let mut structures: Vec<String> = Vec::new();
     for p in points {
         if !structures.contains(&p.structure) {
@@ -319,7 +319,7 @@ pub fn print_figure(title: &str, points: &[FigurePoint]) {
         println!("\n{title} — {label}");
         print!("{:>10}", "N");
         for s in &structures {
-            print!("{s:>12}");
+            print!("{s:>w$}", w = width(s));
         }
         println!();
         for &n in &ns {
@@ -329,7 +329,7 @@ pub fn print_figure(title: &str, points: &[FigurePoint]) {
                     .iter()
                     .find(|p| p.n == n && &p.structure == s)
                     .expect("complete grid");
-                print!("{:>12.1}", pick(p, panel));
+                print!("{:>w$.1}", pick(p, panel), w = width(s));
             }
             println!();
         }
@@ -489,126 +489,6 @@ pub fn write_space_csv(name: &str, points: &[SpacePoint]) -> std::io::Result<()>
     std::fs::write(format!("results/{name}.csv"), s)
 }
 
-/// One estimate-vs-actual row from a planned (`Strategy::Auto`) query.
-#[derive(Clone, Debug)]
-pub struct EstimateRow {
-    /// Selection kind of the query.
-    pub kind: QueryKind,
-    /// Exact selectivity the query was calibrated to.
-    pub selectivity: f64,
-    /// Access method the planner chose.
-    pub method: MethodKind,
-    /// Estimated total page accesses (index + heap).
-    pub est_pages: f64,
-    /// Measured total page accesses.
-    pub actual_pages: u64,
-    /// Estimated candidate count.
-    pub est_candidates: f64,
-    /// Measured candidate count.
-    pub actual_candidates: u64,
-}
-
-/// Measures the planner's cost-model accuracy: builds one relation with
-/// *both* a dual index (slope-set size `k`) and the R⁺-tree baseline, runs
-/// a calibrated battery once to warm the feedback catalog, then re-runs it
-/// under `Strategy::Auto` recording the stamped estimate next to the
-/// measured actuals.
-pub fn run_estimate_experiment(
-    n: usize,
-    k: usize,
-    selectivity: (f64, f64),
-    seed: u64,
-) -> Vec<EstimateRow> {
-    let spec = DatasetSpec::paper_1999(n, ObjectSize::Small, seed);
-    let tuples = spec.generate();
-    let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
-    db.create_relation("r", 2).expect("fresh db");
-    for t in &tuples {
-        db.insert("r", t.clone())
-            .expect("satisfiable by construction");
-    }
-    db.build_dual_index("r", SlopeSet::uniform_tan(k))
-        .expect("2-D relation");
-    db.build_rplus_index("r", 1.0).expect("2-D relation");
-    let mut qg = QueryGen::new(seed ^ 0xE57);
-    let battery = qg.battery(&tuples, QUERIES_PER_KIND, selectivity.0, selectivity.1);
-    // Warm-up pass: seeds the feedback catalog with observed candidate
-    // fractions so the measured pass uses calibrated selectivities.
-    for q in &battery {
-        db.query_with("r", selection_of(q), Strategy::Auto)
-            .expect("planned query");
-    }
-    battery
-        .iter()
-        .map(|q| {
-            let r = db
-                .query_with("r", selection_of(q), Strategy::Auto)
-                .expect("planned query");
-            let est = r.stats.estimate.expect("planner stamps estimates");
-            EstimateRow {
-                kind: q.kind,
-                selectivity: q.selectivity,
-                method: r.stats.method.expect("planner stamps the method"),
-                est_pages: est.total(),
-                actual_pages: r.stats.total_accesses(),
-                est_candidates: est.candidates,
-                actual_candidates: r.stats.candidates,
-            }
-        })
-        .collect()
-}
-
-/// Renders estimate rows as an aligned table with per-row error factors.
-pub fn print_estimate_table(title: &str, rows: &[EstimateRow]) {
-    println!("\n{title}");
-    println!(
-        "{:>6}{:>8}{:>12}{:>12}{:>12}{:>12}{:>12}{:>8}",
-        "kind", "sel", "method", "est pages", "actual", "est cand", "actual", "err"
-    );
-    for r in rows {
-        let err = if r.actual_pages > 0 {
-            r.est_pages / r.actual_pages as f64
-        } else {
-            f64::NAN
-        };
-        println!(
-            "{:>6}{:>8.3}{:>12}{:>12.1}{:>12}{:>12.0}{:>12}{:>8.2}",
-            match r.kind {
-                QueryKind::Exist => "EXIST",
-                QueryKind::All => "ALL",
-            },
-            r.selectivity,
-            r.method.to_string(),
-            r.est_pages,
-            r.actual_pages,
-            r.est_candidates,
-            r.actual_candidates,
-            err,
-        );
-    }
-}
-
-/// Writes estimate rows as CSV under `results/`.
-pub fn write_estimate_csv(name: &str, rows: &[EstimateRow]) -> std::io::Result<()> {
-    std::fs::create_dir_all("results")?;
-    let mut s = String::from(
-        "kind,selectivity,method,est_pages,actual_pages,est_candidates,actual_candidates\n",
-    );
-    for r in rows {
-        s.push_str(&format!(
-            "{:?},{:.4},{},{:.3},{},{:.1},{}\n",
-            r.kind,
-            r.selectivity,
-            r.method,
-            r.est_pages,
-            r.actual_pages,
-            r.est_candidates,
-            r.actual_candidates
-        ));
-    }
-    std::fs::write(format!("results/{name}.csv"), s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,15 +500,17 @@ mod tests {
         assert_eq!(points.len(), 4);
         assert_eq!(points.last().unwrap().structure, "Auto (planner)");
         for p in &points {
-            if p.structure != "Auto (planner)" {
-                // Forced methods always descend their index.
-                assert!(p.exist_accesses > 0.0);
-                assert!(p.all_accesses > 0.0);
-            }
-            // Every column does real page work overall.
+            // Every column descends its index — Auto runs T2's search at
+            // k = 3 — and fetches for refinement.
+            assert!(p.exist_accesses > 0.0);
+            assert!(p.all_accesses > 0.0);
             assert!(p.exist_total > 0.0);
             assert!(p.all_total > 0.0);
         }
+        let auto = &points[3];
+        let t2 = &points[2];
+        assert_eq!(auto.exist_total, t2.exist_total, "Auto is T2 at k = 3");
+        assert_eq!(auto.all_total, t2.all_total, "Auto is T2 at k = 3");
     }
 
     #[test]
@@ -675,16 +557,6 @@ mod tests {
         for p in &points {
             assert!(p.pages > 0);
             assert!(p.ratio_vs_rplus > 0.0);
-        }
-    }
-
-    #[test]
-    fn estimate_rows_carry_planner_output() {
-        let rows = run_estimate_experiment(300, 3, (0.10, 0.15), 23);
-        assert_eq!(rows.len(), 2 * QUERIES_PER_KIND);
-        for r in &rows {
-            assert!(r.est_pages > 0.0, "estimate present");
-            assert!(r.actual_pages > 0, "actual accesses measured");
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The persistent database catalog: one versioned, checksummed blob
 //! holding every relation's heap roots, slot table and index metadata,
 //! committed through the pager's shadow-page meta protocol (see
-//! `cdb_storage::FilePager::commit_meta`). Planner feedback is not in it: a
-//! reopened database plans cold.
+//! `cdb_storage::FilePager::commit_meta`). The planner keeps no state: a
+//! reopened database plans as the one that was closed.
 //!
 //! Layout (all integers little-endian; every bracketed type is laid out by
 //! its own [`Wire`] impl, `Option` as a presence byte, lists as a `u32`
@@ -254,7 +254,7 @@ mod tests {
 
     /// The catalog of a 2-D relation (dual index after churn, R⁺-tree
     /// packed after it with an unbounded tuple and flagged corrupt, an
-    /// absent slot, queries whose feedback is not persisted) and a 3-D
+    /// absent slot, queries that leave nothing to persist) and a 3-D
     /// relation with a grid `DualIndexD` — the state behind
     /// `golden/catalog_v7.hex`.
     fn sample_blob() -> Vec<u8> {

@@ -1,7 +1,7 @@
 //! A small constraint-database engine facade: relations (heap files of
 //! generalized tuples), access methods (dual indexes, the d-dimensional
-//! extension, the R⁺-tree baseline, sequential scan) and cost-based query
-//! planning, all over one instrumented pager.
+//! extension, the R⁺-tree baseline, sequential scan) and query planning by
+//! the paper's rule, all over one instrumented pager.
 //!
 //! # Failure containment
 //!
@@ -43,7 +43,7 @@ pub struct DbConfig {
 }
 
 impl DbConfig {
-    /// The paper's setup: 1024-byte pages, cost-based planner choice.
+    /// The paper's setup: 1024-byte pages.
     pub fn paper_1999() -> Self {
         DbConfig {
             page_size: DEFAULT_PAGE_SIZE,
@@ -268,8 +268,7 @@ impl ConstraintDb {
     ///
     /// 1. rebuilds every relation — heaps, slot tables, dual indexes,
     ///    R⁺-tree, corrupt-index flags — from the committed catalog (the
-    ///    header flip already happened inside [`FilePager::open`]); the
-    ///    planner starts without feedback;
+    ///    header flip already happened inside [`FilePager::open`]);
     /// 2. replays any write-ahead-log suffix newer than the catalog's
     ///    durable-LSN watermark through the normal mutation paths, then
     ///    checkpoints and deletes the absorbed log — so an acknowledged
@@ -608,10 +607,8 @@ impl ConstraintDb {
     /// writes through this handle copy-on-write onto fresh pages, so the
     /// frozen pages stay exactly as published until the snapshot drops —
     /// and the in-memory catalog (relation descriptors, index roots) is
-    /// cloned so the snapshot's query surface is self-contained; each
-    /// relation's planner feedback table is shared, not copied, so what the
-    /// snapshot's queries observe reaches this handle and every later
-    /// snapshot. `&mut self` because publication advances the
+    /// cloned so the snapshot's query surface is self-contained.
+    /// `&mut self` because publication advances the
     /// writer's working generation; the returned snapshot is `Send + Sync`
     /// and never blocks this handle.
     ///
@@ -864,7 +861,7 @@ mod tests {
     use super::*;
     use crate::index::{Index, IndexKind};
     use crate::plan::MethodKind;
-    use crate::query::{Selection, SelectionKind, Strategy};
+    use crate::query::{Selection, Strategy};
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::parse::parse_tuple;
     use cdb_geometry::{LinearConstraint, RelOp};
@@ -1369,54 +1366,6 @@ mod tests {
         }
     }
 
-    /// An equality query shows every candidate to its predicate, so at a
-    /// member slope the heap is costed for all of them — not for the
-    /// boundary band a half-plane selection fetches there.
-    #[test]
-    fn line_queries_at_a_member_slope_are_costed_with_every_candidate_fetched() {
-        use crate::index::Exact;
-        use crate::plan::{MethodContext, Planner};
-        use cdb_workload::{DatasetSpec, ObjectSize};
-        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
-        db.create_relation("r", 2).unwrap();
-        for t in DatasetSpec::paper_1999(600, ObjectSize::Small, 3).generate() {
-            db.insert("r", t).unwrap();
-        }
-        let slopes = SlopeSet::uniform_tan(3);
-        db.build_dual_index("r", slopes.clone()).unwrap();
-        let rel = db.relation("r").unwrap();
-        let page_size = db.config.page_size;
-        let sel = Selection::line_superset(slopes.get(1), 0.0);
-        let plan = |exact| {
-            let forced = Some(MethodKind::Restricted);
-            Planner::choose(rel, page_size, &sel, exact, forced)
-                .unwrap()
-                .1
-        };
-        let (half_plane, line) = (
-            plan(Exact::Selection),
-            plan(Exact::Line(SelectionKind::Exist)),
-        );
-        assert_eq!(half_plane.case, line.case);
-        assert!(half_plane.estimate.heap_pages <= 2.0);
-        let ctx = MethodContext {
-            n: rel.len(),
-            heap_pages: rel.heap_pages(),
-            page_size,
-        };
-        let fetched = ctx.heap_fetch_pages(line.estimate.candidates);
-        assert_eq!(line.estimate.heap_pages, fetched);
-        assert!(fetched > 10.0, "{fetched}");
-        assert_eq!(half_plane.estimate.index_pages, line.estimate.index_pages);
-        // What the estimate now says is what a line query there reads.
-        let ran = db.exist_line("r", slopes.get(1), 0.0).unwrap();
-        let read = ran.stats.heap_io.reads as f64;
-        assert!(
-            read > 10.0 && (read - fetched).abs() < 0.5 * read,
-            "{read} vs {fetched}"
-        );
-    }
-
     #[test]
     fn unbounded_tuples_round_trip_through_storage() {
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
@@ -1584,7 +1533,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_lines_up_estimate_and_actual() {
+    fn explain_names_the_rule_and_the_actuals() {
         let mut db = sample_db();
         db.build_dual_index("land", SlopeSet::uniform_tan(4))
             .unwrap();
@@ -1592,22 +1541,18 @@ mod tests {
             .explain("land", Selection::exist(HalfPlane::above(0.37, 0.0)))
             .unwrap();
         let text = report.to_string();
-        assert!(text.contains("method="), "{text}");
-        assert!(text.contains("estimate:"), "{text}");
-        assert!(text.contains("actual:"), "{text}");
-        assert!(text.contains("considered:"), "{text}");
-        assert_eq!(
-            report.result.stats.estimate.map(|e| e.total()),
-            Some(report.plan.estimate.total()),
-            "the estimate is recorded in the stats next to the actuals"
+        assert!(
+            text.contains("method=T2 (auto)  case: between slopes"),
+            "{text}"
         );
+        assert!(text.contains("Restricted rejected: slope 0.37"), "{text}");
+        assert!(text.contains("actual:"), "{text}");
+        assert_eq!(report.result.stats.method, Some(MethodKind::T2));
     }
 
     #[test]
     fn planner_prefers_restricted_for_member_slopes() {
         use cdb_workload::{DatasetSpec, ObjectSize};
-        // Large enough that index descents beat scanning the whole heap
-        // (on a page-sized relation the planner rightly picks SeqScan).
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
         db.create_relation("land", 2).unwrap();
         for t in DatasetSpec::paper_1999(400, ObjectSize::Small, 0xDB).generate() {

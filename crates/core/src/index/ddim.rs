@@ -393,20 +393,6 @@ impl DualIndex<SlopePoints> {
         &self.geometry
     }
 
-    /// Per-axis slope-space extent of element `i`'s cell — the band its
-    /// whole-cell handicaps over-cover by; `None` for an element `S` lacks.
-    pub(crate) fn cell_extent(&self, i: usize) -> Option<Vec<f64>> {
-        let (_, corners) = self.regions.get(i)?.first()?;
-        let extent = |j: usize| {
-            let along = corners.iter().map(|c| c[j]);
-            let (lo, hi) = along.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-                (lo.min(v), hi.max(v))
-            });
-            hi - lo
-        };
-        Some((0..self.geometry.dim() - 1).map(extent).collect())
-    }
-
     /// The routing table of Section 4.4: a member slope point is searched
     /// exactly; any other slope in the bounding box of `S` takes the
     /// d-dimensional technique T2 (single tree, two handicap-guided

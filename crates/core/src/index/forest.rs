@@ -192,12 +192,6 @@ impl Forest {
             .sum()
     }
 
-    /// Height of the first `B^up` tree — every tree of the forest has the
-    /// same height, so this is the per-search descent cost in pages.
-    pub(crate) fn height(&self) -> usize {
-        self.pairs.first().map_or(0, |(up, _)| up.height())
-    }
-
     /// Frees every page of every tree back to the pager.
     ///
     /// # Errors

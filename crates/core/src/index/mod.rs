@@ -759,7 +759,8 @@ impl Candidates {
 /// it on the record bytes in the page). Keys decide only
 /// [`Exact::Selection`]: for any other predicate every candidate is
 /// checked. The answer is the ids accepted by key plus those kept; a
-/// candidate the keys reject is a false hit, like one refinement drops.
+/// candidate the keys reject is booked in `rejected_by_key`, one
+/// refinement drops in `false_hits`.
 pub(crate) fn refine(
     pager: &dyn PageReader,
     sel: &Selection,
@@ -793,7 +794,7 @@ pub(crate) fn refine(
                 false
             }
             Verdict::No => {
-                stats.false_hits += 1;
+                stats.rejected_by_key += 1;
                 false
             }
             Verdict::Fetch => true,

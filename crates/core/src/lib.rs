@@ -42,9 +42,10 @@
 //! Every query path — the three dual-index techniques, the d-dimensional
 //! extension, a sequential scan, and the Section 5 R⁺-tree baseline — is
 //! one variant of the [`plan::AccessMethod`] enum; [`plan::Planner`]
-//! chooses among them with the paper-shaped I/O cost formulas seeded by
-//! observed per-plan statistics, and
-//! [`ReadSurface::explain`] renders the decision next to the actuals.
+//! runs the forced one or the paper's rule — the restricted search at a
+//! slope of `S`, T2 at any other, the d-dimensional index's cell, the scan
+//! where no index routes the selection — and [`ReadSurface::explain`]
+//! renders the decision next to the actuals.
 
 pub mod catalog;
 pub mod db;
@@ -65,10 +66,7 @@ pub mod wire;
 pub use db::{ConstraintDb, DbConfig, DbStats, RecoveryReport, WalReplay, WalStats};
 pub use error::{CdbError, CATALOG_RECORD, WAL_RECORD};
 pub use index::{ddim, DualIndex, Index, IndexKind, IndexSpec};
-pub use plan::{
-    AccessMethod, CostEstimate, ExplainReport, MethodKind, PlanCase, PlanCatalog, Planner,
-    QueryPlan, Rejection,
-};
+pub use plan::{AccessMethod, ExplainReport, MethodKind, PlanCase, Planner, QueryPlan, Rejection};
 pub use pretty::PlanNode;
 pub use query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
 pub use read::{PageSource, ReadSurface, Snapshot};

@@ -16,7 +16,7 @@
 //!    satisfiable by construction.
 //! 3. **Predicate pushdown** — a non-vertical conjunct becomes the
 //!    [`Selection`] of an [`LogicalPlan::IndexSelection`] node replacing a
-//!    bare scan, so the cost-based planner picks an access method for it
+//!    bare scan, so the planner picks an access method for it
 //!    inside the pipeline. Under `ALL` containment distributes over
 //!    conjunction, so the pushed conjunct leaves the residual filter; under
 //!    `EXIST` joint satisfiability does not distribute, so the pushed
@@ -54,8 +54,8 @@ pub enum LogicalPlan {
         /// Relation dimension.
         dim: usize,
     },
-    /// Planned access-method selection on one relation: the cost-based
-    /// planner chooses among seq-scan / dual / dual-d / R⁺ at execution.
+    /// Planned access-method selection on one relation: the planner runs
+    /// the paper's rule over dual / dual-d / seq-scan at execution.
     IndexSelection {
         /// Relation name.
         relation: String,

@@ -217,11 +217,12 @@ impl Operator for EmptyOp {
 
 // ------------------------------------------------------------ IndexScanOp
 
-/// Planned access-method execution on one relation: the cost-based
-/// planner picks among every available method (seq-scan, dual index
-/// techniques, R⁺-tree) exactly as the typed query path always has —
-/// now as one operator inside the pipeline. It plans once, when built;
-/// `open` executes that plan, and `EXPLAIN` reads it.
+/// Planned access-method execution on one relation: the planner runs the
+/// forced method or the paper's rule — the restricted search at a slope of
+/// `S`, T2 at any other, the d-dimensional index's cell, else the scan —
+/// exactly as the typed query path does, as one operator inside the
+/// pipeline. It plans once, when built; `open` executes that plan, and
+/// `EXPLAIN` reads it.
 pub struct IndexScanOp<'a> {
     rel: &'a Relation,
     reader: &'a dyn PageReader,
@@ -241,10 +242,10 @@ pub struct IndexScanOp<'a> {
 }
 
 impl<'a> IndexScanOp<'a> {
-    /// Plans the scan, costed at `page_size`, on the method `strategy`
-    /// forces if it forces one; `fetch_regions` asks `next_batch` to
-    /// materialize each row's constraint region (needed under
-    /// filters/joins). The planning time counts toward the operator's own.
+    /// Plans the scan on the method `strategy` forces if it forces one;
+    /// `fetch_regions` asks `next_batch` to materialize each row's
+    /// constraint region (needed under filters/joins). The planning time
+    /// counts toward the operator's own.
     ///
     /// # Errors
     /// [`CdbError::Quarantined`] for a quarantined relation;
@@ -253,7 +254,6 @@ impl<'a> IndexScanOp<'a> {
     pub fn new(
         rel: &'a Relation,
         reader: &'a dyn PageReader,
-        page_size: usize,
         sel: Selection,
         exact: Exact,
         strategy: Strategy,
@@ -267,7 +267,7 @@ impl<'a> IndexScanOp<'a> {
                 got: sel.halfplane.dim(),
             });
         }
-        let (method, plan) = Planner::choose(rel, page_size, &sel, exact, strategy.forced())?;
+        let (method, plan) = Planner::choose(rel, &sel, strategy.forced())?;
         let seen = Seen {
             elapsed: t0.elapsed(),
             ..Seen::default()
@@ -302,13 +302,8 @@ impl Operator for IndexScanOp<'_> {
         let mut result = self
             .method
             .execute(self.reader, &self.sel, case, self.exact, &source)?;
-        // Booked under the search that ran, not the label that won.
-        let ran = case.runs();
-        result.stats.method = Some(ran);
-        result.stats.estimate = Some(self.plan.estimate);
-        self.rel
-            .catalog()
-            .record(ran, self.sel.kind, &result.stats, self.rel.len());
+        // The search that ran, not the label that won.
+        result.stats.method = Some(case.runs());
         (self.ids, self.stats) = result.into_parts();
         self.seen.elapsed += t0.elapsed();
         Ok(())
@@ -745,8 +740,6 @@ pub struct ExecCtx<'a> {
     pub relations: &'a HashMap<String, Relation>,
     /// The read half of the pager.
     pub reader: &'a dyn PageReader,
-    /// Page size, for the cost formulas.
-    pub page_size: usize,
 }
 
 /// Builds the physical operator tree for a rewritten logical plan.
@@ -786,7 +779,6 @@ pub fn build<'a>(
         } => Box::new(IndexScanOp::new(
             rel(relation)?,
             ctx.reader,
-            ctx.page_size,
             selection.clone(),
             Exact::Selection,
             Strategy::Auto,
@@ -867,7 +859,6 @@ mod tests {
         IndexScanOp::new(
             db.relation("r").unwrap(),
             db.reader(),
-            1024,
             Selection::exist(HalfPlane::above(0.3, -1e9)),
             Exact::Selection,
             Strategy::Auto,
@@ -945,8 +936,6 @@ mod tests {
     fn limit_closes_its_input_at_the_batch_holding_row_n() {
         let (db, _) = bed(700);
         for n in [0usize, 7, REGION_CHUNK, REGION_CHUNK + 1, 699, 700, 5000] {
-            // Planned before the limited scan runs and books its feedback,
-            // so both run the same search.
             let mut whole = region_scan(&db);
             let mut op = LimitOp {
                 input: Box::new(region_scan(&db)),

@@ -15,7 +15,7 @@ use crate::query::QueryStats;
 pub struct PlanNode {
     /// The operator headline, e.g. `IndexScan parcels [exist y >= 0.3x - 5]`.
     pub label: String,
-    /// Indented annotation lines (estimates, actuals, method choice).
+    /// Indented annotation lines (method choice, actuals).
     pub detail: Vec<String>,
     /// Child operators, rendered below with tree connectors.
     pub children: Vec<PlanNode>,
@@ -26,7 +26,7 @@ pub struct PlanNode {
 /// ```text
 /// NestedLoopJoin
 /// ├─ IndexScan r [exist y >= 0.3x - 5]
-/// │      method=T2 (cost-based)  case: …
+/// │      method=T2 (auto)  case: …
 /// └─ SeqScan s
 ///        est: 4 heap pages, 120 tuples
 /// ```
@@ -61,22 +61,25 @@ fn render_into(node: &PlanNode, prefix: &str, cont: &str, out: &mut String) {
 }
 
 /// The planner-choice annotation lines for an access-method decision
-/// (method, case, refinement, estimate, alternatives considered).
+/// (method, case, refinement, rejected methods).
 pub fn plan_detail_lines(plan: &QueryPlan) -> Vec<String> {
     plan.explain().lines().map(|l| l.to_string()).collect()
 }
 
 /// The observed-cost line appended under `ANALYZE` (and by the typed
-/// `EXPLAIN`, which always executes).
+/// `EXPLAIN`, which always executes): page accesses, then where the
+/// candidates went — duplicates, false hits and rejections by key beside
+/// the rows.
 pub fn actual_line(stats: &QueryStats, rows: u64) -> String {
     format!(
-        "actual:   {} index + {} heap = {} pages, {} candidates ({} duplicates, {} false hits), {} rows",
+        "actual:   {} index + {} heap = {} pages, {} candidates ({} duplicates, {} false hits, {} rejected by key), {} rows",
         stats.index_io.accesses(),
         stats.heap_io.accesses(),
         stats.total_accesses(),
         stats.candidates,
         stats.duplicates,
         stats.false_hits,
+        stats.rejected_by_key,
         rows
     )
 }

@@ -147,9 +147,10 @@ pub struct QueryStats {
     /// Candidates that appeared more than once (T1's duplication problem;
     /// always 0 for T2 and Restricted).
     pub duplicates: u64,
-    /// Candidates discarded: by the exact refinement step, or — on a 2-D
-    /// dual index's routes — rejected by their key columns unfetched.
+    /// Candidates the exact refinement step fetched and discarded.
     pub false_hits: u64,
+    /// Candidates a 2-D dual index's key columns rejected unfetched.
+    pub rejected_by_key: u64,
     /// Candidates accepted without fetching the tuple: exact-by-key in the
     /// restricted technique, and on a 2-D dual index's routes those its
     /// key columns accept.
@@ -158,9 +159,6 @@ pub struct QueryStats {
     /// stamped on every planned query; `None` only when an index was
     /// executed directly, with no plan.
     pub method: Option<MethodKind>,
-    /// The planner's pre-execution cost estimate, recorded next to the
-    /// actuals above so estimate-vs-actual accuracy is always observable.
-    pub estimate: Option<crate::plan::CostEstimate>,
 }
 
 cdb_storage::wire_struct!(QueryStats {
@@ -169,9 +167,9 @@ cdb_storage::wire_struct!(QueryStats {
     candidates,
     duplicates,
     false_hits,
+    rejected_by_key,
     accepted_by_key,
     method,
-    estimate,
 });
 
 impl QueryStats {
@@ -181,14 +179,15 @@ impl QueryStats {
     }
 
     /// Adds every counter of `other` into `self` — the one sum behind a
-    /// plan's scan nodes. `method` and `estimate` describe one execution
-    /// and are left alone.
+    /// plan's scan nodes. `method` describes one execution and is left
+    /// alone.
     pub fn accumulate(&mut self, other: &QueryStats) {
         self.index_io = self.index_io.plus(&other.index_io);
         self.heap_io = self.heap_io.plus(&other.heap_io);
         self.candidates += other.candidates;
         self.duplicates += other.duplicates;
         self.false_hits += other.false_hits;
+        self.rejected_by_key += other.rejected_by_key;
         self.accepted_by_key += other.accepted_by_key;
     }
 }
@@ -376,9 +375,9 @@ mod tests {
             candidates: 20,
             duplicates: 21,
             false_hits: 22,
+            rejected_by_key: 24,
             accepted_by_key: 23,
             method: Some(MethodKind::T2),
-            estimate: None,
         };
         let mut sum = QueryStats {
             method: Some(MethodKind::SeqScan),
@@ -394,9 +393,9 @@ mod tests {
                 candidates: 40,
                 duplicates: 42,
                 false_hits: 44,
+                rejected_by_key: 48,
                 accepted_by_key: 46,
                 method: Some(MethodKind::SeqScan),
-                estimate: None,
             }
         );
         assert_eq!(sum.index_io.frees, 8);

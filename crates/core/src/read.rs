@@ -64,9 +64,6 @@ pub struct ReadSurface<P> {
 /// copied pages and never touches these.
 ///
 /// `Send + Sync`: one snapshot can serve any number of reader threads.
-/// Each relation's planner feedback table is shared with the live engine
-/// (see [`Relation`]): what a snapshot's queries observe, the engine and
-/// every later snapshot plan with.
 pub type Snapshot = ReadSurface<Box<dyn SnapshotReader>>;
 
 impl<P: PageSource> ReadSurface<P> {
@@ -105,10 +102,9 @@ impl<P: PageSource> ReadSurface<P> {
 
     /// Plans and executes one selection — refined by `exact` — as a
     /// one-node operator pipeline: the planner chooses (or validates the
-    /// forced) access method, the method runs, estimate and method are
-    /// stamped into the result's stats, the actuals feed the relation's
-    /// catalog, and the scan's one batch of ascending ids becomes the
-    /// result by move.
+    /// forced) access method, the method runs, the search that ran is
+    /// stamped into the result's stats, and the scan's one batch of
+    /// ascending ids becomes the result by move.
     fn planned(
         &self,
         name: &str,
@@ -117,15 +113,7 @@ impl<P: PageSource> ReadSurface<P> {
         strategy: Strategy,
     ) -> Result<(QueryPlan, QueryResult), CdbError> {
         let rel = self.relation(name)?;
-        let mut op = IndexScanOp::new(
-            rel,
-            self.reader(),
-            self.config.page_size,
-            sel,
-            exact,
-            strategy,
-            false,
-        )?;
+        let mut op = IndexScanOp::new(rel, self.reader(), sel, exact, strategy, false)?;
         let ids = drain(&mut op)?.ids;
         let (plan, stats) = op.into_plan_stats();
         Ok((plan, QueryResult::new(ids, stats)))
@@ -137,8 +125,9 @@ impl<P: PageSource> ReadSurface<P> {
     }
 
     /// Executes a selection with an explicit strategy; `Strategy::Auto`
-    /// lets the cost-based planner choose among every built access method
-    /// (including plain sequential scan — an index-less relation is
+    /// runs the paper's rule — the restricted search at a slope of `S`, T2
+    /// at any other, the d-dimensional index's cell, and the sequential
+    /// scan where no index routes the selection (an index-less relation is
     /// queryable). Queries run from `&self` over the read half of the
     /// page store, so any number can execute concurrently (see
     /// [`query_batch`](Self::query_batch)).
@@ -153,12 +142,12 @@ impl<P: PageSource> ReadSurface<P> {
     }
 
     /// Plans a selection without executing it: which access method the
-    /// planner would choose, its cost estimate, and why the others lost.
+    /// planner would choose, its case, and why the methods tried before it
+    /// could not serve the selection.
     pub fn plan_query(&self, name: &str, sel: &Selection) -> Result<QueryPlan, CdbError> {
         let op = IndexScanOp::new(
             self.relation(name)?,
             self.reader(),
-            self.config.page_size,
             sel.clone(),
             Exact::Selection,
             Strategy::Auto,
@@ -168,8 +157,7 @@ impl<P: PageSource> ReadSurface<P> {
     }
 
     /// EXPLAIN ANALYZE: plans, executes the chosen method, and returns the
-    /// plan next to the actual result so estimated and measured page
-    /// accesses line up.
+    /// plan next to the actual result and its measured page accesses.
     pub fn explain(&self, name: &str, sel: Selection) -> Result<ExplainReport, CdbError> {
         self.explain_with(name, sel, Strategy::Auto)
     }
@@ -211,7 +199,6 @@ impl<P: PageSource> ReadSurface<P> {
         let ctx = ExecCtx {
             relations: &self.relations,
             reader: self.reader(),
-            page_size: self.config.page_size,
         };
         let mut op = crate::physical::build(&plan, &ctx, keep_regions)?;
         if matches!(mode, SqlMode::Explain) {
@@ -404,8 +391,7 @@ mod tests {
     #[test]
     fn per_query_stats_are_isolated_under_concurrency() {
         let (db, tuples) = testbed(400, 43);
-        // Forced strategies keep the plans deterministic regardless of what
-        // the feedback catalog learns across executions.
+        // Forced T2: every query runs the search its slope routes to.
         let batch: Vec<(Selection, Strategy)> = mixed_batch(&tuples, 16)
             .into_iter()
             .map(|(sel, _)| (sel, Strategy::T2))
@@ -435,7 +421,6 @@ mod tests {
                 Bracket::Wrapped(..) => MethodKind::T1,
             };
             assert_eq!(g.stats.method, Some(ran), "the search that ran");
-            assert!(g.stats.estimate.is_some(), "estimate recorded");
         }
     }
 
@@ -457,28 +442,6 @@ mod tests {
             got[0].as_ref().unwrap().ids(),
             got[2].as_ref().unwrap().ids()
         );
-    }
-
-    /// Feedback a snapshot's query records is the relation's: the live
-    /// engine plans with it, and so does a snapshot published after the
-    /// next write.
-    #[test]
-    fn snapshot_feedback_reaches_the_engine_and_later_snapshots() {
-        use crate::plan::DEFAULT_SELECTIVITY;
-        let (mut db, tuples) = testbed(600, 59);
-        let sel = Selection::exist(HalfPlane::above(0.3, 0.0));
-        let frac = |plan: Result<QueryPlan, CdbError>| plan.unwrap().frac;
-        assert_eq!(frac(db.plan_query("r", &sel)), DEFAULT_SELECTIVITY);
-        let snap = db.snapshot().unwrap();
-        snap.query("r", sel.clone()).unwrap();
-        let learned = frac(db.plan_query("r", &sel));
-        assert_ne!(learned, DEFAULT_SELECTIVITY, "the engine plans with it");
-        assert_eq!(frac(snap.plan_query("r", &sel)), learned);
-        db.insert("r", tuples[0].clone()).unwrap();
-        let later = db.snapshot().unwrap();
-        let now = frac(db.plan_query("r", &sel));
-        assert_ne!(now, DEFAULT_SELECTIVITY);
-        assert_eq!(frac(later.plan_query("r", &sel)), now);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! per-kind is behind [`Index`], so the methods here loop over slots.
 
 use std::io;
-use std::sync::Arc;
 
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{HeapFile, PageId, PageReader, Pager, RecordId};
@@ -13,7 +12,7 @@ use crate::error::CdbError;
 use crate::index::{
     DualIndex, HeapSource, Index, IndexKind, IndexSpec, KeyColumns, SlopeGeometry, TupleSource,
 };
-use crate::plan::{AccessMethod, MethodKind, PlanCatalog};
+use crate::plan::{AccessMethod, MethodKind};
 
 /// Verdict of the open-time verification pass for one relation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,15 +117,13 @@ impl Change<'_> {
     }
 }
 
-/// A stored generalized relation: tuples in a heap file, its built
-/// indexes, and the planner's per-relation feedback table.
+/// A stored generalized relation: tuples in a heap file and its built
+/// indexes.
 ///
 /// `Clone` copies the in-memory descriptors (slot table, tree roots) but
 /// not the pages themselves — a clone paired with a frozen
 /// [`cdb_storage::SnapshotReader`] view of the pager is exactly what a
-/// [`Snapshot`](crate::Snapshot) serves queries from. The clone *shares*
-/// the [`PlanCatalog`]: what a query on any snapshot observes reaches the
-/// engine and every later snapshot.
+/// [`Snapshot`](crate::Snapshot) serves queries from.
 #[derive(Clone)]
 pub struct Relation {
     pub(crate) name: String,
@@ -138,8 +135,6 @@ pub struct Relation {
     pub(crate) live: u64,
     /// Built indexes; slot `kind as usize` holds the index of that kind.
     pub(crate) indexes: [Option<Index>; 3],
-    /// Planner feedback: in memory only, shared with every clone.
-    catalog: Arc<PlanCatalog>,
     /// Verdict of the last verification pass, with the indexes flagged
     /// corrupt since (persisted, so a flag survives checkpoint + reopen).
     pub(crate) health: RelationHealth,
@@ -166,7 +161,6 @@ impl Relation {
             slots: Vec::new(),
             live: 0,
             indexes: [None, None, None],
-            catalog: Arc::default(),
             health: RelationHealth::Healthy,
         })
     }
@@ -205,12 +199,6 @@ impl Relation {
     /// The 2-D dual index, if built.
     pub fn index(&self) -> Option<&DualIndex> {
         self.built(IndexKind::Dual).and_then(Index::as_dual)
-    }
-
-    /// The planner's feedback table for this relation, shared with every
-    /// snapshot of it.
-    pub fn catalog(&self) -> &PlanCatalog {
-        &self.catalog
     }
 
     /// Verdict of the open-time verification pass.
@@ -589,8 +577,7 @@ mod tests {
         forced: Option<MethodKind>,
     ) -> Result<(MethodKind, Vec<u32>), CdbError> {
         let rel = db.relation("r")?;
-        let page_size = db.config.page_size;
-        let (_, plan) = Planner::choose(rel, page_size, sel, Exact::Selection, forced)?;
+        let (_, plan) = Planner::choose(rel, sel, forced)?;
         let method = rel
             .method(plan.method)
             .expect("the planner chose an offered method");
@@ -772,8 +759,7 @@ mod tests {
         let mut asked: Vec<(&str, Selection, Exact, MethodKind, PlanCase)> = Vec::new();
         let mut plan = |name, sel: Selection, exact, forced| {
             let rel = db.relation(name).unwrap();
-            let page_size = db.config.page_size;
-            if let Ok((_, plan)) = Planner::choose(rel, page_size, &sel, exact, forced) {
+            if let Ok((_, plan)) = Planner::choose(rel, &sel, forced) {
                 asked.push((name, sel, exact, plan.method, plan.case));
             }
         };
@@ -885,15 +871,16 @@ mod tests {
         assert_eq!(read(&db), (damaged.clone(), damaged));
     }
 
-    /// Refinement books every candidate once: as an answer, a false hit or
-    /// a duplicate — whichever method produced it, the scan included.
+    /// Refinement books every candidate once: as an answer, a false hit, a
+    /// rejection by key or a duplicate — whichever method produced it, the
+    /// scan included.
     #[test]
     fn every_method_accounts_for_each_candidate_once() {
         let runs = every_refinement();
         assert!(runs.len() > 150, "only {} queries", runs.len());
         for (what, result, _) in &runs {
             let s = &result.stats;
-            let booked = result.len() as u64 + s.false_hits + s.duplicates;
+            let booked = result.len() as u64 + s.false_hits + s.rejected_by_key + s.duplicates;
             assert_eq!(s.candidates, booked, "{what}: {s:?}");
         }
         for case in [
@@ -916,11 +903,11 @@ mod tests {
 
     /// Every method refines through the source handed to `execute`, which
     /// is shown each candidate not decided by key exactly once: an answer
-    /// was either accepted by key or shown, and a false hit was either
-    /// rejected by key or shown. Only the key columns of the 2-D dual index
-    /// reject: where there are none (the scan, the R⁺-tree, the d-D index)
-    /// or the predicate is not the selection's (line queries), the source
-    /// is shown every candidate not accepted by key.
+    /// was either accepted by key or shown, and every false hit was shown.
+    /// Only the key columns of the 2-D dual index reject: where there are
+    /// none (the scan, the R⁺-tree, the d-D index) or the predicate is not
+    /// the selection's (line queries), the source is shown every candidate
+    /// not accepted by key.
     #[test]
     fn every_method_refines_through_the_source_it_is_handed() {
         let mut rejected_by_key = 0;
@@ -935,9 +922,9 @@ mod tests {
                 "{what}: {s:?}"
             );
             let refined_out = seen.len() as u64 - answered;
-            assert!(s.false_hits >= refined_out, "{what}: {s:?}");
-            let by_key = s.false_hits - refined_out;
+            assert_eq!(s.false_hits, refined_out, "{what}: {s:?}");
             let checked = s.candidates - s.duplicates - s.accepted_by_key;
+            let by_key = s.rejected_by_key;
             assert_eq!(seen.len() as u64 + by_key, checked, "{what}: {s:?}");
             let keyless = ["full scan", "MBR", "Line(", "space:"];
             if keyless.iter().any(|case| what.contains(case)) {

@@ -64,8 +64,10 @@ pub const MAGIC: [u8; 4] = *b"CDBN";
 /// redirect error and the shard identity in `Stats`) and added the
 /// engine's dimension and tuple-size refusals; version 9 dropped
 /// replication (request tag 18, response tag 9, the stream frames, error
-/// tag 7 and the replication section of `Stats`).
-pub const PROTOCOL_VERSION: u16 = 9;
+/// tag 7 and the replication section of `Stats`); version 10 dropped the
+/// planner's cost estimate from `QueryStats` and added its count of
+/// candidates rejected by key.
+pub const PROTOCOL_VERSION: u16 = 10;
 
 /// Handshake verdict carried by the server's greeting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -367,7 +369,7 @@ wire_enum!(Response {
 pub struct WireQueryResult {
     /// Matching tuple ids, ascending.
     pub ids: Vec<u32>,
-    /// Execution statistics, including method and estimate when planned.
+    /// Execution statistics, including the search that ran when planned.
     pub stats: QueryStats,
 }
 
@@ -498,7 +500,7 @@ pub fn decode_response(buf: &[u8]) -> Result<(u64, u64, Result<Response, NetErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdb_core::plan::{CostEstimate, MethodKind};
+    use cdb_core::plan::MethodKind;
     use cdb_core::sql::SqlRow;
     use cdb_core::{RelationStats, WalStats};
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
@@ -594,13 +596,9 @@ mod tests {
             candidates: 9,
             duplicates: 1,
             false_hits: 2,
+            rejected_by_key: 4,
             accepted_by_key: 0,
             method: Some(MethodKind::T2),
-            estimate: Some(CostEstimate {
-                index_pages: 4.5,
-                heap_pages: 2.5,
-                candidates: 8.0,
-            }),
         }
     }
 

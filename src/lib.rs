@@ -28,9 +28,10 @@
 //! * [`rplustree`] — the R⁺-tree baseline used in the paper's evaluation;
 //! * [`index`] — the paper's contribution: [`index::DualIndex`] with the
 //!   restricted, T1 and T2 query strategies, plus the d-dimensional
-//!   extension, and the cost-based planner ([`index::plan`]) that unifies
-//!   every query path (dual techniques, sequential scan, R⁺-tree baseline)
-//!   as the variants of one `AccessMethod` enum, with `EXPLAIN` output;
+//!   extension, and the planner ([`index::plan`]) that unifies every query
+//!   path (dual techniques, sequential scan, R⁺-tree baseline) as the
+//!   variants of one `AccessMethod` enum and runs the paper's rule over
+//!   them, with `EXPLAIN` output;
 //! * [`workload`] — seeded generators reproducing the paper's experimental
 //!   setup.
 //!
@@ -74,8 +75,7 @@ pub mod shell;
 pub mod prelude {
     pub use cdb_core::db::{ConstraintDb, DbConfig, Snapshot};
     pub use cdb_core::plan::{
-        AccessMethod, CostEstimate, ExplainReport, MethodKind, PlanCase, PlanCatalog, Planner,
-        QueryPlan, Rejection,
+        AccessMethod, ExplainReport, MethodKind, PlanCase, Planner, QueryPlan, Rejection,
     };
     pub use cdb_core::query::{QueryStats, Selection, SelectionKind, Strategy};
     pub use cdb_core::slopes::SlopeSet;

@@ -380,13 +380,14 @@ fn render_sql_outcome(o: &SqlOutcome) -> String {
 
 fn render_result(r: &QueryResult) -> String {
     format!(
-        "{} matches: {:?}\n  {} index + {} heap page accesses, {} candidates, {} false hits, {} duplicates",
+        "{} matches: {:?}\n  {} index + {} heap page accesses, {} candidates, {} false hits, {} rejected by key, {} duplicates",
         r.len(),
         preview(r.ids()),
         r.stats.index_io.accesses(),
         r.stats.heap_io.accesses(),
         r.stats.candidates,
         r.stats.false_hits,
+        r.stats.rejected_by_key,
         r.stats.duplicates,
     )
 }
@@ -584,12 +585,12 @@ commands:
                             sql SELECT x, y FROM r WHERE y >= 0.3x - 5 EXIST
                             (joins: FROM r JOIN s; ALL for containment;
                             LIMIT n caps the row count)
-  explain <SELECT ...>      render the operator tree with cost estimates
+  explain <SELECT ...>      render the operator tree with each scan's plan
   explain analyze <SELECT ...>
                             execute, then annotate the tree with observed
                             rows and timings per operator
   explain <all|exist> <rel> <halfplane>
-                            plan + execute: chosen method, estimate vs actual
+                            plan + execute: chosen method, case, actual cost
   show <rel> <id>           print a stored tuple
   relations                 list relations
   stats                     pager + per-relation statistics

@@ -168,14 +168,12 @@ impl TupleSource for HeapReplica {
 /// shared reader, so a line query running beside another one booked the
 /// other's heap reads into its own `heap_io` window.
 ///
-/// Line queries are planned, and the planner learns from feedback: which
-/// search serves a line depends on how the two threads interleave, but what
-/// one search reads for one line does not. The reference is therefore
-/// total — every line under every search the relation can route it to
-/// (T1's app-queries, T2's sweep, the scan), computed off to the side: the
-/// two techniques on a stand-alone [`DualIndex`] over a replica of the
-/// heap, the scan on an index-less twin relation. Only the estimate, which
-/// moves with the feedback, is left out.
+/// Line queries are planned like selections, and what one search reads
+/// for one line does not depend on how the two threads interleave. The
+/// reference is total — every line under every search the relation can
+/// route it to (T1's app-queries, T2's sweep, the scan), computed off to
+/// the side: the two techniques on a stand-alone [`DualIndex`] over a
+/// replica of the heap, the scan on an index-less twin relation.
 #[test]
 fn concurrent_line_queries_report_their_own_heap_io() {
     let pairs = mixed_relation(23, 1500, 100);
@@ -202,7 +200,6 @@ fn concurrent_line_queries_report_their_own_heap_io() {
         .collect();
     let counts = |ran: MethodKind, r: &QueryResult| QueryStats {
         method: Some(ran),
-        estimate: None,
         ..r.stats
     };
     let reference: Vec<HashMap<MethodKind, QueryStats>> = lines

@@ -291,10 +291,11 @@ fn kill_nine_loses_no_acknowledged_insert() {
     let _ = std::fs::remove_file(constraint_db::storage::wal_path(&path));
 }
 
-/// Protocol v9 dropped replication from the requests, the responses,
-/// `Stats` and the error tags, as v8 dropped sharding: a peer still
-/// speaking v7 or v8 is greeted with the server's version and its hello
-/// answered by a typed `VersionMismatch`, never served.
+/// Protocol v10 dropped the planner's cost estimate from `QueryStats` and
+/// added its rejections by key, as v9 dropped replication and v8
+/// sharding: a peer still speaking v7, v8 or v9 is greeted with the
+/// server's version and its hello answered by a typed `VersionMismatch`,
+/// never served.
 #[test]
 fn a_version_7_hello_gets_the_version_mismatch_answer() {
     use constraint_db::net::proto::{
@@ -302,26 +303,26 @@ fn a_version_7_hello_gets_the_version_mismatch_answer() {
     };
     use constraint_db::storage::codec::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 
-    assert_eq!(PROTOCOL_VERSION, 9);
+    assert_eq!(PROTOCOL_VERSION, 10);
     let db = ConstraintDb::in_memory(DbConfig::paper_1999());
     let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).unwrap();
     let addr = server.local_addr();
     let stop = server.shutdown_handle();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
-    for old in [7, 8] {
+    for old in [7, 8, 9] {
         let mut stream = TcpStream::connect(addr).unwrap();
         let greeting = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(
             decode_greeting(&greeting).unwrap(),
-            (9, HandshakeStatus::Ok)
+            (10, HandshakeStatus::Ok)
         );
         write_frame(&mut stream, &encode_hello(old)).unwrap();
         let answer = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
         assert!(
             matches!(
                 decode_response(&answer).unwrap().2,
-                Err(NetError::VersionMismatch { server_version: 9 })
+                Err(NetError::VersionMismatch { server_version: 10 })
             ),
             "a v{old} hello"
         );

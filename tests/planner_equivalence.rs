@@ -1,9 +1,9 @@
-//! The cost-based planner must be a pure optimisation: whatever access
-//! method it picks, the result set is exactly what the paper's bracket
-//! rule (member slope → restricted search, otherwise T2 — the reference
-//! the planner is compared against) and the scan oracle produce, and
-//! replaying the search that ran as a forced strategy reproduces the same
-//! ids and I/O stats. `explain` must return a plan for every selection
+//! The planner is the paper's rule — member slope → restricted search,
+//! otherwise T2; the d-dimensional index's cell for d > 2; the scan where
+//! no index routes the selection — and a pure function of the relation and
+//! the selection: the result set is exactly what the bracket rule and the
+//! scan oracle produce, and replaying the search that ran as a forced
+//! strategy reproduces the same ids and I/O stats. `explain` must return a plan for every selection
 //! shape the engine accepts — both selection kinds, both operators, member
 //! / between / wrapped slopes, with and without an index, in `E²` and `E^d`
 //! — and the plan's [`PlanCase`] must be the route that executed: the same
@@ -34,13 +34,12 @@ fn build_db(tuples: &[GeneralizedTuple], k: Option<usize>) -> ConstraintDb {
 /// The planned `result` against `direct`, the same search run on a
 /// stand-alone index over the same tuples: same ids, same counts. The
 /// stand-alone fetch is an in-memory lookup that reads no heap page, and
-/// only the planner stamps `method` and `estimate`.
+/// only the planner stamps `method`.
 fn assert_same_run(planned: &QueryResult, direct: &QueryResult, what: &str) {
     assert_eq!(planned.ids(), direct.ids(), "{what}: ids");
     let counts = QueryStats {
         heap_io: direct.stats.heap_io,
         method: None,
-        estimate: None,
         ..planned.stats
     };
     assert_eq!(counts, direct.stats, "{what}: stats");
@@ -180,10 +179,6 @@ fn explain_covers_every_selection_shape_2d() {
                         .explain("r", sel.clone())
                         .unwrap_or_else(|e| panic!("explain {sel:?} (indexed={indexed}): {e}"));
                     assert_eq!(plan, report.plan, "{sel:?} (indexed={indexed})");
-                    assert!(
-                        report.plan.estimate.total() > 0.0,
-                        "non-trivial estimate for {sel:?}"
-                    );
                     let text = report.to_string();
                     assert!(text.contains("method="), "rendered plan: {text}");
                     assert!(text.contains("actual:"), "rendered actuals: {text}");
@@ -209,14 +204,12 @@ fn explain_covers_every_selection_shape_2d() {
                         };
                         let (plan, result) = (&report.plan, &report.result);
                         assert_eq!(result.stats.method, Some(plan.case.runs()), "{what}");
-                        if forced == Strategy::Auto && plan.method == MethodKind::SeqScan {
-                            // On 250 tuples the scan is a fair choice.
-                            assert_eq!(plan.case, PlanCase::FullScan(250), "{what}");
-                            continue;
-                        }
-                        // The label that won (all of Auto's candidates run
-                        // the same search at a member slope, and tie).
-                        let technique = forced.forced().unwrap_or(plan.method);
+                        // Auto's rule: Restricted at a member slope, else T2.
+                        let rule = match slopes.bracket(slope) {
+                            Bracket::Member(_) => MethodKind::Restricted,
+                            Bracket::Between(..) | Bracket::Wrapped(..) => MethodKind::T2,
+                        };
+                        let technique = forced.forced().unwrap_or(rule);
                         assert_eq!(plan.method, technique, "{what}");
                         let wrapped_legs = [(at(3), theta), (at(0), theta.negated())];
                         // Every technique runs the restricted search at a
@@ -286,8 +279,8 @@ fn boxes_3d(n: usize) -> Vec<GeneralizedTuple> {
 /// And in `E^d` (d = 3): member (grid-point), grid-cell and out-of-box
 /// slopes on a grid set, slopes in a bare simplex and in its box but
 /// outside its hull, all get a plan — out of the box falling back to the
-/// scan method — and whenever the planner runs the d-dimensional index,
-/// the plan's case is the index's route and the search that ran.
+/// scan method, in it the d-dimensional index, whose plan's case is the
+/// index's route and the search that ran.
 #[test]
 fn explain_covers_d_dimensional_selections() {
     let tuples = boxes_3d(150);
@@ -296,14 +289,12 @@ fn explain_covers_d_dimensional_selections() {
     let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
     let simplex = vec![vec![-0.2, -0.2], vec![0.2, -0.2], vec![0.0, 0.2]];
 
-    // Grid axes are 5 steps over [-0.2, 0.2]² (cells small enough that T2's
-    // whole-cell band still beats a scan of 150 boxes): a grid point, an
-    // interior point, and a slope outside the box (only the scan can serve
-    // it). Then a bare simplex with the same box: every slope in it takes
-    // T2 over the nearest vertex's cell — the "simplex" shape used to take
-    // the covering, and (0.16, 0.16), outside the hull, used to be refused.
-    // One stand-alone index per slope set; one database per shape, so each
-    // is planned from a fresh feedback catalog.
+    // Grid axes are 5 steps over [-0.2, 0.2]²: a grid point, an interior
+    // point, and a slope outside the box (only the scan can serve it). Then
+    // a bare simplex with the same box: every slope in it takes T2 over the
+    // nearest vertex's cell — the "simplex" shape used to take the
+    // covering, and (0.16, 0.16), outside the hull, used to be refused. One
+    // stand-alone index per slope set; one database per shape.
     let standalone = |points: SlopePoints| {
         let mut pager = MemPager::paper_1999();
         let index = DualIndexD::build(&mut pager, points, &pairs).unwrap();
@@ -326,7 +317,6 @@ fn explain_covers_d_dimensional_selections() {
         }
         db.build_dual_index_d("boxes", index.points().clone())
             .unwrap();
-        let mut planned_on_the_index = 0;
         for op in [RelOp::Ge, RelOp::Le] {
             let hp = HalfPlane::new(slope.clone(), 10.0, op);
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
@@ -356,30 +346,20 @@ fn explain_covers_d_dimensional_selections() {
                     .run(pager, &sel, &case, Exact::Selection, &fetch)
                     .unwrap();
                 assert_eq!(direct.ids(), scan.ids(), "{what}: direct vs scan oracle");
-                if report.plan.method == MethodKind::DualD {
-                    planned_on_the_index += 1;
-                    assert_eq!(report.plan.case, case, "{what}");
-                    assert_eq!(report.result.stats.method, Some(MethodKind::DualD));
-                    assert_same_run(&report.result, &direct, &what);
-                }
+                assert_eq!(report.plan.method, MethodKind::DualD, "{what}");
+                assert_eq!(report.plan.case, case, "{what}");
+                assert_eq!(report.result.stats.method, Some(MethodKind::DualD));
+                assert_same_run(&report.result, &direct, &what);
             }
-        }
-        if label != "outside box" {
-            assert!(
-                planned_on_the_index > 0,
-                "{label}: the planner never ran it"
-            );
         }
     }
 }
 
-/// Planner feedback is keyed by the search that ran, not by the label that
-/// won. At a member slope every dual technique runs the restricted search:
-/// 256 such queries used to be booked under `T1` and `T2` whenever those
-/// labels won the tie (225 and 16 times), dragging T1's and T2's observed
-/// fractions toward the restricted search's for every other slope.
+/// `QueryStats::method` names the search that ran, not the label that
+/// won: at a member slope Auto and forced T1 and T2 all run the restricted
+/// search, and T2 at a wrapped slope runs T1's app-queries.
 #[test]
-fn feedback_is_booked_under_the_search_that_ran() {
+fn stats_name_the_search_that_ran() {
     let tuples = DatasetSpec::paper_1999(2000, ObjectSize::Small, 43).generate();
     let db = build_db(&tuples, Some(4));
     let slopes = SlopeSet::uniform_tan(4);
@@ -388,21 +368,6 @@ fn feedback_is_booked_under_the_search_that_ran() {
         let r = db.query("r", Selection::exist(hp)).unwrap();
         assert_eq!(r.stats.method, Some(MethodKind::Restricted), "query {i}");
     }
-    let catalog = db.relation("r").unwrap().catalog();
-    let methods = [
-        MethodKind::Restricted,
-        MethodKind::T1,
-        MethodKind::T2,
-        MethodKind::DualD,
-        MethodKind::SeqScan,
-        MethodKind::RPlus,
-    ];
-    let booked: Vec<(MethodKind, SelectionKind)> = methods
-        .iter()
-        .flat_map(|&m| [(m, SelectionKind::Exist), (m, SelectionKind::All)])
-        .filter(|&(m, k)| catalog.observed(m, k).is_some())
-        .collect();
-    assert_eq!(booked, [(MethodKind::Restricted, SelectionKind::Exist)]);
     // Forced T1/T2 at a member slope still answer — by that same search.
     let sel = Selection::exist(HalfPlane::above(slopes.get(2), 5.0));
     let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
@@ -411,15 +376,62 @@ fn feedback_is_booked_under_the_search_that_ran() {
         assert_eq!(r.ids(), scan.ids(), "{forced:?}");
         assert_eq!(r.stats.method, Some(MethodKind::Restricted), "{forced:?}");
     }
-    // Likewise T2's wrapped fallback is T1's search, and booked as such.
+    // Likewise T2's wrapped fallback is T1's search, and reported as such.
     let wrapped = Selection::exist(HalfPlane::above(slopes.get(3) + 1.0, 5.0));
     let r = db.query_with("r", wrapped, Strategy::T2).unwrap();
     assert_eq!(r.stats.method, Some(MethodKind::T1));
-    let catalog = db.relation("r").unwrap().catalog();
-    assert!(catalog
-        .observed(MethodKind::T1, SelectionKind::Exist)
-        .is_some());
-    assert_eq!(catalog.observed(MethodKind::T2, SelectionKind::Exist), None);
+}
+
+/// A plan is a function of the relation and the selection: the same on a
+/// fresh database, after 200 other queries, on a snapshot taken before
+/// them, and after close and reopen — no state is shared across queries,
+/// snapshots or opens.
+#[test]
+fn plans_are_a_function_of_relation_and_selection() {
+    let path = std::env::temp_dir().join(format!("cdb_it_plans_{}.db", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let tuples = DatasetSpec::paper_1999(1500, ObjectSize::Small, 47).generate();
+    let mut db = ConstraintDb::create(&path, DbConfig::paper_1999()).unwrap();
+    db.create_relation("r", 2).unwrap();
+    for t in &tuples {
+        db.insert("r", t.clone()).unwrap();
+    }
+    db.build_dual_index("r", SlopeSet::uniform_tan(4)).unwrap();
+    db.build_rplus_index("r", 1.0).unwrap();
+    let sels = [
+        Selection::exist(HalfPlane::above(0.3, 5.0)),
+        Selection::all(HalfPlane::below(-1.7, 20.0)),
+        Selection::exist(HalfPlane::above(SlopeSet::uniform_tan(4).get(2), 0.0)),
+    ];
+    let plans = |db: &dyn Fn(&Selection) -> QueryPlan| sels.iter().map(db).collect::<Vec<_>>();
+    let fresh = plans(&|sel| db.plan_query("r", sel).unwrap());
+    let snap = db.snapshot().unwrap();
+    let mut qg = QueryGen::new(0x91A5);
+    for i in 0..200 {
+        let kind = if i % 2 == 0 {
+            cdb_workload::QueryKind::Exist
+        } else {
+            cdb_workload::QueryKind::All
+        };
+        let q = qg.calibrated(&tuples, kind, 0.02 + 0.5 * (i % 5) as f64 / 4.0);
+        let sel = match kind {
+            cdb_workload::QueryKind::Exist => Selection::exist(q.halfplane),
+            cdb_workload::QueryKind::All => Selection::all(q.halfplane),
+        };
+        db.query("r", sel).unwrap();
+    }
+    let after = plans(&|sel| db.plan_query("r", sel).unwrap());
+    let on_snapshot = plans(&|sel| snap.plan_query("r", sel).unwrap());
+    drop(snap);
+    db.close().unwrap();
+    let db = ConstraintDb::open(&path).unwrap();
+    let reopened = plans(&|sel| db.plan_query("r", sel).unwrap());
+    assert_eq!(after, fresh, "after 200 queries");
+    assert_eq!(on_snapshot, fresh, "on a snapshot taken before them");
+    assert_eq!(reopened, fresh, "after close and reopen");
+    db.close().unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let _ = std::fs::remove_file(constraint_db::storage::wal_path(&path));
 }
 
 /// Batches through `query_batch` plan per-query exactly like the
@@ -467,21 +479,30 @@ fn planned_batches_match_standalone_queries() {
 
 /// `QueryStats` of the duplicate-prone paths — T1's two legs, the
 /// d-dimensional simplex covering, the R⁺-tree's candidate list — summed
-/// over seeded beds as `[candidates, duplicates, false hits, pages, rows]`.
-/// The totals were recorded at the parent of the change that replaced each
-/// path's `sort_unstable` + `dedup` with `query::order_ids`; ordering ids
-/// another way must not move one of them.
+/// over seeded beds as `[candidates, duplicates, false hits, rejected by
+/// key, pages, rows]`. The totals were recorded at the parent of the
+/// change that replaced each path's `sort_unstable` + `dedup` with
+/// `query::order_ids`; ordering ids another way must not move one of them.
+/// Until the key columns' rejections got their own counter, they were
+/// false hits: each pin's old five-column form is the third and fourth
+/// entries summed.
 #[test]
 fn duplicate_and_candidate_accounting_is_pinned() {
-    fn fold(acc: &mut [u64; 5], r: &constraint_db::index::QueryResult) {
+    fn fold(acc: &mut [u64; 6], r: &constraint_db::index::QueryResult) {
         let s = &r.stats;
         let add = [
             s.candidates,
             s.duplicates,
             s.false_hits,
+            s.rejected_by_key,
             s.total_accesses(),
             r.len() as u64,
         ];
+        assert_eq!(
+            s.candidates,
+            s.duplicates + s.false_hits + s.rejected_by_key + r.len() as u64,
+            "every candidate booked once"
+        );
         for (a, x) in acc.iter_mut().zip(add) {
             *a += x;
         }
@@ -490,7 +511,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     let mut db = build_db(&tuples, Some(3));
     db.build_rplus_index("r", 1.0).unwrap();
     let mut qg = QueryGen::new(0xF1E1D);
-    let (mut t1, mut rplus) = ([0u64; 5], [0u64; 5]);
+    let (mut t1, mut rplus) = ([0u64; 6], [0u64; 6]);
     for i in 0..40 {
         let kind = if i % 2 == 0 {
             cdb_workload::QueryKind::Exist
@@ -518,9 +539,9 @@ fn duplicate_and_candidate_accounting_is_pinned() {
         db3.insert("boxes", t).unwrap();
     }
     // A bare simplex, not a grid: the planner's `Auto` runs T2 over the
-    // nearest vertex's cell where it beats a scan; the covering the route
-    // used to take is run stand-alone, as an ablation builds it, and so is
-    // the routed cell on every selection, beside it.
+    // nearest vertex's cell; the covering the route used to take is run
+    // stand-alone, as an ablation builds it, and so is the routed cell on
+    // every selection, beside it.
     let simplex = vec![vec![-1.0, -1.0], vec![1.0, -1.0], vec![0.0, 1.0]];
     let bare = SlopePoints::new(3, simplex);
     db3.build_dual_index_d("boxes", bare.clone()).unwrap();
@@ -530,7 +551,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     let mut pager = MemPager::paper_1999();
     let covered = DualIndexD::build(&mut pager, bare, &pairs).unwrap();
     let covering = PlanCase::SimplexCovering(vec![0, 1, 2]);
-    let (mut auto, mut simplex, mut cells) = ([0u64; 5], [0u64; 5], [0u64; 5]);
+    let (mut auto, mut simplex, mut cells) = ([0u64; 6], [0u64; 6], [0u64; 6]);
     for (i, slope) in [[0.0, 0.0], [0.3, -0.4], [-0.2, 0.1], [0.1, 0.5]]
         .into_iter()
         .enumerate()
@@ -545,27 +566,36 @@ fn duplicate_and_candidate_accounting_is_pinned() {
                 let r = covered.run(&pager, &sel, &cell, Exact::Selection, &fetch);
                 fold(&mut cells, &r.unwrap());
                 let r = db3.query_with("boxes", sel, Strategy::Auto).unwrap();
-                if r.stats.method == Some(MethodKind::DualD) {
-                    fold(&mut auto, &r);
-                }
+                assert_eq!(r.stats.method, Some(MethodKind::DualD));
+                fold(&mut auto, &r);
             }
         }
     }
     // Pages were 3320 before the key columns decided most of T1's
-    // candidates unfetched; every other count stayed.
-    assert_eq!(t1, [13154, 1206, 9548, 1231, 2400], "T1");
-    assert_eq!(rplus, [6514, 615, 3499, 2949, 2400], "R⁺-tree");
+    // candidates unfetched; every other count stayed. Was
+    // [13154, 1206, 9548, 1231, 2400]: 8928 of the 9548 false hits were
+    // the keys' rejections.
+    assert_eq!(t1, [13154, 1206, 620, 8928, 1231, 2400], "T1");
+    assert_eq!(rplus, [6514, 615, 3499, 0, 2949, 2400], "R⁺-tree");
     // Recorded at the parent of the change that routed every point set
     // to its cells, where `Auto` ran the covering: [529, 248, 102, 100, 179].
     assert_eq!(
         simplex,
-        [3762, 1614, 948, 168, 1200],
+        [3762, 1614, 948, 0, 168, 1200],
         "bare simplex covering"
     );
     // The routed cell on the same selections: a third fewer candidates and
     // pages than the covering, no duplicates, more false hits.
-    assert_eq!(cells, [2399, 0, 1199, 112, 1200], "bare simplex cells");
-    assert_eq!(auto, [300, 0, 131, 90, 169], "Auto over a bare set's cells");
+    assert_eq!(cells, [2399, 0, 1199, 0, 112, 1200], "bare simplex cells");
+    // Was [300, 0, 131, 90, 169], summed over the selections a cost model
+    // sent to the cell (it sent the rest to the scan): `Auto` runs the cell
+    // on all 16 now, the `cells` row's search, reading the heap pages the
+    // stand-alone lookup does not.
+    assert_eq!(
+        auto,
+        [2399, 0, 1199, 0, 720, 1200],
+        "Auto over a bare set's cells"
+    );
 
     // Incremental folds, both geometries: a fixed insert/delete script on
     // stand-alone indexes (no refresh), then handicap-guided searches only.
@@ -593,7 +623,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     churn!(index, pager, pairs, late);
     let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
     let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
-    let mut between = [0u64; 5];
+    let mut between = [0u64; 6];
     for (i, a) in [-2.0, -1.2, -0.9, -0.2, 0.2, 0.9, 1.2, 2.0]
         .into_iter()
         .enumerate()
@@ -619,7 +649,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     churn!(index, pager, pairs, late);
     let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
     let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
-    let mut cell = [0u64; 5];
+    let mut cell = [0u64; 6];
     for (i, slope) in [
         [0.2, -0.1],
         [-0.9, -0.8],
@@ -644,14 +674,16 @@ fn duplicate_and_candidate_accounting_is_pinned() {
             }
         }
     }
+    // Was [16513, 0, 7985, 470, 8528]: 7379 of the false hits were the
+    // keys' rejections.
     assert_eq!(
         between,
-        [16513, 0, 7985, 470, 8528],
+        [16513, 0, 606, 7379, 470, 8528],
         "2-D Between after churn"
     );
     assert_eq!(
         cell,
-        [4120, 0, 1920, 176, 2200],
+        [4120, 0, 1920, 0, 176, 2200],
         "3-D grid cell after churn"
     );
 }

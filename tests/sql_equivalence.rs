@@ -442,10 +442,10 @@ fn sql_round_trips_over_the_wire() {
     assert!(local_plan.contains("NestedLoopJoin"), "{local_plan}");
     assert!(local_plan.contains("Project"), "{local_plan}");
 
-    // EXPLAIN ANALYZE carries per-node estimates and observed rows/time.
+    // EXPLAIN ANALYZE carries per-node plans and observed rows/time.
     let analyzed = client.sql(stmt, SqlMode::ExplainAnalyze).unwrap();
     let plan = analyzed.plan.unwrap();
-    assert!(plan.contains("estimate:"), "{plan}");
+    assert!(plan.contains("method="), "{plan}");
     assert!(plan.contains("rows"), "{plan}");
     assert!(plan.contains("time:"), "{plan}");
 
@@ -699,8 +699,9 @@ fn explain_analyze_counts_match_the_row_at_a_time_pipeline() {
             .collect()
     }
     // Was `9 index + 67 heap = 76 pages`: the key columns decide every
-    // candidate, so the scan fetches none.
-    let scan = "actual:   9 index + 0 heap = 9 pages, 435 candidates (0 duplicates, 77 false hits)";
+    // candidate, so the scan fetches none. Was `(0 duplicates, 77 false
+    // hits)` before the keys' rejections got their own counter.
+    let scan = "actual:   9 index + 0 heap = 9 pages, 435 candidates (0 duplicates, 0 false hits, 77 rejected by key)";
     assert_eq!(
         counts("SELECT * FROM r WHERE y >= 0.3*x - 5 EXIST"),
         [format!("{scan}, 358 rows")],
@@ -718,21 +719,22 @@ fn explain_analyze_counts_match_the_row_at_a_time_pipeline() {
         counts("SELECT * FROM r WHERE y >= 0.3*x - 5 AND x >= 0 EXIST"),
         [
             "rows: 358 in, 158 out",
-            "actual:   9 index + 67 heap = 76 pages, 435 candidates (0 duplicates, 77 false hits), 358 rows",
+            "actual:   9 index + 67 heap = 76 pages, 435 candidates (0 duplicates, 0 false hits, 77 rejected by key), 358 rows",
         ],
         "Filter over IndexScan"
     );
     // Was `8 index + 272 heap = 280 pages` on the inner scan, then
     // `8 index + 134 heap = 142 pages` before its keys decided it. The
     // planned scan of `s` refines like every other method: the 11 tuples
-    // it rejects are false hits.
+    // it rejects are false hits. The 128 of `r` were false hits too before
+    // the keys' rejections got their own counter.
     assert_eq!(
         counts("SELECT * FROM s JOIN r WHERE y >= 0.3*x + 20 EXIST"),
         [
             "rows: 3 in, 3 out",
             "pairs tested: 205, rows out: 3",
-            "actual:   0 index + 3 heap = 3 pages, 12 candidates (0 duplicates, 11 false hits), 1 rows",
-            "actual:   8 index + 67 heap = 75 pages, 333 candidates (0 duplicates, 128 false hits), 205 rows",
+            "actual:   0 index + 3 heap = 3 pages, 12 candidates (0 duplicates, 11 false hits, 0 rejected by key), 1 rows",
+            "actual:   8 index + 67 heap = 75 pages, 333 candidates (0 duplicates, 0 false hits, 128 rejected by key), 205 rows",
         ],
         "Join"
     );
