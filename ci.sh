@@ -79,7 +79,7 @@ one_router() {
 1|a .bracket( call|slopes.rs|\.bracket\(
 0|.containing_simplex( calls|-|\.containing_simplex\(
 1|one nearest-element routing call|-|\.nearest\(
-1|a slope-point .position( call|-|points(\(\))?\.position\(
+1|a slope-point .position( call|slopes.rs|self\.position\(
 0|names of the grid special case|-|grid_axes|is_grid|nearest_grid|cell_widths|cell_corners|GridCell
 0|mentions of Capability|-|(^|[^A-Za-z0-9_])Capability([^A-Za-z0-9_]|$)
 0|matches on Strategy variants|query.rs|Strategy::[A-Za-z0-9]+[^;]*=>|\| *Strategy::
@@ -93,21 +93,29 @@ RULES
 step one-router one_router
 
 # The audit that keeps "T2 is written once" a gate, over the tree and the
-# engine crates: one dual index over a slope geometry (`DualIndexD` is an
-# alias, handicaps are assigned and folded from one place each), one sweep
-# over a `Direction` (no function comes back as the down/low/high half of
-# a mirrored pair; `sweep_up` is the one front, for `perf/`), and T1's
-# anchor stays gone, catalog included.
+# engine crates: one dual index over a slope geometry (handicaps are
+# assigned and folded from one place each), one sweep over a `Direction`
+# (no function comes back as the down/low/high half of a mirrored pair;
+# `sweep_up` is the one front, for `perf/`), and T1's anchor stays gone,
+# catalog included. The geometry is a value of the index, not a kind of
+# index: over the engine, the wire, the CLI and the experiment harness
+# there is no geometry trait, no `DualIndexD` type, no `MemberPoint` case,
+# no `DualD` method or index kind, and slope points have one byte layout.
 one_forest() {
   grep_audit one-forest crates/btree/src crates/core/src/index <<'RULES'
 1|an .assign_handicaps( call|-|\.assign_handicaps\(
 1|a .fold_handicaps( call|-|\.fold_handicaps\(
 0|down/low/high halves of a mirrored pair|-|fn ([a-z_]+_(down|low|high)|find_last_leq)\b
-0|definitions of struct DualIndexD|-|struct DualIndexD
-1|the DualIndexD alias|-|type DualIndexD =
 RULES
   grep_audit one-forest crates/core/src <<'RULES'
 0|mentions of anchor_x|-|anchor_x
+RULES
+  grep_audit one-forest crates/core/src crates/net/src src crates/bench/src <<'RULES'
+0|definitions of trait SlopeGeometry|-|trait SlopeGeometry
+0|mentions of DualIndexD|-|DualIndexD
+0|mentions of MemberPoint|-|MemberPoint
+0|mentions of DualD|-|(^|[^A-Za-z0-9_])DualD([^A-Za-z0-9_]|$)
+0|second slope-point layouts|-|fn (put|get)_body
 RULES
 }
 step one-forest one_forest
@@ -138,8 +146,8 @@ step one-refine one_refine
 # over the engine crate: no lock in the planner, no exploration probes, no
 # handicap-refresh flag, and — over the engine and the experiment harness —
 # no cost model: no feedback table or its EWMA, no cost estimate or its
-# sizing context, no default selectivity or over-coverage constants, and no
-# estimating method.
+# sizing context, no default selectivity or over-coverage constants, no
+# estimating method, and no estimate line in EXPLAIN.
 one_planner_cache() {
   grep_audit one-planner-cache crates/core/src/plan.rs <<'RULES'
 0|mentions of Mutex|-|Mutex
@@ -159,6 +167,9 @@ RULES
 0|over-coverage constants|-|_OVERSHOOT
 0|definitions of fn overcover|-|fn overcover
 0|definitions of fn estimate|-|fn estimate\(
+RULES
+  grep_audit one-planner-cache crates/core/src <<'RULES'
+0|estimate lines in EXPLAIN|-|"estimate:
 RULES
 }
 step one-planner-cache one_planner_cache

@@ -59,7 +59,7 @@ fn main() {
     // Restricted queries (slope in S): the exact fast path.
     let s0 = {
         let rel = t2.db.relation("r").expect("exists");
-        rel.index().expect("built").slopes().get(1)
+        rel.index().expect("built").slopes().unwrap().get(1)
     };
     let ns = time_ns(20, 200, |_| {
         let q = cdb_geometry::HalfPlane::above(s0, 0.0);

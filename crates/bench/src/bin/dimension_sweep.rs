@@ -2,8 +2,8 @@
 //! space, the performance of our technique does not change, since we always
 //! deal with single values".
 //!
-//! The d-dimensional index ([`cdb_core::ddim::DualIndexD`]) is measured for
-//! d ∈ {2, 3, 4} on random boxes: technique T2 over the Voronoi cells of a
+//! The dual index over slope points ([`cdb_core::ddim::SlopePoints`]) is
+//! measured for d ∈ {2, 3, 4} on random boxes: technique T2 over the Voronoi cells of a
 //! grid slope set (what the index routes an arbitrary slope to) and the
 //! d-search simplex covering (generalized T1, as an ablation), against the
 //! sequential-scan baseline (the R⁺-tree baseline is 2-D only — and no
@@ -20,10 +20,10 @@
 
 use std::collections::HashMap;
 
-use cdb_core::ddim::{DualIndexD, SlopePoints};
+use cdb_core::ddim::SlopePoints;
 use cdb_core::index::Exact;
-use cdb_core::plan::{AccessMethod, PlanCase};
-use cdb_core::{ConstraintDb, DbConfig, Selection, SelectionKind};
+use cdb_core::plan::PlanCase;
+use cdb_core::{ConstraintDb, DbConfig, DualIndex, MethodKind, Selection, SelectionKind};
 use cdb_geometry::constraint::{LinearConstraint, RelOp};
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::predicates;
@@ -89,7 +89,7 @@ impl Tally {
 /// One index with the relation it is built over.
 struct Bed<'a> {
     pager: MemPager,
-    index: &'a DualIndexD,
+    index: &'a DualIndex,
     pairs: &'a [(u32, GeneralizedTuple)],
     lookup: &'a HashMap<u32, GeneralizedTuple>,
 }
@@ -99,7 +99,6 @@ impl Bed<'_> {
     /// the oracle (a mismatch panics), and tallies its page accesses.
     fn measure(&self, queries: &[Selection], case: impl Fn(&Selection) -> PlanCase) -> Tally {
         let mut tally = Tally::default();
-        let access = AccessMethod::DualD(self.index);
         for (qi, sel) in queries.iter().enumerate() {
             let want: Vec<u32> = self
                 .pairs
@@ -113,8 +112,8 @@ impl Bed<'_> {
             let case = case(sel);
             let before = self.pager.stats();
             let fetch = |_: &dyn PageReader, id: u32| self.lookup[&id].clone();
-            let r = access
-                .execute(&self.pager, sel, &case, Exact::Selection, &fetch)
+            let r = (self.index)
+                .run(&self.pager, sel, &case, Exact::Selection, &fetch)
                 .expect("routed query");
             assert_eq!(r.ids(), want, "query {qi} along {case}");
             let io = self.pager.stats().since(&before).accesses();
@@ -189,7 +188,7 @@ fn with_bed<R>(
     run: impl FnOnce(&Bed<'_>) -> R,
 ) -> R {
     let mut pager = MemPager::paper_1999();
-    let index = DualIndexD::build(&mut pager, points, pairs).unwrap();
+    let index = DualIndex::build(&mut pager, points, pairs).unwrap();
     run(&Bed {
         pager,
         index: &index,
@@ -251,12 +250,13 @@ fn main() {
         // T2 over the cell a slope routes to; the simplex covering, for
         // comparison: the same entry points, handed the other case.
         let cell = |bed: &Bed<'_>, sel: &Selection| {
-            let case = bed.index.route(sel).expect("in-box query");
+            let case = bed.index.route(MethodKind::T2, sel).expect("in-box query");
             assert!(matches!(case, PlanCase::Cell(_)), "{case}");
             case
         };
         let covering = |bed: &Bed<'_>, sel: &Selection| {
-            let vertices = bed.index.points().containing_simplex(&sel.halfplane.slope);
+            let points = bed.index.points().expect("an index over slope points");
+            let vertices = points.containing_simplex(&sel.halfplane.slope);
             PlanCase::SimplexCovering(vertices.expect("in-hull query"))
         };
         let (t2, t1, grid_on_random) = with_bed(grid, &pairs, &lookup, |bed| {

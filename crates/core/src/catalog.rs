@@ -15,12 +15,14 @@
 //!   heap:   page list u32 ...
 //!   slots:  list of [Option<RecordId>]
 //!   per index slot, in IndexKind order: present u8, [ corrupt u8, body ]
-//!     2-D dual index:  [SlopeSet] of k, (up tree, down tree) ×k
-//!     d-dim dual index: [SlopePoints] body of k points, (up tree, down tree) ×k
-//!     R⁺-tree: [RTreeMeta], fill f64, unbounded u32 list
+//!     dual index: [SlopeGeometry] of k elements, (up tree, down tree) ×k
+//!     R⁺-tree:    [RTreeMeta], fill f64, unbounded u32 list
 //! ```
 //!
-//! B⁺-trees serialize as the forest's `TreeMeta` — scalars only, because
+//! A geometry is a tag byte (0 a slope set, 1 slope points) and then its
+//! own layout — the one the log and the wire use too; one whose dimension
+//! is not its relation's is damage. B⁺-trees serialize as the forest's
+//! `TreeMeta` — scalars only, because
 //! node contents (handicaps included) live in their pages on disk. The
 //! corrupt byte is the relation's health flag for that index: set when
 //! maintenance found the index out of step with its heap, cleared by a
@@ -40,11 +42,9 @@ use cdb_storage::codec::{finite, get_option, put_option};
 use cdb_storage::{CodecError, HeapFile, RecordId, RecordReader, RecordWriter, Wire};
 
 use crate::error::{CdbError, CATALOG_RECORD};
-use crate::index::ddim::{DualIndexD, SlopePoints};
 use crate::index::forest::Forest;
-use crate::index::{DualIndex, Index, IndexKind, RPlusIndex};
+use crate::index::{DualIndex, Index, IndexKind, RPlusIndex, SlopeGeometry};
 use crate::relation::Relation;
-use crate::slopes::SlopeSet;
 
 /// Catalog magic: `"CDBC"`.
 const MAGIC: u32 = 0x4344_4243;
@@ -58,8 +58,10 @@ const MAGIC: u32 = 0x4344_4243;
 /// routed by the Voronoi cells of its points. Version 6 dropped the
 /// partition spec: an engine is one node with one id space. Version 7
 /// dropped the R⁺-tree's tombstone list: the tree is packed once, and a
-/// write to its relation drops it instead of maintaining it.
-const VERSION: u16 = 7;
+/// write to its relation drops it instead of maintaining it. Version 8
+/// has one dual slot instead of a 2-D and a d-dimensional one, and its
+/// body leads with the geometry's tag byte.
+const VERSION: u16 = 8;
 
 // ---------------------------------------------------------------- indexes
 
@@ -83,11 +85,7 @@ cdb_storage::wire_struct!(RTreeMeta {
 fn put_index(index: &Index, w: &mut RecordWriter) {
     match index {
         Index::Dual(idx) => {
-            idx.slopes().put(w);
-            idx.forest.put_trees(w)
-        }
-        Index::DualD(idx) => {
-            idx.points().put_body(w);
+            idx.geometry.put(w);
             idx.forest.put_trees(w)
         }
         Index::RPlus(rp) => {
@@ -114,14 +112,12 @@ fn get_index(
 ) -> Result<Index, CodecError> {
     Ok(match kind {
         IndexKind::Dual => {
-            let slopes: SlopeSet = Wire::get(r)?;
-            let forest = Forest::get_trees(r, slopes.len(), page_size)?;
-            Index::Dual(DualIndex::from_parts(slopes, forest))
-        }
-        IndexKind::DualD => {
-            let points = SlopePoints::get_body(r, dim)?;
-            let forest = Forest::get_trees(r, points.len(), page_size)?;
-            Index::DualD(DualIndexD::from_parts(points, forest))
+            let geometry = SlopeGeometry::get(r)?;
+            if geometry.dim() != dim {
+                return Err(CodecError::Invalid("a geometry of another dimension"));
+            }
+            let forest = Forest::get_trees(r, geometry.len(), page_size)?;
+            Index::Dual(DualIndex::from_parts(geometry, forest))
         }
         IndexKind::RPlus => {
             let m: RTreeMeta = Wire::get(r)?;
@@ -241,8 +237,10 @@ pub(crate) struct DecodedCatalog {
 mod tests {
     use super::*;
     use crate::db::{ConstraintDb, DbConfig};
+    use crate::index::ddim::SlopePoints;
     use crate::plan::MethodKind;
     use crate::query::{Selection, SelectionKind, Strategy};
+    use crate::slopes::SlopeSet;
     use cdb_geometry::tuple::GeneralizedTuple;
     use cdb_geometry::{HalfPlane, LinearConstraint, RelOp};
     use cdb_storage::codec;
@@ -255,8 +253,8 @@ mod tests {
     /// The catalog of a 2-D relation (dual index after churn, R⁺-tree
     /// packed after it with an unbounded tuple and flagged corrupt, an
     /// absent slot, queries that leave nothing to persist) and a 3-D
-    /// relation with a grid `DualIndexD` — the state behind
-    /// `golden/catalog_v7.hex`.
+    /// relation with a dual index over a grid of slope points — the state
+    /// behind `golden/catalog_v8.hex`.
     fn sample_blob() -> Vec<u8> {
         let cube = |lo: &[f64], side: f64| {
             let mut cs = Vec::new();
@@ -295,7 +293,7 @@ mod tests {
             db.insert("space", cube(&[i as f64, 1.0, -(i as f64)], 2.0))
                 .unwrap();
         }
-        db.build_dual_index_d("space", SlopePoints::grid(3, 2, 1.0))
+        db.build_dual_index("space", SlopePoints::grid(3, 2, 1.0))
             .unwrap();
         db.query(
             "space",
@@ -321,7 +319,7 @@ mod tests {
 
     #[test]
     fn golden_bytes_are_those_of_the_format() {
-        let golden = crate::unhex(include_str!("../golden/catalog_v7.hex").trim_end());
+        let golden = crate::unhex(include_str!("../golden/catalog_v8.hex").trim_end());
         assert_eq!(sample_blob(), golden);
         assert_eq!(reencoded(&golden).unwrap(), golden);
         let cat = decode(&golden, 1024).unwrap();
@@ -332,24 +330,41 @@ mod tests {
         assert!(
             plane.usable(IndexKind::Dual).is_some() && plane.usable(IndexKind::RPlus).is_none()
         );
-        let Some(Index::DualD(idx)) = cat.relations["space"].built(IndexKind::DualD) else {
-            panic!("the golden state has a 3-D index");
+        let space = cat.relations["space"].index().expect("a 3-D dual index");
+        assert_eq!(space.points(), Some(&SlopePoints::grid(3, 2, 1.0)));
+    }
+
+    /// A 2-D relation's bytes keep their length from version 7 to 8: the
+    /// geometry's tag byte takes the place of the dropped second dual
+    /// slot's presence byte.
+    #[test]
+    fn a_planar_relation_keeps_its_length_across_version_8() {
+        let old = crate::unhex(include_str!("../golden/catalog_v7.hex").trim_end());
+        let new = crate::unhex(include_str!("../golden/catalog_v8.hex").trim_end());
+        // Header, relation count, then "plane" (sorted first): a u32
+        // length and its 5 bytes, then the rest of the relation.
+        let space = |blob: &[u8]| {
+            let name = b"\x05\x00\x00\x00space";
+            blob.windows(name.len()).position(|w| w == name).unwrap()
         };
-        assert_eq!(idx.points(), &SlopePoints::grid(3, 2, 1.0));
+        assert_eq!(space(&old), space(&new));
+        assert_eq!(old[..space(&old)].len(), new[..space(&new)].len());
     }
 
     /// The previous formats stay frozen, and are refused as damage: they
-    /// hold bytes version 7 no longer reads — version 4 a grid presence
+    /// hold bytes version 8 no longer reads — version 4 a grid presence
     /// byte after every slope-point set, versions 3 to 5 the partition
     /// spec's presence byte in the header, versions 3 to 6 the R⁺-tree's
-    /// tombstone list.
+    /// tombstone list, versions 3 to 7 a second dual slot and no geometry
+    /// tag.
     #[test]
-    fn golden_bytes_of_versions_3_to_6_are_refused() {
+    fn golden_bytes_of_versions_3_to_7_are_refused() {
         for (version, hex) in [
             (3u16, include_str!("../golden/catalog_v3.hex")),
             (4, include_str!("../golden/catalog_v4.hex")),
             (5, include_str!("../golden/catalog_v5.hex")),
             (6, include_str!("../golden/catalog_v6.hex")),
+            (7, include_str!("../golden/catalog_v7.hex")),
         ] {
             let old = crate::unhex(hex.trim_end());
             assert_eq!(old[4..6], version.to_le_bytes());
@@ -365,7 +380,8 @@ mod tests {
         (MAGIC, VERSION, 0u64).put(&mut w);
         (1u32, "r".to_string(), 2u32).put(&mut w);
         (0u32, 0u32).put(&mut w); // no heap pages, no slots
-        (true, false, u32::MAX).put(&mut w);
+        (true, false, 0u8).put(&mut w); // a healthy dual index over a slope set
+        u32::MAX.put(&mut w);
         assert!(is_corrupt(decode(&w.into_bytes(), 1024)));
     }
 
@@ -418,12 +434,35 @@ mod tests {
         (MAGIC, VERSION, 0u64).put(&mut w);
         (1u32, "r".to_string(), 8u32).put(&mut w);
         (0u32, 0u32).put(&mut w); // no heap pages, no slots
-        (false, true, false).put(&mut w); // no 2-D index; a healthy d-D one
-        8u32.put(&mut w); // of 8 points
+        (true, false, 1u8).put(&mut w); // a healthy dual index over slope points
+        (8u32, 8u32).put(&mut w); // 8 of them, in 8-D
         for _ in 0..8 {
             w.put_seq(&[0.5; 7]);
         }
         assert!(is_corrupt(decode(&w.into_bytes(), 1024)));
+    }
+
+    /// A dual index whose geometry is not of its relation's dimension —
+    /// a slope set on a 3-D relation, 3-D slope points on a 2-D or a 4-D
+    /// one — is damage, refused before its trees are read.
+    #[test]
+    fn a_geometry_of_another_dimension_is_corrupt_not_a_panic() {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        for (name, dim) in [("flat", 2), ("space", 3), ("wide", 4)] {
+            db.create_relation(name, dim).unwrap();
+        }
+        db.build_dual_index("flat", SlopeSet::uniform_tan(3))
+            .unwrap();
+        db.build_dual_index("space", SlopePoints::grid(3, 2, 1.0))
+            .unwrap();
+        assert!(decode(&encode(0, &db.relations), 1024).is_ok());
+        let dual = |name: &str| db.relations[name].indexes[IndexKind::Dual as usize].clone();
+        for (name, from) in [("space", "flat"), ("flat", "space"), ("wide", "space")] {
+            let mut relations = db.relations.clone();
+            relations.get_mut(name).unwrap().indexes[IndexKind::Dual as usize] = dual(from);
+            let blob = encode(0, &relations);
+            assert!(is_corrupt(decode(&blob, 1024)), "{from}'s index on {name}");
+        }
     }
 
     #[test]
@@ -445,7 +484,7 @@ mod tests {
             (MAGIC, VERSION, 0u64).put(&mut w);
             (1u32, "r".to_string(), dim).put(&mut w);
             (0u32, 0u32).put(&mut w); // no heap pages, no slots
-            (false, false, false).put(&mut w); // no indexes
+            (false, false).put(&mut w); // no indexes
             w.into_bytes()
         };
         assert_eq!(decode(&blob(125), 1024).unwrap().relations["r"].dim, 125);
@@ -468,12 +507,13 @@ mod tests {
             MethodKind::Restricted,
             MethodKind::T1,
             MethodKind::T2,
-            MethodKind::DualD,
             MethodKind::SeqScan,
             MethodKind::RPlus,
         ]);
         wire_conformance(&[SelectionKind::Exist, SelectionKind::All]);
         assert!(codec::decode::<Strategy>(&[99]).is_err());
+        // Tag 3 named the d-dimensional index, a method no more.
+        assert!(codec::decode::<MethodKind>(&[3]).is_err());
         assert!(codec::decode::<MethodKind>(&[6]).is_err());
         assert!(codec::decode::<SelectionKind>(&[2]).is_err());
     }

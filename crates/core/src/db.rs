@@ -1,7 +1,7 @@
 //! A small constraint-database engine facade: relations (heap files of
-//! generalized tuples), access methods (dual indexes, the d-dimensional
-//! extension, the R⁺-tree baseline, sequential scan) and query planning by
-//! the paper's rule, all over one instrumented pager.
+//! generalized tuples), access methods (the dual index over a slope set or
+//! slope points, the R⁺-tree baseline, sequential scan) and query planning
+//! by the paper's rule, all over one instrumented pager.
 //!
 //! # Failure containment
 //!
@@ -28,11 +28,9 @@ use cdb_storage::{
 };
 
 use crate::error::CdbError;
-use crate::index::ddim::SlopePoints;
-use crate::index::{Index, IndexKind, IndexSpec};
+use crate::index::{Index, IndexKind, IndexSpec, SlopeGeometry};
 pub use crate::read::{ReadSurface, Snapshot};
 pub use crate::relation::{Relation, RelationHealth, RelationStats};
-use crate::slopes::SlopeSet;
 use crate::wal::WalRecord;
 
 /// Engine configuration.
@@ -425,9 +423,8 @@ impl ConstraintDb {
             WalRecord::DropRelation { name } => self.drop_relation(&name),
             WalRecord::Insert { relation, tuple } => self.insert(&relation, tuple).map(|_| ()),
             WalRecord::Delete { relation, id } => self.delete(&relation, id).map(|_| ()),
-            WalRecord::BuildDual { relation, slopes } => self.build_dual_index(&relation, slopes),
-            WalRecord::BuildDualD { relation, points } => {
-                self.build_dual_index_d(&relation, points)
+            WalRecord::BuildDual { relation, geometry } => {
+                self.build_dual_index(&relation, geometry)
             }
             WalRecord::BuildRPlus { relation, fill } => self.build_rplus_index(&relation, fill),
         }
@@ -435,7 +432,7 @@ impl ConstraintDb {
 
     /// Stage 3 of `open`: the per-page verification pass, classifying
     /// every relation's health into the recovery report; the walk's reads
-    /// of each 2-D dual index's leaves become its key columns.
+    /// of each slope-set dual index's leaves become its key columns.
     fn classify_relations(&mut self) {
         let view = &mut self.view;
         let mut relations: Vec<(String, RelationHealth)> = Vec::new();
@@ -818,15 +815,16 @@ impl ConstraintDb {
         self.log_mutation(WalRecord::build(name, spec))
     }
 
-    /// Builds (or rebuilds) the dual index of a 2-D relation over `slopes`.
-    pub fn build_dual_index(&mut self, name: &str, slopes: SlopeSet) -> Result<(), CdbError> {
-        self.build_index(name, IndexSpec::Dual(slopes))
-    }
-
-    /// Builds (or rebuilds) the d-dimensional dual index (Section 4.4) over
-    /// a point set in slope space `E^{d-1}`.
-    pub fn build_dual_index_d(&mut self, name: &str, points: SlopePoints) -> Result<(), CdbError> {
-        self.build_index(name, IndexSpec::DualD(points))
+    /// Builds (or rebuilds) the dual index of a relation over `geometry`:
+    /// a [`SlopeSet`](crate::SlopeSet) for a 2-D relation, slope points in `E^{d-1}` for a
+    /// `d`-dimensional one (Section 4.4). A relation holds one dual index:
+    /// building one replaces the one it had, of either geometry.
+    pub fn build_dual_index(
+        &mut self,
+        name: &str,
+        geometry: impl Into<SlopeGeometry>,
+    ) -> Result<(), CdbError> {
+        self.build_index(name, IndexSpec::Dual(geometry.into()))
     }
 
     /// Builds (or rebuilds) the Section 5 R⁺-tree baseline over a 2-D
@@ -859,9 +857,11 @@ impl ConstraintDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ddim::SlopePoints;
     use crate::index::{Index, IndexKind};
     use crate::plan::MethodKind;
     use crate::query::{Selection, Strategy};
+    use crate::slopes::SlopeSet;
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::parse::parse_tuple;
     use cdb_geometry::{LinearConstraint, RelOp};
@@ -925,12 +925,16 @@ mod tests {
             .is_none());
         // Specs that do not fit the relation's dimension.
         db.create_relation("space", 3).unwrap();
-        assert!(refused(
-            db.build_dual_index("space", SlopeSet::uniform_tan(3))
-        ));
+        assert_eq!(
+            db.build_dual_index("space", SlopeSet::uniform_tan(3)),
+            Err(CdbError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            })
+        );
         assert!(refused(db.build_rplus_index("space", 1.0)));
         assert_eq!(
-            db.build_dual_index_d("land", SlopePoints::grid(3, 2, 1.0)),
+            db.build_dual_index("land", SlopePoints::grid(3, 2, 1.0)),
             Err(CdbError::DimensionMismatch {
                 expected: 2,
                 got: 3
@@ -1158,10 +1162,13 @@ mod tests {
         assert!(matches!(err, CdbError::NoIndex(_)));
     }
 
-    /// A 2-D method forced on an `E^d` relation is refused for the
-    /// dimension, in the words EXPLAIN lists it with — not for an index no
-    /// build could supply — whether or not the relation has its own
-    /// d-dimensional index.
+    /// A 2-D method — T1 or the R⁺-tree — forced on an `E^d` relation is
+    /// refused for the dimension, in the words EXPLAIN lists it with — not
+    /// for an index no build could supply — whether or not the relation
+    /// has a dual index over slope points. The restricted search and T2
+    /// run over slope points: without them they are the missing index,
+    /// with them the restricted search is refused off the points and T2
+    /// answers.
     #[test]
     fn forced_planar_methods_on_an_ed_relation_name_the_dimension() {
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
@@ -1171,16 +1178,10 @@ mod tests {
         let sel = Selection::exist(HalfPlane::new(vec![0.1, 0.2], 0.0, RelOp::Ge));
         for indexed in [false, true] {
             if indexed {
-                let points = crate::index::ddim::SlopePoints::grid(3, 3, 1.0);
-                db.build_dual_index_d("boxes", points).unwrap();
+                let points = SlopePoints::grid(3, 3, 1.0);
+                db.build_dual_index("boxes", points).unwrap();
             }
-            let forcing = [
-                Strategy::Restricted,
-                Strategy::T1,
-                Strategy::T2,
-                Strategy::RPlus,
-            ];
-            for strategy in forcing {
+            for strategy in [Strategy::T1, Strategy::RPlus] {
                 let refused = db.query_with("boxes", sel.clone(), strategy).unwrap_err();
                 let method = strategy.forced().unwrap();
                 let why =
@@ -1190,6 +1191,19 @@ mod tests {
                     CdbError::UnsupportedQuery(why),
                     "indexed={indexed}"
                 );
+            }
+            let restricted = db
+                .query_with("boxes", sel.clone(), Strategy::Restricted)
+                .map(|_| ());
+            let t2 = db.query_with("boxes", sel.clone(), Strategy::T2);
+            if indexed {
+                let why = "forced method Restricted: slope point [0.1, 0.2] is not in the \
+                           predefined set S";
+                assert_eq!(restricted, Err(CdbError::UnsupportedQuery(why.into())));
+                assert_eq!(t2.unwrap().ids(), &[0]);
+            } else {
+                let missing = Err(CdbError::NoIndex("boxes".into()));
+                assert_eq!((restricted, t2.map(|_| ())), (missing.clone(), missing));
             }
             let r = db.query_with("boxes", sel.clone(), Strategy::Auto).unwrap();
             assert_eq!(r.ids(), &[0], "indexed={indexed}");
@@ -1566,12 +1580,13 @@ mod tests {
             .index()
             .unwrap()
             .slopes()
+            .unwrap()
             .get(1);
         let plan = db
             .plan_query("land", &Selection::exist(HalfPlane::above(member, 0.0)))
             .unwrap();
         assert_eq!(plan.method, MethodKind::Restricted);
-        assert!(matches!(plan.case, crate::plan::PlanCase::Member(_)));
+        assert!(matches!(plan.case, crate::plan::PlanCase::Member { .. }));
         // A non-member slope must not plan Restricted (it is infeasible).
         let plan = db
             .plan_query(

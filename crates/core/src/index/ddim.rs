@@ -1,5 +1,6 @@
-//! The d-dimensional extension (Section 4.4): [`SlopePoints`], the second
-//! [`SlopeGeometry`] of the one [`DualIndex`], and its routing table.
+//! The d-dimensional extension (Section 4.4): [`SlopePoints`], the
+//! geometry of the one [`DualIndex`](super::DualIndex) in `E^d`, and its
+//! routing table.
 //!
 //! In `E^d` the predefined set `S` becomes a set of *slope points* in
 //! `E^{d-1}`; every point carries a `B^up`/`B^down` tree pair keyed by
@@ -37,9 +38,8 @@ use cdb_geometry::{scalar, simplex};
 use cdb_storage::codec::Finite;
 use cdb_storage::{CodecError, RecordReader, RecordWriter, Wire};
 
-use super::{DualIndex, Region, SlopeGeometry};
-use crate::plan::{PlanCase, Rejection};
-use crate::query::{Selection, Side};
+use crate::plan::{MethodKind, PlanCase, Rejection};
+use crate::query::Selection;
 
 /// How far outside a simplex (in barycentric weight) or the hull of `S`
 /// (in slope coordinates) a slope may lie and still count as covered.
@@ -65,15 +65,27 @@ pub struct SlopePoints {
     points: Vec<Vec<f64>>,
 }
 
-/// The write-ahead log's layout: the dimension, then the body.
+/// The dimension, the point count, then `dim − 1` coordinates per point;
+/// refused where [`SlopePoints::new`] would panic.
 impl Wire for SlopePoints {
     fn put(&self, w: &mut RecordWriter) {
-        self.dim.put(w);
-        self.put_body(w)
+        (self.dim, self.points.len()).put(w);
+        for p in &self.points {
+            w.put_seq(p);
+        }
     }
     fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
         let dim = usize::get(r)?;
-        Self::get_body(r, dim)
+        if dim < 2 {
+            // Zero-coordinate points would read no bytes: nothing would
+            // bound a forged count.
+            return Err(CodecError::Invalid("slope points dimension"));
+        }
+        let mut points = Vec::new();
+        for _ in 0..usize::get(r)? {
+            points.push(r.get_seq(dim - 1)?);
+        }
+        Self::try_from_parts(dim, points).map_err(CodecError::Invalid)
     }
 }
 
@@ -175,31 +187,6 @@ impl SlopePoints {
         Self::try_from_parts(dim, points)
     }
 
-    /// Everything but the dimension, which in the catalog the owning
-    /// relation supplies: the point count, then `dim − 1` coordinates per
-    /// point.
-    pub(crate) fn put_body(&self, w: &mut RecordWriter) {
-        self.points.len().put(w);
-        for p in &self.points {
-            w.put_seq(p);
-        }
-    }
-
-    /// Mirror of [`put_body`](Self::put_body), validated by
-    /// [`try_from_parts`](Self::try_from_parts).
-    pub(crate) fn get_body(r: &mut RecordReader<'_>, dim: usize) -> Result<Self, CodecError> {
-        if dim < 2 {
-            // Zero-coordinate points would read no bytes: nothing would
-            // bound a forged count.
-            return Err(CodecError::Invalid("slope points dimension"));
-        }
-        let mut points = Vec::new();
-        for _ in 0..usize::get(r)? {
-            points.push(r.get_seq(dim - 1)?);
-        }
-        Self::try_from_parts(dim, points).map_err(CodecError::Invalid)
-    }
-
     /// Ambient dimension `d`.
     pub fn dim(&self) -> usize {
         self.dim
@@ -258,12 +245,12 @@ impl SlopePoints {
     }
 
     /// The vertices of element `i`'s Voronoi cell, clipped to the bounding
-    /// box of `S`: the box facets cut by the bisectors of the `3(d−1)`
-    /// nearest other elements (first index on ties), each row scaled so its
-    /// largest coefficient is `±1`. The vertices come in the order of their
+    /// box of `S` — the element's one handicap region: the box facets cut
+    /// by the bisectors of the `3(d−1)` nearest other elements (first
+    /// index on ties), each row scaled so its largest coefficient is `±1`. The vertices come in the order of their
     /// coordinates, last axis first, with `-0.0` read as `0.0` — on a grid,
     /// the box corners bit for bit, in the order a corner mask counts them.
-    fn cell(&self, i: usize) -> Vec<Vec<f64>> {
+    pub(super) fn cell(&self, i: usize) -> Vec<Vec<f64>> {
         let (p, axes) = (&self.points[i], self.dim - 1);
         let (mut rows, mut rhs) = (Vec::new(), Vec::new());
         for j in 0..axes {
@@ -347,6 +334,39 @@ impl SlopePoints {
         }
         simplex::feasible_point(k, &rows, &rhs).is_some()
     }
+
+    /// The routing table of Section 4.4: a member slope point is searched
+    /// exactly; any other slope in the bounding box of `S` takes the
+    /// d-dimensional technique T2 (single tree, two handicap-guided
+    /// sweeps, duplicate-free) over the cell of its nearest element. Table
+    /// 1's app-queries are T1 over a slope set, so T1 routes nothing here.
+    ///
+    /// # Errors
+    /// The [`Rejection`]: a query of another dimension, T1, `Restricted`
+    /// off the points, or a slope outside the bounding box of `S`.
+    pub(super) fn route(
+        &self,
+        technique: MethodKind,
+        sel: &Selection,
+    ) -> Result<PlanCase, Rejection> {
+        if technique == MethodKind::T1 {
+            // A query of another dimension than 2 keeps its own reason.
+            Rejection::dimension(2, sel)?;
+            return Err(Rejection::NoAppQueries);
+        }
+        Rejection::dimension(self.dim, sel)?;
+        let slope = &sel.halfplane.slope;
+        if let Some(i) = self.position(slope) {
+            let slope = slope.clone();
+            return Ok(PlanCase::Member { i, slope });
+        }
+        if technique == MethodKind::Restricted {
+            return Err(Rejection::SlopeNotInS(slope.clone()));
+        }
+        let cell = self.nearest(slope);
+        cell.map(PlanCase::Cell)
+            .ok_or_else(|| Rejection::OutsideBox(slope.clone()))
+    }
 }
 
 /// Barycentric coordinates of `p` w.r.t. `verts` (`n` points in
@@ -360,68 +380,13 @@ fn barycentric(verts: &[&[f64]], p: &[f64]) -> Option<Vec<f64>> {
     vertex_enum::solve_square(&rows, &rhs)
 }
 
-impl SlopeGeometry for SlopePoints {
-    fn elements(&self) -> impl Iterator<Item = &[f64]> {
-        self.points.iter().map(Vec::as_slice)
-    }
-
-    /// A point answers for its Voronoi cell clipped to the bounding box,
-    /// in the `low_prev`/`high_prev` leaf slots.
-    fn regions(&self, i: usize) -> Vec<Region> {
-        vec![(Side::Prev, self.cell(i))]
-    }
-
-    fn routes(case: &PlanCase) -> bool {
-        use PlanCase::*;
-        matches!(case, MemberPoint { .. } | Cell(_) | SimplexCovering(_))
-    }
-
-    /// None: the key decision brackets 2-D slopes between members of a
-    /// slope set only.
-    fn key_slopes(&self) -> Option<&[f64]> {
-        None
-    }
-}
-
-/// The dual index over a d-dimensional generalized relation: the same
-/// index as in 2-D, keyed by slope points and routed by Section 4.4.
-pub type DualIndexD = DualIndex<SlopePoints>;
-
-impl DualIndex<SlopePoints> {
-    /// The slope-point set `S`.
-    pub fn points(&self) -> &SlopePoints {
-        &self.geometry
-    }
-
-    /// The routing table of Section 4.4: a member slope point is searched
-    /// exactly; any other slope in the bounding box of `S` takes the
-    /// d-dimensional technique T2 (single tree, two handicap-guided
-    /// sweeps, duplicate-free) over the cell of its nearest element.
-    ///
-    /// # Errors
-    /// The [`Rejection`]: a query of another dimension, or a slope outside
-    /// the bounding box of `S`.
-    pub fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
-        Rejection::dimension(self.geometry.dim(), sel)?;
-        let slope = &sel.halfplane.slope;
-        if let Some(i) = self.points().position(slope) {
-            return Ok(PlanCase::MemberPoint {
-                i,
-                slope: slope.clone(),
-            });
-        }
-        let cell = self.points().nearest(slope);
-        cell.map(PlanCase::Cell)
-            .ok_or_else(|| Rejection::OutsideBox(slope.clone()))
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::error::CdbError;
-    use crate::index::Exact;
+    use crate::index::{DualIndex, Exact};
     use crate::plan::TreeAt;
+    use crate::query::Side;
     use crate::query::{QueryResult, SelectionKind};
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
     use cdb_geometry::halfplane::HalfPlane;
@@ -461,7 +426,7 @@ pub(crate) mod tests {
     }
 
     fn run(
-        idx: &DualIndexD,
+        idx: &DualIndex,
         pager: &MemPager,
         pairs: &[(u32, GeneralizedTuple)],
         sel: &Selection,
@@ -469,7 +434,7 @@ pub(crate) mod tests {
         let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
             pairs.iter().cloned().collect();
         let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
-        let case = idx.route(sel).expect("in-box slope");
+        let case = idx.route(MethodKind::T2, sel).expect("in-box slope");
         idx.run(pager, sel, &case, Exact::Selection, &fetch)
             .expect("query")
     }
@@ -508,7 +473,7 @@ pub(crate) mod tests {
     fn member_slope_queries_are_exact_3d() {
         let mut pager = MemPager::paper_1999();
         let pairs = random_boxes(3, 150, 5);
-        let idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 3, 1.0), &pairs).unwrap();
+        let idx = DualIndex::build(&mut pager, SlopePoints::grid(3, 3, 1.0), &pairs).unwrap();
         for slope in [vec![0.0, 0.0], vec![1.0, -1.0], vec![0.0, 1.0]] {
             for kind in [SelectionKind::All, SelectionKind::Exist] {
                 for op in [RelOp::Ge, RelOp::Le] {
@@ -528,7 +493,7 @@ pub(crate) mod tests {
     fn simplex_covering_matches_oracle_3d() {
         let mut pager = MemPager::paper_1999();
         let pairs = random_boxes(3, 200, 7);
-        let idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 3, 1.5), &pairs).unwrap();
+        let idx = DualIndex::build(&mut pager, SlopePoints::grid(3, 3, 1.5), &pairs).unwrap();
         let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
             pairs.iter().cloned().collect();
         let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
@@ -536,8 +501,9 @@ pub(crate) mod tests {
         for _ in 0..12 {
             let slope = vec![rng.gen_range(-1.2..1.2), rng.gen_range(-1.2..1.2)];
             let b = rng.gen_range(-40.0..40.0);
-            let covering =
-                PlanCase::SimplexCovering(idx.points().containing_simplex(&slope).unwrap());
+            let covering = PlanCase::SimplexCovering(
+                idx.points().unwrap().containing_simplex(&slope).unwrap(),
+            );
             for kind in [SelectionKind::All, SelectionKind::Exist] {
                 for op in [RelOp::Ge, RelOp::Le] {
                     let sel = Selection {
@@ -561,7 +527,7 @@ pub(crate) mod tests {
     fn four_dimensional_queries() {
         let mut pager = MemPager::paper_1999();
         let pairs = random_boxes(4, 80, 9);
-        let idx = DualIndexD::build(&mut pager, SlopePoints::grid(4, 2, 1.0), &pairs).unwrap();
+        let idx = DualIndex::build(&mut pager, SlopePoints::grid(4, 2, 1.0), &pairs).unwrap();
         let sel = Selection::exist(HalfPlane::new(vec![0.3, -0.2, 0.5], 0.0, RelOp::Ge));
         let got = run(&idx, &pager, &pairs, &sel);
         assert_eq!(got.ids(), oracle(&pairs, &sel));
@@ -574,9 +540,12 @@ pub(crate) mod tests {
     fn outside_hull_is_rejected() {
         let mut pager = MemPager::paper_1999();
         let pairs = random_boxes(3, 20, 13);
-        let idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 2, 1.0), &pairs).unwrap();
+        let idx = DualIndex::build(&mut pager, SlopePoints::grid(3, 2, 1.0), &pairs).unwrap();
         let sel = Selection::exist(HalfPlane::new(vec![3.0, 0.0], 0.0, RelOp::Ge));
-        assert_eq!(idx.route(&sel), Err(Rejection::OutsideBox(vec![3.0, 0.0])));
+        assert_eq!(
+            idx.route(MethodKind::T2, &sel),
+            Err(Rejection::OutsideBox(vec![3.0, 0.0]))
+        );
         // A case another index routed is refused, not run.
         let fetch = |_: &dyn PageReader, _: u32| -> GeneralizedTuple { unreachable!() };
         assert!(matches!(
@@ -599,10 +568,11 @@ pub(crate) mod tests {
     fn out_of_box_slope_on_a_grid_is_rejected_without_a_simplex_search() {
         let mut pager = MemPager::paper_1999();
         let pairs = random_boxes(4, 10, 41);
-        let idx = DualIndexD::build(&mut pager, SlopePoints::grid(4, 6, 1.0), &pairs).unwrap();
+        let idx = DualIndex::build(&mut pager, SlopePoints::grid(4, 6, 1.0), &pairs).unwrap();
         let slope = vec![0.2, -1.5, 0.3];
         let sel = Selection::exist(HalfPlane::new(slope.clone(), 0.0, RelOp::Ge));
-        let (routed, peak) = cdb_storage::conformance::peak_during(|| idx.route(&sel));
+        let (routed, peak) =
+            cdb_storage::conformance::peak_during(|| idx.route(MethodKind::T2, &sel));
         assert_eq!(routed, Err(Rejection::OutsideBox(slope)));
         assert!(peak < 4096, "allocated {peak} bytes to reject a slope");
     }
@@ -644,14 +614,14 @@ pub(crate) mod tests {
     fn a_case_naming_a_tree_the_forest_lacks_is_an_error_not_a_panic() {
         let mut pager = MemPager::paper_1999();
         let pairs = random_boxes(3, 10, 5);
-        let idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 2, 1.0), &pairs).unwrap();
+        let idx = DualIndex::build(&mut pager, SlopePoints::grid(3, 2, 1.0), &pairs).unwrap();
         let fetch = |_: &dyn PageReader, _: u32| -> GeneralizedTuple { unreachable!() };
         let sel = Selection::exist(HalfPlane::new(vec![0.1, 0.2], 0.0, RelOp::Ge));
-        let k = idx.points().len();
+        let k = idx.points().unwrap().len();
         for case in [
             PlanCase::Cell(k),
             PlanCase::SimplexCovering(vec![0, 1, k + 7]),
-            PlanCase::MemberPoint {
+            PlanCase::Member {
                 i: usize::MAX,
                 slope: vec![0.1, 0.2],
             },
@@ -671,7 +641,7 @@ pub(crate) mod tests {
             );
         }
         let bare = SlopePoints::new(3, vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let idx = DualIndexD::build(&mut pager, bare, &pairs).unwrap();
+        let idx = DualIndex::build(&mut pager, bare, &pairs).unwrap();
         let got = idx.run(&pager, &sel, &PlanCase::Cell(3), Exact::Selection, &fetch);
         assert!(matches!(got, Err(CdbError::UnsupportedQuery(_))), "{got:?}");
     }
@@ -680,7 +650,7 @@ pub(crate) mod tests {
     fn t2d_and_simplex_agree_with_oracle() {
         let mut pager = MemPager::paper_1999();
         let pairs = random_boxes(3, 250, 31);
-        let idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 3, 1.5), &pairs).unwrap();
+        let idx = DualIndex::build(&mut pager, SlopePoints::grid(3, 3, 1.5), &pairs).unwrap();
         let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
             pairs.iter().cloned().collect();
         let mut rng = StdRng::seed_from_u64(33);
@@ -696,13 +666,13 @@ pub(crate) mod tests {
                     let want = oracle(&pairs, &sel);
                     let l1 = lookup.clone();
                     let f1 = move |_: &dyn PageReader, id: u32| l1[&id].clone();
-                    let cell = idx.route(&sel).unwrap();
+                    let cell = idx.route(MethodKind::T2, &sel).unwrap();
                     assert!(matches!(cell, PlanCase::Cell(_)), "{cell:?}");
                     let t2 = idx.run(&pager, &sel, &cell, Exact::Selection, &f1).unwrap();
                     let l2 = lookup.clone();
                     let f2 = move |_: &dyn PageReader, id: u32| l2[&id].clone();
                     // The forced-simplex ablation: same entry point, another case.
-                    let vertices = idx.points().containing_simplex(&slope).unwrap();
+                    let vertices = idx.points().unwrap().containing_simplex(&slope).unwrap();
                     let simplex = PlanCase::SimplexCovering(vertices);
                     let t1 = idx
                         .run(&pager, &sel, &simplex, Exact::Selection, &f2)
@@ -726,15 +696,13 @@ pub(crate) mod tests {
         // its cell is [-0.5,0.5]^2.
         let g = SlopePoints::grid(3, 3, 1.0);
         assert_eq!(g.as_slice()[4], vec![0.0, 0.0]);
-        let [(Side::Prev, corners)] = &g.regions(4)[..] else {
-            panic!("one region, on the Prev side");
-        };
+        let corners = g.cell(4);
         assert_eq!(corners.len(), 4);
-        for c in corners {
+        for c in &corners {
             assert!(c[0].abs() == 0.5 && c[1].abs() == 0.5, "{c:?}");
         }
         // Corner point 0 = (-1,-1): cell clipped at the box.
-        for c in &g.regions(0)[0].1 {
+        for c in &g.cell(0) {
             assert!((-1.0..=-0.5).contains(&c[0]) && (-1.0..=-0.5).contains(&c[1]));
         }
         // Nearest-element lookup.
@@ -744,7 +712,7 @@ pub(crate) mod tests {
         // A bare set has cells too: the right angle's is the square its two
         // bisectors cut from the box; the others are cut by a diagonal.
         let free = SlopePoints::new(3, vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let cell = |i: usize| free.regions(i).remove(0).1;
+        let cell = |i: usize| free.cell(i);
         assert_eq!(cell(0), [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]]);
         assert_eq!(cell(1), [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]]);
         assert_eq!(free.nearest(&[0.8, 0.8]), Some(1), "first index on ties");
@@ -768,7 +736,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(0x6E1D);
         for (dim, per, range) in grids {
             let g = SlopePoints::grid(dim, per, range);
-            let idx = DualIndexD::build(&mut MemPager::paper_1999(), g.clone(), &[]).unwrap();
+            let idx = DualIndex::build(&mut MemPager::paper_1999(), g.clone(), &[]).unwrap();
             let axis: Vec<f64> = (0..per).map(|m| g.as_slice()[m][0]).collect();
             // Per axis: the cell's [lo, hi] around multi-index `m`.
             let span = |m: usize| {
@@ -802,7 +770,7 @@ pub(crate) mod tests {
                 let want: std::collections::BTreeSet<Vec<u64>> =
                     corners.map(|c| bits(&c)).collect();
                 let got: std::collections::BTreeSet<Vec<u64>> =
-                    g.regions(i)[0].1.iter().map(bits).collect();
+                    g.cell(i).iter().map(bits).collect();
                 assert_eq!(got, want, "grid({dim}, {per}, {range}) cell {i}");
             }
             for _ in 0..1000 {
@@ -814,7 +782,11 @@ pub(crate) mod tests {
                 });
                 let sel = Selection::exist(HalfPlane::new(slope.clone(), 0.0, RelOp::Ge));
                 let want = PlanCase::Cell(per_axis.sum());
-                assert_eq!(idx.route(&sel), Ok(want), "grid({dim}, {per}, {range})");
+                assert_eq!(
+                    idx.route(MethodKind::T2, &sel),
+                    Ok(want),
+                    "grid({dim}, {per}, {range})"
+                );
             }
         }
     }
@@ -853,7 +825,7 @@ pub(crate) mod tests {
         ]);
         let mut pairs = random_boxes(3, 10, 21);
         pairs.push((100, slab));
-        let idx = DualIndexD::build(&mut pager, SlopePoints::grid(3, 3, 1.0), &pairs).unwrap();
+        let idx = DualIndex::build(&mut pager, SlopePoints::grid(3, 3, 1.0), &pairs).unwrap();
         // z >= 0 contains the slab? The slab extends from z=0 to z=1: yes.
         let sel = Selection::all(HalfPlane::new(vec![0.0, 0.0], 0.0, RelOp::Ge));
         let got = run(&idx, &pager, &pairs, &sel);

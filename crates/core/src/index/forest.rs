@@ -5,7 +5,8 @@
 //!
 //! [`super::DualIndex`] knows which elements there are and which regions
 //! of slope space their handicaps answer for (its
-//! [`SlopeGeometry`](super::SlopeGeometry)); building, key and handicap
+//! [`SlopeGeometry`](super::SlopeGeometry)) and computes every tuple's
+//! keys; building, key and handicap
 //! maintenance, the three searches (`restricted`, `covering`, `guided`),
 //! verification, accounting, teardown and the persisted form of the trees
 //! are written here once, up and down alike (over a [`Direction`]).
@@ -37,24 +38,23 @@ pub(crate) struct Forest {
 }
 
 impl Forest {
-    /// Bulk-loads one tree pair per element of `slopes`, `B^up` before
-    /// `B^down`, over `(id, tuple)` pairs.
+    /// Bulk-loads one tree pair per element of `S`, `B^up` before
+    /// `B^down`, over `(id, tuple)` pairs whose `(TOP_P, BOT_P)` keys at
+    /// element `i` are `keys[i]`, aligned with `tuples`.
     ///
     /// # Errors
     /// The pager's error when writing tree pages fails.
-    pub(crate) fn build<'s>(
+    pub(crate) fn build(
         pager: &mut dyn Pager,
-        slopes: impl Iterator<Item = &'s [f64]>,
         tuples: &[(u32, GeneralizedTuple)],
+        keys: &[Vec<(f64, f64)>],
     ) -> io::Result<Self> {
         let mut pairs = Vec::new();
-        for slope in slopes {
+        for keys in keys {
             let (mut up, mut down): (Vec<_>, Vec<_>) = tuples
                 .iter()
-                .map(|(id, t)| {
-                    let (top, bot) = keys_at(t, slope);
-                    ((top, *id), (bot, *id))
-                })
+                .zip(keys)
+                .map(|((id, _), &(top, bot))| ((top, *id), (bot, *id)))
                 .unzip();
             let by_key = |a: &(f64, u32), b: &(f64, u32)| a.0.partial_cmp(&b.0).expect("NaN key");
             up.sort_by(by_key);

@@ -85,9 +85,9 @@ impl TupleSource for HeapSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ddim::{DualIndexD, SlopePoints};
+    use crate::ddim::SlopePoints;
     use crate::index::{refine, Candidates, DualIndex, Exact};
-    use crate::plan::PlanCase;
+    use crate::plan::{MethodKind, PlanCase};
     use crate::query::{QueryResult, Selection, SelectionKind, Strategy};
     use crate::slopes::SlopeSet;
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
@@ -184,7 +184,7 @@ mod tests {
             // Arbitrary slopes (T1/T2) and member slopes (Restricted); on
             // member slopes every third intercept sits exactly on a stored
             // key, so the f32 check band is fetched and refined.
-            let member = idx.slopes().get(round % 4);
+            let member = idx.slopes().unwrap().get(round % 4);
             let (_, on_key) = &bed.pairs[rng.gen_range(0..bed.pairs.len())];
             let cases = [
                 (g.slope(), rng.gen_range(-60.0..60.0), Strategy::T2),
@@ -276,7 +276,7 @@ mod tests {
             .collect();
         let mut bed = Bed::load(boxes);
         let idx =
-            DualIndexD::build(&mut bed.pager, SlopePoints::grid(3, 3, 1.0), &bed.pairs).unwrap();
+            DualIndex::build(&mut bed.pager, SlopePoints::grid(3, 3, 1.0), &bed.pairs).unwrap();
         for n in 0..30 {
             // Grid members (exact + check band), in-hull slopes (T2 cells).
             let slope = if n % 3 == 0 {
@@ -292,7 +292,7 @@ mod tests {
                         halfplane: HalfPlane::new(slope.clone(), b, op),
                     };
                     let what = format!("{kind:?} {op:?} {slope:?} {b}");
-                    let case = idx.route(&sel).unwrap();
+                    let case = idx.route(MethodKind::T2, &sel).unwrap();
                     let run = |case: &PlanCase, src: &dyn TupleSource| {
                         idx.run(&bed.pager, &sel, case, Exact::Selection, src)
                     };
@@ -304,7 +304,7 @@ mod tests {
                         .map(|(id, _)| *id)
                         .collect();
                     assert_eq!(got.ids(), want, "{what}: oracle");
-                    let vertices = idx.points().containing_simplex(&slope).unwrap();
+                    let vertices = idx.points().unwrap().containing_simplex(&slope).unwrap();
                     let simplex = PlanCase::SimplexCovering(vertices);
                     let covered = bed.both(&what, |src| run(&simplex, src)).unwrap();
                     assert_eq!(covered.ids(), want, "{what}: simplex covering");

@@ -7,13 +7,14 @@
 //! slots instead of spelling the kinds out; `Relation::method` hands a
 //! slot to the planner as a [`crate::plan::AccessMethod`]. What a
 //! write does to each kind is one rule in `Relation::maintained`: the dual
-//! indexes are maintained, the R⁺-tree is dropped.
+//! index is maintained, the R⁺-tree is dropped.
 //!
 //! [`DualIndex`] is the paper's structure: a `B^up`/`B^down` forest over
-//! the elements of a [`SlopeGeometry`] — a [`SlopeSet`] in 2-D, [`SlopePoints`]
-//! in `E^d` — maintained and searched the same way whichever it is; each
-//! geometry adds its own routing table, and the restricted (Section 3), T1
-//! (Section 4.1) and T2 (Sections 4.2–4.3) searches each have a submodule.
+//! the elements of its [`SlopeGeometry`] — a [`SlopeSet`] in 2-D,
+//! [`SlopePoints`] in `E^d` — built, maintained and searched the same way
+//! whichever it is; each geometry has its own routing table, and the
+//! restricted (Section 3), T1 (Section 4.1) and T2 (Sections 4.2–4.3)
+//! searches each have a submodule.
 
 pub mod ddim;
 pub(crate) mod forest;
@@ -41,7 +42,7 @@ use crate::error::CdbError;
 use crate::plan::{MethodKind, PlanCase, Rejection, TreeAt};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side, Strategy};
 use crate::slopes::{Bracket, SlopeSet};
-use ddim::{DualIndexD, SlopePoints};
+use ddim::SlopePoints;
 use forest::{keys_at, Forest};
 use keys::{KeyBracket, Verdict};
 
@@ -49,23 +50,20 @@ use keys::{KeyBracket, Verdict};
 /// of their names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexKind {
-    /// The 2-D dual index (Sections 3–4.3).
+    /// The dual index (Sections 3–4.4), over either geometry.
     Dual,
-    /// The d-dimensional dual index (Section 4.4).
-    DualD,
     /// The R⁺-tree baseline (Section 5).
     RPlus,
 }
 
 impl IndexKind {
     /// Every kind, in slot order.
-    pub const ALL: [IndexKind; 3] = [IndexKind::Dual, IndexKind::DualD, IndexKind::RPlus];
+    pub const ALL: [IndexKind; 2] = [IndexKind::Dual, IndexKind::RPlus];
 
     /// The name reports, health verdicts and the wire use.
     pub fn name(self) -> &'static str {
         match self {
             IndexKind::Dual => "dual",
-            IndexKind::DualD => "dual-d",
             IndexKind::RPlus => "rplus",
         }
     }
@@ -76,10 +74,8 @@ impl IndexKind {
 /// the log and the catalog persist, and a rebuild reuses.
 #[derive(Clone, Debug, PartialEq)]
 pub enum IndexSpec {
-    /// The 2-D dual index over a slope set.
-    Dual(SlopeSet),
-    /// The d-dimensional dual index over slope points in `E^{d-1}`.
-    DualD(SlopePoints),
+    /// The dual index over a slope set (2-D) or slope points (`E^d`).
+    Dual(SlopeGeometry),
     /// The R⁺-tree baseline, bulk-packed at a fill factor.
     RPlus {
         /// Node fill factor, in `[0.5, 1]`.
@@ -92,7 +88,6 @@ impl IndexSpec {
     pub fn kind(&self) -> IndexKind {
         match self {
             IndexSpec::Dual(_) => IndexKind::Dual,
-            IndexSpec::DualD(_) => IndexKind::DualD,
             IndexSpec::RPlus { .. } => IndexKind::RPlus,
         }
     }
@@ -114,24 +109,22 @@ impl IndexSpec {
     /// record or a catalog reaches an `assert!` further down.
     ///
     /// # Errors
-    /// [`CdbError::UnsupportedQuery`] for bad parameters or a 2-D-only
-    /// index on another dimension; [`CdbError::DimensionMismatch`] for
-    /// slope points of another dimension.
+    /// [`CdbError::UnsupportedQuery`] for bad parameters or the R⁺-tree on
+    /// another dimension than 2; [`CdbError::DimensionMismatch`] for a
+    /// geometry of another dimension (a slope set's is 2).
     pub fn check(&self, dim: usize) -> Result<(), CdbError> {
         self.check_parameters()
             .map_err(|why| CdbError::UnsupportedQuery(why.into()))?;
         match self {
-            IndexSpec::Dual(_) if dim != 2 => Err(CdbError::UnsupportedQuery(
-                "the 2-D dual index requires a 2-D relation (see build_dual_index_d for E^d)"
-                    .into(),
-            )),
+            IndexSpec::Dual(geometry) if geometry.dim() != dim => {
+                Err(CdbError::DimensionMismatch {
+                    expected: dim,
+                    got: geometry.dim(),
+                })
+            }
             IndexSpec::RPlus { .. } if dim != 2 => Err(CdbError::UnsupportedQuery(
                 "the R⁺-tree baseline requires a 2-D relation".into(),
             )),
-            IndexSpec::DualD(points) if points.dim() != dim => Err(CdbError::DimensionMismatch {
-                expected: dim,
-                got: points.dim(),
-            }),
             _ => Ok(()),
         }
     }
@@ -140,10 +133,8 @@ impl IndexSpec {
 /// One built access structure of a relation.
 #[derive(Clone)]
 pub enum Index {
-    /// The 2-D dual index.
+    /// The dual index.
     Dual(DualIndex),
-    /// The d-dimensional dual index.
-    DualD(DualIndexD),
     /// The R⁺-tree baseline.
     RPlus(RPlusIndex),
 }
@@ -157,8 +148,7 @@ impl Index {
         tuples: &[(u32, GeneralizedTuple)],
     ) -> Result<Self, CdbError> {
         Ok(match spec {
-            IndexSpec::Dual(slopes) => Index::Dual(DualIndex::build(pager, slopes, tuples)?),
-            IndexSpec::DualD(points) => Index::DualD(DualIndexD::build(pager, points, tuples)?),
+            IndexSpec::Dual(geometry) => Index::Dual(DualIndex::build(pager, geometry, tuples)?),
             IndexSpec::RPlus { fill } => Index::RPlus(RPlusIndex::build(pager, fill, tuples)?),
         })
     }
@@ -167,27 +157,18 @@ impl Index {
     /// after corruption reuses them).
     pub fn spec(&self) -> IndexSpec {
         match self {
-            Index::Dual(idx) => IndexSpec::Dual(idx.slopes().clone()),
-            Index::DualD(idx) => IndexSpec::DualD(idx.points().clone()),
+            Index::Dual(idx) => IndexSpec::Dual(idx.geometry.clone()),
             Index::RPlus(rp) => IndexSpec::RPlus { fill: rp.fill },
         }
     }
 
-    /// The 2-D dual index, if this is one.
-    pub fn as_dual(&self) -> Option<&DualIndex> {
-        match self {
-            Index::Dual(idx) => Some(idx),
-            _ => None,
-        }
-    }
-
     /// Reads every page of the structure through `pager`; under a
-    /// checksumming pager any torn or stale page surfaces here. A 2-D dual
-    /// index hands back the key columns the walk read off its leaves.
+    /// checksumming pager any torn or stale page surfaces here. A dual
+    /// index over a slope set hands back the key columns the walk read off
+    /// its leaves.
     pub(crate) fn verify(&self, pager: &dyn PageReader) -> io::Result<Option<KeyColumns>> {
         match self {
             Index::Dual(idx) => idx.verify(pager),
-            Index::DualD(idx) => idx.verify(pager),
             Index::RPlus(rp) => rp.tree.collect_pages(pager).map(|_| None),
         }
     }
@@ -196,7 +177,6 @@ impl Index {
     pub fn page_count(&self) -> u64 {
         match self {
             Index::Dual(idx) => idx.page_count(),
-            Index::DualD(idx) => idx.page_count(),
             Index::RPlus(rp) => rp.tree.page_count(),
         }
     }
@@ -206,7 +186,6 @@ impl Index {
     pub(crate) fn destroy(self, pager: &mut dyn Pager) -> io::Result<()> {
         match self {
             Index::Dual(idx) => idx.forest.destroy(pager),
-            Index::DualD(idx) => idx.forest.destroy(pager),
             Index::RPlus(rp) => rp.tree.destroy(pager),
         }
     }
@@ -270,57 +249,86 @@ where
 /// answer for it, and its corners in slope space besides the element.
 pub type Region = (Side, Vec<Vec<f64>>);
 
-/// What a [`DualIndex`] is built over — data, and which cases its routing
-/// table hands out: the elements of `S` its forest is keyed by and, per
-/// element, the regions of slope space that element's handicaps answer
-/// for. Each region is the convex hull of the element and the listed
-/// corners, so a tuple's reach over it (`TOP_P` convex, `BOT_P` concave) is
-/// attained at one of them.
-pub trait SlopeGeometry {
-    /// The elements of `S` as points of slope space `E^{d-1}`, in order.
-    fn elements(&self) -> impl Iterator<Item = &[f64]>;
-
-    /// The handicap regions of element `i`: the strips `[aᵢ, mid]` toward
-    /// either neighbour for a slope set (Section 4.2); for slope points
-    /// (Section 4.4), under [`Side::Prev`], the vertices of the point's
-    /// Voronoi cell clipped to the bounding box of `S`.
-    fn regions(&self, i: usize) -> Vec<Region>;
-
-    /// Whether `case` is one this geometry's routing table hands out; its
-    /// index [runs](DualIndex::run) no other.
-    fn routes(case: &PlanCase) -> bool;
-
-    /// The slopes of `S` when they are 2-D query slopes the index keeps
-    /// in-memory key columns over, for the key decision of its routes.
-    fn key_slopes(&self) -> Option<&[f64]>;
+/// The predefined set `S` a [`DualIndex`] is built over. Section 4.4
+/// changes only what an element of `S` is — a slope in 2-D, a slope point
+/// in `E^{d-1}` — so the index builds, maintains, searches and refines
+/// both alike; the geometry supplies the elements its forest is keyed by,
+/// the regions of slope space each element's handicaps answer for, and
+/// its routing table.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SlopeGeometry {
+    /// The slopes of a 2-D relation (Sections 3–4.3).
+    Set(SlopeSet),
+    /// Slope points of a `d`-dimensional relation (Section 4.4).
+    Points(SlopePoints),
 }
 
-impl SlopeGeometry for SlopeSet {
+// A tag byte, then the geometry in its own layout: the one layout of the
+// log, the catalog and the wire.
+cdb_storage::wire_enum!(SlopeGeometry {
+    0 => Set(slopes),
+    1 => Points(points),
+});
+
+impl From<SlopeSet> for SlopeGeometry {
+    fn from(slopes: SlopeSet) -> Self {
+        SlopeGeometry::Set(slopes)
+    }
+}
+
+impl From<SlopePoints> for SlopeGeometry {
+    fn from(points: SlopePoints) -> Self {
+        SlopeGeometry::Points(points)
+    }
+}
+
+impl SlopeGeometry {
+    /// The dimension of the relations it indexes.
+    pub(crate) fn dim(&self) -> usize {
+        match self {
+            SlopeGeometry::Set(_) => 2,
+            SlopeGeometry::Points(points) => points.dim(),
+        }
+    }
+
+    /// The number `k` of elements of `S`.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            SlopeGeometry::Set(slopes) => slopes.len(),
+            SlopeGeometry::Points(points) => points.len(),
+        }
+    }
+
+    /// The elements of `S` as points of slope space `E^{d-1}`, in order.
     fn elements(&self) -> impl Iterator<Item = &[f64]> {
-        self.as_slice().iter().map(std::slice::from_ref)
+        (0..self.len()).map(|i| match self {
+            SlopeGeometry::Set(slopes) => std::slice::from_ref(&slopes.as_slice()[i]),
+            SlopeGeometry::Points(points) => points.as_slice()[i].as_slice(),
+        })
     }
 
+    /// The handicap regions of element `i`, each the convex hull of the
+    /// element and the listed corners, so a tuple's reach over it (`TOP_P`
+    /// convex, `BOT_P` concave) is attained at one of them: the strips
+    /// `[aᵢ, mid]` toward either neighbour of a slope (Section 4.2); under
+    /// [`Side::Prev`], the vertices of a slope point's Voronoi cell clipped
+    /// to the bounding box of `S` (Section 4.4).
     fn regions(&self, i: usize) -> Vec<Region> {
-        let strip = |side| Some((side, vec![vec![self.mid(i, side)?]]));
-        [Side::Prev, Side::Next]
-            .into_iter()
-            .filter_map(strip)
-            .collect()
-    }
-
-    fn routes(case: &PlanCase) -> bool {
-        use PlanCase::*;
-        matches!(case, Member(_) | AppQueries(_) | Between { .. })
-    }
-
-    fn key_slopes(&self) -> Option<&[f64]> {
-        Some(self.as_slice())
+        match self {
+            SlopeGeometry::Set(slopes) => {
+                let strip = |side| Some((side, vec![vec![slopes.mid(i, side)?]]));
+                [Side::Prev, Side::Next]
+                    .into_iter()
+                    .filter_map(strip)
+                    .collect()
+            }
+            SlopeGeometry::Points(points) => vec![(Side::Prev, points.cell(i))],
+        }
     }
 }
 
 /// Dual-representation index over a generalized relation: 2-D over a
-/// [`SlopeSet`] (the default), `E^d` over [`SlopePoints`]
-/// ([`DualIndexD`]).
+/// [`SlopeSet`], `E^d` over [`SlopePoints`].
 ///
 /// ```
 /// use cdb_core::{DualIndex, Selection, SlopeSet, Strategy};
@@ -348,13 +356,14 @@ impl SlopeGeometry for SlopeSet {
 /// assert_eq!(r.stats.duplicates, 0);
 /// ```
 #[derive(Clone, Debug)]
-pub struct DualIndex<G = SlopeSet> {
-    geometry: G,
+pub struct DualIndex {
+    /// The predefined set `S`.
+    pub(crate) geometry: SlopeGeometry,
     /// [`SlopeGeometry::regions`] of every element, computed once.
     regions: Vec<Vec<Region>>,
     pub(crate) forest: Forest,
-    /// The trees' keys per id, in memory, where the geometry has
-    /// `key_slopes`; never persisted.
+    /// The trees' keys per id, in memory, over a slope set: the key
+    /// decision brackets 2-D slopes between its members. Never persisted.
     keys: Option<KeyColumns>,
 }
 
@@ -367,7 +376,7 @@ fn reach(tuple: &GeneralizedTuple, keys: (f64, f64), corners: &[Vec<f64>]) -> (f
     })
 }
 
-impl<G: SlopeGeometry> DualIndex<G> {
+impl DualIndex {
     /// Bulk-builds the index over `(id, tuple)` pairs. All tuples must be
     /// satisfiable and of the geometry's dimension.
     ///
@@ -375,39 +384,41 @@ impl<G: SlopeGeometry> DualIndex<G> {
     /// [`CdbError::Io`] when the pager fails while writing tree pages.
     pub fn build(
         pager: &mut dyn Pager,
-        geometry: G,
+        geometry: impl Into<SlopeGeometry>,
         tuples: &[(u32, GeneralizedTuple)],
     ) -> Result<Self, CdbError> {
-        let forest = Forest::build(pager, geometry.elements(), tuples)?;
+        let geometry = geometry.into();
+        // Every tuple's keys at every element, computed once: they sort
+        // the trees, fill the key columns and anchor the reaches.
+        let keys: Vec<Vec<(f64, f64)>> = geometry
+            .elements()
+            .map(|slope| tuples.iter().map(|(_, t)| keys_at(t, slope)).collect())
+            .collect();
+        let forest = Forest::build(pager, tuples, &keys)?;
         let mut idx = Self::from_parts(geometry, forest);
         // The key columns, and every leaf's handicap values from the
-        // tuples bucketed into it (Section 4.2 Steps 1–2); elements
-        // without a handicap region have none.
+        // tuples bucketed into it (Section 4.2 Steps 1–2).
         let DualIndex {
-            geometry,
             regions,
             forest,
             keys: columns,
+            ..
         } = &mut idx;
-        for (i, (slope, regions)) in geometry.elements().zip(&*regions).enumerate() {
-            if regions.is_empty() && columns.is_none() {
-                continue;
-            }
-            let keys: Vec<(f64, f64)> = tuples.iter().map(|(_, t)| keys_at(t, slope)).collect();
+        for (i, (keys, regions)) in keys.iter().zip(&*regions).enumerate() {
             if let Some(columns) = columns {
-                for ((id, _), &(top, bot)) in tuples.iter().zip(&keys) {
+                for ((id, _), &(top, bot)) in tuples.iter().zip(keys) {
                     columns.set(*id, i, true, top);
                     columns.set(*id, i, false, bot);
                 }
             }
             let mut reaches = Vec::new();
             for (side, corners) in regions {
-                let over = tuples.iter().zip(&keys);
+                let over = tuples.iter().zip(keys);
                 let over = over.map(|((_, t), &k)| reach(t, k, corners));
                 reaches.push((*side, over.collect()));
             }
             if !reaches.is_empty() {
-                forest.assign_handicaps(pager, i, &keys, &reaches)?;
+                forest.assign_handicaps(pager, i, keys, &reaches)?;
             }
         }
         Ok(idx)
@@ -418,13 +429,37 @@ impl<G: SlopeGeometry> DualIndex<G> {
     /// disk; `forest` holds one tree pair per element, in the order of `S`.
     /// The key columns start with no row, so the keys decide nothing until
     /// the open-time [`verify`](Self::verify) walk hands them over.
-    pub(crate) fn from_parts(geometry: G, forest: Forest) -> Self {
-        let regions = (0..geometry.elements().count()).map(|i| geometry.regions(i));
-        DualIndex {
+    pub(crate) fn from_parts(geometry: SlopeGeometry, forest: Forest) -> Self {
+        let regions = (0..geometry.len()).map(|i| geometry.regions(i));
+        let mut idx = DualIndex {
             regions: regions.collect(),
-            keys: geometry.key_slopes().map(KeyColumns::new),
+            keys: None,
             geometry,
             forest,
+        };
+        idx.keys = idx.no_keys();
+        idx
+    }
+
+    /// Key columns with no row, where the index keeps them.
+    fn no_keys(&self) -> Option<KeyColumns> {
+        self.slopes()
+            .map(|slopes| KeyColumns::new(slopes.as_slice()))
+    }
+
+    /// The slope set `S`, if the index is over one.
+    pub fn slopes(&self) -> Option<&SlopeSet> {
+        match &self.geometry {
+            SlopeGeometry::Set(slopes) => Some(slopes),
+            SlopeGeometry::Points(_) => None,
+        }
+    }
+
+    /// The slope-point set `S`, if the index is over one.
+    pub fn points(&self) -> Option<&SlopePoints> {
+        match &self.geometry {
+            SlopeGeometry::Points(points) => Some(points),
+            SlopeGeometry::Set(_) => None,
         }
     }
 
@@ -442,7 +477,7 @@ impl<G: SlopeGeometry> DualIndex<G> {
     /// Reads every page of every tree through `pager`, returning the key
     /// columns as the walk read them off the leaves.
     pub(crate) fn verify(&self, pager: &dyn PageReader) -> io::Result<Option<KeyColumns>> {
-        let mut columns = self.geometry.key_slopes().map(KeyColumns::new);
+        let mut columns = self.no_keys();
         self.forest.verify(pager, |i, up, key, id| {
             if let Some(columns) = columns.as_mut() {
                 columns.set(id, i, up, key);
@@ -502,14 +537,14 @@ impl<G: SlopeGeometry> DualIndex<G> {
     }
 
     /// Sweeps for `sel` along `case` — a route of this index (or, for
-    /// ablations, a `SimplexCovering` over any vertices whose simplex
+    /// ablations, a `SimplexCovering` over any slope points whose simplex
     /// contains the query slope) — and refines with `exact` in the one
     /// filter-then-refine step, `index::refine`.
     ///
     /// # Errors
-    /// [`CdbError::UnsupportedQuery`] for a case of another geometry's
-    /// routing table, or one naming a tree or handicap region this index
-    /// does not have.
+    /// [`CdbError::UnsupportedQuery`] for a case of the other geometry's
+    /// routing table (or no dual index's), or one naming a tree or handicap
+    /// region this index does not have.
     pub fn run(
         &self,
         pager: &dyn PageReader,
@@ -518,9 +553,6 @@ impl<G: SlopeGeometry> DualIndex<G> {
         exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        if !G::routes(case) {
-            return Err(foreign(case));
-        }
         let forest = &self.forest;
         refine(pager, sel, exact, fetch, self.keys.as_ref(), |pager| {
             // A guided search trusts the handicaps of one region; where the
@@ -532,33 +564,25 @@ impl<G: SlopeGeometry> DualIndex<G> {
                 }
                 forest.guided(pager, sel, i, side)
             };
-            match case {
+            use SlopeGeometry::{Points, Set};
+            match (case, &self.geometry) {
                 // Exact restricted query; boundary band verified exactly.
-                PlanCase::Member(TreeAt { i, .. }) | PlanCase::MemberPoint { i, .. } => {
-                    forest.restricted(pager, sel, *i)
-                }
+                (PlanCase::Member { i, .. }, _) => forest.restricted(pager, sel, *i),
                 // Table 1's two app-queries, each with its own operator.
-                PlanCase::AppQueries(legs) => {
+                (PlanCase::AppQueries(legs), Set(_)) => {
                     forest.covering(pager, sel, legs.map(|(tree, th)| (tree.i, th)))
                 }
                 // d app-queries, all with the query's operator.
-                PlanCase::SimplexCovering(vertices) => {
+                (PlanCase::SimplexCovering(vertices), Points(_)) => {
                     let legs = vertices.iter().map(|&pi| (pi, sel.halfplane.op));
                     forest.covering(pager, sel, legs)
                 }
-                PlanCase::Between { near, side, .. } => guided(near.i, *side),
+                (PlanCase::Between { near, side, .. }, Set(_)) => guided(near.i, *side),
                 // The whole-cell handicaps live in the `Prev` leaf slots.
-                PlanCase::Cell(i) => guided(*i, Side::Prev),
-                PlanCase::FullScan(_) | PlanCase::MbrSearch(_) => Err(foreign(case)),
+                (PlanCase::Cell(i), Points(_)) => guided(*i, Side::Prev),
+                _ => Err(foreign(case)),
             }
         })
-    }
-}
-
-impl DualIndex {
-    /// The slope set `S`.
-    pub fn slopes(&self) -> &SlopeSet {
-        &self.geometry
     }
 
     /// Executes a selection with the requested strategy, `Auto` being the
@@ -572,8 +596,9 @@ impl DualIndex {
     /// exact even when many queries share `pager` concurrently.
     ///
     /// # Errors
-    /// [`CdbError::UnsupportedQuery`] — `Restricted` with a slope outside
-    /// `S`, a non-2-D query, or `Scan`/`RPlus` (handled a level up by the
+    /// [`CdbError::UnsupportedQuery`] — the [`Rejection`] of the route
+    /// (`Restricted` with a slope outside `S`, a query of another
+    /// dimension, ...), or `Scan`/`RPlus` (handled a level up by the
     /// planner, which owns the non-dual access methods).
     pub fn execute(
         &self,
@@ -626,28 +651,42 @@ impl DualIndex {
         self.run(pager, sel, &case, exact, fetch)
     }
 
-    /// The routing table of the 2-D index: which trees `technique` sweeps
-    /// for `sel`, in which way — Section 3's member case, Table 1's two
-    /// app-queries with their operators, Section 4.2's nearer tree.
+    /// Which trees `technique` — one of this index's three,
+    /// `Restricted`, `T1`, `T2` (anything else is the caller's bug, and
+    /// routed as `T2` is) — sweeps for `sel`, in which way: the routing
+    /// table of the index's geometry.
     ///
     /// # Errors
-    /// The [`Rejection`]: a non-2-D query, or `Restricted` with a slope
-    /// outside `S`.
-    ///
-    /// `technique` is one of this index's three — `Restricted`, `T1`, `T2`
-    /// (anything else is the caller's bug, and routed as `T2` is).
+    /// The [`Rejection`]: a query of another dimension, `Restricted` with a
+    /// slope outside `S`, T1 over slope points, T2 outside the bounding box
+    /// of slope points.
     pub fn route(&self, technique: MethodKind, sel: &Selection) -> Result<PlanCase, Rejection> {
         use MethodKind::{Restricted, T1, T2};
         debug_assert!(matches!(technique, Restricted | T1 | T2), "{technique}");
+        match &self.geometry {
+            SlopeGeometry::Set(slopes) => slopes.route(technique, sel),
+            SlopeGeometry::Points(points) => points.route(technique, sel),
+        }
+    }
+}
+
+impl SlopeSet {
+    /// The routing table of a slope set: Section 3's member case, Table
+    /// 1's two app-queries with their operators, Section 4.2's nearer
+    /// tree.
+    fn route(&self, technique: MethodKind, sel: &Selection) -> Result<PlanCase, Rejection> {
         Rejection::dimension(2, sel)?;
         let (a, theta) = (sel.halfplane.slope2d(), sel.halfplane.op);
         let at = |i: usize| TreeAt {
             i,
-            slope: self.geometry.get(i),
+            slope: self.get(i),
         };
-        Ok(match (technique, self.geometry.bracket(a)) {
-            (_, Bracket::Member(i)) => PlanCase::Member(at(i)),
-            (MethodKind::Restricted, _) => return Err(Rejection::SlopeNotInS(a)),
+        Ok(match (technique, self.bracket(a)) {
+            (_, Bracket::Member(i)) => PlanCase::Member {
+                i,
+                slope: vec![self.get(i)],
+            },
+            (MethodKind::Restricted, _) => return Err(Rejection::SlopeNotInS(vec![a])),
             // a1 < a < a2: both app-queries keep θ.
             (MethodKind::T1, Bracket::Between(i, j)) => {
                 PlanCase::AppQueries([(at(i), theta), (at(j), theta)])
@@ -678,7 +717,7 @@ impl DualIndex {
             // below min S both are larger — row 3: θ1 = ¬θ, θ2 = θ. The
             // paper details T2 for a1 < a < a2 only, so T2 runs these too.
             (_, Bracket::Wrapped(cw, acw)) => {
-                let (th1, th2) = if a > self.geometry.get(cw) {
+                let (th1, th2) = if a > self.get(cw) {
                     (theta, theta.negated())
                 } else {
                     (theta.negated(), theta)
@@ -862,8 +901,8 @@ mod tests {
         let mut pager = MemPager::paper_1999();
         let tuples = DatasetSpec::paper_1999(300, ObjectSize::Small, 1).generate();
         let (idx, pairs) = build_index(&mut pager, &tuples, 4);
-        for i in 0..idx.slopes().len() {
-            let s = idx.slopes().get(i);
+        for i in 0..idx.slopes().unwrap().len() {
+            let s = idx.slopes().unwrap().get(i);
             for b in [-30.0, 0.0, 25.0] {
                 for kind in [SelectionKind::All, SelectionKind::Exist] {
                     for op in [RelOp::Ge, RelOp::Le] {
@@ -971,7 +1010,7 @@ mod tests {
                 // produce duplicates); the no-duplicate guarantee applies to
                 // the main case the paper details.
                 if matches!(
-                    idx.slopes().bracket(sel.halfplane.slope2d()),
+                    idx.slopes().unwrap().bracket(sel.halfplane.slope2d()),
                     Bracket::Between(..)
                 ) {
                     assert_eq!(got.stats.duplicates, 0);
@@ -1024,7 +1063,10 @@ mod tests {
             side,
         };
         for case in [
-            PlanCase::Member(at(3)),
+            PlanCase::Member {
+                i: 3,
+                slope: vec![0.3],
+            },
             between(at(2), Side::Next), // the last slope has no next strip
             between(at(0), Side::Prev),
             PlanCase::Cell(1),
@@ -1046,14 +1088,14 @@ mod tests {
     /// packs into fewer pages.
     #[test]
     fn every_geometry_keeps_t2_exact_under_churn() {
-        fn row<G: SlopeGeometry + Clone>(
+        fn row(
             what: &str,
-            geometry: G,
+            geometry: impl Into<SlopeGeometry>,
             mut pairs: Vec<(u32, GeneralizedTuple)>,
             late: Vec<GeneralizedTuple>,
             slopes: &[&[f64]],
-            route: impl Fn(&DualIndex<G>, &Selection) -> PlanCase,
         ) {
+            let geometry = geometry.into();
             let mut pager = MemPager::paper_1999();
             let mut idx = DualIndex::build(&mut pager, geometry.clone(), &pairs).unwrap();
             for (id, t) in (5000u32..).zip(late) {
@@ -1074,7 +1116,7 @@ mod tests {
             let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
                 kept.iter().cloned().collect();
             let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
-            let exact = |idx: &DualIndex<G>, pager: &MemPager, when: &str| {
+            let exact = |idx: &DualIndex, pager: &MemPager, when: &str| {
                 for (slope, b) in slopes
                     .iter()
                     .zip([-25.0, 0.0, 12.0, 40.0].into_iter().cycle())
@@ -1083,7 +1125,7 @@ mod tests {
                         for op in [RelOp::Ge, RelOp::Le] {
                             let halfplane = HalfPlane::new(slope.to_vec(), b, op);
                             let sel = Selection { kind, halfplane };
-                            let case = route(idx, &sel);
+                            let case = idx.route(MethodKind::T2, &sel).unwrap();
                             let guided =
                                 matches!(case, PlanCase::Between { .. } | PlanCase::Cell(_));
                             assert!(guided, "{what}: {case}");
@@ -1139,7 +1181,6 @@ mod tests {
             numbered(flat(120, ObjectSize::Small, 10)),
             flat(80, ObjectSize::Medium, 11),
             &[&[-1.9], &[-1.2], &[-0.9], &[0.2], &[0.9], &[1.9]],
-            |idx, sel| idx.route(MethodKind::T2, sel).unwrap(),
         );
         row(
             "2-D grid",
@@ -1147,7 +1188,6 @@ mod tests {
             numbered(flat(120, ObjectSize::Small, 10)),
             flat(80, ObjectSize::Medium, 11),
             &[&[-1.9], &[-1.2], &[-0.9], &[0.2], &[0.9], &[1.9]],
-            |idx, sel| idx.route(sel).unwrap(),
         );
         row(
             "3-D grid",
@@ -1155,7 +1195,6 @@ mod tests {
             boxes(100, 37),
             late_boxes(),
             &[&[0.2, -0.1], &[-0.9, -0.8], &[0.7, 0.3], &[-0.4, 0.95]],
-            |idx, sel| idx.route(sel).unwrap(),
         );
         let line = cloud(2, 5, 51);
         row(
@@ -1164,7 +1203,6 @@ mod tests {
             numbered(flat(120, ObjectSize::Small, 10)),
             flat(80, ObjectSize::Medium, 11),
             &slices(&mids(&line)),
-            |idx, sel| idx.route(sel).unwrap(),
         );
         let plane = cloud(3, 12, 52);
         row(
@@ -1173,7 +1211,6 @@ mod tests {
             boxes(100, 37),
             late_boxes(),
             &slices(&mids(&plane)),
-            |idx, sel| idx.route(sel).unwrap(),
         );
         let space = cloud(4, 16, 53);
         row(
@@ -1182,7 +1219,6 @@ mod tests {
             ddim::tests::random_boxes(4, 100, 54),
             late(4, 55).map(|(_, t)| t).collect(),
             &slices(&mids(&space)),
-            |idx, sel| idx.route(sel).unwrap(),
         );
         // All on the line b = a/2 − 1/5, a hyperplane of slope space:
         // slopes off it are routed to the nearest point's cell all the same.
@@ -1196,7 +1232,6 @@ mod tests {
             boxes(100, 37),
             late_boxes(),
             &[&[0.2, -0.3], &[-0.5, 0.1], &[0.6, -0.5], &[-0.8, -0.6]],
-            |idx, sel| idx.route(sel).unwrap(),
         );
     }
 
@@ -1209,14 +1244,14 @@ mod tests {
     /// tree validates, and T2 answers as the oracle.
     #[test]
     fn one_descent_update_matches_the_per_fold_reference() {
-        fn stream<G: SlopeGeometry + Clone>(
+        fn stream(
             what: &str,
-            geometry: G,
+            geometry: impl Into<SlopeGeometry>,
             mut live: Vec<(u32, GeneralizedTuple)>,
             late: Vec<GeneralizedTuple>,
             slopes: &[&[f64]],
-            route: impl Fn(&DualIndex<G>, &Selection) -> PlanCase,
         ) {
+            let geometry = geometry.into();
             let (mut pager, mut twin_pager) = (MemPager::new(128), MemPager::new(128));
             let mut idx = DualIndex::build(&mut pager, geometry.clone(), &live).unwrap();
             let mut twin = DualIndex::build(&mut twin_pager, geometry, &live).unwrap();
@@ -1273,7 +1308,7 @@ mod tests {
                     for op in [RelOp::Ge, RelOp::Le] {
                         let halfplane = HalfPlane::new(slope.to_vec(), b, op);
                         let sel = Selection { kind, halfplane };
-                        let case = route(&idx, &sel);
+                        let case = idx.route(MethodKind::T2, &sel).unwrap();
                         let guided = matches!(case, PlanCase::Between { .. } | PlanCase::Cell(_));
                         assert!(guided, "{what}: {case}");
                         let got = idx
@@ -1300,7 +1335,6 @@ mod tests {
                 .flat_map(|w| [1.0, 2.0].map(|t| vec![w[0] + (w[1] - w[0]) * t / 3.0]));
             let slopes: Vec<Vec<f64>> = between.collect();
             let slopes: Vec<&[f64]> = slopes.iter().map(Vec::as_slice).collect();
-            let route = |idx: &DualIndex, sel: &Selection| idx.route(MethodKind::T2, sel).unwrap();
             let what = format!("k = {k}");
             stream(
                 &what,
@@ -1308,7 +1342,6 @@ mod tests {
                 flat(n, ObjectSize::Small, 70),
                 late(150),
                 &slopes,
-                route,
             );
         }
         let boxes = |n, seed| ddim::tests::random_boxes(3, n, seed);
@@ -1319,7 +1352,6 @@ mod tests {
             boxes(200, 73),
             late_boxes,
             &[&[0.2, -0.1], &[-0.9, -0.8], &[0.7, 0.3], &[-0.4, 0.95]],
-            |idx, sel| idx.route(sel).unwrap(),
         );
     }
 
@@ -1328,7 +1360,7 @@ mod tests {
         let mut pager = MemPager::paper_1999();
         let tuples = DatasetSpec::paper_1999(80, ObjectSize::Small, 12).generate();
         let (idx, pairs) = build_index(&mut pager, &tuples, 3);
-        let s = idx.slopes().get(1);
+        let s = idx.slopes().unwrap().get(1);
         let sel = Selection::exist(HalfPlane::above(s, 0.0));
         let got = run(&idx, &pager, &pairs, &sel, Strategy::Auto);
         assert_eq!(got.ids(), oracle(&pairs, &sel));

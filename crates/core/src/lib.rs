@@ -19,14 +19,12 @@
 //! Both finite and infinite (unbounded) polyhedra are supported uniformly —
 //! unbounded tuples simply contribute `±∞` keys.
 //!
-//! [`index::ddim::DualIndexD`] is the same index — `DualIndex<SlopePoints>`,
-//! built, maintained and searched by the same code — over the other
-//! [`index::SlopeGeometry`], extending the scheme to `E^d` (Section 4.4):
-//! `S` becomes a point set in slope space `E^{d-1}`, queries with slopes in
-//! `S` stay exact, a grid set answers the rest by T2 over its box cells,
-//! and any other set covers them by `d` app-queries whose slopes span a
-//! containing simplex. What each geometry keeps to itself is its routing
-//! table.
+//! The same index — built, maintained and searched by the same code — over
+//! the other [`SlopeGeometry`] extends the scheme to `E^d` (Section 4.4):
+//! `S` becomes a set of [`index::ddim::SlopePoints`] in slope space
+//! `E^{d-1}`, queries with slopes in `S` stay exact, and T2 answers the
+//! rest inside the bounding box of `S` over the Voronoi cell of the nearest
+//! point. What each geometry keeps to itself is its routing table.
 //!
 //! [`db::ConstraintDb`] is a small engine facade tying relations (heap
 //! files), indexes and queries together; its whole read side — and a
@@ -39,13 +37,13 @@
 //! out over scoped threads sharing the same snapshot, with exact per-query
 //! [`QueryStats`] via [`cdb_storage::TrackedReader`].
 //!
-//! Every query path — the three dual-index techniques, the d-dimensional
-//! extension, a sequential scan, and the Section 5 R⁺-tree baseline — is
-//! one variant of the [`plan::AccessMethod`] enum; [`plan::Planner`]
-//! runs the forced one or the paper's rule — the restricted search at a
-//! slope of `S`, T2 at any other, the d-dimensional index's cell, the scan
-//! where no index routes the selection — and [`ReadSurface::explain`]
-//! renders the decision next to the actuals.
+//! Every query path — the three dual-index techniques, a sequential scan,
+//! and the Section 5 R⁺-tree baseline — is one variant of the
+//! [`plan::AccessMethod`] enum; [`plan::Planner`] runs the forced one or,
+//! in every dimension, the paper's rule — the restricted search at a
+//! member of `S`, T2 at any other slope it routes, the scan where the dual
+//! index routes nothing — and [`ReadSurface::explain`] renders the
+//! decision next to the actuals.
 
 pub mod catalog;
 pub mod db;
@@ -65,7 +63,7 @@ pub mod wire;
 
 pub use db::{ConstraintDb, DbConfig, DbStats, RecoveryReport, WalReplay, WalStats};
 pub use error::{CdbError, CATALOG_RECORD, WAL_RECORD};
-pub use index::{ddim, DualIndex, Index, IndexKind, IndexSpec};
+pub use index::{ddim, DualIndex, Index, IndexKind, IndexSpec, SlopeGeometry};
 pub use plan::{AccessMethod, ExplainReport, MethodKind, PlanCase, Planner, QueryPlan, Rejection};
 pub use pretty::PlanNode;
 pub use query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};

@@ -55,7 +55,7 @@ pub enum LogicalPlan {
         dim: usize,
     },
     /// Planned access-method selection on one relation: the planner runs
-    /// the paper's rule over dual / dual-d / seq-scan at execution.
+    /// the paper's rule over the dual index and the scan at execution.
     IndexSelection {
         /// Relation name.
         relation: String,

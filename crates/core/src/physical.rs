@@ -39,7 +39,7 @@ use cdb_storage::{PageReader, TrackedReader};
 use crate::error::CdbError;
 use crate::index::{Exact, TupleSource};
 use crate::logical::LogicalPlan;
-use crate::plan::{AccessMethod, Planner, QueryPlan};
+use crate::plan::{AccessMethod, PlanCase, Planner, QueryPlan};
 use crate::pretty::{actual_line, plan_detail_lines, PlanNode};
 use crate::query::{QueryStats, Selection, SelectionKind, Strategy};
 use crate::relation::Relation;
@@ -218,8 +218,8 @@ impl Operator for EmptyOp {
 // ------------------------------------------------------------ IndexScanOp
 
 /// Planned access-method execution on one relation: the planner runs the
-/// forced method or the paper's rule — the restricted search at a slope of
-/// `S`, T2 at any other, the d-dimensional index's cell, else the scan —
+/// forced method or the paper's rule — the restricted search at a member
+/// of `S`, T2 at any other slope it routes, else the scan —
 /// exactly as the typed query path does, as one operator inside the
 /// pipeline. It plans once, when built; `open` executes that plan, and
 /// `EXPLAIN` reads it.
@@ -391,11 +391,7 @@ impl Operator for SeqScanOp<'_> {
     }
 
     fn node(&self, analyze: bool) -> PlanNode {
-        let mut detail = vec![format!(
-            "estimate: {} heap pages, {} tuples",
-            self.rel.heap_pages(),
-            self.rel.len()
-        )];
+        let mut detail = vec![PlanCase::FullScan(self.rel.len()).to_string()];
         if analyze {
             detail.push(actual_line(&self.stats, self.seen.rows_out));
             detail.push(ms(self.seen.elapsed));
@@ -850,7 +846,14 @@ mod tests {
             db.insert("r", t).unwrap();
         }
         db.build_dual_index("r", SlopeSet::uniform_tan(4)).unwrap();
-        let member = db.relation("r").unwrap().index().unwrap().slopes().get(2);
+        let member = db
+            .relation("r")
+            .unwrap()
+            .index()
+            .unwrap()
+            .slopes()
+            .unwrap()
+            .get(2);
         (db, member)
     }
 

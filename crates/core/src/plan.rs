@@ -7,16 +7,16 @@
 //! makes that rule the planner:
 //!
 //! * [`AccessMethod`] — one borrowed, `Copy` enum over a relation's query
-//!   paths: a sequential scan, one of the three [`DualIndex`] techniques,
-//!   the d-dimensional index, or the R⁺-tree baseline
+//!   paths: a sequential scan, one of the three [`DualIndex`] techniques
+//!   (over either geometry), or the R⁺-tree baseline
 //!   ([`cdb_rplustree::RPlusTree`]), handed out by
 //!   [`Relation::method`] with no allocation.
 //!   [`route`](AccessMethod::route) decides once how a [`Selection`] is
 //!   served — a [`PlanCase`], or the [`Rejection`] saying why not — and the
 //!   executor and EXPLAIN both read that one case.
 //! * [`Planner`] — runs the method a caller forces, validated, or else the
-//!   first of the fixed order Restricted → T2 → DualD → SeqScan that routes
-//!   the selection, as a [`QueryPlan`]: a function of the relation and the
+//!   first of the fixed order Restricted → T2 → SeqScan that routes the
+//!   selection, as a [`QueryPlan`]: a function of the relation and the
 //!   selection alone.
 //! * [`QueryPlan::explain`] / [`ExplainReport`] — render the method, the
 //!   routing case, the refinement mode, the methods that could not route
@@ -30,7 +30,6 @@ use cdb_geometry::constraint::RelOp;
 use cdb_storage::PageReader;
 
 use crate::error::CdbError;
-use crate::index::ddim::DualIndexD;
 use crate::index::{foreign, refine, Candidates, DualIndex, Exact, RPlusIndex, TupleSource};
 use crate::query::{QueryResult, Selection, Side};
 use crate::relation::Relation;
@@ -42,10 +41,8 @@ pub enum MethodKind {
     Restricted,
     /// Section 4.1: two app-queries, duplicates possible, then refinement.
     T1,
-    /// Sections 4.2–4.3: handicap-guided duplicate-free search.
+    /// Sections 4.2–4.4: handicap-guided duplicate-free search.
     T2,
-    /// The d-dimensional extension (Section 4.4) for `d > 2` relations.
-    DualD,
     /// Sequential scan of the heap with exact predicates.
     SeqScan,
     /// The packed R⁺-tree over tuple bounding boxes (Section 5 baseline).
@@ -56,7 +53,6 @@ cdb_storage::wire_enum!(MethodKind {
     0 => Restricted,
     1 => T1,
     2 => T2,
-    3 => DualD,
     4 => SeqScan,
     5 => RPlus,
 });
@@ -67,7 +63,6 @@ impl fmt::Display for MethodKind {
             MethodKind::Restricted => "Restricted",
             MethodKind::T1 => "T1",
             MethodKind::T2 => "T2",
-            MethodKind::DualD => "DualD",
             MethodKind::SeqScan => "SeqScan",
             MethodKind::RPlus => "RPlus",
         };
@@ -86,8 +81,12 @@ pub enum Rejection {
         /// The query's dimension.
         query: usize,
     },
-    /// The restricted technique asked a slope outside `S`.
-    SlopeNotInS(f64),
+    /// The restricted technique asked a slope outside `S`: one slope in
+    /// 2-D, a slope point in `E^{d-1}` (owned: unbounded dimension).
+    SlopeNotInS(Vec<f64>),
+    /// T1 asked an index over slope points: Table 1's app-queries need a
+    /// slope set.
+    NoAppQueries,
     /// The query slope (owned: its dimension is unbounded) lies outside
     /// the bounding box of the d-dimensional slope points.
     OutsideBox(Vec<f64>),
@@ -111,7 +110,13 @@ impl fmt::Display for Rejection {
             Rejection::Dimension { serves, query } => {
                 write!(f, "serves {serves}-D queries only, the query is {query}-D")
             }
-            Rejection::SlopeNotInS(a) => write!(f, "slope {a} is not in the predefined set S"),
+            Rejection::SlopeNotInS(slope) => match &slope[..] {
+                [a] => write!(f, "slope {a} is not in the predefined set S"),
+                point => write!(f, "slope point {point:?} is not in the predefined set S"),
+            },
+            Rejection::NoAppQueries => {
+                f.write_str("Table 1's app-queries run over a slope set, not slope points")
+            }
             Rejection::OutsideBox(slope) => write!(
                 f,
                 "query slope {slope:?} lies outside the bounding box of the predefined set S"
@@ -120,8 +125,8 @@ impl fmt::Display for Rejection {
     }
 }
 
-/// One tree pair of a 2-D dual forest: element `i` of `S`, whose slope
-/// is `slope`.
+/// One tree pair of a dual forest over a slope set: element `i` of `S`,
+/// whose slope is `slope`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TreeAt {
     /// Index of the slope in `S` (and of its tree pair in the forest).
@@ -141,9 +146,15 @@ pub type Leg = (TreeAt, RelOp);
 /// Plain data on the executing path; text only when EXPLAIN renders it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PlanCase {
-    /// A member slope: the restricted search, whichever dual technique
+    /// A member of `S`: the restricted search, whichever dual technique
     /// routed it.
-    Member(TreeAt),
+    Member {
+        /// Index of the member in `S` (and of its tree pair in the forest).
+        i: usize,
+        /// The member itself: one slope in 2-D, a slope point in `E^{d-1}`
+        /// (owned: unbounded dimension).
+        slope: Vec<f64>,
+    },
     /// Table 1's two app-queries: between two slopes of `S` both legs keep
     /// `θ` (T1); wrapped through the vertical they are the clockwise and
     /// anticlockwise neighbours, one leg with `¬θ` (rows 2 and 3) — where
@@ -162,13 +173,6 @@ pub enum PlanCase {
         /// The side of `near` that strip lies on.
         side: Side,
     },
-    /// d-dimensional member slope point `i` (owned: unbounded dimension).
-    MemberPoint {
-        /// Index of the point in `S`.
-        i: usize,
-        /// The point itself.
-        slope: Vec<f64>,
-    },
     /// d-dimensional T2 over the Voronoi cell of slope point `.0`.
     Cell(usize),
     /// Simplex covering: one app-query per vertex (indices into `S`).
@@ -184,12 +188,9 @@ impl PlanCase {
     /// [`QueryStats::method`](crate::query::QueryStats::method) reports.
     pub fn runs(&self) -> MethodKind {
         match self {
-            PlanCase::Member(_) => MethodKind::Restricted,
-            PlanCase::AppQueries(_) => MethodKind::T1,
-            PlanCase::Between { .. } => MethodKind::T2,
-            PlanCase::MemberPoint { .. } | PlanCase::Cell(_) | PlanCase::SimplexCovering(_) => {
-                MethodKind::DualD
-            }
+            PlanCase::Member { .. } => MethodKind::Restricted,
+            PlanCase::AppQueries(_) | PlanCase::SimplexCovering(_) => MethodKind::T1,
+            PlanCase::Between { .. } | PlanCase::Cell(_) => MethodKind::T2,
             PlanCase::FullScan(_) => MethodKind::SeqScan,
             PlanCase::MbrSearch(_) => MethodKind::RPlus,
         }
@@ -201,9 +202,7 @@ impl PlanCase {
     /// candidate superset that exact refinement filters down.
     pub fn refinement(&self) -> &'static str {
         match self {
-            PlanCase::Member(_) | PlanCase::MemberPoint { .. } => {
-                "exact by key; f32 boundary band verified [exact]"
-            }
+            PlanCase::Member { .. } => "exact by key; f32 boundary band verified [exact]",
             PlanCase::AppQueries(_) | PlanCase::SimplexCovering(_) => {
                 "candidate superset; duplicates removed, then exact refinement [refined]"
             }
@@ -221,7 +220,10 @@ impl PlanCase {
 impl fmt::Display for PlanCase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanCase::Member(t) => write!(f, "member slope {}", t.slope),
+            PlanCase::Member { slope, .. } => match &slope[..] {
+                [a] => write!(f, "member slope {a}"),
+                point => write!(f, "member slope point {point:?}"),
+            },
             PlanCase::AppQueries([(a, th1), (b, th2)]) if th1 != th2 => write!(
                 f,
                 "wrapped: app-queries at slopes {} and {} (Table 1)",
@@ -235,7 +237,6 @@ impl fmt::Display for PlanCase {
                 "between slopes {lo} and {hi}: handicap-guided sweeps on the tree at {}",
                 near.slope
             ),
-            PlanCase::MemberPoint { slope, .. } => write!(f, "member slope point {slope:?}"),
             PlanCase::Cell(i) => write!(
                 f,
                 "Voronoi cell of slope point {i}: d-dimensional T2 sweeps"
@@ -260,12 +261,10 @@ pub enum AccessMethod<'a> {
     /// A first-class sequential scan over a relation's heap: the no-index
     /// baseline and the correctness oracle, planned like any other method.
     SeqScan(&'a Relation),
-    /// One technique of the 2-D dual index — restricted (Section 3), T1
-    /// (Section 4.1) or T2 (Sections 4.2–4.3); at a member slope all three
+    /// One technique of the dual index — restricted (Section 3), T1
+    /// (Section 4.1) or T2 (Sections 4.2–4.4); at a member of `S` all three
     /// run the restricted search.
     Dual(&'a DualIndex, MethodKind),
-    /// The d-dimensional dual index (Section 4.4).
-    DualD(&'a DualIndexD),
     /// The packed R⁺-tree baseline (Section 5): bounding boxes of the
     /// bounded tuples, whose candidate superset is refined exactly.
     RPlus(&'a RPlusIndex),
@@ -277,7 +276,6 @@ impl AccessMethod<'_> {
         match *self {
             AccessMethod::SeqScan(_) => MethodKind::SeqScan,
             AccessMethod::Dual(_, technique) => technique,
-            AccessMethod::DualD(_) => MethodKind::DualD,
             AccessMethod::RPlus(_) => MethodKind::RPlus,
         }
     }
@@ -292,7 +290,6 @@ impl AccessMethod<'_> {
                 Ok(PlanCase::FullScan(relation.len()))
             }
             AccessMethod::Dual(index, technique) => index.route(technique, sel),
-            AccessMethod::DualD(index) => index.route(sel),
             AccessMethod::RPlus(index) => {
                 Rejection::dimension(2, sel)?;
                 Ok(PlanCase::MbrSearch(index.unbounded.len()))
@@ -320,7 +317,6 @@ impl AccessMethod<'_> {
                 Ok(Candidates::check(relation.live_ids()))
             }),
             AccessMethod::Dual(index, _) => index.run(pager, sel, case, exact, fetch),
-            AccessMethod::DualD(index) => index.run(pager, sel, case, exact, fetch),
             AccessMethod::RPlus(index) => {
                 // Its own route is the proof that the query is 2-D.
                 let PlanCase::MbrSearch(_) = case else {
@@ -371,16 +367,13 @@ impl QueryPlan {
     }
 }
 
-/// What `Auto` tries, in order — the paper's rule: the restricted search
-/// at a slope of `S`, T2 at any other 2-D slope (a wrapped one runs Table
-/// 1's app-queries), the d-dimensional index's cell, and the scan wherever
-/// no index routes the selection. T1 and the R⁺-tree run only when forced.
-const AUTO: [MethodKind; 4] = [
-    MethodKind::Restricted,
-    MethodKind::T2,
-    MethodKind::DualD,
-    MethodKind::SeqScan,
-];
+/// What `Auto` tries, in order, in every dimension — the paper's rule
+/// (Sections 3, 4.2, 4.4): the restricted search at a member of `S`, T2
+/// at any other slope it routes (a wrapped 2-D one runs Table 1's
+/// app-queries, a d-dimensional one its nearest point's cell), and the
+/// scan wherever the dual index routes nothing. T1 and the R⁺-tree run
+/// only when forced.
+const AUTO: [MethodKind; 3] = [MethodKind::Restricted, MethodKind::T2, MethodKind::SeqScan];
 
 /// Picks the [`AccessMethod`] for a selection: the `forced` one,
 /// validated, or the first method of the paper's rule that routes it.
@@ -423,12 +416,12 @@ impl Planner {
         }
         Err(match forced {
             Some(k) => {
-                // A method the relation does not offer: only the
-                // d-dimensional index serves a relation of any dimension.
+                // A method the relation does not offer: the restricted
+                // search and T2 serve any dimension over slope points; T1
+                // and the R⁺-tree serve 2-D queries only.
                 let absent = || {
-                    Rejection::dimension(2, sel)
-                        .err()
-                        .filter(|_| k != MethodKind::DualD)
+                    let planar = matches!(k, MethodKind::T1 | MethodKind::RPlus);
+                    Rejection::dimension(2, sel).err().filter(|_| planar)
                 };
                 match rejected.pop().map(|(_, why)| why).or_else(absent) {
                     Some(why) => CdbError::UnsupportedQuery(format!("forced method {k}: {why}")),
@@ -497,8 +490,9 @@ mod tests {
 
     /// `Auto` is the paper's rule, one row per shape: the restricted search
     /// at a member slope, T2 at an interior one and at one beyond max `S`
-    /// (where it runs Table 1's wrapped app-queries), the d-dimensional
-    /// cell inside the box of `S` and the scan outside it — and the scan
+    /// (where it runs Table 1's wrapped app-queries); over slope points in
+    /// 3-D the restricted search at a member point, T2's cell inside the
+    /// box of `S` and the scan outside it — and the scan
     /// too when the dual index is marked corrupt, whatever R⁺-tree is built
     /// beside it. T1 and the R⁺-tree run only when forced.
     #[test]
@@ -525,7 +519,13 @@ mod tests {
         let got = plan(&db, "r", &exist(member), Strategy::Auto);
         assert_eq!(
             (got.method, &got.case),
-            (MethodKind::Restricted, &PlanCase::Member(at(1)))
+            (
+                MethodKind::Restricted,
+                &PlanCase::Member {
+                    i: 1,
+                    slope: vec![member]
+                }
+            )
         );
         let got = plan(&db, "r", &exist(interior), Strategy::Auto);
         assert_eq!(got.method, MethodKind::T2);
@@ -534,7 +534,7 @@ mod tests {
         );
         assert_eq!(
             got.rejected,
-            [(MethodKind::Restricted, Rejection::SlopeNotInS(0.3))]
+            [(MethodKind::Restricted, Rejection::SlopeNotInS(vec![0.3]))]
         );
         assert!(!got.forced && got.explain().starts_with("method=T2 (auto)"));
         let got = plan(&db, "r", &exist(beyond), Strategy::Auto);
@@ -570,16 +570,30 @@ mod tests {
             db.insert("boxes", GeneralizedTuple::new(cs.collect()))
                 .unwrap();
         }
-        db.build_dual_index_d("boxes", SlopePoints::grid(3, 3, 1.0))
+        db.build_dual_index("boxes", SlopePoints::grid(3, 3, 1.0))
             .unwrap();
         let sel = |slope: Vec<f64>| Selection::exist(HalfPlane::new(slope, 4.0, RelOp::Ge));
+        let got = plan(&db, "boxes", &sel(vec![1.0, -1.0]), Strategy::Auto);
+        assert_eq!(got.method, MethodKind::Restricted);
+        assert!(
+            matches!(got.case, PlanCase::Member { i: 2, .. }),
+            "{}",
+            got.case
+        );
+        assert!(got.rejected.is_empty());
         let got = plan(&db, "boxes", &sel(vec![0.3, -0.6]), Strategy::Auto);
-        assert_eq!(got.method, MethodKind::DualD);
+        assert_eq!(got.method, MethodKind::T2);
         assert!(matches!(got.case, PlanCase::Cell(_)), "{}", got.case);
+        let off = Rejection::SlopeNotInS(vec![0.3, -0.6]);
+        assert_eq!(got.rejected, [(MethodKind::Restricted, off)]);
         let got = plan(&db, "boxes", &sel(vec![1.5, 0.0]), Strategy::Auto);
         assert_eq!(got.case, PlanCase::FullScan(60));
+        let off = Rejection::SlopeNotInS(vec![1.5, 0.0]);
         let why = Rejection::OutsideBox(vec![1.5, 0.0]);
-        assert_eq!(got.rejected, [(MethodKind::DualD, why)]);
+        assert_eq!(
+            got.rejected,
+            [(MethodKind::Restricted, off), (MethodKind::T2, why)]
+        );
     }
 
     /// One `AppQueries` case serves both rows of Table 1: legs that keep

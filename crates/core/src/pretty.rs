@@ -28,7 +28,7 @@ pub struct PlanNode {
 /// ├─ IndexScan r [exist y >= 0.3x - 5]
 /// │      method=T2 (auto)  case: …
 /// └─ SeqScan s
-///        est: 4 heap pages, 120 tuples
+///        full scan of 120 tuples
 /// ```
 pub fn render(root: &PlanNode) -> String {
     let mut out = String::new();
@@ -99,12 +99,12 @@ mod tests {
                 children: vec![
                     PlanNode {
                         label: "IndexScan r".into(),
-                        detail: vec!["method=T2".into(), "estimate: 3.0 pages".into()],
+                        detail: vec!["method=T2 (auto)".into(), "case: …".into()],
                         children: vec![],
                     },
                     PlanNode {
                         label: "SeqScan s".into(),
-                        detail: vec!["est: 4 heap pages".into()],
+                        detail: vec!["full scan of 120 tuples".into()],
                         children: vec![],
                     },
                 ],
@@ -115,10 +115,10 @@ Filter [exist: 2 constraints]
 │   joint satisfiability via LP
 └─ NestedLoopJoin
    ├─ IndexScan r
-   │      method=T2
-   │      estimate: 3.0 pages
+   │      method=T2 (auto)
+   │      case: …
    └─ SeqScan s
-          est: 4 heap pages
+          full scan of 120 tuples
 ";
         assert_eq!(render(&tree), expected);
     }

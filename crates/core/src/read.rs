@@ -125,9 +125,9 @@ impl<P: PageSource> ReadSurface<P> {
     }
 
     /// Executes a selection with an explicit strategy; `Strategy::Auto`
-    /// runs the paper's rule — the restricted search at a slope of `S`, T2
-    /// at any other, the d-dimensional index's cell, and the sequential
-    /// scan where no index routes the selection (an index-less relation is
+    /// runs the paper's rule in every dimension — the restricted search at
+    /// a member of `S`, T2 at any other slope it routes, and the sequential
+    /// scan where the dual index routes nothing (an index-less relation is
     /// queryable). Queries run from `&self` over the read half of the
     /// page store, so any number can execute concurrently (see
     /// [`query_batch`](Self::query_batch)).
@@ -409,7 +409,7 @@ mod tests {
             })
             .collect();
         let got = db.query_batch("r", &batch, 8).unwrap();
-        let slopes = db.relation("r").unwrap().index().unwrap().slopes();
+        let slopes = db.relation("r").unwrap().index().unwrap().slopes().unwrap();
         for (i, (g, want)) in got.iter().zip(&sequential).enumerate() {
             let g = g.as_ref().unwrap();
             assert_eq!(g.stats.index_io.reads, *want, "index reads of query {i}");

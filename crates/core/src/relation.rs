@@ -1,6 +1,6 @@
 //! A stored relation: tuples in a heap file plus the indexes it owns, as
-//! slots in the fixed order of [`IndexKind`] — dual, dual-d, rplus: the
-//! order pages are allocated and the catalog is laid out in. Everything
+//! slots in the fixed order of [`IndexKind`] — dual, rplus: the order
+//! pages are allocated and the catalog is laid out in. Everything
 //! per-kind is behind [`Index`], so the methods here loop over slots.
 
 use std::io;
@@ -9,9 +9,7 @@ use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{HeapFile, PageId, PageReader, Pager, RecordId};
 
 use crate::error::CdbError;
-use crate::index::{
-    DualIndex, HeapSource, Index, IndexKind, IndexSpec, KeyColumns, SlopeGeometry, TupleSource,
-};
+use crate::index::{DualIndex, HeapSource, Index, IndexKind, IndexSpec, KeyColumns, TupleSource};
 use crate::plan::{AccessMethod, MethodKind};
 
 /// Verdict of the open-time verification pass for one relation.
@@ -94,29 +92,6 @@ cdb_storage::wire_struct!(RelationStats {
     health
 });
 
-/// A heap change, as the dual indexes take it: the tuple stored or deleted
-/// under its id.
-#[derive(Clone, Copy)]
-enum Change<'a> {
-    Insert(u32, &'a GeneralizedTuple),
-    Delete(u32, &'a GeneralizedTuple),
-}
-
-impl Change<'_> {
-    /// Carries the change into one dual index: `false` when a delete
-    /// missed the entry the index should have held.
-    fn apply<G: SlopeGeometry>(
-        self,
-        index: &mut DualIndex<G>,
-        pager: &mut dyn Pager,
-    ) -> Result<bool, CdbError> {
-        match self {
-            Change::Insert(id, tuple) => index.insert(pager, id, tuple).map(|()| true),
-            Change::Delete(id, tuple) => index.remove(pager, id, tuple),
-        }
-    }
-}
-
 /// A stored generalized relation: tuples in a heap file and its built
 /// indexes.
 ///
@@ -134,7 +109,7 @@ pub struct Relation {
     pub(crate) slots: Vec<Option<RecordId>>,
     pub(crate) live: u64,
     /// Built indexes; slot `kind as usize` holds the index of that kind.
-    pub(crate) indexes: [Option<Index>; 3],
+    pub(crate) indexes: [Option<Index>; 2],
     /// Verdict of the last verification pass, with the indexes flagged
     /// corrupt since (persisted, so a flag survives checkpoint + reopen).
     pub(crate) health: RelationHealth,
@@ -160,7 +135,7 @@ impl Relation {
             heap,
             slots: Vec::new(),
             live: 0,
-            indexes: [None, None, None],
+            indexes: [None, None],
             health: RelationHealth::Healthy,
         })
     }
@@ -196,9 +171,12 @@ impl Relation {
         self.built(kind).filter(|_| !self.health.is_corrupt(kind))
     }
 
-    /// The 2-D dual index, if built.
+    /// The dual index, if built.
     pub fn index(&self) -> Option<&DualIndex> {
-        self.built(IndexKind::Dual).and_then(Index::as_dual)
+        match self.built(IndexKind::Dual)? {
+            Index::Dual(index) => Some(index),
+            Index::RPlus(_) => None,
+        }
     }
 
     /// Verdict of the open-time verification pass.
@@ -236,7 +214,7 @@ impl Relation {
         }
     }
 
-    /// Pages of the heap file alone (the planner's scan cost).
+    /// Pages of the heap file alone (what a sequential scan reads).
     pub fn heap_pages(&self) -> u64 {
         self.heap.page_count() as u64
     }
@@ -317,12 +295,10 @@ impl Relation {
         let index = match kind {
             MethodKind::SeqScan => return Some(AccessMethod::SeqScan(self)),
             MethodKind::Restricted | MethodKind::T1 | MethodKind::T2 => IndexKind::Dual,
-            MethodKind::DualD => IndexKind::DualD,
             MethodKind::RPlus => IndexKind::RPlus,
         };
         Some(match self.usable(index)? {
             Index::Dual(index) => AccessMethod::Dual(index, kind),
-            Index::DualD(index) => AccessMethod::DualD(index),
             Index::RPlus(index) => AccessMethod::RPlus(index),
         })
     }
@@ -332,7 +308,8 @@ impl Relation {
     /// ground truth every index rebuild needs; unreadable index pages only
     /// degrade the relation, as does an index already flagged corrupt
     /// (well-formed stale pages pass every checksum). Also returns the key
-    /// columns the walk of a sound 2-D dual index read off its leaves.
+    /// columns the walk of a sound dual index over a slope set read off
+    /// its leaves.
     pub(crate) fn verify(&self, pager: &dyn PageReader) -> (RelationHealth, Option<KeyColumns>) {
         let mut buf = vec![0u8; pager.page_size()];
         for &p in self.heap.pages() {
@@ -384,7 +361,7 @@ impl Relation {
         Ok(())
     }
 
-    /// Stores an [admitted](Self::admits) tuple and adds it to every usable
+    /// Stores an [admitted](Self::admits) tuple and adds it to the usable
     /// dual index (`O(k log_B n)` tree inserts; handicaps are folded in
     /// incrementally) and drops the R⁺-tree. Structures marked corrupt are
     /// skipped — they will be rebuilt wholesale from the heap. Returns the
@@ -400,12 +377,14 @@ impl Relation {
         let id = self.slots.len() as u32;
         self.slots.push(Some(rid));
         self.live += 1;
-        self.maintained(pager, Change::Insert(id, tuple))?;
+        self.maintained(pager, |index, pager| {
+            index.insert(pager, id, tuple).map(|()| true)
+        })?;
         Ok(id)
     }
 
     /// Removes the live tuple `id`, whose stored form is `tuple`, from the
-    /// heap and from every usable dual index, and drops the R⁺-tree. An
+    /// heap and from the usable dual index, and drops the R⁺-tree. An
     /// error after the heap let the record go leaves the tuple deleted;
     /// every index that could not follow is [dropped](Self::maintained).
     pub(crate) fn delete(
@@ -418,45 +397,43 @@ impl Relation {
         self.heap.delete(pager, rid)?;
         self.slots[id as usize] = None;
         self.live -= 1;
-        self.maintained(pager, Change::Delete(id, tuple))
+        self.maintained(pager, |index, pager| index.remove(pager, id, tuple))
     }
 
     /// One rule for what a heap change does to each index, run after the
     /// heap has changed; the heap is the truth, so the change stands
-    /// whatever the indexes do. Every usable dual index takes the `change`
-    /// incrementally. One answering `false` (it did not hold the entry it
-    /// should: a dangling id would surface as `NoSuchTuple` in the middle
-    /// of a query) is flagged corrupt; the catalog persists the flag. One
-    /// that *fails* has changed some of its pages and not others: it is
-    /// dropped, as after a failed [`build_index`](Self::build_index), its
-    /// pages freed as far as they can be walked. The R⁺-tree is packed once
-    /// and never maintained: it is dropped too, corrupt or not. Every index
-    /// gets its turn; the first error is returned.
-    fn maintained(&mut self, pager: &mut dyn Pager, change: Change<'_>) -> Result<(), CdbError> {
+    /// whatever the indexes do. A usable dual index takes the `change`
+    /// incrementally; answering `false` (a delete missed the entry it
+    /// should have held: a dangling id would surface as `NoSuchTuple` in
+    /// the middle of a query), it is flagged corrupt; the catalog persists
+    /// the flag. One that *fails* has changed some of its pages and not
+    /// others: it is dropped, as after a failed
+    /// [`build_index`](Self::build_index), its pages freed as far as they
+    /// can be walked. The R⁺-tree is packed once and never maintained: it
+    /// is dropped too, corrupt or not. The first error is returned.
+    fn maintained(
+        &mut self,
+        pager: &mut dyn Pager,
+        change: impl FnOnce(&mut DualIndex, &mut dyn Pager) -> Result<bool, CdbError>,
+    ) -> Result<(), CdbError> {
+        let (dual, rplus) = (IndexKind::Dual, IndexKind::RPlus);
         let mut outcome = Ok(());
-        for kind in IndexKind::ALL {
-            let corrupt = self.health.is_corrupt(kind);
-            let step = match self.indexes[kind as usize].as_mut() {
-                Some(Index::Dual(index)) if !corrupt => change.apply(index, pager),
-                Some(Index::DualD(index)) if !corrupt => change.apply(index, pager),
-                Some(Index::RPlus(_)) => {
-                    // Unreadable pages of a corrupt tree cannot be walked.
-                    let freed = self.drop_index(pager, kind);
-                    if !corrupt {
-                        outcome = outcome.and(freed.map_err(CdbError::from));
-                    }
-                    continue;
-                }
-                _ => continue,
-            };
-            match step {
+        let usable = !self.health.is_corrupt(dual);
+        if let Some(Index::Dual(index)) = self.indexes[dual as usize].as_mut().filter(|_| usable) {
+            match change(index, pager) {
                 Ok(true) => {}
-                Ok(false) => self.set_corrupt(kind, true),
+                Ok(false) => self.set_corrupt(dual, true),
                 Err(e) => {
-                    let _ = self.drop_index(pager, kind);
-                    outcome = outcome.and(Err(e));
+                    let _ = self.drop_index(pager, dual);
+                    outcome = Err(e);
                 }
             }
+        }
+        // Unreadable pages of a corrupt tree cannot be walked.
+        let corrupt = self.health.is_corrupt(rplus);
+        let freed = self.drop_index(pager, rplus);
+        if !corrupt {
+            outcome = outcome.and(freed.map_err(CdbError::from));
         }
         outcome
     }
@@ -604,7 +581,8 @@ mod tests {
         }
     }
 
-    /// The seam, one row per [`IndexKind`]: build, a fixed insert/delete
+    /// The seam, one row per [`IndexKind`] and geometry: build, a fixed
+    /// insert/delete
     /// script, forced-method answers ≡ oracle, page accounting ≡ pager;
     /// then that one kind marked corrupt — the planner routes around it,
     /// DML skips it, `rebuild_indexes` restores it from its persisted
@@ -615,11 +593,15 @@ mod tests {
     #[test]
     fn every_index_kind_lives_behind_the_seam() {
         let rows = [
-            (IndexSpec::Dual(SlopeSet::uniform_tan(3)), 2, MethodKind::T2),
             (
-                IndexSpec::DualD(SlopePoints::grid(3, 3, 1.5)),
+                IndexSpec::Dual(SlopeSet::uniform_tan(3).into()),
+                2,
+                MethodKind::T2,
+            ),
+            (
+                IndexSpec::Dual(SlopePoints::grid(3, 3, 1.5).into()),
                 3,
-                MethodKind::DualD,
+                MethodKind::T2,
             ),
             (IndexSpec::RPlus { fill: 0.8 }, 2, MethodKind::RPlus),
         ];
@@ -746,7 +728,8 @@ mod tests {
         }
         let slopes = SlopeSet::uniform_tan(4);
         let member = slopes.get(1);
-        db.build_index("plane", IndexSpec::Dual(slopes)).unwrap();
+        db.build_index("plane", IndexSpec::Dual(slopes.into()))
+            .unwrap();
         db.build_index("plane", IndexSpec::RPlus { fill: 0.8 })
             .unwrap();
         db.create_relation("space", 3).unwrap();
@@ -754,7 +737,8 @@ mod tests {
             db.insert("space", t).unwrap();
         }
         let grid = SlopePoints::grid(3, 3, 1.5);
-        db.build_index("space", IndexSpec::DualD(grid)).unwrap();
+        db.build_index("space", IndexSpec::Dual(grid.into()))
+            .unwrap();
 
         let mut asked: Vec<(&str, Selection, Exact, MethodKind, PlanCase)> = Vec::new();
         let mut plan = |name, sel: Selection, exact, forced| {
@@ -763,7 +747,7 @@ mod tests {
                 asked.push((name, sel, exact, plan.method, plan.case));
             }
         };
-        use MethodKind::{DualD, RPlus, Restricted, SeqScan, T1, T2};
+        use MethodKind::{RPlus, Restricted, SeqScan, T1, T2};
         for slope in [member, 0.3, -7.0] {
             for b in [-20.0, 4.0] {
                 for forced in [
@@ -791,7 +775,7 @@ mod tests {
             }
         }
         for slope in [vec![0.0, 1.5], vec![0.3, -0.7]] {
-            for forced in [None, Some(SeqScan), Some(DualD)] {
+            for forced in [None, Some(SeqScan), Some(Restricted), Some(T2)] {
                 for sel in selections(3) {
                     let sel = Selection {
                         halfplane: HalfPlane::new(
@@ -805,16 +789,14 @@ mod tests {
                 }
             }
         }
-        let Some(Index::DualD(idx)) = db.relation("space").unwrap().built(IndexKind::DualD) else {
-            panic!("the 3-D relation has a d-dimensional index");
-        };
+        let idx = db.relation("space").unwrap().index().unwrap();
         for sel in selections(3) {
-            let vertices = idx
+            let points = idx
                 .points()
-                .containing_simplex(&sel.halfplane.slope)
-                .unwrap();
+                .expect("the 3-D relation's index is over slope points");
+            let vertices = points.containing_simplex(&sel.halfplane.slope).unwrap();
             let simplex = PlanCase::SimplexCovering(vertices);
-            asked.push(("space", sel, Exact::Selection, DualD, simplex));
+            asked.push(("space", sel, Exact::Selection, T1, simplex));
         }
 
         let mut out = Vec::new();
@@ -842,7 +824,7 @@ mod tests {
         for t in tuples(2, 20, 3) {
             db.insert("r", t).unwrap();
         }
-        db.build_index("r", IndexSpec::Dual(SlopeSet::uniform_tan(3)))
+        db.build_index("r", IndexSpec::Dual(SlopeSet::uniform_tan(3).into()))
             .unwrap();
         let everything = Selection::exist(HalfPlane::new2d(0.3, -1e6, RelOp::Ge));
         let read = |db: &ConstraintDb| {
@@ -905,7 +887,8 @@ mod tests {
     /// is shown each candidate not decided by key exactly once: an answer
     /// was either accepted by key or shown, and every false hit was shown.
     /// Only the key columns of the 2-D dual index reject: where there are
-    /// none (the scan, the R⁺-tree, the d-D index) or the predicate is not
+    /// none (the scan, the R⁺-tree, the index over slope points) or the
+    /// predicate is not
     /// the selection's (line queries), the source is shown every candidate
     /// not accepted by key.
     #[test]

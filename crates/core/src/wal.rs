@@ -21,9 +21,7 @@ use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::codec::{self, finite};
 
 use crate::error::{CdbError, WAL_RECORD};
-use crate::index::ddim::SlopePoints;
-use crate::index::IndexSpec;
-use crate::slopes::SlopeSet;
+use crate::index::{IndexSpec, SlopeGeometry};
 use crate::wire::tuple;
 
 /// One logged mutation, carrying the parameters of the engine call that
@@ -41,12 +39,10 @@ pub(crate) enum WalRecord {
     },
     /// `delete(relation, id)`.
     Delete { relation: String, id: u32 },
-    /// `build_index(relation, IndexSpec::Dual(slopes))`.
-    BuildDual { relation: String, slopes: SlopeSet },
-    /// `build_index(relation, IndexSpec::DualD(points))`.
-    BuildDualD {
+    /// `build_index(relation, IndexSpec::Dual(geometry))`.
+    BuildDual {
         relation: String,
-        points: SlopePoints,
+        geometry: SlopeGeometry,
     },
     /// `build_index(relation, IndexSpec::RPlus { fill })`.
     BuildRPlus { relation: String, fill: f64 },
@@ -57,8 +53,7 @@ cdb_storage::wire_enum!(WalRecord {
     2 => DropRelation { name },
     3 => Insert { relation, tuple as tuple },
     4 => Delete { relation, id },
-    5 => BuildDual { relation, slopes },
-    6 => BuildDualD { relation, points },
+    5 => BuildDual { relation, geometry },
     7 => BuildRPlus { relation, fill as finite },
 });
 
@@ -67,8 +62,7 @@ impl WalRecord {
     pub(crate) fn build(relation: &str, spec: IndexSpec) -> WalRecord {
         let relation = relation.to_string();
         match spec {
-            IndexSpec::Dual(slopes) => WalRecord::BuildDual { relation, slopes },
-            IndexSpec::DualD(points) => WalRecord::BuildDualD { relation, points },
+            IndexSpec::Dual(geometry) => WalRecord::BuildDual { relation, geometry },
             IndexSpec::RPlus { fill } => WalRecord::BuildRPlus { relation, fill },
         }
     }
@@ -91,6 +85,8 @@ impl WalRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ddim::SlopePoints;
+    use crate::slopes::SlopeSet;
     use cdb_geometry::{LinearConstraint, RelOp};
     use cdb_storage::conformance::conformance;
     use cdb_storage::{RecordWriter, Wire};
@@ -124,13 +120,9 @@ mod tests {
             },
             Some(WalRecord::Delete { .. }) => WalRecord::BuildDual {
                 relation: relation(),
-                slopes: SlopeSet::new(vec![-2.0, -0.5, 0.75, 3.0]),
+                geometry: SlopeSet::new(vec![-2.0, -0.5, 0.75, 3.0]).into(),
             },
-            Some(WalRecord::BuildDual { .. }) => WalRecord::BuildDualD {
-                relation: relation(),
-                points: SlopePoints::grid(3, 2, 1.0),
-            },
-            Some(WalRecord::BuildDualD { .. }) => WalRecord::BuildRPlus {
+            Some(WalRecord::BuildDual { .. }) => WalRecord::BuildRPlus {
                 relation: relation(),
                 fill: 0.8,
             },
@@ -138,18 +130,18 @@ mod tests {
         })
     }
 
-    /// Every variant once, plus a bare `BuildDualD` after the grid one —
-    /// the order of `golden/wal_records.hex`.
+    /// Every variant once, plus a `BuildDual` over a grid of slope points
+    /// and one over a bare set after the slope-set one — the order of
+    /// `golden/wal_records.hex`.
     fn samples() -> Vec<WalRecord> {
         let mut all: Vec<_> =
             std::iter::successors(sample_after(None), |prev| sample_after(Some(prev))).collect();
-        all.insert(
-            6,
-            WalRecord::BuildDualD {
-                relation: "r".into(),
-                points: SlopePoints::new(3, vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]),
-            },
-        );
+        let bare = SlopePoints::new(3, vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]);
+        for (at, points) in [(5, SlopePoints::grid(3, 2, 1.0)), (6, bare)] {
+            let relation = "r".into();
+            let geometry = points.into();
+            all.insert(at, WalRecord::BuildDual { relation, geometry });
+        }
         all
     }
 
@@ -201,18 +193,19 @@ mod tests {
 
     /// Beside catalog v4, the two `BuildDualD` lines ended in the grid
     /// presence byte (and a grid's axes); then come a `TightenIndex`
-    /// (tag 8) and a `SetPartition` (tag 9).
+    /// (tag 8) and a `SetPartition` (tag 9). Its slope-set `BuildDual`
+    /// (tag 5) has no geometry tag, as up to catalog v7.
     #[test]
     fn build_dual_d_records_of_catalog_v4_are_refused() {
         let frozen = include_str!("../golden/wal_records_v4.hex");
-        assert_eq!(frozen_lines_read_but_for(frozen, &[6, 8, 9]), 4);
+        assert_eq!(frozen_lines_read_but_for(frozen, &[5, 6, 8, 9]), 5);
     }
 
     /// Beside catalog v5, tag 9 installed a sharded engine's partition spec.
     #[test]
     fn set_partition_records_of_catalog_v5_are_refused() {
         let frozen = include_str!("../golden/wal_records_v5.hex");
-        assert_eq!(frozen_lines_read_but_for(frozen, &[8, 9]), 2);
+        assert_eq!(frozen_lines_read_but_for(frozen, &[5, 6, 8, 9]), 5);
     }
 
     /// Beside catalog v6, tag 8 re-tightened a relation's handicaps: a log
@@ -220,7 +213,16 @@ mod tests {
     #[test]
     fn tighten_index_records_of_catalog_v6_are_refused() {
         let frozen = include_str!("../golden/wal_records_v6.hex");
-        assert_eq!(frozen_lines_read_but_for(frozen, &[8]), 1);
+        assert_eq!(frozen_lines_read_but_for(frozen, &[5, 6, 8]), 4);
+    }
+
+    /// Beside catalog v7, tag 6 built a d-dimensional index and tag 5 a
+    /// 2-D one with no geometry tag: one `BuildDual` now carries either
+    /// geometry behind its tag byte, and both old records are damage.
+    #[test]
+    fn build_records_of_catalog_v7_are_refused() {
+        let frozen = include_str!("../golden/wal_records_v7.hex");
+        assert_eq!(frozen_lines_read_but_for(frozen, &[5, 6]), 3);
     }
 
     #[test]
@@ -241,18 +243,26 @@ mod tests {
             w.into_bytes()
         };
         // Non-ascending slopes would make SlopeSet::new reorder them.
-        assert!(is_corrupt(&record(5, &|w| vec![1.0, 0.5].put(w))));
+        assert!(is_corrupt(&record(5, &|w| (0u8, vec![1.0, 0.5]).put(w))));
+        // A geometry tag that names none.
+        assert!(is_corrupt(&record(5, &|w| (2u8, vec![0.5, 1.0]).put(w))));
         // Too few points for the dimension.
-        assert!(is_corrupt(&record(6, &|w| (3u32, 2u32).put(w))));
+        assert!(is_corrupt(&record(5, &|w| (1u8, 3u32, 2u32).put(w))));
         // More cell work than an index may ask for: d = 8.
-        assert!(is_corrupt(&record(6, &|w| {
-            (8u32, 8u32).put(w);
+        assert!(is_corrupt(&record(5, &|w| {
+            (1u8, 8u32, 8u32).put(w);
             for _ in 0..8 {
                 w.put_seq(&[0.5; 7]);
             }
         })));
         // A forged dimension must not size any allocation.
-        assert!(is_corrupt(&record(6, &|w| (u32::MAX, u32::MAX).put(w))));
+        assert!(is_corrupt(&record(5, &|w| (1u8, u32::MAX, u32::MAX).put(w))));
+        // Tag 6 is retired: a well-formed body of its day is damage.
+        let grid = || SlopePoints::grid(3, 2, 1.0);
+        assert!(!is_corrupt(
+            &record(5, &|w| SlopeGeometry::from(grid()).put(w))
+        ));
+        assert!(is_corrupt(&record(6, &|w| grid().put(w))));
         // Non-finite fill factor.
         assert!(is_corrupt(&record(7, &|w| f64::NAN.put(w))));
     }

@@ -149,7 +149,7 @@ impl<B: Backend> Api<B> {
         })?)
     }
 
-    /// Builds the 2-D dual index over an explicit slope set.
+    /// Builds the dual index of a 2-D relation over an explicit slope set.
     pub fn build_dual(&mut self, relation: &str, slopes: Vec<f64>) -> Result<(), NetError> {
         expect_unit(self.0.call(Request::BuildDual {
             relation: relation.into(),
@@ -157,7 +157,8 @@ impl<B: Backend> Api<B> {
         })?)
     }
 
-    /// Builds the d-dimensional dual index over a regular slope grid.
+    /// Builds the dual index over a regular grid of slope points of the
+    /// relation's dimension.
     pub fn build_dual_d(
         &mut self,
         relation: &str,

@@ -133,7 +133,7 @@ pub(crate) fn apply_engine(
             .map_err(NetError::Db),
         Request::BuildDual { relation, slopes } => {
             let slopes = SlopeSet::try_new(slopes).map_err(malformed)?;
-            build_index(db, &relation, IndexSpec::Dual(slopes))
+            build_index(db, &relation, IndexSpec::Dual(slopes.into()))
         }
         Request::BuildDualD {
             relation,
@@ -142,7 +142,7 @@ pub(crate) fn apply_engine(
         } => {
             let dim = db.relation(&relation).map_err(NetError::Db)?.dim();
             let points = SlopePoints::try_grid(dim, per_axis as usize, range).map_err(malformed)?;
-            build_index(db, &relation, IndexSpec::DualD(points))
+            build_index(db, &relation, IndexSpec::Dual(points.into()))
         }
         Request::BuildRPlus { relation, fill } => {
             build_index(db, &relation, IndexSpec::RPlus { fill })
@@ -257,8 +257,12 @@ mod tests {
         // Embedded: the plan names the scan and the typed rejection.
         let (plan, peak) = peak_during(|| db.plan_query("r", &selection).expect("planned"));
         assert_eq!(plan.method, MethodKind::SeqScan);
+        let off = Rejection::SlopeNotInS(slope.clone());
         let why = Rejection::OutsideBox(slope);
-        assert_eq!(plan.rejected, [(MethodKind::DualD, why)]);
+        assert_eq!(
+            plan.rejected,
+            [(MethodKind::Restricted, off), (MethodKind::T2, why)]
+        );
         assert!(peak < 4096, "one allocation of {peak} bytes to plan a scan");
         // And through the dispatcher, as a wire peer's frame would arrive.
         let query = Request::Query {

@@ -66,8 +66,10 @@ pub const MAGIC: [u8; 4] = *b"CDBN";
 /// replication (request tag 18, response tag 9, the stream frames, error
 /// tag 7 and the replication section of `Stats`); version 10 dropped the
 /// planner's cost estimate from `QueryStats` and added its count of
-/// candidates rejected by key.
-pub const PROTOCOL_VERSION: u16 = 10;
+/// candidates rejected by key; version 11 retired `MethodKind` tag 3 (the
+/// d-dimensional index is the dual index over slope points, and its
+/// queries name the restricted search or T2).
+pub const PROTOCOL_VERSION: u16 = 11;
 
 /// Handshake verdict carried by the server's greeting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,14 +157,15 @@ pub enum Request {
         /// Tuple id.
         id: u32,
     },
-    /// `ConstraintDb::build_dual_index` over an explicit slope set.
+    /// `ConstraintDb::build_dual_index` over an explicit slope set (2-D).
     BuildDual {
         /// Target relation.
         relation: String,
         /// Slopes of `S` (≥ 2 distinct finite values).
         slopes: Vec<f64>,
     },
-    /// `ConstraintDb::build_dual_index_d` over a regular slope grid.
+    /// `ConstraintDb::build_dual_index` over a regular grid of slope points
+    /// of the relation's dimension.
     BuildDualD {
         /// Target relation.
         relation: String,

@@ -65,7 +65,7 @@ fn main() {
     // the index answers exactly, with no refinement fetches at all.
     let s = {
         let rel = db.relation("parcels").unwrap();
-        rel.index().unwrap().slopes().get(2)
+        rel.index().unwrap().slopes().unwrap().get(2)
     };
     let aligned = HalfPlane::below(s, -30.0);
     let r = db

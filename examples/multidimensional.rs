@@ -14,23 +14,17 @@ use constraint_db::geometry::constraint::{LinearConstraint, RelOp};
 use constraint_db::geometry::predicates;
 use constraint_db::geometry::tuple::GeneralizedTuple;
 use constraint_db::geometry::HalfPlane;
-use constraint_db::index::ddim::{DualIndexD, SlopePoints};
-use constraint_db::index::index::{Exact, TupleSource};
-use constraint_db::index::query::{QueryResult, Selection, SelectionKind};
+use constraint_db::index::ddim::SlopePoints;
+use constraint_db::index::index::TupleSource;
+use constraint_db::index::query::{QueryResult, Selection, SelectionKind, Strategy};
+use constraint_db::index::DualIndex;
 use constraint_db::storage::{MemPager, PageReader, Pager};
 
-/// Routes `sel` (a member point, or the nearest point's Voronoi cell) and
-/// runs it.
-fn run(
-    idx: &DualIndexD,
-    pager: &MemPager,
-    sel: &Selection,
-    fetch: &dyn TupleSource,
-) -> QueryResult {
-    let case = idx
-        .route(sel)
-        .expect("a slope inside the bounding box of S");
-    idx.run(pager, sel, &case, Exact::Selection, fetch).unwrap()
+/// Runs `sel` by T2, which routes it to a member point or the nearest
+/// point's Voronoi cell.
+fn run(idx: &DualIndex, pager: &MemPager, sel: &Selection, fetch: &dyn TupleSource) -> QueryResult {
+    idx.execute(pager, sel, Strategy::T2, fetch)
+        .expect("a slope inside the bounding box of S")
 }
 
 fn corridor(x: (f64, f64), y: (f64, f64), z: (f64, f64)) -> GeneralizedTuple {
@@ -66,7 +60,7 @@ fn main() {
     // 9 predefined slope points on a grid over terrain gradients.
     let points = SlopePoints::grid(3, 3, 0.2);
     let k = points.len();
-    let idx = DualIndexD::build(&mut pager, points, &tuples).unwrap();
+    let idx = DualIndex::build(&mut pager, points, &tuples).unwrap();
     println!(
         "indexed {} corridors in E^3 over k={k} slope points: {} pages",
         tuples.len(),
@@ -119,7 +113,7 @@ fn main() {
     ];
     let points = SlopePoints::new(3, irregular.iter().map(|p| p.to_vec()).collect());
     let mut pager2 = MemPager::paper_1999();
-    let idx2 = DualIndexD::build(&mut pager2, points, &tuples).unwrap();
+    let idx2 = DualIndex::build(&mut pager2, points, &tuples).unwrap();
     pager2.reset_stats();
     let again = run(&idx2, &pager2, &Selection::all(terrain.clone()), &fetch);
     assert_eq!(again.ids(), oracle, "irregular slope points agree too");

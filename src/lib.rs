@@ -27,8 +27,8 @@
 //! * [`btree`] — a disk-based B⁺-tree with per-leaf handicap slots;
 //! * [`rplustree`] — the R⁺-tree baseline used in the paper's evaluation;
 //! * [`index`] — the paper's contribution: [`index::DualIndex`] with the
-//!   restricted, T1 and T2 query strategies, plus the d-dimensional
-//!   extension, and the planner ([`index::plan`]) that unifies every query
+//!   restricted, T1 and T2 query strategies over a slope set or, in `E^d`,
+//!   slope points, and the planner ([`index::plan`]) that unifies every query
 //!   path (dual techniques, sequential scan, R⁺-tree baseline) as the
 //!   variants of one `AccessMethod` enum and runs the paper's rule over
 //!   them, with `EXPLAIN` output;

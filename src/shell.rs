@@ -573,8 +573,8 @@ commands:
   insert <rel> <tuple>      e.g. insert r y >= 0 && y <= 2 && x + y <= 4
   delete <rel> <id>
   index <rel> <k>           build the dual index over k predefined slopes
-  indexd <rel> <p> [range]  build the d-dimensional dual index over a
-                            p-per-axis slope grid (relations with dim > 2)
+  indexd <rel> <p> [range]  build the dual index over a p-per-axis grid of
+                            slope points (any dim >= 2; replaces `index`)
   exist <rel> <halfplane>   EXIST selection, e.g. exist r y >= 0.3x - 5
   all <rel> <halfplane>     ALL (containment) selection
   line <rel> <y = ax + c>   EXIST against an equality (line) query; planned like

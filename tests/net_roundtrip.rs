@@ -83,7 +83,7 @@ fn populate(db: &mut ConstraintDb) {
     for t in random_boxes(3, 200, 0xA2) {
         db.insert("r3", t).unwrap();
     }
-    db.build_dual_index_d("r3", SlopePoints::grid(3, 2, 1.0))
+    db.build_dual_index("r3", SlopePoints::grid(3, 2, 1.0))
         .unwrap();
 }
 
@@ -291,11 +291,11 @@ fn kill_nine_loses_no_acknowledged_insert() {
     let _ = std::fs::remove_file(constraint_db::storage::wal_path(&path));
 }
 
-/// Protocol v10 dropped the planner's cost estimate from `QueryStats` and
-/// added its rejections by key, as v9 dropped replication and v8
-/// sharding: a peer still speaking v7, v8 or v9 is greeted with the
-/// server's version and its hello answered by a typed `VersionMismatch`,
-/// never served.
+/// Protocol v11 retired the d-dimensional index's method tag, as v10
+/// dropped the planner's cost estimate from `QueryStats` and added its
+/// rejections by key, v9 replication and v8 sharding: a peer still
+/// speaking v7 to v10 is greeted with the server's version and its hello
+/// answered by a typed `VersionMismatch`, never served.
 #[test]
 fn a_version_7_hello_gets_the_version_mismatch_answer() {
     use constraint_db::net::proto::{
@@ -303,26 +303,26 @@ fn a_version_7_hello_gets_the_version_mismatch_answer() {
     };
     use constraint_db::storage::codec::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 
-    assert_eq!(PROTOCOL_VERSION, 10);
+    assert_eq!(PROTOCOL_VERSION, 11);
     let db = ConstraintDb::in_memory(DbConfig::paper_1999());
     let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).unwrap();
     let addr = server.local_addr();
     let stop = server.shutdown_handle();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
-    for old in [7, 8, 9] {
+    for old in [7, 8, 9, 10] {
         let mut stream = TcpStream::connect(addr).unwrap();
         let greeting = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(
             decode_greeting(&greeting).unwrap(),
-            (10, HandshakeStatus::Ok)
+            (11, HandshakeStatus::Ok)
         );
         write_frame(&mut stream, &encode_hello(old)).unwrap();
         let answer = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
         assert!(
             matches!(
                 decode_response(&answer).unwrap().2,
-                Err(NetError::VersionMismatch { server_version: 10 })
+                Err(NetError::VersionMismatch { server_version: 11 })
             ),
             "a v{old} hello"
         );

@@ -72,7 +72,7 @@ fn member_slope_queries_use_restricted_and_agree() {
     let db = build_db(&tuples, 3);
     let slopes: Vec<f64> = {
         let rel = db.relation("r").unwrap();
-        rel.index().unwrap().slopes().as_slice().to_vec()
+        rel.index().unwrap().slopes().unwrap().as_slice().to_vec()
     };
     for s in slopes {
         for b in [-20.0, 0.0, 15.0] {

@@ -164,7 +164,7 @@ fn restricted_cost_scales_with_output_not_input() {
         db.build_dual_index("r", SlopeSet::uniform_tan(2)).unwrap();
         let s = {
             let rel = db.relation("r").unwrap();
-            rel.index().unwrap().slopes().get(0)
+            rel.index().unwrap().slopes().unwrap().get(0)
         };
         // A near-constant-output query: top 20 tuples by TOP value.
         let pairs = db.scan_relation("r").unwrap();

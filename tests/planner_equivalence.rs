@@ -1,6 +1,7 @@
-//! The planner is the paper's rule — member slope → restricted search,
-//! otherwise T2; the d-dimensional index's cell for d > 2; the scan where
-//! no index routes the selection — and a pure function of the relation and
+//! The planner is the paper's rule in every dimension — a member of `S` →
+//! restricted search, otherwise T2 (between slopes, or in the cell of the
+//! nearest slope point for d > 2); the scan where the dual index routes
+//! nothing — and a pure function of the relation and
 //! the selection: the result set is exactly what the bracket rule and the
 //! scan oracle produce, and replaying the search that ran as a forced
 //! strategy reproduces the same ids and I/O stats. `explain` must return a plan for every selection
@@ -12,7 +13,8 @@
 
 use std::collections::HashMap;
 
-use constraint_db::index::ddim::{DualIndexD, SlopePoints};
+use constraint_db::index::ddim::SlopePoints;
+use constraint_db::index::error::CdbError;
 use constraint_db::index::index::Exact;
 use constraint_db::index::plan::{MethodKind, PlanCase, Rejection, TreeAt};
 use constraint_db::index::query::{QueryResult, Side, Strategy};
@@ -64,7 +66,7 @@ fn hint_forcing(method: MethodKind) -> Strategy {
 /// against: exact restricted search for member slopes, technique T2 for
 /// everything else (T2 itself falls back to T1 on wrapped slopes).
 fn bracket_rule(db: &ConstraintDb, slope: f64) -> Strategy {
-    let slopes = db.relation("r").unwrap().index().unwrap().slopes();
+    let slopes = db.relation("r").unwrap().index().unwrap().slopes().unwrap();
     match slopes.bracket(slope) {
         Bracket::Member(_) => Strategy::Restricted,
         Bracket::Between(..) | Bracket::Wrapped(..) => Strategy::T2,
@@ -217,8 +219,12 @@ fn explain_covers_every_selection_shape_2d() {
                         // wrapped one: the case names the search, the
                         // plan's method the technique asked for.
                         let want = match (technique, slopes.bracket(slope)) {
-                            (MethodKind::Restricted, _) => PlanCase::Member(at(1)),
-                            (_, Bracket::Member(_)) => PlanCase::Member(at(1)),
+                            (MethodKind::Restricted, _) | (_, Bracket::Member(_)) => {
+                                PlanCase::Member {
+                                    i: 1,
+                                    slope: vec![member],
+                                }
+                            }
                             (MethodKind::T1, Bracket::Between(..)) => {
                                 PlanCase::AppQueries([(at(1), theta), (at(2), theta)])
                             }
@@ -278,9 +284,9 @@ fn boxes_3d(n: usize) -> Vec<GeneralizedTuple> {
 
 /// And in `E^d` (d = 3): member (grid-point), grid-cell and out-of-box
 /// slopes on a grid set, slopes in a bare simplex and in its box but
-/// outside its hull, all get a plan — out of the box falling back to the
-/// scan method, in it the d-dimensional index, whose plan's case is the
-/// index's route and the search that ran.
+/// outside its hull, all get a plan by the rule of 2-D — the restricted
+/// search at a member point, T2 at any other slope in the box, the scan
+/// out of it — whose case is the index's route and the search that ran.
 #[test]
 fn explain_covers_d_dimensional_selections() {
     let tuples = boxes_3d(150);
@@ -297,12 +303,12 @@ fn explain_covers_d_dimensional_selections() {
     // stand-alone index per slope set; one database per shape.
     let standalone = |points: SlopePoints| {
         let mut pager = MemPager::paper_1999();
-        let index = DualIndexD::build(&mut pager, points, &pairs).unwrap();
+        let index = DualIndex::build(&mut pager, points, &pairs).unwrap();
         (index, pager)
     };
     let grid = standalone(SlopePoints::grid(3, 5, 0.2));
     let bare = standalone(SlopePoints::new(3, simplex));
-    let shapes: [(&str, &(DualIndexD, MemPager), Vec<f64>); 5] = [
+    let shapes: [(&str, &(DualIndex, MemPager), Vec<f64>); 5] = [
         ("member", &grid, vec![0.0, 0.0]),
         ("grid cell", &grid, vec![0.13, -0.07]),
         ("outside box", &grid, vec![2.5, 2.5]),
@@ -315,7 +321,7 @@ fn explain_covers_d_dimensional_selections() {
         for t in &tuples {
             db.insert("boxes", t.clone()).unwrap();
         }
-        db.build_dual_index_d("boxes", index.points().clone())
+        db.build_dual_index("boxes", index.points().unwrap().clone())
             .unwrap();
         for op in [RelOp::Ge, RelOp::Le] {
             let hp = HalfPlane::new(slope.clone(), 10.0, op);
@@ -328,31 +334,100 @@ fn explain_covers_d_dimensional_selections() {
                 assert_eq!(plan, report.plan, "{what}");
                 let scan = db.query_with("boxes", sel.clone(), Strategy::Scan).unwrap();
                 assert_eq!(report.result.ids(), scan.ids(), "{what} vs scan oracle");
-                let routed = index.route(&sel);
+                // Auto is Restricted → T2 → SeqScan here too: off the
+                // points the restricted search is refused first.
+                let routed = index.route(MethodKind::T2, &sel);
+                let off = (label != "member").then(|| {
+                    let why = Rejection::SlopeNotInS(slope.clone());
+                    (MethodKind::Restricted, why)
+                });
                 if label == "outside box" {
                     assert_eq!(report.plan.method, MethodKind::SeqScan, "{what}");
                     let why = Rejection::OutsideBox(slope.clone());
                     assert_eq!(routed, Err(why.clone()), "{what}");
-                    assert_eq!(report.plan.rejected, [(MethodKind::DualD, why)], "{what}");
+                    let rejected = [off.unwrap(), (MethodKind::T2, why)];
+                    assert_eq!(report.plan.rejected, rejected, "{what}");
                     continue;
                 }
                 let case = routed.unwrap_or_else(|why| panic!("{what}: {why}"));
-                if label == "member" {
-                    assert!(matches!(case, PlanCase::MemberPoint { .. }), "{case:?}");
+                let method = if label == "member" {
+                    assert!(matches!(case, PlanCase::Member { .. }), "{case:?}");
+                    MethodKind::Restricted
                 } else {
                     assert!(matches!(case, PlanCase::Cell(_)), "{case:?}");
-                }
+                    MethodKind::T2
+                };
                 let direct = index
                     .run(pager, &sel, &case, Exact::Selection, &fetch)
                     .unwrap();
                 assert_eq!(direct.ids(), scan.ids(), "{what}: direct vs scan oracle");
-                assert_eq!(report.plan.method, MethodKind::DualD, "{what}");
+                assert_eq!(report.plan.method, method, "{what}");
                 assert_eq!(report.plan.case, case, "{what}");
-                assert_eq!(report.result.stats.method, Some(MethodKind::DualD));
+                assert_eq!(report.plan.rejected, Vec::from_iter(off), "{what}");
+                assert_eq!(report.result.stats.method, Some(method));
                 assert_same_run(&report.result, &direct, &what);
             }
         }
     }
+}
+
+/// The restricted search and T2 are techniques of the dual index in every
+/// dimension: forced on a 3-D relation over slope points, Restricted at a
+/// member point runs the member's trees (`Member`), and T2 its nearest
+/// point's cell at an in-box slope (`Cell`) — the member's trees at a
+/// member — each answering as the predicate oracle. Off the points the
+/// restricted search is refused, and T1, Table 1's app-queries over a
+/// slope set, keeps its refusal for the dimension.
+#[test]
+fn forced_restricted_and_t2_route_over_slope_points() {
+    let tuples = boxes_3d(150);
+    let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+    db.create_relation("boxes", 3).unwrap();
+    for t in &tuples {
+        db.insert("boxes", t.clone()).unwrap();
+    }
+    db.build_dual_index("boxes", SlopePoints::grid(3, 3, 1.0))
+        .unwrap();
+    let oracle = |sel: &Selection| -> Vec<u32> {
+        let hits = (0u32..).zip(&tuples).filter(|(_, t)| sel.holds(*t));
+        hits.map(|(id, _)| id).collect()
+    };
+    let shapes = [
+        (vec![1.0, -1.0], Strategy::Restricted, true),
+        (vec![0.0, 0.0], Strategy::T2, true),
+        (vec![0.3, -0.6], Strategy::T2, false),
+        (vec![-0.85, 0.45], Strategy::T2, false),
+    ];
+    for (slope, forced, member) in shapes {
+        for op in [RelOp::Ge, RelOp::Le] {
+            let hp = HalfPlane::new(slope.clone(), 5.0, op);
+            for sel in [Selection::exist(hp.clone()), Selection::all(hp)] {
+                let what = format!("{forced:?} {sel:?}");
+                let report = db.explain_with("boxes", sel.clone(), forced).unwrap();
+                let (plan, result) = (&report.plan, &report.result);
+                assert_eq!((Some(plan.method), plan.forced), (forced.forced(), true));
+                match &plan.case {
+                    PlanCase::Member { slope: at, .. } => assert!(member && *at == slope, "{what}"),
+                    PlanCase::Cell(_) => assert!(!member, "{what}"),
+                    other => panic!("{what}: {other}"),
+                }
+                assert_eq!(result.stats.method, Some(plan.case.runs()), "{what}");
+                assert_eq!(result.ids(), oracle(&sel), "{what}");
+            }
+        }
+    }
+    let sel = Selection::exist(HalfPlane::new(vec![0.3, -0.6], 5.0, RelOp::Ge));
+    let refused = |forced| db.query_with("boxes", sel.clone(), forced).err();
+    let why = "forced method Restricted: slope point [0.3, -0.6] is not in the predefined set S";
+    assert_eq!(
+        refused(Strategy::Restricted),
+        Some(CdbError::UnsupportedQuery(why.into()))
+    );
+    let why = "forced method T1: serves 2-D queries only, the query is 3-D";
+    assert_eq!(
+        refused(Strategy::T1),
+        Some(CdbError::UnsupportedQuery(why.into()))
+    );
 }
 
 /// `QueryStats::method` names the search that ran, not the label that
@@ -544,12 +619,12 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     // every selection, beside it.
     let simplex = vec![vec![-1.0, -1.0], vec![1.0, -1.0], vec![0.0, 1.0]];
     let bare = SlopePoints::new(3, simplex);
-    db3.build_dual_index_d("boxes", bare.clone()).unwrap();
+    db3.build_dual_index("boxes", bare.clone()).unwrap();
     let pairs: Vec<(u32, GeneralizedTuple)> = (0u32..).zip(boxes_3d(150)).collect();
     let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
     let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
     let mut pager = MemPager::paper_1999();
-    let covered = DualIndexD::build(&mut pager, bare, &pairs).unwrap();
+    let covered = DualIndex::build(&mut pager, bare, &pairs).unwrap();
     let covering = PlanCase::SimplexCovering(vec![0, 1, 2]);
     let (mut auto, mut simplex, mut cells) = ([0u64; 6], [0u64; 6], [0u64; 6]);
     for (i, slope) in [[0.0, 0.0], [0.3, -0.4], [-0.2, 0.1], [0.1, 0.5]]
@@ -561,12 +636,12 @@ fn duplicate_and_candidate_accounting_is_pinned() {
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
                 let r = covered.run(&pager, &sel, &covering, Exact::Selection, &fetch);
                 fold(&mut simplex, &r.unwrap());
-                let cell = covered.route(&sel).unwrap();
+                let cell = covered.route(MethodKind::T2, &sel).unwrap();
                 assert!(matches!(cell, PlanCase::Cell(_)), "{cell}");
                 let r = covered.run(&pager, &sel, &cell, Exact::Selection, &fetch);
                 fold(&mut cells, &r.unwrap());
                 let r = db3.query_with("boxes", sel, Strategy::Auto).unwrap();
-                assert_eq!(r.stats.method, Some(MethodKind::DualD));
+                assert_eq!(r.stats.method, Some(MethodKind::T2));
                 fold(&mut auto, &r);
             }
         }
@@ -645,7 +720,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     let mut boxes = boxes_3d(330);
     let late = boxes.split_off(200);
     let mut pairs: Vec<(u32, GeneralizedTuple)> = (0u32..).zip(boxes).collect();
-    let mut index = DualIndexD::build(&mut pager, SlopePoints::grid(3, 3, 1.0), &pairs).unwrap();
+    let mut index = DualIndex::build(&mut pager, SlopePoints::grid(3, 3, 1.0), &pairs).unwrap();
     churn!(index, pager, pairs, late);
     let lookup: HashMap<u32, GeneralizedTuple> = pairs.iter().cloned().collect();
     let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
@@ -663,7 +738,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
         for op in [RelOp::Ge, RelOp::Le] {
             let hp = HalfPlane::new(slope.to_vec(), 11.0 * i as f64 - 25.0, op);
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
-                let case = index.route(&sel).unwrap();
+                let case = index.route(MethodKind::T2, &sel).unwrap();
                 assert!(matches!(case, PlanCase::Cell(_)), "{case}");
                 fold(
                     &mut cell,

@@ -248,7 +248,7 @@ fn t2_produces_no_duplicate_candidates() {
             // In the main (non-wrapped) slope case T2 must be duplicate-free.
             let slopes = {
                 let rel = db.relation("r").unwrap();
-                rel.index().unwrap().slopes().as_slice().to_vec()
+                rel.index().unwrap().slopes().unwrap().as_slice().to_vec()
             };
             if a > slopes[0] && a < slopes[slopes.len() - 1] {
                 assert_eq!(got.stats.duplicates, 0, "case {case} a={a} b={b}");
@@ -270,7 +270,7 @@ fn query_executor_batch_matches_sequential() {
         let (db, _) = indexed_db(seed, k, unbounded);
         let member_slopes: Vec<f64> = {
             let rel = db.relation("r").unwrap();
-            rel.index().unwrap().slopes().as_slice().to_vec()
+            rel.index().unwrap().slopes().unwrap().as_slice().to_vec()
         };
         let mut batch = Vec::new();
         for qi in 0..18 {

@@ -23,7 +23,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 /// Builds the full randomized workload at `path`: a 2-D relation with the
 /// dual index under mixed insert/delete traffic and the R⁺-tree baseline
 /// packed after it (a write would drop it), plus a 3-D relation with the
-/// d-dimensional index. Returns the battery of 2-D selections used for
+/// dual index over slope points. Returns the battery of 2-D selections used for
 /// equivalence checks.
 fn build_workload(path: &std::path::Path, seed: u64) -> (ConstraintDb, Vec<Selection>) {
     let mut rng = cdb_prng::StdRng::seed_from_u64(seed);
@@ -63,7 +63,7 @@ fn build_workload(path: &std::path::Path, seed: u64) -> (ConstraintDb, Vec<Selec
         }
         db.insert("boxes", GeneralizedTuple::new(cs)).unwrap();
     }
-    db.build_dual_index_d("boxes", SlopePoints::grid(3, 3, 1.0))
+    db.build_dual_index("boxes", SlopePoints::grid(3, 3, 1.0))
         .unwrap();
 
     // A slope from S (exact restricted search) plus arbitrary slopes.
@@ -73,6 +73,7 @@ fn build_workload(path: &std::path::Path, seed: u64) -> (ConstraintDb, Vec<Selec
         .index()
         .unwrap()
         .slopes()
+        .unwrap()
         .as_slice()[1];
     let mut battery = Vec::new();
     for slope in [member, 0.37, -0.8, 1.9] {
@@ -151,7 +152,10 @@ fn reopened_database_answers_identically() {
         .unwrap()
         .ids()
         .to_vec();
-    assert_eq!(got_boxes, want_boxes, "d-dimensional index survives reopen");
+    assert_eq!(
+        got_boxes, want_boxes,
+        "the slope-point index survives reopen"
+    );
 
     db.close().unwrap();
     std::fs::remove_file(&path).unwrap();
@@ -460,4 +464,68 @@ fn churn_drops_the_rplus_tree_and_a_repack_is_a_fresh_pack() {
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&log);
     }
+}
+
+/// A relation holds one dual index: building one over slope points on a
+/// 2-D relation that holds one over a slope set replaces it — one dual
+/// slot, the old trees' pages freed (the relation owns every live page) —
+/// and the replacement survives log replay after a crash and a reopen
+/// from the checkpointed catalog, answering as the scan does.
+#[test]
+fn a_slope_point_build_replaces_a_slope_set_index_across_reopen() {
+    let path = tmp("geometry_swap");
+    let _ = std::fs::remove_file(&path);
+    let mut db = ConstraintDb::create(&path, DbConfig::paper_1999()).unwrap();
+    assert!(db.begin_wal().unwrap());
+    let log = db.wal_file_path().unwrap();
+    db.create_relation("r", 2).unwrap();
+    for t in DatasetSpec::paper_1999(400, ObjectSize::Small, 9).generate() {
+        db.insert("r", t).unwrap();
+    }
+    db.build_dual_index("r", SlopeSet::uniform_tan(4)).unwrap();
+    db.checkpoint().unwrap();
+    let grid = SlopePoints::grid(2, 5, 2.0);
+    db.build_dual_index("r", grid.clone()).unwrap();
+
+    // A member of the grid, slopes between its points, one outside its box.
+    let battery: Vec<Selection> = [(1.0, 3.0), (0.37, 0.0), (-1.3, 6.0), (2.5, -4.0)]
+        .into_iter()
+        .flat_map(|(a, c)| {
+            [
+                Selection::exist(HalfPlane::above(a, c)),
+                Selection::all(HalfPlane::below(a, c)),
+            ]
+        })
+        .collect();
+    let answers = |db: &ConstraintDb, what: &str| -> Vec<Vec<u32>> {
+        let rel = db.relation("r").unwrap();
+        assert_eq!(rel.stats().indexes, ["dual"], "{what}");
+        assert_eq!(rel.index().unwrap().points(), Some(&grid), "{what}");
+        assert_eq!(rel.page_count(), db.live_pages() as u64, "{what}");
+        let answer = |sel: &Selection| {
+            let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
+            let auto = db.query_with("r", sel.clone(), Strategy::Auto).unwrap();
+            assert_eq!(auto.ids(), scan.ids(), "{what}: {sel:?}");
+            auto.ids().to_vec()
+        };
+        battery.iter().map(answer).collect()
+    };
+    let want = answers(&db, "built");
+
+    // Crash before a checkpoint: the catalog holds the slope set, and
+    // replaying the logged build replaces it again.
+    db.wal_sync().unwrap();
+    drop(db);
+    let mut db = ConstraintDb::open(&path).unwrap();
+    let replay = db.recovery_report().wal.clone().expect("a log was found");
+    assert_eq!((replay.replayed, replay.error), (1, None));
+    assert_eq!(answers(&db, "replayed"), want);
+    db.checkpoint().unwrap();
+    db.close().unwrap();
+
+    let db = ConstraintDb::open(&path).unwrap();
+    assert_eq!(answers(&db, "reopened"), want);
+    db.close().unwrap();
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&log);
 }

@@ -48,8 +48,8 @@ fn live_of(scan: Vec<(u32, GeneralizedTuple)>) -> Vec<(u32, GeneralizedTuple)> {
 enum Op {
     Insert(GeneralizedTuple),
     Delete(u32),
-    /// `build_dual_index` (d = 2) with `uniform_tan(k)` slopes, or
-    /// `build_dual_index_d` (d = 3) with a `grid(dim, k, 1.0)`.
+    /// `build_dual_index` with `uniform_tan(k)` slopes (d = 2) or a
+    /// `grid(dim, k, 1.0)` of slope points (d = 3).
     BuildDual(usize),
     BuildRPlus,
     /// Drop the relation and recreate it empty, same name and dim.
@@ -69,7 +69,7 @@ fn apply(db: &mut ConstraintDb, rel: &str, dim: usize, op: &Op) {
                 db.build_dual_index(rel, SlopeSet::uniform_tan(*k))
                     .expect("dual build");
             } else {
-                db.build_dual_index_d(rel, SlopePoints::grid(dim, *k, 1.0))
+                db.build_dual_index(rel, SlopePoints::grid(dim, *k, 1.0))
                     .expect("d-dim dual build");
             }
         }

@@ -100,7 +100,7 @@ fn single_relation_db(dim: usize, n: usize, seed: u64) -> ConstraintDb {
     if dim == 2 {
         db.build_dual_index("r", SlopeSet::uniform_tan(6)).unwrap();
     } else {
-        db.build_dual_index_d("r", SlopePoints::grid(dim, 2, 1.0))
+        db.build_dual_index("r", SlopePoints::grid(dim, 2, 1.0))
             .unwrap();
     }
     db
