@@ -97,10 +97,12 @@ step one-router one_router
 # assigned and folded from one place each), one sweep over a `Direction`
 # (no function comes back as the down/low/high half of a mirrored pair;
 # `sweep_up` is the one front, for `perf/`), and T1's anchor stays gone,
-# catalog included. The geometry is a value of the index, not a kind of
-# index: over the engine, the wire, the CLI and the experiment harness
-# there is no geometry trait, no `DualIndexD` type, no `MemberPoint` case,
-# no `DualD` method or index kind, and slope points have one byte layout.
+# catalog included. The engine's searches read each swept leaf through the
+# borrowed `LeafView`, never a decoded per-leaf entry vector. The geometry
+# is a value of the index, not a kind of index: over the engine, the wire,
+# the CLI and the experiment harness there is no geometry trait, no
+# `DualIndexD` type, no `MemberPoint` case, no `DualD` method or index
+# kind, and slope points have one byte layout.
 one_forest() {
   grep_audit one-forest crates/btree/src crates/core/src/index <<'RULES'
 1|an .assign_handicaps( call|-|\.assign_handicaps\(
@@ -109,6 +111,7 @@ one_forest() {
 RULES
   grep_audit one-forest crates/core/src <<'RULES'
 0|mentions of anchor_x|-|anchor_x
+0|leaf entry vectors in the engine's searches|-|\.entries\b
 RULES
   grep_audit one-forest crates/core/src crates/net/src src crates/bench/src <<'RULES'
 0|definitions of trait SlopeGeometry|-|trait SlopeGeometry
@@ -291,13 +294,14 @@ step paper-figures paper_figures
 # The refinement fast path, by name and first (it fails fastest): the 2-D
 # TOP/BOT kernel against the simplex and the V-representation, the encoded
 # view against `decode`, the heap's page-ordered visitor, the slack-matched
-# B+-tree delete, and refinement on borrowed record bytes against a
+# B+-tree delete, the sweep's borrowed leaf view against a decoding
+# reference walk, and refinement on borrowed record bytes against a
 # `fetch_batch`-only source (same ids, same QueryStats, same errors).
 refine_kernel() {
   cargo test -q -p cdb-geometry --lib -- kernel2d
   cargo test -q -p cdb-geometry --test refine_kernel
   cargo test -q -p cdb-storage --lib -- visit_many foreign_pages
-  cargo test -q -p cdb-btree --lib -- delete_finds_keys
+  cargo test -q -p cdb-btree --lib -- delete_finds_keys leaf_views_show
   cargo test -q -p cdb-core --lib -- refine_paths delete_that_misses
   cargo test -q --test hyperplane_queries concurrent_line_queries
 }

@@ -27,4 +27,4 @@ pub mod node;
 pub mod tree;
 
 pub use layout::{key_slack, Direction, Handicaps, Side, NULL_PAGE};
-pub use tree::{BTree, LeafInfo, LeafSnapshot, SweepControl};
+pub use tree::{BTree, LeafInfo, LeafSnapshot, LeafView, SweepControl};

@@ -5,6 +5,8 @@
 //! reads a page into a scratch buffer, manipulates it through these views and
 //! writes it back.
 
+use std::ops::Range;
+
 use cdb_storage::codec::{get_f32, get_f64, get_u16, get_u32, put_f32, put_f64, put_u16, put_u32};
 
 use crate::layout::{
@@ -130,6 +132,15 @@ impl<'a> Leaf<'a> {
     pub fn value(&self, i: usize) -> u32 {
         debug_assert!(i < self.count());
         get_u32(self.buf, LEAF_HDR + i * LEAF_ENTRY + 4)
+    }
+
+    /// Values (tuple ids) of the entries in `slots`, in slot order.
+    pub fn values(&self, slots: Range<usize>) -> impl DoubleEndedIterator<Item = u32> + '_ {
+        let entries =
+            &self.buf[LEAF_HDR + slots.start * LEAF_ENTRY..LEAF_HDR + slots.end * LEAF_ENTRY];
+        entries
+            .chunks_exact(LEAF_ENTRY)
+            .map(|e| u32::from_le_bytes([e[4], e[5], e[6], e[7]]))
     }
 
     /// Where a sweep in `dir` from `k` splits the entries: the first slot

@@ -42,7 +42,93 @@ pub enum SweepControl {
     Stop,
 }
 
-/// What a sweep callback sees for each visited leaf.
+/// What a sweep callback sees for each visited leaf: a borrowed view of
+/// the page the sweep has just read, over the leaf's entries at or past the
+/// sweep's start in sweep order (ascending keys for upward sweeps,
+/// descending for downward). Position `j` is the `j`-th entry the sweep
+/// meets in this leaf; nothing is decoded until it is asked for.
+pub struct LeafView<'a> {
+    page: PageId,
+    leaf: Leaf<'a>,
+    /// The swept slots, in stored (ascending) order.
+    slots: Range<usize>,
+    dir: Direction,
+}
+
+impl LeafView<'_> {
+    /// Page id of the leaf (one page access per visit).
+    pub fn page(&self) -> PageId {
+        self.page
+    }
+
+    /// The leaf's handicap slots.
+    pub fn handicaps(&self) -> Handicaps {
+        self.leaf.handicaps()
+    }
+
+    /// Number of swept entries in this leaf.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// `true` if no entry of this leaf is swept (an emptied leaf).
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The stored slot of sweep position `j`.
+    fn slot(&self, j: usize) -> usize {
+        assert!(j < self.len(), "sweep position {j} past {}", self.len());
+        match self.dir {
+            Direction::Up => self.slots.start + j,
+            Direction::Down => self.slots.end - 1 - j,
+        }
+    }
+
+    /// Key of the `j`-th swept entry (as stored: `f32` widened to `f64`).
+    pub fn key(&self, j: usize) -> f64 {
+        self.leaf.key(self.slot(j))
+    }
+
+    /// Value (tuple id) of the `j`-th swept entry.
+    pub fn id(&self, j: usize) -> u32 {
+        self.leaf.value(self.slot(j))
+    }
+
+    /// The number of leading swept entries whose key satisfies `pred`,
+    /// which must hold for a prefix of the sweep order and for nothing
+    /// after it (as [`slice::partition_point`]).
+    pub fn partition_point(&self, mut pred: impl FnMut(f64) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Appends the ids of sweep positions `range` to `out`, in sweep order.
+    pub fn extend_ids(&self, range: Range<usize>, out: &mut Vec<u32>) {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "sweep positions {range:?} past {}",
+            self.len()
+        );
+        let (start, end) = (self.slots.start, self.slots.end);
+        match self.dir {
+            Direction::Up => out.extend(self.leaf.values(start + range.start..start + range.end)),
+            Direction::Down => {
+                out.extend(self.leaf.values(end - range.end..end - range.start).rev())
+            }
+        }
+    }
+}
+
+/// A decoded [`LeafView`]: what [`BTree::sweep_up`] shows its visitor.
 #[derive(Clone, Debug)]
 pub struct LeafSnapshot {
     /// Page id of the leaf (one page access per visit).
@@ -512,14 +598,14 @@ impl BTree {
     /// Collects all values whose key lies in `[lo, hi]` (both inclusive).
     pub fn range(&self, pager: &dyn PageReader, lo: f64, hi: f64) -> io::Result<Vec<(f64, u32)>> {
         let mut out = Vec::new();
-        self.sweep_up(pager, lo, |snap| {
-            for &(k, v) in &snap.entries {
-                if k > hi {
-                    return SweepControl::Stop;
-                }
-                out.push((k, v));
+        self.sweep(Direction::Up, pager, lo, |leaf| {
+            let within = leaf.partition_point(|k| !Direction::Up.before(hi, k));
+            out.extend((0..within).map(|j| (leaf.key(j), leaf.id(j))));
+            if within < leaf.len() {
+                SweepControl::Stop
+            } else {
+                SweepControl::Continue
             }
-            SweepControl::Continue
         })?;
         Ok(out)
     }
@@ -528,8 +614,8 @@ impl BTree {
 
     /// Sweeps leaves in `dir` starting where [`find`](Self::find) says —
     /// upward from the first entry with key `≥ from`, downward from the
-    /// last with key `≤ from` — invoking `visit` once per leaf with its
-    /// entries at or past `from`, in sweep order.
+    /// last with key `≤ from` — invoking `visit` once per leaf with a view
+    /// of its entries at or past `from`, in sweep order.
     pub fn sweep<F>(
         &self,
         dir: Direction,
@@ -538,7 +624,7 @@ impl BTree {
         mut visit: F,
     ) -> io::Result<()>
     where
-        F: FnMut(&LeafSnapshot) -> SweepControl,
+        F: FnMut(&LeafView<'_>) -> SweepControl,
     {
         let Some((mut page, first)) = self.find(dir, pager, from)? else {
             return Ok(());
@@ -549,32 +635,35 @@ impl BTree {
             pager.read(page, &mut buf)?;
             let leaf = Leaf::new(&mut buf);
             let slots = first.take().unwrap_or(0..leaf.count());
-            let entry = |i| (leaf.key(i), leaf.value(i));
-            let entries: Vec<(f64, u32)> = match dir {
-                Direction::Up => slots.map(entry).collect(),
-                Direction::Down => slots.rev().map(entry).collect(),
-            };
-            let snap = LeafSnapshot {
+            let view = LeafView {
                 page,
-                handicaps: leaf.handicaps(),
-                entries,
+                leaf,
+                slots,
+                dir,
             };
-            if visit(&snap) == SweepControl::Stop {
+            if visit(&view) == SweepControl::Stop {
                 return Ok(());
             }
-            page = leaf.link(dir);
+            page = view.leaf.link(dir);
             if page == NULL_PAGE {
                 return Ok(());
             }
         }
     }
 
-    /// [`sweep`](Self::sweep) upward.
-    pub fn sweep_up<F>(&self, pager: &dyn PageReader, from: f64, visit: F) -> io::Result<()>
+    /// [`sweep`](Self::sweep) upward, each leaf decoded into a
+    /// [`LeafSnapshot`].
+    pub fn sweep_up<F>(&self, pager: &dyn PageReader, from: f64, mut visit: F) -> io::Result<()>
     where
         F: FnMut(&LeafSnapshot) -> SweepControl,
     {
-        self.sweep(Direction::Up, pager, from, visit)
+        self.sweep(Direction::Up, pager, from, |leaf| {
+            visit(&LeafSnapshot {
+                page: leaf.page(),
+                handicaps: leaf.handicaps(),
+                entries: (0..leaf.len()).map(|j| (leaf.key(j), leaf.id(j))).collect(),
+            })
+        })
     }
 
     // ---------------------------------------------------------- bulk load --
@@ -1064,8 +1153,8 @@ mod tests {
             t.insert(&mut pager, i as f64, i).unwrap();
         }
         let mut seen = Vec::new();
-        t.sweep(Direction::Down, &pager, 42.5, |snap| {
-            seen.extend(snap.entries.iter().map(|e| e.0));
+        t.sweep(Direction::Down, &pager, 42.5, |leaf| {
+            seen.extend((0..leaf.len()).map(|j| leaf.key(j)));
             SweepControl::Continue
         })
         .unwrap();
@@ -1242,5 +1331,176 @@ mod tests {
         let mut want: Vec<(i64, u32)> = oracle.keys().copied().collect();
         want.sort_unstable();
         assert_eq!(got, want);
+    }
+
+    /// One visit of a sweep: the leaf's page, its handicaps and its swept
+    /// `(key bits, id)` entries in sweep order.
+    type Visit = (PageId, Handicaps, Vec<(u64, u32)>);
+
+    /// The reference sweep: starts where `find` says, walks the leaves by
+    /// their links and decodes each one's swept entries into a vector.
+    fn reference(tree: &BTree, pager: &dyn PageReader, dir: Direction, from: f64) -> Vec<Visit> {
+        let mut visits = Vec::new();
+        let Some((mut page, first)) = tree.find(dir, pager, from).unwrap() else {
+            return visits;
+        };
+        let mut first = Some(first);
+        let mut buf = vec![0u8; pager.page_size()];
+        loop {
+            pager.read(page, &mut buf).unwrap();
+            let leaf = Leaf::new(&mut buf);
+            let slots = first.take().unwrap_or(0..leaf.count());
+            let mut entries: Vec<(u64, u32)> = slots
+                .map(|i| (leaf.key(i).to_bits(), leaf.value(i)))
+                .collect();
+            if dir == Direction::Down {
+                entries.reverse();
+            }
+            visits.push((page, leaf.handicaps(), entries));
+            page = leaf.link(dir);
+            if page == NULL_PAGE {
+                return visits;
+            }
+        }
+    }
+
+    /// What `sweep` shows, read through the view, for at most `visits`
+    /// leaves; checks the view's `partition_point` and `extend_ids` against
+    /// the same entries on the way.
+    fn viewed(
+        tree: &BTree,
+        pager: &dyn PageReader,
+        dir: Direction,
+        from: f64,
+        visits: usize,
+    ) -> Vec<Visit> {
+        let mut seen = Vec::new();
+        tree.sweep(dir, pager, from, |leaf| {
+            let entries: Vec<(u64, u32)> = (0..leaf.len())
+                .map(|j| (leaf.key(j).to_bits(), leaf.id(j)))
+                .collect();
+            assert_eq!(leaf.is_empty(), entries.is_empty());
+            let ids: Vec<u32> = entries.iter().map(|e| e.1).collect();
+            let bounds = entries.iter().map(|e| f64::from_bits(e.0));
+            for bound in bounds.chain([f64::NEG_INFINITY, f64::INFINITY]) {
+                let within = |k: f64| !dir.before(bound, k);
+                let split = leaf.partition_point(within);
+                let want = entries.partition_point(|e| within(f64::from_bits(e.0)));
+                assert_eq!(split, want, "{dir:?} from {from}, bound {bound}");
+                let (mut near, mut far) = (vec![7], Vec::new());
+                leaf.extend_ids(0..split, &mut near);
+                leaf.extend_ids(split..leaf.len(), &mut far);
+                assert_eq!((&near[1..], &far[..]), ids.split_at(split));
+            }
+            seen.push((leaf.page(), leaf.handicaps(), entries));
+            if seen.len() == visits {
+                SweepControl::Stop
+            } else {
+                SweepControl::Continue
+            }
+        })
+        .unwrap();
+        seen
+    }
+
+    /// `n` keys over few distinct values — runs of equal keys longer than
+    /// a leaf — with an occasional `±∞`.
+    fn random_keys(rng: &mut cdb_prng::StdRng, n: usize) -> Vec<f64> {
+        let distinct = rng.gen_range(1..40u32);
+        (0..n)
+            .map(|_| match rng.gen_range(0..20u32) {
+                0 => f64::INFINITY,
+                1 => f64::NEG_INFINITY,
+                _ => rng.gen_range(0..distinct) as f64 - 10.0,
+            })
+            .collect()
+    }
+
+    /// The view shows, leaf for leaf, what the decoded snapshot of the
+    /// parent's sweep showed — page, handicaps and `(key, id)` sequence —
+    /// over bulk-loaded and insert/delete-built trees (emptied leaves, runs
+    /// of equal keys across leaves, `±∞` keys, the empty tree), in both
+    /// directions, from every kind of start, with visitors that stop
+    /// early; `range` and `sweep_up` agree with the same reference.
+    #[test]
+    fn leaf_views_show_what_the_snapshot_showed() {
+        let mut emptied = 0;
+        for seed in 0..40u64 {
+            let mut rng = cdb_prng::StdRng::seed_from_u64(seed);
+            let mut pager = MemPager::new(P);
+            let n = if seed < 2 {
+                0
+            } else {
+                rng.gen_range(1..300usize)
+            };
+            let keys = random_keys(&mut rng, n);
+            let tree = if seed % 2 == 0 {
+                let mut entries: Vec<(f64, u32)> = keys.iter().copied().zip(0u32..).collect();
+                entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let fill = rng.gen_range(0.5..1.0);
+                BTree::bulk_load(&mut pager, &entries, fill).unwrap()
+            } else {
+                let mut t = BTree::new(&mut pager).unwrap();
+                for (id, &k) in keys.iter().enumerate() {
+                    t.insert(&mut pager, k, id as u32).unwrap();
+                }
+                // A band of keys wholly deleted empties the leaves holding
+                // only it; a few more go at random.
+                let band = rng.gen_range(-10.0..10.0);
+                for (id, &k) in keys.iter().enumerate() {
+                    if (band..band + 8.0).contains(&k) || rng.gen_range(0..10u32) == 0 {
+                        assert!(t.delete(&mut pager, k, id as u32).unwrap());
+                    }
+                }
+                t
+            };
+            let leaves = tree.leaves(&pager).unwrap();
+            emptied += leaves.iter().filter(|l| l.count == 0).count();
+            for leaf in &leaves {
+                let h = Handicaps {
+                    low_prev: rng.gen_range(-20.0..20.0),
+                    low_next: f64::NEG_INFINITY,
+                    high_prev: rng.gen_range(-20.0..20.0),
+                    high_next: f64::INFINITY,
+                };
+                tree.set_handicaps(&mut pager, leaf.page, h).unwrap();
+            }
+            let on_key = keys.get(rng.gen_range(0..n.max(1))).copied().unwrap_or(0.0);
+            for from in [
+                f64::NEG_INFINITY,
+                -1e9,
+                on_key,
+                on_key + 0.5,
+                on_key - 0.5,
+                1e9,
+                f64::INFINITY,
+            ] {
+                for dir in Direction::BOTH {
+                    let want = reference(&tree, &pager, dir, from);
+                    for visits in [1, 2, usize::MAX] {
+                        let got = viewed(&tree, &pager, dir, from, visits);
+                        let prefix = &want[..want.len().min(visits)];
+                        assert_eq!(got, prefix, "seed {seed}, {dir:?} from {from}");
+                    }
+                }
+                let want = reference(&tree, &pager, Direction::Up, from);
+                let mut got = Vec::new();
+                tree.sweep_up(&pager, from, |snap| {
+                    let entries = snap.entries.iter().map(|&(k, v)| (k.to_bits(), v));
+                    got.push((snap.page, snap.handicaps, entries.collect()));
+                    SweepControl::Continue
+                })
+                .unwrap();
+                assert_eq!(got, want, "seed {seed}, sweep_up from {from}");
+                for hi in [from, on_key, on_key + 0.5, 1e9, f64::INFINITY] {
+                    let entries = want.iter().flat_map(|visit| &visit.2);
+                    let within = entries.map(|&(k, v)| (f64::from_bits(k), v));
+                    let want: Vec<(f64, u32)> = within.take_while(|e| e.0 <= hi).collect();
+                    let got = tree.range(&pager, from, hi).unwrap();
+                    assert_eq!(got, want, "seed {seed}, range [{from}, {hi}]");
+                }
+            }
+        }
+        assert!(emptied > 0, "no tree had an emptied leaf");
     }
 }

@@ -91,8 +91,8 @@ fn random_ops_match_btreemap() {
                 Op::SweepDown(k) => {
                     let mut last = f64::INFINITY;
                     let mut n = 0usize;
-                    tree.sweep(Direction::Down, &pager, k as f64, |snap| {
-                        for &(key, _) in &snap.entries {
+                    tree.sweep(Direction::Down, &pager, k as f64, |leaf| {
+                        for key in (0..leaf.len()).map(|j| leaf.key(j)) {
                             assert!(key <= last, "descending order violated");
                             last = key;
                             n += 1;
@@ -172,7 +172,7 @@ fn sweeps_partition_the_key_space() {
         .unwrap();
         let mut down = 0usize;
         tree.sweep(Direction::Down, &pager, (pivot as f64).next_down(), |s| {
-            down += s.entries.len();
+            down += s.len();
             SweepControl::Continue
         })
         .unwrap();

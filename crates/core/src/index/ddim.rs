@@ -357,7 +357,7 @@ impl SlopePoints {
         Rejection::dimension(self.dim, sel)?;
         let slope = &sel.halfplane.slope;
         if let Some(i) = self.position(slope) {
-            let slope = slope.clone();
+            let slope = self.points[i].clone();
             return Ok(PlanCase::Member { i, slope });
         }
         if technique == MethodKind::Restricted {

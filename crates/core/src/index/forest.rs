@@ -277,8 +277,8 @@ impl TreeMeta {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use cdb_btree::{LeafSnapshot, SweepControl};
-    use cdb_storage::MemPager;
+    use cdb_btree::{LeafView, SweepControl};
+    use cdb_storage::{MemPager, PageId};
 
     /// The reference [`Forest::insert`] is checked against, one search per
     /// target: both entries by [`BTree::insert`], then per region, tree and
@@ -322,10 +322,14 @@ pub(crate) mod tests {
         BTree::bulk_load(pager, &entries, 1.0).unwrap()
     }
 
-    fn swept(tree: &BTree, pager: &MemPager, dir: Direction, from: f64) -> Vec<LeafSnapshot> {
+    type Swept = (PageId, Vec<(f64, u32)>);
+
+    /// Each visited leaf's page and `(key, id)` entries, in sweep order.
+    fn swept(tree: &BTree, pager: &MemPager, dir: Direction, from: f64) -> Vec<Swept> {
         let mut leaves = Vec::new();
-        let visit = |leaf: &LeafSnapshot| {
-            leaves.push(leaf.clone());
+        let visit = |leaf: &LeafView<'_>| {
+            let entries = (0..leaf.len()).map(|j| (leaf.key(j), leaf.id(j)));
+            leaves.push((leaf.page(), entries.collect()));
             SweepControl::Continue
         };
         tree.sweep(dir, pager, from, visit).unwrap();
@@ -395,17 +399,17 @@ pub(crate) mod tests {
                 swept(tree, &pager, dir, from),
                 swept(image, &pager, back, -from),
             );
-            let negated = |leaf: &LeafSnapshot| -> Vec<(f64, u32)> {
-                leaf.entries.iter().map(|&(k, v)| (-k, v)).collect()
+            let negated = |(_, entries): &Swept| -> Vec<(f64, u32)> {
+                entries.iter().map(|&(k, v)| (-k, v)).collect()
             };
             assert_eq!(here.len(), there.len(), "{dir:?} from {from}");
             for (a, b) in here.iter().zip(&there) {
-                assert_eq!(a.entries, negated(b), "{dir:?} from {from}");
+                assert_eq!(a.1, negated(b), "{dir:?} from {from}");
             }
             let found = tree.find(dir, &pager, from).unwrap();
             assert_eq!(found.is_some(), !here.is_empty(), "{dir:?} from {from}");
             if let Some((page, slots)) = found {
-                assert_eq!((page, slots.len()), (here[0].page, here[0].entries.len()));
+                assert_eq!((page, slots.len()), (here[0].0, here[0].1.len()));
             }
         }
 

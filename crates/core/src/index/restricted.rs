@@ -50,14 +50,11 @@ pub(crate) fn sweep_candidates(
     let (from, clear) = (dir.reversed().advance(b, slack), dir.advance(b, slack));
     let mut sure = Vec::new();
     let mut band = Vec::new();
-    tree.sweep(dir, pager, from, |snap| {
+    tree.sweep(dir, pager, from, |leaf| {
         // In sweep order keys only move away from `b`: the band comes first.
-        let in_band = snap
-            .entries
-            .partition_point(|&(k, _)| !dir.before(clear, k));
-        let (near, far) = snap.entries.split_at(in_band);
-        band.extend(near.iter().map(|e| e.1));
-        sure.extend(far.iter().map(|e| e.1));
+        let in_band = leaf.partition_point(|k| !dir.before(clear, k));
+        leaf.extend_ids(0..in_band, &mut band);
+        leaf.extend_ids(in_band..leaf.len(), &mut sure);
         SweepControl::Continue
     })?;
     Ok((sure, band))

@@ -58,10 +58,10 @@ fn handicap_guided_candidates(
     let start = back.advance(b, key_slack(b));
     let mut handicap = dir.end();
     let mut visited = false;
-    tree.sweep(dir, pager, start, |snap| {
+    tree.sweep(dir, pager, start, |leaf| {
         visited = true;
-        handicap = dir.earlier(handicap, snap.handicaps.get(dir, side));
-        raw.extend(snap.entries.iter().map(|e| e.1));
+        handicap = dir.earlier(handicap, leaf.handicaps().get(dir, side));
+        leaf.extend_ids(0..leaf.len(), &mut raw);
         SweepControl::Continue
     })?;
     if !visited {
@@ -73,13 +73,11 @@ fn handicap_guided_candidates(
     // Second sweep: backward, disjoint from the first, to the handicap.
     if dir.before(handicap, dir.end()) {
         let bound = back.advance(handicap, key_slack(handicap));
-        tree.sweep(back, pager, back.next_after(start), |snap| {
+        tree.sweep(back, pager, back.next_after(start), |leaf| {
             // In sweep order keys only move on: those up to the bound first.
-            let wanted = snap
-                .entries
-                .partition_point(|&(k, _)| !back.before(bound, k));
-            raw.extend(snap.entries[..wanted].iter().map(|e| e.1));
-            if wanted < snap.entries.len() {
+            let wanted = leaf.partition_point(|k| !back.before(bound, k));
+            leaf.extend_ids(0..wanted, &mut raw);
+            if wanted < leaf.len() {
                 SweepControl::Stop
             } else {
                 SweepControl::Continue

@@ -596,6 +596,29 @@ mod tests {
         );
     }
 
+    /// A d-D member route names the member of `S` it matched, as the 2-D
+    /// table does, not the query's slope: `all b z >= 0x + 0y - 4` on a
+    /// 3 × 3 grid has the slope `[-0.0, -0.0]`, and a slope within the
+    /// workspace tolerance of a member matches that member too.
+    #[test]
+    fn a_member_slope_point_route_names_the_member() {
+        let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
+        db.create_relation("b", 3).unwrap();
+        db.build_dual_index("b", SlopePoints::grid(3, 3, 1.0))
+            .unwrap();
+        let rel = db.relation("b").unwrap();
+        for (slope, member) in [
+            (vec![-0.0, -0.0], "[0.0, 0.0]"),
+            (vec![1.0 + 1e-12, -1.0 + 1e-12], "[1.0, -1.0]"),
+        ] {
+            let sel = Selection::all(HalfPlane::new(slope, -4.0, RelOp::Ge));
+            let got = Planner::choose(rel, &sel, None).unwrap().1;
+            assert_eq!(got.method, MethodKind::Restricted);
+            let case = format!("case: member slope point {member}\n");
+            assert!(got.explain().contains(&case), "{}", got.explain());
+        }
+    }
+
     /// One `AppQueries` case serves both rows of Table 1: legs that keep
     /// `θ` are the between case, legs whose operators differ wrap through
     /// the vertical — and EXPLAIN says which.
