@@ -127,8 +127,9 @@ step one-forest one_forest
 # crate: every access method, the sequential scan included, hands its
 # candidates to the one `index::refine`, which alone opens a query's
 # private I/O window, books its index and heap I/O (the operators in
-# `physical.rs` window their own region fetches) and asks the key columns
-# for a verdict on a candidate (`KeyBracket::verdict`, one call); the slot
+# `physical.rs` window their own region fetches) and lets the key columns
+# decide what they can of the candidates (`KeyBracket::settle`, one call;
+# `KeyBracket::verdict`, the exact rule, is called only in `keys.rs`); the slot
 # table is the heap's only map (no reverse map beside it), and the heap is
 # read through `visit_many`/`get_many` alone.
 one_refine() {
@@ -136,7 +137,8 @@ one_refine() {
 1|TrackedReader::new( calls|physical.rs|TrackedReader::new\(
 1|stats.index_io assignments|-|stats\.index_io =[^=]
 1|stats.heap_io assignments|-|stats\.heap_io =[^=]
-1|key-bracket .verdict( calls|-|\.verdict\(
+1|key-bracket chunk-pass .settle( calls|-|\.settle\(
+0|key-bracket .verdict( calls outside keys.rs|index/keys.rs|\.verdict\(
 0|mentions of by_record|-|by_record
 RULES
   grep_audit one-refine crates/storage/src/heap.rs <<'RULES'
@@ -295,14 +297,15 @@ step paper-figures paper_figures
 # TOP/BOT kernel against the simplex and the V-representation, the encoded
 # view against `decode`, the heap's page-ordered visitor, the slack-matched
 # B+-tree delete, the sweep's borrowed leaf view against a decoding
-# reference walk, and refinement on borrowed record bytes against a
-# `fetch_batch`-only source (same ids, same QueryStats, same errors).
+# reference walk, refinement on borrowed record bytes against a
+# `fetch_batch`-only source (same ids, same QueryStats, same errors), and
+# the key columns' chunk pass against `KeyBracket::verdict`, id by id.
 refine_kernel() {
   cargo test -q -p cdb-geometry --lib -- kernel2d
   cargo test -q -p cdb-geometry --test refine_kernel
   cargo test -q -p cdb-storage --lib -- visit_many foreign_pages
   cargo test -q -p cdb-btree --lib -- delete_finds_keys leaf_views_show
-  cargo test -q -p cdb-core --lib -- refine_paths delete_that_misses
+  cargo test -q -p cdb-core --lib -- refine_paths delete_that_misses chunk_codes_agree_with_verdict
   cargo test -q --test hyperplane_queries concurrent_line_queries
 }
 step refine-kernel refine_kernel

@@ -44,7 +44,7 @@ use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side, Stra
 use crate::slopes::{Bracket, SlopeSet};
 use ddim::SlopePoints;
 use forest::{keys_at, Forest};
-use keys::{KeyBracket, Verdict};
+use keys::KeyBracket;
 
 /// The access structures a relation can own, in slot order. The one owner
 /// of their names.
@@ -827,17 +827,7 @@ pub(crate) fn refine(
     stats.index_io = pager.stats().since(&before);
     let keys = keys.filter(|_| exact == Exact::Selection && !check.is_empty());
     if let Some(bracket) = keys.and_then(|keys| KeyBracket::new(keys, sel)) {
-        check.retain(|&id| match bracket.verdict(id) {
-            Verdict::Yes => {
-                sure.push(id);
-                false
-            }
-            Verdict::No => {
-                stats.rejected_by_key += 1;
-                false
-            }
-            Verdict::Fetch => true,
-        });
+        stats.rejected_by_key += bracket.settle(&mut check, &mut sure);
     }
     stats.accepted_by_key = sure.len() as u64;
     let heap_before = pager.stats();

@@ -54,7 +54,9 @@ fn handicap_guided_candidates(
     side: Side,
 ) -> io::Result<Vec<u32>> {
     let back = dir.reversed();
-    let mut raw: Vec<u32> = Vec::new();
+    // The sweeps are disjoint, so the tree's entries bound the candidates:
+    // one allocation, whatever the selectivity.
+    let mut raw: Vec<u32> = Vec::with_capacity(tree.len() as usize);
     let start = back.advance(b, key_slack(b));
     let mut handicap = dir.end();
     let mut visited = false;

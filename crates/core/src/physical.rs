@@ -916,6 +916,33 @@ mod tests {
         );
     }
 
+    /// A forced-T2 query that the key columns mostly decide allocates no
+    /// more per row either: the key pass keeps one byte per row in one
+    /// vector and moves ids between the lists it was handed, so ten times
+    /// the rows cost at most 4 more allocations.
+    #[test]
+    fn t2_query_allocations_do_not_grow_with_rows() {
+        let allocations = |n: usize| {
+            let (db, member) = bed(n);
+            let sel = Selection::exist(HalfPlane::above(member + 0.2, 10.0));
+            db.query_with("r", sel.clone(), Strategy::T2).unwrap(); // warm the catalog
+            let (result, allocations) =
+                allocations_during(|| db.query_with("r", sel, Strategy::T2).unwrap());
+            let stats = &result.stats;
+            assert_eq!(stats.method, Some(crate::plan::MethodKind::T2));
+            assert!(
+                stats.accepted_by_key > 0 && stats.rejected_by_key > 0,
+                "{stats:?}"
+            );
+            allocations
+        };
+        let (few, many) = (allocations(400), allocations(4000));
+        assert!(
+            many <= few + 4,
+            "{many} allocations for 4000 rows, {few} for 400"
+        );
+    }
+
     /// Asked for regions, the scan emits `REGION_CHUNK`-row batches and
     /// pays one heap access per distinct page of each.
     #[test]
