@@ -94,15 +94,20 @@ step one-router one_router
 
 # The audit that keeps "T2 is written once" a gate, over the tree and the
 # engine crates: one dual index over a slope geometry (handicaps are
-# assigned and folded from one place each), one sweep over a `Direction`
-# (no function comes back as the down/low/high half of a mirrored pair;
-# `sweep_up` is the one front, for `perf/`), and T1's anchor stays gone,
-# catalog included. The engine's searches read each swept leaf through the
-# borrowed `LeafView`, never a decoded per-leaf entry vector. The geometry
-# is a value of the index, not a kind of index: over the engine, the wire,
-# the CLI and the experiment harness there is no geometry trait, no
-# `DualIndexD` type, no `MemberPoint` case, no `DualD` method or index
-# kind, and slope points have one byte layout.
+# assigned and folded from one place each — the strip through the vertical
+# is one more region of the end trees of a slope set), one sweep over a
+# `Direction` (no function comes back as the down/low/high half of a
+# mirrored pair; `sweep_up` is the one front, for `perf/`), and T1's anchor
+# stays gone, catalog included. The engine's searches read each swept leaf
+# through the borrowed `LeafView`, never a decoded per-leaf entry vector.
+# The geometry is a value of the index, not a kind of index: over the
+# engine, the wire, the CLI and the experiment harness there is no geometry
+# trait, no `DualIndexD` type, no `MemberPoint` case, no `DualD` method or
+# index kind, and slope points have one byte layout. T1 is an ablation of
+# the experiment harness, not a technique of the engine: over the engine,
+# the wire and the CLI no method, strategy, plan case or refusal names it,
+# no forest search covers a query with app-queries, and its search module
+# stays gone.
 one_forest() {
   grep_audit one-forest crates/btree/src crates/core/src/index <<'RULES'
 1|an .assign_handicaps( call|-|\.assign_handicaps\(
@@ -120,6 +125,15 @@ RULES
 0|mentions of DualD|-|(^|[^A-Za-z0-9_])DualD([^A-Za-z0-9_]|$)
 0|second slope-point layouts|-|fn (put|get)_body
 RULES
+  grep_audit one-forest crates/core/src crates/net/src src <<'RULES'
+0|mentions of T1's method or strategy|-|(MethodKind|Strategy)::T1([^A-Za-z0-9_]|$)
+0|T1's plan cases and refusal|-|AppQueries|SimplexCovering|NoAppQueries
+0|definitions of fn covering|-|fn covering\(
+RULES
+  if [ -e crates/core/src/index/t1.rs ]; then
+    echo "ci: one-forest: want no crates/core/src/index/t1.rs, found one" >&2
+    return 1
+  fi
 }
 step one-forest one_forest
 

@@ -41,12 +41,14 @@ fn main() {
     let pick = |i: usize| &battery[i % battery.len()];
 
     println!("query_latency_n2000 (N = {n}, k = 4, 6+6 calibrated queries)");
-    for strat in [Strategy::T1, Strategy::T2] {
-        let ns = time_ns(20, 200, |i| {
-            std::hint::black_box(t2.run(pick(i), strat));
-        });
-        report(&format!("dual_index/{strat:?}"), ns);
-    }
+    let ns = time_ns(20, 200, |i| {
+        std::hint::black_box(t2.run_t1(pick(i)));
+    });
+    report("dual_index/T1 (composed)", ns);
+    let ns = time_ns(20, 200, |i| {
+        std::hint::black_box(t2.run(pick(i), Strategy::T2));
+    });
+    report("dual_index/T2", ns);
     let ns = time_ns(20, 200, |i| {
         std::hint::black_box(rp.run(pick(i)));
     });

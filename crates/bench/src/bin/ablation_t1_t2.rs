@@ -2,9 +2,13 @@
 //! (single handicap-guided search, Section 4.2) — the design motivation the
 //! paper gives for T2: duplicates disappear, candidate volume drops.
 //!
-//! Reported per strategy: candidates produced by the index phase,
-//! duplicates, false candidates (rejected by key or by refinement), and
-//! mean page accesses.
+//! Reported per technique: candidates produced by the index phase,
+//! duplicates, false candidates, and mean page accesses. T2 is the
+//! engine's search: false candidates are those its key columns or its
+//! refinement reject. T1 is composed of restricted searches at Table 1's
+//! slopes ([`cdb_bench::t1`]): its candidates are the legs' answers, its
+//! false candidates those its refinement drops, its page accesses the
+//! legs' plus one per distinct heap page holding a candidate.
 //!
 //! ```text
 //! cargo run --release -p cdb-bench --bin ablation_t1_t2 [--quick]
@@ -60,7 +64,7 @@ fn main() {
             let mut t1 = Vec::new();
             let mut t2 = Vec::new();
             for q in battery.iter().filter(|q| q.kind == kind) {
-                let (s1, ids1) = bed.run(q, Strategy::T1);
+                let (s1, ids1) = bed.run_t1(q);
                 let (s2, ids2) = bed.run(q, Strategy::T2);
                 assert_eq!(ids1, ids2, "T1 and T2 must agree");
                 t1.push(s1);

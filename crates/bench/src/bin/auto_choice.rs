@@ -2,17 +2,20 @@
 //! for each slope-set size k ∈ {2, 3, 4, 5} and three selectivity bands,
 //! total page accesses (index + refinement fetches) summed over a
 //! calibrated battery of EXIST and ALL queries, for Auto and for forced
-//! T1, T2, R⁺-tree and sequential scan — all on one relation carrying the
-//! dual index and the R⁺-tree.
+//! T2, R⁺-tree and sequential scan — all on one relation carrying the dual
+//! index and the R⁺-tree — and for T1, composed of restricted searches at
+//! Table 1's slopes ([`cdb_bench::t1`]).
 //!
 //! Auto is the paper's rule: the restricted search at a slope of `S`, T2
-//! at any other slope; the R⁺-tree and T1 run only when forced. So the
-//! Auto column equals the T2 column (asserted per query), and the
-//! `cheapest` column names the forced method that read least. At k = 2
-//! that is the R⁺-tree or the scan: the two slopes of `S` bracket a query
-//! slope from one side only, and T2 reads about as much as a scan. From
-//! k = 3 on, T2 reads a fraction of either; T1 reads less than T2 at low
-//! selectivity, T2 less than T1 at 50–60 %.
+//! at any other slope; the R⁺-tree runs only when forced. So the Auto
+//! column equals the T2 column (asserted per query), and the `cheapest`
+//! column names the other method that read least. At k = 2 that is the
+//! R⁺-tree or the scan: the two slopes of `S` bracket a query slope from
+//! one side only, and T2 reads about as much as a scan. From k = 3 on, T2
+//! reads a fraction of either. T1's legs read as many tree pages as they
+//! did as an engine path, but with no key columns to decide the union of
+//! their answers, its refinement fetches every candidate: most of the
+//! heap.
 //!
 //! ```text
 //! cargo run --release -p cdb-bench --bin auto_choice [--quick]
@@ -20,18 +23,20 @@
 //!
 //! Every answer is cross-checked against the brute-force oracle.
 
-use cdb_bench::{selection_of, T2Bed, PAPER_KS, QUERIES_PER_KIND};
+use cdb_bench::{T2Bed, PAPER_KS, QUERIES_PER_KIND};
 use cdb_core::Strategy;
 use cdb_geometry::predicates;
 use cdb_workload::{DatasetSpec, ObjectSize, QueryGen, QueryKind};
 
-/// The methods compared, Auto first, with their column labels.
-const METHODS: [(Strategy, &str); 5] = [
-    (Strategy::Auto, "Auto"),
-    (Strategy::T1, "T1"),
-    (Strategy::T2, "T2"),
-    (Strategy::RPlus, "R+-tree"),
-    (Strategy::Scan, "scan"),
+/// The methods compared, Auto first, with their column labels: a
+/// strategy the planner runs, or `None` for T1, composed of restricted
+/// searches ([`cdb_bench::t1`]).
+const METHODS: [(Option<Strategy>, &str); 5] = [
+    (Some(Strategy::Auto), "Auto"),
+    (None, "T1"),
+    (Some(Strategy::T2), "T2"),
+    (Some(Strategy::RPlus), "R+-tree"),
+    (Some(Strategy::Scan), "scan"),
 ];
 
 fn main() {
@@ -77,12 +82,12 @@ fn main() {
                     .collect();
                     let mut per_method = [0u64; METHODS.len()];
                     for (m, (strategy, label)) in METHODS.iter().enumerate() {
-                        let r = bed
-                            .db
-                            .query_with("r", selection_of(q), *strategy)
-                            .expect("planned query");
-                        assert_eq!(r.ids(), want, "{label} k={k} {band}: oracle mismatch");
-                        per_method[m] = r.stats.total_accesses();
+                        let (stats, ids) = match *strategy {
+                            Some(strategy) => bed.run(q, strategy),
+                            None => bed.run_t1(q),
+                        };
+                        assert_eq!(ids, want, "{label} k={k} {band}: oracle mismatch");
+                        per_method[m] = stats.total_accesses();
                     }
                     assert_eq!(per_method[0], per_method[2], "Auto ran T2's search");
                     for (total, p) in pages.iter_mut().zip(per_method) {

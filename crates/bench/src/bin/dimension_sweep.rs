@@ -20,13 +20,13 @@
 
 use std::collections::HashMap;
 
+use cdb_bench::t1;
 use cdb_core::ddim::SlopePoints;
 use cdb_core::index::Exact;
 use cdb_core::plan::PlanCase;
 use cdb_core::{ConstraintDb, DbConfig, DualIndex, MethodKind, Selection, SelectionKind};
 use cdb_geometry::constraint::{LinearConstraint, RelOp};
 use cdb_geometry::halfplane::HalfPlane;
-use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_prng::StdRng;
 use cdb_storage::{MemPager, PageReader};
@@ -95,27 +95,19 @@ struct Bed<'a> {
 }
 
 impl Bed<'_> {
-    /// Runs every query along `case(sel)`, cross-checks the answer against
-    /// the oracle (a mismatch panics), and tallies its page accesses.
-    fn measure(&self, queries: &[Selection], case: impl Fn(&Selection) -> PlanCase) -> Tally {
+    /// Runs every query through `answer`, cross-checks its ids against the
+    /// oracle (a mismatch panics), and tallies its page accesses.
+    fn measure(&self, queries: &[Selection], answer: impl Fn(&Selection) -> Vec<u32>) -> Tally {
         let mut tally = Tally::default();
         for (qi, sel) in queries.iter().enumerate() {
             let want: Vec<u32> = self
                 .pairs
                 .iter()
-                .filter(|(_, t)| match sel.kind {
-                    SelectionKind::All => predicates::all(&sel.halfplane, t),
-                    SelectionKind::Exist => predicates::exist(&sel.halfplane, t),
-                })
+                .filter(|(_, t)| sel.holds(t))
                 .map(|(id, _)| *id)
                 .collect();
-            let case = case(sel);
             let before = self.pager.stats();
-            let fetch = |_: &dyn PageReader, id: u32| self.lookup[&id].clone();
-            let r = (self.index)
-                .run(&self.pager, sel, &case, Exact::Selection, &fetch)
-                .expect("routed query");
-            assert_eq!(r.ids(), want, "query {qi} along {case}");
+            assert_eq!(answer(sel), want, "query {qi}: {sel:?}");
             let io = self.pager.stats().since(&before).accesses();
             if sel.kind == SelectionKind::Exist {
                 tally.exist_io += io;
@@ -124,6 +116,43 @@ impl Bed<'_> {
             }
         }
         tally
+    }
+
+    /// The ids of `sel` along `case`, refined with the stored tuples.
+    fn run(&self, sel: &Selection, case: &PlanCase) -> Vec<u32> {
+        let fetch = |_: &dyn PageReader, id: u32| self.lookup[&id].clone();
+        let r = (self.index)
+            .run(&self.pager, sel, case, Exact::Selection, &fetch)
+            .expect("routed query");
+        r.ids().to_vec()
+    }
+
+    /// T2 over the cell the index routes `sel` to.
+    fn cell(&self, sel: &Selection) -> Vec<u32> {
+        let case = self.index.route(MethodKind::T2, sel).expect("in-box query");
+        assert!(matches!(case, PlanCase::Cell(_)), "{case}");
+        self.run(sel, &case)
+    }
+
+    /// The simplex covering (generalized T1): one restricted search per
+    /// vertex of a simplex of `S` containing the query slope, each with the
+    /// query's intercept and operator ([`t1::legs`]), their union refined
+    /// against `sel`.
+    fn covering(&self, sel: &Selection) -> Vec<u32> {
+        let points = self.index.points().expect("an index over slope points");
+        let slope = &sel.halfplane.slope;
+        let vertices = points.containing_simplex(slope).expect("in-hull query");
+        let at = |&v: &usize| (points.as_slice()[v].clone(), sel.halfplane.op);
+        let legs = t1::legs(sel, vertices.iter().map(at));
+        let mut union = Vec::new();
+        for (&i, leg) in vertices.iter().zip(&legs) {
+            let slope = points.as_slice()[i].clone();
+            union.extend(self.run(leg, &PlanCase::Member { i, slope }));
+        }
+        union.sort_unstable();
+        union.dedup();
+        union.retain(|id| sel.holds(&self.lookup[id]));
+        union
     }
 }
 
@@ -247,24 +276,12 @@ fn main() {
                 query(qi, slope, &mut rng)
             })
             .collect();
-        // T2 over the cell a slope routes to; the simplex covering, for
-        // comparison: the same entry points, handed the other case.
-        let cell = |bed: &Bed<'_>, sel: &Selection| {
-            let case = bed.index.route(MethodKind::T2, sel).expect("in-box query");
-            assert!(matches!(case, PlanCase::Cell(_)), "{case}");
-            case
-        };
-        let covering = |bed: &Bed<'_>, sel: &Selection| {
-            let points = bed.index.points().expect("an index over slope points");
-            let vertices = points.containing_simplex(&sel.halfplane.slope);
-            PlanCase::SimplexCovering(vertices.expect("in-hull query"))
-        };
         let (t2, t1, grid_on_random) = with_bed(grid, &pairs, &lookup, |bed| {
-            let t2 = bed.measure(&queries, |sel| cell(bed, sel));
-            let t1 = bed.measure(&queries, |sel| covering(bed, sel));
+            let t2 = bed.measure(&queries, |sel| bed.cell(sel));
+            let t1 = bed.measure(&queries, |sel| bed.covering(sel));
             let on_random: Vec<Tally> = random_sets
                 .iter()
-                .map(|set| bed.measure(&set.queries, |sel| cell(bed, sel)))
+                .map(|set| bed.measure(&set.queries, |sel| bed.cell(sel)))
                 .collect();
             (t2, t1, on_random)
         });
@@ -280,9 +297,9 @@ fn main() {
             // T2 over the set's cells, and what serves the same slopes
             // without them: the covering inside the hull, else the scan.
             let (rt2, (oe, oa)) = with_bed(set.points, &pairs, &lookup, |bed| {
-                let rt2 = bed.measure(&set.queries, |sel| cell(bed, sel));
+                let rt2 = bed.measure(&set.queries, |sel| bed.cell(sel));
                 let other = if in_hull {
-                    bed.measure(&set.queries, |sel| covering(bed, sel)).means()
+                    bed.measure(&set.queries, |sel| bed.covering(sel)).means()
                 } else {
                     (scan_pages as f64, scan_pages as f64)
                 };

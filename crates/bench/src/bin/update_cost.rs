@@ -5,15 +5,15 @@
 //! index, as N and k grow. (The R⁺-tree baseline is packed once and not
 //! maintained: a write drops it, so it has no update cost to measure.)
 //! The log growth in N and the linear growth in k should be visible; the
-//! run finishes by verifying queries remain exact after the update storm
-//! (incremental handicap maintenance is conservative, never wrong).
+//! run finishes by verifying queries — slopes past both ends of `S`
+//! among them — remain exact after the update storm (incremental handicap
+//! maintenance is conservative, never wrong).
 //!
 //! ```text
 //! cargo run --release -p cdb-bench --bin update_cost [--quick]
 //! ```
 
 use cdb_core::{DualIndex, Selection, SlopeSet};
-use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_geometry::{HalfPlane, Rect};
 use cdb_storage::{MemPager, PageReader, Pager};
@@ -57,25 +57,29 @@ fn main() {
             }
             let del = pager.stats().accesses() as f64 / batch.len() as f64;
 
-            // Correctness after the storm: query vs oracle.
-            let q = HalfPlane::above(0.37, -5.0);
+            // Correctness after the storm: queries vs oracle, between
+            // slopes of S and past both of its ends (T2 through the
+            // vertical), duplicate-free.
             let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
                 pairs.iter().cloned().collect();
             let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
-            let got = idx
-                .execute(
-                    &pager,
-                    &Selection::exist(q.clone()),
-                    cdb_core::Strategy::T2,
-                    &fetch,
-                )
-                .expect("query");
-            let want: Vec<u32> = pairs
-                .iter()
-                .filter(|(_, t)| predicates::exist(&q, t))
-                .map(|(id, _)| *id)
-                .collect();
-            assert_eq!(got.ids(), want, "index correct after update storm");
+            let slopes = idx.slopes().expect("a slope set");
+            let (lo, hi) = (slopes.get(0), slopes.get(k - 1));
+            for a in [0.37, hi + 0.01, lo - 0.01, 1e6, -1e6] {
+                let q = HalfPlane::above(a, -5.0);
+                for sel in [Selection::exist(q.clone()), Selection::all(q)] {
+                    let got = idx
+                        .execute(&pager, &sel, cdb_core::Strategy::T2, &fetch)
+                        .expect("query");
+                    let want: Vec<u32> = pairs
+                        .iter()
+                        .filter(|(_, t)| sel.holds(t))
+                        .map(|(id, _)| *id)
+                        .collect();
+                    assert_eq!(got.ids(), want, "{sel:?} after the update storm");
+                    assert_eq!(got.stats.duplicates, 0, "{sel:?}");
+                }
+            }
 
             println!("{n:>8}{k:>6}{ins:>14.1}{del:>14.1}");
             csv.push_str(&format!("{n},{k},{ins:.2},{del:.2}\n"));

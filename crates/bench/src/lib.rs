@@ -20,6 +20,8 @@ use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_workload::{CalibratedQuery, DatasetSpec, ObjectSize, QueryGen, QueryKind};
 
+pub mod t1;
+
 /// The paper's relation cardinalities (Section 5).
 pub const PAPER_CARDINALITIES: [usize; 5] = [500, 2000, 4000, 8000, 12000];
 
@@ -93,6 +95,15 @@ impl T2Bed {
             .query_with("r", sel, strategy)
             .expect("indexed query");
         (r.stats, r.ids().to_vec())
+    }
+
+    /// Runs one calibrated query as T1 ([`t1::run`]) over Table 1's
+    /// app-queries at the slopes of the bed's `S`.
+    pub fn run_t1(&self, q: &CalibratedQuery) -> (QueryStats, Vec<u32>) {
+        let sel = selection_of(q);
+        let rel = self.db.relation("r").expect("exists");
+        let slopes = rel.index().expect("built").slopes().expect("a slope set");
+        t1::run(&self.db, "r", &sel, &t1::table1(slopes, &sel))
     }
 }
 

@@ -1162,7 +1162,7 @@ mod tests {
         assert!(matches!(err, CdbError::NoIndex(_)));
     }
 
-    /// A 2-D method — T1 or the R⁺-tree — forced on an `E^d` relation is
+    /// A 2-D method — the R⁺-tree — forced on an `E^d` relation is
     /// refused for the dimension, in the words EXPLAIN lists it with — not
     /// for an index no build could supply — whether or not the relation
     /// has a dual index over slope points. The restricted search and T2
@@ -1181,17 +1181,13 @@ mod tests {
                 let points = SlopePoints::grid(3, 3, 1.0);
                 db.build_dual_index("boxes", points).unwrap();
             }
-            for strategy in [Strategy::T1, Strategy::RPlus] {
-                let refused = db.query_with("boxes", sel.clone(), strategy).unwrap_err();
-                let method = strategy.forced().unwrap();
-                let why =
-                    format!("forced method {method}: serves 2-D queries only, the query is 3-D");
-                assert_eq!(
-                    refused,
-                    CdbError::UnsupportedQuery(why),
-                    "indexed={indexed}"
-                );
-            }
+            let refused = db.query_with("boxes", sel.clone(), Strategy::RPlus);
+            let why = "forced method RPlus: serves 2-D queries only, the query is 3-D";
+            assert_eq!(
+                refused.unwrap_err(),
+                CdbError::UnsupportedQuery(why.into()),
+                "indexed={indexed}"
+            );
             let restricted = db
                 .query_with("boxes", sel.clone(), Strategy::Restricted)
                 .map(|_| ());
@@ -1223,7 +1219,7 @@ mod tests {
                 Selection::all(HalfPlane::below(a, b)),
             ] {
                 let want = db.query_with("land", sel.clone(), Strategy::Scan).unwrap();
-                for st in [Strategy::T1, Strategy::T2, Strategy::Auto] {
+                for st in [Strategy::T2, Strategy::Auto] {
                     let got = db.query_with("land", sel.clone(), st).unwrap();
                     assert_eq!(got.ids(), want.ids(), "{st:?} a={a} b={b}");
                 }

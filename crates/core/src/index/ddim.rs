@@ -22,14 +22,8 @@
 //!
 //! Slopes outside the box are rejected — choose `S` to cover the query
 //! workload's slope region. The paper's other route, "d searches against d
-//! different B⁺-trees", stays for ablations only: no route hands out
-//! `PlanCase::SimplexCovering`, which [`containing_simplex`] builds. Its
-//! `d` app-queries share the point `P = (0, …, 0, b)` on the query
-//! hyperplane, so each keeps the intercept `b` and the operator. Covering
-//! proof: if a point `x` fails every app-query (`x_d < sʲ·x' + b` for all
-//! `j`), the convex combination with the barycentric weights of the query
-//! slope gives `x_d < s·x' + b`. ALL runs one ALL app-query plus `d−1`
-//! EXIST app-queries (the Figure 4 argument, unchanged).
+//! different B⁺-trees", is no route of the index: the ablations compose it
+//! of restricted searches at the vertices [`containing_simplex`] finds.
 //!
 //! [`containing_simplex`]: SlopePoints::containing_simplex
 
@@ -293,8 +287,8 @@ impl SlopePoints {
     }
 
     /// Finds `d` member points whose simplex contains `slope`, preferring
-    /// nearby points — the covering of `PlanCase::SimplexCovering`, which
-    /// only ablations build. Returns the member indices. A slope outside
+    /// nearby points — the vertices of the simplex covering the ablations
+    /// compose. Returns the member indices. A slope outside
     /// the hull of `S` is refused by one feasibility LP before any of the
     /// `C(k, d)` subsets is tried.
     pub fn containing_simplex(&self, slope: &[f64]) -> Option<Vec<usize>> {
@@ -338,22 +332,16 @@ impl SlopePoints {
     /// The routing table of Section 4.4: a member slope point is searched
     /// exactly; any other slope in the bounding box of `S` takes the
     /// d-dimensional technique T2 (single tree, two handicap-guided
-    /// sweeps, duplicate-free) over the cell of its nearest element. Table
-    /// 1's app-queries are T1 over a slope set, so T1 routes nothing here.
+    /// sweeps, duplicate-free) over the cell of its nearest element.
     ///
     /// # Errors
-    /// The [`Rejection`]: a query of another dimension, T1, `Restricted`
-    /// off the points, or a slope outside the bounding box of `S`.
+    /// The [`Rejection`]: a query of another dimension, `Restricted` off
+    /// the points, or a slope outside the bounding box of `S`.
     pub(super) fn route(
         &self,
         technique: MethodKind,
         sel: &Selection,
     ) -> Result<PlanCase, Rejection> {
-        if technique == MethodKind::T1 {
-            // A query of another dimension than 2 keeps its own reason.
-            Rejection::dimension(2, sel)?;
-            return Err(Rejection::NoAppQueries);
-        }
         Rejection::dimension(self.dim, sel)?;
         let slope = &sel.halfplane.slope;
         if let Some(i) = self.position(slope) {
@@ -488,41 +476,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The covering no route hands out any more, run as an ablation does.
-    #[test]
-    fn simplex_covering_matches_oracle_3d() {
-        let mut pager = MemPager::paper_1999();
-        let pairs = random_boxes(3, 200, 7);
-        let idx = DualIndex::build(&mut pager, SlopePoints::grid(3, 3, 1.5), &pairs).unwrap();
-        let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
-            pairs.iter().cloned().collect();
-        let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..12 {
-            let slope = vec![rng.gen_range(-1.2..1.2), rng.gen_range(-1.2..1.2)];
-            let b = rng.gen_range(-40.0..40.0);
-            let covering = PlanCase::SimplexCovering(
-                idx.points().unwrap().containing_simplex(&slope).unwrap(),
-            );
-            for kind in [SelectionKind::All, SelectionKind::Exist] {
-                for op in [RelOp::Ge, RelOp::Le] {
-                    let sel = Selection {
-                        kind,
-                        halfplane: HalfPlane::new(slope.clone(), b, op),
-                    };
-                    let got = idx
-                        .run(&pager, &sel, &covering, Exact::Selection, &fetch)
-                        .unwrap();
-                    assert_eq!(
-                        got.ids(),
-                        oracle(&pairs, &sel),
-                        "{kind:?} {op:?} {slope:?} {b}"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn four_dimensional_queries() {
         let mut pager = MemPager::paper_1999();
@@ -620,7 +573,6 @@ pub(crate) mod tests {
         let k = idx.points().unwrap().len();
         for case in [
             PlanCase::Cell(k),
-            PlanCase::SimplexCovering(vec![0, 1, k + 7]),
             PlanCase::Member {
                 i: usize::MAX,
                 slope: vec![0.1, 0.2],
@@ -632,7 +584,6 @@ pub(crate) mod tests {
                 near: TreeAt { i: 0, slope: 0.0 },
                 side: Side::Prev,
             },
-            PlanCase::AppQueries([(TreeAt { i: 0, slope: 0.0 }, RelOp::Ge); 2]),
         ] {
             let got = idx.run(&pager, &sel, &case, Exact::Selection, &fetch);
             assert!(
@@ -647,7 +598,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn t2d_and_simplex_agree_with_oracle() {
+    fn t2d_agrees_with_oracle() {
         let mut pager = MemPager::paper_1999();
         let pairs = random_boxes(3, 250, 31);
         let idx = DualIndex::build(&mut pager, SlopePoints::grid(3, 3, 1.5), &pairs).unwrap();
@@ -669,21 +620,7 @@ pub(crate) mod tests {
                     let cell = idx.route(MethodKind::T2, &sel).unwrap();
                     assert!(matches!(cell, PlanCase::Cell(_)), "{cell:?}");
                     let t2 = idx.run(&pager, &sel, &cell, Exact::Selection, &f1).unwrap();
-                    let l2 = lookup.clone();
-                    let f2 = move |_: &dyn PageReader, id: u32| l2[&id].clone();
-                    // The forced-simplex ablation: same entry point, another case.
-                    let vertices = idx.points().unwrap().containing_simplex(&slope).unwrap();
-                    let simplex = PlanCase::SimplexCovering(vertices);
-                    let t1 = idx
-                        .run(&pager, &sel, &simplex, Exact::Selection, &f2)
-                        .unwrap();
                     assert_eq!(t2.ids(), want.as_slice(), "T2-d {kind:?} {op:?} {slope:?}");
-                    assert_eq!(
-                        t1.ids(),
-                        want.as_slice(),
-                        "simplex {kind:?} {op:?} {slope:?}"
-                    );
-                    // T2-d is duplicate-free; the simplex covering may not be.
                     assert_eq!(t2.stats.duplicates, 0);
                 }
             }

@@ -7,7 +7,7 @@
 //! of slope space their handicaps answer for (its
 //! [`SlopeGeometry`](super::SlopeGeometry)) and computes every tuple's
 //! keys; building, key and handicap
-//! maintenance, the three searches (`restricted`, `covering`, `guided`),
+//! maintenance, the two searches (`restricted`, `guided`),
 //! verification, accounting, teardown and the persisted form of the trees
 //! are written here once, up and down alike (over a [`Direction`]).
 

@@ -873,7 +873,7 @@ mod tests {
     /// Maintained by insert and delete, restored at reopen and by log
     /// replay; a snapshot keeps the columns it was published with. At
     /// every step the columns hold exactly the live tuples' keys, every
-    /// verdict agrees with the exact predicate, and T2, T1 and `Auto`
+    /// verdict agrees with the exact predicate, and T2 and `Auto`
     /// answer as the oracle — on the engine and on a pinned snapshot.
     #[test]
     fn columns_follow_churn_reopen_and_replay() {
@@ -924,7 +924,7 @@ mod tests {
                     let all = sel.kind == SelectionKind::All;
                     let hits = oracle_select(&sel.halfplane, all, live.iter().map(|(_, t)| *t));
                     let want: Vec<u32> = hits.into_iter().map(|i| live[i].0).collect();
-                    for strategy in [Strategy::T2, Strategy::T1, Strategy::Auto] {
+                    for strategy in [Strategy::T2, Strategy::Auto] {
                         assert_eq!(db(&sel, strategy), want, "{what}: {strategy:?} {sel:?}");
                     }
                 }

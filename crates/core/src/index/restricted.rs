@@ -40,7 +40,7 @@ impl Forest {
 /// `(sure, boundary)` ids — `sure` certainly satisfy the key test (their
 /// keys are past `b` by more than a rounding quantum), the boundary band is
 /// within one of `b`.
-pub(crate) fn sweep_candidates(
+fn sweep_candidates(
     tree: &BTree,
     pager: &dyn PageReader,
     b: f64,

@@ -8,13 +8,18 @@
 //!
 //! * **exact** — one tree search plus a leaf sweep — when the query slope is
 //!   in `S` ([`query::Strategy::Restricted`]);
-//! * **approximated by two app-queries** with slopes bracketing the query
-//!   slope, operators per Table 1, followed by an exact refinement step
-//!   ([`query::Strategy::T1`], Section 4.1) — duplicates possible;
 //! * **approximated by a single handicap-guided search** in the tree of the
 //!   nearest slope ([`query::Strategy::T2`], Sections 4.2–4.3) — an upward
 //!   and a downward sweep over *disjoint* leaf sets, so no duplicates, with
-//!   per-leaf handicap values bounding how far the second sweep must go.
+//!   per-leaf handicap values bounding how far the second sweep must go,
+//!   followed by an exact refinement step. Past the ends of `S` the
+//!   rotation wraps through the vertical, and the trees at the nearer end
+//!   answer in the frame `t = 1/a` (the paper's "similarly handled" case).
+//!
+//! The paper's other technique, T1 (Section 4.1: two app-queries at slopes
+//! of `S` bracketing the query slope, duplicates possible), is no access
+//! method here; the experiment harness composes it of restricted searches
+//! to compare T2 against.
 //!
 //! Both finite and infinite (unbounded) polyhedra are supported uniformly —
 //! unbounded tuples simply contribute `±∞` keys.
@@ -37,7 +42,7 @@
 //! out over scoped threads sharing the same snapshot, with exact per-query
 //! [`QueryStats`] via [`cdb_storage::TrackedReader`].
 //!
-//! Every query path — the three dual-index techniques, a sequential scan,
+//! Every query path — the two dual-index techniques, a sequential scan,
 //! and the Section 5 R⁺-tree baseline — is one variant of the
 //! [`plan::AccessMethod`] enum; [`plan::Planner`] runs the forced one or,
 //! in every dimension, the paper's rule — the restricted search at a

@@ -1,13 +1,14 @@
 //! Access methods and the planner.
 //!
 //! The paper offers a choice among access techniques — restricted
-//! (Section 3), T1 (Section 4.1), T2 (Sections 4.2–4.3) and the R⁺-tree
-//! baseline of Section 5 — and deploys its index by one rule: the
-//! restricted search at a slope of `S`, T2 everywhere else. This module
-//! makes that rule the planner:
+//! (Section 3), T2 (Sections 4.2–4.4) and the R⁺-tree baseline of Section
+//! 5; its T1 (Section 4.1) lives on as an ablation composed of restricted
+//! searches — and deploys its index by one rule: the restricted search at
+//! a slope of `S`, T2 everywhere else. This module makes that rule the
+//! planner:
 //!
 //! * [`AccessMethod`] — one borrowed, `Copy` enum over a relation's query
-//!   paths: a sequential scan, one of the three [`DualIndex`] techniques
+//!   paths: a sequential scan, one of the two [`DualIndex`] techniques
 //!   (over either geometry), or the R⁺-tree baseline
 //!   ([`cdb_rplustree::RPlusTree`]), handed out by
 //!   [`Relation::method`] with no allocation.
@@ -26,7 +27,6 @@
 
 use std::fmt;
 
-use cdb_geometry::constraint::RelOp;
 use cdb_storage::PageReader;
 
 use crate::error::CdbError;
@@ -39,8 +39,6 @@ use crate::relation::Relation;
 pub enum MethodKind {
     /// Section 3: exact single-tree search (query slope must be in `S`).
     Restricted,
-    /// Section 4.1: two app-queries, duplicates possible, then refinement.
-    T1,
     /// Sections 4.2–4.4: handicap-guided duplicate-free search.
     T2,
     /// Sequential scan of the heap with exact predicates.
@@ -51,7 +49,6 @@ pub enum MethodKind {
 
 cdb_storage::wire_enum!(MethodKind {
     0 => Restricted,
-    1 => T1,
     2 => T2,
     4 => SeqScan,
     5 => RPlus,
@@ -61,7 +58,6 @@ impl fmt::Display for MethodKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             MethodKind::Restricted => "Restricted",
-            MethodKind::T1 => "T1",
             MethodKind::T2 => "T2",
             MethodKind::SeqScan => "SeqScan",
             MethodKind::RPlus => "RPlus",
@@ -84,9 +80,6 @@ pub enum Rejection {
     /// The restricted technique asked a slope outside `S`: one slope in
     /// 2-D, a slope point in `E^{d-1}` (owned: unbounded dimension).
     SlopeNotInS(Vec<f64>),
-    /// T1 asked an index over slope points: Table 1's app-queries need a
-    /// slope set.
-    NoAppQueries,
     /// The query slope (owned: its dimension is unbounded) lies outside
     /// the bounding box of the d-dimensional slope points.
     OutsideBox(Vec<f64>),
@@ -114,9 +107,6 @@ impl fmt::Display for Rejection {
                 [a] => write!(f, "slope {a} is not in the predefined set S"),
                 point => write!(f, "slope point {point:?} is not in the predefined set S"),
             },
-            Rejection::NoAppQueries => {
-                f.write_str("Table 1's app-queries run over a slope set, not slope points")
-            }
             Rejection::OutsideBox(slope) => write!(
                 f,
                 "query slope {slope:?} lies outside the bounding box of the predefined set S"
@@ -135,12 +125,9 @@ pub struct TreeAt {
     pub slope: f64,
 }
 
-/// One app-query of Table 1: the trees it sweeps and its operator `θ`.
-pub type Leg = (TreeAt, RelOp);
-
 /// The route a method takes for one selection — decided once by
 /// [`AccessMethod::route`], then read by the executor and EXPLAIN alike. It names the search that runs and carries what execution
-/// needs (tree indices, sides, operators, cells, vertices) next to what
+/// needs (tree indices, sides, cells) next to what
 /// EXPLAIN prints, e.g. `member slope 1` or `between slopes -0.414 and
 /// 0.414: …`; which technique was asked for is [`QueryPlan::method`].
 /// Plain data on the executing path; text only when EXPLAIN renders it.
@@ -155,28 +142,24 @@ pub enum PlanCase {
         /// (owned: unbounded dimension).
         slope: Vec<f64>,
     },
-    /// Table 1's two app-queries: between two slopes of `S` both legs keep
-    /// `θ` (T1); wrapped through the vertical they are the clockwise and
-    /// anticlockwise neighbours, one leg with `¬θ` (rows 2 and 3) — where
-    /// T2 runs them too, as the paper details T2 for `a₁ < a < a₂` only.
-    AppQueries([Leg; 2]),
-    /// T2 between slopes `lo` and `hi`, sweeping the trees at `near`
-    /// guided by the handicaps of `side`.
+    /// T2 between slopes `lo` and `hi` of `S`, sweeping the trees at
+    /// `near` guided by the handicaps of `side`.
     Between {
-        /// Lower bracketing slope.
+        /// The bracketing slope the query's rotates away from: `lo < hi`,
+        /// or `lo` = max `S` and `hi` = min `S` where the rotation between
+        /// them wraps through the vertical.
         lo: f64,
-        /// Upper bracketing slope.
+        /// The bracketing slope the query's rotates toward.
         hi: f64,
-        /// The trees that are swept: those whose handicap strip
-        /// `[aᵢ, (aᵢ+aⱼ)/2]` contains the query slope.
+        /// The trees that are swept: those whose handicap strip contains
+        /// the query slope — `[aᵢ, (aᵢ+aⱼ)/2]`, or an end's piece of the
+        /// strip through the vertical.
         near: TreeAt,
         /// The side of `near` that strip lies on.
         side: Side,
     },
     /// d-dimensional T2 over the Voronoi cell of slope point `.0`.
     Cell(usize),
-    /// Simplex covering: one app-query per vertex (indices into `S`).
-    SimplexCovering(Vec<usize>),
     /// Sequential scan of `.0` tuples.
     FullScan(u64),
     /// R⁺-tree search plus `.0` unbounded tuples from the overflow list.
@@ -189,7 +172,6 @@ impl PlanCase {
     pub fn runs(&self) -> MethodKind {
         match self {
             PlanCase::Member { .. } => MethodKind::Restricted,
-            PlanCase::AppQueries(_) | PlanCase::SimplexCovering(_) => MethodKind::T1,
             PlanCase::Between { .. } | PlanCase::Cell(_) => MethodKind::T2,
             PlanCase::FullScan(_) => MethodKind::SeqScan,
             PlanCase::MbrSearch(_) => MethodKind::RPlus,
@@ -203,9 +185,6 @@ impl PlanCase {
     pub fn refinement(&self) -> &'static str {
         match self {
             PlanCase::Member { .. } => "exact by key; f32 boundary band verified [exact]",
-            PlanCase::AppQueries(_) | PlanCase::SimplexCovering(_) => {
-                "candidate superset; duplicates removed, then exact refinement [refined]"
-            }
             PlanCase::Between { .. } | PlanCase::Cell(_) => {
                 "duplicate-free candidate superset, then exact refinement [refined]"
             }
@@ -224,26 +203,16 @@ impl fmt::Display for PlanCase {
                 [a] => write!(f, "member slope {a}"),
                 point => write!(f, "member slope point {point:?}"),
             },
-            PlanCase::AppQueries([(a, th1), (b, th2)]) if th1 != th2 => write!(
-                f,
-                "wrapped: app-queries at slopes {} and {} (Table 1)",
-                a.slope, b.slope
-            ),
-            PlanCase::AppQueries([(a, _), (b, _)]) => {
-                write!(f, "two app-queries at slopes {} and {}", a.slope, b.slope)
-            }
             PlanCase::Between { lo, hi, near, .. } => write!(
                 f,
-                "between slopes {lo} and {hi}: handicap-guided sweeps on the tree at {}",
+                "between slopes {lo} and {hi}{}: handicap-guided sweeps on the tree at {}",
+                if lo > hi { " through the vertical" } else { "" },
                 near.slope
             ),
             PlanCase::Cell(i) => write!(
                 f,
                 "Voronoi cell of slope point {i}: d-dimensional T2 sweeps"
             ),
-            PlanCase::SimplexCovering(vertices) => {
-                write!(f, "simplex covering with {} app-queries", vertices.len())
-            }
             PlanCase::FullScan(n) => write!(f, "full scan of {n} tuples"),
             PlanCase::MbrSearch(unbounded) => write!(
                 f,
@@ -261,9 +230,9 @@ pub enum AccessMethod<'a> {
     /// A first-class sequential scan over a relation's heap: the no-index
     /// baseline and the correctness oracle, planned like any other method.
     SeqScan(&'a Relation),
-    /// One technique of the dual index — restricted (Section 3), T1
-    /// (Section 4.1) or T2 (Sections 4.2–4.4); at a member of `S` all three
-    /// run the restricted search.
+    /// One technique of the dual index — restricted (Section 3) or T2
+    /// (Sections 4.2–4.4); at a member of `S` both run the restricted
+    /// search.
     Dual(&'a DualIndex, MethodKind),
     /// The packed R⁺-tree baseline (Section 5): bounding boxes of the
     /// bounded tuples, whose candidate superset is refined exactly.
@@ -369,10 +338,9 @@ impl QueryPlan {
 
 /// What `Auto` tries, in order, in every dimension — the paper's rule
 /// (Sections 3, 4.2, 4.4): the restricted search at a member of `S`, T2
-/// at any other slope it routes (a wrapped 2-D one runs Table 1's
-/// app-queries, a d-dimensional one its nearest point's cell), and the
-/// scan wherever the dual index routes nothing. T1 and the R⁺-tree run
-/// only when forced.
+/// at any other slope it routes (every 2-D one, a d-dimensional one inside
+/// the box of `S`), and the scan wherever the dual index routes nothing.
+/// The R⁺-tree runs only when forced.
 const AUTO: [MethodKind; 3] = [MethodKind::Restricted, MethodKind::T2, MethodKind::SeqScan];
 
 /// Picks the [`AccessMethod`] for a selection: the `forced` one,
@@ -417,10 +385,10 @@ impl Planner {
         Err(match forced {
             Some(k) => {
                 // A method the relation does not offer: the restricted
-                // search and T2 serve any dimension over slope points; T1
-                // and the R⁺-tree serve 2-D queries only.
+                // search and T2 serve any dimension over slope points; the
+                // R⁺-tree serves 2-D queries only.
                 let absent = || {
-                    let planar = matches!(k, MethodKind::T1 | MethodKind::RPlus);
+                    let planar = k == MethodKind::RPlus;
                     Rejection::dimension(2, sel).err().filter(|_| planar)
                 };
                 match rejected.pop().map(|(_, why)| why).or_else(absent) {
@@ -483,18 +451,18 @@ mod tests {
     use crate::index::IndexKind;
     use crate::query::Strategy;
     use crate::slopes::SlopeSet;
-    use cdb_geometry::constraint::LinearConstraint;
+    use cdb_geometry::constraint::{LinearConstraint, RelOp};
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::tuple::GeneralizedTuple;
     use cdb_workload::{DatasetSpec, ObjectSize};
 
     /// `Auto` is the paper's rule, one row per shape: the restricted search
     /// at a member slope, T2 at an interior one and at one beyond max `S`
-    /// (where it runs Table 1's wrapped app-queries); over slope points in
+    /// (in the trees at max `S`, through the vertical); over slope points in
     /// 3-D the restricted search at a member point, T2's cell inside the
     /// box of `S` and the scan outside it — and the scan
     /// too when the dual index is marked corrupt, whatever R⁺-tree is built
-    /// beside it. T1 and the R⁺-tree run only when forced.
+    /// beside it. The R⁺-tree runs only when forced.
     #[test]
     fn auto_follows_the_paper_rule() {
         let plan = |db: &ConstraintDb, name: &str, sel: &Selection, strategy: Strategy| {
@@ -539,8 +507,19 @@ mod tests {
         assert!(!got.forced && got.explain().starts_with("method=T2 (auto)"));
         let got = plan(&db, "r", &exist(beyond), Strategy::Auto);
         assert_eq!(got.method, MethodKind::T2);
+        assert_eq!(
+            got.case,
+            PlanCase::Between {
+                lo: at(3).slope,
+                hi: at(0).slope,
+                near: at(3),
+                side: Side::Next,
+            }
+        );
         assert!(
-            matches!(got.case, PlanCase::AppQueries([(a, th1), (b, th2)]) if a == at(3) && b == at(0) && th1 != th2)
+            got.explain().contains("through the vertical"),
+            "{}",
+            got.explain()
         );
         let got = plan(&db, "r", &exist(interior), Strategy::RPlus);
         assert_eq!((got.method, got.forced), (MethodKind::RPlus, true));
@@ -616,28 +595,6 @@ mod tests {
             assert_eq!(got.method, MethodKind::Restricted);
             let case = format!("case: member slope point {member}\n");
             assert!(got.explain().contains(&case), "{}", got.explain());
-        }
-    }
-
-    /// One `AppQueries` case serves both rows of Table 1: legs that keep
-    /// `θ` are the between case, legs whose operators differ wrap through
-    /// the vertical — and EXPLAIN says which.
-    #[test]
-    fn app_queries_tell_wrapped_legs_from_between_legs() {
-        let at = |i, slope| TreeAt { i, slope };
-        let between = PlanCase::AppQueries([(at(1, -0.5), RelOp::Ge), (at(2, 0.5), RelOp::Ge)]);
-        let wrapped = PlanCase::AppQueries([(at(3, 2.0), RelOp::Le), (at(0, -2.0), RelOp::Ge)]);
-        assert_eq!(
-            between.to_string(),
-            "two app-queries at slopes -0.5 and 0.5"
-        );
-        assert_eq!(
-            wrapped.to_string(),
-            "wrapped: app-queries at slopes 2 and -2 (Table 1)"
-        );
-        for case in [between, wrapped] {
-            assert_eq!(case.runs(), MethodKind::T1);
-            assert!(case.refinement().contains("duplicates removed"), "{case}");
         }
     }
 }

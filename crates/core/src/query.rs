@@ -76,12 +76,9 @@ pub enum Strategy {
     /// Section 3: exact single-tree search; the query slope must belong to
     /// `S` (errors otherwise).
     Restricted,
-    /// Section 4.1: two app-queries with slopes in `S`; duplicates possible,
-    /// false hits removed by refinement.
-    T1,
-    /// Sections 4.2–4.3: single handicap-guided search, duplicate-free;
-    /// falls back to T1 in the wrapped-slope cases, which the paper leaves
-    /// to "similar handling".
+    /// Sections 4.2–4.4: single handicap-guided search, duplicate-free, at
+    /// any slope the index routes — a 2-D one wrapped through the vertical
+    /// included, the case the paper leaves to "similar handling".
     T2,
     /// Restricted when the slope is in `S`, otherwise T2 (the paper's
     /// intended deployment).
@@ -97,7 +94,6 @@ pub enum Strategy {
 cdb_storage::wire_enum!(Strategy {
     0 => Auto,
     1 => Restricted,
-    2 => T1,
     3 => T2,
     4 => Scan,
     5 => RPlus,
@@ -110,7 +106,6 @@ impl Strategy {
         match self {
             Strategy::Auto => None,
             Strategy::Restricted => Some(MethodKind::Restricted),
-            Strategy::T1 => Some(MethodKind::T1),
             Strategy::T2 => Some(MethodKind::T2),
             Strategy::Scan => Some(MethodKind::SeqScan),
             Strategy::RPlus => Some(MethodKind::RPlus),
@@ -144,8 +139,9 @@ pub struct QueryStats {
     /// Candidate tuples produced by the index phase (before refinement),
     /// duplicates included.
     pub candidates: u64,
-    /// Candidates that appeared more than once (T1's duplication problem;
-    /// always 0 for T2 and Restricted).
+    /// Candidates that appeared more than once: the R⁺-tree's clipping
+    /// puts a tuple in every leaf its box overlaps; the dual index's
+    /// searches never repeat one.
     pub duplicates: u64,
     /// Candidates the exact refinement step fetched and discarded.
     pub false_hits: u64,
@@ -281,7 +277,6 @@ mod tests {
     fn forced_names_each_method_once() {
         let hints = [
             Strategy::Restricted,
-            Strategy::T1,
             Strategy::T2,
             Strategy::Scan,
             Strategy::RPlus,
@@ -322,7 +317,7 @@ mod tests {
     fn order_ids_equals_sort_and_dedup() {
         let mut rng = cdb_prng::StdRng::seed_from_u64(0x1D5);
         for round in 0..64 {
-            // Dense: slot ids of a relation, some repeated (T1's two legs).
+            // Dense: slot ids of a relation, some repeated (clipped leaves).
             let n = rng.gen_range(1..3000usize);
             let dense: Vec<u32> = (0..n).map(|_| rng.gen_range(0..12_000u32)).collect();
             check_order(dense, &format!("dense round {round}"));

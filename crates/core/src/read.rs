@@ -82,7 +82,7 @@ impl<P: PageSource> ReadSurface<P> {
     }
 
     /// The read half of the page store (shareable across query threads).
-    pub(crate) fn reader(&self) -> &dyn PageReader {
+    pub fn reader(&self) -> &dyn PageReader {
         self.pager.reader()
     }
 
@@ -362,7 +362,7 @@ mod tests {
                     QueryKind::All => Selection::all(q.halfplane),
                 };
                 let strategy = match i % 3 {
-                    0 => Strategy::T1,
+                    0 => Strategy::Scan,
                     1 => Strategy::T2,
                     _ => Strategy::Auto,
                 };
@@ -417,8 +417,7 @@ mod tests {
             // The search forced T2 routes to, by the slope's bracket.
             let ran = match slopes.bracket(batch[i].0.halfplane.slope2d()) {
                 Bracket::Member(_) => MethodKind::Restricted,
-                Bracket::Between(..) => MethodKind::T2,
-                Bracket::Wrapped(..) => MethodKind::T1,
+                Bracket::Between(..) | Bracket::Wrapped(..) => MethodKind::T2,
             };
             assert_eq!(g.stats.method, Some(ran), "the search that ran");
         }

@@ -294,7 +294,7 @@ impl Relation {
     pub fn method(&self, kind: MethodKind) -> Option<AccessMethod<'_>> {
         let index = match kind {
             MethodKind::SeqScan => return Some(AccessMethod::SeqScan(self)),
-            MethodKind::Restricted | MethodKind::T1 | MethodKind::T2 => IndexKind::Dual,
+            MethodKind::Restricted | MethodKind::T2 => IndexKind::Dual,
             MethodKind::RPlus => IndexKind::RPlus,
         };
         Some(match self.usable(index)? {
@@ -713,9 +713,10 @@ mod tests {
     }
 
     /// Every case an access method can run, each through a [`Counting`]
-    /// source: forced Scan, Restricted (at a member slope), T1, T2, R⁺ and
-    /// Auto on a churned 2-D relation, for selections and line queries;
-    /// the scan, member-point, cell and simplex cases on a 3-D one.
+    /// source: forced Scan, Restricted (at a member slope), T2 (between
+    /// slopes of `S` and through the vertical), R⁺ and Auto on a churned
+    /// 2-D relation, for selections and line queries; the scan,
+    /// member-point and cell cases on a 3-D one.
     /// `(what, result, the ids the source was shown)`.
     fn every_refinement() -> Vec<(String, QueryResult, Vec<u32>)> {
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
@@ -747,17 +748,10 @@ mod tests {
                 asked.push((name, sel, exact, plan.method, plan.case));
             }
         };
-        use MethodKind::{RPlus, Restricted, SeqScan, T1, T2};
+        use MethodKind::{RPlus, Restricted, SeqScan, T2};
         for slope in [member, 0.3, -7.0] {
             for b in [-20.0, 4.0] {
-                for forced in [
-                    None,
-                    Some(SeqScan),
-                    Some(Restricted),
-                    Some(T1),
-                    Some(T2),
-                    Some(RPlus),
-                ] {
+                for forced in [None, Some(SeqScan), Some(Restricted), Some(T2), Some(RPlus)] {
                     for kind in [SelectionKind::Exist, SelectionKind::All] {
                         let line = Selection::line_superset(slope, b);
                         plan("plane", line, Exact::Line(kind), forced);
@@ -789,16 +783,6 @@ mod tests {
                 }
             }
         }
-        let idx = db.relation("space").unwrap().index().unwrap();
-        for sel in selections(3) {
-            let points = idx
-                .points()
-                .expect("the 3-D relation's index is over slope points");
-            let vertices = points.containing_simplex(&sel.halfplane.slope).unwrap();
-            let simplex = PlanCase::SimplexCovering(vertices);
-            asked.push(("space", sel, Exact::Selection, T1, simplex));
-        }
-
         let mut out = Vec::new();
         for (name, sel, exact, method, case) in asked {
             let rel = db.relation(name).unwrap();
@@ -868,13 +852,11 @@ mod tests {
         for case in [
             "full scan",
             "member slope ",
-            "app-queries at slopes",
-            "wrapped",
+            "through the vertical",
             "handicap-guided",
             "MBR",
             "member slope point",
             "Voronoi cell",
-            "simplex covering",
             "Line(All)",
             "Line(Exist)",
         ] {

@@ -146,17 +146,61 @@ impl SlopeSet {
         Bracket::Between(i, i + 1)
     }
 
-    /// The strip midpoint `(sᵢ + sⱼ)/2` toward the given side of slope `i`
-    /// (Section 4.2 Step 1), or `None` at the ends of the set.
-    pub fn mid(&self, i: usize, side: Side) -> Option<f64> {
+    /// The far end of the handicap strip on `side` of slope `i` (Section
+    /// 4.2 Step 1): the midpoint `(sᵢ + sⱼ)/2` toward a neighbour `sⱼ`; at
+    /// an end of `S`, the split of the strip wrapping from max `S` through
+    /// the vertical to min `S`, in `t = 1/a` where the end's piece holds
+    /// the vertical, else in `a`.
+    pub fn mid(&self, i: usize, side: Side) -> StripEnd {
+        let (k, s) = (self.slopes.len(), &self.slopes);
         match side {
-            Side::Prev if i > 0 => Some((self.slopes[i - 1] + self.slopes[i]) / 2.0),
-            Side::Next if i + 1 < self.slopes.len() => {
-                Some((self.slopes[i] + self.slopes[i + 1]) / 2.0)
+            Side::Prev if i > 0 => StripEnd::Slope((s[i - 1] + s[i]) / 2.0),
+            Side::Next if i + 1 < k => StripEnd::Slope((s[i] + s[i + 1]) / 2.0),
+            _ if (i == 0 && s[i] < 0.0) || (i + 1 == k && s[i] > 0.0) => {
+                StripEnd::Swapped(self.wrap_split())
             }
-            _ => None,
+            _ => StripEnd::Slope(1.0 / self.wrap_split()),
         }
     }
+
+    /// `t = 1/a` of the split of the wrap strip: where both ends hold the
+    /// vertical, midway between them in `t` — the vertical itself where
+    /// min S = −max S (to the tolerance of `position`); else the wrap holds
+    /// `a = 0` too, and splits midway in angle between the two, at ∓1.
+    fn wrap_split(&self) -> f64 {
+        let (lo, hi) = (self.slopes[0], self.slopes[self.slopes.len() - 1]);
+        match (lo < 0.0, hi > 0.0) {
+            (true, true) if (lo + hi).abs() <= 1e-9 * hi.max(-lo) => 0.0,
+            (true, true) => (1.0 / lo + 1.0 / hi) / 2.0,
+            (false, _) => -1.0,
+            (true, false) => 1.0,
+        }
+    }
+
+    /// For a slope `a` outside `[min S, max S]`, the end of `S` whose piece
+    /// of the wrap strip holds it, with the side that piece lies on: max
+    /// `S` and [`Side::Next`] up to the split, then min `S` and
+    /// [`Side::Prev`], turning anticlockwise from max `S`.
+    pub fn wrapped_end(&self, a: f64) -> (usize, Side) {
+        let k = self.slopes.len();
+        let turn = |a: f64| (a.atan() - self.slopes[k - 1].atan()).rem_euclid(std::f64::consts::PI);
+        if turn(a) <= turn(1.0 / self.wrap_split()) {
+            (k - 1, Side::Next)
+        } else {
+            (0, Side::Prev)
+        }
+    }
+}
+
+/// The far end of a handicap strip of one slope of `S`, where a tuple's
+/// reach over the strip is evaluated besides at the slope itself.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum StripEnd {
+    /// A slope `a`: the strip is an interval in `a`.
+    Slope(f64),
+    /// `t = 1/a` in the frame swapped through the vertical (`t = 0` is the
+    /// vertical): the strip is an interval in `t`.
+    Swapped(f64),
 }
 
 #[cfg(test)]
@@ -227,10 +271,48 @@ mod tests {
     #[test]
     fn mid_points() {
         let s = SlopeSet::new(vec![-1.0, 1.0, 3.0]);
-        assert_eq!(s.mid(1, Side::Prev), Some(0.0));
-        assert_eq!(s.mid(1, Side::Next), Some(2.0));
-        assert_eq!(s.mid(0, Side::Prev), None);
-        assert_eq!(s.mid(2, Side::Next), None);
+        assert_eq!(s.mid(1, Side::Prev), StripEnd::Slope(0.0));
+        assert_eq!(s.mid(1, Side::Next), StripEnd::Slope(2.0));
+        // The wrap splits midway in t = 1/a between -1 and 3.
+        let split = StripEnd::Swapped((1.0 / -1.0 + 1.0 / 3.0) / 2.0);
+        assert_eq!(s.mid(0, Side::Prev), split);
+        assert_eq!(s.mid(2, Side::Next), split);
+    }
+
+    /// The wrap strip's split: at the vertical where min S = −max S; in t
+    /// for any S around a = 0; at a = ∓1 when S lies on one side of it,
+    /// where the end facing a = 0 keeps its piece in a.
+    #[test]
+    fn wrap_splits_and_ends() {
+        let symmetric = SlopeSet::uniform_tan(4);
+        assert_eq!(symmetric.mid(0, Side::Prev), StripEnd::Swapped(0.0));
+        assert_eq!(symmetric.mid(3, Side::Next), StripEnd::Swapped(0.0));
+        for (a, end) in [(2.5, 3), (1e6, 3), (-1e6, 0), (-2.5, 0)] {
+            let side = if end == 3 { Side::Next } else { Side::Prev };
+            assert_eq!(symmetric.wrapped_end(a), (end, side), "a = {a}");
+        }
+        let positive = SlopeSet::new(vec![0.5, 2.0]);
+        assert_eq!(positive.mid(1, Side::Next), StripEnd::Swapped(-1.0));
+        assert_eq!(positive.mid(0, Side::Prev), StripEnd::Slope(-1.0));
+        for (a, end) in [
+            (2.5, 1),
+            (1e6, 1),
+            (-1e6, 1),
+            (-1.0, 1),
+            (-0.5, 0),
+            (0.0, 0),
+            (0.4, 0),
+        ] {
+            let side = if end == 1 { Side::Next } else { Side::Prev };
+            assert_eq!(positive.wrapped_end(a), (end, side), "a = {a}");
+        }
+        let negative = SlopeSet::new(vec![-3.0, 0.0]);
+        assert_eq!(negative.mid(0, Side::Prev), StripEnd::Swapped(1.0));
+        assert_eq!(negative.mid(1, Side::Next), StripEnd::Slope(1.0));
+        for (a, end) in [(0.5, 1), (1.0, 1), (1.5, 0), (1e6, 0), (-1e6, 0), (-4.0, 0)] {
+            let side = if end == 1 { Side::Next } else { Side::Prev };
+            assert_eq!(negative.wrapped_end(a), (end, side), "a = {a}");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! slope segment are attained at the segment endpoints, which is exactly
 //! what the T2 handicap computation needs.
 
+use crate::constraint::LinearConstraint;
 use crate::halfplane::HalfPlane;
 use crate::kernel2d;
 use crate::simplex::LpResult;
@@ -187,6 +188,37 @@ pub fn bot_lp(tuple: &GeneralizedTuple, slope: &[f64]) -> Option<DualValue> {
     surface_lp(tuple, Surface::Bot, slope)
 }
 
+/// `(BOT′(t), TOP′(t))` of a planar tuple: the minimum and maximum of
+/// `x − t·y` over its extension — its surfaces in the frame swapped
+/// through the vertical, `t = 1/a`, where `t = 0` is the vertical itself
+/// and gives the tuple's x-extent. `±∞` where the tuple is unbounded that
+/// way, `None` for an empty extension. Evaluated like [`top`]/[`bot`] on
+/// the tuple with its axes exchanged: the planar kernel, else the simplex.
+///
+/// ```
+/// use cdb_geometry::{dual, parse::parse_tuple};
+///
+/// let square = parse_tuple("x >= 1 && x <= 3 && y >= 1 && y <= 4").unwrap();
+/// assert_eq!(dual::swapped_bot_top(&square, 0.0), Some((1.0, 3.0)));
+/// let wedge = parse_tuple("y >= x && x >= 5").unwrap();
+/// assert_eq!(dual::swapped_bot_top(&wedge, 0.0), Some((5.0, f64::INFINITY)));
+/// ```
+///
+/// # Panics
+/// Panics when the tuple is not 2-D.
+pub fn swapped_bot_top(tuple: &GeneralizedTuple, t: f64) -> Option<(DualValue, DualValue)> {
+    assert_eq!(tuple.dim(), 2, "the swapped frame is planar");
+    let rows = tuple.le_rows_2d().map(|[a, b, r]| [b, a, r]);
+    kernel2d::bot_top(rows, t).or_else(|| {
+        let exchanged = tuple
+            .constraints()
+            .iter()
+            .map(|c| LinearConstraint::new(vec![c.coeffs[1], c.coeffs[0]], c.constant, c.op));
+        let exchanged = GeneralizedTuple::new(exchanged.collect());
+        Some((bot_lp(&exchanged, &[t])?, top_lp(&exchanged, &[t])?))
+    })
+}
+
 /// One surface as the linear program `max/min x_d − b·x'` over `P`.
 fn surface_lp(tuple: &GeneralizedTuple, which: Surface, slope: &[f64]) -> Option<DualValue> {
     check_slope(tuple.dim(), slope);
@@ -273,6 +305,55 @@ mod tests {
             LinearConstraint::new2d(0.0, 1.0, -1.0, RelOp::Ge), // y >= 1
             LinearConstraint::new2d(0.0, -1.0, 4.0, RelOp::Ge), // y <= 4
         ])
+    }
+
+    /// The swapped frame's surfaces are the extremes of `x − t·y`: on the
+    /// rectangle, at its vertices; unbounded in x, infinite; and the kernel
+    /// on the exchanged rows equals the simplex on the exchanged tuple,
+    /// including where the kernel leaves the answer to it (a strip, a
+    /// half-plane).
+    #[test]
+    fn swapped_surfaces_are_the_extremes_of_x_minus_t_y() {
+        let t = rect_1134();
+        assert_eq!(swapped_bot_top(&t, 0.0), Some((1.0, 3.0)));
+        // t = 1: x − y over the rectangle, −3 at (1, 4), 2 at (3, 1).
+        let (lo, hi) = swapped_bot_top(&t, 1.0).unwrap();
+        assert!((lo + 3.0).abs() < 1e-9 && (hi - 2.0).abs() < 1e-9);
+        let wedge = GeneralizedTuple::new(vec![
+            LinearConstraint::new2d(-1.0, 1.0, 0.0, RelOp::Ge), // y >= x
+            LinearConstraint::new2d(1.0, 0.0, -5.0, RelOp::Ge), // x >= 5
+        ]);
+        assert_eq!(swapped_bot_top(&wedge, 0.0), Some((5.0, f64::INFINITY)));
+        let strip = GeneralizedTuple::new(vec![
+            LinearConstraint::new2d(0.0, 1.0, -2.0, RelOp::Ge), // y >= 2
+            LinearConstraint::new2d(0.0, -1.0, 9.0, RelOp::Ge), // y <= 9
+        ]);
+        let half = GeneralizedTuple::new(vec![LinearConstraint::new2d(0.5, -1.0, 3.0, RelOp::Le)]);
+        for tuple in [t, wedge, strip, half] {
+            let exchanged = GeneralizedTuple::new(
+                tuple
+                    .constraints()
+                    .iter()
+                    .map(|c| LinearConstraint::new2d(c.coeffs[1], c.coeffs[0], c.constant, c.op))
+                    .collect(),
+            );
+            for slope in [-3.0, -0.5, 0.0, 0.25, 2.0] {
+                let lp = (bot_lp(&exchanged, &[slope]), top_lp(&exchanged, &[slope]));
+                let (lo, hi) = swapped_bot_top(&tuple, slope).unwrap();
+                let near = |a: f64, b: Option<f64>| {
+                    let b = b.unwrap();
+                    a == b || (a - b).abs() <= 1e-7 * (1.0 + b.abs())
+                };
+                assert!(near(lo, lp.0) && near(hi, lp.1), "{tuple} at t = {slope}");
+            }
+        }
+        // x ≤ 3·y and y ≤ 0 meet the strip x ≥ 1 nowhere: empty.
+        let empty = GeneralizedTuple::new(vec![
+            LinearConstraint::new2d(1.0, 0.0, -1.0, RelOp::Ge),
+            LinearConstraint::new2d(1.0, -3.0, 0.0, RelOp::Le),
+            LinearConstraint::new2d(0.0, 1.0, 0.0, RelOp::Le),
+        ]);
+        assert_eq!(swapped_bot_top(&empty, 0.5), None);
     }
 
     #[test]

@@ -68,8 +68,9 @@ pub const MAGIC: [u8; 4] = *b"CDBN";
 /// planner's cost estimate from `QueryStats` and added its count of
 /// candidates rejected by key; version 11 retired `MethodKind` tag 3 (the
 /// d-dimensional index is the dual index over slope points, and its
-/// queries name the restricted search or T2).
-pub const PROTOCOL_VERSION: u16 = 11;
+/// queries name the restricted search or T2); version 12 retired T1:
+/// `Strategy` tag 2 and `MethodKind` tag 1.
+pub const PROTOCOL_VERSION: u16 = 12;
 
 /// Handshake verdict carried by the server's greeting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -5,8 +5,8 @@
 //!   touch?" — an EXIST selection.
 //! * "Which parcels lie entirely inland of it?" — an ALL selection.
 //!
-//! The example compares the three strategies of the paper (restricted when
-//! the slope is predefined, T1, T2) plus a sequential scan, printing their
+//! The example compares the index's strategies (restricted when the slope
+//! is predefined, T2 otherwise) with a sequential scan, printing their
 //! page-access costs side by side.
 //!
 //! ```text
@@ -45,7 +45,7 @@ fn main() {
     ] {
         println!("\n  {label}");
         let baseline = db.query_with("parcels", sel.clone(), S::Scan).unwrap();
-        for strat in [S::T1, S::T2, S::Scan] {
+        for strat in [S::T2, S::Auto, S::Scan] {
             let r = db.query_with("parcels", sel.clone(), strat).unwrap();
             assert_eq!(r.ids(), baseline.ids(), "all strategies agree");
             println!(

@@ -14,10 +14,12 @@
 //! The paper maps each polyhedron to its dual `TOP`/`BOT` intercept surfaces
 //! and indexes their values at a predefined set `S` of slopes with pairs of
 //! B⁺-trees, yielding an exact `O(log_B n + t)` index for slopes in `S`
-//! (Section 3), and two approximation techniques — **T1** (two app-queries,
-//! Section 4.1) and **T2** (single handicap-guided search, Sections 4.2–4.3)
-//! — for arbitrary slopes, both uniform over ALL/EXIST and over finite and
-//! infinite objects.
+//! (Section 3), and two approximation techniques for arbitrary slopes —
+//! **T1** (two app-queries, Section 4.1) and **T2** (single handicap-guided
+//! search, Sections 4.2–4.3) — both uniform over ALL/EXIST and over finite
+//! and infinite objects. The index runs T2 at every slope outside `S`, the
+//! slopes past its ends through the vertical included; T1 is an ablation of
+//! the experiment harness (`cdb-bench`), composed of restricted searches.
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
@@ -27,7 +29,7 @@
 //! * [`btree`] — a disk-based B⁺-tree with per-leaf handicap slots;
 //! * [`rplustree`] — the R⁺-tree baseline used in the paper's evaluation;
 //! * [`index`] — the paper's contribution: [`index::DualIndex`] with the
-//!   restricted, T1 and T2 query strategies over a slope set or, in `E^d`,
+//!   restricted and T2 query strategies over a slope set or, in `E^d`,
 //!   slope points, and the planner ([`index::plan`]) that unifies every query
 //!   path (dual techniques, sequential scan, R⁺-tree baseline) as the
 //!   variants of one `AccessMethod` enum and runs the paper's rule over

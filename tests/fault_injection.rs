@@ -31,9 +31,8 @@ fn tmp(name: &str) -> std::path::PathBuf {
 }
 
 /// Every strategy a dual- and R⁺-indexed 2-D relation supports.
-const STRATEGIES: [Strategy; 5] = [
+const STRATEGIES: [Strategy; 4] = [
     Strategy::Scan,
-    Strategy::T1,
     Strategy::T2,
     Strategy::RPlus,
     Strategy::Auto,
@@ -253,7 +252,7 @@ fn maintenance_failing_at_any_op_leaves_no_index_out_of_step_with_the_heap() {
         let rel = db.relation("r").unwrap();
         let mut serving = vec![Strategy::Auto];
         if rel.built(IndexKind::Dual).is_some() {
-            serving.extend([Strategy::Restricted, Strategy::T1, Strategy::T2]);
+            serving.extend([Strategy::Restricted, Strategy::T2]);
         }
         if rel.built(IndexKind::RPlus).is_some() {
             serving.push(Strategy::RPlus);
@@ -470,7 +469,7 @@ fn corrupt_index_degrades_and_rebuild_indexes_repairs_from_the_heap() {
     db.build_dual_index("r", SlopeSet::uniform_tan(4)).unwrap();
     let sel = Selection::exist(HalfPlane::above(0.37, -2.0));
     let oracle = db
-        .query_with("r", sel.clone(), Strategy::T1)
+        .query_with("r", sel.clone(), Strategy::T2)
         .unwrap()
         .ids()
         .to_vec();
@@ -497,7 +496,7 @@ fn corrupt_index_degrades_and_rebuild_indexes_repairs_from_the_heap() {
         other => panic!("expected Degraded, got {other:?}"),
     }
     // Forcing the corrupt structure is refused; planning routes around it.
-    assert!(db.query_with("r", sel.clone(), Strategy::T1).is_err());
+    assert!(db.query_with("r", sel.clone(), Strategy::T2).is_err());
     assert_eq!(
         db.query_with("r", sel.clone(), Strategy::Auto)
             .unwrap()
@@ -513,7 +512,7 @@ fn corrupt_index_degrades_and_rebuild_indexes_repairs_from_the_heap() {
         RelationHealth::Healthy
     ));
     assert_eq!(
-        db.query_with("r", sel.clone(), Strategy::T1).unwrap().ids(),
+        db.query_with("r", sel.clone(), Strategy::T2).unwrap().ids(),
         &oracle[..]
     );
     db.close().unwrap();
@@ -522,7 +521,7 @@ fn corrupt_index_degrades_and_rebuild_indexes_repairs_from_the_heap() {
     let db = ConstraintDb::open(&path).unwrap();
     assert!(db.recovery_report().is_clean());
     assert_eq!(
-        db.query_with("r", sel, Strategy::T1).unwrap().ids(),
+        db.query_with("r", sel, Strategy::T2).unwrap().ids(),
         &oracle[..]
     );
     let _ = std::fs::remove_file(&path);

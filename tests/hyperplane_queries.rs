@@ -1,7 +1,7 @@
 //! Randomized coverage for the paper's footnote 2: *equality* (line)
 //! queries `y = a·x + c`, served by [`DualIndex::execute_hyperplane`] as an
 //! exact EXIST half-plane superset plus one refinement pass. Every
-//! strategy — restricted (member slopes), T1 and T2 — must agree with the
+//! strategy — restricted (member slopes) and T2 — must agree with the
 //! brute-force oracle on mixed bounded/unbounded relations.
 
 use std::collections::HashMap;
@@ -48,9 +48,9 @@ fn random_lines_agree_with_oracle_across_strategies() {
         let mut rng = cdb_prng::StdRng::seed_from_u64(seed * 1001);
         let mut g = TupleGen::new(seed * 13, Rect::paper_window(), ObjectSize::Small);
         for qi in 0..24 {
-            // Half the lines use foreign slopes (T1/T2 approximation
-            // paths), half a member slope (restricted search is exact and
-            // must agree too).
+            // Half the lines use foreign slopes (T2's approximation path),
+            // half a member slope (restricted search is exact and must
+            // agree too).
             let member = qi % 2 == 0;
             let a = if member {
                 slopes.get(qi % slopes.len())
@@ -61,9 +61,9 @@ fn random_lines_agree_with_oracle_across_strategies() {
             for kind in [SelectionKind::Exist, SelectionKind::All] {
                 let want = oracle(&pairs, a, c, kind);
                 let strategies: &[Strategy] = if member {
-                    &[Strategy::Restricted, Strategy::T1, Strategy::T2]
+                    &[Strategy::Restricted, Strategy::T2]
                 } else {
-                    &[Strategy::T1, Strategy::T2]
+                    &[Strategy::T2]
                 };
                 for &st in strategies {
                     let got = idx
@@ -171,8 +171,8 @@ impl TupleSource for HeapReplica {
 /// Line queries are planned like selections, and what one search reads
 /// for one line does not depend on how the two threads interleave. The
 /// reference is total — every line under every search the relation can
-/// route it to (T1's app-queries, T2's sweep, the scan), computed off to
-/// the side: the two techniques on a stand-alone [`DualIndex`] over a
+/// route it to (T2's sweep, the scan), computed off to the side: the
+/// technique on a stand-alone [`DualIndex`] over a
 /// replica of the heap, the scan on an index-less twin relation.
 #[test]
 fn concurrent_line_queries_report_their_own_heap_io() {
@@ -212,10 +212,6 @@ fn concurrent_line_queries_report_their_own_heap_io() {
             let scan = db.exist_line("twin", a, c).unwrap();
             assert_eq!(scan.stats.method, Some(MethodKind::SeqScan));
             HashMap::from([
-                (
-                    MethodKind::T1,
-                    counts(MethodKind::T1, &technique(Strategy::T1)),
-                ),
                 (
                     MethodKind::T2,
                     counts(MethodKind::T2, &technique(Strategy::T2)),

@@ -19,7 +19,7 @@ fn build_db(tuples: &[GeneralizedTuple], k: usize) -> ConstraintDb {
 fn check_all_strategies(db: &mut ConstraintDb, q: HalfPlane, context: &str) {
     for sel in [Selection::exist(q.clone()), Selection::all(q.clone())] {
         let want = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
-        for strat in [Strategy::T1, Strategy::T2, Strategy::Auto] {
+        for strat in [Strategy::T2, Strategy::Auto] {
             let got = db.query_with("r", sel.clone(), strat).unwrap();
             assert_eq!(
                 got.ids(),
@@ -57,7 +57,7 @@ fn mixed_bounded_unbounded_relations() {
             (-1.7, 5.0),
             (2.9, 0.0),
             (-0.05, 44.0),
-            (7.5, -3.0),  // wrapped slope (T1 fallback)
+            (7.5, -3.0),  // wrapped slope: T2 through the vertical
             (-9.0, 12.0), // wrapped slope
         ] {
             check_all_strategies(&mut db, HalfPlane::above(a, b), &format!("seed={seed}"));

@@ -52,7 +52,6 @@ fn assert_same_run(planned: &QueryResult, direct: &QueryResult, what: &str) {
 fn hint_forcing(method: MethodKind) -> Strategy {
     [
         Strategy::Restricted,
-        Strategy::T1,
         Strategy::T2,
         Strategy::Scan,
         Strategy::RPlus,
@@ -64,7 +63,7 @@ fn hint_forcing(method: MethodKind) -> Strategy {
 
 /// The paper's bracket rule, the reference the planner is compared
 /// against: exact restricted search for member slopes, technique T2 for
-/// everything else (T2 itself falls back to T1 on wrapped slopes).
+/// everything else, wrapped slopes included.
 fn bracket_rule(db: &ConstraintDb, slope: f64) -> Strategy {
     let slopes = db.relation("r").unwrap().index().unwrap().slopes().unwrap();
     match slopes.bracket(slope) {
@@ -189,13 +188,7 @@ fn explain_covers_every_selection_shape_2d() {
                         continue;
                     }
 
-                    let theta = hp.op;
-                    for forced in [
-                        Strategy::Restricted,
-                        Strategy::T1,
-                        Strategy::T2,
-                        Strategy::Auto,
-                    ] {
+                    for forced in [Strategy::Restricted, Strategy::T2, Strategy::Auto] {
                         let what = format!("{forced:?} {sel:?}");
                         let report = match db.explain_with("r", sel.clone(), forced) {
                             Ok(report) => report,
@@ -213,10 +206,8 @@ fn explain_covers_every_selection_shape_2d() {
                         };
                         let technique = forced.forced().unwrap_or(rule);
                         assert_eq!(plan.method, technique, "{what}");
-                        let wrapped_legs = [(at(3), theta), (at(0), theta.negated())];
-                        // Every technique runs the restricted search at a
-                        // member slope, and T2 runs T1's app-queries at a
-                        // wrapped one: the case names the search, the
+                        // Both techniques run the restricted search at a
+                        // member slope: the case names the search, the
                         // plan's method the technique asked for.
                         let want = match (technique, slopes.bracket(slope)) {
                             (MethodKind::Restricted, _) | (_, Bracket::Member(_)) => {
@@ -225,10 +216,6 @@ fn explain_covers_every_selection_shape_2d() {
                                     slope: vec![member],
                                 }
                             }
-                            (MethodKind::T1, Bracket::Between(..)) => {
-                                PlanCase::AppQueries([(at(1), theta), (at(2), theta)])
-                            }
-                            (MethodKind::T1, _) => PlanCase::AppQueries(wrapped_legs),
                             // `near` is the slope whose handicap strip
                             // [a₁, (a₁+a₂)/2] contains the query slope.
                             (MethodKind::T2, Bracket::Between(..)) => PlanCase::Between {
@@ -237,10 +224,14 @@ fn explain_covers_every_selection_shape_2d() {
                                 near: at(1),
                                 side: Side::Next,
                             },
-                            (MethodKind::T2, _) => {
-                                assert_eq!(result.stats.method, Some(MethodKind::T1), "{what}");
-                                PlanCase::AppQueries(wrapped_legs)
-                            }
+                            // Beyond max S: its trees, over their piece of
+                            // the strip through the vertical.
+                            (MethodKind::T2, _) => PlanCase::Between {
+                                lo: slopes.get(3),
+                                hi: slopes.get(0),
+                                near: at(3),
+                                side: Side::Next,
+                            },
                             (other, _) => panic!("{what}: the planner chose {other}"),
                         };
                         assert_eq!(plan.case, want, "{what}");
@@ -376,8 +367,8 @@ fn explain_covers_d_dimensional_selections() {
 /// member point runs the member's trees (`Member`), and T2 its nearest
 /// point's cell at an in-box slope (`Cell`) — the member's trees at a
 /// member — each answering as the predicate oracle. Off the points the
-/// restricted search is refused, and T1, Table 1's app-queries over a
-/// slope set, keeps its refusal for the dimension.
+/// restricted search is refused, and the R⁺-tree, a 2-D structure, for
+/// the dimension.
 #[test]
 fn forced_restricted_and_t2_route_over_slope_points() {
     let tuples = boxes_3d(150);
@@ -423,16 +414,16 @@ fn forced_restricted_and_t2_route_over_slope_points() {
         refused(Strategy::Restricted),
         Some(CdbError::UnsupportedQuery(why.into()))
     );
-    let why = "forced method T1: serves 2-D queries only, the query is 3-D";
+    let why = "forced method RPlus: serves 2-D queries only, the query is 3-D";
     assert_eq!(
-        refused(Strategy::T1),
+        refused(Strategy::RPlus),
         Some(CdbError::UnsupportedQuery(why.into()))
     );
 }
 
 /// `QueryStats::method` names the search that ran, not the label that
-/// won: at a member slope Auto and forced T1 and T2 all run the restricted
-/// search, and T2 at a wrapped slope runs T1's app-queries.
+/// won: at a member slope Auto and forced T2 both run the restricted
+/// search, and T2 at a wrapped slope runs its own sweeps.
 #[test]
 fn stats_name_the_search_that_ran() {
     let tuples = DatasetSpec::paper_1999(2000, ObjectSize::Small, 43).generate();
@@ -443,18 +434,17 @@ fn stats_name_the_search_that_ran() {
         let r = db.query("r", Selection::exist(hp)).unwrap();
         assert_eq!(r.stats.method, Some(MethodKind::Restricted), "query {i}");
     }
-    // Forced T1/T2 at a member slope still answer — by that same search.
+    // Forced T2 at a member slope still answers — by that same search.
     let sel = Selection::exist(HalfPlane::above(slopes.get(2), 5.0));
     let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
-    for forced in [Strategy::T1, Strategy::T2] {
-        let r = db.query_with("r", sel.clone(), forced).unwrap();
-        assert_eq!(r.ids(), scan.ids(), "{forced:?}");
-        assert_eq!(r.stats.method, Some(MethodKind::Restricted), "{forced:?}");
-    }
-    // Likewise T2's wrapped fallback is T1's search, and reported as such.
+    let r = db.query_with("r", sel, Strategy::T2).unwrap();
+    assert_eq!(r.ids(), scan.ids());
+    assert_eq!(r.stats.method, Some(MethodKind::Restricted));
+    // A wrapped slope runs T2's own sweeps, and is reported as such.
     let wrapped = Selection::exist(HalfPlane::above(slopes.get(3) + 1.0, 5.0));
     let r = db.query_with("r", wrapped, Strategy::T2).unwrap();
-    assert_eq!(r.stats.method, Some(MethodKind::T1));
+    assert_eq!(r.stats.method, Some(MethodKind::T2));
+    assert_eq!(r.stats.duplicates, 0);
 }
 
 /// A plan is a function of the relation and the selection: the same on a
@@ -552,15 +542,15 @@ fn planned_batches_match_standalone_queries() {
     }
 }
 
-/// `QueryStats` of the duplicate-prone paths — T1's two legs, the
-/// d-dimensional simplex covering, the R⁺-tree's candidate list — summed
-/// over seeded beds as `[candidates, duplicates, false hits, rejected by
-/// key, pages, rows]`. The totals were recorded at the parent of the
-/// change that replaced each path's `sort_unstable` + `dedup` with
-/// `query::order_ids`; ordering ids another way must not move one of them.
-/// Until the key columns' rejections got their own counter, they were
-/// false hits: each pin's old five-column form is the third and fourth
-/// entries summed.
+/// `QueryStats` of the candidate paths — T2 between slopes of `S` and
+/// through the vertical, the R⁺-tree's duplicate-prone candidate list, the
+/// cells of a bare simplex — summed over seeded beds as `[candidates,
+/// duplicates, false hits, rejected by key, pages, rows]`. The R⁺-tree's
+/// totals were recorded at the parent of the change that replaced its
+/// `sort_unstable` + `dedup` with `query::order_ids`; ordering ids another
+/// way must not move one of them. Until the key columns' rejections got
+/// their own counter, they were false hits: each pin's old five-column
+/// form is the third and fourth entries summed.
 #[test]
 fn duplicate_and_candidate_accounting_is_pinned() {
     fn fold(acc: &mut [u64; 6], r: &constraint_db::index::QueryResult) {
@@ -586,7 +576,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     let mut db = build_db(&tuples, Some(3));
     db.build_rplus_index("r", 1.0).unwrap();
     let mut qg = QueryGen::new(0xF1E1D);
-    let (mut t1, mut rplus) = ([0u64; 6], [0u64; 6]);
+    let (mut t2, mut rplus) = ([0u64; 6], [0u64; 6]);
     for i in 0..40 {
         let kind = if i % 2 == 0 {
             cdb_workload::QueryKind::Exist
@@ -599,8 +589,8 @@ fn duplicate_and_candidate_accounting_is_pinned() {
             cdb_workload::QueryKind::All => Selection::all(q.halfplane.clone()),
         };
         fold(
-            &mut t1,
-            &db.query_with("r", sel.clone(), Strategy::T1).unwrap(),
+            &mut t2,
+            &db.query_with("r", sel.clone(), Strategy::T2).unwrap(),
         );
         fold(
             &mut rplus,
@@ -614,9 +604,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
         db3.insert("boxes", t).unwrap();
     }
     // A bare simplex, not a grid: the planner's `Auto` runs T2 over the
-    // nearest vertex's cell; the covering the route used to take is run
-    // stand-alone, as an ablation builds it, and so is the routed cell on
-    // every selection, beside it.
+    // nearest vertex's cell, and so does a stand-alone index beside it.
     let simplex = vec![vec![-1.0, -1.0], vec![1.0, -1.0], vec![0.0, 1.0]];
     let bare = SlopePoints::new(3, simplex);
     db3.build_dual_index("boxes", bare.clone()).unwrap();
@@ -625,8 +613,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
     let mut pager = MemPager::paper_1999();
     let covered = DualIndex::build(&mut pager, bare, &pairs).unwrap();
-    let covering = PlanCase::SimplexCovering(vec![0, 1, 2]);
-    let (mut auto, mut simplex, mut cells) = ([0u64; 6], [0u64; 6], [0u64; 6]);
+    let (mut auto, mut cells) = ([0u64; 6], [0u64; 6]);
     for (i, slope) in [[0.0, 0.0], [0.3, -0.4], [-0.2, 0.1], [0.1, 0.5]]
         .into_iter()
         .enumerate()
@@ -634,8 +621,6 @@ fn duplicate_and_candidate_accounting_is_pinned() {
         for op in [RelOp::Ge, RelOp::Le] {
             let hp = HalfPlane::new(slope.to_vec(), 5.0 * i as f64 - 10.0, op);
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
-                let r = covered.run(&pager, &sel, &covering, Exact::Selection, &fetch);
-                fold(&mut simplex, &r.unwrap());
                 let cell = covered.route(MethodKind::T2, &sel).unwrap();
                 assert!(matches!(cell, PlanCase::Cell(_)), "{cell}");
                 let r = covered.run(&pager, &sel, &cell, Exact::Selection, &fetch);
@@ -646,21 +631,14 @@ fn duplicate_and_candidate_accounting_is_pinned() {
             }
         }
     }
-    // Pages were 3320 before the key columns decided most of T1's
-    // candidates unfetched; every other count stayed. Was
-    // [13154, 1206, 9548, 1231, 2400]: 8928 of the 9548 false hits were
-    // the keys' rejections.
-    assert_eq!(t1, [13154, 1206, 620, 8928, 1231, 2400], "T1");
+    // T1's two legs stood here, [13154, 1206, 620, 8928, 1231, 2400],
+    // until T2 ran every slope outside S; T2 was [18098, 288, 656, 14754,
+    // 1306, 2400] while it ran those legs through the vertical.
+    assert_eq!(t2, [17752, 0, 659, 14693, 1311, 2400], "T2");
     assert_eq!(rplus, [6514, 615, 3499, 0, 2949, 2400], "R⁺-tree");
-    // Recorded at the parent of the change that routed every point set
-    // to its cells, where `Auto` ran the covering: [529, 248, 102, 100, 179].
-    assert_eq!(
-        simplex,
-        [3762, 1614, 948, 0, 168, 1200],
-        "bare simplex covering"
-    );
-    // The routed cell on the same selections: a third fewer candidates and
-    // pages than the covering, no duplicates, more false hits.
+    // The routed cell on these selections: a third fewer candidates and
+    // pages than the simplex covering, [3762, 1614, 948, 0, 168, 1200],
+    // which the ablations compose; no duplicates, more false hits.
     assert_eq!(cells, [2399, 0, 1199, 0, 112, 1200], "bare simplex cells");
     // Was [300, 0, 131, 90, 169], summed over the selections a cost model
     // sent to the cell (it sent the rest to the scan): `Auto` runs the cell

@@ -5,12 +5,16 @@
 //! * tuple serialization round-trips;
 //! * indexed queries equal the oracle on arbitrary generated relations;
 //! * T2 emits no duplicate candidates;
+//! * T2 at slopes past the ends of `S` equals the oracle through churn and
+//!   reopen;
 //! * concurrent batch execution equals sequential execution query-for-query.
 
 use cdb_prng::StdRng;
 
 use constraint_db::geometry::constraint::{LinearConstraint, RelOp};
+use constraint_db::geometry::parse::parse_tuple;
 use constraint_db::geometry::polygon::Polygon;
+use constraint_db::geometry::predicates::oracle_select;
 use constraint_db::geometry::predicates::{all, exist};
 use constraint_db::geometry::tuple::GeneralizedTuple;
 use constraint_db::geometry::{dual, HalfPlane};
@@ -208,7 +212,7 @@ fn indexed_queries_match_oracle() {
             let want = db
                 .query_with("r", sel.clone(), QueryStrategy::Scan)
                 .unwrap();
-            for strat in [QueryStrategy::T1, QueryStrategy::T2] {
+            for strat in [QueryStrategy::T2, QueryStrategy::Auto] {
                 let got = db.query_with("r", sel.clone(), strat).unwrap();
                 assert_eq!(
                     got.ids(),
@@ -245,16 +249,105 @@ fn t2_produces_no_duplicate_candidates() {
             Selection::all(HalfPlane::below(a, b)),
         ] {
             let got = db.query_with("r", sel, QueryStrategy::T2).unwrap();
-            // In the main (non-wrapped) slope case T2 must be duplicate-free.
-            let slopes = {
-                let rel = db.relation("r").unwrap();
-                rel.index().unwrap().slopes().unwrap().as_slice().to_vec()
-            };
-            if a > slopes[0] && a < slopes[slopes.len() - 1] {
-                assert_eq!(got.stats.duplicates, 0, "case {case} a={a} b={b}");
+            // Between slopes of S and through the vertical alike.
+            assert_eq!(got.stats.duplicates, 0, "case {case} a={a} b={b}");
+        }
+    }
+}
+
+/// Every 2-D slope outside `S` runs T2 in the trees at an end of `S`,
+/// over its piece of the strip through the vertical: the symmetric
+/// `uniform_tan(4)` (split at the vertical), the lopsided `uniform_tan(3)`
+/// (min S ≈ −10, split in t = 1/a) and {0.5, 2} (the wrap holds the
+/// vertical and a = 0; split at a = −1), at slopes just past max S and
+/// min S, at ±1e6, on both sides of each split and at a = 0. Tuples
+/// include ones unbounded in x; 512-byte pages spread each tree over a
+/// dozen leaves, so the guided sweeps rely on the handicaps of the strip
+/// through the vertical. After the build, after 100 inserts and
+/// deletes (handicaps folded, never re-tightened) and after reopen, every
+/// answer is the oracle's, with no duplicate candidate.
+#[test]
+fn wrapped_slopes_match_oracle_through_churn_and_reopen() {
+    let path = std::env::temp_dir().join(format!("cdb_pb_wrapped_{}.db", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let sets = [
+        ("tan4", SlopeSet::uniform_tan(4)),
+        ("tan3", SlopeSet::uniform_tan(3)),
+        ("pos", SlopeSet::new(vec![0.5, 2.0])),
+    ];
+    let mut g = TupleGen::new(0x3A9, Rect::paper_window(), ObjectSize::Medium);
+    let mut tuples: Vec<GeneralizedTuple> = (0..500).map(|_| g.bounded_tuple()).collect();
+    tuples.extend((0..100).map(|_| g.unbounded_tuple()));
+    for text in [
+        "y >= 2 && y <= 9",
+        "x >= 5 && y >= x",
+        "x <= -20 && y <= 0",
+        "x >= 1 && x <= 3 && y >= x - 40",
+        "y >= 0.5x + 3",
+    ] {
+        tuples.push(parse_tuple(text).unwrap());
+    }
+    let mut db = ConstraintDb::create(&path, DbConfig { page_size: 512 }).unwrap();
+    let mut live: Vec<Vec<(u32, GeneralizedTuple)>> = Vec::new();
+    for (name, slopes) in &sets {
+        db.create_relation(name, 2).unwrap();
+        let ids = tuples.iter().map(|t| db.insert(name, t.clone()).unwrap());
+        live.push(ids.zip(tuples.iter().cloned()).collect());
+        db.build_dual_index(name, slopes.clone()).unwrap();
+    }
+    let check = |db: &ConstraintDb, live: &[Vec<(u32, GeneralizedTuple)>], when: &str| {
+        for ((name, slopes), live) in sets.iter().zip(live) {
+            let (lo, hi) = (slopes.get(0), slopes.get(slopes.len() - 1));
+            let past = |s: f64, way: f64| s + way * 1e-6 * s.abs().max(1.0);
+            let mut wrapped = vec![past(hi, 1.0), past(lo, -1.0), 1e6, -1e6, 3.0, -3.0, 25.0];
+            if lo > 0.0 {
+                wrapped.extend([0.0, -0.5, -1.0, -2.0]);
+            }
+            for a in wrapped {
+                for b in [-30.0, 0.0, 17.0] {
+                    for op in [RelOp::Ge, RelOp::Le] {
+                        let hp = HalfPlane::new2d(a, b, op);
+                        for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
+                            let what = format!("{when} {name}: {sel:?}");
+                            let all = sel.kind == constraint_db::prelude::SelectionKind::All;
+                            let hits = oracle_select(&hp, all, live.iter().map(|(_, t)| t));
+                            let mut want: Vec<u32> = hits.into_iter().map(|i| live[i].0).collect();
+                            want.sort_unstable();
+                            for strategy in [QueryStrategy::T2, QueryStrategy::Auto] {
+                                let got = db.query_with(name, sel.clone(), strategy).unwrap();
+                                assert_eq!(got.ids(), want, "{what} {strategy:?}");
+                                assert_eq!(got.stats.duplicates, 0, "{what} {strategy:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    };
+    check(&db, &live, "built");
+    let mut rng = StdRng::seed_from_u64(0x3AA);
+    for ((name, _), live) in sets.iter().zip(live.iter_mut()) {
+        for i in 0..100 {
+            if i % 2 == 0 {
+                let t = if i % 4 == 0 {
+                    g.unbounded_tuple()
+                } else {
+                    g.bounded_tuple()
+                };
+                live.push((db.insert(name, t.clone()).unwrap(), t));
+            } else {
+                let (id, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                db.delete(name, id).unwrap();
             }
         }
     }
+    check(&db, &live, "churned");
+    db.close().unwrap();
+    let db = ConstraintDb::open(&path).unwrap();
+    check(&db, &live, "reopened");
+    drop(db);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(constraint_db::storage::wal_path(&path));
 }
 
 /// The executor satellite: a randomized batch over every strategy —
@@ -275,7 +368,7 @@ fn query_executor_batch_matches_sequential() {
         let mut batch = Vec::new();
         for qi in 0..18 {
             let strat = match qi % 3 {
-                0 => QueryStrategy::T1,
+                0 => QueryStrategy::Auto,
                 1 => QueryStrategy::T2,
                 _ => QueryStrategy::Restricted,
             };

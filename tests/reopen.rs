@@ -86,9 +86,8 @@ fn build_workload(path: &std::path::Path, seed: u64) -> (ConstraintDb, Vec<Selec
 }
 
 /// Every strategy the 2-D relation supports, Auto included.
-const STRATEGIES: [Strategy; 5] = [
+const STRATEGIES: [Strategy; 4] = [
     Strategy::Scan,
-    Strategy::T1,
     Strategy::T2,
     Strategy::RPlus,
     Strategy::Auto,
