@@ -103,11 +103,11 @@ impl PageReader for PageRuns<'_> {
 /// accounting: `candidates` the legs' answers with repeats, `duplicates`
 /// the repeats, `false_hits` the candidates refinement dropped;
 /// `index_io` the legs' tree pages, `heap_io` their boundary fetches plus
-/// one access per distinct heap page holding a candidate.
+/// one access per distinct heap page holding a candidate (exact while the
+/// relation was only ever appended to).
 ///
 /// # Panics
-/// When a leg is not at a member of `S`, or the relation was written to
-/// other than by appending.
+/// When a leg is not at a member of `S`.
 pub fn run(
     db: &ConstraintDb,
     name: &str,

@@ -181,7 +181,7 @@ impl SlopeSet {
     /// of the wrap strip holds it, with the side that piece lies on: max
     /// `S` and [`Side::Next`] up to the split, then min `S` and
     /// [`Side::Prev`], turning anticlockwise from max `S`.
-    pub fn wrapped_end(&self, a: f64) -> (usize, Side) {
+    pub(crate) fn wrapped_end(&self, a: f64) -> (usize, Side) {
         let k = self.slopes.len();
         let turn = |a: f64| (a.atan() - self.slopes[k - 1].atan()).rem_euclid(std::f64::consts::PI);
         if turn(a) <= turn(1.0 / self.wrap_split()) {
