@@ -25,10 +25,8 @@ use crate::query::Side;
 /// `(TOP_P, BOT_P)` of an indexed tuple at one element of `S`; panics on
 /// unsatisfiable tuples (the relation layer rejects them at insert).
 pub(crate) fn keys_at(t: &GeneralizedTuple, slope: &[f64]) -> (f64, f64) {
-    (
-        dual::top(t, slope).expect("indexed tuples are satisfiable"),
-        dual::bot(t, slope).expect("indexed tuples are satisfiable"),
-    )
+    let (bot, top) = dual::bot_top(t, slope).expect("indexed tuples are satisfiable");
+    (top, bot)
 }
 
 /// The `(B^up, B^down)` tree pairs of one dual index, in the order of `S`.

@@ -188,6 +188,16 @@ pub fn bot_lp(tuple: &GeneralizedTuple, slope: &[f64]) -> Option<DualValue> {
     surface_lp(tuple, Surface::Bot, slope)
 }
 
+/// `(BOT_P(slope), TOP_P(slope))` from one evaluation — the planar kernel
+/// yields both at once — equal to [`bot`] and [`top`] bit for bit.
+pub fn bot_top(tuple: &GeneralizedTuple, slope: &[f64]) -> Option<(DualValue, DualValue)> {
+    check_slope(tuple.dim(), slope);
+    let planar = (tuple.dim() == 2).then(|| kernel2d::bot_top(tuple.le_rows_2d(), slope[0]));
+    planar
+        .flatten()
+        .or_else(|| Some((bot_lp(tuple, slope)?, top_lp(tuple, slope)?)))
+}
+
 /// `(BOT′(t), TOP′(t))` of a planar tuple: the minimum and maximum of
 /// `x − t·y` over its extension — its surfaces in the frame swapped
 /// through the vertical, `t = 1/a`, where `t = 0` is the vertical itself
@@ -305,6 +315,42 @@ mod tests {
             LinearConstraint::new2d(0.0, 1.0, -1.0, RelOp::Ge), // y >= 1
             LinearConstraint::new2d(0.0, -1.0, 4.0, RelOp::Ge), // y <= 4
         ])
+    }
+
+    /// One evaluation of both surfaces is the two evaluations, bit for bit:
+    /// from the kernel, and from the simplex where the kernel leaves a
+    /// strip to it or the tuple is not planar.
+    #[test]
+    fn bot_top_is_bot_and_top() {
+        let strip = GeneralizedTuple::new(vec![
+            LinearConstraint::new2d(0.0, 1.0, -2.0, RelOp::Ge),
+            LinearConstraint::new2d(0.0, -1.0, 9.0, RelOp::Ge),
+        ]);
+        let cube = GeneralizedTuple::new(
+            (0..3)
+                .flat_map(|axis| {
+                    let mut unit = vec![0.0; 3];
+                    unit[axis] = 1.0;
+                    [
+                        LinearConstraint::new(unit.clone(), 1.0, RelOp::Ge),
+                        LinearConstraint::new(unit, -2.0, RelOp::Le),
+                    ]
+                })
+                .collect(),
+        );
+        for slope in [-2.5, 0.0, 0.3, 7.0] {
+            for t in [rect_1134(), strip.clone()] {
+                assert_eq!(
+                    bot_top(&t, &[slope]),
+                    Some((bot(&t, &[slope]).unwrap(), top(&t, &[slope]).unwrap()))
+                );
+            }
+            let s = [slope, -slope];
+            assert_eq!(
+                bot_top(&cube, &s),
+                Some((bot(&cube, &s).unwrap(), top(&cube, &s).unwrap()))
+            );
+        }
     }
 
     /// The swapped frame's surfaces are the extremes of `x − t·y`: on the
