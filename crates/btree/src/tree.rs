@@ -615,7 +615,8 @@ impl BTree {
     /// Sweeps leaves in `dir` starting where [`find`](Self::find) says —
     /// upward from the first entry with key `≥ from`, downward from the
     /// last with key `≤ from` — invoking `visit` once per leaf with a view
-    /// of its entries at or past `from`, in sweep order.
+    /// of its entries at or past `from`, in sweep order. Each leaf is read
+    /// once: the start leaf is the one the search has just read.
     pub fn sweep<F>(
         &self,
         dir: Direction,
@@ -626,13 +627,13 @@ impl BTree {
     where
         F: FnMut(&LeafView<'_>) -> SweepControl,
     {
-        let Some((mut page, first)) = self.find(dir, pager, from)? else {
+        let mut pages = Pages::of(self);
+        let Some((mut page, first)) = self.locate(dir, pager, &mut pages, from)? else {
             return Ok(());
         };
+        let mut buf = pages.node(pager, page)?.to_vec();
         let mut first = Some(first);
-        let mut buf = vec![0u8; self.page_size];
         loop {
-            pager.read(page, &mut buf)?;
             let leaf = Leaf::new(&mut buf);
             let slots = first.take().unwrap_or(0..leaf.count());
             let view = LeafView {
@@ -648,6 +649,7 @@ impl BTree {
             if page == NULL_PAGE {
                 return Ok(());
             }
+            pager.read(page, &mut buf)?;
         }
     }
 

@@ -631,22 +631,26 @@ fn duplicate_and_candidate_accounting_is_pinned() {
             }
         }
     }
+    // Every dual row's pages fell when a sweep stopped reading its start
+    // leaf twice (once per restricted search, twice per T2 search): T2
+    // 1311 → 1234, the cells 112 → 80, Auto 720 → 688, and after churn
+    // Between 470 → 406 and the grid cell 176 → 136.
     // T1's two legs stood here, [13154, 1206, 620, 8928, 1231, 2400],
     // until T2 ran every slope outside S; T2 was [18098, 288, 656, 14754,
     // 1306, 2400] while it ran those legs through the vertical.
-    assert_eq!(t2, [17752, 0, 659, 14693, 1311, 2400], "T2");
+    assert_eq!(t2, [17752, 0, 659, 14693, 1234, 2400], "T2");
     assert_eq!(rplus, [6514, 615, 3499, 0, 2949, 2400], "R⁺-tree");
     // The routed cell on these selections: a third fewer candidates and
     // pages than the simplex covering, [3762, 1614, 948, 0, 168, 1200],
     // which the ablations compose; no duplicates, more false hits.
-    assert_eq!(cells, [2399, 0, 1199, 0, 112, 1200], "bare simplex cells");
+    assert_eq!(cells, [2399, 0, 1199, 0, 80, 1200], "bare simplex cells");
     // Was [300, 0, 131, 90, 169], summed over the selections a cost model
     // sent to the cell (it sent the rest to the scan): `Auto` runs the cell
     // on all 16 now, the `cells` row's search, reading the heap pages the
     // stand-alone lookup does not.
     assert_eq!(
         auto,
-        [2399, 0, 1199, 0, 720, 1200],
+        [2399, 0, 1199, 0, 688, 1200],
         "Auto over a bare set's cells"
     );
 
@@ -731,12 +735,12 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     // keys' rejections.
     assert_eq!(
         between,
-        [16513, 0, 606, 7379, 470, 8528],
+        [16513, 0, 606, 7379, 406, 8528],
         "2-D Between after churn"
     );
     assert_eq!(
         cell,
-        [4120, 0, 1920, 0, 176, 2200],
+        [4120, 0, 1920, 0, 136, 2200],
         "3-D grid cell after churn"
     );
 }
