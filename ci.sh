@@ -73,7 +73,11 @@ grep_audit() {
 # trait, no per-kind adapter structs, no `AccessMethods` mirror of a
 # relation's slots), no `PlanCase` variant differs from another in wording
 # alone, and a scan is planned once — by `IndexScanOp::new`, the one call
-# of the planner, with no `describe` planning it again for EXPLAIN.
+# of the planner, with no `describe` planning it again for EXPLAIN. The
+# dual index is one method, whose route names the search: over the engine,
+# the wire, the CLI and the experiment harness no method or strategy names
+# the restricted search or T2 apart from it, no refusal is a slope outside
+# `S`, and no case maps back to a method.
 one_router() {
   grep_audit one-router crates/core/src <<'RULES'
 1|a .bracket( call|slopes.rs|\.bracket\(
@@ -88,6 +92,12 @@ one_router() {
 0|wording-only PlanCase variants|-|MemberRestricted|WrappedAppQueries|WrappedFallback
 0|definitions of fn describe|-|fn describe\(
 1|a Planner::choose( call|-|Planner::choose\(
+RULES
+  grep_audit one-router crates/core/src crates/net/src src crates/bench/src <<'RULES'
+0|mentions of the restricted or T2 method|-|MethodKind::(Restricted|T2)\b
+0|mentions of Strategy::Restricted|-|Strategy::Restricted
+0|mentions of SlopeNotInS|-|SlopeNotInS
+0|definitions of fn runs|-|fn runs\(
 RULES
 }
 step one-router one_router

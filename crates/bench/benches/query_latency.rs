@@ -58,7 +58,8 @@ fn main() {
     });
     report("sequential_scan_oracle", ns);
 
-    // Restricted queries (slope in S): the exact fast path.
+    // Restricted queries (slope in S, forced onto the dual index): the
+    // exact fast path.
     let s0 = {
         let rel = t2.db.relation("r").expect("exists");
         rel.index().expect("built").slopes().unwrap().get(1)
@@ -67,7 +68,7 @@ fn main() {
         let q = cdb_geometry::HalfPlane::above(s0, 0.0);
         std::hint::black_box(
             t2.db
-                .query_with("r", cdb_core::Selection::exist(q), Strategy::Restricted)
+                .query_with("r", cdb_core::Selection::exist(q), Strategy::T2)
                 .expect("member slope"),
         );
     });

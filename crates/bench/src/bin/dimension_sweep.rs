@@ -24,7 +24,7 @@ use cdb_bench::t1;
 use cdb_core::ddim::SlopePoints;
 use cdb_core::index::Exact;
 use cdb_core::plan::PlanCase;
-use cdb_core::{ConstraintDb, DbConfig, DualIndex, MethodKind, Selection, SelectionKind};
+use cdb_core::{ConstraintDb, DbConfig, DualIndex, Selection, SelectionKind};
 use cdb_geometry::constraint::{LinearConstraint, RelOp};
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::tuple::GeneralizedTuple;
@@ -129,7 +129,7 @@ impl Bed<'_> {
 
     /// T2 over the cell the index routes `sel` to.
     fn cell(&self, sel: &Selection) -> Vec<u32> {
-        let case = self.index.route(MethodKind::T2, sel).expect("in-box query");
+        let case = self.index.route(sel).expect("in-box query");
         assert!(matches!(case, PlanCase::Cell(_)), "{case}");
         self.run(sel, &case)
     }

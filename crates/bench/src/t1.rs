@@ -3,14 +3,15 @@
 //! engine's public API. The engine itself answers every slope outside `S`
 //! with T2; T1 is what its experiments compare T2 against.
 //!
-//! An app-query is a restricted search at a member of `S`, forced per
-//! leg. Every leg keeps the query's intercept `b`, so the legs' lines meet
-//! the query's at `P = (0, …, 0, b)`, and any point of it makes them
-//! covering: a tuple the query selects is selected by some leg. An ALL
-//! query keeps ALL on its first leg only; the others run EXIST, since two
-//! ALL legs can both miss a tuple the query contains (Figure 4). The legs'
-//! answers overlap — T1's duplication problem — and their union is a
-//! candidate superset that an exact refinement filters down.
+//! An app-query is a restricted search at a member of `S`: a leg forced
+//! onto the dual index, whose plan must route it as a member. Every leg
+//! keeps the query's intercept `b`, so the legs' lines meet the query's at
+//! `P = (0, …, 0, b)`, and any point of it makes them covering: a tuple
+//! the query selects is selected by some leg. An ALL query keeps ALL on
+//! its first leg only; the others run EXIST, since two ALL legs can both
+//! miss a tuple the query contains (Figure 4). The legs' answers overlap —
+//! T1's duplication problem — and their union is a candidate superset that
+//! an exact refinement filters down.
 //!
 //! In `E^d` the legs are at the `d` vertices of a simplex of slope points
 //! containing the query slope (`SlopePoints::containing_simplex`), each
@@ -22,7 +23,9 @@ use std::cell::Cell;
 use std::io;
 
 use cdb_core::slopes::Bracket;
-use cdb_core::{ConstraintDb, QueryStats, Selection, SelectionKind, SlopeSet, Strategy};
+use cdb_core::{
+    ConstraintDb, ExplainReport, PlanCase, QueryStats, Selection, SelectionKind, SlopeSet, Strategy,
+};
 use cdb_geometry::constraint::RelOp;
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_storage::{IoStats, PageId, PageReader};
@@ -97,9 +100,10 @@ impl PageReader for PageRuns<'_> {
     }
 }
 
-/// Runs `sel` over relation `name` as T1: every leg of `legs` as a forced
-/// restricted search, then the union of their answers refined against
-/// `sel` by fetching each candidate, ascending. Returns the answer and its
+/// Runs `sel` over relation `name` as T1: every leg of `legs` as a
+/// restricted search (forced onto the dual index, planned as a member of
+/// `S`), then the union of their answers refined against `sel` by
+/// fetching each candidate, ascending. Returns the answer and its
 /// accounting: `candidates` the legs' answers with repeats, `duplicates`
 /// the repeats, `false_hits` the candidates refinement dropped;
 /// `index_io` the legs' tree pages, `heap_io` their boundary fetches plus
@@ -107,7 +111,8 @@ impl PageReader for PageRuns<'_> {
 /// relation was only ever appended to).
 ///
 /// # Panics
-/// When a leg is not at a member of `S`.
+/// When a leg is not at a member of `S` — its plan's case is not
+/// [`PlanCase::Member`].
 pub fn run(
     db: &ConstraintDb,
     name: &str,
@@ -117,9 +122,14 @@ pub fn run(
     let mut stats = QueryStats::default();
     let mut union: Vec<u32> = Vec::new();
     for leg in legs {
-        let r = db
-            .query_with(name, leg.clone(), Strategy::Restricted)
-            .expect("a leg at a member of S");
+        let ExplainReport { plan, result: r } = db
+            .explain_with(name, leg.clone(), Strategy::T2)
+            .expect("a leg on the dual index");
+        assert!(
+            matches!(plan.case, PlanCase::Member { .. }),
+            "a leg at a member of S, not {}",
+            plan.case
+        );
         stats.index_io = stats.index_io.plus(&r.stats.index_io);
         stats.heap_io = stats.heap_io.plus(&r.stats.heap_io);
         union.extend_from_slice(r.ids());

@@ -241,13 +241,11 @@ mod tests {
     use super::*;
     use crate::db::{ConstraintDb, DbConfig};
     use crate::index::ddim::SlopePoints;
-    use crate::plan::MethodKind;
-    use crate::query::{Selection, SelectionKind, Strategy};
+    use crate::query::Selection;
     use crate::slopes::SlopeSet;
     use cdb_geometry::tuple::GeneralizedTuple;
     use cdb_geometry::{HalfPlane, LinearConstraint, RelOp};
-    use cdb_storage::codec;
-    use cdb_storage::conformance::{conformance, wire_conformance};
+    use cdb_storage::conformance::conformance;
 
     fn is_corrupt(r: Result<DecodedCatalog, CdbError>) -> bool {
         matches!(r, Err(CdbError::CorruptRecord(CATALOG_RECORD)))
@@ -497,31 +495,5 @@ mod tests {
         for dim in [0, 126, 4_000_000_000] {
             assert!(is_corrupt(decode(&blob(dim), 1024)), "{dim}-D");
         }
-    }
-
-    #[test]
-    fn enum_tags_conform_and_unknown_tags_fail() {
-        wire_conformance(&[
-            Strategy::Auto,
-            Strategy::Restricted,
-            Strategy::T2,
-            Strategy::Scan,
-            Strategy::RPlus,
-        ]);
-        wire_conformance(&[
-            MethodKind::Restricted,
-            MethodKind::T2,
-            MethodKind::SeqScan,
-            MethodKind::RPlus,
-        ]);
-        wire_conformance(&[SelectionKind::Exist, SelectionKind::All]);
-        assert!(codec::decode::<Strategy>(&[99]).is_err());
-        // Strategy tag 2 and MethodKind tag 1 named T1, tag 3 the
-        // d-dimensional index: methods no more.
-        assert!(codec::decode::<Strategy>(&[2]).is_err());
-        assert!(codec::decode::<MethodKind>(&[1]).is_err());
-        assert!(codec::decode::<MethodKind>(&[3]).is_err());
-        assert!(codec::decode::<MethodKind>(&[6]).is_err());
-        assert!(codec::decode::<SelectionKind>(&[2]).is_err());
     }
 }

@@ -1151,7 +1151,7 @@ mod tests {
             .unwrap();
         assert_eq!(r.ids(), want.ids());
         assert_eq!(r.stats.method, Some(MethodKind::SeqScan));
-        // Explicitly forcing an index technique still reports NoIndex.
+        // Explicitly forcing the dual index still reports NoIndex.
         let err = db
             .query_with(
                 "land",
@@ -1165,10 +1165,8 @@ mod tests {
     /// A 2-D method — the R⁺-tree — forced on an `E^d` relation is
     /// refused for the dimension, in the words EXPLAIN lists it with — not
     /// for an index no build could supply — whether or not the relation
-    /// has a dual index over slope points. The restricted search and T2
-    /// run over slope points: without them they are the missing index,
-    /// with them the restricted search is refused off the points and T2
-    /// answers.
+    /// has a dual index over slope points. The dual index runs over slope
+    /// points: without it, it is the missing index; with it, it answers.
     #[test]
     fn forced_planar_methods_on_an_ed_relation_name_the_dimension() {
         let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
@@ -1188,18 +1186,11 @@ mod tests {
                 CdbError::UnsupportedQuery(why.into()),
                 "indexed={indexed}"
             );
-            let restricted = db
-                .query_with("boxes", sel.clone(), Strategy::Restricted)
-                .map(|_| ());
             let t2 = db.query_with("boxes", sel.clone(), Strategy::T2);
             if indexed {
-                let why = "forced method Restricted: slope point [0.1, 0.2] is not in the \
-                           predefined set S";
-                assert_eq!(restricted, Err(CdbError::UnsupportedQuery(why.into())));
                 assert_eq!(t2.unwrap().ids(), &[0]);
             } else {
-                let missing = Err(CdbError::NoIndex("boxes".into()));
-                assert_eq!((restricted, t2.map(|_| ())), (missing.clone(), missing));
+                assert_eq!(t2.map(|_| ()), Err(CdbError::NoIndex("boxes".into())));
             }
             let r = db.query_with("boxes", sel.clone(), Strategy::Auto).unwrap();
             assert_eq!(r.ids(), &[0], "indexed={indexed}");
@@ -1552,12 +1543,12 @@ mod tests {
             .unwrap();
         let text = report.to_string();
         assert!(
-            text.contains("method=T2 (auto)  case: between slopes"),
+            text.contains("method=Dual (auto)  case: between slopes"),
             "{text}"
         );
-        assert!(text.contains("Restricted rejected: slope 0.37"), "{text}");
+        assert!(!text.contains("rejected:"), "{text}");
         assert!(text.contains("actual:"), "{text}");
-        assert_eq!(report.result.stats.method, Some(MethodKind::T2));
+        assert_eq!(report.result.stats.method, Some(MethodKind::Dual));
     }
 
     #[test]
@@ -1581,20 +1572,18 @@ mod tests {
         let plan = db
             .plan_query("land", &Selection::exist(HalfPlane::above(member, 0.0)))
             .unwrap();
-        assert_eq!(plan.method, MethodKind::Restricted);
+        assert_eq!(plan.method, MethodKind::Dual);
         assert!(matches!(plan.case, crate::plan::PlanCase::Member { .. }));
-        // A non-member slope must not plan Restricted (it is infeasible).
+        // A non-member slope must not route the restricted search.
         let plan = db
             .plan_query(
                 "land",
                 &Selection::exist(HalfPlane::above(member + 0.01, 0.0)),
             )
             .unwrap();
-        assert_ne!(plan.method, MethodKind::Restricted);
-        assert!(plan
-            .rejected
-            .iter()
-            .any(|(m, _)| *m == MethodKind::Restricted));
+        assert_eq!(plan.method, MethodKind::Dual);
+        assert!(matches!(plan.case, crate::plan::PlanCase::Between { .. }));
+        assert!(plan.rejected.is_empty());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use cdb_geometry::{scalar, simplex};
 use cdb_storage::codec::Finite;
 use cdb_storage::{CodecError, RecordReader, RecordWriter, Wire};
 
-use crate::plan::{MethodKind, PlanCase, Rejection};
+use crate::plan::{PlanCase, Rejection};
 use crate::query::Selection;
 
 /// How far outside a simplex (in barycentric weight) or the hull of `S`
@@ -335,21 +335,14 @@ impl SlopePoints {
     /// sweeps, duplicate-free) over the cell of its nearest element.
     ///
     /// # Errors
-    /// The [`Rejection`]: a query of another dimension, `Restricted` off
-    /// the points, or a slope outside the bounding box of `S`.
-    pub(super) fn route(
-        &self,
-        technique: MethodKind,
-        sel: &Selection,
-    ) -> Result<PlanCase, Rejection> {
+    /// The [`Rejection`]: a query of another dimension, or a slope outside
+    /// the bounding box of `S`.
+    pub(super) fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
         Rejection::dimension(self.dim, sel)?;
         let slope = &sel.halfplane.slope;
         if let Some(i) = self.position(slope) {
             let slope = self.points[i].clone();
             return Ok(PlanCase::Member { i, slope });
-        }
-        if technique == MethodKind::Restricted {
-            return Err(Rejection::SlopeNotInS(slope.clone()));
         }
         let cell = self.nearest(slope);
         cell.map(PlanCase::Cell)
@@ -422,7 +415,7 @@ pub(crate) mod tests {
         let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
             pairs.iter().cloned().collect();
         let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
-        let case = idx.route(MethodKind::T2, sel).expect("in-box slope");
+        let case = idx.route(sel).expect("in-box slope");
         idx.run(pager, sel, &case, Exact::Selection, &fetch)
             .expect("query")
     }
@@ -495,10 +488,7 @@ pub(crate) mod tests {
         let pairs = random_boxes(3, 20, 13);
         let idx = DualIndex::build(&mut pager, SlopePoints::grid(3, 2, 1.0), &pairs).unwrap();
         let sel = Selection::exist(HalfPlane::new(vec![3.0, 0.0], 0.0, RelOp::Ge));
-        assert_eq!(
-            idx.route(MethodKind::T2, &sel),
-            Err(Rejection::OutsideBox(vec![3.0, 0.0]))
-        );
+        assert_eq!(idx.route(&sel), Err(Rejection::OutsideBox(vec![3.0, 0.0])));
         // A case another index routed is refused, not run.
         let fetch = |_: &dyn PageReader, _: u32| -> GeneralizedTuple { unreachable!() };
         assert!(matches!(
@@ -524,8 +514,7 @@ pub(crate) mod tests {
         let idx = DualIndex::build(&mut pager, SlopePoints::grid(4, 6, 1.0), &pairs).unwrap();
         let slope = vec![0.2, -1.5, 0.3];
         let sel = Selection::exist(HalfPlane::new(slope.clone(), 0.0, RelOp::Ge));
-        let (routed, peak) =
-            cdb_storage::conformance::peak_during(|| idx.route(MethodKind::T2, &sel));
+        let (routed, peak) = cdb_storage::conformance::peak_during(|| idx.route(&sel));
         assert_eq!(routed, Err(Rejection::OutsideBox(slope)));
         assert!(peak < 4096, "allocated {peak} bytes to reject a slope");
     }
@@ -617,7 +606,7 @@ pub(crate) mod tests {
                     let want = oracle(&pairs, &sel);
                     let l1 = lookup.clone();
                     let f1 = move |_: &dyn PageReader, id: u32| l1[&id].clone();
-                    let cell = idx.route(MethodKind::T2, &sel).unwrap();
+                    let cell = idx.route(&sel).unwrap();
                     assert!(matches!(cell, PlanCase::Cell(_)), "{cell:?}");
                     let t2 = idx.run(&pager, &sel, &cell, Exact::Selection, &f1).unwrap();
                     assert_eq!(t2.ids(), want.as_slice(), "T2-d {kind:?} {op:?} {slope:?}");
@@ -719,11 +708,7 @@ pub(crate) mod tests {
                 });
                 let sel = Selection::exist(HalfPlane::new(slope.clone(), 0.0, RelOp::Ge));
                 let want = PlanCase::Cell(per_axis.sum());
-                assert_eq!(
-                    idx.route(MethodKind::T2, &sel),
-                    Ok(want),
-                    "grid({dim}, {per}, {range})"
-                );
+                assert_eq!(idx.route(&sel), Ok(want), "grid({dim}, {per}, {range})");
             }
         }
     }

@@ -87,7 +87,7 @@ mod tests {
     use super::*;
     use crate::ddim::SlopePoints;
     use crate::index::{refine, Candidates, DualIndex, Exact};
-    use crate::plan::{MethodKind, PlanCase};
+    use crate::plan::PlanCase;
     use crate::query::{QueryResult, Selection, SelectionKind, Strategy};
     use crate::slopes::SlopeSet;
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
@@ -182,9 +182,9 @@ mod tests {
         let mut refined = 0u64;
         for round in 0..24 {
             // Arbitrary slopes and slopes past the ends of S (T2), and
-            // member slopes (Restricted); on member slopes every third
-            // intercept sits exactly on a stored key, so the f32 check band
-            // is fetched and refined.
+            // member slopes (the restricted search); on member slopes every
+            // third intercept sits exactly on a stored key, so the f32 check
+            // band is fetched and refined.
             let member = idx.slopes().unwrap().get(round % 4);
             let wrapped = [2.5, 40.0, -1e6, -3.0][round % 4];
             let (_, on_key) = &bed.pairs[rng.gen_range(0..bed.pairs.len())];
@@ -198,7 +198,7 @@ mod tests {
                     } else {
                         rng.gen_range(-60.0..60.0)
                     },
-                    Strategy::Restricted,
+                    Strategy::Auto,
                 ),
             ];
             for (a, b, strategy) in cases {
@@ -294,7 +294,7 @@ mod tests {
                         halfplane: HalfPlane::new(slope.clone(), b, op),
                     };
                     let what = format!("{kind:?} {op:?} {slope:?} {b}");
-                    let case = idx.route(MethodKind::T2, &sel).unwrap();
+                    let case = idx.route(&sel).unwrap();
                     let run = |case: &PlanCase, src: &dyn TupleSource| {
                         idx.run(&bed.pager, &sel, case, Exact::Selection, src)
                     };

@@ -617,9 +617,9 @@ impl DualIndex {
         })
     }
 
-    /// Executes a selection with the requested strategy, `Auto` being the
+    /// Executes a selection along the index's [route](Self::route) — the
     /// paper's deployment: restricted when the slope is in `S`, otherwise
-    /// T2 — which is what T2 [routes](Self::route) to.
+    /// T2. `Auto` and `T2` both name this index.
     ///
     /// `fetch` loads a tuple for the exact refinement step, charging its
     /// page accesses to `pager`. Execution is `&self` over a read-only
@@ -629,9 +629,9 @@ impl DualIndex {
     ///
     /// # Errors
     /// [`CdbError::UnsupportedQuery`] — the [`Rejection`] of the route
-    /// (`Restricted` with a slope outside `S`, a query of another
-    /// dimension, ...), or `Scan`/`RPlus` (handled a level up by the
-    /// planner, which owns the non-dual access methods).
+    /// (a query of another dimension, a slope outside the box of slope
+    /// points), or `Scan`/`RPlus` (handled a level up by the planner,
+    /// which owns the non-dual access methods).
     pub fn execute(
         &self,
         pager: &dyn PageReader,
@@ -659,7 +659,7 @@ impl DualIndex {
         self.front(pager, &superset, strategy, Exact::Line(kind), fetch)
     }
 
-    /// The public front: strategy → technique → route → run.
+    /// The public front: strategy → route → run.
     fn front(
         &self,
         pager: &dyn PageReader,
@@ -668,35 +668,27 @@ impl DualIndex {
         exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        let technique = match strategy.forced() {
-            None => MethodKind::T2,
-            Some(k @ (MethodKind::Restricted | MethodKind::T2)) => k,
-            Some(other) => {
-                return Err(CdbError::UnsupportedQuery(format!(
-                    "{other} is executed by the planner, not the dual index"
-                )))
-            }
-        };
+        if let Some(other @ (MethodKind::SeqScan | MethodKind::RPlus)) = strategy.forced() {
+            return Err(CdbError::UnsupportedQuery(format!(
+                "{other} is executed by the planner, not the dual index"
+            )));
+        }
         let case = self
-            .route(technique, sel)
+            .route(sel)
             .map_err(|why| CdbError::UnsupportedQuery(why.to_string()))?;
         self.run(pager, sel, &case, exact, fetch)
     }
 
-    /// Which trees `technique` — one of this index's two, `Restricted` and
-    /// `T2` (anything else is the caller's bug, and routed as `T2` is) —
-    /// sweeps for `sel`, in which way: the routing table of the index's
-    /// geometry.
+    /// Which trees the index sweeps for `sel`, in which way: the routing
+    /// table of the index's geometry.
     ///
     /// # Errors
-    /// The [`Rejection`]: a query of another dimension, `Restricted` with a
-    /// slope outside `S`, T2 outside the bounding box of slope points.
-    pub fn route(&self, technique: MethodKind, sel: &Selection) -> Result<PlanCase, Rejection> {
-        use MethodKind::{Restricted, T2};
-        debug_assert!(matches!(technique, Restricted | T2), "{technique}");
+    /// The [`Rejection`]: a query of another dimension, or a slope outside
+    /// the bounding box of slope points.
+    pub fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
         match &self.geometry {
-            SlopeGeometry::Set(slopes) => slopes.route(technique, sel),
-            SlopeGeometry::Points(points) => points.route(technique, sel),
+            SlopeGeometry::Set(slopes) => slopes.route(sel),
+            SlopeGeometry::Points(points) => points.route(sel),
         }
     }
 }
@@ -705,16 +697,13 @@ impl SlopeSet {
     /// The routing table of a slope set: Section 3's member case, else
     /// Section 4.2's nearer tree — at every slope, the paper's "similarly
     /// handled" wrapped cases included.
-    fn route(&self, technique: MethodKind, sel: &Selection) -> Result<PlanCase, Rejection> {
+    fn route(&self, sel: &Selection) -> Result<PlanCase, Rejection> {
         Rejection::dimension(2, sel)?;
         let a = sel.halfplane.slope2d();
         let (lo, hi, (near, side)) = match self.bracket(a) {
             Bracket::Member(i) => {
                 let slope = vec![self.get(i)];
                 return Ok(PlanCase::Member { i, slope });
-            }
-            _ if technique == MethodKind::Restricted => {
-                return Err(Rejection::SlopeNotInS(vec![a]))
             }
             // Nearest slope in *slope* distance (the paper's |a1−a| <
             // |a2−a|), i.e. by comparison with a_mid — this must match the
@@ -933,7 +922,9 @@ mod tests {
                             kind,
                             halfplane: HalfPlane::new2d(s, b, op),
                         };
-                        let got = run(&idx, &pager, &pairs, &sel, Strategy::Restricted);
+                        let case = idx.route(&sel).unwrap();
+                        assert!(matches!(case, PlanCase::Member { i: m, .. } if m == i));
+                        let got = run(&idx, &pager, &pairs, &sel, Strategy::T2);
                         assert_eq!(
                             got.ids(),
                             oracle(&pairs, &sel),
@@ -944,21 +935,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn restricted_rejects_foreign_slope() {
-        let mut pager = MemPager::paper_1999();
-        let tuples = DatasetSpec::paper_1999(20, ObjectSize::Small, 2).generate();
-        let (idx, pairs) = build_index(&mut pager, &tuples, 3);
-        let sel = Selection::exist(HalfPlane::above(0.123456, 0.0));
-        let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
-            pairs.iter().cloned().collect();
-        let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
-        let err = idx
-            .execute(&pager, &sel, Strategy::Restricted, &fetch)
-            .unwrap_err();
-        assert!(matches!(err, CdbError::UnsupportedQuery(_)));
     }
 
     /// Query slopes outside `[min S, max S]` run T2 in the trees at an end
@@ -982,7 +958,7 @@ mod tests {
                         kind,
                         halfplane: HalfPlane::new2d(a, 3.0, op),
                     };
-                    let case = idx.route(MethodKind::T2, &sel).unwrap();
+                    let case = idx.route(&sel).unwrap();
                     assert!(matches!(case, PlanCase::Between { lo, hi, .. } if lo > hi));
                     let got = run(&idx, &pager, &pairs, &sel, Strategy::T2);
                     assert_eq!(got.ids(), oracle(&pairs, &sel), "{kind:?} {op:?} a={a}");
@@ -1037,8 +1013,8 @@ mod tests {
         }
     }
 
-    /// What the index itself refuses, as errors: a strategy that names no
-    /// technique of its own, and a case naming a tree or a strip it does
+    /// What the index itself refuses, as errors: a strategy that names
+    /// another access method, and a case naming a tree or a strip it does
     /// not have, or out of the d-D routing table (run, a `Cell` would
     /// trust the `Prev` strip alone and miss tuples).
     #[test]
@@ -1120,7 +1096,7 @@ mod tests {
                         for op in [RelOp::Ge, RelOp::Le] {
                             let halfplane = HalfPlane::new(slope.to_vec(), b, op);
                             let sel = Selection { kind, halfplane };
-                            let case = idx.route(MethodKind::T2, &sel).unwrap();
+                            let case = idx.route(&sel).unwrap();
                             let guided =
                                 matches!(case, PlanCase::Between { .. } | PlanCase::Cell(_));
                             assert!(guided, "{what}: {case}");
@@ -1303,7 +1279,7 @@ mod tests {
                     for op in [RelOp::Ge, RelOp::Le] {
                         let halfplane = HalfPlane::new(slope.to_vec(), b, op);
                         let sel = Selection { kind, halfplane };
-                        let case = idx.route(MethodKind::T2, &sel).unwrap();
+                        let case = idx.route(&sel).unwrap();
                         let guided = matches!(case, PlanCase::Between { .. } | PlanCase::Cell(_));
                         assert!(guided, "{what}: {case}");
                         let got = idx
@@ -1359,7 +1335,7 @@ mod tests {
         let sel = Selection::exist(HalfPlane::above(s, 0.0));
         let got = run(&idx, &pager, &pairs, &sel, Strategy::Auto);
         assert_eq!(got.ids(), oracle(&pairs, &sel));
-        // Restricted executions never fetch tuples.
+        // The restricted search never fetches tuples.
         assert_eq!(got.stats.heap_io.accesses(), 0);
     }
 

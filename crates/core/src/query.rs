@@ -68,21 +68,20 @@ impl Selection {
     }
 }
 
-/// A request's hint at which query technique of the paper to use: what
-/// callers, the wire and the catalog header name. The engine works in
-/// [`MethodKind`]s; [`forced`](Strategy::forced) is the one conversion.
+/// A request's hint at which access method to use: what callers and the
+/// wire name. The engine works in [`MethodKind`]s;
+/// [`forced`](Strategy::forced) is the one conversion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Strategy {
-    /// Section 3: exact single-tree search; the query slope must belong to
-    /// `S` (errors otherwise).
-    Restricted,
-    /// Sections 4.2–4.4: single handicap-guided search, duplicate-free, at
-    /// any slope the index routes — a 2-D one wrapped through the vertical
-    /// included, the case the paper leaves to "similar handling".
-    T2,
-    /// Restricted when the slope is in `S`, otherwise T2 (the paper's
-    /// intended deployment).
+    /// The planner's choice: the dual index wherever it routes the slope,
+    /// else the scan (the paper's intended deployment).
     Auto,
+    /// Forces the dual index: Section 3's exact search when the slope is
+    /// in `S`, otherwise Sections 4.2–4.4's single handicap-guided search,
+    /// duplicate-free, at any slope the index routes — a 2-D one wrapped
+    /// through the vertical included, the case the paper leaves to
+    /// "similar handling".
+    T2,
     /// Sequential scan with exact predicates (the no-index baseline and
     /// correctness oracle).
     Scan,
@@ -93,7 +92,6 @@ pub enum Strategy {
 
 cdb_storage::wire_enum!(Strategy {
     0 => Auto,
-    1 => Restricted,
     3 => T2,
     4 => Scan,
     5 => RPlus,
@@ -105,8 +103,7 @@ impl Strategy {
     pub fn forced(self) -> Option<MethodKind> {
         match self {
             Strategy::Auto => None,
-            Strategy::Restricted => Some(MethodKind::Restricted),
-            Strategy::T2 => Some(MethodKind::T2),
+            Strategy::T2 => Some(MethodKind::Dual),
             Strategy::Scan => Some(MethodKind::SeqScan),
             Strategy::RPlus => Some(MethodKind::RPlus),
         }
@@ -148,12 +145,12 @@ pub struct QueryStats {
     /// Candidates a 2-D dual index's key columns rejected unfetched.
     pub rejected_by_key: u64,
     /// Candidates accepted without fetching the tuple: exact-by-key in the
-    /// restricted technique, and on a 2-D dual index's routes those its
+    /// restricted search, and on a 2-D dual index's routes those its
     /// key columns accept.
     pub accepted_by_key: u64,
-    /// The search that actually ran ([`crate::plan::PlanCase::runs`]),
-    /// stamped on every planned query; `None` only when an index was
-    /// executed directly, with no plan.
+    /// The access method that ran ([`crate::plan::QueryPlan::method`];
+    /// its plan's case names the search), stamped on every planned query;
+    /// `None` only when an index was executed directly, with no plan.
     pub method: Option<MethodKind>,
 }
 
@@ -275,19 +272,45 @@ mod tests {
 
     #[test]
     fn forced_names_each_method_once() {
-        let hints = [
-            Strategy::Restricted,
-            Strategy::T2,
-            Strategy::Scan,
-            Strategy::RPlus,
-        ];
+        let hints = [Strategy::T2, Strategy::Scan, Strategy::RPlus];
         let forced: Vec<MethodKind> = hints.iter().filter_map(|s| s.forced()).collect();
         assert_eq!(forced.len(), hints.len());
         for (i, m) in forced.iter().enumerate() {
             assert!(!forced[..i].contains(m), "{m} is forced by two hints");
         }
         assert_eq!(Strategy::Auto.forced(), None);
+        assert_eq!(Strategy::T2.forced(), Some(MethodKind::Dual));
         assert_eq!(Strategy::Scan.forced(), Some(MethodKind::SeqScan));
+    }
+
+    /// The request enums' wire tags (no catalog stores them): each value
+    /// round-trips, and a retired or unknown tag is refused.
+    #[test]
+    fn enum_tags_conform_and_unknown_tags_fail() {
+        use cdb_storage::codec::decode;
+        use cdb_storage::conformance::wire_conformance;
+        wire_conformance(&[
+            Strategy::Auto,
+            Strategy::T2,
+            Strategy::Scan,
+            Strategy::RPlus,
+        ]);
+        wire_conformance(&[MethodKind::Dual, MethodKind::SeqScan, MethodKind::RPlus]);
+        wire_conformance(&[SelectionKind::Exist, SelectionKind::All]);
+        // Strategy tag 2 and MethodKind tag 1 named T1, MethodKind tag 3
+        // the d-dimensional index; Strategy tag 1 and MethodKind tags 0
+        // and 2 named the restricted search and T2 apart from the dual
+        // index they run in.
+        for tag in [1, 2, 99] {
+            assert!(decode::<Strategy>(&[tag]).is_err(), "Strategy tag {tag}");
+        }
+        for tag in [0, 1, 2, 3, 6, 99] {
+            assert!(
+                decode::<MethodKind>(&[tag]).is_err(),
+                "MethodKind tag {tag}"
+            );
+        }
+        assert!(decode::<SelectionKind>(&[2]).is_err());
     }
 
     #[test]
@@ -372,7 +395,7 @@ mod tests {
             false_hits: 22,
             rejected_by_key: 24,
             accepted_by_key: 23,
-            method: Some(MethodKind::T2),
+            method: Some(MethodKind::Dual),
         };
         let mut sum = QueryStats {
             method: Some(MethodKind::SeqScan),

@@ -329,11 +329,11 @@ impl<P: PageSource> ReadSurface<P> {
 mod tests {
     use super::*;
     use crate::db::ConstraintDb;
-    use crate::plan::MethodKind;
+    use crate::plan::{MethodKind, PlanCase};
     use crate::slopes::Bracket;
     use crate::SlopeSet;
     use cdb_geometry::tuple::GeneralizedTuple;
-    use cdb_geometry::HalfPlane;
+    use cdb_geometry::{HalfPlane, RelOp};
     use cdb_workload::{DatasetSpec, ObjectSize, QueryGen, QueryKind};
 
     fn testbed(n: usize, seed: u64) -> (ConstraintDb, Vec<GeneralizedTuple>) {
@@ -414,12 +414,13 @@ mod tests {
             let g = g.as_ref().unwrap();
             assert_eq!(g.stats.index_io.reads, *want, "index reads of query {i}");
             assert!(g.stats.index_io.reads > 0, "query {i} read no pages?");
-            // The search forced T2 routes to, by the slope's bracket.
-            let ran = match slopes.bracket(batch[i].0.halfplane.slope2d()) {
-                Bracket::Member(_) => MethodKind::Restricted,
-                Bracket::Between(..) | Bracket::Wrapped(..) => MethodKind::T2,
-            };
-            assert_eq!(g.stats.method, Some(ran), "the search that ran");
+            // The method forced T2 names, and the search its route runs,
+            // by the slope's bracket.
+            assert_eq!(g.stats.method, Some(MethodKind::Dual), "query {i}");
+            let plan = db.plan_query("r", &batch[i].0).unwrap();
+            let member = matches!(plan.case, PlanCase::Member { .. });
+            let bracket = slopes.bracket(batch[i].0.halfplane.slope2d());
+            assert_eq!(member, matches!(bracket, Bracket::Member(_)), "query {i}");
         }
     }
 
@@ -427,15 +428,19 @@ mod tests {
     fn errors_are_reported_in_place() {
         let (db, _tuples) = testbed(60, 47);
         let good = Selection::exist(HalfPlane::above(0.3, 0.0));
-        let bad = Selection::exist(HalfPlane::above(0.123456, 0.0));
+        let bad = Selection::exist(HalfPlane::new(vec![0.1, 0.2], 0.0, RelOp::Ge));
         let batch = vec![
             (good.clone(), Strategy::T2),
-            (bad, Strategy::Restricted), // foreign slope: UnsupportedQuery
+            (bad, Strategy::T2), // a 3-D selection on a 2-D relation
             (good, Strategy::T2),
         ];
         let got = db.query_batch("r", &batch, 2).unwrap();
         assert!(got[0].is_ok());
-        assert!(matches!(got[1], Err(CdbError::UnsupportedQuery(_))));
+        let mismatch = CdbError::DimensionMismatch {
+            expected: 2,
+            got: 3,
+        };
+        assert_eq!(got[1].as_ref().err(), Some(&mismatch));
         assert!(got[2].is_ok());
         assert_eq!(
             got[0].as_ref().unwrap().ids(),

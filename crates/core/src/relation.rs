@@ -294,11 +294,11 @@ impl Relation {
     pub fn method(&self, kind: MethodKind) -> Option<AccessMethod<'_>> {
         let index = match kind {
             MethodKind::SeqScan => return Some(AccessMethod::SeqScan(self)),
-            MethodKind::Restricted | MethodKind::T2 => IndexKind::Dual,
+            MethodKind::Dual => IndexKind::Dual,
             MethodKind::RPlus => IndexKind::RPlus,
         };
         Some(match self.usable(index)? {
-            Index::Dual(index) => AccessMethod::Dual(index, kind),
+            Index::Dual(index) => AccessMethod::Dual(index),
             Index::RPlus(index) => AccessMethod::RPlus(index),
         })
     }
@@ -596,12 +596,12 @@ mod tests {
             (
                 IndexSpec::Dual(SlopeSet::uniform_tan(3).into()),
                 2,
-                MethodKind::T2,
+                MethodKind::Dual,
             ),
             (
                 IndexSpec::Dual(SlopePoints::grid(3, 3, 1.5).into()),
                 3,
-                MethodKind::T2,
+                MethodKind::Dual,
             ),
             (IndexSpec::RPlus { fill: 0.8 }, 2, MethodKind::RPlus),
         ];
@@ -713,9 +713,9 @@ mod tests {
     }
 
     /// Every case an access method can run, each through a [`Counting`]
-    /// source: forced Scan, Restricted (at a member slope), T2 (between
-    /// slopes of `S` and through the vertical), R⁺ and Auto on a churned
-    /// 2-D relation, for selections and line queries; the scan,
+    /// source: forced Scan, the dual index (the restricted search at a
+    /// member slope, T2 between slopes of `S` and through the vertical),
+    /// R⁺ and Auto on a churned 2-D relation, for selections and line queries; the scan,
     /// member-point and cell cases on a 3-D one.
     /// `(what, result, the ids the source was shown)`.
     fn every_refinement() -> Vec<(String, QueryResult, Vec<u32>)> {
@@ -748,10 +748,10 @@ mod tests {
                 asked.push((name, sel, exact, plan.method, plan.case));
             }
         };
-        use MethodKind::{RPlus, Restricted, SeqScan, T2};
+        use MethodKind::{Dual, RPlus, SeqScan};
         for slope in [member, 0.3, -7.0] {
             for b in [-20.0, 4.0] {
-                for forced in [None, Some(SeqScan), Some(Restricted), Some(T2), Some(RPlus)] {
+                for forced in [None, Some(SeqScan), Some(Dual), Some(RPlus)] {
                     for kind in [SelectionKind::Exist, SelectionKind::All] {
                         let line = Selection::line_superset(slope, b);
                         plan("plane", line, Exact::Line(kind), forced);
@@ -769,7 +769,7 @@ mod tests {
             }
         }
         for slope in [vec![0.0, 1.5], vec![0.3, -0.7]] {
-            for forced in [None, Some(SeqScan), Some(Restricted), Some(T2)] {
+            for forced in [None, Some(SeqScan), Some(Dual)] {
                 for sel in selections(3) {
                     let sel = Selection {
                         halfplane: HalfPlane::new(

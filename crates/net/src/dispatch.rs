@@ -257,12 +257,8 @@ mod tests {
         // Embedded: the plan names the scan and the typed rejection.
         let (plan, peak) = peak_during(|| db.plan_query("r", &selection).expect("planned"));
         assert_eq!(plan.method, MethodKind::SeqScan);
-        let off = Rejection::SlopeNotInS(slope.clone());
         let why = Rejection::OutsideBox(slope);
-        assert_eq!(
-            plan.rejected,
-            [(MethodKind::Restricted, off), (MethodKind::T2, why)]
-        );
+        assert_eq!(plan.rejected, [(MethodKind::Dual, why)]);
         assert!(peak < 4096, "one allocation of {peak} bytes to plan a scan");
         // And through the dispatcher, as a wire peer's frame would arrive.
         let query = Request::Query {

@@ -69,8 +69,10 @@ pub const MAGIC: [u8; 4] = *b"CDBN";
 /// candidates rejected by key; version 11 retired `MethodKind` tag 3 (the
 /// d-dimensional index is the dual index over slope points, and its
 /// queries name the restricted search or T2); version 12 retired T1:
-/// `Strategy` tag 2 and `MethodKind` tag 1.
-pub const PROTOCOL_VERSION: u16 = 12;
+/// `Strategy` tag 2 and `MethodKind` tag 1; version 13 made the dual index
+/// one method: `Strategy` tag 1 (`Restricted`) and `MethodKind` tags 0 and
+/// 2 (`Restricted`, `T2`) retired, and `MethodKind::Dual` took tag 7.
+pub const PROTOCOL_VERSION: u16 = 13;
 
 /// Handshake verdict carried by the server's greeting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -602,7 +604,7 @@ mod tests {
             false_hits: 2,
             rejected_by_key: 4,
             accepted_by_key: 0,
-            method: Some(MethodKind::T2),
+            method: Some(MethodKind::Dual),
         }
     }
 

@@ -68,11 +68,13 @@ fn main() {
         rel.index().unwrap().slopes().unwrap().get(2)
     };
     let aligned = HalfPlane::below(s, -30.0);
-    let r = db
-        .query_with("parcels", Selection::exist(aligned.clone()), S::Restricted)
+    let report = db
+        .explain_with("parcels", Selection::exist(aligned), S::T2)
         .unwrap();
+    let r = &report.result;
     println!(
-        "\n  restricted EXIST along predefined slope {s:.3}: {} matches, {} idx pages, {} heap pages",
+        "\n  restricted EXIST along predefined slope {s:.3} ({}): {} matches, {} idx pages, {} heap pages",
+        report.plan.case,
         r.len(),
         r.stats.index_io.accesses(),
         r.stats.heap_io.accesses()

@@ -28,10 +28,10 @@
 //! * [`storage`] — the paged-storage substrate with I/O accounting;
 //! * [`btree`] — a disk-based B⁺-tree with per-leaf handicap slots;
 //! * [`rplustree`] — the R⁺-tree baseline used in the paper's evaluation;
-//! * [`index`] — the paper's contribution: [`index::DualIndex`] with the
-//!   restricted and T2 query strategies over a slope set or, in `E^d`,
-//!   slope points, and the planner ([`index::plan`]) that unifies every query
-//!   path (dual techniques, sequential scan, R⁺-tree baseline) as the
+//! * [`index`] — the paper's contribution: [`index::DualIndex`], routing
+//!   each query to the restricted search or T2 over a slope set or, in
+//!   `E^d`, slope points, and the planner ([`index::plan`]) that unifies every
+//!   query path (dual index, sequential scan, R⁺-tree baseline) as the
 //!   variants of one `AccessMethod` enum and runs the paper's rule over
 //!   them, with `EXPLAIN` output;
 //! * [`workload`] — seeded generators reproducing the paper's experimental

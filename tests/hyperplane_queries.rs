@@ -58,23 +58,14 @@ fn random_lines_agree_with_oracle_across_strategies() {
                 g.slope()
             };
             let c: f64 = rng.gen_range(-60.0..60.0);
+            let case = idx.route(&Selection::line_superset(a, c)).unwrap();
+            assert_eq!(matches!(case, PlanCase::Member { .. }), member, "{case}");
             for kind in [SelectionKind::Exist, SelectionKind::All] {
                 let want = oracle(&pairs, a, c, kind);
-                let strategies: &[Strategy] = if member {
-                    &[Strategy::Restricted, Strategy::T2]
-                } else {
-                    &[Strategy::T2]
-                };
-                for &st in strategies {
-                    let got = idx
-                        .execute_hyperplane(&pager, a, c, kind, st, &fetch)
-                        .unwrap_or_else(|e| panic!("seed {seed} line {qi} {st:?}: {e}"));
-                    assert_eq!(
-                        got.ids(),
-                        want,
-                        "seed {seed} {kind:?} y = {a}x + {c} via {st:?}"
-                    );
-                }
+                let got = idx
+                    .execute_hyperplane(&pager, a, c, kind, Strategy::T2, &fetch)
+                    .unwrap_or_else(|e| panic!("seed {seed} line {qi}: {e}"));
+                assert_eq!(got.ids(), want, "seed {seed} {kind:?} y = {a}x + {c}");
             }
         }
     }
@@ -171,8 +162,8 @@ impl TupleSource for HeapReplica {
 /// Line queries are planned like selections, and what one search reads
 /// for one line does not depend on how the two threads interleave. The
 /// reference is total — every line under every search the relation can
-/// route it to (T2's sweep, the scan), computed off to the side: the
-/// technique on a stand-alone [`DualIndex`] over a
+/// route it to (the dual index, the scan), computed off to the side: the
+/// dual index's route on a stand-alone [`DualIndex`] over a
 /// replica of the heap, the scan on an index-less twin relation.
 #[test]
 fn concurrent_line_queries_report_their_own_heap_io() {
@@ -205,7 +196,7 @@ fn concurrent_line_queries_report_their_own_heap_io() {
     let reference: Vec<HashMap<MethodKind, QueryStats>> = lines
         .iter()
         .map(|&(a, c)| {
-            let technique = |strategy| {
+            let dual = |strategy| {
                 idx.execute_hyperplane(&pager, a, c, SelectionKind::Exist, strategy, &replica)
                     .unwrap()
             };
@@ -213,8 +204,8 @@ fn concurrent_line_queries_report_their_own_heap_io() {
             assert_eq!(scan.stats.method, Some(MethodKind::SeqScan));
             HashMap::from([
                 (
-                    MethodKind::T2,
-                    counts(MethodKind::T2, &technique(Strategy::T2)),
+                    MethodKind::Dual,
+                    counts(MethodKind::Dual, &dual(Strategy::T2)),
                 ),
                 (MethodKind::SeqScan, counts(MethodKind::SeqScan, &scan)),
             ])

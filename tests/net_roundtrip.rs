@@ -291,10 +291,12 @@ fn kill_nine_loses_no_acknowledged_insert() {
     let _ = std::fs::remove_file(constraint_db::storage::wal_path(&path));
 }
 
-/// Protocol v12 retired T1's strategy and method tags, as v11 retired the
-/// d-dimensional index's method tag, v10 dropped the planner's cost
-/// estimate from `QueryStats` and added its rejections by key, v9
-/// replication and v8 sharding: a peer still speaking v7 to v11 is greeted
+/// Protocol v13 made the dual index one method (retiring the restricted
+/// search's strategy tag and the restricted and T2 method tags), as v12
+/// retired T1's strategy and method tags, v11 the d-dimensional index's
+/// method tag, v10 dropped the planner's cost estimate from `QueryStats`
+/// and added its rejections by key, v9 replication and v8 sharding: a peer
+/// still speaking v7 to v12 is greeted
 /// with the server's version and its hello answered by a typed
 /// `VersionMismatch`, never served.
 #[test]
@@ -304,26 +306,26 @@ fn a_version_7_hello_gets_the_version_mismatch_answer() {
     };
     use constraint_db::storage::codec::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 
-    assert_eq!(PROTOCOL_VERSION, 12);
+    assert_eq!(PROTOCOL_VERSION, 13);
     let db = ConstraintDb::in_memory(DbConfig::paper_1999());
     let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).unwrap();
     let addr = server.local_addr();
     let stop = server.shutdown_handle();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
-    for old in [7, 8, 9, 10, 11] {
+    for old in [7, 8, 9, 10, 11, 12] {
         let mut stream = TcpStream::connect(addr).unwrap();
         let greeting = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(
             decode_greeting(&greeting).unwrap(),
-            (12, HandshakeStatus::Ok)
+            (13, HandshakeStatus::Ok)
         );
         write_frame(&mut stream, &encode_hello(old)).unwrap();
         let answer = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
         assert!(
             matches!(
                 decode_response(&answer).unwrap().2,
-                Err(NetError::VersionMismatch { server_version: 12 })
+                Err(NetError::VersionMismatch { server_version: 13 })
             ),
             "a v{old} hello"
         );

@@ -81,9 +81,10 @@ fn member_slope_queries_use_restricted_and_agree() {
                 .query_with("r", Selection::exist(q.clone()), Strategy::Scan)
                 .unwrap();
             let got = db
-                .query_with("r", Selection::exist(q.clone()), Strategy::Restricted)
+                .explain_with("r", Selection::exist(q.clone()), Strategy::T2)
                 .unwrap();
-            assert_eq!(got.ids(), want.ids(), "restricted s={s} b={b}");
+            assert!(matches!(got.plan.case, PlanCase::Member { .. }), "s={s}");
+            assert_eq!(got.result.ids(), want.ids(), "restricted s={s} b={b}");
         }
     }
 }

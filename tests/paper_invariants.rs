@@ -147,7 +147,7 @@ fn space_is_linear_in_k_and_n() {
     assert!((1.6..=2.5).contains(&rn), "n-doubling ratio {rn}");
 }
 
-/// The restricted technique answers member-slope queries with logarithmic
+/// The restricted search answers member-slope queries with logarithmic
 /// descent plus output-proportional sweeps (Theorem 3.1's access pattern):
 /// doubling the relation size must not double the page cost of a
 /// fixed-output query.
@@ -174,13 +174,11 @@ fn restricted_cost_scales_with_output_not_input() {
             .collect();
         tops.sort_by(|a, b| b.partial_cmp(a).unwrap());
         let b = tops[19];
-        let r = db
-            .query_with(
-                "r",
-                Selection::exist(HalfPlane::above(s, b)),
-                Strategy::Restricted,
-            )
+        let report = db
+            .explain_with("r", Selection::exist(HalfPlane::above(s, b)), Strategy::T2)
             .unwrap();
+        assert!(matches!(report.plan.case, PlanCase::Member { i: 0, .. }));
+        let r = report.result;
         (r.stats.index_io.accesses(), r.len())
     };
     let (cost_1k, len_1k) = run(1000);

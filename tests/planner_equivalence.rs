@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use constraint_db::index::ddim::SlopePoints;
 use constraint_db::index::error::CdbError;
 use constraint_db::index::index::Exact;
-use constraint_db::index::plan::{MethodKind, PlanCase, Rejection, TreeAt};
+use constraint_db::index::plan::{MethodKind, PlanCase, Planner, QueryPlan, Rejection, TreeAt};
 use constraint_db::index::query::{QueryResult, Side, Strategy};
 use constraint_db::index::slopes::Bracket;
 use constraint_db::prelude::*;
@@ -50,26 +50,19 @@ fn assert_same_run(planned: &QueryResult, direct: &QueryResult, what: &str) {
 /// The hint that forces `method`: a search over `Strategy::forced`, the
 /// one table, not a second one.
 fn hint_forcing(method: MethodKind) -> Strategy {
-    [
-        Strategy::Restricted,
-        Strategy::T2,
-        Strategy::Scan,
-        Strategy::RPlus,
-    ]
-    .into_iter()
-    .find(|s| s.forced() == Some(method))
-    .expect("every 2-D method is forcible")
+    [Strategy::T2, Strategy::Scan, Strategy::RPlus]
+        .into_iter()
+        .find(|s| s.forced() == Some(method))
+        .expect("every 2-D method is forcible")
 }
 
 /// The paper's bracket rule, the reference the planner is compared
 /// against: exact restricted search for member slopes, technique T2 for
-/// everything else, wrapped slopes included.
-fn bracket_rule(db: &ConstraintDb, slope: f64) -> Strategy {
+/// everything else, wrapped slopes included — `true` where the dual index
+/// must route the restricted search.
+fn bracket_rule(db: &ConstraintDb, slope: f64) -> bool {
     let slopes = db.relation("r").unwrap().index().unwrap().slopes().unwrap();
-    match slopes.bracket(slope) {
-        Bracket::Member(_) => Strategy::Restricted,
-        Bracket::Between(..) | Bracket::Wrapped(..) => Strategy::T2,
-    }
+    matches!(slopes.bracket(slope), Bracket::Member(_))
 }
 
 #[test]
@@ -92,14 +85,18 @@ fn planner_auto_matches_legacy_dispatch_and_oracle() {
             };
             let auto = db.query_with("r", sel.clone(), Strategy::Auto).unwrap();
             let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
-            let reference = db
-                .query_with("r", sel.clone(), bracket_rule(&db, q.halfplane.slope2d()))
-                .unwrap();
+            let reference = db.query_with("r", sel.clone(), Strategy::T2).unwrap();
             assert_eq!(auto.ids(), scan.ids(), "seed {seed} query {i} vs oracle");
             assert_eq!(
                 auto.ids(),
                 reference.ids(),
                 "seed {seed} query {i} vs the bracket rule"
+            );
+            let case = db.plan_query("r", &sel).unwrap().case;
+            assert_eq!(
+                matches!(case, PlanCase::Member { .. }),
+                bracket_rule(&db, q.halfplane.slope2d()),
+                "seed {seed} query {i}: {case}"
             );
             // Replaying the search that ran as a forced strategy must be
             // bit-identical in result and measured I/O: the planner changes
@@ -143,8 +140,8 @@ fn unindexed_relation_plans_a_scan_with_oracle_results() {
 }
 
 /// Every selection shape gets a plan in `E²`: both kinds × both operators
-/// × member / between / wrapped query slopes, indexed or not — and, forced
-/// to each dual technique or left to the planner, the plan's case is the
+/// × member / between / wrapped query slopes, indexed or not — and, the
+/// dual index forced or left to the planner, the plan's case is the
 /// routing table's entry and the search that ran.
 #[test]
 fn explain_covers_every_selection_shape_2d() {
@@ -188,37 +185,22 @@ fn explain_covers_every_selection_shape_2d() {
                         continue;
                     }
 
-                    for forced in [Strategy::Restricted, Strategy::T2, Strategy::Auto] {
+                    for forced in [Strategy::T2, Strategy::Auto] {
                         let what = format!("{forced:?} {sel:?}");
-                        let report = match db.explain_with("r", sel.clone(), forced) {
-                            Ok(report) => report,
-                            Err(e) => {
-                                assert!(forced == Strategy::Restricted && slope != member, "{e}");
-                                continue;
-                            }
-                        };
+                        let report = db.explain_with("r", sel.clone(), forced).unwrap();
                         let (plan, result) = (&report.plan, &report.result);
-                        assert_eq!(result.stats.method, Some(plan.case.runs()), "{what}");
-                        // Auto's rule: Restricted at a member slope, else T2.
-                        let rule = match slopes.bracket(slope) {
-                            Bracket::Member(_) => MethodKind::Restricted,
-                            Bracket::Between(..) | Bracket::Wrapped(..) => MethodKind::T2,
-                        };
-                        let technique = forced.forced().unwrap_or(rule);
-                        assert_eq!(plan.method, technique, "{what}");
-                        // Both techniques run the restricted search at a
-                        // member slope: the case names the search, the
-                        // plan's method the technique asked for.
-                        let want = match (technique, slopes.bracket(slope)) {
-                            (MethodKind::Restricted, _) | (_, Bracket::Member(_)) => {
-                                PlanCase::Member {
-                                    i: 1,
-                                    slope: vec![member],
-                                }
-                            }
+                        assert_eq!(plan.method, MethodKind::Dual, "{what}");
+                        assert_eq!(result.stats.method, Some(plan.method), "{what}");
+                        // The case names the search: the restricted search
+                        // at a member slope, else T2.
+                        let want = match slopes.bracket(slope) {
+                            Bracket::Member(_) => PlanCase::Member {
+                                i: 1,
+                                slope: vec![member],
+                            },
                             // `near` is the slope whose handicap strip
                             // [a₁, (a₁+a₂)/2] contains the query slope.
-                            (MethodKind::T2, Bracket::Between(..)) => PlanCase::Between {
+                            Bracket::Between(..) => PlanCase::Between {
                                 lo: slopes.get(1),
                                 hi: slopes.get(2),
                                 near: at(1),
@@ -226,17 +208,15 @@ fn explain_covers_every_selection_shape_2d() {
                             },
                             // Beyond max S: its trees, over their piece of
                             // the strip through the vertical.
-                            (MethodKind::T2, _) => PlanCase::Between {
+                            Bracket::Wrapped(..) => PlanCase::Between {
                                 lo: slopes.get(3),
                                 hi: slopes.get(0),
                                 near: at(3),
                                 side: Side::Next,
                             },
-                            (other, _) => panic!("{what}: the planner chose {other}"),
                         };
                         assert_eq!(plan.case, want, "{what}");
-                        let hint = hint_forcing(technique);
-                        let direct = index.execute(&pager, &sel, hint, &fetch).unwrap();
+                        let direct = index.execute(&pager, &sel, forced, &fetch).unwrap();
                         assert_same_run(result, &direct, &what);
                     }
                 }
@@ -325,50 +305,41 @@ fn explain_covers_d_dimensional_selections() {
                 assert_eq!(plan, report.plan, "{what}");
                 let scan = db.query_with("boxes", sel.clone(), Strategy::Scan).unwrap();
                 assert_eq!(report.result.ids(), scan.ids(), "{what} vs scan oracle");
-                // Auto is Restricted → T2 → SeqScan here too: off the
-                // points the restricted search is refused first.
-                let routed = index.route(MethodKind::T2, &sel);
-                let off = (label != "member").then(|| {
-                    let why = Rejection::SlopeNotInS(slope.clone());
-                    (MethodKind::Restricted, why)
-                });
+                // Auto is Dual → SeqScan here too.
+                let routed = index.route(&sel);
                 if label == "outside box" {
                     assert_eq!(report.plan.method, MethodKind::SeqScan, "{what}");
                     let why = Rejection::OutsideBox(slope.clone());
                     assert_eq!(routed, Err(why.clone()), "{what}");
-                    let rejected = [off.unwrap(), (MethodKind::T2, why)];
+                    let rejected = [(MethodKind::Dual, why)];
                     assert_eq!(report.plan.rejected, rejected, "{what}");
                     continue;
                 }
                 let case = routed.unwrap_or_else(|why| panic!("{what}: {why}"));
-                let method = if label == "member" {
+                if label == "member" {
                     assert!(matches!(case, PlanCase::Member { .. }), "{case:?}");
-                    MethodKind::Restricted
                 } else {
                     assert!(matches!(case, PlanCase::Cell(_)), "{case:?}");
-                    MethodKind::T2
-                };
+                }
                 let direct = index
                     .run(pager, &sel, &case, Exact::Selection, &fetch)
                     .unwrap();
                 assert_eq!(direct.ids(), scan.ids(), "{what}: direct vs scan oracle");
-                assert_eq!(report.plan.method, method, "{what}");
+                assert_eq!(report.plan.method, MethodKind::Dual, "{what}");
                 assert_eq!(report.plan.case, case, "{what}");
-                assert_eq!(report.plan.rejected, Vec::from_iter(off), "{what}");
-                assert_eq!(report.result.stats.method, Some(method));
+                assert!(report.plan.rejected.is_empty(), "{what}");
+                assert_eq!(report.result.stats.method, Some(MethodKind::Dual));
                 assert_same_run(&report.result, &direct, &what);
             }
         }
     }
 }
 
-/// The restricted search and T2 are techniques of the dual index in every
-/// dimension: forced on a 3-D relation over slope points, Restricted at a
-/// member point runs the member's trees (`Member`), and T2 its nearest
-/// point's cell at an in-box slope (`Cell`) — the member's trees at a
-/// member — each answering as the predicate oracle. Off the points the
-/// restricted search is refused, and the R⁺-tree, a 2-D structure, for
-/// the dimension.
+/// The restricted search and T2 are the dual index's routes in every
+/// dimension: forced on a 3-D relation over slope points, the index runs
+/// a member point's trees (`Member`) and an in-box slope's nearest point's
+/// cell (`Cell`), each answering as the predicate oracle. The R⁺-tree, a
+/// 2-D structure, is refused for the dimension.
 #[test]
 fn forced_restricted_and_t2_route_over_slope_points() {
     let tuples = boxes_3d(150);
@@ -384,36 +355,31 @@ fn forced_restricted_and_t2_route_over_slope_points() {
         hits.map(|(id, _)| id).collect()
     };
     let shapes = [
-        (vec![1.0, -1.0], Strategy::Restricted, true),
-        (vec![0.0, 0.0], Strategy::T2, true),
-        (vec![0.3, -0.6], Strategy::T2, false),
-        (vec![-0.85, 0.45], Strategy::T2, false),
+        (vec![1.0, -1.0], true),
+        (vec![0.0, 0.0], true),
+        (vec![0.3, -0.6], false),
+        (vec![-0.85, 0.45], false),
     ];
-    for (slope, forced, member) in shapes {
+    for (slope, member) in shapes {
         for op in [RelOp::Ge, RelOp::Le] {
             let hp = HalfPlane::new(slope.clone(), 5.0, op);
             for sel in [Selection::exist(hp.clone()), Selection::all(hp)] {
-                let what = format!("{forced:?} {sel:?}");
-                let report = db.explain_with("boxes", sel.clone(), forced).unwrap();
+                let what = format!("{sel:?}");
+                let report = db.explain_with("boxes", sel.clone(), Strategy::T2).unwrap();
                 let (plan, result) = (&report.plan, &report.result);
-                assert_eq!((Some(plan.method), plan.forced), (forced.forced(), true));
+                assert_eq!((plan.method, plan.forced), (MethodKind::Dual, true));
                 match &plan.case {
                     PlanCase::Member { slope: at, .. } => assert!(member && *at == slope, "{what}"),
                     PlanCase::Cell(_) => assert!(!member, "{what}"),
                     other => panic!("{what}: {other}"),
                 }
-                assert_eq!(result.stats.method, Some(plan.case.runs()), "{what}");
+                assert_eq!(result.stats.method, Some(plan.method), "{what}");
                 assert_eq!(result.ids(), oracle(&sel), "{what}");
             }
         }
     }
     let sel = Selection::exist(HalfPlane::new(vec![0.3, -0.6], 5.0, RelOp::Ge));
     let refused = |forced| db.query_with("boxes", sel.clone(), forced).err();
-    let why = "forced method Restricted: slope point [0.3, -0.6] is not in the predefined set S";
-    assert_eq!(
-        refused(Strategy::Restricted),
-        Some(CdbError::UnsupportedQuery(why.into()))
-    );
     let why = "forced method RPlus: serves 2-D queries only, the query is 3-D";
     assert_eq!(
         refused(Strategy::RPlus),
@@ -421,29 +387,137 @@ fn forced_restricted_and_t2_route_over_slope_points() {
     );
 }
 
-/// `QueryStats::method` names the search that ran, not the label that
-/// won: at a member slope Auto and forced T2 both run the restricted
-/// search, and T2 at a wrapped slope runs its own sweeps.
+/// `Auto` and the forced dual index route one case, row by row: a member
+/// slope, an interior one and both wraps through the vertical on a 2-D
+/// relation; a member point, an in-box slope and an out-of-box slope on a
+/// 3-D one; and a 3-D selection on the 2-D relation. Where the index
+/// routes, `Auto` rejects nothing before it and every run reports the
+/// method its plan names; where it does not, the forced index is refused
+/// with the reason `Auto` gives before it scans.
+#[test]
+fn auto_and_the_forced_dual_index_route_one_case() {
+    let tuples = DatasetSpec::paper_1999(300, ObjectSize::Small, 53).generate();
+    let mut db = build_db(&tuples, Some(4));
+    db.create_relation("boxes", 3).unwrap();
+    for t in boxes_3d(120) {
+        db.insert("boxes", t).unwrap();
+    }
+    db.build_dual_index("boxes", SlopePoints::grid(3, 3, 1.0))
+        .unwrap();
+    let slopes = SlopeSet::uniform_tan(4);
+    // (label, relation, query slope, the route's shape; `None`: refused)
+    let rows = [
+        ("member", "r", vec![slopes.get(1)], Some("member")),
+        ("interior", "r", vec![0.3], Some("between")),
+        (
+            "beyond max S",
+            "r",
+            vec![slopes.get(3) + 1.0],
+            Some("wrapped"),
+        ),
+        (
+            "below min S",
+            "r",
+            vec![slopes.get(0) - 1.0],
+            Some("wrapped"),
+        ),
+        ("d-D member", "boxes", vec![1.0, -1.0], Some("member")),
+        ("d-D in box", "boxes", vec![0.3, -0.6], Some("cell")),
+        ("d-D out of box", "boxes", vec![1.5, 0.0], None),
+        ("3-D on 2-D", "r", vec![0.1, 0.2], None),
+    ];
+    for (label, name, slope, shape) in rows {
+        let rel = db.relation(name).unwrap();
+        for op in [RelOp::Ge, RelOp::Le] {
+            let hp = HalfPlane::new(slope.clone(), 4.0, op);
+            for sel in [Selection::exist(hp.clone()), Selection::all(hp)] {
+                let what = format!("{label} {sel:?}");
+                let plan = |forced| Planner::choose(rel, &sel, forced).map(|(_, p)| p);
+                let (auto, dual) = (plan(None), plan(Some(MethodKind::Dual)));
+                let Some(shape) = shape else {
+                    let why = db.relation(name).unwrap().index().unwrap().route(&sel);
+                    let why = why.expect_err("refused");
+                    let forced = format!("forced method Dual: {why}");
+                    assert_eq!(dual, Err(CdbError::UnsupportedQuery(forced)), "{what}");
+                    match auto {
+                        Ok(QueryPlan {
+                            method, rejected, ..
+                        }) => {
+                            assert_eq!(method, MethodKind::SeqScan, "{what}");
+                            assert_eq!(rejected, [(MethodKind::Dual, why)], "{what}");
+                        }
+                        Err(_) => {
+                            let got = db.query_with(name, sel.clone(), Strategy::Auto);
+                            let want = CdbError::DimensionMismatch {
+                                expected: 2,
+                                got: 3,
+                            };
+                            assert_eq!(got.err(), Some(want), "{what}");
+                        }
+                    }
+                    continue;
+                };
+                let (auto, dual) = (auto.unwrap(), dual.unwrap());
+                assert_eq!(auto.case, dual.case, "{what}");
+                assert_eq!(
+                    (auto.method, dual.method),
+                    (MethodKind::Dual, MethodKind::Dual)
+                );
+                assert!(auto.rejected.is_empty(), "{what}: {:?}", auto.rejected);
+                let routed = match &auto.case {
+                    PlanCase::Member { .. } => "member",
+                    PlanCase::Between { lo, hi, .. } if lo < hi => "between",
+                    PlanCase::Between { .. } => "wrapped",
+                    PlanCase::Cell(_) => "cell",
+                    other => panic!("{what}: {other}"),
+                };
+                assert_eq!(routed, shape, "{what}");
+                for strategy in [Strategy::Auto, Strategy::T2] {
+                    let report = db.explain_with(name, sel.clone(), strategy).unwrap();
+                    assert_eq!(report.plan.case, auto.case, "{what} {strategy:?}");
+                    let ran = report.result.stats.method;
+                    assert_eq!(ran, Some(report.plan.method), "{what} {strategy:?}");
+                }
+            }
+        }
+    }
+}
+
+/// `QueryStats::method` names the method that ran and its plan's case the
+/// search: at a member slope Auto and forced T2 both run the dual index's
+/// restricted search, and at a wrapped slope T2's own sweeps.
 #[test]
 fn stats_name_the_search_that_ran() {
     let tuples = DatasetSpec::paper_1999(2000, ObjectSize::Small, 43).generate();
     let db = build_db(&tuples, Some(4));
     let slopes = SlopeSet::uniform_tan(4);
+    let ran = |sel: Selection, strategy| {
+        let report = db.explain_with("r", sel, strategy).unwrap();
+        let method = report.result.stats.method;
+        assert_eq!(method, Some(report.plan.method));
+        (method, report.plan.case, report.result)
+    };
     for i in 0..256 {
         let hp = HalfPlane::above(slopes.get(i % 4), -40.0 + 0.3 * i as f64);
-        let r = db.query("r", Selection::exist(hp)).unwrap();
-        assert_eq!(r.stats.method, Some(MethodKind::Restricted), "query {i}");
+        let (method, case, _) = ran(Selection::exist(hp), Strategy::Auto);
+        assert_eq!(method, Some(MethodKind::Dual), "query {i}");
+        assert!(matches!(case, PlanCase::Member { .. }), "query {i}: {case}");
     }
     // Forced T2 at a member slope still answers — by that same search.
     let sel = Selection::exist(HalfPlane::above(slopes.get(2), 5.0));
     let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
-    let r = db.query_with("r", sel, Strategy::T2).unwrap();
+    let (method, case, r) = ran(sel, Strategy::T2);
     assert_eq!(r.ids(), scan.ids());
-    assert_eq!(r.stats.method, Some(MethodKind::Restricted));
-    // A wrapped slope runs T2's own sweeps, and is reported as such.
+    assert_eq!(method, Some(MethodKind::Dual));
+    assert!(matches!(case, PlanCase::Member { i: 2, .. }), "{case}");
+    // A wrapped slope runs T2's own sweeps, and its case says so.
     let wrapped = Selection::exist(HalfPlane::above(slopes.get(3) + 1.0, 5.0));
-    let r = db.query_with("r", wrapped, Strategy::T2).unwrap();
-    assert_eq!(r.stats.method, Some(MethodKind::T2));
+    let (method, case, r) = ran(wrapped, Strategy::T2);
+    assert_eq!(method, Some(MethodKind::Dual));
+    assert!(
+        matches!(case, PlanCase::Between { lo, hi, .. } if lo > hi),
+        "{case}"
+    );
     assert_eq!(r.stats.duplicates, 0);
 }
 
@@ -621,12 +695,12 @@ fn duplicate_and_candidate_accounting_is_pinned() {
         for op in [RelOp::Ge, RelOp::Le] {
             let hp = HalfPlane::new(slope.to_vec(), 5.0 * i as f64 - 10.0, op);
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
-                let cell = covered.route(MethodKind::T2, &sel).unwrap();
+                let cell = covered.route(&sel).unwrap();
                 assert!(matches!(cell, PlanCase::Cell(_)), "{cell}");
                 let r = covered.run(&pager, &sel, &cell, Exact::Selection, &fetch);
                 fold(&mut cells, &r.unwrap());
                 let r = db3.query_with("boxes", sel, Strategy::Auto).unwrap();
-                assert_eq!(r.stats.method, Some(MethodKind::T2));
+                assert_eq!(r.stats.method, Some(MethodKind::Dual));
                 fold(&mut auto, &r);
             }
         }
@@ -688,7 +762,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
         for op in [RelOp::Ge, RelOp::Le] {
             let hp = HalfPlane::new2d(a, 9.0 * i as f64 - 30.0, op);
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
-                let case = index.route(MethodKind::T2, &sel).unwrap();
+                let case = index.route(&sel).unwrap();
                 assert!(matches!(case, PlanCase::Between { .. }), "{case}");
                 fold(
                     &mut between,
@@ -720,7 +794,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
         for op in [RelOp::Ge, RelOp::Le] {
             let hp = HalfPlane::new(slope.to_vec(), 11.0 * i as f64 - 25.0, op);
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
-                let case = index.route(MethodKind::T2, &sel).unwrap();
+                let case = index.route(&sel).unwrap();
                 assert!(matches!(case, PlanCase::Cell(_)), "{case}");
                 fold(
                     &mut cell,

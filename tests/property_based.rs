@@ -367,12 +367,13 @@ fn query_executor_batch_matches_sequential() {
         };
         let mut batch = Vec::new();
         for qi in 0..18 {
+            // Every third query forces the dual index at a member slope:
+            // the restricted search.
             let strat = match qi % 3 {
                 0 => QueryStrategy::Auto,
-                1 => QueryStrategy::T2,
-                _ => QueryStrategy::Restricted,
+                _ => QueryStrategy::T2,
             };
-            let a = if strat == QueryStrategy::Restricted {
+            let a = if qi % 3 == 2 {
                 member_slopes[rng.gen_range(0..member_slopes.len())]
             } else {
                 rng.gen_range(-2.5..2.5)
