@@ -99,6 +99,13 @@ RULES
 0|mentions of SlopeNotInS|-|SlopeNotInS
 0|definitions of fn runs|-|fn runs\(
 RULES
+  # The wire speaks the engine's types: one build request over
+  # `IndexSpec`, the engine's `RecoveryReport`, SQL's EXPLAIN, and one
+  # front of the dual index. The WAL keeps its two build records, defined
+  # in wal.rs and named `WalRecord::` elsewhere.
+  grep_audit one-router crates/core/src crates/net/src src <<'RULES'
+0|the wire's parallel build, EXPLAIN and fsck types|wal.rs|(^|[^:A-Za-z0-9_])(BuildDual|BuildDualD|BuildRPlus)\b|Request::Build(Dual|RPlus)|Request::Explain|Response::Explain|WireRecoveryReport|execute_hyperplane|fn build_dual_d
+RULES
 }
 step one-router one_router
 
@@ -121,8 +128,15 @@ step one-router one_router
 one_forest() {
   grep_audit one-forest crates/btree/src crates/core/src/index <<'RULES'
 1|an .assign_handicaps( call|-|\.assign_handicaps\(
-1|a .fold_handicaps( call|-|\.fold_handicaps\(
 0|down/low/high halves of a mirrored pair|-|fn ([a-z_]+_(down|low|high)|find_last_leq)\b
+RULES
+  # One fold of handicaps in the engine, and `BTree::insert` is a fold of
+  # none.
+  grep_audit one-forest crates/core/src/index <<'RULES'
+1|a .fold_handicaps( call|-|\.fold_handicaps\(
+RULES
+  grep_audit one-forest crates/btree/src <<'RULES'
+1|a .fold_handicaps( call (insert)|-|self\.fold_handicaps\(pager, Some\(\(key, value\)\), &\[\]\)
 RULES
   grep_audit one-forest crates/core/src <<'RULES'
 0|mentions of anchor_x|-|anchor_x
@@ -402,7 +416,7 @@ server_smoke() {
     printf 'insert parcels y >= x && y <= x + 1 && x >= 10\n'
     printf 'index parcels 4\n'
     printf 'exist parcels y >= 0.3x - 5\n'
-    printf 'explain exist parcels y >= 0.3x - 5\n'
+    printf 'explain analyze select * from parcels where y >= 0.3x - 5 exist\n'
     printf 'stats\n'
     printf 'save\n'
     printf 'shutdown\n'

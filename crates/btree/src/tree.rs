@@ -328,11 +328,7 @@ impl BTree {
     /// # Panics
     /// Panics on a `NaN` key.
     pub fn insert(&mut self, pager: &mut dyn Pager, key: f64, value: u32) -> io::Result<()> {
-        let (mut tree, mut pages) = (self.clone(), Pages::of(self));
-        tree.put(pager, &mut pages, key, value)?;
-        pages.write_back(pager)?;
-        *self = tree;
-        Ok(())
+        self.fold_handicaps(pager, Some((key, value)), &[])
     }
 
     /// [Inserts](Self::insert) `entry`, if any, then folds each `(dir,

@@ -87,8 +87,9 @@ cdb_storage::wire_struct!(WalReplay {
 
 /// What [`ConstraintDb::open`] found and did: the pager's header-slot
 /// recovery, the WAL replay (which runs *before* verification), and the
-/// per-relation verification verdicts.
-#[derive(Clone, Debug)]
+/// per-relation verification verdicts; [`ConstraintDb::verify_now`] adds
+/// the quarantine cross-check. The wire's Fsck answer.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryReport {
     /// Header recovery performed by the file pager.
     pub pager: PagerRecovery,
@@ -96,7 +97,17 @@ pub struct RecoveryReport {
     pub relations: Vec<(String, RelationHealth)>,
     /// Write-ahead-log replay, when a log file was present.
     pub wal: Option<WalReplay>,
+    /// [`ConstraintDb::quarantine_clean`], as `verify_now` found it; `None`
+    /// from `open`, and for engines without a durable quarantine.
+    pub quarantine: Option<bool>,
 }
+
+cdb_storage::wire_struct!(RecoveryReport {
+    pager,
+    wal,
+    relations,
+    quarantine
+});
 
 impl RecoveryReport {
     /// `true` when the pager opened on its newest commit, every relation
@@ -235,6 +246,7 @@ impl ConstraintDb {
                 pager: PagerRecovery::Clean,
                 relations: Vec::new(),
                 wal: None,
+                quarantine: None,
             },
             wal: None,
             wal_base: None,
@@ -691,6 +703,7 @@ impl ConstraintDb {
             pager: self.recovery.pager,
             relations,
             wal: self.recovery.wal.clone(),
+            quarantine: self.quarantine_clean(),
         }
     }
 

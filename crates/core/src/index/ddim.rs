@@ -60,7 +60,8 @@ pub struct SlopePoints {
 }
 
 /// The dimension, the point count, then `dim − 1` coordinates per point;
-/// refused where [`SlopePoints::new`] would panic.
+/// refused where [`SlopePoints::new`] would panic — a count it would refuse
+/// before a point is read.
 impl Wire for SlopePoints {
     fn put(&self, w: &mut RecordWriter) {
         (self.dim, self.points.len()).put(w);
@@ -75,8 +76,10 @@ impl Wire for SlopePoints {
             // bound a forged count.
             return Err(CodecError::Invalid("slope points dimension"));
         }
+        let k = usize::get(r)?;
+        check_region_work(dim, k).map_err(CodecError::Invalid)?;
         let mut points = Vec::new();
-        for _ in 0..usize::get(r)? {
+        for _ in 0..k {
             points.push(r.get_seq(dim - 1)?);
         }
         Self::try_from_parts(dim, points).map_err(CodecError::Invalid)
@@ -86,8 +89,8 @@ impl Wire for SlopePoints {
 /// Refuses `k` slope points in `E^{dim−1}` whose cells would cost more
 /// than [`MAX_REGION_WORK`], or need more rows than
 /// [`vertex_enum::MAX_ROWS`] (`d ≤ 7`) — before anything sized by either
-/// is allocated.
-fn check_region_work(dim: usize, k: usize) -> Result<(), &'static str> {
+/// is allocated. A slope set is bounded as `k` slope points at `d = 2`.
+pub(crate) fn check_region_work(dim: usize, k: usize) -> Result<(), &'static str> {
     let axes = dim - 1;
     let rows = (2 + NEIGHBOURS_PER_AXIS).saturating_mul(axes);
     if rows > vertex_enum::MAX_ROWS {

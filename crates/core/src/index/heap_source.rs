@@ -86,6 +86,7 @@ impl TupleSource for HeapSource<'_> {
 mod tests {
     use super::*;
     use crate::ddim::SlopePoints;
+    use crate::index::tests::line;
     use crate::index::{refine, Candidates, DualIndex, Exact};
     use crate::plan::PlanCase;
     use crate::query::{QueryResult, Selection, SelectionKind, Strategy};
@@ -226,9 +227,7 @@ mod tests {
                 for kind in [SelectionKind::Exist, SelectionKind::All] {
                     let what = format!("line {strategy:?} {kind:?} y = {a}x + {b}");
                     let got = bed
-                        .both(&what, |src| {
-                            idx.execute_hyperplane(&bed.pager, a, b, kind, strategy, src)
-                        })
+                        .both(&what, |src| line(&idx, &bed.pager, (a, b), kind, src))
                         .unwrap();
                     let want: Vec<u32> = bed
                         .pairs

@@ -82,6 +82,12 @@ pub enum IndexSpec {
     },
 }
 
+// The wire's one build request carries this layout.
+cdb_storage::wire_enum!(IndexSpec {
+    0 => Dual(geometry),
+    1 => RPlus { fill as cdb_storage::codec::finite },
+});
+
 impl IndexSpec {
     /// Which slot this spec fills.
     pub fn kind(&self) -> IndexKind {
@@ -639,35 +645,6 @@ impl DualIndex {
         strategy: Strategy,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        self.front(pager, sel, strategy, Exact::Selection, fetch)
-    }
-
-    /// Footnote 2 of the paper: *equality* queries. Retrieves tuples whose
-    /// extension intersects (`Exist`) or is contained in (`All`) the
-    /// hyperplane `x_d = a·x' + c` — e.g. the query generalized tuple
-    /// `y = a x + c` — as [`Exact::Line`] over [`Selection::line_superset`].
-    pub fn execute_hyperplane(
-        &self,
-        pager: &dyn PageReader,
-        slope: f64,
-        c: f64,
-        kind: SelectionKind,
-        strategy: Strategy,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
-        let superset = Selection::line_superset(slope, c);
-        self.front(pager, &superset, strategy, Exact::Line(kind), fetch)
-    }
-
-    /// The public front: strategy → route → run.
-    fn front(
-        &self,
-        pager: &dyn PageReader,
-        sel: &Selection,
-        strategy: Strategy,
-        exact: Exact,
-        fetch: &dyn TupleSource,
-    ) -> Result<QueryResult, CdbError> {
         if let Some(other @ (MethodKind::SeqScan | MethodKind::RPlus)) = strategy.forced() {
             return Err(CdbError::UnsupportedQuery(format!(
                 "{other} is executed by the planner, not the dual index"
@@ -676,7 +653,7 @@ impl DualIndex {
         let case = self
             .route(sel)
             .map_err(|why| CdbError::UnsupportedQuery(why.to_string()))?;
-        self.run(pager, sel, &case, exact, fetch)
+        self.run(pager, sel, &case, Exact::Selection, fetch)
     }
 
     /// Which trees the index sweeps for `sel`, in which way: the routing
@@ -898,6 +875,22 @@ mod tests {
             pairs.iter().cloned().collect();
         let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
         idx.execute(pager, sel, strategy, &fetch).expect("query")
+    }
+
+    /// The line `y = a·x + c` along `idx`'s route: [`Exact::Line`] over
+    /// [`Selection::line_superset`], as the planner runs a line query.
+    pub(super) fn line(
+        idx: &DualIndex,
+        pager: &dyn PageReader,
+        (a, c): (f64, f64),
+        kind: SelectionKind,
+        fetch: &dyn TupleSource,
+    ) -> Result<QueryResult, CdbError> {
+        let superset = Selection::line_superset(a, c);
+        let case = idx
+            .route(&superset)
+            .map_err(|why| CdbError::UnsupportedQuery(why.to_string()))?;
+        idx.run(pager, &superset, &case, Exact::Line(kind), fetch)
     }
 
     fn oracle(pairs: &[(u32, GeneralizedTuple)], sel: &Selection) -> Vec<u32> {
@@ -1367,9 +1360,7 @@ mod tests {
             for kind in [SelectionKind::Exist, SelectionKind::All] {
                 let l1 = lookup.clone();
                 let fetch = move |_: &dyn PageReader, id: u32| l1[&id].clone();
-                let got = idx
-                    .execute_hyperplane(&pager, a, c, kind, Strategy::T2, &fetch)
-                    .unwrap();
+                let got = line(&idx, &pager, (a, c), kind, &fetch).unwrap();
                 let want: Vec<u32> = pairs
                     .iter()
                     .filter(|(_, t)| match kind {
@@ -1393,9 +1384,7 @@ mod tests {
         let lookup2: std::collections::HashMap<u32, GeneralizedTuple> =
             pairs2.iter().cloned().collect();
         let fetch = move |_: &dyn PageReader, id: u32| lookup2[&id].clone();
-        let got = idx2
-            .execute_hyperplane(&pager, 0.5, 2.0, SelectionKind::All, Strategy::T2, &fetch)
-            .unwrap();
+        let got = line(&idx2, &pager, (0.5, 2.0), SelectionKind::All, &fetch).unwrap();
         assert_eq!(got.ids(), &[9000]);
     }
 

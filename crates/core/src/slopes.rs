@@ -12,6 +12,7 @@
 
 use cdb_storage::{CodecError, RecordReader, RecordWriter, Wire};
 
+use crate::index::ddim::check_region_work;
 use crate::query::Side;
 
 /// A predefined, sorted set of `k ≥ 2` distinct slopes.
@@ -23,18 +24,27 @@ pub struct SlopeSet {
 
 /// The slopes as a counted `f64` list. Persisted sets are canonical
 /// (ascending, distinct), so anything [`SlopeSet::try_new`] would have to
-/// reorder is damage, not input.
+/// reorder is damage, not input; a count it would refuse is refused before
+/// a slope is read.
 impl Wire for SlopeSet {
     fn put(&self, w: &mut RecordWriter) {
         self.slopes.put(w)
     }
     fn get(r: &mut RecordReader<'_>) -> Result<Self, CodecError> {
-        let raw = Vec::<f64>::get(r)?;
+        let k = usize::get(r)?;
+        check_len(k).map_err(CodecError::Invalid)?;
+        let raw = r.get_seq(k)?;
         match SlopeSet::try_new(raw.clone()) {
             Ok(set) if set.slopes == raw => Ok(set),
             _ => Err(CodecError::Invalid("slope set")),
         }
     }
+}
+
+/// Refuses more slopes than [`check_region_work`] admits slope points at
+/// `d = 2` — before anything is sized by the count.
+fn check_len(k: usize) -> Result<(), &'static str> {
+    check_region_work(2, k).map_err(|_| "too many slopes for one slope set")
 }
 
 /// Neighbourhood of a query slope (Table 1 of the paper).
@@ -62,9 +72,12 @@ impl SlopeSet {
     /// log record, the catalog): the one place a slope set is validated.
     ///
     /// # Errors
-    /// The reason, with fewer than 2 distinct finite slopes.
+    /// The reason, with fewer than 2 distinct finite slopes, or more
+    /// slopes than the index computes regions for as slope points at
+    /// `d = 2` (2 045).
     pub fn try_new(mut slopes: Vec<f64>) -> Result<Self, &'static str> {
         const REFUSED: &str = "a slope set needs at least 2 distinct finite slopes";
+        check_len(slopes.len())?;
         if !slopes.iter().all(|s| s.is_finite()) {
             return Err(REFUSED);
         }
@@ -79,8 +92,24 @@ impl SlopeSet {
     /// `k` slopes `tan(φ)` at angles `φ` evenly spread over `(0, π)` away
     /// from the vertical — the paper's experimental configuration for
     /// `k ∈ {2, 3, 4, 5}`.
+    ///
+    /// # Panics
+    /// Panics where [`try_uniform_tan`](Self::try_uniform_tan) refuses.
     pub fn uniform_tan(k: usize) -> Self {
-        assert!(k >= 2, "k must be at least 2");
+        Self::try_uniform_tan(k).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`uniform_tan`](Self::uniform_tan) for a `k` from outside the
+    /// program (the shell).
+    ///
+    /// # Errors
+    /// The reason, for `k < 2` or more slopes than
+    /// [`try_new`](Self::try_new) takes — refused before any is computed.
+    pub fn try_uniform_tan(k: usize) -> Result<Self, &'static str> {
+        if k < 2 {
+            return Err("k must be at least 2");
+        }
+        check_len(k)?;
         let slopes = (0..k)
             .map(|i| {
                 let phi = std::f64::consts::PI * (i as f64 + 0.5) / k as f64;
@@ -93,7 +122,7 @@ impl SlopeSet {
                 phi.tan()
             })
             .collect();
-        SlopeSet::new(slopes)
+        Self::try_new(slopes)
     }
 
     /// Number of slopes `k`.
@@ -206,6 +235,28 @@ pub enum StripEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdb_storage::codec;
+    use cdb_storage::conformance::peak_during;
+
+    /// A slope set is bounded as slope points are at d = 2: 2 045 slopes
+    /// are a set, 2 046 are refused — by `try_new`, by `try_uniform_tan`
+    /// before a slope is computed, and by the layout before one is read.
+    #[test]
+    fn slope_sets_are_bounded_as_slope_points_at_d_2() {
+        let slopes = |k: u32| (0..k).map(f64::from).collect::<Vec<_>>();
+        assert_eq!(SlopeSet::try_new(slopes(2_045)).unwrap().len(), 2_045);
+        assert!(SlopeSet::try_new(slopes(2_046)).is_err());
+        assert_eq!(SlopeSet::try_uniform_tan(2_045).unwrap().len(), 2_045);
+        for k in [2_046, 20_000, usize::MAX] {
+            let (got, peak) = peak_during(|| SlopeSet::try_uniform_tan(k));
+            assert!(got.is_err() && peak == 0, "k = {k}: {peak} bytes");
+        }
+        let forged = codec::encode(&slopes(20_000));
+        let (got, peak) = peak_during(|| codec::decode::<SlopeSet>(&forged));
+        assert!(got.is_err() && peak == 0, "{peak} bytes");
+        let largest = codec::encode(&slopes(2_045));
+        assert_eq!(codec::decode::<SlopeSet>(&largest).unwrap().len(), 2_045);
+    }
 
     #[test]
     fn uniform_tan_counts_and_order() {

@@ -12,10 +12,10 @@ use std::ops::{Deref, DerefMut};
 
 use cdb_core::query::{QueryResult, Selection, SelectionKind, Strategy};
 use cdb_core::sql::{SqlMode, SqlOutcome};
-use cdb_core::DbStats;
+use cdb_core::{DbStats, IndexSpec, RecoveryReport};
 use cdb_geometry::tuple::GeneralizedTuple;
 
-use crate::proto::{NetError, Request, Response, WireQueryResult, WireRecoveryReport};
+use crate::proto::{NetError, Request, Response, WireQueryResult};
 
 /// One way of executing requests. See the module docs.
 pub trait Backend {
@@ -75,15 +75,6 @@ fn expect_unit(response: Response) -> Result<(), NetError> {
 fn expect_query(response: Response) -> Result<QueryResult, NetError> {
     match response {
         Response::Query(WireQueryResult { ids, stats }) => Ok(QueryResult::new(ids, stats)),
-        other => Err(protocol_violation(&other)),
-    }
-}
-
-fn expect_explain(response: Response) -> Result<(String, QueryResult), NetError> {
-    match response {
-        Response::Explain { rendered, result } => {
-            Ok((rendered, expect_query(Response::Query(result))?))
-        }
         other => Err(protocol_violation(&other)),
     }
 }
@@ -149,34 +140,12 @@ impl<B: Backend> Api<B> {
         })?)
     }
 
-    /// Builds the dual index of a 2-D relation over an explicit slope set.
-    pub fn build_dual(&mut self, relation: &str, slopes: Vec<f64>) -> Result<(), NetError> {
-        expect_unit(self.0.call(Request::BuildDual {
+    /// Builds the index `spec` names: the dual index over a slope set or
+    /// slope points, or the R⁺-tree baseline.
+    pub fn build_index(&mut self, relation: &str, spec: IndexSpec) -> Result<(), NetError> {
+        expect_unit(self.0.call(Request::Build {
             relation: relation.into(),
-            slopes,
-        })?)
-    }
-
-    /// Builds the dual index over a regular grid of slope points of the
-    /// relation's dimension.
-    pub fn build_dual_d(
-        &mut self,
-        relation: &str,
-        per_axis: u32,
-        range: f64,
-    ) -> Result<(), NetError> {
-        expect_unit(self.0.call(Request::BuildDualD {
-            relation: relation.into(),
-            per_axis,
-            range,
-        })?)
-    }
-
-    /// Packs the R⁺-tree baseline at the given fill factor.
-    pub fn build_rplus(&mut self, relation: &str, fill: f64) -> Result<(), NetError> {
-        expect_unit(self.0.call(Request::BuildRPlus {
-            relation: relation.into(),
-            fill,
+            spec,
         })?)
     }
 
@@ -191,19 +160,6 @@ impl<B: Backend> Api<B> {
             relation: relation.into(),
             selection,
             strategy,
-        })?)
-    }
-
-    /// EXPLAIN ANALYZE: returns the rendered report and the executed
-    /// result.
-    pub fn explain(
-        &mut self,
-        relation: &str,
-        selection: Selection,
-    ) -> Result<(String, QueryResult), NetError> {
-        expect_explain(self.0.call(Request::Explain {
-            relation: relation.into(),
-            selection,
         })?)
     }
 
@@ -257,7 +213,7 @@ impl<B: Backend> Api<B> {
     }
 
     /// Online page-verification report.
-    pub fn fsck(&mut self) -> Result<WireRecoveryReport, NetError> {
+    pub fn fsck(&mut self) -> Result<RecoveryReport, NetError> {
         match self.0.call(Request::Fsck)? {
             Response::Fsck(rep) => Ok(rep),
             other => Err(protocol_violation(&other)),

@@ -8,12 +8,10 @@
 //! against itself — so a local shell session gets exactly the validation
 //! a wire peer gets.
 
-use cdb_core::ddim::SlopePoints;
-use cdb_core::slopes::SlopeSet;
-use cdb_core::{ConstraintDb, IndexSpec, PageSource, ReadSurface};
+use cdb_core::{ConstraintDb, PageSource, ReadSurface};
 
 use crate::api::Backend;
-use crate::proto::{NetError, Request, Response, WireRecoveryReport};
+use crate::proto::{NetError, Request, Response};
 
 /// Mutations must reach the engine's owner; Stats and Fsck report the
 /// live engine (WAL watermarks, quarantine cross-check). Everything else
@@ -51,16 +49,6 @@ pub(crate) fn apply_read<P: PageSource>(
             .query_with(relation, selection.clone(), *strategy)
             .map(|r| Response::Query((&r).into()))
             .map_err(NetError::Db),
-        Request::Explain {
-            relation,
-            selection,
-        } => snap
-            .explain(relation, selection.clone())
-            .map(|rep| Response::Explain {
-                rendered: rep.render(),
-                result: (&rep.result).into(),
-            })
-            .map_err(NetError::Db),
         Request::QueryLine {
             relation,
             kind,
@@ -91,9 +79,10 @@ pub(crate) fn apply_read<P: PageSource>(
 }
 
 /// Applies one request that needs the live engine (a mutation, or a
-/// Stats/Fsck report). Raw wire parameters become the engine's checked
-/// types here — refusals are answered as `Malformed`, never a panic — and
-/// the engine checks the rest itself ([`IndexSpec::check`]).
+/// Stats/Fsck report). A request carries the engine's own checked types
+/// (decoding ran their constructors); parameters no relation could take
+/// are answered as `Malformed`, never a panic, and the engine checks the
+/// rest itself ([`IndexSpec::check`](cdb_core::IndexSpec::check)).
 /// `connections` counts the client sessions the answering node has
 /// admitted; it is only consulted for `Stats`.
 pub(crate) fn apply_engine(
@@ -106,15 +95,7 @@ pub(crate) fn apply_engine(
             db: db.stats_snapshot(),
             connections: connections(),
         }),
-        Request::Fsck => {
-            let rep = db.verify_now();
-            Ok(Response::Fsck(WireRecoveryReport {
-                pager: rep.pager,
-                wal: rep.wal,
-                relations: rep.relations,
-                quarantine: db.quarantine_clean(),
-            }))
-        }
+        Request::Fsck => Ok(Response::Fsck(db.verify_now())),
         Request::CreateRelation { relation, dim } => db
             .create_relation(&relation, dim as usize)
             .map(|_| Response::Unit)
@@ -131,21 +112,14 @@ pub(crate) fn apply_engine(
             .delete(&relation, id)
             .map(Response::Tuple)
             .map_err(NetError::Db),
-        Request::BuildDual { relation, slopes } => {
-            let slopes = SlopeSet::try_new(slopes).map_err(malformed)?;
-            build_index(db, &relation, IndexSpec::Dual(slopes.into()))
-        }
-        Request::BuildDualD {
-            relation,
-            per_axis,
-            range,
-        } => {
-            let dim = db.relation(&relation).map_err(NetError::Db)?.dim();
-            let points = SlopePoints::try_grid(dim, per_axis as usize, range).map_err(malformed)?;
-            build_index(db, &relation, IndexSpec::Dual(points.into()))
-        }
-        Request::BuildRPlus { relation, fill } => {
-            build_index(db, &relation, IndexSpec::RPlus { fill })
+        // Parameters no relation could take are the request's fault;
+        // whether the spec fits this relation is the engine's answer.
+        Request::Build { relation, spec } => {
+            spec.check_parameters()
+                .map_err(|why| NetError::Malformed(why.into()))?;
+            db.build_index(&relation, spec)
+                .map(|_| Response::Unit)
+                .map_err(NetError::Db)
         }
         Request::Checkpoint => db
             .checkpoint()
@@ -158,63 +132,68 @@ pub(crate) fn apply_engine(
     }
 }
 
-fn malformed(why: &'static str) -> NetError {
-    NetError::Malformed(why.into())
-}
-
-/// Parameters no relation could take are the request's fault; whether the
-/// spec fits this relation is the engine's answer.
-fn build_index(
-    db: &mut ConstraintDb,
-    relation: &str,
-    spec: IndexSpec,
-) -> Result<Response, NetError> {
-    spec.check_parameters().map_err(malformed)?;
-    db.build_index(relation, spec)
-        .map(|_| Response::Unit)
-        .map_err(NetError::Db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdb_core::ddim::SlopePoints;
     use cdb_core::plan::{MethodKind, Rejection};
-    use cdb_core::{DbConfig, Selection, Strategy};
+    use cdb_core::{DbConfig, IndexSpec, Selection, SlopeGeometry, Strategy};
     use cdb_geometry::{HalfPlane, LinearConstraint, RelOp};
     use cdb_storage::conformance::peak_during;
+    use cdb_storage::{RecordWriter, Wire};
 
-    /// Index parameters whose cells no engine should compute are refused
-    /// as `Malformed` before anything is sized by them. At the parent each
-    /// aborted the writer lane's process: a 12 GB allocation (30-D), the
-    /// box-corner enumeration (14-D), a 32 GB allocation (4·10⁹ points).
+    /// A `Build` frame for `relation` "r" whose slope geometry is
+    /// `geometry`'s bytes.
+    fn build_frame(geometry: impl FnOnce(&mut RecordWriter)) -> Vec<u8> {
+        let mut w = RecordWriter::new();
+        (1u64, 0u32, 19u8).put(&mut w); // id, no deadline, the Build op
+        ("r".to_string(), 0u8).put(&mut w); // relation, `IndexSpec::Dual`
+        geometry(&mut w);
+        w.into_bytes()
+    }
+
+    /// Slope geometries whose cells no engine should compute are refused
+    /// as the frame is decoded — which a server answers `Malformed` —
+    /// before anything is sized by their counts. Sent as grid parameters,
+    /// the slope-point ones aborted the writer lane's process: a 12 GB
+    /// allocation (30-D), the box-corner enumeration (14-D), a 32 GB
+    /// allocation (4·10⁹ points); 20 000 slopes allocated 40 000 pages.
     #[test]
-    fn unbuildable_slope_grids_are_malformed_not_an_abort() {
-        for (dim, per_axis) in [(30, 2), (14, 2), (2, 4_000_000_000)] {
-            let mut db = ConstraintDb::in_memory(DbConfig::paper_1999());
-            let relation = "r".to_string();
-            let create = Request::CreateRelation {
-                relation: relation.clone(),
-                dim,
-            };
-            apply_engine(&mut db, create, || 0).expect("create");
-            let build = Request::BuildDualD {
-                relation,
-                per_axis,
-                range: 1.0,
-            };
-            let (got, peak) = peak_during(|| apply_engine(&mut db, build, || 0));
-            assert!(
-                matches!(got, Err(NetError::Malformed(_))),
-                "{dim}-D: {got:?}"
-            );
-            assert!(peak < 1 << 16, "{dim}-D: {peak} bytes at once");
+    fn unbuildable_slope_geometries_are_refused_before_their_cells() {
+        let slopes = |k: u32| {
+            build_frame(move |w| {
+                (0u8, k).put(w); // `SlopeGeometry::Set`, the count
+                w.put_seq(&(0..k).map(f64::from).collect::<Vec<_>>());
+            })
+        };
+        let points = |dim: u32, k: u32| {
+            build_frame(move |w| (1u8, dim, k).put(w)) // `Points`, no coordinates
+        };
+        for (what, frame) in [
+            ("20 000 slopes", slopes(20_000)),
+            ("2 046 slopes", slopes(2_046)),
+            ("30-D", points(30, 1 << 29)),
+            ("14-D", points(14, 8192)),
+            ("4·10⁹ points", points(2, 4_000_000_000)),
+        ] {
+            let (got, peak) = peak_during(|| crate::proto::decode_request(&frame));
+            assert!(got.is_err(), "{what}: {got:?}");
+            assert!(peak < 1 << 10, "{what}: {peak} bytes at once");
+        }
+        let decoded = crate::proto::decode_request(&slopes(2_045)).expect("2 045 slopes");
+        match decoded.request {
+            Request::Build {
+                spec: IndexSpec::Dual(SlopeGeometry::Set(set)),
+                ..
+            } => assert_eq!(set.len(), 2_045),
+            other => panic!("not a slope-set build: {other:?}"),
         }
     }
 
     /// Regression: on a grid slope set a query slope outside the grid box
     /// fell through to the simplex search, which materialised all `C(k, d)`
     /// point subsets — 88 M for this 4-D grid of 216 points, aborting the
-    /// process from one `BuildDualD` and one `Query` frame. Outside the box
+    /// process from one `Build` and one `Query` frame. Outside the box
     /// the index rejects the slope at once and the scan answers.
     #[test]
     fn out_of_box_slope_on_a_4d_grid_is_planned_as_a_scan() {
@@ -245,10 +224,9 @@ mod tests {
             };
             engine(&mut db, insert);
         }
-        let build = Request::BuildDualD {
+        let build = Request::Build {
             relation: relation.clone(),
-            per_axis: 6,
-            range: 1.0,
+            spec: IndexSpec::Dual(SlopePoints::grid(4, 6, 1.0).into()),
         };
         engine(&mut db, build);
 

@@ -38,12 +38,10 @@
 use cdb_core::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
 use cdb_core::sql::{SqlMode, SqlOutcome};
 use cdb_core::wire::tuple;
-use cdb_core::{CdbError, DbStats, RelationHealth, WalReplay};
+use cdb_core::{CdbError, DbStats, IndexSpec, RecoveryReport};
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::codec::{self, ascending, finite};
-use cdb_storage::{
-    wire_enum, wire_struct, CodecError, PagerRecovery, RecordReader, RecordWriter, Wire,
-};
+use cdb_storage::{wire_enum, wire_struct, CodecError, RecordReader, RecordWriter, Wire};
 
 /// Protocol magic, first bytes of both greeting and hello.
 pub const MAGIC: [u8; 4] = *b"CDBN";
@@ -71,8 +69,14 @@ pub const MAGIC: [u8; 4] = *b"CDBN";
 /// queries name the restricted search or T2); version 12 retired T1:
 /// `Strategy` tag 2 and `MethodKind` tag 1; version 13 made the dual index
 /// one method: `Strategy` tag 1 (`Restricted`) and `MethodKind` tags 0 and
-/// 2 (`Restricted`, `T2`) retired, and `MethodKind::Dual` took tag 7.
-pub const PROTOCOL_VERSION: u16 = 13;
+/// 2 (`Restricted`, `T2`) retired, and `MethodKind::Dual` took tag 7;
+/// version 14 carries the engine's own types: one `Build` request (tag 19)
+/// over `IndexSpec` replaced the three build requests (tags 5, 6 and 7:
+/// explicit slopes, a grid of slope points, the R⁺ fill), the typed
+/// EXPLAIN (request tag 9, response tag 4) retired in favour of SQL's, and
+/// the Fsck answer is the engine's `RecoveryReport`, laid out byte for
+/// byte as before.
+pub const PROTOCOL_VERSION: u16 = 14;
 
 /// Handshake verdict carried by the server's greeting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,29 +164,13 @@ pub enum Request {
         /// Tuple id.
         id: u32,
     },
-    /// `ConstraintDb::build_dual_index` over an explicit slope set (2-D).
-    BuildDual {
+    /// `ConstraintDb::build_index`: the dual index over a slope set or
+    /// slope points, or the R⁺-tree baseline.
+    Build {
         /// Target relation.
         relation: String,
-        /// Slopes of `S` (≥ 2 distinct finite values).
-        slopes: Vec<f64>,
-    },
-    /// `ConstraintDb::build_dual_index` over a regular grid of slope points
-    /// of the relation's dimension.
-    BuildDualD {
-        /// Target relation.
-        relation: String,
-        /// Grid points per slope axis (≥ 2).
-        per_axis: u32,
-        /// Grid half-extent per axis.
-        range: f64,
-    },
-    /// `ConstraintDb::build_rplus_index`.
-    BuildRPlus {
-        /// Target relation.
-        relation: String,
-        /// Packing fill factor.
-        fill: f64,
+        /// What to build.
+        spec: IndexSpec,
     },
     /// `ConstraintDb::query_with`; answered with [`Response::Query`].
     Query {
@@ -192,14 +180,6 @@ pub enum Request {
         selection: Selection,
         /// Execution strategy (`Auto` = planner).
         strategy: Strategy,
-    },
-    /// `ConstraintDb::explain`; answered with the rendered report plus the
-    /// executed result.
-    Explain {
-        /// Target relation.
-        relation: String,
-        /// The selection to plan and execute.
-        selection: Selection,
     },
     /// `ConstraintDb::exist_line` / `all_line` — the paper's equality
     /// (line) query convenience; answered with [`Response::Query`].
@@ -253,9 +233,7 @@ impl Request {
                 | Request::DropRelation { .. }
                 | Request::Insert { .. }
                 | Request::Delete { .. }
-                | Request::BuildDual { .. }
-                | Request::BuildDualD { .. }
-                | Request::BuildRPlus { .. }
+                | Request::Build { .. }
                 | Request::Checkpoint
         )
     }
@@ -268,11 +246,8 @@ impl Request {
             Request::DropRelation { .. } => "drop",
             Request::Insert { .. } => "insert",
             Request::Delete { .. } => "delete",
-            Request::BuildDual { .. } => "index",
-            Request::BuildDualD { .. } => "index-d",
-            Request::BuildRPlus { .. } => "rplus",
+            Request::Build { .. } => "index",
             Request::Query { .. } => "query",
-            Request::Explain { .. } => "explain",
             Request::QueryLine { .. } => "line",
             Request::Sql { .. } => "sql",
             Request::FetchTuple { .. } => "show",
@@ -285,17 +260,15 @@ impl Request {
     }
 }
 
+// Tags 5, 6 and 7 were the three build requests and 9 the typed EXPLAIN
+// until v14; 18 was the replication subscription.
 wire_enum!(Request {
     0 => Ping,
     1 => CreateRelation { relation, dim },
     2 => DropRelation { relation },
     3 => Insert { relation, tuple as tuple },
     4 => Delete { relation, id },
-    5 => BuildDual { relation, slopes as finite },
-    6 => BuildDualD { relation, per_axis, range as finite },
-    7 => BuildRPlus { relation, fill as finite },
     8 => Query { relation, strategy, selection },
-    9 => Explain { relation, selection },
     10 => FetchTuple { relation, id },
     11 => ListRelations,
     12 => Stats,
@@ -304,6 +277,7 @@ wire_enum!(Request {
     15 => Shutdown,
     16 => QueryLine { relation, kind, a as finite, c as finite },
     17 => Sql { text, mode },
+    19 => Build { relation, spec },
 });
 
 /// A request frame: id, relative deadline, operation.
@@ -334,13 +308,6 @@ pub enum Response {
     Tuple(GeneralizedTuple),
     /// Query outcome: matching ids plus full cost accounting.
     Query(WireQueryResult),
-    /// EXPLAIN ANALYZE outcome: rendered report plus the executed result.
-    Explain {
-        /// The report as rendered by `ExplainReport::render`.
-        rendered: String,
-        /// The executed query result.
-        result: WireQueryResult,
-    },
     /// Constraint-SQL outcome: columns, rows and/or a rendered plan.
     Sql(SqlOutcome),
     /// Relation names, sorted.
@@ -353,16 +320,16 @@ pub enum Response {
         /// connection count, the one admission control caps).
         connections: u32,
     },
-    /// Online verification report.
-    Fsck(WireRecoveryReport),
+    /// Online verification report (`ConstraintDb::verify_now`).
+    Fsck(RecoveryReport),
 }
 
+// Tag 4 was the typed EXPLAIN's answer until v14; 9 the replication stream.
 wire_enum!(Response {
     0 => Unit,
     1 => Inserted(id),
     2 => Tuple(t as tuple),
     3 => Query(result),
-    4 => Explain { rendered, result },
     5 => Relations(names),
     6 => Stats { db, connections },
     7 => Fsck(report),
@@ -389,28 +356,6 @@ impl From<&QueryResult> for WireQueryResult {
         }
     }
 }
-
-/// `ConstraintDb::verify_now` report in transportable form.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireRecoveryReport {
-    /// Header recovery performed at open.
-    pub pager: PagerRecovery,
-    /// Write-ahead-log replay performed at open, if a log was present.
-    pub wal: Option<WalReplay>,
-    /// `(relation, health)` pairs, sorted by name.
-    pub relations: Vec<(String, RelationHealth)>,
-    /// Deferred-reclaim (quarantine) cross-check: `Some(true)` when every
-    /// quarantined page is non-live, `Some(false)` on a violation, `None`
-    /// for engines without a durable quarantine.
-    pub quarantine: Option<bool>,
-}
-
-wire_struct!(WireRecoveryReport {
-    pager,
-    wal,
-    relations,
-    quarantine
-});
 
 /// Failure responses. `Db` carries the engine's structured error; the
 /// rest are conditions of the serving layer itself.
@@ -506,13 +451,14 @@ pub fn decode_response(buf: &[u8]) -> Result<(u64, u64, Result<Response, NetErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdb_core::ddim::SlopePoints;
     use cdb_core::plan::MethodKind;
     use cdb_core::sql::SqlRow;
-    use cdb_core::{RelationStats, WalStats};
+    use cdb_core::{RelationHealth, RelationStats, SlopeGeometry, SlopeSet, WalReplay, WalStats};
     use cdb_geometry::constraint::{LinearConstraint, RelOp};
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_storage::conformance::{conformance, wire_conformance};
-    use cdb_storage::{EpochStats, IoStats};
+    use cdb_storage::{EpochStats, IoStats, PagerRecovery};
 
     fn sample_tuple() -> GeneralizedTuple {
         GeneralizedTuple::new(vec![
@@ -544,29 +490,34 @@ mod tests {
                 relation: relation(),
                 id: 7,
             },
-            Some(Request::Delete { .. }) => Request::BuildDual {
+            // One build of each kind: a slope set, slope points, the R⁺-tree.
+            Some(Request::Delete { .. }) => Request::Build {
                 relation: relation(),
-                slopes: vec![-1.0, 0.5, 2.0],
+                spec: IndexSpec::Dual(SlopeSet::new(vec![-1.0, 0.5, 2.0]).into()),
             },
-            Some(Request::BuildDual { .. }) => Request::BuildDualD {
+            Some(Request::Build {
+                spec: IndexSpec::Dual(SlopeGeometry::Set(_)),
+                ..
+            }) => Request::Build {
                 relation: relation(),
-                per_axis: 3,
-                range: 2.0,
+                spec: IndexSpec::Dual(SlopePoints::grid(3, 3, 2.0).into()),
             },
-            Some(Request::BuildDualD { .. }) => Request::BuildRPlus {
+            Some(Request::Build {
+                spec: IndexSpec::Dual(SlopeGeometry::Points(_)),
+                ..
+            }) => Request::Build {
                 relation: relation(),
-                fill: 0.7,
+                spec: IndexSpec::RPlus { fill: 0.7 },
             },
-            Some(Request::BuildRPlus { .. }) => Request::Query {
+            Some(Request::Build {
+                spec: IndexSpec::RPlus { .. },
+                ..
+            }) => Request::Query {
                 relation: relation(),
                 selection: Selection::exist(HalfPlane::above(0.3, -5.0)),
                 strategy: Strategy::Auto,
             },
-            Some(Request::Query { .. }) => Request::Explain {
-                relation: relation(),
-                selection: Selection::all(HalfPlane::new(vec![0.1, -0.2], 1.0, RelOp::Le)),
-            },
-            Some(Request::Explain { .. }) => Request::QueryLine {
+            Some(Request::Query { .. }) => Request::QueryLine {
                 relation: relation(),
                 kind: SelectionKind::Exist,
                 a: 0.5,
@@ -638,14 +589,7 @@ mod tests {
                 ids: vec![1, 4, 9],
                 stats: full_stats(),
             }),
-            Some(Response::Query(_)) => Response::Explain {
-                rendered: "plan ...".into(),
-                result: WireQueryResult {
-                    ids: vec![],
-                    stats: QueryStats::default(),
-                },
-            },
-            Some(Response::Explain { .. }) => Response::Sql(SqlOutcome {
+            Some(Response::Query(_)) => Response::Sql(SqlOutcome {
                 columns: vec!["id(r)".into(), "id(s)".into(), "region(x, y)".into()],
                 rows: vec![
                     SqlRow {
@@ -682,32 +626,45 @@ mod tests {
                 ),
                 connections: 3,
             },
-            Some(Response::Stats { .. }) => Response::Fsck(WireRecoveryReport {
-                pager: PagerRecovery::FellBack {
-                    recovered_epoch: 4,
-                    lost_epoch: 5,
-                },
-                wal: Some(WalReplay {
-                    start_lsn: 7,
-                    replayed: 2,
-                    first_lsn: 7,
-                    last_lsn: 8,
-                    torn_tail: true,
-                    error: Some("replay stopped at lsn 9: boom".into()),
-                }),
-                relations: vec![
-                    ("a".into(), RelationHealth::Healthy),
-                    (
-                        "b".into(),
-                        RelationHealth::Quarantined {
-                            detail: "heap page 3".into(),
-                        },
-                    ),
-                ],
-                quarantine: Some(false),
-            }),
+            Some(Response::Stats { .. }) => Response::Fsck(full_report()),
             Some(Response::Fsck(_)) => return None,
         })
+    }
+
+    fn full_report() -> RecoveryReport {
+        RecoveryReport {
+            pager: PagerRecovery::FellBack {
+                recovered_epoch: 4,
+                lost_epoch: 5,
+            },
+            wal: Some(WalReplay {
+                start_lsn: 7,
+                replayed: 2,
+                first_lsn: 7,
+                last_lsn: 8,
+                torn_tail: true,
+                error: Some("replay stopped at lsn 9: boom".into()),
+            }),
+            relations: vec![
+                ("a".into(), RelationHealth::Healthy),
+                (
+                    "b".into(),
+                    RelationHealth::Quarantined {
+                        detail: "heap page 3".into(),
+                    },
+                ),
+            ],
+            quarantine: Some(false),
+        }
+    }
+
+    fn empty_report() -> RecoveryReport {
+        RecoveryReport {
+            pager: PagerRecovery::Clean,
+            wal: None,
+            relations: Vec::new(),
+            quarantine: None,
+        }
     }
 
     /// The stats of an engine with no relations and no log, which
@@ -719,12 +676,7 @@ mod tests {
                 db: db_stats(Vec::new(), None),
                 connections: 17,
             },
-            Response::Fsck(WireRecoveryReport {
-                pager: PagerRecovery::Clean,
-                wal: None,
-                relations: Vec::new(),
-                quarantine: None,
-            }),
+            Response::Fsck(empty_report()),
         ]
     }
 
@@ -801,6 +753,42 @@ mod tests {
         );
     }
 
+    /// The Fsck answer's bytes are v13's, when the report was a wire-only
+    /// copy of the engine's: these are a v13 build's `encode_response(7, 99,
+    /// ..)` of the two sample reports.
+    #[test]
+    fn fsck_response_bytes_conform_to_v13s() {
+        let v13 = [
+            "07000000000000006300000000000000000701040000000500000001070000000000000002000000\
+             000000000700000000000000080000000000000001011d0000007265706c61792073746f70706564\
+             206174206c736e20393a20626f6f6d020000000100000061000100000062020b0000006865617020\
+             7061676520330100",
+            "07000000000000006300000000000000000700000000000000",
+        ];
+        for (report, want) in [full_report(), empty_report()].into_iter().zip(v13) {
+            let got = encode_response(7, 99, &Ok(Response::Fsck(report)));
+            let got: String = got.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    /// The tags v14 retired — the three build requests, the typed EXPLAIN
+    /// and its answer — decode to a typed error, whatever follows them.
+    #[test]
+    fn retired_tags_are_refused() {
+        for op in [5u8, 6, 7, 9] {
+            let mut w = RecordWriter::new();
+            (1u64, 0u32, op).put(&mut w);
+            "r".to_string().put(&mut w);
+            vec![-1.0f64, 0.5, 2.0].put(&mut w);
+            assert!(decode_request(&w.into_bytes()).is_err(), "request tag {op}");
+        }
+        let mut w = RecordWriter::new();
+        (7u64, 99u64, 0u8).put(&mut w);
+        (4u8, "plan".to_string()).put(&mut w);
+        assert!(decode_response(&w.into_bytes()).is_err(), "response tag 4");
+    }
+
     #[test]
     fn handshake_conforms_and_rejects_bad_magic() {
         let greetings = [
@@ -848,9 +836,9 @@ mod tests {
         let nan_fill = encode_request(&RequestEnvelope {
             request_id: 1,
             deadline_ms: 0,
-            request: Request::BuildRPlus {
+            request: Request::Build {
                 relation: "r".into(),
-                fill: f64::NAN,
+                spec: IndexSpec::RPlus { fill: f64::NAN },
             },
         });
         assert!(decode_request(&nan_fill).is_err());

@@ -7,7 +7,7 @@
 //! cdb> insert parcels y >= x && x >= 10
 //! cdb> index parcels 4
 //! cdb> exist parcels y >= 0.3x - 5
-//! cdb> explain exist parcels y >= 0.3x - 5
+//! cdb> explain analyze SELECT * FROM parcels WHERE y >= 0.3x - 5 EXIST
 //! cdb> all parcels y <= 100
 //! cdb> stats
 //! ```

@@ -12,13 +12,13 @@
 use std::io::{BufRead, Write};
 
 use cdb_core::db::{ConstraintDb, DbConfig, DbStats};
+use cdb_core::ddim::SlopePoints;
 use cdb_core::query::{QueryResult, Selection, SelectionKind, Strategy};
 use cdb_core::slopes::SlopeSet;
 use cdb_core::sql::{SqlMode, SqlOutcome};
-use cdb_core::{RelationHealth, WalReplay};
+use cdb_core::{CdbError, IndexSpec, RecoveryReport, RelationHealth, WalReplay};
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::parse::{parse_comparison, parse_constraint, parse_tuple};
-use cdb_net::proto::WireRecoveryReport;
 use cdb_net::{Api, Backend, Client};
 use cdb_storage::PagerRecovery;
 
@@ -116,13 +116,8 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
                 .ok_or("usage: index <rel> <k>")?
                 .parse()
                 .map_err(|_| "k must be a number >= 2")?;
-            if k < 2 {
-                return Err("k must be a number >= 2".into());
-            }
-            session
-                .api()
-                .build_dual(name, SlopeSet::uniform_tan(k).as_slice().to_vec())
-                .map_err(|e| e.to_string())?;
+            let slopes = SlopeSet::try_uniform_tan(k)?;
+            build(session, name, IndexSpec::Dual(slopes.into()))?;
             Ok(format!("dual index built over {k} slopes"))
         }
         "indexd" => {
@@ -139,10 +134,14 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
                 .transpose()
                 .map_err(|_| "range must be a number")?
                 .unwrap_or(1.0);
-            session
-                .api()
-                .build_dual_d(name, per_axis, range)
-                .map_err(|e| e.to_string())?;
+            // The grid has the relation's dimension.
+            let stats = session.api().stats().map_err(|e| e.to_string())?;
+            let rel = stats.db.relations.iter().find(|r| r.name == name);
+            let dim = rel
+                .ok_or_else(|| CdbError::RelationNotFound(name.into()).to_string())?
+                .dim;
+            let points = SlopePoints::try_grid(dim, per_axis as usize, range)?;
+            build(session, name, IndexSpec::Dual(points.into()))?;
             Ok(format!(
                 "d-dimensional dual index built over a {per_axis}-per-axis grid (range {range})"
             ))
@@ -180,10 +179,7 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
                 .transpose()
                 .map_err(|_| "usage: rplus <rel> [fill] — fill must be a number")?
                 .unwrap_or(1.0);
-            session
-                .api()
-                .build_rplus(name, fill)
-                .map_err(|e| e.to_string())?;
+            build(session, name, IndexSpec::RPlus { fill })?;
             Ok(format!("R+-tree baseline packed at fill {fill}"))
         }
         "sql" => {
@@ -194,8 +190,7 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             run_sql(session, text, SqlMode::Execute)
         }
         "explain" => {
-            // Three forms: `explain analyze <sql>`, `explain <sql>`, and
-            // the legacy typed `explain <all|exist> <rel> <halfplane>`.
+            // `explain analyze <sql>` or `explain <sql>`.
             let trimmed = rest.trim();
             let lower = trimmed.to_ascii_lowercase();
             if let Some(stripped) = lower
@@ -208,23 +203,7 @@ pub fn run_command(session: &mut Session, line: &str) -> Result<String, String> 
             if lower.starts_with("select") {
                 return run_sql(session, trimmed, SqlMode::Explain);
             }
-            let mut it = rest.splitn(3, ' ');
-            let usage =
-                "usage: explain [analyze] <SELECT ...>  or  explain <all|exist> <rel> <halfplane>";
-            let kind = it.next().ok_or(usage)?;
-            let name = it.next().ok_or(usage)?;
-            let expr = it.next().ok_or(usage)?;
-            let q = parse_halfplane(expr)?;
-            let sel = match kind {
-                "all" => Selection::all(q),
-                "exist" => Selection::exist(q),
-                _ => return Err("explain kind must be 'all' or 'exist'".into()),
-            };
-            let (rendered, _) = session
-                .api()
-                .explain(name, sel)
-                .map_err(|e| e.to_string())?;
-            Ok(rendered.trim_end().to_string())
+            Err("usage: explain [analyze] <SELECT ...>".into())
         }
         "exist" | "all" | "scan" => {
             let (name, expr) = rest
@@ -346,6 +325,14 @@ impl Session {
     }
 }
 
+/// Builds the index `spec` names on `relation`.
+fn build(session: &mut Session, relation: &str, spec: IndexSpec) -> Result<(), String> {
+    session
+        .api()
+        .build_index(relation, spec)
+        .map_err(|e| e.to_string())
+}
+
 /// Runs one SQL statement and renders its outcome. Every backend returns
 /// the same [`SqlOutcome`] type, so `sql`, `explain <sql>` and `explain
 /// analyze <sql>` print byte-identical text wherever the data lives.
@@ -464,7 +451,7 @@ fn render_wal_replay(out: &mut String, wal: &Option<WalReplay>) {
 /// Renders a verification report's findings — pager verdict, WAL replay,
 /// per-relation health, quarantine cross-check — into `out`. Returns
 /// whether any of them is a problem.
-fn render_report(out: &mut String, rep: &WireRecoveryReport) -> bool {
+fn render_report(out: &mut String, rep: &RecoveryReport) -> bool {
     match rep.pager {
         PagerRecovery::Clean => out.push_str("pager: clean\n"),
         PagerRecovery::FellBack {
@@ -514,14 +501,8 @@ pub fn fsck(rest: &str) -> Result<String, String> {
     } else {
         ConstraintDb::open_read_only(path).map_err(|e| e.to_string())?
     };
-    let report = db.recovery_report().clone();
+    let report = db.verify_now();
     let fell_back = matches!(report.pager, PagerRecovery::FellBack { .. });
-    let report = WireRecoveryReport {
-        pager: report.pager,
-        wal: report.wal,
-        relations: report.relations,
-        quarantine: db.quarantine_clean(),
-    };
     let mut out = String::new();
     let problems = render_report(&mut out, &report);
     if rebuild {
@@ -585,12 +566,12 @@ commands:
                             sql SELECT x, y FROM r WHERE y >= 0.3x - 5 EXIST
                             (joins: FROM r JOIN s; ALL for containment;
                             LIMIT n caps the row count)
-  explain <SELECT ...>      render the operator tree with each scan's plan
+  explain <SELECT ...>      render the operator tree with each scan's plan:
+                            chosen method, case, refinement, rejections
   explain analyze <SELECT ...>
                             execute, then annotate the tree with observed
-                            rows and timings per operator
-  explain <all|exist> <rel> <halfplane>
-                            plan + execute: chosen method, case, actual cost
+                            rows and timings per operator and each scan's
+                            actual cost
   show <rel> <id>           print a stored tuple
   relations                 list relations
   stats                     pager + per-relation statistics
@@ -672,5 +653,22 @@ mod tests {
             assert!(got.is_err(), "{dim}-D `{line}`: {got:?}");
             assert!(peak < 1 << 16, "{dim}-D `{line}`: {peak} bytes at once");
         }
+    }
+
+    /// A slope set larger than the index computes regions for is refused
+    /// before a slope is computed: `index r 20000` used to build 40 000
+    /// pages of index.
+    #[test]
+    fn oversized_slope_sets_are_errors_before_any_allocation() {
+        use cdb_storage::conformance::peak_during;
+        let mut s = local();
+        for line in ["index r 2046", "index r 20000", "index r 4000000000"] {
+            let (got, peak) = peak_during(|| run_command(&mut s, line));
+            assert!(got.is_err(), "`{line}`: {got:?}");
+            assert!(peak < 1 << 10, "`{line}`: {peak} bytes at once");
+        }
+        let stats = run_command(&mut s, "stats").unwrap();
+        assert!(stats.contains("indexes []"), "{stats}");
+        assert!(run_command(&mut s, "index r 2045").is_ok());
     }
 }

@@ -7,7 +7,8 @@
 use cdb_prng::StdRng;
 use constraint_db::geometry::predicates;
 use constraint_db::index::db::{ConstraintDb, DbConfig};
-use constraint_db::index::CdbError;
+use constraint_db::index::ddim::SlopePoints;
+use constraint_db::index::{CdbError, IndexSpec};
 use constraint_db::net::server::{Server, ServerConfig, ShutdownHandle};
 use constraint_db::net::{Api, Backend, Client, NetError};
 use constraint_db::prelude::*;
@@ -101,22 +102,22 @@ fn run_script<B: Backend>(api: &mut Api<B>, label: &str) -> Vec<Vec<u32>> {
         model.push((id, t));
     }
     let slope_set = SlopeSet::uniform_tan(4);
-    api.build_dual("r", slope_set.as_slice().to_vec()).unwrap();
+    api.build_index("r", IndexSpec::Dual(slope_set.clone().into()))
+        .unwrap();
 
     // The dispatcher's validation answers every backend the same way.
+    // (Slopes no slope set takes cannot be sent typed: see
+    // `forged_build_frames_are_malformed_and_build_nothing`.)
     for bad_fill in [0.1, 1.5] {
+        let rplus = IndexSpec::RPlus { fill: bad_fill };
         assert!(
-            matches!(api.build_rplus("r", bad_fill), Err(NetError::Malformed(_))),
+            matches!(api.build_index("r", rplus), Err(NetError::Malformed(_))),
             "{label}: fill {bad_fill} must be refused, not packed"
         );
     }
     assert!(matches!(
         api.create_relation("zero", 0),
         Err(NetError::Db(CdbError::DimensionOutOfRange { dim: 0, .. }))
-    ));
-    assert!(matches!(
-        api.build_dual("r", vec![1.0, 1.0]),
-        Err(NetError::Malformed(_))
     ));
 
     let sels = selections(slope_set.as_slice());
@@ -150,9 +151,19 @@ fn run_script<B: Backend>(api: &mut Api<B>, label: &str) -> Vec<Vec<u32>> {
     assert_eq!(rows, full[..5], "{label}: SQL LIMIT keeps the lowest ids");
     transcript.push(rows);
 
-    let (rendered, explained) = api.explain("r", exist.clone()).unwrap();
+    let explained = api
+        .sql(
+            "SELECT * FROM r WHERE y >= 0.3x - 5 EXIST",
+            SqlMode::ExplainAnalyze,
+        )
+        .unwrap();
+    let rendered = explained.plan.expect("a rendered plan");
     assert!(rendered.contains("method="), "{label}: {rendered}");
-    assert_eq!(explained.ids(), full, "{label}: EXPLAIN executes the query");
+    let rows = format!(" {} rows\n", full.len());
+    assert!(
+        rendered.contains(&rows),
+        "{label}: EXPLAIN executes: {rendered}"
+    );
 
     // Delete a bounded tuple and the unbounded one; both disappear.
     for id in [3u32, 17] {
@@ -197,17 +208,82 @@ fn stats_and_fsck_answer_on_every_single_answer_backend() {
     assert_eq!(reply.connections, 0);
     assert!(local.fsck().unwrap().relations[0].0 == "r");
     // An in-process engine has no server to stop, and no wire decoder in
-    // front of it: the dispatcher itself refuses non-finite parameters.
+    // front of it: the dispatcher itself refuses a non-finite fill (slope
+    // sets and slope points refuse theirs in their constructors).
     assert!(local.shutdown().is_err());
-    assert!(local.build_rplus("r", f64::NAN).is_err());
-    assert!(local.build_dual("r", vec![f64::NAN, 1.0]).is_err());
-    assert!(local.build_dual_d("r", 3, f64::INFINITY).is_err());
+    let nan = IndexSpec::RPlus { fill: f64::NAN };
+    assert!(matches!(
+        local.build_index("r", nan),
+        Err(NetError::Malformed(_))
+    ));
+    assert!(SlopeSet::try_new(vec![f64::NAN, 1.0]).is_err());
+    assert!(SlopePoints::try_grid(2, 3, f64::INFINITY).is_err());
 
     let served = boot();
     let mut client = Client::connect(served.addr.as_str()).unwrap();
     client.create_relation("r", 2).unwrap();
     assert!(client.stats().unwrap().connections >= 1);
     assert_eq!(client.fsck().unwrap().relations[0].0, "r");
+    served.stop();
+}
+
+/// Slopes no slope set takes cannot be sent as a typed `IndexSpec`; a peer
+/// that forges them anyway — a repeated slope, a NaN, 20 000 slopes (which
+/// allocated 40 000 pages when slope sets had no size bound) — is answered
+/// `Malformed` as the frame is decoded, and the node allocates no page for
+/// it. The largest slope set a node builds, 2 045 slopes, is accepted.
+#[test]
+fn forged_build_frames_are_malformed_and_build_nothing() {
+    use constraint_db::net::proto::{
+        decode_greeting, decode_response, encode_hello, PROTOCOL_VERSION,
+    };
+    use constraint_db::storage::codec::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+    use constraint_db::storage::{RecordWriter, Wire};
+
+    let served = boot();
+    let mut client = Client::connect(served.addr.as_str()).unwrap();
+    client.create_relation("r", 2).unwrap();
+    for t in seeded_tuples() {
+        client.insert("r", t).unwrap();
+    }
+    let allocations = |client: &mut Client| client.stats().unwrap().db.io.allocations;
+    let before = allocations(&mut client);
+    let build = |slopes: &[f64]| {
+        let mut w = RecordWriter::new();
+        (1u64, 0u32, 19u8).put(&mut w); // id, no deadline, the Build op
+        ("r".to_string(), 0u8, 0u8).put(&mut w); // `IndexSpec::Dual` of a `SlopeGeometry::Set`
+        slopes.to_vec().put(&mut w);
+        w.into_bytes()
+    };
+    let many: Vec<f64> = (0..20_000).map(f64::from).collect();
+    for (what, frame) in [
+        ("a repeated slope", build(&[1.0, 1.0])),
+        ("a NaN", build(&[f64::NAN, 1.0])),
+        ("20 000 slopes", build(&many)),
+        ("2 046 slopes", build(&many[..2046])),
+    ] {
+        let mut stream = std::net::TcpStream::connect(served.addr.as_str()).unwrap();
+        let greeting = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(decode_greeting(&greeting).unwrap().0, PROTOCOL_VERSION);
+        write_frame(&mut stream, &encode_hello(PROTOCOL_VERSION)).unwrap();
+        write_frame(&mut stream, &frame).unwrap();
+        let answer = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        let outcome = decode_response(&answer).unwrap().2;
+        assert!(
+            matches!(outcome, Err(NetError::Malformed(_))),
+            "{what}: {outcome:?}"
+        );
+    }
+    assert_eq!(
+        allocations(&mut client),
+        before,
+        "pages for a refused build"
+    );
+    let largest = SlopeSet::try_new(many[..2045].to_vec()).unwrap();
+    client
+        .build_index("r", IndexSpec::Dual(largest.into()))
+        .unwrap();
+    assert!(allocations(&mut client) > before, "the 2 045-slope build");
     served.stop();
 }
 
@@ -229,7 +305,7 @@ fn shell_renders_the_same_text_local_and_remote() {
         "index r 4",
         "explain SELECT * FROM r WHERE y >= 0.3x - 5 EXIST",
         "sql SELECT * FROM r WHERE y >= 0.3x - 5 EXIST LIMIT 3",
-        "explain all r y <= 100",
+        "explain analyze SELECT * FROM r WHERE y <= 100 ALL",
         "scan r y >= 0.3x - 5",
         "line r y = 0.5x + 1",
         "show r 1",
@@ -258,14 +334,23 @@ fn shell_renders_the_same_text_local_and_remote() {
                 "all b y <= 0.3x + 10",
                 "all b y <= 0.3x + 12",
                 "insert b x >= 1 && x <= 2 && y >= 1 && y <= 2",
-                "explain all b y <= 0.3x + 11",
+                "explain analyze SELECT * FROM b WHERE y <= 0.3x + 11 ALL",
             ]
             .map(String::from),
         );
+    // EXPLAIN ANALYZE's wall-clock lines are the one thing that differs.
+    let untimed = |out: Result<String, String>| {
+        out.map(|text| {
+            let lines = text
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("time:"));
+            lines.collect::<Vec<_>>().join("\n")
+        })
+    };
     for line in lines.map(String::from).into_iter().chain(feedback) {
         let line = line.as_str();
-        let l = run_command(&mut local, line);
-        let r = run_command(&mut remote, line);
+        let l = untimed(run_command(&mut local, line));
+        let r = untimed(run_command(&mut remote, line));
         assert!(l.is_ok(), "local `{line}`: {l:?}");
         assert_eq!(l, r, "`{line}` must render identically");
     }

@@ -1,15 +1,16 @@
 //! Randomized coverage for the paper's footnote 2: *equality* (line)
-//! queries `y = a·x + c`, served by [`DualIndex::execute_hyperplane`] as an
-//! exact EXIST half-plane superset plus one refinement pass. Every
-//! strategy — restricted (member slopes) and T2 — must agree with the
-//! brute-force oracle on mixed bounded/unbounded relations.
+//! queries `y = a·x + c`, served by the dual index as an exact EXIST
+//! half-plane superset ([`Selection::line_superset`]) plus one refinement
+//! pass ([`Exact::Line`]). Every search — restricted (member slopes) and
+//! T2 — must agree with the brute-force oracle on mixed bounded/unbounded
+//! relations.
 
 use std::collections::HashMap;
 
 use constraint_db::geometry::predicates;
 use constraint_db::index::error::CdbError;
-use constraint_db::index::index::TupleSource;
-use constraint_db::index::query::{QueryResult, SelectionKind, Strategy};
+use constraint_db::index::index::{Exact, TupleSource};
+use constraint_db::index::query::{QueryResult, SelectionKind};
 use constraint_db::prelude::*;
 use constraint_db::storage::{HeapFile, PageReader, RecordId};
 
@@ -33,6 +34,22 @@ fn oracle(pairs: &[(u32, GeneralizedTuple)], a: f64, c: f64, kind: SelectionKind
         })
         .map(|(id, _)| *id)
         .collect()
+}
+
+/// The line `y = a·x + c` along `idx`'s route, as the planner runs a line
+/// query on a dual index.
+fn line(
+    idx: &DualIndex,
+    pager: &dyn PageReader,
+    (a, c): (f64, f64),
+    kind: SelectionKind,
+    fetch: &dyn TupleSource,
+) -> Result<QueryResult, CdbError> {
+    let superset = Selection::line_superset(a, c);
+    let case = idx
+        .route(&superset)
+        .expect("a dual index routes every line");
+    idx.run(pager, &superset, &case, Exact::Line(kind), fetch)
 }
 
 #[test]
@@ -62,8 +79,7 @@ fn random_lines_agree_with_oracle_across_strategies() {
             assert_eq!(matches!(case, PlanCase::Member { .. }), member, "{case}");
             for kind in [SelectionKind::Exist, SelectionKind::All] {
                 let want = oracle(&pairs, a, c, kind);
-                let got = idx
-                    .execute_hyperplane(&pager, a, c, kind, Strategy::T2, &fetch)
+                let got = line(&idx, &pager, (a, c), kind, &fetch)
                     .unwrap_or_else(|e| panic!("seed {seed} line {qi}: {e}"));
                 assert_eq!(got.ids(), want, "seed {seed} {kind:?} y = {a}x + {c}");
             }
@@ -87,16 +103,12 @@ fn unbounded_tuples_are_found_by_line_queries() {
         let a: f64 = rng.gen_range(-2.0..2.0);
         let c: f64 = rng.gen_range(-30.0..30.0);
         let want = oracle(&pairs, a, c, SelectionKind::Exist);
-        let got = idx
-            .execute_hyperplane(&pager, a, c, SelectionKind::Exist, Strategy::T2, &fetch)
-            .unwrap();
+        let got = line(&idx, &pager, (a, c), SelectionKind::Exist, &fetch).unwrap();
         assert_eq!(got.ids(), want);
         if !want.is_empty() {
             nonempty += 1;
         }
-        let all = idx
-            .execute_hyperplane(&pager, a, c, SelectionKind::All, Strategy::T2, &fetch)
-            .unwrap();
+        let all = line(&idx, &pager, (a, c), SelectionKind::All, &fetch).unwrap();
         assert_eq!(all.ids(), oracle(&pairs, a, c, SelectionKind::All));
     }
     assert!(nonempty >= 8, "unbounded objects should meet most lines");
@@ -196,17 +208,11 @@ fn concurrent_line_queries_report_their_own_heap_io() {
     let reference: Vec<HashMap<MethodKind, QueryStats>> = lines
         .iter()
         .map(|&(a, c)| {
-            let dual = |strategy| {
-                idx.execute_hyperplane(&pager, a, c, SelectionKind::Exist, strategy, &replica)
-                    .unwrap()
-            };
+            let dual = line(&idx, &pager, (a, c), SelectionKind::Exist, &replica).unwrap();
             let scan = db.exist_line("twin", a, c).unwrap();
             assert_eq!(scan.stats.method, Some(MethodKind::SeqScan));
             HashMap::from([
-                (
-                    MethodKind::Dual,
-                    counts(MethodKind::Dual, &dual(Strategy::T2)),
-                ),
+                (MethodKind::Dual, counts(MethodKind::Dual, &dual)),
                 (MethodKind::SeqScan, counts(MethodKind::SeqScan, &scan)),
             ])
         })

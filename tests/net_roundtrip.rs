@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use cdb_prng::StdRng;
 use constraint_db::index::db::{ConstraintDb, DbConfig};
 use constraint_db::index::ddim::SlopePoints;
-use constraint_db::index::CdbError;
+use constraint_db::index::{CdbError, IndexSpec};
 use constraint_db::net::server::{Server, ServerConfig};
 use constraint_db::net::{ChaosPlan, ChaosProxy, Client, NetError, PROTOCOL_VERSION};
 use constraint_db::prelude::*;
@@ -70,6 +70,31 @@ fn query_mix(dim: usize, count: usize, seed: u64) -> Vec<Selection> {
             }
         })
         .collect()
+}
+
+/// `sel` over `rel` as SQL: `x_d − Σ aᵢ·xᵢ θ b`, every coefficient printed
+/// exactly.
+fn sql_of(rel: &str, sel: &Selection) -> String {
+    let hp = &sel.halfplane;
+    let vars = ["x", "y", "z"];
+    let mut lhs = format!("1*{}", vars[hp.slope.len()]);
+    for (a, var) in hp.slope.iter().zip(vars) {
+        lhs += &if *a < 0.0 {
+            format!(" + {}*{var}", -a)
+        } else {
+            format!(" - {a}*{var}")
+        };
+    }
+    let cmp = if hp.op == RelOp::Ge { ">=" } else { "<=" };
+    let kind = if sel.kind == SelectionKind::All {
+        "ALL"
+    } else {
+        "EXIST"
+    };
+    format!(
+        "SELECT * FROM {rel} WHERE {lhs} {cmp} {} {kind}",
+        hp.intercept
+    )
 }
 
 fn populate(db: &mut ConstraintDb) {
@@ -133,15 +158,17 @@ fn concurrent_clients_match_in_process_oracle() {
     for t in random_boxes(2, 300, 0xA1) {
         setup.insert("r2", t).unwrap();
     }
+    let slopes = IndexSpec::Dual(SlopeSet::uniform_tan(6).into());
+    setup.build_index("r2", slopes).unwrap();
     setup
-        .build_dual("r2", SlopeSet::uniform_tan(6).as_slice().to_vec())
+        .build_index("r2", IndexSpec::RPlus { fill: 0.8 })
         .unwrap();
-    setup.build_rplus("r2", 0.8).unwrap();
     setup.create_relation("r3", 3).unwrap();
     for t in random_boxes(3, 200, 0xA2) {
         setup.insert("r3", t).unwrap();
     }
-    setup.build_dual_d("r3", 2, 1.0).unwrap();
+    let grid = IndexSpec::Dual(SlopePoints::grid(3, 2, 1.0).into());
+    setup.build_index("r3", grid).unwrap();
 
     // Concurrent query phase.
     let queries = Arc::new(queries);
@@ -164,10 +191,13 @@ fn concurrent_clients_match_in_process_oracle() {
                     expected[qi].as_slice(),
                     "client {c} query {qi} diverged from the oracle"
                 );
-                // EXPLAIN must execute to the same answer.
+                // EXPLAIN ANALYZE must execute to the same answer.
                 if qi.is_multiple_of(7) {
-                    let (_, r) = client.explain(rel, sel.clone()).unwrap();
-                    assert_eq!(r.ids(), expected[qi].as_slice());
+                    let explain = SqlMode::ExplainAnalyze;
+                    let o = client.sql(&sql_of(rel, sel), explain).unwrap();
+                    let rows = format!(" {} rows\n", expected[qi].len());
+                    let plan = o.plan.expect("a rendered plan");
+                    assert!(plan.contains(&rows), "query {qi}: {plan}");
                 }
             }
         }));
@@ -291,14 +321,15 @@ fn kill_nine_loses_no_acknowledged_insert() {
     let _ = std::fs::remove_file(constraint_db::storage::wal_path(&path));
 }
 
-/// Protocol v13 made the dual index one method (retiring the restricted
-/// search's strategy tag and the restricted and T2 method tags), as v12
-/// retired T1's strategy and method tags, v11 the d-dimensional index's
-/// method tag, v10 dropped the planner's cost estimate from `QueryStats`
-/// and added its rejections by key, v9 replication and v8 sharding: a peer
-/// still speaking v7 to v12 is greeted
-/// with the server's version and its hello answered by a typed
-/// `VersionMismatch`, never served.
+/// Protocol v14 carried the engine's own types (one build request over
+/// `IndexSpec`, the engine's recovery report, EXPLAIN through SQL only),
+/// as v13 made the dual index one method (retiring the restricted search's
+/// strategy tag and the restricted and T2 method tags), v12 retired T1's
+/// strategy and method tags, v11 the d-dimensional index's method tag, v10
+/// dropped the planner's cost estimate from `QueryStats` and added its
+/// rejections by key, v9 replication and v8 sharding: a peer still
+/// speaking v7 to v13 is greeted with the server's version and its hello
+/// answered by a typed `VersionMismatch`, never served.
 #[test]
 fn a_version_7_hello_gets_the_version_mismatch_answer() {
     use constraint_db::net::proto::{
@@ -306,26 +337,26 @@ fn a_version_7_hello_gets_the_version_mismatch_answer() {
     };
     use constraint_db::storage::codec::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 
-    assert_eq!(PROTOCOL_VERSION, 13);
+    assert_eq!(PROTOCOL_VERSION, 14);
     let db = ConstraintDb::in_memory(DbConfig::paper_1999());
     let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).unwrap();
     let addr = server.local_addr();
     let stop = server.shutdown_handle();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
-    for old in [7, 8, 9, 10, 11, 12] {
+    for old in [7, 8, 9, 10, 11, 12, 13] {
         let mut stream = TcpStream::connect(addr).unwrap();
         let greeting = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(
             decode_greeting(&greeting).unwrap(),
-            (13, HandshakeStatus::Ok)
+            (14, HandshakeStatus::Ok)
         );
         write_frame(&mut stream, &encode_hello(old)).unwrap();
         let answer = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
         assert!(
             matches!(
                 decode_response(&answer).unwrap().2,
-                Err(NetError::VersionMismatch { server_version: 13 })
+                Err(NetError::VersionMismatch { server_version: 14 })
             ),
             "a v{old} hello"
         );

@@ -11,6 +11,7 @@ use constraint_db::geometry::predicates;
 use constraint_db::index::db::{ConstraintDb, DbConfig};
 use constraint_db::index::ddim::SlopePoints;
 use constraint_db::index::sql;
+use constraint_db::index::IndexSpec;
 use constraint_db::net::server::{Server, ServerConfig};
 use constraint_db::net::Client;
 use constraint_db::prelude::*;
@@ -419,9 +420,8 @@ fn sql_round_trips_over_the_wire() {
     for t in random_boxes(2, 30, 0xAB) {
         client.insert("r", t).unwrap();
     }
-    client
-        .build_dual("r", SlopeSet::uniform_tan(4).as_slice().to_vec())
-        .unwrap();
+    let slopes = IndexSpec::Dual(SlopeSet::uniform_tan(4).into());
+    client.build_index("r", slopes).unwrap();
     client.create_relation("s", 2).unwrap();
     for t in random_boxes(2, 20, 0xAC) {
         client.insert("s", t).unwrap();
