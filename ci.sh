@@ -169,7 +169,11 @@ step one-forest one_forest
 # decide what they can of the candidates (`KeyBracket::settle`, one call;
 # `KeyBracket::verdict`, the exact rule, is called only in `keys.rs`); the slot
 # table is the heap's only map (no reverse map beside it), and the heap is
-# read through `visit_many`/`get_many` alone.
+# read through `visit_many`/`get_many` alone. A tuple's 2-D surfaces come
+# from one vertex enumeration: `kernel2d::Surfaces` is the one evaluator
+# (its pairwise determinant the one enumeration in the geometry crate), and
+# the index evaluates a tuple once, through it, for its keys, reaches and
+# key-column row — never slope by slope.
 one_refine() {
   grep_audit one-refine crates/core/src <<'RULES'
 1|TrackedReader::new( calls|physical.rs|TrackedReader::new\(
@@ -178,6 +182,13 @@ one_refine() {
 1|key-bracket chunk-pass .settle( calls|-|\.settle\(
 0|key-bracket .verdict( calls outside keys.rs|index/keys.rs|\.verdict\(
 0|mentions of by_record|-|by_record
+RULES
+  grep_audit one-refine crates/core/src/index <<'RULES'
+0|keys_at( or swapped_bot_top( calls in the index|-|(keys_at|swapped_bot_top)\(
+RULES
+  grep_audit one-refine crates/geometry/src <<'RULES'
+1|definitions of the per-tuple 2-D evaluator|-|pub struct Surfaces\b
+1|vertex enumerations (the pairwise determinant)|-|let det = p\.ax \* q\.ay - q\.ax \* p\.ay
 RULES
   grep_audit one-refine crates/storage/src/heap.rs <<'RULES'
 0|heap reads besides visit_many and get_many|-|pub fn (scan|get)\(
@@ -336,14 +347,18 @@ step paper-figures paper_figures
 # view against `decode`, the heap's page-ordered visitor, the slack-matched
 # B+-tree delete, the sweep's borrowed leaf view against a decoding
 # reference walk, refinement on borrowed record bytes against a
-# `fetch_batch`-only source (same ids, same QueryStats, same errors), and
-# the key columns' chunk pass against `KeyBracket::verdict`, id by id.
+# `fetch_batch`-only source (same ids, same QueryStats, same errors), the
+# per-tuple evaluator against the one-slope kernel it replaced (bit for bit,
+# both frames, with its attaining vertices; in `refine_kernel`), the key
+# bracket's chords and tangents on the hard cases, and the key columns'
+# chunk pass against `KeyBracket::verdict`, id by id.
 refine_kernel() {
   cargo test -q -p cdb-geometry --lib -- kernel2d
   cargo test -q -p cdb-geometry --test refine_kernel
   cargo test -q -p cdb-storage --lib -- visit_many foreign_pages
   cargo test -q -p cdb-btree --lib -- delete_finds_keys leaf_views_show
-  cargo test -q -p cdb-core --lib -- refine_paths delete_that_misses chunk_codes_agree_with_verdict
+  cargo test -q -p cdb-core --lib -- refine_paths delete_that_misses chunk_codes_agree_with_verdict \
+    hard_cases_get_no_wrong_decision two_slopes_decide_both_sides
   cargo test -q --test hyperplane_queries concurrent_line_queries
 }
 step refine-kernel refine_kernel

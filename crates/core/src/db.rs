@@ -443,8 +443,9 @@ impl ConstraintDb {
     }
 
     /// Stage 3 of `open`: the per-page verification pass, classifying
-    /// every relation's health into the recovery report; the walk's reads
-    /// of each slope-set dual index's leaves become its key columns.
+    /// every relation's health into the recovery report; the key columns
+    /// each slope-set dual index filled from its heap, and held its leaves
+    /// to, become its key columns.
     fn classify_relations(&mut self) {
         let view = &mut self.view;
         let mut relations: Vec<(String, RelationHealth)> = Vec::new();

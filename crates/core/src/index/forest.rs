@@ -14,7 +14,6 @@
 use std::io;
 
 use cdb_btree::{BTree, Direction, Handicaps};
-use cdb_geometry::dual;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{CodecError, PageReader, Pager, RecordReader, RecordWriter, Wire};
 
@@ -22,15 +21,8 @@ use super::handicap::assign;
 use crate::error::CdbError;
 use crate::query::Side;
 
-/// `(TOP_P, BOT_P)` of an indexed tuple at one element of `S`; panics on
-/// unsatisfiable tuples (the relation layer rejects them at insert).
-pub(crate) fn keys_at(t: &GeneralizedTuple, slope: &[f64]) -> (f64, f64) {
-    let (bot, top) = dual::bot_top(t, slope).expect("indexed tuples are satisfiable");
-    (top, bot)
-}
-
 /// The `(B^up, B^down)` tree pairs of one dual index, in the order of `S`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Forest {
     pairs: Vec<(BTree, BTree)>,
 }
@@ -111,18 +103,17 @@ impl Forest {
         Ok(())
     }
 
-    /// Removes `id` from every tree; `false` when some tree did not hold
-    /// the entry it should.
-    pub(crate) fn remove<'s>(
+    /// Removes `id`, whose `(TOP_P, BOT_P)` keys are `keys` in the order
+    /// of `S`, from every tree; `false` when some tree did not hold the
+    /// entry it should.
+    pub(crate) fn remove(
         &mut self,
         pager: &mut dyn Pager,
-        slopes: impl Iterator<Item = &'s [f64]>,
+        keys: &[(f64, f64)],
         id: u32,
-        tuple: &GeneralizedTuple,
     ) -> io::Result<bool> {
         let mut found = true;
-        for ((up, down), slope) in self.pairs.iter_mut().zip(slopes) {
-            let (top, bot) = keys_at(tuple, slope);
+        for ((up, down), &(top, bot)) in self.pairs.iter_mut().zip(keys) {
             found &= up.delete(pager, top, id)?;
             found &= down.delete(pager, bot, id)?;
         }
@@ -133,7 +124,8 @@ impl Forest {
     /// (Section 4.2 Steps 1–2) from every tuple's `keys` there and, per
     /// side that answers for a region of slope space, its `(max TOP, min
     /// BOT)` reaches over that region (a side not listed keeps the neutral
-    /// `±∞`).
+    /// `±∞`). Both trees share a region's reaches, so each direction's
+    /// order of them is sorted once.
     pub(crate) fn assign_handicaps(
         &self,
         pager: &mut dyn Pager,
@@ -141,25 +133,32 @@ impl Forest {
         keys: &[(f64, f64)],
         reaches: &[(Side, Vec<(f64, f64)>)],
     ) -> io::Result<()> {
+        let mut trees = Vec::new();
         for up in [true, false] {
-            let tree = self.tree(i, up);
-            let leaves = tree.leaves(&*pager)?;
-            let mut handicaps = vec![Handicaps::default(); leaves.len()];
-            for (side, reach) in reaches {
-                for dir in Direction::BOTH {
+            let leaves = self.tree(i, up).leaves(&*pager)?;
+            let handicaps = vec![Handicaps::default(); leaves.len()];
+            trees.push((up, leaves, handicaps));
+        }
+        for (side, reach) in reaches {
+            for dir in Direction::BOTH {
+                let mut order: Vec<(f64, usize)> =
+                    reach.iter().map(|&r| dir.of(r)).zip(0..).collect();
+                order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN reach"));
+                for (up, leaves, handicaps) in &mut trees {
                     // (reach, key) per tuple, keyed as this tree is: a
                     // search going up first must get back down to every
                     // tuple whose TOP reaches its start, and vice versa.
-                    let pairs: Vec<(f64, f64)> = reach
-                        .iter()
-                        .zip(keys)
-                        .map(|(&reach, &(top, bot))| (dir.of(reach), if up { top } else { bot }))
+                    let pairs: Vec<(f64, f64)> = (order.iter())
+                        .map(|&(reach, t)| (reach, if *up { keys[t].0 } else { keys[t].1 }))
                         .collect();
-                    for (h, value) in handicaps.iter_mut().zip(assign(dir, &leaves, &pairs)) {
+                    for (h, value) in handicaps.iter_mut().zip(assign(dir, leaves, &pairs)) {
                         *h.slot(dir, *side) = value;
                     }
                 }
             }
+        }
+        for (up, leaves, handicaps) in trees {
+            let tree = self.tree(i, up);
             for (leaf, h) in leaves.iter().zip(handicaps) {
                 tree.set_handicaps(pager, leaf.page, h)?;
             }
@@ -422,7 +421,10 @@ pub(crate) mod tests {
             })
             .chain([(f64::INFINITY, 3.0), (f64::NEG_INFINITY, -4.0)])
             .collect();
-        let negated: Vec<(f64, f64)> = pairs.iter().map(|&(r, k)| (-r, -k)).collect();
+        let mut negated: Vec<(f64, f64)> = pairs.iter().map(|&(r, k)| (-r, -k)).collect();
+        negated.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut pairs = pairs;
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut there = assign(back, &image_leaves, &negated);
         there.reverse();
         let there: Vec<f64> = there.into_iter().map(|h| -h).collect();

@@ -28,29 +28,36 @@ use cdb_btree::{Direction, LeafInfo};
 /// tuple does). Bucket rule: the first non-empty leaf on the way of `dir`
 /// whose far edge is not before the reach, clamped to the last one.
 ///
-/// `pairs` is `(reach, key)` per tuple; order is irrelevant.
+/// `pairs` is `(reach, key)` per tuple, ascending by reach — sorted once
+/// by the caller for both trees of an element, which share the reaches.
+/// (Which leaf a reach falls into depends on the reach alone, and a leaf
+/// keeps the least or greatest key, so the order of ties is irrelevant.)
 pub fn assign(dir: Direction, leaves: &[LeafInfo], pairs: &[(f64, f64)]) -> Vec<f64> {
+    debug_assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0), "reaches ascend");
     let mut out = vec![dir.end(); leaves.len()];
     // Non-empty leaves and reaches, both in the order `dir` meets them.
     let mut idx: Vec<usize> = (0..leaves.len()).filter(|&i| leaves[i].count > 0).collect();
     if idx.is_empty() {
         return out;
     }
-    let mut sorted: Vec<(f64, f64)> = pairs.to_vec();
-    sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN reach"));
-    if dir == Direction::Down {
+    let down = dir == Direction::Down;
+    if down {
         idx.reverse();
-        sorted.reverse();
     }
     let far_edge = |leaf: usize| dir.of((leaves[leaf].max_key, leaves[leaf].min_key));
     let mut li = 0usize; // position in idx
-    for &(reach, key) in &sorted {
+    let mut bucket = |&(reach, key): &(f64, f64)| {
         while li + 1 < idx.len() && dir.before(far_edge(idx[li]), reach) {
             li += 1;
         }
         if dir.before(key, out[idx[li]]) {
             out[idx[li]] = key;
         }
+    };
+    if down {
+        pairs.iter().rev().for_each(&mut bucket);
+    } else {
+        pairs.iter().for_each(&mut bucket);
     }
     out
 }
@@ -58,6 +65,13 @@ pub fn assign(dir: Direction, leaves: &[LeafInfo], pairs: &[(f64, f64)]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`assign`] over `pairs` in any order.
+    fn assign(dir: Direction, leaves: &[LeafInfo], pairs: &[(f64, f64)]) -> Vec<f64> {
+        let mut sorted = pairs.to_vec();
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        super::assign(dir, leaves, &sorted)
+    }
 
     fn leaf(page: u32, min: f64, max: f64, count: usize) -> LeafInfo {
         LeafInfo {

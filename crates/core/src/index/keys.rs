@@ -2,82 +2,141 @@
 //! and the decision they make on their own (Section 2: `TOP_P` is convex
 //! and `BOT_P` concave in the slope).
 //!
-//! [`KeyColumns`] is an id-indexed copy of the keys of a 2-D
-//! [`DualIndex`](super::DualIndex): per id, `TOP_P` then `BOT_P` at every
-//! slope of `S`, as the same `f32` the trees store. It is derived, never
-//! persisted: the index build fills it, every insert writes one row and
-//! every delete clears one, and at open the verification walk reads it off
-//! the leaves. Rows live in fixed-size chunks behind an `Arc` each, so a
-//! clone (a published snapshot) copies no key and a later write copies the
-//! one chunk it touches. A chunk is slope-major — each of its `2k` columns
-//! is contiguous — so one pass over a run of rows reads each key column
-//! front to back.
+//! [`KeyColumns`] is an id-indexed table of every tuple's surfaces at the
+//! samples of a set `C` ([`SlopeSet::samples`]): the slopes of `S`, then
+//! every distinct far end of a handicap strip ([`SlopeSet::mid`]) — at
+//! `k = 4` the three midpoints between neighbours and the split of the
+//! strip through the vertical, `2k` samples. A sample at a slope holds
+//! `TOP_P` and `BOT_P` there; one in the frame swapped through the
+//! vertical, `t = 1/a`, holds `TOP′(t) = max(x − t·y)` (convex in `t`)
+//! and `BOT′(t) = min(x − t·y)` (concave). Beside each value it holds the
+//! first coordinate in that frame (x, or y when swapped) of a vertex that
+//! attains it, or `NaN` where no vertex was named (an infinite value, or a
+//! tuple the simplex evaluated). Everything is the `f32` the trees would
+//! store, so the keys at `S` are the trees' keys. The columns are derived,
+//! never persisted: the index build fills them, every insert writes one
+//! row and every delete clears one, and at open the verification pass
+//! fills them from the heap (the leaves hold only `S`'s keys) and checks
+//! every leaf against them. Rows live in fixed-size chunks behind an `Arc`
+//! each, so a clone (a published snapshot) copies no key and a later write
+//! copies the one chunk it touches. A chunk is column-major — each of its
+//! `4·|C|` columns is contiguous — so one pass over a run of rows reads
+//! each column front to back.
 //!
 //! [`KeyBracket`] bounds the surface a selection compares with its
-//! intercept `b` at the query slope `a`, from a row's keys alone. For a
-//! convex `f` sampled at `s₀ < … < s_{k−1}` and `sᵢ ≤ a ≤ sᵢ₊₁`, the chord
-//! through the samples at `sᵢ` and `sᵢ₊₁` lies above `f` at `a`, and the
-//! neighbouring chords, extended to `a`, lie below it; a concave `f` is the
-//! mirror case. Every bound is a linear form in at most two keys, so its
-//! weights are worked out once per query and a candidate costs a few
-//! multiply-adds. A slope outside `[s₀, s_{k−1}]` is bracketed in the frame
-//! swapped through the vertical, `t = 1/a`, where the tuple's surfaces are
-//! `TOP′(t) = max(x − t·y)` (convex) and `BOT′(t) = min(x − t·y)`
-//! (concave): `TOP′(1/s) = −BOT(s)/s` for `s > 0` and `−TOP(s)/s` for
-//! `s < 0`, and `BOT′` the other way round.
+//! intercept `b` at the query slope `a`, from a row alone. A frame in
+//! which two samples of `C` lie around `a` is chosen — the plain one,
+//! else the one swapped through the vertical, where the query reads
+//! `TOP(a) = −a·BOT′(1/a)` and `BOT(a) = −a·TOP′(1/a)` for `a > 0`, the
+//! other way round for `a < 0`, and a sample of the other frame is
+//! converted the same way. For a convex `f` and samples `p ≤ x ≤ q`:
+//!
+//! * the chord through `f(p)` and `f(q)` lies above `f(x)`;
+//! * each sample's tangent, the dual line of the vertex that attains it —
+//!   `f(p) + (p − x)·v` for a sample of the query's frame, whose vertex
+//!   has first coordinate `v` there; `−x·g + (1 − x·q)·v` for the value
+//!   `g` and vertex `v` stored at `q` in the other frame — lies below.
+//!
+//! A concave `f` is the mirror case. A vertex's dual line lies between
+//! the two surfaces at every slope, so a tangent is a bound whichever
+//! attaining vertex was stored, ties included. Every bound is a linear
+//! form in two columns of a row, so its weights are worked out once per
+//! query and a candidate costs a few multiply-adds.
 //!
 //! [`KeyBracket::verdict`] is the one definition of the decision: each
-//! bound widened by [`key_slack`] of every key it reads.
-//! [`KeyBracket::settle`] reaches the same decision for a whole candidate
-//! list, a group of rows at a time. The keys never exceed the columns'
-//! `max_abs` in magnitude and `key_slack` grows with `|key|`, so a form's
-//! widening is at most its margin — `key_slack(max_abs)` through the
-//! weights, summed in the same order — and the widened bound lies between
-//! the bare two-key value and that value moved by the margin, rounded
-//! outward. Where these intervals settle the decision it is the verdict;
-//! a row they leave open, or with a key that is not finite, is decided by
-//! `verdict` itself.
+//! bound widened by [`key_slack`] of every value it reads, through its
+//! weight — for a vertex coordinate, the `f32` error of `v` times the
+//! tangent's `|x − p|`. [`KeyBracket::settle`] reaches the same decision
+//! for a whole candidate list, a group of rows at a time. No key exceeds
+//! the columns' `max_key` in magnitude and no vertex coordinate their
+//! `max_at`, and `key_slack` grows with `|value|`, so a form's widening is
+//! at most its margin — `key_slack` of those maxima through the weights,
+//! summed in the same order — and the widened bound lies between the bare
+//! two-column value and that value moved by the margin, rounded outward.
+//! Where these intervals settle the decision it is the verdict; a row they
+//! leave open, or with a value that is not finite, is decided by `verdict`
+//! itself.
 
 use std::sync::Arc;
 
 use cdb_btree::key_slack;
 use cdb_geometry::constraint::RelOp;
+use cdb_geometry::dual::PlanarSurfaces;
+use cdb_geometry::kernel2d::Extreme;
 use cdb_geometry::scalar::EPS;
+use cdb_geometry::tuple::TupleView;
 
 use crate::query::{Selection, SelectionKind};
+use crate::slopes::StripEnd;
 
-/// Rows per chunk: the most one write after a publish copies.
-const CHUNK_ROWS: usize = 256;
+#[cfg(doc)]
+use crate::slopes::SlopeSet;
+
+/// Rows per chunk: the most one write after a publish copies — 8 KiB of
+/// `4·|C|` columns at k = 4.
+const CHUNK_ROWS: usize = 64;
 
 /// Rows [`KeyBracket::settle`] decides in one pass, the first time a
 /// candidate falls among them.
 const GROUP_ROWS: usize = 64;
 
-/// The dual keys of a 2-D index per tuple id; see the module docs.
+/// A tuple's surfaces at every sample of `C`, in order: `(BOT, TOP)`, each
+/// with its vertex, in the sample's frame.
+pub(crate) type Row = Vec<(Extreme, Extreme)>;
+
+/// The surfaces of every tuple at the samples of `C`, per id; see the
+/// module docs.
 #[derive(Clone, Debug)]
 pub(crate) struct KeyColumns {
-    /// The slopes of `S`, ascending.
-    slopes: Arc<[f64]>,
-    /// `CHUNK_ROWS` rows each, slope-major: key `c` of the chunk's row `r`
-    /// at `c · CHUNK_ROWS + r`; `NaN` where no row was written.
+    /// The samples of `C`: the slopes of `S` first, in order, then the
+    /// distinct strip ends.
+    samples: Arc<[StripEnd]>,
+    /// `CHUNK_ROWS` rows each, column-major: column `c` of the chunk's row
+    /// `r` at `c · CHUNK_ROWS + r`; `NaN` where no row was written.
     chunks: Vec<Arc<Vec<f32>>>,
-    /// At least every finite `|key|` ever written: raised by `set`, never
-    /// lowered, so a cleared key may leave it high.
-    max_abs: f64,
+    /// At least every finite `|key|` ever written: raised by `set_row`,
+    /// never lowered, so a cleared key may leave it high.
+    max_key: f64,
+    /// The same for every finite vertex coordinate.
+    max_at: f64,
 }
 
 impl KeyColumns {
-    /// Columns over the slopes of `S` (ascending), holding no row.
-    pub(crate) fn new(slopes: &[f64]) -> Self {
+    /// Columns over the samples of `C`, holding no row.
+    pub(crate) fn new(samples: Vec<StripEnd>) -> Self {
         KeyColumns {
-            slopes: slopes.into(),
+            samples: samples.into(),
             chunks: Vec::new(),
-            max_abs: 0.0,
+            max_key: 0.0,
+            max_at: 0.0,
         }
     }
 
     fn width(&self) -> usize {
-        2 * self.slopes.len()
+        4 * self.samples.len()
+    }
+
+    /// The column of `TOP` (`up`) or `BOT` at sample `j`.
+    fn key_col(&self, j: usize, up: bool) -> usize {
+        if up {
+            j
+        } else {
+            self.samples.len() + j
+        }
+    }
+
+    /// The column of the vertex beside [`key_col`](Self::key_col).
+    fn at_col(&self, j: usize, up: bool) -> usize {
+        2 * self.samples.len() + self.key_col(j, up)
+    }
+
+    /// The most any finite value of column `col` has been in magnitude.
+    fn max_abs(&self, col: usize) -> f64 {
+        if col < 2 * self.samples.len() {
+            self.max_key
+        } else {
+            self.max_at
+        }
     }
 
     /// The chunk holding `id` and the row's place in it, if a row of the
@@ -98,16 +157,99 @@ impl KeyColumns {
         (&mut Arc::make_mut(&mut self.chunks[chunk])[..], at)
     }
 
-    /// Writes one key of `id`: of `B^up` (`TOP`) or `B^down` (`BOT`) at
-    /// slope `i`, rounded as the tree stores it.
-    pub(crate) fn set(&mut self, id: u32, i: usize, up: bool, key: f64) {
-        let col = if up { i } else { self.slopes.len() + i };
-        let key = key as f32;
-        if key.is_finite() {
-            self.max_abs = self.max_abs.max(f64::from(key.abs()));
-        }
+    /// A tuple's row: both surfaces and their vertices at every sample of
+    /// `C`, from one enumeration of its vertices (over an owned tuple or a
+    /// record in its page).
+    ///
+    /// # Panics
+    /// On an unsatisfiable tuple (the relation layer rejects them at
+    /// insert).
+    pub(crate) fn row(&self, surfaces: &PlanarSurfaces<'_>) -> Row {
+        let row = Self::sampled(&self.samples, surfaces);
+        row.map(|e| e.expect("indexed tuples are satisfiable"))
+            .collect()
+    }
+
+    /// [`row`](Self::row), one sample at a time; `None` where the tuple is
+    /// empty.
+    fn sampled<'s>(
+        samples: &'s [StripEnd],
+        surfaces: &'s PlanarSurfaces<'_>,
+    ) -> impl Iterator<Item = Option<(Extreme, Extreme)>> + 's {
+        samples.iter().map(|sample| match *sample {
+            StripEnd::Slope(a) => surfaces.at(a),
+            StripEnd::Swapped(t) => surfaces.swapped_at(t),
+        })
+    }
+
+    /// Writes the row of `id` (one `(BOT, TOP)` per sample, in order),
+    /// rounded as the trees store keys.
+    pub(crate) fn set_row(&mut self, id: u32, row: impl IntoIterator<Item = (Extreme, Extreme)>) {
+        let c = self.samples.len();
+        let (mut max_key, mut max_at) = (self.max_key, self.max_at);
         let (chunk, at) = self.chunk_mut(id);
-        chunk[col * CHUNK_ROWS + at] = key;
+        for (j, (bot, top)) in row.into_iter().enumerate() {
+            // The columns of `key_col` and `at_col`.
+            for (col, e) in [(j, top), (c + j, bot)] {
+                let (key, vertex) = (e.value as f32, e.at as f32);
+                if key.is_finite() {
+                    max_key = max_key.max(f64::from(key.abs()));
+                }
+                if vertex.is_finite() {
+                    max_at = max_at.max(f64::from(vertex.abs()));
+                }
+                chunk[col * CHUNK_ROWS + at] = key;
+                chunk[(2 * c + col) * CHUNK_ROWS + at] = vertex;
+            }
+        }
+        (self.max_key, self.max_at) = (max_key, max_at);
+    }
+
+    /// Writes the rows of `records`, each an id and the bytes of its
+    /// tuple as the heap stores them, evaluated half on another thread.
+    /// `Err` names a record that is not a satisfiable 2-D tuple.
+    pub(crate) fn fill(&mut self, records: &[(u32, &[u8])]) -> Result<(), String> {
+        let c = self.samples.len();
+        let none = Extreme {
+            value: f64::NAN,
+            at: f64::NAN,
+        };
+        let mut rows = vec![(none, none); records.len() * c];
+        let samples = &self.samples;
+        let evaluate = |records: &[(u32, &[u8])], rows: &mut [(Extreme, Extreme)]| {
+            for (&(id, bytes), row) in records.iter().zip(rows.chunks_mut(c)) {
+                let record = TupleView::new(bytes).filter(|r| r.dim() == 2);
+                let record = record.ok_or_else(|| format!("record {id} is no 2-D tuple"))?;
+                let surfaces = PlanarSurfaces::of_record(record);
+                for (cell, e) in row.iter_mut().zip(Self::sampled(samples, &surfaces)) {
+                    *cell = e.ok_or_else(|| format!("record {id} is empty"))?;
+                }
+            }
+            Ok::<(), String>(())
+        };
+        let half = records.len() / 2;
+        let (first, second) = records.split_at(half);
+        let (first_rows, second_rows) = rows.split_at_mut(half * c);
+        std::thread::scope(|scope| {
+            let other = (half > 0).then(|| scope.spawn(|| evaluate(first, first_rows)));
+            let mine = evaluate(second, second_rows);
+            let other = other.map_or(Ok(()), |t| {
+                t.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+            });
+            other.and(mine)
+        })?;
+        for (&(id, _), row) in records.iter().zip(rows.chunks(c)) {
+            self.set_row(id, row.iter().copied());
+        }
+        Ok(())
+    }
+
+    /// `TOP` (`up`) or `BOT` of `id` at sample `j` as stored, if its row
+    /// is held.
+    pub(crate) fn key(&self, id: u32, j: usize, up: bool) -> Option<f32> {
+        let (chunk, at) = self.chunk(id)?;
+        let key = chunk[self.key_col(j, up) * CHUNK_ROWS + at];
+        (!key.is_nan()).then_some(key)
     }
 
     /// Forgets the row of `id`.
@@ -149,23 +291,14 @@ const EXACT: u8 = 4;
 // `decide` counts down from `EXACT`.
 const _: () = assert!(YES == EXACT - 3 && NO == EXACT - 2 && FETCH == EXACT - 1);
 
-/// A linear form `Σ w·key` over two keys of a row, by column.
+/// A linear form `Σ w·value` over two columns of a row.
 #[derive(Clone, Copy)]
 struct Form([(usize, f64); 2]);
 
 impl Form {
-    /// The line through the samples `p` and `q` (`(position, column,
-    /// coefficient)`, a sample's value being `coefficient · key`),
-    /// evaluated at `x` and scaled by `scale`.
-    fn line(p: (f64, usize, f64), q: (f64, usize, f64), x: f64, scale: f64) -> Self {
-        let span = q.0 - p.0;
-        let (wp, wq) = ((q.0 - x) / span, (x - p.0) / span);
-        Form([(p.1, scale * wp * p.2), (q.1, scale * wq * q.2)])
-    }
-
     /// The form's value on row `at` of `chunk`, widened by the `f32`
-    /// rounding of every key it reads ([`key_slack`] through its weight)
-    /// toward `+∞` (`up`) or `−∞`; `None` when a key is missing or
+    /// rounding of every value it reads ([`key_slack`] through its weight)
+    /// toward `+∞` (`up`) or `−∞`; `None` when a value is missing or
     /// infinite.
     fn bound(&self, chunk: &[f32], at: usize, up: bool) -> Option<f64> {
         let (mut value, mut slack) = (0.0, 0.0);
@@ -180,15 +313,15 @@ impl Form {
         Some(if up { value + slack } else { value - slack })
     }
 
-    /// The most [`bound`](Self::bound) widens the form by when no key it
-    /// reads exceeds `max_abs` in magnitude: the same sum, in the same
-    /// order, at `max_abs`.
-    fn margin(&self, max_abs: f64) -> f64 {
+    /// The most [`bound`](Self::bound) widens the form by when no value it
+    /// reads exceeds its column's maximum in magnitude: the same sum, in
+    /// the same order, at those maxima — with the form.
+    fn with_margin(self, keys: &KeyColumns) -> (Self, f64) {
         let mut slack = 0.0;
-        for &(_, w) in &self.0 {
-            slack += w.abs() * key_slack(max_abs);
+        for &(col, w) in &self.0 {
+            slack += w.abs() * key_slack(keys.max_abs(col));
         }
-        slack
+        (self, slack)
     }
 
     /// The form's columns over the `GROUP_ROWS` rows from `at` of `chunk`,
@@ -238,28 +371,37 @@ impl Lane<'_> {
     }
 }
 
+/// One sample of `C` as the query's frame sees it: its position there,
+/// and the columns and weights of its value and of its tangent at the
+/// query's position `x`, each up to the query's `scale`.
+#[derive(Clone, Copy)]
+struct Seen {
+    position: f64,
+    value: (usize, f64),
+    tangent: Form,
+}
+
 /// The per-query weights of the key decision (see the module docs): the
 /// surface the selection compares with `b`, bounded at the query slope by
-/// one chord on one side and up to two extended chords on the other.
+/// the chord through the two samples around it on one side and by their
+/// tangents on the other.
 pub(crate) struct KeyBracket<'k> {
     keys: &'k KeyColumns,
     b: f64,
     /// Whether the predicate reads `b ≤ surface` (else `surface ≤ b`).
     b_below: bool,
-    /// The chord through the samples around the query slope, and its
-    /// margin.
-    chord: Option<(Form, f64)>,
-    /// The neighbouring chords, extended to the query slope, and their
-    /// margins.
-    outer: [Option<(Form, f64)>; 2],
-    /// Whether the chord bounds the surface from above (the outer chords
-    /// then bound it from below), or the reverse.
+    /// The chord, and its margin.
+    chord: (Form, f64),
+    /// The two samples' tangents, and their margins.
+    tangents: [(Form, f64); 2],
+    /// Whether the chord bounds the surface from above (the tangents then
+    /// bound it from below), or the reverse.
     chord_above: bool,
 }
 
 impl<'k> KeyBracket<'k> {
     /// The weights for `sel` over `keys`; `None` for a selection that is
-    /// not 2-D, or a slope no two samples bracket from either side.
+    /// not 2-D, or a slope no two samples bracket in either frame.
     pub(crate) fn new(keys: &'k KeyColumns, sel: &Selection) -> Option<Self> {
         let q = &sel.halfplane;
         if q.slope.len() != 1 || !q.intercept.is_finite() {
@@ -272,94 +414,119 @@ impl<'k> KeyBracket<'k> {
             (SelectionKind::All, RelOp::Le) | (SelectionKind::Exist, RelOp::Ge)
         );
         let b_below = q.op == RelOp::Ge;
-        let slopes = &keys.slopes;
-        let k = slopes.len();
-        let (lo, hi) = (slopes[0], slopes[k - 1]);
-        // Samples `(position, column, coefficient)` of a function `f` with
-        // surface = scale · f(x), ascending by position; `convex` says
-        // which way `f` bends.
-        let column = |top: bool, j: usize| if top { j } else { k + j };
-        // (A slope of 0 outside [lo, hi] has no reciprocal: it is bounded
-        // in its own frame, from the end pair's extended chord alone.)
-        let (samples, x, scale, convex): (Vec<(f64, usize, f64)>, f64, f64, bool) =
-            if (lo..=hi).contains(&a) || a == 0.0 {
-                let s = slopes.iter().enumerate();
-                (
-                    s.map(|(j, &s)| (s, column(top, j), 1.0)).collect(),
-                    a,
-                    1.0,
-                    top,
-                )
+        // The surface is scale · f(x) in one of the frames, f convex when
+        // it is a TOP: in `a`, else through the vertical in `t = 1/a`.
+        let frame = |swapped: bool| {
+            let (x, scale, convex) = if swapped {
+                (1.0 / a, -a, top == (a < 0.0))
             } else {
-                // Through the vertical: TOP(a) = −a·BOT′(1/a) and BOT(a) =
-                // −a·TOP′(1/a) for a > 0; TOP(a) = −a·TOP′(1/a) and BOT(a)
-                // = −a·BOT′(1/a) for a < 0.
-                let top_prime = top == (a < 0.0);
-                let mut s: Vec<(f64, usize, f64)> = slopes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &s)| s != 0.0)
-                    .map(|(j, &s)| (1.0 / s, column(top_prime != (s > 0.0), j), -1.0 / s))
-                    .collect();
-                s.sort_by(|p, q| p.0.total_cmp(&q.0));
-                (s, 1.0 / a, -a, top_prime)
+                (a, 1.0, top)
             };
-        let m = samples.len();
-        if m < 2 || !x.is_finite() {
-            return None;
-        }
-        // The pair of samples around `x` (clamped to the ends), and the
-        // pairs beside it that `x` lies outside of.
-        let i = samples.partition_point(|s| s.0 <= x).clamp(1, m - 1) - 1;
-        let pair = |p: usize| {
-            let form = Form::line(samples[p], samples[p + 1], x, scale);
-            (form, form.margin(keys.max_abs))
+            let (p, q) = Self::around(keys, swapped, x, convex)?;
+            Some((p, q, x, scale, convex))
         };
-        let inside = (samples[i].0..=samples[i + 1].0).contains(&x);
-        let (chord, outer) = if inside {
-            let left = (i >= 1).then(|| pair(i - 1));
-            let right = (i + 2 < m).then(|| pair(i + 1));
-            (Some(pair(i)), [left, right])
-        } else {
-            // Beyond the last sample on either side: the end pair alone.
-            (None, [Some(pair(i)), None])
+        let (p, q, x, scale, convex) = frame(false).or_else(|| frame(true))?;
+        let span = q.position - p.position;
+        let (wp, wq) = ((q.position - x) / span, (x - p.position) / span);
+        let scaled = |form: Form| {
+            let Form([(c0, w0), (c1, w1)]) = form;
+            Form([(c0, scale * w0), (c1, scale * w1)]).with_margin(keys)
         };
+        let chord = Form([(p.value.0, wp * p.value.1), (q.value.0, wq * q.value.1)]);
         Some(KeyBracket {
             keys,
             b,
             b_below,
-            chord,
-            outer,
-            // A convex f lies under its chords and over their extensions;
+            chord: scaled(chord),
+            tangents: [scaled(p.tangent), scaled(q.tangent)],
+            // A convex f lies under its chords and over its tangents;
             // scaling by a negative factor swaps the two.
             chord_above: convex == (scale > 0.0),
         })
     }
 
+    /// The two samples of `keys` around `x` in the frame (`swapped` or
+    /// not) — the last at or below `x` and the first above it, or, at the
+    /// last position, the two last — as `f` (a TOP-like surface when
+    /// `convex`) reads them there; `None` where no two are. (One direction
+    /// named in both frames counts once.)
+    fn around(keys: &KeyColumns, swapped: bool, x: f64, convex: bool) -> Option<(Seen, Seen)> {
+        let (mut below, mut above, mut before) = (None, None, None);
+        let nearer = |best: Option<Seen>, p: f64, closer: fn(f64, f64) -> bool| {
+            best.is_none_or(|b: Seen| closer(p, b.position))
+        };
+        for j in 0..keys.samples.len() {
+            let Some(seen) = Self::seen(keys, j, swapped, x, convex) else {
+                continue;
+            };
+            let p = seen.position;
+            if p <= x && nearer(below, p, |p, b| p > b) {
+                below = Some(seen);
+            }
+            if p > x && nearer(above, p, |p, a| p < a) {
+                above = Some(seen);
+            }
+            if p < x && nearer(before, p, |p, b| p > b) {
+                before = Some(seen);
+            }
+        }
+        match (below, above) {
+            (Some(p), Some(q)) => Some((p, q)),
+            (Some(last), None) if last.position == x => Some((before?, last)),
+            _ => None,
+        }
+    }
+
+    /// Sample `j` as `f` reads it in the frame at `x`, if it has a
+    /// position there.
+    fn seen(keys: &KeyColumns, j: usize, swapped: bool, x: f64, convex: bool) -> Option<Seen> {
+        let (native, q) = match keys.samples[j] {
+            StripEnd::Slope(a) => (!swapped, a),
+            StripEnd::Swapped(t) => (swapped, t),
+        };
+        if native {
+            let (key, at) = (keys.key_col(j, convex), keys.at_col(j, convex));
+            return Some(Seen {
+                position: q,
+                value: (key, 1.0),
+                tangent: Form([(key, 1.0), (at, q - x)]),
+            });
+        }
+        // Through the vertical: f(1/q) = −g(q)/q, g the other kind of
+        // surface where q > 0, and the vertex (u, v) of g at q lies on the
+        // line u − x·v of the other frame, where u = g + q·v.
+        let up = convex == (q < 0.0);
+        let (key, at) = (keys.key_col(j, up), keys.at_col(j, up));
+        (q != 0.0).then(|| Seen {
+            position: 1.0 / q,
+            value: (key, -1.0 / q),
+            tangent: Form([(key, -x), (at, 1.0 - x * q)]),
+        })
+    }
+
     /// The decision for the candidate `id`: `Yes` or `No` only where the
     /// widened bounds clear `approx_le`'s tolerance on the right side of
-    /// `b`; `Fetch` whenever a bound is missing (no row, an infinite key,
-    /// no chord on that side).
+    /// `b`; `Fetch` whenever a bound is missing (no row, a value that is
+    /// not finite).
     pub(crate) fn verdict(&self, id: u32) -> Verdict {
         let Some((chunk, at)) = self.keys.chunk(id) else {
             return Verdict::Fetch;
         };
-        let (chord_up, outer_up) = (self.chord_above, !self.chord_above);
-        let chord = self.chord.and_then(|(f, _)| f.bound(chunk, at, chord_up));
-        let outer = self
-            .outer
+        let (chord_up, tangent_up) = (self.chord_above, !self.chord_above);
+        let chord = self.chord.0.bound(chunk, at, chord_up);
+        let tangents = self
+            .tangents
             .iter()
-            .flatten()
-            .filter_map(|(f, _)| f.bound(chunk, at, outer_up));
-        let outer = if outer_up {
-            outer.fold(None, |m: Option<f64>, v| Some(m.map_or(v, |m| m.min(v))))
+            .filter_map(|(f, _)| f.bound(chunk, at, tangent_up));
+        let tangent = if tangent_up {
+            tangents.fold(None, |m: Option<f64>, v| Some(m.map_or(v, |m| m.min(v))))
         } else {
-            outer.fold(None, |m: Option<f64>, v| Some(m.map_or(v, |m| m.max(v))))
+            tangents.fold(None, |m: Option<f64>, v| Some(m.map_or(v, |m| m.max(v))))
         };
         let (below, above) = if self.chord_above {
-            (outer, chord)
+            (tangent, chord)
         } else {
-            (chord, outer)
+            (chord, tangent)
         };
         let (below, above) = (
             below.unwrap_or(f64::NEG_INFINITY),
@@ -436,26 +603,11 @@ impl<'k> KeyBracket<'k> {
         at: usize,
         out: &mut [u8; GROUP_ROWS],
     ) {
-        // A side with no form is the constant verdict puts in its place.
-        let (chord_none, outer_none) = if CHORD_ABOVE {
-            (f64::INFINITY, f64::NEG_INFINITY)
-        } else {
-            (f64::NEG_INFINITY, f64::INFINITY)
-        };
-        let chord = self.chord.map(|(f, m)| f.lane(chunk, at, m));
-        let mut outer = self
-            .outer
-            .iter()
-            .flatten()
-            .map(|&(f, m)| f.lane(chunk, at, m));
-        // One outer chord stands in for the missing other: min and max
-        // are idempotent.
-        let outer = outer
-            .next()
-            .map(|first| [first, outer.next().unwrap_or(first)]);
-        // The outer chords' side: the least of bounds widened up, or the
+        let chord = self.chord.0.lane(chunk, at, self.chord.1);
+        let [p, q] = self.tangents.map(|(f, m)| f.lane(chunk, at, m));
+        // The tangents' side: the least of bounds widened up, or the
         // greatest of bounds widened down.
-        let both = |[p, q]: &[Lane<'_>; 2], j: usize| {
+        let both = |j: usize| {
             let (p_lo, p_hi, p_finite) = p.interval(j, !CHORD_ABOVE);
             let (q_lo, q_hi, q_finite) = q.interval(j, !CHORD_ABOVE);
             // (Compare-and-select: a row whose value is not finite is never
@@ -467,28 +619,7 @@ impl<'k> KeyBracket<'k> {
             };
             (lo, hi, p_finite && q_finite)
         };
-        let b = self.b;
-        match (chord, outer) {
-            (Some(c), Some(o)) => decide::<B_BELOW, CHORD_ABOVE>(
-                b,
-                |j| c.interval(j, CHORD_ABOVE),
-                |j| both(&o, j),
-                out,
-            ),
-            (Some(c), None) => decide::<B_BELOW, CHORD_ABOVE>(
-                b,
-                |j| c.interval(j, CHORD_ABOVE),
-                |_| (outer_none, outer_none, true),
-                out,
-            ),
-            (None, Some(o)) => decide::<B_BELOW, CHORD_ABOVE>(
-                b,
-                |_| (chord_none, chord_none, true),
-                |j| both(&o, j),
-                out,
-            ),
-            (None, None) => out.fill(FETCH),
-        }
+        decide::<B_BELOW, CHORD_ABOVE>(self.b, |j| chord.interval(j, CHORD_ABOVE), both, out);
     }
 }
 
@@ -561,9 +692,9 @@ fn min(x: f64, y: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::db::{ConstraintDb, DbConfig};
-    use crate::index::forest::keys_at;
     use crate::query::Strategy;
     use crate::slopes::SlopeSet;
+    use cdb_geometry::constraint::LinearConstraint;
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::predicates::oracle_select;
     use cdb_geometry::tuple::GeneralizedTuple;
@@ -571,27 +702,32 @@ mod tests {
     use cdb_prng::StdRng;
     use cdb_workload::{ObjectSize, TupleGen};
 
-    /// Columns holding the keys of `tuples` (ids in order) at `slopes`,
-    /// each stored as `store(key, id)` makes it.
+    /// Columns holding the rows of `tuples` (ids in order) over the
+    /// samples of `slopes`, each key and vertex coordinate stored as
+    /// `store(value, id)` makes it.
     fn columns(
         slopes: &SlopeSet,
         tuples: &[GeneralizedTuple],
         store: impl Fn(f64, usize) -> f32,
     ) -> KeyColumns {
-        let mut cols = KeyColumns::new(slopes.as_slice());
+        let mut cols = KeyColumns::new(slopes.samples());
         for (id, t) in tuples.iter().enumerate() {
-            for (i, &s) in slopes.as_slice().iter().enumerate() {
-                let (top, bot) = keys_at(t, &[s]);
-                for (up, key) in [(true, top), (false, bot)] {
-                    cols.set(id as u32, i, up, f64::from(store(key, id)));
-                }
-            }
+            let stored = |e: Extreme| Extreme {
+                value: f64::from(store(e.value, id)),
+                at: f64::from(store(e.at, id)),
+            };
+            let row = cols.row(&PlanarSurfaces::new(t));
+            let row: Vec<_> = row
+                .into_iter()
+                .map(|(b, t)| (stored(b), stored(t)))
+                .collect();
+            cols.set_row(id as u32, row);
         }
         cols
     }
 
-    /// The keys of `id` — `TOP` at every slope, then `BOT` — if a row of it
-    /// is held and not cleared.
+    /// The columns of `id` — `TOP` at every sample, then `BOT`, then their
+    /// vertices — if a row of it is held and not cleared.
     fn row(cols: &KeyColumns, id: u32) -> Option<Vec<f32>> {
         let (chunk, at) = cols.chunk(id)?;
         let row: Vec<f32> = chunk[at..].iter().step_by(CHUNK_ROWS).copied().collect();
@@ -634,18 +770,60 @@ mod tests {
         counts
     }
 
-    /// The hard cases, none decided wrongly: keys one `f32` step off
-    /// either way, intercepts exactly on a vertex's dual line, slopes on
-    /// and just past the ends of `S` and near the vertical, `k = 2` (one
-    /// side of the bracket only), and unbounded tuples with `±∞` keys.
+    /// Query slopes at and just past every sample of `C` — each strip end
+    /// and the vertical included — and beyond the ends of `S`.
+    fn slopes_at_samples(slopes: &SlopeSet) -> Vec<f64> {
+        let k = slopes.len();
+        let (lo, hi) = (slopes.get(0), slopes.get(k - 1));
+        let mut at = vec![0.3, -1.7, 1e6, -1e6, 1e-7, lo - 0.01, hi + 0.01];
+        for sample in slopes.samples() {
+            let a = match sample {
+                StripEnd::Slope(a) => a,
+                StripEnd::Swapped(t) if t != 0.0 => 1.0 / t,
+                StripEnd::Swapped(_) => {
+                    at.extend([1e300, -1e300, 1e15, -1e15]);
+                    continue;
+                }
+            };
+            at.extend([a, a.next_up(), a.next_down(), a * (1.0 + 1e-9)]);
+        }
+        at
+    }
+
+    /// The hard cases, none decided wrongly: keys and vertex coordinates
+    /// one `f32` step off either way, intercepts exactly on a vertex's
+    /// dual line, slopes at and just past every strip end and the ends of
+    /// `S`, near and at the vertical, `k = 2…5`, `TOP` attained along an
+    /// edge (a rectangle at slope 0 and at the vertical), rows the simplex
+    /// evaluated (no vertex: a 20-gon, past the kernel's capacity), and
+    /// unbounded tuples with `±∞` keys.
     #[test]
     fn hard_cases_get_no_wrong_decision() {
         let mut g = TupleGen::new(0xB1, Rect::paper_window(), ObjectSize::Medium);
         let polygons: Vec<_> = (0..14).map(|_| g.bounded_polygon()).collect();
+        let mut points: Vec<[f64; 2]> = polygons.iter().flat_map(|p| p.points().to_vec()).collect();
         let mut tuples: Vec<GeneralizedTuple> = polygons.iter().map(|p| p.to_tuple()).collect();
         tuples.extend((0..8).map(|_| g.unbounded_tuple()));
-        // Each key as the f32 on its other side from the nearest one: a
-        // whole f32 step from what the tree stores, within one of the key.
+        let rectangle = cdb_geometry::parse::parse_tuple("x >= -3 && x <= 5 && y >= 2 && y <= 7");
+        tuples.push(rectangle.expect("a rectangle"));
+        points.extend([[-3.0, 2.0], [5.0, 2.0], [5.0, 7.0], [-3.0, 7.0]]);
+        // A 20-gon about (10, −4): past the kernel's rows, the simplex's.
+        let corner = |i: usize| {
+            let phi = std::f64::consts::TAU * i as f64 / 20.0;
+            [10.0 + 8.0 * phi.cos(), -4.0 + 8.0 * phi.sin()]
+        };
+        let sides = (0..20).map(|i| {
+            let ([x0, y0], [x1, y1]) = (corner(i), corner(i + 1));
+            // Inside is to the left of each edge, anticlockwise.
+            let (a, b) = (y0 - y1, x1 - x0);
+            LinearConstraint::new2d(a, b, -(a * x0 + b * y0), RelOp::Ge)
+        });
+        let gon = GeneralizedTuple::new(sides.collect());
+        assert!(PlanarSurfaces::new(&gon).at(0.3).unwrap().1.at.is_nan());
+        tuples.push(gon);
+        points.extend((0..20).map(corner));
+        // Each value as the f32 on its other side from the nearest one: a
+        // whole f32 step from what the tree stores, within one of the value.
         let step = |key: f64, id: usize| {
             let near = key as f32;
             match (id % 3, f64::from(near).total_cmp(&key)) {
@@ -657,12 +835,6 @@ mod tests {
         let mut decided = [0; 3];
         for k in [2, 3, 4, 5] {
             let slopes = SlopeSet::uniform_tan(k);
-            let (lo, hi) = (slopes.get(0), slopes.get(k - 1));
-            let mut query_slopes = vec![0.0, 0.3, -1.7, 1e6, -1e6, 1e9, -1e9, 1e-7];
-            for s in slopes.as_slice() {
-                query_slopes.extend([*s, s.next_up(), s.next_down(), s * (1.0 + 1e-9)]);
-            }
-            query_slopes.extend([lo - 1e-9, hi + 1e-9, lo - 0.01, hi + 0.01]);
             for nudged in [false, true] {
                 let cols = columns(&slopes, &tuples, |key, id| {
                     if nudged {
@@ -671,13 +843,10 @@ mod tests {
                         key as f32
                     }
                 });
-                for &a in &query_slopes {
+                for a in slopes_at_samples(&slopes) {
                     // Intercepts on every vertex's dual line `b = y − a·x`,
                     // plus some that separate nothing.
-                    let mut bs: Vec<f64> = polygons
-                        .iter()
-                        .flat_map(|p| p.points().iter().map(|[x, y]| y - a * x))
-                        .collect();
+                    let mut bs: Vec<f64> = points.iter().map(|[x, y]| y - a * x).collect();
                     bs.extend([-1e12, -30.0, 0.0, 25.0, 1e12]);
                     let counts = judge(&cols, &tuples, a, &bs);
                     for (d, c) in decided.iter_mut().zip(counts) {
@@ -712,12 +881,13 @@ mod tests {
         verdicts
     }
 
-    /// The chunk pass decides every id as `verdict` does, over the dense
-    /// list (every row in reverse, and an id past the last chunk) and a
-    /// sparse one: keys a whole `f32` step off, `b` on every vertex's dual
-    /// line, slopes at, just past and outside the ends of `S`, `k = 2…5`,
-    /// `±∞` keys, cleared rows, a partial last chunk — and again once a
-    /// deleted huge key has left the margins wide. Intercepts within a few
+    /// The chunk pass decides every id as `verdict` does, chords and
+    /// tangents over `C` alike, over the dense list (every row in reverse,
+    /// and an id past the last chunk) and a sparse one: keys and vertices
+    /// a whole `f32` step off, `b` on every vertex's dual line, slopes at
+    /// and just past every sample of `C` and outside the ends of `S`,
+    /// `k = 2…5`, `±∞` keys, cleared rows, a partial last chunk — and
+    /// again once a deleted huge row has left the margins wide. Intercepts within a few
     /// `approx_le` tolerances of a bound, on the row whose key is the
     /// columns' largest (its margin is its slack), probe the thresholds.
     /// The margins settle most rows on their own.
@@ -734,8 +904,8 @@ mod tests {
                 (false, false) => g.bounded_tuple(),
             })
             .collect();
-        // Two rows in three store each key a whole f32 step past the
-        // nearest one, up or down.
+        // Two rows in three store each key and vertex a whole f32 step past
+        // the nearest one, up or down.
         let step = |key: f64, id: usize| {
             let near = key as f32;
             match id % 3 {
@@ -747,12 +917,13 @@ mod tests {
         let past = (n.div_ceil(CHUNK_ROWS) * CHUNK_ROWS + 7) as u32;
         let mut dense: Vec<u32> = (0..n as u32).rev().collect();
         dense.push(past);
-        let sparse = [0, 255, 256, 300, n as u32 - 1, past];
+        let edge = CHUNK_ROWS as u32;
+        let sparse = [0, edge - 1, edge, edge + 44, n as u32 - 1, past];
         let (mut settled_rows, mut rows) = (0, 0);
         for k in [2, 3, 4, 5] {
             let slopes = SlopeSet::uniform_tan(k);
             let mut cols = columns(&slopes, &tuples, step);
-            for id in [5, 256, 257, n as u32 - 2] {
+            for id in [5, edge, edge + 1, n as u32 - 2] {
                 cols.clear(id);
             }
             let largest = |id: u32| {
@@ -763,18 +934,18 @@ mod tests {
             };
             let widest = (0..n as u32).max_by(|&p, &q| largest(p).total_cmp(&largest(q)));
             let widest = [0, widest.unwrap(), past];
-            let (lo, hi) = (slopes.get(0), slopes.get(k - 1));
-            let mut query_slopes = vec![0.0, 0.3, -1.7, 1e6, -1e9, 1e-7];
-            query_slopes.extend([lo.next_down(), hi.next_up(), lo - 0.5, hi + 0.5]);
-            query_slopes.extend(slopes.as_slice());
+            let query_slopes = slopes_at_samples(&slopes);
             for huge in [false, true] {
                 if huge {
-                    // A huge key written and deleted: the bound stays high.
-                    for i in 0..k {
-                        cols.set(past + 1, i, true, 3e30);
-                    }
+                    // A huge row written and deleted: the bounds stay high.
+                    let e = Extreme {
+                        value: 3e30,
+                        at: -3e30,
+                    };
+                    cols.set_row(past + 1, vec![(e, e); cols.samples.len()]);
                     cols.clear(past + 1);
-                    assert_eq!(cols.max_abs, f64::from(3e30_f32));
+                    assert_eq!(cols.max_key, f64::from(3e30_f32));
+                    assert_eq!(cols.max_at, f64::from(3e30_f32));
                 }
                 for &a in &query_slopes {
                     let on_vertices = polygons
@@ -791,7 +962,7 @@ mod tests {
                                 continue;
                             };
                             // Bounds do not depend on b: the probe's are every bracket's.
-                            let forms = probe.chord.iter().chain(probe.outer.iter().flatten());
+                            let forms = std::iter::once(&probe.chord).chain(&probe.tangents);
                             let near_bounds: Vec<f64> = forms
                                 .flat_map(|(f, _)| {
                                     widest[..2].iter().flat_map(|&id| {
@@ -838,11 +1009,21 @@ mod tests {
         );
     }
 
-    /// At `k = 2` there is no outer chord: each surface is bounded from
-    /// one side only, between the slopes and through the vertical alike.
+    /// At `k = 2` the tangents bound each surface from the side no chord
+    /// does, so both sides are decided, between the slopes and through the
+    /// vertical alike: `C` is −1, 1, the midpoint 0 and the vertical.
     #[test]
-    fn two_slopes_decide_one_side_only() {
+    fn two_slopes_decide_both_sides() {
         let slopes = SlopeSet::new(vec![-1.0, 1.0]);
+        assert_eq!(
+            slopes.samples(),
+            [
+                StripEnd::Slope(-1.0),
+                StripEnd::Slope(1.0),
+                StripEnd::Swapped(0.0),
+                StripEnd::Slope(0.0)
+            ]
+        );
         let square = cdb_geometry::parse::parse_tuple("x >= 0 && x <= 1 && y >= 0 && y <= 1")
             .expect("a square");
         let cols = columns(&slopes, std::slice::from_ref(&square), |k, _| k as f32);
@@ -856,18 +1037,23 @@ mod tests {
             got
         };
         let exist = |a, b| Selection::exist(HalfPlane::above(a, b));
-        // TOP(0) = 1, under the chord through TOP(−1) = 2 and TOP(1) = 1:
-        // TOP(0) ≤ 1.5, and nothing bounds it from below.
+        // TOP(0) = 1 is a sample: its chord and tangent both give 1.
         assert_eq!(verdict(exist(0.0, 3.0)), Verdict::No);
-        assert_eq!(verdict(exist(0.0, 0.5)), Verdict::Fetch);
+        assert_eq!(verdict(exist(0.0, 0.5)), Verdict::Yes);
         assert_eq!(
             verdict(Selection::all(HalfPlane::below(0.0, 3.0))),
             Verdict::Yes
         );
-        // TOP(2) = 1 = −2·BOT′(1/2), and BOT′(1/2) ≥ −0.75 on the chord
-        // through BOT′(−1) = 0 and BOT′(1) = −1: TOP(2) ≤ 1.5.
+        // TOP(0.5) = 1, under the chord through TOP(0) = 1 and TOP(1) = 1
+        // and over the tangent of (0, 1): both sides of b = 1 ± 0.01.
+        assert_eq!(verdict(exist(0.5, 1.01)), Verdict::No);
+        assert_eq!(verdict(exist(0.5, 0.99)), Verdict::Yes);
+        // TOP(2) = 1 = −2·BOT′(1/2): under the chord through BOT′(0) = 0
+        // and BOT′(1) = −1, BOT′(1/2) ≥ −1/2, so TOP(2) ≤ 1; and the
+        // vertex of BOT′(0) (x = 0, y ∈ [0, 1]) bounds TOP(2) from below
+        // by y ≥ 0.
         assert_eq!(verdict(exist(2.0, 2.0)), Verdict::No);
-        assert_eq!(verdict(exist(2.0, -5.0)), Verdict::Fetch);
+        assert_eq!(verdict(exist(2.0, -5.0)), Verdict::Yes);
     }
 
     /// Maintained by insert and delete, restored at reopen and by log
@@ -877,26 +1063,25 @@ mod tests {
     /// answer as the oracle — on the engine and on a pinned snapshot.
     #[test]
     fn columns_follow_churn_reopen_and_replay() {
-        fn rows(db: &ConstraintDb) -> Vec<Option<Vec<f32>>> {
+        // Rows as bits: a vertex the simplex named is NaN.
+        fn bits(cols: &KeyColumns, id: u32) -> Option<Vec<u32>> {
+            Some(row(cols, id)?.into_iter().map(f32::to_bits).collect())
+        }
+        fn rows(db: &ConstraintDb) -> Vec<Option<Vec<u32>>> {
             let idx = db.relation("r").unwrap().index().expect("a dual index");
             let cols = idx.keys.as_ref().expect("2-D indexes keep keys");
             let n = db.relation("r").unwrap().slots.len() as u32;
-            (0..n).map(|id| row(cols, id)).collect()
+            (0..n).map(|id| bits(cols, id)).collect()
         }
         fn expected(
             model: &[Option<GeneralizedTuple>],
             slopes: &SlopeSet,
-        ) -> Vec<Option<Vec<f32>>> {
-            let keys = |t: &GeneralizedTuple| {
-                let at = |s: &f64| keys_at(t, &[*s]);
-                let (tops, bots): (Vec<f32>, Vec<f32>) = slopes
-                    .as_slice()
-                    .iter()
-                    .map(|s| (at(s).0 as f32, at(s).1 as f32))
-                    .unzip();
-                [tops, bots].concat()
-            };
-            model.iter().map(|t| t.as_ref().map(keys)).collect()
+        ) -> Vec<Option<Vec<u32>>> {
+            let tuples: Vec<GeneralizedTuple> = model.iter().flatten().cloned().collect();
+            let cols = columns(slopes, &tuples, |v, _| v as f32);
+            let mut live = (0u32..).map(|id| bits(&cols, id));
+            let expect = |t: &Option<GeneralizedTuple>| t.as_ref().and_then(|_| live.next()?);
+            model.iter().map(expect).collect()
         }
         fn answers(
             db: &impl Fn(&Selection, Strategy) -> Vec<u32>,
@@ -1025,7 +1210,7 @@ mod tests {
             .as_ref()
             .unwrap();
         let n = pinned_rows.len() as u32;
-        let kept: Vec<_> = (0..n).map(|id| row(cols, id)).collect();
+        let kept: Vec<_> = (0..n).map(|id| bits(cols, id)).collect();
         assert_eq!(kept, pinned_rows, "the snapshot's columns");
         let ask = |sel: &Selection, s| {
             pinned

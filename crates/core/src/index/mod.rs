@@ -31,7 +31,7 @@ pub(crate) use heap_source::HeapSource;
 pub(crate) use keys::KeyColumns;
 pub use rplus::RPlusIndex;
 
-use cdb_geometry::dual::{self, DualSurfaces};
+use cdb_geometry::dual::{self, DualSurfaces, PlanarSurfaces};
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
@@ -42,8 +42,8 @@ use crate::plan::{MethodKind, PlanCase, Rejection, TreeAt};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side, Strategy};
 use crate::slopes::{Bracket, SlopeSet, StripEnd};
 use ddim::SlopePoints;
-use forest::{keys_at, Forest};
-use keys::KeyBracket;
+use forest::Forest;
+use keys::{KeyBracket, Row};
 
 /// The access structures a relation can own, in slot order. The one owner
 /// of their names.
@@ -169,11 +169,16 @@ impl Index {
 
     /// Reads every page of the structure through `pager`; under a
     /// checksumming pager any torn or stale page surfaces here. A dual
-    /// index over a slope set hands back the key columns the walk read off
-    /// its leaves.
-    pub(crate) fn verify(&self, pager: &dyn PageReader) -> io::Result<Option<KeyColumns>> {
+    /// index over a slope set is also checked against the heap — `live`
+    /// shows it every live record — and hands back the key columns filled
+    /// from it.
+    pub(crate) fn verify(
+        &self,
+        pager: &dyn PageReader,
+        live: impl FnOnce(&mut Records<'_>) -> Result<(), CdbError>,
+    ) -> io::Result<Option<KeyColumns>> {
         match self {
-            Index::Dual(idx) => idx.verify(pager),
+            Index::Dual(idx) => idx.verify(pager, live),
             Index::RPlus(rp) => rp.tree.collect_pages(pager).map(|_| None),
         }
     }
@@ -258,28 +263,56 @@ type Region = (Side, Vec<Corner>);
 /// evaluated besides at the region's element.
 #[derive(Clone, Debug)]
 enum Corner {
-    /// A slope, or slope point, of the query frame: the tuple's keys there.
-    Slope(Vec<f64>),
-    /// `t` in the frame swapped through the vertical, `t = 1/a`, for the
-    /// trees at slope `s`: the extremes of `−s·(x − t·y)` over the tuple,
-    /// which are its keys there at `t = 1/s`. Along `t` the maximum is
-    /// convex and the minimum concave, as `TOP_P` and `BOT_P` are along `a`.
-    Swapped { s: f64, t: f64 },
+    /// A slope point of `E^{d−1}`: the tuple's keys there.
+    Point(Vec<f64>),
+    /// The far end of a strip of the slope `s` (Section 4.2), sample `j`
+    /// of the key columns: the tuple's keys there, or, at `t` in the frame
+    /// swapped through the vertical (`t = 1/a`), the extremes of
+    /// `−s·(x − t·y)` over the tuple, which are its keys at `t = 1/s`.
+    /// Along `t` the maximum is convex and the minimum concave, as `TOP_P`
+    /// and `BOT_P` are along `a`.
+    Strip { j: usize, end: StripEnd, s: f64 },
 }
 
-impl Corner {
-    /// A tuple's `(TOP_P, BOT_P)` at the corner, in the units of the keys.
-    fn keys(&self, tuple: &GeneralizedTuple) -> (f64, f64) {
-        match *self {
-            Corner::Slope(ref slope) => keys_at(tuple, slope),
-            Corner::Swapped { s, t } => {
-                let (min, max) =
-                    dual::swapped_bot_top(tuple, t).expect("indexed tuples are satisfiable");
-                let (p, q) = (-s * min, -s * max);
-                (p.max(q), p.min(q))
-            }
-        }
+/// A tuple's surfaces at any slope of its space: from one enumeration of
+/// its vertices in 2-D (`planar`), by the simplex at each slope beyond.
+struct Surfaces<'t> {
+    tuple: &'t GeneralizedTuple,
+    planar: Option<PlanarSurfaces<'t>>,
+}
+
+impl<'t> Surfaces<'t> {
+    fn new(tuple: &'t GeneralizedTuple) -> Self {
+        let planar = (tuple.dim() == 2).then(|| PlanarSurfaces::new(tuple));
+        Surfaces { tuple, planar }
     }
+
+    /// `(TOP_P, BOT_P)` at `slope`; panics on unsatisfiable tuples (the
+    /// relation layer rejects them at insert).
+    fn keys(&self, slope: &[f64]) -> (f64, f64) {
+        let (bot, top) = match &self.planar {
+            Some(planar) => planar.at(slope[0]).map(|(bot, top)| (bot.value, top.value)),
+            None => dual::bot_top(self.tuple, slope),
+        }
+        .expect("indexed tuples are satisfiable");
+        (top, bot)
+    }
+}
+
+/// What shows a dual index the heap's live records, as `(id, the bytes
+/// of its tuple)`.
+pub(crate) type Records<'v> = dyn FnMut(u32, &[u8]) + 'v;
+
+/// What a [`DualIndex`] keeps of one tuple, from one evaluation of its
+/// surfaces.
+struct Keyed {
+    /// `(TOP_P, BOT_P)` at every element of `S`: the trees' keys.
+    keys: Vec<(f64, f64)>,
+    /// Per element, the `(max TOP_P, min BOT_P)` reach over each of its
+    /// handicap regions.
+    reaches: Vec<Vec<(Side, (f64, f64))>>,
+    /// Over a slope set, the key columns' row.
+    row: Option<Row>,
 }
 
 /// The predefined set `S` a [`DualIndex`] is built over. Section 4.4
@@ -340,32 +373,33 @@ impl SlopeGeometry {
         })
     }
 
-    /// The handicap regions of element `i`, each the convex hull of the
+    /// The handicap regions of every element, each the convex hull of the
     /// element and the listed corners, so a tuple's reach over it (`TOP_P`
     /// convex, `BOT_P` concave) is attained at one of them: the strips from
     /// a slope to [`SlopeSet::mid`] on either side (Section 4.2) — at an
     /// end of `S`, its piece of the strip wrapping through the vertical;
     /// under [`Side::Prev`], the vertices of a slope point's Voronoi cell
     /// clipped to the bounding box of `S` (Section 4.4).
-    fn regions(&self, i: usize) -> Vec<Region> {
+    fn regions(&self) -> Vec<Vec<Region>> {
         match self {
-            SlopeGeometry::Set(slopes) => [Side::Prev, Side::Next]
-                .into_iter()
-                .map(|side| {
-                    let corner = match slopes.mid(i, side) {
-                        StripEnd::Slope(a) => Corner::Slope(vec![a]),
-                        StripEnd::Swapped(t) => Corner::Swapped {
-                            s: slopes.get(i),
-                            t,
-                        },
-                    };
-                    (side, vec![corner])
+            SlopeGeometry::Set(slopes) => {
+                let samples = slopes.samples();
+                let strip = |i: usize, side: Side| {
+                    let end = slopes.mid(i, side);
+                    let j = samples.iter().position(|&c| c == end);
+                    let j = j.expect("every strip end is a sample of C");
+                    let s = slopes.get(i);
+                    (side, vec![Corner::Strip { j, end, s }])
+                };
+                let sides = |i| [Side::Prev, Side::Next].map(|side| strip(i, side)).to_vec();
+                (0..slopes.len()).map(sides).collect()
+            }
+            SlopeGeometry::Points(points) => (0..points.len())
+                .map(|i| {
+                    let corners = points.cell(i).into_iter().map(Corner::Point);
+                    vec![(Side::Prev, corners.collect())]
                 })
                 .collect(),
-            SlopeGeometry::Points(points) => {
-                let corners = points.cell(i).into_iter().map(Corner::Slope);
-                vec![(Side::Prev, corners.collect())]
-            }
         }
     }
 }
@@ -410,15 +444,6 @@ pub struct DualIndex {
     keys: Option<KeyColumns>,
 }
 
-/// A tuple's `(max TOP_P, min BOT_P)` over a region: its `keys` at the
-/// element folded with those at the region's `corners`.
-fn reach(tuple: &GeneralizedTuple, keys: (f64, f64), corners: &[Corner]) -> (f64, f64) {
-    let at_corners = corners.iter().map(|c| c.keys(tuple));
-    at_corners.fold(keys, |(max_top, min_bot), (top, bot)| {
-        (max_top.max(top), min_bot.min(bot))
-    })
-}
-
 impl DualIndex {
     /// Bulk-builds the index over `(id, tuple)` pairs. All tuples must be
     /// satisfiable and of the geometry's dimension.
@@ -430,38 +455,27 @@ impl DualIndex {
         geometry: impl Into<SlopeGeometry>,
         tuples: &[(u32, GeneralizedTuple)],
     ) -> Result<Self, CdbError> {
-        let geometry = geometry.into();
-        // Every tuple's keys at every element, computed once: they sort
-        // the trees, fill the key columns and anchor the reaches.
-        let keys: Vec<Vec<(f64, f64)>> = geometry
-            .elements()
-            .map(|slope| tuples.iter().map(|(_, t)| keys_at(t, slope)).collect())
+        let mut idx = Self::from_parts(geometry.into(), Forest::default());
+        // Every tuple's surfaces evaluated once: they key the trees, fill
+        // the key columns and give the reaches.
+        let keyed: Vec<Keyed> = tuples.iter().map(|(_, t)| idx.keyed(t)).collect();
+        let keys: Vec<Vec<(f64, f64)>> = (0..idx.geometry.len())
+            .map(|i| keyed.iter().map(|k| k.keys[i]).collect())
             .collect();
-        let forest = Forest::build(pager, tuples, &keys)?;
-        let mut idx = Self::from_parts(geometry, forest);
-        // The key columns, and every leaf's handicap values from the
-        // tuples bucketed into it (Section 4.2 Steps 1–2).
-        let DualIndex {
-            regions,
-            forest,
-            keys: columns,
-            ..
-        } = &mut idx;
-        for (i, (keys, regions)) in keys.iter().zip(&*regions).enumerate() {
-            if let Some(columns) = columns {
-                for ((id, _), &(top, bot)) in tuples.iter().zip(keys) {
-                    columns.set(*id, i, true, top);
-                    columns.set(*id, i, false, bot);
-                }
+        idx.forest = Forest::build(pager, tuples, &keys)?;
+        if let Some(columns) = idx.keys.as_mut() {
+            for ((id, _), k) in tuples.iter().zip(&keyed) {
+                columns.set_row(*id, k.row.iter().flatten().copied());
             }
-            let mut reaches = Vec::new();
-            for (side, corners) in regions {
-                let over = tuples.iter().zip(keys);
-                let over = over.map(|((_, t), &k)| reach(t, k, corners));
-                reaches.push((*side, over.collect()));
-            }
+        }
+        // Every leaf's handicap values from the tuples bucketed into it
+        // (Section 4.2 Steps 1–2).
+        for (i, (keys, regions)) in keys.iter().zip(&idx.regions).enumerate() {
+            let reaches: Vec<_> = (regions.iter().enumerate())
+                .map(|(r, (side, _))| (*side, keyed.iter().map(|k| k.reaches[i][r].1).collect()))
+                .collect();
             if !reaches.is_empty() {
-                forest.assign_handicaps(pager, i, keys, &reaches)?;
+                idx.forest.assign_handicaps(pager, i, keys, &reaches)?;
             }
         }
         Ok(idx)
@@ -471,11 +485,10 @@ impl DualIndex {
     /// (handicaps included — they live in the bucket leaves) are already on
     /// disk; `forest` holds one tree pair per element, in the order of `S`.
     /// The key columns start with no row, so the keys decide nothing until
-    /// the open-time [`verify`](Self::verify) walk hands them over.
+    /// the open-time [`verify`](Self::verify) pass hands them over.
     pub(crate) fn from_parts(geometry: SlopeGeometry, forest: Forest) -> Self {
-        let regions = (0..geometry.len()).map(|i| geometry.regions(i));
         let mut idx = DualIndex {
-            regions: regions.collect(),
+            regions: geometry.regions(),
             keys: None,
             geometry,
             forest,
@@ -487,7 +500,53 @@ impl DualIndex {
     /// Key columns with no row, where the index keeps them.
     fn no_keys(&self) -> Option<KeyColumns> {
         self.slopes()
-            .map(|slopes| KeyColumns::new(slopes.as_slice()))
+            .map(|slopes| KeyColumns::new(slopes.samples()))
+    }
+
+    /// A tuple's keys, reaches and key-column row, from one evaluation of
+    /// its surfaces: over a slope set every key and strip end is a sample
+    /// of the row.
+    fn keyed(&self, tuple: &GeneralizedTuple) -> Keyed {
+        let surfaces = Surfaces::new(tuple);
+        let row = match (&surfaces.planar, &self.keys) {
+            (Some(planar), Some(columns)) => Some(columns.row(planar)),
+            _ => None,
+        };
+        let corner = |c: &Corner| match (c, &row) {
+            (Corner::Point(point), _) => surfaces.keys(point),
+            (&Corner::Strip { j, end, s }, Some(row)) => {
+                let (bot, top) = (row[j].0.value, row[j].1.value);
+                match end {
+                    StripEnd::Slope(_) => (top, bot),
+                    StripEnd::Swapped(_) => {
+                        let (p, q) = (-s * bot, -s * top);
+                        (p.max(q), p.min(q))
+                    }
+                }
+            }
+            (Corner::Strip { .. }, None) => unreachable!("strips belong to slope sets"),
+        };
+        let keys: Vec<(f64, f64)> = match &row {
+            Some(row) => row[..self.geometry.len()]
+                .iter()
+                .map(|(bot, top)| (top.value, bot.value))
+                .collect(),
+            None => self.geometry.elements().map(|e| surfaces.keys(e)).collect(),
+        };
+        let reaches = (keys.iter().zip(&self.regions))
+            .map(|(&keys, regions)| {
+                let over = |corners: &[Corner]| {
+                    let at_corners = corners.iter().map(corner);
+                    at_corners.fold(keys, |(max_top, min_bot), (top, bot)| {
+                        (max_top.max(top), min_bot.min(bot))
+                    })
+                };
+                (regions.iter())
+                    .map(|(side, corners)| (*side, over(corners)))
+                    .collect()
+            })
+            .collect();
+        Keyed { keys, reaches, row }
     }
 
     /// The slope set `S`, if the index is over one.
@@ -517,20 +576,66 @@ impl DualIndex {
         self.keys.as_ref().map_or(0, KeyColumns::resident_bytes)
     }
 
-    /// Reads every page of every tree through `pager`, returning the key
-    /// columns as the walk read them off the leaves.
-    pub(crate) fn verify(&self, pager: &dyn PageReader) -> io::Result<Option<KeyColumns>> {
-        let mut columns = self.no_keys();
+    /// Reads every page of every tree through `pager`. Over a slope set
+    /// it also fills key columns from the records `live_records` shows it
+    /// — every live tuple of the heap, in the heap's page order — and
+    /// holds the trees to them: every leaf entry must be its tuple's key,
+    /// bit for bit as `f32`, and each tree must hold exactly the live ids.
+    /// Returns the columns; a tree that disagrees with the heap is an
+    /// [`io::ErrorKind::InvalidData`] error, as a page that fails its
+    /// checksum is.
+    pub(crate) fn verify(
+        &self,
+        pager: &dyn PageReader,
+        live_records: impl FnOnce(&mut Records<'_>) -> Result<(), CdbError>,
+    ) -> io::Result<Option<KeyColumns>> {
+        let Some(mut columns) = self.no_keys() else {
+            self.forest.verify(pager, |_, _, _, _| {})?;
+            return Ok(None);
+        };
+        let stale = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
+        // The records out of their pages, then evaluated off them.
+        let (mut bytes, mut records) = (Vec::new(), Vec::new());
+        live_records(&mut |id, record| {
+            records.push((id, bytes.len()..bytes.len() + record.len()));
+            bytes.extend_from_slice(record);
+        })
+        .map_err(|e| stale(format!("the heap could not be read: {e}")))?;
+        let records: Vec<(u32, &[u8])> = (records.into_iter())
+            .map(|(id, at)| (id, &bytes[at]))
+            .collect();
+        columns.fill(&records).map_err(stale)?;
+        let live = records.len();
+        let ids = records.iter().map(|&(id, _)| id as usize + 1).max();
+        let ids = ids.unwrap_or(0);
+        // Per tree, the entries read and the ids among them.
+        let trees = 2 * self.geometry.len();
+        let (mut count, mut seen) = (vec![0; trees], vec![false; trees * ids]);
+        let mut wrong = None;
         self.forest.verify(pager, |i, up, key, id| {
-            if let Some(columns) = columns.as_mut() {
-                columns.set(id, i, up, key);
+            let tree = 2 * i + usize::from(!up);
+            count[tree] += 1;
+            let at = tree * ids + id as usize;
+            let fresh = (id as usize) < ids && !std::mem::replace(&mut seen[at], true);
+            let held = columns.key(id, i, up).map(f32::to_bits);
+            if !fresh || held != Some((key as f32).to_bits()) {
+                let which = if up { "up" } else { "down" };
+                let why =
+                    format!("tree {i} {which} holds key {key} for id {id}, the heap {held:?}");
+                wrong.get_or_insert(why);
             }
         })?;
-        Ok(columns)
+        if let Some(tree) = count.iter().position(|&n| n != live) {
+            let n = count[tree];
+            wrong.get_or_insert(format!("tree {tree} holds {n} of {live} live ids"));
+        }
+        match wrong {
+            Some(why) => Err(stale(why)),
+            None => Ok(Some(columns)),
+        }
     }
 
-    /// Takes over key columns a [`verify`](Self::verify) walk of this
-    /// index's trees read.
+    /// Takes over the key columns a [`verify`](Self::verify) pass filled.
     pub(crate) fn adopt_keys(&mut self, keys: KeyColumns) {
         self.keys = Some(keys);
     }
@@ -547,18 +652,12 @@ impl DualIndex {
         id: u32,
         tuple: &GeneralizedTuple,
     ) -> Result<(), CdbError> {
-        let elements = self.geometry.elements().zip(&self.regions);
-        for (i, (slope, regions)) in elements.enumerate() {
-            let keys = keys_at(tuple, slope);
-            let reaches: Vec<_> = regions
-                .iter()
-                .map(|(side, corners)| (*side, reach(tuple, keys, corners)))
-                .collect();
-            self.forest.insert(pager, i, id, keys, &reaches)?;
-            if let Some(columns) = self.keys.as_mut() {
-                columns.set(id, i, true, keys.0);
-                columns.set(id, i, false, keys.1);
-            }
+        let keyed = self.keyed(tuple);
+        for (i, (&keys, reaches)) in keyed.keys.iter().zip(&keyed.reaches).enumerate() {
+            self.forest.insert(pager, i, id, keys, reaches)?;
+        }
+        if let (Some(columns), Some(row)) = (self.keys.as_mut(), keyed.row) {
+            columns.set_row(id, row);
         }
         Ok(())
     }
@@ -575,8 +674,8 @@ impl DualIndex {
         if let Some(columns) = self.keys.as_mut() {
             columns.clear(id);
         }
-        let elements = self.geometry.elements();
-        Ok(self.forest.remove(pager, elements, id, tuple)?)
+        let keys = self.keyed(tuple).keys;
+        Ok(self.forest.remove(pager, &keys, id)?)
     }
 
     /// Sweeps for `sel` along `case`, a route of this index, and refines
@@ -605,9 +704,13 @@ impl DualIndex {
                 let mut regions = self.regions.get(i).into_iter().flatten();
                 match regions.find(|(s, _)| *s == side).map(|(_, c)| &c[..]) {
                     None => Err(foreign(case)),
-                    Some([Corner::Swapped { s, .. }]) => {
-                        forest.guided(pager, &through_x_intercept(sel, *s), i, side)
-                    }
+                    Some(
+                        [Corner::Strip {
+                            end: StripEnd::Swapped(_),
+                            s,
+                            ..
+                        }],
+                    ) => forest.guided(pager, &through_x_intercept(sel, *s), i, side),
                     Some(_) => forest.guided(pager, sel, i, side),
                 }
             };
@@ -713,7 +816,7 @@ impl SlopeSet {
 /// — `θ` where `a` and `s` share a sign, `¬θ` where not. Over a strip
 /// swapped through the vertical the trees at `s` answer `sel` by it:
 /// `−s·(x − y/a)` is `(s/a)·(y − a·x)`, so a tuple meets `sel` exactly
-/// where its [`Corner::Swapped`] extremes at `t = 1/a` meet this query.
+/// where its [`Corner::Strip`] extremes at `t = 1/a` meet this query.
 fn through_x_intercept(sel: &Selection, s: f64) -> Selection {
     let (a, q) = (sel.halfplane.slope2d(), &sel.halfplane);
     let op = if (a > 0.0) == (s > 0.0) {
@@ -1223,15 +1326,10 @@ mod tests {
             let mut rng = cdb_prng::StdRng::seed_from_u64(71);
             for (id, t) in (5000u32..).zip(late) {
                 idx.insert(&mut pager, id, &t).unwrap();
-                let elements = twin.geometry.elements().zip(&twin.regions);
-                for (i, (slope, regions)) in elements.enumerate() {
-                    let keys = keys_at(&t, slope);
-                    let reaches: Vec<_> = regions
-                        .iter()
-                        .map(|(side, corners)| (*side, reach(&t, keys, corners)))
-                        .collect();
+                let keyed = twin.keyed(&t);
+                for (i, (&keys, reaches)) in keyed.keys.iter().zip(&keyed.reaches).enumerate() {
                     let forest = &mut twin.forest;
-                    forest::tests::insert_per_fold(forest, &mut twin_pager, i, id, keys, &reaches);
+                    forest::tests::insert_per_fold(forest, &mut twin_pager, i, id, keys, reaches);
                 }
                 live.push((id, t));
                 if rng.gen_bool(0.3) {
@@ -1317,6 +1415,88 @@ mod tests {
             late_boxes,
             &[&[0.2, -0.1], &[-0.9, -0.8], &[0.7, 0.3], &[-0.4, 0.95]],
         );
+    }
+
+    /// Open holds every leaf of a file-backed dual index to the heap: one
+    /// forged leaf entry — its key one `f32` step off, its id another live
+    /// tuple's, its id no tuple's — sealed with a good checksum, and the
+    /// reopened relation is `Degraded` with the dual index corrupt (where
+    /// the checksums alone passed it as `Healthy`), answers through the
+    /// scan, and is repaired by a rebuild.
+    #[test]
+    fn open_holds_every_leaf_to_the_heap() {
+        use crate::db::{ConstraintDb, DbConfig};
+        use crate::relation::RelationHealth;
+        use cdb_btree::{Direction, SweepControl};
+        use cdb_storage::FilePager;
+
+        let path = std::env::temp_dir().join(format!("cdb_forged_leaf_{}", std::process::id()));
+        let forged = path.with_extension("forged");
+        let _ = std::fs::remove_file(&path);
+        let mut db = ConstraintDb::create(&path, DbConfig::paper_1999()).unwrap();
+        db.create_relation("r", 2).unwrap();
+        for t in DatasetSpec::paper_1999(400, ObjectSize::Small, 23).generate() {
+            db.insert("r", t).unwrap();
+        }
+        db.build_dual_index("r", SlopeSet::uniform_tan(4)).unwrap();
+        // The first two entries of a leaf of B^down at the second slope.
+        let mut entries = Vec::new();
+        let tree = db
+            .relation("r")
+            .unwrap()
+            .index()
+            .unwrap()
+            .forest
+            .tree(1, false);
+        tree.sweep(Direction::Up, db.reader(), f64::NEG_INFINITY, |leaf| {
+            entries.extend((0..2).map(|j| (leaf.page(), leaf.key(j) as f32, leaf.id(j))));
+            SweepControl::Stop
+        })
+        .unwrap();
+        let sel = Selection::exist(HalfPlane::above(0.37, -2.0));
+        let want = db.query_with("r", sel.clone(), Strategy::T2).unwrap();
+        db.close().unwrap();
+        assert!(ConstraintDb::open(&path)
+            .unwrap()
+            .recovery_report()
+            .is_clean());
+
+        let (page, key, id) = entries[0];
+        let other = entries[1].2;
+        let entry = |key: f32, id: u32| [key.to_le_bytes(), id.to_le_bytes()].concat();
+        for (what, forgery) in [
+            (
+                "a key one step off",
+                entry(f32::from_bits(key.to_bits() + 1), id),
+            ),
+            ("another live tuple's id", entry(key, other)),
+            ("no tuple's id", entry(key, 90_000)),
+        ] {
+            std::fs::copy(&path, &forged).unwrap();
+            let mut pager = FilePager::open(&forged).unwrap();
+            let mut buf = vec![0u8; pager.page_size()];
+            pager.read(page, &mut buf).unwrap();
+            let at = buf.windows(8).position(|w| w == entry(key, id)).unwrap();
+            buf[at..at + 8].copy_from_slice(&forgery);
+            pager.write(page, &buf).unwrap();
+            pager.close().unwrap();
+
+            let mut db = ConstraintDb::open(&forged).unwrap();
+            let dual = vec!["dual".to_string()];
+            let health = db.relation("r").unwrap().health().clone();
+            let corrupt = RelationHealth::Degraded {
+                corrupt_indexes: dual.clone(),
+            };
+            assert_eq!(health, corrupt, "{what}");
+            assert!(db.query_with("r", sel.clone(), Strategy::T2).is_err());
+            let scan = db.query_with("r", sel.clone(), Strategy::Auto).unwrap();
+            assert_eq!(scan.ids(), want.ids(), "{what}");
+            assert_eq!(db.rebuild_indexes("r").unwrap(), dual);
+            assert_eq!(db.relation("r").unwrap().health(), &RelationHealth::Healthy);
+            let rebuilt = db.query_with("r", sel.clone(), Strategy::T2).unwrap();
+            assert_eq!(rebuilt.ids(), want.ids(), "{what}");
+        }
+        let _ = (std::fs::remove_file(&path), std::fs::remove_file(&forged));
     }
 
     #[test]

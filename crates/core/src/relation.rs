@@ -3,13 +3,16 @@
 //! pages are allocated and the catalog is laid out in. Everything
 //! per-kind is behind [`Index`], so the methods here loop over slots.
 
+use std::collections::BTreeSet;
 use std::io;
 
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{HeapFile, PageId, PageReader, Pager, RecordId};
 
 use crate::error::CdbError;
-use crate::index::{DualIndex, HeapSource, Index, IndexKind, IndexSpec, KeyColumns, TupleSource};
+use crate::index::{
+    DualIndex, HeapSource, Index, IndexKind, IndexSpec, KeyColumns, Records, TupleSource,
+};
 use crate::plan::{AccessMethod, MethodKind};
 
 /// Verdict of the open-time verification pass for one relation.
@@ -306,28 +309,40 @@ impl Relation {
     /// One verification pass: reads every page the relation owns through
     /// the checksumming pager. The heap decides quarantine — it is the
     /// ground truth every index rebuild needs; unreadable index pages only
-    /// degrade the relation, as does an index already flagged corrupt
-    /// (well-formed stale pages pass every checksum). Also returns the key
-    /// columns the walk of a sound dual index over a slope set read off
-    /// its leaves.
+    /// degrade the relation, as does an index already flagged corrupt.
+    /// Well-formed stale pages pass every checksum, so a dual index over a
+    /// slope set is also held to the heap: it fills key columns from the
+    /// live records the heap pass shows it, and a leaf that disagrees
+    /// degrades the relation too. Also returns those columns.
     pub(crate) fn verify(&self, pager: &dyn PageReader) -> (RelationHealth, Option<KeyColumns>) {
-        let mut buf = vec![0u8; pager.page_size()];
-        for &p in self.heap.pages() {
-            if let Err(e) = pager.read(p, &mut buf) {
-                let detail = format!("heap page {p}: {e}");
-                return (RelationHealth::Quarantined { detail }, None);
-            }
+        // A flagged index is not walked: its pages are not trusted.
+        let usable = |kind| self.built(kind).filter(|_| !self.health.is_corrupt(kind));
+        // The dual index reads the heap in the one pass over it, where it
+        // reads it at all.
+        let mut heap = None;
+        let dual = usable(IndexKind::Dual).map(|index| {
+            index.verify(pager, |visit| match self.read_heap(pager, Some(visit)) {
+                Ok(shown) => {
+                    heap = Some(Ok(()));
+                    shown
+                }
+                Err(detail) => {
+                    heap = Some(Err(detail));
+                    Err(CdbError::Io("the heap is unreadable".into()))
+                }
+            })
+        });
+        let heap = heap.unwrap_or_else(|| self.read_heap(pager, None).map(|_| ()));
+        if let Err(detail) = heap {
+            return (RelationHealth::Quarantined { detail }, None);
         }
+        let rplus = usable(IndexKind::RPlus).map(|index| index.verify(pager, |_| Ok(())));
         let (mut keys, mut corrupt_indexes) = (None, Vec::new());
-        for kind in IndexKind::ALL {
-            let Some(index) = self.built(kind) else {
-                continue;
-            };
-            // A flagged index is not walked: its pages are not trusted.
-            let flagged = self.health.is_corrupt(kind);
-            match (!flagged).then(|| index.verify(pager)) {
+        for (kind, read) in [(IndexKind::Dual, dual), (IndexKind::RPlus, rplus)] {
+            match read {
                 Some(Ok(read)) => keys = keys.or(read),
-                _ => corrupt_indexes.push(kind.name().to_string()),
+                _ if self.built(kind).is_some() => corrupt_indexes.push(kind.name().to_string()),
+                _ => {}
             }
         }
         let health = if corrupt_indexes.is_empty() {
@@ -336,6 +351,40 @@ impl Relation {
             RelationHealth::Degraded { corrupt_indexes }
         };
         (health, keys)
+    }
+
+    /// Reads every heap page through `pager`; `Err` names the first that
+    /// fails (torn, or stale), which quarantines the relation. With a
+    /// `visit`, each live record is shown to it on the way and only the
+    /// pages holding none are read besides; `Ok(Err)` is a record that
+    /// could not be shown, after which every page is read all the same.
+    fn read_heap(
+        &self,
+        pager: &dyn PageReader,
+        visit: Option<&mut Records<'_>>,
+    ) -> Result<Result<(), CdbError>, String> {
+        let (mut shown, mut read) = (Ok(()), BTreeSet::new());
+        if let Some(visit) = visit {
+            let ids = self.live_ids();
+            let rids: Vec<RecordId> = self.slots.iter().flatten().copied().collect();
+            let visited = self.heap.visit_many(pager, &rids, |at, record| {
+                let id = ids[at];
+                visit(id, record.ok_or(CdbError::NoSuchTuple(id))?);
+                Ok(())
+            });
+            match visited {
+                Ok(()) => read = rids.iter().map(|rid| rid.page).collect(),
+                Err(CdbError::Io(e)) => return Err(format!("heap: {e}")),
+                Err(e) => shown = Err(e),
+            }
+        }
+        let mut buf = vec![0u8; pager.page_size()];
+        for &p in self.heap.pages().iter().filter(|p| !read.contains(p)) {
+            pager
+                .read(p, &mut buf)
+                .map_err(|e| format!("heap page {p}: {e}"))?;
+        }
+        Ok(shown)
     }
 
     /// Whether `tuple` may be stored here: [`CdbError::DimensionMismatch`],

@@ -192,6 +192,25 @@ impl SlopeSet {
         }
     }
 
+    /// The samples `C` of a 2-D dual index's key columns: the slopes of
+    /// `S`, in order, then every distinct far end of a handicap strip
+    /// ([`mid`](Self::mid)), so each strip end's keys are a sample's — a
+    /// fixed rule, no parameter. (Where `S` lies on one side of `a = 0`,
+    /// the split of the wrap strip is named in both frames, and is two
+    /// samples.)
+    pub(crate) fn samples(&self) -> Vec<StripEnd> {
+        let mut samples: Vec<StripEnd> = self.slopes.iter().map(|&s| StripEnd::Slope(s)).collect();
+        for i in 0..self.len() {
+            for side in [Side::Prev, Side::Next] {
+                let end = self.mid(i, side);
+                if !samples.contains(&end) {
+                    samples.push(end);
+                }
+            }
+        }
+        samples
+    }
+
     /// `t = 1/a` of the split of the wrap strip: where both ends hold the
     /// vertical, midway between them in `t` — the vertical itself where
     /// min S = −max S (to the tolerance of `position`); else the wrap holds

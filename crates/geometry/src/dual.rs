@@ -33,7 +33,7 @@
 
 use crate::constraint::LinearConstraint;
 use crate::halfplane::HalfPlane;
-use crate::kernel2d;
+use crate::kernel2d::{self, Extreme};
 use crate::simplex::LpResult;
 use crate::tuple::{GeneralizedTuple, TupleView};
 
@@ -217,16 +217,96 @@ pub fn bot_top(tuple: &GeneralizedTuple, slope: &[f64]) -> Option<(DualValue, Du
 /// # Panics
 /// Panics when the tuple is not 2-D.
 pub fn swapped_bot_top(tuple: &GeneralizedTuple, t: f64) -> Option<(DualValue, DualValue)> {
-    assert_eq!(tuple.dim(), 2, "the swapped frame is planar");
-    let rows = tuple.le_rows_2d().map(|[a, b, r]| [b, a, r]);
-    kernel2d::bot_top(rows, t).or_else(|| {
+    let (bot, top) = PlanarSurfaces::new(tuple).swapped_at(t)?;
+    Some((bot.value, top.value))
+}
+
+/// A planar tuple's surfaces in both frames from one evaluation: the
+/// kernel's vertices ([`kernel2d::Surfaces`]), enumerated once, wherever
+/// they decide the tuple, and else the simplex at each slope, which names
+/// no vertex (every [`Extreme::at`] is `NaN`). Each value is bit for bit
+/// what [`bot_top`] or [`swapped_bot_top`] returns at that slope. Reads an
+/// owned tuple or, like the refinement step, a record in its page.
+pub struct PlanarSurfaces<'t> {
+    tuple: Planar<'t>,
+    kernel: Option<kernel2d::Surfaces>,
+}
+
+/// The tuple behind [`PlanarSurfaces`]: what the simplex reads where the
+/// kernel cannot decide.
+enum Planar<'t> {
+    Owned(&'t GeneralizedTuple),
+    Record(TupleView<'t>),
+}
+
+impl<'t> PlanarSurfaces<'t> {
+    /// Enumerates `tuple`'s vertices.
+    ///
+    /// # Panics
+    /// Panics when the tuple is not 2-D.
+    pub fn new(tuple: &'t GeneralizedTuple) -> Self {
+        assert_eq!(tuple.dim(), 2, "planar surfaces of a planar tuple");
+        PlanarSurfaces {
+            kernel: kernel2d::Surfaces::new(tuple.le_rows_2d()),
+            tuple: Planar::Owned(tuple),
+        }
+    }
+
+    /// Enumerates the vertices of the tuple a record encodes.
+    ///
+    /// # Panics
+    /// Panics when the tuple is not 2-D.
+    pub fn of_record(record: TupleView<'t>) -> Self {
+        assert_eq!(record.dim(), 2, "planar surfaces of a planar tuple");
+        PlanarSurfaces {
+            kernel: kernel2d::Surfaces::new(record.le_rows_2d()),
+            tuple: Planar::Record(record),
+        }
+    }
+
+    /// The simplex's answer on the tuple, with its axes exchanged when
+    /// `swapped`.
+    fn lp(&self, a: f64, swapped: bool) -> Option<(Extreme, Extreme)> {
+        let owned;
+        let tuple = match self.tuple {
+            Planar::Owned(tuple) => tuple,
+            Planar::Record(record) => {
+                owned = record.to_tuple();
+                &owned
+            }
+        };
+        if !swapped {
+            return lp_extremes(tuple, a);
+        }
         let exchanged = tuple
             .constraints()
             .iter()
             .map(|c| LinearConstraint::new(vec![c.coeffs[1], c.coeffs[0]], c.constant, c.op));
-        let exchanged = GeneralizedTuple::new(exchanged.collect());
-        Some((bot_lp(&exchanged, &[t])?, top_lp(&exchanged, &[t])?))
-    })
+        lp_extremes(&GeneralizedTuple::new(exchanged.collect()), a)
+    }
+
+    /// `(BOT_P(a), TOP_P(a))` with their vertices' x; `None` for an empty
+    /// extension.
+    pub fn at(&self, a: f64) -> Option<(Extreme, Extreme)> {
+        let kernel = self.kernel.as_ref().and_then(|k| k.at(a));
+        kernel.or_else(|| self.lp(a, false))
+    }
+
+    /// `(BOT′(t), TOP′(t))` with their vertices' y (see
+    /// [`swapped_bot_top`]); `None` for an empty extension.
+    pub fn swapped_at(&self, t: f64) -> Option<(Extreme, Extreme)> {
+        let kernel = self.kernel.as_ref().and_then(|k| k.swapped_at(t));
+        kernel.or_else(|| self.lp(t, true))
+    }
+}
+
+/// Both surfaces of a planar tuple at `a` by the simplex, naming no vertex.
+fn lp_extremes(tuple: &GeneralizedTuple, a: f64) -> Option<(Extreme, Extreme)> {
+    let extreme = |value| Extreme {
+        value,
+        at: f64::NAN,
+    };
+    Some((extreme(bot_lp(tuple, &[a])?), extreme(top_lp(tuple, &[a])?)))
 }
 
 /// One surface as the linear program `max/min x_d − b·x'` over `P`.

@@ -329,3 +329,188 @@ fn encoded_view_equals_decode() {
         assert!(TupleView::new(bytes).is_none(), "{bytes:?}");
     }
 }
+
+/// The one-slope kernel as it stood before the per-tuple evaluator: every
+/// vertex enumerated afresh for each slope. The evaluator must reproduce
+/// it bit for bit, in the plain frame on the rows and in the swapped frame
+/// on the rows with `x` and `y` exchanged.
+fn one_slope_kernel(rows: &[[f64; 3]], slope: f64) -> Option<(f64, f64)> {
+    const EPS: f64 = cdb_geometry::scalar::EPS;
+    let mut loaded = Vec::new();
+    for &[ax, ay, rhs] in rows {
+        let norm = ax.abs() + ay.abs();
+        if norm <= EPS {
+            if norm == 0.0 && rhs >= 0.0 {
+                continue;
+            }
+            return None;
+        }
+        if loaded.len() == kernel2d::CAPACITY {
+            return None;
+        }
+        loaded.push([ax, ay, rhs, norm]);
+    }
+    let rows = &loaded;
+    let (mut bot, mut top) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (i, p) in rows.iter().enumerate() {
+        for (j, q) in rows.iter().enumerate().skip(i + 1) {
+            let det = p[0] * q[1] - q[0] * p[1];
+            if det.abs() <= EPS * p[3] * q[3] {
+                continue;
+            }
+            let xd = p[2] * q[1] - q[2] * p[1];
+            let yd = p[0] * q[2] - q[0] * p[2];
+            let (sign, scale) = (det.signum(), det.abs());
+            let feasible = rows.iter().enumerate().all(|(k, r)| {
+                let (tx, ty, bound) = (r[0] * xd, r[1] * yd, r[2] * scale);
+                k == i
+                    || k == j
+                    || sign * (tx + ty) <= bound + EPS * (scale + tx.abs() + ty.abs() + bound.abs())
+            });
+            if feasible {
+                let v = (yd - slope * xd) / det;
+                bot = bot.min(v);
+                top = top.max(v);
+            }
+        }
+    }
+    if top < bot {
+        return None;
+    }
+    let slope_norm = slope.abs() + 1.0;
+    for p in rows {
+        let (dx, dy) = (-p[1], p[0]);
+        let (mut forward, mut backward) = (true, true);
+        for r in rows {
+            let along = r[0] * dx + r[1] * dy;
+            let tol = EPS * r[3] * p[3];
+            forward &= along <= tol;
+            backward &= along >= -tol;
+        }
+        let gain = dy - slope * dx;
+        let tol = EPS * slope_norm * p[3];
+        let (rises, falls) = (gain > tol, gain < -tol);
+        if (forward && rises) || (backward && falls) {
+            top = f64::INFINITY;
+        }
+        if (forward && falls) || (backward && rises) {
+            bot = f64::NEG_INFINITY;
+        }
+    }
+    Some((bot, top))
+}
+
+/// The key columns' samples for `uniform_tan(k)`: the slopes of `S` and the
+/// midpoints between neighbours (plain frame), and the split of the strip
+/// wrapping through the vertical, `t = 1/a` (swapped frame).
+fn samples_of_c(k: usize) -> (Vec<f64>, f64) {
+    let mut s: Vec<f64> = slopes_in_s()[(2..k).sum::<usize>()..][..k].to_vec();
+    s.sort_by(f64::total_cmp);
+    let (lo, hi) = (s[0], s[k - 1]);
+    let split = if (lo + hi).abs() <= 1e-9 * hi.max(-lo) {
+        0.0
+    } else {
+        (1.0 / lo + 1.0 / hi) / 2.0
+    };
+    let mids: Vec<f64> = s.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
+    (s.into_iter().chain(mids).collect(), split)
+}
+
+/// The per-tuple evaluator is the one-slope kernel, bit for bit, in both
+/// frames — over small, medium and unbounded tuples, at every sample of C
+/// for `uniform_tan(k)`, `k = 2…6` (k = 6 only through the slopes written
+/// out below), at slopes of a set on one side of `a = 0`, and at random
+/// slopes — and every attaining vertex it names is one (checked where
+/// `|a| ≤ 100`): it lies in the
+/// tuple, on the line `y − s·x = key`, so its dual line bounds the surface
+/// at every other slope (a lower bound of TOP, an upper bound of BOT).
+#[test]
+fn surfaces_evaluator_is_the_one_slope_kernel_with_its_vertices() {
+    let mut tuples = Vec::new();
+    for size in [ObjectSize::Small, ObjectSize::Medium] {
+        let mut g = TupleGen::new(0x5EED + size as u64, Rect::paper_window(), size);
+        tuples.extend((0..60).map(|_| g.bounded_tuple()));
+        tuples.extend((0..40).map(|_| g.unbounded_tuple()));
+    }
+    tuples.push(parse_tuple("x = 2 && y = 5").unwrap());
+    tuples.push(parse_tuple("y = 0.5x + 2 && x >= 0 && x <= 10").unwrap());
+    tuples.push(parse_tuple("x >= 1 && x <= 3 && y >= 1 && y <= 4").unwrap());
+    let mut plain = vec![0.0, 0.5, 2.0, 1.25, -1.0]; // S = {0.5, 2}: C adds 1.25 and ∓1
+    let mut swapped = vec![0.0, -1.0, 1.0];
+    for k in 2..=5 {
+        let (s, split) = samples_of_c(k);
+        plain.extend(s);
+        swapped.push(split);
+    }
+    // k = 6 is symmetric: its split is the vertical.
+    let six: Vec<f64> = (0..6)
+        .map(|i| (std::f64::consts::PI * (i as f64 + 0.5) / 6.0).tan())
+        .collect();
+    plain.extend(&six);
+    let mut rng = StdRng::seed_from_u64(0xE7A1);
+    plain.extend((0..12).map(|_| rng.gen_range(-30.0..30.0)));
+    swapped.extend(plain.iter().filter(|a| **a != 0.0).map(|a| 1.0 / a));
+    swapped.extend((0..12).map(|_| rng.gen_range(-3.0..3.0)));
+    let (mut evaluated, mut vertices) = (0, 0);
+    for t in &tuples {
+        let rows = rows_of(t);
+        let exchanged: Vec<[f64; 3]> = rows.iter().map(|&[a, b, r]| [b, a, r]).collect();
+        let surfaces = kernel2d::Surfaces::new(rows.iter().copied());
+        let bits = |v: Option<(f64, f64)>| v.map(|(b, t)| (b.to_bits(), t.to_bits()));
+        for (frame, slopes, reference) in [(false, &plain, &rows), (true, &swapped, &exchanged)] {
+            for &a in slopes.iter() {
+                let got = surfaces
+                    .as_ref()
+                    .and_then(|s| if frame { s.swapped_at(a) } else { s.at(a) });
+                let want = one_slope_kernel(reference, a);
+                let values = got.map(|(b, t)| (b.value, t.value));
+                assert_eq!(bits(values), bits(want), "{t} at {a}, swapped = {frame}");
+                if frame {
+                    let routed = dual::swapped_bot_top(t, a);
+                    assert_eq!(bits(values.or(routed)), bits(routed), "{t}: {a}");
+                } else {
+                    assert_eq!(bits(kernel2d::bot_top(rows.iter().copied(), a)), bits(want));
+                }
+                evaluated += 1;
+                // (Past |a| = 100 the vertex is not recovered to the test's
+                // tolerance from its value and one coordinate.)
+                let Some((bot, top)) = got.filter(|_| a.abs() <= 100.0) else {
+                    continue;
+                };
+                for (e, upper) in [(top, true), (bot, false)] {
+                    if !e.value.is_finite() {
+                        assert!(e.at.is_nan(), "{t}: an unbounded surface names no vertex");
+                        continue;
+                    }
+                    vertices += 1;
+                    // The vertex, in the tuple's own axes.
+                    let other = e.value + a * e.at;
+                    let point = if frame { [other, e.at] } else { [e.at, other] };
+                    let holds = t.constraints().iter().all(|c| {
+                        let lhs = c.coeffs[0] * point[0] + c.coeffs[1] * point[1] + c.constant;
+                        let tol = 1e-7 * (1.0 + point[0].abs() + point[1].abs());
+                        match c.op {
+                            RelOp::Le => lhs <= tol,
+                            RelOp::Ge => lhs >= -tol,
+                        }
+                    });
+                    assert!(holds, "{t}: {point:?} attains {e:?} at {a}");
+                    for b in [-7.0, -0.4, 0.0, 0.3, 2.5, 11.0] {
+                        let (lo, hi) = one_slope_kernel(reference, b).unwrap();
+                        let line = e.value - (b - a) * e.at;
+                        let tol = 1e-9 * (1.0 + line.abs() + (b * e.at).abs());
+                        if upper {
+                            assert!(hi >= line - tol, "{t}: TOP({b}) = {hi} < {line}");
+                        } else {
+                            assert!(lo <= line + tol, "{t}: BOT({b}) = {lo} > {line}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        vertices * 2 > evaluated,
+        "{vertices} vertices in {evaluated}"
+    );
+}

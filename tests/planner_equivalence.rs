@@ -711,8 +711,12 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     // Between 470 → 406 and the grid cell 176 → 136.
     // T1's two legs stood here, [13154, 1206, 620, 8928, 1231, 2400],
     // until T2 ran every slope outside S; T2 was [18098, 288, 656, 14754,
-    // 1306, 2400] while it ran those legs through the vertical.
-    assert_eq!(t2, [17752, 0, 659, 14693, 1234, 2400], "T2");
+    // 1306, 2400] while it ran those legs through the vertical, and
+    // [17752, 0, 659, 14693, 1234, 2400] while the key columns sampled S
+    // alone and bounded with chords only: C's chords and the tangents
+    // reject 633 more candidates by key, so 633 fewer are fetched, and
+    // the heap pages among the total fall with them.
+    assert_eq!(t2, [17752, 0, 26, 15326, 402, 2400], "T2");
     assert_eq!(rplus, [6514, 615, 3499, 0, 2949, 2400], "R⁺-tree");
     // The routed cell on these selections: a third fewer candidates and
     // pages than the simplex covering, [3762, 1614, 948, 0, 168, 1200],
@@ -806,10 +810,12 @@ fn duplicate_and_candidate_accounting_is_pinned() {
         }
     }
     // Was [16513, 0, 7985, 470, 8528]: 7379 of the false hits were the
-    // keys' rejections.
+    // keys' rejections. Then [16513, 0, 606, 7379, 406, 8528] until the
+    // key columns sampled C and bounded with tangents: 566 more rejected
+    // by key, and the index pages (the fetches here read none) stay.
     assert_eq!(
         between,
-        [16513, 0, 606, 7379, 406, 8528],
+        [16513, 0, 40, 7945, 406, 8528],
         "2-D Between after churn"
     );
     assert_eq!(
