@@ -173,7 +173,9 @@ step one-forest one_forest
 # from one vertex enumeration: `kernel2d::Surfaces` is the one evaluator
 # (its pairwise determinant the one enumeration in the geometry crate), and
 # the index evaluates a tuple once, through it, for its keys, reaches and
-# key-column row — never slope by slope.
+# key-column row — never slope by slope. A handicap reach inside a strip is
+# bounded in one place: `strip_extremum`, the crossing of the strip ends'
+# tangents, written once.
 one_refine() {
   grep_audit one-refine crates/core/src <<'RULES'
 1|TrackedReader::new( calls|physical.rs|TrackedReader::new\(
@@ -185,6 +187,8 @@ one_refine() {
 RULES
   grep_audit one-refine crates/core/src/index <<'RULES'
 0|keys_at( or swapped_bot_top( calls in the index|-|(keys_at|swapped_bot_top)\(
+1|definitions of the strip-extremum bound|-|fn strip_extremum\(
+1|tangent crossings (the strip-extremum bound)|-|\(p\.slope - q\.slope\)
 RULES
   grep_audit one-refine crates/geometry/src <<'RULES'
 1|definitions of the per-tuple 2-D evaluator|-|pub struct Surfaces\b
@@ -362,6 +366,22 @@ refine_kernel() {
   cargo test -q --test hyperplane_queries concurrent_line_queries
 }
 step refine-kernel refine_kernel
+
+# Handicaps, by name: each tree buckets by its own surface's reach — the
+# ALL cases whose extremum lies inside a strip recover every answer; T2 ≡
+# the oracle at the slopes where a tuple's tangents cross and its surfaces
+# turn, k = 2…5, after build, churn, reopen and WAL replay, with every
+# live tuple covered by the slots a sweep folds (ROADMAP I(b), which
+# reports a slot one `f32` step too tight); an index assigned under the
+# shared rule stays exact until a rebuild tightens it; the one-descent
+# insert ≡ its per-fold reference; and a delete that takes a leaf's far
+# edge hands its handicaps on.
+handicaps() {
+  cargo test -q -p cdb-btree --lib -- delete_of_a_far_edge
+  cargo test -q -p cdb-core --lib -- missed_tuples_are_recoverable own_surface_reaches \
+    handicap_oracle_reports shared_rule_handicaps one_descent_update
+}
+step handicaps handicaps
 
 step test cargo test -q --workspace
 # The durability suites run as part of the workspace tests, but a broken

@@ -520,27 +520,44 @@ impl BTree {
             return Ok(false);
         };
         let mut leaf = Leaf::new(pages.node(&*pager, page)?);
+        let count = leaf.count();
         leaf.remove(slot);
-        let emptied = leaf.count() == 0;
         let (links, h) = (Direction::BOTH.map(|dir| leaf.link(dir)), leaf.handicaps());
         pages.changed(page);
-        if emptied {
-            // Preserve handicap reachability: an emptied leaf may be skipped
-            // by future sweep starts, so the bounds guiding upward-first
-            // searches migrate upward (next leaf) and those guiding
-            // downward-first ones downward (previous leaf). Folding is
-            // conservative (min/max), cascading through later deletions,
-            // so technique T2 stays correct without a rebuild.
-            for (dir, neighbour) in Direction::BOTH.into_iter().zip(links) {
-                if neighbour == NULL_PAGE {
-                    continue;
+        // Preserve handicap reachability: a sweep starts in the first leaf
+        // on its way holding a key at or past its start, so a leaf that
+        // loses its far edge that way — its last key going up, its first
+        // going down, both when emptied — is skipped by starts that met it
+        // before. The bounds guiding that way's first sweeps migrate on, to
+        // the next leaf holding a key (or the chain's end, which a start
+        // past every key reads). Folding is conservative (min/max),
+        // cascading through later deletions, so technique T2 stays correct
+        // without a rebuild.
+        let far_edges = [slot + 1 == count, slot == 0];
+        for ((dir, far_edge), mut neighbour) in
+            Direction::BOTH.into_iter().zip(far_edges).zip(links)
+        {
+            if !far_edge {
+                continue;
+            }
+            while neighbour != NULL_PAGE {
+                let nleaf = Leaf::new(pages.node(&*pager, neighbour)?);
+                let next = nleaf.link(dir);
+                if nleaf.count() > 0 || next == NULL_PAGE {
+                    break;
                 }
-                let mut nleaf = Leaf::new(pages.node(&*pager, neighbour)?);
-                let mut nh = nleaf.handicaps();
-                for side in [Side::Prev, Side::Next] {
-                    let slot = nh.slot(dir, side);
-                    *slot = dir.earlier(*slot, h.get(dir, side));
-                }
+                neighbour = next;
+            }
+            if neighbour == NULL_PAGE {
+                continue;
+            }
+            let mut nleaf = Leaf::new(pages.node(&*pager, neighbour)?);
+            let mut nh = nleaf.handicaps();
+            for side in [Side::Prev, Side::Next] {
+                let slot = nh.slot(dir, side);
+                *slot = dir.earlier(*slot, h.get(dir, side));
+            }
+            if nh != nleaf.handicaps() {
                 nleaf.set_handicaps(nh);
                 pages.changed(neighbour);
             }
@@ -1100,6 +1117,47 @@ mod tests {
             vec![(a as f64, 7)]
         );
         assert_eq!(t.len(), 1 + (filler - 1000) as u64);
+    }
+
+    /// A leaf that loses its far edge — its last key for searches going
+    /// up first, its first key going down — without emptying hands its
+    /// handicaps on: a sweep starting between its new far edge and its old
+    /// one skips it, yet must still fold the bound of a tuple bucketed
+    /// there. (Keys 0–29 in three leaves; a tuple keyed 0 bucketed by reach
+    /// 9 into the first, one keyed 29 by reach 20 into the last, then keys 9
+    /// and 20 deleted; then the same with the next leaf emptied first, so
+    /// the bound passes over it.)
+    #[test]
+    fn delete_of_a_far_edge_keeps_its_handicaps_reachable() {
+        for empty_middle in [false, true] {
+            let mut pager = MemPager::new(P);
+            let entries: Vec<(f64, u32)> = (0..30u32).map(|i| (f64::from(i), i)).collect();
+            let mut t = BTree::bulk_load(&mut pager, &entries, 1.0).unwrap();
+            let folds = [
+                (Direction::Up, 9.0, Side::Prev, 0.0),
+                (Direction::Down, 20.0, Side::Prev, 29.0),
+            ];
+            t.fold_handicaps(&mut pager, None, &folds).unwrap();
+            if empty_middle {
+                for i in 10..20u32 {
+                    assert!(t.delete(&mut pager, f64::from(i), i).unwrap());
+                }
+            }
+            assert!(t.delete(&mut pager, 9.0, 9).unwrap());
+            assert!(t.delete(&mut pager, 20.0, 20).unwrap());
+            for (dir, from, side, key) in folds {
+                let mut bound = dir.end();
+                t.sweep(dir, &pager, from, |leaf| {
+                    bound = dir.earlier(bound, leaf.handicaps().get(dir, side));
+                    SweepControl::Continue
+                })
+                .unwrap();
+                assert!(
+                    !dir.before(key, bound),
+                    "{dir:?} from {from} (middle emptied: {empty_middle}): key {key}, bound {bound}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,13 @@ use super::handicap::assign;
 use crate::error::CdbError;
 use crate::query::Side;
 
+/// A tuple's reaches over one handicap region, per tree of an element —
+/// `B^up` first: the `(max, min)` of the surface that tree is keyed by
+/// (`TOP_P` for `B^up`, `BOT_P` for `B^down`), or a bound past each on
+/// its own side. A search whose first sweep goes up buckets by the max,
+/// one going down by the min ([`Direction::of`]).
+pub(crate) type Reaches = [(f64, f64); 2];
+
 /// The `(B^up, B^down)` tree pairs of one dual index, in the order of `S`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Forest {
@@ -80,22 +87,23 @@ impl Forest {
     }
 
     /// Adds `id` to both trees of element `i` under its `(TOP_P, BOT_P)`
-    /// `keys` there and folds its `(max TOP, min BOT)` reach over each
-    /// side's region into both trees' handicaps, in one descent per tree.
+    /// `keys` there and folds, per side that answers for a region of slope
+    /// space, each tree's own `(max, min)` reach over that region into the
+    /// tree's handicaps, in one descent per tree.
     pub(crate) fn insert(
         &mut self,
         pager: &mut dyn Pager,
         i: usize,
         id: u32,
         keys: (f64, f64),
-        reaches: &[(Side, (f64, f64))],
+        reaches: &[(Side, Reaches)],
     ) -> io::Result<()> {
         let (up, down) = &mut self.pairs[i];
-        for (tree, key) in [(up, keys.0), (down, keys.1)] {
+        for (t, (tree, key)) in [(up, keys.0), (down, keys.1)].into_iter().enumerate() {
             let folds: Vec<_> = reaches
                 .iter()
                 .flat_map(|&(side, reach)| {
-                    Direction::BOTH.map(|dir| (dir, dir.of(reach), side, key))
+                    Direction::BOTH.map(|dir| (dir, dir.of(reach[t]), side, key))
                 })
                 .collect();
             tree.fold_handicaps(pager, Some((key, id)), &folds)?;
@@ -122,43 +130,32 @@ impl Forest {
 
     /// Recomputes the handicaps of every leaf of both trees of element `i`
     /// (Section 4.2 Steps 1–2) from every tuple's `keys` there and, per
-    /// side that answers for a region of slope space, its `(max TOP, min
-    /// BOT)` reaches over that region (a side not listed keeps the neutral
-    /// `±∞`). Both trees share a region's reaches, so each direction's
-    /// order of them is sorted once.
+    /// side that answers for a region of slope space, its [`Reaches`] over
+    /// that region (a side not listed keeps the neutral `±∞`). Each tree
+    /// buckets by its own reaches.
     pub(crate) fn assign_handicaps(
         &self,
         pager: &mut dyn Pager,
         i: usize,
         keys: &[(f64, f64)],
-        reaches: &[(Side, Vec<(f64, f64)>)],
+        reaches: &[(Side, Vec<Reaches>)],
     ) -> io::Result<()> {
-        let mut trees = Vec::new();
-        for up in [true, false] {
-            let leaves = self.tree(i, up).leaves(&*pager)?;
-            let handicaps = vec![Handicaps::default(); leaves.len()];
-            trees.push((up, leaves, handicaps));
-        }
-        for (side, reach) in reaches {
-            for dir in Direction::BOTH {
-                let mut order: Vec<(f64, usize)> =
-                    reach.iter().map(|&r| dir.of(r)).zip(0..).collect();
-                order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN reach"));
-                for (up, leaves, handicaps) in &mut trees {
+        for (t, up) in [true, false].into_iter().enumerate() {
+            let tree = self.tree(i, up);
+            let leaves = tree.leaves(&*pager)?;
+            let mut handicaps = vec![Handicaps::default(); leaves.len()];
+            for (side, reach) in reaches {
+                for dir in Direction::BOTH {
                     // (reach, key) per tuple, keyed as this tree is: a
                     // search going up first must get back down to every
-                    // tuple whose TOP reaches its start, and vice versa.
-                    let pairs: Vec<(f64, f64)> = (order.iter())
-                        .map(|&(reach, t)| (reach, if *up { keys[t].0 } else { keys[t].1 }))
-                        .collect();
-                    for (h, value) in handicaps.iter_mut().zip(assign(dir, leaves, &pairs)) {
+                    // tuple whose surface reaches its start, and vice versa.
+                    let pairs = (reach.iter().zip(keys))
+                        .map(|(r, k)| (dir.of(r[t]), if up { k.0 } else { k.1 }));
+                    for (h, value) in handicaps.iter_mut().zip(assign(dir, &leaves, pairs)) {
                         *h.slot(dir, *side) = value;
                     }
                 }
             }
-        }
-        for (up, leaves, handicaps) in trees {
-            let tree = self.tree(i, up);
             for (leaf, h) in leaves.iter().zip(handicaps) {
                 tree.set_handicaps(pager, leaf.page, h)?;
             }
@@ -288,16 +285,16 @@ pub(crate) mod tests {
         i: usize,
         id: u32,
         keys: (f64, f64),
-        reaches: &[(Side, (f64, f64))],
+        reaches: &[(Side, Reaches)],
     ) {
         forest.pairs[i].0.insert(pager, keys.0, id).unwrap();
         forest.pairs[i].1.insert(pager, keys.1, id).unwrap();
         for &(side, reach) in reaches {
-            for (up, key) in [(true, keys.0), (false, keys.1)] {
+            for (t, (up, key)) in [(true, keys.0), (false, keys.1)].into_iter().enumerate() {
                 let tree = forest.tree(i, up);
                 for dir in Direction::BOTH {
                     let page = tree
-                        .find(dir, &*pager, dir.of(reach))
+                        .find(dir, &*pager, dir.of(reach[t]))
                         .unwrap()
                         .map_or_else(|| tree.end_leaf(dir), |(page, _)| page);
                     let mut h = tree.read_handicaps(&*pager, page).unwrap();
@@ -348,18 +345,19 @@ pub(crate) mod tests {
     }
 
     /// [`Forest::insert`]'s folds without its entry: `keys` folded into
-    /// both trees of element `i` from the `(up, down)` `reach` on `side`.
+    /// both trees of element `i` from each tree's `(up, down)` `reach` on
+    /// `side`.
     fn fold(
         forest: &mut Forest,
         pager: &mut MemPager,
         i: usize,
         side: Side,
         keys: (f64, f64),
-        reach: (f64, f64),
+        reach: Reaches,
     ) {
         let (up, down) = &mut forest.pairs[i];
-        for (tree, key) in [(up, keys.0), (down, keys.1)] {
-            let folds = Direction::BOTH.map(|dir| (dir, dir.of(reach), side, key));
+        for (t, (tree, key)) in [(up, keys.0), (down, keys.1)].into_iter().enumerate() {
+            let folds = Direction::BOTH.map(|dir| (dir, dir.of(reach[t]), side, key));
             tree.fold_handicaps(pager, None, &folds).unwrap();
         }
     }
@@ -421,21 +419,24 @@ pub(crate) mod tests {
             })
             .chain([(f64::INFINITY, 3.0), (f64::NEG_INFINITY, -4.0)])
             .collect();
-        let mut negated: Vec<(f64, f64)> = pairs.iter().map(|&(r, k)| (-r, -k)).collect();
-        negated.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut pairs = pairs;
-        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut there = assign(back, &image_leaves, &negated);
+        let negated = pairs.iter().map(|&(r, k)| (-r, -k));
+        let mut there = assign(back, &image_leaves, negated);
         there.reverse();
         let there: Vec<f64> = there.into_iter().map(|h| -h).collect();
-        assert_eq!(assign(dir, &leaves, &pairs), there, "{dir:?} assign");
+        let here = assign(dir, &leaves, pairs.iter().copied());
+        assert_eq!(here, there, "{dir:?} assign");
 
         // Folded: the same tuples into element 0 and, mirrored, element 1.
         for (side, &(top, bot)) in [Side::Prev, Side::Next].into_iter().cycle().zip(&pairs) {
             let keys = (top.clamp(-1e3, 1e3), bot);
-            let reach = (top.max(bot), top.min(bot));
+            // Each tree its own reach: B^down's about half B^up's.
+            let reach = [
+                (top.max(bot), top.min(bot)),
+                (top.max(bot) / 2.0, top.min(bot)),
+            ];
             fold(&mut forest, &mut pager, 0, side, keys, reach);
-            let (keys, reach) = ((-keys.1, -keys.0), (-reach.1, -reach.0));
+            let mirror = |(max, min): (f64, f64)| (-min, -max);
+            let (keys, reach) = ((-keys.1, -keys.0), [mirror(reach[1]), mirror(reach[0])]);
             fold(&mut forest, &mut pager, 1, side, keys, reach);
         }
         for up in [true, false] {

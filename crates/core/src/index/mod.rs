@@ -31,8 +31,10 @@ pub(crate) use heap_source::HeapSource;
 pub(crate) use keys::KeyColumns;
 pub use rplus::RPlusIndex;
 
+use cdb_btree::key_slack;
 use cdb_geometry::dual::{self, DualSurfaces, PlanarSurfaces};
 use cdb_geometry::halfplane::HalfPlane;
+use cdb_geometry::kernel2d::Extreme;
 use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{PageReader, Pager, TrackedReader};
@@ -42,7 +44,7 @@ use crate::plan::{MethodKind, PlanCase, Rejection, TreeAt};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side, Strategy};
 use crate::slopes::{Bracket, SlopeSet, StripEnd};
 use ddim::SlopePoints;
-use forest::Forest;
+use forest::{Forest, Reaches};
 use keys::{KeyBracket, Row};
 
 /// The access structures a relation can own, in slot order. The one owner
@@ -259,8 +261,8 @@ where
 /// answer for it, and its corners besides the element.
 type Region = (Side, Vec<Corner>);
 
-/// A corner of a handicap region: where a tuple's reach over the region is
-/// evaluated besides at the region's element.
+/// A corner of a handicap region: where a tuple's reaches over the region
+/// are evaluated besides at the region's element.
 #[derive(Clone, Debug)]
 enum Corner {
     /// A slope point of `E^{d−1}`: the tuple's keys there.
@@ -308,11 +310,123 @@ pub(crate) type Records<'v> = dyn FnMut(u32, &[u8]) + 'v;
 struct Keyed {
     /// `(TOP_P, BOT_P)` at every element of `S`: the trees' keys.
     keys: Vec<(f64, f64)>,
-    /// Per element, the `(max TOP_P, min BOT_P)` reach over each of its
-    /// handicap regions.
-    reaches: Vec<Vec<(Side, (f64, f64))>>,
+    /// Per element, the [`Reaches`] over each of its handicap regions.
+    reaches: Vec<Vec<(Side, Reaches)>>,
     /// Over a slope set, the key columns' row.
     row: Option<Row>,
+}
+
+/// The dual line of a vertex that attains a surface at one end of a
+/// handicap strip, in the strip's frame: the end's position, the surface
+/// there, and the line's slope.
+#[derive(Clone, Copy, Debug)]
+struct Tangent {
+    position: f64,
+    value: f64,
+    slope: f64,
+}
+
+/// A tuple's [`Reaches`] over the strip of the slope `s` (Section 4.2:
+/// "the extremum of its surface over the strip") from its key-column
+/// samples at the strip's two ends — `near` at `s`, `far` at `end`, each
+/// `(BOT, TOP)` in its own frame with a vertex attaining it. The end
+/// values give `B^up`'s max and `B^down`'s min, which a convex `TOP_P` and
+/// a concave `BOT_P` reach at an end; `B^up`'s min and `B^down`'s max may
+/// lie inside the strip and are bounded by [`strip_extremum`], never past
+/// the shared `(max TOP_P, min BOT_P)` (Section 4.3's reading, which is
+/// looser) that stays the fallback where that has no finite bound. A
+/// strip through the vertical is an interval of `t = 1/a`, where the trees
+/// at `s` are keyed by the extremes of `−s·(x − t·y)`: a vertex `(x, y)`
+/// is the line `−s·x + s·t·y`, convex at the max and concave at the min as
+/// the surfaces are along `a`.
+fn strip_reaches(
+    near: (Extreme, Extreme),
+    far: (Extreme, Extreme),
+    end: StripEnd,
+    s: f64,
+) -> Reaches {
+    let line = |position, value, slope| Tangent {
+        position,
+        value,
+        slope,
+    };
+    // Per tree, its surface's tangents at the two ends: B^up's, B^down's.
+    let [up, down] = match end {
+        StripEnd::Slope(m) => {
+            let plain = |near: Extreme, far: Extreme| {
+                [line(s, near.value, -near.at), line(m, far.value, -far.at)]
+            };
+            [plain(near.1, far.1), plain(near.0, far.0)]
+        }
+        StripEnd::Swapped(t) => {
+            // At `t = 1/s` the vertex lies at x = `at`, y = value + s·x; at
+            // `t`, `far` names y and the value is x − t·y.
+            let at_s = |e: Extreme| line(1.0 / s, e.value, s * (e.value + s * e.at));
+            let at_t = |e: Extreme| line(t, -s * e.value, s * e.at);
+            let (max, min) = if s > 0.0 { far } else { (far.1, far.0) };
+            [[at_s(near.1), at_t(max)], [at_s(near.0), at_t(min)]]
+        }
+    };
+    let max = up[0].value.max(up[1].value);
+    let min = down[0].value.min(down[1].value);
+    let up_min = strip_extremum(up, true).map_or(min, |bound| bound.max(min));
+    let down_max = strip_extremum(down, false).map_or(max, |bound| bound.min(max));
+    [(max, up_min), (down_max, min)]
+}
+
+/// The strip-extremum bound: a bound past a surface's extremum over a
+/// strip on the side its end values do not give — below a convex
+/// surface's minimum (`convex`), above a concave one's maximum — from its
+/// tangents at the strip's two ends. Each is a vertex's dual line, which
+/// lies below a convex surface (above a concave one) at every position, so
+/// the surface is past the upper (lower) envelope of the tangents it has.
+/// Over the strip that envelope is past its values at the ends and, where
+/// two tangents cross inside the strip, at the crossing. Two lines cross
+/// once, so at any position the one farther from the surface is at least
+/// as far out as their crossing: taking it at a rounded crossing stays on
+/// the safe side. The result is widened outward by [`key_slack`] of the
+/// largest term. `None` where neither end names a vertex with a
+/// finite value (an infinite surface, a tuple the simplex evaluated).
+fn strip_extremum(ends: [Tangent; 2], convex: bool) -> Option<f64> {
+    // The concave case is the convex one of −f.
+    let sign = if convex { 1.0 } else { -1.0 };
+    let [p, q] = ends.map(|e| Tangent {
+        value: sign * e.value,
+        slope: sign * e.slope,
+        ..e
+    });
+    let named = |e: &Tangent| e.value.is_finite() && e.slope.is_finite();
+    // The lowest of the envelope, and the largest term summed on the way.
+    let (low, scale) = match (named(&p), named(&q)) {
+        (true, true) => {
+            let cross = (q.value - p.value + p.slope * p.position - q.slope * q.position)
+                / (p.slope - q.slope);
+            let (dp, dq) = (
+                p.slope * (cross - p.position),
+                q.slope * (cross - q.position),
+            );
+            // Parallel tangents cross nowhere (`cross` is not finite), and a
+            // crossing outside the strip bounds nothing there: both leave
+            // the ends' values. (Selected rather than branched on.)
+            let inside = p.position.min(q.position) <= cross && cross <= p.position.max(q.position);
+            let (ends, at_cross) = (p.value.min(q.value), (p.value + dp).min(q.value + dq));
+            let low = if inside && at_cross < ends {
+                at_cross
+            } else {
+                ends
+            };
+            let drift = if inside { dp.abs().max(dq.abs()) } else { 0.0 };
+            (low, p.value.abs().max(q.value.abs()).max(drift))
+        }
+        // One tangent: its lower end over the strip.
+        (true, false) | (false, true) => {
+            let (e, other) = if named(&p) { (p, q) } else { (q, p) };
+            let d = e.slope * (other.position - e.position);
+            (e.value.min(e.value + d), e.value.abs().max(d.abs()))
+        }
+        (false, false) => return None,
+    };
+    Some(sign * (low - key_slack(scale)))
 }
 
 /// The predefined set `S` a [`DualIndex`] is built over. Section 4.4
@@ -374,10 +488,12 @@ impl SlopeGeometry {
     }
 
     /// The handicap regions of every element, each the convex hull of the
-    /// element and the listed corners, so a tuple's reach over it (`TOP_P`
-    /// convex, `BOT_P` concave) is attained at one of them: the strips from
-    /// a slope to [`SlopeSet::mid`] on either side (Section 4.2) — at an
-    /// end of `S`, its piece of the strip wrapping through the vertical;
+    /// element and the listed corners, so `TOP_P`'s max and `BOT_P`'s min
+    /// over it (convex, concave) are attained at one of them, and over a
+    /// strip the tangents there bound the other two ([`strip_reaches`]):
+    /// the strips from a slope to [`SlopeSet::mid`] on either side
+    /// (Section 4.2) — at an end of `S`, its piece of the strip wrapping
+    /// through the vertical;
     /// under [`Side::Prev`], the vertices of a slope point's Voronoi cell
     /// clipped to the bounding box of `S` (Section 4.4).
     fn regions(&self) -> Vec<Vec<Region>> {
@@ -512,20 +628,6 @@ impl DualIndex {
             (Some(planar), Some(columns)) => Some(columns.row(planar)),
             _ => None,
         };
-        let corner = |c: &Corner| match (c, &row) {
-            (Corner::Point(point), _) => surfaces.keys(point),
-            (&Corner::Strip { j, end, s }, Some(row)) => {
-                let (bot, top) = (row[j].0.value, row[j].1.value);
-                match end {
-                    StripEnd::Slope(_) => (top, bot),
-                    StripEnd::Swapped(_) => {
-                        let (p, q) = (-s * bot, -s * top);
-                        (p.max(q), p.min(q))
-                    }
-                }
-            }
-            (Corner::Strip { .. }, None) => unreachable!("strips belong to slope sets"),
-        };
         let keys: Vec<(f64, f64)> = match &row {
             Some(row) => row[..self.geometry.len()]
                 .iter()
@@ -533,16 +635,29 @@ impl DualIndex {
                 .collect(),
             None => self.geometry.elements().map(|e| surfaces.keys(e)).collect(),
         };
-        let reaches = (keys.iter().zip(&self.regions))
-            .map(|(&keys, regions)| {
-                let over = |corners: &[Corner]| {
-                    let at_corners = corners.iter().map(corner);
-                    at_corners.fold(keys, |(max_top, min_bot), (top, bot)| {
+        let over = |i: usize, corners: &[Corner]| -> Reaches {
+            match (corners, &row) {
+                (&[Corner::Strip { j, end, s }], Some(row)) => {
+                    strip_reaches(row[i], row[j], end, s)
+                }
+                // A slope point's cell: both trees take the shared `(max
+                // TOP_P, min BOT_P)` over its vertices.
+                _ => {
+                    let at_corners = corners.iter().map(|c| match c {
+                        Corner::Point(point) => surfaces.keys(point),
+                        Corner::Strip { .. } => unreachable!("strips belong to slope sets"),
+                    });
+                    let shared = at_corners.fold(keys[i], |(max_top, min_bot), (top, bot)| {
                         (max_top.max(top), min_bot.min(bot))
-                    })
-                };
+                    });
+                    [shared; 2]
+                }
+            }
+        };
+        let reaches = (self.regions.iter().enumerate())
+            .map(|(i, regions)| {
                 (regions.iter())
-                    .map(|(side, corners)| (*side, over(corners)))
+                    .map(|(side, corners)| (*side, over(i, corners)))
                     .collect()
             })
             .collect();
@@ -640,8 +755,8 @@ impl DualIndex {
         self.keys = Some(keys);
     }
 
-    /// Adds one tuple to every tree and folds its reach over every handicap
-    /// region into the bucket leaves' handicaps — the paper's
+    /// Adds one tuple to every tree and folds each tree's own reach over
+    /// every handicap region into its bucket leaves' handicaps — the paper's
     /// `O(k log_B n)` amortized update (Theorems 3.1/4.2). The fold is
     /// monotone (min/max), so correctness is maintained incrementally;
     /// handicaps only become *looser* over time, and only a
@@ -1302,6 +1417,58 @@ mod tests {
         );
     }
 
+    /// An index and its twin over one pager layout each, as built from the
+    /// same tuples.
+    type Twins<'a> = (
+        (&'a mut DualIndex, &'a mut MemPager),
+        (&'a mut DualIndex, &'a mut MemPager),
+    );
+
+    /// Churns twin indexes: `late` goes into the first through
+    /// [`DualIndex::insert`] and into the second through
+    /// [`forest::tests::insert_per_fold`], and after about three in ten
+    /// inserts a random live tuple leaves both. Afterwards every tree page
+    /// of the two — entries, links and handicaps — is bit-identical and
+    /// every tree validates; `live` follows the stream.
+    fn churn_twins(
+        what: &str,
+        ((idx, pager), (twin, twin_pager)): Twins<'_>,
+        live: &mut Vec<(u32, GeneralizedTuple)>,
+        late: Vec<GeneralizedTuple>,
+        rng: &mut cdb_prng::StdRng,
+    ) {
+        for (id, t) in (5000u32..).zip(late) {
+            idx.insert(pager, id, &t).unwrap();
+            let keyed = twin.keyed(&t);
+            for (i, (&keys, reaches)) in keyed.keys.iter().zip(&keyed.reaches).enumerate() {
+                forest::tests::insert_per_fold(&mut twin.forest, twin_pager, i, id, keys, reaches);
+            }
+            live.push((id, t));
+            if rng.gen_bool(0.3) {
+                let (id, t) = live.swap_remove(rng.gen_range(0..live.len()));
+                assert!(idx.remove(pager, id, &t).unwrap(), "{what}: {id}");
+                assert!(twin.remove(twin_pager, id, &t).unwrap(), "{what}: {id}");
+            }
+        }
+        let size = pager.page_size();
+        for i in 0..idx.geometry.len() {
+            for up in [true, false] {
+                let (tree, reference) = (idx.forest.tree(i, up), twin.forest.tree(i, up));
+                tree.validate(&*pager).unwrap();
+                let shape = |t: &cdb_btree::BTree| (t.root(), t.height(), t.len(), t.page_count());
+                assert_eq!(shape(tree), shape(reference), "{what}: tree {i} {up}");
+                let pages = tree.collect_pages(&*pager).unwrap();
+                assert_eq!(pages, reference.collect_pages(&*twin_pager).unwrap());
+                let (mut a, mut b) = (vec![0u8; size], vec![0u8; size]);
+                for page in pages {
+                    pager.read(page, &mut a).unwrap();
+                    twin_pager.read(page, &mut b).unwrap();
+                    assert_eq!(a, b, "{what}: tree {i} {up}, page {page}");
+                }
+            }
+        }
+    }
+
     /// The one-descent update ≡ the per-fold reference, page for page:
     /// twin indexes take one seeded stream of inserts (splitting leaves,
     /// internal nodes and the root of 128-byte-page trees) and deletes,
@@ -1324,41 +1491,9 @@ mod tests {
             let mut twin = DualIndex::build(&mut twin_pager, geometry, &live).unwrap();
             let built = idx.page_count();
             let mut rng = cdb_prng::StdRng::seed_from_u64(71);
-            for (id, t) in (5000u32..).zip(late) {
-                idx.insert(&mut pager, id, &t).unwrap();
-                let keyed = twin.keyed(&t);
-                for (i, (&keys, reaches)) in keyed.keys.iter().zip(&keyed.reaches).enumerate() {
-                    let forest = &mut twin.forest;
-                    forest::tests::insert_per_fold(forest, &mut twin_pager, i, id, keys, reaches);
-                }
-                live.push((id, t));
-                if rng.gen_bool(0.3) {
-                    let (id, t) = live.swap_remove(rng.gen_range(0..live.len()));
-                    assert!(idx.remove(&mut pager, id, &t).unwrap(), "{what}: {id}");
-                    assert!(
-                        twin.remove(&mut twin_pager, id, &t).unwrap(),
-                        "{what}: {id}"
-                    );
-                }
-            }
+            let twins = ((&mut idx, &mut pager), (&mut twin, &mut twin_pager));
+            churn_twins(what, twins, &mut live, late, &mut rng);
             assert!(idx.page_count() > built, "{what}: no insert split a leaf");
-            for i in 0..idx.geometry.elements().count() {
-                for up in [true, false] {
-                    let (tree, reference) = (idx.forest.tree(i, up), twin.forest.tree(i, up));
-                    tree.validate(&pager).unwrap();
-                    let shape =
-                        |t: &cdb_btree::BTree| (t.root(), t.height(), t.len(), t.page_count());
-                    assert_eq!(shape(tree), shape(reference), "{what}: tree {i} {up}");
-                    let pages = tree.collect_pages(&pager).unwrap();
-                    assert_eq!(pages, reference.collect_pages(&twin_pager).unwrap());
-                    let (mut a, mut b) = (vec![0u8; 128], vec![0u8; 128]);
-                    for page in pages {
-                        pager.read(page, &mut a).unwrap();
-                        twin_pager.read(page, &mut b).unwrap();
-                        assert_eq!(a, b, "{what}: tree {i} {up}, page {page}");
-                    }
-                }
-            }
             let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
                 live.iter().cloned().collect();
             let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
@@ -1593,5 +1728,590 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// ROADMAP I(b) as a test oracle: every tuple of `live` is bounded by
+    /// the handicaps a first sweep from its own-surface reach folds — per
+    /// element, tree, direction and side, those of the leaf the reach
+    /// buckets it into (the first non-empty leaf on the sweep's way whose
+    /// far edge is not before the reach, clamped to the last) and of every
+    /// leaf after it, which a sweep from any start up to the reach visits
+    /// too. (A leaf's far edge moves under churn: an insert that widens a
+    /// leaf makes it the bucket of reaches its neighbour's slot holds.)
+    /// One line per tuple a slot fails.
+    pub(crate) fn handicap_violations(
+        idx: &DualIndex,
+        pager: &dyn PageReader,
+        live: &[(u32, GeneralizedTuple)],
+    ) -> Vec<String> {
+        use cdb_btree::{Direction, LeafInfo};
+        let keyed: Vec<Keyed> = live.iter().map(|(_, t)| idx.keyed(t)).collect();
+        let mut out = Vec::new();
+        for (i, regions) in idx.regions.iter().enumerate() {
+            for (t, up) in [true, false].into_iter().enumerate() {
+                let tree = idx.forest.tree(i, up);
+                let leaves = tree.leaves(pager).unwrap();
+                let slots: Vec<_> = (leaves.iter())
+                    .map(|leaf| tree.read_handicaps(pager, leaf.page).unwrap())
+                    .collect();
+                for (r, (side, _)) in regions.iter().enumerate() {
+                    for dir in Direction::BOTH {
+                        // The leaves in the order `dir` meets them, and the
+                        // fold of each one's slot with those of all after it.
+                        let mut order: Vec<usize> = (0..leaves.len()).collect();
+                        if dir == Direction::Down {
+                            order.reverse();
+                        }
+                        let mut folds = vec![dir.end(); order.len() + 1];
+                        for p in (0..order.len()).rev() {
+                            folds[p] = dir.earlier(folds[p + 1], slots[order[p]].get(dir, *side));
+                        }
+                        let far_edge = |leaf: &LeafInfo| dir.of((leaf.max_key, leaf.min_key));
+                        let full: Vec<usize> = (0..order.len())
+                            .filter(|&p| leaves[order[p]].count > 0)
+                            .collect();
+                        for ((id, _), k) in live.iter().zip(&keyed) {
+                            let reach = dir.of(k.reaches[i][r].1[t]);
+                            // Slots hold the unrounded key the fold took.
+                            let key = if up { k.keys[i].0 } else { k.keys[i].1 };
+                            let bucket = (full.iter().copied())
+                                .find(|&p| !dir.before(far_edge(&leaves[order[p]]), reach))
+                                .or(full.last().copied());
+                            let which = if up { "B^up" } else { "B^down" };
+                            let Some(p) = bucket else {
+                                out.push(format!("element {i} {which}: id {id} in an empty tree"));
+                                continue;
+                            };
+                            if dir.before(key, folds[p]) {
+                                out.push(format!(
+                                    "element {i} {which} {dir:?} {side:?}: id {id} keyed {key} \
+                                     reaching {reach} is bucketed where the slots give {}",
+                                    folds[p]
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// A trapezoid `cx − w ≤ x ≤ cx + w`, `c + a₀·(x − cx) ≤ y ≤ c + h +
+    /// a₁·(x − cx)`, `|cx| < w`, whose `BOT_P(a) = c − a·cx − w·|a − a₀|`
+    /// peaks at `a₀` and whose `TOP_P` dips at `a₁`; `transposed`, the same
+    /// with `x` and `y` exchanged, whose extremes of `x − t·y` turn at
+    /// `t = a₀` and `a₁` in the frame through the vertical.
+    fn peaked(a0: f64, a1: f64, (cx, c): (f64, f64), w: f64, transposed: bool) -> GeneralizedTuple {
+        use cdb_geometry::constraint::LinearConstraint;
+        let h = (a0 - a1).abs() * w + 1.0;
+        let rows = [
+            ([1.0, 0.0], w - cx, RelOp::Ge),
+            ([1.0, 0.0], -(cx + w), RelOp::Le),
+            ([-a0, 1.0], a0 * cx - c, RelOp::Ge),
+            ([-a1, 1.0], a1 * cx - c - h, RelOp::Le),
+        ];
+        let rows = rows.map(|([p, q], c, op)| {
+            let coeffs = if transposed { vec![q, p] } else { vec![p, q] };
+            LinearConstraint::new(coeffs, c, op)
+        });
+        GeneralizedTuple::new(rows.to_vec())
+    }
+
+    /// `n` tuples for an index over `slopes`: random small ones, unbounded
+    /// ones where `unbounded` (a surface infinite over a strip leaves no
+    /// vertex, so their reaches fall back to the shared rule) and, per
+    /// handicap strip, [`peaked`] ones whose surfaces turn a third and two
+    /// thirds of the way into it — in `t = 1/a` through the vertical.
+    fn extremal_dataset(
+        slopes: &SlopeSet,
+        n: usize,
+        seed: u64,
+        unbounded: bool,
+    ) -> Vec<GeneralizedTuple> {
+        use cdb_geometry::Rect;
+        let mut g = cdb_workload::TupleGen::new(seed, Rect::paper_window(), ObjectSize::Small);
+        let mut rng = cdb_prng::StdRng::seed_from_u64(seed);
+        let strips: Vec<(f64, f64, bool)> = (0..slopes.len())
+            .flat_map(|i| [Side::Prev, Side::Next].map(|side| (i, side)))
+            .map(|(i, side)| {
+                let s = slopes.get(i);
+                match slopes.mid(i, side) {
+                    StripEnd::Slope(m) => (s, m, false),
+                    StripEnd::Swapped(t) => (1.0 / s, t, true),
+                }
+            })
+            .collect();
+        (0..n)
+            .map(|j| match j % 4 {
+                0 if unbounded => g.unbounded_tuple(),
+                0 | 1 => g.bounded_tuple(),
+                _ => {
+                    let (u0, u1, swapped) = strips[(j / 4) % strips.len()];
+                    let (third, two) = (u0 + (u1 - u0) / 3.0, u0 + 2.0 * (u1 - u0) / 3.0);
+                    let (a0, a1) = if j % 4 == 2 {
+                        (third, two)
+                    } else {
+                        (two, third)
+                    };
+                    let w = rng.gen_range(2.0..12.0);
+                    let centre = (w * rng.gen_range(-0.8..0.8), rng.gen_range(-40.0..40.0));
+                    peaked(a0, a1, centre, w, swapped)
+                }
+            })
+            .collect()
+    }
+
+    /// Where `tuple`'s surfaces turn inside the handicap strips of `slopes`,
+    /// as query slopes: per strip and surface whose extremum over a grid of
+    /// the strip lies past both of its ends, in the strip's frame (`a`, or
+    /// `t = 1/a` through the vertical), that extremum and the crossing of
+    /// the surface's tangents at the two ends.
+    fn extremal_slopes(slopes: &SlopeSet, tuple: &GeneralizedTuple) -> Vec<f64> {
+        let surfaces = PlanarSurfaces::new(tuple);
+        let mut out = Vec::new();
+        for (i, side) in (0..slopes.len()).flat_map(|i| [Side::Prev, Side::Next].map(|d| (i, d))) {
+            let s = slopes.get(i);
+            let (u0, u1, swapped) = match slopes.mid(i, side) {
+                StripEnd::Slope(m) => (s, m, false),
+                StripEnd::Swapped(t) => (1.0 / s, t, true),
+            };
+            // (BOT, TOP) in the frame, each with a vertex's first coordinate.
+            let at = |u: f64| {
+                let (bot, top) = if swapped {
+                    surfaces.swapped_at(u)
+                } else {
+                    surfaces.at(u)
+                }
+                .expect("indexed tuples are satisfiable");
+                [bot, top]
+            };
+            // (Short of the vertical: a slope past 10³ meets the oracle's
+            // rounding before the index's.)
+            let inside = |u: f64| u > u0.min(u1) && u < u0.max(u1) && (!swapped || u.abs() > 1e-3);
+            let frame = |u: f64| if swapped { 1.0 / u } else { u };
+            for e in 0..2 {
+                // BOT turns at its highest, TOP at its lowest.
+                let past = |x: f64, y: f64| if e == 0 { x > y } else { x < y };
+                let (p, q) = (at(u0)[e], at(u1)[e]);
+                let grid = (1..32).map(|g| u0 + (u1 - u0) * f64::from(g) / 32.0);
+                let turn = grid
+                    .map(|u| (u, at(u)[e].value))
+                    .filter(|&(_, v)| v.is_finite() && past(v, p.value) && past(v, q.value))
+                    .reduce(|x, y| if past(y.1, x.1) { y } else { x });
+                let Some((u, _)) = turn.filter(|&(u, _)| inside(u)) else {
+                    continue;
+                };
+                // The tangent at u' of a vertex at first coordinate v has
+                // slope −v.
+                let cross = (q.value - p.value - p.at * u0 + q.at * u1) / (q.at - p.at);
+                out.push(frame(u));
+                out.extend(Some(cross).filter(|&c| inside(c)).map(frame));
+            }
+        }
+        out
+    }
+
+    /// Per `every`-th live tuple (from one that moves with the number
+    /// live), selections at its [`extremal_slopes`] that it barely
+    /// answers: each threshold just inside its own surface there —
+    /// ALL(≥) under `BOT`, ALL(≤) over `TOP`, EXIST(≥) under `TOP`,
+    /// EXIST(≤) over `BOT`.
+    fn extremal_selections(
+        slopes: &SlopeSet,
+        live: &[(u32, GeneralizedTuple)],
+        every: usize,
+    ) -> Vec<Selection> {
+        let mut out = Vec::new();
+        let picked = live.iter().skip(live.len() % every);
+        for (_, tuple) in picked.step_by(every) {
+            let surfaces = PlanarSurfaces::new(tuple);
+            for a in extremal_slopes(slopes, tuple) {
+                let (bot, top) = surfaces.at(a).expect("indexed tuples are satisfiable");
+                let near = |v: f64, past: f64| v + past * 1e-6 * v.abs().max(1.0);
+                for (kind, v, op) in [
+                    (SelectionKind::All, bot.value, RelOp::Ge),
+                    (SelectionKind::All, top.value, RelOp::Le),
+                    (SelectionKind::Exist, top.value, RelOp::Ge),
+                    (SelectionKind::Exist, bot.value, RelOp::Le),
+                ] {
+                    if v.is_finite() {
+                        let past = if op == RelOp::Ge { -1.0 } else { 1.0 };
+                        let halfplane = HalfPlane::new2d(a, near(v, past), op);
+                        out.push(Selection { kind, halfplane });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Each tree's reaches bound its own surface over each strip, in both
+    /// frames: at 65 positions across every strip of k = 2…5, `B^up`'s
+    /// `(max, min)` holds `TOP_P` (the max of `−s·(x − t·y)` through the
+    /// vertical) and `B^down`'s holds `BOT_P` (the min), and neither is
+    /// looser than the shared `(max TOP_P, min BOT_P)`.
+    #[test]
+    fn reaches_bound_each_tree_surface_over_its_strips() {
+        for k in 2..=5 {
+            let slopes = SlopeSet::uniform_tan(k);
+            let mut pager = MemPager::paper_1999();
+            let idx = DualIndex::build(&mut pager, slopes.clone(), &[]).unwrap();
+            for tuple in extremal_dataset(&slopes, 60, 0xB1 + k as u64, true) {
+                let surfaces = PlanarSurfaces::new(&tuple);
+                let keyed = idx.keyed(&tuple);
+                for (i, regions) in keyed.reaches.iter().enumerate() {
+                    let s = slopes.get(i);
+                    for &(side, [up, down]) in regions {
+                        assert!(up.0 >= down.0 && up.1 >= down.1, "within the shared reach");
+                        let at = |g: f64| match slopes.mid(i, side) {
+                            StripEnd::Slope(m) => {
+                                let (bot, top) = surfaces.at(s + (m - s) * g).unwrap();
+                                (top.value, bot.value)
+                            }
+                            StripEnd::Swapped(t) => {
+                                let (bot, top) =
+                                    surfaces.swapped_at(1.0 / s + (t - 1.0 / s) * g).unwrap();
+                                let (p, q) = (-s * bot.value, -s * top.value);
+                                (p.max(q), p.min(q))
+                            }
+                        };
+                        // (The two frames round a strip's near end apart.)
+                        let le = |a: f64, b: f64| a <= b || a - b <= 1e-9 * b.abs().max(1.0);
+                        for g in (0..=64).map(|g| f64::from(g) / 64.0) {
+                            let (top, bot) = at(g);
+                            let what = format!("k = {k}, element {i} {side:?} at {g}: {tuple:?}");
+                            assert!(le(up.1, top) && le(top, up.0), "B^up {up:?}, {top}: {what}");
+                            assert!(
+                                le(down.1, bot) && le(bot, down.0),
+                                "B^down {down:?}, {bot}: {what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The oracle's answer to `sel` over `live`, ascending.
+    fn sorted_oracle(live: &[(u32, GeneralizedTuple)], sel: &Selection) -> Vec<u32> {
+        let mut want = oracle(live, sel);
+        want.sort_unstable();
+        want
+    }
+
+    /// Own-surface reaches, end to end, k = 2…5: T2 EXIST/ALL ≡ the oracle
+    /// at query slopes where a live tuple's strip-end tangents cross and
+    /// where its surfaces turn inside a strip, in both frames, with
+    /// thresholds just inside the tuple's own surface — over random,
+    /// unbounded and [`peaked`] tuples — and the I(b) oracle
+    /// ([`handicap_violations`]) finds every live tuple covered. In memory
+    /// after build and after churn, where `DualIndex::insert` leaves every
+    /// tree page as the per-fold reference
+    /// ([`forest::tests::insert_per_fold`]) does; on a file after build,
+    /// churn, close + reopen, and WAL replay.
+    #[test]
+    fn own_surface_reaches_stay_exact_at_their_extrema() {
+        use crate::db::{ConstraintDb, DbConfig};
+
+        let exact =
+            |what: &str, idx: &DualIndex, pager: &MemPager, live: &[(u32, GeneralizedTuple)]| {
+                let lookup: std::collections::HashMap<u32, GeneralizedTuple> =
+                    live.iter().cloned().collect();
+                let fetch = |_: &dyn PageReader, id: u32| lookup[&id].clone();
+                let sels = extremal_selections(idx.slopes().unwrap(), live, 3);
+                assert!(
+                    sels.len() > live.len() / 2,
+                    "{what}: {} selections",
+                    sels.len()
+                );
+                for sel in &sels {
+                    let got = idx.execute(pager, sel, Strategy::T2, &fetch).unwrap();
+                    assert_eq!(got.ids(), sorted_oracle(live, sel), "{what}: {sel:?}");
+                }
+                let violations = handicap_violations(idx, pager, live);
+                assert!(violations.is_empty(), "{what}: {violations:#?}");
+            };
+        for k in 2..=5 {
+            let slopes = SlopeSet::uniform_tan(k);
+            let what = format!("k = {k}");
+            let tuples = extremal_dataset(&slopes, 120, 0x51 + k as u64, true);
+            let mut live: Vec<(u32, GeneralizedTuple)> = (0u32..).zip(tuples).collect();
+            // 128-byte pages: 10 entries a leaf, so every tree has many.
+            let (mut pager, mut twin_pager) = (MemPager::new(128), MemPager::new(128));
+            let mut idx = DualIndex::build(&mut pager, slopes.clone(), &live).unwrap();
+            let mut twin = DualIndex::build(&mut twin_pager, slopes.clone(), &live).unwrap();
+            exact(&format!("{what}, built"), &idx, &pager, &live);
+            let mut rng = cdb_prng::StdRng::seed_from_u64(0x61 + k as u64);
+            let late = extremal_dataset(&slopes, 80, 0x71 + k as u64, true);
+            let twins = ((&mut idx, &mut pager), (&mut twin, &mut twin_pager));
+            churn_twins(&what, twins, &mut live, late, &mut rng);
+            exact(&format!("{what}, churned"), &idx, &pager, &live);
+        }
+
+        // On a file, one relation per k: built, churned, reopened, replayed.
+        let path = std::env::temp_dir().join(format!("cdb_own_reaches_{}", std::process::id()));
+        let log = path.with_extension("wal");
+        let _ = (std::fs::remove_file(&path), std::fs::remove_file(&log));
+        let names = ["k2", "k3", "k4", "k5"];
+        let check = |db: &ConstraintDb, model: &[Option<GeneralizedTuple>], when: &str| {
+            let live: Vec<(u32, GeneralizedTuple)> = (0u32..)
+                .zip(model)
+                .filter_map(|(id, t)| Some((id, t.clone()?)))
+                .collect();
+            for name in names {
+                let idx = db.relation(name).unwrap().index().expect("a dual index");
+                for sel in extremal_selections(idx.slopes().unwrap(), &live, 16) {
+                    let got = db.query_with(name, sel.clone(), Strategy::T2).unwrap();
+                    assert_eq!(
+                        got.ids(),
+                        sorted_oracle(&live, &sel),
+                        "{name} {when}: {sel:?}"
+                    );
+                }
+                let violations = handicap_violations(idx, db.reader(), &live);
+                assert!(violations.is_empty(), "{name} {when}: {violations:#?}");
+            }
+        };
+        let mut rng = cdb_prng::StdRng::seed_from_u64(0x81);
+        let mut fresh = extremal_dataset(&SlopeSet::uniform_tan(4), 200, 0x82, true).into_iter();
+        let mut churn = |db: &mut ConstraintDb, model: &mut Vec<Option<GeneralizedTuple>>| {
+            for _ in 0..40 {
+                let live: Vec<u32> = (0u32..)
+                    .zip(model.iter())
+                    .filter_map(|(id, t)| t.as_ref().map(|_| id))
+                    .collect();
+                if rng.gen_bool(0.4) {
+                    let id = live[rng.gen_range(0..live.len())];
+                    for name in names {
+                        db.delete(name, id).unwrap();
+                    }
+                    model[id as usize] = None;
+                } else {
+                    let t = fresh.next().expect("enough fresh tuples");
+                    for name in names {
+                        let id = db.insert(name, t.clone()).unwrap();
+                        assert_eq!(id as usize, model.len());
+                    }
+                    model.push(Some(t));
+                }
+            }
+        };
+        // 256-byte pages: many leaves a tree.
+        let config = DbConfig { page_size: 256 };
+        let mut db = ConstraintDb::create(&path, config).unwrap();
+        assert!(db.begin_wal().unwrap());
+        let mut model: Vec<Option<GeneralizedTuple>> = Vec::new();
+        let base = extremal_dataset(&SlopeSet::uniform_tan(3), 160, 0x83, true);
+        for (k, name) in (2..).zip(names) {
+            db.create_relation(name, 2).unwrap();
+            for t in &base {
+                db.insert(name, t.clone()).unwrap();
+            }
+            db.build_dual_index(name, SlopeSet::uniform_tan(k)).unwrap();
+        }
+        model.extend(base.into_iter().map(Some));
+        check(&db, &model, "built");
+        churn(&mut db, &mut model);
+        check(&db, &model, "churned");
+        db.close().unwrap();
+        let mut db = ConstraintDb::open(&path).unwrap();
+        check(&db, &model, "reopened");
+        // Writes only the log holds, then a crash: replayed at open.
+        assert!(db.begin_wal().unwrap());
+        churn(&mut db, &mut model);
+        db.wal_sync().unwrap();
+        drop(db);
+        let db = ConstraintDb::open(&path).unwrap();
+        let replay = db.recovery_report().wal.clone().expect("a log was found");
+        assert!(replay.replayed > 0 && replay.error.is_none(), "{replay:?}");
+        check(&db, &model, "replayed");
+        db.close().unwrap();
+        let _ = (std::fs::remove_file(&path), std::fs::remove_file(&log));
+    }
+
+    /// The I(b) oracle finds a handicap one `f32` step too tight: a build
+    /// leaves each slot of the last leaf a search going its way meets
+    /// holding the key of a tuple bucketed there and nowhere after it, so
+    /// moving the slot to the first `f32` past it toward the sweep strands
+    /// that tuple — in every tree, direction and side that has one.
+    #[test]
+    fn handicap_oracle_reports_a_slot_one_step_too_tight() {
+        use cdb_btree::Direction;
+        let slopes = SlopeSet::uniform_tan(3);
+        let live: Vec<(u32, GeneralizedTuple)> = (0u32..)
+            .zip(extremal_dataset(&slopes, 90, 0x91, false))
+            .collect();
+        let mut pager = MemPager::new(128);
+        let idx = DualIndex::build(&mut pager, slopes, &live).unwrap();
+        let v = handicap_violations(&idx, &pager, &live);
+        assert!(v.is_empty(), "{v:#?}");
+        let mut tried = 0;
+        for i in 0..3 {
+            for up in [true, false] {
+                let tree = idx.forest.tree(i, up);
+                for dir in Direction::BOTH {
+                    for side in [Side::Prev, Side::Next] {
+                        let page = tree.end_leaf(dir);
+                        let h = tree.read_handicaps(&pager, page).unwrap();
+                        let slot = h.get(dir, side);
+                        if !slot.is_finite() {
+                            continue;
+                        }
+                        // The first f32 past the slot toward the sweep.
+                        let rounded = slot as f32;
+                        let tighter = match dir {
+                            Direction::Up if f64::from(rounded) > slot => rounded,
+                            Direction::Up => rounded.next_up(),
+                            Direction::Down if f64::from(rounded) < slot => rounded,
+                            Direction::Down => rounded.next_down(),
+                        };
+                        let mut forged = h;
+                        *forged.slot(dir, side) = f64::from(tighter);
+                        tree.set_handicaps(&mut pager, page, forged).unwrap();
+                        let found = handicap_violations(&idx, &pager, &live);
+                        assert!(!found.is_empty(), "{i} {up} {dir:?} {side:?}");
+                        tree.set_handicaps(&mut pager, page, h).unwrap();
+                        tried += 1;
+                    }
+                }
+            }
+        }
+        assert!(tried >= 12, "only {tried} slots to tighten");
+        assert!(handicap_violations(&idx, &pager, &live).is_empty());
+    }
+
+    /// An index whose handicaps were assigned under the shared `(max TOP_P,
+    /// min BOT_P)` rule — every index built before each tree bucketed by
+    /// its own surface — stays exact and covered: the shared reaches are
+    /// past the own ones. Rebuilt, the bound every ALL return sweep folds
+    /// is as tight or tighter from every start leaf, and strictly from
+    /// some, its EXIST slots are unchanged, and its ALL searches produce
+    /// fewer candidates. (A healthy relation's `rebuild_indexes` is a
+    /// no-op, so the rebuild is the build over the persisted spec that
+    /// `rebuild_indexes` runs for a corrupt one.)
+    #[test]
+    fn shared_rule_handicaps_stay_sound_until_a_rebuild_tightens_them() {
+        use crate::db::{ConstraintDb, DbConfig};
+        use crate::relation::RelationHealth;
+        use cdb_btree::{Direction, Handicaps, LeafInfo};
+        use cdb_storage::FilePager;
+
+        let path = std::env::temp_dir().join(format!("cdb_shared_rule_{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let slopes = SlopeSet::uniform_tan(4);
+        let tuples = extremal_dataset(&slopes, 300, 0xA1, false);
+        let live: Vec<(u32, GeneralizedTuple)> = (0u32..).zip(tuples.iter().cloned()).collect();
+        // 256-byte pages: many leaves a tree.
+        let mut db = ConstraintDb::create(&path, DbConfig { page_size: 256 }).unwrap();
+        db.create_relation("r", 2).unwrap();
+        for t in tuples {
+            db.insert("r", t).unwrap();
+        }
+        db.build_dual_index("r", slopes.clone()).unwrap();
+        let idx = db.relation("r").unwrap().index().unwrap().clone();
+        db.close().unwrap();
+
+        // Every element's handicaps reassigned under the shared rule, in
+        // place on the file.
+        let mut pager = FilePager::open(&path).unwrap();
+        let keyed: Vec<Keyed> = live.iter().map(|(_, t)| idx.keyed(t)).collect();
+        for (i, regions) in idx.regions.iter().enumerate() {
+            let keys: Vec<(f64, f64)> = keyed.iter().map(|k| k.keys[i]).collect();
+            let reaches: Vec<(Side, Vec<Reaches>)> = (regions.iter().enumerate())
+                .map(|(r, (side, _))| {
+                    let shared = |k: &Keyed| {
+                        let [up, down] = k.reaches[i][r].1;
+                        [(up.0, down.1); 2]
+                    };
+                    (*side, keyed.iter().map(shared).collect())
+                })
+                .collect();
+            idx.forest
+                .assign_handicaps(&mut pager, i, &keys, &reaches)
+                .unwrap();
+        }
+        pager.close().unwrap();
+
+        // Per tree, its leaves and their slots; per kind, the candidates.
+        type Slots = Vec<Vec<(LeafInfo, Handicaps)>>;
+        let slots = |db: &ConstraintDb| -> Slots {
+            let forest = &db.relation("r").unwrap().index().unwrap().forest;
+            (0..4)
+                .flat_map(|i| [true, false].map(|up| forest.tree(i, up)))
+                .map(|tree| {
+                    let leaves = tree.leaves(db.reader()).unwrap();
+                    let read = |leaf: LeafInfo| {
+                        (leaf, tree.read_handicaps(db.reader(), leaf.page).unwrap())
+                    };
+                    leaves.into_iter().map(read).collect()
+                })
+                .collect()
+        };
+        let exact = |db: &ConstraintDb, when: &str| -> [u64; 2] {
+            let mut candidates = [0; 2];
+            for sel in extremal_selections(&slopes, &live, 8) {
+                let got = db.query_with("r", sel.clone(), Strategy::T2).unwrap();
+                assert_eq!(got.ids(), sorted_oracle(&live, &sel), "{when}: {sel:?}");
+                candidates[usize::from(sel.kind == SelectionKind::All)] += got.stats.candidates;
+            }
+            let idx = db.relation("r").unwrap().index().unwrap();
+            let violations = handicap_violations(idx, db.reader(), &live);
+            assert!(violations.is_empty(), "{when}: {violations:#?}");
+            candidates
+        };
+        let mut db = ConstraintDb::open(&path).unwrap();
+        assert_eq!(db.relation("r").unwrap().health(), &RelationHealth::Healthy);
+        let (shared, shared_slots) = (exact(&db, "shared"), slots(&db));
+        db.build_index("r", IndexSpec::Dual(slopes.clone().into()))
+            .unwrap();
+        let (own, own_slots) = (exact(&db, "rebuilt"), slots(&db));
+        assert_eq!(own[0], shared[0], "EXIST candidates");
+        assert!(own[1] < shared[1], "ALL candidates: {own:?} vs {shared:?}");
+        let mut tighter = 0;
+        for (t, (before, after)) in shared_slots.iter().zip(&own_slots).enumerate() {
+            // EXIST reads B^up going up and B^down going down, ALL the other.
+            let (exist, all) = if t % 2 == 0 {
+                (Direction::Up, Direction::Down)
+            } else {
+                (Direction::Down, Direction::Up)
+            };
+            assert_eq!(before.len(), after.len(), "tree {t}");
+            for ((leaf, _), (again, _)) in before.iter().zip(after) {
+                assert_eq!((leaf.min_key, leaf.max_key), (again.min_key, again.max_key));
+            }
+            for side in [Side::Prev, Side::Next] {
+                let get = |slots: &[(LeafInfo, Handicaps)], dir: Direction| -> Vec<f64> {
+                    slots.iter().map(|(_, h)| h.get(dir, side)).collect()
+                };
+                assert_eq!(get(before, exist), get(after, exist), "tree {t}");
+                // A return sweep's bound folds the slots from its start to
+                // the end: that fold, from each leaf, is as tight or tighter
+                // (a slot alone may take a tuple from a leaf further on).
+                let folds = |slots: Vec<f64>| -> Vec<f64> {
+                    let mut order = slots;
+                    if all == Direction::Down {
+                        order.reverse();
+                    }
+                    let mut acc = all.end();
+                    let mut out: Vec<f64> = (order.iter().rev())
+                        .map(|&h| {
+                            acc = all.earlier(acc, h);
+                            acc
+                        })
+                        .collect();
+                    out.reverse();
+                    out
+                };
+                let (old, new) = (folds(get(before, all)), folds(get(after, all)));
+                for (old, new) in old.iter().zip(&new) {
+                    assert!(!all.before(*new, *old), "tree {t}: {new} looser than {old}");
+                    tighter += usize::from(all.before(*old, *new));
+                }
+            }
+        }
+        assert!(tighter > 0, "no ALL slot tightened");
+        db.close().unwrap();
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -715,8 +715,12 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     // [17752, 0, 659, 14693, 1234, 2400] while the key columns sampled S
     // alone and bounded with chords only: C's chords and the tangents
     // reject 633 more candidates by key, so 633 fewer are fetched, and
-    // the heap pages among the total fall with them.
-    assert_eq!(t2, [17752, 0, 26, 15326, 402, 2400], "T2");
+    // the heap pages among the total fall with them. Then [17752, 0, 26,
+    // 15326, 402, 2400] while both trees of an element bucketed by the
+    // shared (max TOP, min BOT) reach: each tree's own surface leaves ALL's
+    // return sweeps 3380 fewer candidates, all of them ones the keys
+    // rejected, and 25 fewer pages.
+    assert_eq!(t2, [14372, 0, 26, 11946, 377, 2400], "T2");
     assert_eq!(rplus, [6514, 615, 3499, 0, 2949, 2400], "R⁺-tree");
     // The routed cell on these selections: a third fewer candidates and
     // pages than the simplex covering, [3762, 1614, 948, 0, 168, 1200],
@@ -812,15 +816,25 @@ fn duplicate_and_candidate_accounting_is_pinned() {
     // Was [16513, 0, 7985, 470, 8528]: 7379 of the false hits were the
     // keys' rejections. Then [16513, 0, 606, 7379, 406, 8528] until the
     // key columns sampled C and bounded with tangents: 566 more rejected
-    // by key, and the index pages (the fetches here read none) stay.
+    // by key, and the index pages (the fetches here read none) stay. Then
+    // [16513, 0, 40, 7945, 406, 8528] until each tree folded its own
+    // surface's reaches on insert and bucketed by them at build: 2994
+    // fewer candidates, all of them rejected by key, and 49 fewer pages
+    // ([13519, 0, 40, 4951, 357, 8528]). A delete that takes a leaf's
+    // first or last key now hands its handicaps to the next leaf holding
+    // a key, as an emptied leaf did, so no sweep starting past the leaf's
+    // new edge misses a tuple bucketed there: 631 of those candidates
+    // and 11 of those pages come back.
     assert_eq!(
         between,
-        [16513, 0, 40, 7945, 406, 8528],
+        [14150, 0, 40, 5582, 368, 8528],
         "2-D Between after churn"
     );
+    // Was [4120, 0, 1920, 0, 136, 2200] until a delete of a leaf's first
+    // or last key handed its handicaps on (above): 109 more false hits.
     assert_eq!(
         cell,
-        [4120, 0, 1920, 0, 136, 2200],
+        [4229, 0, 2029, 0, 136, 2200],
         "3-D grid cell after churn"
     );
 }
