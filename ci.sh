@@ -167,7 +167,9 @@ step one-forest one_forest
 # private I/O window, books its index and heap I/O (the operators in
 # `physical.rs` window their own region fetches) and lets the key columns
 # decide what they can of the candidates (`KeyBracket::settle`, one call;
-# `KeyBracket::verdict`, the exact rule, is called only in `keys.rs`); the slot
+# `KeyBracket::verdict`, the exact rule, is called only in `keys.rs`; one
+# portable `f32` chunk pass, `chunk_pass`, with no `std::arch` and nothing
+# left of the `f64` group kernel it replaced); the slot
 # table is the heap's only map (no reverse map beside it), and the heap is
 # read through `visit_many`/`get_many` alone. A tuple's 2-D surfaces come
 # from one vertex enumeration: `kernel2d::Surfaces` is the one evaluator
@@ -189,6 +191,9 @@ RULES
 0|keys_at( or swapped_bot_top( calls in the index|-|(keys_at|swapped_bot_top)\(
 1|definitions of the strip-extremum bound|-|fn strip_extremum\(
 1|tangent crossings (the strip-extremum bound)|-|\(p\.slope - q\.slope\)
+1|definitions of the key bracket's f32 chunk pass|-|fn chunk_pass<
+0|pieces of the f64 group kernel it replaced|-|(fn group_as\(|struct Lane\b)
+0|mentions of std::arch|-|std::arch
 RULES
   grep_audit one-refine crates/geometry/src <<'RULES'
 1|definitions of the per-tuple 2-D evaluator|-|pub struct Surfaces\b
@@ -355,14 +360,15 @@ step paper-figures paper_figures
 # per-tuple evaluator against the one-slope kernel it replaced (bit for bit,
 # both frames, with its attaining vertices; in `refine_kernel`), the key
 # bracket's chords and tangents on the hard cases, and the key columns'
-# chunk pass against `KeyBracket::verdict`, id by id.
+# `f32` chunk pass against `KeyBracket::verdict`, id by id — at its
+# thresholds, overflows and non-finite rows too.
 refine_kernel() {
   cargo test -q -p cdb-geometry --lib -- kernel2d
   cargo test -q -p cdb-geometry --test refine_kernel
   cargo test -q -p cdb-storage --lib -- visit_many foreign_pages
   cargo test -q -p cdb-btree --lib -- delete_finds_keys leaf_views_show
   cargo test -q -p cdb-core --lib -- refine_paths delete_that_misses chunk_codes_agree_with_verdict \
-    hard_cases_get_no_wrong_decision two_slopes_decide_both_sides
+    f32_pass_agrees_with_verdict hard_cases_get_no_wrong_decision two_slopes_decide_both_sides
   cargo test -q --test hyperplane_queries concurrent_line_queries
 }
 step refine-kernel refine_kernel
@@ -398,6 +404,11 @@ step backend-conformance cargo test -q --test backend_conformance
 # dual indexes at k = 2 and 5 (one descent per tree carrying each entry and
 # its handicap folds), then T2 must still answer as the brute-force oracle.
 step update-storm cargo run -q --release -p cdb-bench --bin update_cost -- --quick
+
+# The per-phase timers, end to end: the `phases` bin at smoke size (its
+# first round checks every T2 and restricted answer against the scan; the
+# medians it prints are not gated).
+step phases cargo run -q --release -p cdb-bench --bin phases -- --quick
 
 # Every byte layout — wire frames, WAL records, the catalog blob — through
 # the one conformance harness (`cdb_storage::conformance`), the persisted

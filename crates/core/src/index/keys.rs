@@ -46,16 +46,57 @@
 //! [`KeyBracket::verdict`] is the one definition of the decision: each
 //! bound widened by [`key_slack`] of every value it reads, through its
 //! weight — for a vertex coordinate, the `f32` error of `v` times the
-//! tangent's `|x − p|`. [`KeyBracket::settle`] reaches the same decision
-//! for a whole candidate list, a group of rows at a time. No key exceeds
-//! the columns' `max_key` in magnitude and no vertex coordinate their
-//! `max_at`, and `key_slack` grows with `|value|`, so a form's widening is
-//! at most its margin — `key_slack` of those maxima through the weights,
-//! summed in the same order — and the widened bound lies between the bare
-//! two-column value and that value moved by the margin, rounded outward.
-//! Where these intervals settle the decision it is the verdict; a row they
-//! leave open, or with a value that is not finite, is decided by `verdict`
-//! itself.
+//! tangent's `|x − p|`. No key exceeds the columns' `max_key` in magnitude
+//! and no vertex coordinate their `max_at`, and `key_slack` grows with
+//! `|value|`, so a form's widening is at most its margin `m` — `key_slack`
+//! of those maxima through the weights, summed in the same order.
+//!
+//! [`KeyBracket::settle`] reaches the same decision for a whole candidate
+//! list in `f32` lanes. The candidates become a bit per row, one `u64` per
+//! 64-row chunk, and each chunk they touch gets one pass over all its
+//! rows: the chord and both tangents evaluated in `f32` with per-query
+//! weights, signed so that a `Yes` reads `value ≥ b′` (`b′ = b` where the
+//! predicate reads `b ≤ surface`, else `−b`), compared with per-query
+//! `f32` thresholds, and the outcomes packed into a `Yes` and a `No` mask,
+//! eight rows to a multiply. The pass reads only the columns the three
+//! forms name, and a row it leaves open goes to `verdict`:
+//!
+//! * *The error bound.* Take a form `w₀·k₀ + w₁·k₁` whose columns hold at
+//!   most `M₀` and `M₁` in magnitude, `W = |w₀|·M₀ + |w₁|·M₁`, and
+//!   `u = 2⁻²⁴`. The pass computes `v = fl(fl(ŵ₀·k₀) + fl(ŵ₁·k₁))` with
+//!   `ŵᵢ = fl(wᵢ)`, in `f32`, rounding to nearest, with no fused
+//!   multiply-add. Rounding a weight errs by at most `u·|wᵢ| + 2⁻¹⁵⁰` (the
+//!   absolute term is half the subnormal step, where relative error is
+//!   unbounded), each product by `u·|ŵᵢ·kᵢ| + 2⁻¹⁵⁰`, and the sum by `u` of
+//!   itself (sums of subnormals are exact). So while `v` is finite it lies
+//!   within `(3u + 3u² + u³)·W + 2⁻¹⁴⁹·(2 + M₀ + M₁)` of the exact
+//!   `V = w₀·k₀ + w₁·k₁`. `verdict` computes the same form in `f64`, within
+//!   `2⁻⁵¹·W` of `V`, and widens it by a slack of at most `m`, rounded once
+//!   more: its bound lies within `m + 2⁻⁵³·m + 2⁻⁵⁰·W` of `V` (`f64`
+//!   underflow is far below `2⁻¹⁴⁹`). So the bound lies within
+//!   `d = m + γ·(W + m) + 2⁻¹⁴⁹·(2 + M₀ + M₁)` of `v`, with `γ = 8u`,
+//!   whose slack also covers working `d` out in `f64`.
+//! * *The thresholds.* A form on the side a `Yes` reads settles `Yes` at
+//!   `v ≥ ⌈b′ + d⌉` and rules its `Yes` out at `v < ⌊b′ − d⌋`. A form on the
+//!   side a `No` reads is past the `No` threshold at `v ≤ ⌊b′ − 4t − d⌋`,
+//!   with `t = 8·EPS·max(1, |b|)`: `approx_le`'s tolerance at a surface `x`
+//!   is `8·EPS·max(1, |b|, |x|) ≤ t + 8·EPS·|x − b|`, so a surface `3t` or
+//!   more past `b` is a `No`, and the step from `3t` to `4t` absorbs the
+//!   `f64` rounding of `b′ − 4t` and of `verdict`'s own test. `⌈·⌉` and
+//!   `⌊·⌋` take one `f64` step outward (which covers the rounding of the
+//!   sum) and then round outward to `f32`; past `f32::MAX` they give `±∞`
+//!   or `±f32::MAX`, which no finite `v` crosses the wrong way.
+//! * *Why a settled code is the verdict.* A `Yes` needs a `Yes`-side form
+//!   whose bound is then at least `b′`, so `verdict`'s bound on that side —
+//!   the most of those forms' bounds, or the chord's alone — is too: a
+//!   `Yes`. A `No` needs every `Yes`-side form's bound below `b′` (no `Yes`,
+//!   which `verdict` tests first) and a `No`-side form's bound at most
+//!   `b′ − 4t`, so the least of that side's bounds is past the tolerance: a
+//!   `No`. A value that is not finite (`|v| ≤ f32::MAX` fails: a cleared
+//!   row's `NaN`, a `±∞` key, an overflowed weight or product) settles
+//!   nothing, nor does a `NaN` threshold. Every row the masks leave open —
+//!   within `d` of a threshold, or not finite — goes to `verdict` itself,
+//!   and debug builds check every settled row against it.
 
 use std::sync::Arc;
 
@@ -66,19 +107,17 @@ use cdb_geometry::kernel2d::Extreme;
 use cdb_geometry::scalar::EPS;
 use cdb_geometry::tuple::TupleView;
 
-use crate::query::{Selection, SelectionKind};
+use crate::query::{merge_ascending, order_ids, Selection, SelectionKind};
 use crate::slopes::StripEnd;
 
 #[cfg(doc)]
 use crate::slopes::SlopeSet;
 
 /// Rows per chunk: the most one write after a publish copies — 8 KiB of
-/// `4·|C|` columns at k = 4.
+/// `4·|C|` columns at k = 4 — and the rows of one mask word of
+/// [`KeyBracket::settle`]'s pass.
 const CHUNK_ROWS: usize = 64;
-
-/// Rows [`KeyBracket::settle`] decides in one pass, the first time a
-/// candidate falls among them.
-const GROUP_ROWS: usize = 64;
+const _: () = assert!(CHUNK_ROWS == u64::BITS as usize);
 
 /// A tuple's surfaces at every sample of `C`, in order: `(BOT, TOP)`, each
 /// with its vertex, in the sample's frame.
@@ -268,28 +307,16 @@ impl KeyColumns {
     }
 }
 
-/// What the keys say of one candidate; the discriminants are
-/// [`KeyBracket::settle`]'s codes.
+/// What the keys say of one candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Verdict {
     /// The selection holds: accepted without a fetch.
-    Yes = 1,
+    Yes,
     /// The selection does not hold: a false hit, not fetched.
-    No = 2,
+    No,
     /// The keys cannot tell: fetched and refined.
-    Fetch = 3,
+    Fetch,
 }
-
-/// What [`KeyBracket::settle`] made of one row, a byte each: the row's
-/// group not passed over yet, a verdict the margins settled, or a row left
-/// to [`KeyBracket::verdict`].
-const UNSEEN: u8 = 0;
-const YES: u8 = Verdict::Yes as u8;
-const NO: u8 = Verdict::No as u8;
-const FETCH: u8 = Verdict::Fetch as u8;
-const EXACT: u8 = 4;
-// `decide` counts down from `EXACT`.
-const _: () = assert!(YES == EXACT - 3 && NO == EXACT - 2 && FETCH == EXACT - 1);
 
 /// A linear form `Σ w·value` over two columns of a row.
 #[derive(Clone, Copy)]
@@ -323,52 +350,6 @@ impl Form {
         }
         (self, slack)
     }
-
-    /// The form's columns over the `GROUP_ROWS` rows from `at` of `chunk`,
-    /// its weights and its margin.
-    fn lane<'c>(&self, chunk: &'c [f32], at: usize, margin: f64) -> Lane<'c> {
-        let col = |c: usize| {
-            let from = c * CHUNK_ROWS + at;
-            <&[f32; GROUP_ROWS]>::try_from(&chunk[from..from + GROUP_ROWS])
-                .expect("a group lies inside its chunk")
-        };
-        let [(c0, w0), (c1, w1)] = self.0;
-        Lane {
-            keys: [col(c0), col(c1)],
-            w: [w0, w1],
-            margin,
-        }
-    }
-}
-
-/// A form over a group of rows, for [`KeyBracket::settle`].
-#[derive(Clone, Copy)]
-struct Lane<'c> {
-    keys: [&'c [f32; GROUP_ROWS]; 2],
-    w: [f64; 2],
-    margin: f64,
-}
-
-impl Lane<'_> {
-    /// The bare value of the form on row `j` of the group: the sum
-    /// [`Form::bound`] widens, bit for bit.
-    #[inline(always)]
-    fn value(&self, j: usize) -> f64 {
-        self.w[0] * f64::from(self.keys[0][j]) + self.w[1] * f64::from(self.keys[1][j])
-    }
-
-    /// An interval holding the form's bound on row `j`, widened up (`up`)
-    /// or down — `[v, v + m]` or `[v − m, v]` — and whether `v` is finite.
-    #[inline(always)]
-    fn interval(&self, j: usize, up: bool) -> (f64, f64, bool) {
-        let v = self.value(j);
-        let (lo, hi) = if up {
-            (v, v + self.margin)
-        } else {
-            (v - self.margin, v)
-        };
-        (lo, hi, v.is_finite())
-    }
 }
 
 /// One sample of `C` as the query's frame sees it: its position there,
@@ -397,6 +378,11 @@ pub(crate) struct KeyBracket<'k> {
     /// Whether the chord bounds the surface from above (the tangents then
     /// bound it from below), or the reverse.
     chord_above: bool,
+    /// Whether a `Yes` reads the chord (a `No` then reads the tangents), or
+    /// the reverse.
+    chord_says_yes: bool,
+    /// The chord and the two tangents as the chunk pass reads them.
+    narrow: [Narrow; 3],
 }
 
 impl<'k> KeyBracket<'k> {
@@ -432,16 +418,32 @@ impl<'k> KeyBracket<'k> {
             let Form([(c0, w0), (c1, w1)]) = form;
             Form([(c0, scale * w0), (c1, scale * w1)]).with_margin(keys)
         };
-        let chord = Form([(p.value.0, wp * p.value.1), (q.value.0, wq * q.value.1)]);
+        let chord = scaled(Form([
+            (p.value.0, wp * p.value.1),
+            (q.value.0, wq * q.value.1),
+        ]));
+        let tangents = [scaled(p.tangent), scaled(q.tangent)];
+        // A convex f lies under its chords and over its tangents; scaling
+        // by a negative factor swaps the two.
+        let chord_above = convex == (scale > 0.0);
+        // Signed so that Yes is `surface ≥ b`: the side a Yes reads is the
+        // chord's when it bounds the surface from below.
+        let sign = if b_below { 1.0 } else { -1.0 };
+        let chord_says_yes = chord_above != b_below;
+        let at = |(form, margin), says_yes| Narrow::new(keys, form, margin, sign, b, says_yes);
         Some(KeyBracket {
             keys,
             b,
             b_below,
-            chord: scaled(chord),
-            tangents: [scaled(p.tangent), scaled(q.tangent)],
-            // A convex f lies under its chords and over its tangents;
-            // scaling by a negative factor swaps the two.
-            chord_above: convex == (scale > 0.0),
+            chord,
+            tangents,
+            chord_above,
+            chord_says_yes,
+            narrow: [
+                at(chord, chord_says_yes),
+                at(tangents[0], !chord_says_yes),
+                at(tangents[1], !chord_says_yes),
+            ],
         })
     }
 
@@ -548,144 +550,192 @@ impl<'k> KeyBracket<'k> {
         }
     }
 
-    /// Decides the candidates in `check` as [`verdict`](Self::verdict)
-    /// does, in one pass over each group of rows they touch: a `Yes` moves
-    /// to the end of `sure`, a `No` leaves `check`, and both lists keep
-    /// their order. Returns how many were rejected.
+    /// Decides the candidates in `check` (distinct ids) as
+    /// [`verdict`](Self::verdict) does, with one pass over each chunk of
+    /// rows they touch: a `Yes` joins `sure`, a `No` leaves `check`, and
+    /// both lists leave ascending. Returns how many were rejected.
     pub(crate) fn settle(&self, check: &mut Vec<u32>, sure: &mut Vec<u32>) -> u64 {
-        let mut codes = vec![UNSEEN; self.keys.chunks.len() * CHUNK_ROWS];
-        // Every candidate is written to both lists, and each list's end
-        // moves past it only where it belongs: no branch on the verdict.
-        let (mut kept, mut accepted, mut rejected) = (0, sure.len(), 0);
-        sure.resize(accepted + check.len(), 0);
-        for at in 0..check.len() {
-            let id = check[at];
-            let mut code = codes.get(id as usize).copied().unwrap_or(FETCH);
-            if code == UNSEEN {
-                let from = id as usize / GROUP_ROWS * GROUP_ROWS;
-                let group = (&mut codes[from..from + GROUP_ROWS]).try_into();
-                self.group(from, group.expect("whole groups"));
-                code = codes[id as usize];
+        let chunks = &self.keys.chunks;
+        // A bit per candidate, a word per chunk; an id past the last chunk
+        // has no row, so it is fetched.
+        let mut candidates = vec![0u64; chunks.len()];
+        let mut rowless = Vec::new();
+        for &id in check.iter() {
+            match candidates.get_mut(id as usize / CHUNK_ROWS) {
+                Some(word) => *word |= 1 << (id as usize % CHUNK_ROWS),
+                None => rowless.push(id),
             }
-            if code == EXACT {
-                code = self.verdict(id) as u8;
-            } else {
-                debug_assert_eq!(code, self.verdict(id) as u8, "settled row {id}");
-            }
-            check[kept] = id;
-            sure[accepted] = id;
-            kept += usize::from(code == FETCH);
-            accepted += usize::from(code == YES);
-            rejected += u64::from(code == NO);
         }
-        check.truncate(kept);
-        sure.truncate(accepted);
+        let (mut accepted, mut rejected) = (Vec::with_capacity(check.len()), 0);
+        check.clear();
+        let touched = chunks.iter().zip(&candidates).enumerate();
+        for (at, (chunk, &word)) in touched.filter(|(_, (_, &word))| word != 0) {
+            let from = (at * CHUNK_ROWS) as u32;
+            let (yes, no) = self.chunk_masks(chunk);
+            let (mut yes, mut no) = (yes & word, no & word);
+            if cfg!(debug_assertions) {
+                for (settled, verdict) in [(yes, Verdict::Yes), (no, Verdict::No)] {
+                    for id in rows(from, settled) {
+                        assert_eq!(self.verdict(id), verdict, "settled row {id}");
+                    }
+                }
+            }
+            for id in rows(from, word & !(yes | no)) {
+                let bit = 1 << (id - from);
+                match self.verdict(id) {
+                    Verdict::Yes => yes |= bit,
+                    Verdict::No => no |= bit,
+                    Verdict::Fetch => {}
+                }
+            }
+            check.extend(rows(from, word & !(yes | no)));
+            accepted.extend(rows(from, yes));
+            rejected += u64::from(no.count_ones());
+        }
+        rowless.sort_unstable();
+        check.append(&mut rowless);
+        order_ids(sure);
+        merge_ascending(sure, &accepted);
         rejected
     }
 
-    /// The codes of the `GROUP_ROWS` rows from row `from`.
-    fn group(&self, from: usize, out: &mut [u8; GROUP_ROWS]) {
-        let (chunk, at) = (&self.keys.chunks[from / CHUNK_ROWS][..], from % CHUNK_ROWS);
-        match (self.b_below, self.chord_above) {
-            (true, true) => self.group_as::<true, true>(chunk, at, out),
-            (true, false) => self.group_as::<true, false>(chunk, at, out),
-            (false, true) => self.group_as::<false, true>(chunk, at, out),
-            (false, false) => self.group_as::<false, false>(chunk, at, out),
+    /// The rows of one chunk the `f32` forms settle as `Yes`, and those
+    /// they settle as `No`, a bit each (see the module docs).
+    fn chunk_masks(&self, chunk: &[f32]) -> (u64, u64) {
+        if self.chord_says_yes {
+            self.chunk_pass::<true>(chunk)
+        } else {
+            self.chunk_pass::<false>(chunk)
         }
     }
 
-    /// [`group`](Self::group) for one side of `b` and one way the chord
-    /// bounds the surface: per row, an interval around each side's bound,
-    /// and the decision those intervals settle.
-    fn group_as<const B_BELOW: bool, const CHORD_ABOVE: bool>(
-        &self,
-        chunk: &[f32],
-        at: usize,
-        out: &mut [u8; GROUP_ROWS],
-    ) {
-        let chord = self.chord.0.lane(chunk, at, self.chord.1);
-        let [p, q] = self.tangents.map(|(f, m)| f.lane(chunk, at, m));
-        // The tangents' side: the least of bounds widened up, or the
-        // greatest of bounds widened down.
-        let both = |j: usize| {
-            let (p_lo, p_hi, p_finite) = p.interval(j, !CHORD_ABOVE);
-            let (q_lo, q_hi, q_finite) = q.interval(j, !CHORD_ABOVE);
-            // (Compare-and-select: a row whose value is not finite is never
-            // settled, so no NaN rule is needed.)
-            let (lo, hi) = if CHORD_ABOVE {
-                (max(p_lo, q_lo), max(p_hi, q_hi))
+    /// [`chunk_masks`](Self::chunk_masks) where a `Yes` reads the chord
+    /// (`CHORD_SAYS_YES`, a `No` then reads the tangents) or the reverse.
+    fn chunk_pass<const CHORD_SAYS_YES: bool>(&self, chunk: &[f32]) -> (u64, u64) {
+        let column = |c: usize| -> &[f32; CHUNK_ROWS] {
+            chunk[c * CHUNK_ROWS..][..CHUNK_ROWS]
+                .try_into()
+                .expect("a column of a chunk")
+        };
+        let [c, p, q] = self
+            .narrow
+            .map(|f| (f, column(f.cols[0]), column(f.cols[1])));
+        let value = |(f, k0, k1): (Narrow, &[f32; CHUNK_ROWS], &[f32; CHUNK_ROWS]), r: usize| {
+            f.w[0] * k0[r] + f.w[1] * k1[r]
+        };
+        let (mut yes, mut no) = ([0u8; CHUNK_ROWS], [0u8; CHUNK_ROWS]);
+        for r in 0..CHUNK_ROWS {
+            let (vc, vp, vq) = (value(c, r), value(p, r), value(q, r));
+            let finite = (vc.abs() <= f32::MAX) & (vp.abs() <= f32::MAX) & (vq.abs() <= f32::MAX);
+            // (`not_yes` rules `says_yes` out: each form's `not_yes` lies
+            // at or below its `yes`.)
+            let (says_yes, not_yes, says_no) = if CHORD_SAYS_YES {
+                (
+                    vc >= c.0.yes,
+                    vc < c.0.not_yes,
+                    (vp <= p.0.no) | (vq <= q.0.no),
+                )
             } else {
-                (min(p_lo, q_lo), min(p_hi, q_hi))
+                (
+                    (vp >= p.0.yes) | (vq >= q.0.yes),
+                    (vp < p.0.not_yes) & (vq < q.0.not_yes),
+                    vc <= c.0.no,
+                )
             };
-            (lo, hi, p_finite && q_finite)
-        };
-        decide::<B_BELOW, CHORD_ABOVE>(self.b, |j| chord.interval(j, CHORD_ABOVE), both, out);
+            yes[r] = u8::from(finite & says_yes);
+            no[r] = u8::from(finite & not_yes & says_no);
+        }
+        (bits(&yes), bits(&no))
     }
 }
 
-/// The decision of [`KeyBracket::verdict`] on each row of a group from
-/// intervals around its two sides' bounds (`(lo, hi, finite)` per row),
-/// where they settle it; `EXACT` where they do not or a value is not
-/// finite. Rounding is monotone, so `Yes` and "not `Yes`" hold for every
-/// surface between the intervals when they hold at the interval's end.
-/// `approx_le`'s tolerance at a surface `x` is `8·EPS·max(1, |b|, |x|)`,
-/// at least `t = 8·EPS·max(1, |b|)`: an `x` at most `t/4` past `b` is not a
-/// `No`, and one at least `3t` past `b` is, because `|x|` exceeds `|b|` by
-/// at most `|x − b|`, so `|x − b| − 8·EPS·|x| ≥ 3t·(1 − 8·EPS) − t`.
-/// Rounding moves these by `2⁻⁵²` of themselves; the thresholds sit at
-/// `t/4` and `4t`, worked out once per group, and a row between them goes
-/// to `verdict`.
-#[inline(always)]
-fn decide<const B_BELOW: bool, const CHORD_ABOVE: bool>(
-    b: f64,
-    chord: impl Fn(usize) -> (f64, f64, bool),
-    outer: impl Fn(usize) -> (f64, f64, bool),
-    out: &mut [u8; GROUP_ROWS],
-) {
-    let t = 8.0 * EPS * 1.0_f64.max(b.abs());
-    // The side of b the surface lies on for a No.
-    let past = if B_BELOW { -1.0 } else { 1.0 };
-    let (far, near) = (b + past * 4.0 * t, b + past * (t / 4.0));
-    for (j, code) in out.iter_mut().enumerate() {
-        let (c_lo, c_hi, c_finite) = chord(j);
-        let (o_lo, o_hi, o_finite) = outer(j);
-        let ((w_lo, w_hi), (a_lo, a_hi)) = if CHORD_ABOVE {
-            ((o_lo, o_hi), (c_lo, c_hi))
+/// `γ` of the module docs: eight units of `f32` rounding.
+const GAMMA: f64 = 8.0 / 16_777_216.0;
+
+/// The absolute term of the module docs' bound, per unit: `2⁻¹⁴⁹`, the
+/// least subnormal `f32`.
+const TINY: f64 = 1.401_298_464_324_817e-45;
+
+/// A form of the bracket as the chunk pass reads it: its two columns, its
+/// weights in `f32` times the sign that makes `Yes` read `value ≥ b`, and
+/// its thresholds, each moved outward past every value `verdict` could
+/// read for the form and rounded outward to `f32` (see the module docs).
+#[derive(Clone, Copy)]
+struct Narrow {
+    cols: [usize; 2],
+    w: [f32; 2],
+    /// At or above it the form settles `Yes`.
+    yes: f32,
+    /// Below it the form leaves no `Yes`.
+    not_yes: f32,
+    /// At or below it the form is past the `No` threshold.
+    no: f32,
+}
+
+impl Narrow {
+    /// `form` and its margin, signed by `sign`, against the intercept `b`:
+    /// read for a `Yes` (`says_yes`) or for a `No`.
+    fn new(keys: &KeyColumns, form: Form, margin: f64, sign: f64, b: f64, says_yes: bool) -> Self {
+        let Form([(c0, w0), (c1, w1)]) = form;
+        let (m0, m1) = (keys.max_abs(c0), keys.max_abs(c1));
+        let reach = w0.abs() * m0 + w1.abs() * m1;
+        let d = margin + GAMMA * (reach + margin) + TINY * (2.0 + m0 + m1);
+        let b = sign * b;
+        let (yes, not_yes, no) = if says_yes {
+            (up(b + d), down(b - d), f32::NEG_INFINITY)
         } else {
-            ((c_lo, c_hi), (o_lo, o_hi))
+            // `approx_le`'s tolerance at b is at least t; a surface 4t
+            // past b is a No (`verdict`'s docs).
+            let t = 8.0 * EPS * 1.0_f64.max(b.abs());
+            (f32::INFINITY, f32::INFINITY, down(b - 4.0 * t - d))
         };
-        // `below` lies in [w_lo, w_hi] and `above` in [a_lo, a_hi]; a Yes
-        // reads the one, a No the other.
-        let (yes, not_yes, no, not_no) = if B_BELOW {
-            (b <= w_lo, b > w_hi, a_hi <= far, a_lo >= near)
-        } else {
-            (a_hi <= b, a_lo > b, w_lo >= far, w_hi <= near)
-        };
-        // Branch-free: at most one of the three holds.
-        let settled = c_finite & o_finite;
-        let yes = settled & yes;
-        let no = settled & !yes & not_yes & no;
-        let fetch = settled & !yes & not_yes & not_no;
-        *code = EXACT - 3 * u8::from(yes) - 2 * u8::from(no) - u8::from(fetch);
+        Narrow {
+            cols: [c0, c1],
+            w: [(sign * w0) as f32, (sign * w1) as f32],
+            yes,
+            not_yes,
+            no,
+        }
     }
 }
 
-#[inline(always)]
-fn max(x: f64, y: f64) -> f64 {
-    if x > y {
-        x
+/// The least `f32` at or above `x`, a sum just rounded to nearest: one
+/// `f64` step up first. `NaN` stays `NaN`.
+fn up(x: f64) -> f32 {
+    let x = x.next_up();
+    let y = x as f32;
+    if f64::from(y) < x {
+        y.next_up()
     } else {
         y
     }
 }
 
-#[inline(always)]
-fn min(x: f64, y: f64) -> f64 {
-    if x < y {
-        x
-    } else {
-        y
+/// The greatest `f32` at or below `x`, as [`up`] does the other way.
+fn down(x: f64) -> f32 {
+    -up(-x)
+}
+
+/// A bit per byte of `flags` (each 0 or 1), row `r` at bit `r`: eight
+/// bytes at a time, each moved to its place by one multiply.
+fn bits(flags: &[u8; CHUNK_ROWS]) -> u64 {
+    let mut word = 0;
+    for (i, eight) in flags.chunks_exact(8).enumerate() {
+        let eight = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+        word |= (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
     }
+    word
+}
+
+/// The rows of `word`'s set bits, ascending, counted from row `from`.
+fn rows(from: u32, mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let r = word.trailing_zeros();
+            word &= word - 1;
+            from + r
+        })
+    })
 }
 
 #[cfg(test)]
@@ -860,20 +910,27 @@ mod tests {
         assert!(yes + no > fetch, "the keys decide most: {decided:?}");
     }
 
-    /// What `settle` makes of `ids` (distinct, in the order given), per id:
-    /// a `Yes` is what it moved to `sure`, a `Fetch` what it left in
-    /// `check`, a `No` what it dropped — and both lists keep their order.
+    /// What `settle` makes of `ids` (distinct, in any order), per id: a
+    /// `Yes` is what it moved to `sure`, a `Fetch` what it left in `check`,
+    /// a `No` what it dropped — and both lists ascend, `sure` with the ids
+    /// it held before merged in.
     fn settled(bracket: &KeyBracket, ids: &[u32]) -> Vec<Verdict> {
-        let (mut check, mut sure) = (ids.to_vec(), vec![u32::MAX]);
+        let held = [u32::MAX, u32::MAX - 1];
+        let (mut check, mut sure) = (ids.to_vec(), held.to_vec());
         let rejected = bracket.settle(&mut check, &mut sure);
-        assert_eq!(sure.remove(0), u32::MAX, "sure keeps what it held");
+        assert_eq!(sure.split_off(sure.len() - 2), [u32::MAX - 1, u32::MAX]);
         let mut got = vec![Verdict::No; *ids.iter().max().unwrap() as usize + 1];
         for (list, verdict) in [(&sure, Verdict::Yes), (&check, Verdict::Fetch)] {
             for &id in list {
                 got[id as usize] = verdict;
             }
-            let order = ids.iter().filter(|&&id| got[id as usize] == verdict);
-            assert!(order.eq(list.iter()), "{verdict:?} out of order");
+            let mut want: Vec<u32> = ids
+                .iter()
+                .copied()
+                .filter(|&id| got[id as usize] == verdict)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(list, &want, "{verdict:?} not ascending");
         }
         let verdicts: Vec<Verdict> = ids.iter().map(|&id| got[id as usize]).collect();
         let no = verdicts.iter().filter(|&&v| v == Verdict::No).count();
@@ -890,7 +947,7 @@ mod tests {
     /// again once a deleted huge row has left the margins wide. Intercepts within a few
     /// `approx_le` tolerances of a bound, on the row whose key is the
     /// columns' largest (its margin is its slack), probe the thresholds.
-    /// The margins settle most rows on their own.
+    /// The `f32` pass settles most rows, `Yes` or `No`, on its own.
     #[test]
     fn chunk_codes_agree_with_verdict() {
         let mut g = TupleGen::new(0xC0DE, Rect::paper_window(), ObjectSize::Medium);
@@ -990,11 +1047,10 @@ mod tests {
                                 if huge || ids.len() != dense.len() {
                                     continue;
                                 }
-                                let mut group = [UNSEEN; GROUP_ROWS];
-                                for from in (0..n / GROUP_ROWS).map(|g| g * GROUP_ROWS) {
-                                    bracket.group(from, &mut group);
-                                    settled_rows += group.iter().filter(|&&c| c != EXACT).count();
-                                    rows += GROUP_ROWS;
+                                for chunk in &cols.chunks[..n / CHUNK_ROWS] {
+                                    let (yes, no) = bracket.chunk_masks(chunk);
+                                    settled_rows += (yes | no).count_ones() as usize;
+                                    rows += CHUNK_ROWS;
                                 }
                             }
                         }
@@ -1007,6 +1063,149 @@ mod tests {
             settled_rows > rows * 4 / 5,
             "{settled_rows} of {rows} rows settled"
         );
+    }
+
+    /// The `f32` pass at its edges, id by id against `verdict` — in release
+    /// builds too, where `settle`'s own check is compiled out: intercepts
+    /// one `f32` step either side of where each form's widened thresholds
+    /// meet a row's `f32` value, `b = ±1e300`, slopes through the vertical
+    /// whose weights are large (up to past `f32::MAX`), cleared (`NaN`)
+    /// rows, unbounded tuples' `±∞` keys, a partial last chunk and an id
+    /// past it, on ordinary tuples and on tiny ones (where `key_slack`'s
+    /// floor dominates); then with `max_key` and `max_at` at 3e30, where the pass
+    /// must leave every ordinary row to `verdict` at every intercept among
+    /// their values, and the huge row's products overflow at the steep
+    /// slopes.
+    #[test]
+    fn f32_pass_agrees_with_verdict_at_its_edges() {
+        let mut g = TupleGen::new(0xF32, Rect::paper_window(), ObjectSize::Medium);
+        // Two whole chunks and a partial third; every seventh tuple unbounded.
+        let n = 2 * CHUNK_ROWS + 21;
+        let ordinary: Vec<GeneralizedTuple> = (0..n)
+            .map(|id| {
+                if id % 7 == 6 {
+                    g.unbounded_tuple()
+                } else {
+                    g.bounded_tuple()
+                }
+            })
+            .collect();
+        // Squares a millionth across: every key so small that `key_slack`'s
+        // absolute floor, not `γ`, is most of each form's `d`.
+        let mut rng = StdRng::seed_from_u64(0xF32);
+        let tiny: Vec<GeneralizedTuple> = (0..n)
+            .map(|_| {
+                let (x, y) = (rng.gen_range(-1e-5..1e-5), rng.gen_range(-1e-5..1e-5));
+                let square = format!(
+                    "x >= {x:.12} && x <= {:.12} && y >= {y:.12} && y <= {:.12}",
+                    x + 1e-6,
+                    y + 1e-6
+                );
+                cdb_geometry::parse::parse_tuple(&square).expect("a square")
+            })
+            .collect();
+        let past = (n.div_ceil(CHUNK_ROWS) * CHUNK_ROWS + 3) as u32;
+        let huge = n as u32 - 2;
+        let ids: Vec<u32> = (0..n as u32).chain([past]).collect();
+        let probed = [0, 1, 2, 64, 65, 130];
+        // The f32 value the pass computes for `form` on row `id`.
+        let value = |cols: &KeyColumns, form: &Narrow, id: u32| {
+            let (chunk, at) = cols.chunk(id).unwrap();
+            let [k0, k1] = form.cols.map(|c| chunk[c * CHUNK_ROWS + at]);
+            form.w[0] * k0 + form.w[1] * k1
+        };
+        // Whether the pass settled row `id`.
+        let passed = |cols: &KeyColumns, bracket: &KeyBracket, id: u32| {
+            let (chunk, at) = cols.chunk(id).unwrap();
+            let (yes, no) = bracket.chunk_masks(chunk);
+            (yes | no) >> at & 1 == 1
+        };
+        let (mut settled_probes, mut open_probes, mut overflowed) = (0, 0, 0);
+        for (k, tuples) in [(2, &ordinary), (4, &ordinary), (5, &ordinary), (4, &tiny)] {
+            let slopes = SlopeSet::uniform_tan(k);
+            let mut cols = columns(&slopes, tuples, |v, _| v as f32);
+            for id in [3, CHUNK_ROWS as u32, n as u32 - 1] {
+                cols.clear(id);
+            }
+            let mut query_slopes = slopes_at_samples(&slopes);
+            for steep in [30.0, 150.0, 1e3, 1e9, 1e30, 1e39] {
+                query_slopes.extend([steep, -steep]);
+            }
+            for huge_row in [false, true] {
+                if huge_row {
+                    let e = Extreme {
+                        value: 3e30,
+                        at: 3e30,
+                    };
+                    cols.set_row(huge, vec![(e, e); cols.samples.len()]);
+                }
+                for &a in &query_slopes {
+                    for op in [RelOp::Ge, RelOp::Le] {
+                        for kind in [SelectionKind::Exist, SelectionKind::All] {
+                            let sel = |b| Selection {
+                                kind,
+                                halfplane: HalfPlane::new2d(a, b, op),
+                            };
+                            let Some(probe) = KeyBracket::new(&cols, &sel(0.0)) else {
+                                continue;
+                            };
+                            // In the signed frame Yes reads `value ≥ b`, so
+                            // b lands a threshold on v at v ∓ d, or past
+                            // the No tolerance 4t below v.
+                            let sign = if op == RelOp::Ge { 1.0 } else { -1.0 };
+                            let mut bs = vec![1e300, -1e300, 0.0];
+                            for &id in &probed {
+                                for form in &probe.narrow {
+                                    let v = f64::from(value(&cols, form, id));
+                                    let d = f64::from(form.yes.min(-form.not_yes));
+                                    if !(v.is_finite() && d.is_finite()) {
+                                        continue;
+                                    }
+                                    let no = v + d;
+                                    let no = no + 32.0 * EPS * no.abs().max(1.0);
+                                    for at in [v - d, v + d, no] {
+                                        let step = f64::from((at as f32).abs().next_up())
+                                            - f64::from((at as f32).abs());
+                                        bs.extend([at - step, at, at + step].map(|b| sign * b));
+                                    }
+                                }
+                            }
+                            for b in bs {
+                                let sel = sel(b);
+                                let bracket = KeyBracket::new(&cols, &sel).unwrap();
+                                let want: Vec<Verdict> =
+                                    ids.iter().map(|&id| bracket.verdict(id)).collect();
+                                assert_eq!(settled(&bracket, &ids), want, "k = {k}, {sel:?}");
+                                for &id in &probed {
+                                    if passed(&cols, &bracket, id) {
+                                        settled_probes += 1;
+                                    } else {
+                                        open_probes += 1;
+                                    }
+                                }
+                                // (Intercepts past 3e30's margins settle.)
+                                if !huge_row || b.abs() > 1e6 {
+                                    continue;
+                                }
+                                for id in (0..n as u32).filter(|&id| id != huge) {
+                                    assert!(!passed(&cols, &bracket, id), "row {id}, {sel:?}");
+                                }
+                                let products = bracket.narrow.iter().map(|f| value(&cols, f, huge));
+                                if products.clone().any(|v| v.is_infinite()) {
+                                    overflowed += 1;
+                                    assert!(!passed(&cols, &bracket, huge), "{sel:?}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            settled_probes > 0 && open_probes > 0,
+            "{settled_probes} / {open_probes}"
+        );
+        assert!(overflowed > 0, "no huge product overflowed");
     }
 
     /// At `k = 2` the tangents bound each surface from the side no chord

@@ -26,6 +26,7 @@ mod rplus;
 mod t2;
 
 use std::io;
+use std::time::Instant;
 
 pub(crate) use heap_source::HeapSource;
 pub(crate) use keys::KeyColumns;
@@ -41,7 +42,10 @@ use cdb_storage::{PageReader, Pager, TrackedReader};
 
 use crate::error::CdbError;
 use crate::plan::{MethodKind, PlanCase, Rejection, TreeAt};
-use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Side, Strategy};
+use crate::query::{
+    merge_ascending, QueryResult, QueryStats, QueryTimings, Selection, SelectionKind, Side,
+    Strategy,
+};
 use crate::slopes::{Bracket, SlopeSet, StripEnd};
 use ddim::SlopePoints;
 use forest::{Forest, Reaches};
@@ -1016,7 +1020,10 @@ impl Candidates {
 /// [`Exact::Selection`]: for any other predicate every candidate is
 /// checked. The answer is the ids accepted by key plus those kept; a
 /// candidate the keys reject is booked in `rejected_by_key`, one
-/// refinement drops in `false_hits`.
+/// refinement drops in `false_hits`. The bracket leaves both lists
+/// ascending, so the kept ids are merged in; without it the answer is
+/// sorted. The result's [`QueryTimings`] are read at the four phases'
+/// boundaries.
 pub(crate) fn refine(
     pager: &dyn PageReader,
     sel: &Selection,
@@ -1025,6 +1032,7 @@ pub(crate) fn refine(
     keys: Option<&KeyColumns>,
     search: impl FnOnce(&dyn PageReader) -> Result<Candidates, CdbError>,
 ) -> Result<QueryResult, CdbError> {
+    let started = Instant::now();
     let tracked = TrackedReader::new(pager);
     let pager: &dyn PageReader = &tracked;
     let before = pager.stats();
@@ -1042,11 +1050,14 @@ pub(crate) fn refine(
         ..QueryStats::default()
     };
     stats.index_io = pager.stats().since(&before);
+    let searched = Instant::now();
     let keys = keys.filter(|_| exact == Exact::Selection && !check.is_empty());
-    if let Some(bracket) = keys.and_then(|keys| KeyBracket::new(keys, sel)) {
+    let bracket = keys.and_then(|keys| KeyBracket::new(keys, sel));
+    if let Some(bracket) = &bracket {
         stats.rejected_by_key += bracket.settle(&mut check, &mut sure);
     }
     stats.accepted_by_key = sure.len() as u64;
+    let bracketed = Instant::now();
     let heap_before = pager.stats();
     let mut kept = vec![false; check.len()];
     fetch.visit_batch(pager, &check, &mut |at, t| kept[at] = exact.keep(sel, t))?;
@@ -1054,8 +1065,22 @@ pub(crate) fn refine(
     let mut verdicts = kept.iter();
     check.retain(|_| *verdicts.next().expect("one verdict per candidate"));
     stats.false_hits += (kept.len() - check.len()) as u64;
-    sure.append(&mut check);
-    Ok(QueryResult::new(sure, stats))
+    let fetched = Instant::now();
+    if bracket.is_some() {
+        merge_ascending(&mut sure, &check);
+    } else {
+        sure.append(&mut check);
+    }
+    let mut result = QueryResult::new(sure, stats);
+    let ordered = Instant::now();
+    let ns = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
+    result.timings = QueryTimings {
+        search_ns: ns(started, searched),
+        bracket_ns: ns(searched, bracketed),
+        fetch_ns: ns(bracketed, fetched),
+        order_ns: ns(fetched, ordered),
+    };
+    Ok(result)
 }
 
 #[cfg(test)]

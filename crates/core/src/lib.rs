@@ -71,7 +71,7 @@ pub use error::{CdbError, CATALOG_RECORD, WAL_RECORD};
 pub use index::{ddim, DualIndex, Index, IndexKind, IndexSpec, SlopeGeometry};
 pub use plan::{AccessMethod, ExplainReport, MethodKind, PlanCase, Planner, QueryPlan, Rejection};
 pub use pretty::PlanNode;
-pub use query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
+pub use query::{QueryResult, QueryStats, QueryTimings, Selection, SelectionKind, Strategy};
 pub use read::{PageSource, ReadSurface, Snapshot};
 pub use relation::{Relation, RelationHealth, RelationStats};
 pub use slopes::SlopeSet;

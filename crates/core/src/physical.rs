@@ -41,7 +41,7 @@ use crate::index::{Exact, TupleSource};
 use crate::logical::LogicalPlan;
 use crate::plan::{AccessMethod, PlanCase, Planner, QueryPlan};
 use crate::pretty::{actual_line, plan_detail_lines, PlanNode};
-use crate::query::{QueryStats, Selection, SelectionKind, Strategy};
+use crate::query::{QueryStats, QueryTimings, Selection, SelectionKind, Strategy};
 use crate::relation::Relation;
 use crate::sql::var_name;
 
@@ -235,6 +235,8 @@ pub struct IndexScanOp<'a> {
     method: AccessMethod<'a>,
     plan: QueryPlan,
     stats: QueryStats,
+    /// Where the access method's time went.
+    timings: QueryTimings,
     /// The access method's answer, ascending; `ids[at..]` is still to emit.
     ids: Vec<u32>,
     at: usize,
@@ -281,16 +283,18 @@ impl<'a> IndexScanOp<'a> {
             method,
             plan,
             stats: QueryStats::default(),
+            timings: QueryTimings::default(),
             ids: Vec::new(),
             at: 0,
             seen,
         })
     }
 
-    /// The chosen plan and accumulated stats, for the typed wrappers that
-    /// re-package pipeline output as a [`crate::query::QueryResult`].
-    pub fn into_plan_stats(self) -> (QueryPlan, QueryStats) {
-        (self.plan, self.stats)
+    /// The chosen plan, accumulated stats and the access method's timings,
+    /// for the typed wrappers that re-package pipeline output as a
+    /// [`crate::query::QueryResult`].
+    pub fn into_plan_stats(self) -> (QueryPlan, QueryStats, QueryTimings) {
+        (self.plan, self.stats, self.timings)
     }
 }
 
@@ -303,6 +307,7 @@ impl Operator for IndexScanOp<'_> {
             .method
             .execute(self.reader, &self.sel, case, self.exact, &source)?;
         result.stats.method = Some(self.plan.method);
+        self.timings = result.timings;
         (self.ids, self.stats) = result.into_parts();
         self.seen.elapsed += t0.elapsed();
         Ok(())
@@ -915,9 +920,9 @@ mod tests {
     }
 
     /// A forced-T2 query that the key columns mostly decide allocates no
-    /// more per row either: the key pass keeps one byte per row in one
-    /// vector and moves ids between the lists it was handed, so ten times
-    /// the rows cost at most 4 more allocations.
+    /// more per row either: the key pass keeps one bit per row, a word per
+    /// chunk, and sizes the list of accepted ids once, so ten times the
+    /// rows cost at most 4 more allocations.
     #[test]
     fn t2_query_allocations_do_not_grow_with_rows() {
         let allocations = |n: usize| {

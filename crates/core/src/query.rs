@@ -185,12 +185,32 @@ impl QueryStats {
     }
 }
 
+/// Where one query's wall-clock time went, in nanoseconds: the phases of
+/// the one filter-then-refine step, read from one monotonic clock at their
+/// boundaries. Kept apart from [`QueryStats`], whose counts are a function
+/// of the data and the query; these are not, so no pin or golden reads
+/// them, and the wire does not carry them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueryTimings {
+    /// The search: tree descents and leaf sweeps producing the candidates.
+    pub search_ns: u64,
+    /// The key bracket: the candidates the key columns decide unfetched.
+    pub bracket_ns: u64,
+    /// Fetching the rest and refining them with the exact predicate.
+    pub fetch_ns: u64,
+    /// Putting the answer's ids in order.
+    pub order_ns: u64,
+}
+
 /// The outcome of a query: matching tuple ids plus cost accounting.
 #[derive(Clone, Debug, Default)]
 pub struct QueryResult {
     ids: Vec<u32>,
     /// Execution statistics.
     pub stats: QueryStats,
+    /// Where the time went; zero where no refinement step ran here (a
+    /// result from the wire).
+    pub timings: QueryTimings,
 }
 
 impl QueryResult {
@@ -198,7 +218,11 @@ impl QueryResult {
     pub fn new(mut ids: Vec<u32>, stats: QueryStats) -> Self {
         let duplicates = order_ids(&mut ids);
         debug_assert!(duplicates == 0, "duplicate result id");
-        QueryResult { ids, stats }
+        QueryResult {
+            ids,
+            stats,
+            timings: QueryTimings::default(),
+        }
     }
 
     /// The ascending ids and the stats, by move.
@@ -254,6 +278,24 @@ pub fn order_ids(ids: &mut Vec<u32>) -> usize {
         ids.dedup();
     }
     before - ids.len()
+}
+
+/// Merges the ascending ids of `from` into the ascending `into`, which
+/// holds none of them: in place, from the back, in one pass.
+pub(crate) fn merge_ascending(into: &mut Vec<u32>, from: &[u32]) {
+    debug_assert!(into.windows(2).all(|w| w[0] < w[1]), "into ascends");
+    debug_assert!(from.windows(2).all(|w| w[0] < w[1]), "from ascends");
+    let (mut i, mut j) = (into.len(), from.len());
+    into.resize(i + j, 0);
+    while j > 0 {
+        if i > 0 && into[i - 1] > from[j - 1] {
+            into[i + j - 1] = into[i - 1];
+            i -= 1;
+        } else {
+            into[i + j - 1] = from[j - 1];
+            j -= 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -334,6 +376,27 @@ mod tests {
             ids.len() - want.len(),
             "{what}: duplicates removed"
         );
+    }
+
+    /// `merge_ascending` against sorting the concatenation, for disjoint
+    /// ascending lists of every shape.
+    #[test]
+    fn merge_ascending_equals_sorting_the_union() {
+        let mut rng = cdb_prng::StdRng::seed_from_u64(0x3E6);
+        for round in 0..200 {
+            let (mut into, mut from) = (Vec::new(), Vec::new());
+            for id in 0..rng.gen_range(0..300u32) {
+                match rng.gen_range(0..3u32) {
+                    0 => into.push(id),
+                    1 => from.push(id),
+                    _ => {}
+                }
+            }
+            let mut want = [into.clone(), from.clone()].concat();
+            want.sort_unstable();
+            merge_ascending(&mut into, &from);
+            assert_eq!(into, want, "round {round}");
+        }
     }
 
     #[test]

@@ -115,8 +115,10 @@ impl<P: PageSource> ReadSurface<P> {
         let rel = self.relation(name)?;
         let mut op = IndexScanOp::new(rel, self.reader(), sel, exact, strategy, false)?;
         let ids = drain(&mut op)?.ids;
-        let (plan, stats) = op.into_plan_stats();
-        Ok((plan, QueryResult::new(ids, stats)))
+        let (plan, stats, timings) = op.into_plan_stats();
+        let mut result = QueryResult::new(ids, stats);
+        result.timings = timings;
+        Ok((plan, result))
     }
 
     /// Executes a selection on the access method the planner chooses.

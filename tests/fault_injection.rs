@@ -239,12 +239,11 @@ fn maintenance_failing_at_any_op_leaves_no_index_out_of_step_with_the_heap() {
     let path = tmp("halfway");
     // 125 tuples fill the bulk-loaded leaves (122 entries a page), so the
     // inserts below split leaves: the longest half-way a tree insert has.
-    // Six inserts and a delete give the sweep 135 ops to fail, the
-    // R⁺-tree's drop among them, 114 of them inside an index. (Five gave
-    // 123 and 105 while both trees of an element folded a shared reach;
-    // each tree's own lands in fewer leaves, so an insert reads fewer.)
-    let tuples = DatasetSpec::paper_1999(131, ObjectSize::Small, 31).generate();
-    let (setup, traffic) = tuples.split_at(125);
+    // The traffic is inserts from the rest of a longer generated list,
+    // then a delete, as many inserts as it takes (sized below) to give the
+    // sweep more than 100 ops to fail inside the dual index.
+    let tuples = DatasetSpec::paper_1999(125 + 40, ObjectSize::Small, 31).generate();
+    let (setup, spare) = tuples.split_at(125);
     let sels = [
         Selection::exist(HalfPlane::above(0.37, 0.0)),
         Selection::all(HalfPlane::below(-0.8, 60.0)),
@@ -268,9 +267,9 @@ fn maintenance_failing_at_any_op_leaves_no_index_out_of_step_with_the_heap() {
             }
         }
     };
-    // The indexed relation, driven through a pager that fails op `k`:
-    // `None` when the fault fell into the setup.
-    let indexed = |k: u64| {
+    // The relation, with its dual index (`dual`) or not, driven through a
+    // pager that fails op `k`: `None` when the fault fell into the setup.
+    let relation = |k: u64, dual: bool| {
         let _ = std::fs::remove_file(&path);
         let pager = FaultPager::new(
             FilePager::create(&path, 1024).unwrap(),
@@ -279,20 +278,50 @@ fn maintenance_failing_at_any_op_leaves_no_index_out_of_step_with_the_heap() {
         let mut db = ConstraintDb::with_pager(Box::new(pager), DbConfig::paper_1999());
         let ready = db.create_relation("r", 2).is_ok()
             && setup.iter().all(|t| db.insert("r", t.clone()).is_ok())
-            && db.build_dual_index("r", SlopeSet::uniform_tan(2)).is_ok()
+            && (!dual || db.build_dual_index("r", SlopeSet::uniform_tan(2)).is_ok())
             && db.build_rplus_index("r", 0.8).is_ok();
         ready.then_some(db)
     };
-    // The engine owns its pager, so the first op past the setup is found
-    // by bisection rather than read off a counter.
-    let (mut in_setup, mut past) = (0u64, 1u64 << 16);
-    while past - in_setup > 1 {
-        let mid = in_setup + (past - in_setup) / 2;
-        match indexed(mid) {
-            None => in_setup = mid,
-            Some(_) => past = mid,
+    let indexed = |k: u64| relation(k, true);
+    // The engine owns its pager, so op counts are found by bisection
+    // rather than read off a counter: the least `k` above `from` at which
+    // `whole(k)` holds, where it fails below that `k` and holds above it.
+    let first = |from: u64, whole: &dyn Fn(u64) -> bool| {
+        let (mut failing, mut step) = (from, 1);
+        while !whole(failing + step) {
+            failing += step;
+            step *= 2;
         }
-    }
+        let mut holding = failing + step;
+        while holding - failing > 1 {
+            let mid = failing + (holding - failing) / 2;
+            if whole(mid) {
+                holding = mid;
+            } else {
+                failing = mid;
+            }
+        }
+        holding
+    };
+    let [past, plain_past] = [true, false].map(|dual| first(0, &|k| relation(k, dual).is_some()));
+    // The ops a fault-free pass of `inserts` and the delete issues past the
+    // setup, with the dual index or without.
+    let traffic_ops = |inserts: &[GeneralizedTuple], dual: bool, past: u64| {
+        let whole = |k| {
+            relation(k, dual).is_some_and(|mut db| {
+                inserts.iter().all(|t| db.insert("r", t.clone()).is_ok())
+                    && db.delete("r", 64).is_ok()
+            })
+        };
+        first(past, &whole) - past
+    };
+    // Grown until the dual index's share — the ops the pass issues with it
+    // beyond those it issues without — meets the floor `dropped` is held
+    // to below, so a write path that reads fewer pages takes more inserts.
+    let traffic = (1..=spare.len())
+        .map(|n| &spare[..n])
+        .find(|t| traffic_ops(t, true, past) - traffic_ops(t, false, plain_past) > 100)
+        .expect("the spare tuples suffice");
     let (mut failed, mut dropped, mut kept_rplus) = (0, 0, 0);
     for k in past.. {
         let mut db = indexed(k).expect("past the setup");
