@@ -405,11 +405,6 @@ step backend-conformance cargo test -q --test backend_conformance
 # its handicap folds), then T2 must still answer as the brute-force oracle.
 step update-storm cargo run -q --release -p cdb-bench --bin update_cost -- --quick
 
-# The per-phase timers, end to end: the `phases` bin at smoke size (its
-# first round checks every T2 and restricted answer against the scan; the
-# medians it prints are not gated).
-step phases cargo run -q --release -p cdb-bench --bin phases -- --quick
-
 # Every byte layout — wire frames, WAL records, the catalog blob — through
 # the one conformance harness (`cdb_storage::conformance`), the persisted
 # ones against the golden bytes of the format, and the forged-count

@@ -11,13 +11,13 @@
 //!   neighbouring keys.
 //!
 //! The data and both query sets come from the same seeded streams as
-//! `perf/`'s (`--seed`, default 12; `--quick`: N = 2 000, two rounds).
+//! `perf/`'s, at its pinned seed 12 (`--quick`: N = 2 000, two rounds).
 //! Every query of the first round is checked against the sequential
 //! scan. Timings are wall-clock and vary by host; nothing here is a
 //! golden.
 //!
 //! ```text
-//! cargo run --release -p cdb-bench --bin phases [--quick] [--seed S] [--n N] [--rounds R]
+//! cargo run --release -p cdb-bench --bin phases [--quick]
 //! ```
 
 use std::time::Instant;
@@ -38,6 +38,19 @@ const PER_KIND: usize = 96;
 /// `perf/`'s selectivity band.
 const SELECTIVITY: (f64, f64) = (0.10, 0.15);
 
+/// `perf/`'s pinned seed.
+const SEED: u64 = 12;
+
+/// `perf/`'s relation size, and the rounds each query set runs.
+const N: usize = 12_000;
+const ROUNDS: usize = 20;
+
+/// `perf/`'s generator streams (`perf/src/inputs.rs`): the data, the T2
+/// battery and the restricted set.
+const STREAM_DATA: u64 = 1;
+const STREAM_T2: u64 = 2;
+const STREAM_RESTRICTED: u64 = 3;
+
 /// `perf/`'s seed derivation: an independent stream per generator
 /// (splitmix64 finaliser).
 fn sub_seed(seed: u64, stream: u64) -> u64 {
@@ -51,9 +64,12 @@ fn sub_seed(seed: u64, stream: u64) -> u64 {
 
 /// `perf/`'s restricted query set: `PER_KIND` selections per kind at
 /// slopes of `S`, each intercept midway between the two surface values
-/// that cut the relation at a share drawn from the band.
-fn restricted_queries(bed: &T2Bed, slopes: &SlopeSet, seed: u64) -> Vec<Selection> {
-    let mut rng = StdRng::seed_from_u64(sub_seed(seed, 3));
+/// that cut the relation at a share drawn from the band. A copy of
+/// `perf/src/inputs.rs`'s `member_selections` (`perf/` is a workspace of
+/// its own, which this crate cannot depend on): it must draw as that does,
+/// or the shape measured here is no longer `perf/`'s.
+fn restricted_queries(bed: &T2Bed, slopes: &SlopeSet) -> Vec<Selection> {
+    let mut rng = StdRng::seed_from_u64(sub_seed(SEED, STREAM_RESTRICTED));
     let n = bed.tuples.len();
     let keys: Vec<[(f64, f64); K]> = bed
         .tuples
@@ -143,39 +159,21 @@ fn measure(bed: &T2Bed, name: &str, sels: &[Selection], strategy: Strategy, roun
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let (mut seed, mut n, mut rounds) = (12u64, 12_000usize, 20usize);
-    while let Some(flag) = args.next() {
-        if flag == "--quick" {
-            (n, rounds) = (2_000, 2);
-            continue;
-        }
-        let value = args
-            .next()
-            .unwrap_or_else(|| panic!("{flag} needs a value"));
-        let value: u64 = value
-            .parse()
-            .unwrap_or_else(|e| panic!("{flag} {value}: {e}"));
-        match flag.as_str() {
-            "--seed" => seed = value,
-            "--n" => n = value as usize,
-            "--rounds" => rounds = value as usize,
-            _ => panic!("unknown flag {flag}: use --quick, --seed, --n or --rounds"),
-        }
-    }
-    let spec = DatasetSpec::paper_1999(n, ObjectSize::Small, sub_seed(seed, 1));
+    let quick = std::env::args().any(|a| a == "--quick");
+    let (n, rounds) = if quick { (2_000, 2) } else { (N, ROUNDS) };
+    let spec = DatasetSpec::paper_1999(n, ObjectSize::Small, sub_seed(SEED, STREAM_DATA));
     let bed = T2Bed::build(spec, K);
     let slopes = SlopeSet::uniform_tan(K);
-    let battery = QueryGen::new(sub_seed(seed, 2)).battery(
+    let battery = QueryGen::new(sub_seed(SEED, STREAM_T2)).battery(
         &bed.tuples,
         PER_KIND,
         SELECTIVITY.0,
         SELECTIVITY.1,
     );
     let t2: Vec<Selection> = battery.iter().map(selection_of).collect();
-    let restricted = restricted_queries(&bed, &slopes, seed);
+    let restricted = restricted_queries(&bed, &slopes);
     println!(
-        "per-phase medians, µs a query: N = {n}, k = {K}, seed {seed}, {} queries × {rounds} rounds",
+        "per-phase medians, µs a query: N = {n}, k = {K}, seed {SEED}, {} queries × {rounds} rounds",
         t2.len()
     );
     println!(

@@ -1150,20 +1150,29 @@ mod tests {
                                 continue;
                             };
                             // In the signed frame Yes reads `value ≥ b`, so
-                            // b lands a threshold on v at v ∓ d, or past
-                            // the No tolerance 4t below v.
+                            // b lands a Yes-side form's thresholds on v at
+                            // v ∓ d, and a No-side form's past the No
+                            // tolerance, at v + 4t + d. Each form's d is
+                            // read back from its thresholds at b = 0, where
+                            // 4t = 32·EPS.
                             let sign = if op == RelOp::Ge { 1.0 } else { -1.0 };
                             let mut bs = vec![1e300, -1e300, 0.0];
                             for &id in &probed {
                                 for form in &probe.narrow {
                                     let v = f64::from(value(&cols, form, id));
-                                    let d = f64::from(form.yes.min(-form.not_yes));
-                                    if !(v.is_finite() && d.is_finite()) {
+                                    let [yes, not_yes, no] =
+                                        [form.yes, form.not_yes, form.no].map(f64::from);
+                                    let ats = if no == f64::NEG_INFINITY {
+                                        let d = yes.min(-not_yes);
+                                        vec![v - d, v + d]
+                                    } else {
+                                        let at = v + (-no - 32.0 * EPS);
+                                        vec![at + 32.0 * EPS * at.abs().max(1.0)]
+                                    };
+                                    if !v.is_finite() || ats.iter().any(|at| !at.is_finite()) {
                                         continue;
                                     }
-                                    let no = v + d;
-                                    let no = no + 32.0 * EPS * no.abs().max(1.0);
-                                    for at in [v - d, v + d, no] {
+                                    for at in ats {
                                         let step = f64::from((at as f32).abs().next_up())
                                             - f64::from((at as f32).abs());
                                         bs.extend([at - step, at, at + step].map(|b| sign * b));
