@@ -177,7 +177,10 @@ step one-forest one_forest
 # the index evaluates a tuple once, through it, for its keys, reaches and
 # key-column row — never slope by slope. A handicap reach inside a strip is
 # bounded in one place: `strip_extremum`, the crossing of the strip ends'
-# tangents, written once.
+# tangents, written once. Refinement has one predicate, the selection's
+# own: no `Exact` mode beside it, no line superset, and no hyperplane
+# predicate called in the engine — a line query is its two half-plane
+# selections, intersected.
 one_refine() {
   grep_audit one-refine crates/core/src <<'RULES'
 1|TrackedReader::new( calls|physical.rs|TrackedReader::new\(
@@ -186,6 +189,9 @@ one_refine() {
 1|key-bracket chunk-pass .settle( calls|-|\.settle\(
 0|key-bracket .verdict( calls outside keys.rs|index/keys.rs|\.verdict\(
 0|mentions of by_record|-|by_record
+0|refinement modes (enum Exact / Exact::)|-|enum Exact\b|Exact::
+0|mentions of line_superset|-|line_superset
+0|hyperplane predicate calls|-|_hyperplane\(
 RULES
   grep_audit one-refine crates/core/src/index <<'RULES'
 0|keys_at( or swapped_bot_top( calls in the index|-|(keys_at|swapped_bot_top)\(
@@ -430,6 +436,27 @@ fsck_smoke() {
 }
 step fsck fsck_smoke
 
+# Starts `cdb-server` on the file "$1", its output in the log "$2" and any
+# further arguments passed on, and waits for it to announce its address:
+# sets `pid` and `addr` (declare both `local` first). A server that never
+# answers is killed, and the file, its WAL and the log are removed.
+serve() {
+  local f=$1 log=$2
+  shift 2
+  ./target/release/cdb-server "$f" "$@" >"$log" &
+  pid=$!
+  addr=""
+  for _ in $(seq 1 50); do
+    addr=$(sed -n 's/^listening on //p' "$log")
+    [ -n "$addr" ] && return 0
+    sleep 0.1
+  done
+  echo "ci: cdb-server never announced its address" >&2
+  kill -9 "$pid" 2>/dev/null || true
+  rm -f "$f" "$f.wal" "$log"
+  return 1
+}
+
 # Wire-protocol smoke: serve a file on an ephemeral port, drive a client
 # workload over TCP, ask for a graceful shutdown, then verify the served
 # file's checksums offline.
@@ -437,20 +464,8 @@ server_smoke() {
   local f="${TMPDIR:-/tmp}/cdb_ci_server_$$.db"
   local log="${TMPDIR:-/tmp}/cdb_ci_server_$$.log"
   rm -f "$f" "$f.wal" "$log"
-  ./target/release/cdb-server "$f" --checkpoint-every 8 >"$log" &
-  local pid=$!
-  local addr=""
-  for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "ci: cdb-server never announced its address" >&2
-    kill -9 "$pid" 2>/dev/null || true
-    rm -f "$f" "$f.wal" "$log"
-    return 1
-  fi
+  local pid addr
+  serve "$f" "$log" --checkpoint-every 8 || return 1
   {
     printf 'create parcels 2\n'
     printf 'insert parcels y >= 0 && y <= 2 && x >= 0 && x + y <= 4\n'
@@ -484,20 +499,8 @@ sql_smoke() {
   local log="${TMPDIR:-/tmp}/cdb_ci_sql_$$.log"
   local out="${TMPDIR:-/tmp}/cdb_ci_sql_$$.out"
   rm -f "$f" "$f.wal" "$log" "$out"
-  ./target/release/cdb-server "$f" >"$log" &
-  local pid=$!
-  local addr=""
-  for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "ci: cdb-server never announced its address" >&2
-    kill -9 "$pid" 2>/dev/null || true
-    rm -f "$f" "$f.wal" "$log" "$out"
-    return 1
-  fi
+  local pid addr
+  serve "$f" "$log" || return 1
   {
     printf 'create parcels 2\n'
     printf 'insert parcels y >= 0 && y <= 2 && x >= 0 && x + y <= 4\n'
@@ -543,20 +546,8 @@ wal_smoke() {
   local log="${TMPDIR:-/tmp}/cdb_ci_wal_$$.log"
   rm -f "$f" "$f.wal" "$log"
   # A checkpoint interval far beyond the workload: only the log is durable.
-  ./target/release/cdb-server "$f" --checkpoint-every 100000 >"$log" &
-  local pid=$!
-  local addr=""
-  for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "ci: cdb-server never announced its address" >&2
-    kill -9 "$pid" 2>/dev/null || true
-    rm -f "$f" "$f.wal" "$log"
-    return 1
-  fi
+  local pid addr
+  serve "$f" "$log" --checkpoint-every 100000 || return 1
   # 12 acked inserts: the client shell is synchronous, so when it exits,
   # every insert was acknowledged — and acknowledged means fsynced.
   {
@@ -590,20 +581,8 @@ mixed_smoke() {
   local f="${TMPDIR:-/tmp}/cdb_ci_mixed_$$.db"
   local log="${TMPDIR:-/tmp}/cdb_ci_mixed_$$.log"
   rm -f "$f" "$f.wal" "$log"
-  ./target/release/cdb-server "$f" --checkpoint-every 100000 >"$log" &
-  local pid=$!
-  local addr=""
-  for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^listening on //p' "$log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-  done
-  if [ -z "$addr" ]; then
-    echo "ci: cdb-server never announced its address" >&2
-    kill -9 "$pid" 2>/dev/null || true
-    rm -f "$f" "$f.wal" "$log"
-    return 1
-  fi
+  local pid addr
+  serve "$f" "$log" --checkpoint-every 100000 || return 1
   # Base state, fully acknowledged: the client shell is synchronous, so
   # these 12 inserts are fsynced by the time it exits.
   {

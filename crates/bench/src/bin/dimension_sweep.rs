@@ -22,7 +22,6 @@ use std::collections::HashMap;
 
 use cdb_bench::t1;
 use cdb_core::ddim::SlopePoints;
-use cdb_core::index::Exact;
 use cdb_core::plan::PlanCase;
 use cdb_core::{ConstraintDb, DbConfig, DualIndex, Selection, SelectionKind};
 use cdb_geometry::constraint::{LinearConstraint, RelOp};
@@ -122,7 +121,7 @@ impl Bed<'_> {
     fn run(&self, sel: &Selection, case: &PlanCase) -> Vec<u32> {
         let fetch = |_: &dyn PageReader, id: u32| self.lookup[&id].clone();
         let r = (self.index)
-            .run(&self.pager, sel, case, Exact::Selection, &fetch)
+            .run(&self.pager, sel, case, &fetch)
             .expect("routed query");
         r.ids().to_vec()
     }

@@ -368,7 +368,7 @@ fn barycentric(verts: &[&[f64]], p: &[f64]) -> Option<Vec<f64>> {
 pub(crate) mod tests {
     use super::*;
     use crate::error::CdbError;
-    use crate::index::{DualIndex, Exact};
+    use crate::index::DualIndex;
     use crate::plan::TreeAt;
     use crate::query::Side;
     use crate::query::{QueryResult, SelectionKind};
@@ -419,8 +419,7 @@ pub(crate) mod tests {
             pairs.iter().cloned().collect();
         let fetch = move |_: &dyn PageReader, id: u32| lookup[&id].clone();
         let case = idx.route(sel).expect("in-box slope");
-        idx.run(pager, sel, &case, Exact::Selection, &fetch)
-            .expect("query")
+        idx.run(pager, sel, &case, &fetch).expect("query")
     }
 
     #[test]
@@ -495,13 +494,7 @@ pub(crate) mod tests {
         // A case another index routed is refused, not run.
         let fetch = |_: &dyn PageReader, _: u32| -> GeneralizedTuple { unreachable!() };
         assert!(matches!(
-            idx.run(
-                &pager,
-                &sel,
-                &PlanCase::FullScan(20),
-                Exact::Selection,
-                &fetch
-            ),
+            idx.run(&pager, &sel, &PlanCase::FullScan(20), &fetch),
             Err(CdbError::UnsupportedQuery(_))
         ));
     }
@@ -577,7 +570,7 @@ pub(crate) mod tests {
                 side: Side::Prev,
             },
         ] {
-            let got = idx.run(&pager, &sel, &case, Exact::Selection, &fetch);
+            let got = idx.run(&pager, &sel, &case, &fetch);
             assert!(
                 matches!(got, Err(CdbError::UnsupportedQuery(_))),
                 "{case}: {got:?}"
@@ -585,7 +578,7 @@ pub(crate) mod tests {
         }
         let bare = SlopePoints::new(3, vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]]);
         let idx = DualIndex::build(&mut pager, bare, &pairs).unwrap();
-        let got = idx.run(&pager, &sel, &PlanCase::Cell(3), Exact::Selection, &fetch);
+        let got = idx.run(&pager, &sel, &PlanCase::Cell(3), &fetch);
         assert!(matches!(got, Err(CdbError::UnsupportedQuery(_))), "{got:?}");
     }
 
@@ -611,7 +604,7 @@ pub(crate) mod tests {
                     let f1 = move |_: &dyn PageReader, id: u32| l1[&id].clone();
                     let cell = idx.route(&sel).unwrap();
                     assert!(matches!(cell, PlanCase::Cell(_)), "{cell:?}");
-                    let t2 = idx.run(&pager, &sel, &cell, Exact::Selection, &f1).unwrap();
+                    let t2 = idx.run(&pager, &sel, &cell, &f1).unwrap();
                     assert_eq!(t2.ids(), want.as_slice(), "T2-d {kind:?} {op:?} {slope:?}");
                     assert_eq!(t2.stats.duplicates, 0);
                 }

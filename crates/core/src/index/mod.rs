@@ -36,15 +36,13 @@ use cdb_btree::key_slack;
 use cdb_geometry::dual::{self, DualSurfaces, PlanarSurfaces};
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::kernel2d::Extreme;
-use cdb_geometry::predicates;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{PageReader, Pager, TrackedReader};
 
 use crate::error::CdbError;
 use crate::plan::{MethodKind, PlanCase, Rejection, TreeAt};
 use crate::query::{
-    merge_ascending, QueryResult, QueryStats, QueryTimings, Selection, SelectionKind, Side,
-    Strategy,
+    merge_ascending, QueryResult, QueryStats, QueryTimings, Selection, Side, Strategy,
 };
 use crate::slopes::{Bracket, SlopeSet, StripEnd};
 use ddim::SlopePoints;
@@ -798,7 +796,7 @@ impl DualIndex {
     }
 
     /// Sweeps for `sel` along `case`, a route of this index, and refines
-    /// with `exact` in the one filter-then-refine step, `index::refine`.
+    /// in the one filter-then-refine step, `index::refine`.
     ///
     /// # Errors
     /// [`CdbError::UnsupportedQuery`] for a case of the other geometry's
@@ -809,11 +807,10 @@ impl DualIndex {
         pager: &dyn PageReader,
         sel: &Selection,
         case: &PlanCase,
-        exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
         let forest = &self.forest;
-        refine(pager, sel, exact, fetch, self.keys.as_ref(), |pager| {
+        refine(pager, sel, fetch, self.keys.as_ref(), |pager| {
             // A guided search trusts the handicaps of one region; where the
             // geometry has none they are neutral and it would miss tuples.
             // Over a strip swapped through the vertical, the trees answer
@@ -875,7 +872,7 @@ impl DualIndex {
         let case = self
             .route(sel)
             .map_err(|why| CdbError::UnsupportedQuery(why.to_string()))?;
-        self.run(pager, sel, &case, Exact::Selection, fetch)
+        self.run(pager, sel, &case, fetch)
     }
 
     /// Which trees the index sweeps for `sel`, in which way: the routing
@@ -954,44 +951,15 @@ pub(crate) fn foreign(case: &PlanCase) -> CdbError {
     CdbError::UnsupportedQuery(format!("internal: not a route of this index: {case}"))
 }
 
-/// What the refinement step decides per candidate, and whether the index
-/// keys already decide it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Exact {
-    /// The selection's own predicate (Proposition 2.2). At a member slope
-    /// the swept tree's key test *is* this predicate, so entries clear of
-    /// the `f32` rounding band are accepted from their keys.
-    Selection,
-    /// An equality query: the selection is its
-    /// [superset](Selection::line_superset) and every candidate is shown to
-    /// the hyperplane predicate of this kind (keys alone decide nothing
-    /// here: `BOT` is not in the swept tree).
-    Line(SelectionKind),
-}
-
-impl Exact {
-    /// The exact predicate on a candidate's stored form.
-    pub(crate) fn keep(self, sel: &Selection, t: &dyn DualSurfaces) -> bool {
-        let q = &sel.halfplane;
-        match self {
-            Exact::Selection => sel.holds(t),
-            Exact::Line(SelectionKind::Exist) => {
-                predicates::exist_hyperplane(&q.slope, q.intercept, t)
-            }
-            Exact::Line(SelectionKind::All) => predicates::all_hyperplane(&q.slope, q.intercept, t),
-        }
-    }
-}
-
 /// What a search hands to [`refine`]: the distinct ids it produced,
 /// split into those its keys decide and those still to check, and how
 /// many repeats it dropped on the way.
 #[derive(Default)]
 pub(crate) struct Candidates {
-    /// Ids whose keys decide [`Exact::Selection`] (Section 3's exact
-    /// restricted search): accepted without a fetch.
+    /// Ids whose keys decide the selection (Section 3's exact restricted
+    /// search): accepted without a fetch.
     pub sure: Vec<u32>,
-    /// Ids to show to [`Exact::keep`].
+    /// Ids to show to [`Selection::holds`].
     pub check: Vec<u32>,
     /// Entries the search produced for an id it had already produced: the
     /// R⁺-tree's clipping; the dual index's searches produce none.
@@ -1014,20 +982,17 @@ impl Candidates {
 /// many queries share `pager`; then decides what `keys` — the key columns
 /// of the 2-D dual index that searched, if it was one — can decide of the
 /// candidates still to check ([`KeyBracket`]), and shows the rest to
-/// [`Exact::keep`] through `fetch` (batched by the source, so the cost is
-/// one page access per distinct heap page; the engine's heap source runs
-/// it on the record bytes in the page). Keys decide only
-/// [`Exact::Selection`]: for any other predicate every candidate is
-/// checked. The answer is the ids accepted by key plus those kept; a
-/// candidate the keys reject is booked in `rejected_by_key`, one
-/// refinement drops in `false_hits`. The bracket leaves both lists
-/// ascending, so the kept ids are merged in; without it the answer is
-/// sorted. The result's [`QueryTimings`] are read at the four phases'
-/// boundaries.
+/// [`Selection::holds`] through `fetch` (batched by the source, so the cost
+/// is one page access per distinct heap page; the engine's heap source
+/// runs it on the record bytes in the page). The answer is the ids
+/// accepted by key plus those kept; a candidate the keys reject is booked
+/// in `rejected_by_key`, one refinement drops in `false_hits`. The bracket
+/// leaves both lists ascending, so the kept ids are merged in; without it
+/// the answer is sorted. The result's [`QueryTimings`] are read at the four
+/// phases' boundaries.
 pub(crate) fn refine(
     pager: &dyn PageReader,
     sel: &Selection,
-    exact: Exact,
     fetch: &dyn TupleSource,
     keys: Option<&KeyColumns>,
     search: impl FnOnce(&dyn PageReader) -> Result<Candidates, CdbError>,
@@ -1041,9 +1006,6 @@ pub(crate) fn refine(
         mut check,
         duplicates,
     } = search(pager)?;
-    if exact != Exact::Selection {
-        check.append(&mut sure);
-    }
     let mut stats = QueryStats {
         candidates: (sure.len() + check.len()) as u64 + duplicates,
         duplicates,
@@ -1051,7 +1013,7 @@ pub(crate) fn refine(
     };
     stats.index_io = pager.stats().since(&before);
     let searched = Instant::now();
-    let keys = keys.filter(|_| exact == Exact::Selection && !check.is_empty());
+    let keys = keys.filter(|_| !check.is_empty());
     let bracket = keys.and_then(|keys| KeyBracket::new(keys, sel));
     if let Some(bracket) = &bracket {
         stats.rejected_by_key += bracket.settle(&mut check, &mut sure);
@@ -1060,7 +1022,7 @@ pub(crate) fn refine(
     let bracketed = Instant::now();
     let heap_before = pager.stats();
     let mut kept = vec![false; check.len()];
-    fetch.visit_batch(pager, &check, &mut |at, t| kept[at] = exact.keep(sel, t))?;
+    fetch.visit_batch(pager, &check, &mut |at, t| kept[at] = sel.holds(t))?;
     stats.heap_io = pager.stats().since(&heap_before);
     let mut verdicts = kept.iter();
     check.retain(|_| *verdicts.next().expect("one verdict per candidate"));
@@ -1086,6 +1048,7 @@ pub(crate) fn refine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::SelectionKind;
     use cdb_geometry::constraint::RelOp;
     use cdb_geometry::halfplane::HalfPlane;
     use cdb_geometry::predicates::oracle_select;
@@ -1120,8 +1083,9 @@ mod tests {
         idx.execute(pager, sel, strategy, &fetch).expect("query")
     }
 
-    /// The line `y = a·x + c` along `idx`'s route: [`Exact::Line`] over
-    /// [`Selection::line_superset`], as the planner runs a line query.
+    /// The line `y = a·x + c` along `idx`'s route, as the read surface
+    /// runs a line query: its two half-plane selections of `kind`, `≥` and
+    /// `≤`, [intersected](QueryResult::intersect).
     pub(super) fn line(
         idx: &DualIndex,
         pager: &dyn PageReader,
@@ -1129,11 +1093,17 @@ mod tests {
         kind: SelectionKind,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
-        let superset = Selection::line_superset(a, c);
-        let case = idx
-            .route(&superset)
-            .map_err(|why| CdbError::UnsupportedQuery(why.to_string()))?;
-        idx.run(pager, &superset, &case, Exact::Line(kind), fetch)
+        let half = |op| {
+            let sel = Selection {
+                kind,
+                halfplane: HalfPlane::new2d(a, c, op),
+            };
+            let case = idx
+                .route(&sel)
+                .map_err(|why| CdbError::UnsupportedQuery(why.to_string()))?;
+            idx.run(pager, &sel, &case, fetch)
+        };
+        Ok(half(RelOp::Ge)?.intersect(half(RelOp::Le)?))
     }
 
     fn oracle(pairs: &[(u32, GeneralizedTuple)], sel: &Selection) -> Vec<u32> {
@@ -1279,7 +1249,7 @@ mod tests {
             between(at(3), Side::Next), // k = 3: no tree pair 3
             PlanCase::Cell(1),
         ] {
-            let got = idx.run(&pager, &sel, &case, Exact::Selection, &fetch);
+            let got = idx.run(&pager, &sel, &case, &fetch);
             assert!(
                 matches!(got, Err(CdbError::UnsupportedQuery(_))),
                 "{case}: {got:?}"
@@ -1336,9 +1306,7 @@ mod tests {
                             let guided =
                                 matches!(case, PlanCase::Between { .. } | PlanCase::Cell(_));
                             assert!(guided, "{what}: {case}");
-                            let got = idx
-                                .run(pager, &sel, &case, Exact::Selection, &fetch)
-                                .unwrap();
+                            let got = idx.run(pager, &sel, &case, &fetch).unwrap();
                             // (2-D: `t2_is_correct_without_refresh_after_updates`;
                             // d-D: `t2d_incremental_inserts_stay_correct`.)
                             assert_eq!(got.ids(), oracle(&kept, &sel), "{what} {when}: {sel:?}");
@@ -1533,9 +1501,7 @@ mod tests {
                         let case = idx.route(&sel).unwrap();
                         let guided = matches!(case, PlanCase::Between { .. } | PlanCase::Cell(_));
                         assert!(guided, "{what}: {case}");
-                        let got = idx
-                            .run(&pager, &sel, &case, Exact::Selection, &fetch)
-                            .unwrap();
+                        let got = idx.run(&pager, &sel, &case, &fetch).unwrap();
                         let mut want = oracle(&live, &sel);
                         want.sort_unstable();
                         assert_eq!(got.ids(), want, "{what}: {sel:?}");

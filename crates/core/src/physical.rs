@@ -37,7 +37,7 @@ use cdb_geometry::{LinearConstraint, RelOp};
 use cdb_storage::{PageReader, TrackedReader};
 
 use crate::error::CdbError;
-use crate::index::{Exact, TupleSource};
+use crate::index::TupleSource;
 use crate::logical::LogicalPlan;
 use crate::plan::{AccessMethod, PlanCase, Planner, QueryPlan};
 use crate::pretty::{actual_line, plan_detail_lines, PlanNode};
@@ -227,9 +227,6 @@ pub struct IndexScanOp<'a> {
     rel: &'a Relation,
     reader: &'a dyn PageReader,
     sel: Selection,
-    /// What refinement decides: `sel` itself, or the line query `sel` is
-    /// the superset of.
-    exact: Exact,
     fetch_regions: bool,
     /// The method the planner chose, and its plan.
     method: AccessMethod<'a>,
@@ -257,7 +254,6 @@ impl<'a> IndexScanOp<'a> {
         rel: &'a Relation,
         reader: &'a dyn PageReader,
         sel: Selection,
-        exact: Exact,
         strategy: Strategy,
         fetch_regions: bool,
     ) -> Result<IndexScanOp<'a>, CdbError> {
@@ -278,7 +274,6 @@ impl<'a> IndexScanOp<'a> {
             rel,
             reader,
             sel,
-            exact,
             fetch_regions,
             method,
             plan,
@@ -303,9 +298,7 @@ impl Operator for IndexScanOp<'_> {
         let t0 = Instant::now();
         let source = self.rel.tuple_source();
         let case = &self.plan.case;
-        let mut result = self
-            .method
-            .execute(self.reader, &self.sel, case, self.exact, &source)?;
+        let mut result = self.method.execute(self.reader, &self.sel, case, &source)?;
         result.stats.method = Some(self.plan.method);
         self.timings = result.timings;
         (self.ids, self.stats) = result.into_parts();
@@ -780,7 +773,6 @@ pub fn build<'a>(
             rel(relation)?,
             ctx.reader,
             selection.clone(),
-            Exact::Selection,
             Strategy::Auto,
             need_regions,
         )?),
@@ -867,7 +859,6 @@ mod tests {
             db.relation("r").unwrap(),
             db.reader(),
             Selection::exist(HalfPlane::above(0.3, -1e9)),
-            Exact::Selection,
             Strategy::Auto,
             true,
         )

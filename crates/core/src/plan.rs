@@ -28,7 +28,7 @@ use std::fmt;
 use cdb_storage::PageReader;
 
 use crate::error::CdbError;
-use crate::index::{foreign, refine, Candidates, DualIndex, Exact, RPlusIndex, TupleSource};
+use crate::index::{foreign, refine, Candidates, DualIndex, RPlusIndex, TupleSource};
 use crate::query::{QueryResult, Selection, Side};
 use crate::relation::Relation;
 
@@ -242,8 +242,8 @@ impl AccessMethod<'_> {
         }
     }
 
-    /// Executes `sel` along `case`, charging I/O to `pager`, fetching
-    /// refinement tuples through `fetch` and deciding them with `exact`.
+    /// Executes `sel` along `case`, charging I/O to `pager` and fetching
+    /// refinement tuples through `fetch`.
     ///
     /// # Errors
     /// [`CdbError::UnsupportedQuery`] for a case this method did not
@@ -253,21 +253,20 @@ impl AccessMethod<'_> {
         pager: &dyn PageReader,
         sel: &Selection,
         case: &PlanCase,
-        exact: Exact,
         fetch: &dyn TupleSource,
     ) -> Result<QueryResult, CdbError> {
         match *self {
             // The live ids are the scan's candidates: none decided by key.
-            AccessMethod::SeqScan(relation) => refine(pager, sel, exact, fetch, None, |_| {
+            AccessMethod::SeqScan(relation) => refine(pager, sel, fetch, None, |_| {
                 Ok(Candidates::check(relation.live_ids()))
             }),
-            AccessMethod::Dual(index) => index.run(pager, sel, case, exact, fetch),
+            AccessMethod::Dual(index) => index.run(pager, sel, case, fetch),
             AccessMethod::RPlus(index) => {
                 // Its own route is the proof that the query is 2-D.
                 let PlanCase::MbrSearch(_) = case else {
                     return Err(foreign(case));
                 };
-                refine(pager, sel, exact, fetch, None, |pager| {
+                refine(pager, sel, fetch, None, |pager| {
                     Ok(index.candidates(pager, &sel.halfplane)?)
                 })
             }

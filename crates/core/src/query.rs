@@ -48,16 +48,6 @@ impl Selection {
         }
     }
 
-    /// The half-plane superset of the equality query `y = a·x + c`
-    /// (footnote 2 of the paper): a tuple meets the line iff
-    /// `BOT ≤ c ≤ TOP`, so the candidates of `EXIST(y ≥ a·x + c)`
-    /// (`TOP ≥ c`) contain every answer; one refinement pass with
-    /// [`Exact::Line`](crate::index::Exact::Line) applies the hyperplane
-    /// predicate to them.
-    pub fn line_superset(a: f64, c: f64) -> Self {
-        Selection::exist(HalfPlane::new2d(a, c, RelOp::Ge))
-    }
-
     /// The exact predicate of Proposition 2.2: does `tuple` (owned, or a
     /// view of its encoded bytes) satisfy this selection?
     pub fn holds<P: DualSurfaces + ?Sized>(&self, tuple: &P) -> bool {
@@ -244,6 +234,35 @@ impl QueryResult {
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
+
+    /// The ids both `self` and `other` answer — a line is the intersection
+    /// of its two closed half-planes — with every candidate of either
+    /// booked once: the stats and timings are summed, an id one side
+    /// returns and the other rules out is a false hit, and an id both
+    /// return is one row and one duplicate, so `candidates = rows +
+    /// false_hits + rejected_by_key + duplicates` holds for the pair as it
+    /// does for each side. `method` stays `self`'s.
+    pub fn intersect(self, other: QueryResult) -> QueryResult {
+        let returned = (self.ids.len() + other.ids.len()) as u64;
+        let mut ids = self.ids;
+        ids.retain(|id| other.ids.binary_search(id).is_ok());
+        let mut stats = self.stats;
+        stats.accumulate(&other.stats);
+        stats.false_hits += returned - 2 * ids.len() as u64;
+        stats.duplicates += ids.len() as u64;
+        let (t, u) = (self.timings, other.timings);
+        let timings = QueryTimings {
+            search_ns: t.search_ns + u.search_ns,
+            bracket_ns: t.bracket_ns + u.bracket_ns,
+            fetch_ns: t.fetch_ns + u.fetch_ns,
+            order_ns: t.order_ns + u.order_ns,
+        };
+        QueryResult {
+            ids,
+            stats,
+            timings,
+        }
+    }
 }
 
 /// Orders tuple ids ascending and drops repeats, returning how many were
@@ -353,6 +372,39 @@ mod tests {
             );
         }
         assert!(decode::<SelectionKind>(&[2]).is_err());
+    }
+
+    /// Two halves of a line: 1 and 7 answer both, 3 and 9 one each; every
+    /// candidate of either is booked once, and the rest is summed.
+    #[test]
+    fn intersect_books_each_candidate_once() {
+        let half = |ids: Vec<u32>, candidates, false_hits, rejected_by_key, ns| {
+            let mut r = QueryResult::new(
+                ids,
+                QueryStats {
+                    candidates,
+                    false_hits,
+                    rejected_by_key,
+                    method: Some(MethodKind::Dual),
+                    ..QueryStats::default()
+                },
+            );
+            r.timings.fetch_ns = ns;
+            r
+        };
+        let line = half(vec![1, 3, 7], 5, 1, 1, 10).intersect(half(vec![1, 7, 9], 6, 0, 3, 5));
+        assert_eq!(line.ids(), &[1, 7]);
+        let s = line.stats;
+        assert_eq!((s.candidates, s.false_hits, s.duplicates), (11, 3, 2));
+        assert_eq!(s.rejected_by_key, 4);
+        assert_eq!(
+            s.candidates,
+            line.len() as u64 + s.false_hits + 4 + s.duplicates
+        );
+        assert_eq!(
+            (s.method, line.timings.fetch_ns),
+            (Some(MethodKind::Dual), 15)
+        );
     }
 
     #[test]

@@ -13,13 +13,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use cdb_geometry::constraint::RelOp;
 use cdb_geometry::halfplane::HalfPlane;
 use cdb_geometry::tuple::GeneralizedTuple;
 use cdb_storage::{PageReader, Pager, SnapshotReader};
 
 use crate::db::DbConfig;
 use crate::error::CdbError;
-use crate::index::Exact;
 use crate::physical::{drain, ExecCtx, IndexScanOp};
 use crate::plan::{ExplainReport, QueryPlan};
 use crate::query::{QueryResult, QueryStats, Selection, SelectionKind, Strategy};
@@ -100,8 +100,7 @@ impl<P: PageSource> ReadSurface<P> {
         rel.scan(self.reader())
     }
 
-    /// Plans and executes one selection — refined by `exact` — as a
-    /// one-node operator pipeline: the planner chooses (or validates the
+    /// Plans and executes one selection as a one-node operator pipeline: the planner chooses (or validates the
     /// forced) access method, the method runs, the search that ran is
     /// stamped into the result's stats, and the scan's one batch of
     /// ascending ids becomes the result by move.
@@ -109,11 +108,10 @@ impl<P: PageSource> ReadSurface<P> {
         &self,
         name: &str,
         sel: Selection,
-        exact: Exact,
         strategy: Strategy,
     ) -> Result<(QueryPlan, QueryResult), CdbError> {
         let rel = self.relation(name)?;
-        let mut op = IndexScanOp::new(rel, self.reader(), sel, exact, strategy, false)?;
+        let mut op = IndexScanOp::new(rel, self.reader(), sel, strategy, false)?;
         let ids = drain(&mut op)?.ids;
         let (plan, stats, timings) = op.into_plan_stats();
         let mut result = QueryResult::new(ids, stats);
@@ -139,8 +137,7 @@ impl<P: PageSource> ReadSurface<P> {
         sel: Selection,
         strategy: Strategy,
     ) -> Result<QueryResult, CdbError> {
-        self.planned(name, sel, Exact::Selection, strategy)
-            .map(|(_, r)| r)
+        self.planned(name, sel, strategy).map(|(_, r)| r)
     }
 
     /// Plans a selection without executing it: which access method the
@@ -151,7 +148,6 @@ impl<P: PageSource> ReadSurface<P> {
             self.relation(name)?,
             self.reader(),
             sel.clone(),
-            Exact::Selection,
             Strategy::Auto,
             false,
         )?;
@@ -171,7 +167,7 @@ impl<P: PageSource> ReadSurface<P> {
         sel: Selection,
         strategy: Strategy,
     ) -> Result<ExplainReport, CdbError> {
-        let (plan, result) = self.planned(name, sel, Exact::Selection, strategy)?;
+        let (plan, result) = self.planned(name, sel, strategy)?;
         Ok(ExplainReport { plan, result })
     }
 
@@ -282,14 +278,20 @@ impl<P: PageSource> ReadSurface<P> {
     }
 
     /// Equality-query convenience (the paper's footnote 2): tuples whose
-    /// extension intersects the line `y = a·x + c`. Planned like any other
-    /// selection, so every access method serves it — index or no index.
+    /// extension intersects the line `y = a·x + c`, i.e. `BOT ≤ c ≤ TOP` —
+    /// `EXIST(y ≥ a·x + c)` and `EXIST(y ≤ a·x + c)` (Proposition 2.2).
+    /// The two selections are planned like any other, so every access
+    /// method serves them — index or no index — and the result is their
+    /// [intersection](QueryResult::intersect): on an index-less relation
+    /// that is two scans.
     pub fn exist_line(&self, name: &str, a: f64, c: f64) -> Result<QueryResult, CdbError> {
         self.line_query(name, a, c, SelectionKind::Exist)
     }
 
     /// Tuples whose extension lies entirely on the line `y = a·x + c`
-    /// (degenerate segments/lines).
+    /// (degenerate segments and points): a line is the intersection of its
+    /// two closed half-planes, so these are `ALL(y ≥ a·x + c)` and
+    /// `ALL(y ≤ a·x + c)`, [intersected](QueryResult::intersect).
     pub fn all_line(&self, name: &str, a: f64, c: f64) -> Result<QueryResult, CdbError> {
         self.line_query(name, a, c, SelectionKind::All)
     }
@@ -301,9 +303,14 @@ impl<P: PageSource> ReadSurface<P> {
         c: f64,
         kind: SelectionKind,
     ) -> Result<QueryResult, CdbError> {
-        let superset = Selection::line_superset(a, c);
-        self.planned(name, superset, Exact::Line(kind), Strategy::Auto)
-            .map(|(_, r)| r)
+        let half = |op| {
+            let sel = Selection {
+                kind,
+                halfplane: HalfPlane::new2d(a, c, op),
+            };
+            self.query(name, sel)
+        };
+        Ok(half(RelOp::Ge)?.intersect(half(RelOp::Le)?))
     }
 
     /// Convenience: EXIST selection, planned.

@@ -550,7 +550,6 @@ mod tests {
     use super::*;
     use crate::db::{ConstraintDb, DbConfig};
     use crate::index::ddim::SlopePoints;
-    use crate::index::Exact;
     use crate::plan::{MethodKind, PlanCase, Planner};
     use crate::query::{QueryResult, Selection, SelectionKind};
     use crate::slopes::SlopeSet;
@@ -608,7 +607,7 @@ mod tests {
             .method(plan.method)
             .expect("the planner chose an offered method");
         let source = rel.tuple_source();
-        let result = method.execute(db.reader(), sel, &plan.case, Exact::Selection, &source)?;
+        let result = method.execute(db.reader(), sel, &plan.case, &source)?;
         Ok((plan.method, result.ids().to_vec()))
     }
 
@@ -764,7 +763,8 @@ mod tests {
     /// Every case an access method can run, each through a [`Counting`]
     /// source: forced Scan, the dual index (the restricted search at a
     /// member slope, T2 between slopes of `S` and through the vertical),
-    /// R⁺ and Auto on a churned 2-D relation, for selections and line queries; the scan,
+    /// R⁺ and Auto on a churned 2-D relation, each selection there beside
+    /// the other half of its line (`≥` then `≤`, adjacent); the scan,
     /// member-point and cell cases on a 3-D one.
     /// `(what, result, the ids the source was shown)`.
     fn every_refinement() -> Vec<(String, QueryResult, Vec<u32>)> {
@@ -790,11 +790,11 @@ mod tests {
         db.build_index("space", IndexSpec::Dual(grid.into()))
             .unwrap();
 
-        let mut asked: Vec<(&str, Selection, Exact, MethodKind, PlanCase)> = Vec::new();
-        let mut plan = |name, sel: Selection, exact, forced| {
+        let mut asked: Vec<(&str, Selection, MethodKind, PlanCase)> = Vec::new();
+        let mut plan = |name, sel: Selection, forced| {
             let rel = db.relation(name).unwrap();
             if let Ok((_, plan)) = Planner::choose(rel, &sel, forced) {
-                asked.push((name, sel, exact, plan.method, plan.case));
+                asked.push((name, sel, plan.method, plan.case));
             }
         };
         use MethodKind::{Dual, RPlus, SeqScan};
@@ -802,16 +802,9 @@ mod tests {
             for b in [-20.0, 4.0] {
                 for forced in [None, Some(SeqScan), Some(Dual), Some(RPlus)] {
                     for kind in [SelectionKind::Exist, SelectionKind::All] {
-                        let line = Selection::line_superset(slope, b);
-                        plan("plane", line, Exact::Line(kind), forced);
                         for op in [RelOp::Ge, RelOp::Le] {
                             let q = HalfPlane::new2d(slope, b, op);
-                            plan(
-                                "plane",
-                                Selection { kind, halfplane: q },
-                                Exact::Selection,
-                                forced,
-                            );
+                            plan("plane", Selection { kind, halfplane: q }, forced);
                         }
                     }
                 }
@@ -828,19 +821,17 @@ mod tests {
                         ),
                         ..sel
                     };
-                    plan("space", sel, Exact::Selection, forced);
+                    plan("space", sel, forced);
                 }
             }
         }
         let mut out = Vec::new();
-        for (name, sel, exact, method, case) in asked {
+        for (name, sel, method, case) in asked {
             let rel = db.relation(name).unwrap();
             let counting = Counting(rel.tuple_source(), Default::default());
             let method = rel.method(method).unwrap();
-            let result = method
-                .execute(db.reader(), &sel, &case, exact, &counting)
-                .unwrap();
-            let what = format!("{name}: {case} {exact:?} {sel:?}");
+            let result = method.execute(db.reader(), &sel, &case, &counting).unwrap();
+            let what = format!("{name}: {case} {sel:?}");
             out.push((what, result, counting.1.into_inner()));
         }
         out
@@ -888,16 +879,49 @@ mod tests {
 
     /// Refinement books every candidate once: as an answer, a false hit, a
     /// rejection by key or a duplicate — whichever method produced it, the
-    /// scan included.
+    /// scan included — and so does a line query, the intersection of the
+    /// two halves of a 2-D row pair.
     #[test]
     fn every_method_accounts_for_each_candidate_once() {
         let runs = every_refinement();
-        assert!(runs.len() > 150, "only {} queries", runs.len());
+        let booked = |r: &QueryResult| {
+            let s = &r.stats;
+            r.len() as u64 + s.false_hits + s.rejected_by_key + s.duplicates
+        };
         for (what, result, _) in &runs {
-            let s = &result.stats;
-            let booked = result.len() as u64 + s.false_hits + s.rejected_by_key + s.duplicates;
-            assert_eq!(s.candidates, booked, "{what}: {s:?}");
+            assert_eq!(
+                result.stats.candidates,
+                booked(result),
+                "{what}: {:?}",
+                result.stats
+            );
         }
+        let planar: Vec<_> = runs
+            .iter()
+            .filter(|(w, ..)| w.starts_with("plane:"))
+            .collect();
+        let mut lines = [0, 0];
+        for pair in planar.chunks(2) {
+            let [(ge, above, _), (le, below, _)] = pair else {
+                panic!("a half without its other half: {pair:?}")
+            };
+            assert_eq!(ge.replace("op: Ge", "op: Le"), *le, "not one line's halves");
+            let line = above.clone().intersect(below.clone());
+            let what = format!("line of {ge}");
+            assert_eq!(
+                line.stats.candidates,
+                booked(&line),
+                "{what}: {:?}",
+                line.stats
+            );
+            lines[usize::from(ge.contains("kind: All"))] += 1;
+        }
+        assert!(
+            lines.iter().all(|&n| n >= 4),
+            "lines (EXIST, ALL): {lines:?}"
+        );
+        let queries = runs.len() + lines[0] + lines[1];
+        assert!(queries > 150, "only {queries} queries");
         for case in [
             "full scan",
             "member slope ",
@@ -906,8 +930,6 @@ mod tests {
             "MBR",
             "member slope point",
             "Voronoi cell",
-            "Line(All)",
-            "Line(Exist)",
         ] {
             let ran = runs.iter().filter(|(what, ..)| what.contains(case)).count();
             assert!(ran >= 4, "{case}: {ran} queries");
@@ -918,10 +940,8 @@ mod tests {
     /// is shown each candidate not decided by key exactly once: an answer
     /// was either accepted by key or shown, and every false hit was shown.
     /// Only the key columns of the 2-D dual index reject: where there are
-    /// none (the scan, the R⁺-tree, the index over slope points) or the
-    /// predicate is not
-    /// the selection's (line queries), the source is shown every candidate
-    /// not accepted by key.
+    /// none (the scan, the R⁺-tree, the index over slope points), the
+    /// source is shown every candidate not accepted by key.
     #[test]
     fn every_method_refines_through_the_source_it_is_handed() {
         let mut rejected_by_key = 0;
@@ -940,7 +960,7 @@ mod tests {
             let checked = s.candidates - s.duplicates - s.accepted_by_key;
             let by_key = s.rejected_by_key;
             assert_eq!(seen.len() as u64 + by_key, checked, "{what}: {s:?}");
-            let keyless = ["full scan", "MBR", "Line(", "space:"];
+            let keyless = ["full scan", "MBR", "space:"];
             if keyless.iter().any(|case| what.contains(case)) {
                 assert_eq!(by_key, 0, "{what}: {s:?}");
             }

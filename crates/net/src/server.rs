@@ -285,7 +285,7 @@ impl Server {
                     if !admitted {
                         // Refused without ever holding a slot; a wedged
                         // peer costs at most REFUSE_TIMEOUT here.
-                        let _ = refuse(&stream, HandshakeStatus::Overloaded);
+                        let _ = greet(&stream, HandshakeStatus::Overloaded, REFUSE_TIMEOUT);
                         continue;
                     }
                     if conn_tx.send(stream).is_err() {
@@ -302,7 +302,7 @@ impl Server {
 
         // Refuse the sockets the OS already queued, then drain.
         while let Ok((stream, _)) = listener.accept() {
-            let _ = refuse(&stream, HandshakeStatus::ShuttingDown);
+            let _ = greet(&stream, HandshakeStatus::ShuttingDown, REFUSE_TIMEOUT);
         }
         drop(conn_tx); // workers finish queued sessions, then exit
         for w in workers {
@@ -315,18 +315,11 @@ impl Server {
     }
 }
 
-/// Sends the greeting frame on a fresh socket (with a write timeout so a
-/// wedged peer cannot pin the worker).
-fn greet(stream: &TcpStream, status: HandshakeStatus) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    let mut s = stream;
-    write_frame(&mut s, &encode_greeting(PROTOCOL_VERSION, status))?;
-    s.flush()
-}
-
-/// Best-effort refusal greeting from the accept loop, on a short leash.
-fn refuse(stream: &TcpStream, status: HandshakeStatus) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(REFUSE_TIMEOUT))?;
+/// Sends the greeting frame on a fresh socket, with a write timeout so a
+/// wedged peer cannot pin the thread: [`WRITE_TIMEOUT`] for a session's
+/// worker, the short [`REFUSE_TIMEOUT`] for a refusal from the accept loop.
+fn greet(stream: &TcpStream, status: HandshakeStatus, timeout: Duration) -> std::io::Result<()> {
+    stream.set_write_timeout(Some(timeout))?;
     let mut s = stream;
     write_frame(&mut s, &encode_greeting(PROTOCOL_VERSION, status))?;
     s.flush()
@@ -355,7 +348,7 @@ fn respond(
 /// caller releases the admission slot afterwards, so a greeting that
 /// never lands cannot leak capacity.
 fn serve_session(shared: &Shared, write_tx: &SyncSender<WriteJob>, mut stream: TcpStream) {
-    if greet(&stream, HandshakeStatus::Ok).is_err() {
+    if greet(&stream, HandshakeStatus::Ok, WRITE_TIMEOUT).is_err() {
         return;
     }
     let _ = session_loop(shared, write_tx, &mut stream);

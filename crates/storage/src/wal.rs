@@ -180,11 +180,12 @@ impl Wal {
         Ok(self.plan.crash_at != Some(self.ops))
     }
 
-    /// Drops the un-synced buffer and downs the log.
+    /// Drops the un-synced buffer and downs the log. `next_lsn` keeps the
+    /// dropped records' LSNs: their mutations were applied in memory, and a
+    /// checkpoint's watermark, `next_lsn − 1`, must cover them.
     fn crash(&mut self) -> io::Error {
         self.pending.clear();
         self.pending_records = 0;
-        self.next_lsn -= self.pending_records; // zero by now; kept for clarity
         self.down = true;
         crashed()
     }

@@ -15,7 +15,6 @@ use std::collections::HashMap;
 
 use constraint_db::index::ddim::SlopePoints;
 use constraint_db::index::error::CdbError;
-use constraint_db::index::index::Exact;
 use constraint_db::index::plan::{MethodKind, PlanCase, Planner, QueryPlan, Rejection, TreeAt};
 use constraint_db::index::query::{QueryResult, Side, Strategy};
 use constraint_db::index::slopes::Bracket;
@@ -321,9 +320,7 @@ fn explain_covers_d_dimensional_selections() {
                 } else {
                     assert!(matches!(case, PlanCase::Cell(_)), "{case:?}");
                 }
-                let direct = index
-                    .run(pager, &sel, &case, Exact::Selection, &fetch)
-                    .unwrap();
+                let direct = index.run(pager, &sel, &case, &fetch).unwrap();
                 assert_eq!(direct.ids(), scan.ids(), "{what}: direct vs scan oracle");
                 assert_eq!(report.plan.method, MethodKind::Dual, "{what}");
                 assert_eq!(report.plan.case, case, "{what}");
@@ -697,7 +694,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
                 let cell = covered.route(&sel).unwrap();
                 assert!(matches!(cell, PlanCase::Cell(_)), "{cell}");
-                let r = covered.run(&pager, &sel, &cell, Exact::Selection, &fetch);
+                let r = covered.run(&pager, &sel, &cell, &fetch);
                 fold(&mut cells, &r.unwrap());
                 let r = db3.query_with("boxes", sel, Strategy::Auto).unwrap();
                 assert_eq!(r.stats.method, Some(MethodKind::Dual));
@@ -804,12 +801,7 @@ fn duplicate_and_candidate_accounting_is_pinned() {
             for sel in [Selection::exist(hp.clone()), Selection::all(hp.clone())] {
                 let case = index.route(&sel).unwrap();
                 assert!(matches!(case, PlanCase::Cell(_)), "{case}");
-                fold(
-                    &mut cell,
-                    &index
-                        .run(&pager, &sel, &case, Exact::Selection, &fetch)
-                        .unwrap(),
-                );
+                fold(&mut cell, &index.run(&pager, &sel, &case, &fetch).unwrap());
             }
         }
     }
