@@ -322,9 +322,20 @@ RULES
 }
 step one-crc one_crc
 
+# The audit that keeps "one generator, one model" a gate over the root
+# test suites: the hand-written generator and crash scripts folded into
+# `tests/model.rs` (the conformance script, the pager and WAL crash
+# matrices, the random fault schedules) stay gone.
+one_model() {
+  grep_audit one-model tests <<'RULES'
+0|folded generator and crash scripts|-|fn (run_script|scripted_run|random_run|wal_faulted_run)\b
+RULES
+}
+step one-model one_model
+
 # Report only: non-test lines per crate, counted as the lines above a
 # file's first `#[cfg(test)]` — the figure CHANGES.md quotes before/after
-# a simplicity PR.
+# a simplicity PR — and, as the `tests` row, every line of `tests/*.rs`.
 non_test_lines() {
   local dir
   for dir in crates/*/src src; do
@@ -334,6 +345,7 @@ non_test_lines() {
       counting { n++ }
       END { printf "%-22s %6d\n", dir, n }'
   done
+  printf '%-22s %6d\n' tests "$(cat tests/*.rs | wc -l)"
 }
 step non-test-lines non_test_lines
 
@@ -405,6 +417,11 @@ step fault-injection cargo test -q --test fault_injection
 step snapshot-isolation cargo test -q --test snapshot_isolation
 step sql-equivalence cargo test -q --test sql_equivalence
 step backend-conformance cargo test -q --test backend_conformance
+# One seeded op-stream generator and one model, in each deployment shape
+# (in memory, pager crash at every op, random pager faults, WAL crash at
+# every op, served over loopback): answers, ids, refusals,
+# plan cases and recovered states all predicted by the model.
+step model cargo test -q --test model
 
 # Incremental maintenance under load: 100 inserts then 100 deletes into
 # dual indexes at k = 2 and 5 (one descent per tree carrying each entry and

@@ -131,6 +131,9 @@ pub struct Wal {
     pending: Vec<u8>,
     pending_records: u64,
     durable_records: u64,
+    /// The LSN of the last record a successful sync made durable. A
+    /// crash drops the pending batch without touching it.
+    synced_lsn: u64,
     plan: WalFaultPlan,
     ops: u64,
     down: bool,
@@ -159,6 +162,7 @@ impl Wal {
             pending: Vec::new(),
             pending_records: 0,
             durable_records: 0,
+            synced_lsn: start_lsn.saturating_sub(1),
             plan: WalFaultPlan::default(),
             ops: 0,
             down: false,
@@ -240,6 +244,7 @@ impl Wal {
             return Err(e);
         }
         self.durable_records += self.pending_records;
+        self.synced_lsn = self.next_lsn - 1;
         self.pending.clear();
         self.pending_records = 0;
         Ok(())
@@ -269,6 +274,7 @@ impl Wal {
             return Err(e);
         }
         self.next_lsn = start_lsn;
+        self.synced_lsn = start_lsn.saturating_sub(1);
         self.pending.clear();
         self.pending_records = 0;
         self.durable_records = 0;
@@ -364,7 +370,7 @@ impl Wal {
     /// durable, or the LSN before the first one when none — what a server
     /// may acknowledge.
     pub fn synced_lsn(&self) -> u64 {
-        (self.next_lsn - self.pending_records).saturating_sub(1)
+        self.synced_lsn
     }
 }
 
@@ -522,6 +528,26 @@ mod tests {
         let scan = Wal::read(&path).unwrap().unwrap();
         assert!(scan.torn_tail, "the half-written frame fails its crc");
         assert!(scan.records.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A crashed sync drops its batch, and the LSNs it held were never
+    /// durable: the synced watermark stays where the last good sync left it.
+    #[test]
+    fn crash_on_sync_keeps_the_synced_watermark() {
+        let path = tmp("crash_sync_lsn");
+        let mut wal = Wal::create(&path, 1).unwrap();
+        assert_eq!(wal.synced_lsn(), 0);
+        wal.append(b"acked").unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.synced_lsn(), 1);
+        wal.append(b"doomed").unwrap();
+        wal.append(b"also doomed").unwrap();
+        // Ops: 1 append, 2 sync, 3 and 4 appends, 5 the crashing sync.
+        wal.set_fault_plan(WalFaultPlan::new().crash_at(5));
+        assert!(wal.sync().is_err());
+        assert_eq!(wal.synced_lsn(), 1, "the crashed batch was never synced");
+        drop(wal);
         std::fs::remove_file(&path).unwrap();
     }
 

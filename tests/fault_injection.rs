@@ -1,12 +1,10 @@
-//! Crash-matrix and corruption-recovery suite: the engine is driven through
-//! a [`FaultPager`] that crashes at every fallible-op index `k` in turn,
-//! and through targeted on-disk corruption of heap and index pages.
+//! Corruption-recovery suite: targeted on-disk corruption of heap and
+//! index pages, torn WAL tails, and a [`FaultPager`] failing every op of
+//! index maintenance in turn. The crash matrices over generated scripts
+//! (pager and WAL) and the random fault schedules are the model harness's
+//! (`tests/model.rs`).
 //!
 //! Invariants checked:
-//! - `ConstraintDb::open` never panics, whatever the crash point — it either
-//!   reports a clean error or recovers.
-//! - A recovered database equals the state at the last successful
-//!   checkpoint, tuple for tuple (the pre-/post-checkpoint oracle).
 //! - A corrupt heap page quarantines exactly its relation; siblings answer
 //!   every strategy identically to the uncorrupted oracle.
 //! - A corrupt index page only degrades its relation, and
@@ -20,7 +18,7 @@ use constraint_db::index::query::Strategy;
 use constraint_db::index::RelationHealth;
 use constraint_db::prelude::*;
 use constraint_db::storage::file::FilePager;
-use constraint_db::storage::{wal_path, FaultPager, FaultPlan, PageId, WalFaultPlan};
+use constraint_db::storage::{wal_path, FaultPager, FaultPlan, PageId};
 
 use std::io::{Seek, SeekFrom, Write as _};
 
@@ -38,190 +36,11 @@ const STRATEGIES: [Strategy; 4] = [
     Strategy::Auto,
 ];
 
-/// Live tuples the scripted workload ends with when nothing fails:
-/// 8 + 4 inserts minus one delete.
-const FULL_LIVE: usize = 11;
-
-/// The scripted mutation workload for the crash matrix. Every step
-/// tolerates failure (after the crash point all ops error). Returns the
-/// recovery oracle — the live `(id, tuple)` set at the *last checkpoint
-/// that reported success* (`None` when no commit ever succeeded) — and
-/// whether the run completed without the crash firing.
-///
-/// The oracle bookkeeping is sound under crash plans because a crash downs
-/// the pager: an op either fully succeeded before the crash, or is the
-/// crash op itself — in which case no later checkpoint can commit its
-/// partial effects.
-fn scripted_run(db: &mut ConstraintDb) -> (Option<Vec<(u32, GeneralizedTuple)>>, bool) {
-    let mut live: Vec<(u32, GeneralizedTuple)> = Vec::new();
-    let mut committed = None;
-    let _ = db.create_relation("r", 2);
-    if db.checkpoint().is_ok() {
-        committed = Some(live.clone());
-    }
-    for t in DatasetSpec::paper_1999(8, ObjectSize::Small, 11).generate() {
-        if let Ok(id) = db.insert("r", t.clone()) {
-            live.push((id, t));
-        }
-    }
-    let _ = db.build_dual_index("r", SlopeSet::uniform_tan(3));
-    if db.checkpoint().is_ok() {
-        committed = Some(live.clone());
-    }
-    if db.delete("r", 3).is_ok() {
-        live.retain(|(id, _)| *id != 3);
-    }
-    for t in DatasetSpec::paper_1999(4, ObjectSize::Small, 12).generate() {
-        if let Ok(id) = db.insert("r", t.clone()) {
-            live.push((id, t));
-        }
-    }
-    let done = db.checkpoint().is_ok();
-    if done {
-        committed = Some(live.clone());
-    }
-    // A crashed run cannot reach the full live count *and* commit it: the
-    // final checkpoint either really commits (no crash happened yet, and
-    // none can happen after — it is the last op) or fails.
-    (committed, done && live.len() == FULL_LIVE)
-}
-
-/// Runs the scripted workload against `path` through a fault plan; the
-/// database is dropped without `close` (drop ≡ crash).
-fn faulted_run(
-    path: &std::path::Path,
-    plan: FaultPlan,
-) -> (Option<Vec<(u32, GeneralizedTuple)>>, bool) {
-    let _ = std::fs::remove_file(path);
-    let pager = FaultPager::new(FilePager::create(path, 1024).unwrap(), plan);
-    let mut db = ConstraintDb::with_pager(Box::new(pager), DbConfig::paper_1999());
-    scripted_run(&mut db)
-}
-
 /// Sorted live `(id, tuple)` set of relation `r`, via a full heap scan.
 fn live_set(db: &ConstraintDb) -> Vec<(u32, GeneralizedTuple)> {
     let mut got = db.scan_relation("r").unwrap();
     got.sort_by_key(|(id, _)| *id);
     got
-}
-
-#[test]
-fn crash_at_every_op_recovers_to_the_last_checkpoint() {
-    let path = tmp("matrix");
-    // The engine owns the pager as `Box<dyn Pager>`, so the op horizon is
-    // not read off a counter: crash points are tried in order until a plan's
-    // crash index is never reached (the run completed under it), which the
-    // workload reports itself.
-    let mut k = 1u64;
-    loop {
-        let (committed, complete) = faulted_run(&path, FaultPlan::new().crash_at(k));
-        match ConstraintDb::open(&path) {
-            Err(_) => assert!(
-                committed.is_none(),
-                "crash at op {k}: a checkpoint reported success but the file does not reopen"
-            ),
-            Ok(db) => {
-                let want = committed.unwrap_or_else(|| {
-                    panic!("crash at op {k}: reopened with no successful checkpoint")
-                });
-                if want.is_empty() {
-                    assert_eq!(
-                        db.relation("r").map(|r| r.len()).unwrap_or(0),
-                        0,
-                        "crash at op {k}: the empty birth commit recovered non-empty"
-                    );
-                } else {
-                    assert_eq!(
-                        live_set(&db),
-                        want,
-                        "crash at op {k}: recovered state is not the last checkpoint"
-                    );
-                    // The recovered engine also serves consistent queries.
-                    let sel = Selection::exist(HalfPlane::above(0.37, 0.0));
-                    let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
-                    let auto = db.query_with("r", sel, Strategy::Auto).unwrap();
-                    assert_eq!(scan.ids(), auto.ids(), "crash at op {k}");
-                }
-            }
-        }
-        if complete {
-            break;
-        }
-        k += 1;
-        assert!(k < 10_000, "crash matrix failed to terminate");
-    }
-    assert!(k > 20, "the workload is long enough to be a real matrix");
-    let _ = std::fs::remove_file(&path);
-}
-
-/// A smaller scripted run for non-crash schedules (injected errors leave
-/// the pager up, so a failed insert/delete may still have partially
-/// applied — the oracle must therefore come from the engine itself).
-/// Returns whether any commit succeeded, plus the authoritative scan
-/// snapshot at the last successful checkpoint when one could be taken.
-fn random_run(db: &mut ConstraintDb) -> (bool, Option<Vec<(u32, GeneralizedTuple)>>) {
-    let mut any_commit = false;
-    let mut last_known = None;
-    let snapshot = |db: &ConstraintDb, known: &mut Option<Vec<(u32, GeneralizedTuple)>>| {
-        match db.scan_relation("r") {
-            Ok(mut snap) => {
-                snap.sort_by_key(|(id, _)| *id);
-                *known = Some(snap);
-            }
-            // An injected read error mid-snapshot: state unknown.
-            Err(_) => *known = None,
-        }
-    };
-    let _ = db.create_relation("r", 2);
-    for (i, t) in DatasetSpec::paper_1999(12, ObjectSize::Small, 21)
-        .generate()
-        .into_iter()
-        .enumerate()
-    {
-        let _ = db.insert("r", t);
-        if i == 5 {
-            let _ = db.build_dual_index("r", SlopeSet::uniform_tan(3));
-        }
-        if i % 4 == 3 && db.checkpoint().is_ok() {
-            any_commit = true;
-            snapshot(db, &mut last_known);
-        }
-    }
-    let _ = db.delete("r", 2);
-    if db.checkpoint().is_ok() {
-        any_commit = true;
-        snapshot(db, &mut last_known);
-    }
-    (any_commit, last_known)
-}
-
-#[test]
-fn random_fault_schedules_never_panic_and_reopen_cleanly() {
-    let path = tmp("random");
-    for seed in 0..12u64 {
-        let _ = std::fs::remove_file(&path);
-        let pager = FaultPager::new(
-            FilePager::create(&path, 1024).unwrap(),
-            FaultPlan::random(seed, 400, 0.04),
-        );
-        let mut db = ConstraintDb::with_pager(Box::new(pager), DbConfig::paper_1999());
-        let (any_commit, last_known) = random_run(&mut db);
-        drop(db); // drop without close ≡ crash
-
-        match ConstraintDb::open(&path) {
-            Err(_) => assert!(!any_commit, "seed {seed}: committed state lost"),
-            Ok(db) => {
-                if let Some(want) = last_known {
-                    assert_eq!(live_set(&db), want, "seed {seed}");
-                }
-                let sel = Selection::all(HalfPlane::below(-0.8, 6.0));
-                let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
-                let auto = db.query_with("r", sel, Strategy::Auto).unwrap();
-                assert_eq!(scan.ids(), auto.ids(), "seed {seed}");
-            }
-        }
-    }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// One injected error — the pager stays up — at every op index of an
@@ -553,119 +372,6 @@ fn corrupt_index_degrades_and_rebuild_indexes_repairs_from_the_heap() {
         &oracle[..]
     );
     let _ = std::fs::remove_file(&path);
-}
-
-/// The WAL-armed scripted workload for the crash matrix: a relation plus a
-/// stream of inserts, group-commit syncs every third insert and one
-/// mid-stream checkpoint, so the fault counter sweeps appends, fsyncs and
-/// the truncate-on-checkpoint. Returns the **acked oracle** — the sorted
-/// live set that durability was confirmed for (a batch is acked only when
-/// its `wal_sync` returned Ok; a successful checkpoint acks everything
-/// applied so far) — and whether the run completed without the crash
-/// firing.
-fn wal_faulted_run(
-    path: &std::path::Path,
-    plan: WalFaultPlan,
-) -> (Vec<(u32, GeneralizedTuple)>, bool) {
-    let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(wal_path(path));
-    let mut db = ConstraintDb::create(path, DbConfig::paper_1999()).unwrap();
-    assert!(db.begin_wal().unwrap(), "file-backed engines arm the wal");
-    db.set_wal_fault_plan(plan);
-
-    let mut ok = true;
-    let mut acked: Vec<(u32, GeneralizedTuple)> = Vec::new();
-    let mut pending: Vec<(u32, GeneralizedTuple)> = Vec::new();
-    ok &= db.create_relation("r", 2).is_ok();
-    ok &= db.wal_sync().is_ok();
-    for (i, t) in DatasetSpec::paper_1999(18, ObjectSize::Small, 31)
-        .generate()
-        .into_iter()
-        .enumerate()
-    {
-        match db.insert("r", t.clone()) {
-            Ok(id) => pending.push((id, t)),
-            Err(_) => ok = false,
-        }
-        if i % 3 == 2 {
-            // Group-commit boundary: the fsync is what acknowledges.
-            if db.wal_sync().is_ok() {
-                acked.append(&mut pending);
-            } else {
-                ok = false;
-                pending.clear();
-            }
-        }
-        if i == 8 {
-            // A checkpoint commits everything applied so far — including
-            // mutations whose log append failed — so the engine's own scan
-            // is the authoritative acked set from here.
-            match db.checkpoint() {
-                Ok(()) => {
-                    acked = live_set(&db);
-                    pending.clear();
-                }
-                Err(_) => ok = false,
-            }
-        }
-    }
-    acked.sort_by_key(|(id, _)| *id);
-    (acked, ok)
-    // db dropped without close ≡ crash
-}
-
-/// Crash at every WAL op index in turn — append, fsync, and the
-/// truncate-on-checkpoint — and assert that `open` never panics and that
-/// the recovered state contains **every acknowledged mutation**. Recovery
-/// may exceed the acked set (a torn fsync can land complete frames whose
-/// acknowledgement was never sent); it must never fall short of it.
-#[test]
-fn wal_crash_at_every_op_loses_no_acked_mutation() {
-    let path = tmp("walmatrix");
-    let mut k = 1u64;
-    loop {
-        let (acked, complete) = wal_faulted_run(&path, WalFaultPlan::new().crash_at(k));
-        let db = ConstraintDb::open(&path)
-            .unwrap_or_else(|e| panic!("wal crash at op {k}: open failed: {e}"));
-        assert!(
-            db.recovery_report().is_clean(),
-            "wal crash at op {k}: recovery is not clean: {:?}",
-            db.recovery_report()
-        );
-        let got = live_set(&db);
-        // Insert-only workload: replay re-assigns the same dense ids, so
-        // the recovered set is a clean prefix at least as long as the acked
-        // set, agreeing with it tuple for tuple.
-        assert!(
-            got.len() >= acked.len(),
-            "wal crash at op {k}: lost acked mutations ({} recovered < {} acked)",
-            got.len(),
-            acked.len()
-        );
-        assert_eq!(
-            &got[..acked.len()],
-            acked.as_slice(),
-            "wal crash at op {k}: recovered state diverges from the acked set"
-        );
-        for (i, (id, _)) in got.iter().enumerate() {
-            assert_eq!(*id as usize, i, "wal crash at op {k}: ids are not dense");
-        }
-        if !got.is_empty() {
-            let sel = Selection::exist(HalfPlane::above(0.37, 0.0));
-            let scan = db.query_with("r", sel.clone(), Strategy::Scan).unwrap();
-            let auto = db.query_with("r", sel, Strategy::Auto).unwrap();
-            assert_eq!(scan.ids(), auto.ids(), "wal crash at op {k}");
-        }
-        drop(db);
-        if complete {
-            break;
-        }
-        k += 1;
-        assert!(k < 10_000, "wal crash matrix failed to terminate");
-    }
-    assert!(k > 20, "the workload exercises a real spread of wal ops");
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(wal_path(&path));
 }
 
 /// A WAL whose tail frame is physically torn (the classic partial write)
